@@ -13,6 +13,11 @@
 //! fmtm deploy <spec-file> [options]     register a new template version into a
 //!                                       running fmtm serve (POST /admin/deploy)
 //! fmtm load [options]                   load generator / client for fmtm serve
+//! fmtm journal dump <journal-file>      print a journal's events, one JSON
+//!                                       object per line (read-only)
+//! fmtm journal upgrade <journal-file>   convert a JSON-lines journal written
+//!                                       before the binary format, in place
+//!                                       (atomic; `serve` refuses such files)
 //!
 //! lint options:
 //!   --format json                       machine-readable output
@@ -155,11 +160,77 @@ fn main() -> ExitCode {
         Some("serve") => serve(&args[1..]),
         Some("deploy") => deploy_cmd(&args[1..]),
         Some("load") => load_cmd(&args[1..]),
+        Some("journal") => journal_cmd(&args[1..]),
         _ => {
             eprintln!(
-                "usage: fmtm <translate|dot|check|lint|run|top|crashtest|serve|deploy|load> [options]"
+                "usage: fmtm <translate|dot|check|lint|run|top|crashtest|serve|deploy|load|journal> [options]"
             );
             eprintln!("see `crates/exotica/src/bin/fmtm.rs` for option details");
+            ExitCode::from(2)
+        }
+    }
+}
+
+/// `fmtm journal dump|upgrade <file>`: the two places JSON still meets
+/// the journal.
+fn journal_cmd(args: &[String]) -> ExitCode {
+    use std::io::Write as _;
+    use wfms_engine::journal::{Journal, Upgrade};
+    let [action, file] = args else {
+        eprintln!("usage: fmtm journal <dump|upgrade> <journal-file>");
+        return ExitCode::from(2);
+    };
+    let path = std::path::Path::new(file);
+    let report_tail = |tail: &txn_substrate::durability::TornTail, what: &str| {
+        eprintln!(
+            "fmtm journal: torn tail at byte {} {what}: {}",
+            tail.offset, tail.discarded
+        );
+    };
+    match action.as_str() {
+        "dump" => {
+            let (events, report) = match Journal::read_file(path) {
+                Ok(read) => read,
+                Err(e) => {
+                    eprintln!("fmtm journal dump: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
+            let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+            for event in &events {
+                let line = serde_json::to_string(event).expect("Event is always serializable");
+                if writeln!(out, "{line}").is_err() {
+                    // The reader went away (`| head`): not an error.
+                    return ExitCode::SUCCESS;
+                }
+            }
+            if out.flush().is_err() {
+                return ExitCode::SUCCESS;
+            }
+            if let Some(tail) = &report.torn_tail {
+                report_tail(tail, "not shown (the next open will truncate it)");
+            }
+            ExitCode::SUCCESS
+        }
+        "upgrade" => match Journal::upgrade_json_file(path) {
+            Ok(Upgrade::AlreadyBinary) => {
+                println!("{file}: already in the binary format, left as it is");
+                ExitCode::SUCCESS
+            }
+            Ok(Upgrade::Converted { events, torn_tail }) => {
+                if let Some(tail) = &torn_tail {
+                    report_tail(tail, "dropped");
+                }
+                println!("{file}: {events} event(s) rewritten as binary frames");
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("fmtm journal upgrade: {e}");
+                ExitCode::FAILURE
+            }
+        },
+        other => {
+            eprintln!("fmtm journal: unknown action `{other}` (dump | upgrade)");
             ExitCode::from(2)
         }
     }

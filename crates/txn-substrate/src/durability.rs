@@ -1,16 +1,18 @@
 //! Durability policies for file-mirrored logs.
 //!
-//! Both logs in this workspace — the database [`Wal`](crate::Wal) and
-//! the engine journal (`wfms_engine::Journal`) — are JSON-lines files
-//! behind a `BufWriter`. *When* the buffered bytes actually reach the
-//! file (and the disk) is a policy decision with a real trade-off:
+//! Both logs in this workspace — the database [`Wal`](crate::Wal), a
+//! JSON-lines file, and the engine journal (`wfms_engine::Journal`), a
+//! file of binary frames — sit behind a `BufWriter`. *When* the
+//! buffered bytes actually reach the file (and the disk) is a policy
+//! decision with a real trade-off:
 //! flushing more often narrows the window of work lost in a crash,
 //! syncing pushes the durability point through the OS page cache at a
 //! per-event `fdatasync` cost, and batching amortises both over group
 //! commits the way high-throughput WAL implementations do.
 //!
 //! The torn-tail semantics documented on the reopen paths
-//! ([`read_json_lines`]) hold under every policy: a crash can leave at
+//! ([`read_json_lines`] here, `Journal::with_file_report` in the
+//! engine) hold under every policy: a crash can leave at
 //! most one partially written record at the end of the file, and
 //! reopen truncates it. What the policy changes is how many *complete*
 //! records may be lost (`PerEvent`/`PerEventSync`: none that the
@@ -68,37 +70,28 @@ impl DurableWriter {
         self.policy
     }
 
-    /// Writes one record line. `barrier` forces a flush regardless of
-    /// policy (commit records; journal callers pass `false`). Returns
-    /// any I/O error without panicking — callers decide whether a log
-    /// that cannot be written is fatal.
-    pub fn append_line(&mut self, line: &str, barrier: bool) -> std::io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.pending += 1;
-        let flush_now = barrier
-            || match self.policy {
-                DurabilityPolicy::PerEvent | DurabilityPolicy::PerEventSync => true,
-                DurabilityPolicy::Batched { n } => self.pending >= n.max(1),
-            };
-        if flush_now {
-            self.flush()?;
-        }
-        Ok(())
+    /// Writes one record as a newline-terminated line (the WAL's
+    /// JSON-lines form). `barrier` forces a flush regardless of policy
+    /// (commit records). Returns any I/O error without panicking —
+    /// callers decide whether a log that cannot be written is fatal.
+    pub fn append_line(&mut self, line: &[u8], barrier: bool) -> std::io::Result<()> {
+        self.writer.write_all(line)?;
+        self.append_chunk(b"\n", 1, barrier)
     }
 
-    /// Writes a pre-assembled chunk of `records` newline-terminated
-    /// record lines in one `write_all` — the group-commit form of
+    /// Writes a pre-assembled chunk of `records` complete records
+    /// (already framed or newline-terminated by the caller) in one
+    /// `write_all` — the group-commit form of
     /// [`DurableWriter::append_line`]. The policy sees `records`
     /// appends; `barrier` forces a flush at the chunk end regardless
     /// of policy.
     pub fn append_chunk(
         &mut self,
-        chunk: &str,
+        chunk: &[u8],
         records: usize,
         barrier: bool,
     ) -> std::io::Result<()> {
-        self.writer.write_all(chunk.as_bytes())?;
+        self.writer.write_all(chunk)?;
         self.pending += records;
         let flush_now = barrier
             || match self.policy {
@@ -270,22 +263,19 @@ pub fn read_json_lines<T: serde::Deserialize>(
     Ok((records, report))
 }
 
-/// Atomically rewrites the log at `path` with `lines`: writes a
-/// sibling temp file, syncs it, and renames it over the original —
-/// a crash during compaction leaves either the old complete file or
-/// the new complete file, never a half-rewritten one. Returns the
-/// reopened (append-positioned) file.
+/// Atomically rewrites the log at `path` with whatever `write`
+/// produces: writes a sibling temp file, syncs it, and renames it over
+/// the original — a crash during compaction leaves either the old
+/// complete file or the new complete file, never a half-rewritten one.
+/// Returns the reopened (append-positioned) file.
 pub fn atomic_rewrite(
     path: &std::path::Path,
-    lines: impl Iterator<Item = String>,
+    write: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
 ) -> std::io::Result<File> {
     let tmp_path = path.with_extension("rewrite-tmp");
     {
         let mut tmp = BufWriter::new(File::create(&tmp_path)?);
-        for line in lines {
-            tmp.write_all(line.as_bytes())?;
-            tmp.write_all(b"\n")?;
-        }
+        write(&mut tmp)?;
         tmp.flush()?;
         tmp.get_ref().sync_data()?;
     }
@@ -362,12 +352,12 @@ mod tests {
         let path = dir.join("log");
         let file = File::create(&path).unwrap();
         let mut w = DurableWriter::new(file, DurabilityPolicy::Batched { n: 3 });
-        w.append_line("1", false).unwrap();
-        w.append_line("2", false).unwrap();
+        w.append_line(b"1", false).unwrap();
+        w.append_line(b"2", false).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"", "still buffered");
-        w.append_line("3", false).unwrap();
+        w.append_line(b"3", false).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"1\n2\n3\n", "group flushed");
-        w.append_line("4", true).unwrap();
+        w.append_line(b"4", true).unwrap();
         assert_eq!(
             std::fs::read(&path).unwrap(),
             b"1\n2\n3\n4\n",
@@ -381,8 +371,7 @@ mod tests {
         let dir = tmp_dir("rewrite");
         let path = dir.join("log");
         std::fs::write(&path, "1\n2\n3\n").unwrap();
-        let mut f = atomic_rewrite(&path, ["9".to_owned()].into_iter()).unwrap();
-        use std::io::Write as _;
+        let mut f = atomic_rewrite(&path, |w| w.write_all(b"9\n")).unwrap();
         writeln!(f, "10").unwrap();
         let (recs, _) = read_json_lines::<i64>(&path).unwrap();
         assert_eq!(recs, vec![9, 10], "rewritten file accepts appends");
@@ -396,7 +385,7 @@ mod tests {
         let path = dir.join("log");
         let file = File::create(&path).unwrap();
         let mut w = DurableWriter::new(file, DurabilityPolicy::PerEventSync);
-        w.append_line("42", false).unwrap();
+        w.append_line(b"42", false).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"42\n");
         std::fs::remove_dir_all(&dir).unwrap();
     }

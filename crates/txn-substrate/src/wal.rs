@@ -221,7 +221,7 @@ impl Wal {
         let mut guard = self.mirror.lock();
         if let Some(m) = guard.as_mut() {
             let t0 = std::time::Instant::now();
-            let result = m.writer.append_line(&line, barrier);
+            let result = m.writer.append_line(line.as_bytes(), barrier);
             self.mirror_nanos
                 .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
             if let Err(e) = result {
@@ -345,10 +345,17 @@ impl Wal {
         records.drain(..start);
         let mut guard = self.mirror.lock();
         if let Some(m) = guard.as_mut() {
-            let lines = records
-                .iter()
-                .map(|rec| serde_json::to_string(rec).expect("LogRecord is always serializable"));
-            match atomic_rewrite(&m.path, lines) {
+            let rewritten = atomic_rewrite(&m.path, |w| {
+                use std::io::Write as _;
+                for rec in records.iter() {
+                    let line =
+                        serde_json::to_string(rec).expect("LogRecord is always serializable");
+                    w.write_all(line.as_bytes())?;
+                    w.write_all(b"\n")?;
+                }
+                Ok(())
+            });
+            match rewritten {
                 Ok(file) => m.writer.replace_file(file),
                 Err(e) => Self::fail_mirror(&mut guard, &self.mirror_error, "compact", &e),
             }

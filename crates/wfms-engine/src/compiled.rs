@@ -740,12 +740,28 @@ impl CompiledProcess {
     /// Resolves a name path (block names, then an activity name) into
     /// an [`IdPath`].
     pub fn resolve_path(&self, segs: &[String]) -> Option<IdPath> {
+        self.resolve_segments(segs.iter().map(String::as_str))
+    }
+
+    /// [`CompiledProcess::resolve_path`] straight from the
+    /// slash-separated journal form (`""` is the root scope), without
+    /// splitting it into owned segments first — replay resolves one
+    /// path per event.
+    pub fn resolve_journal_path(&self, path: &str) -> Option<IdPath> {
+        if path.is_empty() {
+            return Some(IdPath::new());
+        }
+        self.resolve_segments(path.split('/'))
+    }
+
+    fn resolve_segments<'a>(&self, segs: impl Iterator<Item = &'a str>) -> Option<IdPath> {
         let mut scope: &CompiledScope = &self.root;
-        let mut ids = Vec::with_capacity(segs.len());
-        for (i, seg) in segs.iter().enumerate() {
+        let mut ids = IdPath::new();
+        let mut segs = segs.peekable();
+        while let Some(seg) = segs.next() {
             let id = scope.id(seg)?;
             ids.push(id);
-            if i + 1 < segs.len() {
+            if segs.peek().is_some() {
                 scope = scope.child_scope(id)?;
             }
         }

@@ -49,12 +49,12 @@
 
 use crate::engine::EngineConfig;
 use crate::event::{Event, InstanceId};
+use crate::journal::Journal;
 use crate::org::OrgModel;
 use crate::recovery;
 use crate::state::InstanceStatus;
 use serde::Serialize;
 use std::collections::{BTreeMap, HashSet};
-use std::io::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use txn_substrate::{MultiDatabase, ProgramRegistry};
@@ -97,8 +97,8 @@ pub struct SweepScript<'a> {
 /// Sweep options.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
-    /// Additionally write a torn (half-serialized, newline-less) copy
-    /// of event `k+1` after each `k`-event prefix, exercising the
+    /// Additionally write the first half of event `k+1`'s frame after
+    /// each `k`-event prefix, exercising the
     /// torn-tail truncation on every reopen.
     pub torn_tail: bool,
 }
@@ -435,26 +435,16 @@ fn run_crash_point(
 
     // Truncate the journal to what a crash after event `k` would have
     // left durable.
-    {
-        let mut f = match std::fs::File::create(&path) {
-            Ok(f) => f,
-            Err(e) => return Some(format!("cannot write prefix: {e}")),
-        };
-        for ev in &ref_events[..k] {
-            let line = serde_json::to_string(ev).expect("Event is always serializable");
-            if let Err(e) = writeln!(f, "{line}") {
-                return Some(format!("cannot write prefix: {e}"));
-            }
-        }
-        if cfg.torn_tail && k < ref_events.len() {
-            // The crash interrupted the append of event k+1: half its
-            // bytes reached the file, no trailing newline.
-            let line = serde_json::to_string(&ref_events[k]).expect("serializable");
-            let torn = &line[..line.len() / 2];
-            if let Err(e) = write!(f, "{torn}") {
-                return Some(format!("cannot write torn tail: {e}"));
-            }
-        }
+    let mut bytes = Journal::file_bytes(&ref_events[..k]);
+    if cfg.torn_tail && k < ref_events.len() {
+        // The crash interrupted the append of event k+1: the first
+        // half of its frame reached the file.
+        let whole = Journal::file_bytes(&ref_events[..=k]);
+        let cut = bytes.len() + (whole.len() - bytes.len()) / 2;
+        bytes.extend_from_slice(&whole[bytes.len()..cut]);
+    }
+    if let Err(e) = std::fs::write(&path, bytes) {
+        return Some(format!("cannot write prefix: {e}"));
     }
 
     let engine = match recovery::recover(

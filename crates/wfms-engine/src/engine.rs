@@ -201,6 +201,7 @@ impl Engine {
         if observer.is_enabled() {
             journal.attach_probes(JournalProbes::new(observer.registry()));
         }
+        journal.attach_fault_counters(observer.registry());
         let obs = EngineObs::new(observer);
         let clock = multidb.clock().clone();
         Self {
@@ -480,8 +481,7 @@ impl Engine {
         // that are now decidable). Repair it with exactly recovery's
         // resume pass — live and post-crash migration then journal the
         // same continuation events.
-        let events = self.journal.events();
-        let counts = crate::recovery::fixup_instance(inst, &self.services(), &events);
+        let counts = crate::recovery::fixup_instance(inst, &self.services());
         counts.record(self.obs.observer.registry(), "migration.fixups");
         self.check_journal()?;
         Ok(MigrationOutcome::Migrated { from, to })
@@ -693,6 +693,30 @@ impl Engine {
     /// is consulted at staff-resolution time).
     pub fn set_absent(&self, person: &str, absent: bool, substitute: Option<&str>) {
         self.org.lock().set_absent(person, absent, substitute);
+    }
+
+    /// The process (template name) instance `id` was started from — a
+    /// keyed lookup, unlike scanning [`Engine::instances`].
+    pub fn instance_process(&self, id: InstanceId) -> Result<String, EngineError> {
+        self.instances
+            .lock()
+            .get(&id)
+            .map(|i| i.tpl.name().to_owned())
+            .ok_or(EngineError::UnknownInstance(id))
+    }
+
+    /// Instance counts `(running, finished, cancelled)`, tallied under
+    /// the lock without materialising [`Engine::instances`].
+    pub fn instance_counts(&self) -> (u64, u64, u64) {
+        let mut counts = (0, 0, 0);
+        for inst in self.instances.lock().values() {
+            match inst.status {
+                InstanceStatus::Running => counts.0 += 1,
+                InstanceStatus::Finished => counts.1 += 1,
+                InstanceStatus::Cancelled => counts.2 += 1,
+            }
+        }
+        counts
     }
 
     /// All instances: `(id, process name, status)`.

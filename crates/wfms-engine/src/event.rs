@@ -38,8 +38,8 @@ impl std::fmt::Display for WorkItemId {
 /// the same `"Forward/T2"`), so events share one `Arc<str>` per
 /// template slot instead of allocating a fresh `String` per event —
 /// the compiled template interns every activity path once at
-/// compilation. Serializes byte-identically to a plain JSON string,
-/// so the journal format is unchanged.
+/// compilation, and the journal decoder shares one per distinct path
+/// in a file. Renders to JSON as a plain string.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PathStr(std::sync::Arc<str>);
 
@@ -152,12 +152,10 @@ pub type ActivityPath = PathStr;
 
 /// One navigation event.
 ///
-/// Serde is hand-written (below) rather than derived for one reason:
-/// the optional `tenant` key on [`Event::InstanceStarted`] must be
-/// *omitted* when `None` — not emitted as `null` — so tenantless
-/// journals stay byte-identical to the pre-tenancy format, and absent
-/// keys must read back as `None` so pre-tenancy journals still replay.
-/// The derive emits every field and errors on missing ones.
+/// On disk an event is a binary frame ([`crate::journal`]). The serde
+/// impls below are the JSON *rendering* — `fmtm journal dump`, audit
+/// exports — and the reader `fmtm journal upgrade` converts old
+/// JSON-lines journals with.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// A new instance of `process` started with `input`. `tenant`
@@ -263,8 +261,7 @@ pub enum Event {
     /// for instances started after this point; `version` is the spec
     /// content hash in hex. The *first* registration of a name is not
     /// journalled (its version is implied by the recovery template
-    /// set), so single-version journals are byte-identical to the
-    /// pre-versioning format.
+    /// set).
     TemplateDeployed {
         process: String,
         version: String,
@@ -298,9 +295,7 @@ pub enum Event {
 
 /// Serialisable snapshot of one instance (the definition is not
 /// embedded — templates are re-registered at recovery, as with plain
-/// replay). Serde is hand-written for the same reason as [`Event`]:
-/// the `tenant` key is omitted when `None` so pre-tenancy checkpoints
-/// parse and tenantless checkpoints keep their byte format.
+/// replay).
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstanceSnapshot {
     /// Instance id.
@@ -322,11 +317,10 @@ pub struct InstanceSnapshot {
 
 // ---- hand-written serde --------------------------------------------
 //
-// Same externally-tagged encoding the derive produces — a one-entry
-// map `{"Variant": {fields…}}` with fields in declaration order — so
-// every journal written before this impl parses unchanged. The only
-// deviation is deliberate: optional tenant keys are skipped when
-// `None` and default to `None` when absent.
+// The externally-tagged encoding a derive produces — a one-entry map
+// `{"Variant": {fields…}}` with fields in declaration order — except
+// that optional tenant keys are skipped when `None` and read as `None`
+// when absent, which the derive cannot express.
 
 /// `(key, value)` map entry for one serialized field.
 fn fld<T: Serialize>(name: &str, value: &T) -> (serde::Content, serde::Content) {
@@ -404,8 +398,6 @@ impl Serialize for Event {
                     fld("instance", instance),
                     fld("path", path),
                     fld("attempt", attempt),
-                    // `by` predates tenancy and was always emitted
-                    // (`null` for automatic activities) — keep it so.
                     fld("by", by),
                     fld("input", input),
                     fld("at", at),
@@ -896,9 +888,8 @@ mod tests {
         assert_eq!(back, e);
     }
 
-    /// A tenantless `InstanceStarted` serializes byte-identically to
-    /// the pre-tenancy derive output — no `"tenant"` key at all — so
-    /// untenanted journals keep their golden format.
+    /// A tenantless `InstanceStarted` renders with no `"tenant"` key
+    /// at all.
     #[test]
     fn tenantless_start_is_byte_identical_to_legacy() {
         let e = Event::InstanceStarted {
@@ -915,8 +906,7 @@ mod tests {
         );
     }
 
-    /// A pre-tenancy journal line (no `tenant` key) parses with
-    /// `tenant: None`.
+    /// A line without a `tenant` key parses with `tenant: None`.
     #[test]
     fn legacy_start_without_tenant_parses() {
         let line =

@@ -1,8 +1,9 @@
 //! The persistent execution journal.
 //!
 //! Same shape as the substrate's WAL: an in-memory event list,
-//! optionally mirrored to a file of JSON lines. *When* those lines
-//! reach the file is governed by a
+//! optionally mirrored to a file — of binary frames, one per event, in
+//! the format `codec.rs` defines (`docs/recovery.md` describes it
+//! byte by byte). *When* those frames reach the file is governed by a
 //! [`DurabilityPolicy`]: the default
 //! `PerEvent` flushes the writer after every append (navigation events
 //! are rare compared to database updates, so per-event flushing is
@@ -14,35 +15,69 @@
 //! exercises each policy's loss window.
 //!
 //! Reopening a mirrored journal tolerates a **torn tail**: a crash
-//! mid-append leaves a partial final line, which is truncated away
-//! with a diagnostic (mid-file corruption is still rejected). Mirror
-//! I/O errors never panic the engine: the first error is remembered
-//! ([`Journal::mirror_error`]), the mirror is disabled, and the
-//! in-memory journal keeps working so the engine can park the
+//! mid-append leaves a partial final frame, which is truncated away,
+//! reported in the [`TailReport`] and counted (mid-file corruption is
+//! still rejected, naming the byte offset). Mirror I/O errors never
+//! panic the engine: the first error is remembered
+//! ([`Journal::mirror_error`]) and counted, the mirror is disabled, and
+//! the in-memory journal keeps working so the engine can park the
 //! affected instances instead of dying mid-navigation.
+//!
+//! JSON survives in two places only: [`Journal::upgrade_json_file`]
+//! converts a journal written before the binary format, once, and
+//! `fmtm journal dump` renders events through `Serialize for Event`.
 
+use crate::codec::{self, DecodeError};
 use crate::event::Event;
 use crate::metrics::JournalProbes;
 use parking_lot::Mutex;
 use std::fs::OpenOptions;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use txn_substrate::durability::{
-    atomic_rewrite, read_json_lines, DurabilityPolicy, DurableWriter, MirrorError, TailReport,
+    atomic_rewrite, DurabilityPolicy, DurableWriter, MirrorError, TailReport, TornTail,
 };
+use wfms_observe::{Counter, Registry};
 
 /// The file mirror of a [`Journal`]: the policy-driven writer plus
 /// the path (needed for atomic compaction rewrites) and a reused
-/// serialization buffer for group commits.
+/// frame buffer.
 #[derive(Debug)]
 struct JournalMirror {
     writer: DurableWriter,
     path: PathBuf,
-    /// Batch serialization buffer, reused across [`Journal::append_batch`]
-    /// calls so a group commit costs one buffer fill and one write, not
-    /// one `String` per event.
-    buf: String,
+    /// Frame buffer, reused across appends: each event is encoded
+    /// exactly once, straight into the bytes the writer is handed, and
+    /// a group commit costs one buffer fill and one write.
+    buf: Vec<u8>,
+}
+
+/// Faults the journal absorbed instead of failing: counted, never
+/// printed. Standalone until the owning engine adopts them into its
+/// metrics registry ([`Journal::attach_fault_counters`]) — a torn tail
+/// is found before any engine exists.
+#[derive(Debug, Default)]
+struct FaultCounters {
+    torn_tails_truncated: Arc<Counter>,
+    mirror_errors: Arc<Counter>,
+    crc_failures: Arc<Counter>,
+}
+
+/// What [`Journal::upgrade_json_file`] did.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Upgrade {
+    /// The file already holds binary frames; nothing was written.
+    AlreadyBinary,
+    /// The JSON lines were rewritten as binary frames.
+    Converted {
+        /// Events carried over.
+        events: usize,
+        /// A half-written final line that was dropped, as the old
+        /// reopen path would have dropped it.
+        torn_tail: Option<TornTail>,
+    },
 }
 
 /// An append-only journal of navigation events.
@@ -58,14 +93,58 @@ pub struct Journal {
     mirror: Mutex<Option<JournalMirror>>,
     /// Fast-path flag mirroring `mirror.is_some()`: purely in-memory
     /// journals (the steady-state engine default and every parallel
-    /// worker shard) skip event serialization entirely — events are
-    /// only rendered to JSON when a file mirror needs the bytes.
+    /// worker shard) skip encoding entirely — events are only framed
+    /// when a file mirror needs the bytes.
     mirrored: AtomicBool,
     mirror_error: Mutex<Option<MirrorError>>,
+    faults: Mutex<FaultCounters>,
     /// Observability instruments, attached by the engine when its
     /// observer is enabled. `OnceLock::get` on the (common) empty cell
     /// is a single atomic load, so unobserved journals pay nothing.
     probes: OnceLock<JournalProbes>,
+}
+
+/// A journal file's events and what was found at its end.
+struct Loaded {
+    events: Vec<Event>,
+    report: TailReport,
+    /// The torn tail was complete enough to fail a checksum.
+    checksum_failed: bool,
+}
+
+/// Reads and decodes `path` without touching it.
+fn load(path: &Path) -> std::io::Result<Loaded> {
+    let bytes = std::fs::read(path)
+        .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+    let decoded = codec::decode_file(&bytes).map_err(|e| {
+        let msg = match e {
+            DecodeError::NotAJournal => format!(
+                "{0} is not a binary journal; a JSON-lines journal written before the \
+                 binary format is converted once with `fmtm journal upgrade {0}`",
+                path.display()
+            ),
+            DecodeError::UnsupportedVersion(v) => format!(
+                "{} has journal format version {v}; this build reads version 1",
+                path.display()
+            ),
+            DecodeError::Corrupt { offset, detail } => format!(
+                "corrupt journal {}: frame at byte {offset}: {detail}",
+                path.display()
+            ),
+        };
+        std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+    })?;
+    Ok(Loaded {
+        report: TailReport {
+            records: decoded.events.len(),
+            torn_tail: decoded.torn.map(|fault| TornTail {
+                offset: decoded.valid_len as u64,
+                discarded: format!("{} bytes ({fault})", bytes.len() - decoded.valid_len),
+            }),
+        },
+        checksum_failed: decoded.torn.is_some_and(|f| f.is_checksum()),
+        events: decoded.events,
+    })
 }
 
 impl Journal {
@@ -98,26 +177,104 @@ impl Journal {
         let journal = Self::new();
         let mut report = TailReport::default();
         if path.exists() {
-            let (events, rep) = read_json_lines::<Event>(path)?;
-            if let Some(tail) = &rep.torn_tail {
-                eprintln!(
-                    "journal: torn tail in {} at byte {}: truncated partial event {:?}",
-                    path.display(),
-                    tail.offset,
-                    tail.discarded
-                );
+            let loaded = load(path)?;
+            if let Some(tail) = &loaded.report.torn_tail {
+                let f = OpenOptions::new().write(true).open(path)?;
+                f.set_len(tail.offset)?;
+                f.sync_data()?;
+                let faults = journal.faults.lock();
+                faults.torn_tails_truncated.inc();
+                if loaded.checksum_failed {
+                    faults.crc_failures.inc();
+                }
             }
-            report = rep;
-            *journal.events.lock() = events;
+            report = loaded.report;
+            *journal.events.lock() = loaded.events;
         }
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
+        let mut file = OpenOptions::new().create(true).append(true).open(path)?;
+        if file.metadata()?.len() == 0 {
+            file.write_all(&codec::FILE_HEADER)?;
+        }
         *journal.mirror.lock() = Some(JournalMirror {
             writer: DurableWriter::new(file, policy),
             path: path.to_path_buf(),
-            buf: String::new(),
+            buf: Vec::new(),
         });
         journal.mirrored.store(true, Ordering::Release);
         Ok((journal, report))
+    }
+
+    /// The bytes of a journal file holding exactly `events`: the file
+    /// header, then one frame per event. What a mirrored journal has
+    /// written once `events` were appended and flushed — frames do not
+    /// depend on their neighbours, so any prefix of `events` encodes to
+    /// a prefix of these bytes (the crash sweep cuts its files here).
+    pub fn file_bytes(events: &[Event]) -> Vec<u8> {
+        let mut bytes = codec::FILE_HEADER.to_vec();
+        for event in events {
+            codec::encode_frame(event, &mut bytes);
+        }
+        bytes
+    }
+
+    /// Decodes the journal file at `path` without opening it for
+    /// append and without repairing it: a torn tail is reported, not
+    /// truncated. For tools that only look (`fmtm journal dump`).
+    pub fn read_file(path: &Path) -> std::io::Result<(Vec<Event>, TailReport)> {
+        load(path).map(|l| (l.events, l.report))
+    }
+
+    /// Converts a JSON-lines journal (the format before binary frames)
+    /// at `path` to the binary format, atomically: the frames are
+    /// written to a sibling temp file that is renamed over the
+    /// original, so a crash leaves the old file or the new one. A
+    /// half-written final line is dropped, as reopening used to drop
+    /// it; an unparseable line anywhere else is an error and the file
+    /// is left alone.
+    pub fn upgrade_json_file(path: &Path) -> std::io::Result<Upgrade> {
+        let bytes = std::fs::read(path)?;
+        if !matches!(codec::decode_file(&bytes), Err(DecodeError::NotAJournal)) {
+            // Binary already (or damaged binary, which the next open
+            // reports); not this tool's input either way.
+            return Ok(Upgrade::AlreadyBinary);
+        }
+        let mut events = Vec::new();
+        let mut torn_tail = None;
+        let mut offset = 0usize;
+        let mut lines = bytes
+            .split_inclusive(|&b| b == b'\n')
+            .enumerate()
+            .peekable();
+        while let Some((i, raw)) = lines.next() {
+            let parsed = match std::str::from_utf8(raw).map(str::trim) {
+                Ok("") => Ok(None),
+                Ok(line) => serde_json::from_str::<Event>(line)
+                    .map(Some)
+                    .map_err(|e| e.to_string()),
+                Err(e) => Err(e.to_string()),
+            };
+            match parsed {
+                Ok(event) => events.extend(event),
+                Err(_) if lines.peek().is_none() => {
+                    torn_tail = Some(TornTail {
+                        offset: offset as u64,
+                        discarded: String::from_utf8_lossy(raw).into_owned(),
+                    });
+                }
+                Err(e) => {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!("{}: corrupt record at line {}: {e}", path.display(), i + 1),
+                    ))
+                }
+            }
+            offset += raw.len();
+        }
+        atomic_rewrite(path, |w| w.write_all(&Self::file_bytes(&events)))?;
+        Ok(Upgrade::Converted {
+            events: events.len(),
+            torn_tail,
+        })
     }
 
     /// Test-only: mirrors the journal to an already-open `file` (e.g.
@@ -132,7 +289,7 @@ impl Journal {
         *journal.mirror.lock() = Some(JournalMirror {
             writer: DurableWriter::new(file, policy),
             path,
-            buf: String::new(),
+            buf: Vec::new(),
         });
         journal.mirrored.store(true, Ordering::Release);
         journal
@@ -148,11 +305,10 @@ impl Journal {
 
     /// Records the first mirror failure and disables the mirror.
     fn fail_mirror(&self, guard: &mut Option<JournalMirror>, context: &str, e: &std::io::Error) {
-        let err = MirrorError::new(context, e);
-        eprintln!("journal: {err}; disabling file mirror, journal continues in memory");
+        self.faults.lock().mirror_errors.inc();
         let mut slot = self.mirror_error.lock();
         if slot.is_none() {
-            *slot = Some(err);
+            *slot = Some(MirrorError::new(context, e));
         }
         *guard = None;
         self.mirrored.store(false, Ordering::Release);
@@ -165,11 +321,33 @@ impl Journal {
         let _ = self.probes.set(probes);
     }
 
+    /// Moves the fault counters into `reg` as
+    /// `journal.torn_tails_truncated`, `journal.mirror_errors` and
+    /// `journal.crc_failures`, carrying over what was counted so far
+    /// (the reopen that found a torn tail ran before the engine and its
+    /// registry existed). Called by the engine at construction, with
+    /// or without an enabled observer: faults are cold and always
+    /// counted, like the `recovery.*` fix-ups.
+    pub(crate) fn attach_fault_counters(&self, reg: &Registry) {
+        let mut faults = self.faults.lock();
+        let adopt = |slot: &mut Arc<Counter>, name: &str| {
+            let counter = reg.counter(name);
+            counter.add(slot.get());
+            *slot = counter;
+        };
+        adopt(
+            &mut faults.torn_tails_truncated,
+            "journal.torn_tails_truncated",
+        );
+        adopt(&mut faults.mirror_errors, "journal.mirror_errors");
+        adopt(&mut faults.crc_failures, "journal.crc_failures");
+    }
+
     /// Appends an event. Mirror I/O failures do not panic; they are
     /// reported through [`Journal::mirror_error`].
     ///
-    /// Serialization happens **only when a file mirror is attached**:
-    /// the in-memory journal stores the event value itself, so the
+    /// Encoding happens **only when a file mirror is attached**: the
+    /// in-memory journal stores the event value itself, so the
     /// unmirrored steady state (every benchmark engine and every
     /// parallel worker shard) pays a lock and a `Vec` push, nothing
     /// more.
@@ -184,18 +362,8 @@ impl Journal {
             .get()
             .and_then(|p| p.sample_tick().then(std::time::Instant::now));
         let mut events = self.events.lock();
-        if self.mirrored.load(Ordering::Acquire) {
-            let line = serde_json::to_string(&event).expect("Event is always serializable");
-            events.push(event);
-            let mut guard = self.mirror.lock();
-            if let Some(m) = guard.as_mut() {
-                if let Err(e) = m.writer.append_line(&line, false) {
-                    self.fail_mirror(&mut guard, "append", &e);
-                }
-            }
-        } else {
-            events.push(event);
-        }
+        self.mirror_frames(std::slice::from_ref(&event), false);
+        events.push(event);
         drop(events);
         if let Some(p) = self.probes.get() {
             p.appends.inc();
@@ -209,10 +377,9 @@ impl Journal {
     /// single group commit of the mirror — how the parallel scheduler
     /// merges per-worker journal shards back into the main journal.
     ///
-    /// When a mirror is attached the whole batch is serialized into
-    /// one reused buffer and written with a single `write_all` — the
-    /// bytes are exactly the per-event lines in order, so the journal
-    /// file format is unchanged.
+    /// When a mirror is attached the whole batch is framed into one
+    /// reused buffer and written with a single `write_all` — the bytes
+    /// are exactly the per-event frames in order.
     pub fn append_batch(&self, batch: Vec<Event>) {
         if batch.is_empty() {
             return;
@@ -222,28 +389,32 @@ impl Journal {
             p.batch_size.record(batch.len() as u64);
         }
         let mut events = self.events.lock();
-        if self.mirrored.load(Ordering::Acquire) {
-            let mut guard = self.mirror.lock();
-            if let Some(m) = guard.as_mut() {
-                let mut buf = std::mem::take(&mut m.buf);
-                buf.clear();
-                for event in &batch {
-                    serde_json::append_to_string(&mut buf, event)
-                        .expect("Event is always serializable");
-                    buf.push('\n');
-                }
-                // The batch end is a flush barrier: one group commit.
-                if let Err(e) = m.writer.append_chunk(&buf, batch.len(), true) {
-                    self.fail_mirror(&mut guard, "append", &e);
-                } else {
-                    m.buf = buf;
-                }
-            }
-        }
+        // The batch end is a flush barrier: one group commit.
+        self.mirror_frames(&batch, true);
         events.extend(batch);
     }
 
-    /// Forces buffered mirror lines to the file (a durability barrier
+    /// Frames `batch` into the mirror's buffer and hands the bytes to
+    /// the writer in one chunk; a no-op on an unmirrored journal. The
+    /// caller holds the `events` lock.
+    fn mirror_frames(&self, batch: &[Event], barrier: bool) {
+        if !self.mirrored.load(Ordering::Acquire) {
+            return;
+        }
+        let mut guard = self.mirror.lock();
+        let Some(JournalMirror { writer, buf, .. }) = guard.as_mut() else {
+            return;
+        };
+        buf.clear();
+        for event in batch {
+            codec::encode_frame(event, buf);
+        }
+        if let Err(e) = writer.append_chunk(buf, batch.len(), barrier) {
+            self.fail_mirror(&mut guard, "append", &e);
+        }
+    }
+
+    /// Forces buffered mirror frames to the file (a durability barrier
     /// under any policy; a no-op for unmirrored journals).
     pub fn flush(&self) {
         let _events = self.events.lock();
@@ -276,6 +447,13 @@ impl Journal {
         self.events.lock().clone()
     }
 
+    /// Runs `f` over the events in place, under the journal lock: how
+    /// recovery replays a journal without copying it. `f` must not
+    /// append to this journal.
+    pub(crate) fn with_events<R>(&self, f: impl FnOnce(&[Event]) -> R) -> R {
+        f(&self.events.lock())
+    }
+
     /// Drops every event before the last
     /// [`Event::EngineCheckpoint`] (journal compaction). A no-op when
     /// no checkpoint exists. When mirrored to a file, the file is
@@ -295,10 +473,7 @@ impl Journal {
         events.drain(..start);
         let mut guard = self.mirror.lock();
         if let Some(m) = guard.as_mut() {
-            let lines = events
-                .iter()
-                .map(|ev| serde_json::to_string(ev).expect("Event is always serializable"));
-            match atomic_rewrite(&m.path, lines) {
+            match atomic_rewrite(&m.path, |w| w.write_all(&Self::file_bytes(&events))) {
                 Ok(file) => m.writer.replace_file(file),
                 Err(e) => self.fail_mirror(&mut guard, "compact", &e),
             }
@@ -389,14 +564,26 @@ mod tests {
             j.append(started(1));
             j.append(started(2));
         }
+        let intact = std::fs::read(&path).unwrap();
         {
-            use std::io::Write as _;
+            // Half of a third frame.
+            let whole = Journal::file_bytes(&[started(1), started(2), started(3)]);
+            let cut = intact.len() + (whole.len() - intact.len()) / 2;
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            write!(f, "{{\"InstanceStar").unwrap();
+            f.write_all(&whole[intact.len()..cut]).unwrap();
         }
         let (j2, report) = Journal::with_file_report(&path, DurabilityPolicy::PerEvent).unwrap();
         assert_eq!(j2.len(), 2, "complete events survive the torn tail");
-        assert!(report.torn_tail.is_some());
+        let tail = report.torn_tail.expect("tail reported");
+        assert_eq!(tail.offset, intact.len() as u64);
+        assert_eq!(std::fs::read(&path).unwrap(), intact, "file repaired");
+        // Counted, not printed — and the count survives adoption into
+        // an engine's registry.
+        let reg = Registry::new();
+        j2.attach_fault_counters(&reg);
+        let counters = reg.snapshot().counters;
+        assert_eq!(counters["journal.torn_tails_truncated"], 1);
+        assert_eq!(counters["journal.crc_failures"], 0, "short, not damaged");
         // Appends after truncation land on a clean record boundary.
         j2.append(started(3));
         drop(j2);
@@ -412,11 +599,14 @@ mod tests {
         std::fs::write(&path, "").unwrap();
         let ro = OpenOptions::new().read(true).open(&path).unwrap();
         let j = Journal::with_injected_file(ro, path.clone(), DurabilityPolicy::PerEvent);
+        let reg = Registry::new();
+        j.attach_fault_counters(&reg);
         j.append(started(1));
         let err = j.mirror_error().expect("first failure recorded");
         j.append(started(2));
         assert_eq!(j.mirror_error(), Some(err), "first error wins");
         assert_eq!(j.len(), 2, "in-memory journal keeps working");
+        assert_eq!(reg.snapshot().counters["journal.mirror_errors"], 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -426,10 +616,94 @@ mod tests {
         let path = dir.join("engine.journal");
         let j = Journal::with_file_policy(&path, DurabilityPolicy::Batched { n: 1000 }).unwrap();
         j.append(started(1));
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "", "buffered");
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            codec::FILE_HEADER,
+            "the event is buffered; a new file holds its header only"
+        );
         j.append_batch(vec![started(2), started(3)]);
-        let on_disk = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(on_disk.lines().count(), 3, "batch end flushes the group");
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            Journal::file_bytes(&[started(1), started(2), started(3)]),
+            "batch end flushes the group"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A damaged last frame is a torn tail that also counts as a
+    /// checksum failure; the same damage with an intact frame after it
+    /// is refused, naming the damaged frame's offset.
+    #[test]
+    fn flipped_bit_is_a_tail_at_the_end_and_corruption_before_it() {
+        let dir = tmp_dir("flip");
+        let path = dir.join("engine.journal");
+        let one = Journal::file_bytes(&[started(1)]).len();
+        let mut bytes = Journal::file_bytes(&[started(1), started(2)]);
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+        let (j, report) = Journal::with_file_report(&path, DurabilityPolicy::PerEvent).unwrap();
+        assert_eq!(j.len(), 1);
+        assert_eq!(report.torn_tail.unwrap().offset, one as u64);
+        let reg = Registry::new();
+        j.attach_fault_counters(&reg);
+        assert_eq!(reg.snapshot().counters["journal.crc_failures"], 1);
+        drop(j);
+
+        let mut bytes = Journal::file_bytes(&[started(1), started(2), started(3)]);
+        bytes[last] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = Journal::with_file(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(&format!("byte {one}")), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "left untouched");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A JSON-lines journal is refused with the command that converts
+    /// it; after the conversion it opens with the same events, and a
+    /// second conversion is a no-op.
+    #[test]
+    fn json_journal_is_refused_then_upgraded() {
+        let dir = tmp_dir("upgrade");
+        let path = dir.join("old.journal");
+        let events = [started(1), started(2)];
+        let mut text = String::new();
+        for e in &events {
+            text.push_str(&serde_json::to_string(e).unwrap());
+            text.push('\n');
+        }
+        text.push_str("{\"InstanceStar");
+        std::fs::write(&path, &text).unwrap();
+
+        let err = Journal::with_file(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let hint = format!("fmtm journal upgrade {}", path.display());
+        assert!(err.to_string().contains(&hint), "{err}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text, "untouched");
+
+        let Upgrade::Converted {
+            events: n,
+            torn_tail,
+        } = Journal::upgrade_json_file(&path).unwrap()
+        else {
+            panic!("a JSON journal converts");
+        };
+        assert_eq!(n, 2);
+        assert_eq!(torn_tail.unwrap().discarded, "{\"InstanceStar");
+        assert_eq!(std::fs::read(&path).unwrap(), Journal::file_bytes(&events));
+        assert_eq!(
+            Journal::upgrade_json_file(&path).unwrap(),
+            Upgrade::AlreadyBinary
+        );
+        assert_eq!(Journal::with_file(&path).unwrap().events(), events);
+
+        // Damage before the last line: an error, and no rewrite.
+        let broken = text.replacen("InstanceStarted", "Instance Started", 1);
+        std::fs::write(&path, &broken).unwrap();
+        let err = Journal::upgrade_json_file(&path).unwrap_err();
+        assert!(err.to_string().contains("line 1"), "{err}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), broken);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -42,6 +42,7 @@
 //! ```
 
 pub mod audit;
+mod codec;
 pub mod compiled;
 pub mod crashtest;
 pub mod engine;

@@ -27,7 +27,6 @@
 
 use crate::compiled::{ActId, CompiledKind, CompiledScope};
 use crate::engine::Engine;
-use crate::state::InstanceStatus;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -381,14 +380,7 @@ impl Engine {
     /// instance/work-item states, journal length, cold-path counters
     /// and the federation statistics are still populated.
     pub fn metrics(&self) -> EngineMetrics {
-        let (mut running, mut finished, mut cancelled) = (0u64, 0u64, 0u64);
-        for inst in self.instances.lock().values() {
-            match inst.status {
-                InstanceStatus::Running => running += 1,
-                InstanceStatus::Finished => finished += 1,
-                InstanceStatus::Cancelled => cancelled += 1,
-            }
-        }
+        let (running, finished, cancelled) = self.instance_counts();
         let (offered, claimed, closed) = self.worklists.lock().state_counts();
 
         let snap = self.obs.observer.registry().snapshot();

@@ -29,7 +29,7 @@ use crate::metrics::EngineObs;
 use crate::navigator::{self, NavServices};
 use crate::org::OrgModel;
 use crate::registry::TemplateRegistry;
-use crate::state::{split_path, ActState, Instance, InstanceStatus};
+use crate::state::{ActState, Instance, InstanceStatus};
 use crate::worklist::{WorkItem, WorkItemState, WorklistStore};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
@@ -133,13 +133,14 @@ pub fn recover_with_policy(
     programs: Arc<ProgramRegistry>,
 ) -> Result<Engine, RecoveryError> {
     let journal = Journal::with_file_policy(journal_path, policy).map_err(RecoveryError::Io)?;
-    let events = journal.events();
-    recover_from(journal, events, templates, org, multidb, programs)
+    // Replay in place: the journal is never copied.
+    let state = journal.with_events(|events| replay(events, templates))?;
+    finish(journal, state, org, multidb, programs)
 }
 
 /// In-memory variant used by tests and benchmarks: rebuilds from an
 /// explicit event list (the journal keeps accumulating into `journal`;
-/// if it is empty the replayed events are seeded into it first, so
+/// if it is empty the replayed events are moved into it afterwards, so
 /// the recovered engine's history matches the file-based variant).
 pub fn recover_from(
     journal: Journal,
@@ -149,11 +150,25 @@ pub fn recover_from(
     multidb: Arc<MultiDatabase>,
     programs: Arc<ProgramRegistry>,
 ) -> Result<Engine, RecoveryError> {
+    let state = replay(&events, templates)?;
     if journal.is_empty() {
-        for ev in &events {
-            journal.append(ev.clone());
-        }
+        journal.append_batch(events);
     }
+    finish(journal, state, org, multidb, programs)
+}
+
+/// Engine state rebuilt from a journal, before the post-replay repairs.
+struct Replayed {
+    registry: TemplateRegistry,
+    instances: BTreeMap<InstanceId, Instance>,
+    worklists: WorklistStore,
+    next_instance: u64,
+    next_item: u64,
+    max_tick: txn_substrate::Tick,
+}
+
+/// Applies `events`, by reference, to a fresh engine state.
+fn replay(events: &[Event], templates: Vec<ProcessDefinition>) -> Result<Replayed, RecoveryError> {
     // The supplied definitions seed the registry in order; the *first*
     // definition per name fixes that name's initial default, and
     // journalled TemplateDeployed events advance it during replay —
@@ -165,29 +180,43 @@ pub fn recover_from(
         registry.insert(tpl, false);
     }
 
-    let mut instances: BTreeMap<InstanceId, Instance> = BTreeMap::new();
-    let mut worklists = WorklistStore::new();
-    let mut next_instance = 1u64;
-    let mut next_item = 1u64;
-    let mut max_tick = 0;
-
-    for ev in &events {
-        max_tick = max_tick.max(ev.at());
-        apply(
-            ev,
-            &mut registry,
-            &mut instances,
-            &mut worklists,
-            &mut next_instance,
-            &mut next_item,
-        )?;
+    let mut state = Replayed {
+        registry,
+        instances: BTreeMap::new(),
+        worklists: WorklistStore::new(),
+        next_instance: 1,
+        next_item: 1,
+        max_tick: 0,
+    };
+    for ev in events {
+        state.max_tick = state.max_tick.max(ev.at());
+        apply(ev, &mut state)?;
     }
 
     // Rebuild the ready queues: replay set activity states directly,
     // bypassing the live navigator's queue maintenance.
-    for inst in instances.values_mut() {
+    for inst in state.instances.values_mut() {
         inst.rebuild_ready();
     }
+    Ok(state)
+}
+
+/// Builds the engine around replayed state and resumes it.
+fn finish(
+    journal: Journal,
+    state: Replayed,
+    org: OrgModel,
+    multidb: Arc<MultiDatabase>,
+    programs: Arc<ProgramRegistry>,
+) -> Result<Engine, RecoveryError> {
+    let Replayed {
+        registry,
+        instances,
+        mut worklists,
+        next_instance,
+        next_item,
+        max_tick,
+    } = state;
 
     // Claims are leases held by a live session: the replay just
     // re-claimed items for workers that died with the crashed engine,
@@ -215,12 +244,10 @@ pub fn recover_from(
         obs: EngineObs::new(Arc::new(Observer::disabled())),
         probes: Mutex::new(HashMap::new()),
     };
+    let reg = engine.obs.observer.registry();
+    engine.journal.attach_fault_counters(reg);
     if stale_claims > 0 {
-        engine
-            .obs
-            .observer
-            .registry()
-            .counter("recovery.stale_claims_released")
+        reg.counter("recovery.stale_claims_released")
             .add(stale_claims as u64);
     }
 
@@ -229,14 +256,15 @@ pub fn recover_from(
 }
 
 /// Applies one journal event to the state under reconstruction.
-fn apply(
-    ev: &Event,
-    registry: &mut TemplateRegistry,
-    instances: &mut BTreeMap<InstanceId, Instance>,
-    worklists: &mut WorklistStore,
-    next_instance: &mut u64,
-    next_item: &mut u64,
-) -> Result<(), RecoveryError> {
+fn apply(ev: &Event, state: &mut Replayed) -> Result<(), RecoveryError> {
+    let Replayed {
+        registry,
+        instances,
+        worklists,
+        next_instance,
+        next_item,
+        ..
+    } = state;
     match ev {
         Event::InstanceStarted {
             instance,
@@ -350,11 +378,10 @@ fn apply(
             value,
             ..
         } => {
-            let scope_names = split_path(scope);
             if let Some(inst) = instances.get_mut(instance) {
                 let tpl = Arc::clone(&inst.tpl);
                 if let Some(s) = tpl
-                    .resolve_path(&scope_names)
+                    .resolve_journal_path(scope)
                     .and_then(|ids| inst.live_scope_of(&ids))
                 {
                     let m = tpl.layout.scope(s);
@@ -499,7 +526,7 @@ fn with_slot(
     };
     let Some(slot) = inst
         .tpl
-        .resolve_path(&split_path(path))
+        .resolve_journal_path(path)
         .and_then(|ids| inst.live_slot_of(&ids))
     else {
         return;
@@ -525,7 +552,6 @@ fn with_slot(
 /// * re-check scope completion (in case the crash hit between the last
 ///   termination and the completion event).
 fn resume(engine: &Engine) {
-    let events = engine.journal.events();
     let mut instances = engine.instances.lock();
     let svc = crate::navigator::NavServices {
         journal: &engine.journal,
@@ -545,7 +571,7 @@ fn resume(engine: &Engine) {
         if inst.status != InstanceStatus::Running {
             continue;
         }
-        let counts = fixup_instance(inst, &svc, &events);
+        let counts = fixup_instance(inst, &svc);
         counts.record(reg, "recovery.fixups");
     }
 }
@@ -581,13 +607,9 @@ impl FixupCounts {
 /// state transfer (a migrated frontier owes exactly the same kinds of
 /// navigation as a crashed one — joins to re-decide, connector
 /// cascades to finish, exits to re-check). Journals live events
-/// through `svc`; `events` is the journal content used to order
-/// terminated-cascade repairs.
-pub(crate) fn fixup_instance(
-    inst: &mut Instance,
-    svc: &NavServices<'_>,
-    events: &[Event],
-) -> FixupCounts {
+/// through `svc`, whose journal also orders the terminated-cascade
+/// repairs.
+pub(crate) fn fixup_instance(inst: &mut Instance, svc: &NavServices<'_>) -> FixupCounts {
     // Collect fix-up targets (deepest scopes last-in so child
     // fixes land before parent completion checks).
     let tpl = Arc::clone(&inst.tpl);
@@ -599,6 +621,35 @@ pub(crate) fn fixup_instance(
         waiting_renavigated: fx.waiting.len() as u64,
         connectors_reevaluated: fx.terminated_missing.len() as u64,
         exits_redecided: fx.finished.len() as u64,
+    };
+
+    // A crash inside a dead-path cascade leaves a *stack* of
+    // terminated activities with unevaluated outgoing connectors:
+    // terminate(A) → update_target(B) → terminate(B) → … died
+    // somewhere inside B. The live run would finish B's edges
+    // before returning to A's remaining ones, so process the
+    // stack innermost-first — i.e. in reverse order of the
+    // `ActivityTerminated` events in the journal, looked up in place
+    // before the repairs below append anything.
+    let mut terminated: Vec<(usize, u32)> = if fx.terminated_missing.is_empty() {
+        Vec::new()
+    } else {
+        svc.journal.with_events(|events| {
+            fx.terminated_missing
+                .iter()
+                .map(|&slot| {
+                    let ps: &str = &lay.paths[slot as usize];
+                    let pos = events
+                        .iter()
+                        .rposition(|e| {
+                            matches!(e, Event::ActivityTerminated { instance, path, .. }
+                                if *instance == inst.id && *path == *ps)
+                        })
+                        .unwrap_or(0);
+                    (pos, slot)
+                })
+                .collect()
+        })
     };
 
     // Offers come first: the live run journals `WorkItemOffered`
@@ -613,28 +664,6 @@ pub(crate) fn fixup_instance(
     for slot in fx.waiting {
         navigator::renavigate_waiting(inst, svc, slot);
     }
-    // A crash inside a dead-path cascade leaves a *stack* of
-    // terminated activities with unevaluated outgoing connectors:
-    // terminate(A) → update_target(B) → terminate(B) → … died
-    // somewhere inside B. The live run would finish B's edges
-    // before returning to A's remaining ones, so process the
-    // stack innermost-first — i.e. in reverse order of the
-    // `ActivityTerminated` events in the journal.
-    let mut terminated: Vec<(usize, u32)> = fx
-        .terminated_missing
-        .into_iter()
-        .map(|slot| {
-            let ps: &str = &lay.paths[slot as usize];
-            let pos = events
-                .iter()
-                .rposition(|e| {
-                    matches!(e, Event::ActivityTerminated { instance, path, .. }
-                        if *instance == inst.id && *path == *ps)
-                })
-                .unwrap_or(0);
-            (pos, slot)
-        })
-        .collect();
     terminated.sort_by_key(|(pos, _)| std::cmp::Reverse(*pos));
     for (_, slot) in terminated {
         navigator::reevaluate_outgoing(inst, svc, slot);

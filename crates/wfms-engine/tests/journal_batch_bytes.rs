@@ -1,12 +1,13 @@
-//! Byte-identity regression tests for the batched journal serializer.
+//! Byte-identity regression tests for the batched journal encoder.
 //!
 //! The parallel scheduler merges worker shards through
-//! [`Journal::append_batch`], which serializes the whole batch into
-//! one buffer and writes it with a single group commit. The journal
-//! file format contract is that those bytes are **exactly** the lines
-//! the per-event [`Journal::append`] path would have produced, in
-//! order — recovery, the crash sweep and external tail readers all
-//! depend on it. These tests pin that contract:
+//! [`Journal::append_batch`], which frames the whole batch into one
+//! buffer and writes it with a single group commit. The journal file
+//! format contract is that those bytes are **exactly** the frames the
+//! per-event [`Journal::append`] path would have produced, in order
+//! (and exactly [`Journal::file_bytes`], which the crash sweep cuts its
+//! prefixes from) — frames never depend on their neighbours. These
+//! tests pin that contract:
 //!
 //! * a golden-trace check over a nested process exercising every
 //!   event family the navigator emits (blocks, reschedules, dead
@@ -61,18 +62,22 @@ fn assert_identical(events: Vec<Event>, dir: &Path) {
     assert!(!events.is_empty(), "workload produced no events");
     let a = per_event_bytes(&events, dir);
     let b = batched_bytes(&events, dir);
-    // Compare line by line first so a mismatch names the event.
-    let a_lines: Vec<&[u8]> = a.split(|&c| c == b'\n').collect();
-    let b_lines: Vec<&[u8]> = b.split(|&c| c == b'\n').collect();
-    for (i, (la, lb)) in a_lines.iter().zip(&b_lines).enumerate() {
+    // Compare frame by frame first so a mismatch names the event.
+    for (i, event) in events.iter().enumerate() {
+        let end = Journal::file_bytes(&events[..=i]).len();
+        let start = Journal::file_bytes(&events[..i]).len();
         assert_eq!(
-            String::from_utf8_lossy(la),
-            String::from_utf8_lossy(lb),
-            "line {i} diverges (event {:?})",
-            events.get(i)
+            a.get(start..end),
+            b.get(start..end),
+            "frame {i} diverges (event {event:?})"
         );
     }
     assert_eq!(a, b, "batched mirror bytes must equal per-event bytes");
+    assert_eq!(a, Journal::file_bytes(&events));
+    // And the file reads back to the events that wrote it.
+    let (back, report) = Journal::read_file(&dir.join("batched.journal")).unwrap();
+    assert_eq!(report.torn_tail, None);
+    assert_eq!(back, events);
 }
 
 /// A nested workload touching every event family: a block with an
@@ -275,8 +280,8 @@ fn run_dag(d: &Dag) -> Vec<Event> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Batched serialization of an arbitrary journal produces the
-    /// same bytes as per-event serialization.
+    /// Batched framing of an arbitrary journal produces the same
+    /// bytes as per-event framing.
     #[test]
     fn random_dag_batched_bytes_identical(d in dag()) {
         let dir = scratch("dag");

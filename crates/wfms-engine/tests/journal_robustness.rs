@@ -6,6 +6,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use txn_substrate::{DurabilityPolicy, KvProgram, MultiDatabase, ProgramRegistry};
+use wfms_engine::journal::Upgrade;
 use wfms_engine::{
     recover, recover_from, Engine, EngineConfig, EngineError, Event, InstanceStatus, Journal,
     OrgModel,
@@ -49,10 +50,39 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// The same torn journal as the JSON lines the engine wrote before the
+/// binary format — the `fmtm journal upgrade` fixture.
+fn json_fixture_path() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/torn_tail.jsonl")
+}
+
+/// A complete run of the fixture chain mirrored to `path`; returns the
+/// events it journalled.
+fn run_fixture_chain(path: &Path) -> Vec<Event> {
+    let (fed, registry) = fixture_world();
+    let engine = Engine::with_config(
+        fed,
+        registry,
+        EngineConfig {
+            journal_path: Some(path.to_path_buf()),
+            ..EngineConfig::default()
+        },
+    );
+    engine.register(fixture_process()).unwrap();
+    let id = engine.start("fix", Container::empty()).unwrap();
+    assert_eq!(
+        engine.run_to_quiescence(id).unwrap(),
+        InstanceStatus::Finished
+    );
+    let events = engine.journal_events();
+    engine.crash();
+    events
+}
+
 /// Regression for the reopen path that used to fail with
 /// `InvalidData`: a journal whose final record was half-written by a
 /// dying engine (the committed fixture is a real engine-written
-/// journal, truncated mid-record — see
+/// journal, truncated mid-frame — see
 /// `regenerate_torn_tail_fixture`). Recovery must truncate the torn
 /// tail, replay the intact prefix and finish the run.
 #[test]
@@ -60,10 +90,11 @@ fn committed_torn_tail_fixture_recovers() {
     let dir = temp_dir("fixture");
     let path = dir.join("torn.journal");
     std::fs::copy(fixture_path(), &path).unwrap();
-    let raw = std::fs::read(&path).unwrap();
+    let (intact, report) = Journal::read_file(&path).unwrap();
+    assert_eq!(intact.len(), 8);
     assert!(
-        !raw.ends_with(b"\n") && !raw.is_empty(),
-        "fixture must end in a torn (newline-less) record"
+        report.torn_tail.is_some(),
+        "fixture must end in a torn frame"
     );
 
     let (fed, registry) = fixture_world();
@@ -82,6 +113,14 @@ fn committed_torn_tail_fixture_recovers() {
         registry,
     )
     .unwrap();
+    // The repair is counted where an operator looks, not printed.
+    let counters = engine.metrics().counters;
+    assert_eq!(counters["journal.torn_tails_truncated"], 1);
+    assert_eq!(
+        counters["journal.crc_failures"], 0,
+        "cut short, not damaged"
+    );
+    assert_eq!(counters["journal.mirror_errors"], 0);
     engine.run_all().unwrap();
     let (id, _, status) = engine.instances()[0];
     assert_eq!(status, InstanceStatus::Finished);
@@ -107,41 +146,135 @@ fn committed_torn_tail_fixture_recovers() {
 
 /// Rebuilds `tests/fixtures/torn_tail.journal`: run the fixture chain
 /// against a file journal, then cut the file after 8 complete events
-/// plus the first half of event 9 — exactly what a crash mid-append
-/// leaves behind. Run with
+/// plus the first half of event 9's frame — exactly what a crash
+/// mid-append leaves behind. Run with
 /// `cargo test -p wfms-engine --test journal_robustness -- --ignored`.
 #[test]
-#[ignore = "writes the committed fixture; run by hand when the event format changes"]
+#[ignore = "writes the committed fixture; run by hand when the journal format changes"]
 fn regenerate_torn_tail_fixture() {
     let dir = temp_dir("regen");
     let path = dir.join("full.journal");
-    let (fed, registry) = fixture_world();
-    let engine = Engine::with_config(
-        fed,
-        registry,
-        EngineConfig {
-            journal_path: Some(path.clone()),
-            ..EngineConfig::default()
-        },
-    );
-    engine.register(fixture_process()).unwrap();
-    let id = engine.start("fix", Container::empty()).unwrap();
-    assert_eq!(
-        engine.run_to_quiescence(id).unwrap(),
-        InstanceStatus::Finished
-    );
-    engine.crash();
+    let events = run_fixture_chain(&path);
+    assert!(events.len() > 9, "fixture run too short: {}", events.len());
+    let whole = std::fs::read(&path).unwrap();
+    assert_eq!(whole, Journal::file_bytes(&events));
+    let eight = Journal::file_bytes(&events[..8]).len();
+    let nine = Journal::file_bytes(&events[..9]).len();
+    std::fs::write(fixture_path(), &whole[..eight + (nine - eight) / 2]).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
-    let text = std::fs::read_to_string(&path).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
-    assert!(lines.len() > 9, "fixture run too short: {}", lines.len());
-    let mut torn = String::new();
-    for line in &lines[..8] {
-        torn.push_str(line);
-        torn.push('\n');
+/// The binary fixture and the JSON one it replaced are the same
+/// journal: upgrading the JSON lines gives the binary fixture's intact
+/// frames, and drops the same half-written ninth event.
+#[test]
+fn json_fixture_upgrades_to_the_binary_fixture() {
+    let dir = temp_dir("upgrade-fixture");
+    let path = dir.join("old.journal");
+    std::fs::copy(json_fixture_path(), &path).unwrap();
+    let err = Journal::with_file(&path).unwrap_err();
+    assert!(err.to_string().contains("fmtm journal upgrade"), "{err}");
+
+    let outcome = Journal::upgrade_json_file(&path).unwrap();
+    let Upgrade::Converted { events, torn_tail } = outcome else {
+        panic!("the JSON fixture converts: {outcome:?}");
+    };
+    assert_eq!(events, 8);
+    assert!(
+        torn_tail.is_some(),
+        "the half-written ninth line is dropped"
+    );
+    let (upgraded, report) = Journal::read_file(&path).unwrap();
+    assert_eq!(report.torn_tail, None);
+    assert_eq!(upgraded, Journal::read_file(&fixture_path()).unwrap().0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every byte prefix of a real journal file reopens to a prefix of its
+/// events, truncating at most one torn frame, and accepts appends on
+/// the repaired boundary.
+#[test]
+fn every_byte_prefix_reopens_to_an_event_prefix() {
+    let dir = temp_dir("prefixes");
+    let full = dir.join("full.journal");
+    let events = run_fixture_chain(&full);
+    let whole = std::fs::read(&full).unwrap();
+    // Byte offset at which each event's frame ends.
+    let ends: Vec<usize> = (1..=events.len())
+        .map(|k| Journal::file_bytes(&events[..k]).len())
+        .collect();
+    let header = Journal::file_bytes(&[]).len();
+
+    let path = dir.join("cut.journal");
+    for cut in 0..=whole.len() {
+        std::fs::write(&path, &whole[..cut]).unwrap();
+        let (journal, report) =
+            Journal::with_file_report(&path, DurabilityPolicy::PerEvent).unwrap();
+        let k = ends.iter().filter(|&&end| end <= cut).count();
+        assert_eq!(journal.events(), events[..k], "cut at byte {cut}");
+        let boundary = cut == 0 || cut == header || ends.contains(&cut);
+        assert_eq!(report.torn_tail.is_none(), boundary, "cut at byte {cut}");
+        if let Some(tail) = &report.torn_tail {
+            let start = if cut < header {
+                0
+            } else {
+                Journal::file_bytes(&events[..k]).len()
+            };
+            assert_eq!(tail.offset, start as u64, "cut at byte {cut}");
+        }
+        // The next append lands on a clean boundary.
+        if let Some(next) = events.get(k) {
+            journal.append(next.clone());
+            drop(journal);
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                whole[..ends[k]],
+                "cut at byte {cut}"
+            );
+        }
     }
-    torn.push_str(&lines[8][..lines[8].len() / 2]);
-    std::fs::write(fixture_path(), torn).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One flipped bit in the last frame is a torn tail (the frame is
+/// dropped, the rest survives); the same flip in any earlier frame is
+/// mid-file corruption: `InvalidData` naming that frame's byte offset,
+/// and the file is left as it was.
+#[test]
+fn flipped_bit_is_torn_at_the_tail_and_corrupt_before_it() {
+    let dir = temp_dir("flips");
+    let full = dir.join("full.journal");
+    let events = run_fixture_chain(&full);
+    let whole = std::fs::read(&full).unwrap();
+    let starts: Vec<usize> = (0..events.len())
+        .map(|k| Journal::file_bytes(&events[..k]).len())
+        .collect();
+    let last = *starts.last().unwrap();
+
+    let path = dir.join("flipped.journal");
+    for at in starts[0]..whole.len() {
+        let mut bytes = whole.clone();
+        bytes[at] ^= 1 << (at % 8);
+        std::fs::write(&path, &bytes).unwrap();
+        let frame = *starts.iter().rfind(|&&s| s <= at).unwrap();
+        match Journal::with_file_report(&path, DurabilityPolicy::PerEvent) {
+            Ok((journal, report)) => {
+                assert_eq!(frame, last, "byte {at}: only the last frame may be dropped");
+                assert_eq!(report.torn_tail.unwrap().offset, last as u64);
+                assert_eq!(journal.events(), events[..events.len() - 1]);
+            }
+            Err(e) => {
+                assert!(
+                    frame < last,
+                    "byte {at}: a damaged last frame is a torn tail"
+                );
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+                let msg = e.to_string();
+                assert!(msg.contains(&format!("byte {frame}:")), "byte {at}: {msg}");
+                assert_eq!(std::fs::read(&path).unwrap(), bytes, "not repaired");
+            }
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

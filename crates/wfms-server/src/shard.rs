@@ -702,11 +702,7 @@ impl ShardPool {
             return None;
         }
         let status = engine.status(id).ok()?;
-        let process = engine
-            .instances()
-            .into_iter()
-            .find(|(i, _, _)| *i == id)
-            .map(|(_, p, _)| p)?;
+        let process = engine.instance_process(id).ok()?;
         let version = engine.instance_version(id).ok()?;
         let output = engine.output(id).ok()?;
         Some((process, status, version, output))
@@ -905,13 +901,10 @@ impl ShardPool {
     pub fn instance_counts(&self) -> (u64, u64, u64) {
         let mut counts = (0, 0, 0);
         for shard in &self.shards {
-            for (_, _, status) in shard.engine.instances() {
-                match status {
-                    InstanceStatus::Running => counts.0 += 1,
-                    InstanceStatus::Finished => counts.1 += 1,
-                    InstanceStatus::Cancelled => counts.2 += 1,
-                }
-            }
+            let (running, finished, cancelled) = shard.engine.instance_counts();
+            counts.0 += running;
+            counts.1 += finished;
+            counts.2 += cancelled;
         }
         counts
     }

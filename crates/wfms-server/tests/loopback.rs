@@ -1065,10 +1065,11 @@ fn acknowledged_submissions_are_durable_before_reply() {
     }
     // Read the journal file directly — bypassing the engine — right
     // after the last acknowledgement: all ten starts must be on disk.
-    let text = std::fs::read_to_string(dir.join("shard-0.journal")).unwrap();
-    let starts = text
-        .lines()
-        .filter(|l| l.contains("InstanceStarted"))
+    let (on_disk, report) = wfms_engine::Journal::read_file(&dir.join("shard-0.journal")).unwrap();
+    assert_eq!(report.torn_tail, None, "a group commit ends on a frame");
+    let starts = on_disk
+        .iter()
+        .filter(|e| matches!(e, wfms_engine::Event::InstanceStarted { .. }))
         .count();
     assert_eq!(starts, 10, "every ACKed start is on disk");
     drop(pool);

@@ -147,14 +147,6 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     Ok(out)
 }
 
-/// Serializes `value` as compact JSON appended to `out` — the
-/// group-commit path: callers reuse one buffer across a batch instead
-/// of allocating a `String` per record. Produces exactly the bytes
-/// [`to_string`] would.
-pub fn append_to_string<T: Serialize + ?Sized>(out: &mut String, value: &T) -> Result<()> {
-    write_value(out, &value.to_content(), false, 0)
-}
-
 /// Serializes `value` to human-indented JSON.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
@@ -217,13 +209,27 @@ impl<'a> Parser<'a> {
         self.eat(b'"')?;
         let mut s = String::new();
         loop {
+            // Copy the run of plain bytes up to the next quote or
+            // escape in one piece: validating (and copying) only that
+            // run keeps parsing linear in the input. `"` and `\` are
+            // ASCII, so a run never ends inside a multi-byte character.
+            let start = self.pos;
+            while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
+                self.pos += 1;
+            }
+            if self.pos > start {
+                let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                    .map_err(|_| self.err("invalid utf-8"))?;
+                s.push_str(run);
+            }
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(s);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // A backslash: the scan above stops nowhere else.
                     self.pos += 1;
                     let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
                     self.pos += 1;
@@ -254,14 +260,6 @@ impl<'a> Parser<'a> {
                         }
                         _ => return Err(self.err("unknown escape")),
                     }
-                }
-                Some(_) => {
-                    // Consumes one UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = text.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -435,6 +433,19 @@ mod tests {
         let json = to_string_pretty(&v).unwrap();
         assert!(json.contains('\n'));
         assert_eq!(from_str::<Vec<Vec<u64>>>(&json).unwrap(), v);
+    }
+
+    /// String parsing is linear: one 4 MiB string with escapes and
+    /// multi-byte characters parses at once, in a debug build too.
+    /// (It used to re-validate the whole remaining input for every
+    /// character and did not finish.)
+    #[test]
+    fn long_string_parses_in_linear_time() {
+        let unit = "plain text — λ → \"quoted\" back\\slash\ttab\n\u{1}";
+        let s = unit.repeat((4 << 20) / unit.len() + 1);
+        assert!(s.len() >= 4 << 20);
+        let json = to_string(&vec![s.clone()]).unwrap();
+        assert_eq!(from_str::<Vec<String>>(&json).unwrap(), vec![s]);
     }
 
     #[test]
