@@ -13,6 +13,7 @@
 //! assumptions under which flexible transactions were designed and the
 //! environment the reproduced paper's workflow processes operate in.
 
+use crate::durability::DurabilityPolicy;
 use crate::inject::{FailureAction, InjectorHandle};
 use crate::lock::{LockError, LockManager, LockMode, LockStats};
 use crate::storage::Storage;
@@ -149,15 +150,19 @@ impl Database {
     /// database that cannot log must not start.
     pub fn new(config: DbConfig) -> Self {
         let wal = match &config.wal_path {
-            Some(path) => Wal::with_file(path).expect("cannot open WAL file"),
+            Some(path) => {
+                Wal::open(path, DurabilityPolicy::default())
+                    .expect("cannot open WAL file")
+                    .0
+            }
             None => Wal::new(),
         };
         Self {
             name: config.name,
             storage: Storage::new(),
             locks: LockManager::new(),
+            next_txn: AtomicU64::new(wal.last_txn().map_or(1, |t| t.0 + 1)),
             wal,
-            next_txn: AtomicU64::new(1),
             injector: config.injector,
             down: AtomicBool::new(false),
             stats: Mutex::new(DbStats::default()),
@@ -483,6 +488,46 @@ mod tests {
         db.crash();
         db.recover();
         assert_eq!(db.snapshot(), snap1);
+    }
+
+    /// A database over a WAL file survives a real restart: the file is
+    /// all that is carried over. Committed keys come back, the
+    /// transaction in flight at the crash stays a loser — even once new
+    /// transactions commit, because their ids start above the log's.
+    #[test]
+    fn reopen_over_a_wal_file_recovers_winners_only() {
+        let dir = std::env::temp_dir().join(format!("wftx-db-reopen-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bank.wal");
+        let _ = std::fs::remove_file(&path);
+        let open = || Database::new(DbConfig::named("bank").with_wal_file(path.clone()));
+        {
+            let db = open();
+            let mut winner = db.begin();
+            winner.put("alice", 100i64).unwrap();
+            winner.commit().unwrap();
+            let mut loser = db.begin();
+            loser.put("alice", 0i64).unwrap();
+            loser.put("mallory", 100i64).unwrap();
+            // The process dies here: no abort record, no undo.
+            std::mem::forget(loser);
+        }
+        let db = open();
+        assert_eq!(db.peek("alice"), None, "the store is volatile");
+        assert_eq!(db.recover(), 1);
+        assert_eq!(db.peek("alice"), Some(Value::Int(100)));
+        assert_eq!(db.peek("mallory"), None);
+
+        let mut next = db.begin();
+        next.put("bob", 50i64).unwrap();
+        next.commit().unwrap();
+        drop(db);
+        let db = open();
+        db.recover();
+        assert_eq!(db.peek("alice"), Some(Value::Int(100)));
+        assert_eq!(db.peek("bob"), Some(Value::Int(50)));
+        assert_eq!(db.peek("mallory"), None, "still a loser");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -62,18 +62,6 @@ pub enum FailurePlan {
     Probability { p: f64 },
 }
 
-/// Legacy alias kept for API symmetry with the engine's crash tests:
-/// a crash is modelled as clearing volatile state at a chosen point;
-/// the point is identified by a label in the same namespace as abort
-/// plans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrashPoint {
-    /// Crash before the commit record is written (txn is a loser).
-    BeforeCommit,
-    /// Crash after the commit record is written (txn is a winner).
-    AfterCommit,
-}
-
 #[derive(Debug)]
 struct PlanState {
     plan: FailurePlan,

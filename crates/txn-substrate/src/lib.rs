@@ -17,12 +17,15 @@
 //!   (strict 2PL, deadlock detection by wait-for-graph cycle search)
 //!   and a [`wal::Wal`] (physiological before/after-image logging,
 //!   redo-from-log recovery).
+//! * [`log`] and [`frame`] — the one mirrored, checksummed-frame log
+//!   the WAL is an instance of; the workflow engine's journal is the
+//!   other.
 //! * [`MultiDatabase`] — a federation of named local databases with no
 //!   global concurrency control or global commit — the multidatabase
 //!   assumption of flexible transactions.
 //! * [`inject`] — deterministic failure injection: scripted unilateral
 //!   aborts (e.g. "abort the first 2 attempts" to model *retriable*
-//!   subtransactions) and crash points.
+//!   subtransactions).
 //! * [`program`] — the *transactional program* abstraction used by the
 //!   upper layers: a named unit of work that runs one transaction and
 //!   reports a return code, optionally paired with a compensation
@@ -39,10 +42,14 @@
 pub mod clock;
 pub mod db;
 pub mod durability;
+pub mod frame;
 pub mod inject;
 pub mod lock;
+pub mod log;
 pub mod multidb;
 pub mod program;
+#[doc(hidden)]
+pub mod properties;
 pub mod storage;
 pub mod txn;
 pub mod value;
@@ -51,7 +58,7 @@ pub mod wal;
 pub use clock::{Tick, VirtualClock};
 pub use db::{Database, DbConfig, DbError, DbStats};
 pub use durability::{DurabilityPolicy, MirrorError, TailReport, TornTail};
-pub use inject::{on_attempts, CrashPoint, FailureAction, FailurePlan, Injector, InjectorHandle};
+pub use inject::{on_attempts, FailureAction, FailurePlan, Injector, InjectorHandle};
 pub use lock::{LockError, LockManager, LockMode, LockStats};
 pub use multidb::MultiDatabase;
 pub use program::{

@@ -12,36 +12,30 @@
 //!    makes undo at restart unnecessary: the store is rebuilt from
 //!    empty, so only winner writes ever reach it.
 //!
-//! The log can live purely in memory (fast, for tests and benchmarks
-//! that only crash "logically") or be mirrored to a file of JSON lines
-//! under a [`DurabilityPolicy`]. Commit and abort records always force
-//! a flush regardless of policy — the durability point is the commit
-//! point. Reopening a mirrored log tolerates a **torn tail** (a crash
-//! mid-append leaves a partial final line; it is truncated away with a
-//! diagnostic) while still rejecting mid-file corruption; see
-//! [`crate::durability::read_json_lines`] and `docs/recovery.md`.
-//!
-//! Mirror I/O errors do not panic: the first error is remembered
-//! ([`Wal::mirror_error`]), the file mirror is disabled, and the log
-//! keeps serving from memory so the owning database can surface the
-//! failure at its API boundary instead of dying mid-transaction.
+//! The WAL is the substrate's [`Log`], instantiated for [`LogRecord`]:
+//! the in-memory list, the optional file mirror (magic `"WFWL"`,
+//! version 1, one checksummed frame per record — `docs/recovery.md`),
+//! torn-tail repair on reopen, sticky mirror errors, fault counting and
+//! atomic compaction are all the shared log's. This module adds the
+//! record type with its payload codec, the rule that commit and abort
+//! records force a flush regardless of [`DurabilityPolicy`] — the
+//! durability point is the commit point — and the queries undo and redo
+//! need.
 
-use crate::durability::{
-    atomic_rewrite, read_json_lines, DurabilityPolicy, DurableWriter, MirrorError, TailReport,
-};
+use crate::durability::{DurabilityPolicy, MirrorError, TailReport};
+use crate::frame::{self, Field, Reader, Record, FILE_HEADER_LEN};
+use crate::log::Log;
 use crate::storage::Storage;
 use crate::txn::TxnId;
 use crate::value::Value;
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
-use std::fs::OpenOptions;
-use std::path::{Path, PathBuf};
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Log sequence number: the index of a record in the log.
 pub type Lsn = u64;
 
 /// One write-ahead-log record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogRecord {
     /// A transaction started.
     Begin { txn: TxnId },
@@ -77,43 +71,113 @@ impl LogRecord {
     }
 }
 
-/// The file mirror of a [`Wal`]: the policy-driven writer plus the
-/// path (needed for atomic compaction rewrites).
-#[derive(Debug)]
-struct WalMirror {
-    writer: DurableWriter,
-    path: PathBuf,
+/// Payload: a variant tag (1..=5), then the fields in declaration order.
+impl Record for LogRecord {
+    const HEADER: [u8; FILE_HEADER_LEN] = *b"WFWL\x01";
+    const NAME: &'static str = "WAL";
+
+    fn not_this_log(path: &Path) -> String {
+        format!("{} is not a WAL file", path.display())
+    }
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            LogRecord::Begin { txn } => {
+                out.push(1);
+                frame::put_u64(out, txn.0);
+            }
+            LogRecord::Update {
+                txn,
+                key,
+                before,
+                after,
+            } => {
+                out.push(2);
+                frame::put_u64(out, txn.0);
+                frame::put_str(out, key);
+                frame::put_opt(out, before, frame::put_value);
+                frame::put_opt(out, after, frame::put_value);
+            }
+            LogRecord::Commit { txn } => {
+                out.push(3);
+                frame::put_u64(out, txn.0);
+            }
+            LogRecord::Abort { txn } => {
+                out.push(4);
+                frame::put_u64(out, txn.0);
+            }
+            LogRecord::Checkpoint { state } => {
+                out.push(5);
+                frame::put_u64(out, state.len() as u64);
+                for (key, value) in state {
+                    frame::put_str(out, key);
+                    frame::put_value(out, value);
+                }
+            }
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Field<Self> {
+        Ok(match r.byte()? {
+            1 => LogRecord::Begin {
+                txn: TxnId(r.u64()?),
+            },
+            2 => LogRecord::Update {
+                txn: TxnId(r.u64()?),
+                key: r.string()?,
+                before: r.opt(Reader::value)?,
+                after: r.opt(Reader::value)?,
+            },
+            3 => LogRecord::Commit {
+                txn: TxnId(r.u64()?),
+            },
+            4 => LogRecord::Abort {
+                txn: TxnId(r.u64()?),
+            },
+            5 => LogRecord::Checkpoint {
+                state: (0..r.count()?)
+                    .map(|_| Ok((r.string()?, r.value()?)))
+                    .collect::<Field<_>>()?,
+            },
+            _ => return Err("unknown WAL record tag"),
+        })
+    }
+
+    fn is_checkpoint(&self) -> bool {
+        matches!(self, LogRecord::Checkpoint { .. })
+    }
 }
 
-/// Append/flush counters of one WAL, exposed for the engine's
-/// observability snapshot (atomically maintained; reading never blocks
-/// writers).
+/// Counters of one WAL, exposed for the engine's observability
+/// snapshot (atomically maintained; reading never blocks writers).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WalStats {
     /// Records appended since creation.
     pub appends: u64,
     /// Appends that forced a flush (commit/abort durability barriers).
     pub barrier_flushes: u64,
-    /// Total wall-clock nanoseconds spent in mirror file I/O
-    /// (append + policy-driven flush). Zero for in-memory logs.
+    /// Total wall-clock nanoseconds spent in appends that wrote the
+    /// file mirror (framing + file I/O + policy-driven flush). Zero for
+    /// in-memory logs.
     pub mirror_nanos: u64,
+    /// Reopens that found and truncated a half-written final frame.
+    pub torn_tails_truncated: u64,
+    /// Of those, tails complete enough to fail a length check or CRC.
+    pub crc_failures: u64,
+    /// Mirror I/O failures (the first disables the mirror and is kept
+    /// as [`Wal::mirror_error`]).
+    pub mirror_errors: u64,
 }
 
 /// The write-ahead log of one local database.
-///
-/// Lock order (matters for the append/compact race): `records` is
-/// always acquired **before** `mirror`, and the `records` lock is held
-/// across the mirror write — so the file's record order is exactly the
-/// in-memory order, and a concurrent `compact` can never rewrite the
-/// file while an append sits between "in memory" and "in file".
 #[derive(Debug, Default)]
 pub struct Wal {
-    records: Mutex<Vec<LogRecord>>,
-    mirror: Mutex<Option<WalMirror>>,
-    mirror_error: Mutex<Option<MirrorError>>,
-    appends: std::sync::atomic::AtomicU64,
-    barrier_flushes: std::sync::atomic::AtomicU64,
-    mirror_nanos: std::sync::atomic::AtomicU64,
+    log: Log<LogRecord>,
+    /// Opened over a file: appends are timed into `mirror_nanos`.
+    mirrored: bool,
+    appends: AtomicU64,
+    barrier_flushes: AtomicU64,
+    mirror_nanos: AtomicU64,
 }
 
 impl Wal {
@@ -123,167 +187,90 @@ impl Wal {
         Self::default()
     }
 
-    /// A log mirrored to `path` (appending if the file exists) under
-    /// the default [`DurabilityPolicy::PerEvent`].
-    pub fn with_file(path: &Path) -> std::io::Result<Self> {
-        Self::with_file_policy(path, DurabilityPolicy::default())
-    }
-
-    /// A log mirrored to `path` under an explicit durability policy.
-    /// Commit/abort records force a flush under every policy.
-    pub fn with_file_policy(path: &Path, policy: DurabilityPolicy) -> std::io::Result<Self> {
-        Self::with_file_report(path, policy).map(|(wal, _)| wal)
-    }
-
-    /// Like [`Wal::with_file_policy`] but also returns the
-    /// [`TailReport`] of the reopen — tests and recovery audits use it
-    /// to observe whether a torn tail was truncated.
-    pub fn with_file_report(
-        path: &Path,
-        policy: DurabilityPolicy,
-    ) -> std::io::Result<(Self, TailReport)> {
-        let wal = Self::new();
-        let mut report = TailReport::default();
-        if path.exists() {
-            let (records, rep) = read_json_lines::<LogRecord>(path)?;
-            if let Some(tail) = &rep.torn_tail {
-                eprintln!(
-                    "wal: torn tail in {} at byte {}: truncated partial record {:?}",
-                    path.display(),
-                    tail.offset,
-                    tail.discarded
-                );
-            }
-            report = rep;
-            *wal.records.lock() = records;
-        }
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        *wal.mirror.lock() = Some(WalMirror {
-            writer: DurableWriter::new(file, policy),
-            path: path.to_path_buf(),
-        });
+    /// A log mirrored to `path` (loading what the file holds, repairing
+    /// a torn tail) under `policy`; commit/abort records force a flush
+    /// under every policy. The [`TailReport`] says whether a torn tail
+    /// was truncated.
+    pub fn open(path: &Path, policy: DurabilityPolicy) -> std::io::Result<(Self, TailReport)> {
+        let (log, report) = Log::open(path, policy)?;
+        let wal = Self {
+            log,
+            mirrored: true,
+            ..Self::default()
+        };
         Ok((wal, report))
     }
 
-    /// Test-only: mirrors the log to an already-open `file` (e.g. one
-    /// opened read-only, to exercise the mirror-failure path).
-    #[doc(hidden)]
-    pub fn with_injected_file(
-        file: std::fs::File,
-        path: PathBuf,
-        policy: DurabilityPolicy,
-    ) -> Self {
-        let wal = Self::new();
-        *wal.mirror.lock() = Some(WalMirror {
-            writer: DurableWriter::new(file, policy),
-            path,
-        });
-        wal
-    }
-
     /// The first mirror I/O error hit, if any. Once set, the file
-    /// mirror is disabled and the log serves from memory only.
+    /// mirror is disabled and the log serves from memory only, so the
+    /// owning database can surface the failure at its API boundary
+    /// instead of dying mid-transaction.
     pub fn mirror_error(&self) -> Option<MirrorError> {
-        self.mirror_error.lock().clone()
-    }
-
-    /// Records the first mirror failure and disables the mirror.
-    fn fail_mirror(
-        guard: &mut Option<WalMirror>,
-        sticky: &Mutex<Option<MirrorError>>,
-        context: &str,
-        e: &std::io::Error,
-    ) {
-        let err = MirrorError::new(context, e);
-        eprintln!("wal: {err}; disabling file mirror, log continues in memory");
-        let mut slot = sticky.lock();
-        if slot.is_none() {
-            *slot = Some(err);
-        }
-        *guard = None;
+        self.log.mirror_error()
     }
 
     /// Appends a record, returning its LSN. Never panics on mirror
     /// I/O failure — see [`Wal::mirror_error`].
     pub fn append(&self, rec: LogRecord) -> Lsn {
-        use std::sync::atomic::Ordering;
         let barrier = matches!(rec, LogRecord::Commit { .. } | LogRecord::Abort { .. });
-        // Serialization of LogRecord cannot fail: every variant is
-        // plain data with serializable fields.
-        let line = serde_json::to_string(&rec).expect("LogRecord is always serializable");
-        let mut records = self.records.lock();
-        records.push(rec);
-        let lsn = (records.len() - 1) as Lsn;
         self.appends.fetch_add(1, Ordering::Relaxed);
         if barrier {
             self.barrier_flushes.fetch_add(1, Ordering::Relaxed);
         }
-        let mut guard = self.mirror.lock();
-        if let Some(m) = guard.as_mut() {
-            let t0 = std::time::Instant::now();
-            let result = m.writer.append_line(line.as_bytes(), barrier);
+        let t0 = self.mirrored.then(std::time::Instant::now);
+        let lsn = self.log.append(rec, barrier) as Lsn;
+        if let Some(t0) = t0 {
             self.mirror_nanos
                 .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            if let Err(e) = result {
-                Self::fail_mirror(&mut guard, &self.mirror_error, "append", &e);
-            }
         }
         lsn
     }
 
-    /// Snapshot of the append/flush counters.
+    /// Snapshot of the append/flush/fault counters.
     pub fn stats(&self) -> WalStats {
-        use std::sync::atomic::Ordering;
+        let faults = self.log.faults();
         WalStats {
             appends: self.appends.load(Ordering::Relaxed),
             barrier_flushes: self.barrier_flushes.load(Ordering::Relaxed),
             mirror_nanos: self.mirror_nanos.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Forces buffered mirror lines to the file (a durability barrier
-    /// under any policy; a no-op for unmirrored logs).
-    pub fn flush(&self) {
-        let _records = self.records.lock();
-        let mut guard = self.mirror.lock();
-        if let Some(m) = guard.as_mut() {
-            if let Err(e) = m.writer.flush() {
-                Self::fail_mirror(&mut guard, &self.mirror_error, "flush", &e);
-            }
+            torn_tails_truncated: faults.torn_tails_truncated.get(),
+            crc_failures: faults.crc_failures.get(),
+            mirror_errors: faults.mirror_errors.get(),
         }
     }
 
     /// Number of records in the log.
     pub fn len(&self) -> usize {
-        self.records.lock().len()
+        self.log.with_records(<[LogRecord]>::len)
     }
 
     /// True if the log is empty.
     pub fn is_empty(&self) -> bool {
-        self.records.lock().is_empty()
+        self.log.with_records(<[LogRecord]>::is_empty)
     }
 
     /// A copy of the full log (for audit dumps and tests).
     pub fn records(&self) -> Vec<LogRecord> {
-        self.records.lock().clone()
+        self.log.with_records(<[LogRecord]>::to_vec)
     }
 
     /// Update records of `txn` in log order (the transaction layer
     /// walks these backwards to undo an abort).
     pub fn updates_of(&self, txn: TxnId) -> Vec<(String, Option<Value>)> {
-        self.records
-            .lock()
-            .iter()
-            .filter_map(|r| match r {
-                LogRecord::Update {
-                    txn: t,
-                    key,
-                    before,
-                    ..
-                } if *t == txn => Some((key.clone(), before.clone())),
-                _ => None,
-            })
-            .collect()
+        self.log.with_records(|records| {
+            records
+                .iter()
+                .filter_map(|r| match r {
+                    LogRecord::Update {
+                        txn: t,
+                        key,
+                        before,
+                        ..
+                    } if *t == txn => Some((key.clone(), before.clone())),
+                    _ => None,
+                })
+                .collect()
+        })
     }
 
     /// Redo recovery: rebuilds `storage` (assumed empty/cleared). If
@@ -293,95 +280,81 @@ impl Wal {
     /// order. Returns the number of updates replayed (checkpoint
     /// installs count one per key).
     pub fn replay_committed(&self, storage: &Storage) -> usize {
-        let records = self.records.lock();
-        let start = records
-            .iter()
-            .rposition(|r| matches!(r, LogRecord::Checkpoint { .. }))
-            .unwrap_or(0);
-        let tail = &records[start..];
-        let mut replayed = 0;
-        if let Some(LogRecord::Checkpoint { state }) = tail.first() {
-            for (k, v) in state {
-                storage.apply(k, Some(v.clone()));
-                replayed += 1;
-            }
-        }
-        let committed: std::collections::HashSet<TxnId> = tail
-            .iter()
-            .filter_map(|r| match r {
-                LogRecord::Commit { txn } => Some(*txn),
-                _ => None,
-            })
-            .collect();
-        for rec in tail {
-            if let LogRecord::Update {
-                txn, key, after, ..
-            } = rec
-            {
-                if committed.contains(txn) {
-                    storage.apply(key, after.clone());
+        self.log.with_records(|records| {
+            let start = records
+                .iter()
+                .rposition(LogRecord::is_checkpoint)
+                .unwrap_or(0);
+            let tail = &records[start..];
+            let mut replayed = 0;
+            if let Some(LogRecord::Checkpoint { state }) = tail.first() {
+                for (k, v) in state {
+                    storage.apply(k, Some(v.clone()));
                     replayed += 1;
                 }
             }
-        }
-        replayed
+            let committed: std::collections::HashSet<TxnId> = tail
+                .iter()
+                .filter_map(|r| match r {
+                    LogRecord::Commit { txn } => Some(*txn),
+                    _ => None,
+                })
+                .collect();
+            for rec in tail {
+                if let LogRecord::Update {
+                    txn, key, after, ..
+                } = rec
+                {
+                    if committed.contains(txn) {
+                        storage.apply(key, after.clone());
+                        replayed += 1;
+                    }
+                }
+            }
+            replayed
+        })
     }
 
-    /// Drops every record before the last checkpoint (log compaction).
-    /// A no-op when the log holds no checkpoint. When the log is
-    /// mirrored to a file, the file is **atomically rewritten** (temp
-    /// file + rename): a crash during compaction leaves either the old
-    /// or the new complete file, never a half-truncated one. Returns
-    /// the number of records dropped.
+    /// Drops every record before the last checkpoint (log compaction),
+    /// atomically rewriting the file mirror if there is one. A no-op
+    /// when the log holds no checkpoint. Returns the number of records
+    /// dropped.
     pub fn compact(&self) -> usize {
-        let mut records = self.records.lock();
-        let Some(start) = records
-            .iter()
-            .rposition(|r| matches!(r, LogRecord::Checkpoint { .. }))
-        else {
-            return 0;
-        };
-        let dropped = start;
-        records.drain(..start);
-        let mut guard = self.mirror.lock();
-        if let Some(m) = guard.as_mut() {
-            let rewritten = atomic_rewrite(&m.path, |w| {
-                use std::io::Write as _;
-                for rec in records.iter() {
-                    let line =
-                        serde_json::to_string(rec).expect("LogRecord is always serializable");
-                    w.write_all(line.as_bytes())?;
-                    w.write_all(b"\n")?;
-                }
-                Ok(())
-            });
-            match rewritten {
-                Ok(file) => m.writer.replace_file(file),
-                Err(e) => Self::fail_mirror(&mut guard, &self.mirror_error, "compact", &e),
-            }
-        }
-        dropped
+        self.log.compact()
     }
 
     /// Transactions with a `Begin` but neither `Commit` nor `Abort` —
     /// the in-flight losers at crash time.
     pub fn in_flight(&self) -> Vec<TxnId> {
-        let records = self.records.lock();
-        let mut open: Vec<TxnId> = Vec::new();
-        for rec in records.iter() {
-            match rec {
-                LogRecord::Begin { txn } => open.push(*txn),
-                LogRecord::Commit { txn } | LogRecord::Abort { txn } => open.retain(|t| t != txn),
-                LogRecord::Update { .. } | LogRecord::Checkpoint { .. } => {}
+        self.log.with_records(|records| {
+            let mut open: Vec<TxnId> = Vec::new();
+            for rec in records {
+                match rec {
+                    LogRecord::Begin { txn } => open.push(*txn),
+                    LogRecord::Commit { txn } | LogRecord::Abort { txn } => {
+                        open.retain(|t| t != txn)
+                    }
+                    LogRecord::Update { .. } | LogRecord::Checkpoint { .. } => {}
+                }
             }
-        }
-        open
+            open
+        })
+    }
+
+    /// The highest transaction id in the log: a database reopened over
+    /// a WAL file allocates above it, so a new transaction can never
+    /// share an id with (and commit the updates of) a pre-crash loser.
+    pub fn last_txn(&self) -> Option<TxnId> {
+        self.log
+            .with_records(|records| records.iter().filter_map(LogRecord::txn).max())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::properties;
+    use std::fs::OpenOptions;
 
     fn t(n: u64) -> TxnId {
         TxnId(n)
@@ -394,6 +367,11 @@ mod tests {
             before: before.map(Value::Int),
             after: after.map(Value::Int),
         }
+    }
+
+    /// Opens (or reopens) the WAL file at `path`, per-event flushed.
+    fn open(path: &Path) -> std::io::Result<Wal> {
+        Wal::open(path, DurabilityPolicy::PerEvent).map(|(wal, _)| wal)
     }
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -513,7 +491,7 @@ mod tests {
         let path = dir.join("db.wal");
         let _ = std::fs::remove_file(&path);
         {
-            let wal = Wal::with_file(&path).unwrap();
+            let wal = open(&path).unwrap();
             wal.append(LogRecord::Begin { txn: t(1) });
             wal.append(upd(1, "k", None, Some(7)));
             wal.append(LogRecord::Commit { txn: t(1) });
@@ -526,7 +504,7 @@ mod tests {
         // Reopen: only the checkpoint survives, and replay still
         // reproduces the state. The compaction temp file is gone.
         assert!(!dir.join("db.rewrite-tmp").exists());
-        let wal2 = Wal::with_file(&path).unwrap();
+        let wal2 = open(&path).unwrap();
         assert_eq!(wal2.len(), 1);
         let storage = Storage::new();
         wal2.replay_committed(&storage);
@@ -539,15 +517,25 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         let path = dir.join("db.wal");
         let _ = std::fs::remove_file(&path);
+        let records = [
+            LogRecord::Begin { txn: t(7) },
+            upd(7, "k", None, Some(42)),
+            LogRecord::Commit { txn: t(7) },
+        ];
         {
-            let wal = Wal::with_file(&path).unwrap();
-            wal.append(LogRecord::Begin { txn: t(7) });
-            wal.append(upd(7, "k", None, Some(42)));
-            wal.append(LogRecord::Commit { txn: t(7) });
+            let wal = open(&path).unwrap();
+            for rec in &records {
+                wal.append(rec.clone());
+            }
         }
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            frame::file_bytes(&records),
+            "the file is its header plus one frame per record"
+        );
         // Reopen: records come back and replay rebuilds the store.
-        let wal2 = Wal::with_file(&path).unwrap();
-        assert_eq!(wal2.len(), 3);
+        let wal2 = open(&path).unwrap();
+        assert_eq!(wal2.records(), records);
         let storage = Storage::new();
         wal2.replay_committed(&storage);
         assert_eq!(storage.get("k"), Some(Value::Int(42)));
@@ -559,21 +547,29 @@ mod tests {
         let dir = tmp_dir("torn");
         let path = dir.join("db.wal");
         {
-            let wal = Wal::with_file(&path).unwrap();
+            let wal = open(&path).unwrap();
             wal.append(LogRecord::Begin { txn: t(1) });
             wal.append(upd(1, "k", None, Some(5)));
             wal.append(LogRecord::Commit { txn: t(1) });
         }
-        // Simulate a crash mid-append: half of a Begin record.
+        let intact = std::fs::read(&path).unwrap();
+        // Simulate a crash mid-append: half of a Begin frame.
         {
             use std::io::Write as _;
+            let mut frame = Vec::new();
+            frame::encode_frame(&LogRecord::Begin { txn: t(2) }, &mut frame);
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            write!(f, "{{\"Begin\":{{\"tx").unwrap();
+            f.write_all(&frame[..frame.len() / 2]).unwrap();
         }
-        let (wal2, report) = Wal::with_file_report(&path, DurabilityPolicy::PerEvent).unwrap();
+        let (wal2, report) = Wal::open(&path, DurabilityPolicy::PerEvent).unwrap();
         assert_eq!(wal2.len(), 3, "complete records survive");
         let tail = report.torn_tail.expect("torn tail reported");
-        assert_eq!(tail.discarded, "{\"Begin\":{\"tx");
+        assert_eq!(tail.offset, intact.len() as u64);
+        assert_eq!(std::fs::read(&path).unwrap(), intact, "file repaired");
+        // Counted, not printed.
+        let stats = wal2.stats();
+        assert_eq!(stats.torn_tails_truncated, 1);
+        assert_eq!(stats.crc_failures, 0, "short, not damaged");
         let storage = Storage::new();
         wal2.replay_committed(&storage);
         assert_eq!(storage.get("k"), Some(Value::Int(5)));
@@ -582,7 +578,7 @@ mod tests {
         wal2.append(LogRecord::Begin { txn: t(2) });
         wal2.append(LogRecord::Abort { txn: t(2) });
         drop(wal2);
-        let wal3 = Wal::with_file(&path).unwrap();
+        let wal3 = open(&path).unwrap();
         assert_eq!(wal3.len(), 5);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -591,13 +587,113 @@ mod tests {
     fn mid_file_corruption_still_rejected() {
         let dir = tmp_dir("corrupt");
         let path = dir.join("db.wal");
-        std::fs::write(
-            &path,
-            "{\"Begin\":{\"txn\":1}}\ngarbage\n{\"Commit\":{\"txn\":1}}\n",
-        )
-        .unwrap();
-        let err = Wal::with_file(&path).unwrap_err();
+        let begin = frame::file_bytes(&[LogRecord::Begin { txn: t(1) }]);
+        let mut bytes = begin.clone();
+        bytes.extend_from_slice(b"garbage");
+        frame::encode_frame(&LogRecord::Commit { txn: t(1) }, &mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+        let err = open(&path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let at = format!("frame at byte {}:", begin.len());
+        assert!(err.to_string().contains(&at), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "left untouched");
+        // A file of another format is refused too, and says what it is not.
+        std::fs::write(&path, "{\"Begin\":{\"txn\":1}}\n").unwrap();
+        let err = open(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("is not a WAL file"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One flipped bit inside an `Update`'s after-image in the middle
+    /// of the file: refused, naming the damaged frame — never loaded
+    /// with the wrong value.
+    #[test]
+    fn flipped_bit_in_a_mid_file_value_is_rejected_at_its_frame() {
+        let dir = tmp_dir("flip");
+        let path = dir.join("db.wal");
+        let records = [
+            LogRecord::Begin { txn: t(1) },
+            upd(1, "balance", Some(100), Some(0x55)),
+            LogRecord::Commit { txn: t(1) },
+        ];
+        let mut bytes = frame::file_bytes(&records);
+        let update_at = frame::file_bytes(&records[..1]).len();
+        let update_end = frame::file_bytes(&records[..2]).len();
+        // The after-image `Int(0x55)` is the update payload's last
+        // byte (zig-zag varint 0xAA 0x01).
+        assert_eq!(bytes[update_end - 2..update_end], [0xAA, 0x01]);
+        bytes[update_end - 2] ^= 0x04;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = open(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let at = format!("frame at byte {update_at}: frame checksum mismatch");
+        assert!(err.to_string().contains(&at), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every byte prefix of a real WAL file reopens to a prefix of its
+    /// records, truncates at most one torn frame back to a frame
+    /// boundary, says so in the `TailReport` and the counters, and
+    /// accepts the next append on the repaired boundary.
+    #[test]
+    fn every_byte_prefix_of_a_wal_file_reopens() {
+        let dir = tmp_dir("prefixes");
+        let path = dir.join("db.wal");
+        let records = [
+            LogRecord::Begin { txn: t(1) },
+            upd(1, "k", None, Some(-7)),
+            LogRecord::Update {
+                txn: t(1),
+                key: "name".into(),
+                before: Some(Value::Str("λ".into())),
+                after: None,
+            },
+            LogRecord::Commit { txn: t(1) },
+            LogRecord::Checkpoint {
+                state: vec![
+                    ("k".into(), Value::Int(-7)),
+                    ("raw".into(), Value::Bytes(vec![0, 255])),
+                ],
+            },
+            LogRecord::Begin { txn: t(2) },
+            LogRecord::Abort { txn: t(2) },
+        ];
+        {
+            let (wal, _) = Wal::open(&path, DurabilityPolicy::PerEvent).unwrap();
+            for rec in &records {
+                wal.append(rec.clone());
+            }
+        }
+        let whole = std::fs::read(&path).unwrap();
+        // Byte offset at which the header and each record's frame end.
+        let ends: Vec<usize> = (0..=records.len())
+            .map(|k| frame::file_bytes(&records[..k]).len())
+            .collect();
+        assert_eq!(whole.len(), ends[records.len()]);
+        for cut in 0..=whole.len() {
+            std::fs::write(&path, &whole[..cut]).unwrap();
+            let (wal, report) = Wal::open(&path, DurabilityPolicy::PerEvent).unwrap();
+            let k = ends.iter().filter(|&&end| end <= cut).count().max(1) - 1;
+            assert_eq!(wal.records(), records[..k], "cut at byte {cut}");
+            assert_eq!(report.records, k, "cut at byte {cut}");
+            let boundary = cut == 0 || ends.contains(&cut);
+            assert_eq!(report.torn_tail.is_none(), boundary, "cut at byte {cut}");
+            assert_eq!(wal.stats().torn_tails_truncated, !boundary as u64);
+            if let Some(tail) = &report.torn_tail {
+                let start = if cut < ends[0] { 0 } else { ends[k] };
+                assert_eq!(tail.offset, start as u64, "cut at byte {cut}");
+            }
+            if let Some(next) = records.get(k) {
+                wal.append(next.clone());
+                drop(wal);
+                assert_eq!(
+                    std::fs::read(&path).unwrap(),
+                    whole[..ends[k + 1]],
+                    "cut at byte {cut}: the next append lands on a clean boundary"
+                );
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -609,7 +705,10 @@ mod tests {
         // A read-only handle makes every write fail (EBADF), which
         // stands in for disk-full without needing a full disk.
         let ro = OpenOptions::new().read(true).open(&path).unwrap();
-        let wal = Wal::with_injected_file(ro, path.clone(), DurabilityPolicy::PerEvent);
+        let wal = Wal {
+            log: Log::with_injected_file(ro, path.clone(), DurabilityPolicy::PerEvent),
+            ..Wal::default()
+        };
         let lsn = wal.append(LogRecord::Begin { txn: t(1) });
         assert_eq!(lsn, 0, "in-memory log keeps working");
         let err = wal.mirror_error().expect("first failure recorded");
@@ -618,6 +717,7 @@ mod tests {
         wal.append(LogRecord::Commit { txn: t(1) });
         assert_eq!(wal.mirror_error(), Some(err));
         assert_eq!(wal.len(), 2);
+        assert_eq!(wal.stats().mirror_errors, 1, "counted, not printed");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -625,15 +725,17 @@ mod tests {
     fn batched_policy_commit_is_still_a_barrier() {
         let dir = tmp_dir("batch");
         let path = dir.join("db.wal");
-        let wal = Wal::with_file_policy(&path, DurabilityPolicy::Batched { n: 100 }).unwrap();
-        wal.append(LogRecord::Begin { txn: t(1) });
-        wal.append(upd(1, "k", None, Some(1)));
+        let (wal, _) = Wal::open(&path, DurabilityPolicy::Batched { n: 100 }).unwrap();
+        let mut records = vec![LogRecord::Begin { txn: t(1) }, upd(1, "k", None, Some(1))];
+        wal.append(records[0].clone());
+        wal.append(records[1].clone());
         // Nothing flushed yet under Batched{100}...
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "");
+        assert_eq!(std::fs::read(&path).unwrap(), LogRecord::HEADER);
         // ...but a commit record forces the group to disk.
-        wal.append(LogRecord::Commit { txn: t(1) });
-        let on_disk = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(on_disk.lines().count(), 3);
+        records.push(LogRecord::Commit { txn: t(1) });
+        wal.append(records[2].clone());
+        assert_eq!(std::fs::read(&path).unwrap(), frame::file_bytes(&records));
+        assert_eq!(wal.stats().barrier_flushes, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -641,7 +743,7 @@ mod tests {
     fn concurrent_append_and_compact_keep_file_consistent() {
         let dir = tmp_dir("race");
         let path = dir.join("db.wal");
-        let wal = std::sync::Arc::new(Wal::with_file(&path).unwrap());
+        let wal = std::sync::Arc::new(open(&path).unwrap());
         wal.append(LogRecord::Checkpoint { state: vec![] });
         let appender = {
             let wal = wal.clone();
@@ -664,13 +766,85 @@ mod tests {
         appender.join().unwrap();
         compactor.join().unwrap();
         assert!(wal.mirror_error().is_none());
-        wal.flush();
         let in_memory = wal.records();
         drop(wal);
         // The file must hold exactly the in-memory records: no append
         // lost to a concurrent rewrite, no duplicated tail.
-        let wal2 = Wal::with_file(&path).unwrap();
+        let wal2 = open(&path).unwrap();
         assert_eq!(wal2.records(), in_memory);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    // ---- the shared codec properties, for `LogRecord` ------------------
+
+    use proptest::prelude::*;
+
+    /// Empty, ASCII, multi-byte, NUL and quote-bearing strings.
+    fn text() -> impl Strategy<Value = String> {
+        let ch = prop_oneof![
+            Just('a'),
+            Just('/'),
+            Just('"'),
+            Just('\0'),
+            Just('λ'),
+            Just('日')
+        ];
+        prop::collection::vec(ch, 0..6).prop_map(|cs| cs.into_iter().collect())
+    }
+
+    fn value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            any::<i64>().prop_map(Value::Int),
+            text().prop_map(Value::Str),
+            any::<bool>().prop_map(Value::Bool),
+            prop::collection::vec(any::<u8>(), 0..5).prop_map(Value::Bytes),
+        ]
+    }
+
+    /// Any of the five variants, every optional image both ways.
+    fn record() -> impl Strategy<Value = LogRecord> {
+        let update = (
+            any::<u64>(),
+            text(),
+            prop::option::of(value()),
+            prop::option::of(value()),
+        )
+            .prop_map(|(txn, key, before, after)| LogRecord::Update {
+                txn: t(txn),
+                key,
+                before,
+                after,
+            });
+        prop_oneof![
+            any::<u64>().prop_map(|n| LogRecord::Begin { txn: t(n) }),
+            update,
+            any::<u64>().prop_map(|n| LogRecord::Commit { txn: t(n) }),
+            any::<u64>().prop_map(|n| LogRecord::Abort { txn: t(n) }),
+            prop::collection::vec((text(), value()), 0..4)
+                .prop_map(|state| LogRecord::Checkpoint { state }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn records_round_trip(records in prop::collection::vec(record(), 0..6)) {
+            properties::round_trips(&records);
+        }
+
+        #[test]
+        fn byte_prefixes_decode_to_record_prefixes(records in prop::collection::vec(record(), 1..4)) {
+            properties::byte_prefixes_decode_to_record_prefixes(&records);
+        }
+
+        #[test]
+        fn flipped_bits_are_torn_or_corrupt_never_silent(
+            records in prop::collection::vec(record(), 1..4),
+            at in any::<usize>(),
+            bit in 0u8..8,
+        ) {
+            properties::flipped_bit_is_torn_or_corrupt(&records, at, bit);
+        }
     }
 }

@@ -1,127 +1,62 @@
-//! The journal's on-disk format: one binary codec, used only by
-//! [`crate::journal`].
+//! The journal's payloads: [`Event`] as a [`Record`] of the
+//! substrate's log.
+//!
+//! The file header (`"WFJL"`, version 1), the checksummed frame around
+//! each payload, the torn-tail rule and the primitives below (varints,
+//! strings, options, [`Value`](txn_substrate::Value)s) are
+//! [`txn_substrate::frame`]'s; `docs/recovery.md` describes a journal
+//! file byte by byte. This module says only what is inside a frame:
 //!
 //! ```text
-//! file    := "WFJL" version:u8  frame*
-//! frame   := len:u32le  !len:u32le  crc:u32le  payload[len]
 //! payload := tag:u8 field*          (one Event; tags 1..=16)
 //! ```
 //!
-//! `crc` is CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of
-//! the payload; `!len` is the bitwise complement of `len`, so a damaged
-//! length is recognised without trusting it. Fields are written in
-//! declaration order with no names: integers as LEB128 varints (`i64`
-//! zig-zagged first), `bool` as one byte, strings and byte strings as a
-//! varint length plus the bytes (strings are UTF-8, checked on decode),
-//! `Option` as a `0`/`1` byte plus the value, sequences and containers
-//! as a varint count plus the items.
-//!
-//! Frames are self-contained — encoding an event never depends on the
-//! events before it — so the bytes of N single appends equal the bytes
-//! of one batch, and any prefix of a journal file that ends on a frame
-//! boundary is itself a journal. Decoding shares one `Arc<str>` per
-//! distinct activity path across the whole file.
-//!
-//! **Torn tails.** A crash mid-append leaves a prefix of a frame (or of
-//! the file header) at the end of the file. A frame that is short or
-//! fails a check is the torn tail iff no intact frame starts anywhere
-//! after it; otherwise it is mid-file corruption and decoding fails
-//! with the frame's byte offset.
+//! Fields are written in declaration order with no names; sequences
+//! and containers as a varint count plus the items. Decoding shares one
+//! `Arc<str>` per distinct activity path across the whole file.
 
 use crate::event::{Event, InstanceId, InstanceSnapshot, PathStr, WorkItemId};
 use crate::state::{ActState, ActivityRt, InstanceStatus, ScopeState};
 use crate::worklist::{WorkItem, WorkItemState};
-use std::collections::HashSet;
-use std::sync::Arc;
-use txn_substrate::Value;
+use std::path::Path;
+use txn_substrate::frame::{
+    put_opt, put_str, put_u64, put_value, Field, Reader, Record, FILE_HEADER_LEN,
+};
 use wfms_model::Container;
 
-/// The file header: four magic bytes, then the format version.
-pub(crate) const FILE_HEADER: [u8; 5] = *b"WFJL\x01";
-const MAGIC_LEN: usize = 4;
-/// `len`, `!len`, `crc`.
-const FRAME_HEADER: usize = 12;
 /// Nesting bound for checkpointed scope trees (blocks within blocks);
 /// deeper input is refused rather than recursed into.
 const MAX_SCOPE_DEPTH: u32 = 128;
 
-// ---- CRC-32 ----------------------------------------------------------
+impl Record for Event {
+    const HEADER: [u8; FILE_HEADER_LEN] = *b"WFJL\x01";
+    const NAME: &'static str = "journal";
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
+    fn not_this_log(path: &Path) -> String {
+        format!(
+            "{0} is not a binary journal; a JSON-lines journal written before the \
+             binary format is converted once with `fmtm journal upgrade {0}`",
+            path.display()
+        )
     }
-    table
-};
 
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = !0u32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_event(out, self);
     }
-    !c
+
+    fn decode(r: &mut Reader<'_>) -> Field<Self> {
+        event(r)
+    }
+
+    fn is_checkpoint(&self) -> bool {
+        matches!(self, Event::EngineCheckpoint { .. })
+    }
 }
 
 // ---- encoding --------------------------------------------------------
 
-/// Appends `event` to `out` as one complete frame.
-///
-/// # Panics
-/// If the payload exceeds `u32::MAX` bytes (a single event of 4 GiB).
-pub(crate) fn encode_frame(event: &Event, out: &mut Vec<u8>) {
-    let start = out.len();
-    out.extend_from_slice(&[0; FRAME_HEADER]);
-    put_event(out, event);
-    let payload = start + FRAME_HEADER;
-    let len = u32::try_from(out.len() - payload).expect("journal frame exceeds 4 GiB");
-    let crc = crc32(&out[payload..]);
-    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
-    out[start + 4..start + 8].copy_from_slice(&(!len).to_le_bytes());
-    out[start + 8..payload].copy_from_slice(&crc.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
-}
-
-fn put_i64(out: &mut Vec<u8>, v: i64) {
-    put_u64(out, ((v << 1) ^ (v >> 63)) as u64);
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u64(out, b.len() as u64);
-    out.extend_from_slice(b);
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
-}
-
 fn put_opt_str(out: &mut Vec<u8>, s: &Option<String>) {
-    match s {
-        None => out.push(0),
-        Some(s) => {
-            out.push(1);
-            put_str(out, s);
-        }
-    }
+    put_opt(out, s, |out, s| put_str(out, s));
 }
 
 fn put_strs(out: &mut Vec<u8>, items: &[String]) {
@@ -135,24 +70,7 @@ fn put_container(out: &mut Vec<u8>, c: &Container) {
     put_u64(out, c.len() as u64);
     for (name, value) in c.iter() {
         put_str(out, name);
-        match value {
-            Value::Int(i) => {
-                out.push(0);
-                put_i64(out, *i);
-            }
-            Value::Str(s) => {
-                out.push(1);
-                put_str(out, s);
-            }
-            Value::Bool(b) => {
-                out.push(2);
-                out.push(*b as u8);
-            }
-            Value::Bytes(b) => {
-                out.push(3);
-                put_bytes(out, b);
-            }
-        }
+        put_value(out, value);
     }
 }
 
@@ -170,13 +88,7 @@ fn put_scope(out: &mut Vec<u8>, s: &ScopeState) {
         put_u64(out, a.attempt as u64);
         put_container(out, &a.input);
         put_container(out, &a.output);
-        match a.ready_since {
-            None => out.push(0),
-            Some(t) => {
-                out.push(1);
-                put_u64(out, t);
-            }
-        }
+        put_opt(out, &a.ready_since, |out, t| put_u64(out, *t));
         out.push(a.notified as u8);
     }
     put_u64(out, s.connectors.len() as u64);
@@ -422,574 +334,234 @@ fn put_event(out: &mut Vec<u8>, event: &Event) {
 
 // ---- decoding --------------------------------------------------------
 
-/// Why a journal file could not be decoded.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum DecodeError {
-    /// The file does not open with the journal magic (a JSON-lines
-    /// journal from before this format, or not a journal at all).
-    NotAJournal,
-    /// The magic is right but the version byte is not this build's.
-    UnsupportedVersion(u8),
-    /// The frame at `offset` is damaged and intact frames follow it, or
-    /// its checks pass and its payload is not an event.
-    Corrupt { offset: usize, detail: String },
+/// An activity path: one `Arc<str>` per distinct path across the file.
+fn path(r: &mut Reader<'_>) -> Field<PathStr> {
+    r.shared_str().map(PathStr::from)
 }
 
-/// How the frame at some offset failed its checks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FrameFault {
-    /// Fewer bytes remain than a file or frame header has.
-    ShortHeader,
-    /// `len` and `!len` disagree.
-    LengthCheck,
-    /// The file ends before the payload does.
-    ShortPayload,
-    /// The payload's CRC-32 is not the recorded one.
-    Checksum,
+fn opt_string(r: &mut Reader<'_>) -> Field<Option<String>> {
+    r.opt(Reader::string)
 }
 
-impl FrameFault {
-    /// True for the faults a torn write alone cannot explain.
-    pub(crate) fn is_checksum(self) -> bool {
-        matches!(self, FrameFault::LengthCheck | FrameFault::Checksum)
+fn strings(r: &mut Reader<'_>) -> Field<Vec<String>> {
+    (0..r.count()?).map(|_| r.string()).collect()
+}
+
+fn container(r: &mut Reader<'_>) -> Field<Container> {
+    let n = r.count()?;
+    if n == 0 {
+        return Ok(Container::empty());
     }
+    (0..n).map(|_| Ok((r.string()?, r.value()?))).collect()
 }
 
-impl std::fmt::Display for FrameFault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            FrameFault::ShortHeader => "short header",
-            FrameFault::LengthCheck => "frame length check mismatch",
-            FrameFault::ShortPayload => "short frame",
-            FrameFault::Checksum => "frame checksum mismatch",
-        })
+fn scope(r: &mut Reader<'_>, depth: u32) -> Field<ScopeState> {
+    if depth > MAX_SCOPE_DEPTH {
+        return Err("scope nesting too deep");
     }
-}
-
-/// A decoded journal file.
-#[derive(Debug)]
-pub(crate) struct Decoded {
-    /// The events of every intact frame, in file order.
-    pub(crate) events: Vec<Event>,
-    /// Length of the intact prefix: where a torn tail starts (0 when
-    /// even the file header is incomplete), else the file length.
-    pub(crate) valid_len: usize,
-    /// Why the bytes after `valid_len` were dropped, if any were.
-    pub(crate) torn: Option<FrameFault>,
-}
-
-/// The payload of the frame starting at `pos`, if it passes every check.
-fn frame_at(bytes: &[u8], pos: usize) -> Result<&[u8], FrameFault> {
-    let rest = &bytes[pos..];
-    let Some(header) = rest.first_chunk::<FRAME_HEADER>() else {
-        return Err(FrameFault::ShortHeader);
-    };
-    let word =
-        |i: usize| u32::from_le_bytes([header[i], header[i + 1], header[i + 2], header[i + 3]]);
-    let len = word(0);
-    if word(4) != !len {
-        return Err(FrameFault::LengthCheck);
-    }
-    let payload = rest[FRAME_HEADER..]
-        .get(..len as usize)
-        .ok_or(FrameFault::ShortPayload)?;
-    if crc32(payload) != word(8) {
-        return Err(FrameFault::Checksum);
-    }
-    Ok(payload)
-}
-
-/// Decodes a whole journal file. See the module documentation for the
-/// torn-tail rule.
-pub(crate) fn decode_file(bytes: &[u8]) -> Result<Decoded, DecodeError> {
-    let Some(header) = bytes.first_chunk::<{ FILE_HEADER.len() }>() else {
-        // Empty, or a crash tore the header of a brand-new journal.
-        return if FILE_HEADER.starts_with(bytes) {
-            Ok(Decoded {
-                events: Vec::new(),
-                valid_len: 0,
-                torn: (!bytes.is_empty()).then_some(FrameFault::ShortHeader),
+    let activities = (0..r.count()?)
+        .map(|_| {
+            Ok(ActivityRt {
+                state: match r.byte()? {
+                    0 => ActState::Waiting,
+                    1 => ActState::Ready,
+                    2 => ActState::Running,
+                    3 => ActState::Finished,
+                    4 => ActState::Terminated,
+                    _ => return Err("unknown activity state"),
+                },
+                executed: r.bool()?,
+                attempt: r.u32()?,
+                input: container(r)?,
+                output: container(r)?,
+                ready_since: r.opt(Reader::u64)?,
+                notified: r.bool()?,
             })
-        } else {
-            Err(DecodeError::NotAJournal)
-        };
-    };
-    if header[..MAGIC_LEN] != FILE_HEADER[..MAGIC_LEN] {
-        return Err(DecodeError::NotAJournal);
-    }
-    if header[MAGIC_LEN] != FILE_HEADER[MAGIC_LEN] {
-        return Err(DecodeError::UnsupportedVersion(header[MAGIC_LEN]));
-    }
-    let mut events = Vec::new();
-    let mut paths = HashSet::new();
-    let mut pos = FILE_HEADER.len();
-    let mut torn = None;
-    while pos < bytes.len() {
-        match frame_at(bytes, pos) {
-            Ok(payload) => {
-                let mut r = Reader {
-                    buf: payload,
-                    paths: &mut paths,
-                };
-                let event = r
-                    .event()
-                    .and_then(|e| {
-                        if r.buf.is_empty() {
-                            Ok(e)
-                        } else {
-                            Err("trailing bytes")
-                        }
-                    })
-                    .map_err(|detail| DecodeError::Corrupt {
-                        offset: pos,
-                        detail: format!("undecodable event: {detail}"),
-                    })?;
-                events.push(event);
-                pos += FRAME_HEADER + payload.len();
-            }
-            Err(fault) => {
-                if (pos + 1..bytes.len()).any(|p| frame_at(bytes, p).is_ok()) {
-                    return Err(DecodeError::Corrupt {
-                        offset: pos,
-                        detail: fault.to_string(),
-                    });
-                }
-                torn = Some(fault);
-                break;
-            }
-        }
-    }
-    Ok(Decoded {
-        events,
-        valid_len: pos,
-        torn,
+        })
+        .collect::<Field<_>>()?;
+    let connectors = (0..r.count()?)
+        .map(|_| match r.byte()? {
+            0 => Ok(None),
+            1 => Ok(Some(false)),
+            2 => Ok(Some(true)),
+            _ => Err("unknown connector value"),
+        })
+        .collect::<Field<_>>()?;
+    let input = container(r)?;
+    let output = container(r)?;
+    let children = (0..r.count()?)
+        .map(|_| Ok((r.u32()?, scope(r, depth + 1)?)))
+        .collect::<Field<_>>()?;
+    Ok(ScopeState {
+        activities,
+        connectors,
+        input,
+        output,
+        children,
     })
 }
 
-type Field<T> = Result<T, &'static str>;
-
-/// Cursor over one frame's payload.
-struct Reader<'a> {
-    buf: &'a [u8],
-    /// One shared `Arc<str>` per distinct path in the file.
-    paths: &'a mut HashSet<Arc<str>>,
+fn snapshot(r: &mut Reader<'_>) -> Field<InstanceSnapshot> {
+    Ok(InstanceSnapshot {
+        id: InstanceId(r.u64()?),
+        process: r.string()?,
+        tenant: opt_string(r)?,
+        status: match r.byte()? {
+            0 => InstanceStatus::Running,
+            1 => InstanceStatus::Finished,
+            2 => InstanceStatus::Cancelled,
+            _ => return Err("unknown instance status"),
+        },
+        version: r.string()?,
+        root: scope(r, 0)?,
+    })
 }
 
-impl<'a> Reader<'a> {
-    fn byte(&mut self) -> Field<u8> {
-        let (&b, rest) = self.buf.split_first().ok_or("truncated payload")?;
-        self.buf = rest;
-        Ok(b)
-    }
+fn work_item(r: &mut Reader<'_>) -> Field<WorkItem> {
+    Ok(WorkItem {
+        id: WorkItemId(r.u64()?),
+        instance: InstanceId(r.u64()?),
+        path: r.string()?,
+        attempt: r.u32()?,
+        offered_to: strings(r)?,
+        state: match r.byte()? {
+            0 => WorkItemState::Offered,
+            1 => WorkItemState::Claimed(r.string()?),
+            2 => WorkItemState::Closed,
+            _ => return Err("unknown work item state"),
+        },
+        offered_at: r.u64()?,
+    })
+}
 
-    fn bool(&mut self) -> Field<bool> {
-        match self.byte()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err("bool is neither 0 nor 1"),
-        }
-    }
-
-    fn u64(&mut self) -> Field<u64> {
-        let mut v = 0u64;
-        for shift in (0..64).step_by(7) {
-            let b = self.byte()?;
-            let bits = (b & 0x7F) as u64;
-            if shift == 63 && bits > 1 {
-                return Err("varint overflows u64");
-            }
-            v |= bits << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-        }
-        Err("varint longer than 10 bytes")
-    }
-
-    fn u32(&mut self) -> Field<u32> {
-        u32::try_from(self.u64()?).map_err(|_| "integer overflows u32")
-    }
-
-    fn i64(&mut self) -> Field<i64> {
-        let z = self.u64()?;
-        Ok((z >> 1) as i64 ^ -((z & 1) as i64))
-    }
-
-    /// A count of items that each take at least one byte: bounded by
-    /// what is left, so it is safe to allocate for.
-    fn count(&mut self) -> Field<usize> {
-        let n = self.u64()?;
-        if n > self.buf.len() as u64 {
-            return Err("count exceeds payload");
-        }
-        Ok(n as usize)
-    }
-
-    fn bytes(&mut self) -> Field<&'a [u8]> {
-        let n = self.count()?;
-        let (head, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        Ok(head)
-    }
-
-    fn str(&mut self) -> Field<&'a str> {
-        std::str::from_utf8(self.bytes()?).map_err(|_| "string is not UTF-8")
-    }
-
-    fn string(&mut self) -> Field<String> {
-        self.str().map(str::to_owned)
-    }
-
-    fn path(&mut self) -> Field<PathStr> {
-        let s = self.str()?;
-        if let Some(shared) = self.paths.get(s) {
-            return Ok(PathStr::from(shared));
-        }
-        let shared: Arc<str> = Arc::from(s);
-        self.paths.insert(Arc::clone(&shared));
-        Ok(PathStr::from(shared))
-    }
-
-    fn opt_string(&mut self) -> Field<Option<String>> {
-        Ok(if self.bool()? {
-            Some(self.string()?)
-        } else {
-            None
-        })
-    }
-
-    fn strings(&mut self) -> Field<Vec<String>> {
-        (0..self.count()?).map(|_| self.string()).collect()
-    }
-
-    fn container(&mut self) -> Field<Container> {
-        let n = self.count()?;
-        if n == 0 {
-            return Ok(Container::empty());
-        }
-        (0..n)
-            .map(|_| {
-                let name = self.string()?;
-                let value = match self.byte()? {
-                    0 => Value::Int(self.i64()?),
-                    1 => Value::Str(self.string()?),
-                    2 => Value::Bool(self.bool()?),
-                    3 => Value::Bytes(self.bytes()?.to_vec()),
-                    _ => return Err("unknown value tag"),
-                };
-                Ok((name, value))
-            })
-            .collect()
-    }
-
-    fn scope(&mut self, depth: u32) -> Field<ScopeState> {
-        if depth > MAX_SCOPE_DEPTH {
-            return Err("scope nesting too deep");
-        }
-        let activities = (0..self.count()?)
-            .map(|_| {
-                Ok(ActivityRt {
-                    state: match self.byte()? {
-                        0 => ActState::Waiting,
-                        1 => ActState::Ready,
-                        2 => ActState::Running,
-                        3 => ActState::Finished,
-                        4 => ActState::Terminated,
-                        _ => return Err("unknown activity state"),
-                    },
-                    executed: self.bool()?,
-                    attempt: self.u32()?,
-                    input: self.container()?,
-                    output: self.container()?,
-                    ready_since: if self.bool()? {
-                        Some(self.u64()?)
-                    } else {
-                        None
-                    },
-                    notified: self.bool()?,
-                })
-            })
-            .collect::<Field<_>>()?;
-        let connectors = (0..self.count()?)
-            .map(|_| match self.byte()? {
-                0 => Ok(None),
-                1 => Ok(Some(false)),
-                2 => Ok(Some(true)),
-                _ => Err("unknown connector value"),
-            })
-            .collect::<Field<_>>()?;
-        let input = self.container()?;
-        let output = self.container()?;
-        let children = (0..self.count()?)
-            .map(|_| Ok((self.u32()?, self.scope(depth + 1)?)))
-            .collect::<Field<_>>()?;
-        Ok(ScopeState {
-            activities,
-            connectors,
-            input,
-            output,
-            children,
-        })
-    }
-
-    fn snapshot(&mut self) -> Field<InstanceSnapshot> {
-        Ok(InstanceSnapshot {
-            id: InstanceId(self.u64()?),
-            process: self.string()?,
-            tenant: self.opt_string()?,
-            status: match self.byte()? {
-                0 => InstanceStatus::Running,
-                1 => InstanceStatus::Finished,
-                2 => InstanceStatus::Cancelled,
-                _ => return Err("unknown instance status"),
-            },
-            version: self.string()?,
-            root: self.scope(0)?,
-        })
-    }
-
-    fn work_item(&mut self) -> Field<WorkItem> {
-        Ok(WorkItem {
-            id: WorkItemId(self.u64()?),
-            instance: InstanceId(self.u64()?),
-            path: self.string()?,
-            attempt: self.u32()?,
-            offered_to: self.strings()?,
-            state: match self.byte()? {
-                0 => WorkItemState::Offered,
-                1 => WorkItemState::Claimed(self.string()?),
-                2 => WorkItemState::Closed,
-                _ => return Err("unknown work item state"),
-            },
-            offered_at: self.u64()?,
-        })
-    }
-
-    fn event(&mut self) -> Field<Event> {
-        Ok(match self.byte()? {
-            1 => Event::InstanceStarted {
-                instance: InstanceId(self.u64()?),
-                process: self.string()?,
-                tenant: self.opt_string()?,
-                input: self.container()?,
-                at: self.u64()?,
-            },
-            2 => Event::ActivityReady {
-                instance: InstanceId(self.u64()?),
-                path: self.path()?,
-                attempt: self.u32()?,
-                at: self.u64()?,
-            },
-            3 => Event::ActivityStarted {
-                instance: InstanceId(self.u64()?),
-                path: self.path()?,
-                attempt: self.u32()?,
-                by: self.opt_string()?,
-                input: self.container()?,
-                at: self.u64()?,
-            },
-            4 => Event::ActivityFinished {
-                instance: InstanceId(self.u64()?),
-                path: self.path()?,
-                attempt: self.u32()?,
-                output: self.container()?,
-                at: self.u64()?,
-            },
-            5 => Event::ActivityRescheduled {
-                instance: InstanceId(self.u64()?),
-                path: self.path()?,
-                next_attempt: self.u32()?,
-                at: self.u64()?,
-            },
-            6 => Event::ActivityTerminated {
-                instance: InstanceId(self.u64()?),
-                path: self.path()?,
-                executed: self.bool()?,
-                at: self.u64()?,
-            },
-            7 => Event::ConnectorEvaluated {
-                instance: InstanceId(self.u64()?),
-                scope: self.path()?,
-                from: self.path()?,
-                to: self.path()?,
-                value: self.bool()?,
-                at: self.u64()?,
-            },
-            8 => Event::WorkItemOffered {
-                instance: InstanceId(self.u64()?),
-                path: self.path()?,
-                item: WorkItemId(self.u64()?),
-                persons: self.strings()?,
-                at: self.u64()?,
-            },
-            9 => Event::WorkItemClaimed {
-                item: WorkItemId(self.u64()?),
-                person: self.string()?,
-                at: self.u64()?,
-            },
-            10 => Event::NotificationSent {
-                instance: InstanceId(self.u64()?),
-                path: self.path()?,
-                person: self.string()?,
-                at: self.u64()?,
-            },
-            11 => Event::UserIntervention {
-                instance: InstanceId(self.u64()?),
-                path: self.path()?,
-                action: self.string()?,
-                at: self.u64()?,
-            },
-            12 => Event::InstanceFinished {
-                instance: InstanceId(self.u64()?),
-                output: self.container()?,
-                at: self.u64()?,
-            },
-            13 => Event::InstanceCancelled {
-                instance: InstanceId(self.u64()?),
-                at: self.u64()?,
-            },
-            14 => Event::TemplateDeployed {
-                process: self.string()?,
-                version: self.string()?,
-                at: self.u64()?,
-            },
-            15 => Event::Migrated {
-                instance: InstanceId(self.u64()?),
-                from: self.string()?,
-                to: self.string()?,
-                at: self.u64()?,
-            },
-            16 => Event::EngineCheckpoint {
-                instances: (0..self.count()?)
-                    .map(|_| self.snapshot())
-                    .collect::<Field<_>>()?,
-                items: (0..self.count()?)
-                    .map(|_| self.work_item())
-                    .collect::<Field<_>>()?,
-                next_instance: self.u64()?,
-                next_item: self.u64()?,
-                at: self.u64()?,
-            },
-            _ => return Err("unknown event tag"),
-        })
-    }
+fn event(r: &mut Reader<'_>) -> Field<Event> {
+    Ok(match r.byte()? {
+        1 => Event::InstanceStarted {
+            instance: InstanceId(r.u64()?),
+            process: r.string()?,
+            tenant: opt_string(r)?,
+            input: container(r)?,
+            at: r.u64()?,
+        },
+        2 => Event::ActivityReady {
+            instance: InstanceId(r.u64()?),
+            path: path(r)?,
+            attempt: r.u32()?,
+            at: r.u64()?,
+        },
+        3 => Event::ActivityStarted {
+            instance: InstanceId(r.u64()?),
+            path: path(r)?,
+            attempt: r.u32()?,
+            by: opt_string(r)?,
+            input: container(r)?,
+            at: r.u64()?,
+        },
+        4 => Event::ActivityFinished {
+            instance: InstanceId(r.u64()?),
+            path: path(r)?,
+            attempt: r.u32()?,
+            output: container(r)?,
+            at: r.u64()?,
+        },
+        5 => Event::ActivityRescheduled {
+            instance: InstanceId(r.u64()?),
+            path: path(r)?,
+            next_attempt: r.u32()?,
+            at: r.u64()?,
+        },
+        6 => Event::ActivityTerminated {
+            instance: InstanceId(r.u64()?),
+            path: path(r)?,
+            executed: r.bool()?,
+            at: r.u64()?,
+        },
+        7 => Event::ConnectorEvaluated {
+            instance: InstanceId(r.u64()?),
+            scope: path(r)?,
+            from: path(r)?,
+            to: path(r)?,
+            value: r.bool()?,
+            at: r.u64()?,
+        },
+        8 => Event::WorkItemOffered {
+            instance: InstanceId(r.u64()?),
+            path: path(r)?,
+            item: WorkItemId(r.u64()?),
+            persons: strings(r)?,
+            at: r.u64()?,
+        },
+        9 => Event::WorkItemClaimed {
+            item: WorkItemId(r.u64()?),
+            person: r.string()?,
+            at: r.u64()?,
+        },
+        10 => Event::NotificationSent {
+            instance: InstanceId(r.u64()?),
+            path: path(r)?,
+            person: r.string()?,
+            at: r.u64()?,
+        },
+        11 => Event::UserIntervention {
+            instance: InstanceId(r.u64()?),
+            path: path(r)?,
+            action: r.string()?,
+            at: r.u64()?,
+        },
+        12 => Event::InstanceFinished {
+            instance: InstanceId(r.u64()?),
+            output: container(r)?,
+            at: r.u64()?,
+        },
+        13 => Event::InstanceCancelled {
+            instance: InstanceId(r.u64()?),
+            at: r.u64()?,
+        },
+        14 => Event::TemplateDeployed {
+            process: r.string()?,
+            version: r.string()?,
+            at: r.u64()?,
+        },
+        15 => Event::Migrated {
+            instance: InstanceId(r.u64()?),
+            from: r.string()?,
+            to: r.string()?,
+            at: r.u64()?,
+        },
+        16 => Event::EngineCheckpoint {
+            instances: (0..r.count()?).map(|_| snapshot(r)).collect::<Field<_>>()?,
+            items: (0..r.count()?)
+                .map(|_| work_item(r))
+                .collect::<Field<_>>()?,
+            next_instance: r.u64()?,
+            next_item: r.u64()?,
+            at: r.u64()?,
+        },
+        _ => return Err("unknown event tag"),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use txn_substrate::frame::{decode_file, file_bytes};
+    use txn_substrate::{properties, Value};
 
-    fn ready(n: u64) -> Event {
-        Event::ActivityReady {
+    #[test]
+    fn decoded_paths_share_one_allocation() {
+        let ready = |n| Event::ActivityReady {
             instance: InstanceId(n),
             path: "Forward/S1".into(),
             attempt: 0,
             at: n,
-        }
-    }
-
-    fn file(events: &[Event]) -> Vec<u8> {
-        let mut out = FILE_HEADER.to_vec();
-        for e in events {
-            encode_frame(e, &mut out);
-        }
-        out
-    }
-
-    #[test]
-    fn crc32_matches_the_ieee_check_value() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn varints_and_zigzag_round_trip_at_the_edges() {
-        for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
-            let mut out = Vec::new();
-            put_u64(&mut out, v);
-            let mut paths = HashSet::new();
-            let mut r = Reader {
-                buf: &out,
-                paths: &mut paths,
-            };
-            assert_eq!(r.u64(), Ok(v));
-            assert!(r.buf.is_empty());
-        }
-        for v in [0i64, -1, 1, i64::MIN, i64::MAX] {
-            let mut out = Vec::new();
-            put_i64(&mut out, v);
-            let mut paths = HashSet::new();
-            let mut r = Reader {
-                buf: &out,
-                paths: &mut paths,
-            };
-            assert_eq!(r.i64(), Ok(v));
-        }
-        // Eleven continuation bytes, and a tenth byte with high bits.
-        let mut paths = HashSet::new();
-        let mut r = Reader {
-            buf: &[0xFF; 11],
-            paths: &mut paths,
         };
-        assert!(r.u64().is_err());
-    }
-
-    #[test]
-    fn decoded_paths_share_one_allocation() {
-        let decoded = decode_file(&file(&[ready(1), ready(2)])).unwrap();
+        let decoded = decode_file::<Event>(&file_bytes(&[ready(1), ready(2)])).unwrap();
         let [Event::ActivityReady { path: a, .. }, Event::ActivityReady { path: b, .. }] =
-            decoded.events.as_slice()
+            decoded.records.as_slice()
         else {
             panic!("two ready events");
         };
         assert!(std::ptr::eq(a.as_str(), b.as_str()));
-    }
-
-    #[test]
-    fn zero_filled_tail_is_not_a_run_of_empty_events() {
-        // Some file systems leave zero pages after a crash. `len = 0`
-        // never passes the `!len` check, so zeros are a torn tail.
-        let mut bytes = file(&[ready(1)]);
-        let intact = bytes.len();
-        bytes.extend_from_slice(&[0; 64]);
-        let decoded = decode_file(&bytes).unwrap();
-        assert_eq!(decoded.events.len(), 1);
-        assert_eq!(decoded.valid_len, intact);
-        assert_eq!(decoded.torn, Some(FrameFault::LengthCheck));
-    }
-
-    #[test]
-    fn intact_frame_with_a_foreign_payload_is_corruption_not_a_tail() {
-        let mut bytes = FILE_HEADER.to_vec();
-        let payload = [200u8, 1, 2];
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&(!(payload.len() as u32)).to_le_bytes());
-        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        let err = decode_file(&bytes).unwrap_err();
-        assert!(
-            matches!(&err, DecodeError::Corrupt { offset: 5, detail } if detail.contains("unknown event tag")),
-            "{err:?}"
-        );
-    }
-
-    #[test]
-    fn header_rules() {
-        assert_eq!(decode_file(b"").unwrap().torn, None);
-        let torn = decode_file(b"WFJ").unwrap();
-        assert_eq!(
-            (torn.valid_len, torn.torn),
-            (0, Some(FrameFault::ShortHeader))
-        );
-        assert_eq!(
-            decode_file(b"{\"InstanceStarted\":{}}\n").unwrap_err(),
-            DecodeError::NotAJournal
-        );
-        assert_eq!(decode_file(b"{\"I").unwrap_err(), DecodeError::NotAJournal);
-        assert_eq!(
-            decode_file(b"WFJL\x02").unwrap_err(),
-            DecodeError::UnsupportedVersion(2)
-        );
     }
 
     // ---- property tests ----------------------------------------------
@@ -1254,63 +826,28 @@ mod tests {
         prop_oneof![plain.clone(), plain.clone(), plain, checkpoint().boxed()]
     }
 
+    // The properties themselves are the substrate's, shared with the
+    // WAL; here they meet every event variant.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Every event survives encode → decode, alone and in a file.
         #[test]
         fn events_round_trip(events in prop::collection::vec(event(), 0..6)) {
-            let bytes = file(&events);
-            let decoded = decode_file(&bytes).unwrap();
-            prop_assert_eq!(&decoded.events, &events);
-            prop_assert_eq!(decoded.valid_len, bytes.len());
-            prop_assert_eq!(decoded.torn, None);
+            properties::round_trips(&events);
         }
 
-        /// Every byte prefix of a file decodes to a prefix of its
-        /// events: whole frames survive, at most one partial frame is
-        /// reported torn, nothing is ever an error.
         #[test]
         fn byte_prefixes_decode_to_event_prefixes(events in prop::collection::vec(event(), 1..4)) {
-            let bytes = file(&events);
-            let ends: Vec<usize> = (0..=events.len()).map(|k| file(&events[..k]).len()).collect();
-            for cut in 0..bytes.len() {
-                let decoded = decode_file(&bytes[..cut]).unwrap();
-                let k = ends.iter().filter(|&&end| end <= cut).count().saturating_sub(1);
-                prop_assert_eq!(&decoded.events, &events[..k]);
-                let boundary = cut == 0 || ends.contains(&cut);
-                prop_assert_eq!(decoded.torn.is_none(), boundary);
-                prop_assert_eq!(decoded.valid_len, if cut < ends[0] { 0 } else { ends[k] });
-            }
+            properties::byte_prefixes_decode_to_record_prefixes(&events);
         }
 
-        /// Any single flipped bit after the file header: in the last
-        /// frame it is a torn tail at that frame, in an earlier frame
-        /// it is corruption at that frame's offset.
         #[test]
         fn flipped_bits_are_torn_or_corrupt_never_silent(
             events in prop::collection::vec(event(), 1..4),
             at in any::<usize>(),
             bit in 0u8..8,
         ) {
-            let mut bytes = file(&events);
-            let starts: Vec<usize> = (0..events.len()).map(|k| file(&events[..k]).len()).collect();
-            let at = starts[0] + at % (bytes.len() - starts[0]);
-            bytes[at] ^= 1 << bit;
-            let frame = starts.iter().rposition(|&s| s <= at).unwrap();
-            match decode_file(&bytes) {
-                Ok(decoded) => {
-                    prop_assert_eq!(frame, events.len() - 1);
-                    prop_assert_eq!(&decoded.events, &events[..frame]);
-                    prop_assert_eq!(decoded.valid_len, starts[frame]);
-                    prop_assert!(decoded.torn.is_some_and(FrameFault::is_checksum));
-                }
-                Err(DecodeError::Corrupt { offset, .. }) => {
-                    prop_assert!(frame < events.len() - 1);
-                    prop_assert_eq!(offset, starts[frame]);
-                }
-                Err(other) => prop_assert!(false, "unexpected {other:?}"),
-            }
+            properties::flipped_bit_is_torn_or_corrupt(&events, at, bit);
         }
     }
 }

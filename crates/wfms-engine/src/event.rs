@@ -93,12 +93,6 @@ impl From<std::sync::Arc<str>> for PathStr {
     }
 }
 
-impl From<&std::sync::Arc<str>> for PathStr {
-    fn from(s: &std::sync::Arc<str>) -> Self {
-        Self(std::sync::Arc::clone(s))
-    }
-}
-
 impl PartialEq<str> for PathStr {
     fn eq(&self, other: &str) -> bool {
         &*self.0 == other

@@ -1,69 +1,42 @@
 //! The persistent execution journal.
 //!
-//! Same shape as the substrate's WAL: an in-memory event list,
-//! optionally mirrored to a file — of binary frames, one per event, in
-//! the format `codec.rs` defines (`docs/recovery.md` describes it
-//! byte by byte). *When* those frames reach the file is governed by a
-//! [`DurabilityPolicy`]: the default
-//! `PerEvent` flushes the writer after every append (navigation events
-//! are rare compared to database updates, so per-event flushing is
-//! affordable and makes the recovery point exact **for process
-//! crashes** — bytes handed to the OS survive the process dying, but
-//! only `PerEventSync` pushes them through the page cache to stable
-//! storage, and `Batched{n}` may leave up to `n-1` complete events
-//! unflushed). See `docs/recovery.md` for how the crash-point sweep
-//! exercises each policy's loss window.
+//! The journal is the substrate's [`Log`], instantiated for [`Event`]:
+//! the in-memory event list, the optional file mirror of binary frames
+//! (one per event, payloads as `codec.rs` defines them;
+//! `docs/recovery.md` describes the file byte by byte), torn-tail
+//! repair on reopen, sticky mirror errors, fault counting and atomic
+//! compaction are all the shared log's, the same code the WAL runs.
+//! *When* frames reach the file is governed by a [`DurabilityPolicy`]:
+//! the default `PerEvent` flushes the writer after every append
+//! (navigation events are rare compared to database updates, so
+//! per-event flushing is affordable and makes the recovery point exact
+//! **for process crashes** — bytes handed to the OS survive the process
+//! dying, but only `PerEventSync` pushes them through the page cache to
+//! stable storage, and `Batched{n}` may leave up to `n-1` complete
+//! events unflushed). See `docs/recovery.md` for how the crash-point
+//! sweep exercises each policy's loss window.
 //!
-//! Reopening a mirrored journal tolerates a **torn tail**: a crash
-//! mid-append leaves a partial final frame, which is truncated away,
-//! reported in the [`TailReport`] and counted (mid-file corruption is
-//! still rejected, naming the byte offset). Mirror I/O errors never
-//! panic the engine: the first error is remembered
-//! ([`Journal::mirror_error`]) and counted, the mirror is disabled, and
-//! the in-memory journal keeps working so the engine can park the
-//! affected instances instead of dying mid-navigation.
+//! What this module adds is what only the engine needs: append probes,
+//! adoption of the log's fault counters into the engine's registry as
+//! `journal.*`, per-instance event queries, and the one-shot JSON
+//! upgrade. A mirror failure never panics the engine: the in-memory
+//! journal keeps working and [`Journal::mirror_error`] lets the engine
+//! park the affected instances instead of dying mid-navigation.
 //!
 //! JSON survives in two places only: [`Journal::upgrade_json_file`]
 //! converts a journal written before the binary format, once, and
 //! `fmtm journal dump` renders events through `Serialize for Event`.
 
-use crate::codec::{self, DecodeError};
 use crate::event::Event;
 use crate::metrics::JournalProbes;
-use parking_lot::Mutex;
-use std::fs::OpenOptions;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use txn_substrate::durability::{
-    atomic_rewrite, DurabilityPolicy, DurableWriter, MirrorError, TailReport, TornTail,
+    atomic_rewrite, DurabilityPolicy, MirrorError, TailReport, TornTail,
 };
-use wfms_observe::{Counter, Registry};
-
-/// The file mirror of a [`Journal`]: the policy-driven writer plus
-/// the path (needed for atomic compaction rewrites) and a reused
-/// frame buffer.
-#[derive(Debug)]
-struct JournalMirror {
-    writer: DurableWriter,
-    path: PathBuf,
-    /// Frame buffer, reused across appends: each event is encoded
-    /// exactly once, straight into the bytes the writer is handed, and
-    /// a group commit costs one buffer fill and one write.
-    buf: Vec<u8>,
-}
-
-/// Faults the journal absorbed instead of failing: counted, never
-/// printed. Standalone until the owning engine adopts them into its
-/// metrics registry ([`Journal::attach_fault_counters`]) — a torn tail
-/// is found before any engine exists.
-#[derive(Debug, Default)]
-struct FaultCounters {
-    torn_tails_truncated: Arc<Counter>,
-    mirror_errors: Arc<Counter>,
-    crc_failures: Arc<Counter>,
-}
+use txn_substrate::frame::{self, DecodeError};
+use txn_substrate::log::Log;
+use wfms_observe::Registry;
 
 /// What [`Journal::upgrade_json_file`] did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,70 +54,13 @@ pub enum Upgrade {
 }
 
 /// An append-only journal of navigation events.
-///
-/// Lock order: `events` is always acquired **before** `mirror`, and
-/// held across the mirror write, so the file's event order is exactly
-/// the in-memory order and a concurrent [`Journal::compact`] can
-/// never rewrite the file while an append sits between "in memory"
-/// and "in file".
 #[derive(Debug, Default)]
 pub struct Journal {
-    events: Mutex<Vec<Event>>,
-    mirror: Mutex<Option<JournalMirror>>,
-    /// Fast-path flag mirroring `mirror.is_some()`: purely in-memory
-    /// journals (the steady-state engine default and every parallel
-    /// worker shard) skip encoding entirely — events are only framed
-    /// when a file mirror needs the bytes.
-    mirrored: AtomicBool,
-    mirror_error: Mutex<Option<MirrorError>>,
-    faults: Mutex<FaultCounters>,
+    log: Log<Event>,
     /// Observability instruments, attached by the engine when its
     /// observer is enabled. `OnceLock::get` on the (common) empty cell
     /// is a single atomic load, so unobserved journals pay nothing.
     probes: OnceLock<JournalProbes>,
-}
-
-/// A journal file's events and what was found at its end.
-struct Loaded {
-    events: Vec<Event>,
-    report: TailReport,
-    /// The torn tail was complete enough to fail a checksum.
-    checksum_failed: bool,
-}
-
-/// Reads and decodes `path` without touching it.
-fn load(path: &Path) -> std::io::Result<Loaded> {
-    let bytes = std::fs::read(path)
-        .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
-    let decoded = codec::decode_file(&bytes).map_err(|e| {
-        let msg = match e {
-            DecodeError::NotAJournal => format!(
-                "{0} is not a binary journal; a JSON-lines journal written before the \
-                 binary format is converted once with `fmtm journal upgrade {0}`",
-                path.display()
-            ),
-            DecodeError::UnsupportedVersion(v) => format!(
-                "{} has journal format version {v}; this build reads version 1",
-                path.display()
-            ),
-            DecodeError::Corrupt { offset, detail } => format!(
-                "corrupt journal {}: frame at byte {offset}: {detail}",
-                path.display()
-            ),
-        };
-        std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
-    })?;
-    Ok(Loaded {
-        report: TailReport {
-            records: decoded.events.len(),
-            torn_tail: decoded.torn.map(|fault| TornTail {
-                offset: decoded.valid_len as u64,
-                discarded: format!("{} bytes ({fault})", bytes.len() - decoded.valid_len),
-            }),
-        },
-        checksum_failed: decoded.torn.is_some_and(|f| f.is_checksum()),
-        events: decoded.events,
-    })
 }
 
 impl Journal {
@@ -174,34 +90,14 @@ impl Journal {
         path: &Path,
         policy: DurabilityPolicy,
     ) -> std::io::Result<(Self, TailReport)> {
-        let journal = Self::new();
-        let mut report = TailReport::default();
-        if path.exists() {
-            let loaded = load(path)?;
-            if let Some(tail) = &loaded.report.torn_tail {
-                let f = OpenOptions::new().write(true).open(path)?;
-                f.set_len(tail.offset)?;
-                f.sync_data()?;
-                let faults = journal.faults.lock();
-                faults.torn_tails_truncated.inc();
-                if loaded.checksum_failed {
-                    faults.crc_failures.inc();
-                }
-            }
-            report = loaded.report;
-            *journal.events.lock() = loaded.events;
+        Log::open(path, policy).map(|(log, report)| (Self::over(log), report))
+    }
+
+    fn over(log: Log<Event>) -> Self {
+        Self {
+            log,
+            probes: OnceLock::new(),
         }
-        let mut file = OpenOptions::new().create(true).append(true).open(path)?;
-        if file.metadata()?.len() == 0 {
-            file.write_all(&codec::FILE_HEADER)?;
-        }
-        *journal.mirror.lock() = Some(JournalMirror {
-            writer: DurableWriter::new(file, policy),
-            path: path.to_path_buf(),
-            buf: Vec::new(),
-        });
-        journal.mirrored.store(true, Ordering::Release);
-        Ok((journal, report))
     }
 
     /// The bytes of a journal file holding exactly `events`: the file
@@ -210,18 +106,14 @@ impl Journal {
     /// depend on their neighbours, so any prefix of `events` encodes to
     /// a prefix of these bytes (the crash sweep cuts its files here).
     pub fn file_bytes(events: &[Event]) -> Vec<u8> {
-        let mut bytes = codec::FILE_HEADER.to_vec();
-        for event in events {
-            codec::encode_frame(event, &mut bytes);
-        }
-        bytes
+        frame::file_bytes(events)
     }
 
     /// Decodes the journal file at `path` without opening it for
     /// append and without repairing it: a torn tail is reported, not
     /// truncated. For tools that only look (`fmtm journal dump`).
     pub fn read_file(path: &Path) -> std::io::Result<(Vec<Event>, TailReport)> {
-        load(path).map(|l| (l.events, l.report))
+        Log::read_file(path)
     }
 
     /// Converts a JSON-lines journal (the format before binary frames)
@@ -233,7 +125,10 @@ impl Journal {
     /// is left alone.
     pub fn upgrade_json_file(path: &Path) -> std::io::Result<Upgrade> {
         let bytes = std::fs::read(path)?;
-        if !matches!(codec::decode_file(&bytes), Err(DecodeError::NotAJournal)) {
+        if !matches!(
+            frame::decode_file::<Event>(&bytes),
+            Err(DecodeError::NotThisLog)
+        ) {
             // Binary already (or damaged binary, which the next open
             // reports); not this tool's input either way.
             return Ok(Upgrade::AlreadyBinary);
@@ -259,6 +154,7 @@ impl Journal {
                     torn_tail = Some(TornTail {
                         offset: offset as u64,
                         discarded: String::from_utf8_lossy(raw).into_owned(),
+                        checksum_failed: false,
                     });
                 }
                 Err(e) => {
@@ -270,7 +166,7 @@ impl Journal {
             }
             offset += raw.len();
         }
-        atomic_rewrite(path, |w| w.write_all(&Self::file_bytes(&events)))?;
+        atomic_rewrite(path, &Self::file_bytes(&events))?;
         Ok(Upgrade::Converted {
             events: events.len(),
             torn_tail,
@@ -285,14 +181,7 @@ impl Journal {
         path: PathBuf,
         policy: DurabilityPolicy,
     ) -> Self {
-        let journal = Self::new();
-        *journal.mirror.lock() = Some(JournalMirror {
-            writer: DurableWriter::new(file, policy),
-            path,
-            buf: Vec::new(),
-        });
-        journal.mirrored.store(true, Ordering::Release);
-        journal
+        Self::over(Log::with_injected_file(file, path, policy))
     }
 
     /// The first mirror I/O error hit, if any. Once set, the file
@@ -300,18 +189,7 @@ impl Journal {
     /// engine surfaces this as
     /// [`EngineError::Journal`](crate::EngineError::Journal).
     pub fn mirror_error(&self) -> Option<MirrorError> {
-        self.mirror_error.lock().clone()
-    }
-
-    /// Records the first mirror failure and disables the mirror.
-    fn fail_mirror(&self, guard: &mut Option<JournalMirror>, context: &str, e: &std::io::Error) {
-        self.faults.lock().mirror_errors.inc();
-        let mut slot = self.mirror_error.lock();
-        if slot.is_none() {
-            *slot = Some(MirrorError::new(context, e));
-        }
-        *guard = None;
-        self.mirrored.store(false, Ordering::Release);
+        self.log.mirror_error()
     }
 
     /// Attaches metrics probes (append counts, append/flush latency,
@@ -321,7 +199,7 @@ impl Journal {
         let _ = self.probes.set(probes);
     }
 
-    /// Moves the fault counters into `reg` as
+    /// Moves the log's fault counters into `reg` as
     /// `journal.torn_tails_truncated`, `journal.mirror_errors` and
     /// `journal.crc_failures`, carrying over what was counted so far
     /// (the reopen that found a torn tail ran before the engine and its
@@ -329,18 +207,7 @@ impl Journal {
     /// or without an enabled observer: faults are cold and always
     /// counted, like the `recovery.*` fix-ups.
     pub(crate) fn attach_fault_counters(&self, reg: &Registry) {
-        let mut faults = self.faults.lock();
-        let adopt = |slot: &mut Arc<Counter>, name: &str| {
-            let counter = reg.counter(name);
-            counter.add(slot.get());
-            *slot = counter;
-        };
-        adopt(
-            &mut faults.torn_tails_truncated,
-            "journal.torn_tails_truncated",
-        );
-        adopt(&mut faults.mirror_errors, "journal.mirror_errors");
-        adopt(&mut faults.crc_failures, "journal.crc_failures");
+        self.log.adopt_fault_counters(reg, "journal");
     }
 
     /// Appends an event. Mirror I/O failures do not panic; they are
@@ -352,34 +219,22 @@ impl Journal {
     /// parallel worker shard) pays a lock and a `Vec` push, nothing
     /// more.
     pub fn append(&self, event: Event) {
-        if !self.mirrored.load(Ordering::Acquire) && self.probes.get().is_none() {
-            self.events.lock().push(event);
+        let Some(p) = self.probes.get() else {
+            self.log.append(event, false);
             return;
-        }
+        };
         // Latency is sampled 1-in-16; the append counter stays exact.
-        let t0 = self
-            .probes
-            .get()
-            .and_then(|p| p.sample_tick().then(std::time::Instant::now));
-        let mut events = self.events.lock();
-        self.mirror_frames(std::slice::from_ref(&event), false);
-        events.push(event);
-        drop(events);
-        if let Some(p) = self.probes.get() {
-            p.appends.inc();
-            if let Some(t0) = t0 {
-                p.append_ns.record(t0.elapsed().as_nanos() as u64);
-            }
+        let t0 = p.sample_tick().then(std::time::Instant::now);
+        self.log.append(event, false);
+        p.appends.inc();
+        if let Some(t0) = t0 {
+            p.append_ns.record(t0.elapsed().as_nanos() as u64);
         }
     }
 
     /// Appends a batch of events with a single lock acquisition and a
     /// single group commit of the mirror — how the parallel scheduler
     /// merges per-worker journal shards back into the main journal.
-    ///
-    /// When a mirror is attached the whole batch is framed into one
-    /// reused buffer and written with a single `write_all` — the bytes
-    /// are exactly the per-event frames in order.
     pub fn append_batch(&self, batch: Vec<Event>) {
         if batch.is_empty() {
             return;
@@ -388,107 +243,60 @@ impl Journal {
             p.appends.add(batch.len() as u64);
             p.batch_size.record(batch.len() as u64);
         }
-        let mut events = self.events.lock();
-        // The batch end is a flush barrier: one group commit.
-        self.mirror_frames(&batch, true);
-        events.extend(batch);
-    }
-
-    /// Frames `batch` into the mirror's buffer and hands the bytes to
-    /// the writer in one chunk; a no-op on an unmirrored journal. The
-    /// caller holds the `events` lock.
-    fn mirror_frames(&self, batch: &[Event], barrier: bool) {
-        if !self.mirrored.load(Ordering::Acquire) {
-            return;
-        }
-        let mut guard = self.mirror.lock();
-        let Some(JournalMirror { writer, buf, .. }) = guard.as_mut() else {
-            return;
-        };
-        buf.clear();
-        for event in batch {
-            codec::encode_frame(event, buf);
-        }
-        if let Err(e) = writer.append_chunk(buf, batch.len(), barrier) {
-            self.fail_mirror(&mut guard, "append", &e);
-        }
+        self.log.append_batch(batch);
     }
 
     /// Forces buffered mirror frames to the file (a durability barrier
     /// under any policy; a no-op for unmirrored journals).
     pub fn flush(&self) {
-        let _events = self.events.lock();
-        let mut guard = self.mirror.lock();
-        if let Some(m) = guard.as_mut() {
-            if let Err(e) = m.writer.flush() {
-                self.fail_mirror(&mut guard, "flush", &e);
-            }
-        }
+        self.log.flush()
     }
 
     /// Consumes the journal, returning its events (shards are
     /// in-memory only, so there is no mirror to close).
     pub fn into_events(self) -> Vec<Event> {
-        self.events.into_inner()
+        self.log.into_records()
     }
 
     /// Number of events.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.log.with_records(<[Event]>::len)
     }
 
     /// True if no events have been journalled.
     pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
+        self.log.with_records(<[Event]>::is_empty)
     }
 
     /// A copy of all events.
     pub fn events(&self) -> Vec<Event> {
-        self.events.lock().clone()
+        self.log.with_records(<[Event]>::to_vec)
     }
 
     /// Runs `f` over the events in place, under the journal lock: how
     /// recovery replays a journal without copying it. `f` must not
     /// append to this journal.
     pub(crate) fn with_events<R>(&self, f: impl FnOnce(&[Event]) -> R) -> R {
-        f(&self.events.lock())
+        self.log.with_records(f)
     }
 
     /// Drops every event before the last
-    /// [`Event::EngineCheckpoint`] (journal compaction). A no-op when
-    /// no checkpoint exists. When mirrored to a file, the file is
-    /// **atomically rewritten** (temp file + rename): a crash during
-    /// compaction leaves either the old or the new complete file,
-    /// never a half-truncated one. Returns the number of events
-    /// dropped.
+    /// [`Event::EngineCheckpoint`] (journal compaction), atomically
+    /// rewriting the file mirror if there is one. A no-op when no
+    /// checkpoint exists. Returns the number of events dropped.
     pub fn compact(&self) -> usize {
-        let mut events = self.events.lock();
-        let Some(start) = events
-            .iter()
-            .rposition(|e| matches!(e, Event::EngineCheckpoint { .. }))
-        else {
-            return 0;
-        };
-        let dropped = start;
-        events.drain(..start);
-        let mut guard = self.mirror.lock();
-        if let Some(m) = guard.as_mut() {
-            match atomic_rewrite(&m.path, |w| w.write_all(&Self::file_bytes(&events))) {
-                Ok(file) => m.writer.replace_file(file),
-                Err(e) => self.fail_mirror(&mut guard, "compact", &e),
-            }
-        }
-        dropped
+        self.log.compact()
     }
 
     /// Events of one instance, in order.
     pub fn events_for(&self, instance: crate::event::InstanceId) -> Vec<Event> {
-        self.events
-            .lock()
-            .iter()
-            .filter(|e| e.instance() == Some(instance))
-            .cloned()
-            .collect()
+        self.log.with_records(|events| {
+            events
+                .iter()
+                .filter(|e| e.instance() == Some(instance))
+                .cloned()
+                .collect()
+        })
     }
 }
 
@@ -496,6 +304,9 @@ impl Journal {
 mod tests {
     use super::*;
     use crate::event::InstanceId;
+    use std::fs::OpenOptions;
+    use std::io::Write as _;
+    use txn_substrate::frame::Record as _;
     use wfms_model::Container;
 
     fn started(n: u64) -> Event {
@@ -618,7 +429,7 @@ mod tests {
         j.append(started(1));
         assert_eq!(
             std::fs::read(&path).unwrap(),
-            codec::FILE_HEADER,
+            Event::HEADER,
             "the event is buffered; a new file holds its header only"
         );
         j.append_batch(vec![started(2), started(3)]);

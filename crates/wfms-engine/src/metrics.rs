@@ -242,8 +242,14 @@ pub struct DbMetrics {
     pub wal_appends: u64,
     /// WAL commit/abort durability barriers.
     pub wal_barrier_flushes: u64,
-    /// Nanoseconds of WAL mirror file I/O.
+    /// Nanoseconds spent in WAL appends that wrote the file mirror.
     pub wal_mirror_nanos: u64,
+    /// WAL reopens that truncated a half-written final frame.
+    pub wal_torn_tails_truncated: u64,
+    /// Of those, tails that failed a length check or CRC.
+    pub wal_crc_failures: u64,
+    /// WAL mirror I/O failures (the first disables the mirror).
+    pub wal_mirror_errors: u64,
 }
 
 /// A typed point-in-time snapshot of everything the engine observes.
@@ -358,6 +364,9 @@ impl EngineMetrics {
                 ("db.wal_appends", db.wal_appends),
                 ("db.wal_barrier_flushes", db.wal_barrier_flushes),
                 ("db.wal_mirror_nanos", db.wal_mirror_nanos),
+                ("db.wal_torn_tails_truncated", db.wal_torn_tails_truncated),
+                ("db.wal_crc_failures", db.wal_crc_failures),
+                ("db.wal_mirror_errors", db.wal_mirror_errors),
             ] {
                 let n = prom_name(name);
                 out.push_str(&format!("{n}{{db=\"{}\"}} {v}\n", db.name));
@@ -421,6 +430,9 @@ impl Engine {
                     wal_appends: w.appends,
                     wal_barrier_flushes: w.barrier_flushes,
                     wal_mirror_nanos: w.mirror_nanos,
+                    wal_torn_tails_truncated: w.torn_tails_truncated,
+                    wal_crc_failures: w.crc_failures,
+                    wal_mirror_errors: w.mirror_errors,
                 }
             })
             .collect();

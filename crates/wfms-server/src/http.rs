@@ -19,8 +19,6 @@
 //! clients never send it). See `docs/serving.md` for the wire
 //! protocol.
 
-use std::io::{self, BufRead, Write};
-
 /// Maximum bytes in the request line or any single header line.
 pub const MAX_LINE: usize = 8 * 1024;
 /// Maximum number of headers per request.
@@ -98,7 +96,7 @@ impl Request {
     }
 }
 
-/// Parse/IO failures while reading a request.
+/// Why buffered input is not a request.
 #[derive(Debug)]
 pub enum HttpError {
     /// Malformed request: answered with `400 Bad Request`.
@@ -106,9 +104,6 @@ pub enum HttpError {
     /// An input limit was exceeded: answered with `413 Content Too
     /// Large`.
     TooLarge(&'static str),
-    /// The transport failed mid-request (reset, timeout); the
-    /// connection is closed without a response.
-    Io(io::Error),
 }
 
 impl HttpError {
@@ -117,7 +112,6 @@ impl HttpError {
         match self {
             HttpError::BadRequest(_) => 400,
             HttpError::TooLarge(_) => 413,
-            HttpError::Io(_) => 400,
         }
     }
 
@@ -125,7 +119,6 @@ impl HttpError {
     pub fn message(&self) -> String {
         match self {
             HttpError::BadRequest(m) | HttpError::TooLarge(m) => (*m).to_owned(),
-            HttpError::Io(e) => format!("io: {e}"),
         }
     }
 }
@@ -459,40 +452,6 @@ fn parse_request_line(line: &str) -> Result<(String, String, Option<String>, Ver
     Ok((method.to_owned(), path, query, version))
 }
 
-/// Reads one request from `r` with a fresh [`Decoder`] — a one-shot
-/// convenience for tests and simple blocking callers.
-///
-/// * `Ok(None)` — the peer closed the connection cleanly between
-///   requests (normal keep-alive termination).
-/// * `Err(e)` — malformed/oversized input; answer with
-///   [`HttpError::status`] and close.
-///
-/// Bytes the reader had buffered *past* the returned request are left
-/// in the discarded decoder; callers interleaving pipelined requests
-/// must hold a [`Decoder`] themselves (the event loop does).
-pub fn read_request<R: BufRead>(r: &mut R) -> Result<Option<Request>, HttpError> {
-    let mut dec = Decoder::new();
-    loop {
-        if let Some(req) = dec.next_request()? {
-            return Ok(Some(req));
-        }
-        let chunk = match r.fill_buf() {
-            Ok(c) => c,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(HttpError::Io(e)),
-        };
-        if chunk.is_empty() {
-            if dec.is_clean() {
-                return Ok(None);
-            }
-            return Err(HttpError::BadRequest(dec.truncation()));
-        }
-        let n = chunk.len();
-        dec.push(chunk);
-        r.consume(n);
-    }
-}
-
 /// Reason phrase for the status codes the service emits.
 pub fn reason(status: u16) -> &'static str {
     match status {
@@ -545,27 +504,20 @@ pub fn render_response(
     out.extend_from_slice(body);
 }
 
-/// Writes one response with `Content-Length` framing.
-pub fn write_response(
-    w: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    close: bool,
-) -> io::Result<()> {
-    let mut out = Vec::with_capacity(128 + body.len());
-    render_response(&mut out, status, content_type, &[], body, close);
-    w.write_all(&out)?;
-    w.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
 
+    /// One request from a complete input: `Ok(None)` is a clean end
+    /// between requests, input that stops mid-request is a `400`.
     fn parse(bytes: &[u8]) -> Result<Option<Request>, HttpError> {
-        read_request(&mut Cursor::new(bytes.to_vec()))
+        let mut dec = Decoder::new();
+        dec.push(bytes);
+        match dec.next_request()? {
+            Some(req) => Ok(Some(req)),
+            None if dec.is_clean() => Ok(None),
+            None => Err(HttpError::BadRequest(dec.truncation())),
+        }
     }
 
     #[test]
@@ -712,9 +664,9 @@ mod tests {
     }
 
     #[test]
-    fn response_writer_frames_body() {
+    fn rendered_response_frames_body() {
         let mut out = Vec::new();
-        write_response(&mut out, 200, "application/json", b"{}", false).unwrap();
+        render_response(&mut out, 200, "application/json", &[], b"{}", false);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("content-length: 2\r\n"));

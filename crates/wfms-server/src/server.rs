@@ -42,7 +42,7 @@ use wfms_engine::{EngineError, InstanceStatus, WorklistError};
 use wfms_model::Container;
 
 use crate::api::*;
-use crate::http::{self, render_response, HttpError, Request};
+use crate::http::{self, render_response, Request};
 use crate::poll::{
     Epoll, Waker, EPOLLERR, EPOLLEXCLUSIVE, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
@@ -640,16 +640,14 @@ impl Reactor {
                 }
                 Ok(None) => break,
                 Err(e) => {
-                    if !matches!(e, HttpError::Io(_)) {
-                        let body = err_body(&e.message(), "bad_request");
-                        let mut bytes = Vec::with_capacity(128);
-                        render_response(&mut bytes, e.status(), JSON, &[], body.as_bytes(), true);
-                        conn.slots.push_back(Slot::Ready {
-                            bytes,
-                            close: true,
-                            stop: false,
-                        });
-                    }
+                    let body = err_body(&e.message(), "bad_request");
+                    let mut bytes = Vec::with_capacity(128);
+                    render_response(&mut bytes, e.status(), JSON, &[], body.as_bytes(), true);
+                    conn.slots.push_back(Slot::Ready {
+                        bytes,
+                        close: true,
+                        stop: false,
+                    });
                     conn.input_dead = true;
                     break;
                 }

@@ -395,6 +395,7 @@ impl ShardPool {
 
         let mut shards = Vec::with_capacity(nshards);
         let mut recovered = 0u64;
+        let resume_failures = registry.counter("server.resume.failures");
         for i in 0..nshards {
             let journal_path = cfg.data_dir.join(format!("shard-{i}.journal"));
             let (multidb, programs) = provision(i);
@@ -412,7 +413,7 @@ impl ShardPool {
                     programs,
                 )
                 .map_err(PoolError::Recovery)?;
-                recovered += resume_running(&engine, i);
+                recovered += resume_running(&engine, &resume_failures);
                 engine
             } else {
                 let engine = Engine::with_config(
@@ -1124,14 +1125,16 @@ fn write_meta(meta_path: &Path, meta: &ServerMeta) -> Result<(), PoolError> {
 
 /// Resumes every instance a recovered shard reports as running —
 /// recovery re-readies what was in flight; this navigates it onward.
-/// Returns how many instances were resumed.
-fn resume_running(engine: &Engine, shard: usize) -> u64 {
+/// Returns how many instances were resumed. One that cannot be
+/// navigated stays parked where recovery left it (its status says why)
+/// and is counted in `failures`; the shard still opens.
+fn resume_running(engine: &Engine, failures: &Counter) -> u64 {
     let mut resumed = 0;
     for (id, _, status) in engine.instances() {
         if status == InstanceStatus::Running {
             resumed += 1;
-            if let Err(e) = engine.run_to_quiescence(id) {
-                eprintln!("shard {shard}: resume of instance {id} failed: {e}");
+            if engine.run_to_quiescence(id).is_err() {
+                failures.inc();
             }
         }
     }
@@ -1321,7 +1324,47 @@ fn worker_loop(
 
 #[cfg(test)]
 mod tests {
-    use super::{decode_ext, encode_ext, TENANT_BITS};
+    use super::{decode_ext, encode_ext, resume_running, TENANT_BITS};
+
+    /// An instance that cannot be navigated onward at reopen (here: the
+    /// journal mirror refuses writes) is counted, not printed, and does
+    /// not stop the other instances from being resumed.
+    #[test]
+    fn failed_resumes_are_counted() {
+        use txn_substrate::{DurabilityPolicy, MultiDatabase, ProgramOutcome, ProgramRegistry};
+        use wfms_engine::{recover_from, Journal, OrgModel};
+        use wfms_model::{Container, ProcessBuilder};
+
+        let path = std::env::temp_dir().join(format!("wfms-resume-{}", std::process::id()));
+        std::fs::write(&path, "").unwrap();
+        let read_only = std::fs::File::open(&path).unwrap();
+        let journal =
+            Journal::with_injected_file(read_only, path.clone(), DurabilityPolicy::PerEvent);
+        let fed = MultiDatabase::new(0);
+        fed.add_database("db");
+        let programs = std::sync::Arc::new(ProgramRegistry::new());
+        programs.register_fn("ok", |_| ProgramOutcome::committed());
+        let template = ProcessBuilder::new("one")
+            .program("A", "ok")
+            .build()
+            .unwrap();
+        let engine = recover_from(
+            journal,
+            Vec::new(),
+            vec![template],
+            OrgModel::new(),
+            fed,
+            programs,
+        )
+        .unwrap();
+        engine.start("one", Container::empty()).unwrap();
+        engine.start("one", Container::empty()).unwrap();
+
+        let failures = wfms_observe::Counter::new();
+        assert_eq!(resume_running(&engine, &failures), 2);
+        assert_eq!(failures.get(), 2);
+        std::fs::remove_file(&path).unwrap();
+    }
 
     /// Every (local, shard) pair round-trips through the wire fold,
     /// including locals at the top of the representable range. With

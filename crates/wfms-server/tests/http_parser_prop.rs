@@ -6,16 +6,20 @@
 //! answers `400`, and well-formed requests round-trip their method,
 //! target, headers and body.
 
-use std::io::Cursor;
-
 use proptest::prelude::*;
-use wfms_server::http::{
-    read_request, Decoder, HttpError, Version, MAX_BODY, MAX_HEADERS, MAX_LINE,
-};
+use wfms_server::http::{Decoder, HttpError, Version, MAX_BODY, MAX_HEADERS, MAX_LINE};
 
-/// Feeds raw bytes to the parser and returns the outcome.
+/// Feeds raw bytes to the parser and returns the outcome: `Ok(None)`
+/// is a clean end between requests, input that stops mid-request is a
+/// `400`.
 fn parse(bytes: &[u8]) -> Result<Option<wfms_server::http::Request>, HttpError> {
-    read_request(&mut Cursor::new(bytes))
+    let mut dec = Decoder::new();
+    dec.push(bytes);
+    match dec.next_request()? {
+        Some(req) => Ok(Some(req)),
+        None if dec.is_clean() => Ok(None),
+        None => Err(HttpError::BadRequest(dec.truncation())),
+    }
 }
 
 fn token() -> impl Strategy<Value = String> {

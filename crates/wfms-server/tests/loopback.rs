@@ -143,6 +143,7 @@ fn submit_complete_status_drain_over_http() {
     assert_eq!(code, 200);
     assert!(text.contains("server_submit_accepted"));
     assert!(text.contains("server_instances_finished"));
+    assert!(text.contains("server_resume_failures 0"), "{text}");
 
     // Drain: new submissions are parked with 503.
     let (code, _) = client.request("POST", "/admin/drain", None).unwrap();
