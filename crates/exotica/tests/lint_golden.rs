@@ -6,10 +6,11 @@
 //! every finding carries a source position. The shipped example specs
 //! must come out clean.
 //!
-//! Three codes have no fixture on purpose: `WA015` and `WA053` are not
-//! constructible from the textual formats (the FDL parser mirrors
-//! block facade containers; spec class inference never disagrees with
-//! the declaration) and are covered programmatically in
+//! Four codes have no fixture on purpose: `WA015`, `WA016` and `WA053`
+//! are not constructible from the textual formats (the FDL parser
+//! mirrors block facade containers and its identifiers cannot contain
+//! `/`; spec class inference never disagrees with the declaration)
+//! and are covered programmatically in
 //! `wfms-analyzer`'s unit tests, while `WA054` is reserved/defensive
 //! (unreachable with the current four step classes).
 

@@ -173,7 +173,7 @@ impl Lint for LivenessLint {
     fn check(&self, ctx: &ProcessCtx<'_>, out: &mut Vec<Diagnostic>) {
         let def = ctx.process;
         // The semantic passes need a compilable definition; hard model
-        // violations are WA001–WA015's business.
+        // violations are WA001–WA016's business.
         if !wfms_model::validate(def).is_empty() {
             return;
         }

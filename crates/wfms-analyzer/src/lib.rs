@@ -15,7 +15,7 @@
 //!
 //! Code ranges (see `docs/analyzer.md` for the full table):
 //!
-//! * `WA001`–`WA015` — meta-model rules lifted from
+//! * `WA001`–`WA016` — meta-model rules lifted from
 //!   [`wfms_model::validate()`] (severity error).
 //! * `WA020`–`WA022` — control-flow graph shape: orphan activities,
 //!   unreachable activities, cycles with a witness path.
@@ -488,6 +488,12 @@ pub fn explain(code: &str) -> Option<&'static str> {
              they wrap: members missing or typed differently. The navigator \
              copies containers across the boundary member-by-member, so the \
              schemas must agree."
+        }
+        "WA016" => {
+            "An activity name contains '/'. Journals, audit trails and the \
+             API address a nested activity by its slash-joined path, so \
+             \"A/B\" could not be told from block A's child B. Rename the \
+             activity."
         }
         "WA020" => {
             "An activity has no control connectors at all. It becomes a \

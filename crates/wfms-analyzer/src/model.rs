@@ -1,4 +1,4 @@
-//! `WA001`–`WA015`: meta-model rules lifted from
+//! `WA001`–`WA016`: meta-model rules lifted from
 //! [`wfms_model::validate()`] into the diagnostic framework.
 //!
 //! The validator already recurses into nested blocks and reports every
@@ -36,6 +36,7 @@ pub fn code_of(err: &ValidationError) -> Option<&'static str> {
         UnresolvedConditionVar { .. } => "WA013",
         ReservedRcWrongType { .. } => "WA014",
         BlockContainerMismatch { .. } => "WA015",
+        SlashInActivityName { .. } => "WA016",
     })
 }
 
@@ -45,6 +46,7 @@ fn process_of(err: &ValidationError) -> &str {
     match err {
         EmptyProcess { process }
         | DuplicateActivity { process, .. }
+        | SlashInActivityName { process, .. }
         | DuplicateMember { process, .. }
         | MissingProgramName { process, .. }
         | UnknownEndpoint { process, .. }
@@ -67,6 +69,7 @@ fn element_of(err: &ValidationError) -> Option<String> {
     use ValidationError::*;
     match err {
         DuplicateActivity { activity, .. }
+        | SlashInActivityName { activity, .. }
         | MissingProgramName { activity, .. }
         | SelfLoop { activity, .. }
         | BlockContainerMismatch { activity, .. } => Some(activity.clone()),
@@ -101,7 +104,7 @@ impl Lint for ModelLint {
     fn codes(&self) -> &'static [&'static str] {
         &[
             "WA001", "WA002", "WA003", "WA004", "WA005", "WA006", "WA007", "WA008", "WA009",
-            "WA010", "WA011", "WA012", "WA013", "WA014", "WA015",
+            "WA010", "WA011", "WA012", "WA013", "WA014", "WA015", "WA016",
         ]
     }
 
@@ -191,5 +194,17 @@ mod tests {
             diags.iter().any(|d| d.code == "WA015"),
             "expected WA015 in {diags:?}"
         );
+    }
+
+    #[test]
+    fn slash_in_activity_name_flagged_programmatically() {
+        // Not constructible from FDL text: identifiers cannot contain '/'.
+        let mut def = wfms_model::ProcessDefinition::new("p");
+        def.activities
+            .push(wfms_model::Activity::program("A/B", "t"));
+        let diags = Analyzer::new().check_process(&def, None);
+        let d = diags.iter().find(|d| d.code == "WA016").expect("WA016");
+        assert_eq!(d.element.as_deref(), Some("A/B"));
+        assert!(crate::explain("WA016").is_some());
     }
 }

@@ -30,6 +30,7 @@
 //! template compiled at recovery time addresses the same state slots
 //! as the one that produced the journal.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use txn_substrate::{Tick, Value};
 use wfms_model::{
@@ -47,13 +48,6 @@ pub type EdgeId = u32;
 /// preorder flattening of the block tree ([`ScopeLayout`]). The root
 /// scope is always id 0.
 pub type ScopeId = u32;
-
-/// A path of activity ids from the root scope: every prefix element
-/// names a block activity, the last element the addressed activity.
-/// Lexicographic order on id paths is exactly the navigator's
-/// depth-first declaration-order scan, which is what makes the ready
-/// queue a plain binary heap.
-pub type IdPath = Vec<ActId>;
 
 /// A precompiled condition: the constant-folded expression, or the
 /// constant it folds to. Guaranteed evaluation errors fold to the
@@ -433,9 +427,10 @@ pub struct ScopeMeta {
 /// The arena layout of one compiled template: every activity and
 /// connector of every (possibly nested) scope mapped to a **global
 /// slot** in one contiguous index space, with everything the hot path
-/// would otherwise recompute per step — journal path strings, id
-/// paths, container prototypes, execution-order ranks — precomputed
-/// per slot.
+/// would otherwise recompute per step — journal path strings,
+/// container prototypes, execution-order ranks — precomputed per slot,
+/// plus the two maps that turn a boundary string path (journal, audit,
+/// HTTP/CLI) into a slot or a scope with one lookup.
 ///
 /// The per-instance [`StateSlab`](crate::state::StateSlab) allocates
 /// one vector per state column over this slot space, so instance state
@@ -457,21 +452,29 @@ pub struct ScopeLayout {
     /// Per act slot: full slash path in journal form, interned once so
     /// event construction is an `Arc` clone.
     pub paths: Vec<Arc<str>>,
-    /// Per act slot: the [`IdPath`] addressing the slot.
-    pub id_paths: Vec<IdPath>,
     /// Per act slot: prototype input container (schema defaults).
     pub input_proto: Vec<Container>,
     /// Per act slot: prototype output container with `RC = 1` — the
     /// completion fast path for executions that produce no outputs.
     pub output_rc1: Vec<Container>,
     /// Per act slot: the slot's position in depth-first
-    /// declaration-order execution (lexicographic [`IdPath`] order).
-    /// The per-instance ready queue is a min-heap of these ranks —
-    /// `u32` comparisons and no allocation, while popping still
-    /// reproduces the navigator's historical scan order exactly.
+    /// declaration-order execution — a block's activities rank right
+    /// after the block and before its later siblings, although their
+    /// slots come after the whole enclosing scope. The per-instance
+    /// ready queue is a min-heap of these ranks (`u32` comparisons, no
+    /// allocation), and popping it runs activities in the order the
+    /// journal format fixes: declaration order, depth first.
     pub rank: Vec<u32>,
     /// Inverse of [`ScopeLayout::rank`].
     pub rank_to_slot: Vec<u32>,
+    /// Full journal path → act slot (keys are the `Arc<str>`s in
+    /// [`ScopeLayout::paths`]). Validation rejects `/` in activity
+    /// names and duplicate names within a scope, so the keys are unique
+    /// by construction.
+    pub slot_by_path: HashMap<Arc<str>, u32>,
+    /// Scope path → [`ScopeId`] (keys are the [`ScopeMeta::path`]s;
+    /// `""` is the root).
+    pub scope_by_path: HashMap<Arc<str>, ScopeId>,
     /// Per edge slot: interned `(from, to)` activity names for
     /// `ConnectorEvaluated` events.
     pub edge_names: Vec<(Arc<str>, Arc<str>)>,
@@ -486,24 +489,15 @@ impl ScopeLayout {
             block_child: Vec::new(),
             automatic: Vec::new(),
             paths: Vec::new(),
-            id_paths: Vec::new(),
             input_proto: Vec::new(),
             output_rc1: Vec::new(),
             rank: Vec::new(),
             rank_to_slot: Vec::new(),
+            slot_by_path: HashMap::new(),
+            scope_by_path: HashMap::new(),
             edge_names: Vec::new(),
         };
-        let mut prefix = IdPath::new();
-        visit_scope(&mut l, root, None, "", &mut prefix);
-        // Execution-order ranks: lexicographic order on id paths is the
-        // depth-first declaration-order scan.
-        let mut order: Vec<u32> = (0..l.owner.len() as u32).collect();
-        order.sort_by(|&a, &b| l.id_paths[a as usize].cmp(&l.id_paths[b as usize]));
-        l.rank = vec![0; order.len()];
-        for (r, &slot) in order.iter().enumerate() {
-            l.rank[slot as usize] = r as u32;
-        }
-        l.rank_to_slot = order;
+        visit_scope(&mut l, root, None, Arc::from(""), 0);
         l
     }
 
@@ -544,18 +538,6 @@ impl ScopeLayout {
         self.scopes[s as usize].act_base + id
     }
 
-    /// The global edge slot of connector `e` in scope `s`.
-    #[inline]
-    pub fn edge_slot(&self, s: ScopeId, e: EdgeId) -> u32 {
-        self.scopes[s as usize].edge_base + e
-    }
-
-    /// Act-slot range of the scope's own activities.
-    pub fn act_range(&self, s: ScopeId) -> std::ops::Range<usize> {
-        let m = &self.scopes[s as usize];
-        m.act_base as usize..m.act_base as usize + m.cs.acts.len()
-    }
-
     /// Act-slot range covering the scope's whole subtree (contiguous
     /// by preorder construction).
     pub fn subtree_act_range(&self, s: ScopeId) -> std::ops::Range<usize> {
@@ -576,68 +558,47 @@ impl ScopeLayout {
     pub fn subtree_scope_range(&self, s: ScopeId) -> std::ops::Range<usize> {
         s as usize..self.scopes[s as usize].subtree_last as usize + 1
     }
-
-    /// Resolves an [`IdPath`] prefix of block ids to the scope it
-    /// addresses — structural only (liveness is per-instance state).
-    pub fn scope_of(&self, scope_ids: &[ActId]) -> Option<ScopeId> {
-        let mut s: ScopeId = 0;
-        for &id in scope_ids {
-            let m = &self.scopes[s as usize];
-            if (id as usize) >= m.cs.acts.len() {
-                return None;
-            }
-            s = self.block_child[(m.act_base + id) as usize]?;
-        }
-        Some(s)
-    }
-
-    /// Resolves a full [`IdPath`] to its global act slot — structural
-    /// only.
-    pub fn slot_of(&self, ids: &[ActId]) -> Option<u32> {
-        let (&last, scope_ids) = ids.split_last()?;
-        let s = self.scope_of(scope_ids)?;
-        let m = &self.scopes[s as usize];
-        ((last as usize) < m.cs.acts.len()).then(|| m.act_base + last)
-    }
 }
 
 /// Preorder flattening: records the scope, assigns its act/edge slots,
-/// then recurses into block children in declaration order.
+/// then walks the activities in declaration order, ranking each and
+/// descending into a block's child scope before its next sibling.
 fn visit_scope(
     l: &mut ScopeLayout,
     cs: &Arc<CompiledScope>,
     parent: Option<(ScopeId, u32)>,
-    scope_path: &str,
-    prefix: &mut IdPath,
+    scope_path: Arc<str>,
+    depth: u32,
 ) -> ScopeId {
     let sid = l.scopes.len() as ScopeId;
     let act_base = l.owner.len() as u32;
     let edge_base = l.edge_names.len() as u32;
+    l.scope_by_path.insert(Arc::clone(&scope_path), sid);
     l.scopes.push(ScopeMeta {
         cs: Arc::clone(cs),
         parent,
         act_base,
         edge_base,
         subtree_last: sid,
-        depth: prefix.len() as u32,
-        path: Arc::from(scope_path),
+        depth,
+        path: Arc::clone(&scope_path),
         input_proto: cs.input.instantiate(),
         output_proto: cs.output.instantiate(),
     });
     for (i, act) in cs.acts.iter().enumerate() {
-        let path = if scope_path.is_empty() {
-            act.name.clone()
+        let path: Arc<str> = if scope_path.is_empty() {
+            Arc::from(act.name.as_str())
         } else {
-            format!("{scope_path}/{}", act.name)
+            Arc::from(format!("{scope_path}/{}", act.name))
         };
+        l.slot_by_path
+            .insert(Arc::clone(&path), act_base + i as u32);
         l.owner.push(sid);
         l.local.push(i as ActId);
         l.block_child.push(None);
         l.automatic.push(act.automatic);
-        l.paths.push(Arc::from(path.as_str()));
-        let mut ids = prefix.clone();
-        ids.push(i as ActId);
-        l.id_paths.push(ids);
+        l.paths.push(path);
+        l.rank.push(0);
         l.input_proto.push(act.input.instantiate());
         let mut rc1 = act.eff_output.instantiate();
         rc1.set(RC_MEMBER, Value::Int(1));
@@ -650,12 +611,12 @@ fn visit_scope(
         ));
     }
     for (i, act) in cs.acts.iter().enumerate() {
+        let slot = act_base + i as u32;
+        l.rank[slot as usize] = l.rank_to_slot.len() as u32;
+        l.rank_to_slot.push(slot);
         if let CompiledKind::Block(child) = &act.kind {
-            let slot = act_base + i as u32;
-            let child_path = l.paths[slot as usize].to_string();
-            prefix.push(i as ActId);
-            let c = visit_scope(l, child, Some((sid, slot)), &child_path, prefix);
-            prefix.pop();
+            let child_path = Arc::clone(&l.paths[slot as usize]);
+            let c = visit_scope(l, child, Some((sid, slot)), child_path, depth + 1);
             l.block_child[slot as usize] = Some(c);
         }
     }
@@ -736,63 +697,6 @@ impl CompiledProcess {
     pub fn version(&self) -> String {
         format!("{:016x}", self.spec_hash)
     }
-
-    /// Resolves a name path (block names, then an activity name) into
-    /// an [`IdPath`].
-    pub fn resolve_path(&self, segs: &[String]) -> Option<IdPath> {
-        self.resolve_segments(segs.iter().map(String::as_str))
-    }
-
-    /// [`CompiledProcess::resolve_path`] straight from the
-    /// slash-separated journal form (`""` is the root scope), without
-    /// splitting it into owned segments first — replay resolves one
-    /// path per event.
-    pub fn resolve_journal_path(&self, path: &str) -> Option<IdPath> {
-        if path.is_empty() {
-            return Some(IdPath::new());
-        }
-        self.resolve_segments(path.split('/'))
-    }
-
-    fn resolve_segments<'a>(&self, segs: impl Iterator<Item = &'a str>) -> Option<IdPath> {
-        let mut scope: &CompiledScope = &self.root;
-        let mut ids = IdPath::new();
-        let mut segs = segs.peekable();
-        while let Some(seg) = segs.next() {
-            let id = scope.id(seg)?;
-            ids.push(id);
-            if segs.peek().is_some() {
-                scope = scope.child_scope(id)?;
-            }
-        }
-        Some(ids)
-    }
-
-    /// Renders an [`IdPath`] back to the slash-separated journal form.
-    pub fn path_string(&self, ids: &[ActId]) -> String {
-        let mut out = String::new();
-        let mut scope: &CompiledScope = &self.root;
-        for (i, &id) in ids.iter().enumerate() {
-            if i > 0 {
-                out.push('/');
-            }
-            out.push_str(&scope.act(id).name);
-            if i + 1 < ids.len() {
-                scope = scope.child_scope(id).expect("prefix ids name blocks");
-            }
-        }
-        out
-    }
-
-    /// The compiled scope addressed by a (possibly empty) prefix of
-    /// block ids.
-    pub fn scope_at(&self, scope_ids: &[ActId]) -> Option<&Arc<CompiledScope>> {
-        let mut scope = &self.root;
-        for &id in scope_ids {
-            scope = scope.child_scope(id)?;
-        }
-        Some(scope)
-    }
 }
 
 #[cfg(test)]
@@ -839,17 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn path_round_trip() {
-        let t = CompiledProcess::compile(nested());
-        let segs = vec!["B".to_owned(), "X".to_owned()];
-        let ids = t.resolve_path(&segs).unwrap();
-        assert_eq!(ids, vec![1, 0]);
-        assert_eq!(t.path_string(&ids), "B/X");
-        assert!(t.resolve_path(&["Ghost".to_owned()]).is_none());
-        assert!(t.resolve_path(&["A".to_owned(), "X".to_owned()]).is_none());
-    }
-
-    #[test]
     fn constant_conditions_fold() {
         let e = Expr::parse("1 = 1").unwrap();
         assert!(matches!(CondPlan::transition(&e), CondPlan::AlwaysTrue));
@@ -887,24 +780,40 @@ mod tests {
         assert_eq!(l.scope(1).parent, Some((0, 1)));
         assert_eq!(l.scope(1).act_base, 2);
         assert_eq!(&*l.scope(1).path, "B");
-        // Interned paths and id paths line up with resolution.
+        // Interned paths line up with the path maps.
         assert_eq!(&*l.paths[2], "B/X");
-        assert_eq!(l.id_paths[3], vec![1, 1]);
-        assert_eq!(l.slot_of(&[1, 0]), Some(2));
-        assert_eq!(l.scope_of(&[1]), Some(1));
-        assert_eq!(l.scope_of(&[0]), None, "A is not a block");
-        assert_eq!(l.slot_of(&[9]), None);
+        assert_eq!(l.slot(1, 1), 3);
+        assert_eq!(l.slot_by_path.len(), 4);
+        for slot in 0..l.n_acts() {
+            assert_eq!(l.slot_by_path.get(&*l.paths[slot]), Some(&(slot as u32)));
+        }
+        assert_eq!(l.scope_by_path.get(""), Some(&0));
+        assert_eq!(l.scope_by_path.get("B"), Some(&1));
+        assert_eq!(l.scope_by_path.get("A"), None, "A is not a block");
+        assert_eq!(l.slot_by_path.get("B/Ghost"), None);
     }
 
     #[test]
-    fn layout_ranks_match_lexicographic_id_path_order() {
-        let t = CompiledProcess::compile(nested());
+    fn layout_ranks_follow_depth_first_declaration_order() {
+        // A block declared *before* a sibling: its activities rank
+        // between the two although their slots come after both.
+        let inner = ProcessBuilder::new("inner")
+            .program("X", "px")
+            .program("Y", "py")
+            .build()
+            .unwrap();
+        let def = ProcessBuilder::new("outer")
+            .program("A", "pa")
+            .block("B", inner)
+            .program("C", "pc")
+            .build()
+            .unwrap();
+        let t = CompiledProcess::compile(def);
         let l = &t.layout;
-        // Expected DFS order: A [0], B [1], B/X [1,0], B/Y [1,1].
         let order: Vec<&str> = (0..l.n_acts())
             .map(|r| &*l.paths[l.rank_to_slot[r] as usize])
             .collect();
-        assert_eq!(order, vec!["A", "B", "B/X", "B/Y"]);
+        assert_eq!(order, vec!["A", "B", "B/X", "B/Y", "C"]);
         for slot in 0..l.n_acts() {
             assert_eq!(l.rank_to_slot[l.rank[slot] as usize] as usize, slot);
         }

@@ -12,11 +12,11 @@
 use crate::compiled::CompiledProcess;
 use crate::event::{Event, InstanceId, WorkItemId};
 use crate::journal::Journal;
-use crate::metrics::{EngineObs, JournalProbes, ScopeProbes};
+use crate::metrics::{act_probes, ActProbes, EngineObs, JournalProbes};
 use crate::navigator::{self, NavServices};
 use crate::org::OrgModel;
 use crate::registry::{TemplateRegistry, TemplateVersion};
-use crate::state::{split_path, ActState, Instance, InstanceStatus};
+use crate::state::{ActState, Instance, InstanceStatus};
 use crate::worklist::{WorkItem, WorkItemState, WorklistError, WorklistStore};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
@@ -167,9 +167,9 @@ pub struct Engine {
     pub(crate) multidb: Arc<MultiDatabase>,
     pub(crate) clock: VirtualClock,
     pub(crate) obs: EngineObs,
-    /// Per-template probe trees, built lazily on first start and shared
-    /// by every instance of the template (keyed by template name).
-    pub(crate) probes: Mutex<HashMap<String, Arc<ScopeProbes>>>,
+    /// Per-template latency probes, built lazily on first start and
+    /// shared by every instance of the template.
+    pub(crate) probes: Mutex<HashMap<String, ActProbes>>,
 }
 
 impl Engine {
@@ -277,15 +277,15 @@ impl Engine {
         }
     }
 
-    /// The probe tree for `tpl`, built on first use and cached. Keyed
-    /// by name *and* version: two versions of one process can have
-    /// different scope shapes.
-    fn probes_for(&self, tpl: &Arc<CompiledProcess>) -> Arc<ScopeProbes> {
+    /// The probes for `tpl`, built on first use and cached. Keyed by
+    /// name *and* version: two versions of one process can have
+    /// different slot layouts.
+    fn probes_for(&self, tpl: &Arc<CompiledProcess>) -> ActProbes {
         let mut cache = self.probes.lock();
         Arc::clone(
             cache
                 .entry(format!("{}@{}", tpl.name(), tpl.version()))
-                .or_insert_with(|| ScopeProbes::build(&tpl.root, self.obs.observer.registry())),
+                .or_insert_with(|| act_probes(&tpl.layout, self.obs.observer.registry())),
         )
     }
 
@@ -404,9 +404,7 @@ impl Engine {
         if self.obs.enabled() {
             inst.probes = Some(self.probes_for(&inst.tpl));
         }
-        for (k, v) in input.iter() {
-            inst.root_input_mut().set(k, v.clone());
-        }
+        inst.seed_input(&input);
         navigator::start_instance(&mut inst, &self.services());
         instances.insert(id, inst);
         drop(registry);
@@ -766,25 +764,15 @@ impl Engine {
         let inst = instances
             .get_mut(&it.instance)
             .ok_or(EngineError::UnknownInstance(it.instance))?;
-        let path = inst.resolve_names(&split_path(&it.path)).ok_or_else(|| {
-            EngineError::BadActivityState {
-                path: it.path.clone(),
-                expected: "present",
-            }
-        })?;
         // The underlying activity must still be ready at the claimed
         // attempt.
-        let ok = inst
-            .activity_rt(&path)
-            .map(|rt| rt.state == ActState::Ready)
-            .unwrap_or(false);
-        if !ok {
-            return Err(EngineError::BadActivityState {
+        let slot = inst
+            .live_slot(&it.path)
+            .filter(|&slot| inst.slab.state[slot as usize] == ActState::Ready)
+            .ok_or_else(|| EngineError::BadActivityState {
                 path: it.path.clone(),
                 expected: "ready",
-            });
-        }
-        let slot = inst.live_slot_of(&path).expect("checked ready above");
+            })?;
         let svc = self.services();
         navigator::execute_activity(inst, &svc, slot, Some(person.to_owned()));
         match navigator::drive_to_quiescence(inst, &svc, self.step_limit) {
@@ -803,26 +791,24 @@ impl Engine {
         let inst = instances
             .get_mut(&id)
             .ok_or(EngineError::UnknownInstance(id))?;
-        let segs = inst.resolve_names(&split_path(path));
-        let ok = segs
-            .as_deref()
-            .and_then(|p| inst.activity_rt(p))
-            .map(|rt| matches!(rt.state, ActState::Ready | ActState::Running))
-            .unwrap_or(false);
-        if !ok {
-            return Err(EngineError::BadActivityState {
+        let slot = inst
+            .live_slot(path)
+            .filter(|&slot| {
+                matches!(
+                    inst.slab.state[slot as usize],
+                    ActState::Ready | ActState::Running
+                )
+            })
+            .ok_or_else(|| EngineError::BadActivityState {
                 path: path.to_owned(),
                 expected: "ready or running",
-            });
-        }
-        let segs = segs.expect("checked above");
+            })?;
         self.journal.append(Event::UserIntervention {
             instance: id,
             path: path.into(),
             action: format!("force-finish rc={rc}"),
             at,
         });
-        let slot = inst.live_slot_of(&segs).expect("checked above");
         let svc = self.services();
         navigator::complete_execution(inst, &svc, slot, rc, BTreeMap::new());
         match navigator::drive_to_quiescence(inst, &svc, self.step_limit) {
@@ -887,9 +873,11 @@ impl Engine {
     ) -> Result<(ActState, bool, u32), EngineError> {
         let instances = self.instances.lock();
         let inst = instances.get(&id).ok_or(EngineError::UnknownInstance(id))?;
-        inst.resolve_names(&split_path(path))
-            .and_then(|p| inst.activity_rt(&p))
-            .map(|rt| (rt.state, rt.executed, rt.attempt))
+        inst.live_slot(path)
+            .map(|slot| {
+                let (sl, slab) = (slot as usize, &inst.slab);
+                (slab.state[sl], slab.executed[sl], slab.attempt[sl])
+            })
             .ok_or(EngineError::BadActivityState {
                 path: path.to_owned(),
                 expected: "present",

@@ -58,7 +58,7 @@ pub mod registry;
 pub mod state;
 pub mod worklist;
 
-pub use compiled::{spec_hash_of, ActId, CompiledProcess, CompiledScope, EdgeId, IdPath};
+pub use compiled::{spec_hash_of, ActId, CompiledProcess, CompiledScope, EdgeId};
 pub use crashtest::{CrashPointResult, SweepConfig, SweepReport, SweepScript};
 pub use engine::{Engine, EngineConfig, EngineError, MigrationOutcome};
 pub use event::{Event, InstanceId, InstanceSnapshot, WorkItemId};

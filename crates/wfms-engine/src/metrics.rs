@@ -14,9 +14,9 @@
 //!
 //! * **No name lookups while navigating.** [`EngineObs`] resolves its
 //!   counter/gauge `Arc`s from the registry once at engine
-//!   construction; `ScopeProbes` pre-resolves one histogram handle
-//!   per activity of a compiled template, mirroring the scope tree so
-//!   an `IdPath` indexes its probe directly.
+//!   construction; `act_probes` pre-resolves one histogram handle
+//!   per act slot of a compiled template, so the navigator's slot
+//!   indexes its probe directly.
 //! * **One branch when disabled.** Every hot hook is gated on
 //!   `EngineObs::enabled`; a default engine pays a single predictable
 //!   branch per hook site and records nothing.
@@ -25,66 +25,27 @@
 //! unconditionally — their counts answer "what did recovery do" even
 //! on engines that never opted into hot-path metrics.
 
-use crate::compiled::{ActId, CompiledKind, CompiledScope};
+use crate::compiled::ScopeLayout;
 use crate::engine::Engine;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use wfms_observe::{
-    Counter, Gauge, Histogram, HistogramSnapshot, HistogramVec, Observer, Registry,
+    Counter, Gauge, Histogram, HistogramSnapshot, Observer, Registry, RegistrySnapshot,
 };
 
 /// Name of the per-activity latency histogram family.
 pub const ACT_LATENCY_FAMILY: &str = "engine.act_latency_ns";
 
-/// Per-activity latency probes mirroring one compiled template's scope
-/// tree: `acts[id]` is the histogram of the activity with that
-/// [`ActId`], `children[id]` the probes of its child scope when the
-/// activity is a block. Walking an `IdPath` through this tree costs a
-/// few indexed loads — no map lookup, no string formatting.
-#[derive(Debug)]
-pub(crate) struct ScopeProbes {
-    acts: Vec<Arc<Histogram>>,
-    children: Vec<Option<Arc<ScopeProbes>>>,
-}
+/// Per-activity latency probes of one compiled template: one
+/// histogram per act slot.
+pub(crate) type ActProbes = Arc<[Arc<Histogram>]>;
 
-impl ScopeProbes {
-    /// Builds the probe tree for `root`, registering one labelled
-    /// histogram per activity (labels are the journal's slash paths).
-    pub(crate) fn build(root: &CompiledScope, registry: &Registry) -> Arc<Self> {
-        let family = registry.histogram_vec(ACT_LATENCY_FAMILY);
-        Self::build_scope(root, "", &family)
-    }
-
-    fn build_scope(cs: &CompiledScope, prefix: &str, family: &HistogramVec) -> Arc<Self> {
-        let mut acts = Vec::with_capacity(cs.acts.len());
-        let mut children = Vec::with_capacity(cs.acts.len());
-        for act in &cs.acts {
-            let label = if prefix.is_empty() {
-                act.name.clone()
-            } else {
-                format!("{prefix}/{}", act.name)
-            };
-            acts.push(family.with_label(&label));
-            children.push(match &act.kind {
-                CompiledKind::Block(child) => Some(Self::build_scope(child, &label, family)),
-                _ => None,
-            });
-        }
-        Arc::new(Self { acts, children })
-    }
-
-    /// The histogram of the activity at `path` (None only for paths
-    /// that do not address this template — defensive, like the
-    /// navigator's own resolution).
-    pub(crate) fn probe(&self, path: &[ActId]) -> Option<&Histogram> {
-        let (&last, scope_ids) = path.split_last()?;
-        let mut cur = self;
-        for &id in scope_ids {
-            cur = cur.children.get(id as usize)?.as_deref()?;
-        }
-        cur.acts.get(last as usize).map(|h| h.as_ref())
-    }
+/// Registers one labelled histogram per activity of `layout` (labels
+/// are the journal's slash paths).
+pub(crate) fn act_probes(layout: &ScopeLayout, registry: &Registry) -> ActProbes {
+    let family = registry.histogram_vec(ACT_LATENCY_FAMILY);
+    layout.paths.iter().map(|p| family.with_label(p)).collect()
 }
 
 /// The engine's observability bundle: the [`Observer`] plus hot-path
@@ -182,6 +143,8 @@ impl JournalProbes {
 pub struct LatencySummary {
     /// Observations recorded.
     pub count: u64,
+    /// Sum of all observations.
+    pub sum_ns: u64,
     /// Mean, rounded down.
     pub mean_ns: u64,
     /// Estimated median.
@@ -198,6 +161,7 @@ impl From<HistogramSnapshot> for LatencySummary {
     fn from(s: HistogramSnapshot) -> Self {
         Self {
             count: s.count,
+            sum_ns: s.sum,
             mean_ns: s.mean(),
             p50_ns: s.p50,
             p95_ns: s.p95,
@@ -290,31 +254,39 @@ impl EngineMetrics {
         serde_json::to_string_pretty(self).expect("EngineMetrics is always serializable")
     }
 
-    /// Prometheus text exposition: the registry instruments plus typed
-    /// engine/worklist/federation gauges.
+    /// Prometheus text exposition, rendered by the registry's own
+    /// renderer ([`RegistrySnapshot::to_prometheus`]): the registry
+    /// instruments as snapshotted, with the typed engine/worklist
+    /// gauges and the per-database federation counters (labelled
+    /// `db`) added to the same snapshot.
     pub fn to_prometheus(&self) -> String {
-        fn prom_name(name: &str) -> String {
-            name.chars()
-                .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-                .collect()
+        fn hists(
+            m: &BTreeMap<String, LatencySummary>,
+        ) -> impl Iterator<Item = (String, HistogramSnapshot)> + '_ {
+            m.iter().map(|(k, s)| {
+                let snap = HistogramSnapshot {
+                    count: s.count,
+                    sum: s.sum_ns,
+                    max: s.max_ns,
+                    p50: s.p50_ns,
+                    p95: s.p95_ns,
+                    p99: s.p99_ns,
+                };
+                (k.clone(), snap)
+            })
         }
-        fn hist(out: &mut String, name: &str, label: Option<&str>, s: &LatencySummary) {
-            let tag = |q: &str| match label {
-                Some(l) => format!("{name}{{label=\"{l}\",quantile=\"{q}\"}}"),
-                None => format!("{name}{{quantile=\"{q}\"}}"),
-            };
-            let bare = |suffix: &str| match label {
-                Some(l) => format!("{name}_{suffix}{{label=\"{l}\"}}"),
-                None => format!("{name}_{suffix}"),
-            };
-            out.push_str(&format!("{} {}\n", tag("0.5"), s.p50_ns));
-            out.push_str(&format!("{} {}\n", tag("0.95"), s.p95_ns));
-            out.push_str(&format!("{} {}\n", tag("0.99"), s.p99_ns));
-            out.push_str(&format!("{} {}\n", bare("count"), s.count));
-            out.push_str(&format!("{} {}\n", bare("max"), s.max_ns));
+        let mut snap = RegistrySnapshot {
+            counters: self.counters.clone(),
+            gauges: self.gauges.clone(),
+            histograms: hists(&self.histograms).collect(),
+            ..RegistrySnapshot::default()
+        };
+        if !self.activities.is_empty() {
+            snap.families.insert(
+                ACT_LATENCY_FAMILY.to_owned(),
+                hists(&self.activities).collect(),
+            );
         }
-
-        let mut out = String::new();
         for (name, v) in [
             ("engine.instances_running", self.instances_running),
             ("engine.instances_finished", self.instances_finished),
@@ -324,28 +296,7 @@ impl EngineMetrics {
             ("worklist.items_closed", self.items_closed),
             ("journal.events", self.journal_events),
         ] {
-            let n = prom_name(name);
-            out.push_str(&format!("# TYPE {n} gauge\n{n} {v}\n"));
-        }
-        for (name, v) in &self.counters {
-            let n = prom_name(name);
-            out.push_str(&format!("# TYPE {n} counter\n{n} {v}\n"));
-        }
-        for (name, v) in &self.gauges {
-            let n = prom_name(name);
-            out.push_str(&format!("# TYPE {n} gauge\n{n} {v}\n"));
-        }
-        for (name, s) in &self.histograms {
-            let n = prom_name(name);
-            out.push_str(&format!("# TYPE {n} summary\n"));
-            hist(&mut out, &n, None, s);
-        }
-        let act = prom_name(ACT_LATENCY_FAMILY);
-        if !self.activities.is_empty() {
-            out.push_str(&format!("# TYPE {act} summary\n"));
-        }
-        for (label, s) in &self.activities {
-            hist(&mut out, &act, Some(label), s);
+            snap.gauges.insert(name.to_owned(), v as i64);
         }
         for db in &self.federation {
             for (name, v) in [
@@ -368,11 +319,14 @@ impl EngineMetrics {
                 ("db.wal_crc_failures", db.wal_crc_failures),
                 ("db.wal_mirror_errors", db.wal_mirror_errors),
             ] {
-                let n = prom_name(name);
-                out.push_str(&format!("{n}{{db=\"{}\"}} {v}\n", db.name));
+                snap.counter_vecs
+                    .entry(name.to_owned())
+                    .or_insert_with(|| ("db".to_owned(), Vec::new()))
+                    .1
+                    .push((db.name.clone(), v));
             }
         }
-        out
+        snap.to_prometheus()
     }
 }
 

@@ -33,6 +33,9 @@
 //! no path vectors, no scope-tree walks — and everything an event
 //! needs (journal path strings, activity names, container prototypes)
 //! is interned in the layout, so steady-state steps don't allocate.
+//! The navigator *decides*; the state effect of every event it
+//! journals is an [`Instance`] transition in [`crate::state`], the
+//! same one recovery replays.
 //! Services are shared references, so independent instances can be
 //! navigated from multiple worker threads concurrently (each against
 //! its own journal shard — see [`crate::Engine::run_all_parallel`]).
@@ -118,10 +121,8 @@ fn make_ready(inst: &mut Instance, svc: &NavServices<'_>, slot: u32) {
     let tpl = Arc::clone(&inst.tpl);
     let lay = &tpl.layout;
     let sl = slot as usize;
-    inst.set_act_state(slot, ActState::Ready);
-    inst.slab.ready_since[sl] = Some(now);
-    inst.slab.notified[sl] = false;
     let attempt = inst.slab.attempt[sl];
+    inst.activity_ready(slot, attempt, now);
     svc.journal.append(Event::ActivityReady {
         instance,
         path: lay.paths[sl].clone().into(),
@@ -161,9 +162,8 @@ fn make_ready(inst: &mut Instance, svc: &NavServices<'_>, slot: u32) {
 
 /// Pops the next runnable activity (ready + automatic) off the
 /// instance's ready queue, as a global act slot. The queue is a
-/// min-heap of execution ranks, whose order equals the historical
-/// depth-first declaration-order scan; stale entries are validated
-/// away here.
+/// min-heap of execution ranks (depth-first declaration order); stale
+/// entries are validated away here.
 pub fn find_runnable(inst: &mut Instance) -> Option<u32> {
     if inst.status != InstanceStatus::Running {
         return None;
@@ -242,8 +242,7 @@ pub fn execute_activity(inst: &mut Instance, svc: &NavServices<'_>, slot: u32, b
         ActState::Ready,
         "execute requires ready"
     );
-    inst.set_act_state(slot, ActState::Running);
-    inst.slab.input[sl] = input.clone();
+    inst.activity_started(slot, &input);
     let attempt = inst.slab.attempt[sl];
     svc.journal.append(Event::ActivityStarted {
         instance,
@@ -292,15 +291,9 @@ pub fn execute_activity(inst: &mut Instance, svc: &NavServices<'_>, slot: u32, b
             record_latency(inst, slot, t0);
         }
         CompiledKind::Block(_) => {
-            // Open the child scope; its input container is the block
-            // activity's materialised input merged over the scope's
-            // prototype. The block stays running until the child scope
-            // finishes.
+            // Starting the block opened its child scope; the block
+            // stays running until that scope finishes.
             let c = lay.block_child[sl].expect("compiled block has a child scope");
-            inst.open_scope(c);
-            for (k, v) in input.iter() {
-                inst.slab.scope_input[c as usize].set(k, v.clone());
-            }
             seed_scope(inst, svc, c);
             // An empty block (no activities) finishes immediately;
             // validation forbids it, but stay safe.
@@ -316,9 +309,8 @@ pub fn execute_activity(inst: &mut Instance, svc: &NavServices<'_>, slot: u32, b
 /// for `slot`. `t0` is `Some` only on observed engines.
 fn record_latency(inst: &Instance, slot: u32, t0: Option<std::time::Instant>) {
     let Some(t0) = t0 else { return };
-    let path = &inst.tpl.layout.id_paths[slot as usize];
-    if let Some(h) = inst.probes.as_ref().and_then(|p| p.probe(path)) {
-        h.record(t0.elapsed().as_nanos() as u64);
+    if let Some(probes) = &inst.probes {
+        probes[slot as usize].record(t0.elapsed().as_nanos() as u64);
     }
 }
 
@@ -369,8 +361,7 @@ pub fn complete_execution(
         }
     }
 
-    inst.set_act_state(slot, ActState::Finished);
-    inst.slab.output[sl] = output.clone();
+    inst.activity_finished(slot, &output);
     let attempt = inst.slab.attempt[sl];
     svc.journal.append(Event::ActivityFinished {
         instance,
@@ -400,13 +391,8 @@ pub fn decide_exit(inst: &mut Instance, svc: &NavServices<'_>, slot: u32) {
         if svc.obs.enabled() {
             svc.obs.reschedules.inc();
         }
-        if let Some(c) = lay.block_child[sl] {
-            // A rescheduled block starts over with a fresh child scope.
-            inst.close_scope(c);
-        }
-        inst.slab.attempt[sl] += 1;
-        let next_attempt = inst.slab.attempt[sl];
-        inst.set_act_state(slot, ActState::Waiting); // make_ready flips to Ready
+        let next_attempt = inst.slab.attempt[sl] + 1;
+        inst.activity_rescheduled(slot, next_attempt);
         svc.journal.append(Event::ActivityRescheduled {
             instance,
             path: lay.paths[sl].clone().into(),
@@ -468,7 +454,6 @@ pub fn reset_running_to_ready(inst: &mut Instance, svc: &NavServices<'_>, slot: 
     if inst.slab.state[slot as usize] != ActState::Running {
         return;
     }
-    inst.set_act_state(slot, ActState::Waiting);
     if tpl.root.any_manual {
         svc.worklists
             .lock()
@@ -526,7 +511,7 @@ pub(crate) fn reevaluate_outgoing(inst: &mut Instance, svc: &NavServices<'_>, sl
             continue; // evaluated before the crash
         }
         let value = executed && edge.cond.eval_transition(&inst.slab.output[sl]);
-        inst.slab.connectors[es] = Some(value);
+        inst.connector_evaluated(es as u32, value);
         svc.journal.append(Event::ConnectorEvaluated {
             instance,
             scope: m.path.clone().into(),
@@ -552,8 +537,9 @@ pub fn terminate_activity(inst: &mut Instance, svc: &NavServices<'_>, slot: u32,
     if !executed && svc.obs.enabled() {
         svc.obs.dead_paths.inc();
     }
-    inst.set_act_state(slot, ActState::Terminated);
-    inst.slab.executed[sl] = executed;
+    // An executed activity's data connectors to the scope's output
+    // container take effect with this transition.
+    inst.activity_terminated(slot, executed);
     svc.journal.append(Event::ActivityTerminated {
         instance,
         path: lay.paths[sl].clone().into(),
@@ -562,17 +548,6 @@ pub fn terminate_activity(inst: &mut Instance, svc: &NavServices<'_>, slot: u32,
     });
     if tpl.root.any_manual {
         svc.worklists.lock().close_for(instance, &lay.paths[sl]);
-    }
-
-    // Data connectors from this activity to the scope's output
-    // container take effect at termination of an executed activity.
-    if executed && !act.data_out.is_empty() {
-        let output = inst.slab.output[sl].clone();
-        for (from, to) in &act.data_out {
-            if let Some(v) = output.get(from) {
-                inst.slab.scope_output[s as usize].set(to, v.clone());
-            }
-        }
     }
 
     // Evaluate outgoing connectors. A dead activity's connectors are
@@ -585,7 +560,7 @@ pub fn terminate_activity(inst: &mut Instance, svc: &NavServices<'_>, slot: u32,
         let edge = &m.cs.edges[edge_id as usize];
         let es = (m.edge_base + edge_id) as usize;
         let value = executed && edge.cond.eval_transition(&inst.slab.output[sl]);
-        inst.slab.connectors[es] = Some(value);
+        inst.connector_evaluated(es as u32, value);
         svc.journal.append(Event::ConnectorEvaluated {
             instance,
             scope: m.path.clone().into(),
@@ -663,7 +638,7 @@ pub(crate) fn check_scope_completion(inst: &mut Instance, svc: &NavServices<'_>,
 
     if s == 0 {
         if inst.status == InstanceStatus::Running {
-            inst.status = InstanceStatus::Finished;
+            inst.instance_finished(&output);
             svc.obs
                 .observer
                 .trace_event("instance.finished", || format!("{instance}"));
@@ -700,18 +675,9 @@ pub fn cancel_instance(inst: &mut Instance, svc: &NavServices<'_>) {
     if inst.status != InstanceStatus::Running {
         return;
     }
-    inst.status = InstanceStatus::Cancelled;
+    inst.instance_cancelled();
     if inst.tpl.root.any_manual {
-        let mut worklists = svc.worklists.lock();
-        let open: Vec<WorkItemId> = worklists
-            .open_items()
-            .iter()
-            .filter(|it| it.instance == inst.id)
-            .map(|it| it.id)
-            .collect();
-        for id in open {
-            worklists.close(id);
-        }
+        svc.worklists.lock().close_offered_of(inst.id);
     }
     svc.journal.append(Event::InstanceCancelled {
         instance: inst.id,
@@ -728,8 +694,8 @@ pub fn cancel_instance(inst: &mut Instance, svc: &NavServices<'_>) {
 /// and records whether any exist at all
 /// ([`CompiledScope::any_deadlines`](crate::compiled::CompiledScope::any_deadlines)),
 /// so instances without deadlines return without scanning anything.
-/// Scopes are visited in preorder — the historical depth-first scan
-/// order — skipping scopes that are not actively executing.
+/// Scopes are visited in preorder, skipping scopes that are not
+/// actively executing.
 pub fn check_deadlines(inst: &mut Instance, svc: &NavServices<'_>) -> Vec<(String, String)> {
     if !inst.tpl.root.any_deadlines {
         return Vec::new();
@@ -755,7 +721,7 @@ pub fn check_deadlines(inst: &mut Instance, svc: &NavServices<'_>) -> Vec<(Strin
                 let act = lay.act(slot);
                 if let (Some(deadline), Some(since)) = (act.deadline, inst.slab.ready_since[sl]) {
                     if since + deadline <= now {
-                        inst.slab.notified[sl] = true;
+                        inst.notification_sent(slot);
                         let mut managers: Vec<String> = org
                             .resolve(&act.staff)
                             .iter()

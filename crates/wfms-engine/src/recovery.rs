@@ -6,7 +6,7 @@
 //! > been repaired, the process execution is resumed from the point
 //! > where the failure occurred."
 //!
-//! Recovery rebuilds every instance's scope tree by replaying the
+//! Recovery rebuilds every instance's state by replaying the
 //! journal, then applies the paper's explicit caveat: activities that
 //! were mid-execution at the crash are **re-executed from the
 //! beginning** (workflow activities are not failure atomic; it is the
@@ -15,11 +15,13 @@
 //! committed).
 //!
 //! The journal records human-readable string paths (it is an audit
-//! trail first); replay resolves them against the **compiled
-//! template** once per event, and all reconstructed state lands in the
-//! same slot-indexed [`StateSlab`](crate::state::StateSlab) the live
-//! navigator runs on — compilation is deterministic, so slots assigned
-//! at recovery address exactly the state the crashed engine used.
+//! trail first); replay resolves each to its slot with one lookup
+//! against the **compiled template** (`Instance::live_slot`) and
+//! then calls the same [`crate::state`] transition the navigator called
+//! when it journalled the event — so a replay arm is "resolve, call",
+//! plus the worklist bookkeeping that is not slab state. Compilation
+//! is deterministic, so slots assigned at recovery address exactly the
+//! state the crashed engine used.
 
 use crate::compiled::{CompiledProcess, ScopeId};
 use crate::engine::{Engine, EngineConfig};
@@ -193,8 +195,8 @@ fn replay(events: &[Event], templates: Vec<ProcessDefinition>) -> Result<Replaye
         apply(ev, &mut state)?;
     }
 
-    // Rebuild the ready queues: replay set activity states directly,
-    // bypassing the live navigator's queue maintenance.
+    // Rebuild the ready queues: the transitions set activity states
+    // only; queueing is the navigator's side of a live step.
     for inst in state.instances.values_mut() {
         inst.rebuild_ready();
     }
@@ -280,9 +282,7 @@ fn apply(ev: &Event, state: &mut Replayed) -> Result<(), RecoveryError> {
                 .ok_or_else(|| RecoveryError::MissingTemplate(process.clone()))?;
             let mut inst = Instance::new(*instance, tpl);
             inst.tenant = tenant.clone();
-            for (k, v) in input.iter() {
-                inst.root_input_mut().set(k, v.clone());
-            }
+            inst.seed_input(input);
             *next_instance = (*next_instance).max(instance.0 + 1);
             instances.insert(*instance, inst);
         }
@@ -292,30 +292,18 @@ fn apply(ev: &Event, state: &mut Replayed) -> Result<(), RecoveryError> {
             attempt,
             at,
         } => with_slot(instances, *instance, path, |inst, slot| {
-            inst.set_act_state(slot, ActState::Ready);
-            inst.slab.attempt[slot as usize] = *attempt;
-            inst.slab.ready_since[slot as usize] = Some(*at);
-            inst.slab.notified[slot as usize] = false;
+            inst.activity_ready(slot, *attempt, *at)
         }),
+        // A started block opens its child scope; the child's own
+        // events follow in the journal.
         Event::ActivityStarted {
             instance,
             path,
             input,
             ..
-        } => {
-            with_slot(instances, *instance, path, |inst, slot| {
-                inst.set_act_state(slot, ActState::Running);
-                inst.slab.input[slot as usize] = input.clone();
-                // A started block opens its child scope; the child's
-                // own events follow in the journal.
-                if let Some(c) = inst.tpl.layout.block_child[slot as usize] {
-                    inst.open_scope(c);
-                    for (k, v) in input.iter() {
-                        inst.slab.scope_input[c as usize].set(k, v.clone());
-                    }
-                }
-            });
-        }
+        } => with_slot(instances, *instance, path, |inst, slot| {
+            inst.activity_started(slot, input)
+        }),
         Event::ActivityFinished {
             instance,
             path,
@@ -323,12 +311,11 @@ fn apply(ev: &Event, state: &mut Replayed) -> Result<(), RecoveryError> {
             ..
         } => {
             with_slot(instances, *instance, path, |inst, slot| {
-                inst.set_act_state(slot, ActState::Finished);
-                inst.slab.output[slot as usize] = output.clone();
+                inst.activity_finished(slot, output)
             });
-            // Mirror the live navigator: finishing an activity closes
-            // its work items (a reschedule re-offers a fresh one via
-            // the following WorkItemOffered event).
+            // Finishing an activity closes its work items (a
+            // reschedule re-offers a fresh one via the following
+            // WorkItemOffered event).
             worklists.close_for(*instance, path);
         }
         Event::ActivityRescheduled {
@@ -336,15 +323,9 @@ fn apply(ev: &Event, state: &mut Replayed) -> Result<(), RecoveryError> {
             path,
             next_attempt,
             ..
-        } => {
-            with_slot(instances, *instance, path, |inst, slot| {
-                if let Some(c) = inst.tpl.layout.block_child[slot as usize] {
-                    inst.close_scope(c);
-                }
-                inst.set_act_state(slot, ActState::Waiting);
-                inst.slab.attempt[slot as usize] = *next_attempt;
-            });
-        }
+        } => with_slot(instances, *instance, path, |inst, slot| {
+            inst.activity_rescheduled(slot, *next_attempt)
+        }),
         Event::ActivityTerminated {
             instance,
             path,
@@ -352,21 +333,7 @@ fn apply(ev: &Event, state: &mut Replayed) -> Result<(), RecoveryError> {
             ..
         } => {
             with_slot(instances, *instance, path, |inst, slot| {
-                let sl = slot as usize;
-                inst.set_act_state(slot, ActState::Terminated);
-                inst.slab.executed[sl] = *executed;
-                // Re-apply the activity-output → scope-output data
-                // connectors, as the navigator did live.
-                if *executed {
-                    let tpl = Arc::clone(&inst.tpl);
-                    let s = tpl.layout.owner[sl] as usize;
-                    let output = inst.slab.output[sl].clone();
-                    for (from, to) in &tpl.layout.act(slot).data_out {
-                        if let Some(v) = output.get(from) {
-                            inst.slab.scope_output[s].set(to, v.clone());
-                        }
-                    }
-                }
+                inst.activity_terminated(slot, *executed)
             });
             worklists.close_for(*instance, path);
         }
@@ -379,15 +346,12 @@ fn apply(ev: &Event, state: &mut Replayed) -> Result<(), RecoveryError> {
             ..
         } => {
             if let Some(inst) = instances.get_mut(instance) {
-                let tpl = Arc::clone(&inst.tpl);
-                if let Some(s) = tpl
-                    .resolve_journal_path(scope)
-                    .and_then(|ids| inst.live_scope_of(&ids))
-                {
-                    let m = tpl.layout.scope(s);
-                    if let Some(edge) = m.cs.edge_id(from, to) {
-                        inst.slab.connectors[(m.edge_base + edge) as usize] = Some(*value);
-                    }
+                let edge = inst.live_scope(scope).and_then(|s| {
+                    let m = inst.tpl.layout.scope(s);
+                    Some(m.edge_base + m.cs.edge_id(from, to)?)
+                });
+                if let Some(edge) = edge {
+                    inst.connector_evaluated(edge, *value);
                 }
             }
         }
@@ -413,34 +377,21 @@ fn apply(ev: &Event, state: &mut Replayed) -> Result<(), RecoveryError> {
             let _ = worklists.claim(*item, person);
         }
         Event::NotificationSent { instance, path, .. } => {
-            with_slot(instances, *instance, path, |inst, slot| {
-                inst.slab.notified[slot as usize] = true;
-            })
+            with_slot(instances, *instance, path, Instance::notification_sent)
         }
         Event::UserIntervention { .. } => {}
         Event::InstanceFinished {
             instance, output, ..
         } => {
             if let Some(inst) = instances.get_mut(instance) {
-                inst.status = InstanceStatus::Finished;
-                for (k, v) in output.iter() {
-                    inst.root_output_mut().set(k, v.clone());
-                }
+                inst.instance_finished(output);
             }
         }
         Event::InstanceCancelled { instance, .. } => {
             if let Some(inst) = instances.get_mut(instance) {
-                inst.status = InstanceStatus::Cancelled;
+                inst.instance_cancelled();
             }
-            let stale: Vec<_> = worklists
-                .open_items()
-                .iter()
-                .filter(|it| it.instance == *instance)
-                .map(|it| it.id)
-                .collect();
-            for id in stale {
-                worklists.close(id);
-            }
+            worklists.close_offered_of(*instance);
         }
         Event::EngineCheckpoint {
             instances: snaps,
@@ -524,14 +475,9 @@ fn with_slot(
     let Some(inst) = instances.get_mut(&instance) else {
         return;
     };
-    let Some(slot) = inst
-        .tpl
-        .resolve_journal_path(path)
-        .and_then(|ids| inst.live_slot_of(&ids))
-    else {
-        return;
-    };
-    f(inst, slot);
+    if let Some(slot) = inst.live_slot(path) {
+        f(inst, slot);
+    }
 }
 
 /// Post-replay fix-ups for the (at most one) navigation operation the

@@ -16,13 +16,22 @@
 //! scope is a slot range plus a liveness bit, not a heap-allocated
 //! subtree.
 //!
-//! [`ScopeState`] remains as the *interchange* tree: the serialized
-//! form used by `EngineCheckpoint` snapshots (and tooling) is the same
-//! scope tree it always was — [`Instance::snapshot_root`] and
-//! [`Instance::restore_root`] convert losslessly, keeping checkpoint
-//! bytes identical to the historical tree-backed representation.
+//! **This module is the slab's only writer.** The state effect of each
+//! journal event is one [`Instance`] method taking a slot
+//! (`Instance::activity_ready`, `Instance::activity_started`, …).
+//! The navigator calls it after deciding, recovery calls it after
+//! resolving the journalled path (`Instance::live_slot`) — so §3.3's
+//! "resumed from the point where the failure occurred" holds because
+//! live navigation and replay run the same code, not two copies kept
+//! in step by hand.
+//!
+//! [`ScopeState`] is the checkpoint payload: a scope tree of plain
+//! data with no reference to a template, because a checkpoint record
+//! is decoded before any template is known (the decoder has no
+//! registry). [`Instance::snapshot_root`] and
+//! [`Instance::restore_root`] convert losslessly.
 
-use crate::compiled::{ActId, CompiledProcess, CompiledScope, IdPath, ScopeId, ScopeLayout};
+use crate::compiled::{ActId, CompiledProcess, ScopeId, ScopeLayout};
 use crate::event::InstanceId;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -47,9 +56,8 @@ pub enum ActState {
     Terminated,
 }
 
-/// Run-time record of one activity — the *interchange* form used in
-/// [`ScopeState`] snapshots. Live state lives in [`StateSlab`]
-/// columns; this struct is assembled on demand.
+/// Run-time record of one activity as [`ScopeState`] snapshots carry
+/// it. Live state lives in [`StateSlab`] columns.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ActivityRt {
     /// Current lifecycle state.
@@ -98,10 +106,10 @@ impl Default for ActivityRt {
 }
 
 /// Serialized state of one (sub)process scope, indexed by the compiled
-/// template's dense ids — the interchange tree for checkpoints,
-/// snapshots and tests. The live navigator runs on [`StateSlab`]
-/// columns instead; [`Instance::snapshot_root`] /
-/// [`Instance::restore_root`] convert between the two.
+/// template's dense ids — plain data, the payload of `EngineCheckpoint`
+/// snapshots. The navigator runs on [`StateSlab`] columns;
+/// [`Instance::snapshot_root`] / [`Instance::restore_root`] convert
+/// between the two.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ScopeState {
     /// Per-activity state, indexed by [`ActId`].
@@ -120,89 +128,6 @@ pub struct ScopeState {
     /// not a map, so the serialized form has string-free keys — JSON
     /// maps require string keys.)
     pub children: Vec<(ActId, ScopeState)>,
-}
-
-impl ScopeState {
-    /// Initialises a scope for a compiled template: all activities
-    /// waiting, containers at schema defaults, no connector values.
-    pub fn for_scope(scope: &CompiledScope) -> Self {
-        Self {
-            activities: vec![ActivityRt::new(); scope.acts.len()],
-            connectors: vec![None; scope.edges.len()],
-            input: scope.input.instantiate(),
-            output: scope.output.instantiate(),
-            children: Vec::new(),
-        }
-    }
-
-    /// Initialises a scope straight from a definition (same layout:
-    /// ids are declaration positions). Kept for tests and tooling that
-    /// have no compiled template at hand.
-    pub fn for_definition(def: &ProcessDefinition) -> Self {
-        Self {
-            activities: vec![ActivityRt::new(); def.activities.len()],
-            connectors: vec![None; def.control.len()],
-            input: def.input.instantiate(),
-            output: def.output.instantiate(),
-            children: Vec::new(),
-        }
-    }
-
-    /// The runtime record of activity `id`.
-    #[inline]
-    pub fn rt(&self, id: ActId) -> &ActivityRt {
-        &self.activities[id as usize]
-    }
-
-    /// Mutable variant of [`ScopeState::rt`].
-    #[inline]
-    pub fn rt_mut(&mut self, id: ActId) -> &mut ActivityRt {
-        &mut self.activities[id as usize]
-    }
-
-    /// The child scope of block `id`, if started.
-    pub fn child(&self, id: ActId) -> Option<&ScopeState> {
-        self.children
-            .binary_search_by_key(&id, |(i, _)| *i)
-            .ok()
-            .map(|i| &self.children[i].1)
-    }
-
-    /// Mutable variant of [`ScopeState::child`].
-    pub fn child_mut(&mut self, id: ActId) -> Option<&mut ScopeState> {
-        self.children
-            .binary_search_by_key(&id, |(i, _)| *i)
-            .ok()
-            .map(|i| &mut self.children[i].1)
-    }
-
-    /// Inserts or replaces the child scope of block `id`.
-    pub fn set_child(&mut self, id: ActId, state: ScopeState) {
-        match self.children.binary_search_by_key(&id, |(i, _)| *i) {
-            Ok(i) => self.children[i].1 = state,
-            Err(i) => self.children.insert(i, (id, state)),
-        }
-    }
-
-    /// Removes the child scope of block `id`.
-    pub fn remove_child(&mut self, id: ActId) {
-        if let Ok(i) = self.children.binary_search_by_key(&id, |(i, _)| *i) {
-            self.children.remove(i);
-        }
-    }
-
-    /// True when every activity reached `Terminated` — the §3.2
-    /// completion rule ("the process is considered finished when all
-    /// its activities are in the terminated state").
-    pub fn all_terminated(&self) -> bool {
-        self.activities.iter().all(ActivityRt::is_terminated)
-    }
-
-    /// Connector value if already evaluated.
-    #[inline]
-    pub fn connector_value(&self, edge: crate::compiled::EdgeId) -> Option<bool> {
-        self.connectors[edge as usize]
-    }
 }
 
 /// Overall status of a process instance.
@@ -241,10 +166,9 @@ pub struct StateSlab {
     /// Per edge slot: evaluated transition-condition value.
     pub(crate) connectors: Vec<Option<bool>>,
     /// Per scope: the scope is open — its block activity started it
-    /// and no reschedule closed it since. The root is always open.
-    /// (Mirrors child-scope membership in the historical tree: a
+    /// and no reschedule closed it since. The root is always open. A
     /// completed block's scope stays open for inspection; only a
-    /// reschedule closes it.)
+    /// reschedule closes it.
     pub(crate) scope_live: Vec<bool>,
     /// Per scope: activities not yet terminated — the §3.2 completion
     /// rule as a counter instead of a scan.
@@ -281,11 +205,10 @@ impl StateSlab {
 /// ready queue of automatic activities.
 ///
 /// The ready queue is a min-heap of execution **ranks**
-/// ([`ScopeLayout::rank`]): rank order is lexicographic id-path order,
-/// which equals the navigator's historical depth-first
-/// declaration-order scan, so popping the heap reproduces the exact
-/// sequential execution order — journals stay byte-for-byte identical
-/// — with `u32` comparisons and no per-entry allocation. Entries are
+/// ([`ScopeLayout::rank`]): rank order is depth-first declaration
+/// order, the execution order the journal format fixes, so popping the
+/// heap keeps journals byte-for-byte reproducible with `u32`
+/// comparisons and no per-entry allocation. Entries are
 /// validated lazily at pop time; stale ones (the activity moved on, or
 /// its enclosing block closed) are discarded.
 #[derive(Debug, Clone)]
@@ -305,10 +228,11 @@ pub struct Instance {
     /// Ready automatic activities as execution ranks (min-heap; may
     /// hold stale entries).
     pub(crate) ready: BinaryHeap<Reverse<u32>>,
-    /// Pre-resolved latency probes for this instance's template; `None`
-    /// unless the owning engine's observer is enabled. Runtime-only —
-    /// never serialised into snapshots or the journal.
-    pub(crate) probes: Option<Arc<crate::metrics::ScopeProbes>>,
+    /// Pre-resolved latency probes for this instance's template, one
+    /// per act slot; `None` unless the owning engine's observer is
+    /// enabled. Runtime-only — never serialised into snapshots or the
+    /// journal.
+    pub(crate) probes: Option<crate::metrics::ActProbes>,
 }
 
 impl Instance {
@@ -338,9 +262,12 @@ impl Instance {
         &self.slab.scope_input[0]
     }
 
-    /// Mutable variant of [`Instance::root_input`].
-    pub fn root_input_mut(&mut self) -> &mut Container {
-        &mut self.slab.scope_input[0]
+    /// Merges the caller's process input over the root scope's
+    /// prototype — the state effect of `InstanceStarted`.
+    pub(crate) fn seed_input(&mut self, input: &Container) {
+        for (k, v) in input.iter() {
+            self.slab.scope_input[0].set(k, v.clone());
+        }
     }
 
     /// The root scope's output container (the process output).
@@ -348,16 +275,11 @@ impl Instance {
         &self.slab.scope_output[0]
     }
 
-    /// Mutable variant of [`Instance::root_output`].
-    pub fn root_output_mut(&mut self) -> &mut Container {
-        &mut self.slab.scope_output[0]
-    }
-
     /// (Re)opens scope `s`: resets the subtree's slot ranges to fresh
     /// waiting state, closes stale descendant scopes and installs the
     /// scope's container prototypes. Pure range operations on the
     /// slab's columns.
-    pub(crate) fn open_scope(&mut self, s: ScopeId) {
+    fn open_scope(&mut self, s: ScopeId) {
         let tpl = Arc::clone(&self.tpl);
         let lay = &tpl.layout;
         let ar = lay.subtree_act_range(s);
@@ -382,7 +304,7 @@ impl Instance {
 
     /// Closes scope `s` and every descendant (a rescheduled block
     /// discards its child scope; a fresh one opens on restart).
-    pub(crate) fn close_scope(&mut self, s: ScopeId) {
+    fn close_scope(&mut self, s: ScopeId) {
         let tpl = Arc::clone(&self.tpl);
         for sc in tpl.layout.subtree_scope_range(s) {
             self.slab.scope_live[sc] = false;
@@ -391,7 +313,7 @@ impl Instance {
 
     /// Sets the lifecycle state of `slot`, maintaining the owning
     /// scope's non-terminated counter.
-    pub(crate) fn set_act_state(&mut self, slot: u32, new: ActState) {
+    fn set_act_state(&mut self, slot: u32, new: ActState) {
         let s = self.tpl.layout.owner[slot as usize] as usize;
         let old = self.slab.state[slot as usize];
         if old != ActState::Terminated && new == ActState::Terminated {
@@ -402,34 +324,125 @@ impl Instance {
         self.slab.state[slot as usize] = new;
     }
 
-    /// Resolves a prefix of block ids to the **open** scope it
-    /// addresses: every prefix element must name a block whose child
-    /// scope is live — the slab equivalent of walking the historical
-    /// child-scope tree.
-    pub(crate) fn live_scope_of(&self, scope_ids: &[ActId]) -> Option<ScopeId> {
-        let lay = &self.tpl.layout;
-        let mut s: ScopeId = 0;
-        for &id in scope_ids {
-            let m = lay.scope(s);
-            if (id as usize) >= m.cs.acts.len() {
-                return None;
-            }
-            let c = lay.block_child[(m.act_base + id) as usize]?;
-            if !self.slab.scope_live[c as usize] {
-                return None;
-            }
-            s = c;
-        }
-        Some(s)
+    /// `ActivityReady`: the activity becomes ready at `attempt`, and a
+    /// new readiness period (deadline base, notification flag) begins.
+    pub(crate) fn activity_ready(&mut self, slot: u32, attempt: u32, at: Tick) {
+        let sl = slot as usize;
+        self.set_act_state(slot, ActState::Ready);
+        self.slab.attempt[sl] = attempt;
+        self.slab.ready_since[sl] = Some(at);
+        self.slab.notified[sl] = false;
     }
 
-    /// Resolves a full [`IdPath`] to its global act slot, requiring
-    /// every enclosing scope to be open.
-    pub(crate) fn live_slot_of(&self, ids: &[ActId]) -> Option<u32> {
-        let (&last, scope_ids) = ids.split_last()?;
-        let s = self.live_scope_of(scope_ids)?;
-        let m = self.tpl.layout.scope(s);
-        ((last as usize) < m.cs.acts.len()).then(|| m.act_base + last)
+    /// `ActivityStarted`: the activity runs on `input`. A block opens
+    /// a fresh child scope whose input container is the block's
+    /// materialised input merged over the scope's prototype.
+    pub(crate) fn activity_started(&mut self, slot: u32, input: &Container) {
+        self.set_act_state(slot, ActState::Running);
+        self.slab.input[slot as usize] = input.clone();
+        if let Some(c) = self.tpl.layout.block_child[slot as usize] {
+            self.open_scope(c);
+            for (k, v) in input.iter() {
+                self.slab.scope_input[c as usize].set(k, v.clone());
+            }
+        }
+    }
+
+    /// `ActivityFinished`: execution completed with `output`; the exit
+    /// condition is not yet decided.
+    pub(crate) fn activity_finished(&mut self, slot: u32, output: &Container) {
+        self.set_act_state(slot, ActState::Finished);
+        self.slab.output[slot as usize] = output.clone();
+    }
+
+    /// `ActivityRescheduled`: the exit condition failed, the activity
+    /// waits again at `next_attempt`. A block discards its child scope
+    /// (a fresh one opens on restart).
+    pub(crate) fn activity_rescheduled(&mut self, slot: u32, next_attempt: u32) {
+        if let Some(c) = self.tpl.layout.block_child[slot as usize] {
+            self.close_scope(c);
+        }
+        self.set_act_state(slot, ActState::Waiting);
+        self.slab.attempt[slot as usize] = next_attempt;
+    }
+
+    /// `ActivityTerminated`: final state. An executed activity's data
+    /// connectors to the scope's output container take effect here.
+    pub(crate) fn activity_terminated(&mut self, slot: u32, executed: bool) {
+        let sl = slot as usize;
+        self.set_act_state(slot, ActState::Terminated);
+        self.slab.executed[sl] = executed;
+        if executed {
+            let lay = &self.tpl.layout;
+            let s = lay.owner[sl] as usize;
+            let StateSlab {
+                output,
+                scope_output,
+                ..
+            } = &mut self.slab;
+            for (from, to) in &lay.act(slot).data_out {
+                if let Some(v) = output[sl].get(from) {
+                    scope_output[s].set(to, v.clone());
+                }
+            }
+        }
+    }
+
+    /// `ConnectorEvaluated`: the connector at global edge slot `edge`
+    /// evaluated to `value`.
+    pub(crate) fn connector_evaluated(&mut self, edge: u32, value: bool) {
+        self.slab.connectors[edge as usize] = Some(value);
+    }
+
+    /// `NotificationSent`: the deadline notification of the current
+    /// readiness period went out.
+    pub(crate) fn notification_sent(&mut self, slot: u32) {
+        self.slab.notified[slot as usize] = true;
+    }
+
+    /// `InstanceFinished`: every root activity terminated; `output` is
+    /// the final process output. The terminations before it already
+    /// built that container here — live it *is* `output`, and replay
+    /// rebuilt it from the same transitions — so the journalled copy
+    /// is taken only where it differs, and a recovered instance does
+    /// not end up sharing its output with the journal record.
+    pub(crate) fn instance_finished(&mut self, output: &Container) {
+        self.status = InstanceStatus::Finished;
+        if self.slab.scope_output[0] != *output {
+            self.slab.scope_output[0] = output.clone();
+        }
+    }
+
+    /// `InstanceCancelled`.
+    pub(crate) fn instance_cancelled(&mut self) {
+        self.status = InstanceStatus::Cancelled;
+    }
+
+    /// True when scope `s` and every enclosing scope is open.
+    fn scope_open(&self, s: ScopeId) -> bool {
+        let mut cur = Some(s);
+        while let Some(s) = cur {
+            if !self.slab.scope_live[s as usize] {
+                return false;
+            }
+            cur = self.tpl.layout.scope(s).parent.map(|(ps, _)| ps);
+        }
+        true
+    }
+
+    /// Resolves a scope's journal path (`""` is the root) to the
+    /// **open** scope it addresses.
+    pub(crate) fn live_scope(&self, path: &str) -> Option<ScopeId> {
+        let s = *self.tpl.layout.scope_by_path.get(path)?;
+        self.scope_open(s).then_some(s)
+    }
+
+    /// Resolves an activity's journal path to its global act slot,
+    /// requiring every enclosing scope to be open.
+    pub(crate) fn live_slot(&self, path: &str) -> Option<u32> {
+        let slot = *self.tpl.layout.slot_by_path.get(path)?;
+        self.scope_open(self.tpl.layout.owner[slot as usize])
+            .then_some(slot)
     }
 
     /// True when scope `s` is actively executing: it is open and every
@@ -460,33 +473,6 @@ impl Instance {
         self.scope_active(self.tpl.layout.owner[slot as usize])
     }
 
-    /// The runtime record of the activity at `path` (scope ids plus
-    /// the activity id as the last element), assembled from the slab
-    /// columns. Container clones are reference-count bumps.
-    pub fn activity_rt(&self, path: &[ActId]) -> Option<ActivityRt> {
-        let slot = self.live_slot_of(path)? as usize;
-        let s = &self.slab;
-        Some(ActivityRt {
-            state: s.state[slot],
-            executed: s.executed[slot],
-            attempt: s.attempt[slot],
-            input: s.input[slot].clone(),
-            output: s.output[slot].clone(),
-            ready_since: s.ready_since[slot],
-            notified: s.notified[slot],
-        })
-    }
-
-    /// Resolves a slash-separated name path to an [`IdPath`].
-    pub fn resolve_names(&self, segs: &[String]) -> Option<IdPath> {
-        self.tpl.resolve_path(segs)
-    }
-
-    /// Renders an [`IdPath`] as the slash-separated journal form.
-    pub fn path_string(&self, ids: &[ActId]) -> String {
-        self.tpl.path_string(ids)
-    }
-
     /// Queues a ready automatic activity by its execution rank.
     pub(crate) fn push_ready(&mut self, rank: u32) {
         self.ready.push(Reverse(rank));
@@ -510,9 +496,8 @@ impl Instance {
         self.ready = ready;
     }
 
-    /// Snapshots the slab as the interchange scope tree (checkpoints,
-    /// inspection). Open child scopes become tree children, exactly as
-    /// the historical tree-backed state serialized.
+    /// Snapshots the slab as a [`ScopeState`] tree (checkpoints,
+    /// inspection). Open child scopes become tree children.
     pub fn snapshot_root(&self) -> ScopeState {
         self.snap_scope(0)
     }
@@ -552,7 +537,7 @@ impl Instance {
         st
     }
 
-    /// Restores the slab from an interchange scope tree (checkpoint
+    /// Restores the slab from a [`ScopeState`] tree (checkpoint
     /// replay). The tree must describe this instance's template.
     pub fn restore_root(&mut self, root: &ScopeState) {
         self.open_scope(0);
@@ -681,19 +666,10 @@ pub fn join_path(path: &[String]) -> String {
     path.join("/")
 }
 
-/// Splits a slash-separated journal path back into segments.
-pub fn split_path(path: &str) -> Vec<String> {
-    if path.is_empty() {
-        Vec::new()
-    } else {
-        path.split('/').map(|s| s.to_owned()).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wfms_model::{Activity, ProcessBuilder};
+    use wfms_model::ProcessBuilder;
 
     fn def_with_block() -> ProcessDefinition {
         let inner = ProcessBuilder::new("inner")
@@ -712,116 +688,94 @@ mod tests {
         Arc::new(CompiledProcess::compile(def_with_block()))
     }
 
-    #[test]
-    fn fresh_scope_is_waiting() {
-        let s = ScopeState::for_definition(&def_with_block());
-        assert_eq!(s.activities.len(), 2);
-        assert!(s.activities.iter().all(|a| a.state == ActState::Waiting));
-        assert!(!s.all_terminated());
-        assert_eq!(s.connectors, vec![None]);
+    /// Slot of the activity at `path`, by structure alone.
+    fn slot(t: &CompiledProcess, path: &str) -> u32 {
+        t.layout.slot_by_path[path]
+    }
+
+    /// An instance whose block `B` is running with its child scope open.
+    fn with_open_block(t: &Arc<CompiledProcess>) -> Instance {
+        let mut inst = Instance::new(InstanceId(1), Arc::clone(t));
+        inst.activity_started(slot(t, "B"), &Container::empty());
+        inst
     }
 
     #[test]
-    fn for_scope_matches_for_definition_layout() {
+    fn fresh_instance_snapshot_is_all_waiting() {
         let t = tpl();
-        let a = ScopeState::for_scope(&t.root);
-        let b = ScopeState::for_definition(&def_with_block());
-        assert_eq!(a, b);
+        let snap = Instance::new(InstanceId(1), Arc::clone(&t)).snapshot_root();
+        assert_eq!(snap.activities, vec![ActivityRt::new(); 2]);
+        assert_eq!(snap.connectors, vec![None]);
+        assert_eq!(snap.input, t.root.input.instantiate());
+        assert_eq!(snap.output, t.root.output.instantiate());
+        assert!(snap.children.is_empty(), "no block started yet");
     }
 
     #[test]
-    fn all_terminated_counts_every_activity() {
-        let mut s = ScopeState::for_definition(&def_with_block());
-        for a in &mut s.activities {
-            a.state = ActState::Terminated;
-        }
-        assert!(s.all_terminated());
-    }
-
-    #[test]
-    fn fresh_instance_snapshot_matches_tree_construction() {
-        let t = tpl();
-        let inst = Instance::new(InstanceId(1), Arc::clone(&t));
-        assert_eq!(inst.snapshot_root(), ScopeState::for_scope(&t.root));
-    }
-
-    #[test]
-    fn live_resolution_requires_open_scopes() {
+    fn live_slot_requires_every_enclosing_scope_open() {
         let t = tpl();
         let mut inst = Instance::new(InstanceId(1), Arc::clone(&t));
-        let b = t.root.id("B").unwrap();
-        // Child scope not started yet.
-        assert!(inst.live_scope_of(&[b]).is_none());
-        assert!(inst.activity_rt(&[b, 0]).is_none(), "child not started");
-        // Open it.
-        let c = t.layout.block_child[t.layout.slot_of(&[b]).unwrap() as usize].unwrap();
-        inst.open_scope(c);
-        let s = inst.live_scope_of(&[b]).unwrap();
-        assert_eq!(&*t.layout.scope(s).cs.name, "inner");
-        assert!(inst.activity_rt(&[b, 0]).is_some());
-        // Non-block path segment fails.
-        let a = t.root.id("A").unwrap();
-        assert!(inst.live_scope_of(&[a]).is_none());
-        assert!(inst.live_scope_of(&[9]).is_none());
+        // Root activities resolve from the start; nested ones only once
+        // their block opened its scope.
+        assert_eq!(inst.live_slot("A"), Some(0));
+        assert_eq!(inst.live_slot("B"), Some(1));
+        assert_eq!(inst.live_slot("B/X"), None, "child not started");
+        inst.activity_started(slot(&t, "B"), &Container::empty());
+        assert_eq!(inst.live_slot("B/X"), Some(slot(&t, "B/X")));
+        // A finished block keeps its scope open for inspection …
+        inst.activity_finished(slot(&t, "B"), &Container::empty());
+        assert!(inst.live_slot("B/X").is_some());
+        // … a rescheduled one closes it.
+        inst.activity_rescheduled(slot(&t, "B"), 1);
+        assert_eq!(inst.live_slot("B/X"), None, "scope closed by reschedule");
+        assert_eq!(inst.live_slot("B"), Some(1), "the block itself stays");
+        // Scope paths and unknown paths are not activity paths.
+        assert_eq!(inst.live_slot(""), None, "root scope path");
+        assert_eq!(inst.live_slot("Ghost"), None);
+        assert_eq!(inst.live_slot("A/X"), None, "A is not a block");
+        assert_eq!(inst.live_slot("B/X/"), None);
     }
 
     #[test]
-    fn activity_rt_lookup_by_path() {
+    fn live_scope_resolves_open_scopes_only() {
         let t = tpl();
-        let inst = Instance::new(InstanceId(1), t);
-        assert!(inst.activity_rt(&[0]).is_some());
-        assert!(inst.activity_rt(&[1, 0]).is_none(), "child not started");
-        assert!(inst.activity_rt(&[]).is_none());
-    }
-
-    #[test]
-    fn children_sorted_and_replaceable() {
-        let mut s = ScopeState::default();
-        s.set_child(3, ScopeState::default());
-        s.set_child(1, ScopeState::default());
-        assert_eq!(s.children[0].0, 1);
-        assert_eq!(s.children[1].0, 3);
-        assert!(s.child(1).is_some());
-        assert!(s.child(2).is_none());
-        s.remove_child(1);
-        assert!(s.child(1).is_none());
-        assert_eq!(s.children.len(), 1);
+        let mut inst = Instance::new(InstanceId(1), Arc::clone(&t));
+        assert_eq!(inst.live_scope(""), Some(0));
+        assert_eq!(inst.live_scope("B"), None, "child not started");
+        inst.activity_started(slot(&t, "B"), &Container::empty());
+        let s = inst.live_scope("B").unwrap();
+        assert_eq!(&*t.layout.scope(s).cs.name, "inner");
+        // Activity paths are not scope paths.
+        assert_eq!(inst.live_scope("A"), None, "A is not a block");
+        assert_eq!(inst.live_scope("B/X"), None);
+        assert_eq!(inst.live_scope("Ghost"), None);
+        inst.activity_rescheduled(slot(&t, "B"), 1);
+        assert_eq!(inst.live_scope("B"), None, "closed by reschedule");
     }
 
     #[test]
     fn rebuild_ready_finds_nested_ready_autos() {
         let t = tpl();
-        let mut inst = Instance::new(InstanceId(1), Arc::clone(&t));
+        let mut inst = with_open_block(&t);
         let lay = &t.layout;
-        let b = t.root.id("B").unwrap();
-        let b_slot = lay.slot_of(&[b]).unwrap();
-        let c = lay.block_child[b_slot as usize].unwrap();
-        inst.slab.state[b_slot as usize] = ActState::Running;
-        inst.open_scope(c);
-        let x_slot = lay.slot_of(&[b, 0]).unwrap();
-        inst.slab.state[x_slot as usize] = ActState::Ready;
-        inst.slab.state[lay.slot_of(&[0]).unwrap() as usize] = ActState::Ready;
+        inst.activity_ready(slot(&t, "B/X"), 0, 0);
+        inst.activity_ready(slot(&t, "A"), 0, 0);
         inst.rebuild_ready();
         let mut popped = Vec::new();
         while let Some(Reverse(r)) = inst.ready.pop() {
-            popped.push(lay.id_paths[lay.rank_to_slot[r as usize] as usize].clone());
+            popped.push(&*lay.paths[lay.rank_to_slot[r as usize] as usize]);
         }
-        assert_eq!(popped, vec![vec![0], vec![b, 0]]);
+        assert_eq!(popped, vec!["A", "B/X"]);
     }
 
     #[test]
     fn close_scope_invalidates_ready_entries() {
         let t = tpl();
-        let mut inst = Instance::new(InstanceId(1), Arc::clone(&t));
-        let lay = &t.layout;
-        let b_slot = lay.slot_of(&[1]).unwrap();
-        let c = lay.block_child[b_slot as usize].unwrap();
-        inst.slab.state[b_slot as usize] = ActState::Running;
-        inst.open_scope(c);
-        let x_slot = lay.slot_of(&[1, 0]).unwrap();
-        inst.slab.state[x_slot as usize] = ActState::Ready;
+        let mut inst = with_open_block(&t);
+        let x_slot = slot(&t, "B/X");
+        inst.activity_ready(x_slot, 0, 0);
         assert!(inst.ancestors_open(x_slot));
-        inst.close_scope(c);
+        inst.close_scope(t.layout.block_child[slot(&t, "B") as usize].unwrap());
         assert!(!inst.ancestors_open(x_slot));
     }
 
@@ -841,16 +795,11 @@ mod tests {
     #[test]
     fn snapshot_restore_round_trip() {
         let t = tpl();
-        let mut inst = Instance::new(InstanceId(1), Arc::clone(&t));
-        let lay = &t.layout;
-        let b_slot = lay.slot_of(&[1]).unwrap();
-        let c = lay.block_child[b_slot as usize].unwrap();
-        inst.set_act_state(0, ActState::Terminated);
-        inst.slab.executed[0] = true;
+        let mut inst = with_open_block(&t);
+        let c = t.layout.block_child[slot(&t, "B") as usize].unwrap();
+        inst.activity_terminated(0, true);
         inst.slab.attempt[0] = 2;
-        inst.slab.connectors[0] = Some(true);
-        inst.slab.state[b_slot as usize] = ActState::Running;
-        inst.open_scope(c);
+        inst.connector_evaluated(0, true);
         let snap = inst.snapshot_root();
         assert_eq!(snap.children.len(), 1, "open child scope serialized");
 
@@ -862,30 +811,19 @@ mod tests {
     }
 
     #[test]
-    fn path_join_split_round_trip() {
+    fn path_join() {
         let p = vec!["Fwd".to_string(), "T1".to_string()];
         assert_eq!(join_path(&p), "Fwd/T1");
-        assert_eq!(split_path("Fwd/T1"), p);
-        assert_eq!(split_path(""), Vec::<String>::new());
         assert_eq!(join_path(&[]), "");
-    }
-
-    #[test]
-    fn non_block_activity_cannot_be_scope() {
-        let def = ProcessBuilder::new("p")
-            .activity(Activity::program("A", "pa"))
-            .build()
-            .unwrap();
-        let inst = Instance::new(InstanceId(1), Arc::new(CompiledProcess::compile(def)));
-        assert!(inst.live_scope_of(&[0]).is_none());
     }
 
     #[test]
     fn serde_round_trip_of_scope_state() {
         let t = tpl();
-        let mut s = ScopeState::for_scope(&t.root);
-        s.connectors[0] = Some(true);
-        s.set_child(1, ScopeState::default());
+        let mut inst = with_open_block(&t);
+        inst.connector_evaluated(0, true);
+        let s = inst.snapshot_root();
+        assert_eq!(s.children.len(), 1);
         let json = serde_json::to_string(&s).unwrap();
         let back: ScopeState = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);

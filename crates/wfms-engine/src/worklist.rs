@@ -172,6 +172,16 @@ impl WorklistStore {
         }
     }
 
+    /// Closes every offered (unclaimed) item of `instance` — the
+    /// worklist side of a cancellation.
+    pub fn close_offered_of(&mut self, instance: InstanceId) {
+        for it in self.items.values_mut() {
+            if it.instance == instance && it.state == WorkItemState::Offered {
+                it.state = WorkItemState::Closed;
+            }
+        }
+    }
+
     /// Releases every claimed item back to `Offered`, returning how
     /// many were released. Claims are leases held by a live engine
     /// session: after a crash the claiming worker's session is gone,

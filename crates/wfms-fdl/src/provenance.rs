@@ -129,6 +129,7 @@ impl Provenance {
         match err {
             EmptyProcess { process } | Cycle { process } => self.process(process),
             DuplicateActivity { process, activity }
+            | SlashInActivityName { process, activity }
             | MissingProgramName { process, activity }
             | SelfLoop { process, activity }
             | BlockContainerMismatch {

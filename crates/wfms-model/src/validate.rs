@@ -25,6 +25,9 @@ pub enum ValidationError {
     EmptyProcess { process: String },
     /// Two activities share a name.
     DuplicateActivity { process: String, activity: String },
+    /// An activity name contains `/`, the separator of the journal's
+    /// path form: `"A/B"` could not be told from block `A`'s child `B`.
+    SlashInActivityName { process: String, activity: String },
     /// A container declares the same member twice.
     DuplicateMember {
         process: String,
@@ -102,6 +105,10 @@ impl fmt::Display for ValidationError {
             DuplicateActivity { process, activity } => {
                 write!(f, "[{process}] duplicate activity name {activity:?}")
             }
+            SlashInActivityName { process, activity } => write!(
+                f,
+                "[{process}] activity name {activity:?} contains '/', the path separator"
+            ),
             DuplicateMember {
                 process,
                 container,
@@ -216,6 +223,12 @@ fn validate_into(p: &ProcessDefinition, path: &str, errors: &mut Vec<ValidationE
     for a in &p.activities {
         if !seen.insert(a.name.clone()) {
             errors.push(ValidationError::DuplicateActivity {
+                process: proc_name.clone(),
+                activity: a.name.clone(),
+            });
+        }
+        if a.name.contains('/') {
+            errors.push(ValidationError::SlashInActivityName {
                 process: proc_name.clone(),
                 activity: a.name.clone(),
             });
@@ -655,6 +668,25 @@ mod tests {
         assert!(errs.iter().any(|e| matches!(
             e,
             ValidationError::MissingProgramName { process, .. } if process == "outer/inner"
+        )));
+    }
+
+    #[test]
+    fn slash_in_activity_name_flagged_at_any_depth() {
+        let mut inner = ProcessDefinition::new("inner");
+        inner.activities = vec![Activity::program("X/Y", "px")];
+        let mut outer = ProcessDefinition::new("outer");
+        outer.activities = vec![Activity::program("A/B", "pa"), Activity::block("B", inner)];
+        let errs = validate(&outer);
+        assert!(errs.iter().any(|e| matches!(
+            e,
+            ValidationError::SlashInActivityName { process, activity }
+                if process == "outer" && activity == "A/B"
+        )));
+        assert!(errs.iter().any(|e| matches!(
+            e,
+            ValidationError::SlashInActivityName { process, activity }
+                if process == "outer/inner" && activity == "X/Y"
         )));
     }
 

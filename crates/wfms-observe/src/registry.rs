@@ -154,21 +154,36 @@ fn prom_name(name: &str) -> String {
         .collect()
 }
 
+/// `key="label"` with `\`, `"` and newline escaped as the exposition
+/// format requires — the one place a label value is written, so a
+/// hostile tenant or activity name cannot break out of its quotes.
+fn prom_label(key: &str, label: &str) -> String {
+    let mut out = format!("{key}=\"");
+    for c in label.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 fn prom_hist(out: &mut String, name: &str, label: Option<&str>, s: &HistogramSnapshot) {
-    let tag = |q: &str| match label {
-        Some(l) => format!("{name}{{label=\"{l}\",quantile=\"{q}\"}}"),
-        None => format!("{name}{{quantile=\"{q}\"}}"),
-    };
-    let bare = |suffix: &str| match label {
-        Some(l) => format!("{name}_{suffix}{{label=\"{l}\"}}"),
-        None => format!("{name}_{suffix}"),
-    };
-    out.push_str(&format!("{} {}\n", tag("0.5"), s.p50));
-    out.push_str(&format!("{} {}\n", tag("0.95"), s.p95));
-    out.push_str(&format!("{} {}\n", tag("0.99"), s.p99));
-    out.push_str(&format!("{} {}\n", bare("count"), s.count));
-    out.push_str(&format!("{} {}\n", bare("sum"), s.sum));
-    out.push_str(&format!("{} {}\n", bare("max"), s.max));
+    // The label as it leads a quantile's label set, and as a set of
+    // its own.
+    let (lead, only) = label.map_or_else(Default::default, |l| {
+        let l = prom_label("label", l);
+        (format!("{l},"), format!("{{{l}}}"))
+    });
+    for (q, v) in [("0.5", s.p50), ("0.95", s.p95), ("0.99", s.p99)] {
+        out.push_str(&format!("{name}{{{lead}quantile=\"{q}\"}} {v}\n"));
+    }
+    for (suffix, v) in [("count", s.count), ("sum", s.sum), ("max", s.max)] {
+        out.push_str(&format!("{name}_{suffix}{only} {v}\n"));
+    }
 }
 
 impl RegistrySnapshot {
@@ -200,14 +215,14 @@ impl RegistrySnapshot {
             let n = prom_name(name);
             out.push_str(&format!("# TYPE {n} counter\n"));
             for (label, v) in labels {
-                out.push_str(&format!("{n}{{{key}=\"{label}\"}} {v}\n"));
+                out.push_str(&format!("{n}{{{}}} {v}\n", prom_label(key, label)));
             }
         }
         for (name, (key, labels)) in &self.gauge_vecs {
             let n = prom_name(name);
             out.push_str(&format!("# TYPE {n} gauge\n"));
             for (label, v) in labels {
-                out.push_str(&format!("{n}{{{key}=\"{label}\"}} {v}\n"));
+                out.push_str(&format!("{n}{{{}}} {v}\n", prom_label(key, label)));
             }
         }
         out
@@ -252,6 +267,26 @@ mod tests {
         assert!(text.contains("flush_ns{quantile=\"0.5\"}"));
         assert!(text.contains("act_latency_ns{label=\"T1\",quantile=\"0.99\"}"));
         assert!(text.contains("act_latency_ns_count{label=\"T1\"} 1"));
+    }
+
+    #[test]
+    fn label_values_are_escaped() {
+        let r = Registry::new();
+        let tenant = "ac\"me\\corp\nup 1";
+        r.counter_vec("server.tenant.accepted", "tenant")
+            .inc(tenant);
+        r.gauge_vec("server.tenant.inflight", "tenant")
+            .add(tenant, 2);
+        r.histogram_vec("act.latency_ns").observe("Blk/\"T\"", 5);
+
+        let text = r.snapshot().to_prometheus();
+        let escaped = r#"tenant="ac\"me\\corp\nup 1""#;
+        assert!(text.contains(&format!("server_tenant_accepted{{{escaped}}} 1\n")));
+        assert!(text.contains(&format!("server_tenant_inflight{{{escaped}}} 2\n")));
+        assert!(text.contains(r#"act_latency_ns{label="Blk/\"T\"",quantile="0.5"} 5"#));
+        assert!(text.contains(r#"act_latency_ns_count{label="Blk/\"T\""} 1"#));
+        // The raw newline did not start an exposition line of its own.
+        assert!(!text.lines().any(|l| l.starts_with("up 1")));
     }
 
     #[test]

@@ -1247,7 +1247,7 @@ fn worklist(state: &Arc<ServerState>, req: &Request, tenant: Option<&Arc<Tenant>
     };
     let items = state
         .pool
-        .worklist_scoped(&person, tenant.map(|t| t.slot))
+        .worklist(&person, tenant.map(|t| t.slot))
         .into_iter()
         .map(|(id, instance, item)| ItemDto {
             id,

@@ -65,7 +65,7 @@ const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Persisted pool invariants, stored as `server.meta.json` in the
 /// data directory.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 struct ServerMeta {
     shards: usize,
     /// Spec content hashes (hex) of every template version ever
@@ -83,17 +83,31 @@ struct ServerMeta {
     tenants: Vec<String>,
 }
 
-/// Pre-tenancy meta shape: shard count and template hashes only.
-#[derive(Debug, Deserialize)]
-struct MetaV2 {
-    shards: usize,
-    templates: Vec<String>,
-}
-
-/// Pre-versioning meta shape: only the shard count was recorded.
-#[derive(Debug, Deserialize)]
-struct LegacyMeta {
-    shards: usize,
+// Hand-written so older shapes still open: a pre-tenancy meta (no
+// tenant fields) reads as `tenant_bits: 0` — exactly the layout those
+// directories' wire ids use — and the pre-versioning shape (only a
+// shard count) additionally reads as an empty template list, the
+// supplied definitions then being adopted as the initial versions.
+impl Deserialize for ServerMeta {
+    fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
+        fn opt<T: Deserialize + Default>(
+            content: &serde::Content,
+            name: &str,
+        ) -> Result<T, serde::Error> {
+            content
+                .field(name)
+                .map_or_else(|| Ok(T::default()), Deserialize::from_content)
+        }
+        let shards = content
+            .field("shards")
+            .ok_or_else(|| serde::Error::msg("missing field `shards` in server meta"))?;
+        Ok(Self {
+            shards: Deserialize::from_content(shards)?,
+            templates: opt(content, "templates")?,
+            tenant_bits: opt(content, "tenant_bits")?,
+            tenants: opt(content, "tenants")?,
+        })
+    }
 }
 
 /// Errors opening a [`ShardPool`].
@@ -806,13 +820,7 @@ impl ShardPool {
     /// item's ids carry the slot of the instance's tenant; `scope`
     /// restricts the listing to one slot (a tenant sees only its own
     /// items).
-    pub fn worklist(&self, person: &str) -> Vec<(u64, u64, WorkItem)> {
-        self.worklist_scoped(person, None)
-    }
-
-    /// [`ShardPool::worklist`] restricted to one tenant slot when
-    /// `scope` is `Some`.
-    pub fn worklist_scoped(&self, person: &str, scope: Option<u16>) -> Vec<(u64, u64, WorkItem)> {
+    pub fn worklist(&self, person: &str, scope: Option<u16>) -> Vec<(u64, u64, WorkItem)> {
         let table = self.tenants.read();
         let mut out = Vec::new();
         for (idx, shard) in self.shards.iter().enumerate() {
@@ -1073,31 +1081,10 @@ fn check_meta(
     Ok((meta, templates))
 }
 
-/// Parses `server.meta.json`, accepting older shapes: pre-tenancy
-/// metas (no tenant fields) upgrade to `tenant_bits: 0` — which is
-/// exactly the layout those directories' wire ids use — and the
-/// pre-versioning shape (only a shard count) additionally upgrades to
-/// an empty template list, the supplied definitions then being adopted
-/// as the initial versions.
+/// Parses `server.meta.json` (older shapes included — see
+/// [`ServerMeta`]'s `Deserialize`).
 fn parse_meta(text: &str) -> Result<ServerMeta, PoolError> {
-    if let Ok(meta) = serde_json::from_str::<ServerMeta>(text) {
-        return Ok(meta);
-    }
-    if let Ok(m) = serde_json::from_str::<MetaV2>(text) {
-        return Ok(ServerMeta {
-            shards: m.shards,
-            templates: m.templates,
-            tenant_bits: 0,
-            tenants: Vec::new(),
-        });
-    }
-    serde_json::from_str::<LegacyMeta>(text)
-        .map(|m| ServerMeta {
-            shards: m.shards,
-            templates: Vec::new(),
-            tenant_bits: 0,
-            tenants: Vec::new(),
-        })
+    serde_json::from_str(text)
         .map_err(|e| PoolError::Io(std::io::Error::other(format!("bad meta: {e}"))))
 }
 
@@ -1324,7 +1311,61 @@ fn worker_loop(
 
 #[cfg(test)]
 mod tests {
-    use super::{decode_ext, encode_ext, resume_running, TENANT_BITS};
+    use super::{
+        decode_ext, encode_ext, parse_meta, resume_running, PoolError, ServerMeta, TENANT_BITS,
+    };
+
+    /// The three `server.meta.json` shapes ever written each parse to
+    /// the meta they upgrade to; anything else is a "bad meta" error.
+    #[test]
+    fn every_meta_shape_ever_written_still_parses() {
+        let h = |s: &str| vec![s.to_owned()];
+        let current = ServerMeta {
+            shards: 4,
+            templates: h("00ab"),
+            tenant_bits: TENANT_BITS as usize,
+            tenants: h("acme"),
+        };
+        let text = serde_json::to_string(&current).unwrap();
+        assert_eq!(parse_meta(&text).unwrap(), current);
+
+        let pre_tenancy = parse_meta(r#"{"shards":2,"templates":["00ab"]}"#).unwrap();
+        assert_eq!(
+            pre_tenancy,
+            ServerMeta {
+                shards: 2,
+                templates: h("00ab"),
+                tenant_bits: 0,
+                tenants: Vec::new(),
+            }
+        );
+
+        let pre_versioning = parse_meta(r#"{"shards":3}"#).unwrap();
+        assert_eq!(
+            pre_versioning,
+            ServerMeta {
+                shards: 3,
+                templates: Vec::new(),
+                tenant_bits: 0,
+                tenants: Vec::new(),
+            }
+        );
+
+        for garbage in [
+            "",
+            "not json",
+            "{}",
+            r#"{"shards":"two"}"#,
+            r#"{"templates":[]}"#,
+        ] {
+            match parse_meta(garbage) {
+                Err(PoolError::Io(e)) => {
+                    assert!(e.to_string().starts_with("bad meta: "), "{garbage:?}: {e}")
+                }
+                other => panic!("{garbage:?} parsed as {other:?}"),
+            }
+        }
+    }
 
     /// An instance that cannot be navigated onward at reopen (here: the
     /// journal mirror refuses writes) is counted, not printed, and does

@@ -400,6 +400,41 @@ fn deploy_over_http_pins_old_instances_to_their_version() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An activity name containing `/` cannot be told from a nested path
+/// in the journal, so deploying one is refused — and a refused deploy
+/// leaves `templates/` and `server.meta.json` exactly as they were.
+#[test]
+fn deploy_rejects_a_slash_in_an_activity_name_and_stores_nothing() {
+    let dir = temp_dir("deploy-slash");
+    let server = start_server(&dir);
+    let stored = |dir: &std::path::Path| {
+        let mut names: Vec<_> = std::fs::read_dir(dir.join("templates"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        (names, std::fs::read(dir.join("server.meta.json")).unwrap())
+    };
+    let before = stored(&dir);
+
+    let mut def = ProcessDefinition::new("auto");
+    def.activities.push(Activity::program("A/B", "ok"));
+    let body = format!(
+        r#"{{"definition":{}}}"#,
+        serde_json::to_string(&def).unwrap()
+    );
+    let url = server.local_addr().to_string();
+    let (code, answer) = Http1Client::new(&url)
+        .request("POST", "/admin/deploy", Some(&body))
+        .unwrap();
+    assert_eq!(code, 400, "{answer}");
+    assert!(answer.contains("A/B"), "names the activity: {answer}");
+    assert_eq!(stored(&dir), before);
+
+    server.shutdown(true);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The `migrate-at-scope-boundary` policy moves parked instances to
 /// the deployed version; their tail runs under v2.
 #[test]
@@ -420,7 +455,7 @@ fn deploy_migrate_policy_moves_parked_instances() {
     let (_, _, version, _) = pool.status(id).unwrap();
     assert_eq!(version, report.version, "parked instance now on v2");
 
-    let items = pool.worklist("ann");
+    let items = pool.worklist("ann", None);
     assert_eq!(items.len(), 1);
     pool.complete(items[0].0, "ann").unwrap();
     let (_, status, version, _) = pool.status(id).unwrap();
