@@ -8,13 +8,12 @@
 #   * nav_compiled.speedup — the compiled navigator must beat the
 #     reference interpreter (< 1.0 is the regression this repo once
 #     shipped: a hot path quietly re-serializing every event);
-#   * parallel_throughput.speedup — warn when it drops more than 10%
-#     below the committed value;
 #   * submit_path.wire_overhead — warn when the HTTP wire path costs
 #     more than twice its committed multiple of the pool path.
 #
-# Ratios are only comparable between like machines: a 1-core runner
-# cannot reproduce a 4-core parallel_throughput.speedup. Both JSON
+# Ratios are only comparable between like machines: the wire path runs
+# a reactor, a shard worker and a client thread, so a 1-core runner
+# cannot reproduce a 4-core submit_path.wire_overhead. Both JSON
 # files carry the core count they were measured on, and runs on a
 # different core count than the committed baseline are skipped with a
 # warning instead of producing noise.
@@ -67,14 +66,6 @@ if nav is not None and nav < 1.0:
         f"slower than the reference interpreter (committed: {nav_committed})"
     )
 
-par = get(fresh, "parallel_throughput", "speedup")
-par_committed = get(committed, "parallel_throughput", "speedup")
-if par is not None and par_committed and par < par_committed * 0.9:
-    warnings.append(
-        f"parallel_throughput.speedup = {par}, more than 10% below the "
-        f"committed {par_committed}"
-    )
-
 wire = get(fresh, "submit_path", "wire_overhead")
 wire_committed = get(committed, "submit_path", "wire_overhead")
 if wire is not None and wire_committed and wire > wire_committed * 2.0:
@@ -86,7 +77,6 @@ if wire is not None and wire_committed and wire > wire_committed * 2.0:
 print(f"{'ratio':<32}{'committed':>12}{'fresh':>12}")
 for label, c, f in [
     ("nav_compiled.speedup", nav_committed, nav),
-    ("parallel_throughput.speedup", par_committed, par),
     ("submit_path.wire_overhead", wire_committed, wire),
 ]:
     print(f"{label:<32}{c if c is not None else '-':>12}{f if f is not None else '-':>12}")

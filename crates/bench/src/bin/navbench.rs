@@ -5,8 +5,6 @@
 //!   engine vs. the string-keyed reference interpreter on a
 //!   100-activity chain (templates registered once; the timed body is
 //!   start + run-to-quiescence);
-//! * **parallel_throughput**: instances/sec of `run_all` vs.
-//!   `run_all_parallel(8)` on 1 000 saga-shaped instances;
 //! * **observe_overhead**: the same 100-activity chain with the
 //!   observability layer on (live metrics registry) vs. off — the
 //!   overhead the `fmtm run --metrics-out` / `fmtm top` paths pay;
@@ -27,17 +25,16 @@
 //!   from each request's scheduled arrival.
 //!
 //! The host's core count is recorded alongside the numbers: the
-//! scheduler can only show parallel speedup on multi-core hardware
-//! (on a single core the worker threads just time-slice).
+//! serving-path sections run a shard worker, a reactor and a client
+//! thread, so they read differently on one core.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin navbench -- [--quick] [--out PATH]
 //! ```
 
 use bench::nav::{
-    assert_all_finished, compiled_engine, const_heavy_process, engine_with_instances,
-    observed_engine, pattern_workload, pure_saga_world, reference_engine, run_compiled_once,
-    run_reference_once, saga_process, unoptimized_engine, PATTERN_WORKLOADS,
+    compiled_engine, const_heavy_process, observed_engine, pattern_workload, reference_engine,
+    run_compiled_once, run_reference_once, unoptimized_engine, PATTERN_WORKLOADS,
 };
 use bench::{chain_process, plain_world, time_us};
 use std::sync::Arc;
@@ -59,11 +56,7 @@ fn main() {
         .unwrap_or_else(|| "BENCH_nav.json".to_string());
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let (iters, chain_len, instances): (u32, usize, usize) = if quick {
-        (15, 100, 200)
-    } else {
-        (50, 100, 1000)
-    };
+    let (iters, chain_len): (u32, usize) = if quick { (15, 100) } else { (50, 100) };
 
     // -- nav_compiled: 100-activity chain, register once, run many --
     let def = chain_process(chain_len, "ok");
@@ -246,37 +239,6 @@ fn main() {
     }
     let curve_json = curve_rows.join(",\n");
 
-    // -- parallel_throughput: saga-shaped instances, pure programs --
-    let steps = 8;
-    let saga = saga_process(steps);
-    let runs = if quick { 3 } else { 5 };
-    let throughput = |workers: usize| {
-        let mut best = f64::MIN;
-        for _ in 0..runs {
-            let w = pure_saga_world(steps);
-            let engine = engine_with_instances(&w, &saga, instances);
-            let start = Instant::now();
-            if workers == 1 {
-                engine.run_all().unwrap();
-            } else {
-                engine.run_all_parallel(workers).unwrap();
-            }
-            let dt = start.elapsed().as_secs_f64();
-            assert_all_finished(&engine);
-            best = best.max(instances as f64 / dt);
-        }
-        best
-    };
-    let seq = throughput(1);
-    let par8 = throughput(8);
-    let par_speedup = par8 / seq;
-    println!(
-        "parallel_throughput ({instances} saga instances, {steps} steps, \
-         best of {runs}, {cores} core(s)):"
-    );
-    println!("  sequential {seq:>10.0} instances/sec");
-    println!("  8 workers  {par8:>10.0} instances/sec   ({par_speedup:.2}x)");
-
     // The workspace serde_json shim has no `json!` macro; the schema
     // is fixed, so emit it directly.
     let (plans_fixed, dead_acts) = (opt_stats.plans_fixed, opt_stats.dead_acts);
@@ -299,9 +261,6 @@ fn main() {
          \"http_pipelined_us\": {t_http_pipelined:.1},\n    \
          \"pipelined_accept_per_sec\": {pipelined_accept_per_sec:.0},\n    \
          \"latency_curve\": [\n{curve_json}\n    ]\n  }},\n  \
-         \"parallel_throughput\": {{\n    \"instances\": {instances},\n    \
-         \"saga_steps\": {steps},\n    \"sequential_per_sec\": {seq:.0},\n    \
-         \"workers8_per_sec\": {par8:.0},\n    \"speedup\": {par_speedup:.2}\n  }},\n  \
          \"quick\": {quick}\n}}\n"
     );
     std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));

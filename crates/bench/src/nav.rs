@@ -1,37 +1,12 @@
 //! Shared workloads for the navigation benchmarks (B13 `nav_compiled`
-//! and B14 `parallel_throughput`): a long chain process for the
-//! compiled-vs-reference comparison and a pure-program saga shape for
-//! the multi-instance scheduler.
+//! and its `navbench` siblings): engines over a long chain process for
+//! the compiled-vs-reference comparison, a constant-condition-heavy
+//! process for the optimizer, and the pattern gallery.
 
 use crate::World;
-use atm::fixtures;
 use std::sync::Arc;
-use txn_substrate::{MultiDatabase, ProgramOutcome, ProgramRegistry};
 use wfms_engine::{CompiledProcess, Engine, EngineConfig, InstanceStatus, Observer, RefEngine};
 use wfms_model::{Container, ProcessBuilder, ProcessDefinition};
-
-/// The saga-translated process used by the scheduler benchmarks:
-/// identical control shape to the real translated saga, but backed by
-/// pure programs (see [`pure_saga_world`]).
-pub fn saga_process(n: usize) -> ProcessDefinition {
-    exotica::translate_saga(&fixtures::linear_saga("s", n)).expect("saga translates")
-}
-
-/// A world where every `do_Si` / `undo_Si` program is a pure function
-/// (commits unconditionally, touches no database keys). The real saga
-/// fixtures write shared keys through 2PL, which would serialize
-/// concurrent instances and measure the lock manager instead of the
-/// scheduler; pure programs keep instances independent so the
-/// benchmark isolates navigation + scheduling cost.
-pub fn pure_saga_world(n: usize) -> World {
-    let fed = MultiDatabase::new(0);
-    let registry = Arc::new(ProgramRegistry::new());
-    for i in 1..=n {
-        registry.register_fn(&format!("do_S{i}"), |_| ProgramOutcome::committed());
-        registry.register_fn(&format!("undo_S{i}"), |_| ProgramOutcome::committed());
-    }
-    (fed, registry)
-}
 
 /// A reference interpreter (the string-keyed definition-walking
 /// navigator kept as an executable specification) with `def`
@@ -152,26 +127,6 @@ pub fn pattern_workload(name: &str) -> (ProcessDefinition, World) {
     (process, world)
 }
 
-/// A fresh engine over `world` with `def` registered and `m`
-/// instances started, ready for `run_all` / `run_all_parallel`.
-pub fn engine_with_instances(world: &World, def: &ProcessDefinition, m: usize) -> Engine {
-    let engine = Engine::new(Arc::clone(&world.0), Arc::clone(&world.1));
-    engine.register(def.clone()).expect("validated");
-    for _ in 0..m {
-        engine
-            .start(&def.name, Container::empty())
-            .expect("template exists");
-    }
-    engine
-}
-
-/// Asserts that every instance of `engine` finished.
-pub fn assert_all_finished(engine: &Engine) {
-    for (_, _, status) in engine.instances() {
-        assert_eq!(status, InstanceStatus::Finished);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,14 +199,5 @@ mod tests {
                 "{name} on the compiled engine"
             );
         }
-    }
-
-    #[test]
-    fn pure_saga_finishes_in_parallel() {
-        let def = saga_process(6);
-        let w = pure_saga_world(6);
-        let engine = engine_with_instances(&w, &def, 32);
-        engine.run_all_parallel(4).unwrap();
-        assert_all_finished(&engine);
     }
 }

@@ -32,7 +32,6 @@ fn main() {
     b11_global_atomicity();
     b12_simulation();
     b13_nav_compiled();
-    b14_parallel_throughput();
 }
 
 /// E-series: functional reproduction of every figure / appendix trace.
@@ -654,39 +653,6 @@ fn b13_nav_compiled() {
             t_cmp,
             t_ref / t_cmp
         );
-    }
-    println!();
-}
-
-fn b14_parallel_throughput() {
-    use bench::nav::{assert_all_finished, engine_with_instances, pure_saga_world, saga_process};
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "-- B14: multi-instance scheduler (1000 saga instances, 8 steps, best of 3, \
-         {cores} core(s)) --"
-    );
-    println!("{:>8} {:>14} {:>8}", "workers", "instances/s", "speedup");
-    let def = saga_process(8);
-    let mut base = 0.0;
-    for workers in [1usize, 2, 4, 8] {
-        let mut best = f64::MIN;
-        for _ in 0..3 {
-            let w = pure_saga_world(8);
-            let engine = engine_with_instances(&w, &def, 1000);
-            let start = std::time::Instant::now();
-            if workers == 1 {
-                engine.run_all().unwrap();
-            } else {
-                engine.run_all_parallel(workers).unwrap();
-            }
-            let dt = start.elapsed().as_secs_f64();
-            assert_all_finished(&engine);
-            best = best.max(1000.0 / dt);
-        }
-        if workers == 1 {
-            base = best;
-        }
-        println!("{:>8} {:>14.0} {:>8.2}", workers, best, best / base);
     }
     println!();
 }

@@ -33,11 +33,6 @@
 //!   --trace                             print the execution trace
 //!   --audit                             print the full audit trail
 //!   --instances M                       start M instances (default 1)
-//!   --parallel N                        drive instances across N worker
-//!                                       threads and report instances/sec
-//!                                       (clamped to the machine's available
-//!                                       parallelism: extra workers add
-//!                                       overhead, never throughput)
 //!   --metrics-out FILE                  enable the observability layer and
 //!                                       write the metrics snapshot to FILE
 //!                                       after the run (Prometheus text when
@@ -499,7 +494,6 @@ fn run(args: &[String]) -> ExitCode {
     let mut trace = false;
     let mut audit_flag = false;
     let mut instances = 1usize;
-    let mut parallel = 0usize;
     let mut metrics_out: Option<String> = None;
     let mut i = 1;
     while i < args.len() {
@@ -544,14 +538,6 @@ fn run(args: &[String]) -> ExitCode {
                     return ExitCode::from(2);
                 };
                 instances = n;
-                i += 2;
-            }
-            "--parallel" => {
-                let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    eprintln!("fmtm run: --parallel needs a worker count");
-                    return ExitCode::from(2);
-                };
-                parallel = n;
                 i += 2;
             }
             "--metrics-out" => {
@@ -601,14 +587,7 @@ fn run(args: &[String]) -> ExitCode {
                 .expect("registered above")
         })
         .collect();
-    let started = std::time::Instant::now();
-    let run_result = if parallel > 1 {
-        engine.run_all_parallel(parallel)
-    } else {
-        engine.run_all()
-    };
-    let elapsed = started.elapsed();
-    if let Err(e) = run_result {
+    if let Err(e) = engine.run_all() {
         eprintln!("fmtm: {e}");
         return ExitCode::FAILURE;
     }
@@ -621,26 +600,6 @@ fn run(args: &[String]) -> ExitCode {
             }
         }
     }
-    if parallel > 1 || instances > 1 {
-        let secs = elapsed.as_secs_f64();
-        // Report the worker count the engine actually used: the
-        // scheduler clamps to available parallelism.
-        let cores = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(usize::MAX);
-        println!(
-            "scheduler: {} instance(s), {} worker(s), {:.3} ms, {:.0} instances/sec",
-            ids.len(),
-            parallel.max(1).min(cores),
-            secs * 1e3,
-            if secs > 0.0 {
-                ids.len() as f64 / secs
-            } else {
-                f64::INFINITY
-            },
-        );
-    }
-
     let id = *ids.first().expect("at least one instance");
     // Translated specs publish their outcome in the `Committed`
     // output member; a plain FDL process has no such protocol — every

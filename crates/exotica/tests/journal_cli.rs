@@ -25,7 +25,7 @@ use std::sync::Arc;
 use txn_substrate::{FailurePlan, MultiDatabase, ProgramRegistry};
 use wfms_engine::Event;
 use wfms_engine::{audit, Engine, EngineConfig, InstanceId, InstanceStatus, Journal};
-use wfms_model::Container;
+use wfms_model::{Container, ProcessDefinition};
 
 fn mirrored(fed: Arc<MultiDatabase>, registry: Arc<ProgramRegistry>, journal: &Path) -> Engine {
     Engine::with_config(
@@ -38,9 +38,10 @@ fn mirrored(fed: Arc<MultiDatabase>, registry: Arc<ProgramRegistry>, journal: &P
     )
 }
 
-/// Each `run_*` drives one instance to completion with the journal
-/// mirrored to `journal` and returns the in-memory events.
-fn run_saga(journal: &Path, n: usize, plans: &[(&str, FailurePlan)]) -> Vec<Event> {
+type World = (Arc<MultiDatabase>, Arc<ProgramRegistry>, ProcessDefinition);
+
+/// The world and translated definition of a Figure 2 saga of `n` steps.
+fn saga_world(n: usize, plans: &[(&str, FailurePlan)]) -> World {
     let fed = MultiDatabase::new(0);
     let registry = Arc::new(ProgramRegistry::new());
     fixtures::register_saga_programs(&fed, &registry, n);
@@ -48,17 +49,12 @@ fn run_saga(journal: &Path, n: usize, plans: &[(&str, FailurePlan)]) -> Vec<Even
         fed.injector().set_plan(label, plan.clone());
     }
     let def = exotica::translate_saga(&fixtures::linear_saga("appendix_saga", n)).unwrap();
-    let engine = mirrored(fed, registry, journal);
-    engine.register(def).unwrap();
-    let id = engine.start("appendix_saga", Container::empty()).unwrap();
-    assert_eq!(
-        engine.run_to_quiescence(id).unwrap(),
-        InstanceStatus::Finished
-    );
-    engine.journal_events()
+    (fed, registry, def)
 }
 
-fn run_flex(journal: &Path, plans: &[(&str, FailurePlan)]) -> Vec<Event> {
+/// The world and translated definition of the Figure 3/4 flexible
+/// transaction.
+fn flex_world(plans: &[(&str, FailurePlan)]) -> World {
     let fed = MultiDatabase::new(0);
     let registry = Arc::new(ProgramRegistry::new());
     fixtures::register_figure3_programs(&fed, &registry);
@@ -66,9 +62,29 @@ fn run_flex(journal: &Path, plans: &[(&str, FailurePlan)]) -> Vec<Event> {
         fed.injector().set_plan(label, plan.clone());
     }
     let def = exotica::translate_flex(&fixtures::figure3_spec()).unwrap();
-    let engine = mirrored(fed, registry, journal);
-    engine.register(def).unwrap();
-    let id = engine.start("figure3", Container::empty()).unwrap();
+    (fed, registry, def)
+}
+
+/// The appendix scenario `name` (`None`: a gallery pattern).
+fn appendix_world(name: &str) -> Option<World> {
+    use FailurePlan::{Always, FirstN};
+    Some(match name {
+        "saga_abort_at_s2" => saga_world(3, &[("S2", Always)]),
+        "saga_success" => saga_world(3, &[]),
+        "saga_compensation_retries" => saga_world(2, &[("S2", Always), ("undo_S1", FirstN(2))]),
+        "flex_happy_path" => flex_world(&[]),
+        "flex_t1_aborts" => flex_world(&[("T1", Always)]),
+        "flex_t4_aborts_t3_retries" => flex_world(&[("T4", Always), ("T3", FirstN(2))]),
+        "flex_t8_aborts" => flex_world(&[("T8", Always)]),
+        "flex_t6_aborts" => flex_world(&[("T6", Always)]),
+        _ => return None,
+    })
+}
+
+/// Drives one instance of `process` to completion and returns the
+/// in-memory events.
+fn run_one(engine: &Engine, process: &str) -> Vec<Event> {
+    let id = engine.start(process, Container::empty()).unwrap();
     assert_eq!(
         engine.run_to_quiescence(id).unwrap(),
         InstanceStatus::Finished
@@ -106,37 +122,32 @@ const PATTERNS: [&str; 8] = [
     "cancel_activity",
 ];
 
+/// Runs scenario `name` with the journal mirrored to `journal`.
 fn run_scenario(name: &str, journal: &Path) -> Vec<Event> {
-    use FailurePlan::{Always, FirstN};
-    match name {
-        "saga_abort_at_s2" => run_saga(journal, 3, &[("S2", Always)]),
-        "saga_success" => run_saga(journal, 3, &[]),
-        "saga_compensation_retries" => {
-            run_saga(journal, 2, &[("S2", Always), ("undo_S1", FirstN(2))])
-        }
-        "flex_happy_path" => run_flex(journal, &[]),
-        "flex_t1_aborts" => run_flex(journal, &[("T1", Always)]),
-        "flex_t4_aborts_t3_retries" => run_flex(journal, &[("T4", Always), ("T3", FirstN(2))]),
-        "flex_t8_aborts" => run_flex(journal, &[("T8", Always)]),
-        "flex_t6_aborts" => run_flex(journal, &[("T6", Always)]),
-        other => run_pattern(journal, other.strip_prefix("pattern_").unwrap()),
-    }
+    let Some((fed, registry, def)) = appendix_world(name) else {
+        return run_pattern(journal, name.strip_prefix("pattern_").unwrap());
+    };
+    let process = def.name.clone();
+    let engine = mirrored(fed, registry, journal);
+    engine.register(def).unwrap();
+    run_one(&engine, &process)
 }
 
+/// The scenarios [`appendix_world`] knows: the paper's Figure 2 and
+/// Figure 4 runs.
+const APPENDIX: [&str; 8] = [
+    "saga_abort_at_s2",
+    "saga_success",
+    "saga_compensation_retries",
+    "flex_happy_path",
+    "flex_t1_aborts",
+    "flex_t4_aborts_t3_retries",
+    "flex_t8_aborts",
+    "flex_t6_aborts",
+];
+
 fn scenarios() -> Vec<String> {
-    let mut names: Vec<String> = [
-        "saga_abort_at_s2",
-        "saga_success",
-        "saga_compensation_retries",
-        "flex_happy_path",
-        "flex_t1_aborts",
-        "flex_t4_aborts_t3_retries",
-        "flex_t8_aborts",
-        "flex_t6_aborts",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    let mut names: Vec<String> = APPENDIX.iter().map(|s| s.to_string()).collect();
     names.extend(PATTERNS.iter().map(|p| format!("pattern_{p}")));
     names
 }
@@ -217,6 +228,42 @@ fn upgrade_then_dump_is_the_identity() {
         );
         let (ok, stdout, _) = fmtm(&["journal", "upgrade", path]);
         assert!(ok && stdout.contains("already in the binary format"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `Engine::open` with the templates in hand, over a journal that is
+/// absent or is an empty file, writes the bytes the goldens upgrade to:
+/// opening replays nothing and journals nothing of its own.
+#[test]
+fn open_on_an_absent_or_empty_journal_writes_the_golden_bytes() {
+    let dir = scratch("open");
+    for name in APPENDIX {
+        let golden = dir.join(format!("{name}.golden.journal"));
+        std::fs::copy(fixture(name), &golden).unwrap();
+        Journal::upgrade_json_file(&golden).unwrap();
+        let golden = std::fs::read(&golden).unwrap();
+
+        for precreated in [false, true] {
+            let journal = dir.join(format!("{name}.{precreated}.journal"));
+            if precreated {
+                std::fs::write(&journal, b"").unwrap();
+            }
+            let (fed, registry, def) = appendix_world(name).unwrap();
+            let process = def.name.clone();
+            let config = EngineConfig {
+                journal_path: Some(journal.clone()),
+                ..EngineConfig::default()
+            };
+            let engine = Engine::open(fed, registry, config, vec![def]).unwrap();
+            run_one(&engine, &process);
+            drop(engine);
+            assert_eq!(
+                std::fs::read(&journal).unwrap(),
+                golden,
+                "{name}, precreated: {precreated}"
+            );
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -23,13 +23,14 @@
 //! * `Probability{p}` — seeded stochastic failures for the benchmark
 //!   sweeps (experiment B3).
 //!
-//! Stochastic plans are reproducible even under the engine's parallel
-//! scheduler: each label owns its **own** random stream, seeded with
+//! Stochastic plans are reproducible whatever order instances are
+//! driven in: each label owns its **own** random stream, seeded with
 //! `seed ⊕ fnv1a(label)`. With one shared generator the decision a
 //! label saw would depend on how many draws *other* labels had made
-//! first — i.e. on thread interleaving — and `run_all_parallel` would
-//! diverge from the sequential run. Per-label streams make a label's
-//! k-th draw a pure function of `(seed, label, k)`.
+//! first — on how a shard worker happened to interleave its instances,
+//! on the shard count, on whether a run was resumed after a crash —
+//! and a seeded workload would not repeat. Per-label streams make a
+//! label's k-th draw a pure function of `(seed, label, k)`.
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -69,7 +70,7 @@ struct PlanState {
     /// This label's private random stream (seeded `seed ⊕
     /// fnv1a(label)`), consulted only by `Probability` plans. Keeping
     /// it per label makes stochastic decisions independent of what any
-    /// other label draws, so parallel and sequential runs agree.
+    /// other label draws, so any order of driving instances agrees.
     rng: StdRng,
 }
 
@@ -255,26 +256,35 @@ mod tests {
     fn probability_streams_are_per_label() {
         // Label "a"'s k-th decision is a pure function of (seed,
         // label, k): interleaving draws on other labels — which is
-        // exactly what a parallel scheduler does — must not perturb it.
-        let solo = {
-            let inj = Injector::new(7);
-            inj.set_plan("a", FailurePlan::Probability { p: 0.5 });
-            (0..32).map(|_| inj.decide("a")).collect::<Vec<_>>()
-        };
-        let interleaved = {
-            let inj = Injector::new(7);
-            inj.set_plan("a", FailurePlan::Probability { p: 0.5 });
-            inj.set_plan("b", FailurePlan::Probability { p: 0.5 });
-            (0..32)
-                .map(|i| {
-                    for _ in 0..(i % 3) {
-                        inj.decide("b");
-                    }
-                    inj.decide("a")
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(solo, interleaved, "label streams are independent");
+        // what driving instances in another order, or on another
+        // number of shards, does — must not perturb it.
+        for seed in [0, 7, 41] {
+            let solo = {
+                let inj = Injector::new(seed);
+                inj.set_plan("a", FailurePlan::Probability { p: 0.5 });
+                (0..32).map(|_| inj.decide("a")).collect::<Vec<_>>()
+            };
+            let interleaved = {
+                let inj = Injector::new(seed);
+                inj.set_plan("a", FailurePlan::Probability { p: 0.5 });
+                inj.set_plan("b", FailurePlan::Probability { p: 0.5 });
+                (0..32)
+                    .map(|i| {
+                        for _ in 0..(i % 3) {
+                            inj.decide("b");
+                        }
+                        inj.decide("a")
+                    })
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(solo, interleaved, "seed {seed}: streams are independent");
+            // The coin lands both ways, or the comparison is vacuous.
+            let aborts = solo.iter().filter(|&&d| d == FailureAction::Abort).count();
+            assert!(
+                aborts > 0 && aborts < 32,
+                "seed {seed}: {aborts}/32 aborted"
+            );
+        }
     }
 
     #[test]

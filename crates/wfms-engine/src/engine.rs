@@ -5,9 +5,13 @@
 //! instances, organization, worklists; the journal synchronises
 //! internally and the id allocators are atomics) instead of one big
 //! mutex. Navigation of one instance only ever holds the instances
-//! lock plus, transiently, the org/worklist locks — which is what lets
-//! [`Engine::run_all_parallel`] drive disjoint instances from several
-//! worker threads at once.
+//! lock plus, transiently, the org/worklist locks.
+//!
+//! There is one way to build an engine, [`Engine::open`]: recovery is
+//! what opening does when the journal is not empty. And one way to
+//! drive many instances, [`Engine::run_all`]; parallelism is a shard
+//! per core, each shard its own engine over its own substrate
+//! (`wfms-server`).
 
 use crate::compiled::CompiledProcess;
 use crate::event::{Event, InstanceId, WorkItemId};
@@ -15,13 +19,14 @@ use crate::journal::Journal;
 use crate::metrics::{act_probes, ActProbes, EngineObs, JournalProbes};
 use crate::navigator::{self, NavServices};
 use crate::org::OrgModel;
+use crate::recovery::{self, RecoveryError, Replayed};
 use crate::registry::{TemplateRegistry, TemplateVersion};
 use crate::state::{ActState, Instance, InstanceStatus};
 use crate::worklist::{WorkItem, WorkItemState, WorklistError, WorklistStore};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use txn_substrate::{DurabilityPolicy, MirrorError, MultiDatabase, ProgramRegistry, VirtualClock};
 use wfms_model::{validate, Container, ProcessDefinition, ValidationError};
@@ -109,11 +114,10 @@ pub struct EngineConfig {
     pub durability: DurabilityPolicy,
     /// Upper bound on navigation steps per `run_to_quiescence` call.
     pub step_limit: usize,
-    /// Observability: pass [`Observer::enabled`] (or
-    /// [`Observer::with_sink`]) to record per-activity latency
-    /// histograms, navigator counters and journal flush timing. `None`
-    /// (the default) installs a disabled observer — every hot-path
-    /// hook reduces to one branch and records nothing.
+    /// Observability: pass [`Observer::enabled`] to record per-activity
+    /// latency histograms, navigator counters and journal flush timing.
+    /// `None` (the default) installs a disabled observer — every
+    /// hot-path hook reduces to one branch and records nothing.
     pub observer: Option<Arc<Observer>>,
 }
 
@@ -153,6 +157,20 @@ pub enum MigrationOutcome {
     },
 }
 
+/// Figure 5's import stage — specification → validated model →
+/// executable template: validate, compile, optimize. The one route a
+/// definition takes into a template registry, at open and at
+/// [`Engine::register`] alike, so a reopened engine navigates exactly
+/// the templates the crashed one did.
+fn import(def: ProcessDefinition) -> Result<Arc<CompiledProcess>, Vec<ValidationError>> {
+    let errors = validate(&def);
+    if !errors.is_empty() {
+        return Err(errors);
+    }
+    let tpl = CompiledProcess::compile_arc(Arc::new(def));
+    Ok(Arc::new(crate::optimize::optimize(&tpl).0))
+}
+
 /// The workflow engine.
 pub struct Engine {
     pub(crate) templates: Mutex<TemplateRegistry>,
@@ -173,28 +191,71 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Builds an engine with default configuration.
-    pub fn new(multidb: Arc<MultiDatabase>, programs: Arc<ProgramRegistry>) -> Self {
-        Self::with_config(multidb, programs, EngineConfig::default())
-    }
-
-    /// Builds an engine with explicit configuration. The engine shares
-    /// the multidatabase's virtual clock so database events and
+    /// Opens an engine over the journal `config` names — the one way an
+    /// engine is built. `templates` are imported like [`Engine::register`]
+    /// imports them (validate → compile → optimize) without journalling
+    /// anything: the first definition of a name is that name's initial
+    /// default, and only `TemplateDeployed` events in the journal move
+    /// it. Whatever the journal already holds is then replayed and the
+    /// interrupted navigation repaired (see [`crate::recovery`]) —
+    /// nothing, for a new or absent file, so restart after a crash and
+    /// first start are the same call. `templates` must contain every
+    /// definition the journal's instances were started from. The engine
+    /// appends to the same journal, so crash–reopen cycles chain, and it
+    /// shares the multidatabase's virtual clock so database events and
     /// navigation events are on one timeline.
-    ///
-    /// # Panics
-    /// Panics if the journal file cannot be opened.
-    pub fn with_config(
+    pub fn open(
         multidb: Arc<MultiDatabase>,
         programs: Arc<ProgramRegistry>,
         config: EngineConfig,
-    ) -> Self {
+        templates: Vec<ProcessDefinition>,
+    ) -> Result<Self, RecoveryError> {
         let journal = match &config.journal_path {
             Some(p) => {
-                Journal::with_file_policy(p, config.durability).expect("cannot open journal file")
+                Journal::with_file_policy(p, config.durability).map_err(RecoveryError::Io)?
             }
             None => Journal::new(),
         };
+        Self::open_on(journal, multidb, programs, config, templates)
+    }
+
+    /// [`Engine::open`] over an already opened journal
+    /// (`config.journal_path` is not consulted).
+    pub(crate) fn open_on(
+        journal: Journal,
+        multidb: Arc<MultiDatabase>,
+        programs: Arc<ProgramRegistry>,
+        config: EngineConfig,
+        templates: Vec<ProcessDefinition>,
+    ) -> Result<Self, RecoveryError> {
+        let mut registry = TemplateRegistry::new();
+        for def in templates {
+            let process = def.name.clone();
+            let tpl =
+                import(def).map_err(|errors| RecoveryError::InvalidTemplate { process, errors })?;
+            registry.insert(tpl, false);
+        }
+        // Replay in place: the journal is never copied.
+        let Replayed {
+            registry,
+            instances,
+            mut worklists,
+            next_instance,
+            next_item,
+            max_tick,
+        } = journal.with_events(|events| recovery::replay(events, registry))?;
+
+        // Claims are leases held by a live session: the replay just
+        // re-claimed items for workers that died with the crashed engine,
+        // which would park those items on dead worklists forever. Put them
+        // back on offer. Not journalled — replaying the same journal again
+        // (a chained crash–reopen cycle) re-claims and re-releases
+        // identically, so the repair is deterministic.
+        let stale_claims = worklists.release_stale_claims();
+
+        let clock = multidb.clock().clone();
+        clock.advance_to(max_tick);
+
         let observer = config
             .observer
             .unwrap_or_else(|| Arc::new(Observer::disabled()));
@@ -202,23 +263,55 @@ impl Engine {
             journal.attach_probes(JournalProbes::new(observer.registry()));
         }
         journal.attach_fault_counters(observer.registry());
-        let obs = EngineObs::new(observer);
-        let clock = multidb.clock().clone();
-        Self {
-            templates: Mutex::new(TemplateRegistry::new()),
-            instances: Mutex::new(BTreeMap::new()),
+        if stale_claims > 0 {
+            observer
+                .registry()
+                .counter("recovery.stale_claims_released")
+                .add(stale_claims as u64);
+        }
+        let engine = Self {
+            templates: Mutex::new(registry),
+            instances: Mutex::new(instances),
             org: Mutex::new(config.org),
-            worklists: Mutex::new(WorklistStore::new()),
+            worklists: Mutex::new(worklists),
             journal,
-            next_instance: AtomicU64::new(1),
-            next_item: AtomicU64::new(1),
+            next_instance: AtomicU64::new(next_instance),
+            next_item: AtomicU64::new(next_item),
             step_limit: config.step_limit,
             programs,
             multidb,
             clock,
-            obs,
+            obs: EngineObs::new(observer),
             probes: Mutex::new(HashMap::new()),
+        };
+        if engine.obs.enabled() {
+            for inst in engine.instances.lock().values_mut() {
+                inst.probes = Some(engine.probes_for(&inst.tpl));
+            }
         }
+        recovery::resume(&engine);
+        Ok(engine)
+    }
+
+    /// [`Engine::open`] with default configuration and no templates.
+    pub fn new(multidb: Arc<MultiDatabase>, programs: Arc<ProgramRegistry>) -> Self {
+        Self::with_config(multidb, programs, EngineConfig::default())
+    }
+
+    /// [`Engine::open`] with no templates, for a journal that holds no
+    /// instances yet; register templates afterwards.
+    ///
+    /// # Panics
+    /// Panics if the journal file cannot be opened, or if it already
+    /// holds history — replaying that needs the templates, which only
+    /// [`Engine::open`] takes.
+    pub fn with_config(
+        multidb: Arc<MultiDatabase>,
+        programs: Arc<ProgramRegistry>,
+        config: EngineConfig,
+    ) -> Self {
+        Self::open(multidb, programs, config, Vec::new())
+            .unwrap_or_else(|e| panic!("cannot open engine: {e}"))
     }
 
     /// Surfaces a journal-mirror failure as [`EngineError::Journal`].
@@ -248,25 +341,10 @@ impl Engine {
         &self.programs
     }
 
-    /// Navigation services bound to the main journal.
-    fn services(&self) -> NavServices<'_> {
+    /// The navigation services of this engine.
+    pub(crate) fn services(&self) -> NavServices<'_> {
         NavServices {
             journal: &self.journal,
-            clock: &self.clock,
-            org: &self.org,
-            worklists: &self.worklists,
-            next_item: &self.next_item,
-            programs: &self.programs,
-            multidb: &self.multidb,
-            obs: &self.obs,
-        }
-    }
-
-    /// Navigation services writing to `journal` instead of the main
-    /// journal — used by the parallel scheduler's per-worker shards.
-    fn services_with<'a>(&'a self, journal: &'a Journal) -> NavServices<'a> {
-        NavServices {
-            journal,
             clock: &self.clock,
             org: &self.org,
             worklists: &self.worklists,
@@ -310,13 +388,9 @@ impl Engine {
     /// `Arc`). Re-registering the current default is an idempotent
     /// no-op.
     pub fn register(&self, def: ProcessDefinition) -> Result<TemplateVersion, EngineError> {
-        let errors = validate(&def);
-        if !errors.is_empty() {
-            return Err(EngineError::Validation(errors));
-        }
-        let tpl = CompiledProcess::compile_arc(Arc::new(def));
-        let (tpl, _stats) = crate::optimize::optimize(&tpl);
-        Ok(self.register_compiled(Arc::new(tpl)))
+        import(def)
+            .map(|tpl| self.register_compiled(tpl))
+            .map_err(EngineError::Validation)
     }
 
     /// Registers an already compiled template (e.g. one produced by a
@@ -479,7 +553,7 @@ impl Engine {
         // that are now decidable). Repair it with exactly recovery's
         // resume pass — live and post-crash migration then journal the
         // same continuation events.
-        let counts = crate::recovery::fixup_instance(inst, &self.services());
+        let counts = recovery::fixup_instance(inst, &self.services());
         counts.record(self.obs.observer.registry(), "migration.fixups");
         self.check_journal()?;
         Ok(MigrationOutcome::Migrated { from, to })
@@ -529,111 +603,6 @@ impl Engine {
             self.run_to_quiescence(id)?;
         }
         Ok(())
-    }
-
-    /// Runs every instance to quiescence across `n_threads` worker
-    /// threads — the multi-instance scheduler. Instances are disjoint
-    /// state machines, so each worker drives its claimed instance
-    /// against a **private journal shard**; at the end the shards are
-    /// merged into the main journal in instance-id order, which makes
-    /// the resulting journal identical to a sequential
-    /// [`Engine::run_all`] whenever the programs themselves are
-    /// deterministic and order-independent (programs contending on
-    /// shared database keys may of course commit or abort differently
-    /// under concurrency — exactly as real FlowMark runtime servers
-    /// racing on a shared multidatabase would).
-    ///
-    /// The first error (by instance id) is returned after all workers
-    /// finish; remaining instances still run.
-    ///
-    /// `n_threads` is clamped to the machine's available parallelism
-    /// ([`std::thread::available_parallelism`]): workers beyond the
-    /// core count only add scheduling overhead and journal-merge
-    /// latency, they cannot add throughput.
-    pub fn run_all_parallel(&self, n_threads: usize) -> Result<(), EngineError> {
-        let cores = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(usize::MAX);
-        let n = n_threads.max(1).min(cores);
-        // A single worker has nothing to shard: per-instance journals,
-        // the end-of-run merge (one full copy of every event) and the
-        // instance-map rebuild would be pure overhead, costing ~25% of
-        // throughput on a 1-core host. Drive instances in place
-        // against the main journal instead — the single worker visits
-        // slots in id order, so the resulting journal is byte-for-byte
-        // what the sharded path would have merged.
-        if n == 1 {
-            let ids: Vec<InstanceId> = self.instances.lock().keys().copied().collect();
-            let mut first_err = None;
-            for id in ids {
-                let mut instances = self.instances.lock();
-                let inst = instances.get_mut(&id).expect("id listed above");
-                if navigator::drive_to_quiescence(inst, &self.services(), self.step_limit).is_none()
-                    && first_err.is_none()
-                {
-                    first_err = Some(EngineError::StepLimit(self.step_limit));
-                }
-            }
-            return match first_err {
-                Some(e) => Err(e),
-                None => self.check_journal(),
-            };
-        }
-        struct Slot {
-            id: InstanceId,
-            inst: Mutex<Option<Instance>>,
-            shard: Journal,
-            err: Mutex<Option<EngineError>>,
-        }
-        // Take the instances out of the engine for the duration of the
-        // run: public accessors would observe an empty map, but no
-        // navigation can race with the workers.
-        let taken = std::mem::take(&mut *self.instances.lock());
-        let slots: Vec<Slot> = taken
-            .into_iter()
-            .map(|(id, inst)| Slot {
-                id,
-                inst: Mutex::new(Some(inst)),
-                shard: Journal::new(),
-                err: Mutex::new(None),
-            })
-            .collect();
-        let cursor = AtomicUsize::new(0);
-
-        std::thread::scope(|s| {
-            for _ in 0..n {
-                s.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(slot) = slots.get(i) else { break };
-                    let mut guard = slot.inst.lock();
-                    let inst = guard.as_mut().expect("slot filled above");
-                    let svc = self.services_with(&slot.shard);
-                    if navigator::drive_to_quiescence(inst, &svc, self.step_limit).is_none() {
-                        *slot.err.lock() = Some(EngineError::StepLimit(self.step_limit));
-                    }
-                });
-            }
-        });
-
-        // Merge shards and reinstate the instances in id order. The
-        // events are gathered first so the journal lock (and its
-        // mirror flush) is taken once, not once per instance.
-        let mut first_err = None;
-        let mut merged = Vec::new();
-        let mut instances = self.instances.lock();
-        for slot in slots {
-            merged.extend(slot.shard.into_events());
-            let inst = slot.inst.into_inner().expect("worker returns the instance");
-            instances.insert(slot.id, inst);
-            if first_err.is_none() {
-                first_err = slot.err.into_inner();
-            }
-        }
-        self.journal.append_batch(merged);
-        match first_err {
-            Some(e) => Err(e),
-            None => self.check_journal(),
-        }
     }
 
     /// The worklist of `person` (clones of the visible items).
@@ -916,29 +885,12 @@ impl Engine {
                 root: i.snapshot_root(),
             })
             .collect();
-        let next_item = self.next_item.load(Ordering::Relaxed);
-        let mut all_items: Vec<WorkItem> = worklists
-            .open_items()
-            .iter()
-            .map(|it| (*it).clone())
-            .collect();
-        // Claimed items survive too: open_items() covers Offered only,
-        // so collect claimed ones explicitly by id range.
-        for id in 1..next_item {
-            if let Some(it) = worklists.get(WorkItemId(id)) {
-                if matches!(it.state, WorkItemState::Claimed(_))
-                    && !all_items.iter().any(|x| x.id == it.id)
-                {
-                    all_items.push(it.clone());
-                }
-            }
-        }
-        all_items.sort_by_key(|it| it.id);
+        let items: Vec<WorkItem> = worklists.live_items().cloned().collect();
         self.journal.append(Event::EngineCheckpoint {
             instances: snaps,
-            items: all_items,
+            items,
             next_instance: self.next_instance.load(Ordering::Relaxed),
-            next_item,
+            next_item: self.next_item.load(Ordering::Relaxed),
             at: self.clock.now(),
         });
         // Compaction drops everything before the checkpoint, including
@@ -980,8 +932,8 @@ impl Engine {
     }
 
     /// Simulates a crash: drops all volatile state, keeping only what
-    /// the journal file (if any) holds. Use
-    /// [`crate::recovery::recover`] to rebuild. Consumes the engine so
+    /// the journal file (if any) holds. Use [`Engine::open`] on the same
+    /// journal to rebuild. Consumes the engine so
     /// no handle can observe the dead state.
     pub fn crash(self) {
         drop(self);

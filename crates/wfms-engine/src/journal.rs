@@ -71,7 +71,7 @@ impl Journal {
 
     /// A journal mirrored to `path` under the default
     /// [`DurabilityPolicy::PerEvent`]; existing events are loaded
-    /// first (this is how [`crate::recovery`] reopens a crashed
+    /// first (this is how [`crate::Engine::open`] reopens a crashed
     /// engine's journal).
     pub fn with_file(path: &Path) -> std::io::Result<Self> {
         Self::with_file_policy(path, DurabilityPolicy::default())
@@ -215,9 +215,8 @@ impl Journal {
     ///
     /// Encoding happens **only when a file mirror is attached**: the
     /// in-memory journal stores the event value itself, so the
-    /// unmirrored steady state (every benchmark engine and every
-    /// parallel worker shard) pays a lock and a `Vec` push, nothing
-    /// more.
+    /// unmirrored steady state (every embedded benchmark engine) pays
+    /// a lock and a `Vec` push, nothing more.
     pub fn append(&self, event: Event) {
         let Some(p) = self.probes.get() else {
             self.log.append(event, false);
@@ -233,8 +232,9 @@ impl Journal {
     }
 
     /// Appends a batch of events with a single lock acquisition and a
-    /// single group commit of the mirror — how the parallel scheduler
-    /// merges per-worker journal shards back into the main journal.
+    /// single group commit of the mirror — how
+    /// [`recover_from`](crate::recover_from) seeds a journal with the
+    /// history it is to replay.
     pub fn append_batch(&self, batch: Vec<Event>) {
         if batch.is_empty() {
             return;
@@ -252,8 +252,7 @@ impl Journal {
         self.log.flush()
     }
 
-    /// Consumes the journal, returning its events (shards are
-    /// in-memory only, so there is no mirror to close).
+    /// Consumes the journal, returning its events.
     pub fn into_events(self) -> Vec<Event> {
         self.log.into_records()
     }

@@ -96,9 +96,8 @@ impl EngineObs {
     }
 }
 
-/// Journal instruments, attached to the engine's main journal when the
-/// observer is enabled (per-worker shards stay unobserved — their
-/// events are counted when the merged batch lands).
+/// Journal instruments, attached to the engine's journal when the
+/// observer is enabled.
 #[derive(Debug)]
 pub struct JournalProbes {
     /// Single-event appends.

@@ -36,9 +36,6 @@
 //! The navigator *decides*; the state effect of every event it
 //! journals is an [`Instance`] transition in [`crate::state`], the
 //! same one recovery replays.
-//! Services are shared references, so independent instances can be
-//! navigated from multiple worker threads concurrently (each against
-//! its own journal shard — see [`crate::Engine::run_all_parallel`]).
 
 use crate::compiled::{CompiledKind, DataSource, ScopeId};
 use crate::event::{Event, WorkItemId};
@@ -56,10 +53,9 @@ use txn_substrate::{
 };
 use wfms_model::{StartCondition, RC_MEMBER};
 
-/// Shared services the navigator needs while driving an instance.
-/// Every field is a shared reference: the navigator mutates only the
-/// instance it drives, so one `NavServices` can serve many worker
-/// threads (pointed at per-worker journal shards).
+/// Shared services the navigator needs while driving an instance
+/// ([`crate::Engine`] hands out its own). Every field is a shared
+/// reference: the navigator mutates only the instance it drives.
 pub struct NavServices<'a> {
     /// Event journal (append-only, internally synchronised).
     pub journal: &'a Journal,
@@ -91,9 +87,6 @@ impl NavServices<'_> {
 /// Starts `inst`: journals the start event and makes the start
 /// activities of the root scope ready.
 pub fn start_instance(inst: &mut Instance, svc: &NavServices<'_>) {
-    svc.obs.observer.trace_event("instance.start", || {
-        format!("{} {}", inst.id, inst.tpl.def.name)
-    });
     svc.journal.append(Event::InstanceStarted {
         instance: inst.id,
         process: inst.tpl.def.name.clone(),
@@ -253,15 +246,12 @@ pub fn execute_activity(inst: &mut Instance, svc: &NavServices<'_>, slot: u32, b
         at: svc.now(),
     });
 
-    let _span = svc.obs.enabled().then(|| {
+    if svc.obs.enabled() {
         svc.obs.executions.inc();
         if attempt > 0 {
             svc.obs.retries.inc();
         }
-        svc.obs
-            .observer
-            .span("activity.execute", || lay.paths[sl].to_string())
-    });
+    }
     // Start→finish latency clock: probes are only handed to instances
     // of observed engines, so this is one `None` check otherwise.
     let t0 = inst.probes.as_ref().map(|_| std::time::Instant::now());
@@ -639,9 +629,6 @@ pub(crate) fn check_scope_completion(inst: &mut Instance, svc: &NavServices<'_>,
     if s == 0 {
         if inst.status == InstanceStatus::Running {
             inst.instance_finished(&output);
-            svc.obs
-                .observer
-                .trace_event("instance.finished", || format!("{instance}"));
             svc.journal.append(Event::InstanceFinished {
                 instance,
                 output,

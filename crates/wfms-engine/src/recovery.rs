@@ -6,7 +6,13 @@
 //! > been repaired, the process execution is resumed from the point
 //! > where the failure occurred."
 //!
-//! Recovery rebuilds every instance's state by replaying the
+//! Restart *is* recovery: [`Engine::open`] replays whatever its journal
+//! holds — nothing, the first time — so there is no separate recovery
+//! entry point, only the [`recover`] wrappers that spell `open` the way
+//! older callers do. This module is the replay (`replay`) and the
+//! repair (`resume`) that `open` runs.
+//!
+//! Replay rebuilds every instance's state from the
 //! journal, then applies the paper's explicit caveat: activities that
 //! were mid-execution at the crash are **re-executed from the
 //! beginning** (workflow activities are not failure atomic; it is the
@@ -23,30 +29,26 @@
 //! is deterministic, so slots assigned at recovery address exactly the
 //! state the crashed engine used.
 
-use crate::compiled::{CompiledProcess, ScopeId};
+use crate::compiled::ScopeId;
 use crate::engine::{Engine, EngineConfig};
 use crate::event::{Event, InstanceId};
 use crate::journal::Journal;
-use crate::metrics::EngineObs;
 use crate::navigator::{self, NavServices};
 use crate::org::OrgModel;
 use crate::registry::TemplateRegistry;
 use crate::state::{ActState, Instance, InstanceStatus};
 use crate::worklist::{WorkItem, WorkItemState, WorklistStore};
-use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use txn_substrate::{MultiDatabase, ProgramRegistry};
-use wfms_model::ProcessDefinition;
-use wfms_observe::Observer;
+use txn_substrate::{DurabilityPolicy, MultiDatabase, ProgramRegistry};
+use wfms_model::{ProcessDefinition, ValidationError};
 
 /// Errors surfaced by recovery.
 #[derive(Debug)]
 pub enum RecoveryError {
     /// The journal references a process template that was not supplied
-    /// to [`recover`]. Templates are definitions, not state, so they
+    /// to [`Engine::open`]. Templates are definitions, not state, so they
     /// are re-registered by the operator, exactly as in FlowMark where
     /// process templates live in the definition database.
     MissingTemplate(String),
@@ -70,6 +72,13 @@ pub enum RecoveryError {
         /// Why the transfer was refused.
         detail: String,
     },
+    /// A supplied definition does not validate.
+    InvalidTemplate {
+        /// Name of the rejected definition.
+        process: String,
+        /// What validation found.
+        errors: Vec<ValidationError>,
+    },
     /// The journal file could not be read.
     Io(std::io::Error),
 }
@@ -92,6 +101,10 @@ impl std::fmt::Display for RecoveryError {
                     "cannot re-apply journalled migration of {instance}: {detail}"
                 )
             }
+            RecoveryError::InvalidTemplate { process, errors } => {
+                write!(f, "template {process:?} rejected:")?;
+                errors.iter().try_for_each(|e| write!(f, " {e};"))
+            }
             RecoveryError::Io(e) => write!(f, "journal unreadable: {e}"),
         }
     }
@@ -99,11 +112,8 @@ impl std::fmt::Display for RecoveryError {
 
 impl std::error::Error for RecoveryError {}
 
-/// Rebuilds an engine from the journal at `journal_path`.
-///
-/// `templates` must contain every process definition the journal's
-/// instances were started from. The rebuilt engine appends new events
-/// to the same journal file, so crash–recover cycles can be chained.
+/// [`Engine::open`] on the journal at `journal_path`, spelled the way
+/// callers that only ever reopen spell it.
 pub fn recover(
     journal_path: &Path,
     templates: Vec<ProcessDefinition>,
@@ -113,7 +123,7 @@ pub fn recover(
 ) -> Result<Engine, RecoveryError> {
     recover_with_policy(
         journal_path,
-        txn_substrate::DurabilityPolicy::default(),
+        DurabilityPolicy::default(),
         templates,
         org,
         multidb,
@@ -121,29 +131,28 @@ pub fn recover(
     )
 }
 
-/// [`recover`] with an explicit [`txn_substrate::DurabilityPolicy`]
-/// for the reopened journal. A server shard running under group
-/// commit (`Batched{n}`) recovers with the same policy so the
-/// rebuilt engine keeps batching instead of silently reverting to
-/// per-event flushes.
+/// [`recover`] with an explicit [`DurabilityPolicy`] for the reopened
+/// journal.
 pub fn recover_with_policy(
     journal_path: &Path,
-    policy: txn_substrate::DurabilityPolicy,
+    policy: DurabilityPolicy,
     templates: Vec<ProcessDefinition>,
     org: OrgModel,
     multidb: Arc<MultiDatabase>,
     programs: Arc<ProgramRegistry>,
 ) -> Result<Engine, RecoveryError> {
-    let journal = Journal::with_file_policy(journal_path, policy).map_err(RecoveryError::Io)?;
-    // Replay in place: the journal is never copied.
-    let state = journal.with_events(|events| replay(events, templates))?;
-    finish(journal, state, org, multidb, programs)
+    let config = EngineConfig {
+        org,
+        journal_path: Some(journal_path.to_path_buf()),
+        durability: policy,
+        ..EngineConfig::default()
+    };
+    Engine::open(multidb, programs, config, templates)
 }
 
-/// In-memory variant used by tests and benchmarks: rebuilds from an
-/// explicit event list (the journal keeps accumulating into `journal`;
-/// if it is empty the replayed events are moved into it afterwards, so
-/// the recovered engine's history matches the file-based variant).
+/// In-memory variant used by tests and benchmarks: [`Engine::open`]
+/// over `journal`, into which `events` are moved first if it is empty
+/// (a journal that already has history is replayed as it is).
 pub fn recover_from(
     journal: Journal,
     events: Vec<Event>,
@@ -152,36 +161,36 @@ pub fn recover_from(
     multidb: Arc<MultiDatabase>,
     programs: Arc<ProgramRegistry>,
 ) -> Result<Engine, RecoveryError> {
-    let state = replay(&events, templates)?;
     if journal.is_empty() {
         journal.append_batch(events);
     }
-    finish(journal, state, org, multidb, programs)
+    let config = EngineConfig {
+        org,
+        ..EngineConfig::default()
+    };
+    Engine::open_on(journal, multidb, programs, config, templates)
 }
 
 /// Engine state rebuilt from a journal, before the post-replay repairs.
-struct Replayed {
-    registry: TemplateRegistry,
-    instances: BTreeMap<InstanceId, Instance>,
-    worklists: WorklistStore,
-    next_instance: u64,
-    next_item: u64,
-    max_tick: txn_substrate::Tick,
+pub(crate) struct Replayed {
+    pub(crate) registry: TemplateRegistry,
+    pub(crate) instances: BTreeMap<InstanceId, Instance>,
+    pub(crate) worklists: WorklistStore,
+    pub(crate) next_instance: u64,
+    pub(crate) next_item: u64,
+    pub(crate) max_tick: txn_substrate::Tick,
 }
 
-/// Applies `events`, by reference, to a fresh engine state.
-fn replay(events: &[Event], templates: Vec<ProcessDefinition>) -> Result<Replayed, RecoveryError> {
-    // The supplied definitions seed the registry in order; the *first*
-    // definition per name fixes that name's initial default, and
-    // journalled TemplateDeployed events advance it during replay —
-    // so every InstanceStarted resolves against the same default the
-    // live engine used at that journal position.
-    let mut registry = TemplateRegistry::new();
-    for d in templates {
-        let tpl = Arc::new(CompiledProcess::compile_arc(Arc::new(d)));
-        registry.insert(tpl, false);
-    }
-
+/// Applies `events`, by reference, to a fresh engine state over
+/// `registry`. The registry's defaults are the *initial* ones (the
+/// first supplied definition per name); journalled `TemplateDeployed`
+/// events advance them during replay — so every `InstanceStarted`
+/// resolves against the same default the live engine used at that
+/// journal position.
+pub(crate) fn replay(
+    events: &[Event],
+    registry: TemplateRegistry,
+) -> Result<Replayed, RecoveryError> {
     let mut state = Replayed {
         registry,
         instances: BTreeMap::new(),
@@ -201,60 +210,6 @@ fn replay(events: &[Event], templates: Vec<ProcessDefinition>) -> Result<Replaye
         inst.rebuild_ready();
     }
     Ok(state)
-}
-
-/// Builds the engine around replayed state and resumes it.
-fn finish(
-    journal: Journal,
-    state: Replayed,
-    org: OrgModel,
-    multidb: Arc<MultiDatabase>,
-    programs: Arc<ProgramRegistry>,
-) -> Result<Engine, RecoveryError> {
-    let Replayed {
-        registry,
-        instances,
-        mut worklists,
-        next_instance,
-        next_item,
-        max_tick,
-    } = state;
-
-    // Claims are leases held by a live session: the replay just
-    // re-claimed items for workers that died with the crashed engine,
-    // which would park those items on dead worklists forever. Put them
-    // back on offer. Not journalled — replaying the same journal again
-    // (a chained crash–recover cycle) re-claims and re-releases
-    // identically, so the repair is deterministic.
-    let stale_claims = worklists.release_stale_claims();
-
-    let clock = multidb.clock().clone();
-    clock.advance_to(max_tick);
-
-    let engine = Engine {
-        templates: Mutex::new(registry),
-        instances: Mutex::new(instances),
-        org: Mutex::new(org),
-        worklists: Mutex::new(worklists),
-        journal,
-        next_instance: AtomicU64::new(next_instance),
-        next_item: AtomicU64::new(next_item),
-        step_limit: EngineConfig::default().step_limit,
-        programs,
-        multidb,
-        clock,
-        obs: EngineObs::new(Arc::new(Observer::disabled())),
-        probes: Mutex::new(HashMap::new()),
-    };
-    let reg = engine.obs.observer.registry();
-    engine.journal.attach_fault_counters(reg);
-    if stale_claims > 0 {
-        reg.counter("recovery.stale_claims_released")
-            .add(stale_claims as u64);
-    }
-
-    resume(&engine);
-    Ok(engine)
 }
 
 /// Applies one journal event to the state under reconstruction.
@@ -497,18 +452,9 @@ fn with_slot(
 /// * re-decide `Finished` activities whose exit decision was lost;
 /// * re-check scope completion (in case the crash hit between the last
 ///   termination and the completion event).
-fn resume(engine: &Engine) {
+pub(crate) fn resume(engine: &Engine) {
     let mut instances = engine.instances.lock();
-    let svc = crate::navigator::NavServices {
-        journal: &engine.journal,
-        clock: &engine.clock,
-        org: &engine.org,
-        worklists: &engine.worklists,
-        next_item: &engine.next_item,
-        programs: &engine.programs,
-        multidb: &engine.multidb,
-        obs: &engine.obs,
-    };
+    let svc = engine.services();
     // Recovery is cold: count every fix-up category unconditionally so
     // `Engine::metrics` answers "what did recovery repair" even on
     // engines without an enabled observer.

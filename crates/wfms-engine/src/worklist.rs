@@ -228,12 +228,12 @@ impl WorklistStore {
         })
     }
 
-    /// Open (offered, unclaimed) items, in id order.
-    pub fn open_items(&self) -> Vec<&WorkItem> {
+    /// Offered and claimed items, in id order — the worklist state a
+    /// checkpoint has to carry.
+    pub fn live_items(&self) -> impl Iterator<Item = &WorkItem> {
         self.items
             .values()
-            .filter(|it| it.state == WorkItemState::Offered)
-            .collect()
+            .filter(|it| it.state != WorkItemState::Closed)
     }
 }
 

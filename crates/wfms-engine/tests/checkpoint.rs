@@ -3,7 +3,9 @@
 
 use std::sync::Arc;
 use txn_substrate::{MultiDatabase, ProgramOutcome, ProgramRegistry};
-use wfms_engine::{recover_from, Engine, EngineConfig, Event, InstanceStatus, Journal, OrgModel};
+use wfms_engine::{
+    recover_from, Engine, EngineConfig, Event, InstanceStatus, Journal, OrgModel, WorkItemState,
+};
 use wfms_model::{Activity, Container, ProcessBuilder};
 
 fn world() -> (Arc<MultiDatabase>, Arc<ProgramRegistry>) {
@@ -111,24 +113,45 @@ fn checkpoint_claimed_items_are_reoffered_on_recovery() {
         },
     );
     engine.register(def.clone()).unwrap();
-    let id = engine.start("p", Container::empty()).unwrap();
-    engine.run_to_quiescence(id).unwrap();
-    let item = engine.worklist("ann")[0].id;
-    engine.claim(item, "ann").unwrap();
-    assert!(engine.worklist("bob").is_empty(), "claimed items vanish");
+    // Three instances, three items: the first is claimed, the second
+    // completed (closed), the third left on offer.
+    let ids: Vec<_> = (0..3)
+        .map(|_| engine.start("p", Container::empty()).unwrap())
+        .collect();
+    engine.run_all().unwrap();
+    let items: Vec<_> = engine.worklist("ann").iter().map(|it| it.id).collect();
+    engine.claim(items[0], "ann").unwrap();
+    engine.execute_item(items[1], "bob").unwrap();
+    assert_eq!(engine.worklist("bob").len(), 1, "claimed items vanish");
     engine.checkpoint();
     let events = engine.journal_events();
     engine.crash();
+
+    // The snapshot carries the live items — claimed and offered — in id
+    // order, and not the closed one between them.
+    let Some(Event::EngineCheckpoint { items: kept, .. }) = events.first() else {
+        panic!("compaction leaves the checkpoint first");
+    };
+    let kept: Vec<_> = kept.iter().map(|it| (it.id, it.state.clone())).collect();
+    assert_eq!(
+        kept,
+        [
+            (items[0], WorkItemState::Claimed("ann".into())),
+            (items[2], WorkItemState::Offered),
+        ]
+    );
 
     let recovered = recover_from(Journal::new(), events, vec![def], org, fed, registry).unwrap();
     // The item survived the checkpoint, but the claim did not: a claim
     // is a lease held by the crashed session, so recovery releases it
     // back onto every eligible worklist instead of parking it on a
     // dead worker. Bob can now take over the work.
-    assert_eq!(recovered.worklist("bob").len(), 1, "lease released");
-    assert_eq!(recovered.worklist("ann").len(), 1);
-    recovered.execute_item(item, "bob").unwrap();
-    assert_eq!(recovered.status(id).unwrap(), InstanceStatus::Finished);
+    assert_eq!(recovered.worklist("bob").len(), 2, "lease released");
+    assert_eq!(recovered.worklist("ann").len(), 2);
+    recovered.execute_item(items[0], "bob").unwrap();
+    assert_eq!(recovered.status(ids[0]).unwrap(), InstanceStatus::Finished);
+    assert_eq!(recovered.status(ids[1]).unwrap(), InstanceStatus::Finished);
+    assert_eq!(recovered.status(ids[2]).unwrap(), InstanceStatus::Running);
 }
 
 #[test]

@@ -1,14 +1,14 @@
 //! The engine observability layer end to end: metrics snapshots on
 //! observed and unobserved engines, counter semantics (executions,
-//! retries, dead paths, work items, notifications), journal probes,
-//! trace sinks — and the invariant everything else depends on: the
-//! journal is **byte-for-byte identical** with observability enabled.
+//! retries, dead paths, work items, notifications), journal probes —
+//! and the invariant everything else depends on: the journal is
+//! **byte-for-byte identical** with observability enabled.
 
 use std::sync::Arc;
 use txn_substrate::{KvProgram, MultiDatabase, ProgramOutcome, ProgramRegistry};
 use wfms_engine::{recover, Engine, EngineConfig, InstanceStatus, OrgModel};
 use wfms_model::{Activity, Container, ProcessBuilder, ProcessDefinition};
-use wfms_observe::{Observer, RecordingSink, TraceKind};
+use wfms_observe::Observer;
 
 fn world() -> (Arc<MultiDatabase>, Arc<ProgramRegistry>) {
     let fed = MultiDatabase::new(0);
@@ -214,78 +214,27 @@ fn journal_is_byte_identical_with_observability_enabled() {
     );
 }
 
+/// Every instance of a template records into the template's one set of
+/// probes, and `run_all` journals event by event.
 #[test]
-fn parallel_run_records_into_shared_instruments() {
+fn run_all_records_into_shared_instruments() {
     let (fed, registry) = world();
     let engine = observed_engine(fed, registry, OrgModel::new());
     engine.register(branching()).unwrap();
     for _ in 0..16 {
         engine.start("branch", Container::empty()).unwrap();
     }
-    engine.run_all_parallel(4).unwrap();
+    engine.run_all().unwrap();
 
     let m = engine.metrics();
     assert_eq!(m.instances_finished, 16);
-    assert_eq!(m.counters["nav.executions"], 32, "atomics survive threads");
+    assert_eq!(m.counters["nav.executions"], 32);
     assert_eq!(m.activities["A"].count, 16);
-    // With more than one effective worker the shard merge lands as one
-    // batched append on the main journal. The scheduler clamps to
-    // available parallelism, and its single-worker path drives
-    // instances in place — per-event appends, no shard merge.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cores > 1 {
-        assert!(m.histograms["journal.batch_size"].count >= 1);
-        assert!(m.histograms["journal.batch_size"].max_ns > 1);
-    } else {
-        assert_eq!(
-            m.histograms
-                .get("journal.batch_size")
-                .map_or(0, |h| h.count),
-            0,
-            "in-place single-worker path must not batch"
-        );
-    }
-}
-
-#[test]
-fn trace_sink_sees_spans_and_instance_events() {
-    let (fed, registry) = world();
-    let sink = Arc::new(RecordingSink::new());
-    let observer = Arc::new(
-        Observer::enabled().with_sink(Arc::clone(&sink) as Arc<dyn wfms_observe::TraceSink>),
+    assert_eq!(
+        m.counters["journal.appends"],
+        engine.journal_events().len() as u64
     );
-    let engine = Engine::with_config(
-        fed,
-        registry,
-        EngineConfig {
-            observer: Some(observer),
-            ..EngineConfig::default()
-        },
-    );
-    engine.register(branching()).unwrap();
-    let id = engine.start("branch", Container::empty()).unwrap();
-    engine.run_to_quiescence(id).unwrap();
-
-    let events = sink.events();
-    let starts = events
-        .iter()
-        .filter(|e| e.kind == TraceKind::Event && e.name == "instance.start")
-        .count();
-    assert_eq!(starts, 1);
-    let exec_spans: Vec<_> = events
-        .iter()
-        .filter(|e| e.kind == TraceKind::Enter && e.name == "activity.execute")
-        .collect();
-    assert_eq!(exec_spans.len(), 2, "A and B entered");
-    assert!(exec_spans.iter().any(|e| e.detail == "A"));
-    let exits = events
-        .iter()
-        .filter(|e| e.kind == TraceKind::Exit && e.name == "activity.execute")
-        .count();
-    assert_eq!(exits, 2, "span guards closed");
-    assert!(events
-        .iter()
-        .any(|e| e.kind == TraceKind::Event && e.name == "instance.finished"));
+    assert_eq!(m.histograms["journal.batch_size"].count, 0, "no batching");
 }
 
 #[test]

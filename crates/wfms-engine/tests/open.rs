@@ -1,0 +1,139 @@
+//! [`Engine::open`] is the one way an engine is built, over a new
+//! journal or one with history: the reopened engine keeps the caller's
+//! configuration, navigates the templates a live `register` would have
+//! produced, and refuses history it has no templates for. (That a new
+//! or empty journal then receives the golden bytes is pinned in
+//! `exotica/tests/journal_cli.rs`, next to the goldens.)
+
+use std::path::PathBuf;
+use std::sync::Arc;
+use txn_substrate::{MultiDatabase, ProgramOutcome, ProgramRegistry};
+use wfms_engine::optimize::optimize;
+use wfms_engine::{
+    recover, CompiledProcess, Engine, EngineConfig, EngineError, InstanceId, Observer, OrgModel,
+    RecoveryError,
+};
+use wfms_model::{Activity, Container, ProcessBuilder, ProcessDefinition};
+
+fn world() -> (Arc<MultiDatabase>, Arc<ProgramRegistry>) {
+    let fed = MultiDatabase::new(0);
+    let programs = Arc::new(ProgramRegistry::new());
+    programs.register_fn("ok", |_| ProgramOutcome::committed());
+    (fed, programs)
+}
+
+/// `A`'s exit condition never holds (`ok` returns 1): it reruns until
+/// the step limit stops it.
+fn livelock() -> ProcessDefinition {
+    ProcessBuilder::new("livelock")
+        .activity(Activity::program("A", "ok").with_exit("RC = 0"))
+        .build()
+        .unwrap()
+}
+
+/// The optimizer has something to decide here: a no-op always ends with
+/// `RC = 1`, so `N → B` is always true, `N → C` never, and `C` is dead.
+fn decidable() -> ProcessDefinition {
+    ProcessBuilder::new("decidable")
+        .noop("N")
+        .program("B", "ok")
+        .program("C", "ok")
+        .connect_when("N", "B", "RC = 1")
+        .connect_when("N", "C", "RC = 2")
+        .build()
+        .unwrap()
+}
+
+fn journal_in(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("wfms-open-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join("engine.journal")
+}
+
+fn on(journal: &std::path::Path) -> EngineConfig {
+    EngineConfig {
+        journal_path: Some(journal.to_path_buf()),
+        ..EngineConfig::default()
+    }
+}
+
+/// A journal at `journal` holding one instance of `def`, stepped once,
+/// whose engine then died.
+fn crashed_after_one_step(journal: &std::path::Path, def: &ProcessDefinition) -> InstanceId {
+    let (fed, programs) = world();
+    let engine = Engine::open(fed, programs, on(journal), vec![def.clone()]).unwrap();
+    let id = engine.start(&def.name, Container::empty()).unwrap();
+    assert!(engine.step(id).unwrap());
+    engine.crash();
+    id
+}
+
+/// History without its templates is an error, not an engine that
+/// forgets the history and hands out instance id 1 again.
+#[test]
+fn history_without_templates_is_refused() {
+    let journal = journal_in("refused");
+    crashed_after_one_step(&journal, &livelock());
+    let (fed, programs) = world();
+    match Engine::open(fed, programs, on(&journal), Vec::new()) {
+        Err(RecoveryError::MissingTemplate(process)) => assert_eq!(process, "livelock"),
+        Err(other) => panic!("{other}"),
+        Ok(_) => panic!("opened over history it cannot replay"),
+    }
+}
+
+#[test]
+#[should_panic(expected = "unknown template \"livelock\"")]
+fn with_config_panics_on_history() {
+    let journal = journal_in("panics");
+    crashed_after_one_step(&journal, &livelock());
+    let (fed, programs) = world();
+    Engine::with_config(fed, programs, on(&journal));
+}
+
+/// The reopened engine runs under the caller's step limit and
+/// observer, replayed instances included.
+#[test]
+fn reopened_engine_keeps_step_limit_and_observer() {
+    let journal = journal_in("config");
+    let id = crashed_after_one_step(&journal, &livelock());
+    let (fed, programs) = world();
+    let config = EngineConfig {
+        step_limit: 7,
+        observer: Some(Arc::new(Observer::enabled())),
+        ..on(&journal)
+    };
+    let engine = Engine::open(fed, programs, config, vec![livelock()]).unwrap();
+    assert!(matches!(
+        engine.run_to_quiescence(id),
+        Err(EngineError::StepLimit(7))
+    ));
+    let m = engine.metrics();
+    assert_eq!(m.counters["nav.executions"], 7);
+    assert_eq!(m.activities["A"].count, 7, "replayed instances are probed");
+    assert!(m.counters["journal.appends"] > 0);
+}
+
+/// Reopening imports templates the way `register` does: what the
+/// optimizer decided for the live engine is decided for the reopened
+/// one.
+#[test]
+fn reopened_templates_are_optimized_like_registered_ones() {
+    let raw = CompiledProcess::compile(decidable());
+    let undecided = optimize(&raw).1;
+    assert!(undecided.plans_fixed > 0 && undecided.dead_acts > 0);
+
+    let (fed, programs) = world();
+    let live = Engine::new(fed, programs);
+    live.register(decidable()).unwrap();
+    let registered = optimize(&live.template("decidable").unwrap()).1;
+    assert_eq!(registered.plans_fixed, 0, "nothing left to decide");
+
+    let journal = journal_in("optimized");
+    crashed_after_one_step(&journal, &decidable());
+    let (fed, programs) = world();
+    let reopened = recover(&journal, vec![decidable()], OrgModel::new(), fed, programs).unwrap();
+    let replayed = optimize(&reopened.template("decidable").unwrap()).1;
+    assert_eq!(replayed, registered);
+}

@@ -1,27 +1,16 @@
-//! Differential tests for the two navigation paths introduced with
-//! compiled templates:
-//!
-//! * **compiled vs. reference**: the indexed navigator must produce
-//!   exactly the event sequence of [`RefEngine`], the string-keyed
-//!   definition-walking interpreter kept as an executable
-//!   specification;
-//! * **parallel vs. sequential**: [`Engine::run_all_parallel`] must be
-//!   observationally identical to [`Engine::run_all`] — same per
-//!   instance statuses, outputs, event sequences, and (because shards
-//!   are merged in instance-id order) the same whole journal — for
-//!   programs that are deterministic and order-independent.
+//! Differential tests, compiled vs. reference: on random process DAGs
+//! the indexed navigator must produce exactly the event sequence of
+//! [`RefEngine`], the string-keyed definition-walking interpreter kept
+//! as an executable specification. (The file keeps the name it had
+//! when it also compared the in-engine parallel scheduler, retired in
+//! PR 15, against `run_all`.)
 
 use proptest::prelude::*;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use txn_substrate::{MultiDatabase, ProgramOutcome, ProgramRegistry};
-use wfms_engine::{
-    Engine, EngineConfig, Event, InstanceId, InstanceStatus, OrgModel, RefEngine, WorkItem,
-    WorkItemId,
-};
-use wfms_model::{
-    Activity, Container, ControlConnector, Expr, ProcessBuilder, ProcessDefinition, StartCondition,
-};
+use wfms_engine::{Engine, EngineConfig, OrgModel, RefEngine};
+use wfms_model::{Activity, Container, ControlConnector, Expr, ProcessDefinition, StartCondition};
 
 /// A generated scenario: a DAG over `n` activities with edges
 /// (i < j), per-activity OR/AND joins, per-activity commit/abort
@@ -80,8 +69,7 @@ fn scenario() -> impl Strategy<Value = Scenario> {
 
 /// Scenarios that may mix manual (role-assigned) and deadline-bearing
 /// activities into the DAG, exercising the compiled `any_manual` /
-/// `any_deadlines` paths against the oracle and the parallel
-/// scheduler.
+/// `any_deadlines` paths against the oracle.
 fn staffed_scenario() -> impl Strategy<Value = Scenario> {
     scenario_with(true)
 }
@@ -121,8 +109,7 @@ fn clerks() -> OrgModel {
 }
 
 /// Programs are pure functions of their scripted outcome — no shared
-/// state, no attempt counters — so instance execution order cannot
-/// influence results and the parallel/sequential comparison is exact.
+/// state, no attempt counters — so both engines see the same outcomes.
 fn world(s: &Scenario) -> (Arc<MultiDatabase>, Arc<ProgramRegistry>) {
     let fed = MultiDatabase::new(0);
     let registry = Arc::new(ProgramRegistry::new());
@@ -163,46 +150,6 @@ fn engine_with_org(s: &Scenario) -> Engine {
     engine
 }
 
-/// Rewrites work-item ids to their order of first appearance in the
-/// event stream. Parallel runs race the shared id allocator, so two
-/// observationally identical executions may hand out different ids;
-/// everything else about the events must still match exactly.
-fn normalize_item_ids(mut events: Vec<Event>) -> Vec<Event> {
-    let mut map: HashMap<WorkItemId, WorkItemId> = HashMap::new();
-    let mut next = 1u64;
-    for e in &mut events {
-        match e {
-            Event::WorkItemOffered { item, .. } => {
-                let id = *map.entry(*item).or_insert_with(|| {
-                    let v = WorkItemId(next);
-                    next += 1;
-                    v
-                });
-                *item = id;
-            }
-            Event::WorkItemClaimed { item, .. } => {
-                if let Some(id) = map.get(item) {
-                    *item = *id;
-                }
-            }
-            _ => {}
-        }
-    }
-    events
-}
-
-/// The id-free identity of a work item, for matching items across
-/// engines whose allocators diverged.
-fn item_key(it: &WorkItem) -> (InstanceId, String, u32, Vec<String>, txn_substrate::Tick) {
-    (
-        it.instance,
-        it.path.clone(),
-        it.attempt,
-        it.offered_to.clone(),
-        it.offered_at,
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -223,33 +170,6 @@ proptest! {
         prop_assert_eq!(status, ref_status);
         prop_assert_eq!(engine.output(id).unwrap(), reference.output(rid));
         prop_assert_eq!(engine.journal_events(), reference.events().to_vec());
-    }
-
-    /// Parallel execution is observationally identical to sequential:
-    /// statuses, outputs, per-instance event sequences and the merged
-    /// journal all agree.
-    #[test]
-    fn parallel_matches_sequential(s in scenario(), m in 1usize..6, workers in 1usize..5) {
-        let seq = engine_with(&s);
-        let par = engine_with(&s);
-        let ids: Vec<InstanceId> = (0..m)
-            .map(|_| {
-                let a = seq.start("prop", Container::empty()).unwrap();
-                let b = par.start("prop", Container::empty()).unwrap();
-                prop_assert_eq!(a, b);
-                Ok(a)
-            })
-            .collect::<Result<_, TestCaseError>>()?;
-
-        seq.run_all().unwrap();
-        par.run_all_parallel(workers).unwrap();
-
-        for &id in &ids {
-            prop_assert_eq!(seq.status(id).unwrap(), par.status(id).unwrap());
-            prop_assert_eq!(seq.output(id).unwrap(), par.output(id).unwrap());
-            prop_assert_eq!(seq.events_for(id), par.events_for(id));
-        }
-        prop_assert_eq!(seq.journal_events(), par.journal_events());
     }
 
     /// Manual and deadline-bearing activities against the oracle: the
@@ -288,208 +208,4 @@ proptest! {
         prop_assert_eq!(engine.output(id).unwrap(), reference.output(rid));
         prop_assert_eq!(engine.journal_events(), reference.events().to_vec());
     }
-
-    /// Manual activities under the parallel scheduler: automatic
-    /// navigation halts at the same worklist frontier as the
-    /// sequential run, deadline notifications agree, and draining the
-    /// items sequentially converges to identical final states. Item
-    /// ids race on the shared allocator across workers, so events are
-    /// compared modulo first-appearance id normalization and items are
-    /// matched by `(instance, path, attempt, ...)` instead of id.
-    #[test]
-    fn parallel_run_with_manual_matches_sequential(
-        s in staffed_scenario(),
-        m in 1usize..4,
-        workers in 1usize..5,
-    ) {
-        let seq = engine_with_org(&s);
-        let par = engine_with_org(&s);
-        let ids: Vec<InstanceId> = (0..m)
-            .map(|_| {
-                let a = seq.start("prop", Container::empty()).unwrap();
-                let b = par.start("prop", Container::empty()).unwrap();
-                prop_assert_eq!(a, b);
-                Ok(a)
-            })
-            .collect::<Result<_, TestCaseError>>()?;
-
-        seq.run_all().unwrap();
-        par.run_all_parallel(workers).unwrap();
-
-        // Clock only moves between navigation phases; both engines see
-        // the same readiness ages, so the same notifications fire.
-        prop_assert_eq!(seq.advance_clock(3), par.advance_clock(3));
-
-        loop {
-            let mut sq = seq.worklist("ann");
-            let mut pq = par.worklist("ann");
-            sq.sort_by_key(item_key);
-            pq.sort_by_key(item_key);
-            let sk: Vec<_> = sq.iter().map(item_key).collect();
-            let pk: Vec<_> = pq.iter().map(item_key).collect();
-            prop_assert_eq!(sk, pk, "same open frontier modulo item ids");
-            let (Some(s_it), Some(p_it)) = (sq.first(), pq.first()) else {
-                break;
-            };
-            seq.execute_item(s_it.id, "ann").unwrap();
-            par.execute_item(p_it.id, "ann").unwrap();
-        }
-
-        for &id in &ids {
-            prop_assert_eq!(seq.status(id).unwrap(), par.status(id).unwrap());
-            prop_assert_eq!(seq.output(id).unwrap(), par.output(id).unwrap());
-            prop_assert_eq!(
-                normalize_item_ids(seq.events_for(id)),
-                normalize_item_ids(par.events_for(id))
-            );
-        }
-        prop_assert_eq!(
-            normalize_item_ids(seq.journal_events()),
-            normalize_item_ids(par.journal_events())
-        );
-    }
-}
-
-/// A deterministic, non-proptest smoke of the scheduler at scale:
-/// 100 chain instances across 8 workers, byte-identical journal to
-/// the sequential run.
-#[test]
-fn hundred_instances_parallel_equals_sequential() {
-    fn build_engine() -> Engine {
-        let fed = MultiDatabase::new(0);
-        let registry = Arc::new(ProgramRegistry::new());
-        registry.register_fn("ok", |_| ProgramOutcome::committed());
-        let mut b = ProcessBuilder::new("chain");
-        for i in 0..10 {
-            b = b.program(&format!("A{i}"), "ok");
-            if i > 0 {
-                b = b.connect_when(&format!("A{}", i - 1), &format!("A{i}"), "RC = 1");
-            }
-        }
-        let engine = Engine::new(fed, registry);
-        engine.register(b.build().unwrap()).unwrap();
-        engine
-    }
-
-    let seq = build_engine();
-    let par = build_engine();
-    for _ in 0..100 {
-        seq.start("chain", Container::empty()).unwrap();
-        par.start("chain", Container::empty()).unwrap();
-    }
-    seq.run_all().unwrap();
-    par.run_all_parallel(8).unwrap();
-
-    for (id, _, status) in seq.instances() {
-        assert_eq!(status, InstanceStatus::Finished);
-        assert_eq!(par.status(id).unwrap(), InstanceStatus::Finished);
-    }
-    assert_eq!(seq.journal_events(), par.journal_events());
-}
-
-/// `FailurePlan::Probability` decisions must not depend on worker
-/// scheduling: each label draws from its own seeded stream
-/// (`seed ^ hash(label)`), so the k-th decision for a label is a pure
-/// function of the seed — not of which thread asked first. Before
-/// per-label streams, all labels shared one global RNG and any
-/// cross-label interleaving change (exactly what `run_all_parallel`
-/// introduces) reshuffled every decision. Each process here carries
-/// its own labels so a label's draw order is instance-local.
-#[test]
-fn probability_injection_parallel_equals_sequential() {
-    fn build_engine(seed: u64) -> Engine {
-        let fed = MultiDatabase::new(seed);
-        fed.add_database("db");
-        let registry = Arc::new(ProgramRegistry::new());
-        let engine = Engine::new(Arc::clone(&fed), Arc::clone(&registry));
-        for j in 0..6 {
-            let mut b = ProcessBuilder::new(&format!("proc{j}"));
-            for i in 0..4 {
-                let label = format!("p{j}a{i}");
-                registry.register(Arc::new(
-                    txn_substrate::KvProgram::write(&label, "db", &label, 1i64).with_label(&label),
-                ));
-                fed.injector()
-                    .set_plan(&label, txn_substrate::FailurePlan::Probability { p: 0.5 });
-                b = b.program(&format!("A{i}"), &label);
-                if i > 0 {
-                    b = b.connect_when(&format!("A{}", i - 1), &format!("A{i}"), "RC = 1");
-                }
-            }
-            engine.register(b.build().unwrap()).unwrap();
-        }
-        engine
-    }
-
-    for seed in [0u64, 7, 41] {
-        let seq = build_engine(seed);
-        let par = build_engine(seed);
-        let ids: Vec<InstanceId> = (0..6)
-            .map(|j| {
-                let a = seq.start(&format!("proc{j}"), Container::empty()).unwrap();
-                let b = par.start(&format!("proc{j}"), Container::empty()).unwrap();
-                assert_eq!(a, b);
-                a
-            })
-            .collect();
-        seq.run_all().unwrap();
-        par.run_all_parallel(4).unwrap();
-        for &id in &ids {
-            assert_eq!(
-                seq.status(id).unwrap(),
-                par.status(id).unwrap(),
-                "seed {seed}"
-            );
-            assert_eq!(
-                seq.output(id).unwrap(),
-                par.output(id).unwrap(),
-                "seed {seed}"
-            );
-            assert_eq!(seq.events_for(id), par.events_for(id), "seed {seed}");
-        }
-        assert_eq!(seq.journal_events(), par.journal_events(), "seed {seed}");
-        // The scripted coin actually lands both ways across the run —
-        // otherwise this differential would be vacuous.
-        let committed = (0..6)
-            .flat_map(|j| (0..4).map(move |i| format!("p{j}a{i}")))
-            .filter(|label| seq.multidb().db("db").unwrap().peek(label).is_some())
-            .count();
-        assert!(
-            committed > 0 && committed < 24,
-            "seed {seed}: all draws identical ({committed}/24 committed)"
-        );
-    }
-}
-
-/// The step-limit error surfaces from parallel workers too (first
-/// failing instance by id).
-#[test]
-fn parallel_propagates_step_limit() {
-    let fed = MultiDatabase::new(0);
-    let registry = Arc::new(ProgramRegistry::new());
-    registry.register_fn("ok", |_| ProgramOutcome::committed());
-    // Exit condition can never hold: RC is always 1.
-    let mut act = Activity::program("A", "ok");
-    act.exit = wfms_model::ExitCondition {
-        expr: Some(Expr::var_eq_int("RC", 0)),
-    };
-    let def = ProcessBuilder::new("livelock")
-        .activity(act)
-        .build()
-        .unwrap();
-    let engine = Engine::with_config(
-        fed,
-        registry,
-        wfms_engine::EngineConfig {
-            step_limit: 50,
-            ..Default::default()
-        },
-    );
-    engine.register(def).unwrap();
-    engine.start("livelock", Container::empty()).unwrap();
-    let err = engine.run_all_parallel(4).unwrap_err();
-    assert!(
-        matches!(err, wfms_engine::EngineError::StepLimit(50)),
-        "{err}"
-    );
 }

@@ -2,8 +2,8 @@
 //!
 //! Observability primitives for the workflow stack, built on nothing
 //! but `std`: no external crates, no allocation on the record path, no
-//! locks around counters. Everything here is safe to hammer from the
-//! parallel scheduler's worker threads.
+//! locks around counters. Everything here is safe to hammer from
+//! many threads (shard workers, reactors).
 //!
 //! * [`Counter`] — monotonically increasing `AtomicU64`;
 //! * [`Gauge`] — signed level with `set`/`add` and a `record_max`
@@ -14,8 +14,6 @@
 //!   [`HistogramVec`] for label-keyed families (per-activity latency)
 //!   and [`CounterVec`]/[`GaugeVec`] for labeled counter/gauge
 //!   families (per-tenant admissions);
-//! * [`TraceSink`] / [`SpanGuard`] — structured span & event tracing
-//!   with a no-op default sink;
 //! * [`Observer`] — the bundle the engine threads through its hot
 //!   paths. `enabled` is a plain bool decided at construction, so a
 //!   disabled observer costs one branch per hook site.
@@ -26,10 +24,8 @@
 //! never asked for hot-path metrics.
 
 mod registry;
-mod trace;
 
 pub use registry::{Registry, RegistrySnapshot};
-pub use trace::{NoopSink, RecordingSink, SpanGuard, TraceEvent, TraceKind, TraceSink};
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -419,17 +415,16 @@ impl GaugeVec {
 }
 
 /// The bundle threaded through the engine, journal, substrate and CLI:
-/// a [`Registry`] plus a [`TraceSink`] and the hot-path enable flag.
+/// a [`Registry`] and the hot-path enable flag.
 ///
 /// `enabled` gates only the *hot* hooks (per-activity timing, heap
 /// depths, journal counters). Cold paths — recovery fix-ups, stale
 /// work-item releases, crash-sweep tallies — record unconditionally,
 /// so even a disabled observer answers "what did recovery do".
+#[derive(Default)]
 pub struct Observer {
     enabled: bool,
     registry: Registry,
-    sink: Arc<dyn TraceSink>,
-    next_span: AtomicU64,
 }
 
 impl std::fmt::Debug for Observer {
@@ -440,36 +435,19 @@ impl std::fmt::Debug for Observer {
     }
 }
 
-impl Default for Observer {
-    fn default() -> Self {
-        Self::disabled()
-    }
-}
-
 impl Observer {
     /// An observer whose hot-path hooks are compiled down to one
     /// branch — the default on every engine that did not opt in.
     pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            registry: Registry::new(),
-            sink: Arc::new(NoopSink),
-            next_span: AtomicU64::new(1),
-        }
+        Self::default()
     }
 
-    /// An observer with hot-path metrics on and the no-op trace sink.
+    /// An observer with hot-path metrics on.
     pub fn enabled() -> Self {
         Self {
             enabled: true,
-            ..Self::disabled()
+            ..Self::default()
         }
-    }
-
-    /// Replaces the trace sink (builder style).
-    pub fn with_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.sink = sink;
-        self
     }
 
     /// True when hot-path hooks should record.
@@ -481,36 +459,6 @@ impl Observer {
     /// The instrument registry.
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// Emits a point event to the trace sink (no-op on [`NoopSink`]).
-    pub fn trace_event(&self, name: &'static str, detail: impl FnOnce() -> String) {
-        if self.sink.wants_events() {
-            self.sink.record(&TraceEvent {
-                kind: TraceKind::Event,
-                name,
-                id: 0,
-                detail: detail(),
-                nanos: 0,
-            });
-        }
-    }
-
-    /// Opens a span; the returned guard emits the matching exit (with
-    /// wall-clock nanoseconds) when dropped. Inert on [`NoopSink`].
-    pub fn span(&self, name: &'static str, detail: impl FnOnce() -> String) -> SpanGuard<'_> {
-        if !self.sink.wants_events() {
-            return SpanGuard::inert();
-        }
-        let id = self.next_span.fetch_add(1, Ordering::Relaxed);
-        self.sink.record(&TraceEvent {
-            kind: TraceKind::Enter,
-            name,
-            id,
-            detail: detail(),
-            nanos: 0,
-        });
-        SpanGuard::live(self.sink.as_ref(), name, id)
     }
 }
 
@@ -638,23 +586,5 @@ mod tests {
         // Cold-path recording works regardless of `enabled`.
         o.registry().counter("cold.path").inc();
         assert_eq!(o.registry().counter("cold.path").get(), 1);
-        // Spans against the no-op sink are inert.
-        drop(o.span("nothing", String::new));
-    }
-
-    #[test]
-    fn observer_recording_sink_captures_spans() {
-        let sink = Arc::new(RecordingSink::new());
-        let o = Observer::enabled().with_sink(Arc::clone(&sink) as Arc<dyn TraceSink>);
-        {
-            let _g = o.span("work", || "detail".into());
-            o.trace_event("milestone", || "mid".into());
-        }
-        let evs = sink.events();
-        assert_eq!(evs.len(), 3);
-        assert_eq!((evs[0].kind, evs[0].name), (TraceKind::Enter, "work"));
-        assert_eq!(evs[1].name, "milestone");
-        assert_eq!(evs[2].kind, TraceKind::Exit);
-        assert_eq!(evs[2].id, evs[0].id);
     }
 }

@@ -49,10 +49,11 @@ use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
+use txn_substrate::durability::atomic_rewrite;
 use txn_substrate::{DurabilityPolicy, MultiDatabase, ProgramRegistry};
 use wfms_engine::{
-    recover_with_policy, spec_hash_of, Engine, EngineConfig, EngineError, InstanceId,
-    InstanceStatus, MigrationOutcome, OrgModel, WorkItem, WorkItemId,
+    spec_hash_of, Engine, EngineConfig, EngineError, InstanceId, InstanceStatus, MigrationOutcome,
+    OrgModel, WorkItem, WorkItemId,
 };
 use wfms_model::{Container, ProcessDefinition};
 use wfms_observe::{Counter, Registry};
@@ -381,11 +382,12 @@ pub struct ShardPool {
 }
 
 impl ShardPool {
-    /// Opens (or creates) the pool's data directory, recovering every
-    /// shard journal that already exists and resuming its in-flight
-    /// instances. `provision` supplies the multidatabase + program
-    /// registry for each shard index (each shard gets its own, so
-    /// shard workers never contend on substrate locks).
+    /// Opens (or creates) the pool's data directory: every shard engine
+    /// is opened on its journal — which replays whatever the journal
+    /// holds — and its in-flight instances are navigated onward.
+    /// `provision` supplies the multidatabase + program registry for
+    /// each shard index (each shard gets its own, so shard workers
+    /// never contend on substrate locks).
     pub fn open(
         cfg: PoolConfig,
         registry: Arc<Registry>,
@@ -413,40 +415,19 @@ impl ShardPool {
         for i in 0..nshards {
             let journal_path = cfg.data_dir.join(format!("shard-{i}.journal"));
             let (multidb, programs) = provision(i);
-            let preexisting = journal_path
-                .metadata()
-                .map(|m| m.len() > 0)
-                .unwrap_or(false);
-            let engine = if preexisting {
-                let engine = recover_with_policy(
-                    &journal_path,
-                    cfg.durability,
-                    templates.clone(),
-                    cfg.org.clone(),
-                    multidb,
-                    programs,
-                )
-                .map_err(PoolError::Recovery)?;
-                recovered += resume_running(&engine, &resume_failures);
-                engine
-            } else {
-                let engine = Engine::with_config(
-                    multidb,
-                    programs,
-                    EngineConfig {
-                        org: cfg.org.clone(),
-                        journal_path: Some(journal_path),
-                        durability: cfg.durability,
-                        ..EngineConfig::default()
-                    },
-                );
-                for def in &templates {
-                    engine.register(def.clone()).map_err(|e| {
-                        PoolError::Io(std::io::Error::other(format!("template rejected: {e}")))
-                    })?;
-                }
-                engine
-            };
+            let engine = Engine::open(
+                multidb,
+                programs,
+                EngineConfig {
+                    org: cfg.org.clone(),
+                    journal_path: Some(journal_path),
+                    durability: cfg.durability,
+                    ..EngineConfig::default()
+                },
+                templates.clone(),
+            )
+            .map_err(PoolError::Recovery)?;
+            recovered += resume_running(&engine, &resume_failures);
             let engine = Arc::new(engine);
             let (tx, rx) = sync_channel::<Job>(cfg.queue_capacity);
             let depth = Arc::new(AtomicI64::new(0));
@@ -979,12 +960,11 @@ impl Drop for ShardPool {
 ///
 /// Returns the meta record plus the full deploy-ordered template set —
 /// every stored version followed by any genuinely new processes from
-/// `cli` — which is both the recovery replay set and the registration
-/// set for fresh shards. A `cli` definition whose *name* is already
-/// recorded but whose content hash matches no stored version is
-/// refused with [`PoolError::SpecMismatch`]: the spec changed out of
-/// band, and silently replaying old journals against it would corrupt
-/// recovery.
+/// `cli` — which every shard engine is opened with. A `cli` definition
+/// whose *name* is already recorded but whose content hash matches no
+/// stored version is refused with [`PoolError::SpecMismatch`]: the spec
+/// changed out of band, and silently replaying old journals against it
+/// would corrupt recovery.
 fn check_meta(
     dir: &Path,
     shards: usize,
@@ -1088,25 +1068,22 @@ fn parse_meta(text: &str) -> Result<ServerMeta, PoolError> {
         .map_err(|e| PoolError::Io(std::io::Error::other(format!("bad meta: {e}"))))
 }
 
-/// Writes one definition to `templates/<hash>.json` (idempotent).
+/// Writes one definition to `templates/<hash>.json`, atomically. A
+/// file already there is rewritten, not trusted: the name is a content
+/// hash, so the bytes are the same unless a crash cut the earlier write
+/// short.
 fn persist_template(tpl_dir: &Path, hash: &str, def: &ProcessDefinition) -> Result<(), PoolError> {
     std::fs::create_dir_all(tpl_dir)?;
-    let path = tpl_dir.join(format!("{hash}.json"));
-    if !path.exists() {
-        std::fs::write(
-            &path,
-            serde_json::to_string(def).expect("definition serializes"),
-        )?;
-    }
+    let text = serde_json::to_string(def).expect("definition serializes");
+    atomic_rewrite(&tpl_dir.join(format!("{hash}.json")), text.as_bytes())?;
     Ok(())
 }
 
-/// Rewrites `server.meta.json`.
+/// Rewrites `server.meta.json`, atomically: a crash leaves the old meta
+/// or the new one, never a truncated file the next open would refuse.
 fn write_meta(meta_path: &Path, meta: &ServerMeta) -> Result<(), PoolError> {
-    std::fs::write(
-        meta_path,
-        serde_json::to_string(meta).expect("meta serializes"),
-    )?;
+    let text = serde_json::to_string(meta).expect("meta serializes");
+    atomic_rewrite(meta_path, text.as_bytes())?;
     Ok(())
 }
 
@@ -1312,8 +1289,98 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::{
-        decode_ext, encode_ext, parse_meta, resume_running, PoolError, ServerMeta, TENANT_BITS,
+        decode_ext, encode_ext, parse_meta, resume_running, spec_hash_of, MigrationPolicy,
+        PoolConfig, PoolError, ServerMeta, ShardPool, SubmitOutcome, TENANT_BITS,
     };
+    use std::path::{Path, PathBuf};
+    use std::sync::Arc;
+    use txn_substrate::{MultiDatabase, ProgramOutcome, ProgramRegistry};
+    use wfms_model::{Container, ProcessBuilder, ProcessDefinition};
+    use wfms_observe::Registry;
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("wfms-shard-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A version of process `one`: a single step named `step`.
+    fn one(step: &str) -> ProcessDefinition {
+        ProcessBuilder::new("one")
+            .program(step, "ok")
+            .build()
+            .unwrap()
+    }
+
+    fn open(dir: &Path, templates: Vec<ProcessDefinition>) -> Result<ShardPool, PoolError> {
+        let mut cfg = PoolConfig::new(dir);
+        cfg.templates = templates;
+        ShardPool::open(cfg, Arc::new(Registry::new()), &|_| {
+            let fed = MultiDatabase::new(0);
+            fed.add_database("db");
+            let programs = Arc::new(ProgramRegistry::new());
+            programs.register_fn("ok", |_| ProgramOutcome::committed());
+            (fed, programs)
+        })
+    }
+
+    /// The version a new submission of `one` is pinned to.
+    fn submitted_version(pool: &ShardPool) -> String {
+        let SubmitOutcome::Accepted { id, .. } = pool.submit("one", Container::empty()) else {
+            panic!("submit rejected");
+        };
+        pool.status(id).expect("just accepted").2
+    }
+
+    /// A crash while `templates/<hash>.json` was being written leaves
+    /// an empty or half-length file under a name that promises the
+    /// content. The next open rewrites it: existence proves nothing.
+    #[test]
+    fn a_torn_template_file_is_rewritten_not_trusted() {
+        let dir = temp_dir("torn-template");
+        let def = one("A");
+        let file = dir
+            .join("templates")
+            .join(format!("{:016x}.json", spec_hash_of(&def)));
+        std::fs::create_dir_all(file.parent().unwrap()).unwrap();
+        std::fs::write(&file, "").unwrap();
+
+        drop(open(&dir, vec![def.clone()]).unwrap());
+        let stored: ProcessDefinition =
+            serde_json::from_str(&std::fs::read_to_string(&file).unwrap()).unwrap();
+        assert_eq!(spec_hash_of(&stored), spec_hash_of(&def));
+        open(&dir, vec![def]).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One rule for defaults, whatever the journal holds: the first
+    /// stored version of a name is its initial default and only a
+    /// journalled `TemplateDeployed` moves it. (Before `Engine::open`, a
+    /// shard whose journal was absent registered the stored versions
+    /// live instead, which left the *last* one the default.) A shard
+    /// that lost its journal therefore starts `one` on v1 again, like a
+    /// shard whose journal never saw the deploy; deploying v2 again
+    /// moves it.
+    #[test]
+    fn only_the_journal_moves_a_default() {
+        let dir = temp_dir("defaults");
+        let v1 = format!("{:016x}", spec_hash_of(&one("A")));
+        let v2 = format!("{:016x}", spec_hash_of(&one("B")));
+        {
+            let pool = open(&dir, vec![one("A")]).unwrap();
+            pool.deploy(one("B"), MigrationPolicy::DrainOld).unwrap();
+            assert_eq!(submitted_version(&pool), v2);
+        }
+        assert_eq!(submitted_version(&open(&dir, Vec::new()).unwrap()), v2);
+
+        std::fs::remove_file(dir.join("shard-0.journal")).unwrap();
+        let pool = open(&dir, Vec::new()).unwrap();
+        assert_eq!(submitted_version(&pool), v1);
+        pool.deploy(one("B"), MigrationPolicy::DrainOld).unwrap();
+        assert_eq!(submitted_version(&pool), v2);
+        drop(pool);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     /// The three `server.meta.json` shapes ever written each parse to
     /// the meta they upgrade to; anything else is a "bad meta" error.
