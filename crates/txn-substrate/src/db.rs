@@ -20,10 +20,11 @@ use crate::storage::Storage;
 use crate::txn::{Transaction, TxnId, TxnStatus};
 use crate::value::Value;
 use crate::wal::{LogRecord, Wal};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use wfms_observe::Counter;
 
 /// Errors surfaced by database operations. Any error on an active
 /// transaction rolls that transaction back before returning — the
@@ -95,7 +96,9 @@ impl DbConfig {
     }
 }
 
-/// Operation counters for one database (experiment B8 reads these).
+/// Operation counters for one database (experiment B8 reads these):
+/// a snapshot of the database's atomic counters, so counting takes no
+/// lock on the transaction path.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DbStats {
     /// Transactions begun.
@@ -112,6 +115,18 @@ pub struct DbStats {
     pub reads: u64,
     /// Individual write operations applied.
     pub writes: u64,
+}
+
+/// The live form of [`DbStats`], one relaxed atomic per counter.
+#[derive(Debug, Default)]
+struct Counters {
+    begun: Counter,
+    committed: Counter,
+    aborted: Counter,
+    deadlock_aborts: Counter,
+    injected_aborts: Counter,
+    reads: Counter,
+    writes: Counter,
 }
 
 /// One autonomous local database of the federation.
@@ -133,13 +148,15 @@ pub struct DbStats {
 #[derive(Debug)]
 pub struct Database {
     name: String,
+    /// `"<name>/commit"`, the commit-point injection label.
+    commit_label: String,
     storage: Storage,
     locks: LockManager,
     wal: Wal,
     next_txn: AtomicU64,
     injector: Option<InjectorHandle>,
     down: AtomicBool,
-    stats: Mutex<DbStats>,
+    stats: Counters,
 }
 
 impl Database {
@@ -158,6 +175,7 @@ impl Database {
             None => Wal::new(),
         };
         Self {
+            commit_label: format!("{name}/commit", name = config.name),
             name: config.name,
             storage: Storage::new(),
             locks: LockManager::new(),
@@ -165,7 +183,7 @@ impl Database {
             wal,
             injector: config.injector,
             down: AtomicBool::new(false),
-            stats: Mutex::new(DbStats::default()),
+            stats: Counters::default(),
         }
     }
 
@@ -178,7 +196,7 @@ impl Database {
     pub fn begin(&self) -> Transaction<'_> {
         let id = TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed));
         self.wal.append(LogRecord::Begin { txn: id });
-        self.stats.lock().begun += 1;
+        self.stats.begun.inc();
         Transaction {
             db: self,
             id,
@@ -225,7 +243,7 @@ impl Database {
     /// quiescence a crash-consistent snapshot needs. Returns the
     /// number of log records dropped by compaction.
     pub fn checkpoint(&self) -> usize {
-        let state: Vec<(String, Value)> = self.storage.snapshot().into_iter().collect();
+        let state = self.storage.snapshot().into_iter().collect();
         self.wal.append(LogRecord::Checkpoint { state });
         self.wal.compact()
     }
@@ -233,7 +251,8 @@ impl Database {
     /// A point-in-time copy of committed state (keys in order).
     /// Only meaningful when no writer is concurrently active.
     pub fn snapshot(&self) -> BTreeMap<String, Value> {
-        self.storage.snapshot()
+        let shared = self.storage.snapshot().into_iter();
+        shared.map(|(k, v)| (k.to_string(), v)).collect()
     }
 
     /// Non-transactional read of current state. Intended for tests and
@@ -244,7 +263,15 @@ impl Database {
 
     /// Operation counters.
     pub fn stats(&self) -> DbStats {
-        *self.stats.lock()
+        DbStats {
+            begun: self.stats.begun.get(),
+            committed: self.stats.committed.get(),
+            aborted: self.stats.aborted.get(),
+            deadlock_aborts: self.stats.deadlock_aborts.get(),
+            injected_aborts: self.stats.injected_aborts.get(),
+            reads: self.stats.reads.get(),
+            writes: self.stats.writes.get(),
+        }
     }
 
     /// Lock-manager counters.
@@ -278,13 +305,13 @@ impl Database {
             return Err(e);
         }
         match self.locks.acquire(txn, key, LockMode::Shared) {
-            Ok(()) => {
-                self.stats.lock().reads += 1;
+            Ok(_) => {
+                self.stats.reads.inc();
                 Ok(self.storage.get(key))
             }
             Err(LockError::Deadlock { cycle }) => {
                 self.txn_abort(txn);
-                self.stats.lock().deadlock_aborts += 1;
+                self.stats.deadlock_aborts.inc();
                 Err(DbError::Deadlock { txn, cycle })
             }
         }
@@ -301,22 +328,22 @@ impl Database {
             return Err(e);
         }
         match self.locks.acquire(txn, key, LockMode::Exclusive) {
-            Ok(()) => {
-                // WAL rule: log before applying.
-                let before = self.storage.get(key);
+            Ok(key) => {
+                // WAL rule: log before applying. The record and the
+                // store share the lock table's copy of the key.
                 self.wal.append(LogRecord::Update {
                     txn,
-                    key: key.to_owned(),
-                    before: before.clone(),
+                    key: Arc::clone(&key),
+                    before: self.storage.get(&key),
                     after: value.clone(),
                 });
-                self.storage.apply(key, value);
-                self.stats.lock().writes += 1;
+                self.storage.apply(&key, value);
+                self.stats.writes.inc();
                 Ok(())
             }
             Err(LockError::Deadlock { cycle }) => {
                 self.txn_abort(txn);
-                self.stats.lock().deadlock_aborts += 1;
+                self.stats.deadlock_aborts.inc();
                 Err(DbError::Deadlock { txn, cycle })
             }
         }
@@ -330,16 +357,16 @@ impl Database {
         // The commit point is where local autonomy bites: the database
         // may refuse the commit even though every operation succeeded.
         if let Some(inj) = &self.injector {
-            let label = format!("{}/commit", self.name);
-            if inj.decide(&label) == FailureAction::Abort {
+            if inj.decide(&self.commit_label) == FailureAction::Abort {
                 self.txn_abort(txn);
-                self.stats.lock().injected_aborts += 1;
+                self.stats.injected_aborts.inc();
+                let label = self.commit_label.clone();
                 return Err(DbError::InjectedAbort { txn, label });
             }
         }
         self.wal.append(LogRecord::Commit { txn });
         self.locks.release_all(txn);
-        self.stats.lock().committed += 1;
+        self.stats.committed.inc();
         Ok(())
     }
 
@@ -351,7 +378,7 @@ impl Database {
         }
         self.wal.append(LogRecord::Abort { txn });
         self.locks.release_all(txn);
-        self.stats.lock().aborted += 1;
+        self.stats.aborted.inc();
     }
 }
 

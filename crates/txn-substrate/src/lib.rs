@@ -62,8 +62,8 @@ pub use inject::{on_attempts, FailureAction, FailurePlan, Injector, InjectorHand
 pub use lock::{LockError, LockManager, LockMode, LockStats};
 pub use multidb::MultiDatabase;
 pub use program::{
-    CompensationOutcome, FnProgram, KvProgram, ProgramContext, ProgramOutcome, ProgramRegistry,
-    StepClass, TxnProgram,
+    no_params, CompensationOutcome, FnProgram, KvProgram, Params, ProgramContext, ProgramOutcome,
+    ProgramRegistry, StepClass, TxnProgram,
 };
 pub use storage::{Key, Storage};
 pub use txn::{Transaction, TxnId, TxnStatus};

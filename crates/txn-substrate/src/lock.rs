@@ -22,6 +22,7 @@
 use crate::txn::TxnId;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 /// Lock mode for a record lock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -68,8 +69,11 @@ impl std::fmt::Display for LockError {
 
 impl std::error::Error for LockError {}
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct LockEntry {
+    /// The table's own copy of the key, handed to whoever is granted
+    /// the lock so the store and the log share it.
+    key: Arc<str>,
     /// Current holders with their strongest granted mode.
     holders: Vec<(TxnId, LockMode)>,
     /// FIFO queue of blocked requests.
@@ -78,8 +82,21 @@ struct LockEntry {
 
 #[derive(Debug, Default)]
 struct LmState {
-    table: HashMap<String, LockEntry>,
+    /// One entry per record key locked so far. An entry stays when its
+    /// last holder leaves: the table is where a key's single
+    /// allocation per database lives, and a kept entry's vectors keep
+    /// their capacity, so re-locking a known key allocates nothing.
+    table: HashMap<Arc<str>, LockEntry>,
+    /// Keys each active transaction holds, in grant order: what
+    /// [`LockManager::release_all`] walks instead of the whole table.
+    held: HashMap<TxnId, Vec<Arc<str>>>,
+    /// Emptied `held` lists, reused for their capacity.
+    spare: Vec<Vec<Arc<str>>>,
     /// Edges `waiter -> {holders it waits for}` for deadlock search.
+    /// A transaction is in here exactly while its request is queued:
+    /// it registers before it first sleeps and leaves when it is
+    /// granted or refused, all under the table mutex — so an empty
+    /// map means no thread is asleep on the condition variable.
     waits_for: HashMap<TxnId, HashSet<TxnId>>,
     stats: LockStats,
 }
@@ -99,6 +116,10 @@ pub struct LockStats {
     /// Total wall-clock nanoseconds requests spent blocked (both
     /// eventually granted and deadlock-refused waits).
     pub wait_nanos: u64,
+    /// Releases that notified the condition variable — a system call
+    /// each. A release with no request queued notifies nobody, so a
+    /// run without lock conflicts reads 0.
+    pub wakeups: u64,
 }
 
 /// The lock manager of one local database.
@@ -115,39 +136,37 @@ impl LockManager {
     }
 
     /// Acquires `mode` on `key` for `txn`, blocking until granted.
+    /// Returns the lock table's shared copy of the key: the caller
+    /// stores and logs under it instead of allocating its own.
     ///
     /// Returns `Err(LockError::Deadlock)` if waiting would create a
     /// wait-for cycle; the caller is expected to abort `txn`.
-    pub fn acquire(&self, txn: TxnId, key: &str, mode: LockMode) -> Result<(), LockError> {
+    pub fn acquire(&self, txn: TxnId, key: &str, mode: LockMode) -> Result<Arc<str>, LockError> {
         let mut st = self.state.lock();
         let mut wait_start: Option<std::time::Instant> = None;
         loop {
             let registered = wait_start.is_some();
-            if Self::try_grant(&mut st, txn, key, mode, registered) {
+            if let Some(shared) = st.try_grant(txn, key, mode, registered) {
                 if let Some(t0) = wait_start {
-                    Self::clear_waiter(&mut st, txn, key);
+                    st.clear_waiter(txn, key);
                     st.stats.wait_nanos += t0.elapsed().as_nanos() as u64;
                 } else {
                     st.stats.immediate_grants += 1;
                 }
-                return Ok(());
+                return Ok(shared);
             }
             if !registered {
-                st.table
-                    .entry(key.to_owned())
-                    .or_default()
-                    .waiters
-                    .push_back((txn, mode));
+                let entry = st.table.get_mut(key).expect("try_grant made the entry");
+                entry.waiters.push_back((txn, mode));
                 wait_start = Some(std::time::Instant::now());
                 st.stats.waits += 1;
             }
             // (Re)compute this waiter's outgoing wait-for edges and run
             // the cycle check before sleeping.
-            let blockers = Self::blockers(&st, txn, key, mode);
+            let blockers = st.blockers(txn, key, mode);
             st.waits_for.insert(txn, blockers);
-            if let Some(cycle) = Self::find_cycle(&st, txn) {
-                Self::clear_waiter(&mut st, txn, key);
-                st.waits_for.remove(&txn);
+            if let Some(cycle) = st.find_cycle(txn) {
+                st.clear_waiter(txn, key);
                 st.stats.deadlocks += 1;
                 if let Some(t0) = wait_start {
                     st.stats.wait_nanos += t0.elapsed().as_nanos() as u64;
@@ -168,46 +187,74 @@ impl LockManager {
     }
 
     /// Releases every lock held by `txn` (strict 2PL: called only at
-    /// commit or abort) and wakes all blocked requesters.
+    /// commit or abort) and, if any request is queued, wakes the
+    /// blocked requesters.
     pub fn release_all(&self, txn: TxnId) {
-        let mut st = self.state.lock();
-        st.table.retain(|_, entry| {
-            entry.holders.retain(|&(t, _)| t != txn);
-            entry.waiters.retain(|&(t, _)| t != txn);
-            !(entry.holders.is_empty() && entry.waiters.is_empty())
-        });
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        if let Some(mut keys) = st.held.remove(&txn) {
+            for key in keys.drain(..) {
+                if let Some(entry) = st.table.get_mut(&*key) {
+                    entry.holders.retain(|&(t, _)| t != txn);
+                }
+            }
+            st.spare.push(keys);
+        }
         st.waits_for.remove(&txn);
         for targets in st.waits_for.values_mut() {
             targets.remove(&txn);
         }
-        drop(st);
-        self.wakeup.notify_all();
+        let wake = !st.waits_for.is_empty();
+        st.stats.wakeups += u64::from(wake);
+        drop(guard);
+        if wake {
+            self.wakeup.notify_all();
+        }
     }
 
     /// Keys currently locked by `txn`, in key order, with their modes.
     pub fn held_by(&self, txn: TxnId) -> BTreeMap<String, LockMode> {
         let st = self.state.lock();
-        st.table
-            .iter()
-            .filter_map(|(k, e)| {
-                e.holders
-                    .iter()
-                    .find(|&&(t, _)| t == txn)
-                    .map(|&(_, m)| (k.clone(), m))
-            })
-            .collect()
+        let mode_on = |key: &Arc<str>| {
+            let holders = &st.table.get(&**key)?.holders;
+            let &(_, mode) = holders.iter().find(|&&(t, _)| t == txn)?;
+            Some((key.to_string(), mode))
+        };
+        st.held
+            .get(&txn)
+            .map(|keys| keys.iter().filter_map(mode_on).collect())
+            .unwrap_or_default()
     }
 
     /// Snapshot of the lock-manager counters.
     pub fn stats(&self) -> LockStats {
         self.state.lock().stats
     }
+}
 
-    /// Attempts the grant under the table lock. `is_queued` indicates
-    /// the request is already in the waiter queue (so queue-front
-    /// fairness applies to it).
-    fn try_grant(st: &mut LmState, txn: TxnId, key: &str, mode: LockMode, is_queued: bool) -> bool {
-        let entry = st.table.entry(key.to_owned()).or_default();
+impl LmState {
+    /// Attempts the grant under the table lock; on success returns the
+    /// table's copy of the key. `is_queued` indicates the request is
+    /// already in the waiter queue (so queue-front fairness applies to
+    /// it).
+    fn try_grant(
+        &mut self,
+        txn: TxnId,
+        key: &str,
+        mode: LockMode,
+        is_queued: bool,
+    ) -> Option<Arc<str>> {
+        let entry = match self.table.get_mut(key) {
+            Some(entry) => entry,
+            None => {
+                let key: Arc<str> = Arc::from(key);
+                self.table.entry(Arc::clone(&key)).or_insert(LockEntry {
+                    key,
+                    holders: Vec::new(),
+                    waiters: VecDeque::new(),
+                })
+            }
+        };
 
         // Re-entrant request covered by an existing grant.
         if entry
@@ -215,14 +262,14 @@ impl LockManager {
             .iter()
             .any(|&(t, m)| t == txn && m.covers(mode))
         {
-            return true;
+            return Some(Arc::clone(&entry.key));
         }
 
         // Upgrade: sole holder asking for exclusive.
         if mode == LockMode::Exclusive && entry.holders.len() == 1 && entry.holders[0].0 == txn {
             entry.holders[0].1 = LockMode::Exclusive;
-            st.stats.upgrades += 1;
-            return true;
+            self.stats.upgrades += 1;
+            return Some(Arc::clone(&entry.key));
         }
 
         let compatible_with_holders = entry
@@ -230,7 +277,7 @@ impl LockManager {
             .iter()
             .all(|&(t, m)| t == txn || mode.compatible(m));
         if !compatible_with_holders {
-            return false;
+            return None;
         }
 
         // FIFO fairness: a new request may not overtake queued waiters
@@ -242,24 +289,29 @@ impl LockManager {
             .take_while(|&&(t, _)| t != txn)
             .any(|&(t, wmode)| t != txn && (!mode.compatible(wmode) || !wmode.compatible(mode)));
         if blocked_by_queue && !is_queued {
-            return false;
+            return None;
         }
         if is_queued {
             // Only grantable if no conflicting waiter precedes us.
             if blocked_by_queue {
-                return false;
+                return None;
             }
         }
 
         entry.holders.push((txn, mode));
-        true
+        let spare = &mut self.spare;
+        self.held
+            .entry(txn)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+            .push(Arc::clone(&entry.key));
+        Some(Arc::clone(&entry.key))
     }
 
     /// Transactions `txn` would wait for on `key`: conflicting holders
     /// plus conflicting earlier waiters.
-    fn blockers(st: &LmState, txn: TxnId, key: &str, mode: LockMode) -> HashSet<TxnId> {
+    fn blockers(&self, txn: TxnId, key: &str, mode: LockMode) -> HashSet<TxnId> {
         let mut out = HashSet::new();
-        if let Some(entry) = st.table.get(key) {
+        if let Some(entry) = self.table.get(key) {
             for &(t, m) in &entry.holders {
                 if t != txn && !mode.compatible(m) {
                     out.insert(t);
@@ -282,29 +334,29 @@ impl LockManager {
         out
     }
 
-    fn clear_waiter(st: &mut LmState, txn: TxnId, key: &str) {
-        if let Some(entry) = st.table.get_mut(key) {
+    fn clear_waiter(&mut self, txn: TxnId, key: &str) {
+        if let Some(entry) = self.table.get_mut(key) {
             entry.waiters.retain(|&(t, _)| t != txn);
         }
-        st.waits_for.remove(&txn);
+        self.waits_for.remove(&txn);
     }
 
     /// Depth-first search for a cycle through `start` in the wait-for
     /// graph. Returns the cycle path if found.
-    fn find_cycle(st: &LmState, start: TxnId) -> Option<Vec<TxnId>> {
+    fn find_cycle(&self, start: TxnId) -> Option<Vec<TxnId>> {
         let mut path = vec![start];
         let mut visited = HashSet::new();
-        Self::dfs(st, start, start, &mut path, &mut visited)
+        self.dfs(start, start, &mut path, &mut visited)
     }
 
     fn dfs(
-        st: &LmState,
+        &self,
         start: TxnId,
         at: TxnId,
         path: &mut Vec<TxnId>,
         visited: &mut HashSet<TxnId>,
     ) -> Option<Vec<TxnId>> {
-        if let Some(nexts) = st.waits_for.get(&at) {
+        if let Some(nexts) = self.waits_for.get(&at) {
             // BTreeSet-like determinism for tests: sort the frontier.
             let mut nexts: Vec<_> = nexts.iter().copied().collect();
             nexts.sort();
@@ -314,7 +366,7 @@ impl LockManager {
                 }
                 if visited.insert(n) {
                     path.push(n);
-                    if let Some(c) = Self::dfs(st, start, n, path, visited) {
+                    if let Some(c) = self.dfs(start, n, path, visited) {
                         return Some(c);
                     }
                     path.pop();
@@ -375,6 +427,30 @@ mod tests {
         lm.release_all(t(1));
         h.join().unwrap().unwrap();
         assert!(lm.holds(t(2), "k", LockMode::Exclusive));
+    }
+
+    /// The condition variable is notified — a system call — only when
+    /// a request is queued; the interleaving is forced by watching the
+    /// request register, which it does under the table mutex before it
+    /// sleeps.
+    #[test]
+    fn release_notifies_only_when_a_request_is_queued() {
+        let lm = Arc::new(LockManager::new());
+        lm.acquire(t(1), "k", LockMode::Exclusive).unwrap();
+        lm.release_all(t(1));
+        assert_eq!(lm.stats().wakeups, 0, "nobody was waiting");
+
+        lm.acquire(t(1), "k", LockMode::Exclusive).unwrap();
+        let lm2 = Arc::clone(&lm);
+        let h = thread::spawn(move || lm2.acquire(t(2), "k", LockMode::Exclusive));
+        while lm.stats().waits == 0 {
+            thread::yield_now();
+        }
+        lm.release_all(t(1));
+        h.join().unwrap().unwrap();
+        assert_eq!(lm.stats().wakeups, 1);
+        lm.release_all(t(2));
+        assert_eq!(lm.stats().wakeups, 1, "the queue is empty again");
     }
 
     #[test]

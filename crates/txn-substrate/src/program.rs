@@ -130,13 +130,27 @@ impl ProgramOutcome {
 /// shape of outcome as forward programs.
 pub type CompensationOutcome = ProgramOutcome;
 
+/// Named values handed to a program: a shared map with shared member
+/// names, cloned by reference count and copied on the first write.
+/// This is the representation a workflow container wraps
+/// (`wfms_model::Container`), so an activity's materialised input
+/// container is handed to its program as it is.
+pub type Params = Arc<BTreeMap<Arc<str>, Value>>;
+
+/// The one shared empty [`Params`]: no parameters is a reference-count
+/// bump, not an allocation.
+pub fn no_params() -> Params {
+    static EMPTY: std::sync::OnceLock<Params> = std::sync::OnceLock::new();
+    Arc::clone(EMPTY.get_or_init(Params::default))
+}
+
 /// Everything a program may touch while running.
 pub struct ProgramContext {
     /// The federation of local databases.
     pub multidb: Arc<MultiDatabase>,
-    /// Input parameters (mapped from a workflow input container or
-    /// passed by a native executor).
-    pub params: BTreeMap<String, Value>,
+    /// Input parameters (a workflow input container, or passed by a
+    /// native executor).
+    pub params: Params,
     /// Zero-based attempt number (> 0 when an exit condition or a
     /// retriable executor re-runs the program).
     pub attempt: u32,
@@ -147,14 +161,14 @@ impl ProgramContext {
     pub fn new(multidb: Arc<MultiDatabase>) -> Self {
         Self {
             multidb,
-            params: BTreeMap::new(),
+            params: no_params(),
             attempt: 0,
         }
     }
 
     /// Adds a parameter (builder style).
     pub fn with_param(mut self, key: &str, value: impl Into<Value>) -> Self {
-        self.params.insert(key.to_owned(), value.into());
+        Arc::make_mut(&mut self.params).insert(key.into(), value.into());
         self
     }
 

@@ -9,11 +9,13 @@
 use crate::value::Value;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-/// The record key type. `String` keys keep examples and traces
-/// readable; the substrate is not performance-critical enough to
-/// justify interned keys.
-pub type Key = String;
+/// The record key type: one shared allocation per key per database,
+/// made by the lock table when the key is first locked
+/// ([`crate::LockManager::acquire`]) and shared by the store and the
+/// log's update records.
+pub type Key = Arc<str>;
 
 /// A thread-safe in-memory key/value store.
 ///
@@ -36,9 +38,10 @@ impl Storage {
     }
 
     /// Writes `value` under `key`, returning the previous value
-    /// (the before-image the caller must log for undo).
-    pub fn set(&self, key: &str, value: Value) -> Option<Value> {
-        self.map.write().insert(key.to_owned(), value)
+    /// (the before-image the caller must log for undo). Overwriting
+    /// keeps the key the map already holds and allocates nothing.
+    pub fn set(&self, key: &Key, value: Value) -> Option<Value> {
+        self.map.write().insert(Arc::clone(key), value)
     }
 
     /// Removes `key`, returning the removed value if it existed.
@@ -51,7 +54,7 @@ impl Storage {
     /// forward execution and undo/redo use, which guarantees that
     /// recovery applies exactly the same state transitions as normal
     /// operation.
-    pub fn apply(&self, key: &str, value: Option<Value>) -> Option<Value> {
+    pub fn apply(&self, key: &Key, value: Option<Value>) -> Option<Value> {
         match value {
             Some(v) => self.set(key, v),
             None => self.remove(key),
@@ -86,13 +89,17 @@ impl Storage {
 mod tests {
     use super::*;
 
+    fn k(key: &str) -> Key {
+        Key::from(key)
+    }
+
     #[test]
     fn set_get_remove() {
         let s = Storage::new();
         assert_eq!(s.get("a"), None);
-        assert_eq!(s.set("a", Value::Int(1)), None);
+        assert_eq!(s.set(&k("a"), Value::Int(1)), None);
         assert_eq!(s.get("a"), Some(Value::Int(1)));
-        assert_eq!(s.set("a", Value::Int(2)), Some(Value::Int(1)));
+        assert_eq!(s.set(&k("a"), Value::Int(2)), Some(Value::Int(1)));
         assert_eq!(s.remove("a"), Some(Value::Int(2)));
         assert_eq!(s.get("a"), None);
         assert!(s.is_empty());
@@ -101,23 +108,20 @@ mod tests {
     #[test]
     fn apply_returns_before_image() {
         let s = Storage::new();
-        assert_eq!(s.apply("k", Some(Value::Int(1))), None);
-        assert_eq!(s.apply("k", Some(Value::Int(2))), Some(Value::Int(1)));
-        assert_eq!(s.apply("k", None), Some(Value::Int(2)));
-        assert_eq!(s.apply("k", None), None);
+        assert_eq!(s.apply(&k("k"), Some(Value::Int(1))), None);
+        assert_eq!(s.apply(&k("k"), Some(Value::Int(2))), Some(Value::Int(1)));
+        assert_eq!(s.apply(&k("k"), None), Some(Value::Int(2)));
+        assert_eq!(s.apply(&k("k"), None), None);
     }
 
     #[test]
     fn snapshot_is_ordered_and_detached() {
         let s = Storage::new();
-        s.set("b", Value::Int(2));
-        s.set("a", Value::Int(1));
+        s.set(&k("b"), Value::Int(2));
+        s.set(&k("a"), Value::Int(1));
         let snap = s.snapshot();
-        assert_eq!(
-            snap.keys().cloned().collect::<Vec<_>>(),
-            vec!["a".to_string(), "b".to_string()]
-        );
-        s.set("a", Value::Int(99));
+        assert_eq!(snap.keys().cloned().collect::<Vec<_>>(), [k("a"), k("b")]);
+        s.set(&k("a"), Value::Int(99));
         assert_eq!(
             snap["a"],
             Value::Int(1),
@@ -128,7 +132,7 @@ mod tests {
     #[test]
     fn clear_empties() {
         let s = Storage::new();
-        s.set("x", Value::Bool(true));
+        s.set(&k("x"), Value::Bool(true));
         s.clear();
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);

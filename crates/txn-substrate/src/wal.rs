@@ -25,7 +25,7 @@
 use crate::durability::{DurabilityPolicy, MirrorError, TailReport};
 use crate::frame::{self, Field, Reader, Record, FILE_HEADER_LEN};
 use crate::log::Log;
-use crate::storage::Storage;
+use crate::storage::{Key, Storage};
 use crate::txn::TxnId;
 use crate::value::Value;
 use std::path::Path;
@@ -42,7 +42,7 @@ pub enum LogRecord {
     /// An update with before/after images (`None` = key absent).
     Update {
         txn: TxnId,
-        key: String,
+        key: Key,
         before: Option<Value>,
         after: Option<Value>,
     },
@@ -54,7 +54,7 @@ pub enum LogRecord {
     /// quiescent point. Recovery restarts from the **last** checkpoint
     /// and redoes only the committed updates after it; compaction
     /// drops everything before it.
-    Checkpoint { state: Vec<(String, Value)> },
+    Checkpoint { state: Vec<(Key, Value)> },
 }
 
 impl LogRecord {
@@ -124,7 +124,7 @@ impl Record for LogRecord {
             },
             2 => LogRecord::Update {
                 txn: TxnId(r.u64()?),
-                key: r.string()?,
+                key: r.shared_str()?,
                 before: r.opt(Reader::value)?,
                 after: r.opt(Reader::value)?,
             },
@@ -136,7 +136,7 @@ impl Record for LogRecord {
             },
             5 => LogRecord::Checkpoint {
                 state: (0..r.count()?)
-                    .map(|_| Ok((r.string()?, r.value()?)))
+                    .map(|_| Ok((r.shared_str()?, r.value()?)))
                     .collect::<Field<_>>()?,
             },
             _ => return Err("unknown WAL record tag"),
@@ -255,21 +255,28 @@ impl Wal {
     }
 
     /// Update records of `txn` in log order (the transaction layer
-    /// walks these backwards to undo an abort).
-    pub fn updates_of(&self, txn: TxnId) -> Vec<(String, Option<Value>)> {
+    /// walks these backwards to undo an abort). Found by walking back
+    /// from the tail to the transaction's `Begin`, so an abort costs
+    /// what the log grew by while the transaction ran, not what the
+    /// log holds.
+    pub fn updates_of(&self, txn: TxnId) -> Vec<(Key, Option<Value>)> {
         self.log.with_records(|records| {
-            records
+            let mut updates: Vec<_> = records
                 .iter()
+                .rev()
+                .take_while(|r| !matches!(r, LogRecord::Begin { txn: t } if *t == txn))
                 .filter_map(|r| match r {
                     LogRecord::Update {
                         txn: t,
                         key,
                         before,
                         ..
-                    } if *t == txn => Some((key.clone(), before.clone())),
+                    } if *t == txn => Some((Key::clone(key), before.clone())),
                     _ => None,
                 })
-                .collect()
+                .collect();
+            updates.reverse();
+            updates
         })
     }
 
@@ -441,10 +448,30 @@ mod tests {
         let ups = wal.updates_of(t(1));
         assert_eq!(
             ups,
-            vec![
-                ("x".to_string(), None),
-                ("x".to_string(), Some(Value::Int(1)))
-            ]
+            vec![("x".into(), None), ("x".into(), Some(Value::Int(1)))]
+        );
+    }
+
+    /// An abort reads what the log grew by since the transaction's
+    /// `Begin`, whatever sits in front of it: the same before-images in
+    /// the same order behind 100 000 unrelated records, and nothing in
+    /// front of the `Begin` is visited — a decoy update there, carrying
+    /// the transaction's own id, would be returned by any scan that
+    /// went past it.
+    #[test]
+    fn updates_of_reads_back_to_the_begin_and_no_further() {
+        let wal = Wal::new();
+        wal.append(upd(7, "decoy", None, Some(0)));
+        for i in 0..100_000 {
+            wal.append(upd(1 + i % 5, "unrelated", Some(0), Some(1)));
+        }
+        wal.append(LogRecord::Begin { txn: t(7) });
+        wal.append(upd(7, "x", None, Some(1)));
+        wal.append(upd(8, "y", None, Some(9)));
+        wal.append(upd(7, "x", Some(1), Some(2)));
+        assert_eq!(
+            wal.updates_of(t(7)),
+            vec![("x".into(), None), ("x".into(), Some(Value::Int(1)))]
         );
     }
 
@@ -811,7 +838,7 @@ mod tests {
         )
             .prop_map(|(txn, key, before, after)| LogRecord::Update {
                 txn: t(txn),
-                key,
+                key: key.into(),
                 before,
                 after,
             });
@@ -820,7 +847,7 @@ mod tests {
             update,
             any::<u64>().prop_map(|n| LogRecord::Commit { txn: t(n) }),
             any::<u64>().prop_map(|n| LogRecord::Abort { txn: t(n) }),
-            prop::collection::vec((text(), value()), 0..4)
+            prop::collection::vec((text().prop_map(Key::from), value()), 0..4)
                 .prop_map(|state| LogRecord::Checkpoint { state }),
         ]
     }

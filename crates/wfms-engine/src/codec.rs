@@ -352,7 +352,7 @@ fn container(r: &mut Reader<'_>) -> Field<Container> {
     if n == 0 {
         return Ok(Container::empty());
     }
-    (0..n).map(|_| Ok((r.string()?, r.value()?))).collect()
+    (0..n).map(|_| Ok((r.shared_str()?, r.value()?))).collect()
 }
 
 fn scope(r: &mut Reader<'_>, depth: u32) -> Field<ScopeState> {
@@ -438,7 +438,7 @@ fn event(r: &mut Reader<'_>) -> Field<Event> {
     Ok(match r.byte()? {
         1 => Event::InstanceStarted {
             instance: InstanceId(r.u64()?),
-            process: r.string()?,
+            process: r.shared_str()?.into(),
             tenant: opt_string(r)?,
             input: container(r)?,
             at: r.u64()?,
@@ -733,7 +733,7 @@ mod tests {
             match variant {
                 0 => Event::InstanceStarted {
                     instance,
-                    process: a,
+                    process: a.into(),
                     tenant: opt,
                     input: container,
                     at,

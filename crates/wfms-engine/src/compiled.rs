@@ -30,6 +30,7 @@
 //! template compiled at recovery time addresses the same state slots
 //! as the one that produced the journal.
 
+use crate::state::StateSlab;
 use std::collections::HashMap;
 use std::sync::Arc;
 use txn_substrate::{Tick, Value};
@@ -432,10 +433,11 @@ pub struct ScopeMeta {
 /// plus the two maps that turn a boundary string path (journal, audit,
 /// HTTP/CLI) into a slot or a scope with one lookup.
 ///
-/// The per-instance [`StateSlab`](crate::state::StateSlab) allocates
-/// one vector per state column over this slot space, so instance state
-/// is a handful of contiguous allocations instead of a pointer tree,
-/// and navigation steps index columns instead of walking scopes.
+/// The per-instance [`StateSlab`] is three vectors over this slot
+/// space, cloned from the prototype the layout carries
+/// (`ScopeLayout::fresh`), so instance state is three contiguous
+/// allocations instead of a pointer tree, and navigation steps index
+/// them instead of walking scopes.
 #[derive(Debug)]
 pub struct ScopeLayout {
     /// Scopes in preorder (root first).
@@ -478,6 +480,11 @@ pub struct ScopeLayout {
     /// Per edge slot: interned `(from, to)` activity names for
     /// `ConnectorEvaluated` events.
     pub edge_names: Vec<(Arc<str>, Arc<str>)>,
+    /// The process name, interned for `InstanceStarted` events.
+    pub process: Arc<str>,
+    /// The slab every instance starts as a clone of: initialised once
+    /// per template instead of once per instance.
+    pub(crate) fresh: StateSlab,
 }
 
 impl ScopeLayout {
@@ -496,8 +503,11 @@ impl ScopeLayout {
             slot_by_path: HashMap::new(),
             scope_by_path: HashMap::new(),
             edge_names: Vec::new(),
+            process: Arc::from(root.name.as_str()),
+            fresh: StateSlab::default(),
         };
         visit_scope(&mut l, root, None, Arc::from(""), 0);
+        l.fresh = StateSlab::fresh(&l);
         l
     }
 

@@ -737,7 +737,7 @@ impl Engine {
         // attempt.
         let slot = inst
             .live_slot(&it.path)
-            .filter(|&slot| inst.slab.state[slot as usize] == ActState::Ready)
+            .filter(|&slot| inst.slab.acts[slot as usize].state == ActState::Ready)
             .ok_or_else(|| EngineError::BadActivityState {
                 path: it.path.clone(),
                 expected: "ready",
@@ -764,7 +764,7 @@ impl Engine {
             .live_slot(path)
             .filter(|&slot| {
                 matches!(
-                    inst.slab.state[slot as usize],
+                    inst.slab.acts[slot as usize].state,
                     ActState::Ready | ActState::Running
                 )
             })
@@ -779,7 +779,7 @@ impl Engine {
             at,
         });
         let svc = self.services();
-        navigator::complete_execution(inst, &svc, slot, rc, BTreeMap::new());
+        navigator::complete_execution(inst, &svc, slot, rc, &Container::empty());
         match navigator::drive_to_quiescence(inst, &svc, self.step_limit) {
             Some(_) => Ok(()),
             None => Err(EngineError::StepLimit(self.step_limit)),
@@ -844,8 +844,8 @@ impl Engine {
         let inst = instances.get(&id).ok_or(EngineError::UnknownInstance(id))?;
         inst.live_slot(path)
             .map(|slot| {
-                let (sl, slab) = (slot as usize, &inst.slab);
-                (slab.state[sl], slab.executed[sl], slab.attempt[sl])
+                let act = &inst.slab.acts[slot as usize];
+                (act.state, act.executed, act.attempt)
             })
             .ok_or(EngineError::BadActivityState {
                 path: path.to_owned(),

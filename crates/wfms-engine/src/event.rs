@@ -157,7 +157,7 @@ pub enum Event {
     /// enabled; library use and untenanted servers leave it `None`.
     InstanceStarted {
         instance: InstanceId,
-        process: String,
+        process: PathStr,
         tenant: Option<String>,
         input: Container,
         at: Tick,
@@ -768,7 +768,7 @@ impl Event {
         match self {
             Event::InstanceStarted {
                 instance, process, ..
-            } => format!("{instance} started (process {process:?})"),
+            } => format!("{instance} started (process {:?})", process.as_str()),
             Event::ActivityReady { path, attempt, .. } => {
                 format!("  {path} ready (attempt {attempt})")
             }

@@ -169,7 +169,7 @@ impl RefEngine {
         }
         self.journal.push(Event::InstanceStarted {
             instance: id,
-            process: inst.def.name.clone(),
+            process: inst.def.name.as_str().into(),
             tenant: None,
             input: inst.root.input.clone(),
             at: self.clock.now(),
@@ -506,14 +506,16 @@ impl RefEngine {
 
         match kind {
             ActivityKind::NoOp => {
-                let outputs: BTreeMap<String, Value> =
-                    input.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+                let outputs: BTreeMap<String, Value> = input
+                    .iter()
+                    .map(|(k, v)| (k.to_owned(), v.clone()))
+                    .collect();
                 self.complete_execution(inst, path, 1, outputs);
             }
             ActivityKind::Program { program } => {
                 let mut ctx = ProgramContext::new(Arc::clone(&self.multidb));
                 ctx.attempt = attempt;
-                ctx.params = input.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+                ctx.params = Arc::clone(input.params());
                 let outcome = self.programs.invoke(&program, &mut ctx);
                 let (rc, outputs) = match outcome {
                     ProgramOutcome::Committed { rc, outputs } => (rc, outputs),
@@ -797,8 +799,10 @@ impl RefEngine {
             return;
         }
         let rc = output.get(RC_MEMBER).and_then(|v| v.as_int()).unwrap_or(1);
-        let outputs: BTreeMap<String, Value> =
-            output.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        let outputs: BTreeMap<String, Value> = output
+            .iter()
+            .map(|(k, v)| (k.to_owned(), v.clone()))
+            .collect();
         self.complete_execution(inst, scope_path, rc, outputs);
     }
 }

@@ -201,6 +201,9 @@ pub struct DbMetrics {
     pub lock_deadlocks: u64,
     /// Shared→exclusive upgrades.
     pub lock_upgrades: u64,
+    /// Lock releases that had to wake a blocked requester (one system
+    /// call each); 0 for a run without lock conflicts.
+    pub lock_wakeups: u64,
     /// WAL records appended.
     pub wal_appends: u64,
     /// WAL commit/abort durability barriers.
@@ -311,6 +314,7 @@ impl EngineMetrics {
                 ("db.lock_wait_nanos", db.lock_wait_nanos),
                 ("db.lock_deadlocks", db.lock_deadlocks),
                 ("db.lock_upgrades", db.lock_upgrades),
+                ("db.lock_wakeups", db.lock_wakeups),
                 ("db.wal_appends", db.wal_appends),
                 ("db.wal_barrier_flushes", db.wal_barrier_flushes),
                 ("db.wal_mirror_nanos", db.wal_mirror_nanos),
@@ -380,6 +384,7 @@ impl Engine {
                     lock_wait_nanos: l.wait_nanos,
                     lock_deadlocks: l.deadlocks,
                     lock_upgrades: l.upgrades,
+                    lock_wakeups: l.wakeups,
                     wal_appends: w.appends,
                     wal_barrier_flushes: w.barrier_flushes,
                     wal_mirror_nanos: w.mirror_nanos,

@@ -29,10 +29,13 @@
 //! template's [`ScopeLayout`](crate::compiled::ScopeLayout) flattens
 //! every activity, connector and scope into contiguous index spaces,
 //! and the per-instance [`StateSlab`](crate::state::StateSlab) holds
-//! one state column per slot. A navigation step is column indexing —
-//! no path vectors, no scope-tree walks — and everything an event
-//! needs (journal path strings, activity names, container prototypes)
-//! is interned in the layout, so steady-state steps don't allocate.
+//! one record per slot. A navigation step is indexing — no path
+//! vectors, no scope-tree walks — and everything an event needs
+//! (journal path strings, activity names, container prototypes) is
+//! interned in the layout; containers cross from data connector to
+//! program to event by reference count, so a step allocates only where
+//! a container takes a value its prototype does not have
+//! (`tests/alloc_budget.rs`).
 //! The navigator *decides*; the state effect of every event it
 //! journals is an [`Instance`] transition in [`crate::state`], the
 //! same one recovery replays.
@@ -45,13 +48,12 @@ use crate::org::OrgModel;
 use crate::state::{ActState, Instance, InstanceStatus};
 use crate::worklist::{WorkItem, WorkItemState, WorklistStore};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use txn_substrate::{
     MultiDatabase, ProgramContext, ProgramOutcome, ProgramRegistry, Value, VirtualClock,
 };
-use wfms_model::{StartCondition, RC_MEMBER};
+use wfms_model::{Container, StartCondition, RC_MEMBER};
 
 /// Shared services the navigator needs while driving an instance
 /// ([`crate::Engine`] hands out its own). Every field is a shared
@@ -89,7 +91,7 @@ impl NavServices<'_> {
 pub fn start_instance(inst: &mut Instance, svc: &NavServices<'_>) {
     svc.journal.append(Event::InstanceStarted {
         instance: inst.id,
-        process: inst.tpl.def.name.clone(),
+        process: Arc::clone(&inst.tpl.layout.process).into(),
         tenant: inst.tenant.clone(),
         input: inst.root_input().clone(),
         at: svc.now(),
@@ -114,7 +116,7 @@ fn make_ready(inst: &mut Instance, svc: &NavServices<'_>, slot: u32) {
     let tpl = Arc::clone(&inst.tpl);
     let lay = &tpl.layout;
     let sl = slot as usize;
-    let attempt = inst.slab.attempt[sl];
+    let attempt = inst.slab.acts[sl].attempt;
     inst.activity_ready(slot, attempt, now);
     svc.journal.append(Event::ActivityReady {
         instance,
@@ -174,7 +176,7 @@ pub fn find_runnable(inst: &mut Instance) -> Option<u32> {
 /// `Running` with its child scope open and the activity itself is
 /// `Ready` and automatic.
 fn is_runnable(inst: &Instance, slot: u32) -> bool {
-    inst.slab.state[slot as usize] == ActState::Ready
+    inst.slab.acts[slot as usize].state == ActState::Ready
         && inst.tpl.layout.automatic[slot as usize]
         && inst.ancestors_open(slot)
 }
@@ -215,11 +217,10 @@ pub fn execute_activity(inst: &mut Instance, svc: &NavServices<'_>, slot: u32, b
     let mut input = lay.input_proto[sl].clone();
     for d in &act.data_in {
         let source = match &d.source {
-            DataSource::ProcessInput => Some(&inst.slab.scope_input[s as usize]),
+            DataSource::ProcessInput => Some(&inst.slab.scopes[s as usize].input),
             DataSource::ActivityOutput(src) => {
-                let ss = (m.act_base + *src) as usize;
-                (inst.slab.state[ss] == ActState::Terminated && inst.slab.executed[ss])
-                    .then(|| &inst.slab.output[ss])
+                let src = &inst.slab.acts[(m.act_base + *src) as usize];
+                (src.state == ActState::Terminated && src.executed).then_some(&src.output)
             }
         };
         let Some(source) = source else { continue };
@@ -231,12 +232,12 @@ pub fn execute_activity(inst: &mut Instance, svc: &NavServices<'_>, slot: u32, b
     }
 
     debug_assert_eq!(
-        inst.slab.state[sl],
+        inst.slab.acts[sl].state,
         ActState::Ready,
         "execute requires ready"
     );
     inst.activity_started(slot, &input);
-    let attempt = inst.slab.attempt[sl];
+    let attempt = inst.slab.acts[sl].attempt;
     svc.journal.append(Event::ActivityStarted {
         instance,
         path: lay.paths[sl].clone().into(),
@@ -263,21 +264,19 @@ pub fn execute_activity(inst: &mut Instance, svc: &NavServices<'_>, slot: u32, b
             // members declared in the output schema survive). The
             // Figure 2 compensation trigger relies on this to expose
             // the State_i flags to its outgoing transition conditions.
-            let outputs: BTreeMap<String, Value> =
-                input.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-            complete_execution(inst, svc, slot, 1, outputs);
+            complete_execution(inst, svc, slot, 1, &input);
             record_latency(inst, slot, t0);
         }
         CompiledKind::Program(program) => {
             let mut ctx = ProgramContext::new(Arc::clone(svc.multidb));
             ctx.attempt = attempt;
-            ctx.params = input.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+            ctx.params = Arc::clone(input.params());
             let outcome = svc.programs.invoke(program, &mut ctx);
             let (rc, outputs) = match outcome {
-                ProgramOutcome::Committed { rc, outputs } => (rc, outputs),
-                ProgramOutcome::Aborted { rc, .. } => (rc, BTreeMap::new()),
+                ProgramOutcome::Committed { rc, outputs } => (rc, outputs.into_iter().collect()),
+                ProgramOutcome::Aborted { rc, .. } => (rc, Container::empty()),
             };
-            complete_execution(inst, svc, slot, rc, outputs);
+            complete_execution(inst, svc, slot, rc, &outputs);
             record_latency(inst, slot, t0);
         }
         CompiledKind::Block(_) => {
@@ -305,40 +304,29 @@ fn record_latency(inst: &Instance, slot: u32, t0: Option<std::time::Instant>) {
 }
 
 /// Records the outcome of an execution: builds the output container
-/// (schema defaults + program outputs + `RC`), journals the finish,
-/// closes work items and decides the exit condition.
+/// (schema defaults + the declared members of `outputs` + `RC`),
+/// journals the finish, closes work items and decides the exit
+/// condition.
 pub fn complete_execution(
     inst: &mut Instance,
     svc: &NavServices<'_>,
     slot: u32,
     rc: i64,
-    outputs: BTreeMap<String, Value>,
+    outputs: &Container,
 ) {
     let instance = inst.id;
     let tpl = Arc::clone(&inst.tpl);
     let lay = &tpl.layout;
     let sl = slot as usize;
 
-    let output = if rc == 1 && outputs.is_empty() {
-        // Fast path: no program outputs and the common rc — the
-        // interned prototype (schema defaults + `RC = 1`) is exactly
-        // the container the general path would build.
-        lay.output_rc1[sl].clone()
-    } else {
-        let schema = &lay.act(slot).eff_output;
-        let mut output = schema.instantiate();
-        for (k, v) in outputs {
-            // Only declared members enter the container: schema
-            // discipline (undeclared program outputs are dropped, as in
-            // FlowMark where the API only exposes declared container
-            // members).
-            if schema.has(&k) {
-                output.set(&k, v);
-            }
-        }
-        output.set(RC_MEMBER, Value::Int(rc));
-        output
-    };
+    // From the interned prototype (schema defaults + `RC = 1`), by
+    // reference count until something differs from it. Only declared
+    // members enter the container: schema discipline (undeclared
+    // program outputs are dropped, as in FlowMark where the API only
+    // exposes declared container members).
+    let mut output = lay.output_rc1[sl].clone();
+    output.overlay(outputs);
+    output.set(RC_MEMBER, Value::Int(rc));
 
     if svc.obs.enabled() {
         // Count executions that ran inside a compensation block (the
@@ -352,7 +340,7 @@ pub fn complete_execution(
     }
 
     inst.activity_finished(slot, &output);
-    let attempt = inst.slab.attempt[sl];
+    let attempt = inst.slab.acts[sl].attempt;
     svc.journal.append(Event::ActivityFinished {
         instance,
         path: lay.paths[sl].clone().into(),
@@ -374,14 +362,14 @@ pub fn decide_exit(inst: &mut Instance, svc: &NavServices<'_>, slot: u32) {
     let tpl = Arc::clone(&inst.tpl);
     let lay = &tpl.layout;
     let sl = slot as usize;
-    let exit_ok = lay.act(slot).exit.eval_exit(&inst.slab.output[sl]);
+    let exit_ok = lay.act(slot).exit.eval_exit(&inst.slab.acts[sl].output);
     if exit_ok {
         terminate_activity(inst, svc, slot, true);
     } else {
         if svc.obs.enabled() {
             svc.obs.reschedules.inc();
         }
-        let next_attempt = inst.slab.attempt[sl] + 1;
+        let next_attempt = inst.slab.acts[sl].attempt + 1;
         inst.activity_rescheduled(slot, next_attempt);
         svc.journal.append(Event::ActivityRescheduled {
             instance,
@@ -404,14 +392,14 @@ pub(crate) fn reoffer_ready(inst: &mut Instance, svc: &NavServices<'_>, slot: u3
     let tpl = Arc::clone(&inst.tpl);
     let lay = &tpl.layout;
     let sl = slot as usize;
-    if inst.slab.state[sl] != ActState::Ready || lay.automatic[sl] {
+    if inst.slab.acts[sl].state != ActState::Ready || lay.automatic[sl] {
         return;
     }
     let path = lay.paths[sl].to_string();
     if svc.worklists.lock().has_live_item(instance, &path) {
         return;
     }
-    let attempt = inst.slab.attempt[sl];
+    let attempt = inst.slab.acts[sl].attempt;
     let now = svc.now();
     let act = lay.act(slot);
     let persons = svc.org.lock().resolve(&act.staff);
@@ -441,7 +429,7 @@ pub(crate) fn reoffer_ready(inst: &mut Instance, svc: &NavServices<'_>, slot: u3
 pub fn reset_running_to_ready(inst: &mut Instance, svc: &NavServices<'_>, slot: u32) {
     let instance = inst.id;
     let tpl = Arc::clone(&inst.tpl);
-    if inst.slab.state[slot as usize] != ActState::Running {
+    if inst.slab.acts[slot as usize].state != ActState::Running {
         return;
     }
     if tpl.root.any_manual {
@@ -468,7 +456,7 @@ pub fn reset_running_to_ready(inst: &mut Instance, svc: &NavServices<'_>, slot: 
 ///   decision. Undecidable joins are left waiting, exactly as live.
 pub(crate) fn renavigate_waiting(inst: &mut Instance, svc: &NavServices<'_>, slot: u32) {
     let tpl = Arc::clone(&inst.tpl);
-    if inst.slab.state[slot as usize] != ActState::Waiting {
+    if inst.slab.acts[slot as usize].state != ActState::Waiting {
         return; // an earlier fix-up's cascade already decided it
     }
     if tpl.layout.act(slot).incoming.is_empty() {
@@ -489,10 +477,10 @@ pub(crate) fn reevaluate_outgoing(inst: &mut Instance, svc: &NavServices<'_>, sl
     let tpl = Arc::clone(&inst.tpl);
     let lay = &tpl.layout;
     let sl = slot as usize;
-    if inst.slab.state[sl] != ActState::Terminated {
+    if inst.slab.acts[sl].state != ActState::Terminated {
         return;
     }
-    let executed = inst.slab.executed[sl];
+    let executed = inst.slab.acts[sl].executed;
     let m = lay.scope(lay.owner[sl]);
     for &edge_id in &lay.act(slot).outgoing {
         let edge = &m.cs.edges[edge_id as usize];
@@ -500,7 +488,7 @@ pub(crate) fn reevaluate_outgoing(inst: &mut Instance, svc: &NavServices<'_>, sl
         if inst.slab.connectors[es].is_some() {
             continue; // evaluated before the crash
         }
-        let value = executed && edge.cond.eval_transition(&inst.slab.output[sl]);
+        let value = executed && edge.cond.eval_transition(&inst.slab.acts[sl].output);
         inst.connector_evaluated(es as u32, value);
         svc.journal.append(Event::ConnectorEvaluated {
             instance,
@@ -549,7 +537,7 @@ pub fn terminate_activity(inst: &mut Instance, svc: &NavServices<'_>, slot: u32,
     for &edge_id in &act.outgoing {
         let edge = &m.cs.edges[edge_id as usize];
         let es = (m.edge_base + edge_id) as usize;
-        let value = executed && edge.cond.eval_transition(&inst.slab.output[sl]);
+        let value = executed && edge.cond.eval_transition(&inst.slab.acts[sl].output);
         inst.connector_evaluated(es as u32, value);
         svc.journal.append(Event::ConnectorEvaluated {
             instance,
@@ -571,7 +559,7 @@ fn update_target(inst: &mut Instance, svc: &NavServices<'_>, slot: u32) {
     let tpl = Arc::clone(&inst.tpl);
     let lay = &tpl.layout;
     let sl = slot as usize;
-    if inst.slab.state[sl] != ActState::Waiting {
+    if inst.slab.acts[sl].state != ActState::Waiting {
         // Already ready/running/terminated; OR-joins latch on the
         // first true connector.
         return;
@@ -621,10 +609,11 @@ fn update_target(inst: &mut Instance, svc: &NavServices<'_>, slot: u32) {
 /// via its exit condition).
 pub(crate) fn check_scope_completion(inst: &mut Instance, svc: &NavServices<'_>, s: ScopeId) {
     let instance = inst.id;
-    if !inst.slab.scope_live[s as usize] || inst.slab.remaining[s as usize] != 0 {
+    let scope = &inst.slab.scopes[s as usize];
+    if !scope.live || scope.remaining != 0 {
         return;
     }
-    let output = inst.slab.scope_output[s as usize].clone();
+    let output = inst.slab.scopes[s as usize].output.clone();
 
     if s == 0 {
         if inst.status == InstanceStatus::Running {
@@ -647,13 +636,11 @@ pub(crate) fn check_scope_completion(inst: &mut Instance, svc: &NavServices<'_>,
         .scope(s)
         .parent
         .expect("non-root scope has a parent block");
-    if inst.slab.state[pslot as usize] != ActState::Running {
+    if inst.slab.acts[pslot as usize].state != ActState::Running {
         return; // already completed (idempotence guard)
     }
     let rc = output.get(RC_MEMBER).and_then(|v| v.as_int()).unwrap_or(1);
-    let outputs: BTreeMap<String, Value> =
-        output.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-    complete_execution(inst, svc, pslot, rc, outputs);
+    complete_execution(inst, svc, pslot, rc, &output);
 }
 
 /// Cancels the instance: closes its work items and journals the
@@ -702,11 +689,13 @@ pub fn check_deadlines(inst: &mut Instance, svc: &NavServices<'_>) -> Vec<(Strin
             for &id in &m.cs.deadline_acts {
                 let slot = m.act_base + id;
                 let sl = slot as usize;
-                if inst.slab.state[sl] != ActState::Ready || inst.slab.notified[sl] {
+                if inst.slab.acts[sl].state != ActState::Ready || inst.slab.acts[sl].notified {
                     continue;
                 }
                 let act = lay.act(slot);
-                if let (Some(deadline), Some(since)) = (act.deadline, inst.slab.ready_since[sl]) {
+                if let (Some(deadline), Some(since)) =
+                    (act.deadline, inst.slab.acts[sl].ready_since)
+                {
                     if since + deadline <= now {
                         inst.notification_sent(slot);
                         let mut managers: Vec<String> = org

@@ -38,7 +38,7 @@
 //!   maintenance entirely.
 //!
 //! Every rewrite preserves the event stream byte for byte; the
-//! differential suites (`parallel_differential.rs` against
+//! differential suites (`reference_differential.rs` against
 //! [`RefEngine`](crate::RefEngine), `optimize_differential.rs` against
 //! the unoptimized template) pin that down.
 

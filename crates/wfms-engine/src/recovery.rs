@@ -234,7 +234,7 @@ fn apply(ev: &Event, state: &mut Replayed) -> Result<(), RecoveryError> {
             // events earlier in the journal have already advanced it.
             let tpl = registry
                 .default_tpl(process)
-                .ok_or_else(|| RecoveryError::MissingTemplate(process.clone()))?;
+                .ok_or_else(|| RecoveryError::MissingTemplate(process.to_string()))?;
             let mut inst = Instance::new(*instance, tpl);
             inst.tenant = tenant.clone();
             inst.seed_input(input);
@@ -595,9 +595,9 @@ fn collect_fixups(inst: &Instance, s: ScopeId, fx: &mut Fixups) {
     for i in 0..m.cs.acts.len() {
         let slot = m.act_base + i as u32;
         let sl = slot as usize;
-        match inst.slab.state[sl] {
+        match inst.slab.acts[sl].state {
             ActState::Running => match lay.block_child[sl] {
-                Some(c) if inst.slab.scope_live[c as usize] => collect_fixups(inst, c, fx),
+                Some(c) if inst.slab.scopes[c as usize].live => collect_fixups(inst, c, fx),
                 // Block recorded running but its child scope was never
                 // opened (crash inside execute): restart it, exactly
                 // like an interrupted program.

@@ -6,15 +6,14 @@
 //! condition not yet met); activities removed by dead path elimination
 //! go straight from waiting to terminated with `executed = false`.
 //!
-//! Live state is a [`StateSlab`]: one struct-of-arrays arena over the
-//! compiled template's **global slots** (see
-//! [`ScopeLayout`]). Each state column —
-//! lifecycle state, attempt counter, deadline bookkeeping, containers,
-//! connector values — is a single contiguous vector allocated once per
-//! instance, so steady-state navigation indexes cache-linear columns
-//! and never allocates. Scope nesting is flattened: a block's child
-//! scope is a slot range plus a liveness bit, not a heap-allocated
-//! subtree.
+//! Live state is a [`StateSlab`]: one arena over the compiled
+//! template's **global slots** (see [`ScopeLayout`]) — a vector of
+//! activity records, one of connector values and one of scope records.
+//! A new instance clones the template's prototype slab
+//! (`ScopeLayout::fresh`): three allocations, after which
+//! steady-state navigation indexes them and never allocates. Scope
+//! nesting is flattened: a block's child scope is a slot range plus a
+//! liveness bit, not a heap-allocated subtree.
 //!
 //! **This module is the slab's only writer.** The state effect of each
 //! journal event is one [`Instance`] method taking a slot
@@ -56,8 +55,8 @@ pub enum ActState {
     Terminated,
 }
 
-/// Run-time record of one activity as [`ScopeState`] snapshots carry
-/// it. Live state lives in [`StateSlab`] columns.
+/// Run-time record of one activity: the element of
+/// the slab's activity vector, and what [`ScopeState`] snapshots carry.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ActivityRt {
     /// Current lifecycle state.
@@ -107,7 +106,7 @@ impl Default for ActivityRt {
 
 /// Serialized state of one (sub)process scope, indexed by the compiled
 /// template's dense ids — plain data, the payload of `EngineCheckpoint`
-/// snapshots. The navigator runs on [`StateSlab`] columns;
+/// snapshots. The navigator runs on the [`StateSlab`];
 /// [`Instance::snapshot_root`] / [`Instance::restore_root`] convert
 /// between the two.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -141,62 +140,64 @@ pub enum InstanceStatus {
     Cancelled,
 }
 
-/// Struct-of-arrays arena holding one instance's entire run-time
-/// state, indexed by the template's global slots
-/// ([`ScopeLayout`]). Every column is one contiguous vector sized at
-/// instance creation; opening, closing and resetting block scopes are
-/// range operations on the columns (subtrees are contiguous slot
-/// ranges by preorder construction) — no per-scope allocation.
+/// Run-time record of one scope, indexed by [`ScopeId`].
 #[derive(Debug, Clone)]
-pub struct StateSlab {
-    /// Per act slot: lifecycle state.
-    pub(crate) state: Vec<ActState>,
-    /// Per act slot: executed flag (meaningful when terminated).
-    pub(crate) executed: Vec<bool>,
-    /// Per act slot: deadline notification sent this readiness period.
-    pub(crate) notified: Vec<bool>,
-    /// Per act slot: attempt counter.
-    pub(crate) attempt: Vec<u32>,
-    /// Per act slot: tick of last readiness (deadline base).
-    pub(crate) ready_since: Vec<Option<Tick>>,
-    /// Per act slot: materialised input container.
-    pub(crate) input: Vec<Container>,
-    /// Per act slot: output container.
-    pub(crate) output: Vec<Container>,
-    /// Per edge slot: evaluated transition-condition value.
-    pub(crate) connectors: Vec<Option<bool>>,
-    /// Per scope: the scope is open — its block activity started it
-    /// and no reschedule closed it since. The root is always open. A
+pub(crate) struct ScopeRt {
+    /// The scope is open — its block activity started it and no
+    /// reschedule closed it since. The root is always open. A
     /// completed block's scope stays open for inspection; only a
     /// reschedule closes it.
-    pub(crate) scope_live: Vec<bool>,
-    /// Per scope: activities not yet terminated — the §3.2 completion
-    /// rule as a counter instead of a scan.
-    pub(crate) remaining: Vec<u32>,
-    /// Per scope: input container.
-    pub(crate) scope_input: Vec<Container>,
-    /// Per scope: output container.
-    pub(crate) scope_output: Vec<Container>,
+    pub(crate) live: bool,
+    /// Activities not yet terminated — the §3.2 completion rule as a
+    /// counter instead of a scan.
+    pub(crate) remaining: u32,
+    /// The scope's input container.
+    pub(crate) input: Container,
+    /// The scope's output container.
+    pub(crate) output: Container,
+}
+
+/// Arena holding one instance's entire run-time state, indexed by the
+/// template's global slots ([`ScopeLayout`]). Opening, closing and
+/// resetting block scopes are range operations (subtrees are
+/// contiguous slot ranges by preorder construction) — no per-scope
+/// allocation.
+#[derive(Debug, Clone, Default)]
+pub struct StateSlab {
+    /// Per act slot.
+    pub(crate) acts: Vec<ActivityRt>,
+    /// Per edge slot: evaluated transition-condition value.
+    pub(crate) connectors: Vec<Option<bool>>,
+    /// Per scope.
+    pub(crate) scopes: Vec<ScopeRt>,
 }
 
 impl StateSlab {
-    fn for_layout(layout: &ScopeLayout) -> Self {
-        let na = layout.n_acts();
-        let ne = layout.n_edges();
-        let ns = layout.n_scopes();
+    /// The state every instance of the layout's template starts in:
+    /// every activity waiting, no connector evaluated, the root scope
+    /// open on its container prototypes. Built once per template
+    /// (`ScopeLayout::fresh`); an instance clones it.
+    pub(crate) fn fresh(layout: &ScopeLayout) -> Self {
+        let mut scopes = vec![
+            ScopeRt {
+                live: false,
+                remaining: 0,
+                input: Container::empty(),
+                output: Container::empty(),
+            };
+            layout.n_scopes()
+        ];
+        let root = layout.scope(0);
+        scopes[0] = ScopeRt {
+            live: true,
+            remaining: root.cs.acts.len() as u32,
+            input: root.input_proto.clone(),
+            output: root.output_proto.clone(),
+        };
         Self {
-            state: vec![ActState::Waiting; na],
-            executed: vec![false; na],
-            notified: vec![false; na],
-            attempt: vec![0; na],
-            ready_since: vec![None; na],
-            input: vec![Container::empty(); na],
-            output: vec![Container::empty(); na],
-            connectors: vec![None; ne],
-            scope_live: vec![false; ns],
-            remaining: vec![0; ns],
-            scope_input: vec![Container::empty(); ns],
-            scope_output: vec![Container::empty(); ns],
+            acts: vec![ActivityRt::new(); layout.n_acts()],
+            connectors: vec![None; layout.n_edges()],
+            scopes,
         }
     }
 }
@@ -238,18 +239,15 @@ pub struct Instance {
 impl Instance {
     /// Creates a fresh instance of `tpl`.
     pub fn new(id: InstanceId, tpl: Arc<CompiledProcess>) -> Self {
-        let slab = StateSlab::for_layout(&tpl.layout);
-        let mut inst = Self {
+        Self {
             id,
+            slab: tpl.layout.fresh.clone(),
             tpl,
-            slab,
             status: InstanceStatus::Running,
             tenant: None,
             ready: BinaryHeap::new(),
             probes: None,
-        };
-        inst.open_scope(0);
-        inst
+        }
     }
 
     /// The source process definition.
@@ -259,79 +257,68 @@ impl Instance {
 
     /// The root scope's input container.
     pub fn root_input(&self) -> &Container {
-        &self.slab.scope_input[0]
+        &self.slab.scopes[0].input
     }
 
     /// Merges the caller's process input over the root scope's
     /// prototype — the state effect of `InstanceStarted`.
     pub(crate) fn seed_input(&mut self, input: &Container) {
-        for (k, v) in input.iter() {
-            self.slab.scope_input[0].set(k, v.clone());
-        }
+        self.slab.scopes[0].input.merge(input);
     }
 
     /// The root scope's output container (the process output).
     pub fn root_output(&self) -> &Container {
-        &self.slab.scope_output[0]
+        &self.slab.scopes[0].output
     }
 
     /// (Re)opens scope `s`: resets the subtree's slot ranges to fresh
     /// waiting state, closes stale descendant scopes and installs the
     /// scope's container prototypes. Pure range operations on the
-    /// slab's columns.
+    /// slab.
     fn open_scope(&mut self, s: ScopeId) {
-        let tpl = Arc::clone(&self.tpl);
-        let lay = &tpl.layout;
-        let ar = lay.subtree_act_range(s);
-        self.slab.state[ar.clone()].fill(ActState::Waiting);
-        self.slab.executed[ar.clone()].fill(false);
-        self.slab.notified[ar.clone()].fill(false);
-        self.slab.attempt[ar.clone()].fill(0);
-        self.slab.ready_since[ar.clone()].fill(None);
-        for i in ar {
-            self.slab.input[i] = Container::empty();
-            self.slab.output[i] = Container::empty();
-        }
+        let lay = &self.tpl.layout;
+        self.slab.acts[lay.subtree_act_range(s)].fill(ActivityRt::new());
         self.slab.connectors[lay.subtree_edge_range(s)].fill(None);
-        for sc in lay.subtree_scope_range(s) {
-            self.slab.scope_live[sc] = sc == s as usize;
-        }
-        let m = lay.scope(s);
-        self.slab.remaining[s as usize] = m.cs.acts.len() as u32;
-        self.slab.scope_input[s as usize] = m.input_proto.clone();
-        self.slab.scope_output[s as usize] = m.output_proto.clone();
+        self.close_scope(s);
+        let m = self.tpl.layout.scope(s);
+        self.slab.scopes[s as usize] = ScopeRt {
+            live: true,
+            remaining: m.cs.acts.len() as u32,
+            input: m.input_proto.clone(),
+            output: m.output_proto.clone(),
+        };
     }
 
     /// Closes scope `s` and every descendant (a rescheduled block
     /// discards its child scope; a fresh one opens on restart).
     fn close_scope(&mut self, s: ScopeId) {
-        let tpl = Arc::clone(&self.tpl);
-        for sc in tpl.layout.subtree_scope_range(s) {
-            self.slab.scope_live[sc] = false;
+        for sc in &mut self.slab.scopes[self.tpl.layout.subtree_scope_range(s)] {
+            sc.live = false;
         }
     }
 
     /// Sets the lifecycle state of `slot`, maintaining the owning
     /// scope's non-terminated counter.
     fn set_act_state(&mut self, slot: u32, new: ActState) {
-        let s = self.tpl.layout.owner[slot as usize] as usize;
-        let old = self.slab.state[slot as usize];
-        if old != ActState::Terminated && new == ActState::Terminated {
-            self.slab.remaining[s] = self.slab.remaining[s].saturating_sub(1);
-        } else if old == ActState::Terminated && new != ActState::Terminated {
-            self.slab.remaining[s] += 1;
+        let remaining =
+            &mut self.slab.scopes[self.tpl.layout.owner[slot as usize] as usize].remaining;
+        let act = &mut self.slab.acts[slot as usize];
+        if act.state != ActState::Terminated && new == ActState::Terminated {
+            *remaining = remaining.saturating_sub(1);
+        } else if act.state == ActState::Terminated && new != ActState::Terminated {
+            *remaining += 1;
         }
-        self.slab.state[slot as usize] = new;
+        act.state = new;
     }
 
     /// `ActivityReady`: the activity becomes ready at `attempt`, and a
     /// new readiness period (deadline base, notification flag) begins.
     pub(crate) fn activity_ready(&mut self, slot: u32, attempt: u32, at: Tick) {
-        let sl = slot as usize;
         self.set_act_state(slot, ActState::Ready);
-        self.slab.attempt[sl] = attempt;
-        self.slab.ready_since[sl] = Some(at);
-        self.slab.notified[sl] = false;
+        let act = &mut self.slab.acts[slot as usize];
+        act.attempt = attempt;
+        act.ready_since = Some(at);
+        act.notified = false;
     }
 
     /// `ActivityStarted`: the activity runs on `input`. A block opens
@@ -339,12 +326,10 @@ impl Instance {
     /// materialised input merged over the scope's prototype.
     pub(crate) fn activity_started(&mut self, slot: u32, input: &Container) {
         self.set_act_state(slot, ActState::Running);
-        self.slab.input[slot as usize] = input.clone();
+        self.slab.acts[slot as usize].input = input.clone();
         if let Some(c) = self.tpl.layout.block_child[slot as usize] {
             self.open_scope(c);
-            for (k, v) in input.iter() {
-                self.slab.scope_input[c as usize].set(k, v.clone());
-            }
+            self.slab.scopes[c as usize].input.merge(input);
         }
     }
 
@@ -352,7 +337,7 @@ impl Instance {
     /// condition is not yet decided.
     pub(crate) fn activity_finished(&mut self, slot: u32, output: &Container) {
         self.set_act_state(slot, ActState::Finished);
-        self.slab.output[slot as usize] = output.clone();
+        self.slab.acts[slot as usize].output = output.clone();
     }
 
     /// `ActivityRescheduled`: the exit condition failed, the activity
@@ -363,7 +348,7 @@ impl Instance {
             self.close_scope(c);
         }
         self.set_act_state(slot, ActState::Waiting);
-        self.slab.attempt[slot as usize] = next_attempt;
+        self.slab.acts[slot as usize].attempt = next_attempt;
     }
 
     /// `ActivityTerminated`: final state. An executed activity's data
@@ -371,18 +356,13 @@ impl Instance {
     pub(crate) fn activity_terminated(&mut self, slot: u32, executed: bool) {
         let sl = slot as usize;
         self.set_act_state(slot, ActState::Terminated);
-        self.slab.executed[sl] = executed;
+        self.slab.acts[sl].executed = executed;
         if executed {
             let lay = &self.tpl.layout;
-            let s = lay.owner[sl] as usize;
-            let StateSlab {
-                output,
-                scope_output,
-                ..
-            } = &mut self.slab;
+            let scope_output = &mut self.slab.scopes[lay.owner[sl] as usize].output;
             for (from, to) in &lay.act(slot).data_out {
-                if let Some(v) = output[sl].get(from) {
-                    scope_output[s].set(to, v.clone());
+                if let Some(v) = self.slab.acts[sl].output.get(from) {
+                    scope_output.set(to, v.clone());
                 }
             }
         }
@@ -397,7 +377,7 @@ impl Instance {
     /// `NotificationSent`: the deadline notification of the current
     /// readiness period went out.
     pub(crate) fn notification_sent(&mut self, slot: u32) {
-        self.slab.notified[slot as usize] = true;
+        self.slab.acts[slot as usize].notified = true;
     }
 
     /// `InstanceFinished`: every root activity terminated; `output` is
@@ -408,8 +388,8 @@ impl Instance {
     /// not end up sharing its output with the journal record.
     pub(crate) fn instance_finished(&mut self, output: &Container) {
         self.status = InstanceStatus::Finished;
-        if self.slab.scope_output[0] != *output {
-            self.slab.scope_output[0] = output.clone();
+        if self.slab.scopes[0].output != *output {
+            self.slab.scopes[0].output = output.clone();
         }
     }
 
@@ -422,7 +402,7 @@ impl Instance {
     fn scope_open(&self, s: ScopeId) -> bool {
         let mut cur = Some(s);
         while let Some(s) = cur {
-            if !self.slab.scope_live[s as usize] {
+            if !self.slab.scopes[s as usize].live {
                 return false;
             }
             cur = self.tpl.layout.scope(s).parent.map(|(ps, _)| ps);
@@ -451,13 +431,13 @@ impl Instance {
         let lay = &self.tpl.layout;
         let mut s = s;
         loop {
-            if !self.slab.scope_live[s as usize] {
+            if !self.slab.scopes[s as usize].live {
                 return false;
             }
             match lay.scope(s).parent {
                 None => return true,
                 Some((ps, pslot)) => {
-                    if self.slab.state[pslot as usize] != ActState::Running {
+                    if self.slab.acts[pslot as usize].state != ActState::Running {
                         return false;
                     }
                     s = ps;
@@ -486,7 +466,7 @@ impl Instance {
         let lay = &tpl.layout;
         let mut ready = BinaryHeap::new();
         for slot in 0..lay.n_acts() {
-            if self.slab.state[slot] == ActState::Ready
+            if self.slab.acts[slot].state == ActState::Ready
                 && lay.automatic[slot]
                 && self.ancestors_open(slot as u32)
             {
@@ -505,36 +485,25 @@ impl Instance {
     fn snap_scope(&self, s: ScopeId) -> ScopeState {
         let lay = &self.tpl.layout;
         let m = lay.scope(s);
-        let base = m.act_base as usize;
-        let n = m.cs.acts.len();
-        let sl = &self.slab;
-        let mut st = ScopeState {
-            activities: (base..base + n)
-                .map(|i| ActivityRt {
-                    state: sl.state[i],
-                    executed: sl.executed[i],
-                    attempt: sl.attempt[i],
-                    input: sl.input[i].clone(),
-                    output: sl.output[i].clone(),
-                    ready_since: sl.ready_since[i],
-                    notified: sl.notified[i],
+        let acts = m.act_base as usize..m.act_base as usize + m.cs.acts.len();
+        let edges = m.edge_base as usize..m.edge_base as usize + m.cs.edges.len();
+        let sc = &self.slab.scopes[s as usize];
+        ScopeState {
+            activities: self.slab.acts[acts.clone()].to_vec(),
+            connectors: self.slab.connectors[edges].to_vec(),
+            input: sc.input.clone(),
+            output: sc.output.clone(),
+            children: acts
+                .clone()
+                .filter_map(|slot| {
+                    let c = lay.block_child[slot]?;
+                    let id = (slot - acts.start) as ActId;
+                    self.slab.scopes[c as usize]
+                        .live
+                        .then(|| (id, self.snap_scope(c)))
                 })
                 .collect(),
-            connectors: sl.connectors
-                [m.edge_base as usize..m.edge_base as usize + m.cs.edges.len()]
-                .to_vec(),
-            input: sl.scope_input[s as usize].clone(),
-            output: sl.scope_output[s as usize].clone(),
-            children: Vec::new(),
-        };
-        for i in 0..n {
-            if let Some(c) = lay.block_child[base + i] {
-                if sl.scope_live[c as usize] {
-                    st.children.push((i as ActId, self.snap_scope(c)));
-                }
-            }
         }
-        st
     }
 
     /// Restores the slab from a [`ScopeState`] tree (checkpoint
@@ -549,28 +518,18 @@ impl Instance {
         let lay = &tpl.layout;
         let m = lay.scope(s);
         let base = m.act_base as usize;
-        let n = m.cs.acts.len();
-        self.slab.scope_live[s as usize] = true;
-        let mut remaining = n as u32;
-        for (i, rt) in st.activities.iter().enumerate().take(n) {
-            let slot = base + i;
-            self.slab.state[slot] = rt.state;
-            self.slab.executed[slot] = rt.executed;
-            self.slab.attempt[slot] = rt.attempt;
-            self.slab.input[slot] = rt.input.clone();
-            self.slab.output[slot] = rt.output.clone();
-            self.slab.ready_since[slot] = rt.ready_since;
-            self.slab.notified[slot] = rt.notified;
-            if rt.state == ActState::Terminated {
-                remaining -= 1;
-            }
-        }
-        self.slab.remaining[s as usize] = remaining;
+        let n = m.cs.acts.len().min(st.activities.len());
+        self.slab.acts[base..base + n].clone_from_slice(&st.activities[..n]);
+        let terminated = st.activities[..n].iter().filter(|rt| rt.is_terminated());
+        self.slab.scopes[s as usize] = ScopeRt {
+            live: true,
+            remaining: (m.cs.acts.len() - terminated.count()) as u32,
+            input: st.input.clone(),
+            output: st.output.clone(),
+        };
         for (e, v) in st.connectors.iter().enumerate().take(m.cs.edges.len()) {
             self.slab.connectors[m.edge_base as usize + e] = *v;
         }
-        self.slab.scope_input[s as usize] = st.input.clone();
-        self.slab.scope_output[s as usize] = st.output.clone();
         for (id, child) in &st.children {
             if let Some(Some(c)) = lay.block_child.get(base + *id as usize).copied() {
                 self.restore_scope(c, child);
@@ -599,7 +558,7 @@ impl Instance {
     pub(crate) fn migrate_to(&self, to: &Arc<CompiledProcess>) -> Result<Instance, String> {
         let old_lay = &self.tpl.layout;
         for slot in 0..old_lay.n_acts() {
-            if self.slab.state[slot] == ActState::Running {
+            if self.slab.acts[slot].state == ActState::Running {
                 let p: &str = &old_lay.paths[slot];
                 return Err(format!(
                     "activity {p:?} is mid-flight; instance is not at a scope boundary"
@@ -613,17 +572,12 @@ impl Instance {
         out.status = self.status;
         // Root containers, member-wise into the new prototypes (a
         // member the new version dropped is discarded with it).
-        for (k, v) in self.slab.scope_input[0].iter() {
-            out.slab.scope_input[0].set(k, v.clone());
-        }
-        for (k, v) in self.slab.scope_output[0].iter() {
-            out.slab.scope_output[0].set(k, v.clone());
-        }
+        out.slab.scopes[0].input.merge(&self.slab.scopes[0].input);
+        out.slab.scopes[0].output.merge(&self.slab.scopes[0].output);
         for (i, act) in old_m.cs.acts.iter().enumerate() {
-            let sl = old_m.act_base as usize + i;
-            let state = self.slab.state[sl];
-            let pristine =
-                state == ActState::Waiting && self.slab.attempt[sl] == 0 && !self.slab.notified[sl];
+            let old = &self.slab.acts[old_m.act_base as usize + i];
+            let state = old.state;
+            let pristine = state == ActState::Waiting && old.attempt == 0 && !old.notified;
             let Some(nid) = new_m.cs.id(&act.name) else {
                 if pristine {
                     continue;
@@ -634,14 +588,9 @@ impl Instance {
                     to.version()
                 ));
             };
-            let nsl = new_lay.slot(0, nid) as usize;
-            out.set_act_state(nsl as u32, state);
-            out.slab.executed[nsl] = self.slab.executed[sl];
-            out.slab.attempt[nsl] = self.slab.attempt[sl];
-            out.slab.ready_since[nsl] = self.slab.ready_since[sl];
-            out.slab.notified[nsl] = self.slab.notified[sl];
-            out.slab.input[nsl] = self.slab.input[sl].clone();
-            out.slab.output[nsl] = self.slab.output[sl].clone();
+            let nsl = new_lay.slot(0, nid);
+            out.set_act_state(nsl, state);
+            out.slab.acts[nsl as usize] = old.clone();
         }
         // Evaluated connectors carry over where the same named edge
         // exists in both versions; edges only one side has stay (or
@@ -783,13 +732,13 @@ mod tests {
     fn set_act_state_maintains_remaining() {
         let t = tpl();
         let mut inst = Instance::new(InstanceId(1), t);
-        assert_eq!(inst.slab.remaining[0], 2);
+        assert_eq!(inst.slab.scopes[0].remaining, 2);
         inst.set_act_state(0, ActState::Terminated);
-        assert_eq!(inst.slab.remaining[0], 1);
+        assert_eq!(inst.slab.scopes[0].remaining, 1);
         inst.set_act_state(0, ActState::Terminated);
-        assert_eq!(inst.slab.remaining[0], 1, "idempotent");
+        assert_eq!(inst.slab.scopes[0].remaining, 1, "idempotent");
         inst.set_act_state(0, ActState::Waiting);
-        assert_eq!(inst.slab.remaining[0], 2);
+        assert_eq!(inst.slab.scopes[0].remaining, 2);
     }
 
     #[test]
@@ -798,7 +747,7 @@ mod tests {
         let mut inst = with_open_block(&t);
         let c = t.layout.block_child[slot(&t, "B") as usize].unwrap();
         inst.activity_terminated(0, true);
-        inst.slab.attempt[0] = 2;
+        inst.slab.acts[0].attempt = 2;
         inst.connector_evaluated(0, true);
         let snap = inst.snapshot_root();
         assert_eq!(snap.children.len(), 1, "open child scope serialized");
@@ -806,8 +755,8 @@ mod tests {
         let mut back = Instance::new(InstanceId(2), Arc::clone(&t));
         back.restore_root(&snap);
         assert_eq!(back.snapshot_root(), snap);
-        assert_eq!(back.slab.remaining[0], 1);
-        assert!(back.slab.scope_live[c as usize]);
+        assert_eq!(back.slab.scopes[0].remaining, 1);
+        assert!(back.slab.scopes[c as usize].live);
     }
 
     #[test]

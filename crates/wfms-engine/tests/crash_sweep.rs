@@ -4,7 +4,7 @@
 //! and database state as the uncrashed run (§3.3's universally
 //! quantified "forward recovery is always guaranteed").
 //!
-//! The scenario strategy mirrors `parallel_differential.rs`: a DAG
+//! The scenario strategy mirrors `reference_differential.rs`: a DAG
 //! over `n` activities with random OR/AND joins and scripted
 //! commit/abort outcomes, so dead path elimination, joins and abort
 //! routing are all exercised under crash/recovery. Programs are pure

@@ -1,9 +1,7 @@
 //! Differential tests, compiled vs. reference: on random process DAGs
 //! the indexed navigator must produce exactly the event sequence of
 //! [`RefEngine`], the string-keyed definition-walking interpreter kept
-//! as an executable specification. (The file keeps the name it had
-//! when it also compared the in-engine parallel scheduler, retired in
-//! PR 15, against `run_all`.)
+//! as an executable specification.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;

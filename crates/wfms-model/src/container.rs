@@ -11,7 +11,8 @@
 use crate::types::DataType;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use txn_substrate::Value;
+use std::sync::Arc;
+use txn_substrate::{Params, Value};
 
 /// Declaration of one container member.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -106,27 +107,27 @@ impl ContainerSchema {
     /// Instantiates a fresh container with every member at its
     /// initial value.
     pub fn instantiate(&self) -> Container {
-        if self.members.is_empty() {
-            return Container::empty();
-        }
         self.members
             .iter()
-            .map(|m| (m.name.clone(), m.initial_value()))
+            .map(|m| (m.name.as_str(), m.initial_value()))
             .collect()
     }
 }
 
 /// A run-time container: member name → value.
 ///
-/// Values live behind an [`Arc`](std::sync::Arc) with copy-on-write
-/// semantics: `clone` is a reference-count bump (containers flow
-/// between activities, into journal events and through data connectors
-/// far more often than they are mutated), and the first `set` on a
-/// shared container clones the underlying map once. The serialized
-/// form is unchanged — the `Arc` is transparent to serde.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Values live behind an [`Arc`] with copy-on-write semantics, and so
+/// does every member name: `clone` is a reference-count bump
+/// (containers flow between activities, into journal events and
+/// through data connectors far more often than they are mutated), the
+/// first `set` on a shared container copies the map once without
+/// copying a name, and a `set` that changes nothing copies nothing.
+/// The representation is the substrate's [`Params`], so a program is
+/// handed its activity's input container as it is
+/// ([`Container::params`]).
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Container {
-    values: std::sync::Arc<BTreeMap<String, Value>>,
+    values: Params,
 }
 
 impl Default for Container {
@@ -135,20 +136,12 @@ impl Default for Container {
     }
 }
 
-/// The one shared empty map: `Container::empty()` is an `Arc` clone,
-/// not an allocation (empty containers are the most common value on
-/// the navigation hot path).
-fn empty_values() -> std::sync::Arc<BTreeMap<String, Value>> {
-    static EMPTY: std::sync::OnceLock<std::sync::Arc<BTreeMap<String, Value>>> =
-        std::sync::OnceLock::new();
-    std::sync::Arc::clone(EMPTY.get_or_init(|| std::sync::Arc::new(BTreeMap::new())))
-}
-
 impl Container {
-    /// An empty container (no members).
+    /// An empty container (no members): the one shared empty map, not
+    /// an allocation.
     pub fn empty() -> Self {
         Self {
-            values: empty_values(),
+            values: txn_substrate::no_params(),
         }
     }
 
@@ -161,7 +154,49 @@ impl Container {
     /// mapping time; `set` itself is schema-agnostic so recovery can
     /// replay journal entries verbatim.
     pub fn set(&mut self, name: &str, value: Value) {
-        std::sync::Arc::make_mut(&mut self.values).insert(name.to_owned(), value);
+        if self.get(name) == Some(&value) {
+            return;
+        }
+        let values = Arc::make_mut(&mut self.values);
+        match values.get_mut(name) {
+            Some(slot) => *slot = value,
+            None => {
+                values.insert(name.into(), value);
+            }
+        }
+    }
+
+    /// Writes every member of `from`. When `from` has every member
+    /// this container has (always, for an empty one) it becomes `from`
+    /// by reference count.
+    pub fn merge(&mut self, from: &Container) {
+        if self
+            .values
+            .keys()
+            .all(|name| from.values.contains_key(name))
+        {
+            *self = from.clone();
+            return;
+        }
+        for (name, value) in from.iter() {
+            self.set(name, value.clone());
+        }
+    }
+
+    /// Takes `from`'s value for every member this container already
+    /// has — schema discipline: members it does not declare are
+    /// dropped. When both hold the same member names it becomes `from`
+    /// by reference count.
+    pub fn overlay(&mut self, from: &Container) {
+        if self.len() == from.len() && self.values.keys().eq(from.values.keys()) {
+            *self = from.clone();
+            return;
+        }
+        for (name, value) in from.iter() {
+            if self.has(name) {
+                self.set(name, value.clone());
+            }
+        }
     }
 
     /// True if the member exists.
@@ -170,8 +205,8 @@ impl Container {
     }
 
     /// Iterates members in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&String, &Value)> {
-        self.values.iter()
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
+        self.values.iter().map(|(name, value)| (&**name, value))
     }
 
     /// Number of members.
@@ -184,12 +219,17 @@ impl Container {
         self.values.is_empty()
     }
 
+    /// The shared map itself: what a program is handed as parameters.
+    pub fn params(&self) -> &Params {
+        &self.values
+    }
+
     /// Checks this container against `schema`: every declared member
     /// present and well-typed. Returns the offending member names.
     pub fn type_errors(&self, schema: &ContainerSchema) -> Vec<String> {
         let mut errors = Vec::new();
         for m in &schema.members {
-            match self.values.get(&m.name) {
+            match self.values.get(m.name.as_str()) {
                 Some(v) if m.ty.admits(v) => {}
                 _ => errors.push(m.name.clone()),
             }
@@ -198,11 +238,27 @@ impl Container {
     }
 }
 
-impl FromIterator<(String, Value)> for Container {
-    fn from_iter<T: IntoIterator<Item = (String, Value)>>(iter: T) -> Self {
-        Self {
-            values: std::sync::Arc::new(iter.into_iter().collect()),
+impl<N: Into<Arc<str>>> FromIterator<(N, Value)> for Container {
+    fn from_iter<T: IntoIterator<Item = (N, Value)>>(iter: T) -> Self {
+        let values: BTreeMap<_, _> = iter.into_iter().map(|(n, v)| (n.into(), v)).collect();
+        if values.is_empty() {
+            return Self::empty();
         }
+        Self {
+            values: Arc::new(values),
+        }
+    }
+}
+
+/// Reads the form `Serialize` derives for [`Container`] (a `values`
+/// map), which the derive cannot do itself for shared names.
+impl Deserialize for Container {
+    fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct Owned {
+            values: BTreeMap<String, Value>,
+        }
+        Ok(Owned::from_content(content)?.values.into_iter().collect())
     }
 }
 
@@ -255,8 +311,69 @@ mod tests {
         let mut c = Container::empty();
         c.set("z", Value::Int(1));
         c.set("a", Value::Int(2));
-        let names: Vec<_> = c.iter().map(|(n, _)| n.clone()).collect();
-        assert_eq!(names, vec!["a".to_string(), "z".to_string()]);
+        let names: Vec<_> = c.iter().map(|(n, _)| n).collect();
+        assert_eq!(names, ["a", "z"]);
+    }
+
+    /// Copy-on-write shares member names and skips writes that change
+    /// nothing: the copy a `set` forces holds the very `Arc<str>`s of
+    /// the original, and setting a member to its own value leaves the
+    /// two containers one allocation.
+    #[test]
+    fn set_copies_the_map_once_and_never_a_name() {
+        let proto = ContainerSchema::of(&[("RC", DataType::Int)]).instantiate();
+        let mut c = proto.clone();
+        c.set("RC", Value::Int(0));
+        assert!(Arc::ptr_eq(c.params(), proto.params()), "nothing changed");
+        c.set("RC", Value::Int(1));
+        assert!(!Arc::ptr_eq(c.params(), proto.params()));
+        assert_eq!(
+            proto.get("RC"),
+            Some(&Value::Int(0)),
+            "the original is untouched"
+        );
+        let name = |c: &Container| Arc::as_ptr(c.params().keys().next().unwrap());
+        assert_eq!(name(&c), name(&proto));
+    }
+
+    #[test]
+    fn merge_writes_every_member_and_overlay_only_declared_ones() {
+        let from: Container = [("a", Value::Int(1)), ("x", Value::Int(9))]
+            .into_iter()
+            .collect();
+        let declared = ContainerSchema::of(&[("a", DataType::Int), ("b", DataType::Int)]);
+
+        let mut merged = declared.instantiate();
+        merged.merge(&from);
+        assert_eq!(merged.get("a"), Some(&Value::Int(1)));
+        assert_eq!(
+            merged.get("x"),
+            Some(&Value::Int(9)),
+            "undeclared members enter"
+        );
+        for mut covered in [
+            Container::empty(),
+            ContainerSchema::of(&[("x", DataType::Int)]).instantiate(),
+        ] {
+            covered.merge(&from);
+            assert!(
+                Arc::ptr_eq(covered.params(), from.params()),
+                "handed over whole"
+            );
+        }
+
+        let mut laid = declared.instantiate();
+        laid.overlay(&from);
+        assert_eq!(laid.get("a"), Some(&Value::Int(1)));
+        assert_eq!(laid.get("b"), Some(&Value::Int(0)));
+        assert!(!laid.has("x"), "undeclared members are dropped");
+        let mut same =
+            ContainerSchema::of(&[("a", DataType::Int), ("x", DataType::Int)]).instantiate();
+        same.overlay(&from);
+        assert!(
+            Arc::ptr_eq(same.params(), from.params()),
+            "same names: handed over whole"
+        );
     }
 
     #[test]
