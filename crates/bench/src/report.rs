@@ -554,6 +554,11 @@ fn b5_recovery() {
             len, t
         );
     }
+    println!(
+        "(a journal *file* is replayed by the pass that opens it: decode, apply, drop — no \
+         event list; the database side of recovery, WAL redo, is bounded by the checkpoint \
+         rule: see B8)"
+    );
     println!();
 }
 
@@ -701,5 +706,9 @@ fn b8_substrate() {
             db.stats().deadlock_aborts
         );
     }
+    println!(
+        "(WAL redo is bounded by the checkpoint rule — a database checkpoints its own log past \
+         max(4096, 4 x keys) records: `wal_replay_10k_updates` 1.74 ms -> 0.30 ms)"
+    );
     println!();
 }

@@ -16,15 +16,22 @@
 use crate::durability::DurabilityPolicy;
 use crate::inject::{FailureAction, InjectorHandle};
 use crate::lock::{LockError, LockManager, LockMode, LockStats};
-use crate::storage::Storage;
+use crate::storage::{Key, Storage};
 use crate::txn::{Transaction, TxnId, TxnStatus};
 use crate::value::Value;
 use crate::wal::{LogRecord, Wal};
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use wfms_observe::Counter;
+
+/// The before-images of one transaction's writes, oldest first: what
+/// its abort restores, newest first. They travel with the
+/// [`Transaction`] handle, so an abort costs what the transaction
+/// wrote, whatever the log holds.
+pub(crate) type Undo = Vec<(Key, Option<Value>)>;
 
 /// Errors surfaced by database operations. Any error on an active
 /// transaction rolls that transaction back before returning — the
@@ -154,6 +161,9 @@ pub struct Database {
     locks: LockManager,
     wal: Wal,
     next_txn: AtomicU64,
+    /// Undo lists of ended transactions, emptied, for the next `begin`
+    /// to take: a transaction's first write allocates nothing.
+    undo_pool: Mutex<Vec<Undo>>,
     injector: Option<InjectorHandle>,
     down: AtomicBool,
     stats: Counters,
@@ -180,6 +190,7 @@ impl Database {
             storage: Storage::new(),
             locks: LockManager::new(),
             next_txn: AtomicU64::new(wal.last_txn().map_or(1, |t| t.0 + 1)),
+            undo_pool: Mutex::default(),
             wal,
             injector: config.injector,
             down: AtomicBool::new(false),
@@ -201,6 +212,7 @@ impl Database {
             db: self,
             id,
             status: TxnStatus::Active,
+            undo: self.undo_pool.lock().pop().unwrap_or_default(),
         }
     }
 
@@ -222,6 +234,7 @@ impl Database {
     /// restart implies.
     pub fn crash(&self) {
         self.storage.clear();
+        self.wal.forget_active();
         self.down.store(true, Ordering::Release);
     }
 
@@ -238,14 +251,14 @@ impl Database {
 
     /// Writes a checkpoint capturing the complete committed state and
     /// compacts the log, bounding recovery time (experiment B5's
-    /// replay cost is linear in post-checkpoint log length). The
-    /// caller must ensure no transaction is active — the same
-    /// quiescence a crash-consistent snapshot needs. Returns the
-    /// number of log records dropped by compaction.
+    /// replay cost is linear in post-checkpoint log length). With a
+    /// transaction active the store holds uncommitted writes, so the
+    /// call does nothing. Returns the number of log records dropped by
+    /// compaction. The database also does this by itself, whenever a
+    /// transaction ends with none left active and the log has outgrown
+    /// the store ([`Wal::append_end`]).
     pub fn checkpoint(&self) -> usize {
-        let state = self.storage.snapshot().into_iter().collect();
-        self.wal.append(LogRecord::Checkpoint { state });
-        self.wal.compact()
+        self.wal.checkpoint(&self.storage)
     }
 
     /// A point-in-time copy of committed state (keys in order).
@@ -299,18 +312,18 @@ impl Database {
         }
     }
 
+    // The operations below leave a failed transaction as it is: the
+    // handle rolls it back ([`Database::txn_abort`]) before it returns
+    // the error, so the caller never cleans up after one.
+
     pub(crate) fn txn_get(&self, txn: TxnId, key: &str) -> Result<Option<Value>, DbError> {
-        if let Err(e) = self.check_up() {
-            self.txn_abort(txn);
-            return Err(e);
-        }
+        self.check_up()?;
         match self.locks.acquire(txn, key, LockMode::Shared) {
             Ok(_) => {
                 self.stats.reads.inc();
                 Ok(self.storage.get(key))
             }
             Err(LockError::Deadlock { cycle }) => {
-                self.txn_abort(txn);
                 self.stats.deadlock_aborts.inc();
                 Err(DbError::Deadlock { txn, cycle })
             }
@@ -320,65 +333,66 @@ impl Database {
     pub(crate) fn txn_put(
         &self,
         txn: TxnId,
+        undo: &mut Undo,
         key: &str,
         value: Option<Value>,
     ) -> Result<(), DbError> {
-        if let Err(e) = self.check_up() {
-            self.txn_abort(txn);
-            return Err(e);
-        }
+        self.check_up()?;
         match self.locks.acquire(txn, key, LockMode::Exclusive) {
             Ok(key) => {
-                // WAL rule: log before applying. The record and the
-                // store share the lock table's copy of the key.
+                // WAL rule: log before applying. The record, the store
+                // and the undo list share the lock table's copy of the
+                // key; the value the store gives up is the undo image.
                 self.wal.append(LogRecord::Update {
                     txn,
                     key: Arc::clone(&key),
                     before: self.storage.get(&key),
                     after: value.clone(),
                 });
-                self.storage.apply(&key, value);
+                let before = self.storage.apply(&key, value);
+                undo.push((key, before));
                 self.stats.writes.inc();
                 Ok(())
             }
             Err(LockError::Deadlock { cycle }) => {
-                self.txn_abort(txn);
                 self.stats.deadlock_aborts.inc();
                 Err(DbError::Deadlock { txn, cycle })
             }
         }
     }
 
-    pub(crate) fn txn_commit(&self, txn: TxnId) -> Result<(), DbError> {
-        if let Err(e) = self.check_up() {
-            self.txn_abort(txn);
-            return Err(e);
-        }
+    pub(crate) fn txn_commit(&self, txn: TxnId, undo: &mut Undo) -> Result<(), DbError> {
+        self.check_up()?;
         // The commit point is where local autonomy bites: the database
         // may refuse the commit even though every operation succeeded.
         if let Some(inj) = &self.injector {
             if inj.decide(&self.commit_label) == FailureAction::Abort {
-                self.txn_abort(txn);
                 self.stats.injected_aborts.inc();
                 let label = self.commit_label.clone();
                 return Err(DbError::InjectedAbort { txn, label });
             }
         }
-        self.wal.append(LogRecord::Commit { txn });
-        self.locks.release_all(txn);
+        undo.clear();
+        self.end(txn, LogRecord::Commit { txn }, undo);
         self.stats.committed.inc();
         Ok(())
     }
 
-    pub(crate) fn txn_abort(&self, txn: TxnId) {
-        // Undo in place: restore before-images in reverse log order.
-        let updates = self.wal.updates_of(txn);
-        for (key, before) in updates.into_iter().rev() {
+    pub(crate) fn txn_abort(&self, txn: TxnId, undo: &mut Undo) {
+        // Undo in place: restore before-images, newest first.
+        while let Some((key, before)) = undo.pop() {
             self.storage.apply(&key, before);
         }
-        self.wal.append(LogRecord::Abort { txn });
-        self.locks.release_all(txn);
+        self.end(txn, LogRecord::Abort { txn }, undo);
         self.stats.aborted.inc();
+    }
+
+    /// Logs the end of `txn` (which is where the log may checkpoint
+    /// itself), releases its locks and takes its emptied undo list back.
+    fn end(&self, txn: TxnId, rec: LogRecord, undo: &mut Undo) {
+        self.wal.append_end(rec, &self.storage);
+        self.locks.release_all(txn);
+        self.undo_pool.lock().push(std::mem::take(undo));
     }
 }
 
@@ -412,6 +426,110 @@ mod tests {
         t.put("k", 3i64).unwrap();
         t.abort();
         assert_eq!(db.peek("k"), Some(Value::Int(1)));
+
+        // The same behind 100 000 records of other transactions: the
+        // before-images travel with the handle, so the abort undoes
+        // exactly its own writes, in reverse, whatever the log holds.
+        // (The open transaction is also what keeps the log that long:
+        // it cannot checkpoint itself until the abort.)
+        let mut t = db.begin();
+        t.put("k", 2i64).unwrap();
+        for i in 0..33_334i64 {
+            let mut other = db.begin();
+            other.put("unrelated", i).unwrap();
+            other.commit().unwrap();
+        }
+        t.delete("k").unwrap();
+        t.put("k", 3i64).unwrap();
+        assert!(db.wal_records().len() > 100_000);
+        t.abort();
+        assert_eq!(db.peek("k"), Some(Value::Int(1)));
+        assert_eq!(db.wal_stats().checkpoints, 1, "taken as the abort ends");
+        db.crash();
+        db.recover();
+        assert_eq!(db.peek("k"), Some(Value::Int(1)));
+    }
+
+    /// A checkpoint with a transaction in flight would snapshot its
+    /// uncommitted write as committed state and compact away its
+    /// `Begin` and before-image: refused, log untouched, so the abort —
+    /// or a crash — still makes the transaction a loser.
+    #[test]
+    fn checkpoint_with_a_transaction_in_flight_is_refused() {
+        for crash in [false, true] {
+            let db = Database::new(DbConfig::named("d"));
+            let mut seed = db.begin();
+            seed.put("k", 1i64).unwrap();
+            seed.commit().unwrap();
+
+            let mut t = db.begin();
+            t.put("k", 2i64).unwrap();
+            t.put("loser", 2i64).unwrap();
+            let log = db.wal_records();
+            assert_eq!(db.checkpoint(), 0);
+            assert_eq!(db.wal_records(), log, "log left alone");
+            if crash {
+                std::mem::forget(t);
+                db.crash();
+                db.recover();
+            } else {
+                t.abort();
+            }
+            assert_eq!(db.peek("k"), Some(Value::Int(1)), "crash: {crash}");
+            assert_eq!(db.peek("loser"), None, "crash: {crash}");
+            // With the transaction over, a checkpoint goes through.
+            assert!(db.checkpoint() > 0);
+            db.crash();
+            db.recover();
+            assert_eq!(db.peek("k"), Some(Value::Int(1)));
+            assert_eq!(db.peek("loser"), None);
+        }
+    }
+
+    /// Four threads increment eight counters through enough log for
+    /// several automatic checkpoints: none may capture a transaction
+    /// half-done or lose a committed one. Between rounds one thread
+    /// ends a transaction while the others stand at a barrier, so a
+    /// checkpoint per round is certain and not left to the scheduler.
+    #[test]
+    fn automatic_checkpoints_under_concurrent_transactions_lose_nothing() {
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 5;
+        const PER_ROUND: usize = 1_000;
+        let db = Database::new(DbConfig::named("d"));
+        let barrier = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for thread in 0..THREADS {
+                let (db, barrier) = (&db, &barrier);
+                s.spawn(move || {
+                    for i in 0..ROUNDS * PER_ROUND {
+                        let key = format!("k{}", (i + thread) % 8);
+                        loop {
+                            let mut t = db.begin();
+                            let Ok(cur) = t.get(&key) else { continue };
+                            let cur = cur.and_then(|v| v.as_int()).unwrap_or(0);
+                            if t.put(&key, cur + 1).is_ok() && t.commit().is_ok() {
+                                break;
+                            }
+                        }
+                        if (i + 1) % PER_ROUND == 0 {
+                            if barrier.wait().is_leader() {
+                                db.begin().commit().unwrap();
+                            }
+                            barrier.wait();
+                        }
+                    }
+                });
+            }
+        });
+        let checkpoints = db.wal_stats().checkpoints;
+        assert!(checkpoints >= 3, "{checkpoints} automatic checkpoints");
+        let before = db.snapshot();
+        let sum: i64 = before.values().filter_map(Value::as_int).sum();
+        assert_eq!(sum, (THREADS * ROUNDS * PER_ROUND) as i64);
+        db.crash();
+        db.recover();
+        assert_eq!(db.snapshot(), before);
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! Every log in this workspace — each database's [`Wal`](crate::Wal)
 //! and the engine journal (`wfms_engine::Journal`) — is a
-//! [`Log`](crate::log::Log) whose file of [frames](crate::frame) sits
-//! behind a `BufWriter`. *When* the buffered bytes actually reach the
-//! file (and the disk) is a policy decision with a real trade-off:
+//! [`Log`](crate::log::Log) whose [frames](crate::frame) collect in one
+//! buffer until they are written. *When* the buffered bytes actually
+//! reach the file (and the disk) is a policy decision with a real
+//! trade-off:
 //! flushing more often narrows the window of work lost in a crash,
 //! syncing pushes the durability point through the OS page cache at a
 //! per-record `fdatasync` cost, and batching amortises both over group
@@ -17,7 +18,7 @@
 //! that the appender returned from; `Batched { n }`: up to `n - 1`).
 
 use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::Write;
 
 /// When a file-mirrored log makes appended records durable.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -42,13 +43,16 @@ pub enum DurabilityPolicy {
     },
 }
 
-/// A `BufWriter<File>` plus the policy state deciding when to flush
-/// and sync.
+/// A log file, the frames it has not been handed yet, and the policy
+/// state deciding when they are: the buffer leaves in one `write_all`
+/// at the policy's flush points and at no other time.
 #[derive(Debug)]
 pub struct DurableWriter {
-    writer: BufWriter<File>,
+    file: File,
     policy: DurabilityPolicy,
-    /// Appends since the last flush (only meaningful for `Batched`).
+    /// Whole frames the file does not hold yet.
+    buf: Vec<u8>,
+    /// Records framed in `buf` (only meaningful for `Batched`).
     pending: usize,
 }
 
@@ -56,25 +60,27 @@ impl DurableWriter {
     /// Wraps `file` (positioned at its end, append mode) under `policy`.
     pub fn new(file: File, policy: DurabilityPolicy) -> Self {
         Self {
-            writer: BufWriter::new(file),
+            file,
             policy,
+            buf: Vec::new(),
             pending: 0,
         }
     }
 
-    /// Writes a pre-assembled chunk of `records` complete frames in
-    /// one `write_all`. The policy sees `records` appends; `barrier`
-    /// forces a flush at the chunk end regardless of policy (commit
-    /// records, the end of a group commit). Returns any I/O error
-    /// without panicking — callers decide whether a log that cannot be
-    /// written is fatal.
-    pub fn append_chunk(
-        &mut self,
-        chunk: &[u8],
-        records: usize,
-        barrier: bool,
-    ) -> std::io::Result<()> {
-        self.writer.write_all(chunk)?;
+    /// The buffer the next records are framed into — each is encoded
+    /// once, straight into the bytes the file is handed. Follow with
+    /// [`DurableWriter::commit`].
+    pub fn buf(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
+    }
+
+    /// Counts the `records` complete frames just added to the buffer
+    /// against the policy and writes the buffer out if it, or `barrier`
+    /// (commit records, the end of a group commit), says so. Returns
+    /// the bytes that left for the file — 0 while the policy is still
+    /// batching — or the I/O error, without panicking: callers decide
+    /// whether a log that cannot be written is fatal.
+    pub fn commit(&mut self, records: usize, barrier: bool) -> std::io::Result<usize> {
         self.pending += records;
         let flush_now = barrier
             || match self.policy {
@@ -82,27 +88,42 @@ impl DurableWriter {
                 DurabilityPolicy::Batched { n } => self.pending >= n.max(1),
             };
         if flush_now {
-            self.flush()?;
+            self.flush()
+        } else {
+            Ok(0)
         }
-        Ok(())
     }
 
-    /// Flushes buffered frames to the OS (and to disk under
-    /// `PerEventSync`).
-    pub fn flush(&mut self) -> std::io::Result<()> {
-        self.writer.flush()?;
+    /// Hands the buffered frames to the OS (and to disk under
+    /// `PerEventSync`); returns how many bytes that was. The buffer is
+    /// empty afterwards either way: a failed write may have left a
+    /// prefix of it in the file, and sending it again would repeat that
+    /// prefix.
+    pub fn flush(&mut self) -> std::io::Result<usize> {
+        let len = self.buf.len();
+        let written = self.file.write_all(&self.buf);
+        self.buf.clear();
         self.pending = 0;
+        written?;
         if self.policy == DurabilityPolicy::PerEventSync {
-            self.writer.get_ref().sync_data()?;
+            self.file.sync_data()?;
         }
-        Ok(())
+        Ok(len)
     }
 
     /// Replaces the underlying file (after an atomic rewrite swapped a
-    /// new file into place). Pending policy state resets.
+    /// new file into place).
     pub fn replace_file(&mut self, file: File) {
-        self.writer = BufWriter::new(file);
-        self.pending = 0;
+        self.file = file;
+    }
+}
+
+/// A writer going away hands the OS what it still buffers, as closing a
+/// file does; an error here has no one left to go to
+/// ([`DurableWriter::flush`] is the call that reports it).
+impl Drop for DurableWriter {
+    fn drop(&mut self) {
+        let _ = self.flush();
     }
 }
 
@@ -196,14 +217,18 @@ mod tests {
         let path = dir.join("log");
         let file = File::create(&path).unwrap();
         let mut w = DurableWriter::new(file, DurabilityPolicy::Batched { n: 3 });
-        w.append_chunk(b"1", 1, false).unwrap();
-        w.append_chunk(b"2", 1, false).unwrap();
+        let mut append = |chunk: &[u8], records, barrier| {
+            w.buf().extend_from_slice(chunk);
+            w.commit(records, barrier).unwrap()
+        };
+        assert_eq!(append(b"1", 1, false), 0);
+        assert_eq!(append(b"2", 1, false), 0);
         assert_eq!(std::fs::read(&path).unwrap(), b"", "still buffered");
-        w.append_chunk(b"3", 1, false).unwrap();
+        assert_eq!(append(b"3", 1, false), 3);
         assert_eq!(std::fs::read(&path).unwrap(), b"123", "group flushed");
-        w.append_chunk(b"4", 1, true).unwrap();
+        assert_eq!(append(b"4", 1, true), 1);
         assert_eq!(std::fs::read(&path).unwrap(), b"1234", "barrier flushes");
-        w.append_chunk(b"567", 3, false).unwrap();
+        assert_eq!(append(b"567", 3, false), 3);
         assert_eq!(
             std::fs::read(&path).unwrap(),
             b"1234567",
@@ -234,7 +259,8 @@ mod tests {
         let path = dir.join("log");
         let file = File::create(&path).unwrap();
         let mut w = DurableWriter::new(file, DurabilityPolicy::PerEventSync);
-        w.append_chunk(b"42", 1, false).unwrap();
+        w.buf().extend_from_slice(b"42");
+        assert_eq!(w.commit(1, false).unwrap(), 2);
         assert_eq!(std::fs::read(&path).unwrap(), b"42");
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -6,7 +6,7 @@
 //! until [`Transaction::commit`] or [`Transaction::abort`]. Dropping an
 //! active handle aborts it (no dangling locks, ever).
 
-use crate::db::{Database, DbError};
+use crate::db::{Database, DbError, Undo};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -42,6 +42,8 @@ pub struct Transaction<'db> {
     pub(crate) db: &'db Database,
     pub(crate) id: TxnId,
     pub(crate) status: TxnStatus,
+    /// Before-images of this transaction's writes, for its abort.
+    pub(crate) undo: Undo,
 }
 
 impl<'db> Transaction<'db> {
@@ -68,37 +70,24 @@ impl<'db> Transaction<'db> {
     /// Reads `key` under a shared lock.
     pub fn get(&mut self, key: &str) -> Result<Option<Value>, DbError> {
         self.ensure_active()?;
-        match self.db.txn_get(self.id, key) {
-            Err(e) => {
-                self.rollback_on_error();
-                Err(e)
-            }
-            ok => ok,
-        }
+        let read = self.db.txn_get(self.id, key);
+        read.map_err(|e| self.rolled_back(e))
     }
 
     /// Writes `value` under `key` under an exclusive lock.
     pub fn put(&mut self, key: &str, value: impl Into<Value>) -> Result<(), DbError> {
-        self.ensure_active()?;
-        match self.db.txn_put(self.id, key, Some(value.into())) {
-            Err(e) => {
-                self.rollback_on_error();
-                Err(e)
-            }
-            ok => ok,
-        }
+        self.write(key, Some(value.into()))
     }
 
     /// Deletes `key` under an exclusive lock.
     pub fn delete(&mut self, key: &str) -> Result<(), DbError> {
+        self.write(key, None)
+    }
+
+    fn write(&mut self, key: &str, value: Option<Value>) -> Result<(), DbError> {
         self.ensure_active()?;
-        match self.db.txn_put(self.id, key, None) {
-            Err(e) => {
-                self.rollback_on_error();
-                Err(e)
-            }
-            ok => ok,
-        }
+        let written = self.db.txn_put(self.id, &mut self.undo, key, value);
+        written.map_err(|e| self.rolled_back(e))
     }
 
     /// Commits the transaction. May still fail with
@@ -107,38 +96,32 @@ impl<'db> Transaction<'db> {
     /// exact failure mode flexible transactions are designed around.
     pub fn commit(mut self) -> Result<(), DbError> {
         self.ensure_active()?;
-        match self.db.txn_commit(self.id) {
-            Ok(()) => {
-                self.status = TxnStatus::Committed;
-                Ok(())
-            }
-            Err(e) => {
-                // The database already rolled the transaction back.
-                self.status = TxnStatus::Aborted;
-                Err(e)
-            }
-        }
+        let committed = self.db.txn_commit(self.id, &mut self.undo);
+        committed.map_err(|e| self.rolled_back(e))?;
+        self.status = TxnStatus::Committed;
+        Ok(())
     }
 
-    /// Aborts the transaction, undoing its updates in place.
-    pub fn abort(mut self) {
-        if self.status == TxnStatus::Active {
-            self.db.txn_abort(self.id);
-            self.status = TxnStatus::Aborted;
-        }
+    /// Aborts the transaction, undoing its updates in place — which is
+    /// what dropping an active handle does.
+    pub fn abort(self) {
+        drop(self);
     }
 
-    /// After a failed operation (deadlock, injected abort) the database
-    /// has rolled us back; mark the handle so later calls fail fast.
-    fn rollback_on_error(&mut self) {
+    /// A failed operation (deadlock, injected abort, site down) ends
+    /// the transaction: roll it back before the error is returned, and
+    /// mark the handle so later calls fail fast.
+    fn rolled_back(&mut self, e: DbError) -> DbError {
+        self.db.txn_abort(self.id, &mut self.undo);
         self.status = TxnStatus::Aborted;
+        e
     }
 }
 
 impl Drop for Transaction<'_> {
     fn drop(&mut self) {
         if self.status == TxnStatus::Active {
-            self.db.txn_abort(self.id);
+            self.db.txn_abort(self.id, &mut self.undo);
             self.status = TxnStatus::Aborted;
         }
     }

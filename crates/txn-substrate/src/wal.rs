@@ -3,8 +3,9 @@
 //! Each local database logs physiological before/after images of every
 //! update, plus transaction begin/commit/abort records. Two uses:
 //!
-//! 1. **Abort (in-place undo)** — the transaction layer walks its own
-//!    update records backwards and restores before-images.
+//! 1. **Abort (in-place undo)** — the transaction layer restores the
+//!    before-images it logged, newest first. It keeps its own copy of
+//!    them ([`crate::Database`]); an abort never reads the log.
 //! 2. **Crash recovery (redo)** — the in-memory store is volatile;
 //!    after a (simulated or real) crash, [`Wal::replay_committed`]
 //!    rebuilds it by re-applying the after-images of committed
@@ -13,14 +14,15 @@
 //!    empty, so only winner writes ever reach it.
 //!
 //! The WAL is the substrate's [`Log`], instantiated for [`LogRecord`]:
-//! the in-memory list, the optional file mirror (magic `"WFWL"`,
-//! version 1, one checksummed frame per record — `docs/recovery.md`),
-//! torn-tail repair on reopen, sticky mirror errors, fault counting and
-//! atomic compaction are all the shared log's. This module adds the
-//! record type with its payload codec, the rule that commit and abort
-//! records force a flush regardless of [`DurabilityPolicy`] — the
-//! durability point is the commit point — and the queries undo and redo
-//! need.
+//! the optional file mirror (magic `"WFWL"`, version 1, one checksummed
+//! frame per record — `docs/recovery.md`), the memory that holds only
+//! what the file does not, torn-tail repair on reopen, sticky mirror
+//! errors, fault counting and atomic compaction are all the shared
+//! log's. This module adds the record type with its payload codec, the
+//! rule that commit and abort records force a flush regardless of
+//! [`DurabilityPolicy`] — the durability point is the commit point —
+//! the redo query, and the count of active transactions that says when
+//! a checkpoint is safe and lets the log [bound itself](Wal::append_end).
 
 use crate::durability::{DurabilityPolicy, MirrorError, TailReport};
 use crate::frame::{self, Field, Reader, Record, FILE_HEADER_LEN};
@@ -28,8 +30,22 @@ use crate::log::Log;
 use crate::storage::{Key, Storage};
 use crate::txn::TxnId;
 use crate::value::Value;
+use parking_lot::Mutex;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A log checkpoints itself once it holds more records since the last
+/// checkpoint than `max(CHECKPOINT_MIN_RECORDS, CHECKPOINT_RECORDS_PER_KEY
+/// × keys in the store)` and no transaction is active. A checkpoint
+/// writes one entry per key, so at four or more appended records per
+/// key between two of them the snapshot costs a quarter of an entry per
+/// record — amortised O(1) — and the log never grows past four times
+/// the store it protects. The floor keeps a small store from
+/// checkpointing every few transactions: 4 096 records are a few
+/// hundred KiB of memory and about a millisecond of replay.
+const CHECKPOINT_MIN_RECORDS: usize = 4096;
+/// See [`CHECKPOINT_MIN_RECORDS`].
+const CHECKPOINT_RECORDS_PER_KEY: usize = 4;
 
 /// Log sequence number: the index of a record in the log.
 pub type Lsn = u64;
@@ -167,17 +183,29 @@ pub struct WalStats {
     /// Mirror I/O failures (the first disables the mirror and is kept
     /// as [`Wal::mirror_error`]).
     pub mirror_errors: u64,
+    /// Records held in memory right now: all of an unmirrored log —
+    /// bounded by the checkpoint rule — and the unflushed tail of a
+    /// mirrored one.
+    pub resident_records: u64,
+    /// Checkpoints the log took by itself ([`Wal::append_end`]).
+    pub checkpoints: u64,
 }
 
 /// The write-ahead log of one local database.
 #[derive(Debug, Default)]
 pub struct Wal {
-    log: Log<LogRecord>,
+    /// The log, behind the one lock everything below is done under.
+    log: Mutex<Log<LogRecord>>,
     /// Opened over a file: appends are timed into `mirror_nanos`.
     mirrored: bool,
+    /// Transactions with a `Begin` and no `Commit`/`Abort` yet. Written
+    /// under the log's lock only, so whoever holds that lock and reads
+    /// 0 knows the store holds committed state and nothing else.
+    active: AtomicU64,
     appends: AtomicU64,
     barrier_flushes: AtomicU64,
     mirror_nanos: AtomicU64,
+    checkpoints: AtomicU64,
 }
 
 impl Wal {
@@ -187,14 +215,14 @@ impl Wal {
         Self::default()
     }
 
-    /// A log mirrored to `path` (loading what the file holds, repairing
-    /// a torn tail) under `policy`; commit/abort records force a flush
+    /// A log mirrored to `path` (over what the file holds, repairing a
+    /// torn tail) under `policy`; commit/abort records force a flush
     /// under every policy. The [`TailReport`] says whether a torn tail
     /// was truncated.
     pub fn open(path: &Path, policy: DurabilityPolicy) -> std::io::Result<(Self, TailReport)> {
-        let (log, report) = Log::open(path, policy)?;
+        let (log, report) = Log::open(path, policy, |_| {})?;
         let wal = Self {
-            log,
+            log: Mutex::new(log),
             mirrored: true,
             ..Self::default()
         };
@@ -206,19 +234,34 @@ impl Wal {
     /// owning database can surface the failure at its API boundary
     /// instead of dying mid-transaction.
     pub fn mirror_error(&self) -> Option<MirrorError> {
-        self.log.mirror_error()
+        self.log.lock().mirror_error().cloned()
     }
 
     /// Appends a record, returning its LSN. Never panics on mirror
     /// I/O failure — see [`Wal::mirror_error`].
     pub fn append(&self, rec: LogRecord) -> Lsn {
-        let barrier = matches!(rec, LogRecord::Commit { .. } | LogRecord::Abort { .. });
+        self.append_to(&mut self.log.lock(), rec)
+    }
+
+    fn append_to(&self, log: &mut Log<LogRecord>, rec: LogRecord) -> Lsn {
+        let barrier = match rec {
+            LogRecord::Begin { .. } => {
+                self.active.fetch_add(1, Ordering::Relaxed);
+                false
+            }
+            LogRecord::Commit { .. } | LogRecord::Abort { .. } => {
+                // Saturating: a handle lost to a crash may still end.
+                let active = self.active.load(Ordering::Relaxed);
+                self.active
+                    .store(active.saturating_sub(1), Ordering::Relaxed);
+                self.barrier_flushes.fetch_add(1, Ordering::Relaxed);
+                true
+            }
+            LogRecord::Update { .. } | LogRecord::Checkpoint { .. } => false,
+        };
         self.appends.fetch_add(1, Ordering::Relaxed);
-        if barrier {
-            self.barrier_flushes.fetch_add(1, Ordering::Relaxed);
-        }
         let t0 = self.mirrored.then(std::time::Instant::now);
-        let lsn = self.log.append(rec, barrier) as Lsn;
+        let lsn = log.append(rec, barrier) as Lsn;
         if let Some(t0) = t0 {
             self.mirror_nanos
                 .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -226,9 +269,58 @@ impl Wal {
         lsn
     }
 
+    /// Appends the `Commit` or `Abort` that ends a transaction over
+    /// `storage`. If that leaves no transaction active and the log has
+    /// outgrown the rule — more than `max(4096, 4 × keys in the store)`
+    /// records since the last checkpoint — the log checkpoints itself
+    /// before the lock is released: no `Begin` can slip in between the
+    /// count reading zero and the snapshot. The trigger reads what the
+    /// append already holds; the store is asked for its size only once
+    /// the floor is passed.
+    pub fn append_end(&self, rec: LogRecord, storage: &Storage) -> Lsn {
+        let mut log = self.log.lock();
+        let lsn = self.append_to(&mut log, rec);
+        let grown = log.since_checkpoint();
+        if grown > CHECKPOINT_MIN_RECORDS
+            && self.active.load(Ordering::Relaxed) == 0
+            && grown > CHECKPOINT_RECORDS_PER_KEY * storage.len()
+        {
+            self.checkpoint_to(&mut log, storage);
+            self.checkpoints.fetch_add(1, Ordering::Relaxed);
+        }
+        lsn
+    }
+
+    /// Writes a checkpoint of `storage` and compacts the log, unless a
+    /// transaction is active: its uncommitted in-place writes would be
+    /// snapshotted as committed state and its `Begin` and before-images
+    /// compacted away. Returns the number of records dropped (0 when
+    /// refused).
+    pub fn checkpoint(&self, storage: &Storage) -> usize {
+        let mut log = self.log.lock();
+        if self.active.load(Ordering::Relaxed) > 0 {
+            return 0;
+        }
+        self.checkpoint_to(&mut log, storage)
+    }
+
+    fn checkpoint_to(&self, log: &mut Log<LogRecord>, storage: &Storage) -> usize {
+        let state = storage.snapshot().into_iter().collect();
+        self.append_to(log, LogRecord::Checkpoint { state });
+        log.compact()
+    }
+
+    /// Forgets the transactions in flight: after a crash they are
+    /// losers whose handles will never end them.
+    pub fn forget_active(&self) {
+        let _log = self.log.lock();
+        self.active.store(0, Ordering::Relaxed);
+    }
+
     /// Snapshot of the append/flush/fault counters.
     pub fn stats(&self) -> WalStats {
-        let faults = self.log.faults();
+        let log = self.log.lock();
+        let faults = log.faults();
         WalStats {
             appends: self.appends.load(Ordering::Relaxed),
             barrier_flushes: self.barrier_flushes.load(Ordering::Relaxed),
@@ -236,48 +328,24 @@ impl Wal {
             torn_tails_truncated: faults.torn_tails_truncated.get(),
             crc_failures: faults.crc_failures.get(),
             mirror_errors: faults.mirror_errors.get(),
+            resident_records: log.resident() as u64,
+            checkpoints: self.checkpoints.load(Ordering::Relaxed),
         }
     }
 
     /// Number of records in the log.
     pub fn len(&self) -> usize {
-        self.log.with_records(<[LogRecord]>::len)
+        self.log.lock().len()
     }
 
     /// True if the log is empty.
     pub fn is_empty(&self) -> bool {
-        self.log.with_records(<[LogRecord]>::is_empty)
+        self.log.lock().is_empty()
     }
 
     /// A copy of the full log (for audit dumps and tests).
     pub fn records(&self) -> Vec<LogRecord> {
-        self.log.with_records(<[LogRecord]>::to_vec)
-    }
-
-    /// Update records of `txn` in log order (the transaction layer
-    /// walks these backwards to undo an abort). Found by walking back
-    /// from the tail to the transaction's `Begin`, so an abort costs
-    /// what the log grew by while the transaction ran, not what the
-    /// log holds.
-    pub fn updates_of(&self, txn: TxnId) -> Vec<(Key, Option<Value>)> {
-        self.log.with_records(|records| {
-            let mut updates: Vec<_> = records
-                .iter()
-                .rev()
-                .take_while(|r| !matches!(r, LogRecord::Begin { txn: t } if *t == txn))
-                .filter_map(|r| match r {
-                    LogRecord::Update {
-                        txn: t,
-                        key,
-                        before,
-                        ..
-                    } if *t == txn => Some((Key::clone(key), before.clone())),
-                    _ => None,
-                })
-                .collect();
-            updates.reverse();
-            updates
-        })
+        self.log.lock().records()
     }
 
     /// Redo recovery: rebuilds `storage` (assumed empty/cleared). If
@@ -287,39 +355,42 @@ impl Wal {
     /// order. Returns the number of updates replayed (checkpoint
     /// installs count one per key).
     pub fn replay_committed(&self, storage: &Storage) -> usize {
-        self.log.with_records(|records| {
-            let start = records
-                .iter()
-                .rposition(LogRecord::is_checkpoint)
-                .unwrap_or(0);
-            let tail = &records[start..];
-            let mut replayed = 0;
-            if let Some(LogRecord::Checkpoint { state }) = tail.first() {
-                for (k, v) in state {
-                    storage.apply(k, Some(v.clone()));
+        // One pass over the log keeps what a replay reads: a checkpoint
+        // makes everything before it redundant, so the list restarts
+        // at each one.
+        let mut tail = Vec::new();
+        self.log.lock().for_each(|rec| {
+            if rec.is_checkpoint() {
+                tail.clear();
+            }
+            tail.push(rec.into_owned());
+        });
+        let mut replayed = 0;
+        if let Some(LogRecord::Checkpoint { state }) = tail.first() {
+            for (k, v) in state {
+                storage.apply(k, Some(v.clone()));
+                replayed += 1;
+            }
+        }
+        let committed: std::collections::HashSet<TxnId> = tail
+            .iter()
+            .filter_map(|r| match r {
+                LogRecord::Commit { txn } => Some(*txn),
+                _ => None,
+            })
+            .collect();
+        for rec in &tail {
+            if let LogRecord::Update {
+                txn, key, after, ..
+            } = rec
+            {
+                if committed.contains(txn) {
+                    storage.apply(key, after.clone());
                     replayed += 1;
                 }
             }
-            let committed: std::collections::HashSet<TxnId> = tail
-                .iter()
-                .filter_map(|r| match r {
-                    LogRecord::Commit { txn } => Some(*txn),
-                    _ => None,
-                })
-                .collect();
-            for rec in tail {
-                if let LogRecord::Update {
-                    txn, key, after, ..
-                } = rec
-                {
-                    if committed.contains(txn) {
-                        storage.apply(key, after.clone());
-                        replayed += 1;
-                    }
-                }
-            }
-            replayed
-        })
+        }
+        replayed
     }
 
     /// Drops every record before the last checkpoint (log compaction),
@@ -327,33 +398,16 @@ impl Wal {
     /// when the log holds no checkpoint. Returns the number of records
     /// dropped.
     pub fn compact(&self) -> usize {
-        self.log.compact()
-    }
-
-    /// Transactions with a `Begin` but neither `Commit` nor `Abort` —
-    /// the in-flight losers at crash time.
-    pub fn in_flight(&self) -> Vec<TxnId> {
-        self.log.with_records(|records| {
-            let mut open: Vec<TxnId> = Vec::new();
-            for rec in records {
-                match rec {
-                    LogRecord::Begin { txn } => open.push(*txn),
-                    LogRecord::Commit { txn } | LogRecord::Abort { txn } => {
-                        open.retain(|t| t != txn)
-                    }
-                    LogRecord::Update { .. } | LogRecord::Checkpoint { .. } => {}
-                }
-            }
-            open
-        })
+        self.log.lock().compact()
     }
 
     /// The highest transaction id in the log: a database reopened over
     /// a WAL file allocates above it, so a new transaction can never
     /// share an id with (and commit the updates of) a pre-crash loser.
     pub fn last_txn(&self) -> Option<TxnId> {
-        self.log
-            .with_records(|records| records.iter().filter_map(LogRecord::txn).max())
+        let mut last = None;
+        self.log.lock().for_each(|rec| last = last.max(rec.txn()));
+        last
     }
 }
 
@@ -421,7 +475,6 @@ mod tests {
         assert_eq!(storage.get("a"), Some(Value::Int(10)));
         assert_eq!(storage.get("b"), None);
         assert_eq!(storage.get("c"), None);
-        assert_eq!(wal.in_flight(), vec![t(2)]);
     }
 
     #[test]
@@ -436,43 +489,6 @@ mod tests {
         let storage = Storage::new();
         wal.replay_committed(&storage);
         assert_eq!(storage.get("k"), Some(Value::Int(2)));
-    }
-
-    #[test]
-    fn updates_of_returns_before_images_in_order() {
-        let wal = Wal::new();
-        wal.append(LogRecord::Begin { txn: t(1) });
-        wal.append(upd(1, "x", None, Some(1)));
-        wal.append(upd(1, "x", Some(1), Some(2)));
-        wal.append(upd(2, "y", None, Some(9)));
-        let ups = wal.updates_of(t(1));
-        assert_eq!(
-            ups,
-            vec![("x".into(), None), ("x".into(), Some(Value::Int(1)))]
-        );
-    }
-
-    /// An abort reads what the log grew by since the transaction's
-    /// `Begin`, whatever sits in front of it: the same before-images in
-    /// the same order behind 100 000 unrelated records, and nothing in
-    /// front of the `Begin` is visited — a decoy update there, carrying
-    /// the transaction's own id, would be returned by any scan that
-    /// went past it.
-    #[test]
-    fn updates_of_reads_back_to_the_begin_and_no_further() {
-        let wal = Wal::new();
-        wal.append(upd(7, "decoy", None, Some(0)));
-        for i in 0..100_000 {
-            wal.append(upd(1 + i % 5, "unrelated", Some(0), Some(1)));
-        }
-        wal.append(LogRecord::Begin { txn: t(7) });
-        wal.append(upd(7, "x", None, Some(1)));
-        wal.append(upd(8, "y", None, Some(9)));
-        wal.append(upd(7, "x", Some(1), Some(2)));
-        assert_eq!(
-            wal.updates_of(t(7)),
-            vec![("x".into(), None), ("x".into(), Some(Value::Int(1)))]
-        );
     }
 
     #[test]
@@ -733,7 +749,11 @@ mod tests {
         // stands in for disk-full without needing a full disk.
         let ro = OpenOptions::new().read(true).open(&path).unwrap();
         let wal = Wal {
-            log: Log::with_injected_file(ro, path.clone(), DurabilityPolicy::PerEvent),
+            log: Mutex::new(Log::with_injected_file(
+                ro,
+                path.clone(),
+                DurabilityPolicy::PerEvent,
+            )),
             ..Wal::default()
         };
         let lsn = wal.append(LogRecord::Begin { txn: t(1) });

@@ -162,7 +162,7 @@ pub enum MigrationOutcome {
 /// definition takes into a template registry, at open and at
 /// [`Engine::register`] alike, so a reopened engine navigates exactly
 /// the templates the crashed one did.
-fn import(def: ProcessDefinition) -> Result<Arc<CompiledProcess>, Vec<ValidationError>> {
+pub(crate) fn import(def: ProcessDefinition) -> Result<Arc<CompiledProcess>, Vec<ValidationError>> {
     let errors = validate(&def);
     if !errors.is_empty() {
         return Err(errors);
@@ -210,32 +210,30 @@ impl Engine {
         config: EngineConfig,
         templates: Vec<ProcessDefinition>,
     ) -> Result<Self, RecoveryError> {
+        // A journal file is replayed by the pass that opens it: each
+        // event is decoded, applied and dropped.
+        let mut replayed = Replayed::over(templates)?;
         let journal = match &config.journal_path {
             Some(p) => {
-                Journal::with_file_policy(p, config.durability).map_err(RecoveryError::Io)?
+                Journal::replaying(p, config.durability, |ev| replayed.feed(&ev))
+                    .map_err(RecoveryError::Io)?
+                    .0
             }
             None => Journal::new(),
         };
-        Self::open_on(journal, multidb, programs, config, templates)
+        Self::open_on(journal, replayed, multidb, programs, config)
     }
 
-    /// [`Engine::open`] over an already opened journal
-    /// (`config.journal_path` is not consulted).
+    /// The engine over `journal` (`config.journal_path` is not
+    /// consulted) and the state `replayed` from it, with the navigation
+    /// the crash interrupted repaired.
     pub(crate) fn open_on(
         journal: Journal,
+        replayed: Replayed,
         multidb: Arc<MultiDatabase>,
         programs: Arc<ProgramRegistry>,
         config: EngineConfig,
-        templates: Vec<ProcessDefinition>,
     ) -> Result<Self, RecoveryError> {
-        let mut registry = TemplateRegistry::new();
-        for def in templates {
-            let process = def.name.clone();
-            let tpl =
-                import(def).map_err(|errors| RecoveryError::InvalidTemplate { process, errors })?;
-            registry.insert(tpl, false);
-        }
-        // Replay in place: the journal is never copied.
         let Replayed {
             registry,
             instances,
@@ -243,7 +241,8 @@ impl Engine {
             next_instance,
             next_item,
             max_tick,
-        } = journal.with_events(|events| recovery::replay(events, registry))?;
+            ..
+        } = replayed.finish()?;
 
         // Claims are leases held by a live session: the replay just
         // re-claimed items for workers that died with the crashed engine,

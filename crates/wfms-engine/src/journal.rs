@@ -1,11 +1,13 @@
 //! The persistent execution journal.
 //!
 //! The journal is the substrate's [`Log`], instantiated for [`Event`]:
-//! the in-memory event list, the optional file mirror of binary frames
-//! (one per event, payloads as `codec.rs` defines them;
-//! `docs/recovery.md` describes the file byte by byte), torn-tail
-//! repair on reopen, sticky mirror errors, fault counting and atomic
-//! compaction are all the shared log's, the same code the WAL runs.
+//! the optional file mirror of binary frames (one per event, payloads
+//! as `codec.rs` defines them; `docs/recovery.md` describes the file
+//! byte by byte), the memory that holds only the events the file does
+//! not — all of them without a file, the unflushed tail with one —
+//! torn-tail repair on reopen, sticky mirror errors, fault counting and
+//! atomic compaction are all the shared log's, the same code the WAL
+//! runs.
 //! *When* frames reach the file is governed by a [`DurabilityPolicy`]:
 //! the default `PerEvent` flushes the writer after every append
 //! (navigation events are rare compared to database updates, so
@@ -19,9 +21,13 @@
 //! What this module adds is what only the engine needs: append probes,
 //! adoption of the log's fault counters into the engine's registry as
 //! `journal.*`, per-instance event queries, and the one-shot JSON
-//! upgrade. A mirror failure never panics the engine: the in-memory
-//! journal keeps working and [`Journal::mirror_error`] lets the engine
+//! upgrade. A mirror failure never panics the engine: the journal
+//! carries on in memory and [`Journal::mirror_error`] lets the engine
 //! park the affected instances instead of dying mid-navigation.
+//!
+//! Reading a mirrored journal ([`Journal::events`],
+//! [`Journal::events_for`]) reads its file: O(file), for recovery,
+//! repair and audit — serving a status never does.
 //!
 //! JSON survives in two places only: [`Journal::upgrade_json_file`]
 //! converts a journal written before the binary format, once, and
@@ -29,6 +35,8 @@
 
 use crate::event::Event;
 use crate::metrics::JournalProbes;
+use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use txn_substrate::durability::{
@@ -56,7 +64,9 @@ pub enum Upgrade {
 /// An append-only journal of navigation events.
 #[derive(Debug, Default)]
 pub struct Journal {
-    log: Log<Event>,
+    /// The log, behind the journal's one lock: held across each append
+    /// and its mirror write, so file order is append order.
+    log: Mutex<Log<Event>>,
     /// Observability instruments, attached by the engine when its
     /// observer is enabled. `OnceLock::get` on the (common) empty cell
     /// is a single atomic load, so unobserved journals pay nothing.
@@ -90,12 +100,24 @@ impl Journal {
         path: &Path,
         policy: DurabilityPolicy,
     ) -> std::io::Result<(Self, TailReport)> {
-        Log::open(path, policy).map(|(log, report)| (Self::over(log), report))
+        Self::replaying(path, policy, |_| {})
+    }
+
+    /// [`Journal::with_file_report`], handing `visit` every event the
+    /// file holds as the pass that validates it decodes them: how
+    /// [`crate::Engine::open`] replays a journal it reads once and
+    /// never holds.
+    pub(crate) fn replaying(
+        path: &Path,
+        policy: DurabilityPolicy,
+        visit: impl FnMut(Event),
+    ) -> std::io::Result<(Self, TailReport)> {
+        Log::open(path, policy, visit).map(|(log, report)| (Self::over(log), report))
     }
 
     fn over(log: Log<Event>) -> Self {
         Self {
-            log,
+            log: Mutex::new(log),
             probes: OnceLock::new(),
         }
     }
@@ -126,7 +148,7 @@ impl Journal {
     pub fn upgrade_json_file(path: &Path) -> std::io::Result<Upgrade> {
         let bytes = std::fs::read(path)?;
         if !matches!(
-            frame::decode_file::<Event>(&bytes),
+            frame::visit_file::<Event>(&bytes, |_, _| {}),
             Err(DecodeError::NotThisLog)
         ) {
             // Binary already (or damaged binary, which the next open
@@ -189,7 +211,7 @@ impl Journal {
     /// engine surfaces this as
     /// [`EngineError::Journal`](crate::EngineError::Journal).
     pub fn mirror_error(&self) -> Option<MirrorError> {
-        self.log.mirror_error()
+        self.log.lock().mirror_error().cloned()
     }
 
     /// Attaches metrics probes (append counts, append/flush latency,
@@ -207,24 +229,25 @@ impl Journal {
     /// or without an enabled observer: faults are cold and always
     /// counted, like the `recovery.*` fix-ups.
     pub(crate) fn attach_fault_counters(&self, reg: &Registry) {
-        self.log.adopt_fault_counters(reg, "journal");
+        self.log.lock().adopt_fault_counters(reg, "journal");
     }
 
     /// Appends an event. Mirror I/O failures do not panic; they are
     /// reported through [`Journal::mirror_error`].
     ///
-    /// Encoding happens **only when a file mirror is attached**: the
-    /// in-memory journal stores the event value itself, so the
-    /// unmirrored steady state (every embedded benchmark engine) pays
-    /// a lock and a `Vec` push, nothing more.
+    /// Encoding happens **only when a file mirror is attached**, and
+    /// then the event is kept only until its frame is written: the
+    /// unmirrored journal stores the event value itself, so that steady
+    /// state (every embedded benchmark engine) pays a lock and a `Vec`
+    /// push, nothing more.
     pub fn append(&self, event: Event) {
         let Some(p) = self.probes.get() else {
-            self.log.append(event, false);
+            self.log.lock().append(event, false);
             return;
         };
         // Latency is sampled 1-in-16; the append counter stays exact.
         let t0 = p.sample_tick().then(std::time::Instant::now);
-        self.log.append(event, false);
+        self.log.lock().append(event, false);
         p.appends.inc();
         if let Some(t0) = t0 {
             p.append_ns.record(t0.elapsed().as_nanos() as u64);
@@ -243,40 +266,53 @@ impl Journal {
             p.appends.add(batch.len() as u64);
             p.batch_size.record(batch.len() as u64);
         }
-        self.log.append_batch(batch);
+        self.log.lock().append_batch(batch);
     }
 
     /// Forces buffered mirror frames to the file (a durability barrier
     /// under any policy; a no-op for unmirrored journals).
     pub fn flush(&self) {
-        self.log.flush()
+        self.log.lock().flush()
     }
 
     /// Consumes the journal, returning its events.
     pub fn into_events(self) -> Vec<Event> {
-        self.log.into_records()
+        self.events()
     }
 
     /// Number of events.
     pub fn len(&self) -> usize {
-        self.log.with_records(<[Event]>::len)
+        self.log.lock().len()
     }
 
     /// True if no events have been journalled.
     pub fn is_empty(&self) -> bool {
-        self.log.with_records(<[Event]>::is_empty)
+        self.log.lock().is_empty()
+    }
+
+    /// Events held in memory right now: all of an unmirrored journal,
+    /// the unflushed tail of a mirrored one (at most `n - 1` under
+    /// `Batched { n }`, none after a flush).
+    pub fn resident_events(&self) -> usize {
+        self.log.lock().resident()
+    }
+
+    /// Bytes of the journal file written and flushed so far (0 for an
+    /// unmirrored journal).
+    pub fn file_len(&self) -> u64 {
+        self.log.lock().file_len()
     }
 
     /// A copy of all events.
     pub fn events(&self) -> Vec<Event> {
-        self.log.with_records(<[Event]>::to_vec)
+        self.log.lock().records()
     }
 
-    /// Runs `f` over the events in place, under the journal lock: how
-    /// recovery replays a journal without copying it. `f` must not
-    /// append to this journal.
-    pub(crate) fn with_events<R>(&self, f: impl FnOnce(&[Event]) -> R) -> R {
-        self.log.with_records(f)
+    /// Visits every event in order, under the journal lock: the file's
+    /// events decoded one by one (owned), then the ones in memory (by
+    /// reference). `visit` must not append to this journal.
+    pub(crate) fn for_each(&self, visit: impl FnMut(Cow<'_, Event>)) {
+        self.log.lock().for_each(visit)
     }
 
     /// Drops every event before the last
@@ -284,18 +320,18 @@ impl Journal {
     /// rewriting the file mirror if there is one. A no-op when no
     /// checkpoint exists. Returns the number of events dropped.
     pub fn compact(&self) -> usize {
-        self.log.compact()
+        self.log.lock().compact()
     }
 
     /// Events of one instance, in order.
     pub fn events_for(&self, instance: crate::event::InstanceId) -> Vec<Event> {
-        self.log.with_records(|events| {
-            events
-                .iter()
-                .filter(|e| e.instance() == Some(instance))
-                .cloned()
-                .collect()
-        })
+        let mut events = Vec::new();
+        self.log.lock().for_each(|e| {
+            if e.instance() == Some(instance) {
+                events.push(e.into_owned());
+            }
+        });
+        events
     }
 }
 

@@ -216,6 +216,11 @@ pub struct DbMetrics {
     pub wal_crc_failures: u64,
     /// WAL mirror I/O failures (the first disables the mirror).
     pub wal_mirror_errors: u64,
+    /// WAL records held in memory right now (bounded by the
+    /// database's checkpoint rule).
+    pub wal_resident_records: u64,
+    /// Checkpoints the database took by itself.
+    pub wal_checkpoints: u64,
 }
 
 /// A typed point-in-time snapshot of everything the engine observes.
@@ -237,6 +242,11 @@ pub struct EngineMetrics {
     pub items_closed: u64,
     /// Events in the journal right now (post-compaction length).
     pub journal_events: u64,
+    /// Of those, events held in memory: all of an unmirrored journal,
+    /// the unflushed tail of a mirrored one.
+    pub journal_resident_records: u64,
+    /// Bytes of the journal file written and flushed (0 unmirrored).
+    pub journal_file_bytes: u64,
     /// Per-activity start→finish latency, labelled by activity path.
     pub activities: BTreeMap<String, LatencySummary>,
     /// Every registry counter by name (navigator, journal, recovery).
@@ -297,6 +307,8 @@ impl EngineMetrics {
             ("worklist.items_claimed", self.items_claimed),
             ("worklist.items_closed", self.items_closed),
             ("journal.events", self.journal_events),
+            ("journal.resident_records", self.journal_resident_records),
+            ("journal.file_bytes", self.journal_file_bytes),
         ] {
             snap.gauges.insert(name.to_owned(), v as i64);
         }
@@ -321,6 +333,7 @@ impl EngineMetrics {
                 ("db.wal_torn_tails_truncated", db.wal_torn_tails_truncated),
                 ("db.wal_crc_failures", db.wal_crc_failures),
                 ("db.wal_mirror_errors", db.wal_mirror_errors),
+                ("db.wal_checkpoints", db.wal_checkpoints),
             ] {
                 snap.counter_vecs
                     .entry(name.to_owned())
@@ -328,6 +341,12 @@ impl EngineMetrics {
                     .1
                     .push((db.name.clone(), v));
             }
+            // A level, not a count: a checkpoint brings it down.
+            snap.gauge_vecs
+                .entry("db.wal_resident_records".to_owned())
+                .or_insert_with(|| ("db".to_owned(), Vec::new()))
+                .1
+                .push((db.name.clone(), db.wal_resident_records as i64));
         }
         snap.to_prometheus()
     }
@@ -391,6 +410,8 @@ impl Engine {
                     wal_torn_tails_truncated: w.torn_tails_truncated,
                     wal_crc_failures: w.crc_failures,
                     wal_mirror_errors: w.mirror_errors,
+                    wal_resident_records: w.resident_records,
+                    wal_checkpoints: w.checkpoints,
                 }
             })
             .collect();
@@ -403,6 +424,8 @@ impl Engine {
             items_claimed: claimed,
             items_closed: closed,
             journal_events: self.journal.len() as u64,
+            journal_resident_records: self.journal.resident_events() as u64,
+            journal_file_bytes: self.journal.file_len(),
             activities,
             counters: snap.counters,
             gauges: snap.gauges,

@@ -30,7 +30,7 @@
 //! state the crashed engine used.
 
 use crate::compiled::ScopeId;
-use crate::engine::{Engine, EngineConfig};
+use crate::engine::{import, Engine, EngineConfig};
 use crate::event::{Event, InstanceId};
 use crate::journal::Journal;
 use crate::navigator::{self, NavServices};
@@ -168,10 +168,14 @@ pub fn recover_from(
         org,
         ..EngineConfig::default()
     };
-    Engine::open_on(journal, multidb, programs, config, templates)
+    let mut replayed = Replayed::over(templates)?;
+    journal.for_each(|ev| replayed.feed(&ev));
+    Engine::open_on(journal, replayed, multidb, programs, config)
 }
 
-/// Engine state rebuilt from a journal, before the post-replay repairs.
+/// Engine state being rebuilt from a journal, one event at a time —
+/// the events come straight from the pass that decodes the file (or
+/// from a journal's memory) and are never collected.
 pub(crate) struct Replayed {
     pub(crate) registry: TemplateRegistry,
     pub(crate) instances: BTreeMap<InstanceId, Instance>,
@@ -179,37 +183,55 @@ pub(crate) struct Replayed {
     pub(crate) next_instance: u64,
     pub(crate) next_item: u64,
     pub(crate) max_tick: txn_substrate::Tick,
+    /// The first event that could not be applied; the events after it
+    /// are skipped (the pass still validates their frames).
+    failed: Option<RecoveryError>,
 }
 
-/// Applies `events`, by reference, to a fresh engine state over
-/// `registry`. The registry's defaults are the *initial* ones (the
-/// first supplied definition per name); journalled `TemplateDeployed`
-/// events advance them during replay — so every `InstanceStarted`
-/// resolves against the same default the live engine used at that
-/// journal position.
-pub(crate) fn replay(
-    events: &[Event],
-    registry: TemplateRegistry,
-) -> Result<Replayed, RecoveryError> {
-    let mut state = Replayed {
-        registry,
-        instances: BTreeMap::new(),
-        worklists: WorklistStore::new(),
-        next_instance: 1,
-        next_item: 1,
-        max_tick: 0,
-    };
-    for ev in events {
-        state.max_tick = state.max_tick.max(ev.at());
-        apply(ev, &mut state)?;
+impl Replayed {
+    /// A fresh engine state over `templates`, imported like
+    /// [`Engine::register`] imports them. The registry's defaults are
+    /// the *initial* ones (the first supplied definition per name);
+    /// journalled `TemplateDeployed` events advance them during replay
+    /// — so every `InstanceStarted` resolves against the same default
+    /// the live engine used at that journal position.
+    pub(crate) fn over(templates: Vec<ProcessDefinition>) -> Result<Self, RecoveryError> {
+        let mut registry = TemplateRegistry::new();
+        for def in templates {
+            let process = def.name.clone();
+            let tpl =
+                import(def).map_err(|errors| RecoveryError::InvalidTemplate { process, errors })?;
+            registry.insert(tpl, false);
+        }
+        Ok(Self {
+            registry,
+            instances: BTreeMap::new(),
+            worklists: WorklistStore::new(),
+            next_instance: 1,
+            next_item: 1,
+            max_tick: 0,
+            failed: None,
+        })
     }
 
-    // Rebuild the ready queues: the transitions set activity states
-    // only; queueing is the navigator's side of a live step.
-    for inst in state.instances.values_mut() {
-        inst.rebuild_ready();
+    /// Applies the journal's next event.
+    pub(crate) fn feed(&mut self, ev: &Event) {
+        if self.failed.is_none() {
+            self.max_tick = self.max_tick.max(ev.at());
+            self.failed = apply(ev, self).err();
+        }
     }
-    Ok(state)
+
+    /// The journal has been fed whole: the state, or why it stopped.
+    pub(crate) fn finish(mut self) -> Result<Self, RecoveryError> {
+        self.failed.take().map_or(Ok(()), Err)?;
+        // Rebuild the ready queues: the transitions set activity states
+        // only; queueing is the navigator's side of a live step.
+        for inst in self.instances.values_mut() {
+            inst.rebuild_ready();
+        }
+        Ok(self)
+    }
 }
 
 /// Applies one journal event to the state under reconstruction.
@@ -521,28 +543,29 @@ pub(crate) fn fixup_instance(inst: &mut Instance, svc: &NavServices<'_>) -> Fixu
     // somewhere inside B. The live run would finish B's edges
     // before returning to A's remaining ones, so process the
     // stack innermost-first — i.e. in reverse order of the
-    // `ActivityTerminated` events in the journal, looked up in place
-    // before the repairs below append anything.
-    let mut terminated: Vec<(usize, u32)> = if fx.terminated_missing.is_empty() {
-        Vec::new()
-    } else {
-        svc.journal.with_events(|events| {
-            fx.terminated_missing
-                .iter()
-                .map(|&slot| {
-                    let ps: &str = &lay.paths[slot as usize];
-                    let pos = events
-                        .iter()
-                        .rposition(|e| {
-                            matches!(e, Event::ActivityTerminated { instance, path, .. }
-                                if *instance == inst.id && *path == *ps)
-                        })
-                        .unwrap_or(0);
-                    (pos, slot)
-                })
-                .collect()
-        })
-    };
+    // `ActivityTerminated` events in the journal, looked up (one pass,
+    // which re-reads a mirrored journal's file: this is rare) before
+    // the repairs below append anything.
+    let mut terminated: Vec<(usize, u32)> = fx
+        .terminated_missing
+        .iter()
+        .map(|&slot| (0, slot))
+        .collect();
+    if !terminated.is_empty() {
+        let mut pos = 0;
+        svc.journal.for_each(|e| {
+            if let Event::ActivityTerminated { instance, path, .. } = &*e {
+                if *instance == inst.id {
+                    for (last, slot) in &mut terminated {
+                        if **path == *lay.paths[*slot as usize] {
+                            *last = pos;
+                        }
+                    }
+                }
+            }
+            pos += 1;
+        });
+    }
 
     // Offers come first: the live run journals `WorkItemOffered`
     // immediately after `ActivityReady`, so a lost offer is the

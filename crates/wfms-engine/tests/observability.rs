@@ -258,6 +258,54 @@ fn exposition_formats_render_the_snapshot() {
     assert!(prom.contains("engine_instances_finished 1"));
     assert!(prom.contains("engine_act_latency_ns{label=\"A\",quantile=\"0.5\"}"));
     assert!(prom.contains("db_txns_committed{db=\"db\"} 2"));
+    // The in-memory engine's logs are lists: all of the journal and all
+    // six WAL records (two transactions) are resident, no file.
+    let events = m.journal_events;
+    assert!(prom.contains(&format!("journal_resident_records {events}")));
+    assert!(prom.contains("journal_file_bytes 0"));
+    assert!(prom.contains("db_wal_resident_records{db=\"db\"} 6"));
+    assert!(prom.contains("db_wal_checkpoints{db=\"db\"} 0"));
+}
+
+/// The bound on what a mirrored journal keeps is visible: under
+/// `Batched { 64 }` never a full batch resident, nothing after a flush,
+/// and `journal.file_bytes` is the file's length.
+#[test]
+fn mirrored_journal_reports_resident_records_and_file_bytes() {
+    let dir = std::env::temp_dir().join(format!("wfms-obs-resident-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("engine.journal");
+    let (fed, registry) = world();
+    let engine = Engine::with_config(
+        fed,
+        registry,
+        EngineConfig {
+            journal_path: Some(path.clone()),
+            durability: txn_substrate::DurabilityPolicy::Batched { n: 64 },
+            ..EngineConfig::default()
+        },
+    );
+    engine.register(branching()).unwrap();
+    let mut peak = 0;
+    for _ in 0..40 {
+        let id = engine.start("branch", Container::empty()).unwrap();
+        engine.run_to_quiescence(id).unwrap();
+        let m = engine.metrics();
+        assert!(m.journal_resident_records <= 63, "never a full batch");
+        peak = peak.max(m.journal_resident_records);
+    }
+    assert!(peak > 0, "the policy batches");
+    engine.flush_journal().unwrap();
+    let m = engine.metrics();
+    assert_eq!(m.journal_resident_records, 0);
+    assert_eq!(
+        m.journal_file_bytes,
+        std::fs::metadata(&path).unwrap().len()
+    );
+    assert_eq!(m.journal_events, engine.journal_events().len() as u64);
+    assert!(m.to_json().contains("\"journal_resident_records\": 0"));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -38,7 +38,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use wfms_engine::{EngineError, InstanceStatus, WorklistError};
+use wfms_engine::{EngineError, EngineMetrics, InstanceStatus, WorklistError};
 use wfms_model::Container;
 
 use crate::api::*;
@@ -1303,19 +1303,27 @@ fn complete(
 }
 
 /// Folds engine aggregates into gauges at scrape time — cheaper than
-/// keeping them hot on the submit path.
+/// keeping them hot on the submit path. The `journal.*` and `db.wal_*`
+/// levels are what the shards' logs hold right now, summed: the bound
+/// on a long-lived server's memory, where an operator can see it.
 fn publish_scrape_gauges(state: &Arc<ServerState>) {
     let registry = state.pool.registry();
-    let (running, finished, cancelled) = state.pool.instance_counts();
-    registry
-        .gauge("server.instances.running")
-        .set(running as i64);
-    registry
-        .gauge("server.instances.finished")
-        .set(finished as i64);
-    registry
-        .gauge("server.instances.cancelled")
-        .set(cancelled as i64);
+    let shards = state.pool.engine_metrics();
+    let publish = |name: &str, level: &dyn Fn(&EngineMetrics) -> u64| {
+        let total: u64 = shards.iter().map(level).sum();
+        registry.gauge(name).set(total as i64);
+    };
+    publish("server.instances.running", &|m| m.instances_running);
+    publish("server.instances.finished", &|m| m.instances_finished);
+    publish("server.instances.cancelled", &|m| m.instances_cancelled);
+    publish("journal.resident_records", &|m| m.journal_resident_records);
+    publish("journal.file_bytes", &|m| m.journal_file_bytes);
+    publish("db.wal_resident_records", &|m| {
+        m.federation.iter().map(|db| db.wal_resident_records).sum()
+    });
+    publish("db.wal_checkpoints", &|m| {
+        m.federation.iter().map(|db| db.wal_checkpoints).sum()
+    });
     registry
         .gauge("server.queue.depth")
         .set(state.pool.queue_depth());

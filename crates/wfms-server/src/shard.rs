@@ -899,6 +899,12 @@ impl ShardPool {
         counts
     }
 
+    /// Every shard engine's metrics snapshot
+    /// ([`wfms_engine::Engine::metrics`]), for the scrape to fold.
+    pub fn engine_metrics(&self) -> Vec<wfms_engine::EngineMetrics> {
+        self.shards.iter().map(|s| s.engine.metrics()).collect()
+    }
+
     /// Total queued submissions across shards right now.
     pub fn queue_depth(&self) -> i64 {
         self.shards

@@ -144,6 +144,12 @@ fn submit_complete_status_drain_over_http() {
     assert!(text.contains("server_submit_accepted"));
     assert!(text.contains("server_instances_finished"));
     assert!(text.contains("server_resume_failures 0"), "{text}");
+    // What the shards' logs hold: every reply so far came after a group
+    // commit, so no journal event is resident and the files have grown.
+    assert!(text.contains("journal_resident_records 0"), "{text}");
+    assert!(!text.contains("journal_file_bytes 0"), "{text}");
+    assert!(text.contains("db_wal_resident_records"), "{text}");
+    assert!(text.contains("db_wal_checkpoints 0"), "{text}");
 
     // Drain: new submissions are parked with 503.
     let (code, _) = client.request("POST", "/admin/drain", None).unwrap();
