@@ -178,7 +178,7 @@ impl SagaExecutor {
         for stage in &spec.stages {
             // Run all stage members concurrently; collect outcomes in
             // completion order.
-            let (tx, rx) = crossbeam::channel::unbounded();
+            let (tx, rx) = std::sync::mpsc::channel();
             std::thread::scope(|s| {
                 for step in stage {
                     let tx = tx.clone();

@@ -280,7 +280,7 @@ mod tests {
             // The coordinator holds locks on every site. Unrelated
             // local work on site_a now stalls: probe with a timeout.
             fed2.db("site_a").unwrap().set_down(false); // (it is up)
-            let (tx, rx) = crossbeam::channel::bounded(1);
+            let (tx, rx) = std::sync::mpsc::sync_channel(1);
             let fed3 = Arc::clone(&fed2);
             std::thread::spawn(move || {
                 let db = fed3.db("site_a").unwrap();

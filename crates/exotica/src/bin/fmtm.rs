@@ -238,6 +238,98 @@ fn load(path: &str) -> Result<String, ExitCode> {
     })
 }
 
+/// One subcommand's arguments, walked left to right by a
+/// `while let Some(arg) = flags.next()` loop. A usage error is printed
+/// as `fmtm <cmd>: …` where it is met and ends the walk: `next` yields
+/// nothing more and [`Flags::usage_error`] is exit code 2.
+struct Flags<'a> {
+    cmd: &'static str,
+    rest: std::slice::Iter<'a, String>,
+    failed: bool,
+}
+
+impl<'a> Flags<'a> {
+    fn new(cmd: &'static str, args: &'a [String]) -> Self {
+        Self {
+            cmd,
+            rest: args.iter(),
+            failed: false,
+        }
+    }
+
+    fn next(&mut self) -> Option<&'a str> {
+        if self.failed {
+            return None;
+        }
+        self.rest.next().map(String::as_str)
+    }
+
+    fn fail(&mut self, message: std::fmt::Arguments<'_>) {
+        eprintln!("fmtm {}: {message}", self.cmd);
+        self.failed = true;
+    }
+
+    fn unknown(&mut self, arg: &str) {
+        self.fail(format_args!("unknown option {arg:?}"));
+    }
+
+    fn usage_error(&self) -> Option<ExitCode> {
+        self.failed.then(|| ExitCode::from(2))
+    }
+
+    /// The argument after `flag` as `read` understands it; absent or
+    /// not understood, the usage error "`flag` needs `what`".
+    fn read<T>(
+        &mut self,
+        flag: &str,
+        what: &str,
+        read: impl FnOnce(&str) -> Option<T>,
+    ) -> Option<T> {
+        let value = self.rest.next().and_then(|v| read(v));
+        if value.is_none() {
+            self.fail(format_args!("{flag} needs {what}"));
+        }
+        value
+    }
+
+    /// [`Flags::read`] by `FromStr`; a `String` takes the argument whole.
+    fn value<T: std::str::FromStr>(&mut self, flag: &str, what: &str) -> Option<T> {
+        self.read(flag, what, |v| v.parse().ok())
+    }
+
+    /// [`Flags::read`] with the two messages of `serve` and `load`:
+    /// "`flag` needs a value" and "bad value V for `flag`".
+    fn read_value<T>(&mut self, flag: &str, read: impl FnOnce(&str) -> Option<T>) -> Option<T> {
+        let text: String = self.value(flag, "a value")?;
+        let value = read(&text);
+        if value.is_none() {
+            self.fail(format_args!("bad value {text:?} for {flag}"));
+        }
+        value
+    }
+
+    /// [`Flags::read_value`] by `FromStr`.
+    fn parsed<T: std::str::FromStr>(&mut self, flag: &str) -> Option<T> {
+        self.read_value(flag, |v| v.parse().ok())
+    }
+
+    /// `--fail LABEL=PLAN` as `run` and `crashtest` report it.
+    fn fail_plan(&mut self) -> Option<(String, FailurePlan)> {
+        let kv: String = self.value("--fail", "LABEL=PLAN")?;
+        let Some((label, plan_text)) = kv.split_once('=') else {
+            self.fail(format_args!("--fail needs LABEL=PLAN, got {kv:?}"));
+            return None;
+        };
+        let plan = parse_plan(plan_text);
+        if plan.is_none() {
+            self.fail(format_args!(
+                "unknown plan {plan_text:?} (use always, first:N, attempts:..)"
+            ));
+        }
+        Some((label.to_owned(), plan?))
+    }
+}
+
 /// What `fmtm run`/`fmtm top` execute: the optimized template plus the
 /// auto-provision step list, obtained from either an ATM spec (the
 /// full pipeline) or a plain FDL process (import, analyze, compile,
@@ -378,38 +470,26 @@ fn lint(args: &[String]) -> ExitCode {
     let mut path: Option<&str> = None;
     let mut json = false;
     let mut allowed: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--format" => {
-                match args.get(i + 1).map(String::as_str) {
-                    Some("json") => json = true,
-                    Some("human") => json = false,
-                    Some(other) => {
-                        eprintln!("fmtm lint: --format needs human or json, got {other:?}");
-                        return ExitCode::from(2);
-                    }
-                    None => {
-                        eprintln!("fmtm lint: --format needs human or json");
-                        return ExitCode::from(2);
-                    }
+    let mut flags = Flags::new("lint", args);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--format" => match flags
+                .value::<String>("--format", "human or json")
+                .as_deref()
+            {
+                Some("json") => json = true,
+                Some("human") => json = false,
+                Some(other) => {
+                    flags.fail(format_args!("--format needs human or json, got {other:?}"))
                 }
-                i += 2;
-            }
-            "--allow" => {
-                let Some(code) = args.get(i + 1) else {
-                    eprintln!("fmtm lint: --allow needs a WAxxx code");
-                    return ExitCode::from(2);
-                };
-                allowed.push(code.clone());
-                i += 2;
-            }
+                None => {}
+            },
+            "--allow" => allowed.extend(flags.value::<String>("--allow", "a WAxxx code")),
             "--explain" => {
-                let Some(code) = args.get(i + 1) else {
-                    eprintln!("fmtm lint: --explain needs a WAxxx code");
-                    return ExitCode::from(2);
+                let Some(code) = flags.value::<String>("--explain", "a WAxxx code") else {
+                    break;
                 };
-                return match wfms_analyzer::explain(code) {
+                return match wfms_analyzer::explain(&code) {
                     Some(text) => {
                         println!("{code}: {text}");
                         ExitCode::SUCCESS
@@ -420,18 +500,16 @@ fn lint(args: &[String]) -> ExitCode {
                     }
                 };
             }
-            other if other.starts_with('-') => {
-                eprintln!("fmtm lint: unknown option {other:?}");
-                return ExitCode::from(2);
-            }
+            other if other.starts_with('-') => flags.unknown(other),
             other => {
                 if path.replace(other).is_some() {
-                    eprintln!("fmtm lint: expected exactly one file");
-                    return ExitCode::from(2);
+                    flags.fail(format_args!("expected exactly one file"));
                 }
-                i += 1;
             }
         }
+    }
+    if let Some(code) = flags.usage_error() {
+        return code;
     }
     let Some(path) = path else {
         eprintln!("fmtm lint: missing file (FDL process or ATM spec)");
@@ -495,64 +573,22 @@ fn run(args: &[String]) -> ExitCode {
     let mut audit_flag = false;
     let mut instances = 1usize;
     let mut metrics_out: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--fail" => {
-                let Some(kv) = args.get(i + 1) else {
-                    eprintln!("fmtm run: --fail needs LABEL=PLAN");
-                    return ExitCode::from(2);
-                };
-                let Some((label, plan_text)) = kv.split_once('=') else {
-                    eprintln!("fmtm run: --fail needs LABEL=PLAN, got {kv:?}");
-                    return ExitCode::from(2);
-                };
-                let Some(plan) = parse_plan(plan_text) else {
-                    eprintln!(
-                        "fmtm run: unknown plan {plan_text:?} (use always, first:N, attempts:..)"
-                    );
-                    return ExitCode::from(2);
-                };
-                plans.push((label.to_owned(), plan));
-                i += 2;
-            }
-            "--seed" => {
-                let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    eprintln!("fmtm run: --seed needs a number");
-                    return ExitCode::from(2);
-                };
-                seed = n;
-                i += 2;
-            }
-            "--trace" => {
-                trace = true;
-                i += 1;
-            }
-            "--audit" => {
-                audit_flag = true;
-                i += 1;
-            }
+    let mut flags = Flags::new("run", &args[1..]);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--fail" => plans.extend(flags.fail_plan()),
+            "--seed" => seed = flags.value("--seed", "a number").unwrap_or(seed),
+            "--trace" => trace = true,
+            "--audit" => audit_flag = true,
             "--instances" => {
-                let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    eprintln!("fmtm run: --instances needs a number");
-                    return ExitCode::from(2);
-                };
-                instances = n;
-                i += 2;
+                instances = flags.value("--instances", "a number").unwrap_or(instances)
             }
-            "--metrics-out" => {
-                let Some(p) = args.get(i + 1) else {
-                    eprintln!("fmtm run: --metrics-out needs a file path");
-                    return ExitCode::from(2);
-                };
-                metrics_out = Some(p.clone());
-                i += 2;
-            }
-            other => {
-                eprintln!("fmtm run: unknown option {other:?}");
-                return ExitCode::from(2);
-            }
+            "--metrics-out" => metrics_out = flags.value("--metrics-out", "a file path"),
+            other => flags.unknown(other),
         }
+    }
+    if let Some(code) = flags.usage_error() {
+        return code;
     }
 
     let out = match prepare(&src) {
@@ -685,50 +721,27 @@ fn top(args: &[String]) -> ExitCode {
     let mut seed = 0u64;
     let mut instances = 8usize;
     let mut every = 25usize;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--fail" => {
-                let Some(plan) = args
-                    .get(i + 1)
-                    .and_then(|kv| kv.split_once('='))
-                    .and_then(|(l, p)| parse_plan(p).map(|plan| (l.to_owned(), plan)))
-                else {
-                    eprintln!("fmtm top: --fail needs LABEL=PLAN");
-                    return ExitCode::from(2);
-                };
-                plans.push(plan);
-                i += 2;
-            }
-            "--seed" => {
-                let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    eprintln!("fmtm top: --seed needs a number");
-                    return ExitCode::from(2);
-                };
-                seed = n;
-                i += 2;
-            }
+    let mut flags = Flags::new("top", &args[1..]);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--fail" => plans.extend(flags.read("--fail", "LABEL=PLAN", |kv| {
+                let (label, plan) = kv.split_once('=')?;
+                Some((label.to_owned(), parse_plan(plan)?))
+            })),
+            "--seed" => seed = flags.value("--seed", "a number").unwrap_or(seed),
             "--instances" => {
-                let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    eprintln!("fmtm top: --instances needs a number");
-                    return ExitCode::from(2);
-                };
-                instances = n;
-                i += 2;
+                instances = flags.value("--instances", "a number").unwrap_or(instances)
             }
             "--every" => {
-                let Some(n) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) else {
-                    eprintln!("fmtm top: --every needs a step count");
-                    return ExitCode::from(2);
-                };
-                every = n.max(1);
-                i += 2;
+                every = flags
+                    .value::<usize>("--every", "a step count")
+                    .map_or(every, |n| n.max(1))
             }
-            other => {
-                eprintln!("fmtm top: unknown option {other:?}");
-                return ExitCode::from(2);
-            }
+            other => flags.unknown(other),
         }
+    }
+    if let Some(code) = flags.usage_error() {
+        return code;
     }
 
     let out = match prepare(&src) {
@@ -852,64 +865,22 @@ fn crashtest(args: &[String]) -> ExitCode {
     let mut report_path: Option<String> = None;
     let mut torn_tail = true;
     let mut quick = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--fail" => {
-                let Some(kv) = args.get(i + 1) else {
-                    eprintln!("fmtm crashtest: --fail needs LABEL=PLAN");
-                    return ExitCode::from(2);
-                };
-                let Some((label, plan_text)) = kv.split_once('=') else {
-                    eprintln!("fmtm crashtest: --fail needs LABEL=PLAN, got {kv:?}");
-                    return ExitCode::from(2);
-                };
-                let Some(plan) = parse_plan(plan_text) else {
-                    eprintln!(
-                        "fmtm crashtest: unknown plan {plan_text:?} (use always, first:N, attempts:..)"
-                    );
-                    return ExitCode::from(2);
-                };
-                plans.push((label.to_owned(), plan));
-                i += 2;
-            }
-            "--seed" => {
-                let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    eprintln!("fmtm crashtest: --seed needs a number");
-                    return ExitCode::from(2);
-                };
-                seed = n;
-                i += 2;
-            }
+    let mut flags = Flags::new("crashtest", &args[1..]);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--fail" => plans.extend(flags.fail_plan()),
+            "--seed" => seed = flags.value("--seed", "a number").unwrap_or(seed),
             "--instances" => {
-                let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    eprintln!("fmtm crashtest: --instances needs a number");
-                    return ExitCode::from(2);
-                };
-                instances = n;
-                i += 2;
+                instances = flags.value("--instances", "a number").unwrap_or(instances)
             }
-            "--report" => {
-                let Some(p) = args.get(i + 1) else {
-                    eprintln!("fmtm crashtest: --report needs a path");
-                    return ExitCode::from(2);
-                };
-                report_path = Some(p.clone());
-                i += 2;
-            }
-            "--no-torn-tail" => {
-                torn_tail = false;
-                i += 1;
-            }
-            "--quick" => {
-                quick = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("fmtm crashtest: unknown option {other:?}");
-                return ExitCode::from(2);
-            }
+            "--report" => report_path = flags.value("--report", "a path"),
+            "--no-torn-tail" => torn_tail = false,
+            "--quick" => quick = true,
+            other => flags.unknown(other),
         }
+    }
+    if let Some(code) = flags.usage_error() {
+        return code;
     }
 
     let out = match exotica::run_pipeline(&src) {
@@ -1035,71 +1006,38 @@ fn serve(args: &[String]) -> ExitCode {
     let mut throttle_ms = 0u64;
     let mut reactors = 0usize;
     let mut tenants_path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        match flag {
-            "--shards" | "--port" | "--addr" | "--data" | "--queue" | "--batch"
-            | "--durability" | "--seed" | "--person" | "--throttle-ms" | "--reactors"
-            | "--tenants" => {
-                let Some(value) = args.get(i + 1) else {
-                    eprintln!("fmtm serve: {flag} needs a value");
-                    return ExitCode::from(2);
-                };
-                let ok = match flag {
-                    "--shards" => value.parse().map(|n: usize| shards = n.max(1)).is_ok(),
-                    "--port" => value.parse().map(|p| port = p).is_ok(),
-                    "--addr" => {
-                        addr = value.clone();
-                        true
-                    }
-                    "--data" => {
-                        data_dir = value.clone();
-                        true
-                    }
-                    "--queue" => value.parse().map(|n: usize| queue = n.max(1)).is_ok(),
-                    "--batch" => value.parse().map(|n: usize| batch = n.max(1)).is_ok(),
-                    "--durability" => match parse_durability(value) {
-                        Some(d) => {
-                            durability = d;
-                            true
-                        }
-                        None => false,
-                    },
-                    "--seed" => value.parse().map(|n| seed = n).is_ok(),
-                    "--person" => match value.split_once('=') {
-                        Some((name, roles)) => {
-                            persons.push((
-                                name.to_owned(),
-                                roles.split(',').map(str::to_owned).collect(),
-                            ));
-                            true
-                        }
-                        None => false,
-                    },
-                    "--throttle-ms" => value.parse().map(|n| throttle_ms = n).is_ok(),
-                    "--reactors" => value.parse().map(|n| reactors = n).is_ok(),
-                    "--tenants" => {
-                        tenants_path = Some(value.clone());
-                        true
-                    }
-                    _ => unreachable!("outer match narrowed the flag"),
-                };
-                if !ok {
-                    eprintln!("fmtm serve: bad value {value:?} for {flag}");
-                    return ExitCode::from(2);
-                }
-                i += 2;
+    let at_least_one = |v: &str| v.parse().ok().map(|n: usize| n.max(1));
+    let mut flags = Flags::new("serve", args);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--shards" => shards = flags.read_value(arg, at_least_one).unwrap_or(shards),
+            "--port" => port = flags.parsed(arg).unwrap_or(port),
+            "--addr" => addr = flags.parsed(arg).unwrap_or(addr),
+            "--data" => data_dir = flags.parsed(arg).unwrap_or(data_dir),
+            "--queue" => queue = flags.read_value(arg, at_least_one).unwrap_or(queue),
+            "--batch" => batch = flags.read_value(arg, at_least_one).unwrap_or(batch),
+            "--durability" => {
+                durability = flags
+                    .read_value(arg, parse_durability)
+                    .unwrap_or(durability)
             }
-            other if other.starts_with('-') => {
-                eprintln!("fmtm serve: unknown option {other:?}");
-                return ExitCode::from(2);
-            }
-            path => {
-                spec_paths.push(path.to_owned());
-                i += 1;
-            }
+            "--seed" => seed = flags.parsed(arg).unwrap_or(seed),
+            "--person" => persons.extend(flags.read_value(arg, |v| {
+                let (name, roles) = v.split_once('=')?;
+                Some((
+                    name.to_owned(),
+                    roles.split(',').map(str::to_owned).collect(),
+                ))
+            })),
+            "--throttle-ms" => throttle_ms = flags.parsed(arg).unwrap_or(throttle_ms),
+            "--reactors" => reactors = flags.parsed(arg).unwrap_or(reactors),
+            "--tenants" => tenants_path = flags.parsed(arg),
+            other if other.starts_with('-') => flags.unknown(other),
+            path => spec_paths.push(path.to_owned()),
         }
+    }
+    if let Some(code) = flags.usage_error() {
+        return code;
     }
     if spec_paths.is_empty() {
         eprintln!("fmtm serve: at least one spec file is required");
@@ -1228,30 +1166,17 @@ fn deploy_cmd(args: &[String]) -> ExitCode {
     let mut spec_path: Option<String> = None;
     let mut url: Option<String> = None;
     let mut policy = "drain-old".to_owned();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        match flag {
-            "--url" | "--policy" => {
-                let Some(value) = args.get(i + 1) else {
-                    eprintln!("fmtm deploy: {flag} needs a value");
-                    return ExitCode::from(2);
-                };
-                match flag {
-                    "--url" => url = Some(value.clone()),
-                    _ => policy = value.clone(),
-                }
-                i += 2;
-            }
-            other if other.starts_with('-') => {
-                eprintln!("fmtm deploy: unknown option {other:?}");
-                return ExitCode::from(2);
-            }
-            path => {
-                spec_path = Some(path.to_owned());
-                i += 1;
-            }
+    let mut flags = Flags::new("deploy", args);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--url" => url = flags.value(arg, "a value"),
+            "--policy" => policy = flags.value(arg, "a value").unwrap_or(policy),
+            other if other.starts_with('-') => flags.unknown(other),
+            path => spec_path = Some(path.to_owned()),
         }
+    }
+    if let Some(code) = flags.usage_error() {
+        return code;
     }
     let Some(path) = spec_path else {
         eprintln!("fmtm deploy: missing spec file");
@@ -1322,74 +1247,35 @@ fn load_cmd(args: &[String]) -> ExitCode {
     let mut open_loop = false;
     let mut curve: Option<Vec<f64>> = None;
     let mut api_key: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        match flag {
-            "--drain" => {
-                do_drain = true;
-                i += 1;
+    let mut flags = Flags::new("load", args);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--drain" => do_drain = true,
+            "--stop" => do_stop = true,
+            "--open-loop" => open_loop = true,
+            "--url" => url = flags.parsed(arg),
+            "--process" => process = flags.parsed(arg),
+            "--count" => count = flags.parsed(arg),
+            "--duration" => duration = flags.parsed(arg),
+            "--rps" => rps = flags.parsed(arg),
+            "--connections" => {
+                connections = flags.parsed(arg).map_or(connections, |c: usize| c.max(1))
             }
-            "--stop" => {
-                do_stop = true;
-                i += 1;
+            "--ids-out" => ids_out = flags.parsed(arg),
+            "--verify" => verify = flags.parsed(arg),
+            "--verify-timeout" => verify_timeout = flags.parsed(arg).unwrap_or(verify_timeout),
+            "--wait-ready" => wait_ready = flags.parsed(arg),
+            "--curve" => {
+                curve = flags.read_value(arg, |v| {
+                    v.split(',').map(|r| r.trim().parse().ok()).collect()
+                })
             }
-            "--open-loop" => {
-                open_loop = true;
-                i += 1;
-            }
-            "--url" | "--process" | "--count" | "--duration" | "--rps" | "--connections"
-            | "--ids-out" | "--verify" | "--verify-timeout" | "--wait-ready" | "--curve"
-            | "--api-key" => {
-                let Some(value) = args.get(i + 1) else {
-                    eprintln!("fmtm load: {flag} needs a value");
-                    return ExitCode::from(2);
-                };
-                let ok = match flag {
-                    "--url" => {
-                        url = Some(value.clone());
-                        true
-                    }
-                    "--process" => {
-                        process = Some(value.clone());
-                        true
-                    }
-                    "--count" => value.parse().map(|n| count = Some(n)).is_ok(),
-                    "--duration" => value.parse().map(|n| duration = Some(n)).is_ok(),
-                    "--rps" => value.parse().map(|r| rps = Some(r)).is_ok(),
-                    "--connections" => value.parse().map(|c: usize| connections = c.max(1)).is_ok(),
-                    "--ids-out" => {
-                        ids_out = Some(value.clone());
-                        true
-                    }
-                    "--verify" => {
-                        verify = Some(value.clone());
-                        true
-                    }
-                    "--verify-timeout" => value.parse().map(|s| verify_timeout = s).is_ok(),
-                    "--wait-ready" => value.parse().map(|s| wait_ready = Some(s)).is_ok(),
-                    "--curve" => {
-                        let rates: Result<Vec<f64>, _> =
-                            value.split(',').map(str::trim).map(str::parse).collect();
-                        rates.map(|r| curve = Some(r)).is_ok()
-                    }
-                    "--api-key" => {
-                        api_key = Some(value.clone());
-                        true
-                    }
-                    _ => unreachable!("outer match narrowed the flag"),
-                };
-                if !ok {
-                    eprintln!("fmtm load: bad value {value:?} for {flag}");
-                    return ExitCode::from(2);
-                }
-                i += 2;
-            }
-            other => {
-                eprintln!("fmtm load: unknown option {other:?}");
-                return ExitCode::from(2);
-            }
+            "--api-key" => api_key = flags.parsed(arg),
+            other => flags.unknown(other),
         }
+    }
+    if let Some(code) = flags.usage_error() {
+        return code;
     }
     let Some(url) = url else {
         eprintln!("fmtm load: --url is required");

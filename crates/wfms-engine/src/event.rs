@@ -7,6 +7,12 @@
 //! the sense that forward recovery is always guaranteed") is then a
 //! pure replay: rebuild state from events, re-schedule whatever was
 //! running at the crash.
+//!
+//! The journal's bytes are the binary frames of `codec.rs`, the
+//! one place that lists each variant's fields for a format. The JSON
+//! form of an event is a derived rendering: whatever
+//! `#[derive(Serialize, Deserialize)]` makes of the declarations
+//! below, pinned by `tests/fixtures/event_json_golden.jsonl`.
 
 use serde::{Deserialize, Serialize};
 use txn_substrate::Tick;
@@ -40,7 +46,7 @@ impl std::fmt::Display for WorkItemId {
 /// the compiled template interns every activity path once at
 /// compilation, and the journal decoder shares one per distinct path
 /// in a file. Renders to JSON as a plain string.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct PathStr(std::sync::Arc<str>);
 
 impl PathStr {
@@ -123,34 +129,19 @@ impl PartialEq<PathStr> for String {
     }
 }
 
-impl Serialize for PathStr {
-    fn to_content(&self) -> serde::Content {
-        serde::Content::Str((*self.0).to_owned())
-    }
-}
-
-impl Deserialize for PathStr {
-    fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
-        match content {
-            serde::Content::Str(s) => Ok(Self::from(s.as_str())),
-            other => Err(serde::Error::msg(format!(
-                "expected string for PathStr, got {other:?}"
-            ))),
-        }
-    }
-}
-
 /// A slash-separated path to an activity inside (possibly nested)
 /// blocks, e.g. `"Forward/T2"`.
 pub type ActivityPath = PathStr;
 
 /// One navigation event.
 ///
-/// On disk an event is a binary frame ([`crate::journal`]). The serde
-/// impls below are the JSON *rendering* — `fmtm journal dump`, audit
-/// exports — and the reader `fmtm journal upgrade` converts old
-/// JSON-lines journals with.
-#[derive(Debug, Clone, PartialEq)]
+/// On disk an event is a binary frame ([`crate::journal`]). The
+/// derived serde impls are the JSON *rendering* — `fmtm journal dump`,
+/// audit exports — and the reader `fmtm journal upgrade` converts old
+/// JSON-lines journals with: the externally tagged `{"Variant":
+/// {fields…}}`, fields in declaration order, an owning tenant written
+/// only when there is one.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Event {
     /// A new instance of `process` started with `input`. `tenant`
     /// names the owning tenant when the server runs with tenancy
@@ -158,6 +149,7 @@ pub enum Event {
     InstanceStarted {
         instance: InstanceId,
         process: PathStr,
+        #[serde(skip_serializing_if = "Option::is_none")]
         tenant: Option<String>,
         input: Container,
         at: Tick,
@@ -290,13 +282,14 @@ pub enum Event {
 /// Serialisable snapshot of one instance (the definition is not
 /// embedded — templates are re-registered at recovery, as with plain
 /// replay).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InstanceSnapshot {
     /// Instance id.
     pub id: InstanceId,
     /// Template name.
     pub process: String,
     /// Owning tenant, when started under one.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub tenant: Option<String>,
     /// Overall status.
     pub status: crate::state::InstanceStatus,
@@ -307,415 +300,6 @@ pub struct InstanceSnapshot {
     /// The full scope tree (activities, connectors, containers,
     /// children).
     pub root: crate::state::ScopeState,
-}
-
-// ---- hand-written serde --------------------------------------------
-//
-// The externally-tagged encoding a derive produces — a one-entry map
-// `{"Variant": {fields…}}` with fields in declaration order — except
-// that optional tenant keys are skipped when `None` and read as `None`
-// when absent, which the derive cannot express.
-
-/// `(key, value)` map entry for one serialized field.
-fn fld<T: Serialize>(name: &str, value: &T) -> (serde::Content, serde::Content) {
-    (serde::Content::Str(name.to_owned()), value.to_content())
-}
-
-/// Wraps a field map into the externally-tagged variant encoding.
-fn variant(name: &str, fields: Vec<(serde::Content, serde::Content)>) -> serde::Content {
-    serde::Content::Map(vec![(
-        serde::Content::Str(name.to_owned()),
-        serde::Content::Map(fields),
-    )])
-}
-
-/// A required field: absent is an error, like the derive.
-fn req<T: Deserialize>(body: &serde::Content, name: &str, ctx: &str) -> Result<T, serde::Error> {
-    match body.field(name) {
-        Some(v) => T::from_content(v),
-        None => Err(serde::Error::msg(format!(
-            "missing field `{name}` in {ctx}"
-        ))),
-    }
-}
-
-/// An optional field: absent and `null` both read as `None`.
-fn opt<T: Deserialize>(body: &serde::Content, name: &str) -> Result<Option<T>, serde::Error> {
-    match body.field(name) {
-        Some(v) => Option::<T>::from_content(v),
-        None => Ok(None),
-    }
-}
-
-impl Serialize for Event {
-    fn to_content(&self) -> serde::Content {
-        match self {
-            Event::InstanceStarted {
-                instance,
-                process,
-                tenant,
-                input,
-                at,
-            } => {
-                let mut fields = vec![fld("instance", instance), fld("process", process)];
-                if tenant.is_some() {
-                    fields.push(fld("tenant", tenant));
-                }
-                fields.push(fld("input", input));
-                fields.push(fld("at", at));
-                variant("InstanceStarted", fields)
-            }
-            Event::ActivityReady {
-                instance,
-                path,
-                attempt,
-                at,
-            } => variant(
-                "ActivityReady",
-                vec![
-                    fld("instance", instance),
-                    fld("path", path),
-                    fld("attempt", attempt),
-                    fld("at", at),
-                ],
-            ),
-            Event::ActivityStarted {
-                instance,
-                path,
-                attempt,
-                by,
-                input,
-                at,
-            } => variant(
-                "ActivityStarted",
-                vec![
-                    fld("instance", instance),
-                    fld("path", path),
-                    fld("attempt", attempt),
-                    fld("by", by),
-                    fld("input", input),
-                    fld("at", at),
-                ],
-            ),
-            Event::ActivityFinished {
-                instance,
-                path,
-                attempt,
-                output,
-                at,
-            } => variant(
-                "ActivityFinished",
-                vec![
-                    fld("instance", instance),
-                    fld("path", path),
-                    fld("attempt", attempt),
-                    fld("output", output),
-                    fld("at", at),
-                ],
-            ),
-            Event::ActivityRescheduled {
-                instance,
-                path,
-                next_attempt,
-                at,
-            } => variant(
-                "ActivityRescheduled",
-                vec![
-                    fld("instance", instance),
-                    fld("path", path),
-                    fld("next_attempt", next_attempt),
-                    fld("at", at),
-                ],
-            ),
-            Event::ActivityTerminated {
-                instance,
-                path,
-                executed,
-                at,
-            } => variant(
-                "ActivityTerminated",
-                vec![
-                    fld("instance", instance),
-                    fld("path", path),
-                    fld("executed", executed),
-                    fld("at", at),
-                ],
-            ),
-            Event::ConnectorEvaluated {
-                instance,
-                scope,
-                from,
-                to,
-                value,
-                at,
-            } => variant(
-                "ConnectorEvaluated",
-                vec![
-                    fld("instance", instance),
-                    fld("scope", scope),
-                    fld("from", from),
-                    fld("to", to),
-                    fld("value", value),
-                    fld("at", at),
-                ],
-            ),
-            Event::WorkItemOffered {
-                instance,
-                path,
-                item,
-                persons,
-                at,
-            } => variant(
-                "WorkItemOffered",
-                vec![
-                    fld("instance", instance),
-                    fld("path", path),
-                    fld("item", item),
-                    fld("persons", persons),
-                    fld("at", at),
-                ],
-            ),
-            Event::WorkItemClaimed { item, person, at } => variant(
-                "WorkItemClaimed",
-                vec![fld("item", item), fld("person", person), fld("at", at)],
-            ),
-            Event::NotificationSent {
-                instance,
-                path,
-                person,
-                at,
-            } => variant(
-                "NotificationSent",
-                vec![
-                    fld("instance", instance),
-                    fld("path", path),
-                    fld("person", person),
-                    fld("at", at),
-                ],
-            ),
-            Event::UserIntervention {
-                instance,
-                path,
-                action,
-                at,
-            } => variant(
-                "UserIntervention",
-                vec![
-                    fld("instance", instance),
-                    fld("path", path),
-                    fld("action", action),
-                    fld("at", at),
-                ],
-            ),
-            Event::InstanceFinished {
-                instance,
-                output,
-                at,
-            } => variant(
-                "InstanceFinished",
-                vec![
-                    fld("instance", instance),
-                    fld("output", output),
-                    fld("at", at),
-                ],
-            ),
-            Event::InstanceCancelled { instance, at } => variant(
-                "InstanceCancelled",
-                vec![fld("instance", instance), fld("at", at)],
-            ),
-            Event::TemplateDeployed {
-                process,
-                version,
-                at,
-            } => variant(
-                "TemplateDeployed",
-                vec![
-                    fld("process", process),
-                    fld("version", version),
-                    fld("at", at),
-                ],
-            ),
-            Event::Migrated {
-                instance,
-                from,
-                to,
-                at,
-            } => variant(
-                "Migrated",
-                vec![
-                    fld("instance", instance),
-                    fld("from", from),
-                    fld("to", to),
-                    fld("at", at),
-                ],
-            ),
-            Event::EngineCheckpoint {
-                instances,
-                items,
-                next_instance,
-                next_item,
-                at,
-            } => variant(
-                "EngineCheckpoint",
-                vec![
-                    fld("instances", instances),
-                    fld("items", items),
-                    fld("next_instance", next_instance),
-                    fld("next_item", next_item),
-                    fld("at", at),
-                ],
-            ),
-        }
-    }
-}
-
-impl Deserialize for Event {
-    fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
-        let serde::Content::Map(entries) = content else {
-            return Err(serde::Error::msg(format!(
-                "expected single-entry map for Event, got {content:?}"
-            )));
-        };
-        let [(tag, body)] = entries.as_slice() else {
-            return Err(serde::Error::msg(format!(
-                "expected single-entry map for Event, got {} entries",
-                entries.len()
-            )));
-        };
-        let serde::Content::Str(tag) = tag else {
-            return Err(serde::Error::msg("expected string variant tag for Event"));
-        };
-        match tag.as_str() {
-            "InstanceStarted" => Ok(Event::InstanceStarted {
-                instance: req(body, "instance", tag)?,
-                process: req(body, "process", tag)?,
-                tenant: opt(body, "tenant")?,
-                input: req(body, "input", tag)?,
-                at: req(body, "at", tag)?,
-            }),
-            "ActivityReady" => Ok(Event::ActivityReady {
-                instance: req(body, "instance", tag)?,
-                path: req(body, "path", tag)?,
-                attempt: req(body, "attempt", tag)?,
-                at: req(body, "at", tag)?,
-            }),
-            "ActivityStarted" => Ok(Event::ActivityStarted {
-                instance: req(body, "instance", tag)?,
-                path: req(body, "path", tag)?,
-                attempt: req(body, "attempt", tag)?,
-                by: req(body, "by", tag)?,
-                input: req(body, "input", tag)?,
-                at: req(body, "at", tag)?,
-            }),
-            "ActivityFinished" => Ok(Event::ActivityFinished {
-                instance: req(body, "instance", tag)?,
-                path: req(body, "path", tag)?,
-                attempt: req(body, "attempt", tag)?,
-                output: req(body, "output", tag)?,
-                at: req(body, "at", tag)?,
-            }),
-            "ActivityRescheduled" => Ok(Event::ActivityRescheduled {
-                instance: req(body, "instance", tag)?,
-                path: req(body, "path", tag)?,
-                next_attempt: req(body, "next_attempt", tag)?,
-                at: req(body, "at", tag)?,
-            }),
-            "ActivityTerminated" => Ok(Event::ActivityTerminated {
-                instance: req(body, "instance", tag)?,
-                path: req(body, "path", tag)?,
-                executed: req(body, "executed", tag)?,
-                at: req(body, "at", tag)?,
-            }),
-            "ConnectorEvaluated" => Ok(Event::ConnectorEvaluated {
-                instance: req(body, "instance", tag)?,
-                scope: req(body, "scope", tag)?,
-                from: req(body, "from", tag)?,
-                to: req(body, "to", tag)?,
-                value: req(body, "value", tag)?,
-                at: req(body, "at", tag)?,
-            }),
-            "WorkItemOffered" => Ok(Event::WorkItemOffered {
-                instance: req(body, "instance", tag)?,
-                path: req(body, "path", tag)?,
-                item: req(body, "item", tag)?,
-                persons: req(body, "persons", tag)?,
-                at: req(body, "at", tag)?,
-            }),
-            "WorkItemClaimed" => Ok(Event::WorkItemClaimed {
-                item: req(body, "item", tag)?,
-                person: req(body, "person", tag)?,
-                at: req(body, "at", tag)?,
-            }),
-            "NotificationSent" => Ok(Event::NotificationSent {
-                instance: req(body, "instance", tag)?,
-                path: req(body, "path", tag)?,
-                person: req(body, "person", tag)?,
-                at: req(body, "at", tag)?,
-            }),
-            "UserIntervention" => Ok(Event::UserIntervention {
-                instance: req(body, "instance", tag)?,
-                path: req(body, "path", tag)?,
-                action: req(body, "action", tag)?,
-                at: req(body, "at", tag)?,
-            }),
-            "InstanceFinished" => Ok(Event::InstanceFinished {
-                instance: req(body, "instance", tag)?,
-                output: req(body, "output", tag)?,
-                at: req(body, "at", tag)?,
-            }),
-            "InstanceCancelled" => Ok(Event::InstanceCancelled {
-                instance: req(body, "instance", tag)?,
-                at: req(body, "at", tag)?,
-            }),
-            "TemplateDeployed" => Ok(Event::TemplateDeployed {
-                process: req(body, "process", tag)?,
-                version: req(body, "version", tag)?,
-                at: req(body, "at", tag)?,
-            }),
-            "Migrated" => Ok(Event::Migrated {
-                instance: req(body, "instance", tag)?,
-                from: req(body, "from", tag)?,
-                to: req(body, "to", tag)?,
-                at: req(body, "at", tag)?,
-            }),
-            "EngineCheckpoint" => Ok(Event::EngineCheckpoint {
-                instances: req(body, "instances", tag)?,
-                items: req(body, "items", tag)?,
-                next_instance: req(body, "next_instance", tag)?,
-                next_item: req(body, "next_item", tag)?,
-                at: req(body, "at", tag)?,
-            }),
-            other => Err(serde::Error::msg(format!(
-                "unknown variant `{other}` of Event"
-            ))),
-        }
-    }
-}
-
-impl Serialize for InstanceSnapshot {
-    fn to_content(&self) -> serde::Content {
-        let mut fields = vec![fld("id", &self.id), fld("process", &self.process)];
-        if self.tenant.is_some() {
-            fields.push(fld("tenant", &self.tenant));
-        }
-        fields.push(fld("status", &self.status));
-        fields.push(fld("version", &self.version));
-        fields.push(fld("root", &self.root));
-        serde::Content::Map(fields)
-    }
-}
-
-impl Deserialize for InstanceSnapshot {
-    fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
-        Ok(InstanceSnapshot {
-            id: req(content, "id", "InstanceSnapshot")?,
-            process: req(content, "process", "InstanceSnapshot")?,
-            tenant: opt(content, "tenant")?,
-            status: req(content, "status", "InstanceSnapshot")?,
-            version: req(content, "version", "InstanceSnapshot")?,
-            root: req(content, "root", "InstanceSnapshot")?,
-        })
-    }
 }
 
 impl Event {
@@ -932,8 +516,7 @@ mod tests {
         assert_eq!(back, e);
     }
 
-    /// Every variant survives a serde round trip under the
-    /// hand-written impl (the derive used to guarantee this).
+    /// Every variant survives a serde round trip.
     #[test]
     fn all_variants_round_trip() {
         let events = vec![

@@ -32,6 +32,8 @@
 //! JSON survives in two places only: [`Journal::upgrade_json_file`]
 //! converts a journal written before the binary format, once, and
 //! `fmtm journal dump` renders events through `Serialize for Event`.
+//! Both go through the serde impls `Event` derives — a rendering of
+//! the declarations in `event.rs`, not a second codec to maintain.
 
 use crate::event::Event;
 use crate::metrics::JournalProbes;

@@ -133,26 +133,36 @@ fn make_ready(inst: &mut Instance, svc: &NavServices<'_>, slot: u32) {
         if svc.obs.enabled() {
             svc.obs.items_offered.inc();
         }
-        let act = lay.act(slot);
-        let persons = svc.org.lock().resolve(&act.staff);
-        let item = WorkItemId(svc.next_item.fetch_add(1, Ordering::Relaxed));
-        svc.worklists.lock().offer(WorkItem {
-            id: item,
-            instance,
-            path: lay.paths[sl].to_string(),
-            attempt,
-            offered_to: persons.clone(),
-            state: WorkItemState::Offered,
-            offered_at: now,
-        });
-        svc.journal.append(Event::WorkItemOffered {
-            instance,
-            path: lay.paths[sl].clone().into(),
-            item,
-            persons,
-            at: now,
-        });
+        offer_item(inst, svc, slot, now);
     }
+}
+
+/// Offers the manual activity at `slot`, at its current attempt, to
+/// the persons its staff assignment resolves to: a work item under a
+/// fresh id, then the `WorkItemOffered` event.
+fn offer_item(inst: &Instance, svc: &NavServices<'_>, slot: u32, now: txn_substrate::Tick) {
+    let instance = inst.id;
+    let lay = &inst.tpl.layout;
+    let sl = slot as usize;
+    let attempt = inst.slab.acts[sl].attempt;
+    let persons = svc.org.lock().resolve(&lay.act(slot).staff);
+    let item = WorkItemId(svc.next_item.fetch_add(1, Ordering::Relaxed));
+    svc.worklists.lock().offer(WorkItem {
+        id: item,
+        instance,
+        path: lay.paths[sl].to_string(),
+        attempt,
+        offered_to: persons.clone(),
+        state: WorkItemState::Offered,
+        offered_at: now,
+    });
+    svc.journal.append(Event::WorkItemOffered {
+        instance,
+        path: lay.paths[sl].clone().into(),
+        item,
+        persons,
+        at: now,
+    });
 }
 
 /// Pops the next runnable activity (ready + automatic) off the
@@ -388,38 +398,15 @@ pub fn decide_exit(inst: &mut Instance, svc: &NavServices<'_>, slot: u32) {
 /// run would have appended next. Automatic activities need no
 /// counterpart: replaying `ActivityReady` re-enqueues them directly.
 pub(crate) fn reoffer_ready(inst: &mut Instance, svc: &NavServices<'_>, slot: u32) {
-    let instance = inst.id;
-    let tpl = Arc::clone(&inst.tpl);
-    let lay = &tpl.layout;
     let sl = slot as usize;
+    let lay = &inst.tpl.layout;
     if inst.slab.acts[sl].state != ActState::Ready || lay.automatic[sl] {
         return;
     }
-    let path = lay.paths[sl].to_string();
-    if svc.worklists.lock().has_live_item(instance, &path) {
+    if svc.worklists.lock().has_live_item(inst.id, &lay.paths[sl]) {
         return;
     }
-    let attempt = inst.slab.acts[sl].attempt;
-    let now = svc.now();
-    let act = lay.act(slot);
-    let persons = svc.org.lock().resolve(&act.staff);
-    let item = WorkItemId(svc.next_item.fetch_add(1, Ordering::Relaxed));
-    svc.worklists.lock().offer(WorkItem {
-        id: item,
-        instance,
-        path: path.clone(),
-        attempt,
-        offered_to: persons.clone(),
-        state: WorkItemState::Offered,
-        offered_at: now,
-    });
-    svc.journal.append(Event::WorkItemOffered {
-        instance,
-        path: path.into(),
-        item,
-        persons,
-        at: now,
-    });
+    offer_item(inst, svc, slot, svc.now());
 }
 
 /// Recovery helper: an activity that was `Running` when the engine
@@ -473,20 +460,32 @@ pub(crate) fn renavigate_waiting(inst: &mut Instance, svc: &NavServices<'_>, slo
 /// Only edges the replay found unevaluated are (re)evaluated, in
 /// declaration order, exactly as the live path would have continued.
 pub(crate) fn reevaluate_outgoing(inst: &mut Instance, svc: &NavServices<'_>, slot: u32) {
+    if inst.slab.acts[slot as usize].state == ActState::Terminated {
+        evaluate_outgoing(inst, svc, slot);
+    }
+}
+
+/// Evaluates the outgoing connectors of the terminated activity at
+/// `slot` that have no value yet, in declaration order, cascading to
+/// each target. Live that is all of them — no outgoing connector is
+/// evaluated before its activity terminates, and reopening a scope
+/// resets its connectors; after a crash it is those the interrupted
+/// cascade had not reached. A dead activity's connectors are all false
+/// (§3.2); an executed one evaluates its precompiled transition plans
+/// over the output container (evaluation errors are false — fail safe
+/// — and statically constant conditions were folded at compile time).
+fn evaluate_outgoing(inst: &mut Instance, svc: &NavServices<'_>, slot: u32) {
     let instance = inst.id;
     let tpl = Arc::clone(&inst.tpl);
     let lay = &tpl.layout;
     let sl = slot as usize;
-    if inst.slab.acts[sl].state != ActState::Terminated {
-        return;
-    }
     let executed = inst.slab.acts[sl].executed;
     let m = lay.scope(lay.owner[sl]);
     for &edge_id in &lay.act(slot).outgoing {
         let edge = &m.cs.edges[edge_id as usize];
         let es = (m.edge_base + edge_id) as usize;
         if inst.slab.connectors[es].is_some() {
-            continue; // evaluated before the crash
+            continue;
         }
         let value = executed && edge.cond.eval_transition(&inst.slab.acts[sl].output);
         inst.connector_evaluated(es as u32, value);
@@ -510,8 +509,6 @@ pub fn terminate_activity(inst: &mut Instance, svc: &NavServices<'_>, slot: u32,
     let tpl = Arc::clone(&inst.tpl);
     let lay = &tpl.layout;
     let sl = slot as usize;
-    let act = lay.act(slot);
-    let s = lay.owner[sl];
     if !executed && svc.obs.enabled() {
         svc.obs.dead_paths.inc();
     }
@@ -528,29 +525,8 @@ pub fn terminate_activity(inst: &mut Instance, svc: &NavServices<'_>, slot: u32,
         svc.worklists.lock().close_for(instance, &lay.paths[sl]);
     }
 
-    // Evaluate outgoing connectors. A dead activity's connectors are
-    // all false (§3.2); an executed one evaluates its precompiled
-    // transition plans over the output container (evaluation errors
-    // are false — fail safe — and statically constant conditions were
-    // folded at compile time).
-    let m = lay.scope(s);
-    for &edge_id in &act.outgoing {
-        let edge = &m.cs.edges[edge_id as usize];
-        let es = (m.edge_base + edge_id) as usize;
-        let value = executed && edge.cond.eval_transition(&inst.slab.acts[sl].output);
-        inst.connector_evaluated(es as u32, value);
-        svc.journal.append(Event::ConnectorEvaluated {
-            instance,
-            scope: m.path.clone().into(),
-            from: lay.edge_names[es].0.clone().into(),
-            to: lay.edge_names[es].1.clone().into(),
-            value,
-            at: svc.now(),
-        });
-        update_target(inst, svc, m.act_base + edge.to);
-    }
-
-    check_scope_completion(inst, svc, s);
+    evaluate_outgoing(inst, svc, slot);
+    check_scope_completion(inst, svc, lay.owner[sl]);
 }
 
 /// Re-examines a waiting activity's start condition after one of its

@@ -251,12 +251,16 @@ impl<N: Into<Arc<str>>> FromIterator<(N, Value)> for Container {
 }
 
 /// Reads the form `Serialize` derives for [`Container`] (a `values`
-/// map), which the derive cannot do itself for shared names.
+/// map). The one reader still written by hand, against the offline
+/// serde shim's `Content` (upstream serde would spell it
+/// `#[serde(from = "Owned")]`): a derived reader would wrap `{}` in an
+/// `Arc` of its own, and an empty container is the one shared empty
+/// map ([`Container::empty`]), which `collect` keeps.
 impl Deserialize for Container {
     fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
         #[derive(Deserialize)]
         struct Owned {
-            values: BTreeMap<String, Value>,
+            values: BTreeMap<Arc<str>, Value>,
         }
         Ok(Owned::from_content(content)?.values.into_iter().collect())
     }
@@ -381,6 +385,18 @@ mod tests {
         let c: Container = vec![("k".to_string(), Value::Int(3))].into_iter().collect();
         assert_eq!(c.get("k"), Some(&Value::Int(3)));
         assert!(!c.is_empty());
+    }
+
+    /// What keeps the reader hand-written: `{}` parses to the shared
+    /// empty map, and members survive the round trip.
+    #[test]
+    fn json_reads_empty_as_the_shared_map() {
+        let empty: Container = serde_json::from_str(r#"{"values":{}}"#).unwrap();
+        assert!(Arc::ptr_eq(empty.params(), Container::empty().params()));
+        let c: Container = [("k", Value::Int(3))].into_iter().collect();
+        let json = serde_json::to_string(&c).unwrap();
+        assert_eq!(json, r#"{"values":{"k":{"Int":3}}}"#);
+        assert_eq!(serde_json::from_str::<Container>(&json).unwrap(), c);
     }
 
     #[test]

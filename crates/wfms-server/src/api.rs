@@ -9,34 +9,13 @@ use serde::{Deserialize, Serialize};
 use wfms_model::{Container, ProcessDefinition};
 
 /// Body of `POST /instances`.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SubmitRequest {
     /// Process template to start. Defaults to the server's default
     /// process (the first spec on the `fmtm serve` command line).
     pub process: Option<String>,
     /// Seed values for the process input container.
     pub input: Option<Container>,
-}
-
-// Hand-written so both fields are genuinely optional on the wire —
-// `{}`, `{"process":"p"}` and `{"process":"p","input":{...}}` are all
-// valid submissions.
-impl Deserialize for SubmitRequest {
-    fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
-        fn opt<T: Deserialize>(
-            content: &serde::Content,
-            name: &str,
-        ) -> Result<Option<T>, serde::Error> {
-            match content.field(name) {
-                None => Ok(None),
-                Some(v) => Deserialize::from_content(v),
-            }
-        }
-        Ok(Self {
-            process: opt(content, "process")?,
-            input: opt(content, "input")?,
-        })
-    }
 }
 
 /// Body of a `201` answer to `POST /instances`.
@@ -68,7 +47,7 @@ pub struct StatusResponse {
 }
 
 /// Body of `POST /admin/deploy`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DeployRequest {
     /// The new process definition to register side-by-side with any
     /// existing versions of the same name.
@@ -77,21 +56,6 @@ pub struct DeployRequest {
     /// `"drain-old"` (default) or `"migrate"` /
     /// `"migrate-at-scope-boundary"`.
     pub policy: Option<String>,
-}
-
-// Hand-written so `policy` is genuinely optional on the wire.
-impl Deserialize for DeployRequest {
-    fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
-        let definition = match content.field("definition") {
-            Some(v) => Deserialize::from_content(v)?,
-            None => return Err(serde::Error::msg("deploy body missing \"definition\"")),
-        };
-        let policy = match content.field("policy") {
-            None => None,
-            Some(v) => Deserialize::from_content(v)?,
-        };
-        Ok(Self { definition, policy })
-    }
 }
 
 /// Body of a `200` answer to `POST /admin/deploy`.

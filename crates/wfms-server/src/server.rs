@@ -1305,7 +1305,11 @@ fn complete(
 /// Folds engine aggregates into gauges at scrape time — cheaper than
 /// keeping them hot on the submit path. The `journal.*` and `db.wal_*`
 /// levels are what the shards' logs hold right now, summed: the bound
-/// on a long-lived server's memory, where an operator can see it.
+/// on a long-lived server's memory, where an operator can see it. What
+/// each shard engine counts on its own registry — journal faults,
+/// recovery and migration fix-ups, released claims — is summed by name
+/// the same way (the hot-path `nav.*` hooks are off under `serve`, so
+/// those read 0).
 fn publish_scrape_gauges(state: &Arc<ServerState>) {
     let registry = state.pool.registry();
     let shards = state.pool.engine_metrics();
@@ -1324,6 +1328,13 @@ fn publish_scrape_gauges(state: &Arc<ServerState>) {
     publish("db.wal_checkpoints", &|m| {
         m.federation.iter().map(|db| db.wal_checkpoints).sum()
     });
+    let mut counted = std::collections::BTreeMap::<&str, u64>::new();
+    for (name, n) in shards.iter().flat_map(|m| &m.counters) {
+        *counted.entry(name).or_default() += n;
+    }
+    for (name, total) in counted {
+        registry.gauge(name).set(total as i64);
+    }
     registry
         .gauge("server.queue.depth")
         .set(state.pool.queue_depth());

@@ -66,48 +66,52 @@ const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Persisted pool invariants, stored as `server.meta.json` in the
 /// data directory.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+///
+/// Older shapes still open: a pre-tenancy meta (no tenant fields) reads
+/// as `tenant_bits: 0` — exactly the layout those directories' wire
+/// ids use — and the pre-versioning shape (only a shard count)
+/// additionally reads as an empty template list, the supplied
+/// definitions then being adopted as the initial versions.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct ServerMeta {
     shards: usize,
     /// Spec content hashes (hex) of every template version ever
     /// registered into this directory, in deploy order. The definition
     /// behind each hash lives in `templates/<hash>.json`; together they
     /// are the exact template set shard journals replay against.
+    #[serde(default)]
     templates: Vec<String>,
     /// Wire-id bits reserved for the tenant slot: [`TENANT_BITS`] when
     /// the directory was created with tenancy enabled, 0 otherwise.
     /// Pinned for the same reason the shard count is — changing it
     /// shifts every external id.
+    #[serde(default)]
     tenant_bits: usize,
     /// Ordered tenant slot list (slot = index + 1), first-seen order.
     /// Append-only: hot reloads add names, never move or drop them.
+    #[serde(default)]
     tenants: Vec<String>,
 }
 
-// Hand-written so older shapes still open: a pre-tenancy meta (no
-// tenant fields) reads as `tenant_bits: 0` — exactly the layout those
-// directories' wire ids use — and the pre-versioning shape (only a
-// shard count) additionally reads as an empty template list, the
-// supplied definitions then being adopted as the initial versions.
-impl Deserialize for ServerMeta {
-    fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
-        fn opt<T: Deserialize + Default>(
-            content: &serde::Content,
-            name: &str,
-        ) -> Result<T, serde::Error> {
-            content
-                .field(name)
-                .map_or_else(|| Ok(T::default()), Deserialize::from_content)
+impl ServerMeta {
+    /// The slot-pinning rule, at open and at every reload: a tenant
+    /// name this directory has not seen yet is appended to the slot
+    /// list, a name it has seen keeps its slot, and a name past
+    /// [`MAX_TENANTS`] is refused. Returns whether the list grew (the
+    /// meta file must then be rewritten).
+    fn pin_slots(&mut self, specs: &[TenantSpec]) -> Result<bool, PoolError> {
+        let pinned = self.tenants.len();
+        for spec in specs {
+            if !self.tenants.iter().any(|n| n == &spec.name) {
+                if self.tenants.len() >= MAX_TENANTS {
+                    return Err(PoolError::Rejected(format!(
+                        "tenant slot space exhausted ({MAX_TENANTS} names already pinned)"
+                    )));
+                }
+                self.tenants.push(spec.name.clone());
+            }
         }
-        let shards = content
-            .field("shards")
-            .ok_or_else(|| serde::Error::msg("missing field `shards` in server meta"))?;
-        Ok(Self {
-            shards: Deserialize::from_content(shards)?,
-            templates: opt(content, "templates")?,
-            tenant_bits: opt(content, "tenant_bits")?,
-            tenants: opt(content, "tenants")?,
-        })
+        Ok(self.tenants.len() > pinned)
     }
 }
 
@@ -518,19 +522,7 @@ impl ShardPool {
             ));
         }
         let mut meta = self.meta.lock();
-        let mut dirty = false;
-        for spec in specs {
-            if !meta.tenants.iter().any(|n| n == &spec.name) {
-                if meta.tenants.len() >= MAX_TENANTS {
-                    return Err(PoolError::Rejected(format!(
-                        "tenant slot space exhausted ({MAX_TENANTS} names already pinned)"
-                    )));
-                }
-                meta.tenants.push(spec.name.clone());
-                dirty = true;
-            }
-        }
-        if dirty {
+        if meta.pin_slots(specs)? {
             write_meta(&self.data_dir.join("server.meta.json"), &meta)?;
         }
         let mut table = self.tenants.write();
@@ -1006,20 +998,7 @@ fn check_meta(
         Err(e) => return Err(PoolError::Io(e)),
     };
 
-    // Pin any tenant names this directory has not seen yet; existing
-    // names keep their slot (reload_tenants follows the same rule).
-    let mut dirty = false;
-    for spec in tenant_specs {
-        if !meta.tenants.iter().any(|n| n == &spec.name) {
-            if meta.tenants.len() >= MAX_TENANTS {
-                return Err(PoolError::Rejected(format!(
-                    "tenant slot space exhausted ({MAX_TENANTS} names already pinned)"
-                )));
-            }
-            meta.tenants.push(spec.name.clone());
-            dirty = true;
-        }
-    }
+    let mut dirty = meta.pin_slots(tenant_specs)?;
 
     // Load every stored version in deploy order; the *last* hash per
     // name is that process's current default.

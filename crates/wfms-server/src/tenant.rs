@@ -42,62 +42,32 @@ pub const TENANT_BITS: u32 = 8;
 pub const MAX_TENANTS: usize = (1 << TENANT_BITS) - 1;
 
 /// One tenant as declared in the tenants file.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct TenantSpec {
     /// Stable tenant name — the slot-list key and the metric label.
     pub name: String,
     /// Bearer API key.
     pub key: String,
     /// Deficit-round-robin share (≥ 1).
+    #[serde(default = "default_weight")]
     pub weight: u64,
     /// Max submissions admitted but not yet answered.
+    #[serde(default = "default_max_inflight")]
     pub max_inflight: i64,
 }
 
-impl Deserialize for TenantSpec {
-    fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
-        fn opt<T: Deserialize>(
-            content: &serde::Content,
-            name: &str,
-        ) -> Result<Option<T>, serde::Error> {
-            match content.field(name) {
-                Some(v) => Option::<T>::from_content(v),
-                None => Ok(None),
-            }
-        }
-        let name = match content.field("name") {
-            Some(v) => String::from_content(v)?,
-            None => return Err(serde::Error::msg("tenant entry missing `name`")),
-        };
-        let key = match content.field("key") {
-            Some(v) => String::from_content(v)?,
-            None => return Err(serde::Error::msg("tenant entry missing `key`")),
-        };
-        Ok(TenantSpec {
-            name,
-            key,
-            weight: opt::<u64>(content, "weight")?.unwrap_or(1),
-            max_inflight: opt::<i64>(content, "max_inflight")?.unwrap_or(256),
-        })
-    }
+fn default_weight() -> u64 {
+    1
+}
+
+fn default_max_inflight() -> i64 {
+    256
 }
 
 /// Top-level tenants-file shape.
+#[derive(Deserialize)]
 struct TenantsFile {
     tenants: Vec<TenantSpec>,
-}
-
-impl Deserialize for TenantsFile {
-    fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
-        match content.field("tenants") {
-            Some(v) => Ok(TenantsFile {
-                tenants: Vec::<TenantSpec>::from_content(v)?,
-            }),
-            None => Err(serde::Error::msg(
-                "tenants file missing top-level `tenants` array",
-            )),
-        }
-    }
 }
 
 /// Parses and validates a tenants file. Returns the declared tenants

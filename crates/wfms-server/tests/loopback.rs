@@ -1117,3 +1117,65 @@ fn acknowledged_submissions_are_durable_before_reply() {
     drop(pool);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// What the shard engines count reaches `GET /metrics`, summed over
+/// shards: a process that restarts after `kill -9` answers "what did
+/// recovery fix" where an operator looks. Every shard's journal gets
+/// half a frame appended behind the server's back; the reopen
+/// truncates each and says so.
+#[test]
+fn engine_counters_reach_metrics_after_a_torn_tail_reopen() {
+    for shards in [1usize, 2] {
+        let dir = temp_dir(&format!("torn-metrics-{shards}"));
+        let open = || {
+            let mut cfg = pool_config(&dir);
+            cfg.shards = shards;
+            let pool = ShardPool::open(cfg, Arc::new(Registry::new()), &provision).unwrap();
+            Server::start(Arc::new(pool), ServerConfig::new("auto")).unwrap()
+        };
+
+        let server = open();
+        let mut client = Http1Client::new(&server.local_addr().to_string());
+        // One finished instance and one parked on manual work: recovery
+        // records its fix-up counts per instance it resumes.
+        for body in ["{}", r#"{"process":"manual"}"#] {
+            let (code, _) = client.request("POST", "/instances", Some(body)).unwrap();
+            assert_eq!(code, 201);
+        }
+        server.shutdown(false);
+
+        let cancelled = wfms_engine::Event::InstanceCancelled {
+            instance: wfms_engine::InstanceId(99),
+            at: 0,
+        };
+        let header = wfms_engine::Journal::file_bytes(&[]).len();
+        let frame = &wfms_engine::Journal::file_bytes(&[cancelled])[header..];
+        for shard in 0..shards {
+            use std::io::Write;
+            let path = dir.join(format!("shard-{shard}.journal"));
+            let mut file = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+            file.write_all(&frame[..frame.len() / 2]).unwrap();
+        }
+
+        let server = open();
+        let mut client = Http1Client::new(&server.local_addr().to_string());
+        let (code, text) = client.request("GET", "/metrics", None).unwrap();
+        assert_eq!(code, 200);
+        for series in [
+            &format!("journal_torn_tails_truncated {shards}"),
+            "journal_crc_failures 0",
+            "journal_mirror_errors 0",
+            "recovery_fixups_running_restarted ",
+            "recovery_fixups_waiting_renavigated ",
+            "recovery_fixups_connectors_reevaluated ",
+            "recovery_fixups_exits_redecided ",
+        ] {
+            assert!(
+                text.lines().any(|line| line.starts_with(series)),
+                "{shards} shard(s): no `{series}` in\n{text}"
+            );
+        }
+        server.shutdown(true);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

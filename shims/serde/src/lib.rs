@@ -15,6 +15,26 @@ use std::hash::Hash;
 use std::rc::Rc;
 use std::sync::Arc;
 
+/// The derives; `serde_derive` lists the shapes and the three field
+/// attributes they take. An attribute they know compiles —
+///
+/// ```
+/// #[derive(serde::Serialize, serde::Deserialize)]
+/// struct Named {
+///     #[serde(default)]
+///     name: String,
+/// }
+/// ```
+///
+/// — and any other is refused, not ignored:
+///
+/// ```compile_fail
+/// #[derive(serde::Serialize, serde::Deserialize)]
+/// struct Named {
+///     #[serde(rename = "n")]
+///     name: String,
+/// }
+/// ```
 #[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -74,6 +94,15 @@ pub trait Serialize {
 /// A value that can rebuild itself from a [`Content`] tree.
 pub trait Deserialize: Sized {
     fn from_content(content: &Content) -> Result<Self, Error>;
+
+    /// What a derived reader takes for a named field the input does not
+    /// have (and no `#[serde(default)]` covers): an error naming the
+    /// field, except that an absent `Option` is `None` — upstream's
+    /// `missing_field` rule. Only `Option<T>` overrides this.
+    #[doc(hidden)]
+    fn from_missing_field(field: &str, context: &str) -> Result<Self, Error> {
+        Err(Error::msg(format!("missing field `{field}` in {context}")))
+    }
 }
 
 // ---- primitive impls ---------------------------------------------------
@@ -280,6 +309,18 @@ impl<T: Deserialize> Deserialize for Arc<T> {
     }
 }
 
+/// A shared string reads as a fresh allocation, as with upstream's `rc`
+/// feature: sharing is not part of the data. (`Serialize` is the
+/// `Arc<T: ?Sized>` impl above, through `str`.)
+impl Deserialize for Arc<str> {
+    fn from_content(content: &Content) -> Result<Self, Error> {
+        match content {
+            Content::Str(s) => Ok(Arc::from(s.as_str())),
+            other => Err(Error::msg(format!("expected string, found {other:?}"))),
+        }
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn to_content(&self) -> Content {
         match self {
@@ -295,6 +336,10 @@ impl<T: Deserialize> Deserialize for Option<T> {
             Content::Null => Ok(None),
             other => T::from_content(other).map(Some),
         }
+    }
+
+    fn from_missing_field(_field: &str, _context: &str) -> Result<Self, Error> {
+        Ok(None)
     }
 }
 

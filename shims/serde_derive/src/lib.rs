@@ -5,8 +5,19 @@
 //! Supported input shapes — exactly what this workspace uses:
 //! plain (non-generic) structs with named fields, tuple structs, unit
 //! structs, and enums whose variants are unit, tuple, or struct-like.
-//! `#[serde(...)]` attributes are NOT supported and other attributes
-//! are ignored. Unsupported shapes produce a `compile_error!`.
+//! Unsupported shapes produce a `compile_error!`.
+//!
+//! Three `#[serde(...)]` attributes are understood, on named fields of
+//! structs and struct variants, with upstream's meaning:
+//! `default` (an absent field reads as `Default::default()`),
+//! `default = "path"` (… as `path()`) and
+//! `skip_serializing_if = "path"` (the field is not written when
+//! `path(&field)` holds). A named field of type `Option<T>` absent
+//! from the input reads as `None` without any attribute, again as
+//! upstream (`serde::Deserialize::from_missing_field`). Anything else
+//! inside `serde(...)`, or a `serde` attribute anywhere else, is a
+//! `compile_error!` — never silently ignored (the doctests on the
+//! re-export in `serde` hold the derive to it).
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 use std::iter::Peekable;
@@ -19,7 +30,7 @@ struct Input {
 }
 
 enum Shape {
-    NamedStruct(Vec<String>),
+    NamedStruct(Vec<Field>),
     TupleStruct(usize),
     UnitStruct,
     Enum(Vec<Variant>),
@@ -33,7 +44,16 @@ struct Variant {
 enum VariantKind {
     Unit,
     Tuple(usize),
-    Named(Vec<String>),
+    Named(Vec<Field>),
+}
+
+/// A named field and what its `#[serde(...)]` attributes asked for.
+struct Field {
+    name: String,
+    /// Expression an absent field reads as (`default`, `default = "path"`).
+    default: Option<String>,
+    /// Predicate path of `skip_serializing_if`.
+    skip_if: Option<String>,
 }
 
 type Iter = Peekable<proc_macro::token_stream::IntoIter>;
@@ -42,15 +62,21 @@ fn error(msg: &str) -> TokenStream {
     format!("::core::compile_error!({msg:?});").parse().unwrap()
 }
 
-/// Skips outer attributes (`#[...]`) and visibility (`pub`, `pub(...)`).
-fn skip_attrs_and_vis(iter: &mut Iter) {
+/// Skips outer attributes (`#[...]`) and visibility (`pub`, `pub(...)`),
+/// returning what followed `serde` in each `#[serde(...)]` among them.
+fn skip_attrs_and_vis(iter: &mut Iter) -> Vec<TokenStream> {
+    let mut serde_attrs = Vec::new();
     loop {
         match iter.peek() {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
                 iter.next();
                 // The bracket group of the attribute.
-                if matches!(iter.peek(), Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Bracket)
-                {
+                if let Some(TokenTree::Group(g)) = iter.peek() {
+                    let mut attr = g.stream().into_iter();
+                    if matches!(attr.next(), Some(TokenTree::Ident(id)) if id.to_string() == "serde")
+                    {
+                        serde_attrs.push(attr.collect());
+                    }
                     iter.next();
                 }
             }
@@ -61,9 +87,54 @@ fn skip_attrs_and_vis(iter: &mut Iter) {
                     iter.next();
                 }
             }
-            _ => return,
+            _ => return serde_attrs,
         }
     }
+}
+
+/// [`skip_attrs_and_vis`] where the shim understands no `serde` attribute.
+fn skip_plain_attrs_and_vis(iter: &mut Iter, place: &str) -> Result<(), String> {
+    if skip_attrs_and_vis(iter).is_empty() {
+        return Ok(());
+    }
+    Err(format!(
+        "the serde shim derive supports no `#[serde(...)]` on {place}"
+    ))
+}
+
+/// Reads a named field's `#[serde(...)]` attributes. Each argument
+/// list is rendered and split at its commas (a path holds none).
+fn parse_field_attrs(name: String, attrs: Vec<TokenStream>) -> Result<Field, String> {
+    let (mut default, mut skip_if) = (None, None);
+    for attr in attrs {
+        let mut attr = attr.into_iter();
+        let (Some(TokenTree::Group(list)), None) = (attr.next(), attr.next()) else {
+            return Err(format!("expected `#[serde(...)]` on field `{name}`"));
+        };
+        let list = list.stream().to_string();
+        for arg in list.split(',').map(str::trim).filter(|a| !a.is_empty()) {
+            let (key, path) = match arg.split_once('=') {
+                Some((key, lit)) => (key.trim(), Some(lit.trim().trim_matches('"'))),
+                None => (arg, None),
+            };
+            match (key, path) {
+                ("default", None) => default = Some("::std::default::Default::default()".into()),
+                ("default", Some(path)) => default = Some(format!("{path}()")),
+                ("skip_serializing_if", Some(path)) => skip_if = Some(path.to_owned()),
+                _ => {
+                    return Err(format!(
+                        "unsupported serde attribute `{arg}` on field `{name}`: the shim derive \
+                         knows `default`, `default = \"path\"` and `skip_serializing_if = \"path\"`"
+                    ))
+                }
+            }
+        }
+    }
+    Ok(Field {
+        name,
+        default,
+        skip_if,
+    })
 }
 
 /// Consumes tokens until a comma at angle-bracket depth zero (the end
@@ -84,16 +155,16 @@ fn skip_to_top_level_comma(iter: &mut Iter) {
 }
 
 /// Parses `name: Type, ...` field lists (struct bodies and struct-like
-/// enum variants), returning the field names in order.
-fn parse_named_fields(body: TokenStream) -> Result<Vec<String>, String> {
+/// enum variants), returning the fields in order.
+fn parse_named_fields(body: TokenStream) -> Result<Vec<Field>, String> {
     let mut iter: Iter = body.into_iter().peekable();
     let mut fields = Vec::new();
     loop {
-        skip_attrs_and_vis(&mut iter);
+        let attrs = skip_attrs_and_vis(&mut iter);
         match iter.next() {
             None => return Ok(fields),
             Some(TokenTree::Ident(id)) => {
-                fields.push(id.to_string());
+                fields.push(parse_field_attrs(id.to_string(), attrs)?);
                 match iter.next() {
                     Some(TokenTree::Punct(p)) if p.as_char() == ':' => {}
                     _ => return Err(format!("expected `:` after field `{id}`")),
@@ -106,13 +177,13 @@ fn parse_named_fields(body: TokenStream) -> Result<Vec<String>, String> {
 }
 
 /// Counts the fields of a tuple-struct / tuple-variant body.
-fn count_tuple_fields(body: TokenStream) -> usize {
+fn count_tuple_fields(body: TokenStream) -> Result<usize, String> {
     let mut iter: Iter = body.into_iter().peekable();
     let mut count = 0;
     loop {
-        skip_attrs_and_vis(&mut iter);
+        skip_plain_attrs_and_vis(&mut iter, "tuple fields")?;
         if iter.peek().is_none() {
-            return count;
+            return Ok(count);
         }
         count += 1;
         skip_to_top_level_comma(&mut iter);
@@ -123,14 +194,14 @@ fn parse_variants(body: TokenStream) -> Result<Vec<Variant>, String> {
     let mut iter: Iter = body.into_iter().peekable();
     let mut variants = Vec::new();
     loop {
-        skip_attrs_and_vis(&mut iter);
+        skip_plain_attrs_and_vis(&mut iter, "variants")?;
         match iter.next() {
             None => return Ok(variants),
             Some(TokenTree::Ident(id)) => {
                 let name = id.to_string();
                 let kind = match iter.peek() {
                     Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                        let arity = count_tuple_fields(g.stream());
+                        let arity = count_tuple_fields(g.stream())?;
                         iter.next();
                         VariantKind::Tuple(arity)
                     }
@@ -152,7 +223,7 @@ fn parse_variants(body: TokenStream) -> Result<Vec<Variant>, String> {
 
 fn parse_input(input: TokenStream) -> Result<Input, String> {
     let mut iter: Iter = input.into_iter().peekable();
-    skip_attrs_and_vis(&mut iter);
+    skip_plain_attrs_and_vis(&mut iter, "containers")?;
     let kind = match iter.next() {
         Some(TokenTree::Ident(id)) => id.to_string(),
         other => return Err(format!("expected `struct` or `enum`, got {other:?}")),
@@ -174,7 +245,7 @@ fn parse_input(input: TokenStream) -> Result<Input, String> {
             }),
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => Ok(Input {
                 name,
-                shape: Shape::TupleStruct(count_tuple_fields(g.stream())),
+                shape: Shape::TupleStruct(count_tuple_fields(g.stream())?),
             }),
             Some(TokenTree::Punct(p)) if p.as_char() == ';' => Ok(Input {
                 name,
@@ -196,35 +267,48 @@ fn parse_input(input: TokenStream) -> Result<Input, String> {
 // ---- code generation ---------------------------------------------------
 
 const IMPL_ATTRS: &str =
-    "#[automatically_derived]\n#[allow(unused_variables, unreachable_patterns, clippy::all)]\n";
+    "#[automatically_derived]\n#[allow(unused_variables, unused_mut, unreachable_patterns, clippy::all)]\n";
 
-fn named_fields_to_content(fields: &[String], access_prefix: &str) -> String {
-    let entries: Vec<String> = fields
+/// `access` turns a field name into a reference to the field: `&self.`
+/// in a struct, nothing for the binders of a matched variant.
+fn named_fields_to_content(fields: &[Field], access: &str) -> String {
+    let pushes: String = fields
         .iter()
         .map(|f| {
-            format!(
-                "(::serde::Content::Str(::std::string::String::from({f:?})), \
-                 ::serde::Serialize::to_content(&{access_prefix}{f}))"
-            )
+            let (name, at) = (&f.name, format!("{access}{}", f.name));
+            let push = format!(
+                "__map.push((::serde::Content::Str(::std::string::String::from({name:?})), \
+                 ::serde::Serialize::to_content({at})));"
+            );
+            match &f.skip_if {
+                Some(skip) => format!("if !{skip}({at}) {{ {push} }}"),
+                None => push,
+            }
         })
         .collect();
-    format!("::serde::Content::Map(::std::vec![{}])", entries.join(", "))
+    format!(
+        "{{ let mut __map = ::std::vec::Vec::with_capacity({}); {pushes} ::serde::Content::Map(__map) }}",
+        fields.len()
+    )
 }
 
 fn named_fields_from_content(
     type_path: &str,
-    fields: &[String],
+    fields: &[Field],
     source: &str,
     context: &str,
 ) -> String {
     let inits: Vec<String> = fields
         .iter()
         .map(|f| {
+            let name = &f.name;
+            let absent = f.default.clone().unwrap_or_else(|| {
+                format!("::serde::Deserialize::from_missing_field({name:?}, {context:?})?")
+            });
             format!(
-                "{f}: match ::serde::Content::field({source}, {f:?}) {{ \
+                "{name}: match ::serde::Content::field({source}, {name:?}) {{ \
                    ::std::option::Option::Some(v) => ::serde::Deserialize::from_content(v)?, \
-                   ::std::option::Option::None => return ::std::result::Result::Err(\
-                     ::serde::Error::msg(concat!(\"missing field `\", {f:?}, \"` in {context}\"))), \
+                   ::std::option::Option::None => {absent}, \
                  }}"
             )
         })
@@ -238,7 +322,7 @@ fn named_fields_from_content(
 fn gen_serialize(input: &Input) -> String {
     let name = &input.name;
     let body = match &input.shape {
-        Shape::NamedStruct(fields) => named_fields_to_content(fields, "self."),
+        Shape::NamedStruct(fields) => named_fields_to_content(fields, "&self."),
         Shape::UnitStruct => "::serde::Content::Null".to_string(),
         Shape::TupleStruct(1) => "::serde::Serialize::to_content(&self.0)".to_string(),
         Shape::TupleStruct(n) => {
@@ -280,10 +364,12 @@ fn gen_serialize(input: &Input) -> String {
                         }
                         VariantKind::Named(fields) => {
                             let inner = named_fields_to_content(fields, "");
+                            let binders: Vec<&str> =
+                                fields.iter().map(|f| f.name.as_str()).collect();
                             format!(
                                 "{name}::{vname} {{ {} }} => ::serde::Content::Map(::std::vec![\
                                  (::serde::Content::Str(::std::string::String::from({vname:?})), {inner})]),",
-                                fields.join(", ")
+                                binders.join(", ")
                             )
                         }
                     }
@@ -410,7 +496,7 @@ fn gen_deserialize(input: &Input) -> String {
 
 // ---- entry points ------------------------------------------------------
 
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     match parse_input(input) {
         Ok(parsed) => gen_serialize(&parsed)
@@ -420,7 +506,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     }
 }
 
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     match parse_input(input) {
         Ok(parsed) => gen_deserialize(&parsed)
