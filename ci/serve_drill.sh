@@ -9,7 +9,9 @@
 #    guarantee of the group-commit path.
 # 3. Separately, assert admission control: with a tiny queue and a
 #    throttled worker, a burst must see explicit `overloaded` answers
-#    and zero transport errors.
+#    and zero transport errors, and the bound must be exact: a 429's
+#    `(depth/capacity)` and the `server_queue_depth` gauge never read
+#    above `--queue`.
 # 4. Before the kill, hold the server at a fixed open-loop arrival
 #    rate (latency clocked from each request's scheduled send, the
 #    schedule never resets) and assert zero transport errors — the
@@ -112,6 +114,44 @@ SERVE_PID=$!
 
 "$FMTM" load --url "$URL" --wait-ready 30 --count 200 --rps 5000 \
   --connections 8 | tee "$ART/load-overload.txt"
+
+# `--queue 4` means 4: while a longer burst keeps the queue full, one
+# raw 429 must report a depth no deeper than the queue, and the depth
+# gauge must never read above it. (A burst that happens to yield no 429
+# to curl is repeated, twice at most.)
+RAW_429=""
+REPLY=""
+MAX_DEPTH=0
+for _ in 1 2 3; do
+  "$FMTM" load --url "$URL" --duration 3 --rps 5000 --connections 8 \
+    >"$ART/load-overload-burst.txt" 2>&1 &
+  BURST_PID=$!
+  while kill -0 "$BURST_PID" 2>/dev/null; do
+    DEPTH=$(curl -s "http://$URL/metrics" | sed -n 's/^server_queue_depth \([0-9]*\)$/\1/p')
+    if [ -n "$DEPTH" ] && [ "$DEPTH" -gt "$MAX_DEPTH" ]; then
+      MAX_DEPTH=$DEPTH
+    fi
+    if [ -z "$RAW_429" ]; then
+      REPLY=$(curl -s -i -X POST "http://$URL/instances" -d '{}' || true)
+      case "$REPLY" in "HTTP/1.1 429"*) RAW_429="$REPLY" ;; esac
+    fi
+  done
+  wait "$BURST_PID" || true
+  if [ -n "$RAW_429" ]; then
+    break
+  fi
+done
+printf '%s\n' "$RAW_429" >"$ART/raw-429.txt"
+read -r DEPTH_429 CAPACITY_429 <<<"$(printf '%s' "$RAW_429" \
+  | sed -n 's/.*high-water mark (\([0-9]*\)\/\([0-9]*\)).*/\1 \2/p')"
+if [ -z "$DEPTH_429" ] || [ "$CAPACITY_429" -ne 4 ] || [ "$DEPTH_429" -gt "$CAPACITY_429" ]; then
+  echo "drill: a 429 must report depth <= capacity 4, got: ${RAW_429:-no 429; last reply: $REPLY}" >&2
+  exit 1
+fi
+if [ "$MAX_DEPTH" -gt 4 ]; then
+  echo "drill: server_queue_depth read $MAX_DEPTH against --queue 4" >&2
+  exit 1
+fi
 "$FMTM" load --url "$URL" --stop
 wait "$SERVE_PID" 2>/dev/null || true
 SERVE_PID=""

@@ -187,7 +187,7 @@ pub struct Engine {
     pub(crate) obs: EngineObs,
     /// Per-template latency probes, built lazily on first start and
     /// shared by every instance of the template.
-    pub(crate) probes: Mutex<HashMap<String, ActProbes>>,
+    pub(crate) probes: Mutex<HashMap<u64, ActProbes>>,
 }
 
 impl Engine {
@@ -355,13 +355,13 @@ impl Engine {
     }
 
     /// The probes for `tpl`, built on first use and cached. Keyed by
-    /// name *and* version: two versions of one process can have
-    /// different slot layouts.
+    /// the spec hash, as the template registry is: two versions of one
+    /// process can have different slot layouts.
     fn probes_for(&self, tpl: &Arc<CompiledProcess>) -> ActProbes {
         let mut cache = self.probes.lock();
         Arc::clone(
             cache
-                .entry(format!("{}@{}", tpl.name(), tpl.version()))
+                .entry(tpl.spec_hash)
                 .or_insert_with(|| act_probes(&tpl.layout, self.obs.observer.registry())),
         )
     }

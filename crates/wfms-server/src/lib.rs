@@ -10,21 +10,23 @@
 //!
 //! * [`shard`] — the sharded instance manager. N shards, each an
 //!   [`wfms_engine::Engine`] with its own durable journal and worker
-//!   thread; bounded submission queues with explicit `Overloaded`
-//!   rejection past the high-water mark; per-shard **group commit**
-//!   (one journal flush per batch, acknowledgements only after it);
-//!   restart recovery through the engine's forward-recovery path.
+//!   thread; one bounded admission queue per shard with explicit
+//!   `Overloaded` rejection at the high-water mark; per-shard **group
+//!   commit** (a journal flush at the end of every batch,
+//!   acknowledgements only after it); restart recovery through the
+//!   engine's forward-recovery path. What the data directory pins
+//!   across reopens (`server.meta.json`, `templates/`) is `store.rs`.
 //! * [`http`] — a hand-rolled, zero-dependency HTTP/1.1 subset: an
 //!   incremental [`http::Decoder`] that parses pipelined keep-alive
 //!   requests from per-connection buffers, hard input limits, typed
 //!   400/413 errors.
-//! * [`server`] — the route table (`POST /instances`,
-//!   `GET /instances/:id`, `GET /worklist`,
-//!   `POST /worklist/:item/complete`, `GET /metrics`,
-//!   `POST /admin/drain`, `POST /admin/stop`) served by epoll-backed
-//!   reactor threads ([`poll`]) that share the listener
-//!   `EPOLLEXCLUSIVE`; submit replies are batched behind each shard's
-//!   group commit, so a `201` on the wire implies durability.
+//! * [`server`] — epoll-backed reactor threads ([`poll`]) that share
+//!   the listener `EPOLLEXCLUSIVE` and serve the route table of
+//!   `routes.rs` (`POST /instances`, `GET /instances/:id`,
+//!   `GET /worklist`, `POST /worklist/:item/complete`, `GET /metrics`,
+//!   `POST /admin/drain`, `POST /admin/stop`, …); submit replies are
+//!   batched behind each shard's group commit, so a `201` on the wire
+//!   implies durability.
 //!
 //! [`client`] is the matching side: a keep-alive HTTP client with
 //! request pipelining, the `fmtm load` generator (closed-loop and
@@ -39,8 +41,10 @@ pub mod api;
 pub mod client;
 pub mod http;
 pub mod poll;
+mod routes;
 pub mod server;
 pub mod shard;
+mod store;
 pub mod tenant;
 
 pub use client::{

@@ -1,0 +1,508 @@
+//! The route table: what each method and path answers.
+//!
+//! Every route, synchronous or deferred, produces an [`Answer`]; the
+//! reactor ([`crate::server`]) renders it into the connection's reply
+//! FIFO. Read-path routes answer on the reactor. A submit hands the
+//! start to its shard and is answered from the completion the shard
+//! posts after its group commit; admin drain/stop and deploy block on
+//! shard barriers and journal flushes, so they run on a helper thread
+//! ([`defer`]) and complete through the same queue.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use wfms_engine::{EngineError, EngineMetrics, InstanceStatus, WorklistError};
+use wfms_model::{Container, ProcessDefinition};
+
+use crate::api::*;
+use crate::http::Request;
+use crate::server::{Completion, Deferred, ServerState, Turn};
+use crate::shard::{MigrationPolicy, PoolError, SubmitDispatch, SubmitReply};
+use crate::tenant::{bearer_token, parse_tenants, Tenant};
+
+const JSON: &str = "application/json";
+const PROM: &str = "text/plain; version=0.0.4";
+
+fn status_str(s: InstanceStatus) -> &'static str {
+    match s {
+        InstanceStatus::Running => "running",
+        InstanceStatus::Finished => "finished",
+        InstanceStatus::Cancelled => "cancelled",
+    }
+}
+
+/// A route's reply, before rendering: every route, synchronous or
+/// deferred, produces one, and [`Conn::reply`] renders it.
+pub(crate) struct Answer {
+    pub(crate) status: u16,
+    pub(crate) content_type: &'static str,
+    pub(crate) body: String,
+    /// Extra response headers (`allow`, `www-authenticate`,
+    /// `retry-after`).
+    pub(crate) extra: Vec<(&'static str, &'static str)>,
+    /// Force `connection: close` regardless of the request's
+    /// keep-alive wish — the error-path rule for 401/403/429: never
+    /// leave a connection open after refusing to serve it.
+    pub(crate) force_close: bool,
+}
+
+impl Answer {
+    fn text(status: u16, content_type: &'static str, body: String) -> Answer {
+        Answer {
+            status,
+            content_type,
+            body,
+            extra: Vec::new(),
+            force_close: false,
+        }
+    }
+
+    /// `value` as the JSON body.
+    fn json<T: serde::Serialize>(status: u16, value: &T) -> Answer {
+        let body = serde_json::to_string(value).expect("a reply body serializes");
+        Answer::text(status, JSON, body)
+    }
+
+    /// The uniform error body: `{"error": class, "detail": detail}`.
+    pub(crate) fn error(status: u16, class: &str, detail: &str) -> Answer {
+        Answer::json(status, &ErrorResponse::new(class, detail))
+    }
+
+    fn header(mut self, name: &'static str, value: &'static str) -> Answer {
+        self.extra.push((name, value));
+        self
+    }
+
+    fn closing(mut self) -> Answer {
+        self.force_close = true;
+        self
+    }
+}
+
+/// `403`: authenticated, but the resource belongs to another tenant.
+/// Closes the connection.
+fn forbidden(detail: &str) -> Answer {
+    Answer::error(403, "forbidden", detail).closing()
+}
+
+fn method_not_allowed(allow: &'static str) -> Answer {
+    Answer::error(405, "bad_request", "method not allowed").header("allow", allow)
+}
+
+/// A request body as the route's JSON shape, or the `400` that says
+/// why not.
+fn json_body<T: serde::Deserialize>(req: &Request) -> Result<T, Answer> {
+    let text = std::str::from_utf8(&req.body)
+        .map_err(|_| Answer::error(400, "bad_request", "body is not UTF-8"))?;
+    serde_json::from_str(text)
+        .map_err(|e| Answer::error(400, "bad_request", &format!("bad body: {e}")))
+}
+
+/// Routes one request: a synchronous answer goes into a ready slot;
+/// submits and admin operations allocate a pending slot that a
+/// completion fills later.
+pub(crate) fn dispatch(turn: &mut Turn<'_>, req: &Request) {
+    let state = turn.state;
+    let close = req.wants_close();
+    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
+    // Data-plane routes authenticate when tenancy is enabled; the ops
+    // plane (healthz, metrics, admin) stays open — it is the operator's
+    // surface, not a tenant's, and quota/fairness never apply to it.
+    let data_plane = matches!(segments.first(), Some(&"instances" | &"worklist"));
+    let tenant: Option<Arc<Tenant>> = if state.pool.tenancy_enabled() && data_plane {
+        let resolved = req
+            .header("authorization")
+            .and_then(bearer_token)
+            .and_then(|token| state.pool.authenticate(token.as_bytes()));
+        match resolved {
+            Some(t) => Some(t),
+            None => {
+                let detail = if req.header("authorization").is_none() {
+                    "missing Authorization header (expected `Bearer <api-key>`)"
+                } else {
+                    "unrecognized API key"
+                };
+                // Challenges with `www-authenticate` and closes.
+                let refusal = Answer::error(401, "unauthorized", detail)
+                    .header("www-authenticate", "Bearer")
+                    .closing();
+                return turn.conn.reply(None, refusal, close, false);
+            }
+        }
+    } else {
+        None
+    };
+    let answer = match segments.as_slice() {
+        ["instances"] => match req.method.as_str() {
+            "POST" => return submit(turn, req, tenant, close),
+            _ => method_not_allowed("POST"),
+        },
+        ["instances", id] => match req.method.as_str() {
+            "GET" => instance_status(state, id, tenant.as_ref()),
+            _ => method_not_allowed("GET"),
+        },
+        ["worklist"] => match req.method.as_str() {
+            "GET" => worklist(state, req, tenant.as_ref()),
+            _ => method_not_allowed("GET"),
+        },
+        ["worklist", item, "complete"] => match req.method.as_str() {
+            "POST" => complete(state, req, item, tenant.as_ref()),
+            _ => method_not_allowed("POST"),
+        },
+        ["metrics"] => match req.method.as_str() {
+            "GET" => {
+                publish_scrape_gauges(state);
+                Answer::text(200, PROM, state.pool.registry().snapshot().to_prometheus())
+            }
+            _ => method_not_allowed("GET"),
+        },
+        ["healthz"] => match req.method.as_str() {
+            "GET" => {
+                let draining = state.draining.load(Ordering::SeqCst);
+                let health = Health {
+                    status: if draining { "draining" } else { "ok" }.to_owned(),
+                    shards: state.pool.shards(),
+                    recovered_instances: state.pool.recovered_instances(),
+                };
+                Answer::json(200, &health)
+            }
+            _ => method_not_allowed("GET"),
+        },
+        ["admin", "deploy"] => match req.method.as_str() {
+            "POST" => match deploy_request(state, req) {
+                Ok((definition, policy)) => {
+                    let state = Arc::clone(state);
+                    let work = move || deploy(&state, definition, policy);
+                    return defer(turn, close, false, "wfms-deploy", work);
+                }
+                Err(refusal) => refusal,
+            },
+            _ => method_not_allowed("POST"),
+        },
+        ["admin", "reload-tenants"] => match req.method.as_str() {
+            "POST" => reload_tenants(state),
+            _ => method_not_allowed("POST"),
+        },
+        ["admin", verb @ ("drain" | "stop")] => match req.method.as_str() {
+            "POST" => {
+                // The stop answer always closes the connection, and no
+                // more requests are read from it: the server is about
+                // to exit.
+                let stop = *verb == "stop";
+                turn.conn.input_dead |= stop;
+                let state = Arc::clone(state);
+                return defer(turn, close || stop, stop, "wfms-admin", move || {
+                    drain(&state)
+                });
+            }
+            _ => method_not_allowed("POST"),
+        },
+        _ => Answer::error(404, "not_found", "no such route"),
+    };
+    turn.conn.reply(None, answer, close, false);
+}
+
+/// Runs `work` — a route that blocks on shard barriers or journal
+/// flushes — on a helper thread of its own and posts its answer to a
+/// pending slot through the reactor queue. If the thread cannot be
+/// started the slot is answered `503` here: nothing else would ever
+/// fill it, and every pipelined reply behind it would wait for good.
+fn defer(
+    turn: &mut Turn<'_>,
+    close: bool,
+    stop: bool,
+    name: &str,
+    work: impl FnOnce() -> Answer + Send + 'static,
+) {
+    let (conn, slot) = (turn.token, turn.conn.alloc_slot());
+    let shared = Arc::clone(turn.shared);
+    let spawned = std::thread::Builder::new()
+        .name(name.to_owned())
+        .spawn(move || {
+            let answer = Deferred::Answer(work());
+            shared.post(Completion {
+                conn,
+                slot,
+                close,
+                stop,
+                answer,
+            });
+        });
+    if let Err(e) = spawned {
+        turn.state.spawn_failures.inc();
+        let detail = format!("could not start the {name} thread: {e}");
+        let refusal = Answer::error(503, "internal", &detail).closing();
+        turn.conn.reply(Some(slot), refusal, close, false);
+    }
+}
+
+/// The reply to a submit, from what its shard answered after the group
+/// commit.
+pub(crate) fn submit_answer(reply: SubmitReply) -> Answer {
+    match reply {
+        Ok((id, status, output)) => Answer::json(
+            201,
+            &SubmitResponse {
+                id,
+                status: status_str(status).to_owned(),
+                output,
+            },
+        ),
+        Err((error, true)) => Answer::error(404, "not_found", &error),
+        Err((error, false)) => Answer::error(500, "internal", &error),
+    }
+}
+
+/// `POST /instances`: validate on the reactor, then hand the start to
+/// its shard. The response slot is filled by the group-commit
+/// completion — the reactor never waits on a journal flush.
+fn submit(turn: &mut Turn<'_>, req: &Request, tenant: Option<Arc<Tenant>>, close: bool) {
+    let state = turn.state;
+    let body = if state.draining.load(Ordering::SeqCst) {
+        Err(Answer::error(503, "draining", "server is draining"))
+    } else if req.body.is_empty() {
+        Ok(SubmitRequest::default())
+    } else {
+        json_body(req)
+    };
+    let body = match body {
+        Ok(body) => body,
+        Err(refusal) => return turn.conn.reply(None, refusal, close, false),
+    };
+    let process = body
+        .process
+        .unwrap_or_else(|| state.default_process.clone());
+    let input = body.input.unwrap_or_else(Container::empty);
+
+    let (conn, slot) = (turn.token, turn.conn.alloc_slot());
+    let sink = {
+        let shared = Arc::clone(turn.shared);
+        Box::new(move |reply: SubmitReply| {
+            shared.post(Completion {
+                conn,
+                slot,
+                close,
+                stop: false,
+                answer: Deferred::Submit(reply),
+            });
+        })
+    };
+    if let SubmitDispatch::Overloaded { depth, capacity } =
+        state.pool.submit_with(&process, input, tenant, sink)
+    {
+        // The sink was dropped uncalled; fill the slot now. A 429
+        // always closes (error-path rule) and names a retry horizon —
+        // overload is measured in group-commit batches, so one second
+        // is conservatively past it.
+        let detail = format!("queue at high-water mark ({depth}/{capacity})");
+        let refusal = Answer::error(429, "overloaded", &detail)
+            .header("retry-after", "1")
+            .closing();
+        turn.conn.reply(Some(slot), refusal, close, false);
+    }
+}
+
+/// `POST /admin/reload-tenants`: re-reads the tenants file the server
+/// was started with and swaps the live table. Synchronous — the file
+/// is small and the swap is an `Arc` store.
+fn reload_tenants(state: &Arc<ServerState>) -> Answer {
+    let Some(path) = &state.tenants_path else {
+        return Answer::error(
+            400,
+            "bad_request",
+            "tenancy is not enabled on this server (start with --tenants)",
+        );
+    };
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) => {
+            return Answer::error(
+                500,
+                "internal",
+                &format!("tenants file {}: {e}", path.display()),
+            )
+        }
+    };
+    let specs = match parse_tenants(&text) {
+        Ok(s) => s,
+        Err(e) => return Answer::error(400, "bad_request", &format!("tenants file rejected: {e}")),
+    };
+    match state.pool.reload_tenants(&specs) {
+        Ok(tenants) => Answer::json(200, &ReloadTenantsResponse { tenants }),
+        Err(PoolError::Rejected(e)) => Answer::error(400, "bad_request", &e),
+        Err(e) => Answer::error(500, "internal", &e.to_string()),
+    }
+}
+
+/// `POST /admin/drain|stop`, on its helper thread: drain blocks on
+/// per-shard FIFO barriers. A failed drain on the stop path still
+/// stops the server — it answers with the drain result and stops
+/// regardless.
+fn drain(state: &ServerState) -> Answer {
+    state.draining.store(true, Ordering::SeqCst);
+    match state.pool.drain() {
+        Ok(compacted_events) => Answer::json(200, &DrainResponse { compacted_events }),
+        Err(e) => Answer::error(500, "internal", &e.to_string()),
+    }
+}
+
+/// `POST /admin/deploy`, the part done on the reactor: parse and
+/// policy-check.
+fn deploy_request(
+    state: &ServerState,
+    req: &Request,
+) -> Result<(ProcessDefinition, MigrationPolicy), Answer> {
+    if state.draining.load(Ordering::SeqCst) {
+        return Err(Answer::error(503, "draining", "server is draining"));
+    }
+    let body: DeployRequest = json_body(req)?;
+    let policy = match body.policy.as_deref() {
+        None => MigrationPolicy::DrainOld,
+        Some(s) => MigrationPolicy::parse(s).ok_or_else(|| {
+            let detail = format!("unknown policy {s:?} (expected \"drain-old\" or \"migrate\")");
+            Answer::error(400, "bad_request", &detail)
+        })?,
+    };
+    Ok((body.definition, policy))
+}
+
+/// `POST /admin/deploy`, on its helper thread: register + migrate
+/// (deploy blocks on journal flushes).
+fn deploy(state: &ServerState, definition: ProcessDefinition, policy: MigrationPolicy) -> Answer {
+    match state.pool.deploy(definition, policy) {
+        Ok(report) => Answer::json(
+            200,
+            &DeployResponse {
+                process: report.process,
+                version: report.version,
+                migrated: report.migrated,
+                skipped: report.skipped,
+                already_current: report.already_current,
+            },
+        ),
+        Err(e @ PoolError::Rejected(_)) => Answer::error(400, "bad_request", &e.to_string()),
+        Err(e) => Answer::error(500, "internal", &e.to_string()),
+    }
+}
+
+fn instance_status(state: &Arc<ServerState>, id: &str, tenant: Option<&Arc<Tenant>>) -> Answer {
+    let Ok(ext) = id.parse::<u64>() else {
+        return Answer::error(400, "bad_request", "instance id must be an integer");
+    };
+    // Wrong-tenant reads are refused *before* resolution: the slot is
+    // part of the id, so a mismatch is a cross-tenant probe, not a
+    // lookup miss.
+    if let Some(t) = tenant {
+        if state.pool.slot_of(ext) != Some(t.slot) {
+            return forbidden(&format!("instance {ext} belongs to another tenant"));
+        }
+    }
+    match state.pool.status(ext) {
+        Some((process, status, version, output)) => Answer::json(
+            200,
+            &StatusResponse {
+                id: ext,
+                process,
+                status: status_str(status).to_owned(),
+                version,
+                output,
+            },
+        ),
+        None => Answer::error(404, "not_found", &format!("no instance {ext}")),
+    }
+}
+
+fn worklist(state: &Arc<ServerState>, req: &Request, tenant: Option<&Arc<Tenant>>) -> Answer {
+    let person = match req.query_param("person") {
+        Ok(Some(p)) => p,
+        Ok(None) => return Answer::error(400, "bad_request", "missing ?person= query parameter"),
+        Err(e) => return Answer::error(400, "bad_request", &e.message()),
+    };
+    let items = state
+        .pool
+        .worklist(&person, tenant.map(|t| t.slot))
+        .into_iter()
+        .map(|(id, instance, item)| ItemDto {
+            id,
+            instance,
+            path: item.path,
+            attempt: item.attempt,
+            offered_to: item.offered_to,
+        })
+        .collect();
+    Answer::json(200, &WorklistResponse { items })
+}
+
+fn complete(
+    state: &Arc<ServerState>,
+    req: &Request,
+    item: &str,
+    tenant: Option<&Arc<Tenant>>,
+) -> Answer {
+    let Ok(ext) = item.parse::<u64>() else {
+        return Answer::error(400, "bad_request", "work-item id must be an integer");
+    };
+    if let Some(t) = tenant {
+        if state.pool.slot_of(ext) != Some(t.slot) {
+            return forbidden(&format!("work item {ext} belongs to another tenant"));
+        }
+    }
+    let body: CompleteRequest = match json_body(req) {
+        Ok(body) => body,
+        Err(refusal) => return refusal,
+    };
+    match state.pool.complete(ext, &body.person) {
+        Ok(()) => Answer::text(200, JSON, "{}".to_owned()),
+        Err(EngineError::Worklist(WorklistError::NoSuchItem(_))) => {
+            Answer::error(404, "not_found", &format!("no work item {ext}"))
+        }
+        Err(e @ EngineError::Worklist(_)) | Err(e @ EngineError::BadActivityState { .. }) => {
+            Answer::error(409, "conflict", &e.to_string())
+        }
+        Err(EngineError::UnknownInstance(_)) => {
+            Answer::error(404, "not_found", "owning instance is gone")
+        }
+        Err(e) => Answer::error(500, "internal", &e.to_string()),
+    }
+}
+
+/// Folds engine aggregates into gauges at scrape time — cheaper than
+/// keeping them hot on the submit path. The `journal.*` and `db.wal_*`
+/// levels are what the shards' logs hold right now, summed: the bound
+/// on a long-lived server's memory, where an operator can see it. What
+/// each shard engine counts on its own registry — journal faults,
+/// recovery and migration fix-ups, released claims — is summed by name
+/// the same way (the hot-path `nav.*` hooks are off under `serve`, so
+/// those read 0).
+fn publish_scrape_gauges(state: &Arc<ServerState>) {
+    let registry = state.pool.registry();
+    let shards = state.pool.engine_metrics();
+    let publish = |name: &str, level: &dyn Fn(&EngineMetrics) -> u64| {
+        let total: u64 = shards.iter().map(level).sum();
+        registry.gauge(name).set(total as i64);
+    };
+    publish("server.instances.running", &|m| m.instances_running);
+    publish("server.instances.finished", &|m| m.instances_finished);
+    publish("server.instances.cancelled", &|m| m.instances_cancelled);
+    publish("journal.resident_records", &|m| m.journal_resident_records);
+    publish("journal.file_bytes", &|m| m.journal_file_bytes);
+    publish("db.wal_resident_records", &|m| {
+        m.federation.iter().map(|db| db.wal_resident_records).sum()
+    });
+    publish("db.wal_checkpoints", &|m| {
+        m.federation.iter().map(|db| db.wal_checkpoints).sum()
+    });
+    let mut counted = std::collections::BTreeMap::<&str, u64>::new();
+    for (name, n) in shards.iter().flat_map(|m| &m.counters) {
+        *counted.entry(name).or_default() += n;
+    }
+    for (name, total) in counted {
+        registry.gauge(name).set(total as i64);
+    }
+    registry
+        .gauge("server.queue.depth")
+        .set(state.pool.queue_depth());
+    registry
+        .gauge("server.recovered.instances")
+        .set(state.pool.recovered_instances() as i64);
+}

@@ -9,6 +9,10 @@
 //! blocking — plus a FIFO of *response slots* that keeps pipelined
 //! replies in request order even when they complete out of order.
 //!
+//! This module is the reactor and its connections; what each method
+//! and path answers is the route table in `routes.rs`. Every route
+//! produces an `Answer` and every answer leaves through one function,
+//! `Conn::reply`, which renders it into the connection's slot FIFO.
 //! Read-path routes (status, worklist, metrics, health) answer
 //! synchronously on the reactor. Submissions are dispatched to the
 //! owning shard through [`ShardPool::submit_with`], which fires a
@@ -17,8 +21,9 @@
 //! response slot, and is written out together with every other reply
 //! from the same batch — one flush, one wake, one `writev`-sized
 //! burst. A `201` on the wire therefore still implies the start is on
-//! disk. Admin drain/stop run on short-lived helper threads (they
-//! block on shard barriers) and complete through the same queue.
+//! disk. Admin drain/stop and deploy run on short-lived helper threads
+//! (they block on shard barriers and journal flushes) and complete
+//! through the same queue, as the same kind of completion.
 //!
 //! Lifecycle: [`Server::start`] binds and serves immediately;
 //! [`Server::wait_stop`] blocks the caller until `POST /admin/stop`
@@ -38,18 +43,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use wfms_engine::{EngineError, EngineMetrics, InstanceStatus, WorklistError};
-use wfms_model::Container;
 
-use crate::api::*;
-use crate::http::{self, render_response, Request};
+use crate::http::{self, render_response};
 use crate::poll::{
     Epoll, Waker, EPOLLERR, EPOLLEXCLUSIVE, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
-use crate::shard::{
-    DeployReport, MigrationPolicy, PoolError, ShardPool, SubmitDispatch, SubmitReply,
-};
-use crate::tenant::{bearer_token, parse_tenants, Tenant};
+use crate::routes::{dispatch, submit_answer, Answer};
+use crate::shard::{ShardPool, SubmitReply};
 
 /// Epoll events drained per wait.
 const MAX_EVENTS: usize = 256;
@@ -101,50 +101,45 @@ impl ServerConfig {
     }
 }
 
-struct ServerState {
-    pool: Arc<ShardPool>,
-    draining: AtomicBool,
+pub(crate) struct ServerState {
+    pub(crate) pool: Arc<ShardPool>,
+    pub(crate) draining: AtomicBool,
     stopping: AtomicBool,
-    default_process: String,
+    pub(crate) default_process: String,
     stop_tx: SyncSender<()>,
-    tenants_path: Option<PathBuf>,
+    pub(crate) tenants_path: Option<PathBuf>,
+    /// `server.defer.spawn_failures`: deferred routes answered `503`
+    /// because their helper thread could not be started.
+    pub(crate) spawn_failures: Arc<wfms_observe::Counter>,
 }
 
-/// A deferred route completion, produced off-reactor and delivered
-/// through [`ReactorShared`].
-enum Completion {
-    /// A submit acknowledged after its shard's group commit.
-    Submit {
-        conn: u64,
-        slot: u64,
-        reply: SubmitReply,
-        close: bool,
-    },
-    /// An admin drain/stop finished on its helper thread.
-    Admin {
-        conn: u64,
-        slot: u64,
-        result: Result<usize, String>,
-        close: bool,
-        stop: bool,
-    },
-    /// A template deploy finished on its helper thread.
-    Deploy {
-        conn: u64,
-        slot: u64,
-        result: Result<DeployReport, (u16, String)>,
-        close: bool,
-    },
+/// A deferred route's reply, produced off-reactor and delivered
+/// through [`ReactorShared`] to the pending slot it was promised.
+pub(crate) struct Completion {
+    pub(crate) conn: u64,
+    pub(crate) slot: u64,
+    pub(crate) close: bool,
+    /// Signal server stop once the reply is written.
+    pub(crate) stop: bool,
+    pub(crate) answer: Deferred,
+}
+
+/// What a completion carries: a finished [`Answer`], or a submit's
+/// reply still to be rendered — on the reactor, so that the JSON work
+/// stays off the shard worker.
+pub(crate) enum Deferred {
+    Answer(Answer),
+    Submit(SubmitReply),
 }
 
 /// The cross-thread half of one reactor: completion queue + waker.
-struct ReactorShared {
+pub(crate) struct ReactorShared {
     completions: Mutex<Vec<Completion>>,
     waker: Waker,
 }
 
 impl ReactorShared {
-    fn post(&self, completion: Completion) {
+    pub(crate) fn post(&self, completion: Completion) {
         let was_empty = {
             let mut queue = self.completions.lock();
             let was_empty = queue.is_empty();
@@ -186,6 +181,7 @@ impl Server {
                 .max(1)
         };
         let state = Arc::new(ServerState {
+            spawn_failures: pool.registry().counter("server.defer.spawn_failures"),
             pool,
             draining: AtomicBool::new(false),
             stopping: AtomicBool::new(false),
@@ -285,7 +281,7 @@ enum Slot {
     Pending { id: u64 },
 }
 
-struct Conn {
+pub(crate) struct Conn {
     stream: TcpStream,
     decoder: http::Decoder,
     /// FIFO of responses; the front is the oldest request. Written
@@ -297,7 +293,7 @@ struct Conn {
     /// Epoll interest currently registered.
     interest: u32,
     /// Stop reading: a close-marked or malformed request was seen.
-    input_dead: bool,
+    pub(crate) input_dead: bool,
     /// Peer half-closed its write side.
     read_closed: bool,
     /// Close once the output buffer drains.
@@ -326,25 +322,33 @@ impl Conn {
         }
     }
 
-    fn alloc_slot(&mut self) -> u64 {
+    pub(crate) fn alloc_slot(&mut self) -> u64 {
         let id = self.next_slot;
         self.next_slot += 1;
         self.slots.push_back(Slot::Pending { id });
         id
     }
 
-    fn push_ready(&mut self, bytes: Vec<u8>, close: bool) {
-        self.slots.push_back(Slot::Ready {
-            bytes,
+    /// The one way out: renders `answer` into the pending slot `slot`,
+    /// or into a new slot at the back of the FIFO.
+    pub(crate) fn reply(&mut self, slot: Option<u64>, answer: Answer, close: bool, stop: bool) {
+        let close = close || answer.force_close;
+        let mut bytes = Vec::with_capacity(128 + answer.body.len());
+        render_response(
+            &mut bytes,
+            answer.status,
+            answer.content_type,
+            &answer.extra,
+            answer.body.as_bytes(),
             close,
-            stop: false,
-        });
-    }
-
-    fn fill_slot(&mut self, id: u64, bytes: Vec<u8>, close: bool, stop: bool) {
+        );
+        let ready = Slot::Ready { bytes, close, stop };
+        let Some(id) = slot else {
+            return self.slots.push_back(ready);
+        };
         for slot in &mut self.slots {
             if matches!(slot, Slot::Pending { id: p } if *p == id) {
-                *slot = Slot::Ready { bytes, close, stop };
+                *slot = ready;
                 return;
             }
         }
@@ -479,94 +483,20 @@ impl Reactor {
         let drained: Vec<Completion> = std::mem::take(&mut *self.shared.completions.lock());
         let mut stop = false;
         let mut touched: Vec<u64> = Vec::with_capacity(drained.len());
-        for completion in drained {
-            match completion {
-                Completion::Submit {
-                    conn: token,
-                    slot,
-                    reply,
-                    close,
-                } => {
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        let mut bytes = Vec::with_capacity(192);
-                        render_submit_reply(&mut bytes, reply, close);
-                        conn.fill_slot(slot, bytes, close, false);
-                        conn.last_activity = Instant::now();
-                        touched.push(token);
-                    }
+        for done in drained {
+            match self.conns.get_mut(&done.conn) {
+                Some(conn) => {
+                    let answer = match done.answer {
+                        Deferred::Answer(answer) => answer,
+                        Deferred::Submit(reply) => submit_answer(reply),
+                    };
+                    conn.reply(Some(done.slot), answer, done.close, done.stop);
+                    conn.last_activity = Instant::now();
+                    touched.push(done.conn);
                 }
-                Completion::Admin {
-                    conn: token,
-                    slot,
-                    result,
-                    close,
-                    stop: stop_after,
-                } => {
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        let mut bytes = Vec::with_capacity(128);
-                        match result {
-                            Ok(compacted_events) => {
-                                let body =
-                                    serde_json::to_string(&DrainResponse { compacted_events })
-                                        .expect("drain body serializes");
-                                render_response(&mut bytes, 200, JSON, &[], body.as_bytes(), close);
-                            }
-                            Err(e) => {
-                                let body = err_body(&e, "internal");
-                                render_response(&mut bytes, 500, JSON, &[], body.as_bytes(), close);
-                            }
-                        }
-                        conn.fill_slot(slot, bytes, close, stop_after);
-                        conn.last_activity = Instant::now();
-                        touched.push(token);
-                    } else if stop_after {
-                        // The stop requester vanished; honor the stop
-                        // anyway — the drain already happened.
-                        stop = true;
-                    }
-                }
-                Completion::Deploy {
-                    conn: token,
-                    slot,
-                    result,
-                    close,
-                } => {
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        let mut bytes = Vec::with_capacity(192);
-                        match result {
-                            Ok(report) => {
-                                let body = serde_json::to_string(&DeployResponse {
-                                    process: report.process,
-                                    version: report.version,
-                                    migrated: report.migrated,
-                                    skipped: report.skipped,
-                                    already_current: report.already_current,
-                                })
-                                .expect("deploy body serializes");
-                                render_response(&mut bytes, 200, JSON, &[], body.as_bytes(), close);
-                            }
-                            Err((status, e)) => {
-                                let class = if status == 400 {
-                                    "bad_request"
-                                } else {
-                                    "internal"
-                                };
-                                let body = err_body(&e, class);
-                                render_response(
-                                    &mut bytes,
-                                    status,
-                                    JSON,
-                                    &[],
-                                    body.as_bytes(),
-                                    close,
-                                );
-                            }
-                        }
-                        conn.fill_slot(slot, bytes, close, false);
-                        conn.last_activity = Instant::now();
-                        touched.push(token);
-                    }
-                }
+                // The stop requester vanished; honor the stop anyway —
+                // the drain already happened.
+                None => stop |= done.stop,
             }
         }
         touched.sort_unstable();
@@ -633,21 +563,21 @@ impl Reactor {
             match conn.decoder.next_request() {
                 Ok(Some(req)) => {
                     conn.last_activity = Instant::now();
-                    dispatch(&self.state, &self.shared, token, conn, &req);
+                    let mut turn = Turn {
+                        state: &self.state,
+                        shared: &self.shared,
+                        token,
+                        conn: &mut *conn,
+                    };
+                    dispatch(&mut turn, &req);
                     if conn.input_dead {
                         break;
                     }
                 }
                 Ok(None) => break,
                 Err(e) => {
-                    let body = err_body(&e.message(), "bad_request");
-                    let mut bytes = Vec::with_capacity(128);
-                    render_response(&mut bytes, e.status(), JSON, &[], body.as_bytes(), true);
-                    conn.slots.push_back(Slot::Ready {
-                        bytes,
-                        close: true,
-                        stop: false,
-                    });
+                    let refusal = Answer::error(e.status(), "bad_request", &e.message());
+                    conn.reply(None, refusal, true, false);
                     conn.input_dead = true;
                     break;
                 }
@@ -743,602 +673,12 @@ impl Reactor {
     }
 }
 
-const JSON: &str = "application/json";
-const PROM: &str = "text/plain; version=0.0.4";
-
-fn err_body(detail: &str, class: &str) -> String {
-    serde_json::to_string(&ErrorResponse::new(class, detail)).expect("error body serializes")
-}
-
-fn status_str(s: InstanceStatus) -> &'static str {
-    match s {
-        InstanceStatus::Running => "running",
-        InstanceStatus::Finished => "finished",
-        InstanceStatus::Cancelled => "cancelled",
-    }
-}
-
-/// Renders a post-group-commit submit completion.
-fn render_submit_reply(out: &mut Vec<u8>, reply: SubmitReply, close: bool) {
-    match reply {
-        Ok((id, status, output)) => {
-            let body = serde_json::to_string(&SubmitResponse {
-                id,
-                status: status_str(status).to_owned(),
-                output,
-            })
-            .expect("submit body serializes");
-            render_response(out, 201, JSON, &[], body.as_bytes(), close);
-        }
-        Err((error, unknown_process)) => {
-            let (code, class) = if unknown_process {
-                (404, "not_found")
-            } else {
-                (500, "internal")
-            };
-            let body = err_body(&error, class);
-            render_response(out, code, JSON, &[], body.as_bytes(), close);
-        }
-    }
-}
-
-/// A synchronous route answer.
-struct Answer {
-    status: u16,
-    content_type: &'static str,
-    body: String,
-    /// `Allow` header for 405 answers.
-    allow: Option<&'static str>,
-    /// Extra response headers (`www-authenticate`, `retry-after`, …).
-    extra: Vec<(&'static str, &'static str)>,
-    /// Force `connection: close` regardless of the request's
-    /// keep-alive wish — the error-path rule for 401/403/429: never
-    /// leave a connection open after refusing to serve it.
-    force_close: bool,
-}
-
-impl Answer {
-    fn json(status: u16, body: String) -> Answer {
-        Answer {
-            status,
-            content_type: JSON,
-            body,
-            allow: None,
-            extra: Vec::new(),
-            force_close: false,
-        }
-    }
-}
-
-/// `401`: no/bad credentials. Challenges with `www-authenticate` and
-/// closes the connection.
-fn unauthorized(detail: &str) -> Answer {
-    let mut answer = Answer::json(401, err_body(detail, "unauthorized"));
-    answer.extra.push(("www-authenticate", "Bearer"));
-    answer.force_close = true;
-    answer
-}
-
-/// `403`: authenticated, but the resource belongs to another tenant.
-/// Closes the connection.
-fn forbidden(detail: &str) -> Answer {
-    let mut answer = Answer::json(403, err_body(detail, "forbidden"));
-    answer.force_close = true;
-    answer
-}
-
-/// Routes one request: synchronous answers are rendered into a ready
-/// slot; submits and admin operations allocate a pending slot that a
-/// completion fills later.
-fn dispatch(
-    state: &Arc<ServerState>,
-    shared: &Arc<ReactorShared>,
-    token: u64,
-    conn: &mut Conn,
-    req: &Request,
-) {
-    let close = req.wants_close();
-    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-    // Data-plane routes authenticate when tenancy is enabled; the ops
-    // plane (healthz, metrics, admin) stays open — it is the operator's
-    // surface, not a tenant's, and quota/fairness never apply to it.
-    let data_plane = matches!(segments.first(), Some(&"instances" | &"worklist"));
-    let tenant: Option<Arc<Tenant>> = if state.pool.tenancy_enabled() && data_plane {
-        let resolved = req
-            .header("authorization")
-            .and_then(bearer_token)
-            .and_then(|token| state.pool.authenticate(token.as_bytes()));
-        match resolved {
-            Some(t) => Some(t),
-            None => {
-                let detail = if req.header("authorization").is_none() {
-                    "missing Authorization header (expected `Bearer <api-key>`)"
-                } else {
-                    "unrecognized API key"
-                };
-                return push_answer(conn, unauthorized(detail), close);
-            }
-        }
-    } else {
-        None
-    };
-    let answer = match segments.as_slice() {
-        ["instances"] => match req.method.as_str() {
-            "POST" => {
-                dispatch_submit(state, shared, token, conn, req, tenant, close);
-                return;
-            }
-            _ => method_not_allowed("POST"),
-        },
-        ["instances", id] => match req.method.as_str() {
-            "GET" => instance_status(state, id, tenant.as_ref()),
-            _ => method_not_allowed("GET"),
-        },
-        ["worklist"] => match req.method.as_str() {
-            "GET" => worklist(state, req, tenant.as_ref()),
-            _ => method_not_allowed("GET"),
-        },
-        ["worklist", item, "complete"] => match req.method.as_str() {
-            "POST" => complete(state, req, item, tenant.as_ref()),
-            _ => method_not_allowed("POST"),
-        },
-        ["metrics"] => match req.method.as_str() {
-            "GET" => {
-                publish_scrape_gauges(state);
-                let text = state.pool.registry().snapshot().to_prometheus();
-                Answer {
-                    status: 200,
-                    content_type: PROM,
-                    body: text,
-                    allow: None,
-                    extra: Vec::new(),
-                    force_close: false,
-                }
-            }
-            _ => method_not_allowed("GET"),
-        },
-        ["healthz"] => match req.method.as_str() {
-            "GET" => {
-                let draining = state.draining.load(Ordering::SeqCst);
-                let health = Health {
-                    status: if draining { "draining" } else { "ok" }.to_owned(),
-                    shards: state.pool.shards(),
-                    recovered_instances: state.pool.recovered_instances(),
-                };
-                Answer::json(
-                    200,
-                    serde_json::to_string(&health).expect("health serializes"),
-                )
-            }
-            _ => method_not_allowed("GET"),
-        },
-        ["admin", "deploy"] => match req.method.as_str() {
-            "POST" => {
-                dispatch_deploy(state, shared, token, conn, req, close);
-                return;
-            }
-            _ => method_not_allowed("POST"),
-        },
-        ["admin", "reload-tenants"] => match req.method.as_str() {
-            "POST" => reload_tenants(state),
-            _ => method_not_allowed("POST"),
-        },
-        ["admin", "drain"] => match req.method.as_str() {
-            "POST" => {
-                dispatch_admin(state, shared, token, conn, close, false);
-                return;
-            }
-            _ => method_not_allowed("POST"),
-        },
-        ["admin", "stop"] => match req.method.as_str() {
-            "POST" => {
-                // The stop answer always closes the connection — the
-                // server is about to exit (satellite fix: the old
-                // front end said `keep-alive` and then closed).
-                dispatch_admin(state, shared, token, conn, true, true);
-                return;
-            }
-            _ => method_not_allowed("POST"),
-        },
-        _ => Answer::json(404, err_body("no such route", "not_found")),
-    };
-    push_answer(conn, answer, close);
-}
-
-/// Renders a synchronous [`Answer`] into a ready slot, honoring its
-/// extra headers and forced close.
-fn push_answer(conn: &mut Conn, answer: Answer, close: bool) {
-    let close = close || answer.force_close;
-    let mut extra: Vec<(&str, &str)> = Vec::with_capacity(1 + answer.extra.len());
-    if let Some(allow) = answer.allow {
-        extra.push(("allow", allow));
-    }
-    extra.extend_from_slice(&answer.extra);
-    let mut bytes = Vec::with_capacity(128 + answer.body.len());
-    render_response(
-        &mut bytes,
-        answer.status,
-        answer.content_type,
-        &extra,
-        answer.body.as_bytes(),
-        close,
-    );
-    conn.push_ready(bytes, close);
-}
-
-fn method_not_allowed(allow: &'static str) -> Answer {
-    Answer {
-        status: 405,
-        content_type: JSON,
-        body: err_body("method not allowed", "bad_request"),
-        allow: Some(allow),
-        extra: Vec::new(),
-        force_close: false,
-    }
-}
-
-/// `POST /instances`: validate on the reactor, then hand the start to
-/// its shard. The response slot is filled by the group-commit
-/// completion — the reactor never waits on a journal flush.
-fn dispatch_submit(
-    state: &Arc<ServerState>,
-    shared: &Arc<ReactorShared>,
-    token: u64,
-    conn: &mut Conn,
-    req: &Request,
-    tenant: Option<Arc<Tenant>>,
-    close: bool,
-) {
-    let sync_answer = |conn: &mut Conn, status: u16, body: String| {
-        let mut bytes = Vec::with_capacity(128 + body.len());
-        render_response(&mut bytes, status, JSON, &[], body.as_bytes(), close);
-        conn.push_ready(bytes, close);
-    };
-    if state.draining.load(Ordering::SeqCst) {
-        return sync_answer(conn, 503, err_body("server is draining", "draining"));
-    }
-    let body: SubmitRequest = if req.body.is_empty() {
-        SubmitRequest::default()
-    } else {
-        let Ok(text) = std::str::from_utf8(&req.body) else {
-            return sync_answer(conn, 400, err_body("body is not UTF-8", "bad_request"));
-        };
-        match serde_json::from_str(text) {
-            Ok(b) => b,
-            Err(e) => {
-                return sync_answer(
-                    conn,
-                    400,
-                    err_body(&format!("bad body: {e}"), "bad_request"),
-                )
-            }
-        }
-    };
-    let process = body
-        .process
-        .unwrap_or_else(|| state.default_process.clone());
-    let input = body.input.unwrap_or_else(Container::empty);
-
-    let slot = conn.alloc_slot();
-    let sink = {
-        let shared = Arc::clone(shared);
-        Box::new(move |reply: SubmitReply| {
-            shared.post(Completion::Submit {
-                conn: token,
-                slot,
-                reply,
-                close,
-            });
-        })
-    };
-    match state.pool.submit_with(&process, input, tenant, sink) {
-        SubmitDispatch::Dispatched => {}
-        SubmitDispatch::Overloaded { depth, capacity } => {
-            // The sink was dropped uncalled; fill the slot now. A 429
-            // always closes (error-path rule) and names a retry
-            // horizon — overload is measured in group-commit batches,
-            // so one second is conservatively past it.
-            let body = err_body(
-                &format!("queue at high-water mark ({depth}/{capacity})"),
-                "overloaded",
-            );
-            let mut bytes = Vec::with_capacity(128 + body.len());
-            render_response(
-                &mut bytes,
-                429,
-                JSON,
-                &[("retry-after", "1")],
-                body.as_bytes(),
-                true,
-            );
-            conn.fill_slot(slot, bytes, true, false);
-        }
-    }
-}
-
-/// `POST /admin/reload-tenants`: re-reads the tenants file the server
-/// was started with and swaps the live table. Synchronous — the file
-/// is small and the swap is an `Arc` store.
-fn reload_tenants(state: &Arc<ServerState>) -> Answer {
-    let Some(path) = &state.tenants_path else {
-        return Answer::json(
-            400,
-            err_body(
-                "tenancy is not enabled on this server (start with --tenants)",
-                "bad_request",
-            ),
-        );
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            return Answer::json(
-                500,
-                err_body(&format!("tenants file {}: {e}", path.display()), "internal"),
-            )
-        }
-    };
-    let specs = match parse_tenants(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            return Answer::json(
-                400,
-                err_body(&format!("tenants file rejected: {e}"), "bad_request"),
-            )
-        }
-    };
-    match state.pool.reload_tenants(&specs) {
-        Ok(tenants) => Answer::json(
-            200,
-            serde_json::to_string(&ReloadTenantsResponse { tenants })
-                .expect("reload body serializes"),
-        ),
-        Err(PoolError::Rejected(e)) => Answer::json(400, err_body(&e, "bad_request")),
-        Err(e) => Answer::json(500, err_body(&e.to_string(), "internal")),
-    }
-}
-
-/// `POST /admin/drain|stop`: runs on a helper thread (drain blocks on
-/// per-shard FIFO barriers) and completes through the reactor queue.
-fn dispatch_admin(
-    state: &Arc<ServerState>,
-    shared: &Arc<ReactorShared>,
-    token: u64,
-    conn: &mut Conn,
-    close: bool,
-    stop: bool,
-) {
-    let slot = conn.alloc_slot();
-    if stop {
-        // No more requests on this connection after a stop.
-        conn.input_dead = true;
-    }
-    let state = Arc::clone(state);
-    let shared = Arc::clone(shared);
-    let _ = std::thread::Builder::new()
-        .name("wfms-admin".to_owned())
-        .spawn(move || {
-            state.draining.store(true, Ordering::SeqCst);
-            let result = state.pool.drain().map_err(|e| e.to_string());
-            // A failed drain on the stop path still stops the server —
-            // matching the old front end, which answered with the
-            // drain result and stopped regardless.
-            shared.post(Completion::Admin {
-                conn: token,
-                slot,
-                result,
-                close,
-                stop,
-            });
-        });
-}
-
-/// `POST /admin/deploy`: parse and policy-check on the reactor, then
-/// register + migrate on a helper thread (deploy blocks on journal
-/// flushes) and complete through the reactor queue.
-fn dispatch_deploy(
-    state: &Arc<ServerState>,
-    shared: &Arc<ReactorShared>,
-    token: u64,
-    conn: &mut Conn,
-    req: &Request,
-    close: bool,
-) {
-    let sync_answer = |conn: &mut Conn, status: u16, body: String| {
-        let mut bytes = Vec::with_capacity(128 + body.len());
-        render_response(&mut bytes, status, JSON, &[], body.as_bytes(), close);
-        conn.push_ready(bytes, close);
-    };
-    if state.draining.load(Ordering::SeqCst) {
-        return sync_answer(conn, 503, err_body("server is draining", "draining"));
-    }
-    let Ok(text) = std::str::from_utf8(&req.body) else {
-        return sync_answer(conn, 400, err_body("body is not UTF-8", "bad_request"));
-    };
-    let body: DeployRequest = match serde_json::from_str(text) {
-        Ok(b) => b,
-        Err(e) => {
-            return sync_answer(
-                conn,
-                400,
-                err_body(&format!("bad body: {e}"), "bad_request"),
-            )
-        }
-    };
-    let policy = match body.policy.as_deref() {
-        None => MigrationPolicy::DrainOld,
-        Some(s) => match MigrationPolicy::parse(s) {
-            Some(p) => p,
-            None => {
-                return sync_answer(
-                    conn,
-                    400,
-                    err_body(
-                        &format!("unknown policy {s:?} (expected \"drain-old\" or \"migrate\")"),
-                        "bad_request",
-                    ),
-                )
-            }
-        },
-    };
-    let slot = conn.alloc_slot();
-    let state = Arc::clone(state);
-    let shared = Arc::clone(shared);
-    let _ = std::thread::Builder::new()
-        .name("wfms-deploy".to_owned())
-        .spawn(move || {
-            let result = state.pool.deploy(body.definition, policy).map_err(|e| {
-                let status = match &e {
-                    PoolError::Rejected(_) => 400,
-                    _ => 500,
-                };
-                (status, e.to_string())
-            });
-            shared.post(Completion::Deploy {
-                conn: token,
-                slot,
-                result,
-                close,
-            });
-        });
-}
-
-fn instance_status(state: &Arc<ServerState>, id: &str, tenant: Option<&Arc<Tenant>>) -> Answer {
-    let Ok(ext) = id.parse::<u64>() else {
-        return Answer::json(
-            400,
-            err_body("instance id must be an integer", "bad_request"),
-        );
-    };
-    // Wrong-tenant reads are refused *before* resolution: the slot is
-    // part of the id, so a mismatch is a cross-tenant probe, not a
-    // lookup miss.
-    if let Some(t) = tenant {
-        if state.pool.slot_of(ext) != Some(t.slot) {
-            return forbidden(&format!("instance {ext} belongs to another tenant"));
-        }
-    }
-    match state.pool.status(ext) {
-        Some((process, status, version, output)) => Answer::json(
-            200,
-            serde_json::to_string(&StatusResponse {
-                id: ext,
-                process,
-                status: status_str(status).to_owned(),
-                version,
-                output,
-            })
-            .expect("status body serializes"),
-        ),
-        None => Answer::json(404, err_body(&format!("no instance {ext}"), "not_found")),
-    }
-}
-
-fn worklist(state: &Arc<ServerState>, req: &Request, tenant: Option<&Arc<Tenant>>) -> Answer {
-    let person = match req.query_param("person") {
-        Ok(Some(p)) => p,
-        Ok(None) => {
-            return Answer::json(
-                400,
-                err_body("missing ?person= query parameter", "bad_request"),
-            )
-        }
-        Err(e) => return Answer::json(400, err_body(&e.message(), "bad_request")),
-    };
-    let items = state
-        .pool
-        .worklist(&person, tenant.map(|t| t.slot))
-        .into_iter()
-        .map(|(id, instance, item)| ItemDto {
-            id,
-            instance,
-            path: item.path,
-            attempt: item.attempt,
-            offered_to: item.offered_to,
-        })
-        .collect();
-    Answer::json(
-        200,
-        serde_json::to_string(&WorklistResponse { items }).expect("worklist serializes"),
-    )
-}
-
-fn complete(
-    state: &Arc<ServerState>,
-    req: &Request,
-    item: &str,
-    tenant: Option<&Arc<Tenant>>,
-) -> Answer {
-    let Ok(ext) = item.parse::<u64>() else {
-        return Answer::json(
-            400,
-            err_body("work-item id must be an integer", "bad_request"),
-        );
-    };
-    if let Some(t) = tenant {
-        if state.pool.slot_of(ext) != Some(t.slot) {
-            return forbidden(&format!("work item {ext} belongs to another tenant"));
-        }
-    }
-    let Ok(text) = std::str::from_utf8(&req.body) else {
-        return Answer::json(400, err_body("body is not UTF-8", "bad_request"));
-    };
-    let body: CompleteRequest = match serde_json::from_str(text) {
-        Ok(b) => b,
-        Err(e) => return Answer::json(400, err_body(&format!("bad body: {e}"), "bad_request")),
-    };
-    match state.pool.complete(ext, &body.person) {
-        Ok(()) => Answer::json(200, "{}".to_owned()),
-        Err(EngineError::Worklist(WorklistError::NoSuchItem(_))) => {
-            Answer::json(404, err_body(&format!("no work item {ext}"), "not_found"))
-        }
-        Err(e @ EngineError::Worklist(_)) | Err(e @ EngineError::BadActivityState { .. }) => {
-            Answer::json(409, err_body(&e.to_string(), "conflict"))
-        }
-        Err(EngineError::UnknownInstance(_)) => {
-            Answer::json(404, err_body("owning instance is gone", "not_found"))
-        }
-        Err(e) => Answer::json(500, err_body(&e.to_string(), "internal")),
-    }
-}
-
-/// Folds engine aggregates into gauges at scrape time — cheaper than
-/// keeping them hot on the submit path. The `journal.*` and `db.wal_*`
-/// levels are what the shards' logs hold right now, summed: the bound
-/// on a long-lived server's memory, where an operator can see it. What
-/// each shard engine counts on its own registry — journal faults,
-/// recovery and migration fix-ups, released claims — is summed by name
-/// the same way (the hot-path `nav.*` hooks are off under `serve`, so
-/// those read 0).
-fn publish_scrape_gauges(state: &Arc<ServerState>) {
-    let registry = state.pool.registry();
-    let shards = state.pool.engine_metrics();
-    let publish = |name: &str, level: &dyn Fn(&EngineMetrics) -> u64| {
-        let total: u64 = shards.iter().map(level).sum();
-        registry.gauge(name).set(total as i64);
-    };
-    publish("server.instances.running", &|m| m.instances_running);
-    publish("server.instances.finished", &|m| m.instances_finished);
-    publish("server.instances.cancelled", &|m| m.instances_cancelled);
-    publish("journal.resident_records", &|m| m.journal_resident_records);
-    publish("journal.file_bytes", &|m| m.journal_file_bytes);
-    publish("db.wal_resident_records", &|m| {
-        m.federation.iter().map(|db| db.wal_resident_records).sum()
-    });
-    publish("db.wal_checkpoints", &|m| {
-        m.federation.iter().map(|db| db.wal_checkpoints).sum()
-    });
-    let mut counted = std::collections::BTreeMap::<&str, u64>::new();
-    for (name, n) in shards.iter().flat_map(|m| &m.counters) {
-        *counted.entry(name).or_default() += n;
-    }
-    for (name, total) in counted {
-        registry.gauge(name).set(total as i64);
-    }
-    registry
-        .gauge("server.queue.depth")
-        .set(state.pool.queue_depth());
-    registry
-        .gauge("server.recovered.instances")
-        .set(state.pool.recovered_instances() as i64);
+/// One parsed request's turn on its connection: what a route needs to
+/// answer it now ([`Conn::reply`]) or from another thread later
+/// ([`Conn::alloc_slot`], then [`ReactorShared::post`]).
+pub(crate) struct Turn<'a> {
+    pub(crate) state: &'a Arc<ServerState>,
+    pub(crate) shared: &'a Arc<ReactorShared>,
+    pub(crate) token: u64,
+    pub(crate) conn: &'a mut Conn,
 }

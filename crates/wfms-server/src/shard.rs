@@ -2,19 +2,34 @@
 //!
 //! A [`ShardPool`] owns N shards; each shard is an [`Engine`] with its
 //! own durable journal file (`shard-<i>.journal` under the data
-//! directory), a bounded submission queue and a dedicated worker
-//! thread. Submissions are spread round-robin; the worker pops a
-//! *batch* of queued submissions, navigates each to quiescence, then
-//! issues **one** journal flush for the whole batch before
-//! acknowledging any of them — group commit. An acknowledgement
-//! therefore implies durability: after `kill -9`, every accepted
-//! submission is recovered from its shard journal.
+//! directory), one bounded admission queue (its `Inbox`) and a
+//! dedicated worker thread. Submissions are spread round-robin; the
+//! worker takes a *batch* out of the inbox, navigates each submission
+//! to quiescence, then flushes the journal once more before
+//! acknowledging any of them — group commit. The journal's own policy
+//! may have written earlier parts of the batch already; the batch-end
+//! flush is the barrier no acknowledgement precedes. An
+//! acknowledgement therefore implies durability: after `kill -9`,
+//! every accepted submission is recovered from its shard journal.
 //!
-//! Admission control is the queue bound itself: when a shard's queue
-//! is at the high-water mark, [`ShardPool::submit`] returns
-//! [`SubmitOutcome::Overloaded`] immediately instead of queueing
-//! without bound. Queue depth and accept/reject counts are published
-//! through the pool's [`Registry`].
+//! ## One queue, one guard
+//!
+//! A submission waits in exactly one place: its tenant's lane of the
+//! owning shard's `Inbox`, which submitters and the worker share under
+//! one mutex. [`ShardPool::submit_with`] admits into it iff fewer than
+//! [`PoolConfig::queue_capacity`] submissions are waiting there, and
+//! answers [`SubmitDispatch::Overloaded`] otherwise — so a shard holds
+//! at most `queue_capacity` admitted submissions beyond the batch its
+//! worker is navigating, and the depth a refusal reports never exceeds
+//! the capacity. The worker sleeps only on an empty inbox and is woken
+//! only then: a submitter that finds it busy pays no system call.
+//!
+//! A tenant's in-flight slot is a `Reservation` that travels with the
+//! submission and is given back by its `Drop` and nowhere else:
+//! answered, refused, or dropped unanswered because the worker died,
+//! the quota cannot leak. Queue depth and accept/reject counts are
+//! published through the pool's [`Registry`]. What the data directory
+//! pins across reopens lives in `store.rs`.
 //!
 //! ## External ids
 //!
@@ -31,25 +46,23 @@
 //! ## Tenancy
 //!
 //! With a tenant table installed ([`PoolConfig::tenants`]), each
-//! submission is attributed to a tenant. Admission is two-staged:
-//! a per-tenant in-flight quota checked at dispatch (breach →
-//! [`SubmitDispatch::Overloaded`], i.e. `429`), then weighted
-//! deficit-round-robin inside the shard worker — each tenant has its
-//! own FIFO and the worker assembles every group-commit batch by
-//! DRR over the non-empty FIFOs, so a hot tenant saturating its quota
-//! cannot starve a quiet one. Group commit is preserved: one flush
-//! per batch regardless of how many tenants contributed to it.
+//! submission is attributed to a tenant. Admission is two checks:
+//! a per-tenant in-flight quota (breach →
+//! [`SubmitDispatch::Overloaded`], i.e. `429`), then the inbox bound.
+//! Inside the inbox each tenant has its own FIFO lane and the worker
+//! assembles every group-commit batch by weighted deficit-round-robin
+//! over the non-empty lanes, so a hot tenant saturating its quota
+//! cannot starve a quiet one. Group commit is preserved: one batch-end
+//! flush regardless of how many tenants contributed to the batch.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Mutex, RwLock};
-use serde::{Deserialize, Serialize};
-use txn_substrate::durability::atomic_rewrite;
+use parking_lot::{Condvar, Mutex, RwLock};
 use txn_substrate::{DurabilityPolicy, MultiDatabase, ProgramRegistry};
 use wfms_engine::{
     spec_hash_of, Engine, EngineConfig, EngineError, InstanceId, InstanceStatus, MigrationOutcome,
@@ -58,62 +71,12 @@ use wfms_engine::{
 use wfms_model::{Container, ProcessDefinition};
 use wfms_observe::{Counter, Registry};
 
-use crate::tenant::{Tenant, TenantSpec, TenantTable, MAX_TENANTS, TENANT_BITS};
+use crate::store::{check_meta, persist_template, write_meta, ServerMeta};
+use crate::tenant::{Tenant, TenantSpec, TenantTable, TENANT_BITS};
 
 /// How long a submitter waits for its shard worker to answer before
 /// giving up (the worker only goes silent if it panicked).
 const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Persisted pool invariants, stored as `server.meta.json` in the
-/// data directory.
-///
-/// Older shapes still open: a pre-tenancy meta (no tenant fields) reads
-/// as `tenant_bits: 0` — exactly the layout those directories' wire
-/// ids use — and the pre-versioning shape (only a shard count)
-/// additionally reads as an empty template list, the supplied
-/// definitions then being adopted as the initial versions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct ServerMeta {
-    shards: usize,
-    /// Spec content hashes (hex) of every template version ever
-    /// registered into this directory, in deploy order. The definition
-    /// behind each hash lives in `templates/<hash>.json`; together they
-    /// are the exact template set shard journals replay against.
-    #[serde(default)]
-    templates: Vec<String>,
-    /// Wire-id bits reserved for the tenant slot: [`TENANT_BITS`] when
-    /// the directory was created with tenancy enabled, 0 otherwise.
-    /// Pinned for the same reason the shard count is — changing it
-    /// shifts every external id.
-    #[serde(default)]
-    tenant_bits: usize,
-    /// Ordered tenant slot list (slot = index + 1), first-seen order.
-    /// Append-only: hot reloads add names, never move or drop them.
-    #[serde(default)]
-    tenants: Vec<String>,
-}
-
-impl ServerMeta {
-    /// The slot-pinning rule, at open and at every reload: a tenant
-    /// name this directory has not seen yet is appended to the slot
-    /// list, a name it has seen keeps its slot, and a name past
-    /// [`MAX_TENANTS`] is refused. Returns whether the list grew (the
-    /// meta file must then be rewritten).
-    fn pin_slots(&mut self, specs: &[TenantSpec]) -> Result<bool, PoolError> {
-        let pinned = self.tenants.len();
-        for spec in specs {
-            if !self.tenants.iter().any(|n| n == &spec.name) {
-                if self.tenants.len() >= MAX_TENANTS {
-                    return Err(PoolError::Rejected(format!(
-                        "tenant slot space exhausted ({MAX_TENANTS} names already pinned)"
-                    )));
-                }
-                self.tenants.push(spec.name.clone());
-            }
-        }
-        Ok(self.tenants.len() > pinned)
-    }
-}
 
 /// Errors opening a [`ShardPool`].
 #[derive(Debug)]
@@ -281,39 +244,183 @@ pub enum SubmitDispatch {
     },
 }
 
-/// Worker-side submit result: *local* instance id (shard encoding not
-/// yet applied).
-type InnerReply = Result<(InstanceId, InstanceStatus, Container), (String, bool)>;
-
 /// What a [`ShardPool::submit_with`] sink receives after the owning
 /// shard's group commit: external id + status + output, or
 /// `(error rendering, unknown_process)`.
 pub type SubmitReply = Result<(u64, InstanceStatus, Container), (String, bool)>;
 
-/// Invoked exactly once, *after* the batch's journal flush.
-type ReplySink = Box<dyn FnOnce(InnerReply) + Send + 'static>;
+/// One of a tenant's `max_inflight` slots, held from admission until
+/// the submission is answered or dropped unanswered: this `Drop` is the
+/// only place a slot is given back. Holds nothing with tenancy off.
+struct Reservation(Option<Arc<Tenant>>);
 
-enum Job {
-    Submit {
-        process: String,
-        input: Container,
-        /// Owning tenant (`None` when tenancy is disabled): selects the
-        /// DRR lane and names the tenant journalled on the instance.
-        tenant: Option<Arc<Tenant>>,
-        reply: ReplySink,
-    },
-    /// FIFO barrier: answered only after every job queued before it
-    /// has been processed *and flushed*.
-    Barrier(SyncSender<()>),
-    /// Worker shutdown sentinel.
-    Stop,
+impl Reservation {
+    /// Takes a slot of `tenant`'s quota, or refuses with the level
+    /// found when the quota is spent.
+    fn take(tenant: Option<Arc<Tenant>>) -> Result<Reservation, SubmitDispatch> {
+        let taken = Reservation(tenant);
+        if let Some(t) = &taken.0 {
+            let level = t.inflight.fetch_add(1, Ordering::Relaxed);
+            if level >= t.max_inflight {
+                t.overloaded.inc();
+                return Err(SubmitDispatch::Overloaded {
+                    depth: level,
+                    capacity: t.max_inflight as usize,
+                });
+            }
+            t.inflight_gauge.set(t.inflight.load(Ordering::Relaxed));
+        }
+        Ok(taken)
+    }
+}
+
+impl Drop for Reservation {
+    fn drop(&mut self) {
+        if let Some(t) = &self.0 {
+            t.inflight.fetch_sub(1, Ordering::Relaxed);
+            t.inflight_gauge.set(t.inflight.load(Ordering::Relaxed));
+        }
+    }
+}
+
+/// One admitted submission, waiting in its tenant's lane.
+struct QueuedSubmit {
+    process: String,
+    input: Container,
+    /// The owning tenant (none with tenancy off): selects the lane,
+    /// names the tenant journalled on the instance. Declared before
+    /// `sink` because fields drop in declaration order: the slot is
+    /// free by the time a caller can see its sink dropped.
+    reservation: Reservation,
+    /// Invoked exactly once, *after* the batch's journal flush — or
+    /// dropped uncalled if the worker dies first.
+    sink: Box<dyn FnOnce(SubmitReply) + Send + 'static>,
+}
+
+/// Per-tenant FIFO, keyed by slot (slot 0 = untenanted). `deficit` is
+/// the DRR credit in whole submissions.
+#[derive(Default)]
+struct Lane {
+    fifo: VecDeque<QueuedSubmit>,
+    deficit: u64,
+    weight: u64,
+}
+
+/// A shard's admission queue: every admitted submission its worker has
+/// not yet taken, in per-tenant lanes the worker empties by weighted
+/// deficit-round-robin.
+///
+/// Fairness: each DRR round credits every backlogged lane `weight`
+/// submissions and dequeues up to its accumulated deficit, so over any
+/// backlogged interval tenants progress proportionally to their
+/// weights — a hot tenant with a deep FIFO cannot starve a quiet one
+/// whose occasional submission is always near the front of its own
+/// lane. A lane that empties forfeits its remaining deficit (classic
+/// DRR: credit does not accrue while idle).
+#[derive(Default)]
+struct Inbox {
+    lanes: BTreeMap<u16, Lane>,
+    /// Submissions in the lanes: never above the pool's queue capacity.
+    queued: usize,
+    /// Drain barriers waiting for the lanes to run dry.
+    barriers: Vec<SyncSender<()>>,
+    /// Closed to admissions and barriers: the worker hands out what is
+    /// queued and exits, or is gone already.
+    stop: bool,
+    /// The worker sleeps on the shard's condition variable; whoever
+    /// gives it something to do clears this and wakes it.
+    parked: bool,
+}
+
+impl Inbox {
+    /// Admits `job` into its tenant's lane iff fewer than `capacity`
+    /// are queued; refused, it is dropped with its sink uncalled. `Err`
+    /// hands the job back: the inbox is closed, answer it yourself.
+    fn admit(
+        &mut self,
+        capacity: usize,
+        job: QueuedSubmit,
+    ) -> Result<SubmitDispatch, QueuedSubmit> {
+        if self.stop {
+            return Err(job);
+        }
+        let tenant = job.reservation.0.as_ref();
+        if self.queued >= capacity {
+            if let Some(t) = tenant {
+                t.overloaded.inc();
+            }
+            return Ok(SubmitDispatch::Overloaded {
+                depth: self.queued as i64,
+                capacity,
+            });
+        }
+        let (slot, weight) = tenant.map_or((0, 1), |t| (t.slot, t.weight));
+        let lane = self.lanes.entry(slot).or_default();
+        lane.weight = weight; // reloads may rebalance shares
+        lane.fifo.push_back(job);
+        self.queued += 1;
+        Ok(SubmitDispatch::Dispatched)
+    }
+
+    /// Takes the next group-commit batch — up to `batch_max`
+    /// submissions, by DRR over the backlogged lanes — and, when that
+    /// leaves the lanes dry, the barriers to release once the batch is
+    /// flushed: everything admitted before them is then durable.
+    fn take_batch(&mut self, batch_max: usize) -> (Vec<QueuedSubmit>, Vec<SyncSender<()>>) {
+        let mut batch = Vec::with_capacity(batch_max.min(self.queued));
+        while batch.len() < batch_max && self.queued > 0 {
+            for lane in self.lanes.values_mut() {
+                if lane.fifo.is_empty() {
+                    lane.deficit = 0;
+                    continue;
+                }
+                lane.deficit += lane.weight;
+                while lane.deficit > 0 && batch.len() < batch_max {
+                    match lane.fifo.pop_front() {
+                        Some(job) => {
+                            lane.deficit -= 1;
+                            self.queued -= 1;
+                            batch.push(job);
+                        }
+                        None => {
+                            lane.deficit = 0;
+                            break;
+                        }
+                    }
+                }
+                if batch.len() >= batch_max {
+                    break;
+                }
+            }
+        }
+        let released = if self.queued == 0 {
+            std::mem::take(&mut self.barriers)
+        } else {
+            Vec::new()
+        };
+        (batch, released)
+    }
 }
 
 struct Shard {
     engine: Arc<Engine>,
-    tx: SyncSender<Job>,
-    depth: Arc<AtomicI64>,
+    inbox: Arc<(Mutex<Inbox>, Condvar)>,
     worker: Mutex<Option<std::thread::JoinHandle<()>>>,
+}
+
+impl Shard {
+    /// Runs `f` on the inbox, then wakes the worker if it sleeps — it
+    /// sleeps only on an inbox with nothing to do, so any change may be
+    /// work. A busy worker costs the caller no system call.
+    fn with_inbox<R>(&self, f: impl FnOnce(&mut Inbox) -> R) -> R {
+        let mut inbox = self.inbox.0.lock();
+        let out = f(&mut inbox);
+        if std::mem::take(&mut inbox.parked) {
+            drop(inbox);
+            self.inbox.1.notify_one();
+        }
+        out
+    }
 }
 
 /// Pool configuration.
@@ -372,7 +479,6 @@ pub struct ShardPool {
     /// serializes concurrent deploys.
     meta: Mutex<ServerMeta>,
     registry: Arc<Registry>,
-    accepted: Arc<Counter>,
     overloaded: Arc<Counter>,
     failed: Arc<Counter>,
     completions: Arc<Counter>,
@@ -433,27 +539,26 @@ impl ShardPool {
             .map_err(PoolError::Recovery)?;
             recovered += resume_running(&engine, &resume_failures);
             let engine = Arc::new(engine);
-            let (tx, rx) = sync_channel::<Job>(cfg.queue_capacity);
-            let depth = Arc::new(AtomicI64::new(0));
-            let gauge = registry.gauge(&format!("server.queue.depth.shard{i}"));
-            let worker = {
-                let engine = Arc::clone(&engine);
-                let depth = Arc::clone(&depth);
-                let gauge = Arc::clone(&gauge);
-                let batch_max = cfg.batch_max.max(1);
-                let throttle = cfg.throttle;
-                let capacity = cfg.queue_capacity;
-                std::thread::Builder::new()
-                    .name(format!("wfms-shard-{i}"))
-                    .spawn(move || {
-                        worker_loop(engine, rx, depth, gauge, batch_max, capacity, throttle)
-                    })
-                    .expect("spawn shard worker")
+            let inbox = Arc::new((Mutex::new(Inbox::default()), Condvar::new()));
+            let worker = Worker {
+                engine: Arc::clone(&engine),
+                inbox: Arc::clone(&inbox),
+                queue_gauge: registry.gauge(&format!("server.queue.depth.shard{i}")),
+                shard: i,
+                nshards: nshards as u64,
+                tenant_bits: tenant_bits as u32,
+                batch_max: cfg.batch_max.max(1),
+                throttle: cfg.throttle,
+                accepted: registry.counter("server.submit.accepted"),
+                failed: registry.counter("server.submit.failed"),
             };
+            let worker = std::thread::Builder::new()
+                .name(format!("wfms-shard-{i}"))
+                .spawn(move || worker.run())
+                .expect("spawn shard worker");
             shards.push(Shard {
                 engine,
-                tx,
-                depth,
+                inbox,
                 worker: Mutex::new(Some(worker)),
             });
         }
@@ -462,11 +567,10 @@ impl ShardPool {
             shards,
             nshards: nshards as u64,
             rr: AtomicUsize::new(0),
-            queue_capacity: cfg.queue_capacity,
+            queue_capacity: cfg.queue_capacity.max(1),
             data_dir: cfg.data_dir,
             meta: Mutex::new(meta),
             registry: Arc::clone(&registry),
-            accepted: registry.counter("server.submit.accepted"),
             overloaded: registry.counter("server.submit.overloaded"),
             failed: registry.counter("server.submit.failed"),
             completions: registry.counter("server.worklist.completions"),
@@ -523,7 +627,7 @@ impl ShardPool {
         }
         let mut meta = self.meta.lock();
         if meta.pin_slots(specs)? {
-            write_meta(&self.data_dir.join("server.meta.json"), &meta)?;
+            write_meta(&self.data_dir, &meta)?;
         }
         let mut table = self.tenants.write();
         *table = Arc::new(TenantTable::build(
@@ -537,14 +641,15 @@ impl ShardPool {
 
     /// Submits one instance start *without blocking*: `sink` is
     /// invoked — from the shard worker thread — exactly once, after
-    /// the batch's single journal flush, so a `201` rendered from it
+    /// the batch's journal flush, so a `201` rendered from it
     /// still implies durability. This is the event-loop entry point;
     /// [`ShardPool::submit`] is the blocking convenience built on it.
     ///
-    /// Returns [`SubmitDispatch::Overloaded`] (and drops `sink`
-    /// uncalled) when the shard queue is at its high-water mark;
-    /// otherwise [`SubmitDispatch::Dispatched`] — the sink has been
-    /// or will be called, possibly with an error.
+    /// Admission is two checks and one queue: the tenant's in-flight
+    /// quota, then the owning shard's inbox bound. Either refusal
+    /// returns [`SubmitDispatch::Overloaded`] and drops `sink`
+    /// uncalled; otherwise [`SubmitDispatch::Dispatched`] — the sink
+    /// has been or will be called, possibly with an error.
     pub fn submit_with(
         &self,
         process: &str,
@@ -552,85 +657,32 @@ impl ShardPool {
         tenant: Option<Arc<Tenant>>,
         sink: Box<dyn FnOnce(SubmitReply) + Send + 'static>,
     ) -> SubmitDispatch {
-        // Per-tenant admission quota, stage one: the in-flight level is
-        // reserved *before* the queue, and released by the reply sink
-        // (every dispatched submission is answered exactly once) or on
-        // a queue rejection below.
-        if let Some(t) = &tenant {
-            let prev = t.inflight.fetch_add(1, Ordering::Relaxed);
-            if prev >= t.max_inflight {
-                t.inflight.fetch_sub(1, Ordering::Relaxed);
-                t.overloaded.inc();
+        let reservation = match Reservation::take(tenant) {
+            Ok(reservation) => reservation,
+            Err(refused) => {
                 self.overloaded.inc();
-                return SubmitDispatch::Overloaded {
-                    depth: prev,
-                    capacity: t.max_inflight as usize,
-                };
+                return refused;
             }
-            t.inflight_gauge.set(t.inflight.load(Ordering::Relaxed));
-        }
-        let idx = self.rr.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        let shard = &self.shards[idx];
-        let accepted = Arc::clone(&self.accepted);
-        let failed = Arc::clone(&self.failed);
-        let nshards = self.nshards;
-        let tenant_bits = self.tenant_bits;
-        let sink_tenant = tenant.clone();
-        let reply: ReplySink = Box::new(move |inner| {
-            if let Some(t) = &sink_tenant {
-                t.inflight.fetch_sub(1, Ordering::Relaxed);
-                t.inflight_gauge.set(t.inflight.load(Ordering::Relaxed));
-            }
-            match inner {
-                Ok((local, status, output)) => {
-                    accepted.inc();
-                    let slot = sink_tenant.as_ref().map(|t| t.slot).unwrap_or(0);
-                    if let Some(t) = &sink_tenant {
-                        t.accepted.inc();
-                    }
-                    sink(Ok((
-                        encode_ext(local.0, idx, nshards, slot, tenant_bits),
-                        status,
-                        output,
-                    )));
-                }
-                Err(e) => {
-                    failed.inc();
-                    sink(Err(e));
-                }
-            }
-        });
-        let job = Job::Submit {
+        };
+        let job = QueuedSubmit {
             process: process.to_owned(),
             input,
-            tenant: tenant.clone(),
-            reply,
+            sink,
+            reservation,
         };
-        match shard.tx.try_send(job) {
-            Ok(()) => {
-                shard.depth.fetch_add(1, Ordering::Relaxed);
-                SubmitDispatch::Dispatched
-            }
-            Err(TrySendError::Full(_)) => {
-                // The job (and its sink) is dropped uncalled: release
-                // the quota reservation here.
-                if let Some(t) = &tenant {
-                    t.inflight.fetch_sub(1, Ordering::Relaxed);
-                    t.inflight_gauge.set(t.inflight.load(Ordering::Relaxed));
-                    t.overloaded.inc();
-                }
+        let idx = self.rr.fetch_add(1, Ordering::Relaxed) % self.shards.len();
+        match self.shards[idx].with_inbox(|inbox| inbox.admit(self.queue_capacity, job)) {
+            Ok(SubmitDispatch::Dispatched) => SubmitDispatch::Dispatched,
+            Ok(refused) => {
                 self.overloaded.inc();
-                SubmitDispatch::Overloaded {
-                    depth: shard.depth.load(Ordering::Relaxed),
-                    capacity: self.queue_capacity,
-                }
+                refused
             }
-            Err(TrySendError::Disconnected(job)) => {
-                // Only during shutdown; answer through the sink so the
-                // caller sees one uniform completion path.
-                if let Job::Submit { reply, .. } = job {
-                    reply(Err(("shard worker stopped".to_owned(), false)));
-                }
+            Err(job) => {
+                // The worker is stopped or gone; answer through the
+                // sink so the caller sees one completion path.
+                self.failed.inc();
+                drop(job.reservation);
+                (job.sink)(Err(("shard worker stopped".to_owned(), false)));
                 SubmitDispatch::Dispatched
             }
         }
@@ -743,9 +795,9 @@ impl ShardPool {
         {
             let mut meta = self.meta.lock();
             if !meta.templates.contains(&version) {
-                persist_template(&self.data_dir.join("templates"), &version, &def)?;
+                persist_template(&self.data_dir, &version, &def)?;
                 meta.templates.push(version.clone());
-                write_meta(&self.data_dir.join("server.meta.json"), &meta)?;
+                write_meta(&self.data_dir, &meta)?;
             }
         }
         let mut report = DeployReport {
@@ -852,7 +904,14 @@ impl ShardPool {
         let mut waits = Vec::new();
         for shard in &self.shards {
             let (tx, rx) = sync_channel::<()>(1);
-            if shard.tx.send(Job::Barrier(tx)).is_ok() {
+            // A stopped worker releases no barrier: do not wait for one.
+            let waiting = shard.with_inbox(|inbox| {
+                if !inbox.stop {
+                    inbox.barriers.push(tx);
+                }
+                !inbox.stop
+            });
+            if waiting {
                 waits.push(rx);
             }
         }
@@ -870,7 +929,7 @@ impl ShardPool {
     /// before the stop are still processed and flushed. Idempotent.
     pub fn stop(&self) {
         for shard in &self.shards {
-            let _ = shard.tx.send(Job::Stop);
+            shard.with_inbox(|inbox| inbox.stop = true);
         }
         for shard in &self.shards {
             if let Some(handle) = shard.worker.lock().take() {
@@ -901,7 +960,7 @@ impl ShardPool {
     pub fn queue_depth(&self) -> i64 {
         self.shards
             .iter()
-            .map(|s| s.depth.load(Ordering::Relaxed))
+            .map(|s| s.inbox.0.lock().queued as i64)
             .sum()
     }
 
@@ -953,125 +1012,6 @@ impl Drop for ShardPool {
     }
 }
 
-/// Validates (or writes) `server.meta.json` in `dir` and reconciles
-/// the supplied definitions with the versions stored on disk.
-///
-/// Returns the meta record plus the full deploy-ordered template set —
-/// every stored version followed by any genuinely new processes from
-/// `cli` — which every shard engine is opened with. A `cli` definition
-/// whose *name* is already recorded but whose content hash matches no
-/// stored version is refused with [`PoolError::SpecMismatch`]: the spec
-/// changed out of band, and silently replaying old journals against it
-/// would corrupt recovery.
-fn check_meta(
-    dir: &Path,
-    shards: usize,
-    tenant_bits: usize,
-    tenant_specs: &[TenantSpec],
-    cli: &[ProcessDefinition],
-) -> Result<(ServerMeta, Vec<ProcessDefinition>), PoolError> {
-    let meta_path = dir.join("server.meta.json");
-    let tpl_dir = dir.join("templates");
-    let mut meta = match std::fs::read_to_string(&meta_path) {
-        Ok(text) => {
-            let meta = parse_meta(&text)?;
-            if meta.shards != shards {
-                return Err(PoolError::ShardMismatch {
-                    on_disk: meta.shards,
-                    requested: shards,
-                });
-            }
-            if meta.tenant_bits != tenant_bits {
-                return Err(PoolError::TenancyMismatch {
-                    on_disk: meta.tenant_bits,
-                    requested: tenant_bits,
-                });
-            }
-            meta
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => ServerMeta {
-            shards,
-            templates: Vec::new(),
-            tenant_bits,
-            tenants: Vec::new(),
-        },
-        Err(e) => return Err(PoolError::Io(e)),
-    };
-
-    let mut dirty = meta.pin_slots(tenant_specs)?;
-
-    // Load every stored version in deploy order; the *last* hash per
-    // name is that process's current default.
-    let mut templates: Vec<ProcessDefinition> = Vec::with_capacity(meta.templates.len());
-    let mut default_of: std::collections::HashMap<String, String> =
-        std::collections::HashMap::new();
-    for hash in &meta.templates {
-        let path = tpl_dir.join(format!("{hash}.json"));
-        let text = std::fs::read_to_string(&path).map_err(|e| {
-            PoolError::Io(std::io::Error::other(format!(
-                "stored template {hash}: {e}"
-            )))
-        })?;
-        let def: ProcessDefinition = serde_json::from_str(&text).map_err(|e| {
-            PoolError::Io(std::io::Error::other(format!(
-                "stored template {hash}: {e}"
-            )))
-        })?;
-        default_of.insert(def.name.clone(), hash.clone());
-        templates.push(def);
-    }
-
-    for def in cli {
-        let hash = format!("{:016x}", spec_hash_of(def));
-        if meta.templates.contains(&hash) {
-            continue; // already stored — possibly no longer the default
-        }
-        if let Some(on_disk) = default_of.get(def.name.as_str()) {
-            return Err(PoolError::SpecMismatch {
-                process: def.name.clone(),
-                on_disk: on_disk.clone(),
-                requested: hash,
-            });
-        }
-        // A process name this directory has never seen: adopt it.
-        persist_template(&tpl_dir, &hash, def)?;
-        default_of.insert(def.name.clone(), hash.clone());
-        meta.templates.push(hash);
-        templates.push(def.clone());
-        dirty = true;
-    }
-    if dirty || !meta_path.exists() {
-        write_meta(&meta_path, &meta)?;
-    }
-    Ok((meta, templates))
-}
-
-/// Parses `server.meta.json` (older shapes included — see
-/// [`ServerMeta`]'s `Deserialize`).
-fn parse_meta(text: &str) -> Result<ServerMeta, PoolError> {
-    serde_json::from_str(text)
-        .map_err(|e| PoolError::Io(std::io::Error::other(format!("bad meta: {e}"))))
-}
-
-/// Writes one definition to `templates/<hash>.json`, atomically. A
-/// file already there is rewritten, not trusted: the name is a content
-/// hash, so the bytes are the same unless a crash cut the earlier write
-/// short.
-fn persist_template(tpl_dir: &Path, hash: &str, def: &ProcessDefinition) -> Result<(), PoolError> {
-    std::fs::create_dir_all(tpl_dir)?;
-    let text = serde_json::to_string(def).expect("definition serializes");
-    atomic_rewrite(&tpl_dir.join(format!("{hash}.json")), text.as_bytes())?;
-    Ok(())
-}
-
-/// Rewrites `server.meta.json`, atomically: a crash leaves the old meta
-/// or the new one, never a truncated file the next open would refuse.
-fn write_meta(meta_path: &Path, meta: &ServerMeta) -> Result<(), PoolError> {
-    let text = serde_json::to_string(meta).expect("meta serializes");
-    atomic_rewrite(meta_path, text.as_bytes())?;
-    Ok(())
-}
-
 /// Resumes every instance a recovered shard reports as running —
 /// recovery re-readies what was in flight; this navigates it onward.
 /// Returns how many instances were resumed. One that cannot be
@@ -1090,333 +1030,282 @@ fn resume_running(engine: &Engine, failures: &Counter) -> u64 {
     resumed
 }
 
-/// One queued submission, parked in its tenant's DRR lane.
-struct QueuedSubmit {
-    process: String,
-    input: Container,
-    tenant: Option<Arc<Tenant>>,
-    reply: ReplySink,
-}
-
-/// Per-tenant FIFO inside a shard worker, keyed by slot (slot 0 =
-/// untenanted). `deficit` is the DRR credit in whole submissions.
-struct Lane {
-    fifo: VecDeque<QueuedSubmit>,
-    deficit: u64,
-    weight: u64,
-}
-
-/// The shard worker: drain the channel into per-tenant lanes, assemble
-/// a batch by weighted deficit-round-robin over the non-empty lanes,
-/// navigate it, flush once, answer.
-///
-/// Fairness: each DRR round credits every backlogged lane `weight`
-/// submissions and dequeues up to its accumulated deficit, so over any
-/// backlogged interval tenants progress proportionally to their
-/// weights — a hot tenant with a deep FIFO cannot starve a quiet one
-/// whose occasional submission is always near the front of its own
-/// lane. A lane that empties forfeits its remaining deficit (classic
-/// DRR: credit does not accrue while idle).
-fn worker_loop(
+/// A shard's worker thread: take a batch from the inbox, navigate it,
+/// flush once more, answer.
+struct Worker {
     engine: Arc<Engine>,
-    rx: Receiver<Job>,
-    depth: Arc<AtomicI64>,
-    gauge: Arc<wfms_observe::Gauge>,
+    inbox: Arc<(Mutex<Inbox>, Condvar)>,
+    queue_gauge: Arc<wfms_observe::Gauge>,
+    shard: usize,
+    nshards: u64,
+    tenant_bits: u32,
     batch_max: usize,
-    capacity: usize,
     throttle: Option<Duration>,
-) {
-    let capacity = capacity.max(1);
-    let mut lanes: BTreeMap<u16, Lane> = BTreeMap::new();
-    let mut queued = 0usize;
-    let mut barriers: Vec<SyncSender<()>> = Vec::new();
-    let mut stop = false;
-    let mut disconnected = false;
+    accepted: Arc<Counter>,
+    failed: Arc<Counter>,
+}
 
-    fn stash(
-        lanes: &mut BTreeMap<u16, Lane>,
-        queued: &mut usize,
-        barriers: &mut Vec<SyncSender<()>>,
-        stop: &mut bool,
-        job: Job,
-    ) {
-        match job {
-            Job::Submit {
-                process,
-                input,
-                tenant,
-                reply,
-            } => {
-                let (slot, weight) = tenant
-                    .as_ref()
-                    .map(|t| (t.slot, t.weight))
-                    .unwrap_or((0, 1));
-                let lane = lanes.entry(slot).or_insert_with(|| Lane {
-                    fifo: VecDeque::new(),
-                    deficit: 0,
-                    weight,
-                });
-                lane.weight = weight; // reloads may rebalance shares
-                lane.fifo.push_back(QueuedSubmit {
-                    process,
-                    input,
-                    tenant,
-                    reply,
-                });
-                *queued += 1;
-            }
-            Job::Barrier(reply) => barriers.push(reply),
-            Job::Stop => *stop = true,
-        }
+/// Closes an inbox when its worker leaves, by `stop` or by unwinding:
+/// what is still queued is dropped unanswered — sinks uncalled,
+/// reservations given back, barrier waiters released — and later
+/// submissions are answered `shard worker stopped`.
+struct CloseOnExit<'a>(&'a Mutex<Inbox>);
+
+impl Drop for CloseOnExit<'_> {
+    fn drop(&mut self) {
+        let abandoned = {
+            let mut inbox = self.0.lock();
+            inbox.stop = true;
+            inbox.queued = 0;
+            (
+                std::mem::take(&mut inbox.lanes),
+                std::mem::take(&mut inbox.barriers),
+            )
+        };
+        drop(abandoned); // outside the lock: sinks and guards run code
     }
+}
 
-    loop {
-        // Block for work only when every lane is dry and no barrier is
-        // pending; otherwise just drain whatever has arrived.
-        if queued == 0 && barriers.is_empty() {
-            if stop || disconnected {
-                break;
-            }
-            match rx.recv() {
-                Ok(job) => stash(&mut lanes, &mut queued, &mut barriers, &mut stop, job),
-                Err(_) => break,
-            }
-        }
-        // Opportunistic drain, bounded so lanes can hold at most one
-        // channel's worth of backlog — the channel bound stays the
-        // admission high-water mark instead of an ever-draining relay.
-        if !disconnected {
-            while queued < capacity {
-                match rx.try_recv() {
-                    Ok(job) => stash(&mut lanes, &mut queued, &mut barriers, &mut stop, job),
-                    Err(std::sync::mpsc::TryRecvError::Empty) => break,
-                    Err(std::sync::mpsc::TryRecvError::Disconnected) => {
-                        disconnected = true;
-                        break;
+impl Worker {
+    fn run(self) {
+        let (inbox, wake) = &*self.inbox;
+        let _close = CloseOnExit(inbox);
+        let engine = &self.engine;
+        'serve: loop {
+            let (batch, barriers) = {
+                let mut inbox = inbox.lock();
+                while inbox.queued == 0 && inbox.barriers.is_empty() {
+                    if inbox.stop {
+                        break 'serve;
                     }
+                    inbox.parked = true;
+                    wake.wait(&mut inbox);
                 }
-            }
-        }
+                let taken = inbox.take_batch(self.batch_max);
+                self.queue_gauge.set(inbox.queued as i64);
+                taken
+            };
 
-        // Deficit-round-robin batch assembly.
-        let mut batch: Vec<QueuedSubmit> = Vec::new();
-        while batch.len() < batch_max && queued > 0 {
-            for lane in lanes.values_mut() {
-                if lane.fifo.is_empty() {
-                    lane.deficit = 0;
-                    continue;
+            let mut replies = Vec::with_capacity(batch.len());
+            for job in batch {
+                if let Some(pause) = self.throttle {
+                    std::thread::sleep(pause);
                 }
-                lane.deficit += lane.weight;
-                while lane.deficit > 0 && batch.len() < batch_max {
-                    match lane.fifo.pop_front() {
-                        Some(job) => {
-                            lane.deficit -= 1;
-                            queued -= 1;
-                            batch.push(job);
-                        }
-                        None => {
-                            lane.deficit = 0;
-                            break;
+                let tenant = job.reservation.0.as_deref();
+                let slot = tenant.map_or(0, |t| t.slot);
+                let result: SubmitReply = engine
+                    .start_for_tenant(&job.process, job.input, tenant.map(|t| t.name.clone()))
+                    .and_then(|id| engine.run_to_quiescence(id).map(|s| (id, s)))
+                    .and_then(|(id, status)| {
+                        let ext =
+                            encode_ext(id.0, self.shard, self.nshards, slot, self.tenant_bits);
+                        engine.output(id).map(|out| (ext, status, out))
+                    })
+                    .map_err(|e| {
+                        let unknown = matches!(e, EngineError::UnknownProcess(_));
+                        (e.to_string(), unknown)
+                    });
+                replies.push((job.reservation, job.sink, result));
+            }
+
+            // One group commit for the whole batch, *then* the
+            // acknowledgements: an ACK certifies durability.
+            let flushed = engine.flush_journal();
+            for (reservation, sink, result) in replies {
+                let reply = match &flushed {
+                    Ok(()) => result,
+                    Err(e) => Err((format!("journal flush failed: {e}"), false)),
+                };
+                match &reply {
+                    Ok(_) => {
+                        self.accepted.inc();
+                        if let Some(t) = &reservation.0 {
+                            t.accepted.inc();
                         }
                     }
+                    Err(_) => self.failed.inc(),
                 }
-                if batch.len() >= batch_max {
-                    break;
-                }
+                // The slot is free before the caller hears of it, so a
+                // resubmission from the sink is never refused by its own
+                // predecessor.
+                drop(reservation);
+                sink(reply);
+            }
+            for barrier in barriers {
+                let _ = barrier.send(());
             }
         }
-
-        let mut replies: Vec<(ReplySink, InnerReply)> = Vec::with_capacity(batch.len());
-        for job in batch {
-            depth.fetch_sub(1, Ordering::Relaxed);
-            if let Some(pause) = throttle {
-                std::thread::sleep(pause);
-            }
-            let tenant_name = job.tenant.as_ref().map(|t| t.name.clone());
-            let result = engine
-                .start_for_tenant(&job.process, job.input, tenant_name)
-                .and_then(|id| engine.run_to_quiescence(id).map(|s| (id, s)))
-                .and_then(|(id, status)| engine.output(id).map(|out| (id, status, out)))
-                .map_err(|e| {
-                    let unknown = matches!(e, EngineError::UnknownProcess(_));
-                    (e.to_string(), unknown)
-                });
-            replies.push((job.reply, result));
-        }
-        gauge.set(depth.load(Ordering::Relaxed));
-
-        // One group commit for the whole batch, *then* the
-        // acknowledgements: an ACK certifies durability.
-        match engine.flush_journal() {
-            Err(e) => {
-                for (reply, _) in replies {
-                    reply(Err((format!("journal flush failed: {e}"), false)));
-                }
-            }
-            Ok(()) => {
-                for (reply, result) in replies {
-                    reply(result);
-                }
-            }
-        }
-        // A barrier answers only once every job queued before it has
-        // been processed and flushed — i.e. once the lanes are dry.
-        if queued == 0 && !barriers.is_empty() {
-            for b in barriers.drain(..) {
-                let _ = b.send(());
-            }
-        }
+        // Final barrier so nothing accepted is left unflushed.
+        let _ = engine.flush_journal();
     }
-    // Final barrier so nothing accepted is left unflushed.
-    let _ = engine.flush_journal();
 }
 
 #[cfg(test)]
 mod tests {
     use super::{
-        decode_ext, encode_ext, parse_meta, resume_running, spec_hash_of, MigrationPolicy,
-        PoolConfig, PoolError, ServerMeta, ShardPool, SubmitOutcome, TENANT_BITS,
+        decode_ext, encode_ext, resume_running, Inbox, QueuedSubmit, Reservation, SubmitDispatch,
+        TENANT_BITS,
     };
-    use std::path::{Path, PathBuf};
+    use crate::tenant::{parse_tenants, Tenant, TenantTable};
+    use std::sync::atomic::Ordering;
     use std::sync::Arc;
-    use txn_substrate::{MultiDatabase, ProgramOutcome, ProgramRegistry};
-    use wfms_model::{Container, ProcessBuilder, ProcessDefinition};
+    use wfms_model::Container;
     use wfms_observe::Registry;
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("wfms-shard-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    // ---- the inbox alone: no worker, no thread, no socket
+
+    /// `acme` (slot 1) and `beta` (slot 2) with the given weights.
+    fn table(acme: u64, beta: u64, previous: Option<&TenantTable>) -> TenantTable {
+        let specs = parse_tenants(&format!(
+            r#"{{"tenants":[{{"name":"acme","key":"a","weight":{acme}}},
+                            {{"name":"beta","key":"b","weight":{beta}}}]}}"#
+        ))
+        .unwrap();
+        let names = ["acme".to_owned(), "beta".to_owned()];
+        TenantTable::build(&names, &specs, previous, &Registry::new())
     }
 
-    /// A version of process `one`: a single step named `step`.
-    fn one(step: &str) -> ProcessDefinition {
-        ProcessBuilder::new("one")
-            .program(step, "ok")
-            .build()
-            .unwrap()
-    }
-
-    fn open(dir: &Path, templates: Vec<ProcessDefinition>) -> Result<ShardPool, PoolError> {
-        let mut cfg = PoolConfig::new(dir);
-        cfg.templates = templates;
-        ShardPool::open(cfg, Arc::new(Registry::new()), &|_| {
-            let fed = MultiDatabase::new(0);
-            fed.add_database("db");
-            let programs = Arc::new(ProgramRegistry::new());
-            programs.register_fn("ok", |_| ProgramOutcome::committed());
-            (fed, programs)
-        })
-    }
-
-    /// The version a new submission of `one` is pinned to.
-    fn submitted_version(pool: &ShardPool) -> String {
-        let SubmitOutcome::Accepted { id, .. } = pool.submit("one", Container::empty()) else {
-            panic!("submit rejected");
-        };
-        pool.status(id).expect("just accepted").2
-    }
-
-    /// A crash while `templates/<hash>.json` was being written leaves
-    /// an empty or half-length file under a name that promises the
-    /// content. The next open rewrites it: existence proves nothing.
-    #[test]
-    fn a_torn_template_file_is_rewritten_not_trusted() {
-        let dir = temp_dir("torn-template");
-        let def = one("A");
-        let file = dir
-            .join("templates")
-            .join(format!("{:016x}.json", spec_hash_of(&def)));
-        std::fs::create_dir_all(file.parent().unwrap()).unwrap();
-        std::fs::write(&file, "").unwrap();
-
-        drop(open(&dir, vec![def.clone()]).unwrap());
-        let stored: ProcessDefinition =
-            serde_json::from_str(&std::fs::read_to_string(&file).unwrap()).unwrap();
-        assert_eq!(spec_hash_of(&stored), spec_hash_of(&def));
-        open(&dir, vec![def]).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// One rule for defaults, whatever the journal holds: the first
-    /// stored version of a name is its initial default and only a
-    /// journalled `TemplateDeployed` moves it. (Before `Engine::open`, a
-    /// shard whose journal was absent registered the stored versions
-    /// live instead, which left the *last* one the default.) A shard
-    /// that lost its journal therefore starts `one` on v1 again, like a
-    /// shard whose journal never saw the deploy; deploying v2 again
-    /// moves it.
-    #[test]
-    fn only_the_journal_moves_a_default() {
-        let dir = temp_dir("defaults");
-        let v1 = format!("{:016x}", spec_hash_of(&one("A")));
-        let v2 = format!("{:016x}", spec_hash_of(&one("B")));
-        {
-            let pool = open(&dir, vec![one("A")]).unwrap();
-            pool.deploy(one("B"), MigrationPolicy::DrainOld).unwrap();
-            assert_eq!(submitted_version(&pool), v2);
+    fn job(tenant: Option<&Arc<Tenant>>, tag: &str) -> QueuedSubmit {
+        QueuedSubmit {
+            process: tag.to_owned(),
+            input: Container::empty(),
+            sink: Box::new(|_| {}),
+            reservation: Reservation::take(tenant.cloned()).unwrap(),
         }
-        assert_eq!(submitted_version(&open(&dir, Vec::new()).unwrap()), v2);
-
-        std::fs::remove_file(dir.join("shard-0.journal")).unwrap();
-        let pool = open(&dir, Vec::new()).unwrap();
-        assert_eq!(submitted_version(&pool), v1);
-        pool.deploy(one("B"), MigrationPolicy::DrainOld).unwrap();
-        assert_eq!(submitted_version(&pool), v2);
-        drop(pool);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The three `server.meta.json` shapes ever written each parse to
-    /// the meta they upgrade to; anything else is a "bad meta" error.
-    #[test]
-    fn every_meta_shape_ever_written_still_parses() {
-        let h = |s: &str| vec![s.to_owned()];
-        let current = ServerMeta {
-            shards: 4,
-            templates: h("00ab"),
-            tenant_bits: TENANT_BITS as usize,
-            tenants: h("acme"),
-        };
-        let text = serde_json::to_string(&current).unwrap();
-        assert_eq!(parse_meta(&text).unwrap(), current);
+    /// Admits `n` jobs tagged `<prefix>0..` for `tenant`.
+    fn backlog(inbox: &mut Inbox, tenant: &Arc<Tenant>, prefix: &str, n: usize) {
+        for i in 0..n {
+            let admitted = inbox.admit(usize::MAX, job(Some(tenant), &format!("{prefix}{i}")));
+            assert!(matches!(admitted, Ok(SubmitDispatch::Dispatched)));
+        }
+    }
 
-        let pre_tenancy = parse_meta(r#"{"shards":2,"templates":["00ab"]}"#).unwrap();
-        assert_eq!(
-            pre_tenancy,
-            ServerMeta {
-                shards: 2,
-                templates: h("00ab"),
-                tenant_bits: 0,
-                tenants: Vec::new(),
+    fn tags(batch: &[QueuedSubmit]) -> Vec<&str> {
+        batch.iter().map(|j| j.process.as_str()).collect()
+    }
+
+    #[test]
+    fn the_bound_is_exact_and_a_refusal_gives_the_reservation_back() {
+        let table = table(1, 1, None);
+        let acme = table.by_name("acme").unwrap();
+        let mut inbox = Inbox::default();
+        for i in 0..3 {
+            let admitted = inbox.admit(3, job(Some(acme), &format!("a{i}")));
+            assert!(matches!(admitted, Ok(SubmitDispatch::Dispatched)));
+        }
+        match inbox.admit(3, job(Some(acme), "a3")) {
+            Ok(SubmitDispatch::Overloaded { depth, capacity }) => {
+                assert_eq!((depth, capacity), (3, 3))
             }
+            _ => panic!("the fourth admit must be refused"),
+        }
+        assert_eq!(inbox.queued, 3);
+        assert_eq!(acme.inflight.load(Ordering::Relaxed), 3);
+        assert_eq!(acme.overloaded.get(), 1);
+
+        // Room again once the worker has taken one.
+        let (batch, _) = inbox.take_batch(1);
+        assert_eq!(tags(&batch), ["a0"]);
+        assert!(inbox.admit(3, job(Some(acme), "a4")).is_ok());
+        drop((batch, inbox));
+        assert_eq!(acme.inflight.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn backlogged_lanes_share_a_batch_by_weight_and_stay_fifo() {
+        let table = table(4, 1, None);
+        let (acme, beta) = (
+            table.by_name("acme").unwrap(),
+            table.by_name("beta").unwrap(),
+        );
+        let mut inbox = Inbox::default();
+        backlog(&mut inbox, beta, "b", 8);
+        backlog(&mut inbox, acme, "a", 12);
+        let (batch, _) = inbox.take_batch(5);
+        assert_eq!(tags(&batch), ["a0", "a1", "a2", "a3", "b0"]);
+        let (batch, _) = inbox.take_batch(10);
+        assert_eq!(
+            tags(&batch),
+            ["a4", "a5", "a6", "a7", "b1", "a8", "a9", "a10", "a11", "b2"]
+        );
+        assert_eq!(inbox.queued, 5);
+    }
+
+    #[test]
+    fn a_lane_that_empties_forfeits_its_deficit() {
+        let table = table(4, 1, None);
+        let (acme, beta) = (
+            table.by_name("acme").unwrap(),
+            table.by_name("beta").unwrap(),
+        );
+        let mut inbox = Inbox::default();
+        backlog(&mut inbox, acme, "a", 1);
+        backlog(&mut inbox, beta, "b", 4);
+        // acme is credited 4, has 1 to give: the other 3 are not saved up.
+        let (batch, _) = inbox.take_batch(2);
+        assert_eq!(tags(&batch), ["a0", "b0"]);
+        assert_eq!(inbox.lanes[&acme.slot].deficit, 0);
+        backlog(&mut inbox, acme, "A", 8);
+        let (batch, _) = inbox.take_batch(6);
+        assert_eq!(tags(&batch), ["A0", "A1", "A2", "A3", "b1", "A4"]);
+    }
+
+    #[test]
+    fn a_reloaded_weight_applies_from_the_next_round() {
+        let before = table(4, 1, None);
+        let mut inbox = Inbox::default();
+        backlog(&mut inbox, before.by_name("acme").unwrap(), "a", 9);
+        backlog(&mut inbox, before.by_name("beta").unwrap(), "b", 9);
+        let (batch, _) = inbox.take_batch(5);
+        assert_eq!(tags(&batch), ["a0", "a1", "a2", "a3", "b0"]);
+
+        // The shares swap; the next admission of each tenant carries them in.
+        let after = table(1, 4, Some(&before));
+        backlog(&mut inbox, after.by_name("acme").unwrap(), "a", 1);
+        backlog(&mut inbox, after.by_name("beta").unwrap(), "b", 1);
+        let (batch, _) = inbox.take_batch(5);
+        assert_eq!(tags(&batch), ["a4", "b1", "b2", "b3", "b4"]);
+    }
+
+    #[test]
+    fn a_barrier_leaves_with_the_batch_that_empties_the_lanes() {
+        let mut inbox = Inbox::default();
+        for tag in ["x0", "x1", "x2"] {
+            assert!(inbox.admit(8, job(None, tag)).is_ok());
+        }
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
+        inbox.barriers.push(tx);
+        let (batch, released) = inbox.take_batch(2);
+        assert_eq!((tags(&batch), released.len()), (vec!["x0", "x1"], 0));
+        let (batch, released) = inbox.take_batch(2);
+        assert_eq!((tags(&batch), released.len()), (vec!["x2"], 1));
+        assert!(inbox.barriers.is_empty());
+        assert!(
+            rx.try_recv().is_err(),
+            "released by the worker, after its flush"
         );
 
-        let pre_versioning = parse_meta(r#"{"shards":3}"#).unwrap();
-        assert_eq!(
-            pre_versioning,
-            ServerMeta {
-                shards: 3,
-                templates: Vec::new(),
-                tenant_bits: 0,
-                tenants: Vec::new(),
-            }
-        );
+        // On dry lanes a barrier leaves with the next (empty) batch.
+        inbox.barriers.push(released.into_iter().next().unwrap());
+        let (batch, released) = inbox.take_batch(2);
+        assert_eq!((batch.len(), released.len()), (0, 1));
+    }
 
-        for garbage in [
-            "",
-            "not json",
-            "{}",
-            r#"{"shards":"two"}"#,
-            r#"{"templates":[]}"#,
-        ] {
-            match parse_meta(garbage) {
-                Err(PoolError::Io(e)) => {
-                    assert!(e.to_string().starts_with("bad meta: "), "{garbage:?}: {e}")
-                }
-                other => panic!("{garbage:?} parsed as {other:?}"),
-            }
-        }
+    #[test]
+    fn after_stop_what_is_queued_is_still_handed_out() {
+        let mut inbox = Inbox::default();
+        assert!(inbox.admit(8, job(None, "x0")).is_ok());
+        assert!(inbox.admit(8, job(None, "x1")).is_ok());
+        inbox.stop = true;
+        let Err(handed_back) = inbox.admit(8, job(None, "late")) else {
+            panic!("a stopped inbox admits nothing");
+        };
+        assert_eq!(handed_back.process, "late");
+        let (batch, _) = inbox.take_batch(8);
+        assert_eq!(tags(&batch), ["x0", "x1"]);
+        assert_eq!(inbox.queued, 0);
     }
 
     /// An instance that cannot be navigated onward at reopen (here: the

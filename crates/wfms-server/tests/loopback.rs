@@ -13,7 +13,8 @@ use wfms_model::{Activity, ProcessBuilder, ProcessDefinition};
 use wfms_observe::Registry;
 use wfms_server::api::{DeployResponse, StatusResponse, SubmitResponse, WorklistResponse};
 use wfms_server::{
-    Http1Client, MigrationPolicy, PoolConfig, Server, ServerConfig, ShardPool, SubmitOutcome,
+    Http1Client, MigrationPolicy, PoolConfig, Server, ServerConfig, ShardPool, SubmitDispatch,
+    SubmitOutcome, SubmitReply,
 };
 
 fn provision(_shard: usize) -> (Arc<MultiDatabase>, Arc<ProgramRegistry>) {
@@ -544,6 +545,136 @@ fn admission_control_rejects_beyond_high_water() {
     assert_eq!(accepted + overloaded, 12, "no third outcome: {outcomes:?}");
     assert!(accepted >= 1, "the queue makes progress");
     assert!(overloaded >= 1, "the high-water mark rejects");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--queue N` means N. Submitting the way the reactor does — through
+/// `submit_with`, never blocking, as fast as it can — against a worker
+/// that answers one submission every 5 ms, a shard never holds more
+/// unanswered submissions than its queue's worth plus the
+/// one-submission batch the worker has taken, and every refusal reports
+/// the queue full, not overfull. (With a channel in front of the lanes
+/// the shard held twice the bound and reported `depth=15 capacity=8`.)
+#[test]
+fn the_high_water_mark_is_exact() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    let dir = temp_dir("high-water");
+    let mut cfg = pool_config(&dir);
+    cfg.shards = 1;
+    cfg.queue_capacity = 8;
+    cfg.batch_max = 1;
+    cfg.throttle = Some(Duration::from_millis(5));
+    let pool = ShardPool::open(cfg, Arc::new(Registry::new()), &provision).unwrap();
+
+    let answered = Arc::new(AtomicUsize::new(0));
+    let (mut admitted, mut refused, mut most_unanswered) = (0usize, 0usize, 0usize);
+    while answered.load(Ordering::SeqCst) < 12 {
+        let sink = {
+            let answered = Arc::clone(&answered);
+            Box::new(move |_: SubmitReply| {
+                answered.fetch_add(1, Ordering::SeqCst);
+            })
+        };
+        match pool.submit_with("auto", wfms_model::Container::empty(), None, sink) {
+            SubmitDispatch::Dispatched => {
+                admitted += 1;
+                // Read after the admit: an answer in between can only
+                // make the shard look emptier than it was.
+                most_unanswered = most_unanswered.max(admitted - answered.load(Ordering::SeqCst));
+            }
+            SubmitDispatch::Overloaded { depth, capacity } => {
+                assert_eq!((depth, capacity), (8, 8), "refusal {refused}");
+                refused += 1;
+                std::thread::sleep(Duration::from_micros(50));
+            }
+        }
+    }
+    assert!(refused > 0, "the burst never met the bound");
+    assert!(
+        (8..=8 + 1).contains(&most_unanswered),
+        "{most_unanswered} unanswered at once against a queue of 8"
+    );
+    drop(pool);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A submission dropped unanswered gives its tenant's in-flight slot
+/// back. A program that panics takes the shard worker down mid-batch:
+/// the callers blocked on that batch fail instead of hanging, the quota
+/// they held is free again, and a later submission is answered through
+/// its sink rather than queued for a worker that is not there.
+#[test]
+fn a_dead_worker_leaks_no_quota_and_answers_later_submits() {
+    use std::sync::atomic::Ordering;
+
+    let dir = temp_dir("dead-worker");
+    let mut cfg = tenant_pool_config(&dir);
+    cfg.shards = 1;
+    cfg.throttle = Some(Duration::from_millis(100));
+    cfg.templates.push(
+        ProcessBuilder::new("boom")
+            .program("A", "boom")
+            .build()
+            .unwrap(),
+    );
+    let pool = ShardPool::open(cfg, Arc::new(Registry::new()), &|shard| {
+        let (fed, programs) = provision(shard);
+        programs.register_fn("boom", |_| panic!("boom: the test's panicking program"));
+        (fed, programs)
+    })
+    .unwrap();
+    let acme = pool.authenticate(b"k-acme").unwrap();
+
+    // The worker takes this one alone and sleeps on it; the three that
+    // panic queue up behind it and leave the lane as one batch.
+    let (first_tx, first_rx) = std::sync::mpsc::channel();
+    let first = pool.submit_with(
+        "auto",
+        wfms_model::Container::empty(),
+        Some(Arc::clone(&acme)),
+        Box::new(move |reply: SubmitReply| first_tx.send(reply).unwrap()),
+    );
+    assert!(matches!(first, SubmitDispatch::Dispatched));
+    while pool.queue_depth() > 0 {
+        std::thread::yield_now();
+    }
+    let outcomes: Vec<SubmitOutcome> = std::thread::scope(|s| {
+        let blocked: Vec<_> = (0..3)
+            .map(|_| {
+                s.spawn(|| {
+                    pool.submit_as("boom", wfms_model::Container::empty(), Some(acme.clone()))
+                })
+            })
+            .collect();
+        blocked.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert!(first_rx.recv().unwrap().is_ok(), "flushed before the panic");
+    for outcome in &outcomes {
+        assert!(
+            matches!(outcome, SubmitOutcome::Failed { .. }),
+            "{outcome:?}"
+        );
+    }
+    assert_eq!(acme.inflight.load(Ordering::Relaxed), 0, "quota given back");
+
+    // A drain does not wait for a barrier nobody will release; once it
+    // is back, the unwinding worker has closed its inbox.
+    let _ = pool.drain();
+    let (late_tx, late_rx) = std::sync::mpsc::channel();
+    let late = pool.submit_with(
+        "auto",
+        wfms_model::Container::empty(),
+        Some(Arc::clone(&acme)),
+        Box::new(move |reply: SubmitReply| late_tx.send(reply).unwrap()),
+    );
+    assert!(matches!(late, SubmitDispatch::Dispatched));
+    assert_eq!(
+        late_rx.try_recv().unwrap().unwrap_err(),
+        ("shard worker stopped".to_owned(), false)
+    );
+    assert_eq!(acme.inflight.load(Ordering::Relaxed), 0);
+    drop(pool);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -1178,4 +1309,269 @@ fn engine_counters_reach_metrics_after_a_torn_tail_reopen() {
         server.shutdown(true);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Reads one `Content-Length`-framed response off a raw socket, byte
+/// for byte as the server wrote it.
+fn read_response_bytes(r: &mut impl std::io::BufRead) -> String {
+    let mut raw = String::new();
+    let mut content_length = 0usize;
+    loop {
+        let at = raw.len();
+        assert!(
+            r.read_line(&mut raw).unwrap() > 0,
+            "closed in head: {raw:?}"
+        );
+        let line = &raw[at..];
+        if let Some(value) = line.strip_prefix("content-length: ") {
+            content_length = value.trim_end().parse().unwrap();
+        }
+        if line == "\r\n" {
+            break;
+        }
+    }
+    let mut body = vec![0u8; content_length];
+    r.read_exact(&mut body).unwrap();
+    raw.push_str(std::str::from_utf8(&body).unwrap());
+    raw
+}
+
+/// The exact bytes of every kind of reply the server gives, recorded
+/// before the reply paths were folded into one: status line, header
+/// order and spelling, `connection` value, body. Requests run in
+/// table order on one keep-alive connection unless the reply closes it.
+#[test]
+fn every_reply_shape_is_byte_identical() {
+    use std::io::{Read, Write};
+
+    fn response(status: &str, extra: &str, connection: &str, body: &str) -> String {
+        format!(
+            "HTTP/1.1 {status}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\
+             {extra}connection: {connection}\r\n\r\n{body}",
+            body.len()
+        )
+    }
+    fn post(path: &str, body: &[u8]) -> Vec<u8> {
+        let mut raw = format!(
+            "POST {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        raw.extend_from_slice(body);
+        raw
+    }
+
+    let dir = temp_dir("golden");
+    let server = start_server(&dir);
+    let url = server.local_addr().to_string();
+
+    let v2 = serde_json::to_string(&manual_process_v2()).unwrap();
+    let v2_hash = format!("{:016x}", wfms_engine::spec_hash_of(&manual_process_v2()));
+    let mut invalid = ProcessDefinition::new("manual");
+    invalid.control.push(wfms_model::ControlConnector {
+        from: "X".into(),
+        to: "Y".into(),
+        condition: wfms_model::Expr::var_eq_int("RC", 1),
+    });
+    let invalid = serde_json::to_string(&invalid).unwrap();
+
+    let keep_alive: Vec<(&str, Vec<u8>, String)> = vec![
+        (
+            "201",
+            post("/instances", br#"{"process":"auto"}"#),
+            response(
+                "201 Created",
+                "",
+                "keep-alive",
+                r#"{"id":2,"status":"finished","output":{"values":{}}}"#,
+            ),
+        ),
+        (
+            "404 unknown process",
+            post("/instances", br#"{"process":"nope"}"#),
+            response(
+                "404 Not Found",
+                "",
+                "keep-alive",
+                r#"{"error":"not_found","detail":"no process template named \"nope\""}"#,
+            ),
+        ),
+        (
+            "400 bad body",
+            post("/instances", b"{not json"),
+            response(
+                "400 Bad Request",
+                "",
+                "keep-alive",
+                r#"{"error":"bad_request","detail":"bad body: expected `\"` at byte 1"}"#,
+            ),
+        ),
+        (
+            "400 body is not UTF-8",
+            post("/instances", b"\xff\xfe"),
+            response(
+                "400 Bad Request",
+                "",
+                "keep-alive",
+                r#"{"error":"bad_request","detail":"body is not UTF-8"}"#,
+            ),
+        ),
+        (
+            "405 with allow",
+            b"PUT /instances HTTP/1.1\r\ncontent-length: 0\r\n\r\n".to_vec(),
+            response(
+                "405 Method Not Allowed",
+                "allow: POST\r\n",
+                "keep-alive",
+                r#"{"error":"bad_request","detail":"method not allowed"}"#,
+            ),
+        ),
+        (
+            "404 no route",
+            b"GET /nope HTTP/1.1\r\n\r\n".to_vec(),
+            response(
+                "404 Not Found",
+                "",
+                "keep-alive",
+                r#"{"error":"not_found","detail":"no such route"}"#,
+            ),
+        ),
+        (
+            "deploy 200",
+            post(
+                "/admin/deploy",
+                format!(r#"{{"definition":{v2}}}"#).as_bytes(),
+            ),
+            response(
+                "200 OK",
+                "",
+                "keep-alive",
+                &format!(
+                    r#"{{"process":"manual","version":"{v2_hash}","migrated":0,"skipped":0,"already_current":0}}"#
+                ),
+            ),
+        ),
+        (
+            "deploy 400 unknown policy",
+            post(
+                "/admin/deploy",
+                format!(r#"{{"definition":{v2},"policy":"nope"}}"#).as_bytes(),
+            ),
+            response(
+                "400 Bad Request",
+                "",
+                "keep-alive",
+                r#"{"error":"bad_request","detail":"unknown policy \"nope\" (expected \"drain-old\" or \"migrate\")"}"#,
+            ),
+        ),
+        (
+            "deploy 400 invalid definition",
+            post(
+                "/admin/deploy",
+                format!(r#"{{"definition":{invalid}}}"#).as_bytes(),
+            ),
+            response(
+                "400 Bad Request",
+                "",
+                "keep-alive",
+                concat!(
+                    r#"{"error":"bad_request","detail":"deploy rejected: [manual] process has no activities; "#,
+                    r#"[manual] control connector X -> Y references unknown activity \"X\"; "#,
+                    r#"[manual] control connector X -> Y references unknown activity \"Y\""}"#
+                ),
+            ),
+        ),
+        (
+            "drain 200",
+            post("/admin/drain", b""),
+            response("200 OK", "", "keep-alive", r#"{"compacted_events":13}"#),
+        ),
+        (
+            "503 draining",
+            post("/instances", b"{}"),
+            response(
+                "503 Service Unavailable",
+                "",
+                "keep-alive",
+                r#"{"error":"draining","detail":"server is draining"}"#,
+            ),
+        ),
+    ];
+    let mut conn = raw_socket(&url);
+    for (what, request, expected) in &keep_alive {
+        conn.get_mut().write_all(request).unwrap();
+        assert_eq!(&read_response_bytes(&mut conn), expected, "{what}");
+    }
+
+    // Replies that end the connection: the bytes, then EOF.
+    for (what, request, expected) in [
+        (
+            "413 parse error",
+            b"POST /instances HTTP/1.1\r\ncontent-length: 2000000\r\n\r\n".to_vec(),
+            response(
+                "413 Content Too Large",
+                "",
+                "close",
+                r#"{"error":"bad_request","detail":"request body too large"}"#,
+            ),
+        ),
+        (
+            "stop 200",
+            post("/admin/stop", b""),
+            response("200 OK", "", "close", r#"{"compacted_events":4}"#),
+        ),
+    ] {
+        let mut conn = raw_socket(&url);
+        conn.get_mut().write_all(&request).unwrap();
+        let mut all = Vec::new();
+        conn.read_to_end(&mut all).unwrap();
+        assert_eq!(String::from_utf8(all).unwrap(), expected, "{what}");
+    }
+    server.wait_stop();
+    server.shutdown(true);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The tenant-quota 429, as `tenant_quota_answers_429_with_retry_after`
+    // provokes it: the third of three pipelined submits against a quota
+    // of two and a slow worker.
+    let dir = temp_dir("golden-quota");
+    let mut cfg = tenant_pool_config(&dir);
+    cfg.shards = 1;
+    cfg.tenants[0].max_inflight = 2;
+    cfg.throttle = Some(Duration::from_millis(100));
+    let pool = ShardPool::open(cfg, Arc::new(Registry::new()), &provision).unwrap();
+    let server = Server::start(Arc::new(pool), ServerConfig::new("auto")).unwrap();
+    let mut conn = raw_socket(&server.local_addr().to_string());
+    let one = "POST /instances HTTP/1.1\r\nauthorization: Bearer k-acme\r\n\
+               content-length: 18\r\n\r\n{\"process\":\"auto\"}";
+    conn.get_mut().write_all(one.repeat(3).as_bytes()).unwrap();
+    let mut all = Vec::new();
+    conn.read_to_end(&mut all).unwrap();
+    let all = String::from_utf8(all).unwrap();
+    assert_eq!(
+        all,
+        [
+            response(
+                "201 Created",
+                "",
+                "keep-alive",
+                r#"{"id":72057594037927937,"status":"finished","output":{"values":{}}}"#
+            ),
+            response(
+                "201 Created",
+                "",
+                "keep-alive",
+                r#"{"id":72057594037927938,"status":"finished","output":{"values":{}}}"#
+            ),
+            response(
+                "429 Too Many Requests",
+                "retry-after: 1\r\n",
+                "close",
+                r#"{"error":"overloaded","detail":"queue at high-water mark (2/2)"}"#
+            ),
+        ]
+        .concat()
+    );
+    server.shutdown(true);
+    let _ = std::fs::remove_dir_all(&dir);
 }
