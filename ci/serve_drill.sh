@@ -20,7 +20,11 @@
 # 5. Redeploy drill: start with a v1 spec, submit, deploy an edited
 #    v2 over HTTP (drain-old), kill -9, restart with the *original*
 #    v1 spec file — every v1 instance must verify finished and keep
-#    its pinned v1 version hash, while fresh submissions run v2.
+#    its pinned v1 version hash, while fresh submissions run v2. After
+#    the deploy, and again after a drain, a thread census: the serving
+#    process is its main thread, its reactors and its shard workers —
+#    a shard's worker is the one writer of its engine, and no helper
+#    thread serves (or outlives) a deploy or a drain.
 #
 # Artifacts (server logs, load reports, id list) land in $ART for CI
 # upload. Exits non-zero on any lost instance or drill failure.
@@ -206,6 +210,25 @@ if [ -z "$V2" ] || [ "$V2" = "$V1" ]; then
   exit 1
 fi
 
+# Every thread of the serving process by name, and the kernel's count:
+# exactly main + reactors + the two shard workers.
+thread_census() {
+  local names threads reactors shards
+  names=$(cat /proc/"$SERVE_PID"/task/*/comm | sort -u)
+  threads=$(sed -n 's/^Threads:[[:space:]]*//p' /proc/"$SERVE_PID"/status)
+  reactors=$(grep -c '^wfms-reactor-[0-9]*$' <<<"$names" || true)
+  shards=$(grep -c '^wfms-shard-[0-9]*$' <<<"$names" || true)
+  if grep -qvE '^(fmtm|wfms-reactor-[0-9]+|wfms-shard-[0-9]+)$' <<<"$names" ||
+    [ "$shards" -ne 2 ] || [ "$reactors" -lt 1 ] ||
+    [ "$threads" -ne $((1 + reactors + shards)) ]; then
+    echo "drill: thread census $1: $threads threads, expected main + reactors + 2 shard workers only:" >&2
+    echo "$names" >&2
+    exit 1
+  fi
+  echo "drill: thread census $1: $threads threads (main, $reactors reactors, $shards shard workers)"
+}
+thread_census "after the deploy"
+
 kill -9 "$SERVE_PID"
 wait "$SERVE_PID" 2>/dev/null || true
 SERVE_PID=""
@@ -233,6 +256,9 @@ if [ "$GOT_V2" != "$V2" ]; then
   echo "drill: post-restart submission ran $GOT_V2, expected deployed default $V2" >&2
   exit 1
 fi
+
+"$FMTM" load --url "$URL" --drain
+thread_census "after the drain"
 
 "$FMTM" load --url "$URL" --stop
 wait "$SERVE_PID" 2>/dev/null || true

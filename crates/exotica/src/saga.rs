@@ -38,7 +38,7 @@
 //! linear sagas only.
 
 use crate::TranslateError;
-use atm::{check_saga, SagaSpec};
+use atm::{check_saga, SagaSpec, StepSpec};
 use wfms_model::{
     validate, Activity, ContainerSchema, DataType, ProcessBuilder, ProcessDefinition, RC_MEMBER,
 };
@@ -58,6 +58,115 @@ pub fn state_member(step: &str) -> String {
 /// The compensation activity name for a step.
 pub fn comp_activity(step: &str) -> String {
     format!("Comp_{step}")
+}
+
+/// The `State_i` flags of a run of steps, as a container schema.
+fn state_schema(steps: &[&StepSpec]) -> ContainerSchema {
+    steps.iter().fold(ContainerSchema::empty(), |schema, step| {
+        schema.with(&state_member(&step.name), DataType::Int)
+    })
+}
+
+/// Runs `f` on the `State_i → State_i` mapping that carries the flags
+/// of `steps` across a data connector.
+pub(crate) fn with_state_pairs<R>(steps: &[&StepSpec], f: impl FnOnce(&[(&str, &str)]) -> R) -> R {
+    let flags: Vec<String> = steps.iter().map(|s| state_member(&s.name)).collect();
+    let pairs: Vec<(&str, &str)> = flags.iter().map(|m| (m.as_str(), m.as_str())).collect();
+    f(&pairs)
+}
+
+/// The forward half of the Figure 2 machinery, for a saga or for a
+/// flexible transaction's compensatable segment (§4.2 step 5): one
+/// activity per step, chained on `RC = 1`; every return code exported
+/// as `State_i`, the last one doubling as the block's own `RC`. A step
+/// `retriable` says yes to carries `EXIT WHEN "RC = 1"` — it can never
+/// fail the run — so its success edge is unconditional (a guard would
+/// be redundant, WA104).
+pub(crate) fn forward_block(
+    name: &str,
+    description: &str,
+    steps: &[&StepSpec],
+    retriable: impl Fn(&StepSpec) -> bool,
+) -> ProcessDefinition {
+    let mut b = ProcessBuilder::new(name)
+        .describe(description)
+        .output(state_schema(steps).with(RC_MEMBER, DataType::Int));
+    for step in steps {
+        let mut act = Activity::program(&step.name, &step.program);
+        if retriable(step) {
+            act = act.with_exit(&format!("{RC_MEMBER} = 1"));
+        }
+        b = b.activity(act);
+    }
+    for w in steps.windows(2) {
+        b = if retriable(w[0]) {
+            b.connect(&w[0].name, &w[1].name)
+        } else {
+            b.connect_when(&w[0].name, &w[1].name, &format!("{RC_MEMBER} = 1"))
+        };
+    }
+    for step in steps {
+        b = b.map_to_process_output(&step.name, &[(RC_MEMBER, &state_member(&step.name))]);
+    }
+    let last = steps.last().expect("non-empty run of steps");
+    b.map_to_process_output(&last.name, &[(RC_MEMBER, RC_MEMBER)])
+        .build_unchecked()
+}
+
+/// The compensation half (§4.2 step 6): the NOP trigger reading the
+/// block's `State_i` input, and behind it [`compensations`].
+pub(crate) fn compensation_block(
+    name: &str,
+    description: &str,
+    steps: &[&StepSpec],
+) -> ProcessDefinition {
+    let io = state_schema(steps);
+    let b = ProcessBuilder::new(name)
+        .describe(description)
+        .input(io.clone())
+        .activity(
+            Activity::noop(NOP_ACTIVITY)
+                .describe("trigger: exposes State_i flags to the entry conditions")
+                .with_input(io.clone())
+                .with_output(io),
+        );
+    let b = with_state_pairs(steps, |pairs| b.map_process_input(NOP_ACTIVITY, pairs));
+    compensations(b, steps, true).build_unchecked()
+}
+
+/// Adds the compensating activities behind a NOP trigger `b` already
+/// holds — the static compensation order, decided here and nowhere
+/// else. The NOP's connector to `Comp_Si` carries "`Si` committed and
+/// `S(i+1)` did not": `Si` is the last committed step, where
+/// compensation starts. From there the reversed chain walks the
+/// committed prefix backwards, unconditionally: the retriable exit
+/// already guarantees `RC = 1` on completion, so a guard would be dead
+/// weight (WA104).
+fn compensations(mut b: ProcessBuilder, steps: &[&StepSpec], described: bool) -> ProcessBuilder {
+    for (i, step) in steps.iter().enumerate() {
+        let program = step
+            .compensation
+            .as_deref()
+            .expect("well-formed compensatable steps have compensations");
+        let mut act = Activity::program(&comp_activity(&step.name), program)
+            .with_exit(&format!("{RC_MEMBER} = 1"))
+            .or_start();
+        if described {
+            act = act.describe(&format!("compensates {}", step.name));
+        }
+        let state = state_member(&step.name);
+        let entry = match steps.get(i + 1) {
+            Some(next) => format!("{state} = 1 AND {} = 0", state_member(&next.name)),
+            None => format!("{state} = 1"),
+        };
+        b = b
+            .activity(act)
+            .connect_when(NOP_ACTIVITY, &comp_activity(&step.name), &entry);
+    }
+    for w in steps.windows(2) {
+        b = b.connect(&comp_activity(&w[1].name), &comp_activity(&w[0].name));
+    }
+    b
 }
 
 /// Translates a linear saga into a workflow process (Figure 2).
@@ -83,97 +192,18 @@ pub fn comp_activity(step: &str) -> String {
 /// assert!(wfms_model::validate(&process).is_empty());
 /// ```
 pub fn translate_saga(spec: &SagaSpec) -> Result<ProcessDefinition, TranslateError> {
-    let errors = check_saga(spec);
-    if !errors.is_empty() {
-        return Err(TranslateError::NotWellFormed(errors));
-    }
-    if !spec.is_linear() {
-        return Err(TranslateError::NotLinear);
-    }
-    let steps: Vec<_> = spec.steps().cloned().collect();
-    let names: Vec<&str> = steps.iter().map(|s| s.name.as_str()).collect();
-
-    // ---- forward block ------------------------------------------------
-    let mut fwd_output = ContainerSchema::empty();
-    for name in &names {
-        fwd_output = fwd_output.with(&state_member(name), DataType::Int);
-    }
-    fwd_output = fwd_output.with(RC_MEMBER, DataType::Int);
-
-    let mut fwd = ProcessBuilder::new(FORWARD_BLOCK)
-        .describe(&format!("forward phase of saga {:?}", spec.name))
-        .output(fwd_output);
-    for step in &steps {
-        fwd = fwd.program(&step.name, &step.program);
-    }
-    for w in names.windows(2) {
-        fwd = fwd.connect_when(w[0], w[1], &format!("{RC_MEMBER} = 1"));
-    }
-    for name in &names {
-        fwd = fwd.map_to_process_output(name, &[(RC_MEMBER, &state_member(name))]);
-    }
-    let last = *names.last().expect("non-empty saga");
-    let fwd = fwd
-        .map_to_process_output(last, &[(RC_MEMBER, RC_MEMBER)])
-        .build_unchecked();
-
-    // ---- compensation block --------------------------------------------
-    let mut comp_io = ContainerSchema::empty();
-    for name in &names {
-        comp_io = comp_io.with(&state_member(name), DataType::Int);
-    }
-    let mut comp = ProcessBuilder::new(COMPENSATION_BLOCK)
-        .describe(&format!("compensation phase of saga {:?}", spec.name))
-        .input(comp_io.clone())
-        .activity(
-            Activity::noop(NOP_ACTIVITY)
-                .describe("trigger: exposes State_i flags to the entry conditions")
-                .with_input(comp_io.clone())
-                .with_output(comp_io.clone()),
-        );
-    // NOP reads the block's input container.
-    let state_pairs: Vec<(String, String)> = names
-        .iter()
-        .map(|n| (state_member(n), state_member(n)))
-        .collect();
-    let pair_refs: Vec<(&str, &str)> = state_pairs
-        .iter()
-        .map(|(a, b)| (a.as_str(), b.as_str()))
-        .collect();
-    comp = comp.map_process_input(NOP_ACTIVITY, &pair_refs);
-
-    for (i, step) in steps.iter().enumerate() {
-        let comp_prog = step
-            .compensation
-            .as_deref()
-            .expect("well-formed saga steps have compensations");
-        comp = comp.activity(
-            Activity::program(&comp_activity(&step.name), comp_prog)
-                .describe(&format!("compensates {}", step.name))
-                .with_exit(&format!("{RC_MEMBER} = 1"))
-                .or_start(),
-        );
-        // Entry condition: step i is the last committed one.
-        let cond = if i + 1 < names.len() {
-            format!(
-                "{} = 1 AND {} = 0",
-                state_member(&step.name),
-                state_member(names[i + 1])
-            )
-        } else {
-            format!("{} = 1", state_member(&step.name))
-        };
-        comp = comp.connect_when(NOP_ACTIVITY, &comp_activity(&step.name), &cond);
-    }
-    // Reversed chain C_{i+1} -> C_i, unconditional: the retriable
-    // exit already guarantees RC = 1 on completion, so a guard would
-    // be dead weight (the analyzer's WA104 would flag it).
-    for w in names.windows(2) {
-        comp = comp.connect(&comp_activity(w[1]), &comp_activity(w[0]));
-    }
-    let comp = comp.build_unchecked();
-
-    // ---- root process -----------------------------------------------------
+    let steps = linear_steps(spec)?;
+    let fwd = forward_block(
+        FORWARD_BLOCK,
+        &format!("forward phase of saga {:?}", spec.name),
+        &steps,
+        |_| false,
+    );
+    let comp = compensation_block(
+        COMPENSATION_BLOCK,
+        &format!("compensation phase of saga {:?}", spec.name),
+        &steps,
+    );
     let root = ProcessBuilder::new(&spec.name)
         .describe(&format!(
             "saga {:?} compiled by Exotica/FMTM (Figure 2 construction)",
@@ -186,11 +216,30 @@ pub fn translate_saga(spec: &SagaSpec) -> Result<ProcessDefinition, TranslateErr
             FORWARD_BLOCK,
             COMPENSATION_BLOCK,
             &format!("{RC_MEMBER} = 0"),
-        )
-        .map_data(FORWARD_BLOCK, COMPENSATION_BLOCK, &pair_refs)
-        .map_to_process_output(FORWARD_BLOCK, &[(RC_MEMBER, "Committed")])
-        .build_unchecked();
+        );
+    let root = with_state_pairs(&steps, |pairs| {
+        root.map_data(FORWARD_BLOCK, COMPENSATION_BLOCK, pairs)
+    })
+    .map_to_process_output(FORWARD_BLOCK, &[(RC_MEMBER, "Committed")])
+    .build_unchecked();
+    validated(root)
+}
 
+/// The steps of a saga both translations accept: well-formed, linear.
+fn linear_steps(spec: &SagaSpec) -> Result<Vec<&StepSpec>, TranslateError> {
+    let errors = check_saga(spec);
+    if !errors.is_empty() {
+        return Err(TranslateError::NotWellFormed(errors));
+    }
+    if !spec.is_linear() {
+        return Err(TranslateError::NotLinear);
+    }
+    Ok(spec.steps().collect())
+}
+
+/// A generated process that fails meta-model validation is a
+/// translator bug, surfaced rather than panicked on.
+fn validated(root: ProcessDefinition) -> Result<ProcessDefinition, TranslateError> {
     let errors = validate(&root);
     if !errors.is_empty() {
         return Err(TranslateError::Model(errors));
@@ -211,21 +260,7 @@ pub fn translate_saga(spec: &SagaSpec) -> Result<ProcessDefinition, TranslateErr
 /// block structure costs and buys; behaviourally equivalent (the
 /// equivalence tests run both variants against the native executor).
 pub fn translate_saga_flat(spec: &SagaSpec) -> Result<ProcessDefinition, TranslateError> {
-    let errors = check_saga(spec);
-    if !errors.is_empty() {
-        return Err(TranslateError::NotWellFormed(errors));
-    }
-    if !spec.is_linear() {
-        return Err(TranslateError::NotLinear);
-    }
-    let steps: Vec<_> = spec.steps().cloned().collect();
-    let names: Vec<&str> = steps.iter().map(|s| s.name.as_str()).collect();
-
-    let mut state_schema = ContainerSchema::empty();
-    for name in &names {
-        state_schema = state_schema.with(&state_member(name), DataType::Int);
-    }
-
+    let steps = linear_steps(spec)?;
     let mut b = ProcessBuilder::new(&spec.name)
         .describe(&format!(
             "saga {:?} compiled flat (ablation of the Figure 2 block structure)",
@@ -237,8 +272,8 @@ pub fn translate_saga_flat(spec: &SagaSpec) -> Result<ProcessDefinition, Transla
     for step in &steps {
         b = b.program(&step.name, &step.program);
     }
-    for w in names.windows(2) {
-        b = b.connect_when(w[0], w[1], &format!("{RC_MEMBER} = 1"));
+    for w in steps.windows(2) {
+        b = b.connect_when(&w[0].name, &w[1].name, &format!("{RC_MEMBER} = 1"));
     }
 
     // The NOP trigger: OR-joined on any forward failure; its input
@@ -246,51 +281,26 @@ pub fn translate_saga_flat(spec: &SagaSpec) -> Result<ProcessDefinition, Transla
     b = b.activity(
         Activity::noop(NOP_ACTIVITY)
             .describe("compensation trigger (flat variant)")
-            .with_input(state_schema.clone())
-            .with_output(state_schema.clone())
+            .with_input(state_schema(&steps))
+            .with_output(state_schema(&steps))
             .or_start(),
     );
-    for name in &names {
-        b = b.connect_when(name, NOP_ACTIVITY, &format!("{RC_MEMBER} = 0"));
-        b = b.map_data(name, NOP_ACTIVITY, &[(RC_MEMBER, &state_member(name))]);
+    for step in &steps {
+        b = b
+            .connect_when(&step.name, NOP_ACTIVITY, &format!("{RC_MEMBER} = 0"))
+            .map_data(
+                &step.name,
+                NOP_ACTIVITY,
+                &[(RC_MEMBER, &state_member(&step.name))],
+            );
     }
 
-    // Compensations, exactly as in the block variant.
-    for (i, step) in steps.iter().enumerate() {
-        let comp_prog = step
-            .compensation
-            .as_deref()
-            .expect("well-formed saga steps have compensations");
-        b = b.activity(
-            Activity::program(&comp_activity(&step.name), comp_prog)
-                .with_exit(&format!("{RC_MEMBER} = 1"))
-                .or_start(),
-        );
-        let cond = if i + 1 < names.len() {
-            format!(
-                "{} = 1 AND {} = 0",
-                state_member(&step.name),
-                state_member(names[i + 1])
-            )
-        } else {
-            format!("{} = 1", state_member(&step.name))
-        };
-        b = b.connect_when(NOP_ACTIVITY, &comp_activity(&step.name), &cond);
-    }
-    // Unconditional reversed chain, as in the block variant.
-    for w in names.windows(2) {
-        b = b.connect(&comp_activity(w[1]), &comp_activity(w[0]));
-    }
-
-    let last = *names.last().expect("non-empty saga");
-    let root = b
-        .map_to_process_output(last, &[(RC_MEMBER, "Committed")])
-        .build_unchecked();
-    let errors = validate(&root);
-    if !errors.is_empty() {
-        return Err(TranslateError::Model(errors));
-    }
-    Ok(root)
+    let last = steps.last().expect("non-empty saga");
+    validated(
+        compensations(b, &steps, false)
+            .map_to_process_output(&last.name, &[(RC_MEMBER, "Committed")])
+            .build_unchecked(),
+    )
 }
 
 #[cfg(test)]

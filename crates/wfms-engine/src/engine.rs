@@ -510,6 +510,9 @@ impl Engine {
         self.check_journal()?;
         // Lock order elsewhere is registry → instances, so resolve the
         // target before locking the instance map (no nesting at all).
+        // It still matters under a server whose shard worker is the
+        // engine's only writer: readers (status, worklist, the scrape)
+        // take these locks from other threads.
         let name = self
             .instances
             .lock()

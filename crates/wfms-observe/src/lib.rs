@@ -424,7 +424,7 @@ impl GaugeVec {
 #[derive(Default)]
 pub struct Observer {
     enabled: bool,
-    registry: Registry,
+    registry: Arc<Registry>,
 }
 
 impl std::fmt::Debug for Observer {
@@ -444,10 +444,13 @@ impl Observer {
 
     /// An observer with hot-path metrics on.
     pub fn enabled() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
-        }
+        Self::over(Arc::default(), true)
+    }
+
+    /// An observer recording into a registry its owner shares: several
+    /// engines over one registry add into the same counters.
+    pub fn over(registry: Arc<Registry>, enabled: bool) -> Self {
+        Self { enabled, registry }
     }
 
     /// True when hot-path hooks should record.

@@ -2,11 +2,12 @@
 //!
 //! Every route, synchronous or deferred, produces an [`Answer`]; the
 //! reactor ([`crate::server`]) renders it into the connection's reply
-//! FIFO. Read-path routes answer on the reactor. A submit hands the
-//! start to its shard and is answered from the completion the shard
-//! posts after its group commit; admin drain/stop and deploy block on
-//! shard barriers and journal flushes, so they run on a helper thread
-//! ([`defer`]) and complete through the same queue.
+//! FIFO. Read-path routes answer on the reactor. Every route that
+//! writes — a submit, a work-item completion, a deploy, a tenant
+//! reload, a drain or stop — validates on the reactor, hands the work
+//! to the shard worker that owns it ([`answer_later`]) and is answered
+//! from the completion that worker posts after its flush: a reactor
+//! runs no program, writes no journal and touches no file.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -17,8 +18,8 @@ use wfms_model::{Container, ProcessDefinition};
 use crate::api::*;
 use crate::http::Request;
 use crate::server::{Completion, Deferred, ServerState, Turn};
-use crate::shard::{MigrationPolicy, PoolError, SubmitDispatch, SubmitReply};
-use crate::tenant::{bearer_token, parse_tenants, Tenant};
+use crate::shard::{DeployReport, MigrationPolicy, PoolError, Sink, SubmitDispatch, SubmitReply};
+use crate::tenant::{bearer_token, Tenant};
 
 const JSON: &str = "application/json";
 const PROM: &str = "text/plain; version=0.0.4";
@@ -99,8 +100,8 @@ fn json_body<T: serde::Deserialize>(req: &Request) -> Result<T, Answer> {
 }
 
 /// Routes one request: a synchronous answer goes into a ready slot;
-/// submits and admin operations allocate a pending slot that a
-/// completion fills later.
+/// every route that writes allocates a pending slot that a completion
+/// fills later.
 pub(crate) fn dispatch(turn: &mut Turn<'_>, req: &Request) {
     let state = turn.state;
     let close = req.wants_close();
@@ -146,7 +147,14 @@ pub(crate) fn dispatch(turn: &mut Turn<'_>, req: &Request) {
             _ => method_not_allowed("GET"),
         },
         ["worklist", item, "complete"] => match req.method.as_str() {
-            "POST" => complete(state, req, item, tenant.as_ref()),
+            "POST" => match complete_request(state, req, item, tenant.as_ref()) {
+                Ok((ext, person)) => {
+                    let sink =
+                        answer_later(turn, close, false, move |done| complete_answer(ext, done));
+                    return state.pool.complete_with(ext, person, sink);
+                }
+                Err(refusal) => refusal,
+            },
             _ => method_not_allowed("POST"),
         },
         ["metrics"] => match req.method.as_str() {
@@ -171,16 +179,25 @@ pub(crate) fn dispatch(turn: &mut Turn<'_>, req: &Request) {
         ["admin", "deploy"] => match req.method.as_str() {
             "POST" => match deploy_request(state, req) {
                 Ok((definition, policy)) => {
-                    let state = Arc::clone(state);
-                    let work = move || deploy(&state, definition, policy);
-                    return defer(turn, close, false, "wfms-deploy", work);
+                    let sink = answer_later(turn, close, false, deploy_answer);
+                    return state.pool.deploy_with(definition, policy, sink);
                 }
                 Err(refusal) => refusal,
             },
             _ => method_not_allowed("POST"),
         },
         ["admin", "reload-tenants"] => match req.method.as_str() {
-            "POST" => reload_tenants(state),
+            "POST" => match &state.tenants_path {
+                Some(path) => {
+                    let sink = answer_later(turn, close, false, reload_answer);
+                    return state.pool.reload_tenants(path.clone(), sink);
+                }
+                None => Answer::error(
+                    400,
+                    "bad_request",
+                    "tenancy is not enabled on this server (start with --tenants)",
+                ),
+            },
             _ => method_not_allowed("POST"),
         },
         ["admin", verb @ ("drain" | "stop")] => match req.method.as_str() {
@@ -190,10 +207,9 @@ pub(crate) fn dispatch(turn: &mut Turn<'_>, req: &Request) {
                 // to exit.
                 let stop = *verb == "stop";
                 turn.conn.input_dead |= stop;
-                let state = Arc::clone(state);
-                return defer(turn, close || stop, stop, "wfms-admin", move || {
-                    drain(&state)
-                });
+                state.draining.store(true, Ordering::SeqCst);
+                let sink = answer_later(turn, close || stop, stop, drain_answer);
+                return state.pool.drain_with(sink);
             }
             _ => method_not_allowed("POST"),
         },
@@ -202,38 +218,27 @@ pub(crate) fn dispatch(turn: &mut Turn<'_>, req: &Request) {
     turn.conn.reply(None, answer, close, false);
 }
 
-/// Runs `work` — a route that blocks on shard barriers or journal
-/// flushes — on a helper thread of its own and posts its answer to a
-/// pending slot through the reactor queue. If the thread cannot be
-/// started the slot is answered `503` here: nothing else would ever
-/// fill it, and every pipelined reply behind it would wait for good.
-fn defer(
+/// Promises this request a reply slot and returns the sink that fills
+/// it: whatever thread the pool answers on — a shard worker, after its
+/// flush — renders the answer there and posts it to this reactor's
+/// completion queue, exactly as a submit's reply travels.
+fn answer_later<T>(
     turn: &mut Turn<'_>,
     close: bool,
     stop: bool,
-    name: &str,
-    work: impl FnOnce() -> Answer + Send + 'static,
-) {
+    render: impl FnOnce(T) -> Answer + Send + 'static,
+) -> Sink<T> {
     let (conn, slot) = (turn.token, turn.conn.alloc_slot());
     let shared = Arc::clone(turn.shared);
-    let spawned = std::thread::Builder::new()
-        .name(name.to_owned())
-        .spawn(move || {
-            let answer = Deferred::Answer(work());
-            shared.post(Completion {
-                conn,
-                slot,
-                close,
-                stop,
-                answer,
-            });
+    Box::new(move |result| {
+        shared.post(Completion {
+            conn,
+            slot,
+            close,
+            stop,
+            answer: Deferred::Answer(render(result)),
         });
-    if let Err(e) = spawned {
-        turn.state.spawn_failures.inc();
-        let detail = format!("could not start the {name} thread: {e}");
-        let refusal = Answer::error(503, "internal", &detail).closing();
-        turn.conn.reply(Some(slot), refusal, close, false);
-    }
+    })
 }
 
 /// The reply to a submit, from what its shard answered after the group
@@ -302,45 +307,21 @@ fn submit(turn: &mut Turn<'_>, req: &Request, tenant: Option<Arc<Tenant>>, close
     }
 }
 
-/// `POST /admin/reload-tenants`: re-reads the tenants file the server
-/// was started with and swaps the live table. Synchronous — the file
-/// is small and the swap is an `Arc` store.
-fn reload_tenants(state: &Arc<ServerState>) -> Answer {
-    let Some(path) = &state.tenants_path else {
-        return Answer::error(
-            400,
-            "bad_request",
-            "tenancy is not enabled on this server (start with --tenants)",
-        );
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            return Answer::error(
-                500,
-                "internal",
-                &format!("tenants file {}: {e}", path.display()),
-            )
-        }
-    };
-    let specs = match parse_tenants(&text) {
-        Ok(s) => s,
-        Err(e) => return Answer::error(400, "bad_request", &format!("tenants file rejected: {e}")),
-    };
-    match state.pool.reload_tenants(&specs) {
+/// `POST /admin/reload-tenants`: shard 0's worker has re-read the
+/// tenants file the server was started with and swapped the live table.
+fn reload_answer(reloaded: Result<usize, PoolError>) -> Answer {
+    match reloaded {
         Ok(tenants) => Answer::json(200, &ReloadTenantsResponse { tenants }),
         Err(PoolError::Rejected(e)) => Answer::error(400, "bad_request", &e),
         Err(e) => Answer::error(500, "internal", &e.to_string()),
     }
 }
 
-/// `POST /admin/drain|stop`, on its helper thread: drain blocks on
-/// per-shard FIFO barriers. A failed drain on the stop path still
-/// stops the server — it answers with the drain result and stops
-/// regardless.
-fn drain(state: &ServerState) -> Answer {
-    state.draining.store(true, Ordering::SeqCst);
-    match state.pool.drain() {
+/// `POST /admin/drain|stop`: every shard has run dry and checkpointed.
+/// A failed drain on the stop path still stops the server — it answers
+/// with the drain result and stops regardless.
+fn drain_answer(drained: Result<usize, EngineError>) -> Answer {
+    match drained {
         Ok(compacted_events) => Answer::json(200, &DrainResponse { compacted_events }),
         Err(e) => Answer::error(500, "internal", &e.to_string()),
     }
@@ -366,10 +347,10 @@ fn deploy_request(
     Ok((body.definition, policy))
 }
 
-/// `POST /admin/deploy`, on its helper thread: register + migrate
-/// (deploy blocks on journal flushes).
-fn deploy(state: &ServerState, definition: ProcessDefinition, policy: MigrationPolicy) -> Answer {
-    match state.pool.deploy(definition, policy) {
+/// `POST /admin/deploy`: every shard has registered (and migrated,
+/// per policy) and flushed.
+fn deploy_answer(deployed: Result<DeployReport, PoolError>) -> Answer {
+    match deployed {
         Ok(report) => Answer::json(
             200,
             &DeployResponse {
@@ -433,25 +414,29 @@ fn worklist(state: &Arc<ServerState>, req: &Request, tenant: Option<&Arc<Tenant>
     Answer::json(200, &WorklistResponse { items })
 }
 
-fn complete(
+/// `POST /worklist/:id/complete`, the part done on the reactor: the
+/// item's wire id and who completes it.
+fn complete_request(
     state: &Arc<ServerState>,
     req: &Request,
     item: &str,
     tenant: Option<&Arc<Tenant>>,
-) -> Answer {
-    let Ok(ext) = item.parse::<u64>() else {
-        return Answer::error(400, "bad_request", "work-item id must be an integer");
-    };
-    if let Some(t) = tenant {
-        if state.pool.slot_of(ext) != Some(t.slot) {
-            return forbidden(&format!("work item {ext} belongs to another tenant"));
-        }
+) -> Result<(u64, String), Answer> {
+    let ext = item
+        .parse::<u64>()
+        .map_err(|_| Answer::error(400, "bad_request", "work-item id must be an integer"))?;
+    if tenant.is_some_and(|t| state.pool.slot_of(ext) != Some(t.slot)) {
+        let detail = format!("work item {ext} belongs to another tenant");
+        return Err(forbidden(&detail));
     }
-    let body: CompleteRequest = match json_body(req) {
-        Ok(body) => body,
-        Err(refusal) => return refusal,
-    };
-    match state.pool.complete(ext, &body.person) {
+    let body: CompleteRequest = json_body(req)?;
+    Ok((ext, body.person))
+}
+
+/// `POST /worklist/:id/complete`: the item's shard has executed it,
+/// navigated onward and flushed.
+fn complete_answer(ext: u64, done: Result<(), EngineError>) -> Answer {
+    match done {
         Ok(()) => Answer::text(200, JSON, "{}".to_owned()),
         Err(EngineError::Worklist(WorklistError::NoSuchItem(_))) => {
             Answer::error(404, "not_found", &format!("no work item {ext}"))
@@ -466,14 +451,14 @@ fn complete(
     }
 }
 
-/// Folds engine aggregates into gauges at scrape time — cheaper than
+/// Folds engine levels into gauges at scrape time — cheaper than
 /// keeping them hot on the submit path. The `journal.*` and `db.wal_*`
 /// levels are what the shards' logs hold right now, summed: the bound
 /// on a long-lived server's memory, where an operator can see it. What
-/// each shard engine counts on its own registry — journal faults,
-/// recovery and migration fix-ups, released claims — is summed by name
-/// the same way (the hot-path `nav.*` hooks are off under `serve`, so
-/// those read 0).
+/// the shard engines *count* — journal faults, recovery and migration
+/// fix-ups, released claims — needs no folding: they count on this
+/// registry (the hot-path `nav.*` hooks are off under `serve`, so those
+/// read 0).
 fn publish_scrape_gauges(state: &Arc<ServerState>) {
     let registry = state.pool.registry();
     let shards = state.pool.engine_metrics();
@@ -492,13 +477,6 @@ fn publish_scrape_gauges(state: &Arc<ServerState>) {
     publish("db.wal_checkpoints", &|m| {
         m.federation.iter().map(|db| db.wal_checkpoints).sum()
     });
-    let mut counted = std::collections::BTreeMap::<&str, u64>::new();
-    for (name, n) in shards.iter().flat_map(|m| &m.counters) {
-        *counted.entry(name).or_default() += n;
-    }
-    for (name, total) in counted {
-        registry.gauge(name).set(total as i64);
-    }
     registry
         .gauge("server.queue.depth")
         .set(state.pool.queue_depth());

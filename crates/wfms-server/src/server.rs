@@ -21,9 +21,10 @@
 //! response slot, and is written out together with every other reply
 //! from the same batch — one flush, one wake, one `writev`-sized
 //! burst. A `201` on the wire therefore still implies the start is on
-//! disk. Admin drain/stop and deploy run on short-lived helper threads
-//! (they block on shard barriers and journal flushes) and complete
-//! through the same queue, as the same kind of completion.
+//! disk. Work-item completions, deploys, tenant reloads and admin
+//! drain/stop travel the same way: a job for the shard worker, a
+//! completion posted after its flush. The process has reactors and
+//! shard workers and no other thread.
 //!
 //! Lifecycle: [`Server::start`] binds and serves immediately;
 //! [`Server::wait_stop`] blocks the caller until `POST /admin/stop`
@@ -108,9 +109,6 @@ pub(crate) struct ServerState {
     pub(crate) default_process: String,
     stop_tx: SyncSender<()>,
     pub(crate) tenants_path: Option<PathBuf>,
-    /// `server.defer.spawn_failures`: deferred routes answered `503`
-    /// because their helper thread could not be started.
-    pub(crate) spawn_failures: Arc<wfms_observe::Counter>,
 }
 
 /// A deferred route's reply, produced off-reactor and delivered
@@ -181,7 +179,6 @@ impl Server {
                 .max(1)
         };
         let state = Arc::new(ServerState {
-            spawn_failures: pool.registry().counter("server.defer.spawn_failures"),
             pool,
             draining: AtomicBool::new(false),
             stopping: AtomicBool::new(false),
@@ -277,7 +274,7 @@ enum Slot {
         close: bool,
         stop: bool,
     },
-    /// Waiting on a group-commit or admin completion.
+    /// Waiting on a shard worker's completion.
     Pending { id: u64 },
 }
 

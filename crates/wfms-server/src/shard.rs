@@ -3,7 +3,8 @@
 //! A [`ShardPool`] owns N shards; each shard is an [`Engine`] with its
 //! own durable journal file (`shard-<i>.journal` under the data
 //! directory), one bounded admission queue (its `Inbox`) and a
-//! dedicated worker thread. Submissions are spread round-robin; the
+//! dedicated worker thread, the engine's only writer once
+//! [`ShardPool::open`] has returned. Submissions are spread round-robin; the
 //! worker takes a *batch* out of the inbox, navigates each submission
 //! to quiescence, then flushes the journal once more before
 //! acknowledging any of them — group commit. The journal's own policy
@@ -30,6 +31,29 @@
 //! the quota cannot leak. Queue depth and accept/reject counts are
 //! published through the pool's [`Registry`]. What the data directory
 //! pins across reopens lives in `store.rs`.
+//!
+//! ## One writer
+//!
+//! Whatever else changes a shard — a work-item completion, a deploy, a
+//! tenant reload, a drain — is a *control job*: a closure queued in the
+//! same inbox, which the worker runs after a batch's flush and answers,
+//! in arrival order (a drain's only once the lanes have run dry, so
+//! that everything admitted before it is answered first). Each job
+//! flushes what it journalled before it calls its sink, so "answered ⇒
+//! durable" holds for it as for a submission. A completion runs on its
+//! item's shard; a deploy runs on every shard in turn, shard 0's worker
+//! doing the file work first and each worker handing it to the next,
+//! so the order "template file → meta → each shard's flushed
+//! `TemplateDeployed`" is that of one chain, not of a lock; a reload
+//! runs on shard 0; a drain on every shard at once, the last to finish
+//! answering with the sum. [`ShardPool::complete_with`],
+//! [`ShardPool::deploy_with`], [`ShardPool::reload_tenants`] and
+//! [`ShardPool::drain_with`] queue such a job and return; the blocking
+//! spellings wait for the sink. A closed inbox — its worker was stopped
+//! or died — hands a job back and the caller runs it in place, the
+//! worker being gone: races between a deploy, a reload, a checkpoint
+//! and a submit are orderings of one queue. Deploy and migration still
+//! live in this file (ROADMAP).
 //!
 //! ## External ids
 //!
@@ -58,25 +82,48 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, RwLock};
-use txn_substrate::{DurabilityPolicy, MultiDatabase, ProgramRegistry};
+use txn_substrate::{DurabilityPolicy, MirrorError, MultiDatabase, ProgramRegistry};
 use wfms_engine::{
     spec_hash_of, Engine, EngineConfig, EngineError, InstanceId, InstanceStatus, MigrationOutcome,
-    OrgModel, WorkItem, WorkItemId,
+    OrgModel, WorkItem, WorkItemId, WorklistError,
 };
 use wfms_model::{Container, ProcessDefinition};
-use wfms_observe::{Counter, Registry};
+use wfms_observe::{Counter, Observer, Registry};
 
 use crate::store::{check_meta, persist_template, write_meta, ServerMeta};
-use crate::tenant::{Tenant, TenantSpec, TenantTable, TENANT_BITS};
+use crate::tenant::{parse_tenants, Tenant, TenantSpec, TenantTable, TENANT_BITS};
 
-/// How long a submitter waits for its shard worker to answer before
-/// giving up (the worker only goes silent if it panicked).
+/// How long a blocking call waits for its shard worker to answer
+/// before giving up: the worker panicked, or — a drain — its lanes never
+/// ran dry.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
+const UNANSWERED: &str = "shard worker did not answer";
+
+/// The blocking spelling of a sink-form call: hands `call` a sink and
+/// waits for what the sink is given. `None` when nothing came — the
+/// sink was dropped uncalled (the call was refused, or its worker died
+/// holding it) or the worker stayed silent for [`REPLY_TIMEOUT`].
+fn answer_of<T: Send + 'static>(call: impl FnOnce(Sink<T>)) -> Option<T> {
+    let (tx, rx) = sync_channel(1);
+    call(Box::new(move |answer| {
+        let _ = tx.send(answer);
+    }));
+    rx.recv_timeout(REPLY_TIMEOUT).ok()
+}
+
+/// What a blocking completion or drain reports when its worker never
+/// answered: nothing it asked for can be taken as durable.
+fn unanswered() -> EngineError {
+    EngineError::Journal(MirrorError {
+        kind: std::io::ErrorKind::TimedOut,
+        message: UNANSWERED.to_owned(),
+    })
+}
 
 /// Errors opening a [`ShardPool`].
 #[derive(Debug)]
@@ -114,6 +161,8 @@ pub enum PoolError {
     Rejected(String),
     /// A shard journal could not be recovered.
     Recovery(wfms_engine::RecoveryError),
+    /// The tenants file a reload was pointed at could not be read.
+    TenantsFile(PathBuf, std::io::Error),
 }
 
 impl std::fmt::Display for PoolError {
@@ -145,6 +194,7 @@ impl std::fmt::Display for PoolError {
             ),
             PoolError::Rejected(e) => write!(f, "deploy rejected: {e}"),
             PoolError::Recovery(e) => write!(f, "shard recovery: {e}"),
+            PoolError::TenantsFile(path, e) => write!(f, "tenants file {}: {e}", path.display()),
         }
     }
 }
@@ -249,6 +299,20 @@ pub enum SubmitDispatch {
 /// `(error rendering, unknown_process)`.
 pub type SubmitReply = Result<(u64, InstanceStatus, Container), (String, bool)>;
 
+/// Where a sink-form call ([`ShardPool::submit_with`] and the `_with`
+/// spellings beside it) delivers its answer: invoked exactly once — by
+/// a shard worker, after the flush that makes the answer true; or by
+/// the caller in place, when the call is refused before it is queued or
+/// the shard's inbox is closed. A sink must not block on the pool: the
+/// worker it would wait for may be the thread it runs on.
+pub type Sink<T> = Box<dyn FnOnce(T) + Send + 'static>;
+
+/// A job for a shard's worker other than a submission — a work-item
+/// completion, a deploy's share, a tenant reload, a drain's checkpoint:
+/// run between batches, on the shard's engine, by the only thread that
+/// writes it. It flushes what it journalled before it answers anyone.
+type Control = Box<dyn FnOnce(&Engine) + Send + 'static>;
+
 /// One of a tenant's `max_inflight` slots, held from admission until
 /// the submission is answered or dropped unanswered: this `Drop` is the
 /// only place a slot is given back. Holds nothing with tenancy off.
@@ -294,7 +358,7 @@ struct QueuedSubmit {
     reservation: Reservation,
     /// Invoked exactly once, *after* the batch's journal flush — or
     /// dropped uncalled if the worker dies first.
-    sink: Box<dyn FnOnce(SubmitReply) + Send + 'static>,
+    sink: Sink<SubmitReply>,
 }
 
 /// Per-tenant FIFO, keyed by slot (slot 0 = untenanted). `deficit` is
@@ -306,9 +370,9 @@ struct Lane {
     weight: u64,
 }
 
-/// A shard's admission queue: every admitted submission its worker has
-/// not yet taken, in per-tenant lanes the worker empties by weighted
-/// deficit-round-robin.
+/// A shard's one queue: every admitted submission its worker has not
+/// yet taken, in per-tenant lanes the worker empties by weighted
+/// deficit-round-robin, and the control jobs it runs between batches.
 ///
 /// Fairness: each DRR round credits every backlogged lane `weight`
 /// submissions and dequeues up to its accumulated deficit, so over any
@@ -322,10 +386,12 @@ struct Inbox {
     lanes: BTreeMap<u16, Lane>,
     /// Submissions in the lanes: never above the pool's queue capacity.
     queued: usize,
-    /// Drain barriers waiting for the lanes to run dry.
-    barriers: Vec<SyncSender<()>>,
-    /// Closed to admissions and barriers: the worker hands out what is
-    /// queued and exits, or is gone already.
+    /// Control jobs, in arrival order. `true` marks one that is due
+    /// only once the lanes have run dry — a drain's checkpoint: every
+    /// submission admitted before it is then answered and durable.
+    control: Vec<(bool, Control)>,
+    /// Closed to admissions and control jobs: the worker hands out what
+    /// is queued and exits, or is gone already.
     stop: bool,
     /// The worker sleeps on the shard's condition variable; whoever
     /// gives it something to do clears this and wakes it.
@@ -362,11 +428,22 @@ impl Inbox {
         Ok(SubmitDispatch::Dispatched)
     }
 
+    /// Queues a control job. `Err` hands it back: the inbox is closed,
+    /// run it yourself.
+    fn enqueue(&mut self, when_dry: bool, job: Control) -> Result<(), Control> {
+        if self.stop {
+            return Err(job);
+        }
+        self.control.push((when_dry, job));
+        Ok(())
+    }
+
     /// Takes the next group-commit batch — up to `batch_max`
-    /// submissions, by DRR over the backlogged lanes — and, when that
-    /// leaves the lanes dry, the barriers to release once the batch is
-    /// flushed: everything admitted before them is then durable.
-    fn take_batch(&mut self, batch_max: usize) -> (Vec<QueuedSubmit>, Vec<SyncSender<()>>) {
+    /// submissions, by DRR over the backlogged lanes — and the control
+    /// jobs to run once it is flushed and answered: in arrival order,
+    /// all of them when the batch leaves the lanes dry, otherwise all
+    /// but those waiting for that.
+    fn take_batch(&mut self, batch_max: usize) -> (Vec<QueuedSubmit>, Vec<(bool, Control)>) {
         let mut batch = Vec::with_capacity(batch_max.min(self.queued));
         while batch.len() < batch_max && self.queued > 0 {
             for lane in self.lanes.values_mut() {
@@ -393,12 +470,12 @@ impl Inbox {
                 }
             }
         }
-        let released = if self.queued == 0 {
-            std::mem::take(&mut self.barriers)
-        } else {
-            Vec::new()
-        };
-        (batch, released)
+        let dry = self.queued == 0;
+        let (due, waiting) = std::mem::take(&mut self.control)
+            .into_iter()
+            .partition(|(when_dry, _)| dry || !when_dry);
+        self.control = waiting;
+        (batch, due)
     }
 }
 
@@ -421,6 +498,34 @@ impl Shard {
         }
         out
     }
+
+    /// Hands `job` to the worker, to run after its next batch — with
+    /// `when_dry`, after the batch that leaves the lanes dry. On a
+    /// closed inbox the caller runs it here instead, once the worker —
+    /// which may still be finishing what was queued at `stop` — has
+    /// left: no worker is left to race.
+    fn control(&self, when_dry: bool, job: Control) {
+        if let Err(job) = self.with_inbox(|inbox| inbox.enqueue(when_dry, job)) {
+            self.join_worker();
+            job(&self.engine);
+        }
+    }
+
+    fn join_worker(&self) {
+        if let Some(handle) = self.worker.lock().take() {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// The data directory and the in-memory mirror of its
+/// `server.meta.json`. Both are written by shard 0's worker only —
+/// deploys and tenant reloads do their file work there — so the lock is
+/// never contended; it is there because jobs come and go and the mirror
+/// stays.
+struct DataDir {
+    path: PathBuf,
+    meta: Mutex<ServerMeta>,
 }
 
 /// Pool configuration.
@@ -470,14 +575,11 @@ impl PoolConfig {
 
 /// The sharded instance manager (see module docs).
 pub struct ShardPool {
-    shards: Vec<Shard>,
+    shards: Arc<[Shard]>,
     nshards: u64,
     rr: AtomicUsize,
     queue_capacity: usize,
-    data_dir: PathBuf,
-    /// In-memory mirror of `server.meta.json`; the lock also
-    /// serializes concurrent deploys.
-    meta: Mutex<ServerMeta>,
+    dir: Arc<DataDir>,
     registry: Arc<Registry>,
     overloaded: Arc<Counter>,
     failed: Arc<Counter>,
@@ -488,7 +590,7 @@ pub struct ShardPool {
     tenant_bits: u32,
     /// Live tenant table, swapped atomically on hot reload. Empty when
     /// tenancy is disabled.
-    tenants: RwLock<Arc<TenantTable>>,
+    tenants: Arc<RwLock<Arc<TenantTable>>>,
 }
 
 impl ShardPool {
@@ -532,6 +634,11 @@ impl ShardPool {
                     org: cfg.org.clone(),
                     journal_path: Some(journal_path),
                     durability: cfg.durability,
+                    // Hot hooks off. What an engine counts regardless —
+                    // journal faults, recovery and migration fix-ups —
+                    // lands in the pool's registry, where shards sum by
+                    // adding into the counter of the same name.
+                    observer: Some(Arc::new(Observer::over(Arc::clone(&registry), false))),
                     ..EngineConfig::default()
                 },
                 templates.clone(),
@@ -564,19 +671,21 @@ impl ShardPool {
         }
 
         Ok(Self {
-            shards,
+            shards: shards.into(),
             nshards: nshards as u64,
             rr: AtomicUsize::new(0),
             queue_capacity: cfg.queue_capacity.max(1),
-            data_dir: cfg.data_dir,
-            meta: Mutex::new(meta),
+            dir: Arc::new(DataDir {
+                path: cfg.data_dir,
+                meta: Mutex::new(meta),
+            }),
             registry: Arc::clone(&registry),
             overloaded: registry.counter("server.submit.overloaded"),
             failed: registry.counter("server.submit.failed"),
             completions: registry.counter("server.worklist.completions"),
             recovered,
             tenant_bits: tenant_bits as u32,
-            tenants: RwLock::new(Arc::new(table)),
+            tenants: Arc::new(RwLock::new(Arc::new(table))),
         })
     }
 
@@ -606,37 +715,55 @@ impl ShardPool {
         Arc::clone(&self.tenants.read())
     }
 
+    /// The live tenant table, if tenancy is enabled: what decides
+    /// whether the slot in a wire id owns an instance.
+    fn tenancy(&self) -> Option<Arc<TenantTable>> {
+        self.tenancy_enabled().then(|| self.tenant_table())
+    }
+
     /// Resolves an API key to its tenant — constant-time over the
     /// whole table (see [`TenantTable::authenticate`]).
     pub fn authenticate(&self, key: &[u8]) -> Option<Arc<Tenant>> {
         self.tenants.read().authenticate(key)
     }
 
-    /// Replaces the live tenant set from a freshly parsed tenants
-    /// file. Slot assignments are append-only: names this directory
-    /// has seen keep their slot (pinned in `server.meta.json`), new
-    /// names are appended, and names absent from `specs` keep their
-    /// slot reserved but can no longer authenticate. In-flight
-    /// counters are carried over by name so quota accounting survives
-    /// the swap. Returns the number of live tenants.
-    pub fn reload_tenants(&self, specs: &[TenantSpec]) -> Result<usize, PoolError> {
+    /// Replaces the live tenant set from the tenants file at `path`,
+    /// read and parsed by shard 0's worker, which also rewrites the
+    /// meta file when the slot list grows; `sink` receives the number
+    /// of live tenants. Slot assignments are append-only: names this
+    /// directory has seen keep their slot (pinned in
+    /// `server.meta.json`), new names are appended, and names absent
+    /// from the file keep their slot reserved but can no longer
+    /// authenticate. In-flight counters are carried over by name so
+    /// quota accounting survives the swap. A file that cannot be read
+    /// or fails validation leaves the live table as it was.
+    pub fn reload_tenants(&self, path: PathBuf, sink: Sink<Result<usize, PoolError>>) {
         if self.tenant_bits == 0 {
-            return Err(PoolError::Rejected(
+            return sink(Err(PoolError::Rejected(
                 "tenancy is not enabled on this server (start with --tenants)".to_owned(),
+            )));
+        }
+        let (dir, tenants) = (Arc::clone(&self.dir), Arc::clone(&self.tenants));
+        let registry = Arc::clone(&self.registry);
+        let reload = move || {
+            let text = std::fs::read_to_string(&path)
+                .map_err(|e| PoolError::TenantsFile(path.clone(), e))?;
+            let specs = parse_tenants(&text)
+                .map_err(|e| PoolError::Rejected(format!("tenants file rejected: {e}")))?;
+            let mut meta = dir.meta.lock();
+            if meta.pin_slots(&specs)? {
+                write_meta(&dir.path, &meta)?;
+            }
+            let mut table = tenants.write();
+            *table = Arc::new(TenantTable::build(
+                &meta.tenants,
+                &specs,
+                Some(&table),
+                &registry,
             ));
-        }
-        let mut meta = self.meta.lock();
-        if meta.pin_slots(specs)? {
-            write_meta(&self.data_dir, &meta)?;
-        }
-        let mut table = self.tenants.write();
-        *table = Arc::new(TenantTable::build(
-            &meta.tenants,
-            specs,
-            Some(&table),
-            &self.registry,
-        ));
-        Ok(table.live().count())
+            Ok(table.live().count())
+        };
+        self.shards[0].control(false, Box::new(move |_| sink(reload())));
     }
 
     /// Submits one instance start *without blocking*: `sink` is
@@ -655,7 +782,7 @@ impl ShardPool {
         process: &str,
         input: Container,
         tenant: Option<Arc<Tenant>>,
-        sink: Box<dyn FnOnce(SubmitReply) + Send + 'static>,
+        sink: Sink<SubmitReply>,
     ) -> SubmitDispatch {
         let reservation = match Reservation::take(tenant) {
             Ok(reservation) => reservation,
@@ -703,26 +830,21 @@ impl ShardPool {
         input: Container,
         tenant: Option<Arc<Tenant>>,
     ) -> SubmitOutcome {
-        let (reply_tx, reply_rx) = sync_channel::<SubmitReply>(1);
-        let sink = Box::new(move |reply: SubmitReply| {
-            let _ = reply_tx.send(reply);
-        });
-        match self.submit_with(process, input, tenant, sink) {
-            SubmitDispatch::Overloaded { depth, capacity } => {
-                return SubmitOutcome::Overloaded { depth, capacity };
-            }
-            SubmitDispatch::Dispatched => {}
+        let mut dispatch = SubmitDispatch::Dispatched;
+        let reply = answer_of(|sink| dispatch = self.submit_with(process, input, tenant, sink));
+        if let SubmitDispatch::Overloaded { depth, capacity } = dispatch {
+            return SubmitOutcome::Overloaded { depth, capacity };
         }
-        match reply_rx.recv_timeout(REPLY_TIMEOUT) {
-            Ok(Ok((id, status, output))) => SubmitOutcome::Accepted { id, status, output },
-            Ok(Err((error, unknown_process))) => SubmitOutcome::Failed {
+        match reply {
+            Some(Ok((id, status, output))) => SubmitOutcome::Accepted { id, status, output },
+            Some(Err((error, unknown_process))) => SubmitOutcome::Failed {
                 error,
                 unknown_process,
             },
-            Err(_) => {
+            None => {
                 self.failed.inc();
                 SubmitOutcome::Failed {
-                    error: "shard worker did not answer".to_owned(),
+                    error: UNANSWERED.to_owned(),
                     unknown_process: false,
                 }
             }
@@ -738,7 +860,7 @@ impl ShardPool {
         let (shard, local, slot) = self.decode(ext)?;
         let engine = &self.shards[shard].engine;
         let id = InstanceId(local);
-        if !self.slot_owns_instance(engine, id, slot) {
+        if !slot_owns_instance(engine, id, slot, self.tenancy().as_deref()) {
             return None;
         }
         let status = engine.status(id).ok()?;
@@ -754,90 +876,52 @@ impl ShardPool {
         self.decode(ext).map(|(_, _, slot)| slot)
     }
 
-    /// True when the tenant slot claimed by a wire id matches the
-    /// tenant journalled on the instance (trivially true with tenancy
-    /// disabled).
-    fn slot_owns_instance(&self, engine: &Engine, id: InstanceId, slot: u16) -> bool {
-        if self.tenant_bits == 0 {
-            return slot == 0;
-        }
-        let journalled = match engine.instance_tenant(id) {
-            Ok(t) => t,
-            Err(_) => return false,
-        };
-        match (slot, journalled) {
-            (0, None) => true,
-            (0, Some(_)) | (_, None) => false,
-            (s, Some(name)) => self.tenants.read().slot_of_name(&name) == Some(s),
-        }
-    }
-
     /// Registers a new version of a process into every shard and makes
     /// it the default for new submissions; existing instances are
-    /// handled per `policy`. Durable in stages: the definition file is
-    /// written first, then the meta hash list, then each shard journals
-    /// its `TemplateDeployed` (and any `Migrated`) events and flushes —
-    /// a crash between any two stages recovers to a consistent state.
-    pub fn deploy(
+    /// handled per `policy`. Durable in stages, one shard worker after
+    /// another: shard 0's writes the definition file, then the meta
+    /// hash list; then each shard's in turn journals its
+    /// `TemplateDeployed` (and any `Migrated`) events and flushes — a
+    /// crash between any two stages recovers to a consistent state.
+    /// The last shard's worker answers.
+    pub fn deploy_with(
         &self,
         def: ProcessDefinition,
         policy: MigrationPolicy,
-    ) -> Result<DeployReport, PoolError> {
+        sink: Sink<Result<DeployReport, PoolError>>,
+    ) {
         // Validate before anything is persisted: a rejected definition
         // must leave no trace in the templates directory or the meta.
         let errors = wfms_model::validate(&def);
         if !errors.is_empty() {
             let rendered: Vec<String> = errors.iter().map(|e| e.to_string()).collect();
-            return Err(PoolError::Rejected(rendered.join("; ")));
+            return sink(Err(PoolError::Rejected(rendered.join("; "))));
         }
-        let version = format!("{:016x}", spec_hash_of(&def));
-        let process = def.name.clone();
-        {
-            let mut meta = self.meta.lock();
-            if !meta.templates.contains(&version) {
-                persist_template(&self.data_dir, &version, &def)?;
-                meta.templates.push(version.clone());
-                write_meta(&self.data_dir, &meta)?;
-            }
-        }
-        let mut report = DeployReport {
-            process: process.clone(),
-            version: version.clone(),
+        let report = DeployReport {
+            process: def.name.clone(),
+            version: format!("{:016x}", spec_hash_of(&def)),
             migrated: 0,
             skipped: 0,
             already_current: 0,
         };
-        let flush_err =
-            |e: EngineError| PoolError::Io(std::io::Error::other(format!("journal flush: {e}")));
-        for shard in &self.shards {
-            shard
-                .engine
-                .register(def.clone())
-                .map_err(|e| PoolError::Rejected(e.to_string()))?;
-            shard.engine.flush_journal().map_err(flush_err)?;
-        }
-        if policy == MigrationPolicy::MigrateAtScopeBoundary {
-            for shard in &self.shards {
-                let engine = &shard.engine;
-                for (id, p, status) in engine.instances() {
-                    if p != process || status != InstanceStatus::Running {
-                        continue;
-                    }
-                    match engine.migrate_to_default(id) {
-                        Ok(MigrationOutcome::Migrated { .. }) => {
-                            report.migrated += 1;
-                            // Migration fixups may have re-readied
-                            // automatic work; navigate it onward.
-                            let _ = engine.run_to_quiescence(id);
-                        }
-                        Ok(MigrationOutcome::AlreadyCurrent) => report.already_current += 1,
-                        Ok(MigrationOutcome::Skipped { .. }) | Err(_) => report.skipped += 1,
-                    }
-                }
-                engine.flush_journal().map_err(flush_err)?;
-            }
-        }
-        Ok(report)
+        let deploy = Deploy {
+            def,
+            policy,
+            report,
+            sink,
+        };
+        deploy.queue(0, Arc::clone(&self.shards), Arc::clone(&self.dir));
+    }
+
+    /// [`ShardPool::deploy_with`], blocking until the last shard has
+    /// answered.
+    pub fn deploy(
+        &self,
+        def: ProcessDefinition,
+        policy: MigrationPolicy,
+    ) -> Result<DeployReport, PoolError> {
+        answer_of(|sink| self.deploy_with(def, policy, sink))
+            .unwrap_or_else(|| Err(PoolError::Io(std::io::Error::other(UNANSWERED))))
     }
 
     /// Open work items of `person` across every shard, with external
@@ -876,72 +960,96 @@ impl ShardPool {
     }
 
     /// Completes (claim + execute) a work item by external id as
-    /// `person`, then flushes the owning shard's journal so the
-    /// completion is durable before the call returns. With tenancy
-    /// enabled, the slot in the wire id must match the owning
-    /// instance's tenant — a forged slot resolves to "no such item".
-    pub fn complete(&self, ext_item: u64, person: &str) -> Result<(), EngineError> {
+    /// `person`, on the owning shard's worker, which flushes the
+    /// shard's journal before `sink` hears of it: answered means
+    /// durable. With tenancy enabled, the slot in the wire id must
+    /// match the owning instance's tenant — a forged slot resolves to
+    /// "no such item".
+    pub fn complete_with(
+        &self,
+        ext_item: u64,
+        person: String,
+        sink: Sink<Result<(), EngineError>>,
+    ) {
         let no_such_item =
-            || EngineError::Worklist(wfms_engine::WorklistError::NoSuchItem(WorkItemId(ext_item)));
-        let (shard, local, slot) = self.decode(ext_item).ok_or_else(no_such_item)?;
-        let engine = &self.shards[shard].engine;
-        let owner = engine
-            .item_instance(WorkItemId(local))
-            .ok_or_else(no_such_item)?;
-        if !self.slot_owns_instance(engine, owner, slot) {
-            return Err(no_such_item());
-        }
-        engine.execute_item(WorkItemId(local), person)?;
-        engine.flush_journal()?;
-        self.completions.inc();
-        Ok(())
+            move || EngineError::Worklist(WorklistError::NoSuchItem(WorkItemId(ext_item)));
+        let Some((shard, local, slot)) = self.decode(ext_item) else {
+            return sink(Err(no_such_item()));
+        };
+        let (tenancy, completions) = (self.tenancy(), Arc::clone(&self.completions));
+        let complete = move |engine: &Engine| {
+            let item = WorkItemId(local);
+            let owner = engine.item_instance(item).ok_or_else(no_such_item)?;
+            if !slot_owns_instance(engine, owner, slot, tenancy.as_deref()) {
+                return Err(no_such_item());
+            }
+            engine.execute_item(item, &person)?;
+            engine.flush_journal()?;
+            completions.inc();
+            Ok(())
+        };
+        self.shards[shard].control(false, Box::new(move |engine| sink(complete(engine))));
     }
 
-    /// Flushes every queued submission through its shard (FIFO
-    /// barriers), then drains every engine (flush + checkpoint +
-    /// flush). Returns total journal events dropped by compaction.
-    pub fn drain(&self) -> Result<usize, EngineError> {
-        let mut waits = Vec::new();
-        for shard in &self.shards {
-            let (tx, rx) = sync_channel::<()>(1);
-            // A stopped worker releases no barrier: do not wait for one.
-            let waiting = shard.with_inbox(|inbox| {
-                if !inbox.stop {
-                    inbox.barriers.push(tx);
+    /// [`ShardPool::complete_with`], blocking until the completion is
+    /// durable.
+    pub fn complete(&self, ext_item: u64, person: &str) -> Result<(), EngineError> {
+        answer_of(|sink| self.complete_with(ext_item, person.to_owned(), sink))
+            .unwrap_or_else(|| Err(unanswered()))
+    }
+
+    /// Drains every shard at once: each worker, once its lanes have run
+    /// dry — every submission admitted before the drain is then
+    /// answered and durable — drains its own engine (flush, checkpoint,
+    /// flush). The last to finish hands `sink` the total journal events
+    /// dropped by compaction, or the first error.
+    pub fn drain_with(&self, sink: Sink<Result<usize, EngineError>>) {
+        // Shards still to answer, their total so far, the sink.
+        let gather = Arc::new(Mutex::new((self.shards.len(), Ok(0), Some(sink))));
+        for shard in self.shards.iter() {
+            let gather = Arc::clone(&gather);
+            let drain = move |engine: &Engine| {
+                let dropped = engine.drain();
+                let mut gather = gather.lock();
+                let (left, total, sink) = &mut *gather;
+                *total = match (std::mem::replace(total, Ok(0)), dropped) {
+                    (Ok(sum), Ok(n)) => Ok(sum + n),
+                    (Err(e), _) | (Ok(_), Err(e)) => Err(e),
+                };
+                *left -= 1;
+                if *left == 0 {
+                    // The last shard: nobody takes this lock again.
+                    let sink = sink.take().expect("only the last shard answers");
+                    sink(std::mem::replace(total, Ok(0)));
                 }
-                !inbox.stop
-            });
-            if waiting {
-                waits.push(rx);
-            }
+            };
+            shard.control(true, Box::new(drain));
         }
-        for rx in waits {
-            let _ = rx.recv_timeout(REPLY_TIMEOUT);
-        }
-        let mut dropped = 0;
-        for shard in &self.shards {
-            dropped += shard.engine.drain()?;
-        }
-        Ok(dropped)
+    }
+
+    /// [`ShardPool::drain_with`], blocking until every shard is
+    /// checkpointed. A shard whose lanes do not run dry within
+    /// `REPLY_TIMEOUT` (30 s) fails the drain; nothing is checkpointed
+    /// beside a busy worker.
+    pub fn drain(&self) -> Result<usize, EngineError> {
+        answer_of(|sink| self.drain_with(sink)).unwrap_or_else(|| Err(unanswered()))
     }
 
     /// Stops every shard worker and joins it. Queued jobs submitted
     /// before the stop are still processed and flushed. Idempotent.
     pub fn stop(&self) {
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             shard.with_inbox(|inbox| inbox.stop = true);
         }
-        for shard in &self.shards {
-            if let Some(handle) = shard.worker.lock().take() {
-                let _ = handle.join();
-            }
+        for shard in self.shards.iter() {
+            shard.join_worker();
         }
     }
 
     /// Instance counts `(running, finished, cancelled)` across shards.
     pub fn instance_counts(&self) -> (u64, u64, u64) {
         let mut counts = (0, 0, 0);
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             let (running, finished, cancelled) = shard.engine.instance_counts();
             counts.0 += running;
             counts.1 += finished;
@@ -1006,9 +1114,93 @@ fn decode_ext(ext: u64, nshards: u64, tenant_bits: u32) -> Option<(usize, u64, u
     (local > 0).then_some((shard, local, slot))
 }
 
+/// True when the tenant slot claimed by a wire id matches the tenant
+/// journalled on the instance (trivially true with tenancy disabled:
+/// no table).
+fn slot_owns_instance(
+    engine: &Engine,
+    id: InstanceId,
+    slot: u16,
+    tenancy: Option<&TenantTable>,
+) -> bool {
+    let Some(table) = tenancy else {
+        return slot == 0;
+    };
+    let journalled = match engine.instance_tenant(id) {
+        Ok(t) => t,
+        Err(_) => return false,
+    };
+    match (slot, journalled) {
+        (0, None) => true,
+        (0, Some(_)) | (_, None) => false,
+        (s, Some(name)) => table.slot_of_name(&name) == Some(s),
+    }
+}
+
 impl Drop for ShardPool {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+/// A deploy on its way through the shards, in shard order.
+struct Deploy {
+    def: ProcessDefinition,
+    policy: MigrationPolicy,
+    report: DeployReport,
+    sink: Sink<Result<DeployReport, PoolError>>,
+}
+
+impl Deploy {
+    /// Queues shard `at`'s share with its worker; done, that worker
+    /// queues the next shard's, and the last one answers.
+    fn queue(mut self, at: usize, shards: Arc<[Shard]>, dir: Arc<DataDir>) {
+        let rest = Arc::clone(&shards);
+        let share = move |engine: &Engine| match self.on_shard(at, &dir, engine) {
+            Err(e) => (self.sink)(Err(e)),
+            Ok(()) if at + 1 < rest.len() => self.queue(at + 1, rest, dir),
+            Ok(()) => (self.sink)(Ok(self.report)),
+        };
+        shards[at].control(false, Box::new(share));
+    }
+
+    /// One shard's share. Shard 0 does the file work first, so no
+    /// journal names a version the data directory cannot load.
+    fn on_shard(&mut self, at: usize, dir: &DataDir, engine: &Engine) -> Result<(), PoolError> {
+        let version = &self.report.version;
+        if at == 0 {
+            let mut meta = dir.meta.lock();
+            if !meta.templates.contains(version) {
+                persist_template(&dir.path, version, &self.def)?;
+                meta.templates.push(version.clone());
+                write_meta(&dir.path, &meta)?;
+            }
+        }
+        let flush_err =
+            |e: EngineError| PoolError::Io(std::io::Error::other(format!("journal flush: {e}")));
+        engine
+            .register(self.def.clone())
+            .map_err(|e| PoolError::Rejected(e.to_string()))?;
+        engine.flush_journal().map_err(flush_err)?;
+        if self.policy == MigrationPolicy::MigrateAtScopeBoundary {
+            for (id, p, status) in engine.instances() {
+                if p != self.report.process || status != InstanceStatus::Running {
+                    continue;
+                }
+                match engine.migrate_to_default(id) {
+                    Ok(MigrationOutcome::Migrated { .. }) => {
+                        self.report.migrated += 1;
+                        // Migration fixups may have re-readied
+                        // automatic work; navigate it onward.
+                        let _ = engine.run_to_quiescence(id);
+                    }
+                    Ok(MigrationOutcome::AlreadyCurrent) => self.report.already_current += 1,
+                    Ok(MigrationOutcome::Skipped { .. }) | Err(_) => self.report.skipped += 1,
+                }
+            }
+            engine.flush_journal().map_err(flush_err)?;
+        }
+        Ok(())
     }
 }
 
@@ -1030,8 +1222,9 @@ fn resume_running(engine: &Engine, failures: &Counter) -> u64 {
     resumed
 }
 
-/// A shard's worker thread: take a batch from the inbox, navigate it,
-/// flush once more, answer.
+/// A shard's worker thread, the one writer of its engine: take a batch
+/// from the inbox, navigate it, flush once more, answer; then run the
+/// control jobs that are due.
 struct Worker {
     engine: Arc<Engine>,
     inbox: Arc<(Mutex<Inbox>, Condvar)>,
@@ -1047,8 +1240,9 @@ struct Worker {
 
 /// Closes an inbox when its worker leaves, by `stop` or by unwinding:
 /// what is still queued is dropped unanswered — sinks uncalled,
-/// reservations given back, barrier waiters released — and later
-/// submissions are answered `shard worker stopped`.
+/// reservations given back, control jobs unrun — later submissions are
+/// answered `shard worker stopped`, and later control jobs are run by
+/// their callers.
 struct CloseOnExit<'a>(&'a Mutex<Inbox>);
 
 impl Drop for CloseOnExit<'_> {
@@ -1059,7 +1253,7 @@ impl Drop for CloseOnExit<'_> {
             inbox.queued = 0;
             (
                 std::mem::take(&mut inbox.lanes),
-                std::mem::take(&mut inbox.barriers),
+                std::mem::take(&mut inbox.control),
             )
         };
         drop(abandoned); // outside the lock: sinks and guards run code
@@ -1072,9 +1266,9 @@ impl Worker {
         let _close = CloseOnExit(inbox);
         let engine = &self.engine;
         'serve: loop {
-            let (batch, barriers) = {
+            let (batch, control) = {
                 let mut inbox = inbox.lock();
-                while inbox.queued == 0 && inbox.barriers.is_empty() {
+                while inbox.queued == 0 && inbox.control.is_empty() {
                     if inbox.stop {
                         break 'serve;
                     }
@@ -1131,8 +1325,8 @@ impl Worker {
                 drop(reservation);
                 sink(reply);
             }
-            for barrier in barriers {
-                let _ = barrier.send(());
+            for (_, job) in control {
+                job(engine);
             }
         }
         // Final barrier so nothing accepted is left unflushed.
@@ -1143,12 +1337,14 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::{
-        decode_ext, encode_ext, resume_running, Inbox, QueuedSubmit, Reservation, SubmitDispatch,
-        TENANT_BITS,
+        decode_ext, encode_ext, resume_running, Control, Inbox, QueuedSubmit, Reservation,
+        SubmitDispatch, TENANT_BITS,
     };
     use crate::tenant::{parse_tenants, Tenant, TenantTable};
+    use parking_lot::Mutex;
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
+    use wfms_engine::Engine;
     use wfms_model::Container;
     use wfms_observe::Registry;
 
@@ -1276,21 +1472,85 @@ mod tests {
             assert!(inbox.admit(8, job(None, tag)).is_ok());
         }
         let (tx, rx) = std::sync::mpsc::sync_channel(1);
-        inbox.barriers.push(tx);
+        let barrier = Box::new(move |_: &Engine| tx.send(()).unwrap());
+        assert!(inbox.enqueue(true, barrier).is_ok());
         let (batch, released) = inbox.take_batch(2);
         assert_eq!((tags(&batch), released.len()), (vec!["x0", "x1"], 0));
         let (batch, released) = inbox.take_batch(2);
         assert_eq!((tags(&batch), released.len()), (vec!["x2"], 1));
-        assert!(inbox.barriers.is_empty());
+        assert!(inbox.control.is_empty());
         assert!(
             rx.try_recv().is_err(),
             "released by the worker, after its flush"
         );
 
         // On dry lanes a barrier leaves with the next (empty) batch.
-        inbox.barriers.push(released.into_iter().next().unwrap());
+        inbox.control.extend(released);
         let (batch, released) = inbox.take_batch(2);
         assert_eq!((batch.len(), released.len()), (0, 1));
+    }
+
+    /// A control job that logs `tag` when it is run.
+    fn logging(log: &Arc<Mutex<Vec<&'static str>>>, tag: &'static str) -> Control {
+        let log = Arc::clone(log);
+        Box::new(move |_| log.lock().push(tag))
+    }
+
+    /// Runs the control jobs a batch came with, as the worker would,
+    /// and returns what they logged.
+    fn run(due: Vec<(bool, Control)>, log: &Arc<Mutex<Vec<&'static str>>>) -> Vec<&'static str> {
+        let fed = txn_substrate::MultiDatabase::new(0);
+        let engine = Engine::new(fed, Arc::new(txn_substrate::ProgramRegistry::new()));
+        for (_, job) in due {
+            job(&engine);
+        }
+        std::mem::take(&mut *log.lock())
+    }
+
+    #[test]
+    fn control_jobs_are_due_in_arrival_order_and_only_a_when_dry_one_waits() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let control = |tag| logging(&log, tag);
+        let mut inbox = Inbox::default();
+        for tag in ["x0", "x1", "x2"] {
+            assert!(inbox.admit(8, job(None, tag)).is_ok());
+        }
+        assert!(inbox.enqueue(false, control("complete")).is_ok());
+        assert!(inbox.enqueue(true, control("drain")).is_ok());
+        assert!(inbox.enqueue(false, control("deploy")).is_ok());
+        assert!(inbox.enqueue(false, control("reload")).is_ok());
+
+        // Under backlog: every plain job with the next batch, in the
+        // order they came; the drain stays.
+        let (batch, due) = inbox.take_batch(2);
+        assert_eq!(tags(&batch), ["x0", "x1"]);
+        assert_eq!(run(due, &log), ["complete", "deploy", "reload"]);
+
+        // With the batch that empties the lanes: the drain, still ahead
+        // of what came after it.
+        assert!(inbox.enqueue(false, control("late")).is_ok());
+        let (batch, due) = inbox.take_batch(2);
+        assert_eq!(tags(&batch), ["x2"]);
+        assert_eq!(run(due, &log), ["drain", "late"]);
+        assert!(inbox.control.is_empty());
+    }
+
+    #[test]
+    fn after_stop_a_late_control_job_is_handed_back() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let control = |tag| logging(&log, tag);
+        let mut inbox = Inbox::default();
+        assert!(inbox.enqueue(true, control("queued")).is_ok());
+        inbox.stop = true;
+        let Err(handed_back) = inbox.enqueue(false, control("late")) else {
+            panic!("a stopped inbox queues nothing");
+        };
+        assert_eq!(
+            inbox.control.len(),
+            1,
+            "what was queued stays for the worker"
+        );
+        assert_eq!(run(vec![(false, handed_back)], &log), ["late"]);
     }
 
     #[test]

@@ -1575,3 +1575,372 @@ fn every_reply_shape_is_byte_identical() {
     server.shutdown(true);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ------------------------------------------------------------ one writer
+
+/// `flow`: an automatic head, a manual activity for `clerk`, an
+/// automatic tail.
+fn flow_process() -> ProcessDefinition {
+    ProcessBuilder::new("flow")
+        .program("Head", "head")
+        .activity(Activity::program("M", "manual").for_role("clerk"))
+        .program("Tail", "tail")
+        .connect_when("Head", "M", "RC = 1")
+        .connect_when("M", "Tail", "RC = 1")
+        .build()
+        .unwrap()
+}
+
+/// v2 of `flow`: a fresh edge out of the already-terminated head into
+/// a new automatic activity — the migration fix-up re-readies it, so a
+/// migrating deploy runs a program.
+fn flow_process_v2() -> ProcessDefinition {
+    ProcessBuilder::from(flow_process())
+        .program("Side", "side")
+        .connect_when("Head", "Side", "RC = 1")
+        .build()
+        .unwrap()
+}
+
+/// What ran where: `(program, thread name)` in execution order.
+type Ran = Arc<std::sync::Mutex<Vec<(&'static str, String)>>>;
+
+/// [`provision`] plus `flow`'s programs, each recording the name of the
+/// thread it ran on.
+fn recording_provision(ran: &Ran) -> impl Fn(usize) -> (Arc<MultiDatabase>, Arc<ProgramRegistry>) {
+    let ran = Arc::clone(ran);
+    move |shard| {
+        let (fed, programs) = provision(shard);
+        for program in ["head", "manual", "tail", "side"] {
+            let ran = Arc::clone(&ran);
+            programs.register_fn(program, move |_| {
+                let thread = std::thread::current().name().unwrap_or("?").to_owned();
+                ran.lock().unwrap().push((program, thread));
+                ProgramOutcome::committed()
+            });
+        }
+        (fed, programs)
+    }
+}
+
+/// Once the pool is open, everything that writes a shard's engine —
+/// navigating a submission, completing a work item, a deploy's
+/// registration and migration fix-ups — runs on that shard's worker,
+/// whichever thread asked for it.
+#[test]
+fn engine_mutations_run_on_the_shard_worker() {
+    let dir = temp_dir("one-writer");
+    let ran = Ran::default();
+    let mut cfg = pool_config(&dir);
+    cfg.templates.push(flow_process());
+    let pool = ShardPool::open(cfg, Arc::new(Registry::new()), &recording_provision(&ran)).unwrap();
+    let server = Server::start(Arc::new(pool), ServerConfig::new("auto")).unwrap();
+    let mut client = Http1Client::new(&server.local_addr().to_string());
+
+    // Two instances park on the worklist, one a shard.
+    let mut parked = Vec::new();
+    for _ in 0..2 {
+        let (code, body) = client
+            .request("POST", "/instances", Some(r#"{"process":"flow"}"#))
+            .unwrap();
+        assert_eq!(code, 201, "{body}");
+        let submitted: SubmitResponse = serde_json::from_str(&body).unwrap();
+        parked.push(submitted.id);
+    }
+    let (_, body) = client.request("GET", "/worklist?person=ann", None).unwrap();
+    let wl: WorklistResponse = serde_json::from_str(&body).unwrap();
+    assert_eq!(wl.items.len(), 2);
+
+    // Complete the first: `manual` and `tail` run.
+    let (code, body) = client
+        .request(
+            "POST",
+            &format!("/worklist/{}/complete", wl.items[0].id),
+            Some(r#"{"person":"ann"}"#),
+        )
+        .unwrap();
+    assert_eq!(code, 200, "{body}");
+
+    // Migrate the second to v2: its fix-up readies `side`, which runs.
+    let deploy = format!(
+        r#"{{"definition":{},"policy":"migrate"}}"#,
+        serde_json::to_string(&flow_process_v2()).unwrap()
+    );
+    let (code, body) = client
+        .request("POST", "/admin/deploy", Some(&deploy))
+        .unwrap();
+    assert_eq!(code, 200, "{body}");
+    let deployed: DeployResponse = serde_json::from_str(&body).unwrap();
+    assert_eq!(deployed.migrated, 1, "{body}");
+
+    let (code, body) = client.request("POST", "/admin/drain", None).unwrap();
+    assert_eq!(code, 200, "{body}");
+
+    let ran = ran.lock().unwrap().clone();
+    let programs: Vec<&str> = ran.iter().map(|(program, _)| *program).collect();
+    assert_eq!(programs, ["head", "head", "manual", "tail", "side"]);
+    for (program, thread) in &ran {
+        assert!(
+            thread.starts_with("wfms-shard-"),
+            "{program} ran on {thread}: {ran:?}"
+        );
+    }
+    server.shutdown(true);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A work-item completion runs its activity's program on the shard
+/// worker, so the reactor — there is one — keeps serving other
+/// connections while the program is in progress; on the completion's
+/// own connection, replies still leave in request order.
+#[test]
+fn a_completion_in_progress_does_not_hold_up_the_reactor() {
+    use std::io::Write;
+    use std::sync::mpsc::channel;
+
+    let dir = temp_dir("busy-completion");
+    let (entered_tx, entered_rx) = channel::<()>();
+    let (release_tx, release_rx) = channel::<()>();
+    let gate = Arc::new(std::sync::Mutex::new((entered_tx, release_rx)));
+    let mut cfg = pool_config(&dir);
+    cfg.shards = 1;
+    cfg.templates.push(
+        ProcessBuilder::new("gated")
+            .activity(Activity::program("M", "gate").for_role("clerk"))
+            .build()
+            .unwrap(),
+    );
+    let pool = ShardPool::open(cfg, Arc::new(Registry::new()), &|shard| {
+        let (fed, programs) = provision(shard);
+        let gate = Arc::clone(&gate);
+        programs.register_fn("gate", move |_| {
+            let gate = gate.lock().unwrap();
+            gate.0.send(()).unwrap();
+            // Held until the test lets go (or gives up and drops its end).
+            let _ = gate.1.recv();
+            ProgramOutcome::committed()
+        });
+        (fed, programs)
+    })
+    .unwrap();
+    let mut scfg = ServerConfig::new("gated");
+    scfg.reactors = 1;
+    let server = Server::start(Arc::new(pool), scfg).unwrap();
+    let url = server.local_addr().to_string();
+
+    let mut client = Http1Client::new(&url);
+    let (code, body) = client.request("POST", "/instances", Some("{}")).unwrap();
+    assert_eq!(code, 201, "{body}");
+    let (_, body) = client.request("GET", "/worklist?person=ann", None).unwrap();
+    let wl: WorklistResponse = serde_json::from_str(&body).unwrap();
+
+    // The completion, and a health check pipelined behind it.
+    let mut busy = raw_socket(&url);
+    let complete = format!(
+        "POST /worklist/{}/complete HTTP/1.1\r\ncontent-length: 16\r\n\r\n{{\"person\":\"ann\"}}\
+         GET /healthz HTTP/1.1\r\n\r\n",
+        wl.items[0].id
+    );
+    busy.get_mut().write_all(complete.as_bytes()).unwrap();
+    entered_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the completion reaches its program");
+
+    // With the program in progress, a second connection is served.
+    let mut other = raw_socket(&url);
+    other
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    other
+        .get_mut()
+        .write_all(b"GET /healthz HTTP/1.1\r\n\r\n")
+        .unwrap();
+    let (code, _, body) = read_raw_response(&mut other);
+    assert_eq!(code, 200, "{body}");
+    assert!(body.contains("\"shards\""), "healthz answer: {body}");
+
+    // The pipelined health check was ready long ago; it still leaves
+    // behind the completion it was sent after.
+    release_tx.send(()).unwrap();
+    let (code, _, body) = read_raw_response(&mut busy);
+    assert_eq!((code, body.as_str()), (200, "{}"), "the completion first");
+    let (code, _, body) = read_raw_response(&mut busy);
+    assert_eq!(code, 200, "{body}");
+    assert!(body.contains("\"shards\""), "then the health check: {body}");
+
+    server.shutdown(true);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A deploy over two shards answers once, and only after both shard
+/// journals hold its `TemplateDeployed`; a drain answers with the sum
+/// of both shards' compactions.
+#[test]
+fn a_deploy_and_a_drain_over_two_shards_answer_once_for_both() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    let dir = temp_dir("two-shards");
+    let pool = ShardPool::open(pool_config(&dir), Arc::new(Registry::new()), &provision).unwrap();
+    assert_eq!(pool.shards(), 2);
+    // One parked instance a shard, so each journal holds events.
+    for _ in 0..2 {
+        let outcome = pool.submit("manual", wfms_model::Container::empty());
+        assert!(
+            matches!(outcome, SubmitOutcome::Accepted { .. }),
+            "{outcome:?}"
+        );
+    }
+    let journals = [dir.join("shard-0.journal"), dir.join("shard-1.journal")];
+    let events = |path: &std::path::PathBuf| wfms_engine::Journal::read_file(path).unwrap().0;
+
+    // What each journal file holds at the moment the deploy answers.
+    let answers = Arc::new(AtomicUsize::new(0));
+    let (seen_tx, seen_rx) = std::sync::mpsc::channel();
+    let sink = {
+        let (answers, journals) = (Arc::clone(&answers), journals.clone());
+        Box::new(move |deployed: Result<wfms_server::DeployReport, _>| {
+            answers.fetch_add(1, Ordering::SeqCst);
+            let on_disk: Vec<Vec<wfms_engine::Event>> = journals.iter().map(events).collect();
+            seen_tx.send((deployed, on_disk)).unwrap();
+        })
+    };
+    pool.deploy_with(manual_process_v2(), MigrationPolicy::DrainOld, sink);
+    let (deployed, on_disk) = seen_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+    let version = deployed.unwrap().version;
+    for (shard, journal) in on_disk.iter().enumerate() {
+        let deployed_here = journal.iter().any(|e| {
+            matches!(e, wfms_engine::Event::TemplateDeployed { version: v, .. } if *v == version)
+        });
+        assert!(
+            deployed_here,
+            "shard {shard} when the deploy answered: {journal:?}"
+        );
+    }
+
+    // The drain passes through both workers after the deploy: had a
+    // second answer been on its way, it would be here by now.
+    let before: usize = journals.iter().map(|j| events(j).len()).sum();
+    assert!(journals.iter().all(|j| !events(j).is_empty()));
+    assert_eq!(pool.drain().unwrap(), before, "both shards' compactions");
+    assert_eq!(answers.load(Ordering::SeqCst), 1);
+    drop(pool);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// After a panicking program has taken the shard worker down, the
+/// inbox is closed and nothing is left to race: a completion, a deploy
+/// and a drain are each run by their caller, and return — none waits
+/// out `REPLY_TIMEOUT` for a worker that is not there.
+#[test]
+fn a_dead_worker_leaves_later_jobs_to_their_callers() {
+    let dir = temp_dir("dead-worker-jobs");
+    let ran = Ran::default();
+    let mut cfg = pool_config(&dir);
+    cfg.shards = 1;
+    cfg.templates.push(flow_process());
+    cfg.templates.push(
+        ProcessBuilder::new("boom")
+            .program("A", "boom")
+            .build()
+            .unwrap(),
+    );
+    let provision = recording_provision(&ran);
+    let pool = ShardPool::open(cfg, Arc::new(Registry::new()), &|shard| {
+        let (fed, programs) = provision(shard);
+        programs.register_fn("boom", |_| panic!("boom: the test's panicking program"));
+        (fed, programs)
+    })
+    .unwrap();
+    let SubmitOutcome::Accepted { id, .. } = pool.submit("flow", wfms_model::Container::empty())
+    else {
+        panic!("submit rejected");
+    };
+    let killed = pool.submit("boom", wfms_model::Container::empty());
+    assert!(matches!(killed, SubmitOutcome::Failed { .. }), "{killed:?}");
+    // Once a drain is back, the unwinding worker has closed its inbox.
+    let _ = pool.drain();
+
+    let asked = std::time::Instant::now();
+    let items = pool.worklist("ann", None);
+    pool.complete(items[0].0, "ann").unwrap();
+    let (_, status, ..) = pool.status(id).unwrap();
+    assert_eq!(status, InstanceStatus::Finished);
+    let report = pool
+        .deploy(flow_process_v2(), MigrationPolicy::MigrateAtScopeBoundary)
+        .unwrap();
+    assert_eq!(
+        report.version,
+        format!("{:016x}", wfms_engine::spec_hash_of(&flow_process_v2()))
+    );
+    pool.drain().unwrap();
+    assert!(
+        asked.elapsed() < Duration::from_secs(10),
+        "{:?}",
+        asked.elapsed()
+    );
+
+    // `head` ran on the worker while there was one; the completion's
+    // programs ran on the thread that asked for it — this one.
+    let here = std::thread::current().name().unwrap().to_owned();
+    let ran = ran.lock().unwrap().clone();
+    assert_eq!(ran[0], ("head", "wfms-shard-0".to_owned()));
+    assert_eq!(ran[1..], [("manual", here.clone()), ("tail", here)]);
+    drop(pool);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What the shard engines count scrapes as what it is: a monotonic
+/// counter a Prometheus `rate()` accepts, not a gauge. A restart with
+/// an instance parked makes recovery count its fix-ups, a migrating
+/// deploy makes migration count its own.
+#[test]
+fn engine_counters_scrape_as_counters() {
+    let dir = temp_dir("counter-types");
+    let server = start_server(&dir);
+    let mut client = Http1Client::new(&server.local_addr().to_string());
+    let (code, body) = client
+        .request("POST", "/instances", Some(r#"{"process":"manual"}"#))
+        .unwrap();
+    assert_eq!(code, 201, "{body}");
+    server.shutdown(false);
+
+    let server = start_server(&dir);
+    let mut client = Http1Client::new(&server.local_addr().to_string());
+    let deploy = format!(
+        r#"{{"definition":{},"policy":"migrate"}}"#,
+        serde_json::to_string(&manual_process_v2()).unwrap()
+    );
+    let (code, body) = client
+        .request("POST", "/admin/deploy", Some(&deploy))
+        .unwrap();
+    assert_eq!(code, 200, "{body}");
+
+    let (code, text) = client.request("GET", "/metrics", None).unwrap();
+    assert_eq!(code, 200);
+    for series in [
+        "journal_torn_tails_truncated",
+        "journal_crc_failures",
+        "journal_mirror_errors",
+        "recovery_fixups_running_restarted",
+        "recovery_fixups_exits_redecided",
+        "migration_fixups_waiting_renavigated",
+        "migration_fixups_connectors_reevaluated",
+        "nav_executions",
+        "worklist_items_offered",
+    ] {
+        let declared = format!("# TYPE {series} counter\n{series} ");
+        assert!(text.contains(&declared), "no `{declared}` in\n{text}");
+    }
+    // The levels stay gauges, and the engines' one gauge is there too.
+    for series in [
+        "journal_resident_records",
+        "server_queue_depth",
+        "engine_ready_heap_depth",
+    ] {
+        let declared = format!("# TYPE {series} gauge\n{series} ");
+        assert!(text.contains(&declared), "no `{declared}` in\n{text}");
+    }
+    server.shutdown(true);
+    let _ = std::fs::remove_dir_all(&dir);
+}
