@@ -1,11 +1,19 @@
 //! The engine — the public API tying templates, instances, programs,
-//! the organization, worklists, the journal and the clock together.
+//! the organization, worklists, the journal and the clock together —
+//! and the state all of that is.
 //!
-//! State is split into independently locked fields (templates,
-//! instances, organization, worklists; the journal synchronises
-//! internally and the id allocators are atomics) instead of one big
-//! mutex. Navigation of one instance only ever holds the instances
-//! lock plus, transiently, the org/worklist locks.
+//! What the journal describes (template defaults, instances, work
+//! items, the two id allocators) is one value, `EngineState`, behind
+//! one lock, and it changes one way: an [`Event`] takes effect.
+//! `EngineState::apply` is that effect, written once. Replay folds it
+//! over the journal; a running engine `emit`s — the same effect, then
+//! the event appended — so "replay rebuilds what live navigation
+//! built" is not a property to test for but the only way state moves.
+//! Two exceptions, both named where they happen: the `EngineCheckpoint`
+//! event describes the state instead of changing it (only replay
+//! applies it), and [`Engine::release`] hands a claim back with no
+//! event (claims are leases of the live session; opening drops them
+//! all).
 //!
 //! There is one way to build an engine, [`Engine::open`]: recovery is
 //! what opening does when the journal is not empty. And one way to
@@ -19,14 +27,13 @@ use crate::journal::Journal;
 use crate::metrics::{act_probes, ActProbes, EngineObs, JournalProbes};
 use crate::navigator::{self, NavServices};
 use crate::org::OrgModel;
-use crate::recovery::{self, RecoveryError, Replayed};
+use crate::recovery::{self, RecoveryError, Replay};
 use crate::registry::{TemplateRegistry, TemplateVersion};
 use crate::state::{ActState, Instance, InstanceStatus};
 use crate::worklist::{WorkItem, WorkItemState, WorklistError, WorklistStore};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use txn_substrate::{DurabilityPolicy, MirrorError, MultiDatabase, ProgramRegistry, VirtualClock};
 use wfms_model::{validate, Container, ProcessDefinition, ValidationError};
@@ -171,22 +178,307 @@ pub(crate) fn import(def: ProcessDefinition) -> Result<Arc<CompiledProcess>, Vec
     Ok(Arc::new(crate::optimize::optimize(&tpl).0))
 }
 
+/// Why an event's effect was refused. A running engine does not journal
+/// a refused event (`emit`).
+#[derive(Debug)]
+pub(crate) enum Refused {
+    /// `WorkItemClaimed`: the item is not this person's to claim. Not an
+    /// error on replay — a release is not journalled, so the journal of
+    /// a claim, a release and a second claim replays as a claim and a
+    /// refused one, and opening drops every claim anyway.
+    Claim(WorklistError),
+    /// The event names a template, a version or a state transfer the
+    /// supplied templates do not have.
+    Replay(RecoveryError),
+}
+
+impl From<RecoveryError> for Refused {
+    fn from(e: RecoveryError) -> Self {
+        Refused::Replay(e)
+    }
+}
+
+impl From<Refused> for EngineError {
+    fn from(refused: Refused) -> Self {
+        match refused {
+            Refused::Claim(e) => EngineError::Worklist(e),
+            Refused::Replay(RecoveryError::MissingTemplate(p)) => EngineError::UnknownProcess(p),
+            Refused::Replay(e) => unreachable!("the engine emitted what it cannot apply: {e}"),
+        }
+    }
+}
+
+/// The engine's state: everything the journal describes, plus the
+/// organization — consulted while deciding, written by no event. Built
+/// by folding `EngineState::apply` over a journal, changed afterwards
+/// by the same function.
+pub(crate) struct EngineState {
+    pub(crate) registry: TemplateRegistry,
+    pub(crate) instances: BTreeMap<InstanceId, Instance>,
+    pub(crate) worklists: WorklistStore,
+    pub(crate) next_instance: u64,
+    pub(crate) next_item: u64,
+    pub(crate) org: OrgModel,
+}
+
+impl EngineState {
+    /// The state before any event, over `templates` imported like
+    /// [`Engine::register`] imports them. The registry's defaults are
+    /// the *initial* ones (the first supplied definition per name);
+    /// `TemplateDeployed` events advance them — so every
+    /// `InstanceStarted` resolves against the default the engine had at
+    /// that journal position.
+    pub(crate) fn over(templates: Vec<ProcessDefinition>) -> Result<Self, RecoveryError> {
+        let mut registry = TemplateRegistry::new();
+        for def in templates {
+            let process = def.name.clone();
+            let tpl =
+                import(def).map_err(|errors| RecoveryError::InvalidTemplate { process, errors })?;
+            registry.insert(tpl);
+        }
+        Ok(Self {
+            registry,
+            instances: BTreeMap::new(),
+            worklists: WorklistStore::new(),
+            next_instance: 1,
+            next_item: 1,
+            org: OrgModel::new(),
+        })
+    }
+
+    /// The effect of `ev` on the engine's state — the one transition
+    /// function. Events about one activity, connector or instance are
+    /// resolved (instance by id, journalled path to its **live** slot:
+    /// every enclosing scope must be open) and handed to `effect`;
+    /// one that addresses nothing live has no effect.
+    pub(crate) fn apply(&mut self, ev: &Event) -> Result<(), Refused> {
+        match ev {
+            Event::InstanceStarted {
+                instance,
+                process,
+                tenant,
+                input,
+                ..
+            } => {
+                let tpl = self
+                    .registry
+                    .default_tpl(process)
+                    .ok_or_else(|| RecoveryError::MissingTemplate(process.to_string()))?;
+                let mut inst = Instance::new(*instance, tpl);
+                inst.tenant = tenant.clone();
+                inst.seed_input(input);
+                self.next_instance = self.next_instance.max(instance.0 + 1);
+                self.instances.insert(*instance, inst);
+            }
+            Event::WorkItemClaimed { item, person, .. } => {
+                self.worklists
+                    .claim(*item, person)
+                    .map_err(Refused::Claim)?;
+            }
+            Event::TemplateDeployed {
+                process, version, ..
+            } => {
+                let hash = u64::from_str_radix(version, 16).unwrap_or(0);
+                if !self.registry.set_default(process, hash) {
+                    return Err(missing_version(process, version));
+                }
+            }
+            Event::Migrated { instance, to, .. } => {
+                // The state transfer only; the fix-up events of the
+                // engine that migrated follow in the journal (or, after
+                // a crash right here, `resume` re-derives them).
+                if let Some(inst) = self.instances.get_mut(instance) {
+                    let target = self
+                        .registry
+                        .by_version(to)
+                        .ok_or_else(|| missing_version(inst.tpl.name(), to))?;
+                    migrated(inst, &target).map_err(|detail| RecoveryError::Migration {
+                        instance: *instance,
+                        detail,
+                    })?;
+                }
+            }
+            Event::EngineCheckpoint {
+                instances,
+                items,
+                next_instance,
+                next_item,
+                ..
+            } => {
+                // A checkpoint is the complete state: replace what was
+                // built so far; the tail of the journal applies on top.
+                self.instances.clear();
+                for snap in instances {
+                    // By pinned version, not by name — two instances of
+                    // one process may be on different versions.
+                    let tpl = self
+                        .registry
+                        .by_version(&snap.version)
+                        .ok_or_else(|| missing_version(&snap.process, &snap.version))?;
+                    let mut inst = Instance::new(snap.id, tpl);
+                    inst.status = snap.status;
+                    inst.tenant = snap.tenant.clone();
+                    inst.restore_root(&snap.root);
+                    self.instances.insert(snap.id, inst);
+                }
+                self.worklists = WorklistStore::new();
+                for item in items {
+                    self.worklists.offer(item.clone());
+                }
+                self.next_instance = *next_instance;
+                self.next_item = *next_item;
+            }
+            _ => {
+                if let Some(inst) = ev.instance().and_then(|id| self.instances.get_mut(&id)) {
+                    if let Some(slot) = slot_of(inst, ev) {
+                        effect(inst, slot, &mut self.worklists, &mut self.next_item, ev);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+fn missing_version(process: &str, version: &str) -> Refused {
+    Refused::Replay(RecoveryError::MissingVersion {
+        process: process.to_owned(),
+        version: version.to_owned(),
+    })
+}
+
+/// The slot a journalled event addresses in `inst`: the act slot of its
+/// path, the edge slot of a `ConnectorEvaluated` — `None` unless every
+/// enclosing scope is open — and 0 for an event about the instance as a
+/// whole.
+fn slot_of(inst: &Instance, ev: &Event) -> Option<u32> {
+    match ev {
+        Event::ActivityReady { path, .. }
+        | Event::ActivityStarted { path, .. }
+        | Event::ActivityFinished { path, .. }
+        | Event::ActivityRescheduled { path, .. }
+        | Event::ActivityTerminated { path, .. }
+        | Event::WorkItemOffered { path, .. }
+        | Event::NotificationSent { path, .. } => inst.live_slot(path),
+        Event::ConnectorEvaluated {
+            scope, from, to, ..
+        } => {
+            let m = inst.tpl.layout.scope(inst.live_scope(scope)?);
+            Some(m.edge_base + m.cs.edge_id(from, to)?)
+        }
+        _ => Some(0),
+    }
+}
+
+/// The per-instance half of `EngineState::apply`: the effect of `ev`
+/// on the instance it is about, at the slot it addresses (see
+/// `slot_of`), and on the work items. The navigator holds both already
+/// — its `emit` is this plus the append, with no lookup and no path
+/// hash. Work items are touched only for templates that have a manual
+/// activity at all.
+pub(crate) fn effect(
+    inst: &mut Instance,
+    slot: u32,
+    worklists: &mut WorklistStore,
+    next_item: &mut u64,
+    ev: &Event,
+) {
+    let manual = inst.tpl.root.any_manual;
+    match ev {
+        Event::ActivityReady {
+            path, attempt, at, ..
+        } => {
+            inst.activity_ready(slot, *attempt, *at);
+            // A readiness period begins with nothing on offer: the item
+            // of one a crash caught `Running` closes here. (Everywhere
+            // else `ActivityFinished` / `ActivityTerminated` closed it.)
+            if manual {
+                worklists.close_for(inst.id, path);
+            }
+        }
+        // A started block opens its child scope.
+        Event::ActivityStarted { input, .. } => inst.activity_started(slot, input),
+        Event::ActivityFinished { path, output, .. } => {
+            inst.activity_finished(slot, output);
+            // A reschedule offers a fresh item.
+            if manual {
+                worklists.close_for(inst.id, path);
+            }
+        }
+        Event::ActivityRescheduled { next_attempt, .. } => {
+            inst.activity_rescheduled(slot, *next_attempt)
+        }
+        Event::ActivityTerminated { path, executed, .. } => {
+            inst.activity_terminated(slot, *executed);
+            if manual {
+                worklists.close_for(inst.id, path);
+            }
+        }
+        Event::ConnectorEvaluated { value, .. } => inst.connector_evaluated(slot, *value),
+        Event::WorkItemOffered {
+            instance,
+            path,
+            item,
+            persons,
+            at,
+        } => {
+            *next_item = (*next_item).max(item.0 + 1);
+            worklists.offer(WorkItem {
+                id: *item,
+                instance: *instance,
+                path: path.to_string(),
+                attempt: inst.slab.acts[slot as usize].attempt,
+                offered_to: persons.clone(),
+                state: WorkItemState::Offered,
+                offered_at: *at,
+            });
+        }
+        Event::NotificationSent { .. } => inst.notification_sent(slot),
+        Event::InstanceFinished { output, .. } => inst.instance_finished(output),
+        Event::InstanceCancelled { .. } => {
+            inst.instance_cancelled();
+            if manual {
+                worklists.close_offered_of(inst.id);
+            }
+        }
+        // `UserIntervention` is a record, not a change; the rest are
+        // not about one instance (`EngineState::apply`).
+        _ => {}
+    }
+}
+
+/// The effect of `Migrated`: `inst`'s state transferred onto `target`
+/// — or why it cannot be, and then `inst` is untouched.
+pub(crate) fn migrated(inst: &mut Instance, target: &Arc<CompiledProcess>) -> Result<(), String> {
+    *inst = inst.migrate_to(target)?;
+    Ok(())
+}
+
+/// How state changes while the engine runs: `effect` — what `ev` does
+/// to the state its caller holds — then, unless that refused it, `ev`
+/// appended to the journal.
+pub(crate) fn emit<E>(
+    journal: &Journal,
+    ev: Event,
+    effect: impl FnOnce(&Event) -> Result<(), E>,
+) -> Result<(), E> {
+    effect(&ev)?;
+    journal.append(ev);
+    Ok(())
+}
+
 /// The workflow engine.
 pub struct Engine {
-    pub(crate) templates: Mutex<TemplateRegistry>,
-    pub(crate) instances: Mutex<BTreeMap<InstanceId, Instance>>,
-    pub(crate) org: Mutex<OrgModel>,
-    pub(crate) worklists: Mutex<WorklistStore>,
+    pub(crate) state: Mutex<EngineState>,
     pub(crate) journal: Journal,
-    pub(crate) next_instance: AtomicU64,
-    pub(crate) next_item: AtomicU64,
     pub(crate) step_limit: usize,
     pub(crate) programs: Arc<ProgramRegistry>,
     pub(crate) multidb: Arc<MultiDatabase>,
     pub(crate) clock: VirtualClock,
     pub(crate) obs: EngineObs,
     /// Per-template latency probes, built lazily on first start and
-    /// shared by every instance of the template.
+    /// shared by every instance of the template. Not state the journal
+    /// describes; taken, briefly, under the state lock.
     pub(crate) probes: Mutex<HashMap<u64, ActProbes>>,
 }
 
@@ -212,37 +504,30 @@ impl Engine {
     ) -> Result<Self, RecoveryError> {
         // A journal file is replayed by the pass that opens it: each
         // event is decoded, applied and dropped.
-        let mut replayed = Replayed::over(templates)?;
+        let mut replay = Replay::over(templates)?;
         let journal = match &config.journal_path {
             Some(p) => {
-                Journal::replaying(p, config.durability, |ev| replayed.feed(&ev))
+                Journal::replaying(p, config.durability, |ev| replay.feed(&ev))
                     .map_err(RecoveryError::Io)?
                     .0
             }
             None => Journal::new(),
         };
-        Self::open_on(journal, replayed, multidb, programs, config)
+        Self::open_on(journal, replay, multidb, programs, config)
     }
 
     /// The engine over `journal` (`config.journal_path` is not
-    /// consulted) and the state `replayed` from it, with the navigation
-    /// the crash interrupted repaired.
+    /// consulted) and the state `replay` folded from it, with the
+    /// navigation the crash interrupted repaired.
     pub(crate) fn open_on(
         journal: Journal,
-        replayed: Replayed,
+        replay: Replay,
         multidb: Arc<MultiDatabase>,
         programs: Arc<ProgramRegistry>,
         config: EngineConfig,
     ) -> Result<Self, RecoveryError> {
-        let Replayed {
-            registry,
-            instances,
-            mut worklists,
-            next_instance,
-            next_item,
-            max_tick,
-            ..
-        } = replayed.finish()?;
+        let (mut state, max_tick) = replay.finish()?;
+        state.org = config.org;
 
         // Claims are leases held by a live session: the replay just
         // re-claimed items for workers that died with the crashed engine,
@@ -250,7 +535,7 @@ impl Engine {
         // back on offer. Not journalled — replaying the same journal again
         // (a chained crash–reopen cycle) re-claims and re-releases
         // identically, so the repair is deterministic.
-        let stale_claims = worklists.release_stale_claims();
+        let stale_claims = state.worklists.release_stale_claims();
 
         let clock = multidb.clock().clone();
         clock.advance_to(max_tick);
@@ -269,13 +554,8 @@ impl Engine {
                 .add(stale_claims as u64);
         }
         let engine = Self {
-            templates: Mutex::new(registry),
-            instances: Mutex::new(instances),
-            org: Mutex::new(config.org),
-            worklists: Mutex::new(worklists),
+            state: Mutex::new(state),
             journal,
-            next_instance: AtomicU64::new(next_instance),
-            next_item: AtomicU64::new(next_item),
             step_limit: config.step_limit,
             programs,
             multidb,
@@ -284,7 +564,7 @@ impl Engine {
             probes: Mutex::new(HashMap::new()),
         };
         if engine.obs.enabled() {
-            for inst in engine.instances.lock().values_mut() {
+            for inst in engine.state.lock().instances.values_mut() {
                 inst.probes = Some(engine.probes_for(&inst.tpl));
             }
         }
@@ -314,10 +594,10 @@ impl Engine {
     }
 
     /// Surfaces a journal-mirror failure as [`EngineError::Journal`].
-    /// Checked at every navigation entry point: once the mirror is
-    /// broken nothing further would be durable, so affected instances
-    /// park (their in-memory state is untouched and still queryable)
-    /// instead of the engine panicking mid-navigation.
+    /// Checked around every navigation: once the mirror is broken
+    /// nothing further would be durable, so affected instances park
+    /// (their in-memory state is untouched and still queryable) instead
+    /// of the engine panicking mid-navigation.
     fn check_journal(&self) -> Result<(), EngineError> {
         match self.journal.mirror_error() {
             Some(e) => Err(EngineError::Journal(e)),
@@ -340,18 +620,59 @@ impl Engine {
         &self.programs
     }
 
-    /// The navigation services of this engine.
-    pub(crate) fn services(&self) -> NavServices<'_> {
-        NavServices {
+    /// `st` as the navigator takes it: the instances, one of which it
+    /// drives, and the services over everything else it reads or emits
+    /// into.
+    pub(crate) fn nav<'a>(
+        &'a self,
+        st: &'a mut EngineState,
+    ) -> (&'a mut BTreeMap<InstanceId, Instance>, NavServices<'a>) {
+        let svc = NavServices {
             journal: &self.journal,
             clock: &self.clock,
-            org: &self.org,
-            worklists: &self.worklists,
-            next_item: &self.next_item,
+            org: &st.org,
+            worklists: &mut st.worklists,
+            next_item: &mut st.next_item,
             programs: &self.programs,
             multidb: &self.multidb,
             obs: &self.obs,
-        }
+        };
+        (&mut st.instances, svc)
+    }
+
+    /// `emit` for an event that is not about an instance the caller
+    /// holds: its effect is `EngineState::apply`'s.
+    fn emit(&self, st: &mut EngineState, ev: Event) -> Result<(), Refused> {
+        emit(&self.journal, ev, |ev| st.apply(ev))
+    }
+
+    /// Reads instance `id`.
+    fn read<T>(&self, id: InstanceId, f: impl FnOnce(&Instance) -> T) -> Result<T, EngineError> {
+        let st = self.state.lock();
+        st.instances
+            .get(&id)
+            .map(f)
+            .ok_or(EngineError::UnknownInstance(id))
+    }
+
+    /// Navigates instance `id`: `f` gets the instance and the services
+    /// to decide and emit with. A broken journal mirror is reported
+    /// before (nothing is attempted) and after (what `f` emitted is in
+    /// memory, not on disk).
+    fn write<T>(
+        &self,
+        id: InstanceId,
+        f: impl FnOnce(&mut Instance, &mut NavServices<'_>) -> Result<T, EngineError>,
+    ) -> Result<T, EngineError> {
+        self.check_journal()?;
+        let mut st = self.state.lock();
+        let (instances, mut svc) = self.nav(&mut st);
+        let inst = instances
+            .get_mut(&id)
+            .ok_or(EngineError::UnknownInstance(id))?;
+        let done = f(inst, &mut svc)?;
+        self.check_journal()?;
+        Ok(done)
     }
 
     /// The probes for `tpl`, built on first use and cached. Keyed by
@@ -396,51 +717,27 @@ impl Engine {
     /// front-end pipeline that validated the definition itself). Same
     /// versioning semantics as [`Engine::register`].
     pub fn register_compiled(&self, tpl: Arc<CompiledProcess>) -> TemplateVersion {
-        // The deploy event is journalled while the registry lock is
-        // held: anything that resolves the default (`start`) also
-        // journals under this lock, so journal order always matches
-        // which default each instance actually got.
-        let mut registry = self.templates.lock();
-        let (version, deployed) = registry.insert(tpl, true);
-        if deployed {
-            self.journal.append(Event::TemplateDeployed {
+        let mut st = self.state.lock();
+        let (version, deploys) = st.registry.insert(tpl);
+        if deploys {
+            let ev = Event::TemplateDeployed {
                 process: version.process.clone(),
                 version: version.version.clone(),
                 at: self.clock.now(),
-            });
+            };
+            self.emit(&mut st, ev).expect("the version is registered");
         }
         version
     }
 
     /// The current default template of `name`.
     pub fn template(&self, name: &str) -> Option<Arc<CompiledProcess>> {
-        self.templates.lock().default_tpl(name)
-    }
-
-    /// Registered template names, sorted.
-    pub fn template_names(&self) -> Vec<String> {
-        self.templates.lock().names()
-    }
-
-    /// Every version registered under `name` (hex spec hashes, in
-    /// registration order).
-    pub fn template_versions(&self, name: &str) -> Vec<String> {
-        self.templates.lock().versions(name)
-    }
-
-    /// The default version of `name` — what a new instance would be
-    /// pinned to.
-    pub fn default_version(&self, name: &str) -> Option<String> {
-        self.templates.lock().default_tpl(name).map(|t| t.version())
+        self.state.lock().registry.default_tpl(name)
     }
 
     /// The template version instance `id` is pinned to.
     pub fn instance_version(&self, id: InstanceId) -> Result<String, EngineError> {
-        self.instances
-            .lock()
-            .get(&id)
-            .map(|i| i.tpl.version())
-            .ok_or(EngineError::UnknownInstance(id))
+        self.read(id, |i| i.tpl.version())
     }
 
     /// Starts an instance of `process` with `input` seeding the
@@ -462,36 +759,37 @@ impl Engine {
         input: Container,
         tenant: Option<String>,
     ) -> Result<InstanceId, EngineError> {
-        // Hold the registry lock until InstanceStarted is journalled:
-        // a deploy journalled before this event is then guaranteed to
-        // have been the default this instance resolved, which is what
-        // lets replay re-resolve the pin from journal order alone.
-        let registry = self.templates.lock();
-        let tpl = registry
+        let mut st = self.state.lock();
+        let tpl = st
+            .registry
             .default_tpl(process)
             .ok_or_else(|| EngineError::UnknownProcess(process.to_owned()))?;
-        let mut instances = self.instances.lock();
-        let id = InstanceId(self.next_instance.fetch_add(1, Ordering::Relaxed));
-        let mut inst = Instance::new(id, tpl);
-        inst.tenant = tenant;
+        // The event carries the input as the instance holds it: the
+        // caller's members over the template's prototype.
+        let mut seeded = tpl.layout.scope(0).input_proto.clone();
+        seeded.merge(&input);
+        let id = InstanceId(st.next_instance);
+        let ev = Event::InstanceStarted {
+            instance: id,
+            process: Arc::clone(&tpl.layout.process).into(),
+            tenant,
+            input: seeded,
+            at: self.clock.now(),
+        };
+        self.emit(&mut st, ev)?;
+        let (instances, mut svc) = self.nav(&mut st);
+        let inst = instances.get_mut(&id).expect("InstanceStarted made it");
         if self.obs.enabled() {
             inst.probes = Some(self.probes_for(&inst.tpl));
         }
-        inst.seed_input(&input);
-        navigator::start_instance(&mut inst, &self.services());
-        instances.insert(id, inst);
-        drop(registry);
+        navigator::seed_scope(inst, &mut svc, 0);
         Ok(id)
     }
 
     /// The tenant instance `id` was started under (`None` for
     /// untenanted instances).
     pub fn instance_tenant(&self, id: InstanceId) -> Result<Option<String>, EngineError> {
-        self.instances
-            .lock()
-            .get(&id)
-            .map(|i| i.tenant.clone())
-            .ok_or(EngineError::UnknownInstance(id))
+        self.read(id, |i| i.tenant.clone())
     }
 
     /// Migrates a running instance to the current default version of
@@ -500,65 +798,47 @@ impl Engine {
     /// activity and no nested block mid-flight) and only when every
     /// begun activity has a same-named counterpart in the target
     /// version; otherwise the instance is left pinned
-    /// ([`MigrationOutcome::Skipped`] — drain-old semantics). On
-    /// success a `Migrated{from,to}` event is journalled **before**
-    /// the in-memory state transfer (write-ahead, like every other
-    /// navigation event), so a crash at any point either replays the
-    /// instance fully un-migrated or re-applies the same deterministic
-    /// transfer.
+    /// ([`MigrationOutcome::Skipped`] — drain-old semantics) and
+    /// nothing is journalled. On success the `Migrated{from,to}` event
+    /// is the state transfer, so a crash at any point either replays
+    /// the instance fully un-migrated or re-applies the same
+    /// deterministic transfer.
     pub fn migrate_to_default(&self, id: InstanceId) -> Result<MigrationOutcome, EngineError> {
-        self.check_journal()?;
-        // Lock order elsewhere is registry → instances, so resolve the
-        // target before locking the instance map (no nesting at all).
-        // It still matters under a server whose shard worker is the
-        // engine's only writer: readers (status, worklist, the scrape)
-        // take these locks from other threads.
-        let name = self
-            .instances
-            .lock()
-            .get(&id)
-            .map(|i| i.tpl.name().to_owned())
-            .ok_or(EngineError::UnknownInstance(id))?;
+        let name = self.read(id, |i| i.tpl.name().to_owned())?;
         let target = self
             .template(&name)
             .ok_or(EngineError::UnknownProcess(name))?;
-        let mut instances = self.instances.lock();
-        let inst = instances
-            .get_mut(&id)
-            .ok_or(EngineError::UnknownInstance(id))?;
-        if inst.tpl.spec_hash == target.spec_hash {
-            return Ok(MigrationOutcome::AlreadyCurrent);
-        }
-        if inst.status != InstanceStatus::Running {
-            return Ok(MigrationOutcome::Skipped {
-                reason: format!("instance is {:?}", inst.status),
-            });
-        }
-        let mut migrated = match inst.migrate_to(&target) {
-            Ok(m) => m,
-            Err(reason) => return Ok(MigrationOutcome::Skipped { reason }),
-        };
-        let from = inst.tpl.version();
-        let to = target.version();
-        self.journal.append(Event::Migrated {
-            instance: id,
-            from: from.clone(),
-            to: to.clone(),
-            at: self.clock.now(),
-        });
-        if self.obs.enabled() {
-            migrated.probes = Some(self.probes_for(&target));
-        }
-        *inst = migrated;
-        // The transferred frontier may owe navigation the new version
-        // introduces (fresh edges out of terminated activities, joins
-        // that are now decidable). Repair it with exactly recovery's
-        // resume pass — live and post-crash migration then journal the
-        // same continuation events.
-        let counts = recovery::fixup_instance(inst, &self.services());
-        counts.record(self.obs.observer.registry(), "migration.fixups");
-        self.check_journal()?;
-        Ok(MigrationOutcome::Migrated { from, to })
+        self.write(id, |inst, svc| {
+            if inst.tpl.spec_hash == target.spec_hash {
+                return Ok(MigrationOutcome::AlreadyCurrent);
+            }
+            if inst.status != InstanceStatus::Running {
+                return Ok(MigrationOutcome::Skipped {
+                    reason: format!("instance is {:?}", inst.status),
+                });
+            }
+            let (from, to) = (inst.tpl.version(), target.version());
+            let ev = Event::Migrated {
+                instance: id,
+                from: from.clone(),
+                to: to.clone(),
+                at: self.clock.now(),
+            };
+            if let Err(reason) = emit(svc.journal, ev, |_| migrated(inst, &target)) {
+                return Ok(MigrationOutcome::Skipped { reason });
+            }
+            if self.obs.enabled() {
+                inst.probes = Some(self.probes_for(&target));
+            }
+            // The transferred frontier may owe navigation the new version
+            // introduces (fresh edges out of terminated activities, joins
+            // that are now decidable). Repair it with exactly recovery's
+            // resume pass — live and post-crash migration then journal the
+            // same continuation events.
+            let counts = recovery::fixup_instance(inst, svc);
+            counts.record(self.obs.observer.registry(), "migration.fixups");
+            Ok(MigrationOutcome::Migrated { from, to })
+        })
     }
 
     /// Executes at most one ready automatic activity of `id`. Returns
@@ -566,17 +846,13 @@ impl Engine {
     /// by crash tests and benchmarks that need to stop an instance at
     /// an exact point.
     pub fn step(&self, id: InstanceId) -> Result<bool, EngineError> {
-        self.check_journal()?;
-        let mut instances = self.instances.lock();
-        let inst = instances
-            .get_mut(&id)
-            .ok_or(EngineError::UnknownInstance(id))?;
-        let Some(slot) = navigator::find_runnable(inst) else {
-            return Ok(false);
-        };
-        navigator::execute_activity(inst, &self.services(), slot, None);
-        self.check_journal()?;
-        Ok(true)
+        self.write(id, |inst, svc| {
+            let runnable = navigator::find_runnable(inst);
+            if let Some(slot) = runnable {
+                navigator::execute_activity(inst, svc, slot, None);
+            }
+            Ok(runnable.is_some())
+        })
     }
 
     /// Runs every ready automatic activity of `id` (including those
@@ -584,23 +860,15 @@ impl Engine {
     /// Manual activities stay on worklists. Returns the instance
     /// status at quiescence.
     pub fn run_to_quiescence(&self, id: InstanceId) -> Result<InstanceStatus, EngineError> {
-        self.check_journal()?;
-        let mut instances = self.instances.lock();
-        let inst = instances
-            .get_mut(&id)
-            .ok_or(EngineError::UnknownInstance(id))?;
-        match navigator::drive_to_quiescence(inst, &self.services(), self.step_limit) {
-            Some(_) => {
-                self.check_journal()?;
-                Ok(inst.status)
-            }
-            None => Err(EngineError::StepLimit(self.step_limit)),
-        }
+        self.write(id, |inst, svc| {
+            navigator::drive_to_quiescence(inst, svc, self.step_limit)?;
+            Ok(inst.status)
+        })
     }
 
     /// Runs every instance to quiescence, in id order.
     pub fn run_all(&self) -> Result<(), EngineError> {
-        let ids: Vec<InstanceId> = self.instances.lock().keys().copied().collect();
+        let ids: Vec<InstanceId> = self.state.lock().instances.keys().copied().collect();
         for id in ids {
             self.run_to_quiescence(id)?;
         }
@@ -609,51 +877,43 @@ impl Engine {
 
     /// The worklist of `person` (clones of the visible items).
     pub fn worklist(&self, person: &str) -> Vec<WorkItem> {
-        self.worklists
-            .lock()
-            .worklist(person)
-            .into_iter()
-            .cloned()
-            .collect()
+        let st = self.state.lock();
+        st.worklists.worklist(person).into_iter().cloned().collect()
     }
 
     /// The instance a work item belongs to, if the item exists.
     pub fn item_instance(&self, item: WorkItemId) -> Option<InstanceId> {
-        self.worklists.lock().get(item).map(|it| it.instance)
+        self.state.lock().worklists.get(item).map(|it| it.instance)
     }
 
     /// Claims a work item for `person`; it disappears from every other
     /// worklist.
     pub fn claim(&self, item: WorkItemId, person: &str) -> Result<(), EngineError> {
-        let at = self.clock.now();
-        self.worklists.lock().claim(item, person)?;
-        self.journal.append(Event::WorkItemClaimed {
+        let ev = Event::WorkItemClaimed {
             item,
             person: person.to_owned(),
-            at,
-        });
-        Ok(())
+            at: self.clock.now(),
+        };
+        Ok(self.emit(&mut self.state.lock(), ev)?)
     }
 
     /// Releases a claimed work item back to every eligible worklist
     /// (§3.3: a user may stop work they selected; the activity
-    /// becomes available for load balancing again).
+    /// becomes available for load balancing again). The one state
+    /// change no event describes: a claim is a lease of the live
+    /// session — [`Engine::open`] drops them all — so handing one back
+    /// is journalled as an intervention, for the audit trail, and not
+    /// as a change.
     pub fn release(&self, item: WorkItemId, person: &str) -> Result<(), EngineError> {
-        let at = self.clock.now();
-        let mut worklists = self.worklists.lock();
-        worklists.release(item, person)?;
-        let (instance, path) = worklists
-            .get(item)
-            .map(|it| (it.instance, it.path.clone()))
-            .unwrap_or((InstanceId(0), String::new()));
-        drop(worklists);
-        self.journal.append(Event::UserIntervention {
-            instance,
-            path: path.into(),
+        let mut st = self.state.lock();
+        let it = st.worklists.release(item, person)?;
+        let ev = Event::UserIntervention {
+            instance: it.instance,
+            path: it.path.as_str().into(),
             action: format!("release {item} by {person}"),
-            at,
-        });
-        Ok(())
+            at: self.clock.now(),
+        };
+        Ok(self.emit(&mut st, ev)?)
     }
 
     /// Marks a person absent (optionally naming a substitute) or
@@ -661,24 +921,20 @@ impl Engine {
     /// offered stay with their original offerees (§3.3's organization
     /// is consulted at staff-resolution time).
     pub fn set_absent(&self, person: &str, absent: bool, substitute: Option<&str>) {
-        self.org.lock().set_absent(person, absent, substitute);
+        self.state.lock().org.set_absent(person, absent, substitute);
     }
 
     /// The process (template name) instance `id` was started from — a
     /// keyed lookup, unlike scanning [`Engine::instances`].
     pub fn instance_process(&self, id: InstanceId) -> Result<String, EngineError> {
-        self.instances
-            .lock()
-            .get(&id)
-            .map(|i| i.tpl.name().to_owned())
-            .ok_or(EngineError::UnknownInstance(id))
+        self.read(id, |i| i.tpl.name().to_owned())
     }
 
     /// Instance counts `(running, finished, cancelled)`, tallied under
     /// the lock without materialising [`Engine::instances`].
     pub fn instance_counts(&self) -> (u64, u64, u64) {
         let mut counts = (0, 0, 0);
-        for inst in self.instances.lock().values() {
+        for inst in self.state.lock().instances.values() {
             match inst.status {
                 InstanceStatus::Running => counts.0 += 1,
                 InstanceStatus::Finished => counts.1 += 1,
@@ -690,8 +946,8 @@ impl Engine {
 
     /// All instances: `(id, process name, status)`.
     pub fn instances(&self) -> Vec<(InstanceId, String, InstanceStatus)> {
-        self.instances
-            .lock()
+        let st = self.state.lock();
+        st.instances
             .values()
             .map(|i| (i.id, i.tpl.name().to_owned(), i.status))
             .collect()
@@ -701,101 +957,70 @@ impl Engine {
     /// still offered), then continues automatic navigation of the
     /// instance.
     pub fn execute_item(&self, item: WorkItemId, person: &str) -> Result<(), EngineError> {
+        // Before the claim too: nothing is attempted on a broken mirror.
         self.check_journal()?;
-        let it = {
-            let mut worklists = self.worklists.lock();
-            let it = worklists
+        let (instance, path, mine) = {
+            let st = self.state.lock();
+            let it = st
+                .worklists
                 .get(item)
-                .ok_or(EngineError::Worklist(WorklistError::NoSuchItem(item)))?
-                .clone();
-            match &it.state {
-                WorkItemState::Offered => {
-                    worklists.claim(item, person)?;
-                    let at = self.clock.now();
-                    self.journal.append(Event::WorkItemClaimed {
-                        item,
-                        person: person.to_owned(),
-                        at,
-                    });
-                }
-                WorkItemState::Claimed(p) if p == person => {}
-                WorkItemState::Claimed(p) => {
-                    return Err(EngineError::Worklist(WorklistError::AlreadyClaimed {
-                        item,
-                        by: p.clone(),
-                    }))
-                }
-                WorkItemState::Closed => {
-                    return Err(EngineError::Worklist(WorklistError::Closed(item)))
-                }
-            }
-            it
+                .ok_or(WorklistError::NoSuchItem(item))?;
+            let mine = matches!(&it.state, WorkItemState::Claimed(p) if p == person);
+            (it.instance, it.path.clone(), mine)
         };
-        let mut instances = self.instances.lock();
-        let inst = instances
-            .get_mut(&it.instance)
-            .ok_or(EngineError::UnknownInstance(it.instance))?;
-        // The underlying activity must still be ready at the claimed
-        // attempt.
-        let slot = inst
-            .live_slot(&it.path)
-            .filter(|&slot| inst.slab.acts[slot as usize].state == ActState::Ready)
-            .ok_or_else(|| EngineError::BadActivityState {
-                path: it.path.clone(),
-                expected: "ready",
-            })?;
-        let svc = self.services();
-        navigator::execute_activity(inst, &svc, slot, Some(person.to_owned()));
-        match navigator::drive_to_quiescence(inst, &svc, self.step_limit) {
-            Some(_) => Ok(()),
-            None => Err(EngineError::StepLimit(self.step_limit)),
+        if !mine {
+            self.claim(item, person)?;
         }
+        self.write(instance, |inst, svc| {
+            // The underlying activity must still be ready at the claimed
+            // attempt.
+            let slot = inst
+                .live_slot(&path)
+                .filter(|&slot| inst.slab.acts[slot as usize].state == ActState::Ready)
+                .ok_or_else(|| EngineError::BadActivityState {
+                    path: path.clone(),
+                    expected: "ready",
+                })?;
+            navigator::execute_activity(inst, svc, slot, Some(person.to_owned()));
+            navigator::drive_to_quiescence(inst, svc, self.step_limit)
+        })
     }
 
     /// Operator intervention (§3.3): forces a ready or running
     /// activity to finish with return code `rc` and no outputs, then
     /// continues navigation.
     pub fn force_finish(&self, id: InstanceId, path: &str, rc: i64) -> Result<(), EngineError> {
-        self.check_journal()?;
-        let mut instances = self.instances.lock();
-        let at = self.clock.now();
-        let inst = instances
-            .get_mut(&id)
-            .ok_or(EngineError::UnknownInstance(id))?;
-        let slot = inst
-            .live_slot(path)
-            .filter(|&slot| {
-                matches!(
-                    inst.slab.acts[slot as usize].state,
-                    ActState::Ready | ActState::Running
-                )
-            })
-            .ok_or_else(|| EngineError::BadActivityState {
-                path: path.to_owned(),
-                expected: "ready or running",
-            })?;
-        self.journal.append(Event::UserIntervention {
-            instance: id,
-            path: path.into(),
-            action: format!("force-finish rc={rc}"),
-            at,
-        });
-        let svc = self.services();
-        navigator::complete_execution(inst, &svc, slot, rc, &Container::empty());
-        match navigator::drive_to_quiescence(inst, &svc, self.step_limit) {
-            Some(_) => Ok(()),
-            None => Err(EngineError::StepLimit(self.step_limit)),
-        }
+        self.write(id, |inst, svc| {
+            let slot = inst
+                .live_slot(path)
+                .filter(|&slot| {
+                    matches!(
+                        inst.slab.acts[slot as usize].state,
+                        ActState::Ready | ActState::Running
+                    )
+                })
+                .ok_or_else(|| EngineError::BadActivityState {
+                    path: path.to_owned(),
+                    expected: "ready or running",
+                })?;
+            let ev = Event::UserIntervention {
+                instance: id,
+                path: path.into(),
+                action: format!("force-finish rc={rc}"),
+                at: self.clock.now(),
+            };
+            navigator::emit(inst, svc, slot, ev);
+            navigator::complete_execution(inst, svc, slot, rc, &Container::empty());
+            navigator::drive_to_quiescence(inst, svc, self.step_limit)
+        })
     }
 
     /// Cancels a running instance.
     pub fn cancel(&self, id: InstanceId) -> Result<(), EngineError> {
-        let mut instances = self.instances.lock();
-        let inst = instances
-            .get_mut(&id)
-            .ok_or(EngineError::UnknownInstance(id))?;
-        navigator::cancel_instance(inst, &self.services());
-        Ok(())
+        self.write(id, |inst, svc| {
+            navigator::cancel_instance(inst, svc);
+            Ok(())
+        })
     }
 
     /// Advances the virtual clock and delivers due deadline
@@ -804,35 +1029,27 @@ impl Engine {
     /// at all are skipped without touching their state.
     pub fn advance_clock(&self, ticks: txn_substrate::Tick) -> Vec<(String, String)> {
         self.clock.advance(ticks);
-        let mut instances = self.instances.lock();
-        let svc = self.services();
+        let mut st = self.state.lock();
+        let (instances, mut svc) = self.nav(&mut st);
         let mut sent = Vec::new();
         for inst in instances.values_mut() {
             if inst.status != InstanceStatus::Running || !inst.tpl.root.any_deadlines {
                 continue;
             }
-            sent.extend(navigator::check_deadlines(inst, &svc));
+            sent.extend(navigator::check_deadlines(inst, &mut svc));
         }
         sent
     }
 
     /// Current status of an instance.
     pub fn status(&self, id: InstanceId) -> Result<InstanceStatus, EngineError> {
-        self.instances
-            .lock()
-            .get(&id)
-            .map(|i| i.status)
-            .ok_or(EngineError::UnknownInstance(id))
+        self.read(id, |i| i.status)
     }
 
     /// The process output container of an instance (final once the
     /// instance is finished).
     pub fn output(&self, id: InstanceId) -> Result<Container, EngineError> {
-        self.instances
-            .lock()
-            .get(&id)
-            .map(|i| i.root_output().clone())
-            .ok_or(EngineError::UnknownInstance(id))
+        self.read(id, |i| i.root_output().clone())
     }
 
     /// Runtime inspection: `(state, executed, attempt)` of the
@@ -842,17 +1059,14 @@ impl Engine {
         id: InstanceId,
         path: &str,
     ) -> Result<(ActState, bool, u32), EngineError> {
-        let instances = self.instances.lock();
-        let inst = instances.get(&id).ok_or(EngineError::UnknownInstance(id))?;
-        inst.live_slot(path)
-            .map(|slot| {
-                let act = &inst.slab.acts[slot as usize];
-                (act.state, act.executed, act.attempt)
-            })
-            .ok_or(EngineError::BadActivityState {
-                path: path.to_owned(),
-                expected: "present",
-            })
+        self.read(id, |inst| {
+            let act = &inst.slab.acts[inst.live_slot(path)? as usize];
+            Some((act.state, act.executed, act.attempt))
+        })?
+        .ok_or(EngineError::BadActivityState {
+            path: path.to_owned(),
+            expected: "present",
+        })
     }
 
     /// All journal events (copy).
@@ -870,13 +1084,12 @@ impl Engine {
     /// and compacts it, bounding recovery replay time (the engine-side
     /// mirror of [`txn_substrate::Database::checkpoint`]). Safe at any
     /// quiescent point (no navigation in flight — guaranteed here by
-    /// holding the instances lock). Returns the number of journal
-    /// events dropped.
+    /// holding the state lock). Returns the number of journal events
+    /// dropped.
     pub fn checkpoint(&self) -> usize {
-        let registry = self.templates.lock();
-        let instances = self.instances.lock();
-        let worklists = self.worklists.lock();
-        let snaps: Vec<crate::event::InstanceSnapshot> = instances
+        let mut st = self.state.lock();
+        let snaps: Vec<crate::event::InstanceSnapshot> = st
+            .instances
             .values()
             .map(|i| crate::event::InstanceSnapshot {
                 id: i.id,
@@ -887,12 +1100,13 @@ impl Engine {
                 root: i.snapshot_root(),
             })
             .collect();
-        let items: Vec<WorkItem> = worklists.live_items().cloned().collect();
+        // The one append outside `emit`: a checkpoint describes the
+        // state, it does not change it — only replay applies it.
         self.journal.append(Event::EngineCheckpoint {
             instances: snaps,
-            items,
-            next_instance: self.next_instance.load(Ordering::Relaxed),
-            next_item: self.next_item.load(Ordering::Relaxed),
+            items: st.worklists.live_items().cloned().collect(),
+            next_instance: st.next_instance,
+            next_item: st.next_item,
             at: self.clock.now(),
         });
         // Compaction drops everything before the checkpoint, including
@@ -901,12 +1115,13 @@ impl Engine {
         // multi-version name *after* the snapshot so they survive;
         // single-version names journal nothing (their default is the
         // recovery template set's, exactly as pre-versioning).
-        for (process, version) in registry.multi_version_defaults() {
-            self.journal.append(Event::TemplateDeployed {
+        for (process, version) in st.registry.multi_version_defaults() {
+            let ev = Event::TemplateDeployed {
                 process,
                 version,
                 at: self.clock.now(),
-            });
+            };
+            self.emit(&mut st, ev).expect("the default is registered");
         }
         self.journal.compact()
     }

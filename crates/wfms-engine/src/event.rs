@@ -1,12 +1,12 @@
 //! Journal events — the engine's single source of truth.
 //!
-//! Every state transition the navigator makes is recorded as an
-//! [`Event`] *before* the in-memory state changes (write-ahead
-//! discipline, same as the database substrate). Forward recovery
-//! (§3.3 of the paper: "the execution of a process is persistent in
-//! the sense that forward recovery is always guaranteed") is then a
-//! pure replay: rebuild state from events, re-schedule whatever was
-//! running at the crash.
+//! Every state change *is* an [`Event`]: the engine's state moves only
+//! as an event's effect (`EngineState::apply`), and a running engine
+//! appends the event in the same step it applies it (`emit`). Forward
+//! recovery (§3.3 of the paper: "the execution of a process is
+//! persistent in the sense that forward recovery is always guaranteed")
+//! is then a pure replay: fold the same effects over the journal,
+//! re-schedule whatever was running at the crash.
 //!
 //! The journal's bytes are the binary frames of `codec.rs`, the
 //! one place that lists each variant's fields for a format. The JSON

@@ -366,7 +366,7 @@ impl Engine {
     /// and the federation statistics are still populated.
     pub fn metrics(&self) -> EngineMetrics {
         let (running, finished, cancelled) = self.instance_counts();
-        let (offered, claimed, closed) = self.worklists.lock().state_counts();
+        let (offered, claimed, closed) = self.state.lock().worklists.state_counts();
 
         let snap = self.obs.observer.registry().snapshot();
         let activities = snap

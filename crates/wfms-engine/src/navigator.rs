@@ -36,39 +36,44 @@
 //! program to event by reference count, so a step allocates only where
 //! a container takes a value its prototype does not have
 //! (`tests/alloc_budget.rs`).
-//! The navigator *decides*; the state effect of every event it
-//! journals is an [`Instance`] transition in [`crate::state`], the
-//! same one recovery replays.
+//! The navigator only *decides*. It changes nothing itself: every
+//! change is an event handed to `emit` — the event's effect
+//! (`crate::engine::effect`, the same function replay folds over the
+//! journal), then the event appended. What it reads to decide is the
+//! instance it drives and the [`NavServices`] it is lent.
 
 use crate::compiled::{CompiledKind, DataSource, ScopeId};
+use crate::engine::{self, EngineError};
 use crate::event::{Event, WorkItemId};
 use crate::journal::Journal;
 use crate::metrics::EngineObs;
 use crate::org::OrgModel;
 use crate::state::{ActState, Instance, InstanceStatus};
-use crate::worklist::{WorkItem, WorkItemState, WorklistStore};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::worklist::WorklistStore;
+use std::convert::Infallible;
 use std::sync::Arc;
 use txn_substrate::{
     MultiDatabase, ProgramContext, ProgramOutcome, ProgramRegistry, Value, VirtualClock,
 };
 use wfms_model::{Container, StartCondition, RC_MEMBER};
 
-/// Shared services the navigator needs while driving an instance
-/// ([`crate::Engine`] hands out its own). Every field is a shared
-/// reference: the navigator mutates only the instance it drives.
+/// What the navigator is lent while it drives an instance
+/// ([`crate::Engine`] hands it out, under the engine's state lock): the
+/// services it reads, and the part of the engine's state besides that
+/// instance that a navigation event's effect writes.
 pub struct NavServices<'a> {
     /// Event journal (append-only, internally synchronised).
     pub journal: &'a Journal,
     /// Virtual clock for event timestamps and deadlines.
     pub clock: &'a VirtualClock,
     /// Organization database for staff resolution.
-    pub org: &'a Mutex<OrgModel>,
-    /// Work-item store for manual activities.
-    pub worklists: &'a Mutex<WorklistStore>,
-    /// Work-item id allocator.
-    pub next_item: &'a AtomicU64,
+    pub org: &'a OrgModel,
+    /// Work items of manual activities: read to decide, written by
+    /// `emit` alone.
+    pub(crate) worklists: &'a mut WorklistStore,
+    /// Work-item id allocator: the next id to offer under; advanced by
+    /// the offer's effect.
+    pub(crate) next_item: &'a mut u64,
     /// Registered transactional programs.
     pub programs: &'a ProgramRegistry,
     /// The multidatabase programs run against.
@@ -86,21 +91,19 @@ impl NavServices<'_> {
     }
 }
 
-/// Starts `inst`: journals the start event and makes the start
-/// activities of the root scope ready.
-pub fn start_instance(inst: &mut Instance, svc: &NavServices<'_>) {
-    svc.journal.append(Event::InstanceStarted {
-        instance: inst.id,
-        process: Arc::clone(&inst.tpl.layout.process).into(),
-        tenant: inst.tenant.clone(),
-        input: inst.root_input().clone(),
-        at: svc.now(),
+/// The one way the navigator changes anything: the effect of `ev` on
+/// `inst` at `slot` — the act slot `ev` is about, the edge slot of a
+/// `ConnectorEvaluated`, unread otherwise — then `ev` in the journal.
+pub(crate) fn emit(inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32, ev: Event) {
+    let Ok(()) = engine::emit(svc.journal, ev, |ev| {
+        engine::effect(inst, slot, svc.worklists, svc.next_item, ev);
+        Ok::<(), Infallible>(())
     });
-    seed_scope(inst, svc, 0);
 }
 
-/// Makes the start activities of scope `s` ready.
-fn seed_scope(inst: &mut Instance, svc: &NavServices<'_>, s: ScopeId) {
+/// Makes the start activities of scope `s` ready (scope 0: starts the
+/// instance).
+pub(crate) fn seed_scope(inst: &mut Instance, svc: &mut NavServices<'_>, s: ScopeId) {
     let tpl = Arc::clone(&inst.tpl);
     let m = tpl.layout.scope(s);
     for &start in &m.cs.starts {
@@ -110,20 +113,19 @@ fn seed_scope(inst: &mut Instance, svc: &NavServices<'_>, s: ScopeId) {
 
 /// Transitions the activity at `slot` to ready: queues it for the
 /// engine if automatic, offers a work item if manual.
-fn make_ready(inst: &mut Instance, svc: &NavServices<'_>, slot: u32) {
+fn make_ready(inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32) {
     let instance = inst.id;
     let now = svc.now();
     let tpl = Arc::clone(&inst.tpl);
     let lay = &tpl.layout;
     let sl = slot as usize;
-    let attempt = inst.slab.acts[sl].attempt;
-    inst.activity_ready(slot, attempt, now);
-    svc.journal.append(Event::ActivityReady {
+    let ev = Event::ActivityReady {
         instance,
         path: lay.paths[sl].clone().into(),
-        attempt,
+        attempt: inst.slab.acts[sl].attempt,
         at: now,
-    });
+    };
+    emit(inst, svc, slot, ev);
     if lay.automatic[sl] {
         inst.push_ready(lay.rank[sl]);
         if svc.obs.enabled() {
@@ -138,31 +140,17 @@ fn make_ready(inst: &mut Instance, svc: &NavServices<'_>, slot: u32) {
 }
 
 /// Offers the manual activity at `slot`, at its current attempt, to
-/// the persons its staff assignment resolves to: a work item under a
-/// fresh id, then the `WorkItemOffered` event.
-fn offer_item(inst: &Instance, svc: &NavServices<'_>, slot: u32, now: txn_substrate::Tick) {
-    let instance = inst.id;
+/// the persons its staff assignment resolves to, under a fresh id.
+fn offer_item(inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32, now: txn_substrate::Tick) {
     let lay = &inst.tpl.layout;
-    let sl = slot as usize;
-    let attempt = inst.slab.acts[sl].attempt;
-    let persons = svc.org.lock().resolve(&lay.act(slot).staff);
-    let item = WorkItemId(svc.next_item.fetch_add(1, Ordering::Relaxed));
-    svc.worklists.lock().offer(WorkItem {
-        id: item,
-        instance,
-        path: lay.paths[sl].to_string(),
-        attempt,
-        offered_to: persons.clone(),
-        state: WorkItemState::Offered,
-        offered_at: now,
-    });
-    svc.journal.append(Event::WorkItemOffered {
-        instance,
-        path: lay.paths[sl].clone().into(),
-        item,
-        persons,
+    let ev = Event::WorkItemOffered {
+        instance: inst.id,
+        path: lay.paths[slot as usize].clone().into(),
+        item: WorkItemId(*svc.next_item),
+        persons: svc.org.resolve(&lay.act(slot).staff),
         at: now,
-    });
+    };
+    emit(inst, svc, slot, ev);
 }
 
 /// Pops the next runnable activity (ready + automatic) off the
@@ -191,27 +179,33 @@ fn is_runnable(inst: &Instance, slot: u32) -> bool {
         && inst.ancestors_open(slot)
 }
 
-/// Drives `inst` until no automatic activity is runnable. Returns the
-/// number of steps taken, or `None` if `limit` was exceeded.
+/// Drives `inst` until no automatic activity is runnable, or
+/// [`EngineError::StepLimit`] once that would take more than `limit`
+/// steps.
 pub(crate) fn drive_to_quiescence(
     inst: &mut Instance,
-    svc: &NavServices<'_>,
+    svc: &mut NavServices<'_>,
     limit: usize,
-) -> Option<usize> {
+) -> Result<(), EngineError> {
     let mut steps = 0usize;
     while let Some(slot) = find_runnable(inst) {
         steps += 1;
         if steps > limit {
-            return None;
+            return Err(EngineError::StepLimit(limit));
         }
         execute_activity(inst, svc, slot, None);
     }
-    Some(steps)
+    Ok(())
 }
 
 /// Executes the activity at `slot` (which must be ready). `by` names
 /// the person for manual executions; `None` means the engine runs it.
-pub fn execute_activity(inst: &mut Instance, svc: &NavServices<'_>, slot: u32, by: Option<String>) {
+pub fn execute_activity(
+    inst: &mut Instance,
+    svc: &mut NavServices<'_>,
+    slot: u32,
+    by: Option<String>,
+) {
     let instance = inst.id;
     let tpl = Arc::clone(&inst.tpl);
     let lay = &tpl.layout;
@@ -246,16 +240,16 @@ pub fn execute_activity(inst: &mut Instance, svc: &NavServices<'_>, slot: u32, b
         ActState::Ready,
         "execute requires ready"
     );
-    inst.activity_started(slot, &input);
     let attempt = inst.slab.acts[sl].attempt;
-    svc.journal.append(Event::ActivityStarted {
+    let ev = Event::ActivityStarted {
         instance,
         path: lay.paths[sl].clone().into(),
         attempt,
         by,
         input: input.clone(),
         at: svc.now(),
-    });
+    };
+    emit(inst, svc, slot, ev);
 
     if svc.obs.enabled() {
         svc.obs.executions.inc();
@@ -315,11 +309,10 @@ fn record_latency(inst: &Instance, slot: u32, t0: Option<std::time::Instant>) {
 
 /// Records the outcome of an execution: builds the output container
 /// (schema defaults + the declared members of `outputs` + `RC`),
-/// journals the finish, closes work items and decides the exit
-/// condition.
+/// emits the finish and decides the exit condition.
 pub fn complete_execution(
     inst: &mut Instance,
-    svc: &NavServices<'_>,
+    svc: &mut NavServices<'_>,
     slot: u32,
     rc: i64,
     outputs: &Container,
@@ -349,25 +342,21 @@ pub fn complete_execution(
         }
     }
 
-    inst.activity_finished(slot, &output);
-    let attempt = inst.slab.acts[sl].attempt;
-    svc.journal.append(Event::ActivityFinished {
+    let ev = Event::ActivityFinished {
         instance,
         path: lay.paths[sl].clone().into(),
-        attempt,
+        attempt: inst.slab.acts[sl].attempt,
         output,
         at: svc.now(),
-    });
-    if tpl.root.any_manual {
-        svc.worklists.lock().close_for(instance, &lay.paths[sl]);
-    }
+    };
+    emit(inst, svc, slot, ev);
     decide_exit(inst, svc, slot);
 }
 
 /// Decides the exit condition of a *finished* activity: terminate on
 /// true, reschedule on false (§3.2). Public so recovery can resume an
 /// instance whose journal ends right after an `ActivityFinished`.
-pub fn decide_exit(inst: &mut Instance, svc: &NavServices<'_>, slot: u32) {
+pub fn decide_exit(inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32) {
     let instance = inst.id;
     let tpl = Arc::clone(&inst.tpl);
     let lay = &tpl.layout;
@@ -379,14 +368,13 @@ pub fn decide_exit(inst: &mut Instance, svc: &NavServices<'_>, slot: u32) {
         if svc.obs.enabled() {
             svc.obs.reschedules.inc();
         }
-        let next_attempt = inst.slab.acts[sl].attempt + 1;
-        inst.activity_rescheduled(slot, next_attempt);
-        svc.journal.append(Event::ActivityRescheduled {
+        let ev = Event::ActivityRescheduled {
             instance,
             path: lay.paths[sl].clone().into(),
-            next_attempt,
+            next_attempt: inst.slab.acts[sl].attempt + 1,
             at: svc.now(),
-        });
+        };
+        emit(inst, svc, slot, ev);
         make_ready(inst, svc, slot);
     }
 }
@@ -397,13 +385,13 @@ pub fn decide_exit(inst: &mut Instance, svc: &NavServices<'_>, slot: u32) {
 /// at the same attempt (fresh item id), exactly the event the live
 /// run would have appended next. Automatic activities need no
 /// counterpart: replaying `ActivityReady` re-enqueues them directly.
-pub(crate) fn reoffer_ready(inst: &mut Instance, svc: &NavServices<'_>, slot: u32) {
+pub(crate) fn reoffer_ready(inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32) {
     let sl = slot as usize;
     let lay = &inst.tpl.layout;
     if inst.slab.acts[sl].state != ActState::Ready || lay.automatic[sl] {
         return;
     }
-    if svc.worklists.lock().has_live_item(inst.id, &lay.paths[sl]) {
+    if svc.worklists.has_live_item(inst.id, &lay.paths[sl]) {
         return;
     }
     offer_item(inst, svc, slot, svc.now());
@@ -411,20 +399,13 @@ pub(crate) fn reoffer_ready(inst: &mut Instance, svc: &NavServices<'_>, slot: u3
 
 /// Recovery helper: an activity that was `Running` when the engine
 /// crashed is re-executed from the beginning (§3.3: "the activity will
-/// be rescheduled to be executed from the beginning"). Any stale work
-/// item is closed; a manual activity is re-offered.
-pub fn reset_running_to_ready(inst: &mut Instance, svc: &NavServices<'_>, slot: u32) {
-    let instance = inst.id;
-    let tpl = Arc::clone(&inst.tpl);
-    if inst.slab.acts[slot as usize].state != ActState::Running {
-        return;
+/// be rescheduled to be executed from the beginning"). `ActivityReady`
+/// closes the item the interrupted execution left open; a manual
+/// activity is offered afresh.
+pub fn reset_running_to_ready(inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32) {
+    if inst.slab.acts[slot as usize].state == ActState::Running {
+        make_ready(inst, svc, slot);
     }
-    if tpl.root.any_manual {
-        svc.worklists
-            .lock()
-            .close_for(instance, &tpl.layout.paths[slot as usize]);
-    }
-    make_ready(inst, svc, slot);
 }
 
 /// Recovery helper: re-derives the fate of a `Waiting` activity whose
@@ -441,7 +422,7 @@ pub fn reset_running_to_ready(inst: &mut Instance, svc: &NavServices<'_>, slot: 
 ///   (the `ConnectorEvaluated` events are in the journal) but whose
 ///   ready/dead decision event was cut off — re-run the start-condition
 ///   decision. Undecidable joins are left waiting, exactly as live.
-pub(crate) fn renavigate_waiting(inst: &mut Instance, svc: &NavServices<'_>, slot: u32) {
+pub(crate) fn renavigate_waiting(inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32) {
     let tpl = Arc::clone(&inst.tpl);
     if inst.slab.acts[slot as usize].state != ActState::Waiting {
         return; // an earlier fix-up's cascade already decided it
@@ -459,7 +440,7 @@ pub(crate) fn renavigate_waiting(inst: &mut Instance, svc: &NavServices<'_>, slo
 /// `ConnectorEvaluated` events (and their target cascades) were lost.
 /// Only edges the replay found unevaluated are (re)evaluated, in
 /// declaration order, exactly as the live path would have continued.
-pub(crate) fn reevaluate_outgoing(inst: &mut Instance, svc: &NavServices<'_>, slot: u32) {
+pub(crate) fn reevaluate_outgoing(inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32) {
     if inst.slab.acts[slot as usize].state == ActState::Terminated {
         evaluate_outgoing(inst, svc, slot);
     }
@@ -474,7 +455,7 @@ pub(crate) fn reevaluate_outgoing(inst: &mut Instance, svc: &NavServices<'_>, sl
 /// (§3.2); an executed one evaluates its precompiled transition plans
 /// over the output container (evaluation errors are false — fail safe
 /// — and statically constant conditions were folded at compile time).
-fn evaluate_outgoing(inst: &mut Instance, svc: &NavServices<'_>, slot: u32) {
+fn evaluate_outgoing(inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32) {
     let instance = inst.id;
     let tpl = Arc::clone(&inst.tpl);
     let lay = &tpl.layout;
@@ -487,16 +468,15 @@ fn evaluate_outgoing(inst: &mut Instance, svc: &NavServices<'_>, slot: u32) {
         if inst.slab.connectors[es].is_some() {
             continue;
         }
-        let value = executed && edge.cond.eval_transition(&inst.slab.acts[sl].output);
-        inst.connector_evaluated(es as u32, value);
-        svc.journal.append(Event::ConnectorEvaluated {
+        let ev = Event::ConnectorEvaluated {
             instance,
             scope: m.path.clone().into(),
             from: lay.edge_names[es].0.clone().into(),
             to: lay.edge_names[es].1.clone().into(),
-            value,
+            value: executed && edge.cond.eval_transition(&inst.slab.acts[sl].output),
             at: svc.now(),
-        });
+        };
+        emit(inst, svc, es as u32, ev);
         update_target(inst, svc, m.act_base + edge.to);
     }
 }
@@ -504,7 +484,12 @@ fn evaluate_outgoing(inst: &mut Instance, svc: &NavServices<'_>, slot: u32) {
 /// Terminates the activity at `slot`. `executed = false` is the dead
 /// path elimination case. Evaluates outgoing connectors, cascades to
 /// targets and checks scope completion.
-pub fn terminate_activity(inst: &mut Instance, svc: &NavServices<'_>, slot: u32, executed: bool) {
+pub fn terminate_activity(
+    inst: &mut Instance,
+    svc: &mut NavServices<'_>,
+    slot: u32,
+    executed: bool,
+) {
     let instance = inst.id;
     let tpl = Arc::clone(&inst.tpl);
     let lay = &tpl.layout;
@@ -513,17 +498,14 @@ pub fn terminate_activity(inst: &mut Instance, svc: &NavServices<'_>, slot: u32,
         svc.obs.dead_paths.inc();
     }
     // An executed activity's data connectors to the scope's output
-    // container take effect with this transition.
-    inst.activity_terminated(slot, executed);
-    svc.journal.append(Event::ActivityTerminated {
+    // container take effect with this event.
+    let ev = Event::ActivityTerminated {
         instance,
         path: lay.paths[sl].clone().into(),
         executed,
         at: svc.now(),
-    });
-    if tpl.root.any_manual {
-        svc.worklists.lock().close_for(instance, &lay.paths[sl]);
-    }
+    };
+    emit(inst, svc, slot, ev);
 
     evaluate_outgoing(inst, svc, slot);
     check_scope_completion(inst, svc, lay.owner[sl]);
@@ -531,7 +513,7 @@ pub fn terminate_activity(inst: &mut Instance, svc: &NavServices<'_>, slot: u32,
 
 /// Re-examines a waiting activity's start condition after one of its
 /// incoming connectors was evaluated; makes it ready or dead.
-fn update_target(inst: &mut Instance, svc: &NavServices<'_>, slot: u32) {
+fn update_target(inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32) {
     let tpl = Arc::clone(&inst.tpl);
     let lay = &tpl.layout;
     let sl = slot as usize;
@@ -583,7 +565,7 @@ fn update_target(inst: &mut Instance, svc: &NavServices<'_>, slot: u32) {
 /// not a scan), the scope is finished: the root scope finishes the
 /// instance; a block scope finishes its block activity (which may loop
 /// via its exit condition).
-pub(crate) fn check_scope_completion(inst: &mut Instance, svc: &NavServices<'_>, s: ScopeId) {
+pub(crate) fn check_scope_completion(inst: &mut Instance, svc: &mut NavServices<'_>, s: ScopeId) {
     let instance = inst.id;
     let scope = &inst.slab.scopes[s as usize];
     if !scope.live || scope.remaining != 0 {
@@ -593,12 +575,12 @@ pub(crate) fn check_scope_completion(inst: &mut Instance, svc: &NavServices<'_>,
 
     if s == 0 {
         if inst.status == InstanceStatus::Running {
-            inst.instance_finished(&output);
-            svc.journal.append(Event::InstanceFinished {
+            let ev = Event::InstanceFinished {
                 instance,
                 output,
                 at: svc.now(),
-            });
+            };
+            emit(inst, svc, 0, ev);
         }
         return;
     }
@@ -619,25 +601,24 @@ pub(crate) fn check_scope_completion(inst: &mut Instance, svc: &NavServices<'_>,
     complete_execution(inst, svc, pslot, rc, &output);
 }
 
-/// Cancels the instance: closes its work items and journals the
-/// cancellation. Non-terminated activities simply stop navigating.
-pub fn cancel_instance(inst: &mut Instance, svc: &NavServices<'_>) {
-    if inst.status != InstanceStatus::Running {
-        return;
+/// Cancels the instance (its offered work items close with it).
+/// Non-terminated activities simply stop navigating.
+pub fn cancel_instance(inst: &mut Instance, svc: &mut NavServices<'_>) {
+    if inst.status == InstanceStatus::Running {
+        let ev = Event::InstanceCancelled {
+            instance: inst.id,
+            at: svc.now(),
+        };
+        emit(inst, svc, 0, ev);
     }
-    inst.instance_cancelled();
-    if inst.tpl.root.any_manual {
-        svc.worklists.lock().close_offered_of(inst.id);
-    }
-    svc.journal.append(Event::InstanceCancelled {
-        instance: inst.id,
-        at: svc.now(),
-    });
 }
 
 /// Sends deadline notifications (§3.3) for ready manual activities
 /// whose deadline elapsed: each eligible person's manager is notified
-/// once per readiness period. Returns `(path, person)` pairs notified.
+/// once per readiness period (`NotificationSent` is what marks the
+/// period notified — with nobody to notify it stays due, and is
+/// resolved again at the next check). Returns `(path, person)` pairs
+/// notified.
 ///
 /// The compiled template indexes deadline-bearing activities per scope
 /// ([`CompiledScope::deadline_acts`](crate::compiled::CompiledScope::deadline_acts))
@@ -646,7 +627,7 @@ pub fn cancel_instance(inst: &mut Instance, svc: &NavServices<'_>) {
 /// so instances without deadlines return without scanning anything.
 /// Scopes are visited in preorder, skipping scopes that are not
 /// actively executing.
-pub fn check_deadlines(inst: &mut Instance, svc: &NavServices<'_>) -> Vec<(String, String)> {
+pub fn check_deadlines(inst: &mut Instance, svc: &mut NavServices<'_>) -> Vec<(String, String)> {
     if !inst.tpl.root.any_deadlines {
         return Vec::new();
     }
@@ -654,35 +635,30 @@ pub fn check_deadlines(inst: &mut Instance, svc: &NavServices<'_>) -> Vec<(Strin
     let now = svc.now();
     let tpl = Arc::clone(&inst.tpl);
     let lay = &tpl.layout;
+    let org = svc.org;
     let mut due: Vec<(u32, Vec<String>)> = Vec::new();
-    {
-        let org = svc.org.lock();
-        for s in 0..lay.n_scopes() as ScopeId {
-            let m = lay.scope(s);
-            if m.cs.deadline_acts.is_empty() || !inst.scope_active(s) {
+    for s in 0..lay.n_scopes() as ScopeId {
+        let m = lay.scope(s);
+        if m.cs.deadline_acts.is_empty() || !inst.scope_active(s) {
+            continue;
+        }
+        for &id in &m.cs.deadline_acts {
+            let slot = m.act_base + id;
+            let sl = slot as usize;
+            if inst.slab.acts[sl].state != ActState::Ready || inst.slab.acts[sl].notified {
                 continue;
             }
-            for &id in &m.cs.deadline_acts {
-                let slot = m.act_base + id;
-                let sl = slot as usize;
-                if inst.slab.acts[sl].state != ActState::Ready || inst.slab.acts[sl].notified {
-                    continue;
-                }
-                let act = lay.act(slot);
-                if let (Some(deadline), Some(since)) =
-                    (act.deadline, inst.slab.acts[sl].ready_since)
-                {
-                    if since + deadline <= now {
-                        inst.notification_sent(slot);
-                        let mut managers: Vec<String> = org
-                            .resolve(&act.staff)
-                            .iter()
-                            .filter_map(|p| org.manager_of(p).map(|mg| mg.name.clone()))
-                            .collect();
-                        managers.sort();
-                        managers.dedup();
-                        due.push((slot, managers));
-                    }
+            let act = lay.act(slot);
+            if let (Some(deadline), Some(since)) = (act.deadline, inst.slab.acts[sl].ready_since) {
+                if since + deadline <= now {
+                    let mut managers: Vec<String> = org
+                        .resolve(&act.staff)
+                        .iter()
+                        .filter_map(|p| org.manager_of(p).map(|mg| mg.name.clone()))
+                        .collect();
+                    managers.sort();
+                    managers.dedup();
+                    due.push((slot, managers));
                 }
             }
         }
@@ -692,12 +668,13 @@ pub fn check_deadlines(inst: &mut Instance, svc: &NavServices<'_>) -> Vec<(Strin
     for (slot, managers) in due {
         let path = &lay.paths[slot as usize];
         for person in managers {
-            svc.journal.append(Event::NotificationSent {
+            let ev = Event::NotificationSent {
                 instance: inst.id,
                 path: path.clone().into(),
                 person: person.clone(),
                 at: now,
-            });
+            };
+            emit(inst, svc, slot, ev);
             sent.push((path.to_string(), person));
         }
     }

@@ -9,36 +9,34 @@
 //! Restart *is* recovery: [`Engine::open`] replays whatever its journal
 //! holds — nothing, the first time — so there is no separate recovery
 //! entry point, only the [`recover`] wrappers that spell `open` the way
-//! older callers do. This module is the replay (`replay`) and the
+//! older callers do. This module is the replay (`Replay`) and the
 //! repair (`resume`) that `open` runs.
 //!
-//! Replay rebuilds every instance's state from the
-//! journal, then applies the paper's explicit caveat: activities that
+//! Replay is a fold: `EngineState::apply` — the function every live
+//! state change went through when its event was emitted — over the
+//! journal, one event at a time. The journal records human-readable
+//! string paths (it is an audit trail first); `apply` resolves each to
+//! its slot with one lookup against the **compiled template**
+//! (`Instance::live_slot`). Compilation is deterministic, so slots
+//! assigned at recovery address exactly the state the crashed engine
+//! used.
+//!
+//! The repair then applies the paper's explicit caveat: activities that
 //! were mid-execution at the crash are **re-executed from the
 //! beginning** (workflow activities are not failure atomic; it is the
 //! designer's job to make programs re-runnable — our substrate
 //! programs are transactions, so an interrupted one simply never
-//! committed).
-//!
-//! The journal records human-readable string paths (it is an audit
-//! trail first); replay resolves each to its slot with one lookup
-//! against the **compiled template** (`Instance::live_slot`) and
-//! then calls the same [`crate::state`] transition the navigator called
-//! when it journalled the event — so a replay arm is "resolve, call",
-//! plus the worklist bookkeeping that is not slab state. Compilation
-//! is deterministic, so slots assigned at recovery address exactly the
-//! state the crashed engine used.
+//! committed). A repair is navigation like any other: it changes state
+//! by emitting events, so replaying a repaired journal needs no repair
+//! of its own for what the first one fixed.
 
 use crate::compiled::ScopeId;
-use crate::engine::{import, Engine, EngineConfig};
+use crate::engine::{Engine, EngineConfig, EngineState, Refused};
 use crate::event::{Event, InstanceId};
 use crate::journal::Journal;
 use crate::navigator::{self, NavServices};
 use crate::org::OrgModel;
-use crate::registry::TemplateRegistry;
 use crate::state::{ActState, Instance, InstanceStatus};
-use crate::worklist::{WorkItem, WorkItemState, WorklistStore};
-use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 use txn_substrate::{DurabilityPolicy, MultiDatabase, ProgramRegistry};
@@ -168,47 +166,27 @@ pub fn recover_from(
         org,
         ..EngineConfig::default()
     };
-    let mut replayed = Replayed::over(templates)?;
-    journal.for_each(|ev| replayed.feed(&ev));
-    Engine::open_on(journal, replayed, multidb, programs, config)
+    let mut replay = Replay::over(templates)?;
+    journal.for_each(|ev| replay.feed(&ev));
+    Engine::open_on(journal, replay, multidb, programs, config)
 }
 
-/// Engine state being rebuilt from a journal, one event at a time —
-/// the events come straight from the pass that decodes the file (or
+/// A journal being folded into an `EngineState`, one event at a time
+/// — the events come straight from the pass that decodes the file (or
 /// from a journal's memory) and are never collected.
-pub(crate) struct Replayed {
-    pub(crate) registry: TemplateRegistry,
-    pub(crate) instances: BTreeMap<InstanceId, Instance>,
-    pub(crate) worklists: WorklistStore,
-    pub(crate) next_instance: u64,
-    pub(crate) next_item: u64,
-    pub(crate) max_tick: txn_substrate::Tick,
+pub(crate) struct Replay {
+    state: EngineState,
+    max_tick: txn_substrate::Tick,
     /// The first event that could not be applied; the events after it
     /// are skipped (the pass still validates their frames).
     failed: Option<RecoveryError>,
 }
 
-impl Replayed {
-    /// A fresh engine state over `templates`, imported like
-    /// [`Engine::register`] imports them. The registry's defaults are
-    /// the *initial* ones (the first supplied definition per name);
-    /// journalled `TemplateDeployed` events advance them during replay
-    /// — so every `InstanceStarted` resolves against the same default
-    /// the live engine used at that journal position.
+impl Replay {
+    /// The fold's start: `EngineState::over` `templates`.
     pub(crate) fn over(templates: Vec<ProcessDefinition>) -> Result<Self, RecoveryError> {
-        let mut registry = TemplateRegistry::new();
-        for def in templates {
-            let process = def.name.clone();
-            let tpl =
-                import(def).map_err(|errors| RecoveryError::InvalidTemplate { process, errors })?;
-            registry.insert(tpl, false);
-        }
         Ok(Self {
-            registry,
-            instances: BTreeMap::new(),
-            worklists: WorklistStore::new(),
-            next_instance: 1,
-            next_item: 1,
+            state: EngineState::over(templates)?,
             max_tick: 0,
             failed: None,
         })
@@ -218,265 +196,54 @@ impl Replayed {
     pub(crate) fn feed(&mut self, ev: &Event) {
         if self.failed.is_none() {
             self.max_tick = self.max_tick.max(ev.at());
-            self.failed = apply(ev, self).err();
+            if let Err(Refused::Replay(e)) = self.state.apply(ev) {
+                self.failed = Some(e);
+            }
         }
     }
 
-    /// The journal has been fed whole: the state, or why it stopped.
-    pub(crate) fn finish(mut self) -> Result<Self, RecoveryError> {
+    /// The journal has been fed whole: the state and the latest tick it
+    /// mentions, or why the fold stopped.
+    pub(crate) fn finish(mut self) -> Result<(EngineState, txn_substrate::Tick), RecoveryError> {
         self.failed.take().map_or(Ok(()), Err)?;
-        // Rebuild the ready queues: the transitions set activity states
-        // only; queueing is the navigator's side of a live step.
-        for inst in self.instances.values_mut() {
+        // The ready queues are not state an event describes: queueing
+        // is the navigator's side of a live step.
+        for inst in self.state.instances.values_mut() {
             inst.rebuild_ready();
         }
-        Ok(self)
-    }
-}
-
-/// Applies one journal event to the state under reconstruction.
-fn apply(ev: &Event, state: &mut Replayed) -> Result<(), RecoveryError> {
-    let Replayed {
-        registry,
-        instances,
-        worklists,
-        next_instance,
-        next_item,
-        ..
-    } = state;
-    match ev {
-        Event::InstanceStarted {
-            instance,
-            process,
-            tenant,
-            input,
-            ..
-        } => {
-            // The default at this journal position — TemplateDeployed
-            // events earlier in the journal have already advanced it.
-            let tpl = registry
-                .default_tpl(process)
-                .ok_or_else(|| RecoveryError::MissingTemplate(process.to_string()))?;
-            let mut inst = Instance::new(*instance, tpl);
-            inst.tenant = tenant.clone();
-            inst.seed_input(input);
-            *next_instance = (*next_instance).max(instance.0 + 1);
-            instances.insert(*instance, inst);
-        }
-        Event::ActivityReady {
-            instance,
-            path,
-            attempt,
-            at,
-        } => with_slot(instances, *instance, path, |inst, slot| {
-            inst.activity_ready(slot, *attempt, *at)
-        }),
-        // A started block opens its child scope; the child's own
-        // events follow in the journal.
-        Event::ActivityStarted {
-            instance,
-            path,
-            input,
-            ..
-        } => with_slot(instances, *instance, path, |inst, slot| {
-            inst.activity_started(slot, input)
-        }),
-        Event::ActivityFinished {
-            instance,
-            path,
-            output,
-            ..
-        } => {
-            with_slot(instances, *instance, path, |inst, slot| {
-                inst.activity_finished(slot, output)
-            });
-            // Finishing an activity closes its work items (a
-            // reschedule re-offers a fresh one via the following
-            // WorkItemOffered event).
-            worklists.close_for(*instance, path);
-        }
-        Event::ActivityRescheduled {
-            instance,
-            path,
-            next_attempt,
-            ..
-        } => with_slot(instances, *instance, path, |inst, slot| {
-            inst.activity_rescheduled(slot, *next_attempt)
-        }),
-        Event::ActivityTerminated {
-            instance,
-            path,
-            executed,
-            ..
-        } => {
-            with_slot(instances, *instance, path, |inst, slot| {
-                inst.activity_terminated(slot, *executed)
-            });
-            worklists.close_for(*instance, path);
-        }
-        Event::ConnectorEvaluated {
-            instance,
-            scope,
-            from,
-            to,
-            value,
-            ..
-        } => {
-            if let Some(inst) = instances.get_mut(instance) {
-                let edge = inst.live_scope(scope).and_then(|s| {
-                    let m = inst.tpl.layout.scope(s);
-                    Some(m.edge_base + m.cs.edge_id(from, to)?)
-                });
-                if let Some(edge) = edge {
-                    inst.connector_evaluated(edge, *value);
-                }
-            }
-        }
-        Event::WorkItemOffered {
-            instance,
-            path,
-            item,
-            persons,
-            at,
-        } => {
-            *next_item = (*next_item).max(item.0 + 1);
-            worklists.offer(WorkItem {
-                id: *item,
-                instance: *instance,
-                path: path.to_string(),
-                attempt: 0,
-                offered_to: persons.clone(),
-                state: WorkItemState::Offered,
-                offered_at: *at,
-            });
-        }
-        Event::WorkItemClaimed { item, person, .. } => {
-            let _ = worklists.claim(*item, person);
-        }
-        Event::NotificationSent { instance, path, .. } => {
-            with_slot(instances, *instance, path, Instance::notification_sent)
-        }
-        Event::UserIntervention { .. } => {}
-        Event::InstanceFinished {
-            instance, output, ..
-        } => {
-            if let Some(inst) = instances.get_mut(instance) {
-                inst.instance_finished(output);
-            }
-        }
-        Event::InstanceCancelled { instance, .. } => {
-            if let Some(inst) = instances.get_mut(instance) {
-                inst.instance_cancelled();
-            }
-            worklists.close_offered_of(*instance);
-        }
-        Event::EngineCheckpoint {
-            instances: snaps,
-            items,
-            next_instance: ni,
-            next_item: nw,
-            ..
-        } => {
-            // A checkpoint is the complete engine state: replace
-            // everything reconstructed so far and continue applying
-            // the tail on top of it.
-            instances.clear();
-            for snap in snaps {
-                // Snapshots resolve by pinned version, not by name —
-                // two instances of one process may be on different
-                // versions at checkpoint time.
-                let tpl = registry.by_version(&snap.version).ok_or_else(|| {
-                    RecoveryError::MissingVersion {
-                        process: snap.process.clone(),
-                        version: snap.version.clone(),
-                    }
-                })?;
-                let mut inst = Instance::new(snap.id, tpl);
-                inst.status = snap.status;
-                inst.tenant = snap.tenant.clone();
-                inst.restore_root(&snap.root);
-                instances.insert(snap.id, inst);
-            }
-            *worklists = WorklistStore::new();
-            for item in items {
-                worklists.offer(item.clone());
-            }
-            *next_instance = *ni;
-            *next_item = *nw;
-        }
-        Event::TemplateDeployed {
-            process, version, ..
-        } => {
-            let hash = u64::from_str_radix(version, 16).unwrap_or(0);
-            if !registry.set_default(process, hash) {
-                return Err(RecoveryError::MissingVersion {
-                    process: process.clone(),
-                    version: version.clone(),
-                });
-            }
-        }
-        Event::Migrated { instance, to, .. } => {
-            // Replay the state transfer only; the live engine's
-            // post-transfer fix-up events follow in the journal (or,
-            // after a crash right here, `resume` re-derives them).
-            if let Some(inst) = instances.get_mut(instance) {
-                let target =
-                    registry
-                        .by_version(to)
-                        .ok_or_else(|| RecoveryError::MissingVersion {
-                            process: inst.tpl.name().to_owned(),
-                            version: to.clone(),
-                        })?;
-                let migrated =
-                    inst.migrate_to(&target)
-                        .map_err(|detail| RecoveryError::Migration {
-                            instance: *instance,
-                            detail,
-                        })?;
-                *inst = migrated;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Resolves a journalled string path to its **live** global act slot
-/// against the instance's compiled template (every enclosing scope
-/// must be open) and hands both to `f`.
-fn with_slot(
-    instances: &mut BTreeMap<InstanceId, Instance>,
-    instance: InstanceId,
-    path: &str,
-    f: impl FnOnce(&mut Instance, u32),
-) {
-    let Some(inst) = instances.get_mut(&instance) else {
-        return;
-    };
-    if let Some(slot) = inst.live_slot(path) {
-        f(inst, slot);
+        Ok((self.state, self.max_tick))
     }
 }
 
 /// Post-replay fix-ups for the (at most one) navigation operation the
-/// crash interrupted mid-append:
+/// crash interrupted mid-append. Each is the navigation the crashed
+/// engine would have done next, so each changes state by emitting the
+/// events that engine would have emitted — none acts silently:
 ///
+/// * re-offer `Ready` manual activities whose offer was cut off
+///   (`WorkItemOffered`);
 /// * re-ready crashed `Running` program activities (§3.3: re-executed
-///   from the beginning);
+///   from the beginning) — `ActivityReady`, whose effect closes the
+///   work item the interrupted execution left open, then a fresh
+///   `WorkItemOffered` if manual;
 /// * re-seed/re-decide `Waiting` activities whose ready/dead decision
 ///   event was cut off (lost seeding after `InstanceStarted`, lost
 ///   re-ready after `ActivityRescheduled`, lost join decision after
-///   the final `ConnectorEvaluated`);
+///   the final `ConnectorEvaluated`) — `ActivityReady` or
+///   `ActivityTerminated`, and what cascades from them;
 /// * complete the outgoing-connector evaluations of `Terminated`
-///   activities interrupted mid-cascade — processed innermost-first
-///   (reverse order of their `ActivityTerminated` events), unwinding
-///   the crashed navigation's call stack the way the live run would
-///   have;
-/// * re-decide `Finished` activities whose exit decision was lost;
-/// * re-check scope completion (in case the crash hit between the last
-///   termination and the completion event).
+///   activities interrupted mid-cascade (`ConnectorEvaluated`) —
+///   processed innermost-first (reverse order of their
+///   `ActivityTerminated` events), unwinding the crashed navigation's
+///   call stack the way the live run would have;
+/// * re-decide `Finished` activities whose exit decision was lost
+///   (`ActivityTerminated` or `ActivityRescheduled`);
+/// * re-check scope completion, in case the crash hit between the last
+///   termination and the completion event (`ActivityFinished` of the
+///   block, or `InstanceFinished`).
 pub(crate) fn resume(engine: &Engine) {
-    let mut instances = engine.instances.lock();
-    let svc = engine.services();
+    let mut st = engine.state.lock();
+    let (instances, mut svc) = engine.nav(&mut st);
     // Recovery is cold: count every fix-up category unconditionally so
     // `Engine::metrics` answers "what did recovery repair" even on
     // engines without an enabled observer.
@@ -485,7 +252,7 @@ pub(crate) fn resume(engine: &Engine) {
         if inst.status != InstanceStatus::Running {
             continue;
         }
-        let counts = fixup_instance(inst, &svc);
+        let counts = fixup_instance(inst, &mut svc);
         counts.record(reg, "recovery.fixups");
     }
 }
@@ -523,7 +290,7 @@ impl FixupCounts {
 /// cascades to finish, exits to re-check). Journals live events
 /// through `svc`, whose journal also orders the terminated-cascade
 /// repairs.
-pub(crate) fn fixup_instance(inst: &mut Instance, svc: &NavServices<'_>) -> FixupCounts {
+pub(crate) fn fixup_instance(inst: &mut Instance, svc: &mut NavServices<'_>) -> FixupCounts {
     // Collect fix-up targets (deepest scopes last-in so child
     // fixes land before parent completion checks).
     let tpl = Arc::clone(&inst.tpl);

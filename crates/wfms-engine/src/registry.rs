@@ -20,8 +20,8 @@
 //!   is what makes operator scripts safely re-runnable after a crash);
 //! * registering a *different* hash under an existing name (or
 //!   re-promoting an old one) journals
-//!   [`Event::TemplateDeployed`](crate::event::Event) and flips the
-//!   default for future starts.
+//!   [`Event::TemplateDeployed`](crate::event::Event), whose effect
+//!   flips the default for future starts.
 
 use crate::compiled::CompiledProcess;
 use std::collections::HashMap;
@@ -60,18 +60,12 @@ impl TemplateRegistry {
         Self::default()
     }
 
-    /// Registers `tpl`. With `advance_default` (the live path) a new
-    /// or re-promoted version becomes the default for its name; the
-    /// replay path passes `false` so the supplied template set fixes
-    /// only the *initial* defaults and journalled `TemplateDeployed`
-    /// events advance them. Returns the version identity plus whether
-    /// this call changed the default of an already-registered name —
-    /// i.e. whether it is a journal-worthy deploy.
-    pub(crate) fn insert(
-        &mut self,
-        tpl: Arc<CompiledProcess>,
-        advance_default: bool,
-    ) -> (TemplateVersion, bool) {
+    /// Registers `tpl`. The first version of a name is that name's
+    /// initial default; a default moves only by [`Self::set_default`],
+    /// the effect of a `TemplateDeployed` event. Returns the version
+    /// identity plus whether it differs from its name's default — i.e.
+    /// whether a running engine registering it owes that event.
+    pub(crate) fn insert(&mut self, tpl: Arc<CompiledProcess>) -> (TemplateVersion, bool) {
         let name = tpl.name().to_owned();
         let hash = tpl.spec_hash;
         let version = TemplateVersion {
@@ -82,25 +76,13 @@ impl TemplateRegistry {
             slot.insert(tpl);
             self.versions_of.entry(name.clone()).or_default().push(hash);
         }
-        let deployed = match self.default_of.get(&name) {
-            None => {
-                self.default_of.insert(name, hash);
-                false
-            }
-            Some(&current) if current == hash => false,
-            Some(_) => {
-                if advance_default {
-                    self.default_of.insert(name, hash);
-                }
-                advance_default
-            }
-        };
-        (version, deployed)
+        let deploys = *self.default_of.entry(name).or_insert(hash) != hash;
+        (version, deploys)
     }
 
     /// Moves the default of `process` to the already-registered
-    /// version `hash` (replaying a `TemplateDeployed` event). `false`
-    /// if no such version is registered.
+    /// version `hash` (the effect of a `TemplateDeployed` event).
+    /// `false` if no such version is registered.
     pub(crate) fn set_default(&mut self, process: &str, hash: u64) -> bool {
         if !self.by_hash.contains_key(&hash) {
             return false;
@@ -126,22 +108,6 @@ impl TemplateRegistry {
         u64::from_str_radix(version, 16)
             .ok()
             .and_then(|h| self.by_hash(h))
-    }
-
-    /// Registered names, sorted.
-    pub(crate) fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.default_of.keys().cloned().collect();
-        names.sort();
-        names
-    }
-
-    /// The versions registered under `process`, in registration order,
-    /// rendered as hex.
-    pub(crate) fn versions(&self, process: &str) -> Vec<String> {
-        self.versions_of
-            .get(process)
-            .map(|hs| hs.iter().map(|h| format!("{h:016x}")).collect())
-            .unwrap_or_default()
     }
 
     /// `(name, default version hex)` for every name with more than one
@@ -181,7 +147,7 @@ mod tests {
     fn first_registration_is_silent_and_becomes_default() {
         let mut reg = TemplateRegistry::new();
         let t = tpl("p", "x");
-        let (v, deployed) = reg.insert(Arc::clone(&t), true);
+        let (v, deployed) = reg.insert(Arc::clone(&t));
         assert!(!deployed);
         assert_eq!(v.process, "p");
         assert_eq!(v.version, t.version());
@@ -191,10 +157,10 @@ mod tests {
     #[test]
     fn re_registering_the_default_is_a_noop() {
         let mut reg = TemplateRegistry::new();
-        reg.insert(tpl("p", "x"), true);
-        let (_, deployed) = reg.insert(tpl("p", "x"), true);
+        reg.insert(tpl("p", "x"));
+        let (_, deployed) = reg.insert(tpl("p", "x"));
         assert!(!deployed);
-        assert_eq!(reg.versions("p").len(), 1);
+        assert_eq!(reg.versions_of["p"].len(), 1);
     }
 
     #[test]
@@ -203,11 +169,12 @@ mod tests {
         let v1 = tpl("p", "x");
         let v2 = tpl("p", "y");
         assert_ne!(v1.spec_hash, v2.spec_hash);
-        reg.insert(Arc::clone(&v1), true);
-        let (_, deployed) = reg.insert(Arc::clone(&v2), true);
+        reg.insert(Arc::clone(&v1));
+        let (_, deployed) = reg.insert(Arc::clone(&v2));
         assert!(deployed);
+        assert!(reg.set_default("p", v2.spec_hash));
         assert_eq!(reg.default_tpl("p").unwrap().spec_hash, v2.spec_hash);
-        assert_eq!(reg.versions("p").len(), 2);
+        assert_eq!(reg.versions_of["p"].len(), 2);
         // Both versions stay addressable by hash.
         assert!(reg.by_hash(v1.spec_hash).is_some());
         assert!(reg.by_version(&v2.version()).is_some());
@@ -222,9 +189,12 @@ mod tests {
         let mut reg = TemplateRegistry::new();
         let v1 = tpl("p", "x");
         let v2 = tpl("p", "y");
-        reg.insert(Arc::clone(&v1), false);
-        let (_, deployed) = reg.insert(Arc::clone(&v2), false);
-        assert!(!deployed);
+        reg.insert(Arc::clone(&v1));
+        let (_, deployed) = reg.insert(Arc::clone(&v2));
+        assert!(
+            deployed,
+            "differs from the default: a running engine owes the event"
+        );
         assert_eq!(reg.default_tpl("p").unwrap().spec_hash, v1.spec_hash);
         assert!(reg.set_default("p", v2.spec_hash));
         assert_eq!(reg.default_tpl("p").unwrap().spec_hash, v2.spec_hash);

@@ -15,14 +15,17 @@
 //! nesting is flattened: a block's child scope is a slot range plus a
 //! liveness bit, not a heap-allocated subtree.
 //!
-//! **This module is the slab's only writer.** The state effect of each
-//! journal event is one [`Instance`] method taking a slot
-//! (`Instance::activity_ready`, `Instance::activity_started`, …).
-//! The navigator calls it after deciding, recovery calls it after
-//! resolving the journalled path (`Instance::live_slot`) — so §3.3's
-//! "resumed from the point where the failure occurred" holds because
-//! live navigation and replay run the same code, not two copies kept
-//! in step by hand.
+//! **This module is the slab's only writer, and `apply` its only
+//! caller.** The state effect of each journal event is one [`Instance`]
+//! method taking a slot (`Instance::activity_ready`,
+//! `Instance::activity_started`, …), called from one place: the
+//! event's arm in `EngineState::apply` / `effect` (`engine.rs`). Replay
+//! gets there by resolving the journalled path
+//! (`Instance::live_slot`), the navigator by emitting the event it
+//! decided on — so §3.3's "resumed from the point where the failure
+//! occurred" holds because there is one description of what an event
+//! does, not two kept in step by hand
+//! (`tests/one_transition_function.rs`).
 //!
 //! [`ScopeState`] is the checkpoint payload: a scope tree of plain
 //! data with no reference to a template, because a checkpoint record

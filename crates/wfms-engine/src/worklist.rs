@@ -136,17 +136,17 @@ impl WorklistStore {
     /// Releases a claim: the item returns to `Offered` and reappears
     /// on every eligible worklist (§3.3's "stop an activity" — the
     /// person hands the work back). Only the claimer may release.
-    pub fn release(&mut self, item: WorkItemId, person: &str) -> Result<(), WorklistError> {
+    pub fn release(&mut self, item: WorkItemId, person: &str) -> Result<&WorkItem, WorklistError> {
         let it = self
             .items
             .get_mut(&item)
             .ok_or(WorklistError::NoSuchItem(item))?;
         match &it.state {
             WorkItemState::Closed => Err(WorklistError::Closed(item)),
-            WorkItemState::Offered => Ok(()), // already released
+            WorkItemState::Offered => Ok(&*it), // already released
             WorkItemState::Claimed(by) if by == person => {
                 it.state = WorkItemState::Offered;
-                Ok(())
+                Ok(&*it)
             }
             WorkItemState::Claimed(by) => Err(WorklistError::AlreadyClaimed {
                 item,

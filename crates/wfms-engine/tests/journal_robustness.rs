@@ -314,6 +314,43 @@ fn mirror_write_failure_parks_instances_not_the_engine() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The work-item and operator entry points park like `step` and
+/// `run_to_quiescence` do. Under `Batched { n: 6 }` the start's three
+/// events stay buffered and the first write to the (read-only) file
+/// falls inside the navigation of `execute_item` / `force_finish`,
+/// which used to answer `Ok(())` over the mirror they had just broken.
+#[test]
+fn mirror_write_failure_inside_execute_item_and_force_finish_is_reported() {
+    let def = ProcessBuilder::new("m")
+        .activity(wfms_model::Activity::program("M", "do_A").for_role("clerk"))
+        .build()
+        .unwrap();
+    let dir = temp_dir("park-manual");
+    for by_hand in [true, false] {
+        let path = dir.join(format!("readonly-{by_hand}.journal"));
+        std::fs::write(&path, "").unwrap();
+        let file = std::fs::OpenOptions::new().read(true).open(&path).unwrap();
+        let policy = DurabilityPolicy::Batched { n: 6 };
+        let journal = Journal::with_injected_file(file, path.clone(), policy);
+        let (fed, registry) = fixture_world();
+        let org = OrgModel::new().person("ann", &["clerk"]);
+        let engine =
+            recover_from(journal, Vec::new(), vec![def.clone()], org, fed, registry).unwrap();
+        let id = engine.start("m", Container::empty()).unwrap();
+        let err = if by_hand {
+            let item = engine.worklist("ann")[0].id;
+            engine.execute_item(item, "ann").unwrap_err()
+        } else {
+            engine.force_finish(id, "M", 1).unwrap_err()
+        };
+        assert!(matches!(err, EngineError::Journal(_)), "{err}");
+        // Parked, not dead: what the navigation did is in memory.
+        assert_eq!(engine.status(id).unwrap(), InstanceStatus::Finished);
+        assert!(engine.worklist("ann").is_empty());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Appends racing `compact()` on a mirrored journal: the lock order
 /// (events before mirror, held across the file write) must keep the
 /// file a consistent, parseable prefix-free copy of memory at all

@@ -1,0 +1,92 @@
+//! State changes by applying events, and in no other way: the engine's
+//! state is one value behind one lock, an event's effect on it is
+//! written once (`EngineState::apply` and its per-instance half,
+//! `effect`), replay folds that function over the journal and the
+//! running engine `emit`s — effect, then append. The replay
+//! differentials sample that property; this test keeps its *shape* by
+//! reading the crate's own sources, so the day someone pairs a
+//! transition with a `journal.append(` by hand again it fails here, not
+//! in a divergence found months later.
+
+use std::path::Path;
+
+/// The eleven state transitions of `state.rs`, one per kind of effect.
+const TRANSITIONS: [&str; 11] = [
+    "activity_ready",
+    "activity_started",
+    "activity_finished",
+    "activity_rescheduled",
+    "activity_terminated",
+    "connector_evaluated",
+    "notification_sent",
+    "instance_finished",
+    "instance_cancelled",
+    "seed_input",
+    "migrate_to",
+];
+
+/// The code of `src/<file>`: no comment lines, nothing from the unit
+/// tests (`#[cfg(test)]` to the end of the file) on.
+fn code_of(file: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("src").join(file);
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+    text.lines()
+        .take_while(|line| line.trim() != "#[cfg(test)]")
+        .filter(|line| !line.trim_start().starts_with("//"))
+        .map(|line| format!("{line}\n"))
+        .collect()
+}
+
+fn count(file: &str, needle: &str) -> usize {
+    code_of(file).matches(needle).count()
+}
+
+#[test]
+fn the_navigator_decides_and_emits() {
+    assert_eq!(count("navigator.rs", ".lock()"), 0, "no state of its own");
+    assert_eq!(count("navigator.rs", "journal.append("), 0, "emit appends");
+}
+
+#[test]
+fn every_transition_has_one_caller() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let mut files: Vec<String> = std::fs::read_dir(src)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|f| f != "state.rs")
+        .collect();
+    files.sort();
+    for name in TRANSITIONS {
+        let call = format!("{name}(");
+        let sites: Vec<_> = files
+            .iter()
+            .flat_map(|f| std::iter::repeat_n(f.as_str(), count(f, &call)))
+            .collect();
+        assert_eq!(sites, ["engine.rs"], "call sites of `{name}`");
+    }
+}
+
+#[test]
+fn one_append_in_emit_and_one_for_the_checkpoint() {
+    let appends: usize = ["engine.rs", "navigator.rs", "recovery.rs"]
+        .iter()
+        .map(|f| count(f, "journal.append("))
+        .sum();
+    assert_eq!(appends, 2);
+    let engine = code_of("engine.rs");
+    let emit = engine.split("pub(crate) fn emit<E>(").nth(1).unwrap();
+    let emit = &emit[..emit.find("\n}\n").unwrap()];
+    assert!(emit.contains("journal.append(ev)"), "emit is where: {emit}");
+    assert!(engine.contains("self.journal.append(Event::EngineCheckpoint {"));
+}
+
+#[test]
+fn one_state_behind_one_lock() {
+    // The state, and the probe cache — which is not state the journal
+    // describes.
+    assert!(count("engine.rs", "Mutex<") <= 2);
+    assert_eq!(count("engine.rs", "Mutex<EngineState>"), 1);
+    for file in ["engine.rs", "navigator.rs"] {
+        assert_eq!(count(file, "AtomicU64"), 0, "{file}");
+    }
+}

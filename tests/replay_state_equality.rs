@@ -8,7 +8,9 @@
 //! after every navigation step, not only at the end, so activities
 //! that are ready or running and block scopes that are open are
 //! compared too. It fails the day a state transition and its replay
-//! diverge.
+//! diverge. The replay's own journal is then replayed once more and
+//! must give the same state again: a repair that changed state without
+//! an event would be missing from that second replay.
 
 use atm::fixtures;
 use std::sync::Arc;
@@ -39,8 +41,9 @@ fn checkpoint_of(engine: &Engine) -> (Vec<InstanceSnapshot>, Vec<WorkItem>) {
 /// For every prefix of the run (`action(engine, id, k)` performs the
 /// k-th action and returns false once nothing is left to do): a fresh
 /// live engine taken that far and a replay of its journal hold equal
-/// state. Worlds are rebuilt from the same seed, so every live run
-/// repeats the previous one and goes one action further.
+/// state, and so does a replay of that replay's journal. Worlds are
+/// rebuilt from the same seed, so every live run repeats the previous
+/// one and goes one action further.
 fn replay_rebuilds_live_state(
     def: &ProcessDefinition,
     org: &OrgModel,
@@ -68,8 +71,20 @@ fn replay_rebuilds_live_state(
             programs,
         )
         .unwrap();
+        let (fed, programs) = world();
+        let again = recover_from(
+            Journal::new(),
+            replayed.journal_events(),
+            vec![def.clone()],
+            org.clone(),
+            fed,
+            programs,
+        )
+        .unwrap();
         let (want, got) = (checkpoint_of(&live), checkpoint_of(&replayed));
         assert_eq!(got, want, "{}: after {ran} actions", def.name);
+        let twice = checkpoint_of(&again);
+        assert_eq!(twice, want, "{}: replayed twice, {ran} actions", def.name);
         if ran < upto {
             assert!(upto > 1, "{}: the run took no step at all", def.name);
             return;
@@ -174,4 +189,125 @@ fn manual_activity_in_a_block_with_a_deadline() {
         _ => engine.step(id).unwrap(),
     };
     replay_rebuilds_live_state(&def, &org, &world, &action);
+}
+
+/// One manual activity `Sign` for the clerk `ann`, and a world whose
+/// program `sign` is `body`.
+fn sign_process(
+    sign: Activity,
+    body: fn(&mut txn_substrate::ProgramContext) -> ProgramOutcome,
+) -> (ProcessDefinition, OrgModel, impl Fn() -> World) {
+    let def = ProcessBuilder::new("desk")
+        .activity(sign.for_role("clerk"))
+        .build()
+        .unwrap();
+    let world = move || {
+        let fed = MultiDatabase::new(0);
+        fed.add_database("db");
+        let registry = Arc::new(ProgramRegistry::new());
+        registry.register_fn("sign", body);
+        (fed, registry)
+    };
+    (def, OrgModel::new().person("ann", &["clerk"]), world)
+}
+
+/// Executes the item on offer to `ann`.
+fn ann_signs(engine: &Engine) {
+    let item = engine.worklist("ann")[0].id;
+    engine.execute_item(item, "ann").unwrap();
+}
+
+/// A work item re-offered after a failed exit condition carries the
+/// attempt it is for — live, and after a restart (which used to offer
+/// it at attempt 0 again).
+#[test]
+fn reoffer_after_a_failed_exit_condition() {
+    let (def, org, world) = sign_process(
+        Activity::program("Sign", "sign").with_exit("RC = 1"),
+        |ctx| match ctx.attempt {
+            0 => ProgramOutcome::aborted("not yet"),
+            _ => ProgramOutcome::committed(),
+        },
+    );
+    let action = |engine: &Engine, id: InstanceId, k: usize| match k {
+        0 => {
+            ann_signs(engine);
+            assert_eq!(engine.worklist("ann")[0].attempt, 1, "re-offered");
+            true
+        }
+        1 => {
+            ann_signs(engine);
+            true
+        }
+        _ => engine.step(id).unwrap(),
+    };
+    replay_rebuilds_live_state(&def, &org, &world, &action);
+}
+
+/// A deadline that passes with no manager to tell notifies nobody, so
+/// nothing is journalled and nothing changes: the readiness period
+/// stays un-notified live as it does on replay (live used to mark it).
+#[test]
+fn a_deadline_with_nobody_to_notify() {
+    let (def, org, world) =
+        sign_process(Activity::program("Sign", "sign").with_deadline(5), |_| {
+            ProgramOutcome::committed()
+        });
+    let action = |engine: &Engine, id: InstanceId, k: usize| match k {
+        0 | 1 => {
+            assert!(engine.advance_clock(10).is_empty(), "ann has no manager");
+            true
+        }
+        2 => {
+            ann_signs(engine);
+            true
+        }
+        _ => engine.step(id).unwrap(),
+    };
+    replay_rebuilds_live_state(&def, &org, &world, &action);
+}
+
+/// A crash while `ann` is signing: recovery re-readies the activity and
+/// offers it afresh, and what that closes and opens is in the journal —
+/// recovering the recovered engine's journal finds the same single open
+/// item (it used to find the stale one open again beside it).
+#[test]
+fn a_second_restart_after_a_crash_mid_manual_execution() {
+    let (def, org, world) = sign_process(Activity::program("Sign", "sign"), |_| {
+        ProgramOutcome::committed()
+    });
+    let (fed, programs) = world();
+    let config = EngineConfig {
+        org: org.clone(),
+        ..EngineConfig::default()
+    };
+    let live = Engine::with_config(fed, programs, config);
+    live.register(def.clone()).unwrap();
+    live.start(&def.name, Container::empty()).unwrap();
+    ann_signs(&live);
+    let mut journal = live.journal_events();
+    let started = journal
+        .iter()
+        .position(|e| matches!(e, Event::ActivityStarted { .. }))
+        .unwrap();
+    journal.truncate(started + 1);
+
+    let mut first = None;
+    for restart in 1..=2 {
+        let (fed, programs) = world();
+        let engine = recover_from(
+            Journal::new(),
+            journal,
+            vec![def.clone()],
+            org.clone(),
+            fed,
+            programs,
+        )
+        .unwrap();
+        journal = engine.journal_events();
+        let open: Vec<_> = engine.worklist("ann").iter().map(|it| it.id.0).collect();
+        assert_eq!(open, [2], "restart {restart}: the fresh offer, alone");
+        let state = checkpoint_of(&engine);
+        assert_eq!(*first.get_or_insert(state.clone()), state);
+    }
 }
