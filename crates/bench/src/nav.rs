@@ -158,7 +158,10 @@ mod tests {
             InstanceStatus::Finished
         );
         let m = engine.metrics();
-        assert!(m.activities.values().any(|s| s.count > 0));
+        let mut activities = m.family(wfms_engine::metrics::ACT_LATENCY_FAMILY);
+        assert!(
+            activities.any(|(_, s)| matches!(s, wfms_observe::Value::Summary(s) if s.count > 0))
+        );
     }
 
     #[test]

@@ -139,8 +139,10 @@ use exotica::{provision, steps_of, steps_of_all};
 use std::process::ExitCode;
 use std::sync::Arc;
 use txn_substrate::{DurabilityPolicy, FailurePlan};
+use wfms_engine::metrics::ACT_LATENCY_FAMILY;
 use wfms_engine::{audit, Engine, EngineConfig, InstanceStatus, Observer, OrgModel};
 use wfms_model::Container;
+use wfms_observe::Value;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -687,7 +689,7 @@ fn run(args: &[String]) -> ExitCode {
         let body = if path.ends_with(".prom") {
             snapshot.to_prometheus()
         } else {
-            snapshot.to_json()
+            serde_json::to_string_pretty(&snapshot).expect("a snapshot is always serializable")
         };
         if let Err(e) = std::fs::write(&path, body) {
             eprintln!("fmtm run: cannot write metrics {path:?}: {e}");
@@ -808,29 +810,37 @@ fn top(args: &[String]) -> ExitCode {
 /// activities ranked by total time spent, busiest first.
 fn print_frame(engine: &Engine, frame: usize, steps_run: usize) {
     let m = engine.metrics();
+    let level = |name| m.gauge(name).unwrap_or(0);
+    let count = |name| m.counter(name).unwrap_or(0);
     println!("--- frame {frame} (after {steps_run} steps) ---");
     println!(
         "instances: {} running, {} finished, {} cancelled | work items: {} offered, {} claimed, {} closed",
-        m.instances_running,
-        m.instances_finished,
-        m.instances_cancelled,
-        m.items_offered,
-        m.items_claimed,
-        m.items_closed,
+        level("engine.instances_running"),
+        level("engine.instances_finished"),
+        level("engine.instances_cancelled"),
+        level("worklist.items_open"),
+        level("worklist.items_claimed"),
+        level("worklist.items_closed"),
     );
     println!(
         "nav: {} executions, {} retries, {} reschedules, {} dead paths, {} compensations | journal: {} events",
-        m.counters.get("nav.executions").copied().unwrap_or(0),
-        m.counters.get("nav.retries").copied().unwrap_or(0),
-        m.counters.get("nav.reschedules").copied().unwrap_or(0),
-        m.counters.get("nav.dead_paths").copied().unwrap_or(0),
-        m.counters.get("nav.compensations").copied().unwrap_or(0),
-        m.journal_events,
+        count("nav.executions"),
+        count("nav.retries"),
+        count("nav.reschedules"),
+        count("nav.dead_paths"),
+        count("nav.compensations"),
+        level("journal.events"),
     );
-    let mut rows: Vec<_> = m.activities.iter().filter(|(_, s)| s.count > 0).collect();
+    let mut rows: Vec<_> = m
+        .family(ACT_LATENCY_FAMILY)
+        .filter_map(|(label, reading)| match reading {
+            Value::Summary(s) if s.count > 0 => Some((label, s)),
+            _ => None,
+        })
+        .collect();
     rows.sort_by(|a, b| {
-        let ta = a.1.count as u128 * a.1.mean_ns as u128;
-        let tb = b.1.count as u128 * b.1.mean_ns as u128;
+        let ta = a.1.count as u128 * a.1.mean() as u128;
+        let tb = b.1.count as u128 * b.1.mean() as u128;
         tb.cmp(&ta).then_with(|| a.0.cmp(b.0))
     });
     println!(
@@ -840,7 +850,11 @@ fn print_frame(engine: &Engine, frame: usize, steps_run: usize) {
     for (label, s) in rows.iter().take(10) {
         println!(
             "{label:<28} {:>6} {:>10} {:>10} {:>10} {:>10}",
-            s.count, s.mean_ns, s.p50_ns, s.p99_ns, s.max_ns
+            s.count,
+            s.mean(),
+            s.p50,
+            s.p99,
+            s.max
         );
     }
 }

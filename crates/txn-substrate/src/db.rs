@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use wfms_observe::Counter;
+use wfms_observe::{Counter, Value as Reading};
 
 /// The before-images of one transaction's writes, oldest first: what
 /// its abort restores, newest first. They travel with the
@@ -122,6 +122,21 @@ pub struct DbStats {
     pub reads: u64,
     /// Individual write operations applied.
     pub writes: u64,
+}
+
+impl DbStats {
+    /// Every count beside the name it is exposed under.
+    pub fn series(&self) -> [(&'static str, Reading); 7] {
+        [
+            ("db.txns_begun", Reading::Counter(self.begun)),
+            ("db.txns_committed", Reading::Counter(self.committed)),
+            ("db.txns_aborted", Reading::Counter(self.aborted)),
+            ("db.deadlock_aborts", Reading::Counter(self.deadlock_aborts)),
+            ("db.injected_aborts", Reading::Counter(self.injected_aborts)),
+            ("db.reads", Reading::Counter(self.reads)),
+            ("db.writes", Reading::Counter(self.writes)),
+        ]
+    }
 }
 
 /// The live form of [`DbStats`], one relaxed atomic per counter.
@@ -295,6 +310,16 @@ impl Database {
     /// WAL append/flush counters.
     pub fn wal_stats(&self) -> crate::wal::WalStats {
         self.wal.stats()
+    }
+
+    /// What this database counts and holds — transactions, locks, WAL
+    /// — as the series it is exposed as (whoever exposes them labels
+    /// them with [`Database::name`]).
+    pub fn series(&self) -> impl Iterator<Item = (&'static str, Reading)> {
+        let (txns, locks, wal) = (self.stats(), self.lock_stats(), self.wal_stats());
+        (txns.series().into_iter())
+            .chain(locks.series())
+            .chain(wal.series())
     }
 
     /// Full WAL copy (audit/tests).

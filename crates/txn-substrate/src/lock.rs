@@ -23,6 +23,7 @@ use crate::txn::TxnId;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
+use wfms_observe::Value as Reading;
 
 /// Lock mode for a record lock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -120,6 +121,23 @@ pub struct LockStats {
     /// each. A release with no request queued notifies nobody, so a
     /// run without lock conflicts reads 0.
     pub wakeups: u64,
+}
+
+impl LockStats {
+    /// Every count beside the name it is exposed under.
+    pub fn series(&self) -> [(&'static str, Reading); 6] {
+        [
+            (
+                "db.lock_immediate_grants",
+                Reading::Counter(self.immediate_grants),
+            ),
+            ("db.lock_waits", Reading::Counter(self.waits)),
+            ("db.lock_wait_nanos", Reading::Counter(self.wait_nanos)),
+            ("db.lock_deadlocks", Reading::Counter(self.deadlocks)),
+            ("db.lock_upgrades", Reading::Counter(self.upgrades)),
+            ("db.lock_wakeups", Reading::Counter(self.wakeups)),
+        ]
+    }
 }
 
 /// The lock manager of one local database.

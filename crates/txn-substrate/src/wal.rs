@@ -33,6 +33,7 @@ use crate::value::Value;
 use parking_lot::Mutex;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use wfms_observe::Value as Reading;
 
 /// A log checkpoints itself once it holds more records since the last
 /// checkpoint than `max(CHECKPOINT_MIN_RECORDS, CHECKPOINT_RECORDS_PER_KEY
@@ -189,6 +190,32 @@ pub struct WalStats {
     pub resident_records: u64,
     /// Checkpoints the log took by itself ([`Wal::append_end`]).
     pub checkpoints: u64,
+}
+
+impl WalStats {
+    /// Every number beside the name it is exposed under: counts, and
+    /// the one level — a checkpoint brings `resident_records` down.
+    pub fn series(&self) -> [(&'static str, Reading); 8] {
+        [
+            ("db.wal_appends", Reading::Counter(self.appends)),
+            (
+                "db.wal_barrier_flushes",
+                Reading::Counter(self.barrier_flushes),
+            ),
+            ("db.wal_mirror_nanos", Reading::Counter(self.mirror_nanos)),
+            (
+                "db.wal_torn_tails_truncated",
+                Reading::Counter(self.torn_tails_truncated),
+            ),
+            ("db.wal_crc_failures", Reading::Counter(self.crc_failures)),
+            ("db.wal_mirror_errors", Reading::Counter(self.mirror_errors)),
+            (
+                "db.wal_resident_records",
+                Reading::Gauge(self.resident_records as i64),
+            ),
+            ("db.wal_checkpoints", Reading::Counter(self.checkpoints)),
+        ]
+    }
 }
 
 /// The write-ahead log of one local database.

@@ -462,9 +462,12 @@ fn run_crash_point(
     }
     // Recovery fix-up counters record unconditionally (cold path), so
     // even this observer-less engine reports what recovery repaired.
-    for (name, v) in engine.metrics().counters {
-        if name.starts_with("recovery.") && v > 0 {
-            *fixups.entry(name).or_insert(0) += v;
+    for series in engine.observer().registry().snapshot().series {
+        match series.value {
+            wfms_observe::Value::Counter(v) if v > 0 && series.name.starts_with("recovery.") => {
+                *fixups.entry(series.name).or_insert(0) += v;
+            }
+            _ => {}
         }
     }
 

@@ -215,6 +215,9 @@ impl From<Refused> for EngineError {
 pub(crate) struct EngineState {
     pub(crate) registry: TemplateRegistry,
     pub(crate) instances: BTreeMap<InstanceId, Instance>,
+    /// `instances` by status, `(running, finished, cancelled)`: moved by
+    /// the effects that start, finish and cancel one.
+    pub(crate) counts: (u64, u64, u64),
     pub(crate) worklists: WorklistStore,
     pub(crate) next_instance: u64,
     pub(crate) next_item: u64,
@@ -239,6 +242,7 @@ impl EngineState {
         Ok(Self {
             registry,
             instances: BTreeMap::new(),
+            counts: (0, 0, 0),
             worklists: WorklistStore::new(),
             next_instance: 1,
             next_item: 1,
@@ -268,7 +272,10 @@ impl EngineState {
                 inst.tenant = tenant.clone();
                 inst.seed_input(input);
                 self.next_instance = self.next_instance.max(instance.0 + 1);
-                self.instances.insert(*instance, inst);
+                *count_of(&mut self.counts, inst.status) += 1;
+                if let Some(old) = self.instances.insert(*instance, inst) {
+                    *count_of(&mut self.counts, old.status) -= 1;
+                }
             }
             Event::WorkItemClaimed { item, person, .. } => {
                 self.worklists
@@ -308,6 +315,7 @@ impl EngineState {
                 // A checkpoint is the complete state: replace what was
                 // built so far; the tail of the journal applies on top.
                 self.instances.clear();
+                self.counts = (0, 0, 0);
                 for snap in instances {
                     // By pinned version, not by name — two instances of
                     // one process may be on different versions.
@@ -319,6 +327,7 @@ impl EngineState {
                     inst.status = snap.status;
                     inst.tenant = snap.tenant.clone();
                     inst.restore_root(&snap.root);
+                    *count_of(&mut self.counts, snap.status) += 1;
                     self.instances.insert(snap.id, inst);
                 }
                 self.worklists = WorklistStore::new();
@@ -331,12 +340,22 @@ impl EngineState {
             _ => {
                 if let Some(inst) = ev.instance().and_then(|id| self.instances.get_mut(&id)) {
                     if let Some(slot) = slot_of(inst, ev) {
-                        effect(inst, slot, &mut self.worklists, &mut self.next_item, ev);
+                        let (worklists, next_item) = (&mut self.worklists, &mut self.next_item);
+                        effect(inst, slot, &mut self.counts, worklists, next_item, ev);
                     }
                 }
             }
         }
         Ok(())
+    }
+}
+
+/// The tally of `status` in `(running, finished, cancelled)`.
+fn count_of(counts: &mut (u64, u64, u64), status: InstanceStatus) -> &mut u64 {
+    match status {
+        InstanceStatus::Running => &mut counts.0,
+        InstanceStatus::Finished => &mut counts.1,
+        InstanceStatus::Cancelled => &mut counts.2,
     }
 }
 
@@ -372,18 +391,20 @@ fn slot_of(inst: &Instance, ev: &Event) -> Option<u32> {
 
 /// The per-instance half of `EngineState::apply`: the effect of `ev`
 /// on the instance it is about, at the slot it addresses (see
-/// `slot_of`), and on the work items. The navigator holds both already
-/// — its `emit` is this plus the append, with no lookup and no path
-/// hash. Work items are touched only for templates that have a manual
-/// activity at all.
+/// `slot_of`), on the tally of instances by status and on the work
+/// items. The navigator holds them already — its `emit` is this plus
+/// the append, with no lookup and no path hash. Work items are touched
+/// only for templates that have a manual activity at all.
 pub(crate) fn effect(
     inst: &mut Instance,
     slot: u32,
+    counts: &mut (u64, u64, u64),
     worklists: &mut WorklistStore,
     next_item: &mut u64,
     ev: &Event,
 ) {
     let manual = inst.tpl.root.any_manual;
+    let before = inst.status;
     match ev {
         Event::ActivityReady {
             path, attempt, at, ..
@@ -445,6 +466,10 @@ pub(crate) fn effect(
         // not about one instance (`EngineState::apply`).
         _ => {}
     }
+    if inst.status != before {
+        *count_of(counts, before) -= 1;
+        *count_of(counts, inst.status) += 1;
+    }
 }
 
 /// The effect of `Migrated`: `inst`'s state transferred onto `target`
@@ -465,6 +490,21 @@ pub(crate) fn emit<E>(
     effect(&ev)?;
     journal.append(ev);
     Ok(())
+}
+
+/// One instance as clients see it ([`Engine::view`]).
+#[derive(Debug, Clone)]
+pub struct InstanceView {
+    /// The process (template name) it was started from.
+    pub process: String,
+    /// The template version it is pinned to.
+    pub version: String,
+    /// The tenant it was started under (`None`: untenanted).
+    pub tenant: Option<String>,
+    /// Where it stands.
+    pub status: InstanceStatus,
+    /// The process output container (final once finished).
+    pub output: Container,
 }
 
 /// The workflow engine.
@@ -631,6 +671,7 @@ impl Engine {
             journal: &self.journal,
             clock: &self.clock,
             org: &st.org,
+            counts: &mut st.counts,
             worklists: &mut st.worklists,
             next_item: &mut st.next_item,
             programs: &self.programs,
@@ -735,11 +776,6 @@ impl Engine {
         self.state.lock().registry.default_tpl(name)
     }
 
-    /// The template version instance `id` is pinned to.
-    pub fn instance_version(&self, id: InstanceId) -> Result<String, EngineError> {
-        self.read(id, |i| i.tpl.version())
-    }
-
     /// Starts an instance of `process` with `input` seeding the
     /// process input container, and navigates its start activities to
     /// ready. Does not run anything yet — call
@@ -784,12 +820,6 @@ impl Engine {
         }
         navigator::seed_scope(inst, &mut svc, 0);
         Ok(id)
-    }
-
-    /// The tenant instance `id` was started under (`None` for
-    /// untenanted instances).
-    pub fn instance_tenant(&self, id: InstanceId) -> Result<Option<String>, EngineError> {
-        self.read(id, |i| i.tenant.clone())
     }
 
     /// Migrates a running instance to the current default version of
@@ -924,24 +954,10 @@ impl Engine {
         self.state.lock().org.set_absent(person, absent, substitute);
     }
 
-    /// The process (template name) instance `id` was started from — a
-    /// keyed lookup, unlike scanning [`Engine::instances`].
-    pub fn instance_process(&self, id: InstanceId) -> Result<String, EngineError> {
-        self.read(id, |i| i.tpl.name().to_owned())
-    }
-
-    /// Instance counts `(running, finished, cancelled)`, tallied under
-    /// the lock without materialising [`Engine::instances`].
+    /// Instance counts `(running, finished, cancelled)`: a tally the
+    /// events keep, read in constant time.
     pub fn instance_counts(&self) -> (u64, u64, u64) {
-        let mut counts = (0, 0, 0);
-        for inst in self.state.lock().instances.values() {
-            match inst.status {
-                InstanceStatus::Running => counts.0 += 1,
-                InstanceStatus::Finished => counts.1 += 1,
-                InstanceStatus::Cancelled => counts.2 += 1,
-            }
-        }
-        counts
+        self.state.lock().counts
     }
 
     /// All instances: `(id, process name, status)`.
@@ -1039,6 +1055,18 @@ impl Engine {
             sent.extend(navigator::check_deadlines(inst, &mut svc));
         }
         sent
+    }
+
+    /// What a client is told of instance `id`, read under one hold of
+    /// the engine's lock: the parts agree with each other.
+    pub fn view(&self, id: InstanceId) -> Result<InstanceView, EngineError> {
+        self.read(id, |i| InstanceView {
+            process: i.tpl.name().to_owned(),
+            version: i.tpl.version(),
+            tenant: i.tenant.clone(),
+            status: i.status,
+            output: i.root_output().clone(),
+        })
     }
 
     /// Current status of an instance.

@@ -429,9 +429,10 @@ mod tests {
         // an engine's registry.
         let reg = Registry::new();
         j2.attach_fault_counters(&reg);
-        let counters = reg.snapshot().counters;
-        assert_eq!(counters["journal.torn_tails_truncated"], 1);
-        assert_eq!(counters["journal.crc_failures"], 0, "short, not damaged");
+        let counted = reg.snapshot();
+        assert_eq!(counted.counter("journal.torn_tails_truncated"), Some(1));
+        let damaged = counted.counter("journal.crc_failures");
+        assert_eq!(damaged, Some(0), "short, not damaged");
         // Appends after truncation land on a clean record boundary.
         j2.append(started(3));
         drop(j2);
@@ -454,7 +455,7 @@ mod tests {
         j.append(started(2));
         assert_eq!(j.mirror_error(), Some(err), "first error wins");
         assert_eq!(j.len(), 2, "in-memory journal keeps working");
-        assert_eq!(reg.snapshot().counters["journal.mirror_errors"], 1);
+        assert_eq!(reg.snapshot().counter("journal.mirror_errors"), Some(1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -495,7 +496,7 @@ mod tests {
         assert_eq!(report.torn_tail.unwrap().offset, one as u64);
         let reg = Registry::new();
         j.attach_fault_counters(&reg);
-        assert_eq!(reg.snapshot().counters["journal.crc_failures"], 1);
+        assert_eq!(reg.snapshot().counter("journal.crc_failures"), Some(1));
         drop(j);
 
         let mut bytes = Journal::file_bytes(&[started(1), started(2), started(3)]);

@@ -60,11 +60,10 @@ pub mod worklist;
 
 pub use compiled::{spec_hash_of, ActId, CompiledProcess, CompiledScope, EdgeId};
 pub use crashtest::{CrashPointResult, SweepConfig, SweepReport, SweepScript};
-pub use engine::{Engine, EngineConfig, EngineError, MigrationOutcome};
+pub use engine::{Engine, EngineConfig, EngineError, InstanceView, MigrationOutcome};
 pub use event::{Event, InstanceId, InstanceSnapshot, WorkItemId};
 pub use interp::RefEngine;
 pub use journal::Journal;
-pub use metrics::{DbMetrics, EngineMetrics, LatencySummary};
 pub use optimize::{OptStats, ScopeFacts};
 pub use org::{OrgModel, Person};
 pub use recovery::{recover, recover_from, recover_with_policy, RecoveryError};

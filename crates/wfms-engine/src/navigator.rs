@@ -68,6 +68,8 @@ pub struct NavServices<'a> {
     pub clock: &'a VirtualClock,
     /// Organization database for staff resolution.
     pub org: &'a OrgModel,
+    /// Instances by status: written by `emit` alone.
+    pub(crate) counts: &'a mut (u64, u64, u64),
     /// Work items of manual activities: read to decide, written by
     /// `emit` alone.
     pub(crate) worklists: &'a mut WorklistStore,
@@ -96,7 +98,7 @@ impl NavServices<'_> {
 /// `ConnectorEvaluated`, unread otherwise — then `ev` in the journal.
 pub(crate) fn emit(inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32, ev: Event) {
     let Ok(()) = engine::emit(svc.journal, ev, |ev| {
-        engine::effect(inst, slot, svc.worklists, svc.next_item, ev);
+        engine::effect(inst, slot, svc.counts, svc.worklists, svc.next_item, ev);
         Ok::<(), Infallible>(())
     });
 }

@@ -77,9 +77,28 @@ impl std::fmt::Display for WorklistError {
 impl std::error::Error for WorklistError {}
 
 /// The store of all work items.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct WorklistStore {
     items: BTreeMap<WorkItemId, WorkItem>,
+    /// `items` by state, `(offered, claimed, closed)`: moved wherever a
+    /// state is ([`transition`]).
+    counts: (u64, u64, u64),
+}
+
+/// The tally of `state` in `(offered, claimed, closed)`.
+fn count_of<'a>(counts: &'a mut (u64, u64, u64), state: &WorkItemState) -> &'a mut u64 {
+    match state {
+        WorkItemState::Offered => &mut counts.0,
+        WorkItemState::Claimed(_) => &mut counts.1,
+        WorkItemState::Closed => &mut counts.2,
+    }
+}
+
+/// Moves `it` to state `to`, and the tally with it.
+fn transition(counts: &mut (u64, u64, u64), it: &mut WorkItem, to: WorkItemState) {
+    *count_of(counts, &it.state) -= 1;
+    *count_of(counts, &to) += 1;
+    it.state = to;
 }
 
 impl WorklistStore {
@@ -90,7 +109,10 @@ impl WorklistStore {
 
     /// Registers a new offer.
     pub fn offer(&mut self, item: WorkItem) {
-        self.items.insert(item.id, item);
+        *count_of(&mut self.counts, &item.state) += 1;
+        if let Some(old) = self.items.insert(item.id, item) {
+            *count_of(&mut self.counts, &old.state) -= 1;
+        }
     }
 
     /// The worklist of `person`: items offered to them and not claimed
@@ -127,7 +149,11 @@ impl WorklistStore {
                         person: person.to_owned(),
                     });
                 }
-                it.state = WorkItemState::Claimed(person.to_owned());
+                transition(
+                    &mut self.counts,
+                    it,
+                    WorkItemState::Claimed(person.to_owned()),
+                );
                 Ok(&*it)
             }
         }
@@ -145,7 +171,7 @@ impl WorklistStore {
             WorkItemState::Closed => Err(WorklistError::Closed(item)),
             WorkItemState::Offered => Ok(&*it), // already released
             WorkItemState::Claimed(by) if by == person => {
-                it.state = WorkItemState::Offered;
+                transition(&mut self.counts, it, WorkItemState::Offered);
                 Ok(&*it)
             }
             WorkItemState::Claimed(by) => Err(WorklistError::AlreadyClaimed {
@@ -158,7 +184,7 @@ impl WorklistStore {
     /// Closes `item` (activity completed or cancelled).
     pub fn close(&mut self, item: WorkItemId) {
         if let Some(it) = self.items.get_mut(&item) {
-            it.state = WorkItemState::Closed;
+            transition(&mut self.counts, it, WorkItemState::Closed);
         }
     }
 
@@ -167,7 +193,7 @@ impl WorklistStore {
     pub fn close_for(&mut self, instance: InstanceId, path: &str) {
         for it in self.items.values_mut() {
             if it.instance == instance && it.path == path && it.state != WorkItemState::Closed {
-                it.state = WorkItemState::Closed;
+                transition(&mut self.counts, it, WorkItemState::Closed);
             }
         }
     }
@@ -177,7 +203,7 @@ impl WorklistStore {
     pub fn close_offered_of(&mut self, instance: InstanceId) {
         for it in self.items.values_mut() {
             if it.instance == instance && it.state == WorkItemState::Offered {
-                it.state = WorkItemState::Closed;
+                transition(&mut self.counts, it, WorkItemState::Closed);
             }
         }
     }
@@ -193,25 +219,17 @@ impl WorklistStore {
         let mut released = 0;
         for it in self.items.values_mut() {
             if matches!(it.state, WorkItemState::Claimed(_)) {
-                it.state = WorkItemState::Offered;
+                transition(&mut self.counts, it, WorkItemState::Offered);
                 released += 1;
             }
         }
         released
     }
 
-    /// Counts items by state: `(offered, claimed, closed)` — the
-    /// worklist portion of the engine's metrics snapshot.
+    /// Items by state, `(offered, claimed, closed)` — the worklist
+    /// portion of the engine's metrics snapshot, read in constant time.
     pub fn state_counts(&self) -> (u64, u64, u64) {
-        let (mut offered, mut claimed, mut closed) = (0, 0, 0);
-        for it in self.items.values() {
-            match it.state {
-                WorkItemState::Offered => offered += 1,
-                WorkItemState::Claimed(_) => claimed += 1,
-                WorkItemState::Closed => closed += 1,
-            }
-        }
-        (offered, claimed, closed)
+        self.counts
     }
 
     /// Looks up an item.

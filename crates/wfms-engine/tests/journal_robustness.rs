@@ -114,13 +114,11 @@ fn committed_torn_tail_fixture_recovers() {
     )
     .unwrap();
     // The repair is counted where an operator looks, not printed.
-    let counters = engine.metrics().counters;
-    assert_eq!(counters["journal.torn_tails_truncated"], 1);
-    assert_eq!(
-        counters["journal.crc_failures"], 0,
-        "cut short, not damaged"
-    );
-    assert_eq!(counters["journal.mirror_errors"], 0);
+    let m = engine.metrics();
+    assert_eq!(m.counter("journal.torn_tails_truncated"), Some(1));
+    let damaged = m.counter("journal.crc_failures");
+    assert_eq!(damaged, Some(0), "cut short, not damaged");
+    assert_eq!(m.counter("journal.mirror_errors"), Some(0));
     engine.run_all().unwrap();
     let (id, _, status) = engine.instances()[0];
     assert_eq!(status, InstanceStatus::Finished);

@@ -228,8 +228,8 @@ fn deploy_does_not_disturb_running_instances() {
     let i2 = engine.start("mig", Container::empty()).unwrap();
     engine.run_all().unwrap();
 
-    assert_eq!(engine.instance_version(i1).unwrap(), tv1.version);
-    assert_eq!(engine.instance_version(i2).unwrap(), tv2.version);
+    assert_eq!(engine.view(i1).unwrap().version, tv1.version);
+    assert_eq!(engine.view(i2).unwrap().version, tv2.version);
 
     // Complete both parked work items; each instance's tail runs under
     // its own pinned version.
@@ -240,8 +240,8 @@ fn deploy_does_not_disturb_running_instances() {
     }
     assert_eq!(engine.status(i1).unwrap(), InstanceStatus::Finished);
     assert_eq!(engine.status(i2).unwrap(), InstanceStatus::Finished);
-    assert_eq!(engine.instance_version(i1).unwrap(), tv1.version);
-    assert_eq!(engine.instance_version(i2).unwrap(), tv2.version);
+    assert_eq!(engine.view(i1).unwrap().version, tv1.version);
+    assert_eq!(engine.view(i2).unwrap().version, tv2.version);
     let log = log_of(&fed);
     assert!(log.contains("p_B"), "v1 instance must run B: {log}");
     assert!(log.contains("p_C"), "v2 instance must run C: {log}");
@@ -324,8 +324,8 @@ fn multi_version_recovery_matches_single_version_runs() {
     assert_eq!(recovered.status(i2).unwrap(), s2);
     assert_eq!(recovered.output(i1).unwrap(), o1);
     assert_eq!(recovered.output(i2).unwrap(), o2);
-    assert_eq!(recovered.instance_version(i1).unwrap(), tv1.version);
-    assert_eq!(recovered.instance_version(i2).unwrap(), tv2.version);
+    assert_eq!(recovered.view(i1).unwrap().version, tv1.version);
+    assert_eq!(recovered.view(i2).unwrap().version, tv2.version);
     // The shared federation saw the v1 tail then the v2 tail.
     assert_eq!(log_of(&fed), format!("{l1},{}", l2));
     let _ = std::fs::remove_dir_all(&dir);

@@ -6,9 +6,31 @@
 
 use std::sync::Arc;
 use txn_substrate::{KvProgram, MultiDatabase, ProgramOutcome, ProgramRegistry};
+use wfms_engine::metrics::ACT_LATENCY_FAMILY;
 use wfms_engine::{recover, Engine, EngineConfig, InstanceStatus, OrgModel};
 use wfms_model::{Activity, Container, ProcessBuilder, ProcessDefinition};
-use wfms_observe::Observer;
+use wfms_observe::{HistogramSnapshot, Observer, Snapshot, Value};
+
+/// The latency summary of the activity at `path`.
+fn activity(m: &Snapshot, path: &str) -> HistogramSnapshot {
+    match m
+        .family(ACT_LATENCY_FAMILY)
+        .find(|(label, _)| *label == path)
+    {
+        Some((_, Value::Summary(s))) => s,
+        other => panic!("no latency summary of {path}: {other:?}"),
+    }
+}
+
+/// The level `name` — what the engine samples.
+fn level(m: &Snapshot, name: &str) -> u64 {
+    m.gauge(name).unwrap_or_else(|| panic!("no gauge {name}")) as u64
+}
+
+/// The series `name` of every database: `(database, reading)`.
+fn per_db<'a>(m: &'a Snapshot, name: &'a str) -> Vec<(&'a str, Value)> {
+    m.family(name).collect()
+}
 
 fn world() -> (Arc<MultiDatabase>, Arc<ProgramRegistry>) {
     let fed = MultiDatabase::new(0);
@@ -61,41 +83,42 @@ fn metrics_snapshot_has_latency_counters_and_federation() {
     }
 
     let m = engine.metrics();
-    assert_eq!(m.instances_finished, 3);
-    assert_eq!(m.instances_running, 0);
+    assert_eq!(level(&m, "engine.instances_finished"), 3);
+    assert_eq!(level(&m, "engine.instances_running"), 0);
 
     // Per-activity latency: A and B executed three times each; C never
     // ran (dead path), so its histogram is registered but empty.
-    assert_eq!(m.activities["A"].count, 3);
-    assert_eq!(m.activities["B"].count, 3);
-    assert_eq!(m.activities["C"].count, 0);
-    assert!(m.activities["A"].max_ns > 0, "a real duration was recorded");
-    assert!(m.activities["A"].p50_ns <= m.activities["A"].p99_ns);
+    assert_eq!(activity(&m, "A").count, 3);
+    assert_eq!(activity(&m, "B").count, 3);
+    assert_eq!(activity(&m, "C").count, 0);
+    assert!(activity(&m, "A").max > 0, "a real duration was recorded");
+    assert!(activity(&m, "A").p50 <= activity(&m, "A").p99);
 
     // Navigator counters.
-    assert_eq!(m.counters["nav.executions"], 6, "A and B, three runs");
-    assert_eq!(m.counters["nav.dead_paths"], 3, "C eliminated per run");
-    assert_eq!(m.counters["nav.retries"], 0);
-    assert!(m.gauges["engine.ready_heap_depth"] >= 1);
+    assert_eq!(m.counter("nav.executions"), Some(6), "A and B, three runs");
+    assert_eq!(m.counter("nav.dead_paths"), Some(3), "C eliminated per run");
+    assert_eq!(m.counter("nav.retries"), Some(0));
+    assert!(m.gauge("engine.ready_heap_depth").unwrap() >= 1);
 
     // Journal probes: every event of every run went through append.
+    let events = level(&m, "journal.events");
     assert_eq!(
-        m.counters["journal.appends"], m.journal_events,
+        m.counter("journal.appends"),
+        Some(events),
         "append counter matches the journal length"
     );
     // Append latency is sampled 1-in-16 (the first append always
     // samples), so the histogram holds a subset of the appends.
-    let sampled = m.histograms["journal.append_ns"].count;
-    assert!(sampled >= 1 && sampled <= m.journal_events);
-    assert_eq!(sampled, m.journal_events.div_ceil(16));
+    let sampled = m.summary("journal.append_ns").unwrap().count;
+    assert!(sampled >= 1 && sampled <= events);
+    assert_eq!(sampled, events.div_ceil(16));
 
-    // Federation statistics come straight from the substrate.
-    assert_eq!(m.federation.len(), 1);
-    let db = &m.federation[0];
-    assert_eq!(db.name, "db");
-    assert_eq!(db.txns_committed, 6);
-    assert_eq!(db.writes, 6);
-    assert!(db.wal_appends > 0);
+    // Federation statistics come straight from the substrate: one
+    // database, `db`.
+    assert_eq!(per_db(&m, "db.txns_committed"), [("db", Value::Counter(6))]);
+    assert_eq!(per_db(&m, "db.writes"), [("db", Value::Counter(6))]);
+    let appends = per_db(&m, "db.wal_appends");
+    assert!(matches!(appends[..], [("db", Value::Counter(n))] if n > 0));
 }
 
 #[test]
@@ -107,11 +130,16 @@ fn unobserved_engine_still_reports_cold_metrics() {
     engine.run_to_quiescence(id).unwrap();
 
     let m = engine.metrics();
-    assert_eq!(m.instances_finished, 1);
-    assert!(m.activities.is_empty(), "no probes without an observer");
-    assert_eq!(m.counters["nav.executions"], 0, "hot hooks gated off");
-    assert_eq!(m.federation[0].txns_committed, 2, "substrate still counts");
-    assert!(m.journal_events > 0);
+    assert_eq!(level(&m, "engine.instances_finished"), 1);
+    let mut activities = m.family(ACT_LATENCY_FAMILY);
+    assert!(activities.next().is_none(), "no probes without an observer");
+    assert_eq!(m.counter("nav.executions"), Some(0), "hot hooks gated off");
+    assert_eq!(
+        per_db(&m, "db.txns_committed"),
+        [("db", Value::Counter(2))],
+        "substrate still counts"
+    );
+    assert!(level(&m, "journal.events") > 0);
 }
 
 #[test]
@@ -136,10 +164,10 @@ fn retries_and_reschedules_count_exit_condition_loops() {
     );
 
     let m = engine.metrics();
-    assert_eq!(m.counters["nav.executions"], 2, "attempt 0 and attempt 1");
-    assert_eq!(m.counters["nav.reschedules"], 1);
-    assert_eq!(m.counters["nav.retries"], 1);
-    assert_eq!(m.activities["F"].count, 2, "both attempts timed");
+    assert_eq!(m.counter("nav.executions"), Some(2), "attempt 0 and 1");
+    assert_eq!(m.counter("nav.reschedules"), Some(1));
+    assert_eq!(m.counter("nav.retries"), Some(1));
+    assert_eq!(activity(&m, "F").count, 2, "both attempts timed");
 }
 
 #[test]
@@ -163,20 +191,20 @@ fn worklist_and_notification_counters() {
     engine.run_to_quiescence(id).unwrap();
 
     let m = engine.metrics();
-    assert_eq!(m.counters["worklist.items_offered"], 1);
-    assert_eq!(m.items_offered, 1);
-    assert_eq!(m.counters["nav.notifications"], 0);
+    assert_eq!(m.counter("worklist.items_offered"), Some(1));
+    assert_eq!(level(&m, "worklist.items_open"), 1);
+    assert_eq!(m.counter("nav.notifications"), Some(0));
 
     // Blow the deadline: ann's manager is notified.
     engine.advance_clock(10);
     let m = engine.metrics();
-    assert_eq!(m.counters["nav.notifications"], 1);
+    assert_eq!(m.counter("nav.notifications"), Some(1));
 
     let item = engine.worklist("ann")[0].id;
     engine.execute_item(item, "ann").unwrap();
     let m = engine.metrics();
-    assert_eq!(m.items_offered, 0);
-    assert_eq!(m.items_closed, 1);
+    assert_eq!(level(&m, "worklist.items_open"), 0);
+    assert_eq!(level(&m, "worklist.items_closed"), 1);
     assert_eq!(engine.status(id).unwrap(), InstanceStatus::Finished);
 }
 
@@ -227,14 +255,15 @@ fn run_all_records_into_shared_instruments() {
     engine.run_all().unwrap();
 
     let m = engine.metrics();
-    assert_eq!(m.instances_finished, 16);
-    assert_eq!(m.counters["nav.executions"], 32);
-    assert_eq!(m.activities["A"].count, 16);
+    assert_eq!(level(&m, "engine.instances_finished"), 16);
+    assert_eq!(m.counter("nav.executions"), Some(32));
+    assert_eq!(activity(&m, "A").count, 16);
     assert_eq!(
-        m.counters["journal.appends"],
-        engine.journal_events().len() as u64
+        m.counter("journal.appends"),
+        Some(engine.journal_events().len() as u64)
     );
-    assert_eq!(m.histograms["journal.batch_size"].count, 0, "no batching");
+    let batches = m.summary("journal.batch_size").unwrap();
+    assert_eq!(batches.count, 0, "no batching");
 }
 
 #[test]
@@ -246,11 +275,15 @@ fn exposition_formats_render_the_snapshot() {
     engine.run_to_quiescence(id).unwrap();
     let m = engine.metrics();
 
-    let json = m.to_json();
-    assert!(json.contains("\"instances_finished\": 1"), "{json}");
-    assert!(json.contains("\"activities\""));
-    assert!(json.contains("\"A\""));
-    assert!(json.contains("\"txns_committed\": 2"));
+    // The JSON is the series list: a name, a label if any, a reading.
+    let json = serde_json::to_string(&m).unwrap();
+    for series in [
+        r#"{"name":"engine.instances_finished","value":{"Gauge":1}}"#,
+        r#"{"name":"engine.act_latency_ns","label":["label","A"],"value":{"Summary":{"count":1,"#,
+        r#"{"name":"db.txns_committed","label":["db","db"],"value":{"Counter":2}}"#,
+    ] {
+        assert!(json.contains(series), "no {series} in {json}");
+    }
 
     let prom = m.to_prometheus();
     assert!(prom.contains("# TYPE nav_executions counter"));
@@ -260,7 +293,7 @@ fn exposition_formats_render_the_snapshot() {
     assert!(prom.contains("db_txns_committed{db=\"db\"} 2"));
     // The in-memory engine's logs are lists: all of the journal and all
     // six WAL records (two transactions) are resident, no file.
-    let events = m.journal_events;
+    let events = level(&m, "journal.events");
     assert!(prom.contains(&format!("journal_resident_records {events}")));
     assert!(prom.contains("journal_file_bytes 0"));
     assert!(prom.contains("db_wal_resident_records{db=\"db\"} 6"));
@@ -292,19 +325,24 @@ fn mirrored_journal_reports_resident_records_and_file_bytes() {
         let id = engine.start("branch", Container::empty()).unwrap();
         engine.run_to_quiescence(id).unwrap();
         let m = engine.metrics();
-        assert!(m.journal_resident_records <= 63, "never a full batch");
-        peak = peak.max(m.journal_resident_records);
+        let resident = level(&m, "journal.resident_records");
+        assert!(resident <= 63, "never a full batch");
+        peak = peak.max(resident);
     }
     assert!(peak > 0, "the policy batches");
     engine.flush_journal().unwrap();
     let m = engine.metrics();
-    assert_eq!(m.journal_resident_records, 0);
+    assert_eq!(level(&m, "journal.resident_records"), 0);
     assert_eq!(
-        m.journal_file_bytes,
+        level(&m, "journal.file_bytes"),
         std::fs::metadata(&path).unwrap().len()
     );
-    assert_eq!(m.journal_events, engine.journal_events().len() as u64);
-    assert!(m.to_json().contains("\"journal_resident_records\": 0"));
+    assert_eq!(
+        level(&m, "journal.events"),
+        engine.journal_events().len() as u64
+    );
+    let json = serde_json::to_string(&m).unwrap();
+    assert!(json.contains(r#"{"name":"journal.resident_records","value":{"Gauge":0}}"#));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -340,11 +378,82 @@ fn recovery_fixups_are_counted_on_unobserved_engines() {
         "recovery.fixups.connectors_reevaluated",
         "recovery.fixups.exits_redecided",
     ] {
-        assert!(m.counters.contains_key(key), "{key} registered");
+        assert!(m.counter(key).is_some(), "{key} registered");
     }
     assert_eq!(
         recovered.run_to_quiescence(id).unwrap(),
         InstanceStatus::Finished
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The catalogue in `docs/observability.md` is what an engine exposes,
+/// name for name: every series in its tables is in the snapshot of an
+/// observed engine that ran the branching fixture, parked a claimed
+/// work item, was reopened on a journal with a torn tail and migrated
+/// the parked instance — and every series of that snapshot is in the
+/// tables.
+#[test]
+fn the_documented_catalogue_is_what_an_engine_exposes() {
+    let doc = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/observability.md");
+    let doc = std::fs::read_to_string(doc).unwrap();
+    let catalogue = doc
+        .split("\n## ")
+        .find(|s| s.starts_with("Metric catalogue"));
+    let documented: std::collections::BTreeSet<&str> = catalogue
+        .expect("the catalogue section")
+        .lines()
+        .filter_map(|row| row.strip_prefix("| `")?.split('`').next())
+        .collect();
+
+    let dir = std::env::temp_dir().join(format!("wfms-obs-catalogue-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("engine.journal");
+    let desk = |tail: &str| {
+        ProcessBuilder::new("desk")
+            .activity(Activity::program("Sign", "mark_a").for_role("clerk"))
+            .program(tail, "mark_b")
+            .connect("Sign", tail)
+            .build()
+            .unwrap()
+    };
+    let config = || EngineConfig {
+        org: OrgModel::new().person("ann", &["clerk"]),
+        journal_path: Some(path.clone()),
+        observer: Some(Arc::new(Observer::enabled())),
+        ..EngineConfig::default()
+    };
+    let (fed, registry) = world();
+    let engine = Engine::with_config(Arc::clone(&fed), Arc::clone(&registry), config());
+    engine.register(branching()).unwrap();
+    engine.register(desk("File")).unwrap();
+    let id = engine.start("branch", Container::empty()).unwrap();
+    engine.run_to_quiescence(id).unwrap();
+    let parked = engine.start("desk", Container::empty()).unwrap();
+    engine.claim(engine.worklist("ann")[0].id, "ann").unwrap();
+    engine.crash();
+    // The crash interrupted an append: half a frame reached the file.
+    let mut torn = std::fs::read(&path).unwrap();
+    torn.extend_from_slice(&[0x2a, 0, 0]);
+    std::fs::write(&path, torn).unwrap();
+
+    let templates = vec![branching(), desk("File")];
+    let engine = Engine::open(fed, registry, config(), templates).unwrap();
+    engine.register(desk("Archive")).unwrap();
+    engine.migrate_to_default(parked).unwrap();
+    let m = engine.metrics();
+    assert_eq!(m.counter("journal.torn_tails_truncated"), Some(1));
+    assert_eq!(m.counter("recovery.stale_claims_released"), Some(1));
+
+    let exposed: std::collections::BTreeSet<&str> =
+        m.series.iter().map(|s| s.name.as_str()).collect();
+    let undocumented: Vec<_> = exposed.difference(&documented).collect();
+    assert!(
+        undocumented.is_empty(),
+        "not in the tables: {undocumented:?}"
+    );
+    let unexposed: Vec<_> = documented.difference(&exposed).collect();
+    assert!(unexposed.is_empty(), "in the tables only: {unexposed:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

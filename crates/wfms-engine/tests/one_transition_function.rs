@@ -80,6 +80,21 @@ fn one_append_in_emit_and_one_for_the_checkpoint() {
     assert!(engine.contains("self.journal.append(Event::EngineCheckpoint {"));
 }
 
+/// What a scrape reads is state the events keep, not a walk over every
+/// instance and work item ever held, under the engine's lock.
+#[test]
+fn the_tallies_are_read_not_recounted() {
+    for (file, function) in [
+        ("engine.rs", "pub fn instance_counts("),
+        ("worklist.rs", "pub fn state_counts("),
+    ] {
+        let code = code_of(file);
+        let body = code.split(function).nth(1).unwrap();
+        let body = &body[..body.find("\n    }\n").unwrap()];
+        assert!(!body.contains(".values()"), "{function} walks: {body}");
+    }
+}
+
 #[test]
 fn one_state_behind_one_lock() {
     // The state, and the probe cache — which is not state the journal

@@ -8,12 +8,14 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 use txn_substrate::{MultiDatabase, ProgramOutcome, ProgramRegistry};
+use wfms_engine::metrics::ACT_LATENCY_FAMILY;
 use wfms_engine::optimize::optimize;
 use wfms_engine::{
     recover, CompiledProcess, Engine, EngineConfig, EngineError, InstanceId, Observer, OrgModel,
     RecoveryError,
 };
 use wfms_model::{Activity, Container, ProcessBuilder, ProcessDefinition};
+use wfms_observe::Value;
 
 fn world() -> (Arc<MultiDatabase>, Arc<ProgramRegistry>) {
     let fed = MultiDatabase::new(0);
@@ -110,9 +112,13 @@ fn reopened_engine_keeps_step_limit_and_observer() {
         Err(EngineError::StepLimit(7))
     ));
     let m = engine.metrics();
-    assert_eq!(m.counters["nav.executions"], 7);
-    assert_eq!(m.activities["A"].count, 7, "replayed instances are probed");
-    assert!(m.counters["journal.appends"] > 0);
+    assert_eq!(m.counter("nav.executions"), Some(7));
+    let probed: Vec<_> = m.family(ACT_LATENCY_FAMILY).collect();
+    assert!(
+        matches!(probed[..], [("A", Value::Summary(s))] if s.count == 7),
+        "replayed instances are probed: {probed:?}"
+    );
+    assert!(m.counter("journal.appends").unwrap() > 0);
 }
 
 /// Reopening imports templates the way `register` does: what the

@@ -1,19 +1,22 @@
 //! # wfms-observe
 //!
-//! Observability primitives for the workflow stack, built on nothing
-//! but `std`: no external crates, no allocation on the record path, no
-//! locks around counters. Everything here is safe to hammer from
-//! many threads (shard workers, reactors).
+//! Observability primitives for the workflow stack, built on `std`
+//! (`serde` only declares the JSON form of a snapshot): no allocation
+//! on the record path, no locks around counters. Everything here is
+//! safe to hammer from many threads (shard workers, reactors).
 //!
 //! * [`Counter`] — monotonically increasing `AtomicU64`;
 //! * [`Gauge`] — signed level with `set`/`add` and a `record_max`
 //!   high-water mark;
 //! * [`Histogram`] — log-linear latency histogram over `u64`
 //!   nanoseconds with integer-only p50/p95/p99 estimation;
-//! * [`Registry`] — named get-or-create home for the above, plus
-//!   [`HistogramVec`] for label-keyed families (per-activity latency)
-//!   and [`CounterVec`]/[`GaugeVec`] for labeled counter/gauge
-//!   families (per-tenant admissions);
+//! * [`Family`] — a label-keyed family of any of the three
+//!   (per-activity latency, per-tenant admissions);
+//! * [`Registry`] — named get-or-create home for the above;
+//! * [`Snapshot`] — what is observed, in its one shape: a list of
+//!   [`Series`] (a name, an optional label, a [`Value`]), whether a
+//!   registry counted it or its owner sampled it, with by-name
+//!   accessors and the one Prometheus renderer;
 //! * [`Observer`] — the bundle the engine threads through its hot
 //!   paths. `enabled` is a plain bool decided at construction, so a
 //!   disabled observer costs one branch per hook site.
@@ -25,10 +28,12 @@
 
 mod registry;
 
-pub use registry::{Registry, RegistrySnapshot};
+pub use registry::{Registry, Series, Snapshot, Value};
 
+use serde::Serialize;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -224,7 +229,7 @@ impl Histogram {
 }
 
 /// Point-in-time summary of a [`Histogram`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct HistogramSnapshot {
     /// Observations recorded.
     pub count: u64,
@@ -247,170 +252,45 @@ impl HistogramSnapshot {
     }
 }
 
-/// A label-keyed family of histograms (e.g. per-activity latency).
-///
-/// The fast path — an existing label — takes a shared read lock and
-/// records in place without cloning the `Arc`.
-#[derive(Debug, Default)]
-pub struct HistogramVec {
-    inner: std::sync::RwLock<std::collections::HashMap<String, Arc<Histogram>>>,
+/// Instruments by name — a [`Registry`]'s map of families, a
+/// [`Family`]'s map of members.
+pub(crate) type Named<T> = RwLock<BTreeMap<String, Arc<T>>>;
+
+/// The entry of `map` named `name`, made by `make` on first use.
+pub(crate) fn get_or_insert<T>(map: &Named<T>, name: &str, make: impl FnOnce() -> T) -> Arc<T> {
+    if let Some(v) = map.read().expect("observe lock").get(name) {
+        return Arc::clone(v);
+    }
+    let mut w = map.write().expect("observe lock");
+    Arc::clone(w.entry(name.to_owned()).or_insert_with(|| Arc::new(make())))
 }
 
-impl HistogramVec {
-    /// An empty family.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The histogram for `label`, created on first use.
-    pub fn with_label(&self, label: &str) -> Arc<Histogram> {
-        if let Some(h) = self.inner.read().expect("observe lock").get(label) {
-            return Arc::clone(h);
-        }
-        let mut w = self.inner.write().expect("observe lock");
-        Arc::clone(
-            w.entry(label.to_owned())
-                .or_insert_with(|| Arc::new(Histogram::new())),
-        )
-    }
-
-    /// Records `v` under `label`.
-    pub fn observe(&self, label: &str, v: u64) {
-        if let Some(h) = self.inner.read().expect("observe lock").get(label) {
-            h.record(v);
-            return;
-        }
-        self.with_label(label).record(v);
-    }
-
-    /// Snapshots every label, sorted.
-    pub fn snapshot(&self) -> Vec<(String, HistogramSnapshot)> {
-        let mut out: Vec<(String, HistogramSnapshot)> = self
-            .inner
-            .read()
-            .expect("observe lock")
-            .iter()
-            .map(|(k, h)| (k.clone(), h.snapshot()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-}
-
-/// A label-keyed family of counters (e.g. per-tenant admissions).
+/// A label-keyed family of instruments — per-activity latency
+/// histograms, per-tenant admission counters and in-flight gauges. It
+/// carries its label *key* (`tenant`, `label`, …), so the exposition
+/// reads `server_tenant_accepted{tenant="acme"} 3`. A plain instrument
+/// is the one member of a family whose key is empty.
 ///
-/// Unlike [`HistogramVec`] — whose Prometheus exposition hardcodes a
-/// generic `label` key — a counter family carries its label *key*
-/// (`tenant`, `shard`, …) so the exposition reads
-/// `server_tenant_accepted{tenant="acme"} 3`.
+/// Callers resolve a member once ([`Family::with_label`]) and record
+/// into the `Arc` they keep.
 #[derive(Debug)]
-pub struct CounterVec {
-    label_key: String,
-    inner: std::sync::RwLock<std::collections::HashMap<String, Arc<Counter>>>,
+pub struct Family<T> {
+    pub(crate) label_key: String,
+    pub(crate) members: Named<T>,
 }
 
-impl CounterVec {
+impl<T: Default> Family<T> {
     /// An empty family whose exposition uses `label_key`.
     pub fn new(label_key: &str) -> Self {
         Self {
             label_key: label_key.to_owned(),
-            inner: std::sync::RwLock::new(std::collections::HashMap::new()),
+            members: Named::default(),
         }
     }
 
-    /// The Prometheus label key this family renders with.
-    pub fn label_key(&self) -> &str {
-        &self.label_key
-    }
-
-    /// The counter for `label`, created at zero on first use.
-    pub fn with_label(&self, label: &str) -> Arc<Counter> {
-        if let Some(c) = self.inner.read().expect("observe lock").get(label) {
-            return Arc::clone(c);
-        }
-        let mut w = self.inner.write().expect("observe lock");
-        Arc::clone(
-            w.entry(label.to_owned())
-                .or_insert_with(|| Arc::new(Counter::new())),
-        )
-    }
-
-    /// Adds one under `label`.
-    pub fn inc(&self, label: &str) {
-        if let Some(c) = self.inner.read().expect("observe lock").get(label) {
-            c.inc();
-            return;
-        }
-        self.with_label(label).inc();
-    }
-
-    /// Snapshots every label, sorted.
-    pub fn snapshot(&self) -> Vec<(String, u64)> {
-        let mut out: Vec<(String, u64)> = self
-            .inner
-            .read()
-            .expect("observe lock")
-            .iter()
-            .map(|(k, c)| (k.clone(), c.get()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-}
-
-/// A label-keyed family of gauges (e.g. per-tenant in-flight work).
-#[derive(Debug)]
-pub struct GaugeVec {
-    label_key: String,
-    inner: std::sync::RwLock<std::collections::HashMap<String, Arc<Gauge>>>,
-}
-
-impl GaugeVec {
-    /// An empty family whose exposition uses `label_key`.
-    pub fn new(label_key: &str) -> Self {
-        Self {
-            label_key: label_key.to_owned(),
-            inner: std::sync::RwLock::new(std::collections::HashMap::new()),
-        }
-    }
-
-    /// The Prometheus label key this family renders with.
-    pub fn label_key(&self) -> &str {
-        &self.label_key
-    }
-
-    /// The gauge for `label`, created at zero on first use.
-    pub fn with_label(&self, label: &str) -> Arc<Gauge> {
-        if let Some(g) = self.inner.read().expect("observe lock").get(label) {
-            return Arc::clone(g);
-        }
-        let mut w = self.inner.write().expect("observe lock");
-        Arc::clone(
-            w.entry(label.to_owned())
-                .or_insert_with(|| Arc::new(Gauge::new())),
-        )
-    }
-
-    /// Adjusts the level under `label` by `d` (may be negative).
-    pub fn add(&self, label: &str, d: i64) {
-        if let Some(g) = self.inner.read().expect("observe lock").get(label) {
-            g.add(d);
-            return;
-        }
-        self.with_label(label).add(d);
-    }
-
-    /// Snapshots every label, sorted.
-    pub fn snapshot(&self) -> Vec<(String, i64)> {
-        let mut out: Vec<(String, i64)> = self
-            .inner
-            .read()
-            .expect("observe lock")
-            .iter()
-            .map(|(k, g)| (k.clone(), g.get()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+    /// The instrument for `label`, created at zero on first use.
+    pub fn with_label(&self, label: &str) -> Arc<T> {
+        get_or_insert(&self.members, label, T::default)
     }
 }
 
@@ -530,39 +410,30 @@ mod tests {
 
     #[test]
     fn histogram_vec_labels() {
-        let v = HistogramVec::new();
-        v.observe("a", 10);
-        v.observe("a", 20);
-        v.observe("b", 5);
-        let snap = v.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].0, "a");
-        assert_eq!(snap[0].1.count, 2);
-        assert_eq!(snap[1].1.count, 1);
+        let v: Family<Histogram> = Family::new("label");
+        v.with_label("a").record(10);
+        v.with_label("a").record(20);
+        v.with_label("b").record(5);
         assert_eq!(v.with_label("a").count(), 2);
+        assert_eq!(v.with_label("b").count(), 1);
     }
 
     #[test]
     fn counter_and_gauge_vec_labels() {
-        let c = CounterVec::new("tenant");
-        c.inc("acme");
-        c.inc("acme");
-        c.inc("beta");
-        assert_eq!(c.label_key(), "tenant");
-        assert_eq!(
-            c.snapshot(),
-            vec![("acme".to_owned(), 2), ("beta".to_owned(), 1)]
-        );
+        let c: Family<Counter> = Family::new("tenant");
+        c.with_label("acme").inc();
+        c.with_label("acme").inc();
+        c.with_label("beta").inc();
+        assert_eq!(c.label_key, "tenant");
         assert_eq!(c.with_label("acme").get(), 2);
+        assert_eq!(c.with_label("beta").get(), 1);
 
-        let g = GaugeVec::new("tenant");
-        g.add("acme", 3);
-        g.add("acme", -1);
-        g.add("beta", 5);
-        assert_eq!(
-            g.snapshot(),
-            vec![("acme".to_owned(), 2), ("beta".to_owned(), 5)]
-        );
+        let g: Family<Gauge> = Family::new("tenant");
+        g.with_label("acme").add(3);
+        g.with_label("acme").add(-1);
+        g.with_label("beta").add(5);
+        assert_eq!(g.with_label("acme").get(), 2);
+        assert_eq!(g.with_label("beta").get(), 5);
     }
 
     #[test]

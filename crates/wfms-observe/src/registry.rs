@@ -1,31 +1,50 @@
-//! The named-instrument registry.
+//! The named-instrument registry and the one shape of what is
+//! observed: a [`Snapshot`] is a list of [`Series`].
 //!
 //! Instruments are created on first use and shared by name; callers
 //! that care about hot-path cost resolve their `Arc` handles once and
 //! keep them (see the engine's probe structs) — the registry lookup is
 //! for wiring and exposition, not the record path.
+//!
+//! What is *counted* lives here and is read by [`Registry::snapshot`];
+//! what is *sampled* — a level its owner already holds, like a log's
+//! resident records — is pushed onto the same list by its owner, the
+//! name written once, beside the number. Either way one renderer,
+//! [`Snapshot::to_prometheus`], prints it.
 
-use crate::{Counter, CounterVec, Gauge, GaugeVec, Histogram, HistogramSnapshot, HistogramVec};
-use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
+use crate::{get_or_insert, Counter, Family, Gauge, Histogram, HistogramSnapshot, Named};
+use serde::Serialize;
+use std::sync::Arc;
 
-/// Named counters, gauges, histograms and histogram families.
+/// Label key of the one member of a plain instrument's family.
+const PLAIN: &str = "";
+
+/// Named counters, gauges and histograms, each a [`Family`]: a plain
+/// instrument is the label-less member of its own.
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: RwLock<BTreeMap<String, Arc<Counter>>>,
-    gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
-    hists: RwLock<BTreeMap<String, Arc<Histogram>>>,
-    families: RwLock<BTreeMap<String, Arc<HistogramVec>>>,
-    counter_vecs: RwLock<BTreeMap<String, Arc<CounterVec>>>,
-    gauge_vecs: RwLock<BTreeMap<String, Arc<GaugeVec>>>,
+    counters: Named<Family<Counter>>,
+    gauges: Named<Family<Gauge>>,
+    histograms: Named<Family<Histogram>>,
 }
 
-fn get_or_create<T: Default>(map: &RwLock<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
-    if let Some(v) = map.read().expect("observe lock").get(name) {
-        return Arc::clone(v);
+fn family<T: Default>(map: &Named<Family<T>>, name: &str, label_key: &str) -> Arc<Family<T>> {
+    get_or_insert(map, name, || Family::new(label_key))
+}
+
+/// Appends every member of every family in `map`, in name then label
+/// order.
+fn collect<T>(map: &Named<Family<T>>, value: impl Fn(&T) -> Value, out: &mut Vec<Series>) {
+    for (name, family) in map.read().expect("observe lock").iter() {
+        let key = &family.label_key;
+        for (label, member) in family.members.read().expect("observe lock").iter() {
+            out.push(Series {
+                name: name.clone(),
+                label: (key != PLAIN).then(|| (key.to_owned(), label.clone())),
+                value: value(member),
+            });
+        }
     }
-    let mut w = map.write().expect("observe lock");
-    Arc::clone(w.entry(name.to_owned()).or_default())
 }
 
 impl Registry {
@@ -36,115 +55,81 @@ impl Registry {
 
     /// The counter named `name`, created at zero on first use.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        get_or_create(&self.counters, name)
+        family(&self.counters, name, PLAIN).with_label(PLAIN)
     }
 
     /// The gauge named `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        get_or_create(&self.gauges, name)
+        family(&self.gauges, name, PLAIN).with_label(PLAIN)
     }
 
     /// The histogram named `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        get_or_create(&self.hists, name)
+        family(&self.histograms, name, PLAIN).with_label(PLAIN)
     }
 
-    /// The histogram family named `name`.
-    pub fn histogram_vec(&self, name: &str) -> Arc<HistogramVec> {
-        get_or_create(&self.families, name)
+    /// The histogram family named `name`; its label key is `label`.
+    pub fn histogram_vec(&self, name: &str) -> Arc<Family<Histogram>> {
+        family(&self.histograms, name, "label")
     }
 
     /// The counter family named `name`, created on first use with
     /// `label_key` as its exposition label key (`tenant`, `shard`, …).
     /// The key is fixed by whoever creates the family first.
-    pub fn counter_vec(&self, name: &str, label_key: &str) -> Arc<CounterVec> {
-        if let Some(v) = self.counter_vecs.read().expect("observe lock").get(name) {
-            return Arc::clone(v);
-        }
-        let mut w = self.counter_vecs.write().expect("observe lock");
-        Arc::clone(
-            w.entry(name.to_owned())
-                .or_insert_with(|| Arc::new(CounterVec::new(label_key))),
-        )
+    pub fn counter_vec(&self, name: &str, label_key: &str) -> Arc<Family<Counter>> {
+        family(&self.counters, name, label_key)
     }
 
     /// The gauge family named `name` (see [`Registry::counter_vec`]).
-    pub fn gauge_vec(&self, name: &str, label_key: &str) -> Arc<GaugeVec> {
-        if let Some(v) = self.gauge_vecs.read().expect("observe lock").get(name) {
-            return Arc::clone(v);
-        }
-        let mut w = self.gauge_vecs.write().expect("observe lock");
-        Arc::clone(
-            w.entry(name.to_owned())
-                .or_insert_with(|| Arc::new(GaugeVec::new(label_key))),
-        )
+    pub fn gauge_vec(&self, name: &str, label_key: &str) -> Arc<Family<Gauge>> {
+        family(&self.gauges, name, label_key)
     }
 
     /// Snapshots every instrument.
-    pub fn snapshot(&self) -> RegistrySnapshot {
-        RegistrySnapshot {
-            counters: self
-                .counters
-                .read()
-                .expect("observe lock")
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            gauges: self
-                .gauges
-                .read()
-                .expect("observe lock")
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            histograms: self
-                .hists
-                .read()
-                .expect("observe lock")
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
-            families: self
-                .families
-                .read()
-                .expect("observe lock")
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
-            counter_vecs: self
-                .counter_vecs
-                .read()
-                .expect("observe lock")
-                .iter()
-                .map(|(k, v)| (k.clone(), (v.label_key().to_owned(), v.snapshot())))
-                .collect(),
-            gauge_vecs: self
-                .gauge_vecs
-                .read()
-                .expect("observe lock")
-                .iter()
-                .map(|(k, v)| (k.clone(), (v.label_key().to_owned(), v.snapshot())))
-                .collect(),
-        }
+    pub fn snapshot(&self) -> Snapshot {
+        let mut series = Vec::new();
+        collect(&self.counters, |c| Value::Counter(c.get()), &mut series);
+        collect(&self.gauges, |g| Value::Gauge(g.get()), &mut series);
+        collect(
+            &self.histograms,
+            |h| Value::Summary(h.snapshot()),
+            &mut series,
+        );
+        Snapshot { series }
     }
 }
 
-/// Point-in-time copy of a [`Registry`]'s instruments, ready for
-/// rendering.
-#[derive(Debug, Clone, Default)]
-pub struct RegistrySnapshot {
-    /// Counter values by name.
-    pub counters: BTreeMap<String, u64>,
-    /// Gauge levels by name.
-    pub gauges: BTreeMap<String, i64>,
-    /// Histogram summaries by name.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Histogram-family summaries: name → sorted (label, summary).
-    pub families: BTreeMap<String, Vec<(String, HistogramSnapshot)>>,
-    /// Counter-family values: name → (label key, sorted (label, value)).
-    pub counter_vecs: BTreeMap<String, (String, Vec<(String, u64)>)>,
-    /// Gauge-family levels: name → (label key, sorted (label, level)).
-    pub gauge_vecs: BTreeMap<String, (String, Vec<(String, i64)>)>,
+/// What a [`Series`] reads, and so how it is exposed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub enum Value {
+    /// A monotone count.
+    Counter(u64),
+    /// A level.
+    Gauge(i64),
+    /// A histogram's quantile summary.
+    Summary(HistogramSnapshot),
+}
+
+/// One observed number (or summary) and its name.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+pub struct Series {
+    /// Dotted name (`nav.executions`); the exposition writes `_` for
+    /// every character outside `[A-Za-z0-9]`.
+    pub name: String,
+    /// `(label key, label value)` of a family member.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub label: Option<(String, String)>,
+    /// The reading.
+    pub value: Value,
+}
+
+/// Point-in-time readings, from a [`Registry`] and from whoever pushed
+/// what it samples: the one shape tests read by name, `fmtm top`
+/// prints and `/metrics` renders.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+pub struct Snapshot {
+    /// The readings, in no particular order.
+    pub series: Vec<Series>,
 }
 
 /// `foo.bar-baz` → `foo_bar_baz` (Prometheus metric name charset).
@@ -171,58 +156,109 @@ fn prom_label(key: &str, label: &str) -> String {
     out
 }
 
-fn prom_hist(out: &mut String, name: &str, label: Option<&str>, s: &HistogramSnapshot) {
-    // The label as it leads a quantile's label set, and as a set of
-    // its own.
-    let (lead, only) = label.map_or_else(Default::default, |l| {
-        let l = prom_label("label", l);
-        (format!("{l},"), format!("{{{l}}}"))
-    });
-    for (q, v) in [("0.5", s.p50), ("0.95", s.p95), ("0.99", s.p99)] {
-        out.push_str(&format!("{name}{{{lead}quantile=\"{q}\"}} {v}\n"));
+impl Snapshot {
+    /// Appends the sample `name` = `value`, labelled `label` if given.
+    pub fn push(&mut self, name: &str, label: Option<(&str, &str)>, value: Value) {
+        self.series.push(Series {
+            name: name.to_owned(),
+            label: label.map(|(k, v)| (k.to_owned(), v.to_owned())),
+            value,
+        });
     }
-    for (suffix, v) in [("count", s.count), ("sum", s.sum), ("max", s.max)] {
-        out.push_str(&format!("{name}_{suffix}{only} {v}\n"));
-    }
-}
 
-impl RegistrySnapshot {
-    /// Renders the snapshot in the Prometheus text exposition format
-    /// (histograms as quantile summaries).
+    /// Adds `value` into the count or level already held under the
+    /// same name and label, or appends it — how the samples of several
+    /// engines become one.
+    pub fn add(&mut self, name: &str, label: Option<(&str, &str)>, value: Value) {
+        let held = self
+            .series
+            .iter_mut()
+            .find(|s| s.name == name && s.label.as_ref().map(|(k, v)| (&**k, &**v)) == label);
+        match (held.map(|s| &mut s.value), value) {
+            (Some(Value::Counter(held)), Value::Counter(v)) => *held += v,
+            (Some(Value::Gauge(held)), Value::Gauge(v)) => *held += v,
+            _ => self.push(name, label, value),
+        }
+    }
+
+    /// The unlabelled series `name`.
+    fn plain(&self, name: &str) -> Option<Value> {
+        let found = self
+            .series
+            .iter()
+            .find(|s| s.name == name && s.label.is_none());
+        found.map(|s| s.value)
+    }
+
+    /// The counter `name`.
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        match self.plain(name)? {
+            Value::Counter(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The gauge `name`.
+    pub fn gauge(&self, name: &str) -> Option<i64> {
+        match self.plain(name)? {
+            Value::Gauge(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The histogram summary `name`.
+    pub fn summary(&self, name: &str) -> Option<HistogramSnapshot> {
+        match self.plain(name)? {
+            Value::Summary(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The members of the labelled family `name`: `(label value,
+    /// reading)`, in the order they were collected (a registry's: by
+    /// label).
+    pub fn family<'a>(&'a self, name: &'a str) -> impl Iterator<Item = (&'a str, Value)> + 'a {
+        self.series
+            .iter()
+            .filter(move |s| s.name == name)
+            .filter_map(|s| Some((s.label.as_ref()?.1.as_str(), s.value)))
+    }
+
+    /// Renders the snapshot in the Prometheus text exposition format,
+    /// by name then label, one `# TYPE` line per name (histograms as
+    /// quantile summaries).
     pub fn to_prometheus(&self) -> String {
+        let mut sorted: Vec<&Series> = self.series.iter().collect();
+        sorted.sort_by(|a, b| (&a.name, &a.label).cmp(&(&b.name, &b.label)));
         let mut out = String::new();
-        for (name, v) in &self.counters {
-            let n = prom_name(name);
-            out.push_str(&format!("# TYPE {n} counter\n{n} {v}\n"));
-        }
-        for (name, v) in &self.gauges {
-            let n = prom_name(name);
-            out.push_str(&format!("# TYPE {n} gauge\n{n} {v}\n"));
-        }
-        for (name, s) in &self.histograms {
-            let n = prom_name(name);
-            out.push_str(&format!("# TYPE {n} summary\n"));
-            prom_hist(&mut out, &n, None, s);
-        }
-        for (name, labels) in &self.families {
-            let n = prom_name(name);
-            out.push_str(&format!("# TYPE {n} summary\n"));
-            for (label, s) in labels {
-                prom_hist(&mut out, &n, Some(label), s);
+        let (mut declared, mut n) = (None, String::new());
+        for s in sorted {
+            let label = s.label.as_ref().map(|(k, v)| prom_label(k, v));
+            // The label as a set of its own, and as it leads a
+            // quantile's label set.
+            let (only, lead) =
+                label.map_or_else(Default::default, |l| (format!("{{{l}}}"), format!("{l},")));
+            if declared != Some(&s.name) {
+                n = prom_name(&s.name);
+                let kind = match s.value {
+                    Value::Counter(_) => "counter",
+                    Value::Gauge(_) => "gauge",
+                    Value::Summary(_) => "summary",
+                };
+                out.push_str(&format!("# TYPE {n} {kind}\n"));
+                declared = Some(&s.name);
             }
-        }
-        for (name, (key, labels)) in &self.counter_vecs {
-            let n = prom_name(name);
-            out.push_str(&format!("# TYPE {n} counter\n"));
-            for (label, v) in labels {
-                out.push_str(&format!("{n}{{{}}} {v}\n", prom_label(key, label)));
-            }
-        }
-        for (name, (key, labels)) in &self.gauge_vecs {
-            let n = prom_name(name);
-            out.push_str(&format!("# TYPE {n} gauge\n"));
-            for (label, v) in labels {
-                out.push_str(&format!("{n}{{{}}} {v}\n", prom_label(key, label)));
+            match s.value {
+                Value::Counter(v) => out.push_str(&format!("{n}{only} {v}\n")),
+                Value::Gauge(v) => out.push_str(&format!("{n}{only} {v}\n")),
+                Value::Summary(h) => {
+                    for (q, v) in [("0.5", h.p50), ("0.95", h.p95), ("0.99", h.p99)] {
+                        out.push_str(&format!("{n}{{{lead}quantile=\"{q}\"}} {v}\n"));
+                    }
+                    for (suffix, v) in [("count", h.count), ("sum", h.sum), ("max", h.max)] {
+                        out.push_str(&format!("{n}_{suffix}{only} {v}\n"));
+                    }
+                }
             }
         }
         out
@@ -242,7 +278,7 @@ mod tests {
         assert_eq!(r.gauge("g").get(), -4);
         r.histogram("h").record(10);
         assert_eq!(r.histogram("h").count(), 1);
-        r.histogram_vec("f").observe("x", 1);
+        r.histogram_vec("f").with_label("x").record(1);
         assert_eq!(r.histogram_vec("f").with_label("x").count(), 1);
     }
 
@@ -252,13 +288,16 @@ mod tests {
         r.counter("engine.steps").add(42);
         r.gauge("heap.depth").record_max(7);
         r.histogram("flush.ns").record(1000);
-        r.histogram_vec("act.latency_ns").observe("T1", 500);
+        r.histogram_vec("act.latency_ns")
+            .with_label("T1")
+            .record(500);
 
         let snap = r.snapshot();
-        assert_eq!(snap.counters["engine.steps"], 42);
-        assert_eq!(snap.gauges["heap.depth"], 7);
-        assert_eq!(snap.histograms["flush.ns"].count, 1);
-        assert_eq!(snap.families["act.latency_ns"][0].0, "T1");
+        assert_eq!(snap.counter("engine.steps"), Some(42));
+        assert_eq!(snap.gauge("heap.depth"), Some(7));
+        assert_eq!(snap.summary("flush.ns").unwrap().count, 1);
+        assert_eq!(snap.family("act.latency_ns").next().unwrap().0, "T1");
+        assert_eq!(snap.counter("heap.depth"), None, "a gauge is no counter");
 
         let text = snap.to_prometheus();
         assert!(text.contains("# TYPE engine_steps counter"));
@@ -274,10 +313,14 @@ mod tests {
         let r = Registry::new();
         let tenant = "ac\"me\\corp\nup 1";
         r.counter_vec("server.tenant.accepted", "tenant")
-            .inc(tenant);
+            .with_label(tenant)
+            .inc();
         r.gauge_vec("server.tenant.inflight", "tenant")
-            .add(tenant, 2);
-        r.histogram_vec("act.latency_ns").observe("Blk/\"T\"", 5);
+            .with_label(tenant)
+            .add(2);
+        r.histogram_vec("act.latency_ns")
+            .with_label("Blk/\"T\"")
+            .record(5);
 
         let text = r.snapshot().to_prometheus();
         let escaped = r#"tenant="ac\"me\\corp\nup 1""#;
@@ -292,19 +335,21 @@ mod tests {
     #[test]
     fn labeled_families_render_with_their_key() {
         let r = Registry::new();
-        r.counter_vec("server.tenant.accepted", "tenant")
-            .inc("acme");
-        r.counter_vec("server.tenant.accepted", "tenant")
-            .inc("acme");
-        r.counter_vec("server.tenant.accepted", "tenant")
-            .inc("beta");
+        let accepted = r.counter_vec("server.tenant.accepted", "tenant");
+        accepted.with_label("acme").inc();
+        accepted.with_label("acme").inc();
+        accepted.with_label("beta").inc();
         r.gauge_vec("server.tenant.inflight", "tenant")
-            .add("acme", 3);
+            .with_label("acme")
+            .add(3);
 
         let snap = r.snapshot();
-        let (key, labels) = &snap.counter_vecs["server.tenant.accepted"];
-        assert_eq!(key, "tenant");
-        assert_eq!(labels[0], ("acme".to_owned(), 2));
+        let first = &snap.series[0];
+        assert_eq!(first.label, Some(("tenant".to_owned(), "acme".to_owned())));
+        assert_eq!(
+            snap.family("server.tenant.accepted").collect::<Vec<_>>(),
+            [("acme", Value::Counter(2)), ("beta", Value::Counter(1))]
+        );
 
         let text = snap.to_prometheus();
         assert!(text.contains("# TYPE server_tenant_accepted counter"));
@@ -312,5 +357,25 @@ mod tests {
         assert!(text.contains("server_tenant_accepted{tenant=\"beta\"} 1"));
         assert!(text.contains("# TYPE server_tenant_inflight gauge"));
         assert!(text.contains("server_tenant_inflight{tenant=\"acme\"} 3"));
+    }
+
+    #[test]
+    fn samples_join_the_list_and_sum_by_name_and_label() {
+        let r = Registry::new();
+        r.counter("nav.executions").add(2);
+        let mut snap = r.snapshot();
+        for _engine in 0..2 {
+            snap.add("db.txns_begun", Some(("db", "a")), Value::Counter(3));
+            snap.add("db.txns_begun", Some(("db", "b")), Value::Counter(1));
+            snap.add("journal.events", None, Value::Gauge(10));
+            snap.add("nav.executions", None, Value::Counter(1));
+        }
+        assert_eq!(snap.gauge("journal.events"), Some(20));
+        assert_eq!(snap.counter("nav.executions"), Some(4));
+        // One `# TYPE` per name although db `a`'s and `b`'s samples
+        // were pushed interleaved with other names.
+        let text = snap.to_prometheus();
+        assert_eq!(text.matches("# TYPE db_txns_begun counter\n").count(), 1);
+        assert!(text.contains("db_txns_begun{db=\"a\"} 6\ndb_txns_begun{db=\"b\"} 2\n"));
     }
 }

@@ -12,8 +12,9 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use wfms_engine::{EngineError, EngineMetrics, InstanceStatus, WorklistError};
+use wfms_engine::{EngineError, InstanceStatus, WorklistError};
 use wfms_model::{Container, ProcessDefinition};
+use wfms_observe::Value;
 
 use crate::api::*;
 use crate::http::Request;
@@ -158,10 +159,7 @@ pub(crate) fn dispatch(turn: &mut Turn<'_>, req: &Request) {
             _ => method_not_allowed("POST"),
         },
         ["metrics"] => match req.method.as_str() {
-            "GET" => {
-                publish_scrape_gauges(state);
-                Answer::text(200, PROM, state.pool.registry().snapshot().to_prometheus())
-            }
+            "GET" => Answer::text(200, PROM, scrape(state)),
             _ => method_not_allowed("GET"),
         },
         ["healthz"] => match req.method.as_str() {
@@ -451,36 +449,17 @@ fn complete_answer(ext: u64, done: Result<(), EngineError>) -> Answer {
     }
 }
 
-/// Folds engine levels into gauges at scrape time — cheaper than
-/// keeping them hot on the submit path. The `journal.*` and `db.wal_*`
-/// levels are what the shards' logs hold right now, summed: the bound
-/// on a long-lived server's memory, where an operator can see it. What
-/// the shard engines *count* — journal faults, recovery and migration
-/// fix-ups, released claims — needs no folding: they count on this
+/// `GET /metrics`: the pool's snapshot — what the shards count on its
 /// registry (the hot-path `nav.*` hooks are off under `serve`, so those
-/// read 0).
-fn publish_scrape_gauges(state: &Arc<ServerState>) {
-    let registry = state.pool.registry();
-    let shards = state.pool.engine_metrics();
-    let publish = |name: &str, level: &dyn Fn(&EngineMetrics) -> u64| {
-        let total: u64 = shards.iter().map(level).sum();
-        registry.gauge(name).set(total as i64);
-    };
-    publish("server.instances.running", &|m| m.instances_running);
-    publish("server.instances.finished", &|m| m.instances_finished);
-    publish("server.instances.cancelled", &|m| m.instances_cancelled);
-    publish("journal.resident_records", &|m| m.journal_resident_records);
-    publish("journal.file_bytes", &|m| m.journal_file_bytes);
-    publish("db.wal_resident_records", &|m| {
-        m.federation.iter().map(|db| db.wal_resident_records).sum()
-    });
-    publish("db.wal_checkpoints", &|m| {
-        m.federation.iter().map(|db| db.wal_checkpoints).sum()
-    });
-    registry
-        .gauge("server.queue.depth")
-        .set(state.pool.queue_depth());
-    registry
-        .gauge("server.recovered.instances")
-        .set(state.pool.recovered_instances() as i64);
+/// read 0) and what their engines sample, the `journal.*` and
+/// `db.wal_*` levels among it: the bound on a long-lived server's
+/// memory, where an operator can see it — and the server's own two
+/// levels.
+fn scrape(state: &Arc<ServerState>) -> String {
+    let mut snapshot = state.pool.snapshot();
+    let recovered = state.pool.recovered_instances() as i64;
+    let queued = Value::Gauge(state.pool.queue_depth());
+    snapshot.push("server.queue.depth", None, queued);
+    snapshot.push("server.recovered.instances", None, Value::Gauge(recovered));
+    snapshot.to_prometheus()
 }

@@ -89,11 +89,11 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex, RwLock};
 use txn_substrate::{DurabilityPolicy, MirrorError, MultiDatabase, ProgramRegistry};
 use wfms_engine::{
-    spec_hash_of, Engine, EngineConfig, EngineError, InstanceId, InstanceStatus, MigrationOutcome,
-    OrgModel, WorkItem, WorkItemId, WorklistError,
+    spec_hash_of, Engine, EngineConfig, EngineError, InstanceId, InstanceStatus, InstanceView,
+    MigrationOutcome, OrgModel, WorkItem, WorkItemId, WorklistError,
 };
 use wfms_model::{Container, ProcessDefinition};
-use wfms_observe::{Counter, Observer, Registry};
+use wfms_observe::{Counter, Observer, Registry, Snapshot};
 
 use crate::store::{check_meta, persist_template, write_meta, ServerMeta};
 use crate::tenant::{parse_tenants, Tenant, TenantSpec, TenantTable, TENANT_BITS};
@@ -858,16 +858,13 @@ impl ShardPool {
     /// another tenant's instance.
     pub fn status(&self, ext: u64) -> Option<(String, InstanceStatus, String, Container)> {
         let (shard, local, slot) = self.decode(ext)?;
-        let engine = &self.shards[shard].engine;
-        let id = InstanceId(local);
-        if !slot_owns_instance(engine, id, slot, self.tenancy().as_deref()) {
-            return None;
-        }
-        let status = engine.status(id).ok()?;
-        let process = engine.instance_process(id).ok()?;
-        let version = engine.instance_version(id).ok()?;
-        let output = engine.output(id).ok()?;
-        Some((process, status, version, output))
+        let view = self.shards[shard].engine.view(InstanceId(local)).ok()?;
+        slot_owns(&view, slot, self.tenancy().as_deref()).then_some((
+            view.process,
+            view.status,
+            view.version,
+            view.output,
+        ))
     }
 
     /// The tenant slot folded into an external id (0 = untenanted, or
@@ -937,12 +934,8 @@ impl ShardPool {
                 let slot = if self.tenant_bits == 0 {
                     0
                 } else {
-                    shard
-                        .engine
-                        .instance_tenant(item.instance)
-                        .ok()
-                        .flatten()
-                        .and_then(|name| table.slot_of_name(&name))
+                    (shard.engine.view(item.instance).ok())
+                        .and_then(|view| table.slot_of_name(&view.tenant?))
                         .unwrap_or(0)
                 };
                 if scope.is_some_and(|s| s != slot) {
@@ -980,7 +973,10 @@ impl ShardPool {
         let complete = move |engine: &Engine| {
             let item = WorkItemId(local);
             let owner = engine.item_instance(item).ok_or_else(no_such_item)?;
-            if !slot_owns_instance(engine, owner, slot, tenancy.as_deref()) {
+            if !engine
+                .view(owner)
+                .is_ok_and(|view| slot_owns(&view, slot, tenancy.as_deref()))
+            {
                 return Err(no_such_item());
             }
             engine.execute_item(item, &person)?;
@@ -1058,10 +1054,21 @@ impl ShardPool {
         counts
     }
 
-    /// Every shard engine's metrics snapshot
-    /// ([`wfms_engine::Engine::metrics`]), for the scrape to fold.
-    pub fn engine_metrics(&self) -> Vec<wfms_engine::EngineMetrics> {
-        self.shards.iter().map(|s| s.engine.metrics()).collect()
+    /// What a scrape prints: one snapshot of the registry every shard
+    /// counts on, then what each shard's engine samples
+    /// ([`Engine::sample`]), summed by name over shards and databases —
+    /// the engines' `engine.instances_*` under the server's name for
+    /// them, `server.instances.*`. Each engine's lock is held for a
+    /// constant time.
+    pub fn snapshot(&self) -> Snapshot {
+        let mut snapshot = self.registry.snapshot();
+        for shard in self.shards.iter() {
+            shard.engine.sample(|name, _, reading| {
+                let name = name.replace("engine.instances_", "server.instances.");
+                snapshot.add(&name, None, reading)
+            });
+        }
+        snapshot
     }
 
     /// Total queued submissions across shards right now.
@@ -1117,23 +1124,14 @@ fn decode_ext(ext: u64, nshards: u64, tenant_bits: u32) -> Option<(usize, u64, u
 /// True when the tenant slot claimed by a wire id matches the tenant
 /// journalled on the instance (trivially true with tenancy disabled:
 /// no table).
-fn slot_owns_instance(
-    engine: &Engine,
-    id: InstanceId,
-    slot: u16,
-    tenancy: Option<&TenantTable>,
-) -> bool {
+fn slot_owns(view: &InstanceView, slot: u16, tenancy: Option<&TenantTable>) -> bool {
     let Some(table) = tenancy else {
         return slot == 0;
     };
-    let journalled = match engine.instance_tenant(id) {
-        Ok(t) => t,
-        Err(_) => return false,
-    };
-    match (slot, journalled) {
+    match (slot, &view.tenant) {
         (0, None) => true,
         (0, Some(_)) | (_, None) => false,
-        (s, Some(name)) => table.slot_of_name(&name) == Some(s),
+        (s, Some(name)) => table.slot_of_name(name) == Some(s),
     }
 }
 
@@ -1289,11 +1287,11 @@ impl Worker {
                 let slot = tenant.map_or(0, |t| t.slot);
                 let result: SubmitReply = engine
                     .start_for_tenant(&job.process, job.input, tenant.map(|t| t.name.clone()))
-                    .and_then(|id| engine.run_to_quiescence(id).map(|s| (id, s)))
-                    .and_then(|(id, status)| {
+                    .and_then(|id| engine.run_to_quiescence(id).map(|_| id))
+                    .and_then(|id| {
                         let ext =
                             encode_ext(id.0, self.shard, self.nshards, slot, self.tenant_bits);
-                        engine.output(id).map(|out| (ext, status, out))
+                        engine.view(id).map(|view| (ext, view.status, view.output))
                     })
                     .map_err(|e| {
                         let unknown = matches!(e, EngineError::UnknownProcess(_));

@@ -1928,6 +1928,7 @@ fn engine_counters_scrape_as_counters() {
         "migration_fixups_connectors_reevaluated",
         "nav_executions",
         "worklist_items_offered",
+        "db_wal_checkpoints",
     ] {
         let declared = format!("# TYPE {series} counter\n{series} ");
         assert!(text.contains(&declared), "no `{declared}` in\n{text}");
@@ -1941,6 +1942,67 @@ fn engine_counters_scrape_as_counters() {
         let declared = format!("# TYPE {series} gauge\n{series} ");
         assert!(text.contains(&declared), "no `{declared}` in\n{text}");
     }
+    server.shutdown(true);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The exposition with every sample's value replaced by `#`, sorted.
+fn shape(exposition: &str) -> Vec<String> {
+    let mut lines: Vec<String> = exposition
+        .lines()
+        .map(|line| match line.rsplit_once(' ') {
+            Some((series, _)) if !line.starts_with('#') => format!("{series} #"),
+            _ => line.to_owned(),
+        })
+        .collect();
+    lines.sort();
+    lines
+}
+
+/// Every name, label and `# TYPE` of `GET /metrics` on a two-shard,
+/// tenanted server after a fixed run — submits by two tenants, one
+/// refused, one migrating deploy — is the one pinned in
+/// `tests/fixtures/metrics_scrape.golden` (values stripped; the file's
+/// header says how it differs from what the commit before the
+/// series-list snapshot printed).
+#[test]
+fn metrics_scrape_keeps_its_shape() {
+    let dir = temp_dir("scrape-shape");
+    let pool = ShardPool::open(
+        tenant_pool_config(&dir),
+        Arc::new(Registry::new()),
+        &provision,
+    )
+    .unwrap();
+    let server = Server::start(Arc::new(pool), ServerConfig::new("auto")).unwrap();
+    let url = server.local_addr().to_string();
+    for (key, process, want) in [
+        ("k-acme", "auto", 201),
+        ("k-acme", "manual", 201),
+        ("k-beta", "auto", 201),
+        ("k-acme", "auto", 201),
+        ("k-beta", "nope", 404),
+    ] {
+        let mut client = Http1Client::new(&url).with_api_key(Some(key));
+        let body = format!(r#"{{"process":"{process}"}}"#);
+        let (code, body) = client.request("POST", "/instances", Some(&body)).unwrap();
+        assert_eq!(code, want, "{body}");
+    }
+    let deploy = format!(
+        r#"{{"definition":{},"policy":"migrate"}}"#,
+        serde_json::to_string(&manual_process_v2()).unwrap()
+    );
+    let mut ops = Http1Client::new(&url);
+    let (code, body) = ops.request("POST", "/admin/deploy", Some(&deploy)).unwrap();
+    assert_eq!(code, 200, "{body}");
+
+    let (code, text) = ops.request("GET", "/metrics", None).unwrap();
+    assert_eq!(code, 200);
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/metrics_scrape.golden");
+    let golden = std::fs::read_to_string(golden).unwrap();
+    let pinned: Vec<&str> = golden.lines().filter(|l| !l.starts_with("//")).collect();
+    assert_eq!(shape(&text), pinned, "the scrape's shape moved");
     server.shutdown(true);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -82,7 +82,7 @@ fn bytes_per_finished_instance(journal: Option<&std::path::Path>) -> i64 {
             // Every seventh instance ends 329 events on: over a run the
             // samples land on every residue of the batch of 64.
             if journal.is_some() && i % 7 == 0 {
-                let resident = engine.metrics().journal_resident_records;
+                let resident = engine.metrics().gauge("journal.resident_records").unwrap();
                 assert!(
                     resident <= 63,
                     "{resident} events resident under Batched{{64}}"
@@ -100,8 +100,9 @@ fn bytes_per_finished_instance(journal: Option<&std::path::Path>) -> i64 {
     if journal.is_some() {
         engine.flush_journal().expect("flushes");
         let m = engine.metrics();
-        assert_eq!(m.journal_resident_records, 0, "a flush empties memory");
-        assert_eq!(m.journal_events, 47 * (2_000 + INSTANCES) as u64);
+        let resident = m.gauge("journal.resident_records");
+        assert_eq!(resident, Some(0), "a flush empties memory");
+        assert_eq!(m.gauge("journal.events"), Some(47 * (2_000 + INSTANCES)));
     }
     per_instance
 }

@@ -16,8 +16,8 @@ use atm::fixtures;
 use std::sync::Arc;
 use txn_substrate::{FailurePlan, MultiDatabase, ProgramOutcome, ProgramRegistry};
 use wftx::engine::{
-    recover_from, Engine, EngineConfig, Event, InstanceId, InstanceSnapshot, Journal, OrgModel,
-    WorkItem,
+    recover_from, Engine, EngineConfig, Event, InstanceId, InstanceSnapshot, InstanceStatus,
+    Journal, OrgModel, WorkItem, WorkItemState,
 };
 use wftx::model::{Activity, Container, ProcessBuilder, ProcessDefinition};
 
@@ -36,6 +36,36 @@ fn checkpoint_of(engine: &Engine) -> (Vec<InstanceSnapshot>, Vec<WorkItem>) {
             _ => None,
         })
         .expect("checkpoint journalled")
+}
+
+/// The tallies `engine` keeps as its events are applied — instances
+/// `(running, finished, cancelled)`, work items `(offered, claimed,
+/// closed)` — each checked against a recount: of `Engine::instances()`,
+/// and of `open`, the open items its checkpoint carries.
+fn tallies_of(engine: &Engine, open: &[WorkItem]) -> [u64; 6] {
+    let m = engine.metrics();
+    let tallies = [
+        "engine.instances_running",
+        "engine.instances_finished",
+        "engine.instances_cancelled",
+        "worklist.items_open",
+        "worklist.items_claimed",
+        "worklist.items_closed",
+    ]
+    .map(|name| m.gauge(name).expect(name) as u64);
+    let instances = engine.instances();
+    let with = |status| instances.iter().filter(|i| i.2 == status).count() as u64;
+    let recount = [
+        with(InstanceStatus::Running),
+        with(InstanceStatus::Finished),
+        with(InstanceStatus::Cancelled),
+    ];
+    assert_eq!(tallies[..3], recount, "instances by status");
+    let offered = open.iter().filter(|it| it.state == WorkItemState::Offered);
+    let offered = offered.count() as u64;
+    let claimed = open.len() as u64 - offered;
+    assert_eq!(tallies[3..5], [offered, claimed], "open items by state");
+    tallies
 }
 
 /// For every prefix of the run (`action(engine, id, k)` performs the
@@ -85,6 +115,33 @@ fn replay_rebuilds_live_state(
         assert_eq!(got, want, "{}: after {ran} actions", def.name);
         let twice = checkpoint_of(&again);
         assert_eq!(twice, want, "{}: replayed twice, {ran} actions", def.name);
+        let tallies = [&live, &replayed, &again].map(|e| tallies_of(e, &want.1));
+        assert_eq!(
+            tallies[1], tallies[0],
+            "{}: tallies, {ran} actions",
+            def.name
+        );
+        assert_eq!(tallies[2], tallies[0], "{}: twice, {ran} actions", def.name);
+        // `live`'s journal is now its checkpoint: an engine restored
+        // from it recounts the instances and the open items (a
+        // checkpoint does not carry closed ones).
+        let (fed, programs) = world();
+        let restored = recover_from(
+            Journal::new(),
+            live.journal_events(),
+            vec![def.clone()],
+            org.clone(),
+            fed,
+            programs,
+        )
+        .unwrap();
+        let restored = tallies_of(&restored, &want.1);
+        assert_eq!(
+            restored[..5],
+            tallies[0][..5],
+            "{}: restored, {ran}",
+            def.name
+        );
         if ran < upto {
             assert!(upto > 1, "{}: the run took no step at all", def.name);
             return;
