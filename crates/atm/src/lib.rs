@@ -11,7 +11,9 @@
 //! * [`FlexSpec`] — flexible transactions (multidatabase model of
 //!   Elmagarmid et al. / Zhang et al.): alternative execution paths in
 //!   preference order over subtransactions classified *compensatable*,
-//!   *retriable* or *pivot*, with the well-formedness rules of §4.2.
+//!   *retriable* or *pivot*, with the well-formedness rules of §4.2
+//!   and the one switch rule every consumer reads
+//!   ([`FlexSpec::switch`], [`FlexSpec::failures`]).
 //! * [`wellformed`] — the static checks ("only compensatable steps
 //!   between pivots, a guaranteed way out after every pivot").
 //! * [`native`] — reference executors that run the models *directly*
@@ -30,7 +32,7 @@ pub mod saga;
 pub mod spec;
 pub mod wellformed;
 
-pub use flexible::{FlexSpec, FlexStep};
+pub use flexible::{Failure, FlexSpec, FlexStep, Switch};
 pub use native::flex_exec::{FlexExecutor, FlexOutcome, FlexResult};
 pub use native::saga_exec::{SagaExecutor, SagaOutcome, SagaResult};
 pub use native::trace::{AtmEvent, AtmTrace};

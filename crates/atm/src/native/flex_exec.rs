@@ -6,26 +6,22 @@
 //!   path (the shared prefix) are not re-executed;
 //! * a **retriable** step that aborts is retried until it commits
 //!   ("T3 can be retried until it commits");
-//! * any other abort abandons the current path: committed steps beyond
-//!   the longest committed prefix of the next path are compensated in
-//!   reverse commit order, then execution continues with the next path
-//!   ("In the case that T8 is the one that aborts, T5 and T6 will be
-//!   compensated before T7 is executed");
-//! * when no alternative remains, everything committed is compensated
-//!   and the transaction aborts;
+//! * any other abort abandons the current path: [`FlexSpec::switch`]
+//!   names the fallback path and the committed steps it does not keep,
+//!   which are compensated newest first before execution continues
+//!   there ("In the case that T8 is the one that aborts, T5 and T6 will
+//!   be compensated before T7 is executed");
+//! * when the switch names no fallback, everything committed is
+//!   compensated the same way and the transaction aborts;
 //! * compensations are retriable, as in the saga model.
 //!
-//! The switch rule follows the paper's narrative exactly: the failure
-//! of step *s* falls through to the most preferred untried path whose
-//! remaining continuation does **not** include *s* — aborting `T4`
-//! jumps straight to `p3 = T1 T2 T3` (skipping `p2`, which would only
-//! re-attempt `T4`), while aborting `T8` falls to `p2`'s continuation
-//! `T7`.
+//! The executor decides nothing itself: the switch rule is the model
+//! crate's one copy, the same the F5 rule, `WA106` and the Figure 4
+//! translator read.
 
 use crate::flexible::FlexSpec;
 use crate::native::trace::{AtmEvent, AtmTrace};
 use crate::wellformed::{check_flex, WellFormedError};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 use txn_substrate::{MultiDatabase, ProgramContext, ProgramRegistry};
 
@@ -109,102 +105,51 @@ impl FlexExecutor {
         }
 
         let mut trace = AtmTrace::default();
-        // Commit order matters for compensation; membership checks use
-        // the set.
-        let mut committed_order: Vec<String> = Vec::new();
-        let mut committed: BTreeSet<String> = BTreeSet::new();
+        // In commit order: the switch undoes newest first.
+        let mut committed: Vec<String> = Vec::new();
         let mut k = 0usize;
 
-        'paths: while k < spec.paths.len() {
-            let path = &spec.paths[k];
-            for name in path {
+        let outcome = 'paths: loop {
+            for name in &spec.paths[k] {
                 if committed.contains(name) {
                     continue; // shared prefix with an earlier path
                 }
                 let step = spec.step(name).expect("well-formed");
                 match self.run_forward(step, &mut trace) {
-                    ForwardResult::Committed => {
-                        committed_order.push(name.clone());
-                        committed.insert(name.clone());
-                    }
-                    ForwardResult::Stuck => {
-                        return Ok(FlexResult {
-                            outcome: FlexOutcome::Stuck { step: name.clone() },
-                            trace,
-                            committed: committed_order,
-                        });
-                    }
+                    ForwardResult::Committed => committed.push(name.clone()),
+                    ForwardResult::Stuck => break 'paths FlexOutcome::Stuck { step: name.clone() },
                     ForwardResult::Failed => {
-                        // Abandon this path: fall through to the most
-                        // preferred untried path whose continuation
-                        // does not require the failed step.
-                        let fallback = ((k + 1)..spec.paths.len()).find(|&k2| {
-                            !spec.paths[k2]
-                                .iter()
-                                .skip_while(|s| committed.contains(*s))
-                                .any(|s| s == name)
-                        });
-                        if let Some(k2) = fallback {
-                            let next = &spec.paths[k2];
-                            // Longest prefix of the fallback path that
-                            // is already committed, in order.
-                            let keep: BTreeSet<String> = next
-                                .iter()
-                                .take_while(|s| committed.contains(*s))
-                                .cloned()
-                                .collect();
-                            // Compensate everything else, reverse
-                            // commit order.
-                            let to_undo: Vec<String> = committed_order
-                                .iter()
-                                .filter(|s| !keep.contains(*s))
-                                .cloned()
-                                .collect();
-                            for s in to_undo.iter().rev() {
-                                let step = spec.step(s).expect("well-formed");
-                                if let Err(stuck) = self.compensate(step, &mut trace) {
-                                    return Ok(FlexResult {
-                                        outcome: FlexOutcome::Stuck { step: stuck },
-                                        trace,
-                                        committed: committed_order,
-                                    });
-                                }
-                                committed.remove(s);
-                                committed_order.retain(|c| c != s);
-                            }
-                            trace.push(AtmEvent::PathSwitched { from: k, to: k2 });
-                            k = k2;
-                            continue 'paths;
-                        }
-                        // No alternative left: full abort.
-                        for s in committed_order.clone().iter().rev() {
+                        let switch = spec.switch(k, &committed, name);
+                        for s in &switch.undo {
                             let step = spec.step(s).expect("well-formed");
-                            if let Err(stuck) = self.compensate(step, &mut trace) {
-                                return Ok(FlexResult {
-                                    outcome: FlexOutcome::Stuck { step: stuck },
-                                    trace,
-                                    committed: committed_order,
-                                });
+                            let undone = super::compensate(
+                                &self.multidb,
+                                &self.registry,
+                                self.max_retries,
+                                step,
+                                &mut trace,
+                            );
+                            if let Err(step) = undone {
+                                break 'paths FlexOutcome::Stuck { step };
                             }
-                            committed.remove(s);
-                            committed_order.retain(|c| c != s);
+                            committed.retain(|c| c != s);
                         }
-                        return Ok(FlexResult {
-                            outcome: FlexOutcome::Aborted,
-                            trace,
-                            committed: committed_order,
-                        });
+                        let Some(to) = switch.to else {
+                            break 'paths FlexOutcome::Aborted;
+                        };
+                        trace.push(AtmEvent::PathSwitched { from: k, to });
+                        k = to;
+                        continue 'paths;
                     }
                 }
             }
-            // Path completed.
-            return Ok(FlexResult {
-                outcome: FlexOutcome::CommittedVia(k),
-                trace,
-                committed: committed_order,
-            });
-        }
-        unreachable!("loop either returns or advances k past the last path");
+            break FlexOutcome::CommittedVia(k);
+        };
+        Ok(FlexResult {
+            outcome,
+            trace,
+            committed,
+        })
     }
 
     fn run_forward(&self, step: &crate::spec::StepSpec, trace: &mut AtmTrace) -> ForwardResult {
@@ -225,27 +170,6 @@ impl FlexExecutor {
             trace.push(AtmEvent::Retried(step.name.clone(), attempt));
             if attempt > self.max_retries {
                 return ForwardResult::Stuck;
-            }
-        }
-    }
-
-    fn compensate(&self, step: &crate::spec::StepSpec, trace: &mut AtmTrace) -> Result<(), String> {
-        let comp = step
-            .compensation
-            .as_deref()
-            .expect("well-formedness guarantees compensations where needed");
-        let mut attempt = 0u32;
-        loop {
-            let mut ctx = ProgramContext::new(Arc::clone(&self.multidb));
-            ctx.attempt = attempt;
-            if self.registry.invoke(comp, &mut ctx).is_committed() {
-                trace.push(AtmEvent::Compensated(step.name.clone()));
-                return Ok(());
-            }
-            attempt += 1;
-            trace.push(AtmEvent::CompensationRetried(step.name.clone(), attempt));
-            if attempt > self.max_retries {
-                return Err(step.name.clone());
             }
         }
     }

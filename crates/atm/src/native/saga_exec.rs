@@ -118,35 +118,7 @@ impl SagaExecutor {
             if let Some(abort_step) = stage_failed {
                 // Compensate the committed prefix in reverse order —
                 // T1 … Tj ; Cj … C1.
-                for step in committed.iter().rev() {
-                    let comp = step
-                        .compensation
-                        .as_deref()
-                        .expect("well-formed saga steps have compensations");
-                    let mut attempt = 0;
-                    loop {
-                        let mut ctx = ProgramContext::new(Arc::clone(&self.multidb));
-                        ctx.attempt = attempt;
-                        if self.registry.invoke(comp, &mut ctx).is_committed() {
-                            trace.push(AtmEvent::Compensated(step.name.clone()));
-                            break;
-                        }
-                        attempt += 1;
-                        trace.push(AtmEvent::CompensationRetried(step.name.clone(), attempt));
-                        if attempt > self.max_compensation_retries {
-                            return Ok(SagaResult {
-                                outcome: SagaOutcome::CompensationStuck {
-                                    step: step.name.clone(),
-                                },
-                                trace,
-                            });
-                        }
-                    }
-                }
-                return Ok(SagaResult {
-                    outcome: SagaOutcome::RolledBack { abort_step },
-                    trace,
-                });
+                return Ok(self.roll_back(&committed, abort_step, trace));
             }
         }
         Ok(SagaResult {
@@ -203,18 +175,7 @@ impl SagaExecutor {
                 }
             }
             if let Some(abort_step) = failed {
-                for step in committed.iter().rev() {
-                    if let Err(stuck) = self.compensate_step(step, &mut trace) {
-                        return Ok(SagaResult {
-                            outcome: SagaOutcome::CompensationStuck { step: stuck },
-                            trace,
-                        });
-                    }
-                }
-                return Ok(SagaResult {
-                    outcome: SagaOutcome::RolledBack { abort_step },
-                    trace,
-                });
+                return Ok(self.roll_back(&committed, abort_step, trace));
             }
         }
         Ok(SagaResult {
@@ -223,29 +184,32 @@ impl SagaExecutor {
         })
     }
 
-    /// Runs one compensation to commit (retrying up to the bound).
-    fn compensate_step(
+    /// Compensates `committed` newest first: the saga rolled back at
+    /// `abort_step`, or a compensation exhausted its retries.
+    fn roll_back(
         &self,
-        step: &crate::spec::StepSpec,
-        trace: &mut AtmTrace,
-    ) -> Result<(), String> {
-        let comp = step
-            .compensation
-            .as_deref()
-            .expect("well-formed saga steps have compensations");
-        let mut attempt = 0;
-        loop {
-            let mut ctx = ProgramContext::new(Arc::clone(&self.multidb));
-            ctx.attempt = attempt;
-            if self.registry.invoke(comp, &mut ctx).is_committed() {
-                trace.push(AtmEvent::Compensated(step.name.clone()));
-                return Ok(());
+        committed: &[&crate::spec::StepSpec],
+        abort_step: String,
+        mut trace: AtmTrace,
+    ) -> SagaResult {
+        for step in committed.iter().rev() {
+            let undone = super::compensate(
+                &self.multidb,
+                &self.registry,
+                self.max_compensation_retries,
+                step,
+                &mut trace,
+            );
+            if let Err(step) = undone {
+                return SagaResult {
+                    outcome: SagaOutcome::CompensationStuck { step },
+                    trace,
+                };
             }
-            attempt += 1;
-            trace.push(AtmEvent::CompensationRetried(step.name.clone(), attempt));
-            if attempt > self.max_compensation_retries {
-                return Err(step.name.clone());
-            }
+        }
+        SagaResult {
+            outcome: SagaOutcome::RolledBack { abort_step },
+            trace,
         }
     }
 }

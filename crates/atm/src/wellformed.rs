@@ -17,23 +17,19 @@
 //! * F3 — *"the path between any two pivot subtransactions must
 //!   contain only compensatable transactions"* (verbatim from the
 //!   paper; retriable steps never abort so they are also admissible).
-//! * F4 — guaranteed completion of the **last** path: after its last
-//!   pivot (or from its start when it has no pivot and the whole
-//!   transaction may still need to commit past an earlier pivot),
-//!   every step is retriable — the paper's "if nothing else works, T3
-//!   can be retried until it commits".
-//! * F5 — a way out of every abandoned suffix: when path *k* fails and
-//!   execution switches to path *k+1*, the steps of *k* beyond the
-//!   common prefix that may already have committed (i.e. all but the
-//!   failing one) must be compensatable, otherwise the switch cannot
-//!   undo them. Retriable steps never abort and are exempt as failure
-//!   points but must still be compensatable if they can *precede* the
-//!   failure point.
+//! * F4 — guaranteed completion of the **last** path: after its first
+//!   pivot every step is retriable — the paper's "if nothing else
+//!   works, T3 can be retried until it commits".
+//! * F5 — no reachable failure strands a committed non-compensatable
+//!   step: for every abort [`FlexSpec::failures`] reaches from path 0,
+//!   every step its [`FlexSpec::switch`] undoes is compensatable. A
+//!   failure of a step F4 already reports is not reported again.
 //!
 //! F5 is the pragmatic closure of the paper's "a pivot subtransaction
-//! must always be associated with a way out"; the Figure 3 example
-//! passes all five rules, and the mutation tests below show each rule
-//! rejecting a minimally broken variant.
+//! must always be associated with a way out", judged by the same switch
+//! rule the native executor and the translator run; the Figure 3
+//! example passes all five rules, and the mutation tests below show
+//! each rule rejecting a minimally broken variant.
 
 use crate::flexible::FlexSpec;
 use crate::saga::SagaSpec;
@@ -54,8 +50,8 @@ pub enum WellFormedError {
     NonCompensatableBetweenPivots { path: usize, step: String },
     /// F4: the least-preferred path cannot guarantee completion.
     LastPathNotGuaranteed { step: String },
-    /// F5: switching away from a path would strand a committed,
-    /// non-compensatable step.
+    /// F5: a reachable abort while `path` ran would have to undo the
+    /// committed, non-compensatable `step`.
     NoWayOut { path: usize, step: String },
 }
 
@@ -170,54 +166,34 @@ pub fn check_flex(spec: &FlexSpec) -> Vec<WellFormedError> {
     // commits, the transaction is committed to committing — there is
     // no later alternative and nothing after a pivot can be rolled
     // back — so every step after the first pivot must be retriable.
-    // With no pivot at all, the whole path may still be backed out, so
-    // steps need only be retriable or compensatable.
-    if let Some(last) = spec.paths.last() {
-        let first_pivot = last.iter().position(|n| spec.class_of(n).is_pivot());
-        let start = first_pivot.map(|p| p + 1).unwrap_or(0);
-        for name in &last[start..] {
-            let class = spec.class_of(name);
-            let guaranteed = if first_pivot.is_some() {
-                class.is_retriable()
-            } else {
-                class.is_retriable() || class.is_compensatable()
-            };
-            if !guaranteed {
-                errors.push(WellFormedError::LastPathNotGuaranteed { step: name.clone() });
-            }
-        }
-    }
+    let last = spec.paths.last().map_or(&[][..], Vec::as_slice);
+    let first_pivot = last.iter().position(|n| spec.class_of(n).is_pivot());
+    let not_guaranteed: Vec<&String> = first_pivot
+        .map_or(&[][..], |p| &last[p + 1..])
+        .iter()
+        .filter(|n| !spec.class_of(n).is_retriable())
+        .collect();
+    errors.extend(
+        not_guaranteed
+            .iter()
+            .map(|n| WellFormedError::LastPathNotGuaranteed { step: (*n).clone() }),
+    );
 
-    // F5: when path k is abandoned for path k+1, execution backs out
-    // of k's suffix beyond the common prefix. The step that *caused*
-    // the switch aborted (never committed), and retriable steps never
-    // abort, so the possible failure points are exactly the suffix's
-    // non-retriable steps. For every such failure point, everything
-    // committed before it within the suffix must be compensatable —
+    // F5: every step a reachable failure undoes can be backed out —
     // the paper's "a pivot subtransaction must always be associated
     // with a way out".
-    for k in 0..spec.paths.len().saturating_sub(1) {
-        let cur = &spec.paths[k];
-        let next = &spec.paths[k + 1];
-        let prefix = FlexSpec::common_prefix_len(cur, next);
-        let suffix = &cur[prefix..];
-        for (i, failure_point) in suffix.iter().enumerate() {
-            if spec.class_of(failure_point).is_retriable() {
-                continue; // never aborts
-            }
-            for name in &suffix[..i] {
-                let class = spec.class_of(name);
-                // Retriable-only steps committed before the failure
-                // point also need undoing; only compensatable ones can
-                // be backed out.
-                if !class.is_compensatable() {
-                    let err = WellFormedError::NoWayOut {
-                        path: k,
-                        step: name.clone(),
-                    };
-                    if !errors.contains(&err) {
-                        errors.push(err);
-                    }
+    for failure in spec.failures() {
+        if not_guaranteed.contains(&&failure.step) {
+            continue;
+        }
+        for name in failure.switch.undo.iter().rev() {
+            if !spec.class_of(name).is_compensatable() {
+                let err = WellFormedError::NoWayOut {
+                    path: failure.path,
+                    step: name.clone(),
+                };
+                if !errors.contains(&err) {
+                    errors.push(err);
                 }
             }
         }

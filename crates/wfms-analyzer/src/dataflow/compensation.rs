@@ -15,9 +15,10 @@
 //! * **Saga** — recovery runs all the way back to the start, so every
 //!   step in an earlier stage (and every concurrent sibling in the
 //!   same stage) must be compensatable.
-//! * **Flexible transaction** — a failure on path *k* falls back to
-//!   path *k+1*, compensating only the committed steps past their
-//!   common prefix; on the last path it aborts to the start. Only
+//! * **Flexible transaction** — every failure [`FlexSpec::failures`]
+//!   reaches from path 0, with the window its [`FlexSpec::switch`]
+//!   undoes: the committed steps the fallback path does not keep, or
+//!   all of them when no later path avoids the failing step. Only
 //!   steps inside that window need compensations.
 //!
 //! Each violation reports a concrete witness: the executed prefix,
@@ -119,47 +120,35 @@ pub fn saga_findings(spec: &SagaSpec) -> Vec<Diagnostic> {
     out
 }
 
-/// Compensation-soundness findings for a flexible transaction.
+/// Compensation-soundness findings for a flexible transaction: one per
+/// failure [`FlexSpec::failures`] reaches whose switch undoes a step
+/// without a compensation.
 pub fn flex_findings(spec: &FlexSpec) -> Vec<Diagnostic> {
+    if !spec.structural_errors().is_empty() {
+        return Vec::new(); // unknown step names: WA051 structure error
+    }
+    let step = |name: &String| spec.step(name).expect("structure checked");
+    let last = spec.paths.len().saturating_sub(1);
     let mut out = Vec::new();
-    for (pi, path) in spec.paths.iter().enumerate() {
-        let steps: Vec<&StepSpec> = path.iter().filter_map(|n| spec.step(n)).collect();
-        if steps.len() != path.len() {
-            continue; // unknown step names: WA051 structure error
-        }
-        let next = spec.paths.get(pi + 1);
-        for (i, failing) in steps.iter().enumerate() {
-            if !may_fail(failing) {
-                continue;
-            }
-            // Recovery horizon: back to the common prefix with the
-            // fallback path, or to the start on the last path.
-            let (horizon_idx, horizon_desc) = match next {
-                Some(next_path) => {
-                    let shared = FlexSpec::common_prefix_len(path, next_path).min(i);
-                    (
-                        shared,
-                        format!(
-                            "falling back to path #{} ({})",
-                            pi + 2,
-                            next_path.join(" -> ")
-                        ),
-                    )
-                }
-                None => (0, "aborting the last path back to the start".to_owned()),
-            };
-            let window = &steps[horizon_idx..i];
-            if window.is_empty() {
-                continue;
-            }
-            out.extend(uncompensatable(
-                &format!("{} (path #{})", spec.name, pi + 1),
-                &steps[..i],
-                failing,
-                window,
-                &horizon_desc,
-            ));
-        }
+    for failure in spec.failures() {
+        let horizon = match failure.switch.to {
+            Some(to) => format!(
+                "falling back to path #{} ({})",
+                to + 1,
+                spec.paths[to].join(" -> ")
+            ),
+            None if failure.path == last => "aborting the last path back to the start".to_owned(),
+            None => "aborting back to the start (no later path avoids it)".to_owned(),
+        };
+        let window: Vec<&StepSpec> = failure.switch.undo.iter().rev().map(step).collect();
+        let prefix: Vec<&StepSpec> = failure.committed.iter().map(step).collect();
+        out.extend(uncompensatable(
+            &format!("{} (path #{})", spec.name, failure.path + 1),
+            &prefix,
+            step(&failure.step),
+            &window,
+            &horizon,
+        ));
     }
     out
 }
