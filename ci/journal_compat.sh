@@ -5,10 +5,14 @@
 #    the engine before the binary format), `fmtm journal dump` the
 #    result, and diff it against the original lines: the conversion
 #    loses and reorders nothing.
-# 2. Start `fmtm serve` on a data directory holding a JSON journal: it
+# 2. `fmtm journal dump` the committed binary journal of the replay
+#    mix (`crates/wfms-engine/tests/fixtures/replay_mix.journal`) and
+#    diff it byte for byte against the dump an earlier binary wrote of
+#    it: the decoder reads every frame as it always did.
+# 3. Start `fmtm serve` on a data directory holding a JSON journal: it
 #    must refuse to start and name the upgrade command — never read
 #    the old format in place, never truncate it as a "torn tail".
-# 3. Run the benchmark's smoke mode and its tests: `crates/wfbench`
+# 4. Run the benchmark's smoke mode and its tests: `crates/wfbench`
 #    is not changed by format work, so this proves it still builds
 #    and verifies against the engine's unchanged API.
 #
@@ -44,7 +48,17 @@ if [ "$(head -c 4 "$WORK/old.journal")" != "WFJL" ]; then
 fi
 echo "compat: $(wc -l <"$FIXTURE") events survive upgrade + dump unchanged"
 
-echo "== phase 2: serve refuses a JSON journal =="
+echo "== phase 2: the binary golden dumps as it did =="
+MIX=crates/wfms-engine/tests/fixtures/replay_mix
+"$FMTM" journal dump "$MIX.journal" >"$ART/replay-mix-dump.jsonl"
+if ! cmp -s "$MIX.dump.jsonl" "$ART/replay-mix-dump.jsonl"; then
+  echo "compat: dump of $MIX.journal differs from its golden" >&2
+  diff "$MIX.dump.jsonl" "$ART/replay-mix-dump.jsonl" | head -c 4000 >&2 || true
+  exit 1
+fi
+echo "compat: $(wc -l <"$MIX.dump.jsonl") events dump byte for byte as the golden"
+
+echo "== phase 3: serve refuses a JSON journal =="
 mkdir "$WORK/data"
 cp "$FIXTURE" "$WORK/data/shard-0.journal"
 if "$FMTM" serve examples/specs/figure3.flex --port 0 --data "$WORK/data" \
@@ -63,7 +77,7 @@ if ! cmp -s "$FIXTURE" "$WORK/data/shard-0.journal"; then
 fi
 echo "compat: refused, naming the upgrade command; file untouched"
 
-echo "== phase 3: the benchmark builds and verifies =="
+echo "== phase 4: the benchmark builds and verifies =="
 cargo run --release -q -p wfbench -- run --quick | tee "$ART/wfbench-quick.txt"
 cargo test -q -p wfbench
 

@@ -1124,7 +1124,7 @@ fn serve(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let recovered = pool.recovered_instances();
+    let opened: Vec<String> = pool.opened().iter().map(ToString::to_string).collect();
 
     let server_cfg = wfms_server::ServerConfig {
         addr,
@@ -1150,8 +1150,8 @@ fn serve(args: &[String]) -> ExitCode {
         batch,
         data_dir,
     );
-    if recovered > 0 {
-        println!("recovered and resumed {recovered} in-flight instance(s)");
+    for line in &opened {
+        println!("{line}");
     }
     if ntenants > 0 {
         println!("tenancy enabled: {ntenants} tenant(s), API-key auth on the data plane");

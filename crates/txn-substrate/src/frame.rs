@@ -22,14 +22,23 @@
 //! of one batch, and any prefix of a log file that ends on a frame
 //! boundary is itself a log file.
 //!
+//! **Sharing on decode.** What repeats across a file — activity paths,
+//! member names, whole containers — is built once per pass: the pass
+//! keeps one table keyed by encoded bytes ([`Reader::shared_str`],
+//! [`Reader::shared_params`]), and every later occurrence of the same
+//! bytes is a reference-count bump, with no UTF-8 check (those bytes
+//! were checked when first seen). The table's keys are slices of the
+//! file and it lives for one pass, so it is bounded by the file.
+//!
 //! **Torn tails.** A crash mid-append leaves a prefix of a frame (or of
 //! the file header) at the end of the file. A frame that is short or
 //! fails a check is the torn tail iff no intact frame starts anywhere
 //! after it; otherwise it is mid-file corruption and decoding fails
 //! with the frame's byte offset.
 
+use crate::program::{no_params, Params};
 use crate::value::Value;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -51,7 +60,7 @@ pub trait Record: Sized {
     /// Appends this record's payload to `out`.
     fn encode(&self, out: &mut Vec<u8>);
     /// Reads one record from a frame's payload.
-    fn decode(r: &mut Reader<'_>) -> Field<Self>;
+    fn decode(r: &mut Reader<'_, '_>) -> Field<Self>;
     /// True for a record that makes every record before it redundant:
     /// compaction drops everything before the last one.
     fn is_checkpoint(&self) -> bool;
@@ -302,7 +311,7 @@ pub fn visit_file<R: Record>(
     if header[MAGIC_LEN] != R::HEADER[MAGIC_LEN] {
         return Err(DecodeError::UnsupportedVersion(header[MAGIC_LEN]));
     }
-    let mut shared = HashSet::new();
+    let mut shared = Shared::default();
     let mut found = Decoded {
         valid_len: FILE_HEADER_LEN,
         ..Decoded::default()
@@ -358,17 +367,25 @@ pub fn decode_file<R: Record>(bytes: &[u8]) -> Result<Decoded<Vec<R>>, DecodeErr
 /// payload is not a record.
 pub type Field<T> = Result<T, &'static str>;
 
-/// Cursor over one frame's payload.
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    /// One `Arc<str>` per distinct [`Reader::shared_str`] in the file.
-    shared: &'a mut HashSet<Arc<str>>,
+/// What one pass over a file has built of its repeated values, by
+/// their encoded bytes (see the module documentation).
+#[derive(Default)]
+struct Shared<'f> {
+    strs: HashMap<&'f [u8], Arc<str>>,
+    params: HashMap<&'f [u8], Params>,
 }
 
-impl<'a> Reader<'a> {
+/// Cursor over one frame's payload, a slice of a file (`'f`) read with
+/// the pass's table of shared values.
+pub struct Reader<'f, 't> {
+    buf: &'f [u8],
+    shared: &'t mut Shared<'f>,
+}
+
+impl<'f, 't> Reader<'f, 't> {
     /// A cursor at the start of `payload`; `shared` outlives the
     /// payloads of one file.
-    pub fn new(payload: &'a [u8], shared: &'a mut HashSet<Arc<str>>) -> Self {
+    fn new(payload: &'f [u8], shared: &'t mut Shared<'f>) -> Self {
         Self {
             buf: payload,
             shared,
@@ -435,7 +452,7 @@ impl<'a> Reader<'a> {
     }
 
     /// A length-prefixed byte string.
-    pub fn bytes(&mut self) -> Field<&'a [u8]> {
+    pub fn bytes(&mut self) -> Field<&'f [u8]> {
         let n = self.count()?;
         let (head, rest) = self.buf.split_at(n);
         self.buf = rest;
@@ -443,7 +460,7 @@ impl<'a> Reader<'a> {
     }
 
     /// A length-prefixed UTF-8 string, borrowed from the payload.
-    pub fn str(&mut self) -> Field<&'a str> {
+    pub fn str(&mut self) -> Field<&'f str> {
         std::str::from_utf8(self.bytes()?).map_err(|_| "string is not UTF-8")
     }
 
@@ -453,14 +470,46 @@ impl<'a> Reader<'a> {
     }
 
     /// A string that repeats across the file: every occurrence of the
-    /// same text shares one allocation.
+    /// same bytes shares one allocation, and only the first is checked
+    /// for UTF-8.
     pub fn shared_str(&mut self) -> Field<Arc<str>> {
-        let s = self.str()?;
-        if let Some(shared) = self.shared.get(s) {
+        let bytes = self.bytes()?;
+        if let Some(shared) = self.shared.strs.get(bytes) {
             return Ok(Arc::clone(shared));
         }
-        let shared: Arc<str> = Arc::from(s);
-        self.shared.insert(Arc::clone(&shared));
+        let shared: Arc<str> = std::str::from_utf8(bytes)
+            .map_err(|_| "string is not UTF-8")?
+            .into();
+        self.shared.strs.insert(bytes, Arc::clone(&shared));
+        Ok(shared)
+    }
+
+    /// Named values — a varint count, then each name (a
+    /// [`Reader::shared_str`]) and its [`Value`] — that repeat across
+    /// the file: every occurrence of the same encoded map shares one
+    /// [`Params`], built the first time, and an empty map is
+    /// [`no_params`].
+    pub fn shared_params(&mut self) -> Field<Params> {
+        let start = self.buf;
+        let n = self.count()?;
+        if n == 0 {
+            return Ok(no_params());
+        }
+        for _ in 0..n {
+            self.bytes()?;
+            self.skip_value()?;
+        }
+        let encoded = &start[..start.len() - self.buf.len()];
+        if let Some(shared) = self.shared.params.get(encoded) {
+            return Ok(Arc::clone(shared));
+        }
+        let mut r = Reader::new(encoded, self.shared);
+        r.count()?;
+        let map: BTreeMap<_, _> = (0..n)
+            .map(|_| Ok((r.shared_str()?, r.value()?)))
+            .collect::<Field<_>>()?;
+        let shared = Arc::new(map);
+        self.shared.params.insert(encoded, Arc::clone(&shared));
         Ok(shared)
     }
 
@@ -478,6 +527,16 @@ impl<'a> Reader<'a> {
             3 => Value::Bytes(self.bytes()?.to_vec()),
             _ => return Err("unknown value tag"),
         })
+    }
+
+    /// Steps over a tagged [`Value`], checking only its extent.
+    fn skip_value(&mut self) -> Field<()> {
+        match self.byte()? {
+            0 => self.u64().map(drop),
+            1 | 3 => self.bytes().map(drop),
+            2 => self.byte().map(drop),
+            _ => Err("unknown value tag"),
+        }
     }
 }
 
@@ -498,7 +557,7 @@ mod tests {
         fn encode(&self, out: &mut Vec<u8>) {
             put_u64(out, self.0);
         }
-        fn decode(r: &mut Reader<'_>) -> Field<Self> {
+        fn decode(r: &mut Reader<'_, '_>) -> Field<Self> {
             r.u64().map(Num)
         }
         fn is_checkpoint(&self) -> bool {
@@ -539,21 +598,27 @@ mod tests {
 
     #[test]
     fn varints_and_zigzag_round_trip_at_the_edges() {
-        let mut shared = HashSet::new();
+        /// What `get` reads from `bytes`, and whether that was all.
+        fn read<T>(
+            bytes: &[u8],
+            get: impl Fn(&mut Reader<'_, '_>) -> Field<T>,
+        ) -> Field<(T, bool)> {
+            let mut shared = Shared::default();
+            let mut r = Reader::new(bytes, &mut shared);
+            get(&mut r).map(|v| (v, r.is_empty()))
+        }
         for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
             let mut out = Vec::new();
             put_u64(&mut out, v);
-            let mut r = Reader::new(&out, &mut shared);
-            assert_eq!(r.u64(), Ok(v));
-            assert!(r.is_empty());
+            assert_eq!(read(&out, |r| r.u64()), Ok((v, true)));
         }
         for v in [0i64, -1, 1, i64::MIN, i64::MAX] {
             let mut out = Vec::new();
             put_i64(&mut out, v);
-            assert_eq!(Reader::new(&out, &mut shared).i64(), Ok(v));
+            assert_eq!(read(&out, |r| r.i64()), Ok((v, true)));
         }
         // Eleven continuation bytes, and a tenth byte with high bits.
-        assert!(Reader::new(&[0xFF; 11], &mut shared).u64().is_err());
+        assert!(read(&[0xFF; 11], |r| r.u64()).is_err());
     }
 
     #[test]

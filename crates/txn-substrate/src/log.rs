@@ -475,7 +475,7 @@ mod tests {
         fn encode(&self, out: &mut Vec<u8>) {
             put_u64(out, self.0);
         }
-        fn decode(r: &mut Reader<'_>) -> Field<Self> {
+        fn decode(r: &mut Reader<'_, '_>) -> Field<Self> {
             r.u64().map(Num)
         }
         fn is_checkpoint(&self) -> bool {

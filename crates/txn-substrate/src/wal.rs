@@ -134,7 +134,7 @@ impl Record for LogRecord {
         }
     }
 
-    fn decode(r: &mut Reader<'_>) -> Field<Self> {
+    fn decode(r: &mut Reader<'_, '_>) -> Field<Self> {
         Ok(match r.byte()? {
             1 => LogRecord::Begin {
                 txn: TxnId(r.u64()?),

@@ -13,7 +13,9 @@
 //!
 //! Fields are written in declaration order with no names; sequences
 //! and containers as a varint count plus the items. Decoding shares one
-//! `Arc<str>` per distinct activity path across the whole file.
+//! allocation per distinct encoded path and per distinct encoded
+//! container across the whole file (`Reader::shared_str`,
+//! `Reader::shared_params`).
 
 use crate::event::{Event, InstanceId, InstanceSnapshot, PathStr, WorkItemId};
 use crate::state::{ActState, ActivityRt, InstanceStatus, ScopeState};
@@ -44,7 +46,7 @@ impl Record for Event {
         put_event(out, self);
     }
 
-    fn decode(r: &mut Reader<'_>) -> Field<Self> {
+    fn decode(r: &mut Reader<'_, '_>) -> Field<Self> {
         event(r)
     }
 
@@ -335,27 +337,24 @@ fn put_event(out: &mut Vec<u8>, event: &Event) {
 // ---- decoding --------------------------------------------------------
 
 /// An activity path: one `Arc<str>` per distinct path across the file.
-fn path(r: &mut Reader<'_>) -> Field<PathStr> {
+fn path(r: &mut Reader<'_, '_>) -> Field<PathStr> {
     r.shared_str().map(PathStr::from)
 }
 
-fn opt_string(r: &mut Reader<'_>) -> Field<Option<String>> {
+fn opt_string(r: &mut Reader<'_, '_>) -> Field<Option<String>> {
     r.opt(Reader::string)
 }
 
-fn strings(r: &mut Reader<'_>) -> Field<Vec<String>> {
+fn strings(r: &mut Reader<'_, '_>) -> Field<Vec<String>> {
     (0..r.count()?).map(|_| r.string()).collect()
 }
 
-fn container(r: &mut Reader<'_>) -> Field<Container> {
-    let n = r.count()?;
-    if n == 0 {
-        return Ok(Container::empty());
-    }
-    (0..n).map(|_| Ok((r.shared_str()?, r.value()?))).collect()
+/// A container: one per distinct encoded map across the file.
+fn container(r: &mut Reader<'_, '_>) -> Field<Container> {
+    r.shared_params().map(Container::from_params)
 }
 
-fn scope(r: &mut Reader<'_>, depth: u32) -> Field<ScopeState> {
+fn scope(r: &mut Reader<'_, '_>, depth: u32) -> Field<ScopeState> {
     if depth > MAX_SCOPE_DEPTH {
         return Err("scope nesting too deep");
     }
@@ -401,7 +400,7 @@ fn scope(r: &mut Reader<'_>, depth: u32) -> Field<ScopeState> {
     })
 }
 
-fn snapshot(r: &mut Reader<'_>) -> Field<InstanceSnapshot> {
+fn snapshot(r: &mut Reader<'_, '_>) -> Field<InstanceSnapshot> {
     Ok(InstanceSnapshot {
         id: InstanceId(r.u64()?),
         process: r.string()?,
@@ -417,7 +416,7 @@ fn snapshot(r: &mut Reader<'_>) -> Field<InstanceSnapshot> {
     })
 }
 
-fn work_item(r: &mut Reader<'_>) -> Field<WorkItem> {
+fn work_item(r: &mut Reader<'_, '_>) -> Field<WorkItem> {
     Ok(WorkItem {
         id: WorkItemId(r.u64()?),
         instance: InstanceId(r.u64()?),
@@ -434,7 +433,7 @@ fn work_item(r: &mut Reader<'_>) -> Field<WorkItem> {
     })
 }
 
-fn event(r: &mut Reader<'_>) -> Field<Event> {
+fn event(r: &mut Reader<'_, '_>) -> Field<Event> {
     Ok(match r.byte()? {
         1 => Event::InstanceStarted {
             instance: InstanceId(r.u64()?),
@@ -544,7 +543,8 @@ fn event(r: &mut Reader<'_>) -> Field<Event> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use txn_substrate::frame::{decode_file, file_bytes};
+    use std::sync::Arc;
+    use txn_substrate::frame::{decode_file, file_bytes, DecodeError};
     use txn_substrate::{properties, Value};
 
     #[test]
@@ -562,6 +562,103 @@ mod tests {
             panic!("two ready events");
         };
         assert!(std::ptr::eq(a.as_str(), b.as_str()));
+    }
+
+    /// Equal encoded containers decode to one map — an instance's input
+    /// and an activity's output alike — and an empty one to the shared
+    /// empty map. The sharing is invisible: a write copies.
+    #[test]
+    fn decoded_containers_share_one_allocation() {
+        let rc = |rc| -> Container { [("RC", Value::Int(rc))].into_iter().collect() };
+        let finished = |n, output| Event::ActivityFinished {
+            instance: InstanceId(n),
+            path: "Forward/S1".into(),
+            attempt: 0,
+            output,
+            at: n,
+        };
+        let events = [
+            finished(1, rc(0)),
+            Event::InstanceStarted {
+                instance: InstanceId(2),
+                process: "saga8".into(),
+                tenant: None,
+                input: rc(0),
+                at: 2,
+            },
+            finished(3, rc(1)),
+            finished(4, Container::empty()),
+        ];
+        let decoded = decode_file::<Event>(&file_bytes(&events)).unwrap();
+        assert_eq!(decoded.records, events);
+        let maps: Vec<&Container> = decoded
+            .records
+            .iter()
+            .map(|e| match e {
+                Event::ActivityFinished { output, .. } => output,
+                Event::InstanceStarted { input, .. } => input,
+                _ => unreachable!("only these were encoded"),
+            })
+            .collect();
+        let same = |a: &Container, b: &Container| Arc::ptr_eq(a.params(), b.params());
+        assert!(same(maps[0], maps[1]), "equal bytes, one map");
+        assert!(!same(maps[0], maps[2]), "other bytes, a map of their own");
+        assert!(same(maps[3], &Container::empty()));
+        let mut written = maps[0].clone();
+        written.set("RC", Value::Int(7));
+        assert_eq!(maps[1].get("RC"), Some(&Value::Int(0)), "copy on write");
+    }
+
+    /// A payload written as it is, for frames an encoder never writes.
+    struct Raw(Vec<u8>);
+
+    impl Record for Raw {
+        const HEADER: [u8; FILE_HEADER_LEN] = Event::HEADER;
+        const NAME: &'static str = "raw journal";
+        fn not_this_log(path: &Path) -> String {
+            path.display().to_string()
+        }
+        fn encode(&self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&self.0);
+        }
+        fn decode(_: &mut Reader<'_, '_>) -> Field<Self> {
+            Err("written, never read")
+        }
+        fn is_checkpoint(&self) -> bool {
+            false
+        }
+    }
+
+    /// UTF-8 is checked the first time a string's bytes are seen: after
+    /// an intact frame shared a path and a member name, a frame in which
+    /// either is not UTF-8 is refused, at its offset.
+    #[test]
+    fn a_string_that_is_not_utf8_is_refused_when_first_seen() {
+        let event = Event::ActivityFinished {
+            instance: InstanceId(1),
+            path: "Forward/S1".into(),
+            attempt: 0,
+            output: [("Name", Value::Int(0))].into_iter().collect(),
+            at: 1,
+        };
+        let mut intact = Vec::new();
+        event.encode(&mut intact);
+        for text in ["Forward", "Name"] {
+            let mut damaged = intact.clone();
+            let at = damaged
+                .windows(text.len())
+                .position(|w| w == text.as_bytes())
+                .unwrap();
+            damaged[at] = 0xFF;
+            let bytes = file_bytes(&[Raw(intact.clone()), Raw(damaged)]);
+            let second = file_bytes(&[Raw(intact.clone())]).len();
+            let err = decode_file::<Event>(&bytes).unwrap_err();
+            assert!(
+                matches!(&err, DecodeError::Corrupt { offset, detail }
+                    if *offset == second && detail.contains("not UTF-8")),
+                "{text}: {err:?}"
+            );
+        }
     }
 
     // ---- property tests ----------------------------------------------

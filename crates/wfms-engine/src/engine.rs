@@ -3,8 +3,11 @@
 //! and the state all of that is.
 //!
 //! What the journal describes (template defaults, instances, work
-//! items, the two id allocators) is one value, `EngineState`, behind
-//! one lock, and it changes one way: an [`Event`] takes effect.
+//! items, the work-item id allocator) is one value, `EngineState`,
+//! behind one lock, and it changes one way: an [`Event`] takes effect.
+//! Instance ids are dense — 1, 2, 3, … and none is forgotten — so an
+//! instance is found by its id, as its place in the table, and the next
+//! id is the table's length + 1.
 //! `EngineState::apply` is that effect, written once. Replay folds it
 //! over the journal; a running engine `emit`s — the same effect, then
 //! the event appended — so "replay rebuilds what live navigation
@@ -32,10 +35,12 @@ use crate::registry::{TemplateRegistry, TemplateVersion};
 use crate::state::{ActState, Instance, InstanceStatus};
 use crate::worklist::{WorkItem, WorkItemState, WorklistError, WorklistStore};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
-use txn_substrate::{DurabilityPolicy, MirrorError, MultiDatabase, ProgramRegistry, VirtualClock};
+use txn_substrate::{
+    DurabilityPolicy, MirrorError, MultiDatabase, ProgramRegistry, TailReport, VirtualClock,
+};
 use wfms_model::{validate, Container, ProcessDefinition, ValidationError};
 use wfms_observe::Observer;
 
@@ -214,14 +219,21 @@ impl From<Refused> for EngineError {
 /// by the same function.
 pub(crate) struct EngineState {
     pub(crate) registry: TemplateRegistry,
-    pub(crate) instances: BTreeMap<InstanceId, Instance>,
+    /// Every instance ever started, in id order: instance `id` at
+    /// `id - 1` ([`index_of`]).
+    pub(crate) instances: Vec<Instance>,
     /// `instances` by status, `(running, finished, cancelled)`: moved by
     /// the effects that start, finish and cancel one.
     pub(crate) counts: (u64, u64, u64),
     pub(crate) worklists: WorklistStore,
-    pub(crate) next_instance: u64,
     pub(crate) next_item: u64,
     pub(crate) org: OrgModel,
+}
+
+/// Where instance `id` sits in `EngineState::instances` — past the end
+/// for an id no instance has, 0 included.
+pub(crate) fn index_of(id: InstanceId) -> usize {
+    usize::try_from(id.0).map_or(usize::MAX, |id| id.wrapping_sub(1))
 }
 
 impl EngineState {
@@ -241,13 +253,62 @@ impl EngineState {
         }
         Ok(Self {
             registry,
-            instances: BTreeMap::new(),
+            instances: Vec::new(),
             counts: (0, 0, 0),
             worklists: WorklistStore::new(),
-            next_instance: 1,
             next_item: 1,
             org: OrgModel::new(),
         })
+    }
+
+    /// The id the next started instance gets.
+    pub(crate) fn next_instance(&self) -> InstanceId {
+        InstanceId(self.instances.len() as u64 + 1)
+    }
+
+    /// Puts `inst` in its place: after the last instance if it is the
+    /// next id, over the instance of its id if that was started. An id
+    /// further out is one the engine cannot have allocated — refused,
+    /// not allocated for.
+    fn place(&mut self, inst: Instance) -> Result<(), RecoveryError> {
+        let at = index_of(inst.id);
+        if at > self.instances.len() {
+            return Err(RecoveryError::UnexpectedInstanceId {
+                id: inst.id,
+                next: self.next_instance(),
+            });
+        }
+        *count_of(&mut self.counts, inst.status) += 1;
+        if at == self.instances.len() {
+            self.instances.push(inst);
+        } else {
+            let old = std::mem::replace(&mut self.instances[at], inst);
+            *count_of(&mut self.counts, old.status) -= 1;
+        }
+        Ok(())
+    }
+
+    /// The effect of `InstanceStarted` (`ev`) with its template
+    /// resolved: `apply` resolves it by name,
+    /// [`Engine::start_for_tenant`] once for the event it emits.
+    pub(crate) fn instance_started(
+        &mut self,
+        tpl: Arc<CompiledProcess>,
+        ev: &Event,
+    ) -> Result<(), Refused> {
+        let Event::InstanceStarted {
+            instance,
+            tenant,
+            input,
+            ..
+        } = ev
+        else {
+            unreachable!("only `InstanceStarted` starts an instance")
+        };
+        let mut inst = Instance::new(*instance, tpl);
+        inst.tenant = tenant.clone();
+        inst.seed_input(input);
+        Ok(self.place(inst)?)
     }
 
     /// The effect of `ev` on the engine's state — the one transition
@@ -257,25 +318,12 @@ impl EngineState {
     /// one that addresses nothing live has no effect.
     pub(crate) fn apply(&mut self, ev: &Event) -> Result<(), Refused> {
         match ev {
-            Event::InstanceStarted {
-                instance,
-                process,
-                tenant,
-                input,
-                ..
-            } => {
+            Event::InstanceStarted { process, .. } => {
                 let tpl = self
                     .registry
                     .default_tpl(process)
                     .ok_or_else(|| RecoveryError::MissingTemplate(process.to_string()))?;
-                let mut inst = Instance::new(*instance, tpl);
-                inst.tenant = tenant.clone();
-                inst.seed_input(input);
-                self.next_instance = self.next_instance.max(instance.0 + 1);
-                *count_of(&mut self.counts, inst.status) += 1;
-                if let Some(old) = self.instances.insert(*instance, inst) {
-                    *count_of(&mut self.counts, old.status) -= 1;
-                }
+                self.instance_started(tpl, ev)?;
             }
             Event::WorkItemClaimed { item, person, .. } => {
                 self.worklists
@@ -294,7 +342,7 @@ impl EngineState {
                 // The state transfer only; the fix-up events of the
                 // engine that migrated follow in the journal (or, after
                 // a crash right here, `resume` re-derives them).
-                if let Some(inst) = self.instances.get_mut(instance) {
+                if let Some(inst) = self.instances.get_mut(index_of(*instance)) {
                     let target = self
                         .registry
                         .by_version(to)
@@ -327,18 +375,28 @@ impl EngineState {
                     inst.status = snap.status;
                     inst.tenant = snap.tenant.clone();
                     inst.restore_root(&snap.root);
-                    *count_of(&mut self.counts, snap.status) += 1;
-                    self.instances.insert(snap.id, inst);
+                    self.place(inst)?;
+                }
+                // The allocator is written for readers of the journal;
+                // the engine's is the table, and the two must agree.
+                if *next_instance != self.next_instance().0 {
+                    return Err(RecoveryError::UnexpectedInstanceId {
+                        id: InstanceId(*next_instance),
+                        next: self.next_instance(),
+                    }
+                    .into());
                 }
                 self.worklists = WorklistStore::new();
                 for item in items {
                     self.worklists.offer(item.clone());
                 }
-                self.next_instance = *next_instance;
                 self.next_item = *next_item;
             }
             _ => {
-                if let Some(inst) = ev.instance().and_then(|id| self.instances.get_mut(&id)) {
+                let inst = ev
+                    .instance()
+                    .and_then(|id| self.instances.get_mut(index_of(id)));
+                if let Some(inst) = inst {
                     if let Some(slot) = slot_of(inst, ev) {
                         let (worklists, next_item) = (&mut self.worklists, &mut self.next_item);
                         effect(inst, slot, &mut self.counts, worklists, next_item, ev);
@@ -520,6 +578,8 @@ pub struct Engine {
     /// shared by every instance of the template. Not state the journal
     /// describes; taken, briefly, under the state lock.
     pub(crate) probes: Mutex<HashMap<u64, ActProbes>>,
+    /// What opening found in the journal file.
+    reopened: TailReport,
 }
 
 impl Engine {
@@ -545,15 +605,14 @@ impl Engine {
         // A journal file is replayed by the pass that opens it: each
         // event is decoded, applied and dropped.
         let mut replay = Replay::over(templates)?;
-        let journal = match &config.journal_path {
-            Some(p) => {
-                Journal::replaying(p, config.durability, |ev| replay.feed(&ev))
-                    .map_err(RecoveryError::Io)?
-                    .0
-            }
-            None => Journal::new(),
+        let (journal, reopened) = match &config.journal_path {
+            Some(p) => Journal::replaying(p, config.durability, |ev| replay.feed(&ev))
+                .map_err(RecoveryError::Io)?,
+            None => (Journal::new(), TailReport::default()),
         };
-        Self::open_on(journal, replay, multidb, programs, config)
+        let mut engine = Self::open_on(journal, replay, multidb, programs, config)?;
+        engine.reopened = reopened;
+        Ok(engine)
     }
 
     /// The engine over `journal` (`config.journal_path` is not
@@ -602,14 +661,22 @@ impl Engine {
             clock,
             obs: EngineObs::new(observer),
             probes: Mutex::new(HashMap::new()),
+            reopened: TailReport::default(),
         };
         if engine.obs.enabled() {
-            for inst in engine.state.lock().instances.values_mut() {
+            for inst in engine.state.lock().instances.iter_mut() {
                 inst.probes = Some(engine.probes_for(&inst.tpl));
             }
         }
         recovery::resume(&engine);
         Ok(engine)
+    }
+
+    /// What [`Engine::open`] found in the journal file: the events it
+    /// replayed and the torn tail it truncated, if any. Nothing, for an
+    /// engine without a journal file.
+    pub fn reopened(&self) -> &TailReport {
+        &self.reopened
     }
 
     /// [`Engine::open`] with default configuration and no templates.
@@ -666,7 +733,7 @@ impl Engine {
     pub(crate) fn nav<'a>(
         &'a self,
         st: &'a mut EngineState,
-    ) -> (&'a mut BTreeMap<InstanceId, Instance>, NavServices<'a>) {
+    ) -> (&'a mut [Instance], NavServices<'a>) {
         let svc = NavServices {
             journal: &self.journal,
             clock: &self.clock,
@@ -691,7 +758,7 @@ impl Engine {
     fn read<T>(&self, id: InstanceId, f: impl FnOnce(&Instance) -> T) -> Result<T, EngineError> {
         let st = self.state.lock();
         st.instances
-            .get(&id)
+            .get(index_of(id))
             .map(f)
             .ok_or(EngineError::UnknownInstance(id))
     }
@@ -709,7 +776,7 @@ impl Engine {
         let mut st = self.state.lock();
         let (instances, mut svc) = self.nav(&mut st);
         let inst = instances
-            .get_mut(&id)
+            .get_mut(index_of(id))
             .ok_or(EngineError::UnknownInstance(id))?;
         let done = f(inst, &mut svc)?;
         self.check_journal()?;
@@ -804,7 +871,7 @@ impl Engine {
         // caller's members over the template's prototype.
         let mut seeded = tpl.layout.scope(0).input_proto.clone();
         seeded.merge(&input);
-        let id = InstanceId(st.next_instance);
+        let id = st.next_instance();
         let ev = Event::InstanceStarted {
             instance: id,
             process: Arc::clone(&tpl.layout.process).into(),
@@ -812,9 +879,9 @@ impl Engine {
             input: seeded,
             at: self.clock.now(),
         };
-        self.emit(&mut st, ev)?;
+        emit(&self.journal, ev, |ev| st.instance_started(tpl, ev))?;
         let (instances, mut svc) = self.nav(&mut st);
-        let inst = instances.get_mut(&id).expect("InstanceStarted made it");
+        let inst = &mut instances[index_of(id)];
         if self.obs.enabled() {
             inst.probes = Some(self.probes_for(&inst.tpl));
         }
@@ -898,8 +965,8 @@ impl Engine {
 
     /// Runs every instance to quiescence, in id order.
     pub fn run_all(&self) -> Result<(), EngineError> {
-        let ids: Vec<InstanceId> = self.state.lock().instances.keys().copied().collect();
-        for id in ids {
+        let started = self.state.lock().instances.len() as u64;
+        for id in (1..=started).map(InstanceId) {
             self.run_to_quiescence(id)?;
         }
         Ok(())
@@ -964,7 +1031,7 @@ impl Engine {
     pub fn instances(&self) -> Vec<(InstanceId, String, InstanceStatus)> {
         let st = self.state.lock();
         st.instances
-            .values()
+            .iter()
             .map(|i| (i.id, i.tpl.name().to_owned(), i.status))
             .collect()
     }
@@ -1048,7 +1115,7 @@ impl Engine {
         let mut st = self.state.lock();
         let (instances, mut svc) = self.nav(&mut st);
         let mut sent = Vec::new();
-        for inst in instances.values_mut() {
+        for inst in instances.iter_mut() {
             if inst.status != InstanceStatus::Running || !inst.tpl.root.any_deadlines {
                 continue;
             }
@@ -1118,7 +1185,7 @@ impl Engine {
         let mut st = self.state.lock();
         let snaps: Vec<crate::event::InstanceSnapshot> = st
             .instances
-            .values()
+            .iter()
             .map(|i| crate::event::InstanceSnapshot {
                 id: i.id,
                 process: i.tpl.name().to_owned(),
@@ -1133,7 +1200,7 @@ impl Engine {
         self.journal.append(Event::EngineCheckpoint {
             instances: snaps,
             items: st.worklists.live_items().cloned().collect(),
-            next_instance: st.next_instance,
+            next_instance: st.next_instance().0,
             next_item: st.next_item,
             at: self.clock.now(),
         });

@@ -70,6 +70,16 @@ pub enum RecoveryError {
         /// Why the transfer was refused.
         detail: String,
     },
+    /// The journal names an instance id the engine cannot have
+    /// allocated: ids are 1, 2, 3, … with none skipped, so an
+    /// `InstanceStarted` or a checkpoint snapshot names at most the
+    /// next one, and a checkpoint's `next_instance` is exactly it.
+    UnexpectedInstanceId {
+        /// The id the journal names.
+        id: InstanceId,
+        /// The next id at that point of the journal.
+        next: InstanceId,
+    },
     /// A supplied definition does not validate.
     InvalidTemplate {
         /// Name of the rejected definition.
@@ -99,6 +109,11 @@ impl std::fmt::Display for RecoveryError {
                     "cannot re-apply journalled migration of {instance}: {detail}"
                 )
             }
+            RecoveryError::UnexpectedInstanceId { id, next } => write!(
+                f,
+                "journal names instance {id} where the next id is {next}: instance ids \
+                 are allocated 1, 2, 3, … with none skipped"
+            ),
             RecoveryError::InvalidTemplate { process, errors } => {
                 write!(f, "template {process:?} rejected:")?;
                 errors.iter().try_for_each(|e| write!(f, " {e};"))
@@ -208,7 +223,7 @@ impl Replay {
         self.failed.take().map_or(Ok(()), Err)?;
         // The ready queues are not state an event describes: queueing
         // is the navigator's side of a live step.
-        for inst in self.state.instances.values_mut() {
+        for inst in self.state.instances.iter_mut() {
             inst.rebuild_ready();
         }
         Ok((self.state, self.max_tick))
@@ -248,7 +263,7 @@ pub(crate) fn resume(engine: &Engine) {
     // `Engine::metrics` answers "what did recovery repair" even on
     // engines without an enabled observer.
     let reg = engine.obs.observer.registry();
-    for inst in instances.values_mut() {
+    for inst in instances.iter_mut() {
         if inst.status != InstanceStatus::Running {
             continue;
         }

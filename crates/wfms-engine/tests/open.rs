@@ -1,8 +1,9 @@
 //! [`Engine::open`] is the one way an engine is built, over a new
 //! journal or one with history: the reopened engine keeps the caller's
 //! configuration, navigates the templates a live `register` would have
-//! produced, and refuses history it has no templates for. (That a new
-//! or empty journal then receives the golden bytes is pinned in
+//! produced, and refuses history it has no templates for, or that names
+//! instance ids the engine cannot have allocated. (That a new or empty
+//! journal then receives the golden bytes is pinned in
 //! `exotica/tests/journal_cli.rs`, next to the goldens.)
 
 use std::path::PathBuf;
@@ -11,16 +12,22 @@ use txn_substrate::{MultiDatabase, ProgramOutcome, ProgramRegistry};
 use wfms_engine::metrics::ACT_LATENCY_FAMILY;
 use wfms_engine::optimize::optimize;
 use wfms_engine::{
-    recover, CompiledProcess, Engine, EngineConfig, EngineError, InstanceId, Observer, OrgModel,
-    RecoveryError,
+    recover, CompiledProcess, Engine, EngineConfig, EngineError, Event, InstanceId,
+    InstanceSnapshot, InstanceStatus, InstanceView, Journal, Observer, OrgModel, RecoveryError,
 };
-use wfms_model::{Activity, Container, ProcessBuilder, ProcessDefinition};
+use wfms_model::{
+    Activity, Container, ContainerSchema, DataType, ProcessBuilder, ProcessDefinition,
+};
 use wfms_observe::Value;
 
 fn world() -> (Arc<MultiDatabase>, Arc<ProgramRegistry>) {
     let fed = MultiDatabase::new(0);
     let programs = Arc::new(ProgramRegistry::new());
     programs.register_fn("ok", |_| ProgramOutcome::committed());
+    programs.register_fn("answer", |_| ProgramOutcome::Committed {
+        rc: 1,
+        outputs: [("total".to_owned(), txn_substrate::Value::Int(42))].into(),
+    });
     (fed, programs)
 }
 
@@ -142,4 +149,139 @@ fn reopened_templates_are_optimized_like_registered_ones() {
     let reopened = recover(&journal, vec![decidable()], OrgModel::new(), fed, programs).unwrap();
     let replayed = optimize(&reopened.template("decidable").unwrap()).1;
     assert_eq!(replayed, registered);
+}
+
+/// `A` then `B`, each answering `total = 42`: every instance finishes
+/// with the same output, which the journal holds as equal bytes.
+fn answering() -> ProcessDefinition {
+    let total = ContainerSchema::of(&[("total", DataType::Int)]);
+    ProcessBuilder::new("answering")
+        .output(ContainerSchema::of(&[("result", DataType::Int)]))
+        .activity(Activity::program("A", "answer").with_output(total.clone()))
+        .activity(Activity::program("B", "answer").with_output(total))
+        .connect("A", "B")
+        .map_to_process_output("B", &[("total", "result")])
+        .build()
+        .unwrap()
+}
+
+/// What a client is told of an instance, comparable.
+fn seen(view: InstanceView) -> (String, String, Option<String>, InstanceStatus, Container) {
+    (
+        view.process,
+        view.version,
+        view.tenant,
+        view.status,
+        view.output,
+    )
+}
+
+/// Two finished instances whose outputs decode to one shared map, and a
+/// third cut after one step: after reopening, the first two read as they
+/// did, and the third, resumed, ends as the run that never crashed.
+#[test]
+fn shared_decoded_outputs_and_a_resumed_cut() {
+    let def = answering();
+    let (fed, programs) = world();
+    let whole = Engine::open(fed, programs, EngineConfig::default(), vec![def.clone()]).unwrap();
+    let journal = journal_in("shared");
+    let (fed, programs) = world();
+    let engine = Engine::open(fed, programs, on(&journal), vec![def.clone()]).unwrap();
+    for e in [&whole, &engine] {
+        for _ in 0..3 {
+            e.start("answering", Container::empty()).unwrap();
+        }
+    }
+    whole.run_all().unwrap();
+    let ids = [1, 2, 3].map(InstanceId);
+    engine.run_to_quiescence(ids[0]).unwrap();
+    engine.run_to_quiescence(ids[1]).unwrap();
+    assert!(engine.step(ids[2]).unwrap());
+    let finished = [ids[0], ids[1]].map(|id| seen(engine.view(id).unwrap()));
+    engine.crash();
+
+    let (events, _) = Journal::read_file(&journal).unwrap();
+    let outputs: Vec<&Container> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::InstanceFinished { output, .. } => Some(output),
+            _ => None,
+        })
+        .collect();
+    let [a, b] = outputs[..] else {
+        panic!("two finished instances");
+    };
+    assert!(Arc::ptr_eq(a.params(), b.params()), "one decoded map");
+
+    let (fed, programs) = world();
+    let reopened = Engine::open(fed, programs, on(&journal), vec![def]).unwrap();
+    reopened.run_to_quiescence(ids[2]).unwrap();
+    let view = |e: &Engine, id| seen(e.view(id).unwrap());
+    assert_eq!(view(&reopened, ids[2]), view(&whole, ids[2]));
+    assert_eq!([ids[0], ids[1]].map(|id| view(&reopened, id)), finished);
+}
+
+/// `checkpoint` with `edit` applied to its snapshots and allocator.
+fn edited(checkpoint: &Event, edit: impl FnOnce(&mut Vec<InstanceSnapshot>, &mut u64)) -> Event {
+    let mut checkpoint = checkpoint.clone();
+    let Event::EngineCheckpoint {
+        instances,
+        next_instance,
+        ..
+    } = &mut checkpoint
+    else {
+        panic!("a checkpoint");
+    };
+    edit(instances, next_instance);
+    checkpoint
+}
+
+/// Instance ids are dense, so a CRC-valid journal naming one the engine
+/// never allocated is refused with the id named — not opened with room
+/// made for it.
+#[test]
+fn ids_a_journal_did_not_earn_are_refused() {
+    let (fed, programs) = world();
+    let engine = Engine::open(fed, programs, EngineConfig::default(), vec![livelock()]).unwrap();
+    engine.start("livelock", Container::empty()).unwrap();
+    engine.checkpoint();
+    let [checkpoint] = &engine.journal_events()[..] else {
+        panic!("the checkpoint alone");
+    };
+    let started = |id| Event::InstanceStarted {
+        instance: id,
+        process: "livelock".into(),
+        tenant: None,
+        input: Container::empty(),
+        at: 0,
+    };
+    let far = InstanceId(1 << 40);
+    for (events, named) in [
+        (vec![started(far)], far),
+        (vec![started(InstanceId(0))], InstanceId(0)),
+        (
+            vec![started(InstanceId(1)), started(InstanceId(3))],
+            InstanceId(3),
+        ),
+        (
+            vec![edited(checkpoint, |snaps, next| {
+                snaps[0].id = far;
+                *next = far.0 + 1;
+            })],
+            far,
+        ),
+        (vec![edited(checkpoint, |_, next| *next = 5)], InstanceId(5)),
+    ] {
+        let journal = journal_in("unearned");
+        std::fs::write(&journal, Journal::file_bytes(&events)).unwrap();
+        let (fed, programs) = world();
+        match Engine::open(fed, programs, on(&journal), vec![livelock()]) {
+            Err(e @ RecoveryError::UnexpectedInstanceId { id, .. }) => {
+                assert_eq!(id, named);
+                assert!(e.to_string().contains(&named.to_string()), "{e}");
+            }
+            Err(other) => panic!("{named}: {other}"),
+            Ok(_) => panic!("{named}: opened"),
+        }
+    }
 }

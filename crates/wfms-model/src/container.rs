@@ -145,6 +145,17 @@ impl Container {
         }
     }
 
+    /// The container over `values`, shared as it is: a decoder that
+    /// builds each distinct map once hands every occurrence the same
+    /// one, and copy-on-write keeps the sharing invisible. An empty map
+    /// is the one shared empty map.
+    pub fn from_params(values: Params) -> Self {
+        if values.is_empty() {
+            return Self::empty();
+        }
+        Self { values }
+    }
+
     /// Reads a member.
     pub fn get(&self, name: &str) -> Option<&Value> {
         self.values.get(name)

@@ -53,7 +53,7 @@ pub use client::{
 };
 pub use server::{Server, ServerConfig};
 pub use shard::{
-    DeployReport, MigrationPolicy, PoolConfig, PoolError, ShardPool, Sink, SubmitDispatch,
-    SubmitOutcome, SubmitReply,
+    DeployReport, MigrationPolicy, PoolConfig, PoolError, ShardOpened, ShardPool, Sink,
+    SubmitDispatch, SubmitOutcome, SubmitReply,
 };
 pub use tenant::{parse_tenants, Tenant, TenantSpec, TenantTable, MAX_TENANTS, TENANT_BITS};

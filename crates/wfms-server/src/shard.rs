@@ -84,10 +84,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, RwLock};
-use txn_substrate::{DurabilityPolicy, MirrorError, MultiDatabase, ProgramRegistry};
+use txn_substrate::{DurabilityPolicy, MirrorError, MultiDatabase, ProgramRegistry, TailReport};
 use wfms_engine::{
     spec_hash_of, Engine, EngineConfig, EngineError, InstanceId, InstanceStatus, InstanceView,
     MigrationOutcome, OrgModel, WorkItem, WorkItemId, WorklistError,
@@ -584,7 +584,8 @@ pub struct ShardPool {
     overloaded: Arc<Counter>,
     failed: Arc<Counter>,
     completions: Arc<Counter>,
-    recovered: u64,
+    /// What opening each shard found and did, in shard order.
+    opened: Vec<ShardOpened>,
     /// Wire-id bits reserved for the tenant slot ([`TENANT_BITS`] with
     /// tenancy enabled, 0 without); mirrors the pinned meta value.
     tenant_bits: u32,
@@ -622,11 +623,12 @@ impl ShardPool {
         let table = TenantTable::build(&meta.tenants, &cfg.tenants, None, &registry);
 
         let mut shards = Vec::with_capacity(nshards);
-        let mut recovered = 0u64;
+        let mut opened = Vec::with_capacity(nshards);
         let resume_failures = registry.counter("server.resume.failures");
         for i in 0..nshards {
             let journal_path = cfg.data_dir.join(format!("shard-{i}.journal"));
             let (multidb, programs) = provision(i);
+            let (started, fixups_before) = (Instant::now(), fixups(&registry));
             let engine = Engine::open(
                 multidb,
                 programs,
@@ -644,7 +646,16 @@ impl ShardPool {
                 templates.clone(),
             )
             .map_err(PoolError::Recovery)?;
-            recovered += resume_running(&engine, &resume_failures);
+            let resumed = resume_running(&engine, &resume_failures);
+            let fixups_after = fixups(&registry);
+            opened.push(ShardOpened {
+                shard: i,
+                took: started.elapsed(),
+                journal: engine.reopened().clone(),
+                instances: engine.instance_counts(),
+                resumed,
+                fixups: std::array::from_fn(|k| (FIXUPS[k], fixups_after[k] - fixups_before[k])),
+            });
             let engine = Arc::new(engine);
             let inbox = Arc::new((Mutex::new(Inbox::default()), Condvar::new()));
             let worker = Worker {
@@ -683,7 +694,7 @@ impl ShardPool {
             overloaded: registry.counter("server.submit.overloaded"),
             failed: registry.counter("server.submit.failed"),
             completions: registry.counter("server.worklist.completions"),
-            recovered,
+            opened,
             tenant_bits: tenant_bits as u32,
             tenants: Arc::new(RwLock::new(Arc::new(table))),
         })
@@ -696,7 +707,12 @@ impl ShardPool {
 
     /// Instances resumed from shard journals when the pool opened.
     pub fn recovered_instances(&self) -> u64 {
-        self.recovered
+        self.opened.iter().map(|o| o.resumed).sum()
+    }
+
+    /// What opening each shard found and did, in shard order.
+    pub fn opened(&self) -> &[ShardOpened] {
+        &self.opened
     }
 
     /// The metrics registry the pool publishes into.
@@ -1199,6 +1215,69 @@ impl Deploy {
             engine.flush_journal().map_err(flush_err)?;
         }
         Ok(())
+    }
+}
+
+/// The kinds of repair recovery counts, as `recovery.fixups.<kind>`.
+const FIXUPS: [&str; 4] = [
+    "running_restarted",
+    "waiting_renavigated",
+    "connectors_reevaluated",
+    "exits_redecided",
+];
+
+/// The `recovery.fixups.*` counts in `registry` so far: shards open one
+/// after the other, so what one shard's opening moved is the difference
+/// around it. Read from a snapshot, which makes no series of its own.
+fn fixups(registry: &Registry) -> [u64; 4] {
+    let snapshot = registry.snapshot();
+    FIXUPS.map(|kind| {
+        snapshot
+            .counter(&format!("recovery.fixups.{kind}"))
+            .unwrap_or(0)
+    })
+}
+
+/// What opening one shard found and did, from what its engine and
+/// journal count. Displayed, it is the one line `fmtm serve` prints per
+/// shard at startup.
+#[derive(Debug, Clone)]
+pub struct ShardOpened {
+    /// The shard's index.
+    pub shard: usize,
+    /// Opening it: replaying its journal, recovery's repairs, and
+    /// navigating onward what was running.
+    pub took: Duration,
+    /// The events replayed and the torn tail truncated, if any.
+    pub journal: TailReport,
+    /// Its instances once open: `(running, finished, cancelled)`.
+    pub instances: (u64, u64, u64),
+    /// Instances that were running and were navigated onward.
+    pub resumed: u64,
+    /// Recovery's repairs by kind (`recovery.fixups.<kind>`).
+    pub fixups: [(&'static str, u64); 4],
+}
+
+impl std::fmt::Display for ShardOpened {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (running, finished, cancelled) = self.instances;
+        write!(
+            f,
+            "shard {}: opened in {:.1} ms, {} events replayed, {} resumed; instances {running} \
+             running, {finished} finished, {cancelled} cancelled; torn tail ",
+            self.shard,
+            self.took.as_secs_f64() * 1e3,
+            self.journal.records,
+            self.resumed,
+        )?;
+        match &self.journal.torn_tail {
+            Some(tail) => write!(f, "at byte {}, dropped {}", tail.offset, tail.discarded)?,
+            None => f.write_str("none")?,
+        }
+        f.write_str("; recovery.fixups")?;
+        self.fixups
+            .iter()
+            .try_for_each(|(kind, n)| write!(f, " {kind}={n}"))
     }
 }
 

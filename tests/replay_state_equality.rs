@@ -11,6 +11,12 @@
 //! diverge. The replay's own journal is then replayed once more and
 //! must give the same state again: a repair that changed state without
 //! an event would be missing from that second replay.
+//!
+//! Replaying from memory never decodes, so the `…_through_the_file`
+//! cases journal to a file and, after every step, reopen a copy of it
+//! with `Engine::open`: every frame is decoded, and paths and containers
+//! come back shared by their encoded bytes, yet the state is the live
+//! engine's.
 
 use atm::fixtures;
 use std::sync::Arc;
@@ -149,8 +155,97 @@ fn replay_rebuilds_live_state(
     }
 }
 
+/// [`replay_rebuilds_live_state`] through the file: the live engine
+/// journals to a file, and after every action `Engine::open` on a copy
+/// of it holds the live engine's state and tallies.
+fn reopening_the_file_rebuilds_live_state(
+    def: &ProcessDefinition,
+    world: &dyn Fn() -> World,
+    action: &dyn Fn(&Engine, InstanceId, usize) -> bool,
+) {
+    let dir = std::env::temp_dir().join(format!(
+        "wftx-replay-file-{}-{}",
+        def.name,
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let on = |file: &str| EngineConfig {
+        journal_path: Some(dir.join(file)),
+        ..EngineConfig::default()
+    };
+    for upto in 0.. {
+        let _ = std::fs::remove_file(dir.join("live.journal"));
+        let (fed, programs) = world();
+        let live = Engine::open(fed, programs, on("live.journal"), vec![def.clone()]).unwrap();
+        let id = live.start(&def.name, Container::empty()).unwrap();
+        let ran = (0..upto).take_while(|&k| action(&live, id, k)).count();
+
+        std::fs::copy(dir.join("live.journal"), dir.join("copy.journal")).unwrap();
+        let (fed, programs) = world();
+        let reopened = Engine::open(fed, programs, on("copy.journal"), vec![def.clone()]).unwrap();
+        let (want, got) = (checkpoint_of(&live), checkpoint_of(&reopened));
+        assert_eq!(got, want, "{}: reopened after {ran} actions", def.name);
+        assert_eq!(
+            tallies_of(&reopened, &want.1),
+            tallies_of(&live, &want.1),
+            "{}: tallies, {ran} actions",
+            def.name
+        );
+        if ran < upto {
+            assert!(upto > 1, "{}: the run took no step at all", def.name);
+            let _ = std::fs::remove_dir_all(&dir);
+            return;
+        }
+    }
+}
+
 fn step(engine: &Engine, id: InstanceId, _k: usize) -> bool {
     engine.step(id).unwrap()
+}
+
+#[test]
+fn saga_with_a_compensated_failure_through_the_file() {
+    let n = 4;
+    let def = exotica::translate_saga(&fixtures::linear_saga("fsaga", n)).unwrap();
+    let world = || {
+        let fed = MultiDatabase::new(0);
+        let registry = Arc::new(ProgramRegistry::new());
+        fixtures::register_saga_programs(&fed, &registry, n);
+        fed.injector().set_plan("S3", FailurePlan::Always);
+        (fed, registry)
+    };
+    reopening_the_file_rebuilds_live_state(&def, &world, &step);
+}
+
+#[test]
+fn figure3_under_seeded_failures_through_the_file() {
+    let def = exotica::translate_flex(&fixtures::figure3_spec()).unwrap();
+    for seed in [1, 3, 5] {
+        let world = || {
+            let fed = MultiDatabase::new(seed);
+            let registry = Arc::new(ProgramRegistry::new());
+            fixtures::register_figure3_programs(&fed, &registry);
+            for label in ["T3", "T4", "T6", "T7", "T8"] {
+                fed.injector()
+                    .set_plan(label, FailurePlan::Probability { p: 0.5 });
+            }
+            (fed, registry)
+        };
+        reopening_the_file_rebuilds_live_state(&def, &world, &step);
+    }
+}
+
+#[test]
+fn the_pattern_gallery_through_the_file() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/patterns");
+    for entry in std::fs::read_dir(dir).expect("examples/patterns exists") {
+        let src = std::fs::read_to_string(entry.unwrap().path()).unwrap();
+        let (def, _) = exotica::import_and_analyze(&src).unwrap();
+        let steps = exotica::steps_of_process(&def);
+        let world = || exotica::provision(&steps, 0, &[]);
+        reopening_the_file_rebuilds_live_state(&def, &world, &step);
+    }
 }
 
 #[test]
