@@ -36,9 +36,9 @@
 //! after it; otherwise it is mid-file corruption and decoding fails
 //! with the frame's byte offset.
 
-use crate::program::{no_params, Params};
+use crate::params::{no_params, Params};
 use crate::value::Value;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -501,15 +501,16 @@ impl<'f, 't> Reader<'f, 't> {
         }
         let encoded = &start[..start.len() - self.buf.len()];
         if let Some(shared) = self.shared.params.get(encoded) {
-            return Ok(Arc::clone(shared));
+            return Ok(shared.clone());
         }
         let mut r = Reader::new(encoded, self.shared);
         r.count()?;
-        let map: BTreeMap<_, _> = (0..n)
+        // Encoders write maps in name order, which `collect` takes as
+        // it is; any other order is sorted, the last of a name winning.
+        let shared: Params = (0..n)
             .map(|_| Ok((r.shared_str()?, r.value()?)))
             .collect::<Field<_>>()?;
-        let shared = Arc::new(map);
-        self.shared.params.insert(encoded, Arc::clone(&shared));
+        self.shared.params.insert(encoded, shared.clone());
         Ok(shared)
     }
 

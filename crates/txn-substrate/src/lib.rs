@@ -31,6 +31,8 @@
 //!   reports a return code, optionally paired with a compensation
 //!   program (the saga/flexible-transaction vocabulary of
 //!   compensatable / retriable / pivot steps).
+//! * [`params`] — the named values a program is handed, which a
+//!   workflow container holds: one name-ordered allocation per map.
 //! * [`clock`] — a virtual clock shared with the workflow engine so
 //!   tests and benchmarks are deterministic.
 //!
@@ -47,6 +49,7 @@ pub mod inject;
 pub mod lock;
 pub mod log;
 pub mod multidb;
+pub mod params;
 pub mod program;
 #[doc(hidden)]
 pub mod properties;
@@ -61,9 +64,10 @@ pub use durability::{DurabilityPolicy, MirrorError, TailReport, TornTail};
 pub use inject::{on_attempts, FailureAction, FailurePlan, Injector, InjectorHandle};
 pub use lock::{LockError, LockManager, LockMode, LockStats};
 pub use multidb::MultiDatabase;
+pub use params::{no_params, Params};
 pub use program::{
-    no_params, CompensationOutcome, FnProgram, KvProgram, Params, ProgramContext, ProgramOutcome,
-    ProgramRegistry, StepClass, TxnProgram,
+    CompensationOutcome, FnProgram, KvProgram, ProgramContext, ProgramOutcome, ProgramRegistry,
+    StepClass, TxnProgram,
 };
 pub use storage::{Key, Storage};
 pub use txn::{Transaction, TxnId, TxnStatus};

@@ -17,6 +17,7 @@
 use crate::db::DbError;
 use crate::inject::{FailureAction, InjectorHandle};
 use crate::multidb::MultiDatabase;
+use crate::params::{no_params, Params};
 use crate::value::Value;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -130,26 +131,12 @@ impl ProgramOutcome {
 /// shape of outcome as forward programs.
 pub type CompensationOutcome = ProgramOutcome;
 
-/// Named values handed to a program: a shared map with shared member
-/// names, cloned by reference count and copied on the first write.
-/// This is the representation a workflow container wraps
-/// (`wfms_model::Container`), so an activity's materialised input
-/// container is handed to its program as it is.
-pub type Params = Arc<BTreeMap<Arc<str>, Value>>;
-
-/// The one shared empty [`Params`]: no parameters is a reference-count
-/// bump, not an allocation.
-pub fn no_params() -> Params {
-    static EMPTY: std::sync::OnceLock<Params> = std::sync::OnceLock::new();
-    Arc::clone(EMPTY.get_or_init(Params::default))
-}
-
 /// Everything a program may touch while running.
 pub struct ProgramContext {
     /// The federation of local databases.
     pub multidb: Arc<MultiDatabase>,
-    /// Input parameters (a workflow input container, or passed by a
-    /// native executor).
+    /// Input parameters (a workflow input container as it is, or passed
+    /// by a native executor).
     pub params: Params,
     /// Zero-based attempt number (> 0 when an exit condition or a
     /// retriable executor re-runs the program).
@@ -168,7 +155,7 @@ impl ProgramContext {
 
     /// Adds a parameter (builder style).
     pub fn with_param(mut self, key: &str, value: impl Into<Value>) -> Self {
-        Arc::make_mut(&mut self.params).insert(key.into(), value.into());
+        self.params.set(key, value.into());
         self
     }
 

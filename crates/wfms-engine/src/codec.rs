@@ -543,9 +543,8 @@ fn event(r: &mut Reader<'_, '_>) -> Field<Event> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use txn_substrate::frame::{decode_file, file_bytes, DecodeError};
-    use txn_substrate::{properties, Value};
+    use txn_substrate::{properties, Params, Value};
 
     #[test]
     fn decoded_paths_share_one_allocation() {
@@ -600,7 +599,7 @@ mod tests {
                 _ => unreachable!("only these were encoded"),
             })
             .collect();
-        let same = |a: &Container, b: &Container| Arc::ptr_eq(a.params(), b.params());
+        let same = |a: &Container, b: &Container| Params::ptr_eq(a.params(), b.params());
         assert!(same(maps[0], maps[1]), "equal bytes, one map");
         assert!(!same(maps[0], maps[2]), "other bytes, a map of their own");
         assert!(same(maps[3], &Container::empty()));

@@ -515,7 +515,7 @@ impl RefEngine {
             ActivityKind::Program { program } => {
                 let mut ctx = ProgramContext::new(Arc::clone(&self.multidb));
                 ctx.attempt = attempt;
-                ctx.params = Arc::clone(input.params());
+                ctx.params = input.params().clone();
                 let outcome = self.programs.invoke(&program, &mut ctx);
                 let (rc, outputs) = match outcome {
                     ProgramOutcome::Committed { rc, outputs } => (rc, outputs),

@@ -276,7 +276,7 @@ pub fn execute_activity(
         CompiledKind::Program(program) => {
             let mut ctx = ProgramContext::new(Arc::clone(svc.multidb));
             ctx.attempt = attempt;
-            ctx.params = Arc::clone(input.params());
+            ctx.params = input.params().clone();
             let outcome = svc.programs.invoke(program, &mut ctx);
             let (rc, outputs) = match outcome {
                 ProgramOutcome::Committed { rc, outputs } => (rc, outputs.into_iter().collect()),

@@ -8,7 +8,7 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use txn_substrate::{MultiDatabase, ProgramOutcome, ProgramRegistry};
+use txn_substrate::{MultiDatabase, Params, ProgramOutcome, ProgramRegistry};
 use wfms_engine::metrics::ACT_LATENCY_FAMILY;
 use wfms_engine::optimize::optimize;
 use wfms_engine::{
@@ -211,7 +211,7 @@ fn shared_decoded_outputs_and_a_resumed_cut() {
     let [a, b] = outputs[..] else {
         panic!("two finished instances");
     };
-    assert!(Arc::ptr_eq(a.params(), b.params()), "one decoded map");
+    assert!(Params::ptr_eq(a.params(), b.params()), "one decoded map");
 
     let (fed, programs) = world();
     let reopened = Engine::open(fed, programs, on(&journal), vec![def]).unwrap();

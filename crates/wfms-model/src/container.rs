@@ -10,7 +10,6 @@
 
 use crate::types::DataType;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use txn_substrate::{Params, Value};
 
@@ -116,16 +115,16 @@ impl ContainerSchema {
 
 /// A run-time container: member name → value.
 ///
-/// Values live behind an [`Arc`] with copy-on-write semantics, and so
-/// does every member name: `clone` is a reference-count bump
-/// (containers flow between activities, into journal events and
-/// through data connectors far more often than they are mutated), the
-/// first `set` on a shared container copies the map once without
-/// copying a name, and a `set` that changes nothing copies nothing.
-/// The representation is the substrate's [`Params`], so a program is
-/// handed its activity's input container as it is
-/// ([`Container::params`]).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// The representation is the substrate's [`Params`]: the members in
+/// name order, in one allocation with their reference count, every
+/// member name shared. `clone` is a reference-count bump (containers
+/// flow between activities, into journal events and through data
+/// connectors far more often than they are mutated). A `set` writes in
+/// place when no other container shares the map and otherwise makes one
+/// copy of exactly the needed size without copying a name; a `set` that
+/// changes nothing copies nothing. A program is handed its activity's
+/// input container as it is ([`Container::params`]).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Container {
     values: Params,
 }
@@ -147,12 +146,8 @@ impl Container {
 
     /// The container over `values`, shared as it is: a decoder that
     /// builds each distinct map once hands every occurrence the same
-    /// one, and copy-on-write keeps the sharing invisible. An empty map
-    /// is the one shared empty map.
+    /// one, and copy-on-write keeps the sharing invisible.
     pub fn from_params(values: Params) -> Self {
-        if values.is_empty() {
-            return Self::empty();
-        }
         Self { values }
     }
 
@@ -165,49 +160,24 @@ impl Container {
     /// mapping time; `set` itself is schema-agnostic so recovery can
     /// replay journal entries verbatim.
     pub fn set(&mut self, name: &str, value: Value) {
-        if self.get(name) == Some(&value) {
-            return;
-        }
-        let values = Arc::make_mut(&mut self.values);
-        match values.get_mut(name) {
-            Some(slot) => *slot = value,
-            None => {
-                values.insert(name.into(), value);
-            }
-        }
+        self.values.set(name, value);
     }
 
     /// Writes every member of `from`. When `from` has every member
     /// this container has (always, for an empty one) it becomes `from`
-    /// by reference count.
+    /// by reference count; otherwise one walk over both member lists
+    /// builds the result.
     pub fn merge(&mut self, from: &Container) {
-        if self
-            .values
-            .keys()
-            .all(|name| from.values.contains_key(name))
-        {
-            *self = from.clone();
-            return;
-        }
-        for (name, value) in from.iter() {
-            self.set(name, value.clone());
-        }
+        self.values.merge(&from.values);
     }
 
     /// Takes `from`'s value for every member this container already
     /// has — schema discipline: members it does not declare are
     /// dropped. When both hold the same member names it becomes `from`
-    /// by reference count.
+    /// by reference count; otherwise one walk over both member lists
+    /// builds the result.
     pub fn overlay(&mut self, from: &Container) {
-        if self.len() == from.len() && self.values.keys().eq(from.values.keys()) {
-            *self = from.clone();
-            return;
-        }
-        for (name, value) in from.iter() {
-            if self.has(name) {
-                self.set(name, value.clone());
-            }
-        }
+        self.values.overlay(&from.values);
     }
 
     /// True if the member exists.
@@ -249,31 +219,11 @@ impl Container {
     }
 }
 
+/// Collects in name order; of two members with one name the later one
+/// wins.
 impl<N: Into<Arc<str>>> FromIterator<(N, Value)> for Container {
     fn from_iter<T: IntoIterator<Item = (N, Value)>>(iter: T) -> Self {
-        let values: BTreeMap<_, _> = iter.into_iter().map(|(n, v)| (n.into(), v)).collect();
-        if values.is_empty() {
-            return Self::empty();
-        }
-        Self {
-            values: Arc::new(values),
-        }
-    }
-}
-
-/// Reads the form `Serialize` derives for [`Container`] (a `values`
-/// map). The one reader still written by hand, against the offline
-/// serde shim's `Content` (upstream serde would spell it
-/// `#[serde(from = "Owned")]`): a derived reader would wrap `{}` in an
-/// `Arc` of its own, and an empty container is the one shared empty
-/// map ([`Container::empty`]), which `collect` keeps.
-impl Deserialize for Container {
-    fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
-        #[derive(Deserialize)]
-        struct Owned {
-            values: BTreeMap<Arc<str>, Value>,
-        }
-        Ok(Owned::from_content(content)?.values.into_iter().collect())
+        Self::from_params(iter.into_iter().collect())
     }
 }
 
@@ -339,9 +289,12 @@ mod tests {
         let proto = ContainerSchema::of(&[("RC", DataType::Int)]).instantiate();
         let mut c = proto.clone();
         c.set("RC", Value::Int(0));
-        assert!(Arc::ptr_eq(c.params(), proto.params()), "nothing changed");
+        assert!(
+            Params::ptr_eq(c.params(), proto.params()),
+            "nothing changed"
+        );
         c.set("RC", Value::Int(1));
-        assert!(!Arc::ptr_eq(c.params(), proto.params()));
+        assert!(!Params::ptr_eq(c.params(), proto.params()));
         assert_eq!(
             proto.get("RC"),
             Some(&Value::Int(0)),
@@ -349,6 +302,10 @@ mod tests {
         );
         let name = |c: &Container| Arc::as_ptr(c.params().keys().next().unwrap());
         assert_eq!(name(&c), name(&proto));
+        let slot = |c: &Container| c.get("RC").unwrap() as *const Value;
+        let before = slot(&c);
+        c.set("RC", Value::Int(2));
+        assert_eq!(slot(&c), before, "an unshared map is written in place");
     }
 
     #[test]
@@ -372,7 +329,7 @@ mod tests {
         ] {
             covered.merge(&from);
             assert!(
-                Arc::ptr_eq(covered.params(), from.params()),
+                Params::ptr_eq(covered.params(), from.params()),
                 "handed over whole"
             );
         }
@@ -386,7 +343,7 @@ mod tests {
             ContainerSchema::of(&[("a", DataType::Int), ("x", DataType::Int)]).instantiate();
         same.overlay(&from);
         assert!(
-            Arc::ptr_eq(same.params(), from.params()),
+            Params::ptr_eq(same.params(), from.params()),
             "same names: handed over whole"
         );
     }
@@ -398,12 +355,12 @@ mod tests {
         assert!(!c.is_empty());
     }
 
-    /// What keeps the reader hand-written: `{}` parses to the shared
-    /// empty map, and members survive the round trip.
+    /// `{}` parses to the shared empty map, and members survive the
+    /// round trip.
     #[test]
     fn json_reads_empty_as_the_shared_map() {
         let empty: Container = serde_json::from_str(r#"{"values":{}}"#).unwrap();
-        assert!(Arc::ptr_eq(empty.params(), Container::empty().params()));
+        assert!(Params::ptr_eq(empty.params(), Container::empty().params()));
         let c: Container = [("k", Value::Int(3))].into_iter().collect();
         let json = serde_json::to_string(&c).unwrap();
         assert_eq!(json, r#"{"values":{"k":{"Int":3}}}"#);

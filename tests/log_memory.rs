@@ -3,13 +3,19 @@
 //! A log is its file followed by its memory: a mirrored journal keeps
 //! an event only until its frame is written, and a database checkpoints
 //! its own WAL once the log outgrows the store. This test counts live
-//! heap bytes — allocated minus freed — around 20 000 instances of the
-//! benchmark's 8-step saga (`exotica::run_pipeline` over
-//! `exotica::provision`'s three-site multidatabase) and pins what one
+//! heap bytes — allocated minus freed — around 20 000 instances of each
+//! of the benchmark's two shapes, the 8-step saga and the Figure 3
+//! flexible transaction (`exotica::run_pipeline` over
+//! `exotica::provision`'s three-site multidatabase), and pins what one
 //! *finished* instance leaves behind, on an in-memory engine (whose
 //! journal is still a list: it has no file to be instead) and on one
 //! mirrored under the serving policy; then checks that the WAL of a
 //! busy database stays inside its checkpoint rule.
+//!
+//! The allocator also counts live allocations by size class, and every
+//! measurement prints what one instance keeps per class (`--nocapture`,
+//! or with the output of a failing bound): when a bound trips, the
+//! histogram names the allocation that grew.
 //!
 //! One `#[test]` only: the counter is process-global and the harness
 //! would run sibling tests on concurrent threads, polluting the
@@ -26,19 +32,34 @@ struct LiveBytes;
 
 static LIVE: AtomicI64 = AtomicI64::new(0);
 
+/// Size classes: 8-byte steps up to 4 KiB (class `i` holds sizes in
+/// `(8 × (i − 1), 8 × i]`), then one class for everything larger.
+const CLASSES: usize = 513;
+
+/// Live allocations per size class.
+static BY_SIZE: [AtomicI64; CLASSES] = [const { AtomicI64::new(0) }; CLASSES];
+
+fn class(size: usize) -> &'static AtomicI64 {
+    &BY_SIZE[size.div_ceil(8).min(CLASSES - 1)]
+}
+
 unsafe impl GlobalAlloc for LiveBytes {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        class(layout.size()).fetch_add(1, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        class(layout.size()).fetch_sub(1, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        class(layout.size()).fetch_sub(1, Ordering::Relaxed);
+        class(new_size).fetch_add(1, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -50,16 +71,46 @@ fn live() -> i64 {
     LIVE.load(Ordering::Relaxed)
 }
 
+/// Live allocations per size class, read without allocating.
+fn by_size() -> [i64; CLASSES] {
+    std::array::from_fn(|i| BY_SIZE[i].load(Ordering::Relaxed))
+}
+
 const INSTANCES: i64 = 20_000;
 
-/// Live heap bytes one finished saga8 instance leaves behind, on an
+/// What one instance keeps per size class between two [`by_size`]
+/// readings: a row per class it keeps at least a hundredth of an
+/// allocation of.
+fn histogram(before: &[i64; CLASSES], after: &[i64; CLASSES]) -> String {
+    let mut rows = String::new();
+    for (i, (b, a)) in before.iter().zip(after).enumerate() {
+        let per_instance = (a - b) as f64 / INSTANCES as f64;
+        if per_instance.abs() >= 0.01 {
+            let size = if i == CLASSES - 1 {
+                format!("> {}", 8 * (CLASSES - 1))
+            } else {
+                format!("<= {}", 8 * i)
+            };
+            rows += &format!("  {size:>8} B  {per_instance:>6.2}\n");
+        }
+    }
+    rows
+}
+
+/// Live heap bytes one finished instance of `spec` leaves behind, on an
 /// engine whose journal is in memory or mirrored to `journal` under
-/// `Batched { n: 64 }`. On the mirrored engine the journal's resident
-/// events are watched too: never a full batch, none after a flush.
-fn bytes_per_finished_instance(journal: Option<&std::path::Path>) -> i64 {
-    let spec = exotica::AtmSpec::Saga(atm::fixtures::linear_saga("saga8", 8));
+/// `Batched { n: 64 }`, an instance journalling `events`. On the
+/// mirrored engine the journal's resident events are watched too: never
+/// a full batch, none after a flush. Prints the live allocations per
+/// instance by size class under `label`.
+fn bytes_per_finished_instance(
+    label: &str,
+    spec: &exotica::AtmSpec,
+    events: i64,
+    journal: Option<&std::path::Path>,
+) -> i64 {
     let (fed, programs) =
-        exotica::provision(&exotica::steps_of_all(std::slice::from_ref(&spec)), 7, &[]);
+        exotica::provision(&exotica::steps_of_all(std::slice::from_ref(spec)), 7, &[]);
     let engine = Engine::with_config(
         Arc::clone(&fed),
         programs,
@@ -69,18 +120,20 @@ fn bytes_per_finished_instance(journal: Option<&std::path::Path>) -> i64 {
             ..EngineConfig::default()
         },
     );
-    let out = exotica::run_pipeline(&exotica::emit_spec(&spec)).expect("fixture translates");
+    let out = exotica::run_pipeline(&exotica::emit_spec(spec)).expect("fixture translates");
+    let process = out.template.name().to_owned();
     engine.register_compiled(out.template);
 
     let run = |n: i64| {
         for i in 0..n {
             let mut input = Container::empty();
             input.set("order", Value::Int(i));
-            let id = engine.start("saga8", input).expect("registered");
+            let id = engine.start(&process, input).expect("registered");
             let status = engine.run_to_quiescence(id).expect("runs");
             assert_eq!(status, InstanceStatus::Finished);
-            // Every seventh instance ends 329 events on: over a run the
-            // samples land on every residue of the batch of 64.
+            // Every seventh instance ends 7 × `events` events on, an odd
+            // number for both shapes: over a run the samples land on
+            // every residue of the batch of 64.
             if journal.is_some() && i % 7 == 0 {
                 let resident = engine.metrics().gauge("journal.resident_records").unwrap();
                 assert!(
@@ -93,16 +146,24 @@ fn bytes_per_finished_instance(journal: Option<&std::path::Path>) -> i64 {
     // Warm up past every one-off: lock-table keys, the slab's and the
     // pools' first growth, the first WAL checkpoint of each site.
     run(2_000);
+    let classes = by_size();
     let before = live();
     run(INSTANCES);
     let per_instance = (live() - before) / INSTANCES;
+    println!(
+        "{label}: {per_instance} B per finished instance; live allocations per instance by size:\n{}",
+        histogram(&classes, &by_size())
+    );
 
     if journal.is_some() {
         engine.flush_journal().expect("flushes");
         let m = engine.metrics();
         let resident = m.gauge("journal.resident_records");
         assert_eq!(resident, Some(0), "a flush empties memory");
-        assert_eq!(m.gauge("journal.events"), Some(47 * (2_000 + INSTANCES)));
+        assert_eq!(
+            m.gauge("journal.events"),
+            Some(events * (2_000 + INSTANCES))
+        );
     }
     per_instance
 }
@@ -120,13 +181,46 @@ fn memory_is_bounded_and_the_file_plus_memory_is_the_log() {
     std::fs::create_dir_all(&dir).unwrap();
 
     // In memory the journal is the list it has to be (47 events of
-    // 80 B) and the instance's slab stays; the three WALs no longer
-    // grow. Mirrored, the journal's share goes too.
-    let in_memory = bytes_per_finished_instance(None);
-    let mirrored = bytes_per_finished_instance(Some(&dir.join("engine.journal")));
-    println!("live bytes per finished saga8: {in_memory} in memory, {mirrored} mirrored");
-    assert!(in_memory <= 7_000, "{in_memory} B per instance in memory");
-    assert!(mirrored <= 3_000, "{mirrored} B per instance mirrored");
+    // 80 B for saga8) and the instance's slab stays; the three WALs no
+    // longer grow. Mirrored, the journal's share goes too, and what is
+    // left is the instance: its slab and its containers, each one
+    // name-ordered allocation. The bounds are the values reached plus
+    // some 3 %; over B-tree containers (a 544 B leaf behind each map)
+    // they were 6 562 / 2 892 B for saga8 and 11 301 / 3 436 B for
+    // Figure 3.
+    for (label, spec, events, in_memory_bound, mirrored_bound) in [
+        (
+            "saga8",
+            exotica::AtmSpec::Saga(atm::fixtures::linear_saga("saga8", 8)),
+            47,
+            5_900,
+            2_150,
+        ),
+        (
+            "Figure 3",
+            exotica::AtmSpec::Flexible(atm::fixtures::figure3_spec()),
+            49,
+            10_150,
+            2_050,
+        ),
+    ] {
+        let in_memory =
+            bytes_per_finished_instance(&format!("{label}, in memory"), &spec, events, None);
+        let mirrored = bytes_per_finished_instance(
+            &format!("{label}, mirrored"),
+            &spec,
+            events,
+            Some(&dir.join(format!("{label}.journal"))),
+        );
+        assert!(
+            in_memory <= in_memory_bound,
+            "{label}: {in_memory} B per instance in memory, bound {in_memory_bound}"
+        );
+        assert!(
+            mirrored <= mirrored_bound,
+            "{label}: {mirrored} B per instance mirrored, bound {mirrored_bound}"
+        );
+    }
 
     // A database that stays busy keeps its log inside the checkpoint
     // rule — max(4096, 4 × keys) records since the last checkpoint,
