@@ -23,7 +23,9 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use txn_substrate::{FailurePlan, MultiDatabase, ProgramRegistry, Value};
-use wfms_engine::{Engine, EngineConfig};
+use wfms_engine::{
+    Engine, EngineConfig, EngineError, Event, InstanceId, InstanceStatus, ScopeState,
+};
 use wfms_model::{Container, ProcessDefinition};
 
 const SAGA: &str = "saga8";
@@ -193,6 +195,50 @@ fn the_fixture_decodes_and_replays_as_it_did() {
     }
     assert_eq!(views, want, "views");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The fixture's checkpoint was written before instances retired: it
+/// carries every finished instance's full scope tree. Each is restored
+/// retired — its activities are gone with the history the checkpoint
+/// compacted, and a new checkpoint carries its outcome alone — while one
+/// that finished after the checkpoint is read back from its events.
+#[test]
+fn finished_instances_of_a_full_tree_checkpoint_restore_retired() {
+    let journal = std::env::temp_dir().join(format!("fmtm-retired-{}.journal", std::process::id()));
+    std::fs::copy(fixture("journal"), &journal).unwrap();
+    let (fed, programs) = world();
+    let config = EngineConfig {
+        journal_path: Some(journal.clone()),
+        ..EngineConfig::default()
+    };
+    let engine = Engine::open(fed, programs, config, models().1).unwrap();
+    let first = InstanceId(1);
+    assert_eq!(engine.status(first).unwrap(), InstanceStatus::Finished);
+    assert!(matches!(
+        engine.activity_state(first, "Forward"),
+        Err(EngineError::HistoryCompacted(id)) if id == first
+    ));
+    let after = InstanceId(INSTANCES - CUT);
+    assert_eq!(engine.status(after).unwrap(), InstanceStatus::Finished);
+    assert!(engine.activity_state(after, "Forward").is_ok());
+
+    engine.checkpoint();
+    let events = engine.journal_events();
+    let Some(Event::EngineCheckpoint { instances, .. }) = events.first() else {
+        panic!("a compacted journal starts with its checkpoint");
+    };
+    assert_eq!(instances.len() as u64, INSTANCES);
+    for snap in instances
+        .iter()
+        .filter(|s| s.status != InstanceStatus::Running)
+    {
+        let outcome = ScopeState {
+            output: engine.output(snap.id).unwrap(),
+            ..ScopeState::default()
+        };
+        assert_eq!(snap.root, outcome, "{}", snap.id);
+    }
+    let _ = std::fs::remove_file(&journal);
 }
 
 /// What the fixture holds is what its documentation says.

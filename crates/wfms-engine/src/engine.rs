@@ -7,7 +7,11 @@
 //! behind one lock, and it changes one way: an [`Event`] takes effect.
 //! Instance ids are dense — 1, 2, 3, … and none is forgotten — so an
 //! instance is found by its id, as its place in the table, and the next
-//! id is the table's length + 1.
+//! id is the table's length + 1. An instance that has stopped running
+//! keeps its place but is retired: its slab goes, its outcome stays
+//! (`crate::state`). Live, it is retired when the call that navigated it
+//! returns; on replay, when `apply` has applied the event that stopped
+//! it.
 //! `EngineState::apply` is that effect, written once. Replay folds it
 //! over the journal; a running engine `emit`s — the same effect, then
 //! the event appended — so "replay rebuilds what live navigation
@@ -72,6 +76,10 @@ pub enum EngineError {
     /// durable, so the caller must decide whether to carry on
     /// memory-only or stop and repair.
     Journal(MirrorError),
+    /// [`Engine::activity_state`] of an instance that has stopped
+    /// running: its activities are read back from its journalled
+    /// events, and a checkpoint has compacted them away.
+    HistoryCompacted(InstanceId),
 }
 
 impl std::fmt::Display for EngineError {
@@ -96,6 +104,11 @@ impl std::fmt::Display for EngineError {
             EngineError::Journal(e) => {
                 write!(f, "journal mirror failed (instances parked): {e}")
             }
+            EngineError::HistoryCompacted(i) => write!(
+                f,
+                "{i} has stopped running and a checkpoint compacted its history: \
+                 its activities are no longer known"
+            ),
         }
     }
 }
@@ -296,19 +309,7 @@ impl EngineState {
         tpl: Arc<CompiledProcess>,
         ev: &Event,
     ) -> Result<(), Refused> {
-        let Event::InstanceStarted {
-            instance,
-            tenant,
-            input,
-            ..
-        } = ev
-        else {
-            unreachable!("only `InstanceStarted` starts an instance")
-        };
-        let mut inst = Instance::new(*instance, tpl);
-        inst.tenant = tenant.clone();
-        inst.seed_input(input);
-        Ok(self.place(inst)?)
+        Ok(self.place(started(tpl, ev))?)
     }
 
     /// The effect of `ev` on the engine's state — the one transition
@@ -342,7 +343,8 @@ impl EngineState {
                 // The state transfer only; the fix-up events of the
                 // engine that migrated follow in the journal (or, after
                 // a crash right here, `resume` re-derives them).
-                if let Some(inst) = self.instances.get_mut(index_of(*instance)) {
+                let inst = self.instances.get_mut(index_of(*instance));
+                if let Some(inst) = inst.filter(|inst| !inst.is_retired()) {
                     let target = self
                         .registry
                         .by_version(to)
@@ -371,10 +373,19 @@ impl EngineState {
                         .registry
                         .by_version(&snap.version)
                         .ok_or_else(|| missing_version(&snap.process, &snap.version))?;
-                    let mut inst = Instance::new(snap.id, tpl);
-                    inst.status = snap.status;
+                    // One that stopped running is restored retired: a
+                    // checkpoint of it is its outcome (one written before
+                    // retirement has its outcome at the root of a full
+                    // tree).
+                    let mut inst = if snap.status == InstanceStatus::Running {
+                        let mut inst = Instance::new(snap.id, tpl);
+                        inst.restore_root(&snap.root);
+                        inst
+                    } else {
+                        let output = snap.root.output.clone();
+                        Instance::retired(snap.id, tpl, snap.status, output)
+                    };
                     inst.tenant = snap.tenant.clone();
-                    inst.restore_root(&snap.root);
                     self.place(inst)?;
                 }
                 // The allocator is written for readers of the journal;
@@ -400,12 +411,68 @@ impl EngineState {
                     if let Some(slot) = slot_of(inst, ev) {
                         let (worklists, next_item) = (&mut self.worklists, &mut self.next_item);
                         effect(inst, slot, &mut self.counts, worklists, next_item, ev);
+                        // Replay is done with an instance this stopped.
+                        inst.retire();
                     }
                 }
             }
         }
         Ok(())
     }
+
+    /// What retired `inst` held when it stopped running: its journalled
+    /// `events` folded through `effect` — the function that built it
+    /// live — on a fresh instance that is never retired. `None` unless
+    /// the events begin with its start: a checkpoint compacted them.
+    fn unretired(&self, inst: &Instance, events: &[Event]) -> Option<Instance> {
+        let (start @ Event::InstanceStarted { .. }, rest) = events.split_first()? else {
+            return None;
+        };
+        // Only a migration moves an instance to another template: it
+        // started on the one its first migration left.
+        let from = events.iter().find_map(|ev| match ev {
+            Event::Migrated { from, .. } => Some(from),
+            _ => None,
+        });
+        let tpl = match from {
+            Some(version) => self.registry.by_version(version)?,
+            None => Arc::clone(&inst.tpl),
+        };
+        let mut folded = started(tpl, start);
+        let (mut counts, mut worklists, mut next_item) = ((1, 0, 0), WorklistStore::new(), 0);
+        for ev in rest {
+            if let Event::Migrated { to, .. } = ev {
+                migrated(&mut folded, &self.registry.by_version(to)?).ok()?;
+            } else if let Some(slot) = slot_of(&folded, ev) {
+                effect(
+                    &mut folded,
+                    slot,
+                    &mut counts,
+                    &mut worklists,
+                    &mut next_item,
+                    ev,
+                );
+            }
+        }
+        Some(folded)
+    }
+}
+
+/// The instance `InstanceStarted` (`ev`) starts on `tpl`.
+fn started(tpl: Arc<CompiledProcess>, ev: &Event) -> Instance {
+    let Event::InstanceStarted {
+        instance,
+        tenant,
+        input,
+        ..
+    } = ev
+    else {
+        unreachable!("only `InstanceStarted` starts an instance")
+    };
+    let mut inst = Instance::new(*instance, tpl);
+    inst.tenant = tenant.clone();
+    inst.seed_input(input);
+    inst
 }
 
 /// The tally of `status` in `(running, finished, cancelled)`.
@@ -427,7 +494,7 @@ fn missing_version(process: &str, version: &str) -> Refused {
 /// The slot a journalled event addresses in `inst`: the act slot of its
 /// path, the edge slot of a `ConnectorEvaluated` — `None` unless every
 /// enclosing scope is open — and 0 for an event about the instance as a
-/// whole.
+/// whole. Nothing, in a retired instance.
 fn slot_of(inst: &Instance, ev: &Event) -> Option<u32> {
     match ev {
         Event::ActivityReady { path, .. }
@@ -443,7 +510,7 @@ fn slot_of(inst: &Instance, ev: &Event) -> Option<u32> {
             let m = inst.tpl.layout.scope(inst.live_scope(scope)?);
             Some(m.edge_base + m.cs.edge_id(from, to)?)
         }
-        _ => Some(0),
+        _ => (!inst.is_retired()).then_some(0),
     }
 }
 
@@ -665,7 +732,9 @@ impl Engine {
         };
         if engine.obs.enabled() {
             for inst in engine.state.lock().instances.iter_mut() {
-                inst.probes = Some(engine.probes_for(&inst.tpl));
+                if !inst.is_retired() {
+                    inst.probes = Some(engine.probes_for(&inst.tpl));
+                }
             }
         }
         recovery::resume(&engine);
@@ -764,9 +833,10 @@ impl Engine {
     }
 
     /// Navigates instance `id`: `f` gets the instance and the services
-    /// to decide and emit with. A broken journal mirror is reported
-    /// before (nothing is attempted) and after (what `f` emitted is in
-    /// memory, not on disk).
+    /// to decide and emit with, and the instance is retired once `f`
+    /// returns if it has stopped running — whatever `f` answers. A
+    /// broken journal mirror is reported before (nothing is attempted)
+    /// and after (what `f` emitted is in memory, not on disk).
     fn write<T>(
         &self,
         id: InstanceId,
@@ -778,7 +848,9 @@ impl Engine {
         let inst = instances
             .get_mut(index_of(id))
             .ok_or(EngineError::UnknownInstance(id))?;
-        let done = f(inst, &mut svc)?;
+        let done = f(inst, &mut svc);
+        inst.retire();
+        let done = done?;
         self.check_journal()?;
         Ok(done)
     }
@@ -886,6 +958,7 @@ impl Engine {
             inst.probes = Some(self.probes_for(&inst.tpl));
         }
         navigator::seed_scope(inst, &mut svc, 0);
+        inst.retire();
         Ok(id)
     }
 
@@ -1149,19 +1222,40 @@ impl Engine {
 
     /// Runtime inspection: `(state, executed, attempt)` of the
     /// activity at `path`.
+    ///
+    /// An instance that has stopped running keeps no activities: for
+    /// one, they are rebuilt by folding the instance's journal events
+    /// ([`Engine::events_for`], O(journal)) as they stood when it
+    /// stopped, or — once a checkpoint has compacted those events away —
+    /// [`EngineError::HistoryCompacted`].
     pub fn activity_state(
         &self,
         id: InstanceId,
         path: &str,
     ) -> Result<(ActState, bool, u32), EngineError> {
-        self.read(id, |inst| {
-            let act = &inst.slab.acts[inst.live_slot(path)? as usize];
-            Some((act.state, act.executed, act.attempt))
-        })?
-        .ok_or(EngineError::BadActivityState {
-            path: path.to_owned(),
-            expected: "present",
-        })
+        let st = self.state.lock();
+        let inst = st
+            .instances
+            .get(index_of(id))
+            .ok_or(EngineError::UnknownInstance(id))?;
+        let unretired;
+        let inst = if inst.is_retired() {
+            let events = self.journal.events_for(id);
+            unretired = st
+                .unretired(inst, &events)
+                .ok_or(EngineError::HistoryCompacted(id))?;
+            &unretired
+        } else {
+            inst
+        };
+        let slot = inst
+            .live_slot(path)
+            .ok_or_else(|| EngineError::BadActivityState {
+                path: path.to_owned(),
+                expected: "present",
+            })?;
+        let act = &inst.slab.acts[slot as usize];
+        Ok((act.state, act.executed, act.attempt))
     }
 
     /// All journal events (copy).

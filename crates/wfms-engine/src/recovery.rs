@@ -222,9 +222,12 @@ impl Replay {
     pub(crate) fn finish(mut self) -> Result<(EngineState, txn_substrate::Tick), RecoveryError> {
         self.failed.take().map_or(Ok(()), Err)?;
         // The ready queues are not state an event describes: queueing
-        // is the navigator's side of a live step.
+        // is the navigator's side of a live step. (A retired instance
+        // has none.)
         for inst in self.state.instances.iter_mut() {
-            inst.rebuild_ready();
+            if !inst.is_retired() {
+                inst.rebuild_ready();
+            }
         }
         Ok((self.state, self.max_tick))
     }
@@ -256,6 +259,9 @@ impl Replay {
 /// * re-check scope completion, in case the crash hit between the last
 ///   termination and the completion event (`ActivityFinished` of the
 ///   block, or `InstanceFinished`).
+///
+/// An instance a repair finishes is retired after it, as after any
+/// live navigation.
 pub(crate) fn resume(engine: &Engine) {
     let mut st = engine.state.lock();
     let (instances, mut svc) = engine.nav(&mut st);
@@ -268,6 +274,7 @@ pub(crate) fn resume(engine: &Engine) {
             continue;
         }
         let counts = fixup_instance(inst, &mut svc);
+        inst.retire();
         counts.record(reg, "recovery.fixups");
     }
 }

@@ -27,11 +27,22 @@
 //! does, not two kept in step by hand
 //! (`tests/one_transition_function.rs`).
 //!
+//! **An instance that stops running is retired** (`Instance::retire`):
+//! its slab, ready queue and probes are dropped, and what is left is
+//! what a client is served — template, tenant, status and the process
+//! output. The history is the journal's. Retiring is not an event's
+//! effect but what happens *after* one: the engine retires once the
+//! call that navigated the instance returns (callers unwinding past
+//! `InstanceFinished` still index the slab), replay once it applied
+//! `InstanceFinished` / `InstanceCancelled`. Afterwards an event about
+//! the instance addresses nothing live and has no effect.
+//!
 //! [`ScopeState`] is the checkpoint payload: a scope tree of plain
 //! data with no reference to a template, because a checkpoint record
 //! is decoded before any template is known (the decoder has no
 //! registry). [`Instance::snapshot_root`] and
-//! [`Instance::restore_root`] convert losslessly.
+//! [`Instance::restore_root`] convert losslessly; a retired instance's
+//! tree is its outcome alone.
 
 use crate::compiled::{ActId, CompiledProcess, ScopeId, ScopeLayout};
 use crate::event::InstanceId;
@@ -206,7 +217,10 @@ impl StateSlab {
 }
 
 /// One process instance: a compiled template plus its state slab and a
-/// ready queue of automatic activities.
+/// ready queue of automatic activities — while it runs. Once it has
+/// finished or been cancelled the engine retires it, and it keeps only
+/// its outcome: template, tenant, status and process output
+/// ([`crate::Engine::view`]).
 ///
 /// The ready queue is a min-heap of execution **ranks**
 /// ([`ScopeLayout::rank`]): rank order is depth-first declaration
@@ -237,6 +251,9 @@ pub struct Instance {
     /// enabled. Runtime-only — never serialised into snapshots or the
     /// journal.
     pub(crate) probes: Option<crate::metrics::ActProbes>,
+    /// The process output once retired; until then the root scope's
+    /// output in the slab is it.
+    output: Container,
 }
 
 impl Instance {
@@ -250,17 +267,34 @@ impl Instance {
             tenant: None,
             ready: BinaryHeap::new(),
             probes: None,
+            output: Container::empty(),
+        }
+    }
+
+    /// An instance of `tpl` that stopped running (`status`) with the
+    /// process output `output`: retired from the start. What a
+    /// checkpoint restores of one.
+    pub(crate) fn retired(
+        id: InstanceId,
+        tpl: Arc<CompiledProcess>,
+        status: InstanceStatus,
+        output: Container,
+    ) -> Self {
+        Self {
+            id,
+            tpl,
+            slab: StateSlab::default(),
+            status,
+            tenant: None,
+            ready: BinaryHeap::new(),
+            probes: None,
+            output,
         }
     }
 
     /// The source process definition.
     pub fn def(&self) -> &Arc<ProcessDefinition> {
         &self.tpl.def
-    }
-
-    /// The root scope's input container.
-    pub fn root_input(&self) -> &Container {
-        &self.slab.scopes[0].input
     }
 
     /// Merges the caller's process input over the root scope's
@@ -271,7 +305,29 @@ impl Instance {
 
     /// The root scope's output container (the process output).
     pub fn root_output(&self) -> &Container {
-        &self.slab.scopes[0].output
+        self.slab
+            .scopes
+            .first()
+            .map_or(&self.output, |root| &root.output)
+    }
+
+    /// True once the instance has been retired: it has no slab left.
+    pub(crate) fn is_retired(&self) -> bool {
+        self.slab.scopes.is_empty()
+    }
+
+    /// Retires the instance if it has stopped running: moves the
+    /// process output out of the slab, then drops the slab, the ready
+    /// queue and the probes. Allocates nothing; a no-op while the
+    /// instance runs and once it is retired.
+    pub(crate) fn retire(&mut self) {
+        if self.status == InstanceStatus::Running || self.is_retired() {
+            return;
+        }
+        self.output = std::mem::take(&mut self.slab.scopes[0].output);
+        self.slab = StateSlab::default();
+        self.ready = BinaryHeap::new();
+        self.probes = None;
     }
 
     /// (Re)opens scope `s`: resets the subtree's slot ranges to fresh
@@ -401,11 +457,12 @@ impl Instance {
         self.status = InstanceStatus::Cancelled;
     }
 
-    /// True when scope `s` and every enclosing scope is open.
+    /// True when scope `s` and every enclosing scope is open — never,
+    /// once the instance is retired.
     fn scope_open(&self, s: ScopeId) -> bool {
         let mut cur = Some(s);
         while let Some(s) = cur {
-            if !self.slab.scopes[s as usize].live {
+            if !self.slab.scopes.get(s as usize).is_some_and(|sc| sc.live) {
                 return false;
             }
             cur = self.tpl.layout.scope(s).parent.map(|(ps, _)| ps);
@@ -480,8 +537,15 @@ impl Instance {
     }
 
     /// Snapshots the slab as a [`ScopeState`] tree (checkpoints,
-    /// inspection). Open child scopes become tree children.
+    /// inspection). Open child scopes become tree children. A retired
+    /// instance's tree is its outcome: the process output, nothing else.
     pub fn snapshot_root(&self) -> ScopeState {
+        if self.is_retired() {
+            return ScopeState {
+                output: self.output.clone(),
+                ..ScopeState::default()
+            };
+        }
         self.snap_scope(0)
     }
 
@@ -760,6 +824,35 @@ mod tests {
         assert_eq!(back.snapshot_root(), snap);
         assert_eq!(back.slab.scopes[0].remaining, 1);
         assert!(back.slab.scopes[c as usize].live);
+    }
+
+    #[test]
+    fn retiring_keeps_the_outcome_and_nothing_live() {
+        let t = tpl();
+        let mut inst = with_open_block(&t);
+        inst.retire();
+        assert!(!inst.is_retired(), "a running instance stays");
+        let mut output = Container::empty();
+        output.set("x", txn_substrate::Value::Int(1));
+        inst.instance_finished(&output);
+        inst.retire();
+        assert!(inst.is_retired());
+        assert_eq!(inst.root_output(), &output);
+        assert_eq!(inst.status, InstanceStatus::Finished);
+        for path in ["A", "B", "B/X"] {
+            assert_eq!(inst.live_slot(path), None, "{path}");
+        }
+        assert_eq!(inst.live_scope(""), None);
+        let snap = inst.snapshot_root();
+        assert_eq!(
+            snap,
+            ScopeState {
+                output,
+                ..ScopeState::default()
+            }
+        );
+        inst.retire();
+        assert_eq!(inst.snapshot_root(), snap, "retiring twice is a no-op");
     }
 
     #[test]

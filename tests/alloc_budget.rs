@@ -115,7 +115,9 @@ fn the_benchmark_shapes_stay_inside_their_allocation_budget() {
     // members together) per scope output or mapped input that takes a
     // non-default value, an abort's reason string, and the amortised
     // growth of the instance map and the journal (`docs/performance.md`
-    // has the table).
+    // has the table). Retiring the finished instance frees its slab
+    // vectors and heap and allocates nothing: the four budgets read the
+    // same before instances retired.
     for (shape, process, failing, budget) in [
         ("saga8 commit", "saga8", &[][..], 7),
         ("saga8 compensating at S6", "saga8", &["S6"][..], 11),

@@ -101,8 +101,10 @@ fn histogram(before: &[i64; CLASSES], after: &[i64; CLASSES]) -> String {
 /// engine whose journal is in memory or mirrored to `journal` under
 /// `Batched { n: 64 }`, an instance journalling `events`. On the
 /// mirrored engine the journal's resident events are watched too: never
-/// a full batch, none after a flush. Prints the live allocations per
-/// instance by size class under `label`.
+/// a full batch, none after a flush; and what an instance leaves must
+/// not depend on how many ran — the bytes per instance after twice as
+/// many agree within 5 %. Prints the live allocations per instance by
+/// size class under `label`.
 fn bytes_per_finished_instance(
     label: &str,
     spec: &exotica::AtmSpec,
@@ -156,13 +158,23 @@ fn bytes_per_finished_instance(
     );
 
     if journal.is_some() {
+        run(INSTANCES);
+        let twice = (live() - before) / (2 * INSTANCES);
+        println!(
+            "{label}: {twice} B per finished instance after {}",
+            2 * INSTANCES
+        );
+        assert!(
+            (twice - per_instance).abs() * 20 <= per_instance,
+            "{label}: {per_instance} B per instance after {INSTANCES}, {twice} B after twice as many"
+        );
         engine.flush_journal().expect("flushes");
         let m = engine.metrics();
         let resident = m.gauge("journal.resident_records");
         assert_eq!(resident, Some(0), "a flush empties memory");
         assert_eq!(
             m.gauge("journal.events"),
-            Some(events * (2_000 + INSTANCES))
+            Some(events * (2_000 + 2 * INSTANCES))
         );
     }
     per_instance
@@ -181,27 +193,28 @@ fn memory_is_bounded_and_the_file_plus_memory_is_the_log() {
     std::fs::create_dir_all(&dir).unwrap();
 
     // In memory the journal is the list it has to be (47 events of
-    // 80 B for saga8) and the instance's slab stays; the three WALs no
-    // longer grow. Mirrored, the journal's share goes too, and what is
-    // left is the instance: its slab and its containers, each one
-    // name-ordered allocation. The bounds are the values reached plus
-    // some 3 %; over B-tree containers (a 544 B leaf behind each map)
-    // they were 6 562 / 2 892 B for saga8 and 11 301 / 3 436 B for
-    // Figure 3.
+    // 80 B for saga8); the three WALs no longer grow. Mirrored, the
+    // journal's share goes too, and a finished instance is retired:
+    // what is left is its entry in the instance table and its process
+    // output, one name-ordered allocation. The bounds are the values
+    // reached plus some 3 %. While a finished instance kept its slab
+    // they were 5 900 / 2 150 B for saga8 and 10 150 / 2 050 B for
+    // Figure 3; over B-tree containers (a 544 B leaf behind each map)
+    // before that, 6 562 / 2 892 B and 11 301 / 3 436 B.
     for (label, spec, events, in_memory_bound, mirrored_bound) in [
         (
             "saga8",
             exotica::AtmSpec::Saga(atm::fixtures::linear_saga("saga8", 8)),
             47,
-            5_900,
-            2_150,
+            4_680,
+            345,
         ),
         (
             "Figure 3",
             exotica::AtmSpec::Flexible(atm::fixtures::figure3_spec()),
             49,
-            10_150,
-            2_050,
+            8_965,
+            493,
         ),
     ] {
         let in_memory =
