@@ -130,14 +130,15 @@ mod tests {
         let spec = figure3_spec();
         assert_eq!(spec.steps.len(), 8);
         assert_eq!(spec.paths.len(), 3);
-        assert!(spec.class_of("T1").is_compensatable());
-        assert!(spec.class_of("T2").is_pivot());
-        assert!(spec.class_of("T3").is_retriable());
-        assert!(spec.class_of("T4").is_pivot());
-        assert!(spec.class_of("T5").is_compensatable());
-        assert!(spec.class_of("T6").is_compensatable());
-        assert!(spec.class_of("T7").is_retriable());
-        assert!(spec.class_of("T8").is_pivot());
+        let class = |name| spec.step(name).unwrap().class;
+        assert!(class("T1").is_compensatable());
+        assert!(class("T2").is_pivot());
+        assert!(class("T3").is_retriable());
+        assert!(class("T4").is_pivot());
+        assert!(class("T5").is_compensatable());
+        assert!(class("T6").is_compensatable());
+        assert!(class("T7").is_retriable());
+        assert!(class("T8").is_pivot());
     }
 
     #[test]

@@ -1,29 +1,20 @@
 //! The native flexible-transaction executor (§4.2).
 //!
-//! Executes the preference-ordered paths of a [`FlexSpec`]:
-//!
-//! * steps run in path order; steps already committed on a previous
-//!   path (the shared prefix) are not re-executed;
-//! * a **retriable** step that aborts is retried until it commits
-//!   ("T3 can be retried until it commits");
-//! * any other abort abandons the current path: [`FlexSpec::switch`]
-//!   names the fallback path and the committed steps it does not keep,
-//!   which are compensated newest first before execution continues
-//!   there ("In the case that T8 is the one that aborts, T5 and T6 will
-//!   be compensated before T7 is executed");
-//! * when the switch names no fallback, everything committed is
-//!   compensated the same way and the transaction aborts;
-//! * compensations are retriable, as in the saga model.
-//!
-//! The executor decides nothing itself: the switch rule is the model
-//! crate's one copy, the same the F5 rule, `WA106` and the Figure 4
-//! translator read.
+//! Executes the preference-ordered paths of a [`FlexSpec`] on the
+//! shared native loop: a retriable step that aborts is retried until it
+//! commits, any other abort switches paths by the model's switch rule
+//! ("In the case that T8 is the one that aborts, T5 and T6 will be
+//! compensated before T7 is executed"), and compensations are
+//! retriable, as in the saga model. The executor decides nothing
+//! itself: the switch rule is the model crate's one copy, the same the
+//! F5 rule, `WA106` and the Figure 4 translator read.
 
 use crate::flexible::FlexSpec;
-use crate::native::trace::{AtmEvent, AtmTrace};
+use crate::native::trace::AtmTrace;
+use crate::native::Ended;
 use crate::wellformed::{check_flex, WellFormedError};
 use std::sync::Arc;
-use txn_substrate::{MultiDatabase, ProgramContext, ProgramRegistry};
+use txn_substrate::{MultiDatabase, ProgramRegistry};
 
 /// Outcome of a flexible-transaction execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,92 +90,33 @@ impl FlexExecutor {
 
     /// Runs `spec`. Returns `Err` if it is not well-formed.
     pub fn run(&self, spec: &FlexSpec) -> Result<FlexResult, Vec<WellFormedError>> {
-        let errors = check_flex(spec);
-        if !errors.is_empty() {
-            return Err(errors);
-        }
-
+        let checked = check_flex(spec)?;
         let mut trace = AtmTrace::default();
-        // In commit order: the switch undoes newest first.
-        let mut committed: Vec<String> = Vec::new();
-        let mut k = 0usize;
-
-        let outcome = 'paths: loop {
-            for name in &spec.paths[k] {
-                if committed.contains(name) {
-                    continue; // shared prefix with an earlier path
-                }
-                let step = spec.step(name).expect("well-formed");
-                match self.run_forward(step, &mut trace) {
-                    ForwardResult::Committed => committed.push(name.clone()),
-                    ForwardResult::Stuck => break 'paths FlexOutcome::Stuck { step: name.clone() },
-                    ForwardResult::Failed => {
-                        let switch = spec.switch(k, &committed, name);
-                        for s in &switch.undo {
-                            let step = spec.step(s).expect("well-formed");
-                            let undone = super::compensate(
-                                &self.multidb,
-                                &self.registry,
-                                self.max_retries,
-                                step,
-                                &mut trace,
-                            );
-                            if let Err(step) = undone {
-                                break 'paths FlexOutcome::Stuck { step };
-                            }
-                            committed.retain(|c| c != s);
-                        }
-                        let Some(to) = switch.to else {
-                            break 'paths FlexOutcome::Aborted;
-                        };
-                        trace.push(AtmEvent::PathSwitched { from: k, to });
-                        k = to;
-                        continue 'paths;
-                    }
-                }
-            }
-            break FlexOutcome::CommittedVia(k);
+        let (ended, committed) = super::run(
+            &checked,
+            &self.multidb,
+            &self.registry,
+            self.max_retries,
+            &mut trace,
+        );
+        let outcome = match ended {
+            Ended::Committed(k) => FlexOutcome::CommittedVia(k),
+            Ended::Aborted(_) => FlexOutcome::Aborted,
+            Ended::Stuck(step) => FlexOutcome::Stuck { step },
         };
         Ok(FlexResult {
             outcome,
             trace,
-            committed,
+            committed: committed.iter().map(|s| s.name.clone()).collect(),
         })
     }
-
-    fn run_forward(&self, step: &crate::spec::StepSpec, trace: &mut AtmTrace) -> ForwardResult {
-        let mut attempt = 0u32;
-        loop {
-            let mut ctx = ProgramContext::new(Arc::clone(&self.multidb));
-            ctx.attempt = attempt;
-            let outcome = self.registry.invoke(&step.program, &mut ctx);
-            if outcome.is_committed() {
-                trace.push(AtmEvent::Committed(step.name.clone()));
-                return ForwardResult::Committed;
-            }
-            trace.push(AtmEvent::Aborted(step.name.clone(), attempt));
-            if !step.class.is_retriable() {
-                return ForwardResult::Failed;
-            }
-            attempt += 1;
-            trace.push(AtmEvent::Retried(step.name.clone(), attempt));
-            if attempt > self.max_retries {
-                return ForwardResult::Stuck;
-            }
-        }
-    }
-}
-
-enum ForwardResult {
-    Committed,
-    Failed,
-    Stuck,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixtures::{self, figure3_spec, marker};
+    use crate::native::trace::AtmEvent;
     use txn_substrate::{FailurePlan, MultiDatabase, ProgramRegistry};
 
     fn rig() -> (Arc<MultiDatabase>, FlexExecutor) {
@@ -339,7 +271,7 @@ mod tests {
             let spec = figure3_spec();
             // Retriable steps failing forever would legitimately hang;
             // skip them (covered by the `stuck` test).
-            if spec.class_of(fail).is_retriable() {
+            if spec.step(fail).unwrap().class.is_retriable() {
                 continue;
             }
             let res = exec.run(&spec).unwrap();

@@ -5,8 +5,12 @@
 //! reverse order. Compensations are treated as retriable ("in general
 //! considered retrievable, in the sense that the compensation must be
 //! executed", appendix) and retried up to a configurable bound.
+//!
+//! [`SagaExecutor::run`] is the shared native loop on the saga's
+//! one-path form; [`SagaExecutor::run_parallel`] keeps the stages.
 
 use crate::native::trace::{AtmEvent, AtmTrace};
+use crate::native::Ended;
 use crate::saga::SagaSpec;
 use crate::wellformed::{check_saga, WellFormedError};
 use std::sync::Arc;
@@ -85,46 +89,25 @@ impl SagaExecutor {
         }
     }
 
-    /// Runs `spec`. Stage steps execute sequentially in declaration
-    /// order (the workflow comparison point is the flow structure, not
-    /// intra-stage parallelism); a stage fails if any of its steps
-    /// aborts, in which case the steps already committed — including
-    /// earlier steps of the failing stage — are compensated in reverse
-    /// commit order.
+    /// Runs `spec` on its one-path form: stage steps execute
+    /// sequentially in declaration order (the workflow comparison point
+    /// is the flow structure, not intra-stage parallelism); a forward
+    /// step that aborts is not retried, and the steps already committed
+    /// — including earlier steps of the failing stage — are compensated
+    /// in reverse commit order.
     ///
     /// Returns `Err` if the spec is not a well-formed saga.
     pub fn run(&self, spec: &SagaSpec) -> Result<SagaResult, Vec<WellFormedError>> {
-        let errors = check_saga(spec);
-        if !errors.is_empty() {
-            return Err(errors);
-        }
+        let checked = check_saga(spec)?;
         let mut trace = AtmTrace::default();
-        let mut committed: Vec<&crate::spec::StepSpec> = Vec::new();
-
-        for stage in &spec.stages {
-            let mut stage_failed = None;
-            for step in stage {
-                let mut ctx = ProgramContext::new(Arc::clone(&self.multidb));
-                let outcome = self.registry.invoke(&step.program, &mut ctx);
-                if outcome.is_committed() {
-                    trace.push(AtmEvent::Committed(step.name.clone()));
-                    committed.push(step);
-                } else {
-                    trace.push(AtmEvent::Aborted(step.name.clone(), 0));
-                    stage_failed = Some(step.name.clone());
-                    break;
-                }
-            }
-            if let Some(abort_step) = stage_failed {
-                // Compensate the committed prefix in reverse order —
-                // T1 … Tj ; Cj … C1.
-                return Ok(self.roll_back(&committed, abort_step, trace));
-            }
-        }
-        Ok(SagaResult {
-            outcome: SagaOutcome::Committed,
-            trace,
-        })
+        let retries = self.max_compensation_retries;
+        let (ended, _) = super::run(&checked, &self.multidb, &self.registry, retries, &mut trace);
+        let outcome = match ended {
+            Ended::Committed(_) => SagaOutcome::Committed,
+            Ended::Aborted(abort_step) => SagaOutcome::RolledBack { abort_step },
+            Ended::Stuck(step) => SagaOutcome::CompensationStuck { step },
+        };
+        Ok(SagaResult { outcome, trace })
     }
 
     /// Parallel-saga execution (the generalisation of
@@ -140,10 +123,7 @@ impl SagaExecutor {
     /// order is the reverse of that observed order, preserving the
     /// saga guarantee.
     pub fn run_parallel(&self, spec: &SagaSpec) -> Result<SagaResult, Vec<WellFormedError>> {
-        let errors = check_saga(spec);
-        if !errors.is_empty() {
-            return Err(errors);
-        }
+        check_saga(spec)?;
         let mut trace = AtmTrace::default();
         let mut committed: Vec<&crate::spec::StepSpec> = Vec::new();
 

@@ -7,11 +7,19 @@
 //!
 //! The parallel generalisation groups steps into *stages*: steps in
 //! one stage are independent and may run concurrently; stages run in
-//! order. A linear saga is the special case of singleton stages.
+//! order.
+//!
+//! [`check_saga`](crate::check_saga) checks a saga into its *one-path
+//! form*: a flexible transaction with a single path, its steps in stage
+//! order, and no forward retry. The switch rule on that path undoes
+//! everything committed, newest first — the guarantee above — so the
+//! sequential executor and the translators run a saga on the same form
+//! and rule as a flexible transaction. Only
+//! [`SagaExecutor::run_parallel`](crate::SagaExecutor::run_parallel)
+//! keeps the stages: a stage's concurrent members are not a path.
 
-use crate::spec::{SpecError, StepSpec};
+use crate::spec::StepSpec;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// A saga: ordered stages of compensatable subtransactions.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -63,18 +71,6 @@ impl SagaSpec {
     /// Looks up a step by name.
     pub fn step(&self, name: &str) -> Option<&StepSpec> {
         self.steps().find(|s| s.name == name)
-    }
-
-    /// Structural errors: duplicate step names.
-    pub fn structural_errors(&self) -> Vec<SpecError> {
-        let mut seen = BTreeSet::new();
-        let mut errors = Vec::new();
-        for s in self.steps() {
-            if !seen.insert(s.name.clone()) {
-                errors.push(SpecError::DuplicateStep(s.name.clone()));
-            }
-        }
-        errors
     }
 }
 
@@ -133,8 +129,10 @@ mod tests {
             ],
         );
         assert_eq!(
-            s.structural_errors(),
-            vec![SpecError::DuplicateStep("T1".into())]
+            crate::check_saga(&s).unwrap_err(),
+            vec![crate::WellFormedError::Structure(
+                "duplicate step \"T1\"".into()
+            )]
         );
     }
 }

@@ -65,26 +65,6 @@ impl StepSpec {
     }
 }
 
-/// Errors building or referencing specifications.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SpecError {
-    /// A path or order constraint references an unknown step.
-    UnknownStep(String),
-    /// Two steps share a name.
-    DuplicateStep(String),
-}
-
-impl std::fmt::Display for SpecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SpecError::UnknownStep(s) => write!(f, "unknown step {s:?}"),
-            SpecError::DuplicateStep(s) => write!(f, "duplicate step {s:?}"),
-        }
-    }
-}
-
-impl std::error::Error for SpecError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -21,8 +21,8 @@
 //!   pivot every step is retriable — the paper's "if nothing else
 //!   works, T3 can be retried until it commits".
 //! * F5 — no reachable failure strands a committed non-compensatable
-//!   step: for every abort [`FlexSpec::failures`] reaches from path 0,
-//!   every step its [`FlexSpec::switch`] undoes is compensatable. A
+//!   step: for every abort [`Resolved::failures`] reaches from path 0,
+//!   every step its [`Resolved::switch`] undoes is compensatable. A
 //!   failure of a step F4 already reports is not reported again.
 //!
 //! F5 is the pragmatic closure of the paper's "a pivot subtransaction
@@ -30,10 +30,15 @@
 //! rule the native executor and the translator run; the Figure 3
 //! example passes all five rules, and the mutation tests below show
 //! each rule rejecting a minimally broken variant.
+//!
+//! The checks parse rather than validate: [`check_saga`] and
+//! [`check_flex`] return the [`Checked`] form everything downstream
+//! runs on, so no consumer checks again or looks a step up by name.
 
+use crate::checked::{duplicates, Checked, Resolved};
 use crate::flexible::FlexSpec;
 use crate::saga::SagaSpec;
-use crate::spec::SpecError;
+use crate::spec::StepSpec;
 use std::fmt;
 
 /// One well-formedness violation.
@@ -87,19 +92,14 @@ impl fmt::Display for WellFormedError {
 
 impl std::error::Error for WellFormedError {}
 
-impl From<SpecError> for WellFormedError {
-    fn from(e: SpecError) -> Self {
-        WellFormedError::Structure(e.to_string())
-    }
-}
-
-/// Checks a saga (rules S1–S2). Returns all violations.
-pub fn check_saga(spec: &SagaSpec) -> Vec<WellFormedError> {
-    let mut errors: Vec<WellFormedError> = spec
-        .structural_errors()
-        .into_iter()
-        .map(Into::into)
-        .collect();
+/// Checks a saga (rules S1–S2) into its one-path form, or returns all
+/// violations.
+///
+/// The one-path form meets F2–F5 whenever S1–S2 hold — every step is
+/// compensatable and declares its compensation, and there is no pivot
+/// — so a saga's check enumerates no failures.
+pub fn check_saga(spec: &SagaSpec) -> Result<Checked<'_>, Vec<WellFormedError>> {
+    let mut errors = duplicates(spec.steps().map(|s| s.name.as_str()));
     if spec.is_empty() {
         errors.push(WellFormedError::Structure("saga has no steps".into()));
     }
@@ -110,112 +110,121 @@ pub fn check_saga(spec: &SagaSpec) -> Vec<WellFormedError> {
             });
         }
     }
-    errors
+    if errors.is_empty() {
+        Ok(Checked(Resolved::saga(spec)))
+    } else {
+        Err(errors)
+    }
 }
 
-/// Checks a flexible transaction (rules F1–F5). Returns all
-/// violations.
-pub fn check_flex(spec: &FlexSpec) -> Vec<WellFormedError> {
-    let mut errors: Vec<WellFormedError> = spec
-        .structural_errors()
-        .into_iter()
-        .map(Into::into)
-        .collect();
-    // F1 continued: at least one non-empty path.
-    if spec.paths.is_empty() || spec.paths.iter().any(Vec::is_empty) {
-        errors.push(WellFormedError::Structure(
-            "a flexible transaction needs at least one non-empty path".into(),
-        ));
+/// Checks a flexible transaction (rules F1–F5) into its resolved form,
+/// or returns all violations.
+pub fn check_flex(spec: &FlexSpec) -> Result<Checked<'_>, Vec<WellFormedError>> {
+    let resolved = Resolved::flexible(spec)?;
+    let errors = resolved.violations();
+    if errors.is_empty() {
+        Ok(Checked(resolved))
+    } else {
+        Err(errors)
     }
-    if !errors.is_empty() {
-        // Later rules dereference step names; stop at structure errors.
-        return errors;
-    }
+}
 
-    // F2: compensation declarations match classes.
-    for s in &spec.steps {
-        let declared = s.compensation.is_some();
-        if s.class.is_compensatable() != declared {
-            errors.push(WellFormedError::CompensationMismatch {
-                step: s.name.clone(),
-                has: declared,
-            });
-        }
-    }
+impl Resolved<'_> {
+    /// Rules F2–F5 over the resolved form, all violations in rule
+    /// order. F5 reads [`Resolved::failures`], so the route table the
+    /// executors, the translator and `WA106` use is the one checked
+    /// here.
+    pub fn violations(&self) -> Vec<WellFormedError> {
+        let mut errors = Vec::new();
 
-    // F3: between pivots (and before the first pivot), only
-    // compensatable or retriable steps.
-    for (pi, path) in spec.paths.iter().enumerate() {
-        let last_pivot = path.iter().rposition(|n| spec.class_of(n).is_pivot());
-        for (i, name) in path.iter().enumerate() {
-            let class = spec.class_of(name);
-            if class.is_pivot() {
-                continue;
-            }
-            let before_last_pivot = last_pivot.map(|lp| i < lp).unwrap_or(false);
-            if before_last_pivot && !class.is_compensatable() && !class.is_retriable() {
-                errors.push(WellFormedError::NonCompensatableBetweenPivots {
-                    path: pi,
-                    step: name.clone(),
+        // F2: compensation declarations match classes.
+        for s in self.declared() {
+            let declared = s.compensation.is_some();
+            if s.class.is_compensatable() != declared {
+                errors.push(WellFormedError::CompensationMismatch {
+                    step: s.name.clone(),
+                    has: declared,
                 });
             }
         }
-    }
 
-    // F4: the last path guarantees completion. Once its FIRST pivot
-    // commits, the transaction is committed to committing — there is
-    // no later alternative and nothing after a pivot can be rolled
-    // back — so every step after the first pivot must be retriable.
-    let last = spec.paths.last().map_or(&[][..], Vec::as_slice);
-    let first_pivot = last.iter().position(|n| spec.class_of(n).is_pivot());
-    let not_guaranteed: Vec<&String> = first_pivot
-        .map_or(&[][..], |p| &last[p + 1..])
-        .iter()
-        .filter(|n| !spec.class_of(n).is_retriable())
-        .collect();
-    errors.extend(
-        not_guaranteed
-            .iter()
-            .map(|n| WellFormedError::LastPathNotGuaranteed { step: (*n).clone() }),
-    );
-
-    // F5: every step a reachable failure undoes can be backed out —
-    // the paper's "a pivot subtransaction must always be associated
-    // with a way out".
-    for failure in spec.failures() {
-        if not_guaranteed.contains(&&failure.step) {
-            continue;
-        }
-        for name in failure.switch.undo.iter().rev() {
-            if !spec.class_of(name).is_compensatable() {
-                let err = WellFormedError::NoWayOut {
-                    path: failure.path,
-                    step: name.clone(),
-                };
-                if !errors.contains(&err) {
-                    errors.push(err);
+        // F3: between pivots (and before the first pivot), only
+        // compensatable or retriable steps.
+        for (pi, path) in self.paths().iter().enumerate() {
+            let last_pivot = path.iter().rposition(|s| s.class.is_pivot());
+            for (i, s) in path.iter().enumerate() {
+                let before_last_pivot = last_pivot.is_some_and(|lp| i < lp);
+                if before_last_pivot
+                    && !s.class.is_pivot()
+                    && !s.class.is_compensatable()
+                    && !self.retries(s)
+                {
+                    errors.push(WellFormedError::NonCompensatableBetweenPivots {
+                        path: pi,
+                        step: s.name.clone(),
+                    });
                 }
             }
         }
-    }
 
-    errors
+        // F4: the last path guarantees completion. Once its FIRST pivot
+        // commits, the transaction is committed to committing — there is
+        // no later alternative and nothing after a pivot can be rolled
+        // back — so every step after the first pivot must be retriable.
+        let last = self.paths().last().map_or(&[][..], Vec::as_slice);
+        let first_pivot = last.iter().position(|s| s.class.is_pivot());
+        let not_guaranteed: Vec<&StepSpec> = first_pivot
+            .map_or(&[][..], |p| &last[p + 1..])
+            .iter()
+            .filter(|s| !self.retries(s))
+            .copied()
+            .collect();
+        for s in &not_guaranteed {
+            let step = s.name.clone();
+            errors.push(WellFormedError::LastPathNotGuaranteed { step });
+        }
+
+        // F5: every step a reachable failure undoes can be backed out —
+        // the paper's "a pivot subtransaction must always be associated
+        // with a way out".
+        for failure in self.failures() {
+            if not_guaranteed.contains(&failure.step) {
+                continue;
+            }
+            for s in failure.switch.undo.iter().rev() {
+                if !s.class.is_compensatable() {
+                    let err = WellFormedError::NoWayOut {
+                        path: failure.path,
+                        step: s.name.clone(),
+                    };
+                    if !errors.contains(&err) {
+                        errors.push(err);
+                    }
+                }
+            }
+        }
+
+        errors
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixtures;
-    use crate::spec::StepSpec;
+
+    fn errors(checked: Result<Checked<'_>, Vec<WellFormedError>>) -> Vec<WellFormedError> {
+        checked.err().unwrap_or_default()
+    }
 
     #[test]
     fn figure3_is_well_formed() {
-        assert_eq!(check_flex(&fixtures::figure3_spec()), vec![]);
+        assert!(check_flex(&fixtures::figure3_spec()).is_ok());
     }
 
     #[test]
     fn linear_saga_is_well_formed() {
-        assert_eq!(check_saga(&fixtures::linear_saga("s", 4)), vec![]);
+        assert!(check_saga(&fixtures::linear_saga("s", 4)).is_ok());
     }
 
     #[test]
@@ -227,7 +236,7 @@ mod tests {
                 StepSpec::pivot("T2", "p2"),
             ],
         );
-        let errs = check_saga(&spec);
+        let errs = errors(check_saga(&spec));
         assert!(errs.iter().any(
             |e| matches!(e, WellFormedError::SagaStepNotCompensatable { step } if step == "T2")
         ));
@@ -235,7 +244,7 @@ mod tests {
 
     #[test]
     fn empty_saga_rejected() {
-        let errs = check_saga(&SagaSpec::linear("empty", vec![]));
+        let errs = errors(check_saga(&SagaSpec::linear("empty", vec![])));
         assert!(errs
             .iter()
             .any(|e| matches!(e, WellFormedError::Structure(_))));
@@ -250,7 +259,7 @@ mod tests {
             .find(|s| s.name == "T2")
             .unwrap()
             .compensation = Some("c2".into());
-        assert!(check_flex(&spec).iter().any(
+        assert!(errors(check_flex(&spec)).iter().any(
             |e| matches!(e, WellFormedError::CompensationMismatch { step, has: true } if step == "T2")
         ));
         // And strip a compensatable step's compensation.
@@ -261,7 +270,7 @@ mod tests {
             .find(|s| s.name == "T1")
             .unwrap()
             .compensation = None;
-        assert!(check_flex(&spec2).iter().any(
+        assert!(errors(check_flex(&spec2)).iter().any(
             |e| matches!(e, WellFormedError::CompensationMismatch { step, has: false } if step == "T1")
         ));
     }
@@ -274,7 +283,7 @@ mod tests {
         let t5 = spec.steps.iter_mut().find(|s| s.name == "T5").unwrap();
         t5.class = txn_substrate::StepClass::Pivot;
         t5.compensation = None;
-        let errs = check_flex(&spec);
+        let errs = errors(check_flex(&spec));
         // T5 itself is a pivot now, exempt from F3; but T6 between the
         // pivots T5 and T8 is fine (compensatable)… instead the F5
         // rule fires: abandoning path 0 can strand committed T5.
@@ -291,7 +300,7 @@ mod tests {
         let t3 = spec.steps.iter_mut().find(|s| s.name == "T3").unwrap();
         t3.class = txn_substrate::StepClass::Compensatable;
         t3.compensation = Some("c3".into());
-        let errs = check_flex(&spec);
+        let errs = errors(check_flex(&spec));
         assert!(errs
             .iter()
             .any(|e| matches!(e, WellFormedError::LastPathNotGuaranteed { step } if step == "T3")));
@@ -307,7 +316,7 @@ mod tests {
         let t3 = spec.steps.iter_mut().find(|s| s.name == "T3").unwrap();
         t3.class = txn_substrate::StepClass::Pivot;
         t3.compensation = None;
-        let errs = check_flex(&spec);
+        let errs = errors(check_flex(&spec));
         assert!(errs
             .iter()
             .any(|e| matches!(e, WellFormedError::LastPathNotGuaranteed { step } if step == "T3")));
@@ -322,7 +331,7 @@ mod tests {
         let t6 = spec.steps.iter_mut().find(|s| s.name == "T6").unwrap();
         t6.class = txn_substrate::StepClass::Pivot;
         t6.compensation = None;
-        let errs = check_flex(&spec);
+        let errs = errors(check_flex(&spec));
         assert!(errs
             .iter()
             .any(|e| matches!(e, WellFormedError::NoWayOut { path: 0, step } if step == "T6")));
@@ -335,7 +344,7 @@ mod tests {
             vec![StepSpec::pivot("T1", "p1")],
             vec![vec!["T1", "Ghost"]],
         );
-        let errs = check_flex(&spec);
+        let errs = errors(check_flex(&spec));
         assert!(errs
             .iter()
             .all(|e| matches!(e, WellFormedError::Structure(_))));
@@ -344,8 +353,8 @@ mod tests {
     #[test]
     fn empty_paths_rejected() {
         let spec = FlexSpec::new("np", vec![StepSpec::pivot("T1", "p1")], vec![]);
-        assert!(!check_flex(&spec).is_empty());
+        assert!(check_flex(&spec).is_err());
         let spec2 = FlexSpec::new("ep", vec![StepSpec::pivot("T1", "p1")], vec![vec![]]);
-        assert!(!check_flex(&spec2).is_empty());
+        assert!(check_flex(&spec2).is_err());
     }
 }

@@ -20,8 +20,8 @@ fn ablation(c: &mut Criterion) {
     group.sample_size(30);
     for n in [4usize, 16, 64] {
         let spec = atm::fixtures::linear_saga("s", n);
-        let block = exotica::translate_saga(&spec).unwrap();
-        let flat = exotica::translate_saga_flat(&spec).unwrap();
+        let block = exotica::translate_saga(&atm::check_saga(&spec).unwrap()).unwrap();
+        let flat = exotica::translate_saga_flat(&atm::check_saga(&spec).unwrap()).unwrap();
         group.bench_with_input(BenchmarkId::new("blocks_success", n), &n, |b, &n| {
             b.iter(|| {
                 let w = saga_world(n, 0);

@@ -14,7 +14,7 @@ const N: usize = 16;
 
 fn compensation(c: &mut Criterion) {
     let spec = atm::fixtures::linear_saga("s", N);
-    let def = exotica::translate_saga(&spec).unwrap();
+    let def = exotica::translate_saga(&atm::check_saga(&spec).unwrap()).unwrap();
     let mut group = c.benchmark_group("compensation");
     group.sample_size(30);
     for j in [1usize, 4, 8, 12, 16] {

@@ -12,7 +12,7 @@ use txn_substrate::FailurePlan;
 
 fn flex_paths(c: &mut Criterion) {
     let spec = atm::fixtures::figure3_spec();
-    let def = exotica::translate_flex(&spec).unwrap();
+    let def = exotica::translate_flex(&atm::check_flex(&spec).unwrap()).unwrap();
     let scenarios: &[(&str, Vec<(&str, FailurePlan)>)] = &[
         ("p1_happy", vec![]),
         ("p2_after_t8", vec![("T8", FailurePlan::Always)]),

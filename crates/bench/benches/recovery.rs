@@ -14,7 +14,7 @@ use wfms_engine::{recover_from, Journal, OrgModel};
 fn journal_events(instances: usize) -> (Vec<wfms_engine::Event>, wfms_model::ProcessDefinition) {
     let n = 8;
     let spec = atm::fixtures::linear_saga("s", n);
-    let def = exotica::translate_saga(&spec).unwrap();
+    let def = exotica::translate_saga(&atm::check_saga(&spec).unwrap()).unwrap();
     let w = saga_world(n, 0);
     let engine = wfms_engine::Engine::new(Arc::clone(&w.0), Arc::clone(&w.1));
     engine.register(def.clone()).unwrap();
@@ -52,7 +52,7 @@ fn recovery(c: &mut Criterion) {
     // Baseline: running one instance from scratch, for comparison with
     // replaying one instance's journal.
     let spec = atm::fixtures::linear_saga("s", 8);
-    let def = exotica::translate_saga(&spec).unwrap();
+    let def = exotica::translate_saga(&atm::check_saga(&spec).unwrap()).unwrap();
     group.bench_function("fresh_run_baseline", |b| {
         b.iter(|| {
             let w = saga_world(8, 0);

@@ -12,7 +12,7 @@ fn saga_scaling(c: &mut Criterion) {
     group.sample_size(30);
     for n in [2usize, 4, 8, 16, 32, 64] {
         let spec = atm::fixtures::linear_saga("s", n);
-        let def = exotica::translate_saga(&spec).unwrap();
+        let def = exotica::translate_saga(&atm::check_saga(&spec).unwrap()).unwrap();
         group.bench_with_input(BenchmarkId::new("native", n), &n, |b, &n| {
             b.iter(|| {
                 let w = saga_world(n, 0);

@@ -14,9 +14,9 @@ fn translator(c: &mut Criterion) {
     for n in [4usize, 16, 64] {
         let spec = atm::fixtures::linear_saga("s", n);
         group.bench_with_input(BenchmarkId::new("translate_saga", n), &n, |b, _| {
-            b.iter(|| exotica::translate_saga(&spec).unwrap())
+            b.iter(|| exotica::translate_saga(&atm::check_saga(&spec).unwrap()).unwrap())
         });
-        let def = exotica::translate_saga(&spec).unwrap();
+        let def = exotica::translate_saga(&atm::check_saga(&spec).unwrap()).unwrap();
         group.bench_with_input(BenchmarkId::new("emit_fdl", n), &n, |b, _| {
             b.iter(|| wfms_fdl::emit(&def))
         });
@@ -31,7 +31,7 @@ fn translator(c: &mut Criterion) {
     }
     group.bench_function("translate_flex_figure3", |b| {
         let spec = atm::fixtures::figure3_spec();
-        b.iter(|| exotica::translate_flex(&spec).unwrap())
+        b.iter(|| exotica::translate_flex(&atm::check_flex(&spec).unwrap()).unwrap())
     });
     group.finish();
 }

@@ -144,7 +144,7 @@ mod tests {
     #[test]
     fn saga_workloads_run() {
         let spec = fixtures::linear_saga("s", 4);
-        let def = exotica::translate_saga(&spec).unwrap();
+        let def = exotica::translate_saga(&atm::check_saga(&spec).unwrap()).unwrap();
         let w = saga_world(4, 0);
         assert!(run_saga_native(&w, &spec));
         let w2 = saga_world(4, 0);
@@ -171,7 +171,7 @@ mod tests {
     #[test]
     fn figure3_workloads_run() {
         let spec = fixtures::figure3_spec();
-        let def = exotica::translate_flex(&spec).unwrap();
+        let def = exotica::translate_flex(&atm::check_flex(&spec).unwrap()).unwrap();
         let w = figure3_world(0);
         script(&w, &[("T8", FailurePlan::Always)]);
         assert!(run_flex_native(&w, &spec));

@@ -38,7 +38,8 @@ fn main() {
 fn e_series() {
     println!("-- E-series: figure reproductions (functional) --");
     // E1: meta-model + FDL round trip.
-    let def = exotica::translate_saga(&fixtures::linear_saga("e1", 3)).unwrap();
+    let e1 = fixtures::linear_saga("e1", 3);
+    let def = exotica::translate_saga(&atm::check_saga(&e1).unwrap()).unwrap();
     let fdl = wfms_fdl::emit(&def);
     let back = wfms_fdl::parse_and_validate(&fdl).unwrap();
     println!(
@@ -49,7 +50,7 @@ fn e_series() {
     // E2: saga guarantee at every abort point (n = 6).
     let n = 6;
     let spec = fixtures::linear_saga("e2", n);
-    let def = exotica::translate_saga(&spec).unwrap();
+    let def = exotica::translate_saga(&atm::check_saga(&spec).unwrap()).unwrap();
     let mut all = true;
     for j in 1..=n {
         let w = saga_world(n, 0);
@@ -75,14 +76,14 @@ fn e_series() {
         "E3 figure3  flexible spec well-formed ({} steps, {} paths): {}",
         f3.steps.len(),
         f3.paths.len(),
-        ok(atm::check_flex(&f3).is_empty())
+        ok(atm::check_flex(&f3).is_ok())
     );
 
     // E4: translation equivalence over single permanent failures.
     let installer: exotica::verify::Installer<'_> = &fixtures::register_figure3_programs;
     let mut all = true;
     for fail in fixtures::FIGURE3_STEPS {
-        if f3.class_of(fail).is_retriable() {
+        if f3.step(fail).unwrap().class.is_retriable() {
             continue;
         }
         let plans = vec![(fail.to_string(), FailurePlan::Always)];
@@ -122,8 +123,9 @@ fn b9_ablation() {
     );
     for n in [4usize, 16, 64] {
         let spec = fixtures::linear_saga("s", n);
-        let block = exotica::translate_saga(&spec).unwrap();
-        let flat = exotica::translate_saga_flat(&spec).unwrap();
+        let checked = atm::check_saga(&spec).unwrap();
+        let block = exotica::translate_saga(&checked).unwrap();
+        let flat = exotica::translate_saga_flat(&checked).unwrap();
         let mid = format!("S{}", n / 2 + 1);
         let t_block = time_us(200, || {
             let w = saga_world(n, 0);
@@ -177,7 +179,8 @@ fn b10_makespan() {
         ),
         ("T2 fails (abort)", vec![("T2", FailurePlan::Always)]),
     ];
-    let def = exotica::translate_flex(&fixtures::figure3_spec()).unwrap();
+    let def =
+        exotica::translate_flex(&atm::check_flex(&fixtures::figure3_spec()).unwrap()).unwrap();
     println!("{:<28} {:>9}", "scenario", "ticks");
     for (name, plans) in scenarios {
         let fed = MultiDatabase::new(0);
@@ -304,7 +307,7 @@ fn b12_simulation() {
         ("T8", 20),
     ];
     let spec = fixtures::figure3_spec();
-    let def = exotica::translate_flex(&spec).unwrap();
+    let def = exotica::translate_flex(&atm::check_flex(&spec).unwrap()).unwrap();
     println!(
         "{:>5} {:>9} {:>7} {:>7} {:>7} {:>7}",
         "p", "commit%", "p50", "p90", "p99", "max"
@@ -375,7 +378,7 @@ fn b1_saga_scaling() {
     );
     for n in [2usize, 4, 8, 16, 32, 64] {
         let spec = fixtures::linear_saga("s", n);
-        let def = exotica::translate_saga(&spec).unwrap();
+        let def = exotica::translate_saga(&atm::check_saga(&spec).unwrap()).unwrap();
         let t_native = time_us(200, || {
             let w = saga_world(n, 0);
             assert!(run_saga_native(&w, &spec));
@@ -403,7 +406,7 @@ fn b2_compensation() {
         "abort_at", "comps", "native", "workflow"
     );
     let spec = fixtures::linear_saga("s", n);
-    let def = exotica::translate_saga(&spec).unwrap();
+    let def = exotica::translate_saga(&atm::check_saga(&spec).unwrap()).unwrap();
     for j in [1usize, 4, 8, 12, 16] {
         let label = format!("S{j}");
         let t_native = time_us(200, || {
@@ -494,7 +497,7 @@ fn b5_recovery() {
     for instances in [2usize, 8, 32, 128] {
         let n = 8;
         let spec = fixtures::linear_saga("s", n);
-        let def = exotica::translate_saga(&spec).unwrap();
+        let def = exotica::translate_saga(&atm::check_saga(&spec).unwrap()).unwrap();
         let w = saga_world(n, 0);
         let engine = wfms_engine::Engine::new(Arc::clone(&w.0), Arc::clone(&w.1));
         engine.register(def.clone()).unwrap();
@@ -524,7 +527,7 @@ fn b5_recovery() {
     {
         let n = 8;
         let spec = fixtures::linear_saga("s", n);
-        let def = exotica::translate_saga(&spec).unwrap();
+        let def = exotica::translate_saga(&atm::check_saga(&spec).unwrap()).unwrap();
         let w = saga_world(n, 0);
         let engine = wfms_engine::Engine::new(Arc::clone(&w.0), Arc::clone(&w.1));
         engine.register(def.clone()).unwrap();
@@ -607,9 +610,9 @@ fn b7_translator() {
     for n in [4usize, 16, 64] {
         let spec = fixtures::linear_saga("s", n);
         let t_tr = time_us(300, || {
-            exotica::translate_saga(&spec).unwrap();
+            exotica::translate_saga(&atm::check_saga(&spec).unwrap()).unwrap();
         });
-        let def = exotica::translate_saga(&spec).unwrap();
+        let def = exotica::translate_saga(&atm::check_saga(&spec).unwrap()).unwrap();
         let t_emit = time_us(300, || {
             wfms_fdl::emit(&def);
         });
@@ -628,7 +631,7 @@ fn b7_translator() {
     }
     let f3 = fixtures::figure3_spec();
     let t = time_us(300, || {
-        exotica::translate_flex(&f3).unwrap();
+        exotica::translate_flex(&atm::check_flex(&f3).unwrap()).unwrap();
     });
     println!("figure3 flexible translation: {t:.1} µs\n");
 }

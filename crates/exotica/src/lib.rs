@@ -7,14 +7,18 @@
 //!
 //! ```text
 //!  ATM spec text ──specfmt──▶ SagaSpec / FlexSpec
-//!        │                         │  well-formedness (atm::wellformed)
+//!        │                         │  model rules, once (atm::check_saga / check_flex)
 //!        │                         ▼
-//!        │                 translate (Figure 2 / Figure 4 constructions)
-//!        │                         │
+//!        │                   atm::Checked (steps resolved, route table)
+//!        │                         │  translate (Figure 2 / Figure 4 constructions)
 //!        │                         ▼
 //!        └────────────▶ FDL text ──import──▶ validated ProcessDefinition
 //!                                                (executable template)
 //! ```
+//!
+//! The translators take the checked form, never a raw specification:
+//! the model rules run once, at pipeline stage 2, and nothing after it
+//! checks again or looks a step up by name.
 //!
 //! * [`saga`] — the Figure 2 construction: forward block +
 //!   compensation block with the NOP trigger and `State_i` bookkeeping.
@@ -57,14 +61,13 @@ pub use saga::{translate_saga, translate_saga_flat};
 pub use specfmt::{emit_spec, parse_spec, parse_spec_spanned, ParsedSpec, SpecSpans};
 pub use verify::{compare_flex, compare_saga, EquivalenceReport};
 
-use atm::WellFormedError;
 use wfms_model::ValidationError;
 
-/// Errors produced by the translation stage.
+/// Errors produced by the translation stage. A specification that
+/// breaks its model's rules never gets here: the translators take the
+/// [`atm::Checked`] form, which only a passed check produces.
 #[derive(Debug)]
 pub enum TranslateError {
-    /// The specification violates its model's well-formedness rules.
-    NotWellFormed(Vec<WellFormedError>),
     /// The saga translation covers linear sagas only, as does §4.1 of
     /// the paper ("the discussion will be limited to the linear
     /// sagas"); staged sagas run on the native executor.
@@ -82,13 +85,6 @@ pub enum TranslateError {
 impl std::fmt::Display for TranslateError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TranslateError::NotWellFormed(errs) => {
-                writeln!(f, "specification is not well-formed:")?;
-                for e in errs {
-                    writeln!(f, "  - {e}")?;
-                }
-                Ok(())
-            }
             TranslateError::NotLinear => {
                 f.write_str("only linear sagas are translated to workflow processes")
             }

@@ -18,8 +18,7 @@
 //! version dispatched on the first keyword, which turned every
 //! mis-spelled header into an unhelpful "unrecognised source".)
 
-use crate::flexible::translate_flex;
-use crate::saga::translate_saga;
+use crate::pipeline::{check, translate};
 use crate::specfmt::{parse_spec_spanned, ParsedSpec};
 use wfms_analyzer::{has_errors, Analyzer, Diagnostic};
 use wfms_fdl::Pos;
@@ -98,11 +97,7 @@ pub fn lint_source(src: &str, allowed: &[String]) -> Result<Vec<Diagnostic>, Str
             // likewise a spec outside the supported translation class
             // is `fmtm check`'s concern, not a lint finding.
             if !has_errors(&diags) {
-                let translated = match &spec {
-                    ParsedSpec::Saga(s) => translate_saga(s),
-                    ParsedSpec::Flexible(f) => translate_flex(f),
-                };
-                if let Ok(process) = translated {
+                if let Some(process) = check(&spec).ok().and_then(|c| translate(&c).ok()) {
                     diags.extend(analyzer().check_process(&process, None));
                 }
             }

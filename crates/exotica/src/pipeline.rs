@@ -20,7 +20,7 @@ use crate::flexible::translate_flex;
 use crate::saga::translate_saga;
 use crate::specfmt::{parse_spec, ParsedSpec, SpecSyntaxError};
 use crate::TranslateError;
-use atm::WellFormedError;
+use atm::{Checked, Source, WellFormedError};
 use std::sync::Arc;
 use wfms_analyzer::{Analyzer, Diagnostic, Severity};
 use wfms_engine::CompiledProcess;
@@ -184,27 +184,18 @@ pub fn run_pipeline(spec_text: &str) -> Result<PipelineOutput, PipelineError> {
     let spec = parse_spec(spec_text).map_err(PipelineError::SpecSyntax)?;
     stage_nanos.push(("parse", t0.elapsed().as_nanos()));
 
-    // Stage 2: model-rule checking (also re-run inside the
-    // translators; surfaced here as its own stage for the taxonomy).
+    // Stage 2: model-rule checking, once, into the checked form every
+    // later stage reads.
     let t0 = std::time::Instant::now();
-    let rule_errors = match &spec {
-        AtmSpec::Saga(s) => atm::check_saga(s),
-        AtmSpec::Flexible(x) => atm::check_flex(x),
-    };
-    if !rule_errors.is_empty() {
-        return Err(PipelineError::ModelRules(rule_errors));
-    }
+    let checked = check(&spec).map_err(PipelineError::ModelRules)?;
     stage_nanos.push(("model-rules", t0.elapsed().as_nanos()));
 
     // Stage 3: translate to a workflow process and emit FDL.
     let t0 = std::time::Instant::now();
-    let translated = match &spec {
-        AtmSpec::Saga(s) => translate_saga(s),
-        AtmSpec::Flexible(x) => translate_flex(x),
-    }
-    .map_err(PipelineError::Translation)?;
+    let translated = translate(&checked).map_err(PipelineError::Translation)?;
     let fdl = wfms_fdl::emit(&translated);
     stage_nanos.push(("translate", t0.elapsed().as_nanos()));
+    drop(checked); // it borrows `spec`, which the output takes
 
     // Stages 4–5: import the FDL (syntax + semantic validation) and
     // statically analyse it, yielding the executable template.
@@ -242,6 +233,23 @@ pub fn run_pipeline(spec_text: &str) -> Result<PipelineOutput, PipelineError> {
         opt_stats,
         stage_nanos,
     })
+}
+
+/// Stage 2: the spec's model rules, into the form the translators take.
+pub(crate) fn check(spec: &AtmSpec) -> Result<Checked<'_>, Vec<WellFormedError>> {
+    match spec {
+        AtmSpec::Saga(s) => atm::check_saga(s),
+        AtmSpec::Flexible(x) => atm::check_flex(x),
+    }
+}
+
+/// Stage 3: the model's construction — Figure 2 for a saga, Figure 4
+/// for a flexible transaction.
+pub(crate) fn translate(checked: &Checked) -> Result<ProcessDefinition, TranslateError> {
+    match checked.source() {
+        Source::Saga(_) => translate_saga(checked),
+        Source::Flexible(_) => translate_flex(checked),
+    }
 }
 
 /// The `stage_nanos` label for one analyzer pass. The names are the

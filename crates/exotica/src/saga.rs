@@ -38,7 +38,7 @@
 //! linear sagas only.
 
 use crate::TranslateError;
-use atm::{check_saga, SagaSpec, StepSpec};
+use atm::{Checked, Source, StepSpec};
 use wfms_model::{
     validate, Activity, ContainerSchema, DataType, ProcessBuilder, ProcessDefinition, RC_MEMBER,
 };
@@ -169,7 +169,7 @@ fn compensations(mut b: ProcessBuilder, steps: &[&StepSpec], described: bool) ->
     b
 }
 
-/// Translates a linear saga into a workflow process (Figure 2).
+/// Translates a checked linear saga into a workflow process (Figure 2).
 ///
 /// The generated process exposes one output member, `Committed`
 /// (INT): `1` if the saga ran to completion, `0` if it aborted and was
@@ -182,7 +182,7 @@ fn compensations(mut b: ProcessBuilder, steps: &[&StepSpec], described: bool) ->
 ///     StepSpec::compensatable("Debit", "debit", "undo_debit"),
 ///     StepSpec::compensatable("Credit", "credit", "undo_credit"),
 /// ]);
-/// let process = exotica::translate_saga(&saga).unwrap();
+/// let process = exotica::translate_saga(&atm::check_saga(&saga).unwrap()).unwrap();
 ///
 /// // The Figure 2 shape: a forward block and a compensation block,
 /// // linked by an `RC = 0` connector.
@@ -191,23 +191,23 @@ fn compensations(mut b: ProcessBuilder, steps: &[&StepSpec], described: bool) ->
 /// assert_eq!(process.control[0].condition.to_string(), "(RC = 0)");
 /// assert!(wfms_model::validate(&process).is_empty());
 /// ```
-pub fn translate_saga(spec: &SagaSpec) -> Result<ProcessDefinition, TranslateError> {
+pub fn translate_saga(spec: &Checked) -> Result<ProcessDefinition, TranslateError> {
     let steps = linear_steps(spec)?;
+    let name = spec.name();
     let fwd = forward_block(
         FORWARD_BLOCK,
-        &format!("forward phase of saga {:?}", spec.name),
-        &steps,
+        &format!("forward phase of saga {name:?}"),
+        steps,
         |_| false,
     );
     let comp = compensation_block(
         COMPENSATION_BLOCK,
-        &format!("compensation phase of saga {:?}", spec.name),
-        &steps,
+        &format!("compensation phase of saga {name:?}"),
+        steps,
     );
-    let root = ProcessBuilder::new(&spec.name)
+    let root = ProcessBuilder::new(name)
         .describe(&format!(
-            "saga {:?} compiled by Exotica/FMTM (Figure 2 construction)",
-            spec.name
+            "saga {name:?} compiled by Exotica/FMTM (Figure 2 construction)"
         ))
         .output(ContainerSchema::of(&[("Committed", DataType::Int)]))
         .block(FORWARD_BLOCK, fwd)
@@ -217,7 +217,7 @@ pub fn translate_saga(spec: &SagaSpec) -> Result<ProcessDefinition, TranslateErr
             COMPENSATION_BLOCK,
             &format!("{RC_MEMBER} = 0"),
         );
-    let root = with_state_pairs(&steps, |pairs| {
+    let root = with_state_pairs(steps, |pairs| {
         root.map_data(FORWARD_BLOCK, COMPENSATION_BLOCK, pairs)
     })
     .map_to_process_output(FORWARD_BLOCK, &[(RC_MEMBER, "Committed")])
@@ -225,21 +225,18 @@ pub fn translate_saga(spec: &SagaSpec) -> Result<ProcessDefinition, TranslateErr
     validated(root)
 }
 
-/// The steps of a saga both translations accept: well-formed, linear.
-fn linear_steps(spec: &SagaSpec) -> Result<Vec<&StepSpec>, TranslateError> {
-    let errors = check_saga(spec);
-    if !errors.is_empty() {
-        return Err(TranslateError::NotWellFormed(errors));
+/// The one path of a linear saga, the only form both translations
+/// accept.
+fn linear_steps<'c>(spec: &'c Checked) -> Result<&'c [&'c StepSpec], TranslateError> {
+    match spec.source() {
+        Source::Saga(saga) if saga.is_linear() => Ok(&spec.paths()[0]),
+        _ => Err(TranslateError::NotLinear),
     }
-    if !spec.is_linear() {
-        return Err(TranslateError::NotLinear);
-    }
-    Ok(spec.steps().collect())
 }
 
 /// A generated process that fails meta-model validation is a
 /// translator bug, surfaced rather than panicked on.
-fn validated(root: ProcessDefinition) -> Result<ProcessDefinition, TranslateError> {
+pub(crate) fn validated(root: ProcessDefinition) -> Result<ProcessDefinition, TranslateError> {
     let errors = validate(&root);
     if !errors.is_empty() {
         return Err(TranslateError::Model(errors));
@@ -259,17 +256,17 @@ fn validated(root: ProcessDefinition) -> Result<ProcessDefinition, TranslateErro
 /// Used by the `ablation` benchmark to measure what the paper's
 /// block structure costs and buys; behaviourally equivalent (the
 /// equivalence tests run both variants against the native executor).
-pub fn translate_saga_flat(spec: &SagaSpec) -> Result<ProcessDefinition, TranslateError> {
+pub fn translate_saga_flat(spec: &Checked) -> Result<ProcessDefinition, TranslateError> {
     let steps = linear_steps(spec)?;
-    let mut b = ProcessBuilder::new(&spec.name)
+    let mut b = ProcessBuilder::new(spec.name())
         .describe(&format!(
             "saga {:?} compiled flat (ablation of the Figure 2 block structure)",
-            spec.name
+            spec.name()
         ))
         .output(ContainerSchema::of(&[("Committed", DataType::Int)]));
 
     // Forward chain.
-    for step in &steps {
+    for step in steps {
         b = b.program(&step.name, &step.program);
     }
     for w in steps.windows(2) {
@@ -281,11 +278,11 @@ pub fn translate_saga_flat(spec: &SagaSpec) -> Result<ProcessDefinition, Transla
     b = b.activity(
         Activity::noop(NOP_ACTIVITY)
             .describe("compensation trigger (flat variant)")
-            .with_input(state_schema(&steps))
-            .with_output(state_schema(&steps))
+            .with_input(state_schema(steps))
+            .with_output(state_schema(steps))
             .or_start(),
     );
-    for step in &steps {
+    for step in steps {
         b = b
             .connect_when(&step.name, NOP_ACTIVITY, &format!("{RC_MEMBER} = 0"))
             .map_data(
@@ -297,7 +294,7 @@ pub fn translate_saga_flat(spec: &SagaSpec) -> Result<ProcessDefinition, Transla
 
     let last = steps.last().expect("non-empty saga");
     validated(
-        compensations(b, &steps, false)
+        compensations(b, steps, false)
             .map_to_process_output(&last.name, &[(RC_MEMBER, "Committed")])
             .build_unchecked(),
     )
@@ -308,11 +305,20 @@ mod tests {
     use super::*;
     use atm::fixtures;
     use atm::spec::StepSpec;
+    use atm::{check_saga, SagaSpec};
     use wfms_model::ActivityKind;
+
+    fn translate(spec: &SagaSpec) -> Result<ProcessDefinition, TranslateError> {
+        translate_saga(&check_saga(spec).unwrap())
+    }
+
+    fn translate_flat(spec: &SagaSpec) -> Result<ProcessDefinition, TranslateError> {
+        translate_saga_flat(&check_saga(spec).unwrap())
+    }
 
     #[test]
     fn figure2_shape() {
-        let def = translate_saga(&fixtures::linear_saga("saga3", 3)).unwrap();
+        let def = translate(&fixtures::linear_saga("saga3", 3)).unwrap();
         assert_eq!(def.activities.len(), 2);
         let fwd = def.activity(FORWARD_BLOCK).unwrap();
         let comp = def.activity(COMPENSATION_BLOCK).unwrap();
@@ -359,7 +365,7 @@ mod tests {
     #[test]
     fn generated_process_validates_for_all_sizes() {
         for n in 1..=12 {
-            let def = translate_saga(&fixtures::linear_saga(&format!("s{n}"), n)).unwrap();
+            let def = translate(&fixtures::linear_saga(&format!("s{n}"), n)).unwrap();
             assert!(validate(&def).is_empty(), "n={n}");
             assert_eq!(def.total_activities(), 2 + n + (n + 1));
         }
@@ -368,7 +374,7 @@ mod tests {
     #[test]
     fn flat_variant_validates_and_has_no_blocks() {
         for n in 1..=8 {
-            let def = translate_saga_flat(&fixtures::linear_saga(&format!("f{n}"), n)).unwrap();
+            let def = translate_flat(&fixtures::linear_saga(&format!("f{n}"), n)).unwrap();
             assert!(validate(&def).is_empty(), "n={n}");
             assert!(def.activities.iter().all(|a| !a.kind.is_block()));
             // n forward + NOP + n compensations, all top level.
@@ -384,7 +390,7 @@ mod tests {
         let n = 4;
         for abort_at in 1..=n + 1 {
             let spec = fixtures::linear_saga("flat", n);
-            let def = translate_saga_flat(&spec).unwrap();
+            let def = translate_flat(&spec).unwrap();
             let fed = MultiDatabase::new(0);
             let registry = std::sync::Arc::new(ProgramRegistry::new());
             fixtures::register_saga_programs(&fed, &registry, n);
@@ -427,25 +433,23 @@ mod tests {
 
     #[test]
     fn non_linear_rejected() {
-        let spec = atm::SagaSpec::staged(
+        let spec = SagaSpec::staged(
             "par",
             vec![vec![
                 StepSpec::compensatable("A", "pa", "ca"),
                 StepSpec::compensatable("B", "pb", "cb"),
             ]],
         );
-        assert!(matches!(
-            translate_saga(&spec),
-            Err(TranslateError::NotLinear)
-        ));
+        assert!(matches!(translate(&spec), Err(TranslateError::NotLinear)));
     }
 
     #[test]
     fn ill_formed_rejected() {
-        let spec = atm::SagaSpec::linear("bad", vec![StepSpec::pivot("P", "prog")]);
+        // An ill-formed saga has no checked form to translate.
+        let spec = SagaSpec::linear("bad", vec![StepSpec::pivot("P", "prog")]);
         assert!(matches!(
-            translate_saga(&spec),
-            Err(TranslateError::NotWellFormed(_))
+            check_saga(&spec).unwrap_err()[..],
+            [atm::WellFormedError::SagaStepNotCompensatable { .. }]
         ));
     }
 }

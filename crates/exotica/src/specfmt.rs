@@ -21,6 +21,11 @@
 //! nothing, for flexible transactions) ⇒ pivot. Saga steps must all
 //! carry a `COMPENSATION`; the model checkers report violations
 //! downstream.
+//!
+//! `RETRIABLE` on a saga step is accepted but is not a retry: a saga
+//! never re-submits a forward step (it checks into a one-path flexible
+//! transaction with forward retry off), so one abort of the step rolls
+//! the saga back, natively and in both translations.
 
 use atm::{FlexSpec, SagaSpec, StepSpec};
 use txn_substrate::StepClass;
@@ -449,9 +454,10 @@ mod tests {
         let ParsedSpec::Flexible(f) = parse_spec(src).unwrap() else {
             panic!()
         };
-        assert!(f.class_of("A").is_pivot());
-        assert!(f.class_of("B").is_retriable() && !f.class_of("B").is_compensatable());
-        assert!(f.class_of("C").is_compensatable() && !f.class_of("C").is_retriable());
-        assert!(f.class_of("D").is_compensatable() && f.class_of("D").is_retriable());
+        let class = |name| f.step(name).unwrap().class;
+        assert!(class("A").is_pivot());
+        assert!(class("B").is_retriable() && !class("B").is_compensatable());
+        assert!(class("C").is_compensatable() && !class("C").is_retriable());
+        assert!(class("D").is_compensatable() && class("D").is_retriable());
     }
 }

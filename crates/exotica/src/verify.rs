@@ -18,7 +18,7 @@
 use crate::flexible::translate_flex;
 use crate::saga::translate_saga;
 use crate::TranslateError;
-use atm::{FlexExecutor, FlexSpec, SagaExecutor, SagaSpec};
+use atm::{Checked, FlexExecutor, FlexSpec, SagaExecutor, SagaSpec, Source, WellFormedError};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use txn_substrate::{FailurePlan, MultiDatabase, ProgramRegistry, Value};
@@ -84,7 +84,8 @@ impl EquivalenceReport {
 pub enum VerifyError {
     /// Translation failed.
     Translate(TranslateError),
-    /// The native executor rejected the specification.
+    /// The specification is not well-formed, so neither world can run
+    /// it (the native executor rejects it with these errors).
     Native(String),
     /// The engine failed (registration, start or navigation).
     Engine(EngineError),
@@ -170,24 +171,7 @@ pub fn compare_saga(
     plans: &[(String, FailurePlan)],
     seed: u64,
 ) -> Result<EquivalenceReport, VerifyError> {
-    let def = translate_saga(spec).map_err(VerifyError::Translate)?;
-
-    let (nfed, nreg) = build_world(seed, install, plans);
-    let exec = SagaExecutor::new(Arc::clone(&nfed), nreg);
-    let native = exec
-        .run(spec)
-        .map_err(|e| VerifyError::Native(format!("{e:?}")))?;
-
-    let (wfed, wreg) = build_world(seed, install, plans);
-    let workflow_committed = run_workflow(def, Arc::clone(&wfed), wreg)?;
-
-    Ok(EquivalenceReport {
-        scenario: format!("saga {:?} under {:?}", spec.name, plan_labels(plans)),
-        native_committed: native.is_committed(),
-        workflow_committed,
-        native_state: federation_state(&nfed),
-        workflow_state: federation_state(&wfed),
-    })
+    compare(atm::check_saga(spec), translate_saga, install, plans, seed)
 }
 
 /// Compares the native flexible-transaction executor with the Figure 4
@@ -198,28 +182,47 @@ pub fn compare_flex(
     plans: &[(String, FailurePlan)],
     seed: u64,
 ) -> Result<EquivalenceReport, VerifyError> {
-    let def = translate_flex(spec).map_err(VerifyError::Translate)?;
+    compare(atm::check_flex(spec), translate_flex, install, plans, seed)
+}
+
+/// Runs the checked spec natively and as its `translate`d process, each
+/// in a world of its own.
+fn compare(
+    checked: Result<Checked, Vec<WellFormedError>>,
+    translate: fn(&Checked) -> Result<wfms_model::ProcessDefinition, TranslateError>,
+    install: Installer<'_>,
+    plans: &[(String, FailurePlan)],
+    seed: u64,
+) -> Result<EquivalenceReport, VerifyError> {
+    let rejected = |e: Vec<WellFormedError>| VerifyError::Native(format!("{e:?}"));
+    let checked = checked.map_err(rejected)?;
+    let def = translate(&checked).map_err(VerifyError::Translate)?;
 
     let (nfed, nreg) = build_world(seed, install, plans);
-    let exec = FlexExecutor::new(Arc::clone(&nfed), nreg);
-    let native = exec
-        .run(spec)
-        .map_err(|e| VerifyError::Native(format!("{e:?}")))?;
+    let native = Arc::clone(&nfed);
+    let (model, native_committed) = match checked.source() {
+        Source::Saga(s) => {
+            let run = SagaExecutor::new(native, nreg).run(s);
+            ("saga", run.map(|r| r.is_committed()))
+        }
+        Source::Flexible(f) => {
+            let run = FlexExecutor::new(native, nreg).run(f);
+            ("flex", run.map(|r| r.is_committed()))
+        }
+    };
+    let native_committed = native_committed.map_err(rejected)?;
 
     let (wfed, wreg) = build_world(seed, install, plans);
     let workflow_committed = run_workflow(def, Arc::clone(&wfed), wreg)?;
 
+    let labels: Vec<String> = plans.iter().map(|(l, p)| format!("{l}:{p:?}")).collect();
     Ok(EquivalenceReport {
-        scenario: format!("flex {:?} under {:?}", spec.name, plan_labels(plans)),
-        native_committed: native.is_committed(),
+        scenario: format!("{model} {:?} under {labels:?}", checked.name()),
+        native_committed,
         workflow_committed,
         native_state: federation_state(&nfed),
         workflow_state: federation_state(&wfed),
     })
-}
-
-fn plan_labels(plans: &[(String, FailurePlan)]) -> Vec<String> {
-    plans.iter().map(|(l, p)| format!("{l}:{p:?}")).collect()
 }
 
 #[cfg(test)]

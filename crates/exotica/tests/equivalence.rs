@@ -8,10 +8,15 @@
 //! deterministic failure scripts; the final state of every local
 //! database and the commit/abort outcome must match exactly.
 
+use std::sync::Arc;
+
 use atm::fixtures::{self, figure3_spec, FIGURE3_STEPS};
-use exotica::verify::{compare_flex, compare_saga, Installer};
+use atm::SagaExecutor;
+use exotica::verify::{compare_flex, compare_saga, FederationState, Installer};
 use proptest::prelude::*;
-use txn_substrate::{on_attempts, FailurePlan};
+use txn_substrate::{on_attempts, FailurePlan, MultiDatabase};
+use wfms_engine::{Engine, InstanceStatus};
+use wfms_model::{Container, ProcessDefinition};
 
 // ---------------------------------------------------------------------
 // Sagas
@@ -109,6 +114,151 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// Figures 2 and 4 against each other: a saga is a one-path flexible
+// transaction
+// ---------------------------------------------------------------------
+
+type World = (Arc<MultiDatabase>, Arc<txn_substrate::ProgramRegistry>);
+type Plans = [(String, FailurePlan)];
+
+fn federation_state(fed: &MultiDatabase) -> FederationState {
+    fed.names()
+        .into_iter()
+        .map(|name| {
+            (
+                name.clone(),
+                fed.db(&name).unwrap().snapshot().into_iter().collect(),
+            )
+        })
+        .collect()
+}
+
+/// Runs `def` to its end in `world`: did it commit, and what is left.
+fn run_process(def: &ProcessDefinition, (fed, registry): World) -> (bool, FederationState) {
+    let engine = Engine::new(Arc::clone(&fed), registry);
+    engine.register(def.clone()).unwrap();
+    let id = engine.start(&def.name, Container::empty()).unwrap();
+    assert_eq!(
+        engine.run_to_quiescence(id).unwrap(),
+        InstanceStatus::Finished
+    );
+    let out = engine.output(id).unwrap();
+    let committed = out.get("Committed").and_then(|v| v.as_int()) == Some(1);
+    (committed, federation_state(&fed))
+}
+
+/// The saga three ways, each in a world `world` makes under `plans`:
+/// the Figure 2 process, the Figure 4 process of its one-path form, and
+/// the native executor. All three reach the same outcome and leave the
+/// same state; the native outcome is returned.
+fn three_ways(
+    spec: &atm::SagaSpec,
+    world: &dyn Fn(&Plans) -> World,
+    plans: &Plans,
+) -> atm::SagaOutcome {
+    let checked = atm::check_saga(spec).unwrap();
+    let figure2 = run_process(&exotica::translate_saga(&checked).unwrap(), world(plans));
+    let figure4 = run_process(&exotica::translate_flex(&checked).unwrap(), world(plans));
+    let (fed, registry) = world(plans);
+    let native = SagaExecutor::new(Arc::clone(&fed), registry)
+        .run(spec)
+        .unwrap();
+    let native_side = (native.is_committed(), federation_state(&fed));
+    assert_eq!(figure2, native_side, "Figure 2 vs native under {plans:?}");
+    assert_eq!(figure4, native_side, "Figure 4 vs native under {plans:?}");
+    native.outcome
+}
+
+/// Every subset of `steps` failing permanently, each with a flaky
+/// first compensation.
+fn subsets(steps: &[String], first_compensation: &str) -> Vec<Vec<(String, FailurePlan)>> {
+    (0..1usize << steps.len())
+        .map(|bits| {
+            let failing = steps
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| bits & (1 << i) != 0);
+            failing
+                .map(|(_, s)| (s.clone(), FailurePlan::Always))
+                .chain([(first_compensation.to_owned(), FailurePlan::FirstN(1))])
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn figures_2_and_4_agree_on_every_saga_failure_subset() {
+    for n in 1..=8 {
+        let spec = fixtures::linear_saga("s", n);
+        let checked = atm::check_saga(&spec).unwrap();
+        // Both constructions: 2n + 3 activities (saga8: 19).
+        assert_eq!(
+            exotica::translate_saga(&checked)
+                .unwrap()
+                .total_activities(),
+            exotica::translate_flex(&checked)
+                .unwrap()
+                .total_activities(),
+        );
+        let world = |plans: &Plans| {
+            let fed = MultiDatabase::new(0);
+            let registry = Arc::new(txn_substrate::ProgramRegistry::new());
+            fixtures::register_saga_programs(&fed, &registry, n);
+            for (label, plan) in plans {
+                fed.injector().set_plan(label, plan.clone());
+            }
+            (fed, registry)
+        };
+        let steps: Vec<String> = spec.steps().map(|s| s.name.clone()).collect();
+        for plans in subsets(&steps, "undo_S1") {
+            three_ways(&spec, &world, &plans);
+        }
+    }
+
+    // The shipped saga, provisioned the way `fmtm run` provisions it.
+    let text = include_str!("../../../examples/specs/trip.saga");
+    let parsed = exotica::parse_spec(text).unwrap();
+    let exotica::ParsedSpec::Saga(trip) = &parsed else {
+        panic!("trip.saga is a saga")
+    };
+    let provisioned = exotica::steps_of(&parsed);
+    let world = |plans: &Plans| exotica::provision(&provisioned, 0, plans);
+    let steps: Vec<String> = trip.steps().map(|s| s.name.clone()).collect();
+    let first_compensation = trip.stages[0][0].compensation.clone().unwrap();
+    for plans in subsets(&steps, &first_compensation) {
+        three_ways(trip, &world, &plans);
+    }
+}
+
+#[test]
+fn a_saga_never_retries_a_forward_step() {
+    // RETRIABLE on a saga step is accepted, and it is not a retry: one
+    // transient failure of B rolls the saga back, natively and under
+    // both figures.
+    let text = r#"
+        SAGA r
+          STEP A PROGRAM "do_S1" COMPENSATION "undo_S1"
+          STEP B PROGRAM "do_S2" COMPENSATION "undo_S2" RETRIABLE
+        END
+    "#;
+    assert!(exotica::run_pipeline(text).is_ok(), "stage 2 accepts it");
+    assert_eq!(exotica::lint_source(text, &[]).unwrap(), vec![]);
+    let parsed = exotica::parse_spec(text).unwrap();
+    let exotica::ParsedSpec::Saga(spec) = &parsed else {
+        panic!("a saga")
+    };
+    let provisioned = exotica::steps_of(&parsed);
+    let world = |plans: &Plans| exotica::provision(&provisioned, 0, plans);
+    let plans = [("B".to_string(), FailurePlan::FirstN(1))];
+    assert_eq!(
+        three_ways(spec, &world, &plans),
+        atm::SagaOutcome::RolledBack {
+            abort_step: "B".into()
+        }
+    );
+}
+
+// ---------------------------------------------------------------------
 // Flexible transactions — the Figure 3 example
 // ---------------------------------------------------------------------
 
@@ -117,7 +267,7 @@ fn figure3_equivalence_for_every_single_permanent_failure() {
     let spec = figure3_spec();
     let installer: Installer<'_> = &fixtures::register_figure3_programs;
     for fail in FIGURE3_STEPS {
-        if spec.class_of(fail).is_retriable() {
+        if spec.step(fail).unwrap().class.is_retriable() {
             continue; // a permanently failing retriable step livelocks by design
         }
         let plans = vec![(fail.to_string(), FailurePlan::Always)];
@@ -137,7 +287,7 @@ fn figure3_equivalence_for_every_pair_of_failures() {
     let spec = figure3_spec();
     let installer: Installer<'_> = &fixtures::register_figure3_programs;
     for a in FIGURE3_STEPS {
-        if spec.class_of(a).is_retriable() {
+        if spec.step(a).unwrap().class.is_retriable() {
             continue;
         }
         for b in FIGURE3_STEPS {
@@ -261,7 +411,7 @@ fn compensatable_retriable_members_never_fail_their_segment() {
         ],
         vec![vec!["C1", "CR", "P"], vec!["C1", "CR", "R"]],
     );
-    assert!(atm::check_flex(&spec).is_empty());
+    assert!(atm::check_flex(&spec).is_ok());
     let installer_impl = move |fed: &std::sync::Arc<txn_substrate::MultiDatabase>,
                                reg: &txn_substrate::ProgramRegistry| {
         if fed.db("db").is_none() {
@@ -388,8 +538,9 @@ fn family_specs_are_well_formed_and_translate() {
     for a in 1..=3 {
         for b in 1..=3 {
             let spec = family_spec(a, b);
-            assert!(atm::check_flex(&spec).is_empty(), "family({a},{b})");
-            exotica::translate_flex(&spec)
+            let checked =
+                atm::check_flex(&spec).unwrap_or_else(|e| panic!("family({a},{b}): {e:?}"));
+            exotica::translate_flex(&checked)
                 .unwrap_or_else(|e| panic!("family({a},{b}) failed to translate: {e}"));
         }
     }
@@ -510,7 +661,7 @@ fn random_flex_specs_keep_the_model_guarantees() {
         if let Err(e) = catch_unwind(|| exotica::lint_source(&text, &[])) {
             panics.push(caught("lint_source", e));
         }
-        let ok = match catch_unwind(|| atm::check_flex(&spec).is_empty()) {
+        let ok = match catch_unwind(|| atm::check_flex(&spec).is_ok()) {
             Ok(ok) => ok,
             Err(e) => {
                 panics.push(caught("check_flex", e));
@@ -552,7 +703,10 @@ fn random_flex_specs_keep_the_model_guarantees() {
                 Ok(Err(_)) => assert!(!ok, "{label}: accepted spec refused by the executor"),
             }
         }
-        let def = match catch_unwind(|| exotica::translate_flex(&spec)) {
+        let Ok(checked) = atm::check_flex(&spec) else {
+            continue; // an ill-formed spec has nothing to translate
+        };
+        let def = match catch_unwind(AssertUnwindSafe(|| exotica::translate_flex(&checked))) {
             Ok(Ok(def)) => def,
             Ok(Err(_)) => continue,
             Err(e) => {
@@ -612,7 +766,7 @@ proptest! {
         let mut plans: Vec<(String, FailurePlan)> = Vec::new();
         // Permanent failure only on non-retriable steps.
         let fail = &names[fail_idx % names.len()];
-        if !spec.class_of(fail).is_retriable() {
+        if !spec.step(fail).unwrap().class.is_retriable() {
             plans.push((fail.clone(), FailurePlan::Always));
         }
         let transient = &names[transient_idx % names.len()];

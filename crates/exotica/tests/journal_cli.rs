@@ -48,7 +48,10 @@ fn saga_world(n: usize, plans: &[(&str, FailurePlan)]) -> World {
     for (label, plan) in plans {
         fed.injector().set_plan(label, plan.clone());
     }
-    let def = exotica::translate_saga(&fixtures::linear_saga("appendix_saga", n)).unwrap();
+    let def = exotica::translate_saga(
+        &atm::check_saga(&fixtures::linear_saga("appendix_saga", n)).unwrap(),
+    )
+    .unwrap();
     (fed, registry, def)
 }
 
@@ -61,7 +64,8 @@ fn flex_world(plans: &[(&str, FailurePlan)]) -> World {
     for (label, plan) in plans {
         fed.injector().set_plan(label, plan.clone());
     }
-    let def = exotica::translate_flex(&fixtures::figure3_spec()).unwrap();
+    let def =
+        exotica::translate_flex(&atm::check_flex(&fixtures::figure3_spec()).unwrap()).unwrap();
     (fed, registry, def)
 }
 

@@ -50,7 +50,7 @@ fn one_step_saga_commits_and_compensates() {
         "one",
         vec![StepSpec::compensatable("S", "prog_S", "comp_S")],
     );
-    let def = exotica::translate_saga(&spec).unwrap();
+    let def = exotica::translate_saga(&atm::check_saga(&spec).unwrap()).unwrap();
 
     let world = kv_world(&[("S", Some("comp_S"))]);
     let (committed, fed) = run(&def, world);
@@ -78,8 +78,7 @@ fn single_path_flex_is_a_degenerate_saga() {
         ],
         vec![vec!["A", "B", "P"]],
     );
-    assert!(atm::check_flex(&spec).is_empty());
-    let def = exotica::translate_flex(&spec).unwrap();
+    let def = exotica::translate_flex(&atm::check_flex(&spec).unwrap()).unwrap();
 
     let world = kv_world(&[("A", Some("comp_A")), ("B", Some("comp_B")), ("P", None)]);
     let (committed, _) = run(&def, world);
@@ -108,8 +107,7 @@ fn pivot_free_flex_with_retriable_fallback() {
         ],
         vec![vec!["C"], vec!["R"]],
     );
-    assert!(atm::check_flex(&spec).is_empty());
-    let def = exotica::translate_flex(&spec).unwrap();
+    let def = exotica::translate_flex(&atm::check_flex(&spec).unwrap()).unwrap();
 
     let world = kv_world(&[("C", Some("comp_C")), ("R", None)]);
     world.0.injector().set_plan("C", FailurePlan::Always);
@@ -129,7 +127,7 @@ fn all_retriable_flex_always_commits() {
         ],
         vec![vec!["R1", "R2"]],
     );
-    let def = exotica::translate_flex(&spec).unwrap();
+    let def = exotica::translate_flex(&atm::check_flex(&spec).unwrap()).unwrap();
     let world = kv_world(&[("R1", None), ("R2", None)]);
     world.0.injector().set_plan("R1", FailurePlan::FirstN(3));
     world.0.injector().set_plan("R2", FailurePlan::FirstN(2));
@@ -144,8 +142,8 @@ fn generated_fdl_for_both_translations_reimports() {
     for n in 1..=10 {
         let spec = atm::fixtures::linear_saga(&format!("s{n}"), n);
         for def in [
-            exotica::translate_saga(&spec).unwrap(),
-            exotica::translate_saga_flat(&spec).unwrap(),
+            exotica::translate_saga(&atm::check_saga(&spec).unwrap()).unwrap(),
+            exotica::translate_saga_flat(&atm::check_saga(&spec).unwrap()).unwrap(),
         ] {
             let fdl = wfms_fdl::emit(&def);
             let back =
@@ -153,7 +151,8 @@ fn generated_fdl_for_both_translations_reimports() {
             assert_eq!(back, def, "n={n}");
         }
     }
-    let def = exotica::translate_flex(&atm::fixtures::figure3_spec()).unwrap();
+    let def =
+        exotica::translate_flex(&atm::check_flex(&atm::fixtures::figure3_spec()).unwrap()).unwrap();
     let back = wfms_fdl::parse_and_validate(&wfms_fdl::emit(&def)).unwrap();
     assert_eq!(back, def);
 }

@@ -28,9 +28,12 @@ fn check(golden: &str, def: &ProcessDefinition) {
 #[test]
 fn the_fixture_translations_are_byte_identical() {
     let saga8 = linear_saga("saga8", 8);
+    let saga8 = atm::check_saga(&saga8).unwrap();
     check("saga8", &translate_saga(&saga8).unwrap());
     check("saga8_flat", &translate_saga_flat(&saga8).unwrap());
-    check("figure3", &translate_flex(&figure3_spec()).unwrap());
+    let figure3 = figure3_spec();
+    let figure3 = atm::check_flex(&figure3).unwrap();
+    check("figure3", &translate_flex(&figure3).unwrap());
 }
 
 #[test]
@@ -41,8 +44,8 @@ fn every_shipped_spec_translates_byte_identically() {
         let path = entry.unwrap().path();
         let text = std::fs::read_to_string(&path).unwrap();
         let def = match parse_spec(&text).unwrap() {
-            ParsedSpec::Saga(saga) => translate_saga(&saga),
-            ParsedSpec::Flexible(flex) => translate_flex(&flex),
+            ParsedSpec::Saga(saga) => translate_saga(&atm::check_saga(&saga).unwrap()),
+            ParsedSpec::Flexible(flex) => translate_flex(&atm::check_flex(&flex).unwrap()),
         }
         .unwrap();
         let file = path.file_name().unwrap().to_str().unwrap();

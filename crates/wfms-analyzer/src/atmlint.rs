@@ -14,7 +14,7 @@
 //! pivots.
 
 use crate::{Diagnostic, Severity};
-use atm::{check_flex, check_saga, FlexSpec, SagaSpec, WellFormedError};
+use atm::{check_saga, FlexSpec, Resolved, SagaSpec, WellFormedError};
 
 /// Maps a well-formedness error to its stable code.
 pub fn code_of(err: &WellFormedError) -> &'static str {
@@ -58,7 +58,7 @@ fn lift(spec_name: &str, errs: Vec<WellFormedError>) -> Vec<Diagnostic> {
 /// All ATM-level findings for a saga: S1–S2 (`WA051`/`WA052`) plus
 /// pivot placement (`WA057`).
 pub fn check_saga_spec(spec: &SagaSpec) -> Vec<Diagnostic> {
-    let mut out = lift(&spec.name, check_saga(spec));
+    let mut out = lift(&spec.name, check_saga(spec).err().unwrap_or_default());
     // WA057: a non-compensatable step with a later step that may
     // still fail (is not retriable) — the saga's backward recovery
     // cannot cross the earlier step once it has committed.
@@ -96,10 +96,16 @@ pub fn check_saga_spec(spec: &SagaSpec) -> Vec<Diagnostic> {
 
 /// All ATM-level findings for a flexible transaction: F1–F5
 /// (`WA051`, `WA053`–`WA056`) plus compensation soundness (`WA106`).
+/// F5 and `WA106` read one route table, the resolved form's.
 pub fn check_flex_spec(spec: &FlexSpec) -> Vec<Diagnostic> {
-    let mut out = lift(&spec.name, check_flex(spec));
-    out.extend(crate::dataflow::compensation::flex_findings(spec));
-    out
+    match Resolved::flexible(spec) {
+        Err(structure) => lift(&spec.name, structure),
+        Ok(resolved) => {
+            let mut out = lift(&spec.name, resolved.violations());
+            out.extend(crate::dataflow::compensation::flex_findings(&resolved));
+            out
+        }
+    }
 }
 
 #[cfg(test)]

@@ -15,11 +15,12 @@
 //! * **Saga** — recovery runs all the way back to the start, so every
 //!   step in an earlier stage (and every concurrent sibling in the
 //!   same stage) must be compensatable.
-//! * **Flexible transaction** — every failure [`FlexSpec::failures`]
-//!   reaches from path 0, with the window its [`FlexSpec::switch`]
+//! * **Flexible transaction** — every failure [`Resolved::failures`]
+//!   reaches from path 0, with the window its [`Resolved::switch`]
 //!   undoes: the committed steps the fallback path does not keep, or
 //!   all of them when no later path avoids the failing step. Only
-//!   steps inside that window need compensations.
+//!   steps inside that window need compensations. The route table is
+//!   the one F5 judged.
 //!
 //! Each violation reports a concrete witness: the executed prefix,
 //! the failing step, and the exact step the compensation chain wedges
@@ -28,7 +29,7 @@
 //! *translated* compensation graphs are `WA022`'s business.
 
 use crate::{Diagnostic, Severity};
-use atm::{FlexSpec, SagaSpec, StepSpec};
+use atm::{Resolved, SagaSpec, StepSpec};
 
 /// Steps that can abort at run time: everything not retriable. (A
 /// retriable step is re-submitted until it commits, §4.1.)
@@ -121,31 +122,26 @@ pub fn saga_findings(spec: &SagaSpec) -> Vec<Diagnostic> {
 }
 
 /// Compensation-soundness findings for a flexible transaction: one per
-/// failure [`FlexSpec::failures`] reaches whose switch undoes a step
+/// failure [`Resolved::failures`] reaches whose switch undoes a step
 /// without a compensation.
-pub fn flex_findings(spec: &FlexSpec) -> Vec<Diagnostic> {
-    if !spec.structural_errors().is_empty() {
-        return Vec::new(); // unknown step names: WA051 structure error
-    }
-    let step = |name: &String| spec.step(name).expect("structure checked");
-    let last = spec.paths.len().saturating_sub(1);
+pub fn flex_findings(spec: &Resolved) -> Vec<Diagnostic> {
+    let paths = spec.paths();
+    let last = paths.len() - 1;
     let mut out = Vec::new();
     for failure in spec.failures() {
         let horizon = match failure.switch.to {
-            Some(to) => format!(
-                "falling back to path #{} ({})",
-                to + 1,
-                spec.paths[to].join(" -> ")
-            ),
+            Some(to) => {
+                let names: Vec<&str> = paths[to].iter().map(|s| s.name.as_str()).collect();
+                format!("falling back to path #{} ({})", to + 1, names.join(" -> "))
+            }
             None if failure.path == last => "aborting the last path back to the start".to_owned(),
             None => "aborting back to the start (no later path avoids it)".to_owned(),
         };
-        let window: Vec<&StepSpec> = failure.switch.undo.iter().rev().map(step).collect();
-        let prefix: Vec<&StepSpec> = failure.committed.iter().map(step).collect();
+        let window: Vec<&StepSpec> = failure.switch.undo.iter().rev().copied().collect();
         out.extend(uncompensatable(
-            &format!("{} (path #{})", spec.name, failure.path + 1),
-            &prefix,
-            step(&failure.step),
+            &format!("{} (path #{})", spec.name(), failure.path + 1),
+            &failure.committed,
+            failure.step,
             &window,
             &horizon,
         ));
@@ -156,7 +152,11 @@ pub fn flex_findings(spec: &FlexSpec) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atm::StepSpec;
+    use atm::{FlexSpec, StepSpec};
+
+    fn flex(spec: &FlexSpec) -> Vec<Diagnostic> {
+        flex_findings(&Resolved::flexible(spec).unwrap())
+    }
 
     #[test]
     fn clean_linear_saga_has_no_findings() {
@@ -165,7 +165,7 @@ mod tests {
 
     #[test]
     fn figure3_flex_is_sound() {
-        assert!(flex_findings(&atm::fixtures::figure3_spec()).is_empty());
+        assert!(flex(&atm::fixtures::figure3_spec()).is_empty());
     }
 
     #[test]
@@ -232,7 +232,7 @@ mod tests {
             ],
             vec![vec!["A", "P", "B", "C"], vec!["A", "R"]],
         );
-        let diags = flex_findings(&spec);
+        let diags = flex(&spec);
         assert_eq!(diags.len(), 2, "B and C both wedge: {diags:?}");
         let b = &diags[0];
         assert_eq!(b.element.as_deref(), Some("B"));
@@ -259,7 +259,7 @@ mod tests {
             ],
             vec![vec!["P", "B"]],
         );
-        let diags = flex_findings(&spec);
+        let diags = flex(&spec);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert!(
             diags[0].message.contains("aborting the last path"),
@@ -284,6 +284,6 @@ mod tests {
             ],
             vec![vec!["A", "P", "R1"], vec!["A", "P", "R2"]],
         );
-        assert!(flex_findings(&spec).is_empty());
+        assert!(flex(&spec).is_empty());
     }
 }

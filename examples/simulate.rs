@@ -29,7 +29,8 @@ const DURATIONS: &[(&str, u64)] = &[
 
 fn main() {
     let spec = fixtures::figure3_spec();
-    let def = exotica::translate_flex(&spec).expect("figure 3 translates");
+    let def =
+        exotica::translate_flex(&atm::check_flex(&spec).unwrap()).expect("figure 3 translates");
     println!(
         "simulating {:?} — {} trials per failure level\n",
         def.name, 500

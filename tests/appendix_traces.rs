@@ -29,7 +29,7 @@ fn appendix_saga_trace_abort_at_s2() {
     let (fed, registry) = saga_rig(3);
     fed.injector().set_plan("S2", FailurePlan::Always);
     let spec = fixtures::linear_saga("appendix_saga", 3);
-    let def = exotica::translate_saga(&spec).unwrap();
+    let def = exotica::translate_saga(&atm::check_saga(&spec).unwrap()).unwrap();
 
     let engine = Engine::new(Arc::clone(&fed), registry);
     engine.register(def).unwrap();
@@ -79,7 +79,7 @@ fn appendix_saga_trace_abort_at_s2() {
 fn appendix_saga_trace_success() {
     let (fed, registry) = saga_rig(3);
     let spec = fixtures::linear_saga("appendix_saga", 3);
-    let def = exotica::translate_saga(&spec).unwrap();
+    let def = exotica::translate_saga(&atm::check_saga(&spec).unwrap()).unwrap();
     let engine = Engine::new(Arc::clone(&fed), registry);
     engine.register(def).unwrap();
     let id = engine.start("appendix_saga", Container::empty()).unwrap();
@@ -117,7 +117,7 @@ fn appendix_saga_compensation_retries_via_exit_condition() {
     fed.injector().set_plan("S2", FailurePlan::Always);
     fed.injector().set_plan("undo_S1", FailurePlan::FirstN(2));
     let spec = fixtures::linear_saga("appendix_saga", 2);
-    let def = exotica::translate_saga(&spec).unwrap();
+    let def = exotica::translate_saga(&atm::check_saga(&spec).unwrap()).unwrap();
     let engine = Engine::new(Arc::clone(&fed), registry);
     engine.register(def).unwrap();
     let id = engine.start("appendix_saga", Container::empty()).unwrap();
@@ -142,7 +142,8 @@ fn figure3_engine(
     for (label, plan) in plans {
         fed.injector().set_plan(label, plan.clone());
     }
-    let def = exotica::translate_flex(&fixtures::figure3_spec()).unwrap();
+    let def =
+        exotica::translate_flex(&atm::check_flex(&fixtures::figure3_spec()).unwrap()).unwrap();
     let engine = Engine::new(Arc::clone(&fed), registry);
     engine.register(def).unwrap();
     let id = engine.start("figure3", Container::empty()).unwrap();

@@ -46,7 +46,9 @@ fn flex_world(
 #[test]
 fn saga_successful_run_survives_every_crash_point() {
     let n = 4;
-    let def = exotica::translate_saga(&fixtures::linear_saga("rsaga", n)).unwrap();
+    let def =
+        exotica::translate_saga(&atm::check_saga(&fixtures::linear_saga("rsaga", n)).unwrap())
+            .unwrap();
     let report = sweep(
         "saga-success",
         &[def],
@@ -62,7 +64,9 @@ fn saga_successful_run_survives_every_crash_point() {
 #[test]
 fn saga_compensating_run_survives_every_crash_point() {
     let n = 4;
-    let def = exotica::translate_saga(&fixtures::linear_saga("rsaga", n)).unwrap();
+    let def =
+        exotica::translate_saga(&atm::check_saga(&fixtures::linear_saga("rsaga", n)).unwrap())
+            .unwrap();
     let report = sweep(
         "saga-compensating",
         &[def],
@@ -76,7 +80,8 @@ fn saga_compensating_run_survives_every_crash_point() {
 
 #[test]
 fn flex_successful_run_survives_every_crash_point() {
-    let def = exotica::translate_flex(&fixtures::figure3_spec()).unwrap();
+    let def =
+        exotica::translate_flex(&atm::check_flex(&fixtures::figure3_spec()).unwrap()).unwrap();
     let report = sweep(
         "flex-success",
         &[def],
@@ -95,7 +100,8 @@ fn flex_successful_run_survives_every_crash_point() {
 /// point.
 #[test]
 fn flex_t8_failure_run_survives_every_crash_point() {
-    let def = exotica::translate_flex(&fixtures::figure3_spec()).unwrap();
+    let def =
+        exotica::translate_flex(&atm::check_flex(&fixtures::figure3_spec()).unwrap()).unwrap();
     let report = sweep(
         "flex-t8-failure",
         &[def],
@@ -112,7 +118,9 @@ fn flex_t8_failure_run_survives_every_crash_point() {
 #[test]
 fn two_interleaved_sagas_survive_every_crash_point() {
     let n = 3;
-    let def = exotica::translate_saga(&fixtures::linear_saga("rsaga", n)).unwrap();
+    let def =
+        exotica::translate_saga(&atm::check_saga(&fixtures::linear_saga("rsaga", n)).unwrap())
+            .unwrap();
     let report = sweep(
         "saga-pair",
         &[def],

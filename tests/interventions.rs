@@ -16,7 +16,9 @@ fn force_finish_failure_route_on_nested_activity() {
     let registry = Arc::new(ProgramRegistry::new());
     atm::fixtures::register_saga_programs(&fed, &registry, 3);
     let org = OrgModel::new().person("op", &["operator"]);
-    let mut def = exotica::translate_saga(&atm::fixtures::linear_saga("s", 3)).unwrap();
+    let mut def =
+        exotica::translate_saga(&atm::check_saga(&atm::fixtures::linear_saga("s", 3)).unwrap())
+            .unwrap();
     // Make S2 (inside the forward block) a manual operator step.
     {
         let wftx::model::ActivityKind::Block { process } = &mut def.activities[0].kind else {

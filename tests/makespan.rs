@@ -48,7 +48,8 @@ fn world(plans: &[(&str, FailurePlan)]) -> (Arc<MultiDatabase>, Arc<ProgramRegis
 /// Runs the Figure 4 process and returns the simulated makespan.
 fn makespan(plans: &[(&str, FailurePlan)]) -> u64 {
     let (fed, registry) = world(plans);
-    let def = exotica::translate_flex(&atm::fixtures::figure3_spec()).unwrap();
+    let def =
+        exotica::translate_flex(&atm::check_flex(&atm::fixtures::figure3_spec()).unwrap()).unwrap();
     let engine = Engine::new(Arc::clone(&fed), registry);
     engine.register(def).unwrap();
     let id = engine.start("figure3", Container::empty()).unwrap();

@@ -64,7 +64,9 @@ fn crash_and_recover(
 #[test]
 fn saga_crash_after_every_step_compensating_run() {
     let n = 4;
-    let def = exotica::translate_saga(&fixtures::linear_saga("rsaga", n)).unwrap();
+    let def =
+        exotica::translate_saga(&atm::check_saga(&fixtures::linear_saga("rsaga", n)).unwrap())
+            .unwrap();
     let plans = [("S3", FailurePlan::Always)];
     for steps in 0..40 {
         let (fed, out, exhausted) = crash_and_recover(
@@ -92,7 +94,9 @@ fn saga_crash_after_every_step_compensating_run() {
 #[test]
 fn saga_crash_after_every_step_successful_run() {
     let n = 3;
-    let def = exotica::translate_saga(&fixtures::linear_saga("rsaga", n)).unwrap();
+    let def =
+        exotica::translate_saga(&atm::check_saga(&fixtures::linear_saga("rsaga", n)).unwrap())
+            .unwrap();
     for steps in 0..40 {
         let (fed, out, exhausted) = crash_and_recover(
             &def,
@@ -121,7 +125,8 @@ fn saga_crash_after_every_step_successful_run() {
 
 #[test]
 fn flex_crash_after_every_step_t8_failure_run() {
-    let def = exotica::translate_flex(&fixtures::figure3_spec()).unwrap();
+    let def =
+        exotica::translate_flex(&atm::check_flex(&fixtures::figure3_spec()).unwrap()).unwrap();
     let plans = [("T8", FailurePlan::Always)];
     for steps in 0..60 {
         let (fed, out, exhausted) =
@@ -149,7 +154,9 @@ fn recovery_of_a_complete_journal_is_a_no_op() {
     let fed = MultiDatabase::new(0);
     let registry = Arc::new(ProgramRegistry::new());
     fixtures::register_saga_programs(&fed, &registry, n);
-    let def = exotica::translate_saga(&fixtures::linear_saga("rsaga", n)).unwrap();
+    let def =
+        exotica::translate_saga(&atm::check_saga(&fixtures::linear_saga("rsaga", n)).unwrap())
+            .unwrap();
     let engine = Engine::new(Arc::clone(&fed), Arc::clone(&registry));
     engine.register(def.clone()).unwrap();
     let id = engine.start("rsaga", Container::empty()).unwrap();
@@ -185,7 +192,9 @@ fn in_flight_activity_reexecutes_exactly_once() {
     let fed = MultiDatabase::new(0);
     let registry = Arc::new(ProgramRegistry::new());
     fixtures::register_saga_programs(&fed, &registry, n);
-    let def = exotica::translate_saga(&fixtures::linear_saga("rsaga", n)).unwrap();
+    let def =
+        exotica::translate_saga(&atm::check_saga(&fixtures::linear_saga("rsaga", n)).unwrap())
+            .unwrap();
     let engine = Engine::new(Arc::clone(&fed), Arc::clone(&registry));
     engine.register(def.clone()).unwrap();
     let id = engine.start("rsaga", Container::empty()).unwrap();

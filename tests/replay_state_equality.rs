@@ -207,7 +207,9 @@ fn step(engine: &Engine, id: InstanceId, _k: usize) -> bool {
 #[test]
 fn saga_with_a_compensated_failure_through_the_file() {
     let n = 4;
-    let def = exotica::translate_saga(&fixtures::linear_saga("fsaga", n)).unwrap();
+    let def =
+        exotica::translate_saga(&atm::check_saga(&fixtures::linear_saga("fsaga", n)).unwrap())
+            .unwrap();
     let world = || {
         let fed = MultiDatabase::new(0);
         let registry = Arc::new(ProgramRegistry::new());
@@ -220,7 +222,8 @@ fn saga_with_a_compensated_failure_through_the_file() {
 
 #[test]
 fn figure3_under_seeded_failures_through_the_file() {
-    let def = exotica::translate_flex(&fixtures::figure3_spec()).unwrap();
+    let def =
+        exotica::translate_flex(&atm::check_flex(&fixtures::figure3_spec()).unwrap()).unwrap();
     for seed in [1, 3, 5] {
         let world = || {
             let fed = MultiDatabase::new(seed);
@@ -251,7 +254,9 @@ fn the_pattern_gallery_through_the_file() {
 #[test]
 fn saga_with_a_compensated_failure() {
     let n = 4;
-    let def = exotica::translate_saga(&fixtures::linear_saga("rsaga", n)).unwrap();
+    let def =
+        exotica::translate_saga(&atm::check_saga(&fixtures::linear_saga("rsaga", n)).unwrap())
+            .unwrap();
     let world = || {
         let fed = MultiDatabase::new(0);
         let registry = Arc::new(ProgramRegistry::new());
@@ -264,7 +269,8 @@ fn saga_with_a_compensated_failure() {
 
 #[test]
 fn figure3_under_seeded_failures() {
-    let def = exotica::translate_flex(&fixtures::figure3_spec()).unwrap();
+    let def =
+        exotica::translate_flex(&atm::check_flex(&fixtures::figure3_spec()).unwrap()).unwrap();
     // Seeds chosen so the runs commit via p3 after a T3 retry, via p2
     // after compensating T5/T6 and retrying T7, and via p1.
     for seed in [1, 3, 5] {

@@ -43,7 +43,7 @@ fn round_robin_interleaving_of_many_instances() {
                 .set_plan(&format!("I{i}_S2"), FailurePlan::Always);
         }
         let spec = atm::SagaSpec::linear(&format!("saga_{i}"), steps);
-        defs.push(exotica::translate_saga(&spec).unwrap());
+        defs.push(exotica::translate_saga(&atm::check_saga(&spec).unwrap()).unwrap());
     }
 
     let engine = Engine::new(Arc::clone(&fed), registry);
@@ -130,7 +130,7 @@ fn interleaved_flex_instances_stay_isolated() {
                 *s = format!("{tag}_{s}");
             }
         }
-        defs.push(exotica::translate_flex(&spec).unwrap());
+        defs.push(exotica::translate_flex(&atm::check_flex(&spec).unwrap()).unwrap());
     }
     fed.injector().set_plan("b_T8", FailurePlan::Always);
     fed.injector().set_plan("c_T2", FailurePlan::Always);
