@@ -2,19 +2,19 @@
 //!
 //! A flexible transaction (§4.2) resolves to its alternative paths in
 //! preference order, each the list of its steps. A saga (§4.1) resolves
-//! to **one path**, its steps in stage order, with forward retry off:
-//! García-Molina & Salem's `T1 … Tj; Cj … C1` is exactly what the switch
-//! rule gives on a single path, and a saga never re-submits a forward
-//! step. A staged saga's one path is its flattened steps, the order the
-//! sequential executor runs them in.
+//! to **one path**, its steps, with forward retry off: García-Molina &
+//! Salem's `T1 … Tj; Cj … C1` is exactly what the switch rule gives on a
+//! single path, and a saga never re-submits a forward step.
 //!
 //! [`Resolved`] is that form with F1 (S2 for a saga) holding by
 //! construction: every step name on a path is resolved to its
-//! [`StepSpec`]. [`Checked`] is a resolved form that meets its model's
-//! rules; only [`check_saga`](crate::check_saga) and
+//! [`StepSpec`], and no two steps share a name. The saga lints read a
+//! saga's resolved form even when S1 fails. [`Checked`] is a resolved
+//! form that meets its model's rules; only
+//! [`check_saga`](crate::check_saga) and
 //! [`check_flex`](crate::check_flex) make one, and the native
-//! executors, the Figure 2 / Figure 4 translators and the lints take it
-//! instead of checking again.
+//! executors and the Figure 2 / Figure 4 translators take it instead of
+//! checking again.
 //!
 //! What an abort does is decided here and nowhere else:
 //! [`Resolved::switch`] picks the fallback path and the committed steps
@@ -69,7 +69,7 @@ fn structure(what: &str, name: &str) -> WellFormedError {
 }
 
 /// Every repeated name, in declaration order.
-pub(crate) fn duplicates<'a>(names: impl Iterator<Item = &'a str>) -> Vec<WellFormedError> {
+fn duplicates<'a>(names: impl Iterator<Item = &'a str>) -> Vec<WellFormedError> {
     let mut seen = BTreeSet::new();
     names
         .filter(|name| !seen.insert(*name))
@@ -78,10 +78,14 @@ pub(crate) fn duplicates<'a>(names: impl Iterator<Item = &'a str>) -> Vec<WellFo
 }
 
 impl<'s> Resolved<'s> {
-    /// A saga's one path: its steps in stage order. The caller has
-    /// checked S2.
-    pub(crate) fn saga(spec: &'s SagaSpec) -> Self {
-        Self::of(Source::Saga(spec), vec![spec.steps().collect()])
+    /// S2: resolves a saga's one path, its steps in order, or reports
+    /// every structural error — duplicate steps, no steps.
+    pub fn saga(spec: &'s SagaSpec) -> Result<Self, Vec<WellFormedError>> {
+        let mut errors = duplicates(spec.steps().map(|s| s.name.as_str()));
+        if spec.steps.is_empty() {
+            errors.push(WellFormedError::Structure("saga has no steps".into()));
+        }
+        Self::of(Source::Saga(spec), vec![spec.steps().collect()], errors)
     }
 
     /// F1: resolves a flexible transaction's paths, or reports every
@@ -109,19 +113,22 @@ impl<'s> Resolved<'s> {
                 "a flexible transaction needs at least one non-empty path".into(),
             ));
         }
-        if errors.is_empty() {
-            Ok(Self::of(Source::Flexible(spec), paths))
-        } else {
-            Err(errors)
-        }
+        Self::of(Source::Flexible(spec), paths, errors)
     }
 
-    fn of(source: Source<'s>, paths: Vec<Vec<&'s StepSpec>>) -> Self {
-        Self {
+    fn of(
+        source: Source<'s>,
+        paths: Vec<Vec<&'s StepSpec>>,
+        errors: Vec<WellFormedError>,
+    ) -> Result<Self, Vec<WellFormedError>> {
+        if !errors.is_empty() {
+            return Err(errors);
+        }
+        Ok(Self {
             source,
             paths,
             failures: OnceCell::new(),
-        }
+        })
     }
 
     /// The specification this form was resolved from.

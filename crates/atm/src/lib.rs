@@ -3,11 +3,10 @@
 //! The transaction models §4 of the reproduced paper implements on a
 //! workflow system, here in their original, *native* form:
 //!
-//! * [`SagaSpec`] — linear sagas (García-Molina & Salem) and the
-//!   parallel generalisation (steps grouped in stages): a long-lived
-//!   transaction split into ACID subtransactions, each paired with a
-//!   compensating transaction; either all execute, or the committed
-//!   prefix is compensated in reverse order.
+//! * [`SagaSpec`] — linear sagas (García-Molina & Salem): a long-lived
+//!   transaction split into a list of ACID subtransactions, each paired
+//!   with a compensating transaction; either all execute, or the
+//!   committed prefix is compensated in reverse order.
 //! * [`FlexSpec`] — flexible transactions (multidatabase model of
 //!   Elmagarmid et al. / Zhang et al.): alternative execution paths in
 //!   preference order over subtransactions classified *compensatable*,

@@ -7,14 +7,14 @@
 //! executed", appendix) and retried up to a configurable bound.
 //!
 //! [`SagaExecutor::run`] is the shared native loop on the saga's
-//! one-path form; [`SagaExecutor::run_parallel`] keeps the stages.
+//! one-path form.
 
-use crate::native::trace::{AtmEvent, AtmTrace};
+use crate::native::trace::AtmTrace;
 use crate::native::Ended;
 use crate::saga::SagaSpec;
 use crate::wellformed::{check_saga, WellFormedError};
 use std::sync::Arc;
-use txn_substrate::{MultiDatabase, ProgramContext, ProgramRegistry};
+use txn_substrate::{MultiDatabase, ProgramRegistry};
 
 /// Outcome of a saga execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,12 +89,9 @@ impl SagaExecutor {
         }
     }
 
-    /// Runs `spec` on its one-path form: stage steps execute
-    /// sequentially in declaration order (the workflow comparison point
-    /// is the flow structure, not intra-stage parallelism); a forward
-    /// step that aborts is not retried, and the steps already committed
-    /// — including earlier steps of the failing stage — are compensated
-    /// in reverse commit order.
+    /// Runs `spec` on its one-path form: the steps execute in order; a
+    /// forward step that aborts is not retried, and the steps already
+    /// committed are compensated in reverse commit order.
     ///
     /// Returns `Err` if the spec is not a well-formed saga.
     pub fn run(&self, spec: &SagaSpec) -> Result<SagaResult, Vec<WellFormedError>> {
@@ -109,95 +106,13 @@ impl SagaExecutor {
         };
         Ok(SagaResult { outcome, trace })
     }
-
-    /// Parallel-saga execution (the generalisation of
-    /// García-Molina et al. the paper cites alongside linear sagas):
-    /// the steps of each stage run **concurrently** on their own
-    /// threads against the autonomous local databases; the stage
-    /// commits when every member committed. If any member aborts, all
-    /// committed steps — from this and earlier stages — are
-    /// compensated in reverse commit order.
-    ///
-    /// Trace ordering within a stage follows commit completion order
-    /// (and is therefore non-deterministic across runs); compensation
-    /// order is the reverse of that observed order, preserving the
-    /// saga guarantee.
-    pub fn run_parallel(&self, spec: &SagaSpec) -> Result<SagaResult, Vec<WellFormedError>> {
-        check_saga(spec)?;
-        let mut trace = AtmTrace::default();
-        let mut committed: Vec<&crate::spec::StepSpec> = Vec::new();
-
-        for stage in &spec.stages {
-            // Run all stage members concurrently; collect outcomes in
-            // completion order.
-            let (tx, rx) = std::sync::mpsc::channel();
-            std::thread::scope(|s| {
-                for step in stage {
-                    let tx = tx.clone();
-                    let multidb = Arc::clone(&self.multidb);
-                    let registry = Arc::clone(&self.registry);
-                    s.spawn(move || {
-                        let mut ctx = ProgramContext::new(multidb);
-                        let outcome = registry.invoke(&step.program, &mut ctx);
-                        let _ = tx.send((step, outcome.is_committed()));
-                    });
-                }
-            });
-            drop(tx);
-            let mut failed = None;
-            for (step, ok) in rx.iter() {
-                if ok {
-                    trace.push(AtmEvent::Committed(step.name.clone()));
-                    committed.push(step);
-                } else {
-                    trace.push(AtmEvent::Aborted(step.name.clone(), 0));
-                    failed.get_or_insert(step.name.clone());
-                }
-            }
-            if let Some(abort_step) = failed {
-                return Ok(self.roll_back(&committed, abort_step, trace));
-            }
-        }
-        Ok(SagaResult {
-            outcome: SagaOutcome::Committed,
-            trace,
-        })
-    }
-
-    /// Compensates `committed` newest first: the saga rolled back at
-    /// `abort_step`, or a compensation exhausted its retries.
-    fn roll_back(
-        &self,
-        committed: &[&crate::spec::StepSpec],
-        abort_step: String,
-        mut trace: AtmTrace,
-    ) -> SagaResult {
-        for step in committed.iter().rev() {
-            let undone = super::compensate(
-                &self.multidb,
-                &self.registry,
-                self.max_compensation_retries,
-                step,
-                &mut trace,
-            );
-            if let Err(step) = undone {
-                return SagaResult {
-                    outcome: SagaOutcome::CompensationStuck { step },
-                    trace,
-                };
-            }
-        }
-        SagaResult {
-            outcome: SagaOutcome::RolledBack { abort_step },
-            trace,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixtures;
+    use crate::native::trace::AtmEvent;
     use txn_substrate::{on_attempts, FailurePlan};
 
     fn rig(n: usize) -> (Arc<MultiDatabase>, Arc<ProgramRegistry>) {
@@ -284,144 +199,6 @@ mod tests {
             res.outcome,
             SagaOutcome::CompensationStuck { step: "S1".into() }
         );
-    }
-
-    #[test]
-    fn staged_saga_compensates_partial_stage() {
-        // Stage 1 = [S1]; stage 2 = [S2, S3]; S3 fails after S2
-        // committed: S2 and S1 must both be compensated, reverse order.
-        let (fed, registry) = rig(3);
-        fed.injector().set_plan("S3", FailurePlan::Always);
-        let spec = SagaSpec::staged(
-            "staged",
-            vec![
-                vec![crate::spec::StepSpec::compensatable(
-                    "S1", "do_S1", "undo_S1",
-                )],
-                vec![
-                    crate::spec::StepSpec::compensatable("S2", "do_S2", "undo_S2"),
-                    crate::spec::StepSpec::compensatable("S3", "do_S3", "undo_S3"),
-                ],
-            ],
-        );
-        let exec = SagaExecutor::new(Arc::clone(&fed), registry);
-        let res = exec.run(&spec).unwrap();
-        assert_eq!(res.trace.compensated(), vec!["S2", "S1"]);
-    }
-
-    #[test]
-    fn parallel_stages_commit_everything() {
-        let (fed, registry) = rig(6);
-        let spec = SagaSpec::staged(
-            "par",
-            vec![
-                vec![crate::spec::StepSpec::compensatable(
-                    "S1", "do_S1", "undo_S1",
-                )],
-                (2..=5)
-                    .map(|i| {
-                        crate::spec::StepSpec::compensatable(
-                            &format!("S{i}"),
-                            &format!("do_S{i}"),
-                            &format!("undo_S{i}"),
-                        )
-                    })
-                    .collect(),
-                vec![crate::spec::StepSpec::compensatable(
-                    "S6", "do_S6", "undo_S6",
-                )],
-            ],
-        );
-        let exec = SagaExecutor::new(Arc::clone(&fed), registry);
-        let res = exec.run_parallel(&spec).unwrap();
-        assert!(res.is_committed());
-        for i in 1..=6 {
-            assert_eq!(fixtures::marker(&fed, &format!("S{i}")), Some(1));
-        }
-        // S1 committed before the parallel stage, S6 after it.
-        let order = res.trace.committed();
-        assert_eq!(order.first(), Some(&"S1"));
-        assert_eq!(order.last(), Some(&"S6"));
-    }
-
-    #[test]
-    fn parallel_stage_failure_compensates_all_committed() {
-        let (fed, registry) = rig(5);
-        // S3 (inside the parallel stage) always fails; the other stage
-        // members may or may not have committed before the failure is
-        // observed — all committed ones must be compensated.
-        fed.injector().set_plan("S3", FailurePlan::Always);
-        let spec = SagaSpec::staged(
-            "par",
-            vec![
-                vec![crate::spec::StepSpec::compensatable(
-                    "S1", "do_S1", "undo_S1",
-                )],
-                (2..=5)
-                    .map(|i| {
-                        crate::spec::StepSpec::compensatable(
-                            &format!("S{i}"),
-                            &format!("do_S{i}"),
-                            &format!("undo_S{i}"),
-                        )
-                    })
-                    .collect(),
-            ],
-        );
-        let exec = SagaExecutor::new(Arc::clone(&fed), registry);
-        let res = exec.run_parallel(&spec).unwrap();
-        assert_eq!(
-            res.outcome,
-            SagaOutcome::RolledBack {
-                abort_step: "S3".into()
-            }
-        );
-        // Invariant: every marker is either compensated (-1) or never
-        // committed (None); nothing is left at 1.
-        for i in 1..=5 {
-            let m = fixtures::marker(&fed, &format!("S{i}"));
-            assert_ne!(m, Some(1), "S{i} left committed after rollback");
-        }
-        assert_eq!(
-            fixtures::marker(&fed, "S1"),
-            Some(-1),
-            "S1 surely committed"
-        );
-        // Compensations happened in reverse commit order.
-        let committed = res.trace.committed();
-        let compensated = res.trace.compensated();
-        let reversed: Vec<&str> = committed.iter().rev().copied().collect();
-        assert_eq!(compensated, reversed);
-    }
-
-    #[test]
-    fn parallel_agrees_with_sequential_on_linear_sagas() {
-        for abort_at in [None, Some(2)] {
-            let (fed_a, reg_a) = rig(3);
-            let (fed_b, reg_b) = rig(3);
-            if let Some(j) = abort_at {
-                fed_a
-                    .injector()
-                    .set_plan(&format!("S{j}"), FailurePlan::Always);
-                fed_b
-                    .injector()
-                    .set_plan(&format!("S{j}"), FailurePlan::Always);
-            }
-            let spec = fixtures::linear_saga("s", 3);
-            let seq = SagaExecutor::new(Arc::clone(&fed_a), reg_a)
-                .run(&spec)
-                .unwrap();
-            let par = SagaExecutor::new(Arc::clone(&fed_b), reg_b)
-                .run_parallel(&spec)
-                .unwrap();
-            assert_eq!(seq.outcome, par.outcome);
-            assert_eq!(seq.trace, par.trace, "singleton stages are deterministic");
-            // Database states agree too.
-            assert_eq!(
-                fed_a.db("saga_db").unwrap().snapshot(),
-                fed_b.db("saga_db").unwrap().snapshot()
-            );
-        }
     }
 
     #[test]

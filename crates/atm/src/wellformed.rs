@@ -35,7 +35,7 @@
 //! [`check_flex`] return the [`Checked`] form everything downstream
 //! runs on, so no consumer checks again or looks a step up by name.
 
-use crate::checked::{duplicates, Checked, Resolved};
+use crate::checked::{Checked, Resolved};
 use crate::flexible::FlexSpec;
 use crate::saga::SagaSpec;
 use crate::spec::StepSpec;
@@ -93,35 +93,27 @@ impl fmt::Display for WellFormedError {
 impl std::error::Error for WellFormedError {}
 
 /// Checks a saga (rules S1–S2) into its one-path form, or returns all
-/// violations.
+/// violations: S2's if any, else S1's.
 ///
 /// The one-path form meets F2–F5 whenever S1–S2 hold — every step is
 /// compensatable and declares its compensation, and there is no pivot
 /// — so a saga's check enumerates no failures.
 pub fn check_saga(spec: &SagaSpec) -> Result<Checked<'_>, Vec<WellFormedError>> {
-    let mut errors = duplicates(spec.steps().map(|s| s.name.as_str()));
-    if spec.is_empty() {
-        errors.push(WellFormedError::Structure("saga has no steps".into()));
-    }
-    for step in spec.steps() {
-        if !step.class.is_compensatable() || step.compensation.is_none() {
-            errors.push(WellFormedError::SagaStepNotCompensatable {
-                step: step.name.clone(),
-            });
-        }
-    }
-    if errors.is_empty() {
-        Ok(Checked(Resolved::saga(spec)))
-    } else {
-        Err(errors)
-    }
+    let resolved = Resolved::saga(spec)?;
+    checked(resolved.uncompensatable(), resolved)
 }
 
 /// Checks a flexible transaction (rules F1–F5) into its resolved form,
-/// or returns all violations.
+/// or returns all violations: F1's if any, else F2–F5's.
 pub fn check_flex(spec: &FlexSpec) -> Result<Checked<'_>, Vec<WellFormedError>> {
     let resolved = Resolved::flexible(spec)?;
-    let errors = resolved.violations();
+    checked(resolved.violations(), resolved)
+}
+
+fn checked(
+    errors: Vec<WellFormedError>,
+    resolved: Resolved,
+) -> Result<Checked, Vec<WellFormedError>> {
     if errors.is_empty() {
         Ok(Checked(resolved))
     } else {
@@ -130,6 +122,18 @@ pub fn check_flex(spec: &FlexSpec) -> Result<Checked<'_>, Vec<WellFormedError>> 
 }
 
 impl Resolved<'_> {
+    /// Rule S1 over a saga's one path: every step that is not
+    /// compensatable or declares no compensation, in path order.
+    pub fn uncompensatable(&self) -> Vec<WellFormedError> {
+        self.paths()[0]
+            .iter()
+            .filter(|s| !s.class.is_compensatable() || s.compensation.is_none())
+            .map(|s| WellFormedError::SagaStepNotCompensatable {
+                step: s.name.clone(),
+            })
+            .collect()
+    }
+
     /// Rules F2–F5 over the resolved form, all violations in rule
     /// order. F5 reads [`Resolved::failures`], so the route table the
     /// executors, the translator and `WA106` use is the one checked

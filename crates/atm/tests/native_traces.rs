@@ -123,16 +123,13 @@ fn runs() -> Vec<String> {
         &vec![("S2".into(), FailurePlan::FirstN(1))],
         None,
     ));
-    // The staged saga of `staged_saga_compensates_partial_stage`, run
-    // sequentially.
-    let staged = SagaSpec::staged(
+    // The saga recorded as "staged": its three steps, in order.
+    let staged = SagaSpec::linear(
         "staged",
         vec![
-            vec![StepSpec::compensatable("S1", "do_S1", "undo_S1")],
-            vec![
-                StepSpec::compensatable("S2", "do_S2", "undo_S2"),
-                StepSpec::compensatable("S3", "do_S3", "undo_S3"),
-            ],
+            StepSpec::compensatable("S1", "do_S1", "undo_S1"),
+            StepSpec::compensatable("S2", "do_S2", "undo_S2"),
+            StepSpec::compensatable("S3", "do_S3", "undo_S3"),
         ],
     );
     for plans in [vec![], vec![always("S2")], vec![always("S3")]] {

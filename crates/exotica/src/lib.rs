@@ -68,13 +68,11 @@ use wfms_model::ValidationError;
 /// [`atm::Checked`] form, which only a passed check produces.
 #[derive(Debug)]
 pub enum TranslateError {
-    /// The saga translation covers linear sagas only, as does §4.1 of
-    /// the paper ("the discussion will be limited to the linear
-    /// sagas"); staged sagas run on the native executor.
-    NotLinear,
     /// The specification is well-formed but outside the structural
     /// class the static translation supports (the error text explains
-    /// which assumption failed).
+    /// which assumption failed): a flexible transaction given to the
+    /// Figure 2 construction, or one whose routes Figure 4 cannot
+    /// decide statically.
     Unsupported(String),
     /// The generated process failed meta-model validation — a bug in
     /// the translator; surfaced rather than panicking so the pipeline
@@ -85,9 +83,6 @@ pub enum TranslateError {
 impl std::fmt::Display for TranslateError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TranslateError::NotLinear => {
-                f.write_str("only linear sagas are translated to workflow processes")
-            }
             TranslateError::Unsupported(msg) => write!(f, "unsupported specification: {msg}"),
             TranslateError::Model(errs) => {
                 writeln!(f, "translator produced an invalid process (bug):")?;

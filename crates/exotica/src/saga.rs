@@ -225,12 +225,14 @@ pub fn translate_saga(spec: &Checked) -> Result<ProcessDefinition, TranslateErro
     validated(root)
 }
 
-/// The one path of a linear saga, the only form both translations
-/// accept.
+/// The one path of a saga, the only form both translations accept.
 fn linear_steps<'c>(spec: &'c Checked) -> Result<&'c [&'c StepSpec], TranslateError> {
     match spec.source() {
-        Source::Saga(saga) if saga.is_linear() => Ok(&spec.paths()[0]),
-        _ => Err(TranslateError::NotLinear),
+        Source::Saga(_) => Ok(&spec.paths()[0]),
+        Source::Flexible(_) => Err(TranslateError::Unsupported(format!(
+            "{:?} is a flexible transaction; the Figure 2 construction translates sagas only",
+            spec.name()
+        ))),
     }
 }
 
@@ -433,14 +435,12 @@ mod tests {
 
     #[test]
     fn non_linear_rejected() {
-        let spec = SagaSpec::staged(
-            "par",
-            vec![vec![
-                StepSpec::compensatable("A", "pa", "ca"),
-                StepSpec::compensatable("B", "pb", "cb"),
-            ]],
-        );
-        assert!(matches!(translate(&spec), Err(TranslateError::NotLinear)));
+        // A flexible transaction's paths are not a saga's one path.
+        let figure3 = fixtures::figure3_spec();
+        let checked = atm::check_flex(&figure3).unwrap();
+        for translated in [translate_saga(&checked), translate_saga_flat(&checked)] {
+            assert!(matches!(translated, Err(TranslateError::Unsupported(_))));
+        }
     }
 
     #[test]

@@ -365,8 +365,7 @@ mod tests {
         "#;
         let spec = parse_spec(src).unwrap();
         let ParsedSpec::Saga(s) = &spec else { panic!() };
-        assert_eq!(s.len(), 2);
-        assert!(s.is_linear());
+        assert_eq!(s.steps.len(), 2);
         let emitted = emit_spec(&spec);
         assert_eq!(parse_spec(&emitted).unwrap(), spec);
     }

@@ -224,7 +224,7 @@ fn figures_2_and_4_agree_on_every_saga_failure_subset() {
     let provisioned = exotica::steps_of(&parsed);
     let world = |plans: &Plans| exotica::provision(&provisioned, 0, plans);
     let steps: Vec<String> = trip.steps().map(|s| s.name.clone()).collect();
-    let first_compensation = trip.stages[0][0].compensation.clone().unwrap();
+    let first_compensation = trip.steps[0].compensation.clone().unwrap();
     for plans in subsets(&steps, &first_compensation) {
         three_ways(trip, &world, &plans);
     }

@@ -8,13 +8,20 @@
 //! cannot roll back past the earlier commit. `check_saga` already
 //! reports the non-compensatable step itself (`WA052`); `WA057` adds
 //! which later steps make its position fatal rather than merely
-//! irregular. It is deliberately *not* applied to flexible
+//! irregular. It walks the saga's one path and asks
+//! [`Resolved::retries`], the rule the native loop and both
+//! translations run: a saga retries no forward step, so every later
+//! step may fail. It is deliberately *not* applied to flexible
 //! transactions, where F3–F5 (`WA054`–`WA056`) already govern pivot
 //! placement per path and alternative paths legitimately commit past
 //! pivots.
+//!
+//! Both models resolve first, as the checks do: a structural error
+//! (`WA051`) stops there, and every later lint reads the resolved form.
 
+use crate::dataflow::compensation::findings;
 use crate::{Diagnostic, Severity};
-use atm::{check_saga, FlexSpec, Resolved, SagaSpec, WellFormedError};
+use atm::{FlexSpec, Resolved, SagaSpec, WellFormedError};
 
 /// Maps a well-formedness error to its stable code.
 pub fn code_of(err: &WellFormedError) -> &'static str {
@@ -55,28 +62,40 @@ fn lift(spec_name: &str, errs: Vec<WellFormedError>) -> Vec<Diagnostic> {
         .collect()
 }
 
-/// All ATM-level findings for a saga: S1–S2 (`WA051`/`WA052`) plus
-/// pivot placement (`WA057`).
+/// All ATM-level findings for a saga: S1–S2 (`WA051`/`WA052`), pivot
+/// placement (`WA057`) and compensation soundness (`WA106`).
 pub fn check_saga_spec(spec: &SagaSpec) -> Vec<Diagnostic> {
-    let mut out = lift(&spec.name, check_saga(spec).err().unwrap_or_default());
-    // WA057: a non-compensatable step with a later step that may
-    // still fail (is not retriable) — the saga's backward recovery
-    // cannot cross the earlier step once it has committed.
-    let steps: Vec<_> = spec.steps().collect();
-    for (i, step) in steps.iter().enumerate() {
+    match Resolved::saga(spec) {
+        Err(structure) => lift(&spec.name, structure),
+        Ok(resolved) => {
+            let mut out = lift(&spec.name, resolved.uncompensatable());
+            out.extend(placement(&resolved));
+            out.extend(findings(&resolved));
+            out
+        }
+    }
+}
+
+/// `WA057`: a non-compensatable step with a later step that may still
+/// fail — the saga's backward recovery cannot cross the earlier step
+/// once it has committed.
+fn placement(saga: &Resolved) -> Vec<Diagnostic> {
+    let path = &saga.paths()[0];
+    let mut out = Vec::new();
+    for (i, step) in path.iter().enumerate() {
         if step.class.is_compensatable() {
             continue;
         }
-        let blockers: Vec<&str> = steps[i + 1..]
+        let blockers: Vec<&str> = path[i + 1..]
             .iter()
-            .filter(|later| !later.class.is_retriable())
+            .filter(|later| !saga.retries(later))
             .map(|later| later.name.as_str())
             .collect();
         if !blockers.is_empty() {
             out.push(Diagnostic::new(
                 "WA057",
                 Severity::Error,
-                &spec.name,
+                saga.name(),
                 Some(step.name.clone()),
                 format!(
                     "non-compensatable step {:?} is followed by step(s) that may \
@@ -87,10 +106,6 @@ pub fn check_saga_spec(spec: &SagaSpec) -> Vec<Diagnostic> {
             ));
         }
     }
-    // WA106: per-failure-point compensation soundness with a concrete
-    // witness path (WA057 above flags the *placement*; WA106 names
-    // each failure the backward recovery cannot absorb).
-    out.extend(crate::dataflow::compensation::saga_findings(spec));
     out
 }
 
@@ -102,7 +117,7 @@ pub fn check_flex_spec(spec: &FlexSpec) -> Vec<Diagnostic> {
         Err(structure) => lift(&spec.name, structure),
         Ok(resolved) => {
             let mut out = lift(&spec.name, resolved.violations());
-            out.extend(crate::dataflow::compensation::flex_findings(&resolved));
+            out.extend(findings(&resolved));
             out
         }
     }
@@ -151,16 +166,91 @@ mod tests {
     }
 
     #[test]
-    fn retriable_tail_suppresses_wa057() {
-        // A pivot followed only by retriable steps is the classic
-        // pivot-then-guaranteed-tail shape; WA052 still fires (it is
-        // not a well-formed *saga*) but placement is sound.
+    fn retriable_tail_still_gets_wa057() {
+        // A pivot followed only by retriable steps is the flexible
+        // transaction's pivot-then-guaranteed-tail shape, but a saga
+        // retries no forward step: R may still fail after P committed.
         let spec = SagaSpec::linear(
             "s",
             vec![StepSpec::pivot("P", "p"), StepSpec::retriable("R", "r")],
         );
         let diags = Analyzer::new().check_saga(&spec);
-        assert!(diags.iter().all(|d| d.code != "WA057"), "{diags:?}");
+        let d = diags.iter().find(|d| d.code == "WA057").expect("WA057");
+        assert_eq!(d.element.as_deref(), Some("P"));
+        assert!(d.message.contains("(R)"), "{:?}", d.message);
+    }
+
+    #[test]
+    fn every_small_saga_lints_by_the_one_path_rule() {
+        // Every saga of 1–4 steps over the four classes, each step with
+        // a compensation iff it is compensatable. A saga retries no
+        // forward step, so every step may fail and roll back everything
+        // committed before it.
+        use txn_substrate::StepClass::*;
+        let classes = [Compensatable, Retriable, CompensatableRetriable, Pivot];
+        let mut specs = 0;
+        for n in 1..=4u32 {
+            for code in 0..4usize.pow(n) {
+                let steps: Vec<StepSpec> = (0..n as usize)
+                    .map(|i| {
+                        let class = classes[code / 4usize.pow(i as u32) % 4];
+                        StepSpec {
+                            name: format!("S{i}"),
+                            program: format!("p{i}"),
+                            compensation: class.is_compensatable().then(|| format!("c{i}")),
+                            class,
+                        }
+                    })
+                    .collect();
+                let pivots: Vec<usize> = (0..steps.len())
+                    .filter(|&i| !steps[i].class.is_compensatable())
+                    .collect();
+                let name = |i: usize| steps[i].name.clone();
+                let wa052: Vec<String> = pivots.iter().map(|&i| name(i)).collect();
+                let wa057: Vec<String> = pivots
+                    .iter()
+                    .filter(|&&i| i + 1 < steps.len())
+                    .map(|&i| name(i))
+                    .collect();
+                // Each step with an earlier pivot, and the latest such.
+                let wa106: Vec<(String, String)> = (0..steps.len())
+                    .filter_map(|j| {
+                        let blocker = pivots.iter().rev().find(|&&i| i < j)?;
+                        Some((name(j), name(*blocker)))
+                    })
+                    .collect();
+
+                let spec = SagaSpec::linear("s", steps.clone());
+                let diags = Analyzer::new().check_saga(&spec);
+                let named = |code: &str| -> Vec<String> {
+                    diags
+                        .iter()
+                        .filter(|d| d.code == code)
+                        .map(|d| d.element.clone().unwrap())
+                        .collect()
+                };
+                let classes: Vec<_> = steps.iter().map(|s| s.class).collect();
+                assert_eq!(named("WA052"), wa052, "{classes:?}");
+                assert_eq!(named("WA057"), wa057, "{classes:?}");
+                let wedged: Vec<(String, String)> = diags
+                    .iter()
+                    .filter(|d| d.code == "WA106")
+                    .map(|d| {
+                        let (_, against) = d.message.split_once("wedges against ").unwrap();
+                        let against = against.split('"').nth(1).unwrap().to_owned();
+                        (d.element.clone().unwrap(), against)
+                    })
+                    .collect();
+                assert_eq!(wedged, wa106, "{classes:?}");
+                assert_eq!(
+                    diags.len(),
+                    wa052.len() + wa057.len() + wa106.len(),
+                    "{classes:?}: {diags:?}"
+                );
+                specs += 1;
+            }
+        }
+        assert_eq!(specs, 340);
     }
 
     #[test]

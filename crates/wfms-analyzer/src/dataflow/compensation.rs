@@ -4,23 +4,23 @@
 //! breaks a specification. This pass answers the operational
 //! question the paper's backward recovery poses: **from every
 //! post-pivot failure point, does a complete compensation chain lead
-//! back to a consistent state?** A failure point is any step that may
-//! abort (everything not retriable). When it aborts, every step that
-//! may already have committed on the way to it — back to the recovery
-//! horizon — must be compensatable, or backward recovery wedges
-//! against the first committed step without a compensation.
+//! back to a consistent state?** One function, [`findings`], answers it
+//! for both models from the resolved form: a failure point is every
+//! abort [`Resolved::failures`] reaches from path 0 (every step the
+//! form does not [`retry`](Resolved::retries)), and the window to undo
+//! is what its [`Resolved::switch`] undoes. Every step in that window
+//! must be compensatable, or backward recovery wedges against the
+//! latest committed step without a compensation. The route table is
+//! the one F5 judged and the native loop runs.
 //!
-//! The recovery horizon differs by model:
+//! The recovery horizon differs by model only in how it is worded:
 //!
-//! * **Saga** — recovery runs all the way back to the start, so every
-//!   step in an earlier stage (and every concurrent sibling in the
-//!   same stage) must be compensatable.
-//! * **Flexible transaction** — every failure [`Resolved::failures`]
-//!   reaches from path 0, with the window its [`Resolved::switch`]
-//!   undoes: the committed steps the fallback path does not keep, or
-//!   all of them when no later path avoids the failing step. Only
-//!   steps inside that window need compensations. The route table is
-//!   the one F5 judged.
+//! * **Saga** — one path and no forward retry, so every step may fail
+//!   and recovery runs all the way back to the start: every earlier
+//!   step must be compensatable.
+//! * **Flexible transaction** — the committed steps the fallback path
+//!   does not keep, or all of them when no later path avoids the
+//!   failing step. Only steps inside that window need compensations.
 //!
 //! Each violation reports a concrete witness: the executed prefix,
 //! the failing step, and the exact step the compensation chain wedges
@@ -29,13 +29,7 @@
 //! *translated* compensation graphs are `WA022`'s business.
 
 use crate::{Diagnostic, Severity};
-use atm::{Resolved, SagaSpec, StepSpec};
-
-/// Steps that can abort at run time: everything not retriable. (A
-/// retriable step is re-submitted until it commits, §4.1.)
-fn may_fail(step: &StepSpec) -> bool {
-    !step.class.is_retriable()
-}
+use atm::{Failure, Resolved, Source, StepSpec};
 
 /// A `T1 -> T2 -> T3*` witness prefix, the failing step starred.
 fn witness(prefix: &[&StepSpec], failing: &StepSpec) -> String {
@@ -44,27 +38,30 @@ fn witness(prefix: &[&StepSpec], failing: &StepSpec) -> String {
     parts.join(" -> ")
 }
 
-/// One WA106 for a failure point whose compensation window contains a
-/// non-compensatable committed step.
-fn uncompensatable(
-    spec_name: &str,
-    prefix: &[&StepSpec],
-    failing: &StepSpec,
-    window: &[&StepSpec],
-    horizon: &str,
-) -> Option<Diagnostic> {
-    // Backward recovery compensates the window newest-first; it
-    // wedges against the *latest* non-compensatable step.
-    let blocker = window.iter().rev().find(|s| !s.class.is_compensatable())?;
-    let undone: Vec<String> = window
+/// Compensation-soundness findings for a saga or a flexible
+/// transaction: one per failure [`Resolved::failures`] reaches whose
+/// switch undoes a step without a compensation.
+pub fn findings(spec: &Resolved) -> Vec<Diagnostic> {
+    spec.failures()
         .iter()
-        .rev()
+        .filter_map(|failure| uncompensatable(spec, failure))
+        .collect()
+}
+
+/// One WA106 for a failure whose switch undoes a non-compensatable
+/// committed step.
+fn uncompensatable(spec: &Resolved, failure: &Failure) -> Option<Diagnostic> {
+    // Backward recovery compensates newest first; it wedges against the
+    // *latest* non-compensatable step.
+    let undo = &failure.switch.undo;
+    let blocker = undo.iter().find(|s| !s.class.is_compensatable())?;
+    let undone: Vec<&str> = undo
+        .iter()
         .take_while(|s| s.class.is_compensatable())
         .map(|s| {
             s.compensation
                 .as_deref()
                 .unwrap_or("<missing compensation>")
-                .to_owned()
         })
         .collect();
     let chain = if undone.is_empty() {
@@ -72,95 +69,62 @@ fn uncompensatable(
     } else {
         format!("after {}, ", undone.join(", "))
     };
+    let (process, horizon) = horizon(spec, failure);
     Some(Diagnostic::new(
         "WA106",
         Severity::Error,
-        spec_name,
-        Some(failing.name.clone()),
+        process,
+        Some(failure.step.name.clone()),
         format!(
             "failure of {:?} cannot be recovered: {horizon} requires compensating \
              every committed step back along {}, but {chain}the chain wedges against \
              {:?} ({:?}), which has no compensation",
-            failing.name,
-            witness(prefix, failing),
+            failure.step.name,
+            witness(&failure.committed, failure.step),
             blocker.name,
             blocker.class,
         ),
     ))
 }
 
-/// Compensation-soundness findings for a saga.
-pub fn saga_findings(spec: &SagaSpec) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let stages: Vec<Vec<&StepSpec>> = spec.stages.iter().map(|s| s.iter().collect()).collect();
-    for (si, stage) in stages.iter().enumerate() {
-        for failing in stage {
-            if !may_fail(failing) {
-                continue;
-            }
-            // Possibly-committed when `failing` aborts: every step of
-            // earlier stages, plus concurrent siblings in this stage.
-            let window: Vec<&StepSpec> = stages[..si]
-                .iter()
-                .flatten()
-                .copied()
-                .chain(stage.iter().copied().filter(|s| s.name != failing.name))
-                .collect();
-            if window.is_empty() {
-                continue;
-            }
-            out.extend(uncompensatable(
-                &spec.name,
-                &window,
-                failing,
-                &window,
-                "backward recovery to the start",
-            ));
-        }
+/// The process label and recovery horizon of a failure: a saga
+/// recovers back to the start; a flexible transaction's failure names
+/// its path and where its switch leads.
+fn horizon(spec: &Resolved, failure: &Failure) -> (String, String) {
+    let name = spec.name();
+    if let Source::Saga(_) = spec.source() {
+        return (name.to_owned(), "backward recovery to the start".to_owned());
     }
-    out
-}
-
-/// Compensation-soundness findings for a flexible transaction: one per
-/// failure [`Resolved::failures`] reaches whose switch undoes a step
-/// without a compensation.
-pub fn flex_findings(spec: &Resolved) -> Vec<Diagnostic> {
     let paths = spec.paths();
-    let last = paths.len() - 1;
-    let mut out = Vec::new();
-    for failure in spec.failures() {
-        let horizon = match failure.switch.to {
-            Some(to) => {
-                let names: Vec<&str> = paths[to].iter().map(|s| s.name.as_str()).collect();
-                format!("falling back to path #{} ({})", to + 1, names.join(" -> "))
-            }
-            None if failure.path == last => "aborting the last path back to the start".to_owned(),
-            None => "aborting back to the start (no later path avoids it)".to_owned(),
-        };
-        let window: Vec<&StepSpec> = failure.switch.undo.iter().rev().copied().collect();
-        out.extend(uncompensatable(
-            &format!("{} (path #{})", spec.name(), failure.path + 1),
-            &failure.committed,
-            failure.step,
-            &window,
-            &horizon,
-        ));
-    }
-    out
+    let horizon = match failure.switch.to {
+        Some(to) => {
+            let names: Vec<&str> = paths[to].iter().map(|s| s.name.as_str()).collect();
+            format!("falling back to path #{} ({})", to + 1, names.join(" -> "))
+        }
+        None if failure.path == paths.len() - 1 => {
+            "aborting the last path back to the start".to_owned()
+        }
+        None => "aborting back to the start (no later path avoids it)".to_owned(),
+    };
+    (format!("{name} (path #{})", failure.path + 1), horizon)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atm::{FlexSpec, StepSpec};
+    use atm::{FlexSpec, SagaSpec, StepSpec};
 
     fn flex(spec: &FlexSpec) -> Vec<Diagnostic> {
-        flex_findings(&Resolved::flexible(spec).unwrap())
+        findings(&Resolved::flexible(spec).unwrap())
+    }
+
+    fn saga(spec: &SagaSpec) -> Vec<Diagnostic> {
+        findings(&Resolved::saga(spec).unwrap())
     }
 
     #[test]
     fn clean_linear_saga_has_no_findings() {
-        assert!(saga_findings(&atm::fixtures::linear_saga("trip", 4)).is_empty());
+        assert!(saga(&atm::fixtures::linear_saga("trip", 4)).is_empty());
     }
 
     #[test]
@@ -178,7 +142,7 @@ mod tests {
                 StepSpec::compensatable("T3", "p3", "c3"),
             ],
         );
-        let diags = saga_findings(&spec);
+        let diags = saga(&spec);
         assert_eq!(diags.len(), 1, "{diags:?}");
         let d = &diags[0];
         assert_eq!(d.code, "WA106");
@@ -192,28 +156,6 @@ mod tests {
             d.message.contains("wedges against \"T2\""),
             "{:?}",
             d.message
-        );
-    }
-
-    #[test]
-    fn parallel_stage_siblings_count_as_committed() {
-        // T2a and T2b run concurrently; if T2b (compensatable) fails,
-        // its sibling T2a (pivot) may have committed already.
-        let spec = SagaSpec::staged(
-            "s",
-            vec![
-                vec![StepSpec::compensatable("T1", "p1", "c1")],
-                vec![
-                    StepSpec::pivot("T2a", "p2a"),
-                    StepSpec::compensatable("T2b", "p2b", "c2b"),
-                ],
-            ],
-        );
-        let diags = saga_findings(&spec);
-        assert!(
-            diags.iter().any(|d| d.element.as_deref() == Some("T2b")
-                && d.message.contains("wedges against \"T2a\"")),
-            "{diags:?}"
         );
     }
 

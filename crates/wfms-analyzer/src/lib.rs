@@ -555,14 +555,15 @@ pub fn explain(code: &str) -> Option<&'static str> {
              remove the declaration."
         }
         "WA051" => {
-            "The transaction specification is structurally broken: empty \
-             stages or paths, duplicate or unknown step names. Fix the \
+            "The transaction specification is structurally broken: no steps, \
+             no or empty paths, duplicate or unknown step names. Fix the \
              structure before the semantic rules can be checked."
         }
         "WA052" => {
-            "A saga step is neither compensatable nor the pivot-free tail: \
-             sagas require every step that commits early to be undoable. \
-             Give the step a compensation or make it retriable."
+            "A saga step has no compensating transaction: a saga undoes \
+             every committed step when a later one aborts, so each step \
+             needs one (rule S1). RETRIABLE does not satisfy it — a saga \
+             retries no forward step. Give the step a compensation."
         }
         "WA053" => {
             "A step declares a compensation that does not match a \
@@ -586,9 +587,10 @@ pub fn explain(code: &str) -> Option<&'static str> {
              needs either a forward alternative or a backward recovery."
         }
         "WA057" => {
-            "A non-compensatable step is followed by steps that may still \
-             fail. Once it commits, a later abort cannot roll back past it. \
-             Move the pivot later, or make the following steps retriable."
+            "A non-compensatable saga step is followed by steps that may \
+             still fail — in a saga every step may, since no forward step is \
+             retried. Once it commits, a later abort cannot roll back past \
+             it. Give the step a compensation, or move it to the end."
         }
         "WA101" => {
             "Dataflow liveness found a feasible path on which an input \
@@ -626,8 +628,8 @@ pub fn explain(code: &str) -> Option<&'static str> {
              recovery cannot reach a consistent state. The diagnostic shows \
              a witness execution (failing step starred) and the committed \
              step the compensation chain wedges against. Give that step a \
-             compensation, make later steps retriable, or add a fallback \
-             path covering the failure."
+             compensation or, in a flexible transaction, make later steps \
+             retriable or add a fallback path covering the failure."
         }
         "WA107" => {
             "A manual activity declares DEADLINE 0. Deadlines are measured \

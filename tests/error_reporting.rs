@@ -50,15 +50,12 @@ fn engine_errors_name_their_subjects() {
 
 #[test]
 fn translate_errors_explain_the_rule() {
-    let staged = atm::SagaSpec::staged(
-        "par",
-        vec![vec![
-            atm::StepSpec::compensatable("A", "pa", "ca"),
-            atm::StepSpec::compensatable("B", "pb", "cb"),
-        ]],
-    );
-    let err = exotica::translate_saga(&atm::check_saga(&staged).unwrap()).unwrap_err();
-    assert!(err.to_string().contains("only linear sagas"));
+    // Figure 2 translates a saga's one path, not a flexible
+    // transaction's alternatives.
+    let figure3 = atm::fixtures::figure3_spec();
+    let err = exotica::translate_saga(&atm::check_flex(&figure3).unwrap()).unwrap_err();
+    let text = err.to_string();
+    assert!(text.contains("translates sagas only"), "{text}");
 
     // An ill-formed saga never reaches a translator: its check explains
     // the rule instead.
