@@ -23,7 +23,8 @@ normalize() {
 }
 
 # Unlabelled fenced blocks in EXPERIMENTS.md hold report tables;
-# labelled ones (```sh …) are shell snippets and are skipped.
+# labelled ones are skipped: ```sh for shell snippets, ```text for
+# tables another producer (navbench, wfbench, a kept snapshot) wrote.
 extract_tables() {
   awk '
     /^```/ {
@@ -39,11 +40,8 @@ TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
 extract_tables >"$TMP/committed.raw"
-# The B15 observe-overhead table is regenerated by `navbench`, not by
-# the `report` binary — exclude its rows from the report comparison.
 # `|| true`: an empty side (no tables yet) is "no drift", not a crash.
-normalize "$TMP/committed.raw" | grep -v '^$' \
-  | grep -Ev '^(metrics (off|on)|µs/run overhead)' | sort -u >"$TMP/committed.norm" || true
+normalize "$TMP/committed.raw" | grep -v '^$' | sort -u >"$TMP/committed.norm" || true
 normalize "$REPORT_OUT" | grep -v '^$' | sort -u >"$TMP/fresh.norm" || true
 
 MISSING="$TMP/missing.txt"

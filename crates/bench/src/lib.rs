@@ -1,6 +1,5 @@
-//! Shared workload builders for the benchmark harness (one Criterion
-//! bench per experiment in EXPERIMENTS.md, plus the `report` binary
-//! that prints the per-figure tables).
+//! Shared workload builders for the `report` binary (the tables of
+//! EXPERIMENTS.md) and `navbench` (`BENCH_nav.json`).
 
 pub mod nav;
 
@@ -21,14 +20,6 @@ pub fn saga_world(n: usize, seed: u64) -> World {
     (fed, registry)
 }
 
-/// A world with the Figure 3 programs installed.
-pub fn figure3_world(seed: u64) -> World {
-    let fed = MultiDatabase::new(seed);
-    let registry = Arc::new(ProgramRegistry::new());
-    fixtures::register_figure3_programs(&fed, &registry);
-    (fed, registry)
-}
-
 /// Applies failure plans to a world.
 pub fn script(world: &World, plans: &[(&str, FailurePlan)]) {
     for (label, plan) in plans {
@@ -39,12 +30,6 @@ pub fn script(world: &World, plans: &[(&str, FailurePlan)]) {
 /// Runs the native saga executor once; returns true iff committed.
 pub fn run_saga_native(world: &World, spec: &atm::SagaSpec) -> bool {
     let exec = atm::SagaExecutor::new(Arc::clone(&world.0), Arc::clone(&world.1));
-    exec.run(spec).expect("well-formed").is_committed()
-}
-
-/// Runs the native flexible executor once; returns true iff committed.
-pub fn run_flex_native(world: &World, spec: &atm::FlexSpec) -> bool {
-    let exec = atm::FlexExecutor::new(Arc::clone(&world.0), Arc::clone(&world.1));
     exec.run(spec).expect("well-formed").is_committed()
 }
 
@@ -93,26 +78,6 @@ pub fn chain_process(n: usize, first_prog: &str) -> ProcessDefinition {
     b.build().expect("chain validates")
 }
 
-/// A fan-out/fan-in diamond: one head, `width` parallel branches of
-/// `depth` activities each, one AND-join tail.
-pub fn diamond_process(width: usize, depth: usize, head_prog: &str) -> ProcessDefinition {
-    let mut b = ProcessBuilder::new("diamond").program("Head", head_prog);
-    for w in 0..width {
-        for d in 0..depth {
-            b = b.program(&format!("B{w}_{d}"), "ok");
-        }
-        b = b.connect_when("Head", &format!("B{w}_0"), "RC = 1");
-        for d in 1..depth {
-            b = b.connect_when(&format!("B{w}_{}", d - 1), &format!("B{w}_{d}"), "RC = 1");
-        }
-    }
-    b = b.program("Tail", "ok");
-    for w in 0..width {
-        b = b.connect_when(&format!("B{w}_{}", depth - 1), "Tail", "RC = 1");
-    }
-    b.build().expect("diamond validates")
-}
-
 /// A world with `ok` (always commits) and `fail` (always aborts)
 /// programs, backed by one database.
 pub fn plain_world(seed: u64) -> World {
@@ -152,31 +117,11 @@ mod tests {
     }
 
     #[test]
-    fn chain_and_diamond_build() {
+    fn a_failing_chain_head_eliminates_the_chain() {
         let w = plain_world(0);
         let chain = chain_process(16, "fail");
         let engine = run_process(&w, &chain);
         let s = wfms_engine::audit::summarize(&engine.journal_events(), wfms_engine::InstanceId(1));
         assert_eq!(s.eliminated, 15, "whole chain dead-path-eliminated");
-
-        let d = diamond_process(3, 2, "ok");
-        let w2 = plain_world(0);
-        let engine2 = run_process(&w2, &d);
-        let s2 =
-            wfms_engine::audit::summarize(&engine2.journal_events(), wfms_engine::InstanceId(1));
-        assert_eq!(s2.executions, 3 * 2 + 2);
-        assert_eq!(s2.eliminated, 0);
-    }
-
-    #[test]
-    fn figure3_workloads_run() {
-        let spec = fixtures::figure3_spec();
-        let def = exotica::translate_flex(&atm::check_flex(&spec).unwrap()).unwrap();
-        let w = figure3_world(0);
-        script(&w, &[("T8", FailurePlan::Always)]);
-        assert!(run_flex_native(&w, &spec));
-        let w2 = figure3_world(0);
-        script(&w2, &[("T8", FailurePlan::Always)]);
-        assert!(run_workflow(&w2, &def));
     }
 }

@@ -557,6 +557,27 @@ mod tests {
         assert_eq!(db.snapshot(), before);
     }
 
+    /// WAL redo is bounded by the checkpoint rule, not by the history:
+    /// 10 000 single-write commits on 256 keys append 30 000 records
+    /// against a rule of max(4096, 4 × 256), so recovery installs the
+    /// last checkpoint's keys and redoes at most the 4096 records since.
+    #[test]
+    fn wal_redo_after_a_long_history_is_bounded_by_the_checkpoint_rule() {
+        let db = Database::new(DbConfig::named("d"));
+        for i in 0..10_000i64 {
+            let mut t = db.begin();
+            t.put(&format!("k{}", i % 256), i).unwrap();
+            t.commit().unwrap();
+        }
+        let checkpoints = db.wal_stats().checkpoints;
+        assert!(checkpoints >= 1, "{checkpoints} automatic checkpoints");
+        let before = db.snapshot();
+        db.crash();
+        let replayed = db.recover();
+        assert!(replayed <= 256 + 4096, "{replayed} updates replayed");
+        assert_eq!(db.snapshot(), before);
+    }
+
     #[test]
     fn injected_commit_abort_rolls_back() {
         let inj = Injector::new(0);
