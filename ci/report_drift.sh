@@ -24,7 +24,7 @@ normalize() {
 
 # Unlabelled fenced blocks in EXPERIMENTS.md hold report tables;
 # labelled ones are skipped: ```sh for shell snippets, ```text for
-# tables another producer (navbench, wfbench, a kept snapshot) wrote.
+# tables another producer (wfbench, a kept snapshot) wrote.
 extract_tables() {
   awk '
     /^```/ {

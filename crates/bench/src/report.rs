@@ -82,13 +82,14 @@ fn e_series() {
 
     // E4: translation equivalence over single permanent failures.
     let installer: exotica::verify::Installer<'_> = &fixtures::register_figure3_programs;
+    let checked = atm::check_flex(&f3).unwrap();
     let mut all = true;
     for fail in fixtures::FIGURE3_STEPS {
         if f3.step(fail).unwrap().class.is_retriable() {
             continue;
         }
         let plans = vec![(fail.to_string(), FailurePlan::Always)];
-        let r = exotica::compare_flex(&f3, installer, &plans, 1).unwrap();
+        let r = exotica::compare(&checked, installer, &plans, 1).unwrap();
         all &= r.equivalent();
     }
     println!(
@@ -155,18 +156,7 @@ fn b9_ablation() {
 }
 
 fn b10_makespan() {
-    use txn_substrate::{KvProgram, Value};
     println!("-- B10: simulated business makespan of Figure 3 scenarios (virtual ticks) --");
-    let durations: &[(&str, u64)] = &[
-        ("T1", 10),
-        ("T2", 20),
-        ("T3", 40),
-        ("T4", 20),
-        ("T5", 30),
-        ("T6", 30),
-        ("T7", 50),
-        ("T8", 20),
-    ];
     let scenarios: &[(&str, Vec<(&str, FailurePlan)>)] = &[
         ("happy (p1)", vec![]),
         (
@@ -184,32 +174,34 @@ fn b10_makespan() {
         exotica::translate_flex(&atm::check_flex(&fixtures::figure3_spec()).unwrap()).unwrap();
     println!("{:<28} {:>9}", "scenario", "ticks");
     for (name, plans) in scenarios {
-        let fed = MultiDatabase::new(0);
-        fed.add_database("db");
-        let registry = Arc::new(ProgramRegistry::new());
-        for (step, d) in durations {
-            registry.register(Arc::new(
-                KvProgram::write(&format!("prog_{step}"), "db", step, 1i64)
-                    .with_label(step)
-                    .with_duration(*d),
-            ));
-            registry.register(Arc::new(
-                KvProgram::write(&format!("comp_{step}"), "db", step, Value::Int(-1))
-                    .with_duration(*d / 2),
-            ));
-        }
-        for (label, plan) in plans {
-            fed.injector().set_plan(label, plan.clone());
-        }
-        let engine = wfms_engine::Engine::new(Arc::clone(&fed), registry);
-        engine.register(def.clone()).unwrap();
-        let id = engine
-            .start("figure3", wfms_model::Container::empty())
-            .unwrap();
-        engine.run_to_quiescence(id).unwrap();
-        println!("{:<28} {:>9}", name, engine.clock().now());
+        let w = timed_figure3_world(0);
+        script(&w, plans);
+        run_workflow(&w, &def);
+        println!("{:<28} {:>9}", name, w.0.clock().now());
     }
     println!();
+}
+
+/// A one-database world whose Figure 3 programs take these virtual
+/// durations, each compensation half its step's (B10, B12).
+fn timed_figure3_world(seed: u64) -> World {
+    use txn_substrate::{KvProgram, Value};
+    let durations = [10, 20, 40, 20, 30, 30, 50, 20];
+    let fed = MultiDatabase::new(seed);
+    fed.add_database("db");
+    let registry = Arc::new(ProgramRegistry::new());
+    for (step, d) in fixtures::FIGURE3_STEPS.iter().zip(durations) {
+        registry.register(Arc::new(
+            KvProgram::write(&format!("prog_{step}"), "db", step, 1i64)
+                .with_label(step)
+                .with_duration(d),
+        ));
+        registry.register(Arc::new(
+            KvProgram::write(&format!("comp_{step}"), "db", step, Value::Int(-1))
+                .with_duration(d / 2),
+        ));
+    }
+    (fed, registry)
 }
 
 fn b11_global_atomicity() {
@@ -294,19 +286,8 @@ fn b11_global_atomicity() {
 }
 
 fn b12_simulation() {
-    use txn_substrate::{KvProgram, Value};
     println!("-- B12: Monte-Carlo process simulation (Figure 3, durations as B10) --");
     println!("   (the §3.3 'simulation' WFMS feature: makespan distribution at failure prob p)");
-    let durations: &[(&str, u64)] = &[
-        ("T1", 10),
-        ("T2", 20),
-        ("T3", 40),
-        ("T4", 20),
-        ("T5", 30),
-        ("T6", 30),
-        ("T7", 50),
-        ("T8", 20),
-    ];
     let spec = fixtures::figure3_spec();
     let def = exotica::translate_flex(&atm::check_flex(&spec).unwrap()).unwrap();
     println!(
@@ -319,42 +300,17 @@ fn b12_simulation() {
         let mut makespans = Vec::with_capacity(trials);
         let mut commits = 0;
         for t in 0..trials {
-            let fed = MultiDatabase::new(9000 + t as u64);
-            fed.add_database("db");
-            let registry = Arc::new(ProgramRegistry::new());
-            for (step, d) in durations {
-                registry.register(Arc::new(
-                    KvProgram::write(&format!("prog_{step}"), "db", step, 1i64)
-                        .with_label(step)
-                        .with_duration(*d),
-                ));
-                registry.register(Arc::new(
-                    KvProgram::write(&format!("comp_{step}"), "db", step, Value::Int(-1))
-                        .with_duration(*d / 2),
-                ));
-            }
+            let w = timed_figure3_world(9000 + t as u64);
             for st in &spec.steps {
                 if !st.class.is_retriable() {
-                    fed.injector()
+                    w.0.injector()
                         .set_plan(&st.name, FailurePlan::Probability { p });
                 }
             }
-            let engine = wfms_engine::Engine::new(Arc::clone(&fed), registry);
-            engine.register(def.clone()).unwrap();
-            let id = engine
-                .start("figure3", wfms_model::Container::empty())
-                .unwrap();
-            engine.run_to_quiescence(id).unwrap();
-            if engine
-                .output(id)
-                .unwrap()
-                .get("Committed")
-                .and_then(|v| v.as_int())
-                == Some(1)
-            {
+            if run_workflow(&w, &def) {
                 commits += 1;
             }
-            makespans.push(engine.clock().now());
+            makespans.push(w.0.clock().now());
         }
         makespans.sort_unstable();
         let q = |f: f64| makespans[((makespans.len() - 1) as f64 * f) as usize];
@@ -638,23 +594,13 @@ fn b7_translator() {
 }
 
 fn b13_nav_compiled() {
-    use bench::nav::{compiled_engine, reference_engine, run_compiled_once, run_reference_once};
     println!("-- B13: compiled navigator vs reference interpreter (µs/run, mean of 50) --");
     println!(
         "{:>6} {:>12} {:>12} {:>8}",
         "n", "reference", "compiled", "speedup"
     );
     for n in [25usize, 100, 400] {
-        let def = chain_process(n, "ok");
-        let w = plain_world(0);
-        let mut reference = reference_engine(&w, &def);
-        let t_ref = time_us(50, || {
-            run_reference_once(&mut reference, "chain");
-        });
-        let engine = compiled_engine(&w, &def);
-        let t_cmp = time_us(50, || {
-            run_compiled_once(&engine, "chain");
-        });
+        let (t_ref, t_cmp) = reference_vs_compiled(&plain_world(0), &chain_process(n, "ok"), 50);
         println!(
             "{:>6} {:>12.1} {:>12.1} {:>8.2}",
             n,
@@ -663,7 +609,70 @@ fn b13_nav_compiled() {
             t_ref / t_cmp
         );
     }
+
+    // The optimizer's effect is small beside a shared host's noise, so
+    // the two templates run in interleaved rounds and each keeps its
+    // fastest round.
+    let (gates, dead_len, rounds) = (40, 5, 8);
+    let def = const_heavy_process(gates, dead_len);
+    let compiled = wfms_engine::CompiledProcess::compile(def.clone());
+    let (_, stats) = wfms_engine::optimize::optimize(&compiled);
+    let w = plain_world(0);
+    let (unopt, opt) = (unoptimized_engine(&w, &def), compiled_engine(&w, &def));
+    let (mut t_unopt, mut t_opt) = (f64::MAX, f64::MAX);
+    for _ in 0..rounds {
+        t_unopt = t_unopt.min(time_us(16, || {
+            run_compiled_once(&unopt, &def.name);
+        }));
+        t_opt = t_opt.min(time_us(16, || {
+            run_compiled_once(&opt, &def.name);
+        }));
+    }
+    println!(
+        "{:<19} {:>12} {:>12} {:>8} {:>12} {:>7}",
+        "template", "unoptimized", "optimized", "speedup", "plans_fixed", "pruned"
+    );
+    println!(
+        "{:<19} {:>12.1} {:>12.1} {:>8.2} {:>12} {:>7}   (best of {rounds} rounds of 16)",
+        format!("const_heavy {gates}x{dead_len}"),
+        t_unopt,
+        t_opt,
+        t_unopt / t_opt,
+        stats.plans_fixed,
+        stats.dead_acts
+    );
+
+    // The gallery shapes are 4–10 activities, so more runs per mean.
+    println!(
+        "{:<19} {:>12} {:>12} {:>8}   (mean of 200)",
+        "pattern", "reference", "compiled", "speedup"
+    );
+    for name in PATTERN_WORKLOADS {
+        let (def, w) = pattern_workload(name);
+        let (t_ref, t_cmp) = reference_vs_compiled(&w, &def, 200);
+        println!(
+            "{:<19} {:>12.1} {:>12.1} {:>8.2}",
+            name,
+            t_ref,
+            t_cmp,
+            t_ref / t_cmp
+        );
+    }
     println!();
+}
+
+/// Mean µs per run of `def` on the reference interpreter, then on the
+/// compiled engine, each with the template registered once.
+fn reference_vs_compiled(w: &World, def: &wfms_model::ProcessDefinition, iters: u32) -> (f64, f64) {
+    let mut reference = reference_engine(w, def);
+    let t_ref = time_us(iters, || {
+        run_reference_once(&mut reference, &def.name);
+    });
+    let engine = compiled_engine(w, def);
+    let t_cmp = time_us(iters, || {
+        run_compiled_once(&engine, &def.name);
+    });
+    (t_ref, t_cmp)
 }
 
 fn b8_substrate() {

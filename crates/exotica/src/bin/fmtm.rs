@@ -140,7 +140,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use txn_substrate::{DurabilityPolicy, FailurePlan};
 use wfms_engine::metrics::ACT_LATENCY_FAMILY;
-use wfms_engine::{audit, Engine, EngineConfig, InstanceStatus, Observer, OrgModel};
+use wfms_engine::{audit, Engine, EngineConfig, InstanceStatus, Observer};
 use wfms_model::Container;
 use wfms_observe::Value;
 
@@ -726,10 +726,7 @@ fn top(args: &[String]) -> ExitCode {
     let mut flags = Flags::new("top", &args[1..]);
     while let Some(arg) = flags.next() {
         match arg {
-            "--fail" => plans.extend(flags.read("--fail", "LABEL=PLAN", |kv| {
-                let (label, plan) = kv.split_once('=')?;
-                Some((label.to_owned(), parse_plan(plan)?))
-            })),
+            "--fail" => plans.extend(flags.fail_plan()),
             "--seed" => seed = flags.value("--seed", "a number").unwrap_or(seed),
             "--instances" => {
                 instances = flags.value("--instances", "a number").unwrap_or(instances)
@@ -1008,44 +1005,46 @@ fn crashtest(args: &[String]) -> ExitCode {
 /// `POST /admin/stop`.
 fn serve(args: &[String]) -> ExitCode {
     let mut spec_paths: Vec<String> = Vec::new();
-    let mut shards = 1usize;
-    let mut port = 7313u16;
-    let mut addr = "127.0.0.1".to_owned();
-    let mut data_dir = "fmtm-data".to_owned();
-    let mut queue = 1024usize;
-    let mut batch = 64usize;
-    let mut durability = DurabilityPolicy::Batched { n: 64 };
+    let mut cfg = wfms_server::PoolConfig::new("fmtm-data");
+    let mut server_cfg = wfms_server::ServerConfig::new("");
+    server_cfg.port = 7313;
     let mut seed = 0u64;
-    let mut persons: Vec<(String, Vec<String>)> = Vec::new();
     let mut throttle_ms = 0u64;
-    let mut reactors = 0usize;
-    let mut tenants_path: Option<String> = None;
     let at_least_one = |v: &str| v.parse().ok().map(|n: usize| n.max(1));
     let mut flags = Flags::new("serve", args);
     while let Some(arg) = flags.next() {
         match arg {
-            "--shards" => shards = flags.read_value(arg, at_least_one).unwrap_or(shards),
-            "--port" => port = flags.parsed(arg).unwrap_or(port),
-            "--addr" => addr = flags.parsed(arg).unwrap_or(addr),
-            "--data" => data_dir = flags.parsed(arg).unwrap_or(data_dir),
-            "--queue" => queue = flags.read_value(arg, at_least_one).unwrap_or(queue),
-            "--batch" => batch = flags.read_value(arg, at_least_one).unwrap_or(batch),
+            "--shards" => cfg.shards = flags.read_value(arg, at_least_one).unwrap_or(cfg.shards),
+            "--port" => server_cfg.port = flags.parsed(arg).unwrap_or(server_cfg.port),
+            "--addr" => server_cfg.addr = flags.parsed(arg).unwrap_or(server_cfg.addr),
+            "--data" => cfg.data_dir = flags.parsed(arg).unwrap_or(cfg.data_dir),
+            "--queue" => {
+                cfg.queue_capacity = flags
+                    .read_value(arg, at_least_one)
+                    .unwrap_or(cfg.queue_capacity)
+            }
+            "--batch" => {
+                cfg.batch_max = flags.read_value(arg, at_least_one).unwrap_or(cfg.batch_max)
+            }
             "--durability" => {
-                durability = flags
+                cfg.durability = flags
                     .read_value(arg, parse_durability)
-                    .unwrap_or(durability)
+                    .unwrap_or(cfg.durability)
             }
             "--seed" => seed = flags.parsed(arg).unwrap_or(seed),
-            "--person" => persons.extend(flags.read_value(arg, |v| {
-                let (name, roles) = v.split_once('=')?;
-                Some((
-                    name.to_owned(),
-                    roles.split(',').map(str::to_owned).collect(),
-                ))
-            })),
+            "--person" => {
+                let person = flags.read_value(arg, |v| {
+                    let (name, roles) = v.split_once('=')?;
+                    Some((name.to_owned(), roles.to_owned()))
+                });
+                if let Some((name, roles)) = person {
+                    let roles: Vec<&str> = roles.split(',').collect();
+                    cfg.org = std::mem::take(&mut cfg.org).person(&name, &roles);
+                }
+            }
             "--throttle-ms" => throttle_ms = flags.parsed(arg).unwrap_or(throttle_ms),
-            "--reactors" => reactors = flags.parsed(arg).unwrap_or(reactors),
-            "--tenants" => tenants_path = flags.parsed(arg),
+            "--reactors" => server_cfg.reactors = flags.parsed(arg).unwrap_or(server_cfg.reactors),
+            "--tenants" => server_cfg.tenants_path = flags.parsed(arg),
             other if other.starts_with('-') => flags.unknown(other),
             path => spec_paths.push(path.to_owned()),
         }
@@ -1060,7 +1059,6 @@ fn serve(args: &[String]) -> ExitCode {
 
     let mut templates = Vec::new();
     let mut specs = Vec::new();
-    let mut default_process = String::new();
     for path in &spec_paths {
         let src = match load(path) {
             Ok(s) => s,
@@ -1068,8 +1066,8 @@ fn serve(args: &[String]) -> ExitCode {
         };
         match exotica::run_pipeline(&src) {
             Ok(out) => {
-                if default_process.is_empty() {
-                    default_process = out.process.name.clone();
+                if server_cfg.default_process.is_empty() {
+                    server_cfg.default_process = out.process.name.clone();
                 }
                 templates.push(out.process);
                 specs.push(out.spec);
@@ -1081,38 +1079,33 @@ fn serve(args: &[String]) -> ExitCode {
         }
     }
 
-    let mut org = OrgModel::new();
-    for (name, roles) in &persons {
-        let roles: Vec<&str> = roles.iter().map(String::as_str).collect();
-        org = org.person(name, &roles);
-    }
     let steps = steps_of_all(&specs);
-
-    let mut cfg = wfms_server::PoolConfig::new(&data_dir);
-    cfg.shards = shards;
-    cfg.queue_capacity = queue;
-    cfg.batch_max = batch;
-    cfg.durability = durability;
-    cfg.org = org;
     cfg.templates = templates;
     cfg.throttle = (throttle_ms > 0).then(|| std::time::Duration::from_millis(throttle_ms));
-    if let Some(path) = &tenants_path {
+    if let Some(path) = &server_cfg.tenants_path {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
             Err(e) => {
-                eprintln!("fmtm serve: tenants file {path}: {e}");
+                eprintln!("fmtm serve: tenants file {}: {e}", path.display());
                 return ExitCode::from(2);
             }
         };
         match wfms_server::parse_tenants(&text) {
             Ok(specs) => cfg.tenants = specs,
             Err(e) => {
-                eprintln!("fmtm serve: tenants file {path}: {e}");
+                eprintln!("fmtm serve: tenants file {}: {e}", path.display());
                 return ExitCode::from(2);
             }
         }
     }
     let ntenants = cfg.tenants.len();
+    let startup = format!(
+        "(shards {}, queue {}, batch {}, data {})",
+        cfg.shards,
+        cfg.queue_capacity,
+        cfg.batch_max,
+        cfg.data_dir.display(),
+    );
 
     let registry = Arc::new(wfms_observe::Registry::new());
     let provision_shard =
@@ -1126,14 +1119,6 @@ fn serve(args: &[String]) -> ExitCode {
     };
     let opened: Vec<String> = pool.opened().iter().map(ToString::to_string).collect();
 
-    let server_cfg = wfms_server::ServerConfig {
-        addr,
-        port,
-        default_process,
-        read_timeout: std::time::Duration::from_secs(30),
-        reactors,
-        tenants_path: tenants_path.as_ref().map(std::path::PathBuf::from),
-    };
     let server = match wfms_server::Server::start(pool, server_cfg) {
         Ok(s) => s,
         Err(e) => {
@@ -1142,13 +1127,9 @@ fn serve(args: &[String]) -> ExitCode {
         }
     };
     println!(
-        "serving {} template(s) at http://{} (shards {}, queue {}, batch {}, data {})",
+        "serving {} template(s) at http://{} {startup}",
         spec_paths.len(),
         server.local_addr(),
-        shards,
-        queue,
-        batch,
-        data_dir,
     );
     for line in &opened {
         println!("{line}");
@@ -1211,11 +1192,11 @@ fn deploy_cmd(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let body = format!(
-        "{{\"definition\":{},\"policy\":{}}}",
-        serde_json::to_string(&out.process).expect("definition serializes"),
-        serde_json::to_string(&policy).expect("policy serializes"),
-    );
+    let body = serde_json::to_string(&wfms_server::api::DeployRequest {
+        definition: out.process,
+        policy: Some(policy),
+    })
+    .expect("deploy request serializes");
     match wfms_server::client::deploy(&url, &body) {
         Ok((200, answer)) => {
             match serde_json::from_str::<wfms_server::api::DeployResponse>(&answer) {

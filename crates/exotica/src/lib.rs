@@ -59,7 +59,7 @@ pub use pipeline::{
 pub use provision::{provision, steps_of, steps_of_all, steps_of_process};
 pub use saga::{translate_saga, translate_saga_flat};
 pub use specfmt::{emit_spec, parse_spec, parse_spec_spanned, ParsedSpec, SpecSpans};
-pub use verify::{compare_flex, compare_saga, EquivalenceReport};
+pub use verify::{compare, EquivalenceReport};
 
 use wfms_model::ValidationError;
 

@@ -15,10 +15,9 @@
 //! observable state (the fixtures write `-1` markers), state equality
 //! subsumes "the same subtransactions were committed/compensated".
 
-use crate::flexible::translate_flex;
-use crate::saga::translate_saga;
+use crate::pipeline::translate;
 use crate::TranslateError;
-use atm::{Checked, FlexExecutor, FlexSpec, SagaExecutor, SagaSpec, Source, WellFormedError};
+use atm::{Checked, FlexExecutor, SagaExecutor, Source};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use txn_substrate::{FailurePlan, MultiDatabase, ProgramRegistry, Value};
@@ -84,9 +83,6 @@ impl EquivalenceReport {
 pub enum VerifyError {
     /// Translation failed.
     Translate(TranslateError),
-    /// The specification is not well-formed, so neither world can run
-    /// it (the native executor rejects it with these errors).
-    Native(String),
     /// The engine failed (registration, start or navigation).
     Engine(EngineError),
     /// The workflow instance did not finish (stuck on manual work or
@@ -98,7 +94,6 @@ impl std::fmt::Display for VerifyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             VerifyError::Translate(e) => write!(f, "translation failed: {e}"),
-            VerifyError::Native(e) => write!(f, "native execution failed: {e}"),
             VerifyError::Engine(e) => write!(f, "engine failed: {e}"),
             VerifyError::NotFinished(s) => write!(f, "workflow did not finish: {s:?}"),
         }
@@ -163,54 +158,31 @@ fn run_workflow(
     Ok(committed)
 }
 
-/// Compares the native saga executor with the Figure 2 workflow
-/// translation under identical failure plans.
-pub fn compare_saga(
-    spec: &SagaSpec,
+/// Runs a checked spec natively and as its Figure 2 / Figure 4
+/// translation, each in a world of its own under the same failure plans.
+pub fn compare(
+    checked: &Checked,
     install: Installer<'_>,
     plans: &[(String, FailurePlan)],
     seed: u64,
 ) -> Result<EquivalenceReport, VerifyError> {
-    compare(atm::check_saga(spec), translate_saga, install, plans, seed)
-}
-
-/// Compares the native flexible-transaction executor with the Figure 4
-/// workflow translation under identical failure plans.
-pub fn compare_flex(
-    spec: &FlexSpec,
-    install: Installer<'_>,
-    plans: &[(String, FailurePlan)],
-    seed: u64,
-) -> Result<EquivalenceReport, VerifyError> {
-    compare(atm::check_flex(spec), translate_flex, install, plans, seed)
-}
-
-/// Runs the checked spec natively and as its `translate`d process, each
-/// in a world of its own.
-fn compare(
-    checked: Result<Checked, Vec<WellFormedError>>,
-    translate: fn(&Checked) -> Result<wfms_model::ProcessDefinition, TranslateError>,
-    install: Installer<'_>,
-    plans: &[(String, FailurePlan)],
-    seed: u64,
-) -> Result<EquivalenceReport, VerifyError> {
-    let rejected = |e: Vec<WellFormedError>| VerifyError::Native(format!("{e:?}"));
-    let checked = checked.map_err(rejected)?;
-    let def = translate(&checked).map_err(VerifyError::Translate)?;
+    let def = translate(checked).map_err(VerifyError::Translate)?;
 
     let (nfed, nreg) = build_world(seed, install, plans);
     let native = Arc::clone(&nfed);
     let (model, native_committed) = match checked.source() {
         Source::Saga(s) => {
             let run = SagaExecutor::new(native, nreg).run(s);
-            ("saga", run.map(|r| r.is_committed()))
+            ("saga", run.expect("a checked saga").is_committed())
         }
         Source::Flexible(f) => {
             let run = FlexExecutor::new(native, nreg).run(f);
-            ("flex", run.map(|r| r.is_committed()))
+            (
+                "flex",
+                run.expect("a checked flexible transaction").is_committed(),
+            )
         }
     };
-    let native_committed = native_committed.map_err(rejected)?;
 
     let (wfed, wreg) = build_world(seed, install, plans);
     let workflow_committed = run_workflow(def, Arc::clone(&wfed), wreg)?;
@@ -234,7 +206,7 @@ mod tests {
     fn saga_happy_path_is_equivalent() {
         let spec = fixtures::linear_saga("s", 4);
         let install: Installer<'_> = &|fed, reg| fixtures::register_saga_programs(fed, reg, 4);
-        let report = compare_saga(&spec, install, &[], 1).unwrap();
+        let report = compare(&atm::check_saga(&spec).unwrap(), install, &[], 1).unwrap();
         assert!(report.native_committed);
         assert!(report.equivalent(), "{}", report.diff());
     }
@@ -243,7 +215,7 @@ mod tests {
     fn flex_happy_path_is_equivalent() {
         let spec = fixtures::figure3_spec();
         let install: Installer<'_> = &fixtures::register_figure3_programs;
-        let report = compare_flex(&spec, install, &[], 1).unwrap();
+        let report = compare(&atm::check_flex(&spec).unwrap(), install, &[], 1).unwrap();
         assert!(report.native_committed);
         assert!(report.equivalent(), "{}", report.diff());
     }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use atm::fixtures::{self, figure3_spec, FIGURE3_STEPS};
 use atm::SagaExecutor;
-use exotica::verify::{compare_flex, compare_saga, FederationState, Installer};
+use exotica::verify::{compare, FederationState, Installer};
 use proptest::prelude::*;
 use txn_substrate::{on_attempts, FailurePlan, MultiDatabase};
 use wfms_engine::{Engine, InstanceStatus};
@@ -41,7 +41,7 @@ fn saga_equivalence_at_every_abort_position() {
             } else {
                 vec![]
             };
-            let report = compare_saga(&spec, installer, &plans, 42).unwrap();
+            let report = compare(&atm::check_saga(&spec).unwrap(), installer, &plans, 42).unwrap();
             assert!(
                 report.equivalent(),
                 "n={n} abort at S{j}:\n{}",
@@ -64,7 +64,7 @@ fn saga_equivalence_with_flaky_compensations() {
         ("undo_S3".to_string(), FailurePlan::FirstN(2)),
         ("undo_S2".to_string(), on_attempts([0, 2])),
     ];
-    let report = compare_saga(&spec, installer, &plans, 7).unwrap();
+    let report = compare(&atm::check_saga(&spec).unwrap(), installer, &plans, 7).unwrap();
     assert!(report.equivalent(), "{}", report.diff());
     assert!(!report.native_committed);
 }
@@ -78,7 +78,7 @@ fn saga_equivalence_with_transient_forward_failures() {
     let install = saga_installer(n);
     let installer: Installer<'_> = &install;
     let plans = vec![("S2".to_string(), FailurePlan::FirstN(1))];
-    let report = compare_saga(&spec, installer, &plans, 3).unwrap();
+    let report = compare(&atm::check_saga(&spec).unwrap(), installer, &plans, 3).unwrap();
     assert!(report.equivalent(), "{}", report.diff());
     assert!(!report.native_committed);
 }
@@ -107,7 +107,7 @@ proptest! {
         if flaky_comp >= 1 && flaky_comp <= n {
             plans.push((format!("undo_S{flaky_comp}"), FailurePlan::FirstN(flaky_tries)));
         }
-        let report = compare_saga(&spec, installer, &plans, seed).unwrap();
+        let report = compare(&atm::check_saga(&spec).unwrap(), installer, &plans, seed).unwrap();
         prop_assert!(report.equivalent(), "{}", report.diff());
         prop_assert_eq!(report.native_committed, abort_at > n);
     }
@@ -271,7 +271,7 @@ fn figure3_equivalence_for_every_single_permanent_failure() {
             continue; // a permanently failing retriable step livelocks by design
         }
         let plans = vec![(fail.to_string(), FailurePlan::Always)];
-        let report = compare_flex(&spec, installer, &plans, 11).unwrap();
+        let report = compare(&atm::check_flex(&spec).unwrap(), installer, &plans, 11).unwrap();
         assert!(
             report.equivalent(),
             "permanent failure of {fail}:\n{}",
@@ -298,7 +298,7 @@ fn figure3_equivalence_for_every_pair_of_failures() {
                 (a.to_string(), FailurePlan::Always),
                 (b.to_string(), FailurePlan::FirstN(2)),
             ];
-            let report = compare_flex(&spec, installer, &plans, 23).unwrap();
+            let report = compare(&atm::check_flex(&spec).unwrap(), installer, &plans, 23).unwrap();
             assert!(
                 report.equivalent(),
                 "permanent {a} + transient {b}:\n{}",
@@ -316,8 +316,8 @@ fn figure3_paper_narrative_outcomes() {
     let installer: Installer<'_> = &fixtures::register_figure3_programs;
 
     // T8 aborts: T5, T6 compensated; commits via p2 (T7 runs).
-    let report = compare_flex(
-        &spec,
+    let report = compare(
+        &atm::check_flex(&spec).unwrap(),
         installer,
         &[("T8".to_string(), FailurePlan::Always)],
         5,
@@ -337,8 +337,8 @@ fn figure3_paper_narrative_outcomes() {
     assert_eq!(flat.get("T8"), None, "T8 never committed");
 
     // T4 aborts: falls to p3, T3 commits, nothing compensated.
-    let report = compare_flex(
-        &spec,
+    let report = compare(
+        &atm::check_flex(&spec).unwrap(),
         installer,
         &[("T4".to_string(), FailurePlan::Always)],
         5,
@@ -357,8 +357,8 @@ fn figure3_paper_narrative_outcomes() {
     assert_eq!(flat.get("T5"), None);
 
     // T2 aborts: full abort, T1 compensated.
-    let report = compare_flex(
-        &spec,
+    let report = compare(
+        &atm::check_flex(&spec).unwrap(),
         installer,
         &[("T2".to_string(), FailurePlan::Always)],
         5,
@@ -384,7 +384,7 @@ fn figure3_equivalence_with_retriable_flakiness() {
             (fail.to_string(), FailurePlan::Always),
             (retriable.to_string(), FailurePlan::FirstN(3)),
         ];
-        let report = compare_flex(&spec, installer, &plans, 9).unwrap();
+        let report = compare(&atm::check_flex(&spec).unwrap(), installer, &plans, 9).unwrap();
         assert!(
             report.equivalent(),
             "{fail} + flaky {retriable}:\n{}",
@@ -438,13 +438,13 @@ fn compensatable_retriable_members_never_fail_their_segment() {
         ("CR".to_string(), FailurePlan::FirstN(2)),
         ("P".to_string(), FailurePlan::Always),
     ];
-    let report = compare_flex(&spec, installer, &plans, 3).unwrap();
+    let report = compare(&atm::check_flex(&spec).unwrap(), installer, &plans, 3).unwrap();
     assert!(report.equivalent(), "{}", report.diff());
     assert!(report.workflow_committed);
 
     // C1 fails permanently: full abort before anything else runs.
     let plans = vec![("C1".to_string(), FailurePlan::Always)];
-    let report = compare_flex(&spec, installer, &plans, 3).unwrap();
+    let report = compare(&atm::check_flex(&spec).unwrap(), installer, &plans, 3).unwrap();
     assert!(report.equivalent(), "{}", report.diff());
     assert!(!report.workflow_committed);
 }
@@ -722,7 +722,8 @@ fn random_flex_specs_keep_the_model_guarantees() {
         }
         let installer: Installer<'_> = &install;
         for plans in failure_scenarios(&spec) {
-            let report = compare_flex(&spec, installer, &plans, seed).unwrap();
+            let report =
+                compare(&atm::check_flex(&spec).unwrap(), installer, &plans, seed).unwrap();
             if !report.equivalent() {
                 inequivalent.push(format!("{label} under {plans:?}:\n{}", report.diff()));
             }
@@ -775,7 +776,7 @@ proptest! {
         }
         let install = install_family(&spec);
         let installer: Installer<'_> = &install;
-        let report = compare_flex(&spec, installer, &plans, seed).unwrap();
+        let report = compare(&atm::check_flex(&spec).unwrap(), installer, &plans, seed).unwrap();
         prop_assert!(report.equivalent(), "family({},{}) plans {:?}:\n{}",
             a, b, report.scenario, report.diff());
     }

@@ -74,3 +74,16 @@ fn top_runs_every_instance_to_the_end() {
     );
     assert!(stdout.contains("done: 5 instance(s)"), "{stdout}");
 }
+
+#[test]
+fn top_names_an_unknown_fail_plan_as_run_does() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fmtm"))
+        .args(["top", &trip_saga(), "--fail", "Hotel=sometimes"])
+        .output()
+        .expect("fmtm runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(
+        String::from_utf8(out.stderr).unwrap(),
+        "fmtm top: unknown plan \"sometimes\" (use always, first:N, attempts:..)\n"
+    );
+}

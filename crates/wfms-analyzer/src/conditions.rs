@@ -29,10 +29,6 @@ impl Lint for ConditionLint {
         "conditions"
     }
 
-    fn codes(&self) -> &'static [&'static str] {
-        &["WA031", "WA032", "WA033", "WA034"]
-    }
-
     fn check(&self, ctx: &ProcessCtx<'_>, out: &mut Vec<Diagnostic>) {
         let def = ctx.process;
         for c in &def.control {

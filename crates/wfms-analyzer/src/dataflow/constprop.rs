@@ -46,10 +46,6 @@ impl Lint for ConstPropLint {
         "constprop"
     }
 
-    fn codes(&self) -> &'static [&'static str] {
-        &["WA103", "WA104", "WA105"]
-    }
-
     fn check(&self, ctx: &ProcessCtx<'_>, out: &mut Vec<Diagnostic>) {
         let def = ctx.process;
         if !wfms_model::validate(def).is_empty() {

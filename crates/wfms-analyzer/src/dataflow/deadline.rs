@@ -193,10 +193,6 @@ impl Lint for DeadlineLint {
         "deadline"
     }
 
-    fn codes(&self) -> &'static [&'static str] {
-        &["WA107", "WA108"]
-    }
-
     fn check(&self, ctx: &ProcessCtx<'_>, out: &mut Vec<Diagnostic>) {
         let def = ctx.process;
         if !wfms_model::validate(def).is_empty() {

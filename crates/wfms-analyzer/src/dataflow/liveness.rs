@@ -166,10 +166,6 @@ impl Lint for LivenessLint {
         "liveness"
     }
 
-    fn codes(&self) -> &'static [&'static str] {
-        &["WA101", "WA102"]
-    }
-
     fn check(&self, ctx: &ProcessCtx<'_>, out: &mut Vec<Diagnostic>) {
         let def = ctx.process;
         // The semantic passes need a compilable definition; hard model

@@ -56,10 +56,6 @@ impl Lint for DataFlowLint {
         "dataflow"
     }
 
-    fn codes(&self) -> &'static [&'static str] {
-        &["WA041", "WA042", "WA043"]
-    }
-
     fn check(&self, ctx: &ProcessCtx<'_>, out: &mut Vec<Diagnostic>) {
         let def = ctx.process;
 

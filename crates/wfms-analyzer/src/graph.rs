@@ -148,10 +148,6 @@ impl Lint for GraphLint {
         "graph"
     }
 
-    fn codes(&self) -> &'static [&'static str] {
-        &["WA020", "WA021", "WA022", "WA035"]
-    }
-
     fn check(&self, ctx: &ProcessCtx<'_>, out: &mut Vec<Diagnostic>) {
         let def = ctx.process;
 

@@ -237,9 +237,6 @@ pub trait Lint {
     /// Short machine name (`"graph"`, `"dataflow"`, …).
     fn name(&self) -> &'static str;
 
-    /// The diagnostic codes this lint can emit.
-    fn codes(&self) -> &'static [&'static str];
-
     /// `true` if the lint must run only once, at the root definition
     /// (used by lints that recurse into blocks themselves).
     fn root_only(&self) -> bool {
@@ -278,21 +275,6 @@ impl Analyzer {
             ],
             allowed: BTreeSet::new(),
         }
-    }
-
-    /// An analyzer with no built-in lints (add custom ones with
-    /// [`Analyzer::with_lint`]).
-    pub fn empty() -> Self {
-        Self {
-            lints: Vec::new(),
-            allowed: BTreeSet::new(),
-        }
-    }
-
-    /// Adds a lint pass.
-    pub fn with_lint(mut self, lint: Box<dyn Lint>) -> Self {
-        self.lints.push(lint);
-        self
     }
 
     /// Suppresses a diagnostic code (e.g. `"WA032"`).

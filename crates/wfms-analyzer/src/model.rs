@@ -101,13 +101,6 @@ impl Lint for ModelLint {
         "model"
     }
 
-    fn codes(&self) -> &'static [&'static str] {
-        &[
-            "WA001", "WA002", "WA003", "WA004", "WA005", "WA006", "WA007", "WA008", "WA009",
-            "WA010", "WA011", "WA012", "WA013", "WA014", "WA015", "WA016",
-        ]
-    }
-
     fn root_only(&self) -> bool {
         true // validate() recurses into blocks by itself
     }

@@ -12,7 +12,8 @@
 //! and journals the same [`Event`]s in the same order as the compiled
 //! navigator, so it serves two purposes:
 //!
-//! * the **baseline** for the `nav_compiled` benchmark — the honest
+//! * the **baseline** of the compiled navigator in `report` §B13 and
+//!   in `wfbench`'s `wfms-engine.interp.ref_run_us` — the honest
 //!   "before" of the optimisation, not a strawman;
 //! * a **differential oracle**: property tests drive random process
 //!   graphs (including manual and deadline-bearing activities) through

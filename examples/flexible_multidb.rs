@@ -15,7 +15,8 @@ use wftx::model::Container;
 
 fn main() {
     // The specification, in the pre-processor's textual format.
-    let spec_text = exotica::emit_spec(&exotica::ParsedSpec::Flexible(fixtures::figure3_spec()));
+    let spec = fixtures::figure3_spec();
+    let spec_text = exotica::emit_spec(&exotica::ParsedSpec::Flexible(spec.clone()));
     println!("---- specification ----\n{spec_text}");
 
     let out = exotica::run_pipeline(&spec_text).expect("pipeline succeeds");
@@ -43,6 +44,7 @@ fn main() {
         ),
     ];
 
+    let checked = atm::check_flex(&spec).expect("Figure 3 is well-formed");
     for (title, plans) in scenarios {
         println!("==== {title} ====");
         let fed = MultiDatabase::new(0);
@@ -102,8 +104,7 @@ fn main() {
             .map(|(l, p)| (l.to_string(), p.clone()))
             .collect();
         let installer: exotica::verify::Installer<'_> = &fixtures::register_figure3_programs;
-        let report =
-            exotica::compare_flex(&fixtures::figure3_spec(), installer, &plans_owned, 7).unwrap();
+        let report = exotica::compare(&checked, installer, &plans_owned, 7).unwrap();
         assert!(report.equivalent(), "{}", report.diff());
         println!("native executor agrees: OK\n");
     }

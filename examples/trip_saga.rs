@@ -114,8 +114,8 @@ fn main() {
         unreachable!()
     };
     let installer: exotica::verify::Installer<'_> = &|fed, reg| install(fed, reg);
-    let report = exotica::compare_saga(
-        &spec,
+    let report = exotica::compare(
+        &atm::check_saga(&spec).unwrap(),
         installer,
         &[("Pay".to_string(), FailurePlan::Always)],
         99,
