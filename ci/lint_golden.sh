@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Golden-diff the machine-readable linter output: for each JSON file in
-# ci/golden/, run `fmtm lint --format json` on the matching analyzer
-# fixture and diff against the committed output. Catches accidental
-# changes to diagnostic codes, positions, or message wording — the
-# JSON schema is an interface consumed by editor integrations.
+# Golden-diff the machine-readable linter output: every analyzer
+# fixture has a whole-output golden in ci/golden/<stem>.json, and
+# `fmtm lint --format json` on the fixture must print it byte for byte.
+# Catches accidental changes to diagnostic codes, positions, order or
+# message wording — the JSON schema is an interface consumed by editor
+# integrations. A fixture without a golden, or a golden without a
+# fixture, fails the script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,9 +15,17 @@ fail=0
 
 for golden in ci/golden/*.json; do
   stem=$(basename "$golden" .json)
-  fixture=$(ls "$FIXTURES/$stem".* 2>/dev/null | head -1)
-  if [ -z "$fixture" ]; then
+  if ! ls "$FIXTURES/$stem".* >/dev/null 2>&1; then
     echo "::error::no fixture matches golden $golden"
+    fail=1
+  fi
+done
+
+for fixture in "$FIXTURES"/*; do
+  name=$(basename "$fixture")
+  golden="ci/golden/${name%.*}.json"
+  if [ ! -f "$golden" ]; then
+    echo "::error::fixture $fixture has no golden $golden"
     fail=1
     continue
   fi

@@ -177,11 +177,14 @@ pub fn pattern_workload(name: &str) -> (ProcessDefinition, World) {
         .join("../../examples/patterns")
         .join(format!("{name}.fdl"));
     let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
-    let (process, diags) =
-        exotica::import_and_analyze(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
-    assert!(diags.is_empty(), "{name}: {diags:?}");
-    let world = exotica::provision(&exotica::steps_of_process(&process), 0, &[]);
-    (process, world)
+    let imported = exotica::import(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert!(
+        imported.diagnostics.is_empty(),
+        "{name}: {:?}",
+        imported.diagnostics
+    );
+    let world = exotica::provision(&exotica::steps_of_process(&imported.process), 0, &[]);
+    (imported.process, world)
 }
 
 /// Simple monotonic-time measurement helper: runs `f` `iters` times

@@ -138,17 +138,17 @@
 use exotica::{provision, steps_of, steps_of_all};
 use std::process::ExitCode;
 use std::sync::Arc;
-use txn_substrate::{DurabilityPolicy, FailurePlan};
+use txn_substrate::{DurabilityPolicy, FailurePlan, MultiDatabase};
 use wfms_engine::metrics::ACT_LATENCY_FAMILY;
-use wfms_engine::{audit, Engine, EngineConfig, InstanceStatus, Observer};
+use wfms_engine::{audit, Engine, EngineConfig, InstanceId, InstanceStatus, Observer};
 use wfms_model::Container;
 use wfms_observe::Value;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("translate") => translate(&args[1..]),
-        Some("dot") => dot(&args[1..]),
+        Some("translate") => emit("translate", &args[1..], |out| out.fdl.clone()),
+        Some("dot") => emit("dot", &args[1..], |out| wfms_model::to_dot(&out.process)),
         Some("check") => check(&args[1..]),
         Some("lint") => lint(&args[1..]),
         Some("run") => run(&args[1..]),
@@ -332,16 +332,18 @@ impl<'a> Flags<'a> {
     }
 }
 
-/// What `fmtm run`/`fmtm top` execute: the optimized template plus the
-/// auto-provision step list, obtained from either an ATM spec (the
-/// full pipeline) or a plain FDL process (import, analyze, compile,
-/// optimize — the pipeline's stages 4–7). `spec` is `None` for FDL
-/// sources, which have no saga/flexible commit semantics to report.
+/// What `fmtm run`/`fmtm top` execute: the optimized template, the
+/// auto-provision step list and the source's non-fatal findings,
+/// obtained from either an ATM spec (the full pipeline) or a plain FDL
+/// process (the pipeline's stages 4–7, [`exotica::import`]). `spec` is
+/// `None` for FDL sources, which have no saga/flexible commit
+/// semantics to report.
 struct Prepared {
     spec: Option<exotica::ParsedSpec>,
     name: String,
     template: Arc<wfms_engine::CompiledProcess>,
     steps: Vec<(String, String, Option<String>)>,
+    diagnostics: Vec<wfms_analyzer::Diagnostic>,
 }
 
 impl Prepared {
@@ -361,6 +363,7 @@ fn prepare(src: &str) -> Result<Prepared, String> {
             steps: steps_of(&out.spec),
             template: out.template,
             spec: Some(out.spec),
+            diagnostics: out.diagnostics,
         }),
         // Not a spec: decide by parsing, as `fmtm lint` does. A text
         // that parses as FDL gets the import gate's own verdict; one
@@ -371,56 +374,81 @@ fn prepare(src: &str) -> Result<Prepared, String> {
                     "source parses as neither an ATM spec nor FDL\n  as spec: {spec_err}\n  as FDL: {fdl_err}"
                 ));
             }
-            let (process, _warnings) =
-                exotica::import_and_analyze(src).map_err(|e| e.to_string())?;
-            let steps = exotica::steps_of_process(&process);
-            let name = process.name.clone();
-            let compiled = wfms_engine::CompiledProcess::compile(process);
-            let (compiled, _stats) = wfms_engine::optimize::optimize(&compiled);
+            let imported = exotica::import(src).map_err(|e| e.to_string())?;
             Ok(Prepared {
                 spec: None,
-                name,
-                template: Arc::new(compiled),
-                steps,
+                name: imported.process.name.clone(),
+                template: imported.template,
+                steps: exotica::steps_of_process(&imported.process),
+                diagnostics: imported.diagnostics,
             })
         }
         Err(e) => Err(e.to_string()),
     }
 }
 
-fn translate(args: &[String]) -> ExitCode {
+/// The spec file named first in `args`, and its text; without one,
+/// `cmd`'s usage error.
+fn spec_file<'a>(cmd: &str, args: &'a [String]) -> Result<(&'a str, String), ExitCode> {
     let Some(path) = args.first() else {
-        eprintln!("fmtm translate: missing spec file");
-        return ExitCode::from(2);
+        eprintln!("fmtm {cmd}: missing spec file");
+        return Err(ExitCode::from(2));
     };
-    let src = match load(path) {
-        Ok(s) => s,
-        Err(c) => return c,
-    };
-    match exotica::run_pipeline(&src) {
-        Ok(out) => {
-            print!("{}", out.fdl);
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("fmtm: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    Ok((path, load(path)?))
 }
 
-fn dot(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!("fmtm dot: missing spec file");
-        return ExitCode::from(2);
-    };
-    let src = match load(path) {
-        Ok(s) => s,
-        Err(c) => return c,
+/// What `run` and `top` share: the source prepared (its non-fatal
+/// findings on stderr, as `fmtm lint` renders them), the provisioned
+/// multidatabase, an engine (observed when `observe`) with the template
+/// registered, and the ids of the `instances` instances it started.
+fn start(
+    path: &str,
+    src: &str,
+    seed: u64,
+    plans: &[(String, FailurePlan)],
+    instances: usize,
+    observe: bool,
+) -> Result<(Prepared, Arc<MultiDatabase>, Engine, Vec<InstanceId>), ExitCode> {
+    let out = prepare(src).map_err(|e| {
+        eprintln!("fmtm: {e}");
+        ExitCode::FAILURE
+    })?;
+    for d in &out.diagnostics {
+        eprintln!("{path}: {}", d.render());
+    }
+    let (fed, registry) = provision(&out.steps, seed, plans);
+    // The observability layer stays off (a disabled observer, one
+    // branch per hook) unless it is asked for.
+    let engine = Engine::with_config(
+        Arc::clone(&fed),
+        registry,
+        EngineConfig {
+            observer: observe.then(|| Arc::new(Observer::enabled())),
+            ..EngineConfig::default()
+        },
+    );
+    // The pipeline already validated, compiled and optimized the
+    // process; hand the executable template straight to the engine.
+    engine.register_compiled(Arc::clone(&out.template));
+    let ids = (0..instances.max(1))
+        .map(|_| {
+            engine
+                .start(&out.name, Container::empty())
+                .expect("registered above")
+        })
+        .collect();
+    Ok((out, fed, engine, ids))
+}
+
+/// `translate` and `dot`: the pipeline over the spec file, rendered.
+fn emit(cmd: &str, args: &[String], render: fn(&exotica::PipelineOutput) -> String) -> ExitCode {
+    let src = match spec_file(cmd, args) {
+        Ok((_, src)) => src,
+        Err(code) => return code,
     };
     match exotica::run_pipeline(&src) {
         Ok(out) => {
-            print!("{}", wfms_model::to_dot(&out.process));
+            print!("{}", render(&out));
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -431,13 +459,9 @@ fn dot(args: &[String]) -> ExitCode {
 }
 
 fn check(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!("fmtm check: missing spec file");
-        return ExitCode::from(2);
-    };
-    let src = match load(path) {
-        Ok(s) => s,
-        Err(c) => return c,
+    let src = match spec_file("check", args) {
+        Ok((_, src)) => src,
+        Err(code) => return code,
     };
     match exotica::run_pipeline(&src) {
         Ok(out) => {
@@ -561,13 +585,9 @@ fn parse_plan(text: &str) -> Option<FailurePlan> {
 }
 
 fn run(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!("fmtm run: missing spec file");
-        return ExitCode::from(2);
-    };
-    let src = match load(path) {
-        Ok(s) => s,
-        Err(c) => return c,
+    let (path, src) = match spec_file("run", args) {
+        Ok(file) => file,
+        Err(code) => return code,
     };
     let mut plans: Vec<(String, FailurePlan)> = Vec::new();
     let mut seed = 0u64;
@@ -593,38 +613,11 @@ fn run(args: &[String]) -> ExitCode {
         return code;
     }
 
-    let out = match prepare(&src) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("fmtm: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    // Auto-provision the multidatabase and programs for the source.
-    let steps = &out.steps;
-    let (fed, registry) = provision(steps, seed, &plans);
-
-    // The observability layer stays off (a disabled observer, one
-    // branch per hook) unless a metrics snapshot was asked for.
-    let engine = Engine::with_config(
-        Arc::clone(&fed),
-        registry,
-        EngineConfig {
-            observer: metrics_out.is_some().then(|| Arc::new(Observer::enabled())),
-            ..EngineConfig::default()
-        },
-    );
-    // The pipeline already validated and compiled the process
-    // (stage 6); hand the executable template straight to the engine.
-    engine.register_compiled(Arc::clone(&out.template));
-    let ids: Vec<_> = (0..instances.max(1))
-        .map(|_| {
-            engine
-                .start(&out.name, Container::empty())
-                .expect("registered above")
-        })
-        .collect();
+    let (out, fed, engine, ids) =
+        match start(path, &src, seed, &plans, instances, metrics_out.is_some()) {
+            Ok(started) => started,
+            Err(code) => return code,
+        };
     if let Err(e) = engine.run_all() {
         eprintln!("fmtm: {e}");
         return ExitCode::FAILURE;
@@ -664,7 +657,7 @@ fn run(args: &[String]) -> ExitCode {
         }
     );
     print!("markers:");
-    for (step, _, _) in steps {
+    for (step, _, _) in &out.steps {
         for site in fed.names() {
             if let Some(v) = fed.db(&site).unwrap().peek(step) {
                 print!(" {step}={v}");
@@ -711,13 +704,9 @@ fn run(args: &[String]) -> ExitCode {
 /// sequential, so the output pipes and diffs cleanly; the last frame
 /// is the final snapshot.
 fn top(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!("fmtm top: missing spec file");
-        return ExitCode::from(2);
-    };
-    let src = match load(path) {
-        Ok(s) => s,
-        Err(c) => return c,
+    let (path, src) = match spec_file("top", args) {
+        Ok(file) => file,
+        Err(code) => return code,
     };
     let mut plans: Vec<(String, FailurePlan)> = Vec::new();
     let mut seed = 0u64;
@@ -743,30 +732,10 @@ fn top(args: &[String]) -> ExitCode {
         return code;
     }
 
-    let out = match prepare(&src) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("fmtm: {e}");
-            return ExitCode::FAILURE;
-        }
+    let (_, _, engine, ids) = match start(path, &src, seed, &plans, instances, true) {
+        Ok(started) => started,
+        Err(code) => return code,
     };
-    let (fed, registry) = provision(&out.steps, seed, &plans);
-    let engine = Engine::with_config(
-        Arc::clone(&fed),
-        registry,
-        EngineConfig {
-            observer: Some(Arc::new(Observer::enabled())),
-            ..EngineConfig::default()
-        },
-    );
-    engine.register_compiled(Arc::clone(&out.template));
-    let ids: Vec<_> = (0..instances.max(1))
-        .map(|_| {
-            engine
-                .start(&out.name, Container::empty())
-                .expect("registered above")
-        })
-        .collect();
 
     // Round-robin one navigation step per instance per lap, a frame
     // every `every` steps.
@@ -862,13 +831,9 @@ fn print_frame(engine: &Engine, frame: usize, steps_run: usize) {
 /// half-written trailing event), recover, resume, and require the
 /// outcome to be indistinguishable from the uncrashed run.
 fn crashtest(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!("fmtm crashtest: missing spec file");
-        return ExitCode::from(2);
-    };
-    let src = match load(path) {
-        Ok(s) => s,
-        Err(c) => return c,
+    let src = match spec_file("crashtest", args) {
+        Ok((_, src)) => src,
+        Err(code) => return code,
     };
     let mut plans: Vec<(String, FailurePlan)> = Vec::new();
     let mut seed = 0u64;

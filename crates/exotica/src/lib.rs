@@ -52,10 +52,7 @@ pub mod verify;
 
 pub use flexible::translate_flex;
 pub use lint::{lint_source, sniff, LintTarget};
-pub use pipeline::{
-    import_and_analyze, import_and_analyze_timed, run_pipeline, AtmSpec, PipelineError,
-    PipelineOutput,
-};
+pub use pipeline::{import, run_pipeline, AtmSpec, Imported, PipelineError, PipelineOutput};
 pub use provision::{provision, steps_of, steps_of_all, steps_of_process};
 pub use saga::{translate_saga, translate_saga_flat};
 pub use specfmt::{emit_spec, parse_spec, parse_spec_spanned, ParsedSpec, SpecSpans};

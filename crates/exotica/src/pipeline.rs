@@ -110,38 +110,46 @@ pub struct PipelineOutput {
     /// fixed to constants, activities pruned, data connectors
     /// dropped. All zeros for templates with nothing to decide.
     pub opt_stats: wfms_engine::OptStats,
-    /// Wall-clock nanoseconds spent in each pipeline stage, in stage
-    /// order: parse, model rules, translate+emit, import+analyze
-    /// (followed by one `analyze:<pass>` entry per analyzer pass,
-    /// breaking the analysis time down), compile, optimize.
-    /// Observability for the pre-processor itself — `fmtm check`
-    /// prints these alongside the stage report.
+    /// Wall-clock nanoseconds spent in each pipeline stage: parse,
+    /// model rules, translate+emit, import+analyze (followed by one
+    /// `analyze:<pass>` entry per analyzer pass, breaking the analysis
+    /// time down), compile, optimize. `compile` is the one compile:
+    /// it runs between import and analysis, and the analyzer and the
+    /// optimizer both read its template, so `import-analyze` does not
+    /// include it. Observability for the pre-processor itself —
+    /// `fmtm check` prints these alongside the stage report.
     pub stage_nanos: Vec<(&'static str, u128)>,
 }
 
-/// Stages 4–5 on FDL text: imports the definition (syntax + semantic
-/// validation, with source provenance) and runs the `wfms-analyzer`
-/// battery over it. Error-severity findings reject the process; the
-/// surviving warnings and notes are returned alongside it.
-///
-/// This is the verification gate `run_pipeline` applies to its own
-/// translator output; it is public so externally produced FDL can be
-/// held to the same standard.
-pub fn import_and_analyze(
-    fdl: &str,
-) -> Result<(ProcessDefinition, Vec<Diagnostic>), PipelineError> {
-    import_and_analyze_timed(fdl).map(|(process, diags, _)| (process, diags))
+/// What stages 4–7 make of FDL text (see [`import`]).
+#[derive(Debug, Clone)]
+pub struct Imported {
+    /// The validated process definition.
+    pub process: ProcessDefinition,
+    /// Non-fatal analyzer findings: warnings and notes.
+    pub diagnostics: Vec<Diagnostic>,
+    /// The optimized executable template.
+    pub template: Arc<CompiledProcess>,
+    /// What the template optimizer did.
+    pub opt_stats: wfms_engine::OptStats,
+    /// `import-analyze`, one `analyze:<pass>` entry per analyzer pass,
+    /// `compile` and `optimize`, as [`PipelineOutput::stage_nanos`]
+    /// lists them.
+    pub stage_nanos: Vec<(&'static str, u128)>,
 }
 
-/// Wall-clock nanoseconds spent per analyzer pass, by pass name (see
-/// [`Analyzer::check_process_timed`]).
-pub type PassNanos = Vec<(&'static str, u128)>;
-
-/// [`import_and_analyze`], additionally returning the wall-clock
-/// nanoseconds each analyzer pass spent.
-pub fn import_and_analyze_timed(
-    fdl: &str,
-) -> Result<(ProcessDefinition, Vec<Diagnostic>, PassNanos), PipelineError> {
+/// Stages 4–7 on FDL text: imports the definition (syntax + semantic
+/// validation, with source provenance), compiles it once, runs the
+/// `wfms-analyzer` battery over that template and optimizes the same
+/// template. Error-severity findings reject the process; the surviving
+/// warnings and notes are returned with the template.
+///
+/// `run_pipeline` applies it to its own translator output and
+/// `fmtm run` to an FDL file; it is public so externally produced FDL
+/// can be held to the same standard.
+pub fn import(fdl: &str) -> Result<Imported, PipelineError> {
+    // Stage 4: import — syntax, then the meta-model rules, once.
+    let t0 = std::time::Instant::now();
     let (process, provenance) =
         wfms_fdl::parse_with_provenance(fdl).map_err(|e| PipelineError::FdlImport(vec![e]))?;
     let semantic: Vec<FdlError> = wfms_model::validate(&process)
@@ -151,16 +159,46 @@ pub fn import_and_analyze_timed(
     if !semantic.is_empty() {
         return Err(PipelineError::FdlImport(semantic));
     }
+    let import = t0.elapsed();
 
-    // Stage 5: static analysis over the imported process.
-    let (diags, pass_nanos) = Analyzer::new().check_process_timed(&process, Some(&provenance));
-    let (errors, rest): (Vec<Diagnostic>, Vec<Diagnostic>) = diags
+    // Stage 6: lower the validated process into the engine's compiled
+    // executable template — the one compile analysis and stage 7 read.
+    let t0 = std::time::Instant::now();
+    let template = CompiledProcess::compile(process.clone());
+    let compile = t0.elapsed();
+
+    // Stage 5: static analysis over that template.
+    let t0 = std::time::Instant::now();
+    let (diags, pass_nanos) = Analyzer::new().check_template_timed(&template, Some(&provenance));
+    let (errors, diagnostics): (Vec<Diagnostic>, Vec<Diagnostic>) = diags
         .into_iter()
         .partition(|d| d.severity == Severity::Error);
     if !errors.is_empty() {
         return Err(PipelineError::Analysis(errors));
     }
-    Ok((process, rest, pass_nanos))
+    let analyze = t0.elapsed();
+
+    // Stage 7: analysis-driven template optimization — decided
+    // condition plans become constants, statically dead activities
+    // and their data connectors are pruned. The same rewrite
+    // `Engine::register` applies; running it here means
+    // `register_compiled` callers (fmtm run/top/serve) get the
+    // optimized template too.
+    let t0 = std::time::Instant::now();
+    let (template, opt_stats) = wfms_engine::optimize::optimize(&template);
+    let optimize = t0.elapsed();
+
+    let mut stage_nanos = vec![("import-analyze", (import + analyze).as_nanos())];
+    stage_nanos.extend(pass_nanos);
+    stage_nanos.push(("compile", compile.as_nanos()));
+    stage_nanos.push(("optimize", optimize.as_nanos()));
+    Ok(Imported {
+        process,
+        diagnostics,
+        template: Arc::new(template),
+        opt_stats,
+        stage_nanos,
+    })
 }
 
 /// Runs the full pipeline on a specification text.
@@ -197,32 +235,17 @@ pub fn run_pipeline(spec_text: &str) -> Result<PipelineOutput, PipelineError> {
     stage_nanos.push(("translate", t0.elapsed().as_nanos()));
     drop(checked); // it borrows `spec`, which the output takes
 
-    // Stages 4–5: import the FDL (syntax + semantic validation) and
-    // statically analyse it, yielding the executable template.
-    let t0 = std::time::Instant::now();
-    let (process, diagnostics, pass_nanos) = import_and_analyze_timed(&fdl)?;
+    // Stages 4–7: import the FDL, compile it once, analyse and
+    // optimize that template.
+    let Imported {
+        process,
+        diagnostics,
+        template,
+        opt_stats,
+        stage_nanos: import_nanos,
+    } = import(&fdl)?;
     debug_assert_eq!(process, translated, "FDL round trip must be lossless");
-    stage_nanos.push(("import-analyze", t0.elapsed().as_nanos()));
-    for (pass, nanos) in pass_nanos {
-        stage_nanos.push((analyze_stage_label(pass), nanos));
-    }
-
-    // Stage 6: lower the validated process into the engine's compiled
-    // executable template.
-    let t0 = std::time::Instant::now();
-    let template = CompiledProcess::compile(process.clone());
-    stage_nanos.push(("compile", t0.elapsed().as_nanos()));
-
-    // Stage 7: analysis-driven template optimization — decided
-    // condition plans become constants, statically dead activities
-    // and their data connectors are pruned. The same rewrite
-    // `Engine::register` applies; running it here means
-    // `register_compiled` callers (fmtm run/top/serve) get the
-    // optimized template too.
-    let t0 = std::time::Instant::now();
-    let (template, opt_stats) = wfms_engine::optimize::optimize(&template);
-    let template = Arc::new(template);
-    stage_nanos.push(("optimize", t0.elapsed().as_nanos()));
+    stage_nanos.extend(import_nanos);
 
     Ok(PipelineOutput {
         spec,
@@ -249,22 +272,6 @@ pub(crate) fn translate(checked: &Checked) -> Result<ProcessDefinition, Translat
     match checked.source() {
         Source::Saga(_) => translate_saga(checked),
         Source::Flexible(_) => translate_flex(checked),
-    }
-}
-
-/// The `stage_nanos` label for one analyzer pass. The names are the
-/// analyzer battery's [`Lint::name`](wfms_analyzer::Lint::name)s,
-/// prefixed so the per-pass breakdown sorts with its parent stage.
-fn analyze_stage_label(pass: &'static str) -> &'static str {
-    match pass {
-        "model" => "analyze:model",
-        "graph" => "analyze:graph",
-        "conditions" => "analyze:conditions",
-        "dataflow" => "analyze:dataflow",
-        "liveness" => "analyze:liveness",
-        "constprop" => "analyze:constprop",
-        "deadline" => "analyze:deadline",
-        other => other,
     }
 }
 
@@ -361,6 +368,27 @@ mod tests {
     }
 
     #[test]
+    fn shipped_templates_keep_their_identity() {
+        // Version hashes and optimizer verdicts of the shipped specs,
+        // as the build that compiled each definition three more times
+        // for its analysis wrote them.
+        for (spec, hash) in [
+            (
+                include_str!("../../../examples/specs/trip.saga"),
+                0x414f_b7ed_1401_0dde,
+            ),
+            (
+                include_str!("../../../examples/specs/figure3.flex"),
+                0x55ee_2a1a_c251_f70b,
+            ),
+        ] {
+            let out = run_pipeline(spec).unwrap();
+            assert_eq!(out.template.spec_hash, hash, "{}", out.spec.name());
+            assert!(out.opt_stats.is_noop(), "{:?}", out.opt_stats);
+        }
+    }
+
+    #[test]
     fn stage1_errors() {
         let err = run_pipeline("SAGA\nEND").unwrap_err();
         assert!(matches!(err, PipelineError::SpecSyntax(_)));
@@ -394,7 +422,7 @@ mod tests {
         let needle = "WHEN \"(RC = 0)\"";
         assert!(out.fdl.contains(needle), "fdl:\n{}", out.fdl);
         let doctored = out.fdl.replace(needle, "WHEN \"(1 = 0)\"");
-        let err = import_and_analyze(&doctored).unwrap_err();
+        let err = import(&doctored).unwrap_err();
         let PipelineError::Analysis(diags) = &err else {
             panic!("expected analysis rejection, got {err}");
         };
@@ -410,7 +438,7 @@ mod tests {
     #[test]
     fn stage5_rejects_read_before_write() {
         let fdl = "PROCESS p\n  ACTIVITY A PROGRAM \"a\" END\n  ACTIVITY B PROGRAM \"b\" INPUT ( amount: INT ) END\n  CONTROL FROM A TO B\nEND\n";
-        let err = import_and_analyze(fdl).unwrap_err();
+        let err = import(fdl).unwrap_err();
         let PipelineError::Analysis(diags) = &err else {
             panic!("expected analysis rejection, got {err}");
         };
@@ -427,8 +455,9 @@ mod tests {
         // A dead write is a warning: the process ships, with the
         // finding attached to the output.
         let fdl = "PROCESS p\n  ACTIVITY A PROGRAM \"a\" OUTPUT ( unused: INT ) END\nEND\n";
-        let (process, diags) = import_and_analyze(fdl).unwrap();
-        assert_eq!(process.name, "p");
+        let imported = import(fdl).unwrap();
+        assert_eq!(imported.process.name, "p");
+        let diags = &imported.diagnostics;
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, "WA043");
         assert_eq!(diags[0].severity, Severity::Warning);

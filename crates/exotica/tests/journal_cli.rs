@@ -101,15 +101,14 @@ fn run_pattern(journal: &Path, stem: &str) -> Vec<Event> {
         .join("../../examples/patterns")
         .join(format!("{stem}.fdl"));
     let src = std::fs::read_to_string(&path).unwrap();
-    let (process, _) = exotica::import_and_analyze(&src).unwrap();
-    let steps = exotica::steps_of_process(&process);
-    let name = process.name.clone();
-    let template = wfms_engine::CompiledProcess::compile(process);
-    let (template, _) = wfms_engine::optimize::optimize(&template);
+    let imported = exotica::import(&src).unwrap();
+    let steps = exotica::steps_of_process(&imported.process);
     let (fed, registry) = exotica::provision(&steps, 0, &[]);
     let engine = mirrored(fed, registry, journal);
-    engine.register_compiled(Arc::new(template));
-    let id = engine.start(&name, Container::empty()).unwrap();
+    engine.register_compiled(imported.template);
+    let id = engine
+        .start(&imported.process.name, Container::empty())
+        .unwrap();
     engine.run_all().unwrap();
     assert_eq!(engine.status(id).unwrap(), InstanceStatus::Finished);
     engine.journal_events()

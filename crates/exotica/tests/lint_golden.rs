@@ -143,11 +143,11 @@ fn error_fixtures_are_rejected_by_the_pipeline_gate() {
     // The stage-5 gate and `fmtm lint` agree: an FDL fixture whose
     // findings include an error-severity code must not import.
     let src = fs::read_to_string(fixtures_dir().join("wa035_statically_dead.fdl")).unwrap();
-    let err = exotica::import_and_analyze(&src).unwrap_err();
+    let err = exotica::import(&src).unwrap_err();
     assert!(matches!(err, exotica::PipelineError::Analysis(_)), "{err}");
 
     // Warning-only fixtures pass the gate but keep their findings.
     let src = fs::read_to_string(fixtures_dir().join("wa043_dead_write.fdl")).unwrap();
-    let (_, diags) = exotica::import_and_analyze(&src).unwrap();
+    let diags = exotica::import(&src).unwrap().diagnostics;
     assert!(diags.iter().any(|d| d.code == "WA043"), "{diags:?}");
 }

@@ -76,6 +76,19 @@ fn top_runs_every_instance_to_the_end() {
 }
 
 #[test]
+fn run_surfaces_the_sources_warnings_before_it_runs() {
+    let fixture =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/analyzer/wa043_dead_write.fdl");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fmtm"))
+        .args(["run", fixture.to_str().unwrap()])
+        .output()
+        .expect("fmtm runs");
+    assert_eq!(out.status.code(), Some(0));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("warning[WA043] at 3:3: [p]"), "{stderr}");
+}
+
+#[test]
 fn top_names_an_unknown_fail_plan_as_run_does() {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_fmtm"))
         .args(["top", &trip_saga(), "--fail", "Hotel=sometimes"])

@@ -5,7 +5,6 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use wfms_engine::{Engine, InstanceStatus};
 use wfms_model::Container;
 
@@ -55,21 +54,23 @@ fn every_pattern_lints_clean() {
 fn every_pattern_runs_to_completion() {
     for path in pattern_files() {
         let src = fs::read_to_string(&path).unwrap();
-        let (process, diags) =
-            exotica::import_and_analyze(&src).unwrap_or_else(|e| panic!("{path:?}: {e}"));
-        assert!(diags.is_empty(), "{path:?}: {diags:?}");
-        let steps = exotica::steps_of_process(&process);
+        let imported = exotica::import(&src).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+        assert!(
+            imported.diagnostics.is_empty(),
+            "{path:?}: {:?}",
+            imported.diagnostics
+        );
+        let steps = exotica::steps_of_process(&imported.process);
         assert!(
             !steps.is_empty(),
             "{path:?} provisions at least one program"
         );
-        let name = process.name.clone();
-        let template = wfms_engine::CompiledProcess::compile(process);
-        let (template, _) = wfms_engine::optimize::optimize(&template);
         let (fed, registry) = exotica::provision(&steps, 0, &[]);
         let engine = Engine::new(fed, registry);
-        engine.register_compiled(Arc::new(template));
-        let id = engine.start(&name, Container::empty()).unwrap();
+        engine.register_compiled(imported.template);
+        let id = engine
+            .start(&imported.process.name, Container::empty())
+            .unwrap();
         engine.run_all().unwrap_or_else(|e| panic!("{path:?}: {e}"));
         assert_eq!(
             engine.status(id).unwrap(),
@@ -84,12 +85,11 @@ fn discriminator_fires_its_join_once() {
     // The OR-join races two branches; the journal must show exactly
     // one execution of Proceed.
     let src = fs::read_to_string(patterns_dir().join("discriminator.fdl")).unwrap();
-    let (process, _) = exotica::import_and_analyze(&src).unwrap();
-    let steps = exotica::steps_of_process(&process);
-    let template = wfms_engine::CompiledProcess::compile(process);
+    let imported = exotica::import(&src).unwrap();
+    let steps = exotica::steps_of_process(&imported.process);
     let (fed, registry) = exotica::provision(&steps, 0, &[]);
     let engine = Engine::new(fed, registry);
-    engine.register_compiled(Arc::new(template));
+    engine.register_compiled(imported.template);
     let id = engine.start("discriminator", Container::empty()).unwrap();
     engine.run_all().unwrap();
     let starts = wfms_engine::audit::trace(&engine.journal_events(), id)

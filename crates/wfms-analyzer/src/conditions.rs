@@ -26,7 +26,7 @@ pub struct ConditionLint;
 
 impl Lint for ConditionLint {
     fn name(&self) -> &'static str {
-        "conditions"
+        "analyze:conditions"
     }
 
     fn check(&self, ctx: &ProcessCtx<'_>, out: &mut Vec<Diagnostic>) {

@@ -1,15 +1,16 @@
 //! `WA103`–`WA105`: graph-wide condition-value propagation.
 //!
 //! `WA031`–`WA035` judge each condition in isolation — they fire only
-//! when an expression constant-folds with no context. This pass runs
+//! when an expression constant-folds with no context. This pass reads
 //! the engine's own propagation
-//! ([`wfms_engine::optimize::analyze_scope`]): completion facts (a
+//! ([`wfms_engine::optimize::analyze_scope`]), which the analyzer runs
+//! once per scope of the compiled template: completion facts (a
 //! no-op's pinned `RC = 1`, an exit condition's `RC = k`) are
 //! substituted into downstream transition conditions before folding,
-//! deciding conditions that are dynamic in isolation. Reusing the
-//! engine analysis means the lint reports **exactly** what
-//! `Engine::register`'s template optimizer will rewrite or prune —
-//! the two can never drift apart.
+//! deciding conditions that are dynamic in isolation. Reading the
+//! engine analysis over the template the pipeline optimizes means the
+//! lint reports **exactly** what the template optimizer will rewrite
+//! or prune — the two can never drift apart.
 //!
 //! * `WA103` — a connector decided *always false* by upstream
 //!   constants (warning): the condition is dead weight, and its
@@ -24,8 +25,6 @@
 
 use crate::{Diagnostic, Lint, ProcessCtx, Severity};
 use wfms_engine::compiled::CondPlan;
-use wfms_engine::optimize::analyze_scope;
-use wfms_engine::CompiledProcess;
 
 /// Condition-value propagation lints.
 pub struct ConstPropLint;
@@ -43,17 +42,12 @@ fn facts_note(
 
 impl Lint for ConstPropLint {
     fn name(&self) -> &'static str {
-        "constprop"
+        "analyze:constprop"
     }
 
     fn check(&self, ctx: &ProcessCtx<'_>, out: &mut Vec<Diagnostic>) {
-        let def = ctx.process;
-        if !wfms_model::validate(def).is_empty() {
-            return;
-        }
-        let tpl = CompiledProcess::compile(def.clone());
-        let scope = tpl.root.as_ref();
-        let facts = analyze_scope(scope);
+        let Some(level) = ctx.level else { return };
+        let (def, scope, facts) = (ctx.process, level.scope(), level.facts());
 
         // Decided edges. Constant plans were decided *syntactically*
         // (WA031/WA032/WA034 territory); only edges still dynamic

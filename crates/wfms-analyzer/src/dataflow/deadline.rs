@@ -34,10 +34,9 @@
 //!   statically dead activity (never becomes ready).
 
 use super::framework::{solve, Analysis, Direction};
-use crate::{Diagnostic, Lint, ProcessCtx, Severity};
-use wfms_engine::compiled::{ActId, CompiledKind, CompiledScope, EdgeId};
-use wfms_engine::optimize::{analyze_scope, ScopeFacts};
-use wfms_engine::CompiledProcess;
+use crate::{Diagnostic, Level, Lint, ProcessCtx, Severity};
+use wfms_engine::compiled::{ActId, CompiledScope, EdgeId};
+use wfms_engine::optimize::ScopeFacts;
 use wfms_model::StartCondition;
 
 /// Deadline-feasibility lints.
@@ -98,13 +97,14 @@ impl Interval {
 }
 
 /// Duration of one activity, recursing into blocks.
-fn duration(act: &wfms_engine::compiled::CompiledActivity) -> Interval {
-    match &act.kind {
-        CompiledKind::Block(child) => scope_bounds(child),
-        _ if act.automatic => Interval::ZERO,
-        _ => Interval {
+fn duration(level: Level<'_>, act: ActId) -> Interval {
+    let a = level.scope().act(act);
+    match level.block(act) {
+        Some(child) => scope_bounds(child),
+        None if a.automatic => Interval::ZERO,
+        None => Interval {
             min: 0,
-            max: act.deadline,
+            max: a.deadline,
         },
     }
 }
@@ -116,6 +116,8 @@ fn duration(act: &wfms_engine::compiled::CompiledActivity) -> Interval {
 /// decidedly-firing edges raise the minimum.
 struct RemainingTime<'a> {
     facts: &'a ScopeFacts,
+    /// Per activity: its own [`duration`], a block's bounded once.
+    durations: Vec<Interval>,
 }
 
 impl Analysis for RemainingTime<'_> {
@@ -166,17 +168,20 @@ impl Analysis for RemainingTime<'_> {
             .fold(Interval::ZERO, |acc, c| acc.join_parallel(c, true))
     }
 
-    fn transfer(&self, scope: &CompiledScope, act: ActId, input: &Interval) -> Interval {
-        duration(&scope.acts[act as usize]).add(*input)
+    fn transfer(&self, _: &CompiledScope, act: ActId, input: &Interval) -> Interval {
+        self.durations[act as usize].add(*input)
     }
 }
 
 /// Critical-path bounds of one scope: ticks from instance start to
 /// quiescence, notification-free. All start activities are seeded
 /// ready together, so the slowest chain bounds the scope.
-pub fn scope_bounds(scope: &CompiledScope) -> Interval {
-    let facts = analyze_scope(scope);
-    let sol = solve(&RemainingTime { facts: &facts }, scope);
+pub fn scope_bounds(level: Level<'_>) -> Interval {
+    let (scope, facts) = (level.scope(), level.facts());
+    let durations = (0..scope.acts.len() as ActId)
+        .map(|act| duration(level, act))
+        .collect();
+    let sol = solve(&RemainingTime { facts, durations }, scope);
     if !sol.converged {
         return Interval { min: 0, max: None };
     }
@@ -190,19 +195,12 @@ pub fn scope_bounds(scope: &CompiledScope) -> Interval {
 
 impl Lint for DeadlineLint {
     fn name(&self) -> &'static str {
-        "deadline"
+        "analyze:deadline"
     }
 
     fn check(&self, ctx: &ProcessCtx<'_>, out: &mut Vec<Diagnostic>) {
-        let def = ctx.process;
-        if !wfms_model::validate(def).is_empty() {
-            return;
-        }
-        let tpl = CompiledProcess::compile(def.clone());
-        let scope = tpl.root.as_ref();
-        let facts = analyze_scope(scope);
-        let bounds = scope_bounds(scope);
-
+        let Some(level) = ctx.level else { return };
+        let (scope, facts) = (level.scope(), level.facts());
         for (i, act) in scope.acts.iter().enumerate() {
             let Some(d) = act.deadline else { continue };
             let pos = ctx.pos_activity(&act.name);
@@ -249,7 +247,7 @@ impl Lint for DeadlineLint {
                              at the first scan after the activity becomes ready \
                              (scope critical path: {})",
                             act.name,
-                            bounds.render()
+                            scope_bounds(level).render()
                         ),
                     )
                     .with_pos(pos),
@@ -267,6 +265,18 @@ mod tests {
     fn lint(src: &str) -> Vec<Diagnostic> {
         let (def, prov) = wfms_fdl::parse_with_provenance(src).unwrap();
         Analyzer::new().check_process(&def, Some(&prov))
+    }
+
+    /// The root scope's bounds of an FDL process.
+    fn bounds(src: &str) -> Interval {
+        let (def, _) = wfms_fdl::parse_with_provenance(src).unwrap();
+        let tpl = wfms_engine::CompiledProcess::compile(def);
+        let facts = crate::scope_facts(&tpl);
+        scope_bounds(Level {
+            layout: &tpl.layout,
+            facts: &facts,
+            id: 0,
+        })
     }
 
     #[test]
@@ -330,7 +340,7 @@ mod tests {
         // Two manual steps with deadlines 3 and 4 in sequence: the
         // notification-free bound is their sum; the virtual-clock
         // minimum is 0.
-        let (def, _) = wfms_fdl::parse_with_provenance(
+        let b = bounds(
             r#"
             PROCESS p
               ACTIVITY A PROGRAM "a" ROLE "r" DEADLINE 3 END
@@ -338,10 +348,7 @@ mod tests {
               CONTROL FROM A TO B
             END
         "#,
-        )
-        .unwrap();
-        let tpl = wfms_engine::CompiledProcess::compile(def);
-        let b = scope_bounds(&tpl.root);
+        );
         assert_eq!(
             b,
             Interval {
@@ -353,7 +360,7 @@ mod tests {
 
     #[test]
     fn undeadlined_manual_step_unbounds_the_path() {
-        let (def, _) = wfms_fdl::parse_with_provenance(
+        let b = bounds(
             r#"
             PROCESS p
               ACTIVITY A PROGRAM "a" ROLE "r" DEADLINE 3 END
@@ -361,16 +368,13 @@ mod tests {
               CONTROL FROM A TO B
             END
         "#,
-        )
-        .unwrap();
-        let tpl = wfms_engine::CompiledProcess::compile(def);
-        let b = scope_bounds(&tpl.root);
+        );
         assert_eq!(b.max, None);
     }
 
     #[test]
     fn parallel_branches_take_the_slowest() {
-        let (def, _) = wfms_fdl::parse_with_provenance(
+        let b = bounds(
             r#"
             PROCESS p
               NOOP S END
@@ -380,16 +384,13 @@ mod tests {
               CONTROL FROM S TO B
             END
         "#,
-        )
-        .unwrap();
-        let tpl = wfms_engine::CompiledProcess::compile(def);
-        let b = scope_bounds(&tpl.root);
+        );
         assert_eq!(b.max, Some(9));
     }
 
     #[test]
     fn automatic_chain_is_zero_ticks() {
-        let (def, _) = wfms_fdl::parse_with_provenance(
+        let b = bounds(
             r#"
             PROCESS p
               ACTIVITY A PROGRAM "a" END
@@ -397,17 +398,15 @@ mod tests {
               CONTROL FROM A TO B
             END
         "#,
-        )
-        .unwrap();
-        let tpl = wfms_engine::CompiledProcess::compile(def);
-        assert_eq!(scope_bounds(&tpl.root), Interval::ZERO);
+        );
+        assert_eq!(b, Interval::ZERO);
     }
 
     #[test]
     fn dead_branch_excluded_from_bounds() {
         // The undeadlined manual step is statically dead: it cannot
         // unbound the critical path.
-        let (def, _) = wfms_fdl::parse_with_provenance(
+        let b = bounds(
             r#"
             PROCESS p
               NOOP Gate END
@@ -417,10 +416,25 @@ mod tests {
               CONTROL FROM Gate TO L WHEN "RC = 1"
             END
         "#,
-        )
-        .unwrap();
-        let tpl = wfms_engine::CompiledProcess::compile(def);
-        let b = scope_bounds(&tpl.root);
+        );
         assert_eq!(b.max, Some(6));
+    }
+
+    #[test]
+    fn a_block_takes_its_child_scopes_bounds() {
+        let b = bounds(
+            r#"
+            PROCESS p
+              BLOCK B
+                ACTIVITY X PROGRAM "x" ROLE "r" DEADLINE 3 END
+                ACTIVITY Y PROGRAM "y" ROLE "r" DEADLINE 2 END
+                CONTROL FROM X TO Y
+              END
+              ACTIVITY A PROGRAM "a" ROLE "r" DEADLINE 4 END
+              CONTROL FROM B TO A
+            END
+        "#,
+        );
+        assert_eq!(b.max, Some(9));
     }
 }

@@ -14,8 +14,12 @@
 //! * An OR-join fires on the **first** true edge — only what every
 //!   live incoming path guarantees survives, so the sets intersect.
 //! * Edges that can never fire (decided false by constant
-//!   propagation, or sourced from a statically dead activity — see
-//!   [`wfms_engine::optimize::analyze_scope`]) contribute nothing.
+//!   propagation, or sourced from a statically dead activity — the
+//!   level's [`ScopeFacts`], computed once per scope by the analyzer)
+//!   contribute nothing.
+//!
+//! The pass runs on the scope of the compiled template the engine runs
+//! ([`Level::scope`](crate::Level::scope)), never on a copy of its own.
 //!
 //! Findings:
 //!
@@ -36,8 +40,7 @@ use super::framework::{solve, Analysis, Direction};
 use crate::{Diagnostic, Lint, ProcessCtx, Severity};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use wfms_engine::compiled::{ActId, CompiledKind, CompiledScope, EdgeId};
-use wfms_engine::optimize::{analyze_scope, ScopeFacts};
-use wfms_engine::CompiledProcess;
+use wfms_engine::optimize::ScopeFacts;
 use wfms_model::DataEndpoint;
 
 /// Feasible-path def-use lints.
@@ -163,21 +166,15 @@ fn witness_path(
 
 impl Lint for LivenessLint {
     fn name(&self) -> &'static str {
-        "liveness"
+        "analyze:liveness"
     }
 
     fn check(&self, ctx: &ProcessCtx<'_>, out: &mut Vec<Diagnostic>) {
-        let def = ctx.process;
-        // The semantic passes need a compilable definition; hard model
+        // The semantic passes need a well-formed definition; hard model
         // violations are WA001–WA016's business.
-        if !wfms_model::validate(def).is_empty() {
-            return;
-        }
-        let tpl = CompiledProcess::compile(def.clone());
-        let scope = tpl.root.as_ref();
-        let facts = analyze_scope(scope);
-        let analysis = MustCompleted { facts: &facts };
-        let sol = solve(&analysis, scope);
+        let Some(level) = ctx.level else { return };
+        let (def, scope, facts) = (ctx.process, level.scope(), level.facts());
+        let sol = solve(&MustCompleted { facts }, scope);
         if !sol.converged {
             return; // cyclic scope — WA022 reports it
         }
@@ -232,7 +229,7 @@ impl Lint for LivenessLint {
                 // feasible path that reaches the reader past every
                 // writer; if no such path exists, every run writes
                 // first and the must-analysis was merely imprecise.
-                let Some(path) = witness_path(scope, &facts, i as ActId, &src_ids) else {
+                let Some(path) = witness_path(scope, facts, i as ActId, &src_ids) else {
                     continue;
                 };
                 let writer_list = srcs.join(", ");

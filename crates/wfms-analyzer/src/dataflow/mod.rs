@@ -8,13 +8,21 @@
 //! * [`liveness`] — container def-use over *feasible paths*
 //!   (`WA101`/`WA102`), a forward must-completed analysis;
 //! * [`constprop`] — graph-wide condition-value propagation
-//!   (`WA103`–`WA105`), reusing the engine's own
+//!   (`WA103`–`WA105`), reading the engine's own
 //!   [`wfms_engine::optimize::analyze_scope`] so the lint reports
 //!   exactly what the template optimizer acts on;
 //! * [`compensation`] — compensation-soundness over saga/flexible
 //!   specifications (`WA106`) with concrete witness paths;
 //! * [`deadline`] — deadline feasibility and per-scope critical-path
 //!   bounds (`WA107`/`WA108`), a backward interval analysis.
+//!
+//! The fixpoint passes share one compiled template: the analyzer
+//! validates the definition once, compiles it once when that finds
+//! nothing (or takes the template the pipeline compiled), and computes
+//! each scope's [`ScopeFacts`](wfms_engine::optimize::ScopeFacts) once.
+//! Each level hands its passes that scope and its facts
+//! ([`ProcessCtx::level`](crate::ProcessCtx::level)), and a block's
+//! level is the child scope of the same template.
 //!
 //! This module itself keeps the original schema-level lints. Data
 //! flows between containers only along data connectors, so def-use is
@@ -53,7 +61,7 @@ pub struct DataFlowLint;
 
 impl Lint for DataFlowLint {
     fn name(&self) -> &'static str {
-        "dataflow"
+        "analyze:dataflow"
     }
 
     fn check(&self, ctx: &ProcessCtx<'_>, out: &mut Vec<Diagnostic>) {

@@ -145,7 +145,7 @@ fn find_cycle<'a>(adj: &BTreeMap<&'a str, Vec<&'a str>>) -> Option<Vec<&'a str>>
 
 impl Lint for GraphLint {
     fn name(&self) -> &'static str {
-        "graph"
+        "analyze:graph"
     }
 
     fn check(&self, ctx: &ProcessCtx<'_>, out: &mut Vec<Diagnostic>) {

@@ -58,8 +58,11 @@ pub mod model;
 use std::collections::BTreeSet;
 use std::fmt;
 
+use wfms_engine::compiled::{ActId, CompiledScope, ScopeId, ScopeLayout};
+use wfms_engine::optimize::{analyze_scope, ScopeFacts};
+use wfms_engine::CompiledProcess;
 use wfms_fdl::{Pos, Provenance};
-use wfms_model::{ActivityKind, ProcessDefinition};
+use wfms_model::{ActivityKind, ProcessDefinition, ValidationError};
 
 /// How serious a finding is.
 ///
@@ -196,7 +199,9 @@ fn json_str(s: &str) -> String {
 }
 
 /// Everything a process-level lint can see: the process under
-/// analysis, its slash path, and optional source provenance.
+/// analysis, its slash path, optional source provenance, the whole
+/// definition's meta-model violations and, when there are none, this
+/// level of the compiled template.
 pub struct ProcessCtx<'a> {
     /// The process (or nested block) being checked.
     pub process: &'a ProcessDefinition,
@@ -204,6 +209,48 @@ pub struct ProcessCtx<'a> {
     pub path: String,
     /// Source positions, when the definition came from FDL text.
     pub provenance: Option<&'a Provenance>,
+    /// Every meta-model violation of the whole definition: the
+    /// analyzer's one [`wfms_model::validate()`], read by `WA001`–`WA016`.
+    pub violations: &'a [ValidationError],
+    /// This level's scope of the compiled template, with its
+    /// propagation facts. `None` unless `violations` is empty: the
+    /// fixpoint passes (`WA101`–`WA108`) assume a well-formed graph.
+    pub level: Option<Level<'a>>,
+}
+
+/// One scope of the compiled template the engine runs, with its
+/// condition-value propagation facts. The analyzer computes every
+/// scope's facts once, and every pass at every level reads them.
+#[derive(Clone, Copy)]
+pub struct Level<'a> {
+    layout: &'a ScopeLayout,
+    /// Every scope's facts, by [`ScopeId`] ([`scope_facts`]).
+    facts: &'a [ScopeFacts],
+    id: ScopeId,
+}
+
+impl<'a> Level<'a> {
+    /// The compiled scope.
+    pub fn scope(&self) -> &'a CompiledScope {
+        &self.layout.scope(self.id).cs
+    }
+
+    /// The scope's propagation facts ([`analyze_scope`]).
+    pub fn facts(&self) -> &'a ScopeFacts {
+        &self.facts[self.id as usize]
+    }
+
+    /// The level block activity `act` opens, if it is a block.
+    pub fn block(&self, act: ActId) -> Option<Level<'a>> {
+        let id = self.layout.block_child[self.layout.slot(self.id, act) as usize]?;
+        Some(Level { id, ..*self })
+    }
+}
+
+/// Every scope's propagation facts, by [`ScopeId`].
+fn scope_facts(template: &CompiledProcess) -> Vec<ScopeFacts> {
+    let scopes = &template.layout.scopes;
+    scopes.iter().map(|s| analyze_scope(&s.cs)).collect()
 }
 
 impl ProcessCtx<'_> {
@@ -234,7 +281,8 @@ impl ProcessCtx<'_> {
 /// Implementations push findings into `out`; the [`Analyzer`] walks
 /// nested blocks and applies the allow-list afterwards.
 pub trait Lint {
-    /// Short machine name (`"graph"`, `"dataflow"`, …).
+    /// The pass's label in per-stage timings: `analyze:` and a short
+    /// machine name (`"analyze:graph"`, `"analyze:dataflow"`, …).
     fn name(&self) -> &'static str;
 
     /// `true` if the lint must run only once, at the root definition
@@ -285,69 +333,89 @@ impl Analyzer {
 
     /// Runs every applicable lint over the definition and all nested
     /// blocks, returning findings sorted by severity, then position.
+    /// The definition is validated once and, if that finds nothing,
+    /// compiled once for the semantic passes.
     pub fn check_process(
         &self,
         def: &ProcessDefinition,
         provenance: Option<&Provenance>,
     ) -> Vec<Diagnostic> {
-        self.check_process_timed(def, provenance).0
+        let violations = wfms_model::validate(def);
+        let template = violations
+            .is_empty()
+            .then(|| CompiledProcess::compile(def.clone()));
+        self.check(def, provenance, &violations, template.as_ref())
+            .0
     }
 
-    /// Like [`Analyzer::check_process`], additionally returning the
+    /// The battery over a template compiled from a definition that
+    /// validates clean (the Exotica pipeline's stage-6 template), so
+    /// nothing is validated or compiled again. Also returns the
     /// wall-clock nanoseconds each lint pass spent, summed over all
-    /// nested scopes, in battery order. The Exotica pipeline surfaces
-    /// these as `analyze:<pass>` entries in its per-stage timings.
-    pub fn check_process_timed(
+    /// nested scopes, in battery order; the pipeline surfaces these as
+    /// `analyze:<pass>` entries in its per-stage timings.
+    pub fn check_template_timed(
+        &self,
+        template: &CompiledProcess,
+        provenance: Option<&Provenance>,
+    ) -> (Vec<Diagnostic>, Vec<(&'static str, u128)>) {
+        self.check(&template.def, provenance, &[], Some(template))
+    }
+
+    fn check(
         &self,
         def: &ProcessDefinition,
         provenance: Option<&Provenance>,
+        violations: &[ValidationError],
+        template: Option<&CompiledProcess>,
     ) -> (Vec<Diagnostic>, Vec<(&'static str, u128)>) {
+        let facts = template.map(scope_facts).unwrap_or_default();
         let mut out = Vec::new();
         let mut nanos: Vec<(&'static str, u128)> =
             self.lints.iter().map(|l| (l.name(), 0)).collect();
-        self.walk(
-            def,
-            def.name.clone(),
+        let root = ProcessCtx {
+            process: def,
+            path: def.name.clone(),
             provenance,
-            true,
-            &mut out,
-            &mut nanos,
-        );
+            violations,
+            level: template.map(|t| Level {
+                layout: &t.layout,
+                facts: &facts,
+                id: 0,
+            }),
+        };
+        self.walk(&root, true, &mut out, &mut nanos);
         (self.finish(out), nanos)
     }
 
+    /// Runs the battery at one level, then at each block's level: the
+    /// definition's blocks and the template's child scopes walked
+    /// together (a block's activity id is its declaration position).
     fn walk(
         &self,
-        def: &ProcessDefinition,
-        path: String,
-        provenance: Option<&Provenance>,
+        ctx: &ProcessCtx<'_>,
         is_root: bool,
         out: &mut Vec<Diagnostic>,
         nanos: &mut [(&'static str, u128)],
     ) {
-        let ctx = ProcessCtx {
-            process: def,
-            path: path.clone(),
-            provenance,
-        };
         for (lint, pass_nanos) in self.lints.iter().zip(nanos.iter_mut()) {
             if lint.root_only() && !is_root {
                 continue;
             }
             let started = std::time::Instant::now();
-            lint.check(&ctx, out);
+            lint.check(ctx, out);
             pass_nanos.1 += started.elapsed().as_nanos();
         }
-        for act in &def.activities {
+        for (i, act) in ctx.process.activities.iter().enumerate() {
             if let ActivityKind::Block { process } = &act.kind {
-                self.walk(
+                let block = ProcessCtx {
                     process,
-                    format!("{path}/{}", process.name),
-                    provenance,
-                    false,
-                    out,
-                    nanos,
-                );
+                    path: format!("{}/{}", ctx.path, process.name),
+                    provenance: ctx.provenance,
+                    violations: ctx.violations,
+                    level: ctx.level.and_then(|l| l.block(i as ActId)),
+                };
+                self.walk(&block, false, out, nanos);
             }
         }
     }
@@ -685,6 +753,32 @@ mod tests {
             .allow("WA032")
             .check_process(&def, Some(&prov));
         assert!(diags.is_empty(), "{diags:?}");
+    }
+
+    #[test]
+    fn semantic_passes_wait_for_the_whole_definition_to_validate() {
+        // The block alone is clean and holds a propagated-false
+        // connector; the root breaks a meta-model rule. WA101–WA108
+        // run only on a definition WA001–WA016 find nothing in.
+        let src = r#"
+            PROCESS p
+              ACTIVITY S PROGRAM "s" END
+              BLOCK B
+                ACTIVITY A PROGRAM "a" EXIT WHEN "RC = 1" END
+                ACTIVITY C PROGRAM "c" END
+                CONTROL FROM A TO C WHEN "RC = 0"
+              END
+              CONTROL FROM S TO B
+              CONTROL FROM S TO Ghost
+            END
+        "#;
+        let (def, prov) = wfms_fdl::parse_with_provenance(src).unwrap();
+        let diags = Analyzer::new().check_process(&def, Some(&prov));
+        assert!(diags.iter().any(|d| d.code == "WA005"), "{diags:?}");
+        assert!(
+            diags.iter().all(|d| !d.code.starts_with("WA10")),
+            "{diags:?}"
+        );
     }
 
     #[test]

@@ -2,15 +2,16 @@
 //! [`wfms_model::validate()`] into the diagnostic framework.
 //!
 //! The validator already recurses into nested blocks and reports every
-//! violation in one pass; this lint runs it once at the root and maps
-//! each [`ValidationError`] variant to a stable code, attaching source
-//! positions via [`wfms_fdl::Provenance::locate`]. The one exception
+//! violation in one pass; the analyzer runs it once, at its entry, and
+//! this lint maps each [`ValidationError`] of that one result to a
+//! stable code at the root, attaching source positions via
+//! [`wfms_fdl::Provenance::locate`]. The one exception
 //! is `ValidationError::Cycle`, which is *not* lifted here: the graph
 //! lint reports cycles as `WA022` with a witness path, which subsumes
 //! the validator's process-level finding.
 
 use crate::{Diagnostic, Lint, ProcessCtx, Severity};
-use wfms_model::{validate, ValidationError};
+use wfms_model::ValidationError;
 
 /// Lints lifted from the meta-model validator.
 pub struct ModelLint;
@@ -98,24 +99,24 @@ fn message_of(err: &ValidationError) -> String {
 
 impl Lint for ModelLint {
     fn name(&self) -> &'static str {
-        "model"
+        "analyze:model"
     }
 
     fn root_only(&self) -> bool {
-        true // validate() recurses into blocks by itself
+        true // the violations cover the nested blocks too
     }
 
     fn check(&self, ctx: &ProcessCtx<'_>, out: &mut Vec<Diagnostic>) {
-        for err in validate(ctx.process) {
-            let Some(code) = code_of(&err) else { continue };
-            let pos = ctx.provenance.and_then(|p| p.locate(&err));
+        for err in ctx.violations {
+            let Some(code) = code_of(err) else { continue };
+            let pos = ctx.provenance.and_then(|p| p.locate(err));
             out.push(
                 Diagnostic::new(
                     code,
                     Severity::Error,
-                    process_of(&err),
-                    element_of(&err),
-                    message_of(&err),
+                    process_of(err),
+                    element_of(err),
+                    message_of(err),
                 )
                 .with_pos(pos),
             );

@@ -244,7 +244,7 @@ fn the_pattern_gallery_through_the_file() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/patterns");
     for entry in std::fs::read_dir(dir).expect("examples/patterns exists") {
         let src = std::fs::read_to_string(entry.unwrap().path()).unwrap();
-        let (def, _) = exotica::import_and_analyze(&src).unwrap();
+        let def = exotica::import(&src).unwrap().process;
         let steps = exotica::steps_of_process(&def);
         let world = || exotica::provision(&steps, 0, &[]);
         reopening_the_file_rebuilds_live_state(&def, &world, &step);
@@ -294,7 +294,7 @@ fn the_pattern_gallery() {
     let mut seen = 0;
     for entry in std::fs::read_dir(dir).expect("examples/patterns exists") {
         let src = std::fs::read_to_string(entry.unwrap().path()).unwrap();
-        let (def, _) = exotica::import_and_analyze(&src).unwrap();
+        let def = exotica::import(&src).unwrap().process;
         let steps = exotica::steps_of_process(&def);
         let world = || exotica::provision(&steps, 0, &[]);
         replay_rebuilds_live_state(&def, &OrgModel::new(), &world, &step);
