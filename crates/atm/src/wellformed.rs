@@ -35,7 +35,7 @@
 //! [`check_flex`] return the [`Checked`] form everything downstream
 //! runs on, so no consumer checks again or looks a step up by name.
 
-use crate::checked::{Checked, Resolved};
+use crate::checked::{Checked, Resolved, Source};
 use crate::flexible::FlexSpec;
 use crate::saga::SagaSpec;
 use crate::spec::StepSpec;
@@ -99,29 +99,32 @@ impl std::error::Error for WellFormedError {}
 /// compensatable and declares its compensation, and there is no pivot
 /// — so a saga's check enumerates no failures.
 pub fn check_saga(spec: &SagaSpec) -> Result<Checked<'_>, Vec<WellFormedError>> {
-    let resolved = Resolved::saga(spec)?;
-    checked(resolved.uncompensatable(), resolved)
+    Resolved::saga(spec)?.check()
 }
 
 /// Checks a flexible transaction (rules F1–F5) into its resolved form,
 /// or returns all violations: F1's if any, else F2–F5's.
 pub fn check_flex(spec: &FlexSpec) -> Result<Checked<'_>, Vec<WellFormedError>> {
-    let resolved = Resolved::flexible(spec)?;
-    checked(resolved.violations(), resolved)
+    Resolved::flexible(spec)?.check()
 }
 
-fn checked(
-    errors: Vec<WellFormedError>,
-    resolved: Resolved,
-) -> Result<Checked, Vec<WellFormedError>> {
-    if errors.is_empty() {
-        Ok(Checked(resolved))
-    } else {
-        Err(errors)
+impl<'s> Resolved<'s> {
+    /// The model's rules over the resolved form — S1 for a saga, F2–F5
+    /// for a flexible transaction — into the [`Checked`] form, or every
+    /// violation. A caller that resolved once for its lints checks the
+    /// same form, so F5 and the lints read one [`Resolved::failures`].
+    pub fn check(self) -> Result<Checked<'s>, Vec<WellFormedError>> {
+        let errors = match self.source() {
+            Source::Saga(_) => self.uncompensatable(),
+            Source::Flexible(_) => self.violations(),
+        };
+        if errors.is_empty() {
+            Ok(Checked(self))
+        } else {
+            Err(errors)
+        }
     }
-}
 
-impl Resolved<'_> {
     /// Rule S1 over a saga's one path: every step that is not
     /// compensatable or declares no compensation, in path order.
     pub fn uncompensatable(&self) -> Vec<WellFormedError> {

@@ -1338,7 +1338,7 @@ fn load_cmd(args: &[String]) -> ExitCode {
             Err(c) => return c,
         };
         let ids: Vec<u64> = text.lines().filter_map(|l| l.trim().parse().ok()).collect();
-        let failed = wfms_server::verify_ids_as(
+        let failed = wfms_server::verify_ids(
             &url,
             api_key.as_deref(),
             &ids,

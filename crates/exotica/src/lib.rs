@@ -31,9 +31,9 @@
 //! * [`pipeline`] — the end-to-end driver with the per-stage error
 //!   taxonomy (spec syntax → model rules → translation → FDL import →
 //!   static analysis).
-//! * [`lint`] — the `fmtm lint` front end: sniffs whether a file is
-//!   FDL or an ATM spec and runs the matching `wfms-analyzer` battery
-//!   with source positions attached.
+//! * [`lint`] — the `fmtm lint` front end: decides by parsing whether
+//!   a file is an ATM spec or FDL and runs the matching
+//!   `wfms-analyzer` battery with source positions attached.
 //! * [`verify`] — the equivalence harness: runs a specification both
 //!   natively (`atm::native`) and as a translated workflow process
 //!   under identical failure scripts and compares outcomes, database
@@ -51,7 +51,7 @@ pub mod specfmt;
 pub mod verify;
 
 pub use flexible::translate_flex;
-pub use lint::{lint_source, sniff, LintTarget};
+pub use lint::lint_source;
 pub use pipeline::{import, run_pipeline, AtmSpec, Imported, PipelineError, PipelineOutput};
 pub use provision::{provision, steps_of, steps_of_all, steps_of_process};
 pub use saga::{translate_saga, translate_saga_flat};

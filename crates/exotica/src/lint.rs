@@ -18,46 +18,10 @@
 //! version dispatched on the first keyword, which turned every
 //! mis-spelled header into an unhelpful "unrecognised source".)
 
-use crate::pipeline::{check, translate};
-use crate::specfmt::{parse_spec_spanned, ParsedSpec};
+use crate::pipeline::{resolve, translate};
+use crate::specfmt::parse_spec_spanned;
 use wfms_analyzer::{has_errors, Analyzer, Diagnostic};
 use wfms_fdl::Pos;
-
-/// What kind of source text a file holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LintTarget {
-    /// FlowMark Definition Language (a `PROCESS`).
-    Fdl,
-    /// An ATM specification (`SAGA` or `FLEXIBLE`).
-    Spec,
-}
-
-/// Sniffs the source kind from its first keyword, skipping blank
-/// lines and `--`/`//` comment lines.
-///
-/// This is a display-level *hint* (file listings, error headers) —
-/// [`lint_source`] decides the kind by actually parsing, so a spec
-/// with a mangled header still gets a real parse error instead of
-/// "unrecognised source".
-pub fn sniff(src: &str) -> Option<LintTarget> {
-    for line in src.lines() {
-        let text = line.trim();
-        if text.is_empty() || text.starts_with("--") || text.starts_with("//") {
-            continue;
-        }
-        let word = text
-            .split_whitespace()
-            .next()
-            .unwrap_or("")
-            .to_ascii_uppercase();
-        return match word.as_str() {
-            "PROCESS" => Some(LintTarget::Fdl),
-            "SAGA" | "FLEXIBLE" => Some(LintTarget::Spec),
-            _ => None,
-        };
-    }
-    None
-}
 
 /// Lints one source text. `allowed` suppresses the given `WA0xx`
 /// codes. Returns `Err` with a message when the text does not parse
@@ -77,10 +41,8 @@ pub fn lint_source(src: &str, allowed: &[String]) -> Result<Vec<Diagnostic>, Str
     };
     let spec_err = match parse_spec_spanned(src) {
         Ok((spec, spans)) => {
-            let mut diags = match &spec {
-                ParsedSpec::Saga(s) => analyzer().check_saga(s),
-                ParsedSpec::Flexible(f) => analyzer().check_flex(f),
-            };
+            let resolved = resolve(&spec);
+            let mut diags = analyzer().check_spec(spec.name(), &resolved);
             for d in &mut diags {
                 if d.pos.is_none() {
                     let line = d
@@ -97,7 +59,8 @@ pub fn lint_source(src: &str, allowed: &[String]) -> Result<Vec<Diagnostic>, Str
             // likewise a spec outside the supported translation class
             // is `fmtm check`'s concern, not a lint finding.
             if !has_errors(&diags) {
-                if let Some(process) = check(&spec).ok().and_then(|c| translate(&c).ok()) {
+                let checked = resolved.and_then(|r| r.check());
+                if let Some(process) = checked.ok().and_then(|c| translate(&c).ok()) {
                     diags.extend(analyzer().check_process(&process, None));
                 }
             }
@@ -116,15 +79,6 @@ pub fn lint_source(src: &str, allowed: &[String]) -> Result<Vec<Diagnostic>, Str
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sniffs_through_comments() {
-        assert_eq!(sniff("-- c\n\nPROCESS p END"), Some(LintTarget::Fdl));
-        assert_eq!(sniff("// c\nsaga s\nEND"), Some(LintTarget::Spec));
-        assert_eq!(sniff("FLEXIBLE f\nEND"), Some(LintTarget::Spec));
-        assert_eq!(sniff("-- only a comment"), None);
-        assert_eq!(sniff("WHAT is this"), None);
-    }
 
     #[test]
     fn fdl_findings_have_positions() {

@@ -20,7 +20,7 @@ use crate::flexible::translate_flex;
 use crate::saga::translate_saga;
 use crate::specfmt::{parse_spec, ParsedSpec, SpecSyntaxError};
 use crate::TranslateError;
-use atm::{Checked, Source, WellFormedError};
+use atm::{Checked, Resolved, Source, WellFormedError};
 use std::sync::Arc;
 use wfms_analyzer::{Analyzer, Diagnostic, Severity};
 use wfms_engine::CompiledProcess;
@@ -144,10 +144,18 @@ pub struct Imported {
 /// template. Error-severity findings reject the process; the surviving
 /// warnings and notes are returned with the template.
 ///
-/// `run_pipeline` applies it to its own translator output and
-/// `fmtm run` to an FDL file; it is public so externally produced FDL
-/// can be held to the same standard.
+/// `fmtm run` applies it to an FDL file; it is public so externally
+/// produced FDL can be held to the same standard. Findings carry their
+/// line and column in `fdl`.
 pub fn import(fdl: &str) -> Result<Imported, PipelineError> {
+    import_located(fdl, true)
+}
+
+/// [`import`], with findings located in `fdl` only when `located`.
+/// `run_pipeline` imports its own translation unlocated: a position in
+/// generated FDL means nothing to the spec's author, so the findings
+/// read as [`lint_source`](crate::lint_source) renders a translation's.
+fn import_located(fdl: &str, located: bool) -> Result<Imported, PipelineError> {
     // Stage 4: import — syntax, then the meta-model rules, once.
     let t0 = std::time::Instant::now();
     let (process, provenance) =
@@ -169,7 +177,8 @@ pub fn import(fdl: &str) -> Result<Imported, PipelineError> {
 
     // Stage 5: static analysis over that template.
     let t0 = std::time::Instant::now();
-    let (diags, pass_nanos) = Analyzer::new().check_template_timed(&template, Some(&provenance));
+    let (diags, pass_nanos) =
+        Analyzer::new().check_template_timed(&template, located.then_some(&provenance));
     let (errors, diagnostics): (Vec<Diagnostic>, Vec<Diagnostic>) = diags
         .into_iter()
         .partition(|d| d.severity == Severity::Error);
@@ -225,7 +234,9 @@ pub fn run_pipeline(spec_text: &str) -> Result<PipelineOutput, PipelineError> {
     // Stage 2: model-rule checking, once, into the checked form every
     // later stage reads.
     let t0 = std::time::Instant::now();
-    let checked = check(&spec).map_err(PipelineError::ModelRules)?;
+    let checked = resolve(&spec)
+        .and_then(Resolved::check)
+        .map_err(PipelineError::ModelRules)?;
     stage_nanos.push(("model-rules", t0.elapsed().as_nanos()));
 
     // Stage 3: translate to a workflow process and emit FDL.
@@ -243,7 +254,7 @@ pub fn run_pipeline(spec_text: &str) -> Result<PipelineOutput, PipelineError> {
         template,
         opt_stats,
         stage_nanos: import_nanos,
-    } = import(&fdl)?;
+    } = import_located(&fdl, false)?;
     debug_assert_eq!(process, translated, "FDL round trip must be lossless");
     stage_nanos.extend(import_nanos);
 
@@ -258,11 +269,12 @@ pub fn run_pipeline(spec_text: &str) -> Result<PipelineOutput, PipelineError> {
     })
 }
 
-/// Stage 2: the spec's model rules, into the form the translators take.
-pub(crate) fn check(spec: &AtmSpec) -> Result<Checked<'_>, Vec<WellFormedError>> {
+/// The spec's paths of steps, or its structural errors: what the ATM
+/// lints read and stage 2 checks ([`Resolved::check`]).
+pub(crate) fn resolve(spec: &AtmSpec) -> Result<Resolved<'_>, Vec<WellFormedError>> {
     match spec {
-        AtmSpec::Saga(s) => atm::check_saga(s),
-        AtmSpec::Flexible(x) => atm::check_flex(x),
+        AtmSpec::Saga(s) => Resolved::saga(s),
+        AtmSpec::Flexible(x) => Resolved::flexible(x),
     }
 }
 

@@ -89,6 +89,32 @@ fn run_surfaces_the_sources_warnings_before_it_runs() {
 }
 
 #[test]
+fn run_prints_a_translations_findings_as_lint_does() {
+    // A spec's findings are on its translation, whose FDL is generated:
+    // `run` names no position in it, exactly as `lint` renders them.
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/flex_retriable_only.flex")
+        .to_str()
+        .unwrap()
+        .to_owned();
+    let (_, linted) = fmtm(&["lint", &fixture]);
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_fmtm"))
+        .args(["run", &fixture])
+        .output()
+        .expect("fmtm runs");
+    assert_eq!(run.status.code(), Some(0));
+    let stderr = String::from_utf8(run.stderr).unwrap();
+    let finding = |text: &str| {
+        text.lines()
+            .filter(|l| l.contains("[WA043]"))
+            .map(str::to_owned)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(finding(&linted).len(), 1, "{linted}");
+    assert_eq!(finding(&stderr), finding(&linted), "{stderr}");
+}
+
+#[test]
 fn top_names_an_unknown_fail_plan_as_run_does() {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_fmtm"))
         .args(["top", &trip_saga(), "--fail", "Hotel=sometimes"])

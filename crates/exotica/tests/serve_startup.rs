@@ -1,6 +1,8 @@
 //! `fmtm serve` says what each shard's reopen found and did, in one
 //! startup line: how long it took, the events replayed, the instances it
 //! holds and resumed, the torn tail it dropped, and recovery's repairs.
+//! The `serving …` line before them names the pool's shape, and a flag
+//! value `serve` cannot read stops it before anything binds.
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -8,20 +10,28 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 use wfms_engine::{Event, Journal};
 
-fn scratch() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fmtm-serve-startup-{}", std::process::id()));
+fn scratch(name: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("fmtm-serve-startup-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
 
-/// `fmtm serve` of the trip saga on `data`, on a free port, and the
-/// lines it printed up to and including the first that `last` accepts.
-fn serve(data: &Path, last: impl Fn(&str) -> bool) -> (Child, Vec<String>) {
-    let spec = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/specs/trip.saga");
+fn trip_saga() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/specs/trip.saga")
+}
+
+/// `fmtm serve` of the trip saga on `data` with the flags `extra`, on a
+/// free port, and the lines it printed up to and including the first
+/// that `last` accepts.
+fn serve(data: &Path, extra: &[&str], last: impl Fn(&str) -> bool) -> (Child, Vec<String>) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_fmtm"))
-        .args(["serve", spec.to_str().unwrap(), "--port", "0", "--data"])
+        .arg("serve")
+        .arg(trip_saga())
+        .args(["--port", "0", "--data"])
         .arg(data)
+        .args(extra)
         .stdout(Stdio::piped())
         .spawn()
         .expect("fmtm serve starts");
@@ -46,10 +56,63 @@ fn address(lines: &[String]) -> String {
 }
 
 #[test]
+fn the_startup_lines_name_the_pools_shape() {
+    let dir = scratch("shape");
+    let flags = [
+        "--shards",
+        "2",
+        "--queue",
+        "7",
+        "--batch",
+        "3",
+        "--durability",
+        "sync",
+        "--person",
+        "ann=clerk",
+    ];
+    let (mut server, lines) = serve(&dir, &flags, |l| l.starts_with("shard 1:"));
+    server.kill().unwrap();
+    server.wait().unwrap();
+    let serving = lines.iter().find(|l| l.starts_with("serving")).unwrap();
+    assert!(
+        serving.contains("(shards 2, queue 7, batch 3, "),
+        "{serving:?}"
+    );
+    for shard in ["shard 0:", "shard 1:"] {
+        let n = lines.iter().filter(|l| l.starts_with(shard)).count();
+        assert_eq!(n, 1, "{shard} in {lines:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_bad_flag_value_stops_serve_before_it_binds() {
+    let dir = scratch("refused");
+    let _ = std::fs::remove_dir_all(&dir);
+    for (flag, value) in [("--durability", "bogus"), ("--person", "ann")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fmtm"))
+            .arg("serve")
+            .arg(trip_saga())
+            .args(["--port", "0", "--data"])
+            .arg(&dir)
+            .args([flag, value])
+            .output()
+            .expect("fmtm serve runs");
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}");
+        assert_eq!(
+            String::from_utf8(out.stderr).unwrap(),
+            format!("fmtm serve: bad value {value:?} for {flag}\n")
+        );
+        assert_eq!(String::from_utf8(out.stdout).unwrap(), "", "{flag} {value}");
+        assert!(!dir.exists(), "{flag} {value}: the data directory was made");
+    }
+}
+
+#[test]
 fn a_restart_names_the_torn_tail_and_what_it_resumed() {
-    let dir = scratch();
+    let dir = scratch("restart");
     let journal = dir.join("shard-0.journal");
-    let (mut server, lines) = serve(&dir, |l| l.starts_with("shard 0:"));
+    let (mut server, lines) = serve(&dir, &[], |l| l.starts_with("shard 0:"));
     assert!(
         lines.iter().any(|l| l.contains("0 events replayed")
             && l.contains("0 resumed")
@@ -88,7 +151,7 @@ fn a_restart_names_the_torn_tail_and_what_it_resumed() {
     let half = intact.len() + (whole.len() - intact.len()) / 2;
     std::fs::write(&journal, &whole[..half]).unwrap();
 
-    let (mut server, lines) = serve(&dir, |l| l.starts_with("shard 0:"));
+    let (mut server, lines) = serve(&dir, &[], |l| l.starts_with("shard 0:"));
     let shard = lines.last().unwrap();
     server.kill().unwrap();
     server.wait().unwrap();

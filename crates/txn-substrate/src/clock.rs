@@ -37,14 +37,6 @@ impl VirtualClock {
         Self::default()
     }
 
-    /// Creates a clock starting at an arbitrary tick (useful when
-    /// resuming a recovered engine whose journal records a later time).
-    pub fn starting_at(tick: Tick) -> Self {
-        Self {
-            ticks: Arc::new(AtomicU64::new(tick)),
-        }
-    }
-
     /// Current tick.
     pub fn now(&self) -> Tick {
         self.ticks.load(Ordering::Acquire)
@@ -101,7 +93,8 @@ mod tests {
 
     #[test]
     fn advance_to_is_monotonic() {
-        let c = VirtualClock::starting_at(100);
+        let c = VirtualClock::new();
+        c.advance(100);
         assert_eq!(c.advance_to(50), 100, "never goes backwards");
         assert_eq!(c.advance_to(150), 150);
         assert_eq!(c.now(), 150);

@@ -125,11 +125,6 @@ impl Injector {
         );
     }
 
-    /// Removes the plan for `label` (it reverts to `Never`).
-    pub fn clear_plan(&self, label: &str) {
-        self.plans.lock().remove(label);
-    }
-
     /// Consults the plan for `label`, counting this call as one
     /// attempt. Unknown labels always proceed.
     pub fn decide(&self, label: &str) -> FailureAction {
@@ -241,15 +236,6 @@ mod tests {
         inj.set_plan("x", FailurePlan::FirstN(1));
         assert_eq!(inj.attempts("x"), 0);
         assert_eq!(inj.decide("x"), FailureAction::Abort);
-    }
-
-    #[test]
-    fn clear_plan_reverts_to_never() {
-        let inj = Injector::new(0);
-        inj.set_plan("x", FailurePlan::Always);
-        assert_eq!(inj.decide("x"), FailureAction::Abort);
-        inj.clear_plan("x");
-        assert_eq!(inj.decide("x"), FailureAction::Proceed);
     }
 
     #[test]

@@ -66,8 +66,7 @@ pub use lock::{LockError, LockManager, LockMode, LockStats};
 pub use multidb::MultiDatabase;
 pub use params::{no_params, Params};
 pub use program::{
-    CompensationOutcome, FnProgram, KvProgram, ProgramContext, ProgramOutcome, ProgramRegistry,
-    StepClass, TxnProgram,
+    FnProgram, KvProgram, ProgramContext, ProgramOutcome, ProgramRegistry, StepClass, TxnProgram,
 };
 pub use storage::{Key, Storage};
 pub use txn::{Transaction, TxnId, TxnStatus};

@@ -35,17 +35,6 @@ impl MultiDatabase {
         })
     }
 
-    /// Creates a federation that shares an existing injector and clock
-    /// (so the workflow engine and the databases fail and tick
-    /// together).
-    pub fn with_shared(injector: InjectorHandle, clock: VirtualClock) -> Arc<Self> {
-        Arc::new(Self {
-            dbs: RwLock::new(BTreeMap::new()),
-            injector,
-            clock,
-        })
-    }
-
     /// Adds (or replaces) a local database named `name`, wired to the
     /// federation's injector. Returns the database handle.
     pub fn add_database(&self, name: &str) -> Arc<Database> {

@@ -14,7 +14,6 @@
 //! *pivot* (neither), or both compensatable and retriable
 //! ([`StepClass`]).
 
-use crate::db::DbError;
 use crate::inject::{FailureAction, InjectorHandle};
 use crate::multidb::MultiDatabase;
 use crate::params::{no_params, Params};
@@ -117,19 +116,7 @@ impl ProgramOutcome {
             ProgramOutcome::Aborted { rc, .. } => *rc,
         }
     }
-
-    /// Outputs of a committed outcome (empty map for aborted ones).
-    pub fn outputs(&self) -> BTreeMap<String, Value> {
-        match self {
-            ProgramOutcome::Committed { outputs, .. } => outputs.clone(),
-            ProgramOutcome::Aborted { .. } => BTreeMap::new(),
-        }
-    }
 }
-
-/// Alias used by compensation runners: compensations report the same
-/// shape of outcome as forward programs.
-pub type CompensationOutcome = ProgramOutcome;
 
 /// Everything a program may touch while running.
 pub struct ProgramContext {
@@ -151,12 +138,6 @@ impl ProgramContext {
             params: no_params(),
             attempt: 0,
         }
-    }
-
-    /// Adds a parameter (builder style).
-    pub fn with_param(mut self, key: &str, value: impl Into<Value>) -> Self {
-        self.params.set(key, value.into());
-        self
     }
 
     /// The shared failure injector.
@@ -209,7 +190,7 @@ where
 }
 
 /// A declarative key/value program: one transaction against one local
-/// database, applying a list of writes. Before committing it consults
+/// database, applying one write. Before committing it consults
 /// the failure injector under its **own name**, which is how tests and
 /// benchmarks script "this subtransaction aborts on attempt k" without
 /// writing bespoke closures.
@@ -219,11 +200,8 @@ pub struct KvProgram {
     pub name: String,
     /// Target local database.
     pub db: String,
-    /// Writes applied in order (`None` deletes the key).
-    pub writes: Vec<(String, Option<Value>)>,
-    /// Keys read before writing; their values appear in the outputs
-    /// as `read:<key>`.
-    pub reads: Vec<String>,
+    /// The key written and its new value (`None` deletes the key).
+    pub write: (String, Option<Value>),
     /// Failure-injection label consulted before commit; defaults to
     /// the program name. Distinct labels let several programs share a
     /// failure plan (or a program be scripted under a step name).
@@ -238,8 +216,7 @@ impl KvProgram {
         Self {
             name: name.to_owned(),
             db: db.to_owned(),
-            writes: vec![(key.to_owned(), Some(value.into()))],
-            reads: Vec::new(),
+            write: (key.to_owned(), Some(value.into())),
             label: None,
             duration: 0,
         }
@@ -250,23 +227,10 @@ impl KvProgram {
         Self {
             name: name.to_owned(),
             db: db.to_owned(),
-            writes: vec![(key.to_owned(), None)],
-            reads: Vec::new(),
+            write: (key.to_owned(), None),
             label: None,
             duration: 0,
         }
-    }
-
-    /// Adds an additional write.
-    pub fn and_write(mut self, key: &str, value: impl Into<Value>) -> Self {
-        self.writes.push((key.to_owned(), Some(value.into())));
-        self
-    }
-
-    /// Adds a read whose value is exported as output `read:<key>`.
-    pub fn and_read(mut self, key: &str) -> Self {
-        self.reads.push(key.to_owned());
-        self
     }
 
     /// Overrides the failure-injection label (defaults to the program
@@ -306,37 +270,15 @@ impl TxnProgram for KvProgram {
             return ProgramOutcome::aborted(format!("injected abort of {label:?}"));
         }
         let mut txn = db.begin();
-        let mut outputs = BTreeMap::new();
-        for key in &self.reads {
-            match txn.get(key) {
-                Ok(v) => {
-                    outputs.insert(
-                        format!("read:{key}"),
-                        v.unwrap_or(Value::Str(String::new())),
-                    );
-                }
-                Err(e) => return Self::abort_outcome(e),
-            }
+        let (key, value) = &self.write;
+        let written = match value {
+            Some(v) => txn.put(key, v.clone()),
+            None => txn.delete(key),
+        };
+        match written.and_then(|()| txn.commit()) {
+            Ok(()) => ProgramOutcome::committed(),
+            Err(e) => ProgramOutcome::aborted(e.to_string()),
         }
-        for (key, value) in &self.writes {
-            let res = match value {
-                Some(v) => txn.put(key, v.clone()),
-                None => txn.delete(key),
-            };
-            if let Err(e) = res {
-                return Self::abort_outcome(e);
-            }
-        }
-        match txn.commit() {
-            Ok(()) => ProgramOutcome::Committed { rc: 1, outputs },
-            Err(e) => Self::abort_outcome(e),
-        }
-    }
-}
-
-impl KvProgram {
-    fn abort_outcome(e: DbError) -> ProgramOutcome {
-        ProgramOutcome::aborted(e.to_string())
     }
 }
 
@@ -434,20 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn kv_program_reads_export_outputs() {
-        let fed = fed_with_db();
-        let db = fed.db("d").unwrap();
-        let mut t = db.begin();
-        t.put("src", 5i64).unwrap();
-        t.commit().unwrap();
-
-        let prog = KvProgram::write("p", "d", "dst", 1i64).and_read("src");
-        let mut ctx = ProgramContext::new(Arc::clone(&fed));
-        let out = prog.run(&mut ctx);
-        assert_eq!(out.outputs().get("read:src"), Some(&Value::Int(5)));
-    }
-
-    #[test]
     fn kv_program_injected_abort_has_rc0() {
         let fed = fed_with_db();
         fed.injector().set_plan("p", FailurePlan::FirstN(1));
@@ -484,16 +412,6 @@ mod tests {
         assert!(reg.invoke("f", &mut ctx).is_committed());
         let missing = reg.invoke("ghost", &mut ctx);
         assert!(!missing.is_committed());
-    }
-
-    #[test]
-    fn context_params_builder() {
-        let fed = fed_with_db();
-        let ctx = ProgramContext::new(fed)
-            .with_param("amount", 10i64)
-            .with_param("who", "alice");
-        assert_eq!(ctx.params["amount"], Value::Int(10));
-        assert_eq!(ctx.params["who"], Value::from("alice"));
     }
 
     #[test]

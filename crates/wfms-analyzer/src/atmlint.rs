@@ -21,7 +21,7 @@
 
 use crate::dataflow::compensation::findings;
 use crate::{Diagnostic, Severity};
-use atm::{FlexSpec, Resolved, SagaSpec, WellFormedError};
+use atm::{Resolved, Source, WellFormedError};
 
 /// Maps a well-formedness error to its stable code.
 pub fn code_of(err: &WellFormedError) -> &'static str {
@@ -48,32 +48,44 @@ fn element_of(err: &WellFormedError) -> Option<String> {
     }
 }
 
-fn lift(spec_name: &str, errs: Vec<WellFormedError>) -> Vec<Diagnostic> {
-    errs.into_iter()
+fn lift(spec_name: &str, errs: &[WellFormedError]) -> Vec<Diagnostic> {
+    errs.iter()
         .map(|e| {
             Diagnostic::new(
-                code_of(&e),
+                code_of(e),
                 Severity::Error,
                 spec_name,
-                element_of(&e),
+                element_of(e),
                 e.to_string(),
             )
         })
         .collect()
 }
 
-/// All ATM-level findings for a saga: S1–S2 (`WA051`/`WA052`), pivot
-/// placement (`WA057`) and compensation soundness (`WA106`).
-pub fn check_saga_spec(spec: &SagaSpec) -> Vec<Diagnostic> {
-    match Resolved::saga(spec) {
-        Err(structure) => lift(&spec.name, structure),
-        Ok(resolved) => {
-            let mut out = lift(&spec.name, resolved.uncompensatable());
-            out.extend(placement(&resolved));
-            out.extend(findings(&resolved));
+/// All ATM-level findings for the specification `name`, given what
+/// resolving it gave: each structural error as `WA051`; else, for a
+/// saga, S1 (`WA052`), pivot placement (`WA057`) and compensation
+/// soundness (`WA106`), and for a flexible transaction F2–F5
+/// (`WA053`–`WA056`) and `WA106`. F5 and `WA106` read the one route
+/// table of the resolved form.
+pub(crate) fn check_spec(
+    name: &str,
+    resolved: &Result<Resolved, Vec<WellFormedError>>,
+) -> Vec<Diagnostic> {
+    let resolved = match resolved {
+        Err(structure) => return lift(name, structure),
+        Ok(resolved) => resolved,
+    };
+    let mut out = match resolved.source() {
+        Source::Saga(_) => {
+            let mut out = lift(name, &resolved.uncompensatable());
+            out.extend(placement(resolved));
             out
         }
-    }
+        Source::Flexible(_) => lift(name, &resolved.violations()),
+    };
+    out.extend(findings(resolved));
+    out
 }
 
 /// `WA057`: a non-compensatable step with a later step that may still
@@ -109,40 +121,30 @@ fn placement(saga: &Resolved) -> Vec<Diagnostic> {
     out
 }
 
-/// All ATM-level findings for a flexible transaction: F1–F5
-/// (`WA051`, `WA053`–`WA056`) plus compensation soundness (`WA106`).
-/// F5 and `WA106` read one route table, the resolved form's.
-pub fn check_flex_spec(spec: &FlexSpec) -> Vec<Diagnostic> {
-    match Resolved::flexible(spec) {
-        Err(structure) => lift(&spec.name, structure),
-        Ok(resolved) => {
-            let mut out = lift(&spec.name, resolved.violations());
-            out.extend(findings(&resolved));
-            out
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Analyzer;
-    use atm::StepSpec;
+    use atm::{FlexSpec, SagaSpec, StepSpec};
+
+    fn lint_saga(spec: &SagaSpec) -> Vec<Diagnostic> {
+        Analyzer::new().check_spec(&spec.name, &Resolved::saga(spec))
+    }
+
+    fn lint_flex(spec: &FlexSpec) -> Vec<Diagnostic> {
+        Analyzer::new().check_spec(&spec.name, &Resolved::flexible(spec))
+    }
 
     #[test]
     fn clean_saga_and_flex_pass() {
-        assert!(Analyzer::new()
-            .check_saga(&atm::fixtures::linear_saga("trip", 3))
-            .is_empty());
-        assert!(Analyzer::new()
-            .check_flex(&atm::fixtures::figure3_spec())
-            .is_empty());
+        assert!(lint_saga(&atm::fixtures::linear_saga("trip", 3)).is_empty());
+        assert!(lint_flex(&atm::fixtures::figure3_spec()).is_empty());
     }
 
     #[test]
     fn saga_without_compensation_flagged() {
         let spec = SagaSpec::linear("s", vec![StepSpec::pivot("Only", "p")]);
-        let diags = Analyzer::new().check_saga(&spec);
+        let diags = lint_saga(&spec);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "WA052");
         assert_eq!(diags[0].element.as_deref(), Some("Only"));
@@ -158,7 +160,7 @@ mod tests {
                 StepSpec::compensatable("C", "c", "undo_c"),
             ],
         );
-        let diags = Analyzer::new().check_saga(&spec);
+        let diags = lint_saga(&spec);
         let d = diags.iter().find(|d| d.code == "WA057").expect("WA057");
         assert_eq!(d.element.as_deref(), Some("P"));
         assert!(d.message.contains("C"), "{:?}", d.message);
@@ -174,7 +176,7 @@ mod tests {
             "s",
             vec![StepSpec::pivot("P", "p"), StepSpec::retriable("R", "r")],
         );
-        let diags = Analyzer::new().check_saga(&spec);
+        let diags = lint_saga(&spec);
         let d = diags.iter().find(|d| d.code == "WA057").expect("WA057");
         assert_eq!(d.element.as_deref(), Some("P"));
         assert!(d.message.contains("(R)"), "{:?}", d.message);
@@ -221,7 +223,7 @@ mod tests {
                     .collect();
 
                 let spec = SagaSpec::linear("s", steps.clone());
-                let diags = Analyzer::new().check_saga(&spec);
+                let diags = lint_saga(&spec);
                 let named = |code: &str| -> Vec<String> {
                     diags
                         .iter()
@@ -260,7 +262,7 @@ mod tests {
         let mut step = StepSpec::retriable("R", "r");
         step.compensation = Some("undo_r".into());
         let spec = FlexSpec::new("f", vec![step], vec![vec!["R"]]);
-        let diags = Analyzer::new().check_flex(&spec);
+        let diags = lint_flex(&spec);
         let d = diags.iter().find(|d| d.code == "WA053").expect("WA053");
         assert_eq!(d.element.as_deref(), Some("R"));
     }
@@ -273,7 +275,7 @@ mod tests {
             vec![StepSpec::retriable("R", "r")],
             vec![vec!["R", "Ghost"]],
         );
-        let diags = Analyzer::new().check_flex(&spec);
+        let diags = lint_flex(&spec);
         assert!(diags.iter().any(|d| d.code == "WA051"), "{diags:?}");
 
         // Last path with a non-retriable tail after its pivot → WA055.
@@ -285,7 +287,7 @@ mod tests {
             ],
             vec![vec!["P", "C"]],
         );
-        let diags = Analyzer::new().check_flex(&spec);
+        let diags = lint_flex(&spec);
         assert!(diags.iter().any(|d| d.code == "WA055"), "{diags:?}");
     }
 

@@ -420,15 +420,17 @@ impl Analyzer {
         }
     }
 
-    /// Checks a saga specification against the ATM-level lints.
-    pub fn check_saga(&self, spec: &atm::SagaSpec) -> Vec<Diagnostic> {
-        self.finish(atmlint::check_saga_spec(spec))
-    }
-
-    /// Checks a flexible-transaction specification against the
-    /// ATM-level lints.
-    pub fn check_flex(&self, spec: &atm::FlexSpec) -> Vec<Diagnostic> {
-        self.finish(atmlint::check_flex_spec(spec))
+    /// Checks the specification `name` against the ATM-level lints,
+    /// given what resolving it ([`atm::Resolved::saga`] /
+    /// [`atm::Resolved::flexible`]) gave. A caller that goes on to
+    /// translate checks the same resolved form
+    /// ([`atm::Resolved::check`]), so the spec is resolved once.
+    pub fn check_spec(
+        &self,
+        name: &str,
+        resolved: &Result<atm::Resolved, Vec<atm::WellFormedError>>,
+    ) -> Vec<Diagnostic> {
+        self.finish(atmlint::check_spec(name, resolved))
     }
 
     fn finish(&self, mut out: Vec<Diagnostic>) -> Vec<Diagnostic> {

@@ -204,19 +204,6 @@ impl Container {
     pub fn params(&self) -> &Params {
         &self.values
     }
-
-    /// Checks this container against `schema`: every declared member
-    /// present and well-typed. Returns the offending member names.
-    pub fn type_errors(&self, schema: &ContainerSchema) -> Vec<String> {
-        let mut errors = Vec::new();
-        for m in &schema.members {
-            match self.values.get(m.name.as_str()) {
-                Some(v) if m.ty.admits(v) => {}
-                _ => errors.push(m.name.clone()),
-            }
-        }
-        errors
-    }
 }
 
 /// Collects in name order; of two members with one name the later one
@@ -257,18 +244,6 @@ mod tests {
             .with("b", DataType::Int)
             .with("a", DataType::Str);
         assert_eq!(schema.duplicate_names(), vec!["a".to_string()]);
-    }
-
-    #[test]
-    fn type_errors_flags_missing_and_mistyped() {
-        let schema = ContainerSchema::of(&[("x", DataType::Int), ("y", DataType::Bool)]);
-        let mut c = Container::empty();
-        c.set("x", Value::Str("oops".into()));
-        let errs = c.type_errors(&schema);
-        assert_eq!(errs, vec!["x".to_string(), "y".to_string()]);
-        c.set("x", Value::Int(1));
-        c.set("y", Value::Bool(true));
-        assert!(c.type_errors(&schema).is_empty());
     }
 
     #[test]

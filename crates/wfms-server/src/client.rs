@@ -28,7 +28,7 @@ use crate::api::{StatusResponse, SubmitResponse};
 
 /// Strips an `http://` prefix and any trailing path, leaving
 /// `host:port`.
-pub fn host_of(url: &str) -> &str {
+fn host_of(url: &str) -> &str {
     let rest = url.strip_prefix("http://").unwrap_or(url);
     rest.split('/').next().unwrap_or(rest)
 }
@@ -56,16 +56,11 @@ impl Http1Client {
     /// Sends `authorization: Bearer <key>` with every request — how a
     /// tenant authenticates against a `--tenants` server.
     pub fn with_api_key(mut self, key: Option<&str>) -> Self {
-        self.set_api_key(key);
-        self
-    }
-
-    /// Sets or clears the bearer API key on an existing client.
-    pub fn set_api_key(&mut self, key: Option<&str>) {
         self.auth_header = match key {
             Some(k) => format!("authorization: Bearer {k}\r\n"),
             None => String::new(),
         };
+        self
     }
 
     fn connect(&mut self) -> std::io::Result<&mut BufReader<TcpStream>> {
@@ -228,23 +223,6 @@ pub struct LoadOptions {
     /// Bearer API key sent with every request (tenancy-enabled
     /// servers refuse unauthenticated submissions with 401).
     pub api_key: Option<String>,
-}
-
-impl LoadOptions {
-    /// A `count`-bounded load against `url`, one connection, unpaced.
-    pub fn new(url: impl Into<String>) -> Self {
-        Self {
-            url: url.into(),
-            process: None,
-            count: None,
-            duration: None,
-            rps: None,
-            connections: 1,
-            collect_ids: false,
-            open_loop: false,
-            api_key: None,
-        }
-    }
 }
 
 /// What [`run_load`] measured.
@@ -444,14 +422,10 @@ pub fn wait_ready(url: &str, timeout: Duration) -> bool {
 
 /// Polls every id's status until all are `finished` (or `timeout`
 /// passes). Returns the ids that never finished, with the last
-/// observation (`"missing"` for ids the server does not know).
-pub fn verify_ids(url: &str, ids: &[u64], timeout: Duration) -> Vec<(u64, String)> {
-    verify_ids_as(url, None, ids, timeout)
-}
-
-/// [`verify_ids`] authenticated as a tenant — the ids must carry that
-/// tenant's slot or the server answers 403.
-pub fn verify_ids_as(
+/// observation (`"missing"` for ids the server does not know). With
+/// `api_key` the polls authenticate as a tenant — the ids must then
+/// carry that tenant's slot or the server answers 403.
+pub fn verify_ids(
     url: &str,
     api_key: Option<&str>,
     ids: &[u64],

@@ -48,8 +48,8 @@ mod store;
 pub mod tenant;
 
 pub use client::{
-    latency_curve, run_load, verify_ids, verify_ids_as, wait_ready, CurvePoint, Http1Client,
-    LoadOptions, LoadReport,
+    latency_curve, run_load, verify_ids, wait_ready, CurvePoint, Http1Client, LoadOptions,
+    LoadReport,
 };
 pub use server::{Server, ServerConfig};
 pub use shard::{

@@ -64,6 +64,8 @@ const MAX_PIPELINE: usize = 128;
 const MAX_UNPARSED: usize = 256 * 1024;
 /// Idle-connection sweep cadence (also the epoll wait bound).
 const SWEEP_EVERY: Duration = Duration::from_millis(500);
+/// Idle keep-alive connections are closed after this long.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
@@ -78,8 +80,6 @@ pub struct ServerConfig {
     pub port: u16,
     /// Process started by `POST /instances` when the body names none.
     pub default_process: String,
-    /// Idle keep-alive connections are closed after this long.
-    pub read_timeout: Duration,
     /// Reactor (event-loop) threads; `0` = one per core, capped by
     /// the shard count (more reactors than shards just contend).
     pub reactors: usize,
@@ -95,7 +95,6 @@ impl ServerConfig {
             addr: "127.0.0.1".to_owned(),
             port: 0,
             default_process: default_process.into(),
-            read_timeout: Duration::from_secs(30),
             reactors: 0,
             tenants_path: None,
         }
@@ -204,7 +203,6 @@ impl Server {
             shared.push(Arc::clone(&reactor_shared));
             let state = Arc::clone(&state);
             let listener = Arc::clone(&listener);
-            let read_timeout = cfg.read_timeout;
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("wfms-reactor-{i}"))
@@ -214,7 +212,6 @@ impl Server {
                             listener,
                             shared: reactor_shared,
                             state,
-                            read_timeout,
                             conns: HashMap::new(),
                             next_token: TOKEN_FIRST_CONN,
                         }
@@ -396,7 +393,6 @@ struct Reactor {
     listener: Arc<TcpListener>,
     shared: Arc<ReactorShared>,
     state: Arc<ServerState>,
-    read_timeout: Duration,
     conns: HashMap<u64, Conn>,
     next_token: u64,
 }
@@ -657,11 +653,10 @@ impl Reactor {
 
     fn sweep_idle(&mut self) {
         let now = Instant::now();
-        let timeout = self.read_timeout;
         let idle: Vec<u64> = self
             .conns
             .iter()
-            .filter(|(_, c)| now.duration_since(c.last_activity) > timeout)
+            .filter(|(_, c)| now.duration_since(c.last_activity) > IDLE_TIMEOUT)
             .map(|(t, _)| *t)
             .collect();
         for token in idle {

@@ -727,7 +727,7 @@ impl ShardPool {
     }
 
     /// The live tenant table (hot-swapped on reload).
-    pub fn tenant_table(&self) -> Arc<TenantTable> {
+    fn tenant_table(&self) -> Arc<TenantTable> {
         Arc::clone(&self.tenants.read())
     }
 

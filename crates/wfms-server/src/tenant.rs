@@ -213,14 +213,6 @@ impl TenantTable {
         found.cloned()
     }
 
-    /// The live tenant in `slot` (1-based), if any.
-    pub fn by_slot(&self, slot: u16) -> Option<&Arc<Tenant>> {
-        self.slots
-            .get(usize::from(slot).checked_sub(1)?)?
-            .tenant
-            .as_ref()
-    }
-
     /// The pinned name of `slot` (1-based), live or not.
     pub fn name_of_slot(&self, slot: u16) -> Option<&str> {
         self.slots
@@ -341,7 +333,6 @@ mod tests {
         assert!(table.authenticate(b"").is_none());
         assert_eq!(table.name_of_slot(2), Some("beta"));
         assert_eq!(table.slot_of_name("beta"), Some(2));
-        assert_eq!(table.by_slot(3).map(|t| t.name.as_str()), None);
     }
 
     #[test]
