@@ -647,6 +647,8 @@ pub struct Engine {
     pub(crate) probes: Mutex<HashMap<u64, ActProbes>>,
     /// What opening found in the journal file.
     reopened: TailReport,
+    /// What opening's recovery repaired.
+    repaired: recovery::FixupCounts,
 }
 
 impl Engine {
@@ -719,7 +721,7 @@ impl Engine {
                 .counter("recovery.stale_claims_released")
                 .add(stale_claims as u64);
         }
-        let engine = Self {
+        let mut engine = Self {
             state: Mutex::new(state),
             journal,
             step_limit: config.step_limit,
@@ -729,6 +731,7 @@ impl Engine {
             obs: EngineObs::new(observer),
             probes: Mutex::new(HashMap::new()),
             reopened: TailReport::default(),
+            repaired: recovery::FixupCounts::default(),
         };
         if engine.obs.enabled() {
             for inst in engine.state.lock().instances.iter_mut() {
@@ -737,7 +740,7 @@ impl Engine {
                 }
             }
         }
-        recovery::resume(&engine);
+        engine.repaired = recovery::resume(&engine);
         Ok(engine)
     }
 
@@ -746,6 +749,13 @@ impl Engine {
     /// engine without a journal file.
     pub fn reopened(&self) -> &TailReport {
         &self.reopened
+    }
+
+    /// What opening's recovery repaired in the instances it found
+    /// running, by kind: what it added to each `recovery.fixups.<kind>`
+    /// counter.
+    pub fn repaired(&self) -> [(&'static str, u64); 4] {
+        std::array::from_fn(|k| (recovery::FIXUP_KINDS[k], self.repaired.0[k]))
     }
 
     /// [`Engine::open`] with default configuration and no templates.

@@ -262,13 +262,16 @@ impl Replay {
 ///
 /// An instance a repair finishes is retired after it, as after any
 /// live navigation.
-pub(crate) fn resume(engine: &Engine) {
+///
+/// Returns what it repaired, summed over the instances.
+pub(crate) fn resume(engine: &Engine) -> FixupCounts {
     let mut st = engine.state.lock();
     let (instances, mut svc) = engine.nav(&mut st);
     // Recovery is cold: count every fix-up category unconditionally so
     // `Engine::metrics` answers "what did recovery repair" even on
     // engines without an enabled observer.
     let reg = engine.obs.observer.registry();
+    let mut total = FixupCounts::default();
     for inst in instances.iter_mut() {
         if inst.status != InstanceStatus::Running {
             continue;
@@ -276,31 +279,34 @@ pub(crate) fn resume(engine: &Engine) {
         let counts = fixup_instance(inst, &mut svc);
         inst.retire();
         counts.record(reg, "recovery.fixups");
+        for (sum, n) in total.0.iter_mut().zip(counts.0) {
+            *sum += n;
+        }
     }
+    total
 }
 
-/// How much navigation one fix-up pass repaired, by category.
+/// The kinds of repair a fix-up pass counts, in [`FixupCounts`]
+/// order, as its `<prefix>.<kind>` counters name them.
+pub(crate) const FIXUP_KINDS: [&str; 4] = [
+    "running_restarted",
+    "waiting_renavigated",
+    "connectors_reevaluated",
+    "exits_redecided",
+];
+
+/// How much navigation one fix-up pass repaired, by kind.
 #[derive(Default)]
-pub(crate) struct FixupCounts {
-    pub(crate) running_restarted: u64,
-    pub(crate) waiting_renavigated: u64,
-    pub(crate) connectors_reevaluated: u64,
-    pub(crate) exits_redecided: u64,
-}
+pub(crate) struct FixupCounts(pub(crate) [u64; 4]);
 
 impl FixupCounts {
     /// Adds the counts to `prefix`-namespaced registry counters
     /// (`recovery.fixups` for cold recovery, `migration.fixups` for
     /// live migration repair).
     pub(crate) fn record(&self, reg: &wfms_observe::Registry, prefix: &str) {
-        reg.counter(&format!("{prefix}.running_restarted"))
-            .add(self.running_restarted);
-        reg.counter(&format!("{prefix}.waiting_renavigated"))
-            .add(self.waiting_renavigated);
-        reg.counter(&format!("{prefix}.connectors_reevaluated"))
-            .add(self.connectors_reevaluated);
-        reg.counter(&format!("{prefix}.exits_redecided"))
-            .add(self.exits_redecided);
+        for (kind, n) in FIXUP_KINDS.iter().zip(self.0) {
+            reg.counter(&format!("{prefix}.{kind}")).add(n);
+        }
     }
 }
 
@@ -319,12 +325,12 @@ pub(crate) fn fixup_instance(inst: &mut Instance, svc: &mut NavServices<'_>) -> 
     let lay = &tpl.layout;
     let mut fx = Fixups::default();
     collect_fixups(inst, 0, &mut fx);
-    let counts = FixupCounts {
-        running_restarted: fx.running_programs.len() as u64,
-        waiting_renavigated: fx.waiting.len() as u64,
-        connectors_reevaluated: fx.terminated_missing.len() as u64,
-        exits_redecided: fx.finished.len() as u64,
-    };
+    let counts = FixupCounts([
+        fx.running_programs.len() as u64,
+        fx.waiting.len() as u64,
+        fx.terminated_missing.len() as u64,
+        fx.finished.len() as u64,
+    ]);
 
     // A crash inside a dead-path cascade leaves a *stack* of
     // terminated activities with unevaluated outgoing connectors:

@@ -19,16 +19,6 @@ pub enum DataType {
 }
 
 impl DataType {
-    /// True if `value` inhabits this type.
-    pub fn admits(self, value: &Value) -> bool {
-        matches!(
-            (self, value),
-            (DataType::Int, Value::Int(_))
-                | (DataType::Str, Value::Str(_))
-                | (DataType::Bool, Value::Bool(_))
-        )
-    }
-
     /// The neutral default value of this type (used to initialise
     /// container members that no data connector has written).
     pub fn default_value(self) -> Value {
@@ -66,18 +56,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn admits_matches_variants() {
-        assert!(DataType::Int.admits(&Value::Int(1)));
-        assert!(!DataType::Int.admits(&Value::Bool(true)));
-        assert!(DataType::Str.admits(&Value::from("x")));
-        assert!(DataType::Bool.admits(&Value::Bool(false)));
-        assert!(!DataType::Bool.admits(&Value::Bytes(vec![])));
-    }
-
-    #[test]
     fn defaults_are_typed() {
         for ty in [DataType::Int, DataType::Str, DataType::Bool] {
-            assert!(ty.admits(&ty.default_value()));
+            assert_eq!(DataType::of(&ty.default_value()), Some(ty));
         }
     }
 

@@ -39,6 +39,7 @@
 
 pub mod api;
 pub mod client;
+mod deploy;
 pub mod http;
 pub mod poll;
 mod routes;
@@ -51,9 +52,9 @@ pub use client::{
     latency_curve, run_load, verify_ids, wait_ready, CurvePoint, Http1Client, LoadOptions,
     LoadReport,
 };
+pub use deploy::{DeployReport, MigrationPolicy};
 pub use server::{Server, ServerConfig};
 pub use shard::{
-    DeployReport, MigrationPolicy, PoolConfig, PoolError, ShardOpened, ShardPool, Sink,
-    SubmitDispatch, SubmitOutcome, SubmitReply,
+    PoolConfig, PoolError, ShardOpened, ShardPool, Sink, SubmitDispatch, SubmitOutcome, SubmitReply,
 };
 pub use tenant::{parse_tenants, Tenant, TenantSpec, TenantTable, MAX_TENANTS, TENANT_BITS};

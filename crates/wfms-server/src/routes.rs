@@ -17,9 +17,10 @@ use wfms_model::{Container, ProcessDefinition};
 use wfms_observe::Value;
 
 use crate::api::*;
+use crate::deploy::{DeployReport, MigrationPolicy};
 use crate::http::Request;
 use crate::server::{Completion, Deferred, ServerState, Turn};
-use crate::shard::{DeployReport, MigrationPolicy, PoolError, Sink, SubmitDispatch, SubmitReply};
+use crate::shard::{PoolError, Sink, SubmitDispatch, SubmitReply};
 use crate::tenant::{bearer_token, Tenant};
 
 const JSON: &str = "application/json";

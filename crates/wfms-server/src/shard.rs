@@ -4,14 +4,26 @@
 //! own durable journal file (`shard-<i>.journal` under the data
 //! directory), one bounded admission queue (its `Inbox`) and a
 //! dedicated worker thread, the engine's only writer once
-//! [`ShardPool::open`] has returned. Submissions are spread round-robin; the
-//! worker takes a *batch* out of the inbox, navigates each submission
-//! to quiescence, then flushes the journal once more before
-//! acknowledging any of them — group commit. The journal's own policy
-//! may have written earlier parts of the batch already; the batch-end
-//! flush is the barrier no acknowledgement precedes. An
-//! acknowledgement therefore implies durability: after `kill -9`,
-//! every accepted submission is recovered from its shard journal.
+//! [`ShardPool::open`] has returned. Submissions are spread round-robin.
+//!
+//! ## A turn and its driver
+//!
+//! What a shard does with a batch is one step, `turn`: navigate each
+//! submission to quiescence, flush the journal once more, and pair each
+//! submission with the reply it may now be given — group commit. The
+//! journal's own policy may have written earlier parts of the batch
+//! already; the batch-end flush is the barrier no acknowledgement
+//! precedes, and when it fails every reply of the batch is that
+//! failure. An acknowledgement therefore implies durability: after
+//! `kill -9`, every accepted submission is recovered from its shard
+//! journal. A turn takes no lock of the shard's, reads no clock and
+//! starts no thread, so a test makes one directly.
+//!
+//! The worker thread is the turn's driver, `drive`, and the only code
+//! that waits on the inbox: it takes a batch, publishes the queue depth,
+//! applies the drill throttle, makes the turn, counts the replies and
+//! answers them — each reservation given back before its sink is
+//! called — then runs the control jobs that came due.
 //!
 //! ## One queue, one guard
 //!
@@ -41,31 +53,33 @@
 //! that everything admitted before it is answered first). Each job
 //! flushes what it journalled before it calls its sink, so "answered ⇒
 //! durable" holds for it as for a submission. A completion runs on its
-//! item's shard; a deploy runs on every shard in turn, shard 0's worker
-//! doing the file work first and each worker handing it to the next,
-//! so the order "template file → meta → each shard's flushed
-//! `TemplateDeployed`" is that of one chain, not of a lock; a reload
-//! runs on shard 0; a drain on every shard at once, the last to finish
-//! answering with the sum. [`ShardPool::complete_with`],
-//! [`ShardPool::deploy_with`], [`ShardPool::reload_tenants`] and
-//! [`ShardPool::drain_with`] queue such a job and return; the blocking
-//! spellings wait for the sink. A closed inbox — its worker was stopped
-//! or died — hands a job back and the caller runs it in place, the
-//! worker being gone: races between a deploy, a reload, a checkpoint
-//! and a submit are orderings of one queue. Deploy and migration still
-//! live in this file (ROADMAP).
+//! item's shard; a deploy (`deploy.rs`) runs on every shard in turn,
+//! shard 0's worker doing the file work first and each worker handing
+//! it to the next, so the order "template file → meta → each shard's
+//! flushed `TemplateDeployed`" is that of one chain, not of a lock; a
+//! tenant reload (`tenant.rs`) runs on shard 0; a drain on every shard
+//! at once, the last to finish answering with the sum.
+//! [`ShardPool::complete_with`], [`ShardPool::deploy_with`],
+//! [`ShardPool::reload_tenants`] and [`ShardPool::drain_with`] queue
+//! such a job and return; the blocking spellings wait for the sink. A
+//! closed inbox — its worker was stopped or died — hands a job back and
+//! the caller runs it in place, the worker being gone: races between a
+//! deploy, a reload, a checkpoint and a submit are orderings of one
+//! queue.
 //!
 //! ## External ids
 //!
 //! Each shard allocates local instance and work-item ids from 1. On
 //! the wire they are folded with the shard index:
 //! `ext = local * nshards + shard`. When tenancy is enabled the owning
-//! tenant's slot additionally occupies the top [`TENANT_BITS`] bits:
+//! tenant's slot additionally occupies the top
+//! [`TENANT_BITS`](crate::TENANT_BITS) bits:
 //! `ext = (slot << (64 - TENANT_BITS)) | (local * nshards + shard)`.
-//! The mapping is stable across restarts as long as the shard count
-//! and tenant-bit layout are unchanged — which is why the pool records
-//! both in `server.meta.json` and refuses to reopen a data directory
-//! with a different `--shards` or a flipped tenancy mode.
+//! The mapping (`tenant.rs`'s `WireIds`) is stable across restarts as
+//! long as the shard count and tenant-bit layout are unchanged — which
+//! is why the pool records both in `server.meta.json` and refuses to
+//! reopen a data directory with a different `--shards` or a flipped
+//! tenancy mode.
 //!
 //! ## Tenancy
 //!
@@ -89,26 +103,26 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex, RwLock};
 use txn_substrate::{DurabilityPolicy, MirrorError, MultiDatabase, ProgramRegistry, TailReport};
 use wfms_engine::{
-    spec_hash_of, Engine, EngineConfig, EngineError, InstanceId, InstanceStatus, InstanceView,
-    MigrationOutcome, OrgModel, WorkItem, WorkItemId, WorklistError,
+    Engine, EngineConfig, EngineError, InstanceId, InstanceStatus, InstanceView, OrgModel,
+    WorkItem, WorkItemId, WorklistError,
 };
 use wfms_model::{Container, ProcessDefinition};
 use wfms_observe::{Counter, Observer, Registry, Snapshot};
 
-use crate::store::{check_meta, persist_template, write_meta, ServerMeta};
-use crate::tenant::{parse_tenants, Tenant, TenantSpec, TenantTable, TENANT_BITS};
+use crate::store::{self, DataDir};
+use crate::tenant::{self, Tenant, TenantSpec, TenantTable, WireIds};
 
 /// How long a blocking call waits for its shard worker to answer
 /// before giving up: the worker panicked, or — a drain — its lanes never
 /// ran dry.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
-const UNANSWERED: &str = "shard worker did not answer";
+pub(crate) const UNANSWERED: &str = "shard worker did not answer";
 
 /// The blocking spelling of a sink-form call: hands `call` a sink and
 /// waits for what the sink is given. `None` when nothing came — the
 /// sink was dropped uncalled (the call was refused, or its worker died
 /// holding it) or the worker stayed silent for [`REPLY_TIMEOUT`].
-fn answer_of<T: Send + 'static>(call: impl FnOnce(Sink<T>)) -> Option<T> {
+pub(crate) fn answer_of<T: Send + 'static>(call: impl FnOnce(Sink<T>)) -> Option<T> {
     let (tx, rx) = sync_channel(1);
     call(Box::new(move |answer| {
         let _ = tx.send(answer);
@@ -205,47 +219,6 @@ impl From<std::io::Error> for PoolError {
     fn from(e: std::io::Error) -> Self {
         PoolError::Io(e)
     }
-}
-
-/// What happens to running instances of a process when a new version
-/// of it is deployed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MigrationPolicy {
-    /// Old instances keep their pinned version and finish under it;
-    /// only new submissions see the deployed version.
-    DrainOld,
-    /// Running instances parked at a scope boundary are migrated to
-    /// the deployed version (journalled as `Migrated`); instances with
-    /// an activity mid-flight fall back to draining under their old
-    /// version.
-    MigrateAtScopeBoundary,
-}
-
-impl MigrationPolicy {
-    /// Parses the wire/CLI spelling of a policy.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "drain-old" => Some(Self::DrainOld),
-            "migrate" | "migrate-at-scope-boundary" => Some(Self::MigrateAtScopeBoundary),
-            _ => None,
-        }
-    }
-}
-
-/// Outcome of [`ShardPool::deploy`].
-#[derive(Debug)]
-pub struct DeployReport {
-    /// Process template name.
-    pub process: String,
-    /// Version (hex hash) now the default for new submissions.
-    pub version: String,
-    /// Running instances migrated to the new version.
-    pub migrated: u64,
-    /// Running instances left on their old version (mid-flight, or
-    /// policy was [`MigrationPolicy::DrainOld`]).
-    pub skipped: u64,
-    /// Running instances that were already on the deployed version.
-    pub already_current: u64,
 }
 
 /// Result of a submission attempt.
@@ -479,10 +452,16 @@ impl Inbox {
     }
 }
 
-struct Shard {
-    engine: Arc<Engine>,
-    inbox: Arc<(Mutex<Inbox>, Condvar)>,
+/// One shard: its engine, the inbox its worker takes from, and that
+/// worker.
+pub(crate) struct Shard {
+    engine: Engine,
+    inbox: Mutex<Inbox>,
+    /// Where the worker sleeps on an inbox with nothing to do.
+    wake: Condvar,
     worker: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// `server.queue.depth.shard<i>`: submissions in the inbox.
+    depth: Arc<wfms_observe::Gauge>,
 }
 
 impl Shard {
@@ -490,11 +469,11 @@ impl Shard {
     /// sleeps only on an inbox with nothing to do, so any change may be
     /// work. A busy worker costs the caller no system call.
     fn with_inbox<R>(&self, f: impl FnOnce(&mut Inbox) -> R) -> R {
-        let mut inbox = self.inbox.0.lock();
+        let mut inbox = self.inbox.lock();
         let out = f(&mut inbox);
         if std::mem::take(&mut inbox.parked) {
             drop(inbox);
-            self.inbox.1.notify_one();
+            self.wake.notify_one();
         }
         out
     }
@@ -504,7 +483,7 @@ impl Shard {
     /// closed inbox the caller runs it here instead, once the worker —
     /// which may still be finishing what was queued at `stop` — has
     /// left: no worker is left to race.
-    fn control(&self, when_dry: bool, job: Control) {
+    pub(crate) fn control(&self, when_dry: bool, job: Control) {
         if let Err(job) = self.with_inbox(|inbox| inbox.enqueue(when_dry, job)) {
             self.join_worker();
             job(&self.engine);
@@ -516,16 +495,6 @@ impl Shard {
             let _ = handle.join();
         }
     }
-}
-
-/// The data directory and the in-memory mirror of its
-/// `server.meta.json`. Both are written by shard 0's worker only —
-/// deploys and tenant reloads do their file work there — so the lock is
-/// never contended; it is there because jobs come and go and the mirror
-/// stays.
-struct DataDir {
-    path: PathBuf,
-    meta: Mutex<ServerMeta>,
 }
 
 /// Pool configuration.
@@ -546,13 +515,14 @@ pub struct PoolConfig {
     /// Process definitions registered into every shard (also the
     /// template set recovery replays against).
     pub templates: Vec<ProcessDefinition>,
-    /// Artificial per-submission delay in the worker, for drills that
-    /// need a deterministically slow consumer. `None` in production.
+    /// Artificial per-submission delay in the worker, slept once before
+    /// each batch's turn (a batch of k waits k times it), for drills
+    /// that need a deterministically slow consumer. `None` in production.
     pub throttle: Option<Duration>,
     /// Tenant table. Empty = tenancy disabled: wire ids carry no
     /// tenant bits and submissions are unattributed. Non-empty =
-    /// [`TENANT_BITS`] are reserved in every wire id and the layout is
-    /// pinned in `server.meta.json`.
+    /// [`TENANT_BITS`](crate::TENANT_BITS) are reserved in every wire
+    /// id and the layout is pinned in `server.meta.json`.
     pub tenants: Vec<TenantSpec>,
 }
 
@@ -575,20 +545,18 @@ impl PoolConfig {
 
 /// The sharded instance manager (see module docs).
 pub struct ShardPool {
-    shards: Arc<[Shard]>,
-    nshards: u64,
+    pub(crate) shards: Arc<[Shard]>,
+    /// The wire-id layout pinned in `server.meta.json`.
+    ids: WireIds,
     rr: AtomicUsize,
     queue_capacity: usize,
-    dir: Arc<DataDir>,
+    pub(crate) dir: Arc<DataDir>,
     registry: Arc<Registry>,
     overloaded: Arc<Counter>,
     failed: Arc<Counter>,
     completions: Arc<Counter>,
     /// What opening each shard found and did, in shard order.
     opened: Vec<ShardOpened>,
-    /// Wire-id bits reserved for the tenant slot ([`TENANT_BITS`] with
-    /// tenancy enabled, 0 without); mirrors the pinned meta value.
-    tenant_bits: u32,
     /// Live tenant table, swapped atomically on hot reload. Empty when
     /// tenancy is disabled.
     tenants: Arc<RwLock<Arc<TenantTable>>>,
@@ -607,34 +575,23 @@ impl ShardPool {
         provision: &dyn Fn(usize) -> (Arc<MultiDatabase>, Arc<ProgramRegistry>),
     ) -> Result<Self, PoolError> {
         let nshards = cfg.shards.max(1);
-        let tenant_bits = if cfg.tenants.is_empty() {
-            0
-        } else {
-            TENANT_BITS as usize
-        };
-        std::fs::create_dir_all(&cfg.data_dir)?;
-        let (meta, templates) = check_meta(
-            &cfg.data_dir,
-            nshards,
-            tenant_bits,
-            &cfg.tenants,
-            &cfg.templates,
-        )?;
-        let table = TenantTable::build(&meta.tenants, &cfg.tenants, None, &registry);
+        let ids = WireIds::new(nshards, !cfg.tenants.is_empty());
+        let (dir, templates) = store::open(cfg.data_dir, ids, &cfg.templates)?;
+        let table =
+            TenantTable::build(&dir.pin_slots(&cfg.tenants)?, &cfg.tenants, None, &registry);
 
         let mut shards = Vec::with_capacity(nshards);
         let mut opened = Vec::with_capacity(nshards);
         let resume_failures = registry.counter("server.resume.failures");
         for i in 0..nshards {
-            let journal_path = cfg.data_dir.join(format!("shard-{i}.journal"));
             let (multidb, programs) = provision(i);
-            let (started, fixups_before) = (Instant::now(), fixups(&registry));
+            let started = Instant::now();
             let engine = Engine::open(
                 multidb,
                 programs,
                 EngineConfig {
                     org: cfg.org.clone(),
-                    journal_path: Some(journal_path),
+                    journal_path: Some(dir.journal(i)),
                     durability: cfg.durability,
                     // Hot hooks off. What an engine counts regardless —
                     // journal faults, recovery and migration fix-ups —
@@ -647,55 +604,48 @@ impl ShardPool {
             )
             .map_err(PoolError::Recovery)?;
             let resumed = resume_running(&engine, &resume_failures);
-            let fixups_after = fixups(&registry);
             opened.push(ShardOpened {
                 shard: i,
                 took: started.elapsed(),
                 journal: engine.reopened().clone(),
                 instances: engine.instance_counts(),
                 resumed,
-                fixups: std::array::from_fn(|k| (FIXUPS[k], fixups_after[k] - fixups_before[k])),
+                fixups: engine.repaired(),
             });
-            let engine = Arc::new(engine);
-            let inbox = Arc::new((Mutex::new(Inbox::default()), Condvar::new()));
-            let worker = Worker {
-                engine: Arc::clone(&engine),
-                inbox: Arc::clone(&inbox),
-                queue_gauge: registry.gauge(&format!("server.queue.depth.shard{i}")),
-                shard: i,
-                nshards: nshards as u64,
-                tenant_bits: tenant_bits as u32,
-                batch_max: cfg.batch_max.max(1),
-                throttle: cfg.throttle,
-                accepted: registry.counter("server.submit.accepted"),
-                failed: registry.counter("server.submit.failed"),
-            };
-            let worker = std::thread::Builder::new()
-                .name(format!("wfms-shard-{i}"))
-                .spawn(move || worker.run())
-                .expect("spawn shard worker");
             shards.push(Shard {
                 engine,
-                inbox,
-                worker: Mutex::new(Some(worker)),
+                inbox: Mutex::default(),
+                wake: Condvar::new(),
+                worker: Mutex::new(None),
+                depth: registry.gauge(&format!("server.queue.depth.shard{i}")),
             });
         }
 
+        let shards: Arc<[Shard]> = shards.into();
+        let accepted = registry.counter("server.submit.accepted");
+        let failed = registry.counter("server.submit.failed");
+        let (batch_max, throttle) = (cfg.batch_max.max(1), cfg.throttle);
+        for (at, shard) in shards.iter().enumerate() {
+            let all = Arc::clone(&shards);
+            let (accepted, failed) = (Arc::clone(&accepted), Arc::clone(&failed));
+            let worker = std::thread::Builder::new()
+                .name(format!("wfms-shard-{at}"))
+                .spawn(move || drive(&all[at], at, ids, batch_max, throttle, &accepted, &failed))
+                .expect("spawn shard worker");
+            *shard.worker.lock() = Some(worker);
+        }
+
         Ok(Self {
-            shards: shards.into(),
-            nshards: nshards as u64,
+            shards,
+            ids,
             rr: AtomicUsize::new(0),
             queue_capacity: cfg.queue_capacity.max(1),
-            dir: Arc::new(DataDir {
-                path: cfg.data_dir,
-                meta: Mutex::new(meta),
-            }),
+            dir: Arc::new(dir),
             registry: Arc::clone(&registry),
             overloaded: registry.counter("server.submit.overloaded"),
-            failed: registry.counter("server.submit.failed"),
+            failed,
             completions: registry.counter("server.worklist.completions"),
             opened,
-            tenant_bits: tenant_bits as u32,
             tenants: Arc::new(RwLock::new(Arc::new(table))),
         })
     }
@@ -723,18 +673,14 @@ impl ShardPool {
     /// True when this pool was opened with a tenant table (wire ids
     /// carry tenant bits, submissions require attribution).
     pub fn tenancy_enabled(&self) -> bool {
-        self.tenant_bits > 0
-    }
-
-    /// The live tenant table (hot-swapped on reload).
-    fn tenant_table(&self) -> Arc<TenantTable> {
-        Arc::clone(&self.tenants.read())
+        self.ids.tenant_bits > 0
     }
 
     /// The live tenant table, if tenancy is enabled: what decides
     /// whether the slot in a wire id owns an instance.
     fn tenancy(&self) -> Option<Arc<TenantTable>> {
-        self.tenancy_enabled().then(|| self.tenant_table())
+        self.tenancy_enabled()
+            .then(|| Arc::clone(&self.tenants.read()))
     }
 
     /// Resolves an API key to its tenant — constant-time over the
@@ -754,32 +700,15 @@ impl ShardPool {
     /// quota accounting survives the swap. A file that cannot be read
     /// or fails validation leaves the live table as it was.
     pub fn reload_tenants(&self, path: PathBuf, sink: Sink<Result<usize, PoolError>>) {
-        if self.tenant_bits == 0 {
+        if !self.tenancy_enabled() {
             return sink(Err(PoolError::Rejected(
                 "tenancy is not enabled on this server (start with --tenants)".to_owned(),
             )));
         }
         let (dir, tenants) = (Arc::clone(&self.dir), Arc::clone(&self.tenants));
         let registry = Arc::clone(&self.registry);
-        let reload = move || {
-            let text = std::fs::read_to_string(&path)
-                .map_err(|e| PoolError::TenantsFile(path.clone(), e))?;
-            let specs = parse_tenants(&text)
-                .map_err(|e| PoolError::Rejected(format!("tenants file rejected: {e}")))?;
-            let mut meta = dir.meta.lock();
-            if meta.pin_slots(&specs)? {
-                write_meta(&dir.path, &meta)?;
-            }
-            let mut table = tenants.write();
-            *table = Arc::new(TenantTable::build(
-                &meta.tenants,
-                &specs,
-                Some(&table),
-                &registry,
-            ));
-            Ok(table.live().count())
-        };
-        self.shards[0].control(false, Box::new(move |_| sink(reload())));
+        let reload = move |_: &Engine| sink(tenant::reload(&path, &dir, &tenants, &registry));
+        self.shards[0].control(false, Box::new(reload));
     }
 
     /// Submits one instance start *without blocking*: `sink` is
@@ -873,7 +802,7 @@ impl ShardPool {
     /// instance resolves to nothing — a forged slot cannot reach
     /// another tenant's instance.
     pub fn status(&self, ext: u64) -> Option<(String, InstanceStatus, String, Container)> {
-        let (shard, local, slot) = self.decode(ext)?;
+        let (shard, local, slot) = self.ids.decode(ext)?;
         let view = self.shards[shard].engine.view(InstanceId(local)).ok()?;
         slot_owns(&view, slot, self.tenancy().as_deref()).then_some((
             view.process,
@@ -886,55 +815,7 @@ impl ShardPool {
     /// The tenant slot folded into an external id (0 = untenanted, or
     /// tenancy disabled). `None` when the id is malformed.
     pub fn slot_of(&self, ext: u64) -> Option<u16> {
-        self.decode(ext).map(|(_, _, slot)| slot)
-    }
-
-    /// Registers a new version of a process into every shard and makes
-    /// it the default for new submissions; existing instances are
-    /// handled per `policy`. Durable in stages, one shard worker after
-    /// another: shard 0's writes the definition file, then the meta
-    /// hash list; then each shard's in turn journals its
-    /// `TemplateDeployed` (and any `Migrated`) events and flushes — a
-    /// crash between any two stages recovers to a consistent state.
-    /// The last shard's worker answers.
-    pub fn deploy_with(
-        &self,
-        def: ProcessDefinition,
-        policy: MigrationPolicy,
-        sink: Sink<Result<DeployReport, PoolError>>,
-    ) {
-        // Validate before anything is persisted: a rejected definition
-        // must leave no trace in the templates directory or the meta.
-        let errors = wfms_model::validate(&def);
-        if !errors.is_empty() {
-            let rendered: Vec<String> = errors.iter().map(|e| e.to_string()).collect();
-            return sink(Err(PoolError::Rejected(rendered.join("; "))));
-        }
-        let report = DeployReport {
-            process: def.name.clone(),
-            version: format!("{:016x}", spec_hash_of(&def)),
-            migrated: 0,
-            skipped: 0,
-            already_current: 0,
-        };
-        let deploy = Deploy {
-            def,
-            policy,
-            report,
-            sink,
-        };
-        deploy.queue(0, Arc::clone(&self.shards), Arc::clone(&self.dir));
-    }
-
-    /// [`ShardPool::deploy_with`], blocking until the last shard has
-    /// answered.
-    pub fn deploy(
-        &self,
-        def: ProcessDefinition,
-        policy: MigrationPolicy,
-    ) -> Result<DeployReport, PoolError> {
-        answer_of(|sink| self.deploy_with(def, policy, sink))
-            .unwrap_or_else(|| Err(PoolError::Io(std::io::Error::other(UNANSWERED))))
+        self.ids.decode(ext).map(|(_, _, slot)| slot)
     }
 
     /// Open work items of `person` across every shard, with external
@@ -947,7 +828,7 @@ impl ShardPool {
         let mut out = Vec::new();
         for (idx, shard) in self.shards.iter().enumerate() {
             for item in shard.engine.worklist(person) {
-                let slot = if self.tenant_bits == 0 {
+                let slot = if !self.tenancy_enabled() {
                     0
                 } else {
                     (shard.engine.view(item.instance).ok())
@@ -958,8 +839,8 @@ impl ShardPool {
                     continue;
                 }
                 out.push((
-                    self.encode(item.id.0, idx, slot),
-                    self.encode(item.instance.0, idx, slot),
+                    self.ids.encode(item.id.0, idx, slot),
+                    self.ids.encode(item.instance.0, idx, slot),
                     item,
                 ));
             }
@@ -982,7 +863,7 @@ impl ShardPool {
     ) {
         let no_such_item =
             move || EngineError::Worklist(WorklistError::NoSuchItem(WorkItemId(ext_item)));
-        let Some((shard, local, slot)) = self.decode(ext_item) else {
+        let Some((shard, local, slot)) = self.ids.decode(ext_item) else {
             return sink(Err(no_such_item()));
         };
         let (tenancy, completions) = (self.tenancy(), Arc::clone(&self.completions));
@@ -1091,50 +972,9 @@ impl ShardPool {
     pub fn queue_depth(&self) -> i64 {
         self.shards
             .iter()
-            .map(|s| s.inbox.0.lock().queued as i64)
+            .map(|s| s.inbox.lock().queued as i64)
             .sum()
     }
-
-    fn encode(&self, local: u64, shard: usize, slot: u16) -> u64 {
-        encode_ext(local, shard, self.nshards, slot, self.tenant_bits)
-    }
-
-    fn decode(&self, ext: u64) -> Option<(usize, u64, u16)> {
-        decode_ext(ext, self.nshards, self.tenant_bits)
-    }
-}
-
-/// Folds a shard-local id into the wire id: `ext = local * nshards +
-/// shard`, with the tenant slot in the top `tenant_bits` bits when
-/// tenancy is enabled (`tenant_bits == 0` keeps the pre-tenancy
-/// layout, bit for bit). Template version identity is deliberately
-/// *not* encoded in wire ids — an instance keeps its external id
-/// across a live migration, and ids stay stable as long as the shard
-/// count and tenant-bit layout do.
-fn encode_ext(local: u64, shard: usize, nshards: u64, slot: u16, tenant_bits: u32) -> u64 {
-    let base = local * nshards + shard as u64;
-    if tenant_bits == 0 {
-        base
-    } else {
-        (u64::from(slot) << (64 - tenant_bits)) | (base & (u64::MAX >> tenant_bits))
-    }
-}
-
-/// Inverse of [`encode_ext`]: `(shard, local, slot)`. Locals are
-/// allocated from 1, so a base that would fold to local 0 is rejected
-/// rather than resolved to a nonexistent instance.
-fn decode_ext(ext: u64, nshards: u64, tenant_bits: u32) -> Option<(usize, u64, u16)> {
-    let (slot, base) = if tenant_bits == 0 {
-        (0u16, ext)
-    } else {
-        (
-            (ext >> (64 - tenant_bits)) as u16,
-            ext & (u64::MAX >> tenant_bits),
-        )
-    };
-    let shard = (base % nshards) as usize;
-    let local = base / nshards;
-    (local > 0).then_some((shard, local, slot))
 }
 
 /// True when the tenant slot claimed by a wire id matches the tenant
@@ -1155,87 +995,6 @@ impl Drop for ShardPool {
     fn drop(&mut self) {
         self.stop();
     }
-}
-
-/// A deploy on its way through the shards, in shard order.
-struct Deploy {
-    def: ProcessDefinition,
-    policy: MigrationPolicy,
-    report: DeployReport,
-    sink: Sink<Result<DeployReport, PoolError>>,
-}
-
-impl Deploy {
-    /// Queues shard `at`'s share with its worker; done, that worker
-    /// queues the next shard's, and the last one answers.
-    fn queue(mut self, at: usize, shards: Arc<[Shard]>, dir: Arc<DataDir>) {
-        let rest = Arc::clone(&shards);
-        let share = move |engine: &Engine| match self.on_shard(at, &dir, engine) {
-            Err(e) => (self.sink)(Err(e)),
-            Ok(()) if at + 1 < rest.len() => self.queue(at + 1, rest, dir),
-            Ok(()) => (self.sink)(Ok(self.report)),
-        };
-        shards[at].control(false, Box::new(share));
-    }
-
-    /// One shard's share. Shard 0 does the file work first, so no
-    /// journal names a version the data directory cannot load.
-    fn on_shard(&mut self, at: usize, dir: &DataDir, engine: &Engine) -> Result<(), PoolError> {
-        let version = &self.report.version;
-        if at == 0 {
-            let mut meta = dir.meta.lock();
-            if !meta.templates.contains(version) {
-                persist_template(&dir.path, version, &self.def)?;
-                meta.templates.push(version.clone());
-                write_meta(&dir.path, &meta)?;
-            }
-        }
-        let flush_err =
-            |e: EngineError| PoolError::Io(std::io::Error::other(format!("journal flush: {e}")));
-        engine
-            .register(self.def.clone())
-            .map_err(|e| PoolError::Rejected(e.to_string()))?;
-        engine.flush_journal().map_err(flush_err)?;
-        if self.policy == MigrationPolicy::MigrateAtScopeBoundary {
-            for (id, p, status) in engine.instances() {
-                if p != self.report.process || status != InstanceStatus::Running {
-                    continue;
-                }
-                match engine.migrate_to_default(id) {
-                    Ok(MigrationOutcome::Migrated { .. }) => {
-                        self.report.migrated += 1;
-                        // Migration fixups may have re-readied
-                        // automatic work; navigate it onward.
-                        let _ = engine.run_to_quiescence(id);
-                    }
-                    Ok(MigrationOutcome::AlreadyCurrent) => self.report.already_current += 1,
-                    Ok(MigrationOutcome::Skipped { .. }) | Err(_) => self.report.skipped += 1,
-                }
-            }
-            engine.flush_journal().map_err(flush_err)?;
-        }
-        Ok(())
-    }
-}
-
-/// The kinds of repair recovery counts, as `recovery.fixups.<kind>`.
-const FIXUPS: [&str; 4] = [
-    "running_restarted",
-    "waiting_renavigated",
-    "connectors_reevaluated",
-    "exits_redecided",
-];
-
-/// The `recovery.fixups.*` counts in `registry` so far: shards open one
-/// after the other, so what one shard's opening moved is the difference
-/// around it. Read from a snapshot, which makes no series of its own.
-fn fixups(registry: &Registry) -> [u64; 4] {
-    let snapshot = registry.snapshot();
-    FIXUPS.map(|kind| {
-        snapshot
-            .counter(&format!("recovery.fixups.{kind}"))
-            .unwrap_or(0)
-    })
 }
 
 /// What opening one shard found and did, from what its engine and
@@ -1283,36 +1042,80 @@ impl std::fmt::Display for ShardOpened {
 
 /// Resumes every instance a recovered shard reports as running —
 /// recovery re-readies what was in flight; this navigates it onward.
-/// Returns how many instances were resumed. One that cannot be
-/// navigated stays parked where recovery left it (its status says why)
-/// and is counted in `failures`; the shard still opens.
+/// Returns how many instances were resumed; the shard opens whatever
+/// [`navigate_onward`] met.
 fn resume_running(engine: &Engine, failures: &Counter) -> u64 {
     let mut resumed = 0;
     for (id, _, status) in engine.instances() {
         if status == InstanceStatus::Running {
             resumed += 1;
-            if engine.run_to_quiescence(id).is_err() {
-                failures.inc();
-            }
+            navigate_onward(engine, id, failures);
         }
     }
     resumed
 }
 
-/// A shard's worker thread, the one writer of its engine: take a batch
-/// from the inbox, navigate it, flush once more, answer; then run the
-/// control jobs that are due.
-struct Worker {
-    engine: Arc<Engine>,
-    inbox: Arc<(Mutex<Inbox>, Condvar)>,
-    queue_gauge: Arc<wfms_observe::Gauge>,
-    shard: usize,
-    nshards: u64,
-    tenant_bits: u32,
-    batch_max: usize,
-    throttle: Option<Duration>,
-    accepted: Arc<Counter>,
-    failed: Arc<Counter>,
+/// Navigates instance `id` onward — at reopen, and after a migration.
+/// One that cannot be navigated stays parked where it is (its status
+/// says why) and is counted in `failures`.
+pub(crate) fn navigate_onward(engine: &Engine, id: InstanceId, failures: &Counter) {
+    if engine.run_to_quiescence(id).is_err() {
+        failures.inc();
+    }
+}
+
+/// A submission's reservation and sink, paired with the reply the sink
+/// is to be given.
+type Answer = (Reservation, Sink<SubmitReply>, SubmitReply);
+
+/// One step of shard `at`: navigates each submission of `batch` to
+/// quiescence, makes the batch's one group commit, and pairs each
+/// submission with its reply — the flush's failure, for every one of
+/// them, if the flush failed: an acknowledgement certifies durability.
+fn turn(engine: &Engine, at: usize, ids: WireIds, batch: Vec<QueuedSubmit>) -> Vec<Answer> {
+    let mut answers = Vec::with_capacity(batch.len());
+    for job in batch {
+        let tenant = job.reservation.0.as_deref();
+        let slot = tenant.map_or(0, |t| t.slot);
+        let reply: SubmitReply = engine
+            .start_for_tenant(&job.process, job.input, tenant.map(|t| t.name.clone()))
+            .and_then(|id| engine.run_to_quiescence(id).map(|_| id))
+            .and_then(|id| {
+                let ext = ids.encode(id.0, at, slot);
+                engine.view(id).map(|view| (ext, view.status, view.output))
+            })
+            .map_err(|e| {
+                let unknown = matches!(e, EngineError::UnknownProcess(_));
+                (e.to_string(), unknown)
+            });
+        answers.push((job.reservation, job.sink, reply));
+    }
+    if let Err(e) = engine.flush_journal() {
+        for (_, _, reply) in &mut answers {
+            *reply = Err((format!("journal flush failed: {e}"), false));
+        }
+    }
+    answers
+}
+
+/// Counts a turn's replies in `server.submit.{accepted, failed}` and
+/// the tenants' own counters, and answers them. Each slot is free
+/// before its caller hears of it, so a resubmission from the sink is
+/// never refused by its own predecessor.
+fn answer(answers: Vec<Answer>, accepted: &Counter, failed: &Counter) {
+    for (reservation, sink, reply) in answers {
+        match &reply {
+            Ok(_) => {
+                accepted.inc();
+                if let Some(t) = &reservation.0 {
+                    t.accepted.inc();
+                }
+            }
+            Err(_) => failed.inc(),
+        }
+        drop(reservation);
+        sink(reply);
+    }
 }
 
 /// Closes an inbox when its worker leaves, by `stop` or by unwinding:
@@ -1337,92 +1140,59 @@ impl Drop for CloseOnExit<'_> {
     }
 }
 
-impl Worker {
-    fn run(self) {
-        let (inbox, wake) = &*self.inbox;
-        let _close = CloseOnExit(inbox);
-        let engine = &self.engine;
-        'serve: loop {
-            let (batch, control) = {
-                let mut inbox = inbox.lock();
-                while inbox.queued == 0 && inbox.control.is_empty() {
-                    if inbox.stop {
-                        break 'serve;
-                    }
-                    inbox.parked = true;
-                    wake.wait(&mut inbox);
+/// Shard `at`'s worker thread, the one writer of its engine: waits for
+/// work, takes a batch of up to `batch_max`, makes its [`turn`] and
+/// answers it; then runs the control jobs that came due. `throttle`
+/// delays each batch by its length times the pause, before the turn.
+fn drive(
+    shard: &Shard,
+    at: usize,
+    ids: WireIds,
+    batch_max: usize,
+    throttle: Option<Duration>,
+    accepted: &Counter,
+    failed: &Counter,
+) {
+    let _close = CloseOnExit(&shard.inbox);
+    'serve: loop {
+        let (batch, control) = {
+            let mut inbox = shard.inbox.lock();
+            while inbox.queued == 0 && inbox.control.is_empty() {
+                if inbox.stop {
+                    break 'serve;
                 }
-                let taken = inbox.take_batch(self.batch_max);
-                self.queue_gauge.set(inbox.queued as i64);
-                taken
-            };
-
-            let mut replies = Vec::with_capacity(batch.len());
-            for job in batch {
-                if let Some(pause) = self.throttle {
-                    std::thread::sleep(pause);
-                }
-                let tenant = job.reservation.0.as_deref();
-                let slot = tenant.map_or(0, |t| t.slot);
-                let result: SubmitReply = engine
-                    .start_for_tenant(&job.process, job.input, tenant.map(|t| t.name.clone()))
-                    .and_then(|id| engine.run_to_quiescence(id).map(|_| id))
-                    .and_then(|id| {
-                        let ext =
-                            encode_ext(id.0, self.shard, self.nshards, slot, self.tenant_bits);
-                        engine.view(id).map(|view| (ext, view.status, view.output))
-                    })
-                    .map_err(|e| {
-                        let unknown = matches!(e, EngineError::UnknownProcess(_));
-                        (e.to_string(), unknown)
-                    });
-                replies.push((job.reservation, job.sink, result));
+                inbox.parked = true;
+                shard.wake.wait(&mut inbox);
             }
-
-            // One group commit for the whole batch, *then* the
-            // acknowledgements: an ACK certifies durability.
-            let flushed = engine.flush_journal();
-            for (reservation, sink, result) in replies {
-                let reply = match &flushed {
-                    Ok(()) => result,
-                    Err(e) => Err((format!("journal flush failed: {e}"), false)),
-                };
-                match &reply {
-                    Ok(_) => {
-                        self.accepted.inc();
-                        if let Some(t) = &reservation.0 {
-                            t.accepted.inc();
-                        }
-                    }
-                    Err(_) => self.failed.inc(),
-                }
-                // The slot is free before the caller hears of it, so a
-                // resubmission from the sink is never refused by its own
-                // predecessor.
-                drop(reservation);
-                sink(reply);
-            }
-            for (_, job) in control {
-                job(engine);
-            }
+            let taken = inbox.take_batch(batch_max);
+            shard.depth.set(inbox.queued as i64);
+            taken
+        };
+        if let Some(pause) = throttle {
+            std::thread::sleep(pause * batch.len() as u32);
         }
-        // Final barrier so nothing accepted is left unflushed.
-        let _ = engine.flush_journal();
+        answer(turn(&shard.engine, at, ids, batch), accepted, failed);
+        for (_, job) in control {
+            job(&shard.engine);
+        }
     }
+    // Final barrier so nothing accepted is left unflushed.
+    let _ = shard.engine.flush_journal();
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::{
-        decode_ext, encode_ext, resume_running, Control, Inbox, QueuedSubmit, Reservation,
-        SubmitDispatch, TENANT_BITS,
+        answer, resume_running, turn, Control, Inbox, QueuedSubmit, Reservation, SubmitDispatch,
     };
-    use crate::tenant::{parse_tenants, Tenant, TenantTable};
+    use crate::tenant::{parse_tenants, Tenant, TenantTable, WireIds};
     use parking_lot::Mutex;
+    use std::path::PathBuf;
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
-    use wfms_engine::Engine;
-    use wfms_model::Container;
+    use txn_substrate::{DurabilityPolicy, MultiDatabase, ProgramOutcome, ProgramRegistry};
+    use wfms_engine::{recover_from, Engine, Journal, OrgModel};
+    use wfms_model::{Container, ProcessBuilder, ProcessDefinition};
     use wfms_observe::Registry;
 
     // ---- the inbox alone: no worker, no thread, no socket
@@ -1645,37 +1415,104 @@ mod tests {
         assert_eq!(inbox.queued, 0);
     }
 
+    // ---- a shard over a full disk: a turn and what answers it
+
+    /// An engine whose journal file is `/dev/full` under `policy`: an
+    /// append is buffered until the policy writes, and every write
+    /// fails. Programs named `ok` commit; `ann` is a `clerk`. The path
+    /// is the journal's (empty) file name: remove it when done.
+    pub(crate) fn on_a_full_disk(
+        policy: DurabilityPolicy,
+        templates: Vec<ProcessDefinition>,
+        tag: &str,
+    ) -> (Engine, PathBuf) {
+        let path = std::env::temp_dir().join(format!("wfms-full-{tag}-{}", std::process::id()));
+        std::fs::write(&path, "").unwrap();
+        let full = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .unwrap();
+        let journal = Journal::with_injected_file(full, path.clone(), policy);
+        let fed = MultiDatabase::new(0);
+        fed.add_database("db");
+        let programs = Arc::new(ProgramRegistry::new());
+        programs.register_fn("ok", |_| ProgramOutcome::committed());
+        let org = OrgModel::new().person("ann", &["clerk"]);
+        let engine = recover_from(journal, Vec::new(), templates, org, fed, programs).unwrap();
+        (engine, path)
+    }
+
+    /// `one`: a single automatic step.
+    fn one() -> ProcessDefinition {
+        ProcessBuilder::new("one")
+            .program("A", "ok")
+            .build()
+            .unwrap()
+    }
+
+    /// A batch whose group commit fails is failed whole: every reply is
+    /// the flush's error, nothing is counted accepted, and each tenant
+    /// slot is back before its sink hears of it. The journal buffers 64
+    /// appends, so the batch navigates and only its flush meets the
+    /// full disk.
+    #[test]
+    fn a_failed_group_commit_fails_every_reply_of_its_batch() {
+        let (engine, path) =
+            on_a_full_disk(DurabilityPolicy::Batched { n: 64 }, vec![one()], "turn");
+        let table = table(1, 1, None);
+        let acme = table.by_name("acme").unwrap();
+        let heard = Arc::new(Mutex::new(Vec::new()));
+        let batch = (0..3)
+            .map(|_| {
+                let (tenant, heard) = (Arc::clone(acme), Arc::clone(&heard));
+                QueuedSubmit {
+                    process: "one".to_owned(),
+                    input: Container::empty(),
+                    reservation: Reservation::take(Some(Arc::clone(acme))).unwrap(),
+                    sink: Box::new(move |reply| {
+                        heard
+                            .lock()
+                            .push((tenant.inflight.load(Ordering::Relaxed), reply))
+                    }),
+                }
+            })
+            .collect();
+
+        let registry = Registry::new();
+        let (accepted, failed) = (
+            registry.counter("server.submit.accepted"),
+            registry.counter("server.submit.failed"),
+        );
+        answer(
+            turn(&engine, 0, WireIds::new(1, true), batch),
+            &accepted,
+            &failed,
+        );
+        assert_eq!(engine.instance_counts(), (0, 3, 0), "the batch navigated");
+        assert_eq!(
+            (accepted.get(), failed.get(), acme.accepted.get()),
+            (0, 3, 0)
+        );
+        let heard = heard.lock();
+        let levels: Vec<i64> = heard.iter().map(|(level, _)| *level).collect();
+        assert_eq!(levels, [2, 1, 0], "each slot is back before its sink runs");
+        for (_, reply) in heard.iter() {
+            match reply {
+                Err((error, false)) => {
+                    assert!(error.starts_with("journal flush failed"), "{error}")
+                }
+                other => panic!("answered {other:?}"),
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
     /// An instance that cannot be navigated onward at reopen (here: the
     /// journal mirror refuses writes) is counted, not printed, and does
     /// not stop the other instances from being resumed.
     #[test]
     fn failed_resumes_are_counted() {
-        use txn_substrate::{DurabilityPolicy, MultiDatabase, ProgramOutcome, ProgramRegistry};
-        use wfms_engine::{recover_from, Journal, OrgModel};
-        use wfms_model::{Container, ProcessBuilder};
-
-        let path = std::env::temp_dir().join(format!("wfms-resume-{}", std::process::id()));
-        std::fs::write(&path, "").unwrap();
-        let read_only = std::fs::File::open(&path).unwrap();
-        let journal =
-            Journal::with_injected_file(read_only, path.clone(), DurabilityPolicy::PerEvent);
-        let fed = MultiDatabase::new(0);
-        fed.add_database("db");
-        let programs = std::sync::Arc::new(ProgramRegistry::new());
-        programs.register_fn("ok", |_| ProgramOutcome::committed());
-        let template = ProcessBuilder::new("one")
-            .program("A", "ok")
-            .build()
-            .unwrap();
-        let engine = recover_from(
-            journal,
-            Vec::new(),
-            vec![template],
-            OrgModel::new(),
-            fed,
-            programs,
-        )
-        .unwrap();
+        let (engine, path) = on_a_full_disk(DurabilityPolicy::PerEvent, vec![one()], "resume");
         engine.start("one", Container::empty()).unwrap();
         engine.start("one", Container::empty()).unwrap();
 
@@ -1683,85 +1520,5 @@ mod tests {
         assert_eq!(resume_running(&engine, &failures), 2);
         assert_eq!(failures.get(), 2);
         std::fs::remove_file(&path).unwrap();
-    }
-
-    /// Every (local, shard) pair round-trips through the wire fold,
-    /// including locals at the top of the representable range. With
-    /// tenancy disabled (`tenant_bits == 0`) the fold is byte-identical
-    /// to the pre-tenancy layout.
-    #[test]
-    fn ext_ids_roundtrip_near_u64_boundaries() {
-        for &n in &[1u64, 3, 16] {
-            let max_local = u64::MAX / n;
-            for &local in &[1u64, 2, 7, 1000, max_local - 1, max_local] {
-                for shard in 0..n as usize {
-                    if local == max_local && shard as u64 > u64::MAX - local * n {
-                        continue; // ext would not be representable
-                    }
-                    let ext = encode_ext(local, shard, n, 0, 0);
-                    assert_eq!(ext, local * n + shard as u64, "layout is pinned");
-                    assert_eq!(
-                        decode_ext(ext, n, 0),
-                        Some((shard, local, 0)),
-                        "nshards={n} local={local} shard={shard}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// With tenancy enabled the top [`TENANT_BITS`] carry the slot and
-    /// the base fold round-trips in the remaining low bits, including
-    /// locals at the top of the narrowed range.
-    #[test]
-    fn tenanted_ext_ids_roundtrip_near_base_boundaries() {
-        let base_max = u64::MAX >> TENANT_BITS;
-        for &n in &[1u64, 3, 16] {
-            let max_local = base_max / n;
-            for &slot in &[0u16, 1, 5, 255] {
-                for &local in &[1u64, 2, 1000, max_local - 1, max_local] {
-                    for shard in 0..n as usize {
-                        if local * n + shard as u64 > base_max {
-                            continue; // base would spill into the slot bits
-                        }
-                        let ext = encode_ext(local, shard, n, slot, TENANT_BITS);
-                        assert_eq!(
-                            ext >> (64 - TENANT_BITS),
-                            u64::from(slot),
-                            "slot occupies the top bits"
-                        );
-                        assert_eq!(
-                            decode_ext(ext, n, TENANT_BITS),
-                            Some((shard, local, slot)),
-                            "nshards={n} local={local} shard={shard} slot={slot}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Locals are allocated from 1, so a base that folds to local 0
-    /// never names an instance and must decode to `None` — with and
-    /// without tenant bits — and the first representable id per shard
-    /// decodes cleanly.
-    #[test]
-    fn small_ext_ids_decode_to_none() {
-        for &n in &[1u64, 3, 16] {
-            for ext in 0..n {
-                assert_eq!(decode_ext(ext, n, 0), None, "nshards={n} ext={ext}");
-                let tenanted = (7u64 << (64 - TENANT_BITS)) | ext;
-                assert_eq!(decode_ext(tenanted, n, TENANT_BITS), None);
-            }
-            for shard in 0..n as usize {
-                assert_eq!(decode_ext(n + shard as u64, n, 0), Some((shard, 1, 0)));
-                let tenanted = (7u64 << (64 - TENANT_BITS)) | (n + shard as u64);
-                assert_eq!(
-                    decode_ext(tenanted, n, TENANT_BITS),
-                    Some((shard, 1, 7)),
-                    "nshards={n} shard={shard}"
-                );
-            }
-        }
     }
 }

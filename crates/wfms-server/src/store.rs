@@ -4,17 +4,19 @@
 //! What must not change across a reopen — the shard count, the
 //! tenant-bit layout, the tenant slot list, the template versions shard
 //! journals replay against — is pinned here, and every write is an
-//! atomic rewrite. This is the only module that names those paths.
+//! atomic rewrite. This is the only module that names the directory's
+//! paths, the shard journals' included.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use txn_substrate::durability::atomic_rewrite;
 use wfms_engine::spec_hash_of;
 use wfms_model::ProcessDefinition;
 
 use crate::shard::PoolError;
-use crate::tenant::{TenantSpec, MAX_TENANTS};
+use crate::tenant::{TenantSpec, WireIds, MAX_TENANTS};
 
 /// Persisted pool invariants, stored as `server.meta.json` in the
 /// data directory.
@@ -25,14 +27,14 @@ use crate::tenant::{TenantSpec, MAX_TENANTS};
 /// additionally reads as an empty template list, the supplied
 /// definitions then being adopted as the initial versions.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct ServerMeta {
+struct ServerMeta {
     shards: usize,
     /// Spec content hashes (hex) of every template version ever
     /// registered into this directory, in deploy order. The definition
     /// behind each hash lives in `templates/<hash>.json`; together they
     /// are the exact template set shard journals replay against.
     #[serde(default)]
-    pub(crate) templates: Vec<String>,
+    templates: Vec<String>,
     /// Wire-id bits reserved for the tenant slot:
     /// [`crate::tenant::TENANT_BITS`] when the directory was created
     /// with tenancy enabled, 0 otherwise.
@@ -43,48 +45,82 @@ pub(crate) struct ServerMeta {
     /// Ordered tenant slot list (slot = index + 1), first-seen order.
     /// Append-only: hot reloads add names, never move or drop them.
     #[serde(default)]
-    pub(crate) tenants: Vec<String>,
+    tenants: Vec<String>,
 }
 
-impl ServerMeta {
+/// The data directory and the in-memory mirror of its
+/// `server.meta.json`. Once the pool is open, both are written by
+/// shard 0's worker only — deploys and tenant reloads do their file
+/// work there — so the lock is never contended; it is there because
+/// jobs come and go and the mirror stays.
+pub(crate) struct DataDir {
+    path: PathBuf,
+    meta: Mutex<ServerMeta>,
+}
+
+impl DataDir {
+    /// Shard `i`'s journal file.
+    pub(crate) fn journal(&self, i: usize) -> PathBuf {
+        self.path.join(format!("shard-{i}.journal"))
+    }
+
     /// The slot-pinning rule, at open and at every reload: a tenant
-    /// name this directory has not seen yet is appended to the slot
-    /// list, a name it has seen keeps its slot, and a name past
-    /// [`MAX_TENANTS`] is refused. Returns whether the list grew (the
-    /// meta file must then be rewritten).
-    pub(crate) fn pin_slots(&mut self, specs: &[TenantSpec]) -> Result<bool, PoolError> {
-        let pinned = self.tenants.len();
+    /// name of `specs` this directory has not seen yet is appended to
+    /// the slot list (and the meta file rewritten), a name it has seen
+    /// keeps its slot, and a name past [`MAX_TENANTS`] is refused.
+    /// Returns the pinned slot list.
+    pub(crate) fn pin_slots(&self, specs: &[TenantSpec]) -> Result<Vec<String>, PoolError> {
+        let mut meta = self.meta.lock();
+        let pinned = meta.tenants.len();
         for spec in specs {
-            if !self.tenants.iter().any(|n| n == &spec.name) {
-                if self.tenants.len() >= MAX_TENANTS {
+            if !meta.tenants.iter().any(|n| n == &spec.name) {
+                if meta.tenants.len() >= MAX_TENANTS {
                     return Err(PoolError::Rejected(format!(
                         "tenant slot space exhausted ({MAX_TENANTS} names already pinned)"
                     )));
                 }
-                self.tenants.push(spec.name.clone());
+                meta.tenants.push(spec.name.clone());
             }
         }
-        Ok(self.tenants.len() > pinned)
+        if meta.tenants.len() > pinned {
+            write_meta(&self.path, &meta)?;
+        }
+        Ok(meta.tenants.clone())
+    }
+
+    /// Stores `def` as the template version `hash` — its file first,
+    /// then the meta's hash list, so no meta names a version the
+    /// directory cannot load — unless the directory holds it already.
+    pub(crate) fn add_version(&self, hash: &str, def: &ProcessDefinition) -> Result<(), PoolError> {
+        let mut meta = self.meta.lock();
+        if !meta.templates.iter().any(|v| v == hash) {
+            persist_template(&self.path, hash, def)?;
+            meta.templates.push(hash.to_owned());
+            write_meta(&self.path, &meta)?;
+        }
+        Ok(())
     }
 }
 
-/// Validates (or writes) `server.meta.json` in `dir` and reconciles
-/// the supplied definitions with the versions stored on disk.
+/// Creates the data directory at `path` if absent, validates (or
+/// writes) the wire-id layout `ids` its `server.meta.json` pins, and
+/// reconciles the supplied definitions with the versions stored there.
 ///
-/// Returns the meta record plus the full deploy-ordered template set —
+/// Returns the directory plus the full deploy-ordered template set —
 /// every stored version followed by any genuinely new processes from
 /// `cli` — which every shard engine is opened with. A `cli` definition
 /// whose *name* is already recorded but whose content hash matches no
 /// stored version is refused with [`PoolError::SpecMismatch`]: the spec
 /// changed out of band, and silently replaying old journals against it
 /// would corrupt recovery.
-pub(crate) fn check_meta(
-    dir: &Path,
-    shards: usize,
-    tenant_bits: usize,
-    tenant_specs: &[TenantSpec],
+pub(crate) fn open(
+    path: PathBuf,
+    ids: WireIds,
     cli: &[ProcessDefinition],
-) -> Result<(ServerMeta, Vec<ProcessDefinition>), PoolError> {
+) -> Result<(DataDir, Vec<ProcessDefinition>), PoolError> {
+    std::fs::create_dir_all(&path)?;
+    let (shards, tenant_bits) = (ids.nshards as usize, ids.tenant_bits as usize);
+    let dir = path.as_path();
     let meta_path = dir.join("server.meta.json");
     let tpl_dir = dir.join("templates");
     let mut meta = match std::fs::read_to_string(&meta_path) {
@@ -113,7 +149,7 @@ pub(crate) fn check_meta(
         Err(e) => return Err(PoolError::Io(e)),
     };
 
-    let mut dirty = meta.pin_slots(tenant_specs)?;
+    let mut dirty = false;
 
     // Load every stored version in deploy order; the *last* hash per
     // name is that process's current default.
@@ -158,7 +194,8 @@ pub(crate) fn check_meta(
     if dirty || !meta_path.exists() {
         write_meta(dir, &meta)?;
     }
-    Ok((meta, templates))
+    let meta = Mutex::new(meta);
+    Ok((DataDir { path, meta }, templates))
 }
 
 /// Parses `server.meta.json` (older shapes included — see
@@ -172,11 +209,7 @@ fn parse_meta(text: &str) -> Result<ServerMeta, PoolError> {
 /// file already there is rewritten, not trusted: the name is a content
 /// hash, so the bytes are the same unless a crash cut the earlier write
 /// short.
-pub(crate) fn persist_template(
-    dir: &Path,
-    hash: &str,
-    def: &ProcessDefinition,
-) -> Result<(), PoolError> {
+fn persist_template(dir: &Path, hash: &str, def: &ProcessDefinition) -> Result<(), PoolError> {
     let tpl_dir = dir.join("templates");
     std::fs::create_dir_all(&tpl_dir)?;
     let text = serde_json::to_string(def).expect("definition serializes");
@@ -186,7 +219,7 @@ pub(crate) fn persist_template(
 
 /// Rewrites `server.meta.json`, atomically: a crash leaves the old meta
 /// or the new one, never a truncated file the next open would refuse.
-pub(crate) fn write_meta(dir: &Path, meta: &ServerMeta) -> Result<(), PoolError> {
+fn write_meta(dir: &Path, meta: &ServerMeta) -> Result<(), PoolError> {
     let text = serde_json::to_string(meta).expect("meta serializes");
     atomic_rewrite(&dir.join("server.meta.json"), text.as_bytes())?;
     Ok(())
@@ -195,7 +228,8 @@ pub(crate) fn write_meta(dir: &Path, meta: &ServerMeta) -> Result<(), PoolError>
 #[cfg(test)]
 mod tests {
     use super::{parse_meta, ServerMeta};
-    use crate::shard::{MigrationPolicy, PoolConfig, PoolError, ShardPool, SubmitOutcome};
+    use crate::deploy::MigrationPolicy;
+    use crate::shard::{PoolConfig, PoolError, ShardPool, SubmitOutcome};
     use crate::tenant::TENANT_BITS;
     use std::path::{Path, PathBuf};
     use std::sync::Arc;

@@ -27,11 +27,16 @@
 //! `POST /admin/reload-tenants`; new names are appended to the slot
 //! list, existing names keep their slot forever.
 
+use std::path::Path;
 use std::sync::atomic::AtomicI64;
 use std::sync::Arc;
 
+use parking_lot::RwLock;
 use serde::Deserialize;
 use wfms_observe::{Counter, Gauge, Registry};
+
+use crate::shard::PoolError;
+use crate::store::DataDir;
 
 /// Wire-id bits reserved for the tenant slot when tenancy is enabled
 /// (0 when disabled, which keeps untenanted wire ids byte-identical
@@ -40,6 +45,59 @@ pub const TENANT_BITS: u32 = 8;
 
 /// Most tenant slots a directory can pin (slot 0 is reserved).
 pub const MAX_TENANTS: usize = (1 << TENANT_BITS) - 1;
+
+/// A directory's wire-id layout: how a shard-local id, its shard and
+/// its tenant's slot fold into the external id,
+/// `ext = local * nshards + shard`, with the slot in the top
+/// [`TENANT_BITS`] bits when tenancy is enabled (none without, which
+/// keeps the pre-tenancy layout bit for bit). Template version identity
+/// is deliberately *not* encoded — an instance keeps its external id
+/// across a live migration — and ids stay stable as long as the layout
+/// does, which is why `server.meta.json` pins both halves.
+#[derive(Clone, Copy)]
+pub(crate) struct WireIds {
+    pub(crate) nshards: u64,
+    /// Wire-id bits reserved for the tenant slot: [`TENANT_BITS`] with
+    /// tenancy enabled, 0 without.
+    pub(crate) tenant_bits: u32,
+}
+
+impl WireIds {
+    /// The layout of `nshards` shards, with or without tenant bits.
+    pub(crate) fn new(nshards: usize, tenancy: bool) -> Self {
+        WireIds {
+            nshards: nshards as u64,
+            tenant_bits: if tenancy { TENANT_BITS } else { 0 },
+        }
+    }
+
+    /// Folds `local` on `shard`, owned by tenant `slot`, into its wire id.
+    pub(crate) fn encode(self, local: u64, shard: usize, slot: u16) -> u64 {
+        let base = local * self.nshards + shard as u64;
+        if self.tenant_bits == 0 {
+            base
+        } else {
+            (u64::from(slot) << (64 - self.tenant_bits)) | (base & (u64::MAX >> self.tenant_bits))
+        }
+    }
+
+    /// Inverse of [`WireIds::encode`]: `(shard, local, slot)`. Locals
+    /// are allocated from 1, so a base that would fold to local 0 is
+    /// rejected rather than resolved to a nonexistent instance.
+    pub(crate) fn decode(self, ext: u64) -> Option<(usize, u64, u16)> {
+        let (slot, base) = if self.tenant_bits == 0 {
+            (0u16, ext)
+        } else {
+            (
+                (ext >> (64 - self.tenant_bits)) as u16,
+                ext & (u64::MAX >> self.tenant_bits),
+            )
+        };
+        let shard = (base % self.nshards) as usize;
+        let local = base / self.nshards;
+        (local > 0).then_some((shard, local, slot))
+    }
+}
 
 /// One tenant as declared in the tenants file.
 #[derive(Debug, Clone, PartialEq, Deserialize)]
@@ -213,13 +271,6 @@ impl TenantTable {
         found.cloned()
     }
 
-    /// The pinned name of `slot` (1-based), live or not.
-    pub fn name_of_slot(&self, slot: u16) -> Option<&str> {
-        self.slots
-            .get(usize::from(slot).checked_sub(1)?)
-            .map(|s| s.name.as_str())
-    }
-
     /// The live tenant named `name`, if any.
     pub fn by_name(&self, name: &str) -> Option<&Arc<Tenant>> {
         self.slots
@@ -250,6 +301,29 @@ impl TenantTable {
     pub fn live(&self) -> impl Iterator<Item = &Arc<Tenant>> {
         self.slots.iter().filter_map(|s| s.tenant.as_ref())
     }
+}
+
+/// Replaces the `live` table with the tenants declared in the file at
+/// `path` — what [`crate::ShardPool::reload_tenants`] runs on shard 0's
+/// worker. The file is read and validated, its names pinned to slots in
+/// `dir`, and the table rebuilt over the pinned slots, carrying each
+/// tenant's in-flight level over by name. Returns the number of live
+/// tenants; a file that cannot be read or fails validation leaves the
+/// live table as it was.
+pub(crate) fn reload(
+    path: &Path,
+    dir: &DataDir,
+    live: &RwLock<Arc<TenantTable>>,
+    registry: &Registry,
+) -> Result<usize, PoolError> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| PoolError::TenantsFile(path.to_owned(), e))?;
+    let specs = parse_tenants(&text)
+        .map_err(|e| PoolError::Rejected(format!("tenants file rejected: {e}")))?;
+    let slots = dir.pin_slots(&specs)?;
+    let mut table = live.write();
+    *table = Arc::new(TenantTable::build(&slots, &specs, Some(&table), registry));
+    Ok(table.live().count())
 }
 
 /// Byte-equality in time that depends only on the *lengths*, never on
@@ -331,7 +405,6 @@ mod tests {
         assert_eq!(beta.slot, 2);
         assert!(table.authenticate(b"nope").is_none());
         assert!(table.authenticate(b"").is_none());
-        assert_eq!(table.name_of_slot(2), Some("beta"));
         assert_eq!(table.slot_of_name("beta"), Some(2));
     }
 
@@ -364,8 +437,92 @@ mod tests {
         assert_eq!(acme.max_inflight, 4, "quota updated");
         assert!(table2.authenticate(b"k-acme").is_none(), "old key dead");
         assert!(table2.authenticate(b"k-beta").is_none(), "stale slot");
-        assert_eq!(table2.name_of_slot(2), Some("beta"), "slot reserved");
+        assert_eq!(table2.slot_of_name("beta"), Some(2), "slot reserved");
         assert_eq!(table2.authenticate(b"k-gamma").unwrap().slot, 3);
+    }
+
+    /// Every (local, shard) pair round-trips through the wire fold,
+    /// including locals at the top of the representable range. With
+    /// tenancy disabled the fold is byte-identical to the pre-tenancy
+    /// layout.
+    #[test]
+    fn ext_ids_roundtrip_near_u64_boundaries() {
+        for &n in &[1u64, 3, 16] {
+            let ids = WireIds::new(n as usize, false);
+            let max_local = u64::MAX / n;
+            for &local in &[1u64, 2, 7, 1000, max_local - 1, max_local] {
+                for shard in 0..n as usize {
+                    if local == max_local && shard as u64 > u64::MAX - local * n {
+                        continue; // ext would not be representable
+                    }
+                    let ext = ids.encode(local, shard, 0);
+                    assert_eq!(ext, local * n + shard as u64, "layout is pinned");
+                    assert_eq!(
+                        ids.decode(ext),
+                        Some((shard, local, 0)),
+                        "nshards={n} local={local} shard={shard}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// With tenancy enabled the top [`TENANT_BITS`] carry the slot and
+    /// the base fold round-trips in the remaining low bits, including
+    /// locals at the top of the narrowed range.
+    #[test]
+    fn tenanted_ext_ids_roundtrip_near_base_boundaries() {
+        let base_max = u64::MAX >> TENANT_BITS;
+        for &n in &[1u64, 3, 16] {
+            let ids = WireIds::new(n as usize, true);
+            let max_local = base_max / n;
+            for &slot in &[0u16, 1, 5, 255] {
+                for &local in &[1u64, 2, 1000, max_local - 1, max_local] {
+                    for shard in 0..n as usize {
+                        if local * n + shard as u64 > base_max {
+                            continue; // base would spill into the slot bits
+                        }
+                        let ext = ids.encode(local, shard, slot);
+                        assert_eq!(
+                            ext >> (64 - TENANT_BITS),
+                            u64::from(slot),
+                            "slot occupies the top bits"
+                        );
+                        assert_eq!(
+                            ids.decode(ext),
+                            Some((shard, local, slot)),
+                            "nshards={n} local={local} shard={shard} slot={slot}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Locals are allocated from 1, so a base that folds to local 0
+    /// never names an instance and must decode to `None` — with and
+    /// without tenant bits — and the first representable id per shard
+    /// decodes cleanly.
+    #[test]
+    fn small_ext_ids_decode_to_none() {
+        for &n in &[1u64, 3, 16] {
+            let (plain, tenanted) = (
+                WireIds::new(n as usize, false),
+                WireIds::new(n as usize, true),
+            );
+            for ext in 0..n {
+                assert_eq!(plain.decode(ext), None, "nshards={n} ext={ext}");
+                assert_eq!(tenanted.decode((7u64 << (64 - TENANT_BITS)) | ext), None);
+            }
+            for shard in 0..n as usize {
+                assert_eq!(plain.decode(n + shard as u64), Some((shard, 1, 0)));
+                assert_eq!(
+                    tenanted.decode((7u64 << (64 - TENANT_BITS)) | (n + shard as u64)),
+                    Some((shard, 1, 7)),
+                    "nshards={n} shard={shard}"
+                );
+            }
+        }
     }
 
     #[test]
