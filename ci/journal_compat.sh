@@ -9,10 +9,13 @@
 #    mix (`crates/wfms-engine/tests/fixtures/replay_mix.journal`) and
 #    diff it byte for byte against the dump an earlier binary wrote of
 #    it: the decoder reads every frame as it always did.
-# 3. Start `fmtm serve` on a data directory holding a JSON journal: it
+# 3. `fmtm journal upgrade` a copy of that journal, which is in version
+#    1 of the format: the copy must say version 2 (byte 5) and dump
+#    byte for byte as the golden.
+# 4. Start `fmtm serve` on a data directory holding a JSON journal: it
 #    must refuse to start and name the upgrade command — never read
 #    the old format in place, never truncate it as a "torn tail".
-# 4. Run the benchmark's smoke mode and its tests: `crates/wfbench`
+# 5. Run the benchmark's smoke mode and its tests: `crates/wfbench`
 #    is not changed by format work, so this proves it still builds
 #    and verifies against the engine's unchanged API.
 #
@@ -58,7 +61,23 @@ if ! cmp -s "$MIX.dump.jsonl" "$ART/replay-mix-dump.jsonl"; then
 fi
 echo "compat: $(wc -l <"$MIX.dump.jsonl") events dump byte for byte as the golden"
 
-echo "== phase 3: serve refuses a JSON journal =="
+echo "== phase 3: the version-1 golden upgrades to version 2 =="
+cp "$MIX.journal" "$WORK/mix.journal"
+"$FMTM" journal upgrade "$WORK/mix.journal" | tee "$ART/replay-mix-upgrade.txt"
+VERSION="$(od -An -tu1 -j4 -N1 "$WORK/mix.journal" | tr -d ' ')"
+if [ "$VERSION" != "2" ]; then
+  echo "compat: the upgraded golden has version byte $VERSION, not 2" >&2
+  exit 1
+fi
+"$FMTM" journal dump "$WORK/mix.journal" >"$ART/replay-mix-upgraded-dump.jsonl"
+if ! cmp -s "$MIX.dump.jsonl" "$ART/replay-mix-upgraded-dump.jsonl"; then
+  echo "compat: dump of the upgraded $MIX.journal differs from its golden" >&2
+  diff "$MIX.dump.jsonl" "$ART/replay-mix-upgraded-dump.jsonl" | head -c 4000 >&2 || true
+  exit 1
+fi
+echo "compat: version 2 ($(wc -c <"$MIX.journal") -> $(wc -c <"$WORK/mix.journal") bytes), dumps as the golden"
+
+echo "== phase 4: serve refuses a JSON journal =="
 mkdir "$WORK/data"
 cp "$FIXTURE" "$WORK/data/shard-0.journal"
 if "$FMTM" serve examples/specs/figure3.flex --port 0 --data "$WORK/data" \
@@ -77,7 +96,7 @@ if ! cmp -s "$FIXTURE" "$WORK/data/shard-0.journal"; then
 fi
 echo "compat: refused, naming the upgrade command; file untouched"
 
-echo "== phase 4: the benchmark builds and verifies =="
+echo "== phase 5: the benchmark builds and verifies =="
 cargo run --release -q -p wfbench -- run --quick | tee "$ART/wfbench-quick.txt"
 cargo test -q -p wfbench
 

@@ -2,21 +2,30 @@
 //!
 //! Every log in this workspace — each database's [`Wal`](crate::Wal)
 //! and the engine journal (`wfms_engine::Journal`) — is a
-//! [`Log`](crate::log::Log) whose [frames](crate::frame) collect in one
-//! buffer until they are written. *When* the buffered bytes actually
-//! reach the file (and the disk) is a policy decision with a real
-//! trade-off:
+//! [`Log`](crate::log::Log) whose records collect in one buffer until
+//! they are written. *When* the buffered bytes actually reach the file
+//! (and the disk) is a policy decision with a real trade-off:
 //! flushing more often narrows the window of work lost in a crash,
 //! syncing pushes the durability point through the OS page cache at a
 //! per-record `fdatasync` cost, and batching amortises both over group
-//! commits the way high-throughput WAL implementations do.
+//! commits the way high-throughput WAL implementations do. The policy
+//! also draws the [frames](crate::frame): the records of one group
+//! commit share one frame — one header, one checksum, names spelled
+//! once — so `PerEvent` writes a frame per record and `Batched { n }`
+//! one per flush, of at most `n` records, and one more wherever a
+//! record opens a frame (a checkpoint; the journal's `InstanceStarted`).
 //!
 //! The torn-tail rule of [`crate::frame`] holds under every policy: a
 //! crash can leave at most one partially written frame at the end of
-//! the file, and reopen truncates it. What the policy changes is how
-//! many *complete* records may be lost (`PerEvent`/`PerEventSync`: none
-//! that the appender returned from; `Batched { n }`: up to `n - 1`).
+//! the file, and reopen truncates it, with all of that frame's records.
+//! What the policy changes is how many *complete* records may be lost:
+//! under `PerEvent`/`PerEventSync` none that the appender returned
+//! from; under `Batched { n }` those since the last flush, up to
+//! `n - 1` — the frame a flush was writing when the process died is
+//! lost whole, and it holds exactly the records no flush had returned
+//! from.
 
+use crate::frame::{Encoder, Record};
 use std::fs::File;
 use std::io::Write;
 
@@ -45,14 +54,17 @@ pub enum DurabilityPolicy {
 
 /// A log file, the frames it has not been handed yet, and the policy
 /// state deciding when they are: the buffer leaves in one `write_all`
-/// at the policy's flush points and at no other time.
+/// at the policy's flush points and at no other time. A barrier closes
+/// the open frame; the count of `Batched { n }` writes the frames closed
+/// so far and leaves the open one buffered unless it is full.
 #[derive(Debug)]
 pub struct DurableWriter {
     file: File,
     policy: DurabilityPolicy,
-    /// Whole frames the file does not hold yet.
-    buf: Vec<u8>,
-    /// Records framed in `buf` (only meaningful for `Batched`).
+    /// Frames the file does not hold yet; the last one may be open.
+    frames: Encoder,
+    /// Records pushed since the last write (only meaningful for
+    /// `Batched`).
     pending: usize,
 }
 
@@ -62,48 +74,76 @@ impl DurableWriter {
         Self {
             file,
             policy,
-            buf: Vec::new(),
+            frames: Encoder::default(),
             pending: 0,
         }
     }
 
-    /// The buffer the next records are framed into — each is encoded
-    /// once, straight into the bytes the file is handed. Follow with
-    /// [`DurableWriter::commit`].
-    pub fn buf(&mut self) -> &mut Vec<u8> {
-        &mut self.buf
-    }
-
-    /// Counts the `records` complete frames just added to the buffer
-    /// against the policy and writes the buffer out if it, or `barrier`
-    /// (commit records, the end of a group commit), says so. Returns
-    /// the bytes that left for the file — 0 while the policy is still
-    /// batching — or the I/O error, without panicking: callers decide
-    /// whether a log that cannot be written is fatal.
-    pub fn commit(&mut self, records: usize, barrier: bool) -> std::io::Result<usize> {
-        self.pending += records;
-        let flush_now = barrier
-            || match self.policy {
-                DurabilityPolicy::PerEvent | DurabilityPolicy::PerEventSync => true,
-                DurabilityPolicy::Batched { n } => self.pending >= n.max(1),
-            };
-        if flush_now {
-            self.flush()
-        } else {
-            Ok(0)
+    /// Records a frame holds: one under `PerEvent` and `PerEventSync`,
+    /// `n` under `Batched { n }`.
+    fn most(&self) -> usize {
+        match self.policy {
+            DurabilityPolicy::PerEvent | DurabilityPolicy::PerEventSync => 1,
+            DurabilityPolicy::Batched { n } => n.max(1),
         }
     }
 
-    /// Hands the buffered frames to the OS (and to disk under
-    /// `PerEventSync`); returns how many bytes that was. The buffer is
-    /// empty afterwards either way: a failed write may have left a
-    /// prefix of it in the file, and sending it again would repeat that
-    /// prefix.
+    /// Encodes `rec` once, straight into the bytes the file is handed:
+    /// into the open frame, or a new one when the open one is full (one
+    /// record under `PerEvent`, `n` under `Batched { n }`) or `rec` opens one
+    /// ([`Record::is_checkpoint`], [`Record::opens_frame`]). Returns the
+    /// byte offset in the buffer of the frame `rec` went into. Follow
+    /// with [`DurableWriter::commit`].
+    pub fn push<R: Record>(&mut self, rec: &R) -> usize {
+        self.frames.push(rec, self.most())
+    }
+
+    /// Records pushed and not yet written: those of the open frame once
+    /// a write has returned.
+    pub(crate) fn unwritten(&self) -> usize {
+        self.pending
+    }
+
+    /// Counts the `records` just pushed against the policy and writes
+    /// out what it, or `barrier` (commit records, the end of a group
+    /// commit), says: everything at a barrier and under `PerEvent`; the
+    /// closed frames — and the open one if it is full — once
+    /// `Batched { n }` has `n` records unwritten, which leaves fewer
+    /// than `n`. Returns the bytes that left for the file — 0 while the
+    /// policy is still batching — or the I/O error, without panicking:
+    /// callers decide whether a log that cannot be written is fatal.
+    pub fn commit(&mut self, records: usize, barrier: bool) -> std::io::Result<usize> {
+        self.pending += records;
+        if barrier || self.most() == 1 {
+            return self.flush();
+        }
+        if self.pending < self.most() {
+            return Ok(0);
+        }
+        if self.frames.open_records() >= self.most() {
+            self.frames.seal();
+        }
+        self.write()
+    }
+
+    /// Closes the open frame and hands the buffered frames to the OS
+    /// (and to disk under `PerEventSync`); returns how many bytes that
+    /// was.
     pub fn flush(&mut self) -> std::io::Result<usize> {
-        let len = self.buf.len();
-        let written = self.file.write_all(&self.buf);
-        self.buf.clear();
-        self.pending = 0;
+        self.frames.seal();
+        self.write()
+    }
+
+    /// Hands the closed frames to the OS, keeping the open one. They
+    /// leave the buffer either way: a failed write may have left a
+    /// prefix of them in the file, and sending them again would repeat
+    /// that prefix.
+    fn write(&mut self) -> std::io::Result<usize> {
+        let sealed = self.frames.sealed();
+        let len = sealed.len();
+        let written = self.file.write_all(sealed);
+        self.frames.drop_sealed();
+        self.pending = self.frames.open_records();
         written?;
         if self.policy == DurabilityPolicy::PerEventSync {
             self.file.sync_data()?;
@@ -200,6 +240,7 @@ pub fn atomic_rewrite(path: &std::path::Path, contents: &[u8]) -> std::io::Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{visit_file, Field, Names, Reader, FILE_HEADER_LEN, FRAME_HEADER};
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -211,29 +252,89 @@ mod tests {
         dir
     }
 
+    /// One byte; `0` is a checkpoint.
+    #[derive(Debug)]
+    struct Byte(u8);
+
+    impl Record for Byte {
+        const HEADER: [u8; FILE_HEADER_LEN] = *b"BYTE\x02";
+        const NAME: &'static str = "byte log";
+        fn not_this_log(path: &std::path::Path) -> String {
+            path.display().to_string()
+        }
+        fn encode(&self, out: &mut Vec<u8>, _: &mut Names) {
+            out.push(self.0);
+        }
+        fn decode(r: &mut Reader<'_, '_>) -> Field<Self> {
+            r.byte().map(Byte)
+        }
+        fn is_checkpoint(&self) -> bool {
+            self.0 == 0
+        }
+    }
+
+    /// A byte-log file at `path` and a writer appending to it.
+    fn writer(path: &std::path::Path, policy: DurabilityPolicy) -> DurableWriter {
+        std::fs::write(path, Byte::HEADER).unwrap();
+        let file = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+        DurableWriter::new(file, policy)
+    }
+
+    /// The file's records, frame by frame.
+    fn frames(path: &std::path::Path) -> Vec<Vec<u8>> {
+        let mut frames: Vec<(usize, Vec<u8>)> = Vec::new();
+        visit_file::<Byte>(&std::fs::read(path).unwrap(), |at, Byte(b)| {
+            match frames.last_mut() {
+                Some((start, records)) if *start == at => records.push(b),
+                _ => frames.push((at, vec![b])),
+            }
+        })
+        .unwrap();
+        frames.into_iter().map(|(_, records)| records).collect()
+    }
+
     #[test]
     fn batched_policy_defers_flush() {
         let dir = tmp_dir("batch");
         let path = dir.join("log");
-        let file = File::create(&path).unwrap();
-        let mut w = DurableWriter::new(file, DurabilityPolicy::Batched { n: 3 });
-        let mut append = |chunk: &[u8], records, barrier| {
-            w.buf().extend_from_slice(chunk);
-            w.commit(records, barrier).unwrap()
+        let mut w = writer(&path, DurabilityPolicy::Batched { n: 3 });
+        let mut append = |records: &[u8], barrier| {
+            for &b in records {
+                w.push(&Byte(b));
+            }
+            w.commit(records.len(), barrier).unwrap()
         };
-        assert_eq!(append(b"1", 1, false), 0);
-        assert_eq!(append(b"2", 1, false), 0);
-        assert_eq!(std::fs::read(&path).unwrap(), b"", "still buffered");
-        assert_eq!(append(b"3", 1, false), 3);
-        assert_eq!(std::fs::read(&path).unwrap(), b"123", "group flushed");
-        assert_eq!(append(b"4", 1, true), 1);
-        assert_eq!(std::fs::read(&path).unwrap(), b"1234", "barrier flushes");
-        assert_eq!(append(b"567", 3, false), 3);
+        assert_eq!(append(&[1], false), 0);
+        assert_eq!(append(&[2], false), 0);
+        assert_eq!(frames(&path), [[0u8; 0]; 0], "still buffered");
+        assert_eq!(append(&[3], false), FRAME_HEADER + 3);
+        assert_eq!(frames(&path), [vec![1, 2, 3]], "group flushed as one frame");
+        assert_eq!(append(&[4], true), FRAME_HEADER + 1);
+        assert_eq!(frames(&path)[1], [4], "barrier flushes");
+        assert_eq!(append(&[5, 6, 7], false), FRAME_HEADER + 3);
         assert_eq!(
-            std::fs::read(&path).unwrap(),
-            b"1234567",
+            frames(&path)[2],
+            [5, 6, 7],
             "a chunk counts each of its records"
         );
+        append(&[8, 0, 9], true);
+        assert_eq!(
+            frames(&path)[3..],
+            [vec![8], vec![0, 9]],
+            "a checkpoint opens a frame"
+        );
+        append(&[1, 2, 3, 4], true);
+        assert_eq!(
+            frames(&path)[5..],
+            [vec![1, 2, 3], vec![4]],
+            "at most n a frame"
+        );
+        // Three records unwritten: the closed frame leaves, the open one
+        // stays until it is full or a barrier comes.
+        assert_eq!(append(&[1, 0, 2], false), FRAME_HEADER + 1);
+        assert_eq!(frames(&path)[7..], [vec![1]]);
+        assert_eq!(append(&[3], false), FRAME_HEADER + 3);
+        assert_eq!(frames(&path)[8..], [vec![0, 2, 3]]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -257,11 +358,11 @@ mod tests {
     fn per_event_sync_policy_syncs_every_append() {
         let dir = tmp_dir("sync");
         let path = dir.join("log");
-        let file = File::create(&path).unwrap();
-        let mut w = DurableWriter::new(file, DurabilityPolicy::PerEventSync);
-        w.buf().extend_from_slice(b"42");
-        assert_eq!(w.commit(1, false).unwrap(), 2);
-        assert_eq!(std::fs::read(&path).unwrap(), b"42");
+        let mut w = writer(&path, DurabilityPolicy::PerEventSync);
+        w.push(&Byte(4));
+        w.push(&Byte(2));
+        assert_eq!(w.commit(2, false).unwrap(), 2 * (FRAME_HEADER + 1));
+        assert_eq!(frames(&path), [[4], [2]], "a frame per record");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,26 +1,46 @@
 //! The on-disk format of every log in the workspace: a file header,
-//! then self-contained checksummed frames, one per record.
+//! then checksummed frames, each holding the records of one group
+//! commit.
 //!
 //! ```text
-//! file    := magic[4] version:u8  frame*
+//! file    := magic[4] version:u8  frame*      version = 2 (1 still read)
 //! frame   := len:u32le  !len:u32le  crc:u32le  payload[len]
-//! payload := one record, as its `Record::encode` wrote it
+//! payload := record+                          one policy group; a checkpoint opens a frame
+//! name    := varint x   x = 2·len → literal, becomes the frame's next name
+//!                       x = 2·i+1 → the frame's i-th name
 //! ```
 //!
 //! `crc` is CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of
 //! the payload; `!len` is the bitwise complement of `len`, so a damaged
-//! length is recognised without trusting it. What a payload holds is
-//! the record type's business ([`Record`]); this module supplies the
-//! primitives payloads are built from: integers as LEB128 varints
+//! length is recognised without trusting it. What a record holds is the
+//! record type's business ([`Record`]); this module supplies the
+//! primitives records are built from: integers as LEB128 varints
 //! (`i64` zig-zagged first), `bool` as one byte, strings and byte
 //! strings as a varint length plus the bytes (strings are UTF-8,
 //! checked on decode), `Option` as a `0`/`1` byte plus the value,
-//! [`Value`] as a tag byte plus its payload.
+//! [`Value`] as a tag byte plus its payload, and names.
 //!
-//! Frames are self-contained — encoding a record never depends on the
-//! records before it — so the bytes of N single appends equal the bytes
-//! of one batch, and any prefix of a log file that ends on a frame
-//! boundary is itself a log file.
+//! **A frame is a group commit.** The [`Encoder`] puts every record
+//! appended between two flush points of the log's policy into one frame
+//! (at most `n` under `Batched { n }`, exactly one under `PerEvent`).
+//! A checkpoint record always opens a frame, so the frame a checkpoint
+//! starts is where compaction's byte copy begins; so does a record
+//! that says it opens one ([`Record::opens_frame`]: the journal's
+//! `InstanceStarted`), so that how flushes happened to group whole
+//! units of work does not change their bytes. [`file_bytes`] writes one
+//! record per frame, as `PerEvent` does.
+//!
+//! **Names are frame-local.** A name ([`put_name`], [`Reader::name`]) is
+//! spelled out the first time a frame holds it and referred to by its
+//! index after that; the encoder finds it in a fixed open-addressing
+//! table cleared per frame, keyed by the name's bytes, so a frame's
+//! bytes depend only on its records. Once the table is full, later
+//! names are spelled out. A frame decodes without any other frame.
+//!
+//! **Version 1** wrote one record per frame and every name spelled out
+//! as a plain string. It is still read — the only difference is one
+//! branch in [`Reader::name`] — and never written: a log opened for
+//! append is rewritten in the current version first.
 //!
 //! **Sharing on decode.** What repeats across a file — activity paths,
 //! member names, whole containers — is built once per pass: the pass
@@ -28,13 +48,15 @@
 //! [`Reader::shared_params`]), and every later occurrence of the same
 //! bytes is a reference-count bump, with no UTF-8 check (those bytes
 //! were checked when first seen). The table's keys are slices of the
-//! file and it lives for one pass, so it is bounded by the file.
+//! file and it lives for one pass, so it is bounded by the file. A
+//! name's literal goes through the same table.
 //!
 //! **Torn tails.** A crash mid-append leaves a prefix of a frame (or of
 //! the file header) at the end of the file. A frame that is short or
 //! fails a check is the torn tail iff no intact frame starts anywhere
 //! after it; otherwise it is mid-file corruption and decoding fails
-//! with the frame's byte offset.
+//! with the frame's byte offset. A torn frame loses all its records,
+//! never some of them.
 
 use crate::params::{no_params, Params};
 use crate::value::Value;
@@ -46,7 +68,10 @@ const MAGIC_LEN: usize = 4;
 /// Four magic bytes, then the format version.
 pub const FILE_HEADER_LEN: usize = MAGIC_LEN + 1;
 /// `len`, `!len`, `crc`.
-const FRAME_HEADER: usize = 12;
+pub(crate) const FRAME_HEADER: usize = 12;
+/// The format before frames were groups and names frame-local: read,
+/// never written.
+const VERSION_1: u8 = 1;
 
 /// One kind of log record: its file's header and its payload codec.
 pub trait Record: Sized {
@@ -57,13 +82,21 @@ pub trait Record: Sized {
     /// The error text for a file at `path` that does not open with
     /// [`Record::HEADER`]'s magic.
     fn not_this_log(path: &Path) -> String;
-    /// Appends this record's payload to `out`.
-    fn encode(&self, out: &mut Vec<u8>);
+    /// Appends this record to `out`, the payload of an open frame whose
+    /// names so far are `names` ([`put_name`]).
+    fn encode(&self, out: &mut Vec<u8>, names: &mut Names);
     /// Reads one record from a frame's payload.
     fn decode(r: &mut Reader<'_, '_>) -> Field<Self>;
     /// True for a record that makes every record before it redundant:
-    /// compaction drops everything before the last one.
+    /// compaction drops everything before the last one. It opens a frame.
     fn is_checkpoint(&self) -> bool;
+    /// True for a record that opens a frame wherever the flushes fall —
+    /// the first record of a unit of work, such as the journal's
+    /// `InstanceStarted` — so that how a flush grouped such units does
+    /// not change the bytes they are written as.
+    fn opens_frame(&self) -> bool {
+        false
+    }
 }
 
 // ---- CRC-32 ----------------------------------------------------------
@@ -117,31 +150,209 @@ fn crc32(bytes: &[u8]) -> u32 {
 
 // ---- encoding --------------------------------------------------------
 
-/// Appends `rec` to `out` as one complete frame.
-///
-/// # Panics
-/// If the payload exceeds `u32::MAX` bytes (a single record of 4 GiB).
-pub fn encode_frame<R: Record>(rec: &R, out: &mut Vec<u8>) {
-    let start = out.len();
-    out.extend_from_slice(&[0; FRAME_HEADER]);
-    rec.encode(out);
-    let payload = start + FRAME_HEADER;
-    let len = u32::try_from(out.len() - payload).expect("log frame exceeds 4 GiB");
-    let crc = crc32(&out[payload..]);
-    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
-    out[start + 4..start + 8].copy_from_slice(&(!len).to_le_bytes());
-    out[start + 8..payload].copy_from_slice(&crc.to_le_bytes());
+/// Most names a frame spells once and refers back to.
+const MAX_NAMES: usize = 128;
+/// Slots of the name table: twice [`MAX_NAMES`], a power of two, so a
+/// probe always ends at an empty slot.
+const SLOTS: usize = 2 * MAX_NAMES;
+
+/// The names the open frame has spelled out, found by their bytes: a
+/// fixed open-addressing table over the frame's own buffer, cleared
+/// when the next frame opens. Looking a name up allocates nothing.
+pub struct Names {
+    /// `0` for an empty slot, else the name's index plus one.
+    slots: [u8; SLOTS],
+    /// Each name's bytes, from `base`, and its slot.
+    spans: [Span; MAX_NAMES],
+    len: usize,
+    /// Where the frame's payload starts in the buffer being encoded.
+    base: usize,
 }
 
-/// The bytes of a log file holding exactly `records`: the file header,
-/// then one frame per record. Any prefix of `records` encodes to a
-/// prefix of these bytes.
-pub fn file_bytes<R: Record>(records: &[R]) -> Vec<u8> {
-    let mut bytes = R::HEADER.to_vec();
-    for rec in records {
-        encode_frame(rec, &mut bytes);
+#[derive(Clone, Copy, Default)]
+struct Span {
+    start: usize,
+    len: usize,
+    slot: usize,
+}
+
+impl Default for Names {
+    fn default() -> Self {
+        Self {
+            slots: [0; SLOTS],
+            spans: [Span::default(); MAX_NAMES],
+            len: 0,
+            base: 0,
+        }
     }
-    bytes
+}
+
+impl std::fmt::Debug for Names {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Names").field("len", &self.len).finish()
+    }
+}
+
+impl Names {
+    /// Forgets every name: the frame whose payload starts at `base`
+    /// spells its own.
+    fn clear(&mut self, base: usize) {
+        for span in &self.spans[..self.len] {
+            self.slots[span.slot] = 0;
+        }
+        (self.len, self.base) = (0, base);
+    }
+}
+
+/// FNV-1a.
+fn hash(bytes: &[u8]) -> usize {
+    bytes.iter().fold(0x811C_9DC5u32, |h, &b| {
+        (h ^ b as u32).wrapping_mul(0x0100_0193)
+    }) as usize
+}
+
+/// A name — an activity path, a process, a user — into `out`, the
+/// payload of the frame whose names are `names`: `2·i + 1` if it is the
+/// frame's `i`-th name, else `2·len` and its UTF-8 bytes, which makes it
+/// the frame's next name while the table has room.
+pub fn put_name(out: &mut Vec<u8>, names: &mut Names, name: &str) {
+    let bytes = name.as_bytes();
+    let mut slot = hash(bytes) & (SLOTS - 1);
+    while let Some(i) = names.slots[slot].checked_sub(1) {
+        let span = names.spans[i as usize];
+        let start = names.base + span.start;
+        if out.get(start..start + span.len) == Some(bytes) {
+            put_u64(out, 2 * i as u64 + 1);
+            return;
+        }
+        slot = (slot + 1) & (SLOTS - 1);
+    }
+    put_u64(out, 2 * bytes.len() as u64);
+    let start = out.len() - names.base;
+    out.extend_from_slice(bytes);
+    if names.len < MAX_NAMES {
+        names.spans[names.len] = Span {
+            start,
+            len: bytes.len(),
+            slot,
+        };
+        names.len += 1;
+        names.slots[slot] = names.len as u8;
+    }
+}
+
+/// Frames records into a byte buffer: a record joins the open frame
+/// unless it opens one ([`Record::is_checkpoint`],
+/// [`Record::opens_frame`]) or the frame is full, and `Encoder::seal`
+/// closes the frame at a flush point, writing its header.
+#[derive(Debug, Default)]
+pub struct Encoder {
+    buf: Vec<u8>,
+    /// The open frame: where its header starts in `buf`, and how many
+    /// records it holds.
+    open: Option<(usize, usize)>,
+    /// Boxed: only a log with a file encodes, and the table is 3 KiB.
+    names: Box<Names>,
+}
+
+impl Encoder {
+    /// An encoder whose buffer starts with `head` (a file header, or
+    /// nothing).
+    pub fn new(head: &[u8]) -> Self {
+        Self {
+            buf: head.to_vec(),
+            ..Self::default()
+        }
+    }
+
+    /// Encodes `rec` into the open frame, opening one first if none is
+    /// open, if `rec` opens one or if the open frame holds `most`
+    /// records already. Returns the byte offset in the buffer of the
+    /// frame `rec` went into.
+    pub fn push<R: Record>(&mut self, rec: &R, most: usize) -> usize {
+        let opens = rec.is_checkpoint() || rec.opens_frame();
+        if opens || self.open_records() >= most {
+            self.seal();
+        }
+        let (start, records) = *self.open.get_or_insert_with(|| {
+            self.buf.extend_from_slice(&[0; FRAME_HEADER]);
+            self.names.clear(self.buf.len());
+            (self.buf.len() - FRAME_HEADER, 0)
+        });
+        rec.encode(&mut self.buf, &mut self.names);
+        self.open = Some((start, records + 1));
+        start
+    }
+
+    /// Closes the open frame, if there is one: writes its header.
+    ///
+    /// # Panics
+    /// If the payload exceeds `u32::MAX` bytes (a frame of 4 GiB).
+    pub(crate) fn seal(&mut self) {
+        let Some((start, _)) = self.open.take() else {
+            return;
+        };
+        let payload = start + FRAME_HEADER;
+        let len = u32::try_from(self.buf.len() - payload).expect("log frame exceeds 4 GiB");
+        let crc = crc32(&self.buf[payload..]);
+        self.buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        self.buf[start + 4..start + 8].copy_from_slice(&(!len).to_le_bytes());
+        self.buf[start + 8..payload].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// Records in the open frame (0 if none is open).
+    pub(crate) fn open_records(&self) -> usize {
+        self.open.map_or(0, |(_, records)| records)
+    }
+
+    /// The buffer: sealed frames, then the open one (its header not yet
+    /// written).
+    pub fn bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// The sealed frames at the front of the buffer.
+    pub(crate) fn sealed(&self) -> &[u8] {
+        &self.buf[..self.open.map_or(self.buf.len(), |(start, _)| start)]
+    }
+
+    /// Drops the sealed frames (written, or lost to a failed write),
+    /// keeping the open one.
+    pub(crate) fn drop_sealed(&mut self) {
+        let end = self.sealed().len();
+        self.buf.drain(..end);
+        if let Some((start, _)) = &mut self.open {
+            *start -= end;
+            self.names.base -= end;
+        }
+    }
+
+    /// Seals the open frame and hands over the buffer.
+    pub(crate) fn finish(mut self) -> Vec<u8> {
+        self.seal();
+        self.buf
+    }
+}
+
+/// Appends `rec` to `out` as a frame of its own.
+pub fn encode_frame<R: Record>(rec: &R, out: &mut Vec<u8>) {
+    let mut frames = Encoder {
+        buf: std::mem::take(out),
+        ..Encoder::default()
+    };
+    frames.push(rec, 1);
+    *out = frames.finish();
+}
+
+/// The bytes of a log file holding exactly `records`, one frame each,
+/// as a log under `PerEvent` writes them. Any prefix of `records`
+/// encodes to a prefix of these bytes.
+pub fn file_bytes<R: Record>(records: &[R]) -> Vec<u8> {
+    let mut frames = Encoder::new(&R::HEADER);
+    for rec in records {
+        frames.push(rec, 1);
+    }
+    frames.finish()
 }
 
 /// LEB128 varint.
@@ -209,7 +420,8 @@ pub fn put_value(out: &mut Vec<u8>, v: &Value) {
 pub enum DecodeError {
     /// The file does not open with the record type's magic.
     NotThisLog,
-    /// The magic is right but the version byte is not this build's.
+    /// The magic is right but the version byte is neither this build's
+    /// nor version 1.
     UnsupportedVersion(u8),
     /// The frame at `offset` is damaged and intact frames follow it, or
     /// its checks pass and its payload is not a record.
@@ -264,6 +476,9 @@ pub struct Decoded<T> {
     pub valid_len: usize,
     /// Why the bytes after `valid_len` were dropped, if any were.
     pub torn: Option<FrameFault>,
+    /// The file is in version 1 of the format: readable, but a log
+    /// rewrites it before appending.
+    pub older: bool,
 }
 
 /// The payload of the frame starting at `pos`, if it passes every check.
@@ -289,7 +504,8 @@ fn frame_at(bytes: &[u8], pos: usize) -> Result<&[u8], FrameFault> {
 
 /// Decodes a whole log file frame by frame, handing each record and its
 /// frame's byte offset to `visit` as it is decoded — nothing is kept.
-/// See the module documentation for the torn-tail rule.
+/// See the module documentation for the torn-tail rule: a torn frame
+/// gives none of its records.
 pub fn visit_file<R: Record>(
     bytes: &[u8],
     mut visit: impl FnMut(usize, R),
@@ -308,33 +524,36 @@ pub fn visit_file<R: Record>(
     if header[..MAGIC_LEN] != R::HEADER[..MAGIC_LEN] {
         return Err(DecodeError::NotThisLog);
     }
-    if header[MAGIC_LEN] != R::HEADER[MAGIC_LEN] {
-        return Err(DecodeError::UnsupportedVersion(header[MAGIC_LEN]));
+    let version = header[MAGIC_LEN];
+    if version != R::HEADER[MAGIC_LEN] && version != VERSION_1 {
+        return Err(DecodeError::UnsupportedVersion(version));
     }
-    let mut shared = Shared::default();
+    let mut shared = Shared {
+        v1: version == VERSION_1,
+        ..Shared::default()
+    };
     let mut found = Decoded {
         valid_len: FILE_HEADER_LEN,
+        older: shared.v1,
         ..Decoded::default()
     };
     while found.valid_len < bytes.len() {
         let pos = found.valid_len;
         match frame_at(bytes, pos) {
             Ok(payload) => {
+                shared.names.clear();
                 let mut r = Reader::new(payload, &mut shared);
-                let rec = R::decode(&mut r)
-                    .and_then(|rec| {
-                        if r.is_empty() {
-                            Ok(rec)
-                        } else {
-                            Err("trailing bytes")
-                        }
-                    })
-                    .map_err(|detail| DecodeError::Corrupt {
+                loop {
+                    let rec = R::decode(&mut r).map_err(|detail| DecodeError::Corrupt {
                         offset: pos,
                         detail: format!("undecodable record: {detail}"),
                     })?;
-                visit(pos, rec);
-                found.records += 1;
+                    visit(pos, rec);
+                    found.records += 1;
+                    if r.is_empty() {
+                        break;
+                    }
+                }
                 found.valid_len += FRAME_HEADER + payload.len();
             }
             Err(fault) => {
@@ -360,6 +579,7 @@ pub fn decode_file<R: Record>(bytes: &[u8]) -> Result<Decoded<Vec<R>>, DecodeErr
         records,
         valid_len: found.valid_len,
         torn: found.torn,
+        older: found.older,
     })
 }
 
@@ -368,11 +588,16 @@ pub fn decode_file<R: Record>(bytes: &[u8]) -> Result<Decoded<Vec<R>>, DecodeErr
 pub type Field<T> = Result<T, &'static str>;
 
 /// What one pass over a file has built of its repeated values, by
-/// their encoded bytes (see the module documentation).
+/// their encoded bytes (see the module documentation), and the names
+/// of the frame it is in.
 #[derive(Default)]
 struct Shared<'f> {
     strs: HashMap<&'f [u8], Arc<str>>,
     params: HashMap<&'f [u8], Params>,
+    /// The current frame's names, in the order it spelled them out.
+    names: Vec<Arc<str>>,
+    /// The file is in version 1: names are plain strings.
+    v1: bool,
 }
 
 /// Cursor over one frame's payload, a slice of a file (`'f`) read with
@@ -453,8 +678,16 @@ impl<'f, 't> Reader<'f, 't> {
 
     /// A length-prefixed byte string.
     pub fn bytes(&mut self) -> Field<&'f [u8]> {
-        let n = self.count()?;
-        let (head, rest) = self.buf.split_at(n);
+        let n = self.u64()?;
+        self.take(n)
+    }
+
+    /// The next `n` bytes.
+    fn take(&mut self, n: u64) -> Field<&'f [u8]> {
+        if n > self.buf.len() as u64 {
+            return Err("count exceeds payload");
+        }
+        let (head, rest) = self.buf.split_at(n as usize);
         self.buf = rest;
         Ok(head)
     }
@@ -474,6 +707,37 @@ impl<'f, 't> Reader<'f, 't> {
     /// for UTF-8.
     pub fn shared_str(&mut self) -> Field<Arc<str>> {
         let bytes = self.bytes()?;
+        self.share(bytes)
+    }
+
+    /// A name ([`put_name`]): a back-reference resolves to the frame's
+    /// name of that index, a literal is a [`Reader::shared_str`] that
+    /// becomes the frame's next name. In a version-1 file a name is a
+    /// plain string.
+    pub fn name(&mut self) -> Field<Arc<str>> {
+        let x = self.u64()?;
+        if self.shared.v1 {
+            let bytes = self.take(x)?;
+            return self.share(bytes);
+        }
+        if x & 1 == 1 {
+            let i = usize::try_from(x >> 1).map_err(|_| "name index out of range")?;
+            return self
+                .shared
+                .names
+                .get(i)
+                .cloned()
+                .ok_or("name index out of range");
+        }
+        let bytes = self.take(x >> 1)?;
+        let name = self.share(bytes)?;
+        self.shared.names.push(Arc::clone(&name));
+        Ok(name)
+    }
+
+    /// The one `Arc<str>` of the pass for `bytes`, checked for UTF-8 the
+    /// first time they are seen.
+    fn share(&mut self, bytes: &'f [u8]) -> Field<Arc<str>> {
         if let Some(shared) = self.shared.strs.get(bytes) {
             return Ok(Arc::clone(shared));
         }
@@ -550,12 +814,12 @@ mod tests {
     struct Num(u64);
 
     impl Record for Num {
-        const HEADER: [u8; FILE_HEADER_LEN] = *b"NUMS\x01";
+        const HEADER: [u8; FILE_HEADER_LEN] = *b"NUMS\x02";
         const NAME: &'static str = "number log";
         fn not_this_log(path: &Path) -> String {
             format!("{} is not a number log", path.display())
         }
-        fn encode(&self, out: &mut Vec<u8>) {
+        fn encode(&self, out: &mut Vec<u8>, _: &mut Names) {
             put_u64(out, self.0);
         }
         fn decode(r: &mut Reader<'_, '_>) -> Field<Self> {
@@ -667,8 +931,150 @@ mod tests {
             DecodeError::NotThisLog
         );
         assert_eq!(
-            decode_file::<Num>(b"NUMS\x02").unwrap_err(),
-            DecodeError::UnsupportedVersion(2)
+            decode_file::<Num>(b"NUMS\x03").unwrap_err(),
+            DecodeError::UnsupportedVersion(3)
+        );
+        assert!(decode_file::<Num>(b"NUMS\x01").unwrap().older);
+        assert!(!decode_file::<Num>(b"NUMS\x02").unwrap().older);
+    }
+
+    /// A list of names; `[]` is a checkpoint.
+    #[derive(Debug, PartialEq)]
+    struct Said(Vec<String>);
+
+    impl Record for Said {
+        const HEADER: [u8; FILE_HEADER_LEN] = *b"SAID\x02";
+        const NAME: &'static str = "name log";
+        fn not_this_log(path: &Path) -> String {
+            format!("{} is not a name log", path.display())
+        }
+        fn encode(&self, out: &mut Vec<u8>, names: &mut Names) {
+            put_u64(out, self.0.len() as u64);
+            for name in &self.0 {
+                put_name(out, names, name);
+            }
+        }
+        fn decode(r: &mut Reader<'_, '_>) -> Field<Self> {
+            let n = r.count()?;
+            (0..n)
+                .map(|_| r.name().map(|s| s.to_string()))
+                .collect::<Field<_>>()
+                .map(Said)
+        }
+        fn is_checkpoint(&self) -> bool {
+            self.0.is_empty()
+        }
+    }
+
+    fn said(names: &[&str]) -> Said {
+        Said(names.iter().map(|&s| s.to_owned()).collect())
+    }
+
+    /// Records in one frame spell a name once; a frame of its own
+    /// spells it again, and a checkpoint always opens a frame.
+    #[test]
+    fn a_frame_spells_each_name_once() {
+        let mut frames = Encoder::new(&Said::HEADER);
+        assert_eq!(
+            frames.push(&said(&["Forward/S1", "x"]), 64),
+            FILE_HEADER_LEN
+        );
+        assert_eq!(frames.push(&said(&["Forward/S1"]), 64), FILE_HEADER_LEN);
+        let checkpoint = frames.push(&said(&[]), 64);
+        assert_eq!(frames.push(&said(&["Forward/S1"]), 64), checkpoint);
+        let bytes = frames.finish();
+        let header = FILE_HEADER_LEN + FRAME_HEADER;
+        // count, 2·10 "Forward/S1", 2·1 "x"; count, ref 0 (2·0 + 1).
+        let mut first = vec![2, 20];
+        first.extend_from_slice(b"Forward/S1");
+        first.extend_from_slice(&[2, b'x', 1, 1]);
+        assert_eq!(bytes[header..header + first.len()], first);
+        assert_eq!(checkpoint, header + first.len());
+        let decoded = decode_file::<Said>(&bytes).unwrap();
+        let expect = [
+            said(&["Forward/S1", "x"]),
+            said(&["Forward/S1"]),
+            said(&[]),
+            said(&["Forward/S1"]),
+        ];
+        assert_eq!(decoded.records, expect);
+        assert_eq!(
+            file_bytes(&expect).len(),
+            bytes.len() + 2 * FRAME_HEADER + 10,
+            "four frames, not two: two more headers, and the second record spells the path"
+        );
+    }
+
+    /// Empty, non-ASCII and long names round-trip, and so does a frame
+    /// with more distinct names than the table holds: those past it are
+    /// spelled out every time.
+    #[test]
+    fn names_round_trip_past_the_table() {
+        let long = "λ".repeat(40);
+        let odd = [
+            String::new(),
+            "日本".to_owned(),
+            long.clone(),
+            "\u{1F600}".to_owned(),
+        ];
+        let many: Vec<String> = (0..3 * MAX_NAMES)
+            .map(|i| format!("Forward/S{i}"))
+            .collect();
+        let records = [
+            Said(odd.to_vec()),
+            Said(odd.to_vec()),
+            Said(many.clone()),
+            Said(many),
+        ];
+        let mut frames = Encoder::new(&Said::HEADER);
+        for rec in &records {
+            frames.push(rec, usize::MAX);
+        }
+        let bytes = frames.finish();
+        assert_eq!(decode_file::<Said>(&bytes).unwrap().records, records);
+        assert_eq!(
+            decode_file::<Said>(&file_bytes(&records)).unwrap().records,
+            records
+        );
+    }
+
+    /// Version 1 spelled every name as a plain string, one record per
+    /// frame; it reads as it did.
+    #[test]
+    fn version_1_names_are_plain_strings() {
+        let mut bytes = b"SAID\x01".to_vec();
+        for rec in [said(&["a", "a"]), said(&["a"])] {
+            let mut payload = Vec::new();
+            put_u64(&mut payload, rec.0.len() as u64);
+            for name in &rec.0 {
+                put_str(&mut payload, name);
+            }
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&(!(payload.len() as u32)).to_le_bytes());
+            bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+            bytes.extend_from_slice(&payload);
+        }
+        let decoded = decode_file::<Said>(&bytes).unwrap();
+        assert!(decoded.older);
+        assert_eq!(decoded.records, [said(&["a", "a"]), said(&["a"])]);
+    }
+
+    /// A back-reference past the frame's names, or into another frame's,
+    /// is not a record.
+    #[test]
+    fn a_name_refers_only_into_its_own_frame() {
+        let mut bytes = file_bytes(&[said(&["a"])]);
+        let mut payload = vec![1, 1];
+        let at = bytes.len();
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&(!(payload.len() as u32)).to_le_bytes());
+        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+        bytes.append(&mut payload);
+        let err = decode_file::<Said>(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, DecodeError::Corrupt { offset, detail }
+                if *offset == at && detail.contains("name index out of range")),
+            "{err:?}"
         );
     }
 }

@@ -11,31 +11,38 @@
 //!   [frames](crate::frame) under a [`DurabilityPolicy`] keeps a record
 //!   only until the write that hands its frame to the OS succeeds: none
 //!   under `PerEvent`/`PerEventSync`, at most `n - 1` under
-//!   `Batched { n }`. A record is framed once, straight into the bytes
-//!   the file is handed; an unmirrored log pays a `Vec` push per append.
+//!   `Batched { n }`. A record is encoded once, straight into the bytes
+//!   the file is handed, and the records of one flush share one frame
+//!   ([`crate::frame`] says where else frames open); an unmirrored log
+//!   pays a `Vec` push per append.
 //! * **Readers stream.** [`Log::for_each`] decodes the file's flushed
 //!   prefix frame by frame and then walks memory; [`Log::open`]
 //!   validates, repairs, counts and feeds a visitor in one pass over
 //!   the file. Nothing hands out a list of records it keeps.
-//! * **Torn tails.** Reopening truncates a half-written final frame,
-//!   reports it in the [`TailReport`] and counts it; damage before an
-//!   intact frame is refused with the frame's byte offset (the rule is
-//!   [`crate::frame`]'s).
+//! * **Torn tails.** Reopening truncates a half-written final frame —
+//!   every record of it — reports it in the [`TailReport`] and counts
+//!   it; damage before an intact frame is refused with the frame's byte
+//!   offset (the rule is [`crate::frame`]'s).
+//! * **One writer.** A file in version 1 of the format is read as it
+//!   always was, and opening it to append first rewrites it in the
+//!   current version, one frame per record, with the atomic rewrite
+//!   compaction uses.
 //! * **Sticky mirror errors.** Mirror I/O failures never panic: the
 //!   first is remembered ([`Log::mirror_error`]) and counted, the file
 //!   gets no further writes, and the log carries on in memory — the
 //!   records of a failed write are still there — so its owner can
 //!   surface the failure at its API boundary.
 //! * **Compaction** drops everything before the last checkpoint record:
-//!   the file's bytes from that frame on are copied behind a header
-//!   and atomically swapped in. No record is encoded again.
+//!   a checkpoint always opens a frame, so the file's bytes from that
+//!   frame on are copied behind a header and atomically swapped in. No
+//!   record is encoded again.
 //!
 //! Faults are counted, never printed ([`FaultCounters`]).
 
 use crate::durability::{
     atomic_rewrite, DurabilityPolicy, DurableWriter, MirrorError, TailReport, TornTail,
 };
-use crate::frame::{self, DecodeError, Record, FILE_HEADER_LEN};
+use crate::frame::{self, DecodeError, Encoder, Record, FILE_HEADER_LEN};
 use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
@@ -63,7 +70,8 @@ struct Mirror {
 struct Mark {
     /// Its index in the log.
     index: usize,
-    /// Byte offset of its frame in the file (0 in an unmirrored log).
+    /// Byte offset in the file of the frame it opens (0 in an
+    /// unmirrored log).
     offset: u64,
 }
 
@@ -117,7 +125,9 @@ impl<R: Record + Clone> Log<R> {
     /// [`TailReport`] says what was found. `visit` is handed every
     /// record the file holds, in order, as the one pass that validates
     /// the frames decodes it — how an owner rebuilds its state from the
-    /// file without a list of its records ever existing.
+    /// file without a list of its records ever existing. A file in
+    /// version 1 of the format is then rewritten in the current one
+    /// (its intact records, a frame each), which drops its torn tail.
     pub fn open(
         path: &Path,
         policy: DurabilityPolicy,
@@ -126,11 +136,17 @@ impl<R: Record + Clone> Log<R> {
         let mut log = Self::default();
         let (mut flushed_len, mut report) = (0, TailReport::default());
         if path.exists() {
-            (flushed_len, log.checkpoint, report) = Self::scan(path, visit)?;
+            let older;
+            (flushed_len, log.checkpoint, report, older) = Self::scan(path, visit)?;
+            if older {
+                (flushed_len, log.checkpoint) = Self::rewrite(path)?;
+            }
             if let Some(tail) = &report.torn_tail {
-                let f = OpenOptions::new().write(true).open(path)?;
-                f.set_len(tail.offset)?;
-                f.sync_data()?;
+                if !older {
+                    let f = OpenOptions::new().write(true).open(path)?;
+                    f.set_len(tail.offset)?;
+                    f.sync_data()?;
+                }
                 log.faults.torn_tails_truncated.inc();
                 if tail.checksum_failed {
                     log.faults.crc_failures.inc();
@@ -171,17 +187,18 @@ impl<R: Record + Clone> Log<R> {
     /// truncated.
     pub fn read_file(path: &Path) -> std::io::Result<(Vec<R>, TailReport)> {
         let mut records = Vec::new();
-        let (.., report) = Self::scan(path, |rec| records.push(rec))?;
+        let (_, _, report, _) = Self::scan(path, |rec| records.push(rec))?;
         Ok((records, report))
     }
 
     /// One pass over the file at `path`: every frame validated, every
     /// record handed to `visit`. Returns the length of the intact
-    /// prefix, where the last checkpoint is, and the report.
+    /// prefix, where the last checkpoint is, the report, and whether
+    /// the file is in version 1 of the format.
     fn scan(
         path: &Path,
         mut visit: impl FnMut(R),
-    ) -> std::io::Result<(u64, Option<Mark>, TailReport)> {
+    ) -> std::io::Result<(u64, Option<Mark>, TailReport, bool)> {
         let bytes = std::fs::read(path)
             .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
         let (mut index, mut checkpoint) = (0, None);
@@ -215,7 +232,20 @@ impl<R: Record + Clone> Log<R> {
                 checksum_failed: fault.is_checksum(),
             }),
         };
-        Ok((found.valid_len as u64, checkpoint, report))
+        Ok((found.valid_len as u64, checkpoint, report, found.older))
+    }
+
+    /// Rewrites the version-1 file at `path` in the current version,
+    /// one frame per intact record, with [`atomic_rewrite`]. Returns its
+    /// new length and where its last checkpoint is.
+    fn rewrite(path: &Path) -> std::io::Result<(u64, Option<Mark>)> {
+        let mut frames = Encoder::new(&R::HEADER);
+        Self::scan(path, |rec| {
+            frames.push(&rec, 1);
+        })?;
+        atomic_rewrite(path, &frames.finish())?;
+        let (len, checkpoint, ..) = Self::scan(path, |_| {})?;
+        Ok((len, checkpoint))
     }
 
     /// The first mirror I/O error hit, if any. Once set, the file gets
@@ -273,8 +303,9 @@ impl<R: Record + Clone> Log<R> {
 
     /// Appends a batch with a single group commit of the mirror: the
     /// whole batch is framed into the mirror's one buffer and written
-    /// with one `write_all` — the bytes are exactly the per-record
-    /// frames in order — and the batch end is a flush barrier.
+    /// with one `write_all` — in the frames the policy draws, so under
+    /// `PerEvent` exactly the per-record frames in order — and the
+    /// batch end is a flush barrier.
     pub fn append_batch(&mut self, batch: impl IntoIterator<Item = R>) {
         let before = self.memory.len();
         for rec in batch {
@@ -291,8 +322,7 @@ impl<R: Record + Clone> Log<R> {
         let mut offset = 0;
         if let Some(m) = &mut self.mirror {
             if let Some(w) = &mut m.writer {
-                offset = m.flushed_len + w.buf().len() as u64;
-                frame::encode_frame(rec, w.buf());
+                offset = m.flushed_len + w.push(rec) as u64;
             }
         }
         if rec.is_checkpoint() {
@@ -301,9 +331,10 @@ impl<R: Record + Clone> Log<R> {
     }
 
     /// Has the writer, if there is one, `write`. When that puts bytes
-    /// in the file, the file holds the frames of everything in memory,
-    /// so memory lets go of it; while the policy is still batching, and
-    /// after a failure, memory keeps it.
+    /// in the file, the file holds the frames of everything in memory
+    /// but the writer's open frame, so memory lets go of the rest;
+    /// while the policy is still batching, and after a failure, memory
+    /// keeps it.
     fn write(
         &mut self,
         write: impl FnOnce(&mut DurableWriter) -> std::io::Result<usize>,
@@ -314,9 +345,10 @@ impl<R: Record + Clone> Log<R> {
         match write(w) {
             Ok(0) => {}
             Ok(written) => {
+                let out = self.memory.len() - w.unwritten();
                 m.flushed_len += written as u64;
-                m.records += self.memory.len();
-                self.memory.clear();
+                m.records += out;
+                self.memory.drain(..out);
             }
             Err(e) => self.fail_mirror(context, &e),
         }
@@ -459,7 +491,7 @@ impl<R: Record + Clone> Log<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{put_u64, Field, Reader};
+    use crate::frame::{put_u64, Field, Names, Reader};
     use proptest::prelude::*;
 
     /// The smallest record type: one varint; `0` is a checkpoint.
@@ -467,12 +499,12 @@ mod tests {
     struct Num(u64);
 
     impl Record for Num {
-        const HEADER: [u8; FILE_HEADER_LEN] = *b"NUMS\x01";
+        const HEADER: [u8; FILE_HEADER_LEN] = *b"NUMS\x02";
         const NAME: &'static str = "number log";
         fn not_this_log(path: &Path) -> String {
             format!("{} is not a number log", path.display())
         }
-        fn encode(&self, out: &mut Vec<u8>) {
+        fn encode(&self, out: &mut Vec<u8>, _: &mut Names) {
             put_u64(out, self.0);
         }
         fn decode(r: &mut Reader<'_, '_>) -> Field<Self> {
@@ -526,12 +558,73 @@ mod tests {
         ]
     }
 
+    /// The records of a log in the frames its file holds or will hold:
+    /// each frame's records, how many frames were written, whether the
+    /// last one takes more records, and how many records are unwritten.
+    #[derive(Default)]
+    struct Frames {
+        frames: Vec<Vec<Num>>,
+        flushed: usize,
+        open: bool,
+        pending: usize,
+    }
+
+    impl Frames {
+        /// Appends `v` as the log under a policy allowing `most`
+        /// records a frame does.
+        fn push(&mut self, v: u64, most: usize) {
+            let full = self.frames.last().is_none_or(|f| f.len() >= most);
+            if !self.open || full || Num(v).is_checkpoint() {
+                self.frames.push(Vec::new());
+            }
+            self.frames.last_mut().unwrap().push(Num(v));
+            self.open = true;
+            self.pending += 1;
+        }
+
+        /// A barrier: every frame closed and written.
+        fn flush(&mut self) {
+            (self.flushed, self.open, self.pending) = (self.frames.len(), false, 0);
+        }
+
+        /// What `Batched { most }` does once `most` records are
+        /// unwritten: writes the closed frames, and the open one if it
+        /// is full.
+        fn count(&mut self, most: usize) {
+            if self.pending < most {
+                return;
+            }
+            let last = self.frames.last().map_or(0, Vec::len);
+            self.open &= last < most;
+            self.flushed = self.frames.len() - self.open as usize;
+            self.pending = if self.open { last } else { 0 };
+        }
+
+        fn records(&self) -> Vec<Num> {
+            self.frames.iter().flatten().cloned().collect()
+        }
+
+        /// The bytes of the written frames.
+        fn file(&self) -> Vec<u8> {
+            let mut frames = Encoder::new(&Num::HEADER);
+            for frame in &self.frames[..self.flushed] {
+                for rec in frame {
+                    frames.push(rec, usize::MAX);
+                }
+                frames.seal();
+            }
+            frames.finish()
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Whatever is done to a mirrored log, under each policy: its
         /// records are the model's, the file is exactly the frames of
-        /// the flushed prefix, and memory holds exactly the rest.
+        /// the flushed prefix — a frame per flush under `Batched`, a
+        /// frame per record otherwise, a checkpoint opening one — and
+        /// memory holds exactly the rest.
         #[test]
         fn the_log_is_its_file_followed_by_its_memory(
             ops in prop::collection::vec(op(), 1..40),
@@ -545,55 +638,65 @@ mod tests {
             let path = dir.join("log");
             let open = || Log::<Num>::open(&path, policy, |_| {}).unwrap().0;
             let batching = matches!(policy, DurabilityPolicy::Batched { .. });
+            let most = if batching { 3 } else { 1 };
             let mut log = open();
-            // The whole log, how many of its records the file holds,
-            // and how many appends the policy has seen since a flush.
-            let (mut model, mut flushed, mut pending) = (Vec::<Num>::new(), 0, 0);
+            // The whole log in its frames.
+            let mut model = Frames::default();
             for op in ops {
                 match op.clone() {
                     Op::Append(v, barrier) => {
-                        prop_assert_eq!(log.append(Num(v), barrier), model.len());
-                        model.push(Num(v));
-                        pending += 1;
-                        if !batching || barrier || pending >= 3 {
-                            (flushed, pending) = (model.len(), 0);
+                        prop_assert_eq!(log.append(Num(v), barrier), model.records().len());
+                        model.push(v, most);
+                        if !batching || barrier {
+                            model.flush();
+                        } else {
+                            model.count(most);
                         }
                     }
                     Op::Batch(vs) => {
-                        model.extend(vs.iter().map(|&v| Num(v)));
+                        vs.iter().for_each(|&v| model.push(v, most));
                         log.append_batch(vs.into_iter().map(Num));
-                        (flushed, pending) = (model.len(), 0);
+                        model.flush();
                     }
                     Op::Flush => {
                         log.flush();
-                        (flushed, pending) = (model.len(), 0);
+                        model.flush();
                     }
                     Op::Compact => {
-                        let start = model.iter().rposition(Num::is_checkpoint).unwrap_or(0);
+                        let records = model.records();
+                        let start = records.iter().rposition(Num::is_checkpoint).unwrap_or(0);
                         prop_assert_eq!(log.compact(), start);
                         if start > 0 {
-                            model.drain(..start);
-                            (flushed, pending) = (model.len(), 0);
+                            // A checkpoint opens its frame.
+                            let mut before = 0;
+                            let frame = model.frames.iter().position(|f| {
+                                before += f.len();
+                                before - f.len() == start
+                            });
+                            model.frames.drain(..frame.unwrap());
+                            model.flush();
                         }
                     }
                     Op::Reopen => {
                         drop(log);
                         log = open();
-                        (flushed, pending) = (model.len(), 0);
+                        model.flush();
                     }
                     Op::Crash => {
                         std::mem::forget(log);
                         log = open();
-                        model.truncate(flushed);
-                        pending = 0;
+                        model.frames.truncate(model.flushed);
+                        (model.open, model.pending) = (false, 0);
                     }
                 }
-                prop_assert_eq!(log.records(), model.clone(), "after {:?}", op);
-                prop_assert_eq!(log.len(), model.len());
-                prop_assert_eq!(log.resident(), model.len() - flushed, "after {:?}", op);
+                let records = model.records();
+                let resident: usize = model.frames[model.flushed..].iter().map(Vec::len).sum();
+                prop_assert_eq!(log.records(), records.clone(), "after {:?}", op);
+                prop_assert_eq!(log.len(), records.len());
+                prop_assert_eq!(log.resident(), resident, "after {:?}", op);
                 let file = std::fs::read(&path).unwrap();
                 prop_assert_eq!(log.file_len(), file.len() as u64);
-                prop_assert_eq!(file, frame::file_bytes(&model[..flushed]), "after {:?}", op);
+                prop_assert_eq!(file, model.file(), "after {:?}", op);
             }
             prop_assert!(log.mirror_error().is_none());
             std::fs::remove_dir_all(&dir).unwrap();

@@ -14,8 +14,8 @@
 //!    empty, so only winner writes ever reach it.
 //!
 //! The WAL is the substrate's [`Log`], instantiated for [`LogRecord`]:
-//! the optional file mirror (magic `"WFWL"`, version 1, one checksummed
-//! frame per record — `docs/recovery.md`), the memory that holds only
+//! the optional file mirror (magic `"WFWL"`, version 2, one checksummed
+//! frame per group commit — `docs/recovery.md`), the memory that holds only
 //! what the file does not, torn-tail repair on reopen, sticky mirror
 //! errors, fault counting and atomic compaction are all the shared
 //! log's. This module adds the record type with its payload codec, the
@@ -90,14 +90,14 @@ impl LogRecord {
 
 /// Payload: a variant tag (1..=5), then the fields in declaration order.
 impl Record for LogRecord {
-    const HEADER: [u8; FILE_HEADER_LEN] = *b"WFWL\x01";
+    const HEADER: [u8; FILE_HEADER_LEN] = *b"WFWL\x02";
     const NAME: &'static str = "WAL";
 
     fn not_this_log(path: &Path) -> String {
         format!("{} is not a WAL file", path.display())
     }
 
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut Vec<u8>, _: &mut frame::Names) {
         match self {
             LogRecord::Begin { txn } => {
                 out.push(1);
@@ -805,10 +805,14 @@ mod tests {
         wal.append(records[1].clone());
         // Nothing flushed yet under Batched{100}...
         assert_eq!(std::fs::read(&path).unwrap(), LogRecord::HEADER);
-        // ...but a commit record forces the group to disk.
+        // ...but a commit record forces the group to disk, as one frame.
         records.push(LogRecord::Commit { txn: t(1) });
         wal.append(records[2].clone());
-        assert_eq!(std::fs::read(&path).unwrap(), frame::file_bytes(&records));
+        let mut group = frame::Encoder::new(&LogRecord::HEADER);
+        for rec in &records {
+            group.push(rec, 100);
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), group.finish());
         assert_eq!(wal.stats().barrier_flushes, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -919,6 +923,24 @@ mod tests {
             bit in 0u8..8,
         ) {
             properties::flipped_bit_is_torn_or_corrupt(&records, at, bit);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Written through the log under `Batched { n }`, a frame per
+        /// group commit: every cut and every flipped bit keeps or loses
+        /// whole frames.
+        #[test]
+        fn grouped_frames_keep_or_lose_whole_frames(
+            records in prop::collection::vec(record(), 1..8),
+            flush_after in prop::collection::vec(any::<bool>(), 8),
+            n in 1usize..5,
+            at in any::<usize>(),
+            bit in 0u8..8,
+        ) {
+            properties::grouped_frames(&records, &flush_after, n, at, bit);
         }
     }
 }

@@ -1,28 +1,36 @@
 //! The journal's payloads: [`Event`] as a [`Record`] of the
 //! substrate's log.
 //!
-//! The file header (`"WFJL"`, version 1), the checksummed frame around
-//! each payload, the torn-tail rule and the primitives below (varints,
-//! strings, options, [`Value`](txn_substrate::Value)s) are
-//! [`txn_substrate::frame`]'s; `docs/recovery.md` describes a journal
-//! file byte by byte. This module says only what is inside a frame:
+//! The file header (`"WFJL"`, version 2; version 1 is still read), the
+//! checksummed frame around each group commit, the torn-tail rule and
+//! the primitives below (varints, strings, names, options,
+//! [`Value`](txn_substrate::Value)s) are [`txn_substrate::frame`]'s;
+//! `docs/recovery.md` describes a journal file byte by byte. This module
+//! says only what one event is inside a frame:
 //!
 //! ```text
-//! payload := tag:u8 field*          (one Event; tags 1..=16)
+//! event := tag:u8 field*          (tags 1..=16)
 //! ```
 //!
 //! Fields are written in declaration order with no names; sequences
-//! and containers as a varint count plus the items. Decoding shares one
-//! allocation per distinct encoded path and per distinct encoded
-//! container across the whole file (`Reader::shared_str`,
-//! `Reader::shared_params`).
+//! and containers as a varint count plus the items. The fields that
+//! name something — activity path, scope, connector `from`/`to`,
+//! process, version, tenant and user — are frame-local names
+//! (`frame::put_name`): spelled out once per frame, an index after
+//! that. An `InstanceStarted` opens a frame, so an instance that starts
+//! and finishes between two flushes is one frame however many others
+//! the flush covers. Container members and values, and free text such as an
+//! intervention's action, are plain strings, so equal containers keep
+//! equal bytes in every frame. Decoding shares one allocation per
+//! distinct name and per distinct encoded container across the whole
+//! file (`Reader::name`, `Reader::shared_params`).
 
 use crate::event::{Event, InstanceId, InstanceSnapshot, PathStr, WorkItemId};
 use crate::state::{ActState, ActivityRt, InstanceStatus, ScopeState};
 use crate::worklist::{WorkItem, WorkItemState};
 use std::path::Path;
 use txn_substrate::frame::{
-    put_opt, put_str, put_u64, put_value, Field, Reader, Record, FILE_HEADER_LEN,
+    put_name, put_opt, put_str, put_u64, put_value, Field, Names, Reader, Record, FILE_HEADER_LEN,
 };
 use wfms_model::Container;
 
@@ -31,7 +39,7 @@ use wfms_model::Container;
 const MAX_SCOPE_DEPTH: u32 = 128;
 
 impl Record for Event {
-    const HEADER: [u8; FILE_HEADER_LEN] = *b"WFJL\x01";
+    const HEADER: [u8; FILE_HEADER_LEN] = *b"WFJL\x02";
     const NAME: &'static str = "journal";
 
     fn not_this_log(path: &Path) -> String {
@@ -42,8 +50,8 @@ impl Record for Event {
         )
     }
 
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_event(out, self);
+    fn encode(&self, out: &mut Vec<u8>, names: &mut Names) {
+        Out { out, names }.event(self);
     }
 
     fn decode(r: &mut Reader<'_, '_>) -> Field<Self> {
@@ -53,19 +61,20 @@ impl Record for Event {
     fn is_checkpoint(&self) -> bool {
         matches!(self, Event::EngineCheckpoint { .. })
     }
+
+    /// An instance's events start a frame: the bytes of a run do not
+    /// depend on how many instances a flush happened to cover.
+    fn opens_frame(&self) -> bool {
+        matches!(self, Event::InstanceStarted { .. })
+    }
 }
 
 // ---- encoding --------------------------------------------------------
 
-fn put_opt_str(out: &mut Vec<u8>, s: &Option<String>) {
-    put_opt(out, s, |out, s| put_str(out, s));
-}
-
-fn put_strs(out: &mut Vec<u8>, items: &[String]) {
-    put_u64(out, items.len() as u64);
-    for s in items {
-        put_str(out, s);
-    }
+/// A frame's payload being written, and the names it holds so far.
+struct Out<'a> {
+    out: &'a mut Vec<u8>,
+    names: &'a mut Names,
 }
 
 fn put_container(out: &mut Vec<u8>, c: &Container) {
@@ -110,243 +119,268 @@ fn put_scope(out: &mut Vec<u8>, s: &ScopeState) {
     }
 }
 
-fn put_event(out: &mut Vec<u8>, event: &Event) {
-    match event {
-        Event::InstanceStarted {
-            instance,
-            process,
-            tenant,
-            input,
-            at,
-        } => {
-            out.push(1);
-            put_u64(out, instance.0);
-            put_str(out, process);
-            put_opt_str(out, tenant);
-            put_container(out, input);
-            put_u64(out, *at);
+impl Out<'_> {
+    fn name(&mut self, name: &str) {
+        put_name(self.out, self.names, name);
+    }
+
+    fn opt_name(&mut self, name: &Option<String>) {
+        self.out.push(name.is_some() as u8);
+        if let Some(name) = name {
+            self.name(name);
         }
-        Event::ActivityReady {
-            instance,
-            path,
-            attempt,
-            at,
-        } => {
-            out.push(2);
-            put_u64(out, instance.0);
-            put_str(out, path);
-            put_u64(out, *attempt as u64);
-            put_u64(out, *at);
+    }
+
+    fn names(&mut self, names: &[String]) {
+        put_u64(self.out, names.len() as u64);
+        for name in names {
+            self.name(name);
         }
-        Event::ActivityStarted {
-            instance,
-            path,
-            attempt,
-            by,
-            input,
-            at,
-        } => {
-            out.push(3);
-            put_u64(out, instance.0);
-            put_str(out, path);
-            put_u64(out, *attempt as u64);
-            put_opt_str(out, by);
-            put_container(out, input);
-            put_u64(out, *at);
-        }
-        Event::ActivityFinished {
-            instance,
-            path,
-            attempt,
-            output,
-            at,
-        } => {
-            out.push(4);
-            put_u64(out, instance.0);
-            put_str(out, path);
-            put_u64(out, *attempt as u64);
-            put_container(out, output);
-            put_u64(out, *at);
-        }
-        Event::ActivityRescheduled {
-            instance,
-            path,
-            next_attempt,
-            at,
-        } => {
-            out.push(5);
-            put_u64(out, instance.0);
-            put_str(out, path);
-            put_u64(out, *next_attempt as u64);
-            put_u64(out, *at);
-        }
-        Event::ActivityTerminated {
-            instance,
-            path,
-            executed,
-            at,
-        } => {
-            out.push(6);
-            put_u64(out, instance.0);
-            put_str(out, path);
-            out.push(*executed as u8);
-            put_u64(out, *at);
-        }
-        Event::ConnectorEvaluated {
-            instance,
-            scope,
-            from,
-            to,
-            value,
-            at,
-        } => {
-            out.push(7);
-            put_u64(out, instance.0);
-            put_str(out, scope);
-            put_str(out, from);
-            put_str(out, to);
-            out.push(*value as u8);
-            put_u64(out, *at);
-        }
-        Event::WorkItemOffered {
-            instance,
-            path,
-            item,
-            persons,
-            at,
-        } => {
-            out.push(8);
-            put_u64(out, instance.0);
-            put_str(out, path);
-            put_u64(out, item.0);
-            put_strs(out, persons);
-            put_u64(out, *at);
-        }
-        Event::WorkItemClaimed { item, person, at } => {
-            out.push(9);
-            put_u64(out, item.0);
-            put_str(out, person);
-            put_u64(out, *at);
-        }
-        Event::NotificationSent {
-            instance,
-            path,
-            person,
-            at,
-        } => {
-            out.push(10);
-            put_u64(out, instance.0);
-            put_str(out, path);
-            put_str(out, person);
-            put_u64(out, *at);
-        }
-        Event::UserIntervention {
-            instance,
-            path,
-            action,
-            at,
-        } => {
-            out.push(11);
-            put_u64(out, instance.0);
-            put_str(out, path);
-            put_str(out, action);
-            put_u64(out, *at);
-        }
-        Event::InstanceFinished {
-            instance,
-            output,
-            at,
-        } => {
-            out.push(12);
-            put_u64(out, instance.0);
-            put_container(out, output);
-            put_u64(out, *at);
-        }
-        Event::InstanceCancelled { instance, at } => {
-            out.push(13);
-            put_u64(out, instance.0);
-            put_u64(out, *at);
-        }
-        Event::TemplateDeployed {
-            process,
-            version,
-            at,
-        } => {
-            out.push(14);
-            put_str(out, process);
-            put_str(out, version);
-            put_u64(out, *at);
-        }
-        Event::Migrated {
-            instance,
-            from,
-            to,
-            at,
-        } => {
-            out.push(15);
-            put_u64(out, instance.0);
-            put_str(out, from);
-            put_str(out, to);
-            put_u64(out, *at);
-        }
-        Event::EngineCheckpoint {
-            instances,
-            items,
-            next_instance,
-            next_item,
-            at,
-        } => {
-            out.push(16);
-            put_u64(out, instances.len() as u64);
-            for snap in instances {
-                put_u64(out, snap.id.0);
-                put_str(out, &snap.process);
-                put_opt_str(out, &snap.tenant);
-                out.push(match snap.status {
-                    InstanceStatus::Running => 0,
-                    InstanceStatus::Finished => 1,
-                    InstanceStatus::Cancelled => 2,
-                });
-                put_str(out, &snap.version);
-                put_scope(out, &snap.root);
+    }
+
+    fn event(&mut self, event: &Event) {
+        match event {
+            Event::InstanceStarted {
+                instance,
+                process,
+                tenant,
+                input,
+                at,
+            } => {
+                self.out.push(1);
+                put_u64(self.out, instance.0);
+                self.name(process);
+                self.opt_name(tenant);
+                put_container(self.out, input);
+                put_u64(self.out, *at);
             }
-            put_u64(out, items.len() as u64);
-            for item in items {
-                put_u64(out, item.id.0);
-                put_u64(out, item.instance.0);
-                put_str(out, &item.path);
-                put_u64(out, item.attempt as u64);
-                put_strs(out, &item.offered_to);
-                match &item.state {
-                    WorkItemState::Offered => out.push(0),
-                    WorkItemState::Claimed(by) => {
-                        out.push(1);
-                        put_str(out, by);
-                    }
-                    WorkItemState::Closed => out.push(2),
+            Event::ActivityReady {
+                instance,
+                path,
+                attempt,
+                at,
+            } => {
+                self.out.push(2);
+                put_u64(self.out, instance.0);
+                self.name(path);
+                put_u64(self.out, *attempt as u64);
+                put_u64(self.out, *at);
+            }
+            Event::ActivityStarted {
+                instance,
+                path,
+                attempt,
+                by,
+                input,
+                at,
+            } => {
+                self.out.push(3);
+                put_u64(self.out, instance.0);
+                self.name(path);
+                put_u64(self.out, *attempt as u64);
+                self.opt_name(by);
+                put_container(self.out, input);
+                put_u64(self.out, *at);
+            }
+            Event::ActivityFinished {
+                instance,
+                path,
+                attempt,
+                output,
+                at,
+            } => {
+                self.out.push(4);
+                put_u64(self.out, instance.0);
+                self.name(path);
+                put_u64(self.out, *attempt as u64);
+                put_container(self.out, output);
+                put_u64(self.out, *at);
+            }
+            Event::ActivityRescheduled {
+                instance,
+                path,
+                next_attempt,
+                at,
+            } => {
+                self.out.push(5);
+                put_u64(self.out, instance.0);
+                self.name(path);
+                put_u64(self.out, *next_attempt as u64);
+                put_u64(self.out, *at);
+            }
+            Event::ActivityTerminated {
+                instance,
+                path,
+                executed,
+                at,
+            } => {
+                self.out.push(6);
+                put_u64(self.out, instance.0);
+                self.name(path);
+                self.out.push(*executed as u8);
+                put_u64(self.out, *at);
+            }
+            Event::ConnectorEvaluated {
+                instance,
+                scope,
+                from,
+                to,
+                value,
+                at,
+            } => {
+                self.out.push(7);
+                put_u64(self.out, instance.0);
+                self.name(scope);
+                self.name(from);
+                self.name(to);
+                self.out.push(*value as u8);
+                put_u64(self.out, *at);
+            }
+            Event::WorkItemOffered {
+                instance,
+                path,
+                item,
+                persons,
+                at,
+            } => {
+                self.out.push(8);
+                put_u64(self.out, instance.0);
+                self.name(path);
+                put_u64(self.out, item.0);
+                self.names(persons);
+                put_u64(self.out, *at);
+            }
+            Event::WorkItemClaimed { item, person, at } => {
+                self.out.push(9);
+                put_u64(self.out, item.0);
+                self.name(person);
+                put_u64(self.out, *at);
+            }
+            Event::NotificationSent {
+                instance,
+                path,
+                person,
+                at,
+            } => {
+                self.out.push(10);
+                put_u64(self.out, instance.0);
+                self.name(path);
+                self.name(person);
+                put_u64(self.out, *at);
+            }
+            Event::UserIntervention {
+                instance,
+                path,
+                action,
+                at,
+            } => {
+                self.out.push(11);
+                put_u64(self.out, instance.0);
+                self.name(path);
+                put_str(self.out, action);
+                put_u64(self.out, *at);
+            }
+            Event::InstanceFinished {
+                instance,
+                output,
+                at,
+            } => {
+                self.out.push(12);
+                put_u64(self.out, instance.0);
+                put_container(self.out, output);
+                put_u64(self.out, *at);
+            }
+            Event::InstanceCancelled { instance, at } => {
+                self.out.push(13);
+                put_u64(self.out, instance.0);
+                put_u64(self.out, *at);
+            }
+            Event::TemplateDeployed {
+                process,
+                version,
+                at,
+            } => {
+                self.out.push(14);
+                self.name(process);
+                self.name(version);
+                put_u64(self.out, *at);
+            }
+            Event::Migrated {
+                instance,
+                from,
+                to,
+                at,
+            } => {
+                self.out.push(15);
+                put_u64(self.out, instance.0);
+                self.name(from);
+                self.name(to);
+                put_u64(self.out, *at);
+            }
+            Event::EngineCheckpoint {
+                instances,
+                items,
+                next_instance,
+                next_item,
+                at,
+            } => {
+                self.out.push(16);
+                put_u64(self.out, instances.len() as u64);
+                for snap in instances {
+                    put_u64(self.out, snap.id.0);
+                    self.name(&snap.process);
+                    self.opt_name(&snap.tenant);
+                    self.out.push(match snap.status {
+                        InstanceStatus::Running => 0,
+                        InstanceStatus::Finished => 1,
+                        InstanceStatus::Cancelled => 2,
+                    });
+                    self.name(&snap.version);
+                    put_scope(self.out, &snap.root);
                 }
-                put_u64(out, item.offered_at);
+                put_u64(self.out, items.len() as u64);
+                for item in items {
+                    put_u64(self.out, item.id.0);
+                    put_u64(self.out, item.instance.0);
+                    self.name(&item.path);
+                    put_u64(self.out, item.attempt as u64);
+                    self.names(&item.offered_to);
+                    match &item.state {
+                        WorkItemState::Offered => self.out.push(0),
+                        WorkItemState::Claimed(by) => {
+                            self.out.push(1);
+                            self.name(by);
+                        }
+                        WorkItemState::Closed => self.out.push(2),
+                    }
+                    put_u64(self.out, item.offered_at);
+                }
+                put_u64(self.out, *next_instance);
+                put_u64(self.out, *next_item);
+                put_u64(self.out, *at);
             }
-            put_u64(out, *next_instance);
-            put_u64(out, *next_item);
-            put_u64(out, *at);
         }
     }
 }
 
 // ---- decoding --------------------------------------------------------
 
-/// An activity path: one `Arc<str>` per distinct path across the file.
+/// A path: one `Arc<str>` per distinct name across the file.
 fn path(r: &mut Reader<'_, '_>) -> Field<PathStr> {
-    r.shared_str().map(PathStr::from)
+    r.name().map(PathStr::from)
 }
 
-fn opt_string(r: &mut Reader<'_, '_>) -> Field<Option<String>> {
-    r.opt(Reader::string)
+/// Any other name, owned.
+fn name(r: &mut Reader<'_, '_>) -> Field<String> {
+    r.name().map(|name| name.to_string())
 }
 
-fn strings(r: &mut Reader<'_, '_>) -> Field<Vec<String>> {
-    (0..r.count()?).map(|_| r.string()).collect()
+fn opt_name(r: &mut Reader<'_, '_>) -> Field<Option<String>> {
+    r.opt(name)
+}
+
+fn names(r: &mut Reader<'_, '_>) -> Field<Vec<String>> {
+    (0..r.count()?).map(|_| name(r)).collect()
 }
 
 /// A container: one per distinct encoded map across the file.
@@ -403,15 +437,15 @@ fn scope(r: &mut Reader<'_, '_>, depth: u32) -> Field<ScopeState> {
 fn snapshot(r: &mut Reader<'_, '_>) -> Field<InstanceSnapshot> {
     Ok(InstanceSnapshot {
         id: InstanceId(r.u64()?),
-        process: r.string()?,
-        tenant: opt_string(r)?,
+        process: name(r)?,
+        tenant: opt_name(r)?,
         status: match r.byte()? {
             0 => InstanceStatus::Running,
             1 => InstanceStatus::Finished,
             2 => InstanceStatus::Cancelled,
             _ => return Err("unknown instance status"),
         },
-        version: r.string()?,
+        version: name(r)?,
         root: scope(r, 0)?,
     })
 }
@@ -420,12 +454,12 @@ fn work_item(r: &mut Reader<'_, '_>) -> Field<WorkItem> {
     Ok(WorkItem {
         id: WorkItemId(r.u64()?),
         instance: InstanceId(r.u64()?),
-        path: r.string()?,
+        path: name(r)?,
         attempt: r.u32()?,
-        offered_to: strings(r)?,
+        offered_to: names(r)?,
         state: match r.byte()? {
             0 => WorkItemState::Offered,
-            1 => WorkItemState::Claimed(r.string()?),
+            1 => WorkItemState::Claimed(name(r)?),
             2 => WorkItemState::Closed,
             _ => return Err("unknown work item state"),
         },
@@ -437,8 +471,8 @@ fn event(r: &mut Reader<'_, '_>) -> Field<Event> {
     Ok(match r.byte()? {
         1 => Event::InstanceStarted {
             instance: InstanceId(r.u64()?),
-            process: r.shared_str()?.into(),
-            tenant: opt_string(r)?,
+            process: path(r)?,
+            tenant: opt_name(r)?,
             input: container(r)?,
             at: r.u64()?,
         },
@@ -452,7 +486,7 @@ fn event(r: &mut Reader<'_, '_>) -> Field<Event> {
             instance: InstanceId(r.u64()?),
             path: path(r)?,
             attempt: r.u32()?,
-            by: opt_string(r)?,
+            by: opt_name(r)?,
             input: container(r)?,
             at: r.u64()?,
         },
@@ -487,18 +521,18 @@ fn event(r: &mut Reader<'_, '_>) -> Field<Event> {
             instance: InstanceId(r.u64()?),
             path: path(r)?,
             item: WorkItemId(r.u64()?),
-            persons: strings(r)?,
+            persons: names(r)?,
             at: r.u64()?,
         },
         9 => Event::WorkItemClaimed {
             item: WorkItemId(r.u64()?),
-            person: r.string()?,
+            person: name(r)?,
             at: r.u64()?,
         },
         10 => Event::NotificationSent {
             instance: InstanceId(r.u64()?),
             path: path(r)?,
-            person: r.string()?,
+            person: name(r)?,
             at: r.u64()?,
         },
         11 => Event::UserIntervention {
@@ -517,14 +551,14 @@ fn event(r: &mut Reader<'_, '_>) -> Field<Event> {
             at: r.u64()?,
         },
         14 => Event::TemplateDeployed {
-            process: r.string()?,
-            version: r.string()?,
+            process: name(r)?,
+            version: name(r)?,
             at: r.u64()?,
         },
         15 => Event::Migrated {
             instance: InstanceId(r.u64()?),
-            from: r.string()?,
-            to: r.string()?,
+            from: name(r)?,
+            to: name(r)?,
             at: r.u64()?,
         },
         16 => Event::EngineCheckpoint {
@@ -617,7 +651,7 @@ mod tests {
         fn not_this_log(path: &Path) -> String {
             path.display().to_string()
         }
-        fn encode(&self, out: &mut Vec<u8>) {
+        fn encode(&self, out: &mut Vec<u8>, _: &mut Names) {
             out.extend_from_slice(&self.0);
         }
         fn decode(_: &mut Reader<'_, '_>) -> Field<Self> {
@@ -641,7 +675,7 @@ mod tests {
             at: 1,
         };
         let mut intact = Vec::new();
-        event.encode(&mut intact);
+        event.encode(&mut intact, &mut Names::default());
         for text in ["Forward", "Name"] {
             let mut damaged = intact.clone();
             let at = damaged
@@ -666,7 +700,7 @@ mod tests {
 
     /// Empty, ASCII, multi-byte, astral-plane, NUL and quote-bearing
     /// strings.
-    fn text() -> impl Strategy<Value = String> {
+    fn text() -> BoxedStrategy<String> {
         prop::collection::vec(
             prop_oneof![
                 Just('a'),
@@ -680,7 +714,19 @@ mod tests {
             ],
             0..6,
         )
-        .prop_map(|cs| cs.into_iter().collect())
+        .prop_map(|cs| cs.into_iter().collect::<String>())
+        .boxed()
+    }
+
+    /// What a name field holds: any [`text`], one 64 bytes or longer,
+    /// or one path often enough that a frame names it twice.
+    fn name() -> impl Strategy<Value = String> {
+        prop_oneof![
+            text(),
+            text(),
+            text().prop_map(|s| s + &"Forward/λ".repeat(7)),
+            Just("Forward/S1".to_owned()),
+        ]
     }
 
     fn container() -> impl Strategy<Value = Container> {
@@ -748,10 +794,10 @@ mod tests {
     fn checkpoint() -> impl Strategy<Value = Event> {
         let snapshot = (
             any::<u64>(),
-            text(),
-            prop::option::of(text()),
+            name(),
+            prop::option::of(name()),
             0u8..3,
-            text(),
+            name(),
             scope(),
         )
             .prop_map(
@@ -770,15 +816,15 @@ mod tests {
             );
         let state = prop_oneof![
             Just(WorkItemState::Offered),
-            text().prop_map(WorkItemState::Claimed),
+            name().prop_map(WorkItemState::Claimed),
             Just(WorkItemState::Closed),
         ];
         let item = (
             any::<u64>(),
             any::<u64>(),
-            text(),
+            name(),
             any::<u32>(),
-            prop::collection::vec(text(), 0..3),
+            prop::collection::vec(name(), 0..3),
             state,
             any::<u64>(),
         )
@@ -817,10 +863,10 @@ mod tests {
         // has fields for.
         let raw = (
             (any::<u64>(), any::<u64>(), any::<u32>(), any::<bool>()),
-            (text(), text(), text()),
-            prop::option::of(text()),
+            (name(), name(), name()),
+            prop::option::of(name()),
             container(),
-            prop::collection::vec(text(), 0..3),
+            prop::collection::vec(name(), 0..3),
         );
         let plain = (0u8..15, raw).prop_map(|(variant, raw)| {
             let ((id, at, attempt, flag), (a, b, c), opt, container, persons) = raw;
@@ -945,5 +991,53 @@ mod tests {
         ) {
             properties::flipped_bit_is_torn_or_corrupt(&events, at, bit);
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Written through the log under `Batched { n }`, a frame per
+        /// group commit with its names spelled once: every cut and
+        /// every flipped bit keeps or loses whole frames.
+        #[test]
+        fn grouped_frames_keep_or_lose_whole_frames(
+            events in prop::collection::vec(event(), 1..8),
+            flush_after in prop::collection::vec(any::<bool>(), 8),
+            n in 1usize..6,
+            at in any::<usize>(),
+            bit in 0u8..8,
+        ) {
+            properties::grouped_frames(&events, &flush_after, n, at, bit);
+        }
+    }
+
+    /// A frame naming more distinct paths than the encoder's table
+    /// holds spells the ones past it every time, and reads back.
+    #[test]
+    fn a_frame_with_more_names_than_the_table_round_trips() {
+        let ready = |i: u64| Event::ActivityReady {
+            instance: InstanceId(1),
+            path: format!("Forward/S{}", i % 300).into(),
+            attempt: 0,
+            at: i,
+        };
+        let events: Vec<Event> = (0..600).map(ready).collect();
+        let dir = std::env::temp_dir().join(format!("wfms-codec-names-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("one-frame.journal");
+        let _ = std::fs::remove_file(&path);
+        let policy = txn_substrate::DurabilityPolicy::Batched { n: 1000 };
+        let journal = crate::Journal::with_file_policy(&path, policy).unwrap();
+        journal.append_batch(events.clone());
+        let grouped = std::fs::read(&path).unwrap();
+        assert_eq!(decode_file::<Event>(&grouped).unwrap().records, events);
+        let one_each = file_bytes(&events);
+        assert!(
+            grouped.len() + 599 * 12 < one_each.len(),
+            "one frame: {} B, a frame each: {} B",
+            grouped.len(),
+            one_each.len()
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

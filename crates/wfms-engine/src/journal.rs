@@ -1,9 +1,10 @@
 //! The persistent execution journal.
 //!
 //! The journal is the substrate's [`Log`], instantiated for [`Event`]:
-//! the optional file mirror of binary frames (one per event, payloads
-//! as `codec.rs` defines them; `docs/recovery.md` describes the file
-//! byte by byte), the memory that holds only the events the file does
+//! the optional file mirror of binary frames (one per group commit —
+//! per event under `PerEvent`, per flush under `Batched` — events as
+//! `codec.rs` defines them; `docs/recovery.md` describes the file byte
+//! by byte), the memory that holds only the events the file does
 //! not — all of them without a file, the unflushed tail with one —
 //! torn-tail repair on reopen, sticky mirror errors, fault counting and
 //! atomic compaction are all the shared log's, the same code the WAL
@@ -20,8 +21,8 @@
 //!
 //! What this module adds is what only the engine needs: append probes,
 //! adoption of the log's fault counters into the engine's registry as
-//! `journal.*`, per-instance event queries, and the one-shot JSON
-//! upgrade. A mirror failure never panics the engine: the journal
+//! `journal.*`, per-instance event queries, and the one-shot upgrade of
+//! a JSON-lines or version-1 file. A mirror failure never panics the engine: the journal
 //! carries on in memory and [`Journal::mirror_error`] lets the engine
 //! park the affected instances instead of dying mid-navigation.
 //!
@@ -30,7 +31,8 @@
 //! repair and audit — serving a status never does.
 //!
 //! JSON survives in two places only: [`Journal::upgrade_json_file`]
-//! converts a journal written before the binary format, once, and
+//! converts a journal written before the binary format, once (and a
+//! version-1 binary journal too, which opening rewrites anyway), and
 //! `fmtm journal dump` renders events through `Serialize for Event`.
 //! Both go through the serde impls `Event` derives — a rendering of
 //! the declarations in `event.rs`, not a second codec to maintain.
@@ -51,13 +53,15 @@ use wfms_observe::Registry;
 /// What [`Journal::upgrade_json_file`] did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Upgrade {
-    /// The file already holds binary frames; nothing was written.
+    /// The file already holds binary frames of the current version;
+    /// nothing was written.
     AlreadyBinary,
-    /// The JSON lines were rewritten as binary frames.
+    /// The JSON lines, or the version-1 frames, were rewritten as
+    /// binary frames of the current version.
     Converted {
         /// Events carried over.
         events: usize,
-        /// A half-written final line that was dropped, as the old
+        /// A half-written final line or frame that was dropped, as the
         /// reopen path would have dropped it.
         torn_tail: Option<TornTail>,
     },
@@ -125,10 +129,11 @@ impl Journal {
     }
 
     /// The bytes of a journal file holding exactly `events`: the file
-    /// header, then one frame per event. What a mirrored journal has
-    /// written once `events` were appended and flushed — frames do not
-    /// depend on their neighbours, so any prefix of `events` encodes to
-    /// a prefix of these bytes (the crash sweep cuts its files here).
+    /// header, then one frame per event. What a journal mirrored under
+    /// `PerEvent` has written once `events` were appended — a frame's
+    /// bytes depend only on its events, so any prefix of `events`
+    /// encodes to a prefix of these bytes (the crash sweep cuts its
+    /// files here).
     pub fn file_bytes(events: &[Event]) -> Vec<u8> {
         frame::file_bytes(events)
     }
@@ -146,16 +151,23 @@ impl Journal {
     /// original, so a crash leaves the old file or the new one. A
     /// half-written final line is dropped, as reopening used to drop
     /// it; an unparseable line anywhere else is an error and the file
-    /// is left alone.
+    /// is left alone. A version-1 binary journal is rewritten the same
+    /// way, as [`Journal::file_bytes`] of its intact events.
     pub fn upgrade_json_file(path: &Path) -> std::io::Result<Upgrade> {
         let bytes = std::fs::read(path)?;
-        if !matches!(
-            frame::visit_file::<Event>(&bytes, |_, _| {}),
-            Err(DecodeError::NotThisLog)
-        ) {
-            // Binary already (or damaged binary, which the next open
+        match frame::visit_file::<Event>(&bytes, |_, _| {}) {
+            Err(DecodeError::NotThisLog) => {}
+            Ok(found) if found.older => {
+                let (events, report) = Self::read_file(path)?;
+                atomic_rewrite(path, &Self::file_bytes(&events))?;
+                return Ok(Upgrade::Converted {
+                    events: events.len(),
+                    torn_tail: report.torn_tail,
+                });
+            }
+            // Current binary (or damaged binary, which the next open
             // reports); not this tool's input either way.
-            return Ok(Upgrade::AlreadyBinary);
+            _ => return Ok(Upgrade::AlreadyBinary),
         }
         let mut events = Vec::new();
         let mut torn_tail = None;

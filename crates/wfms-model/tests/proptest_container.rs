@@ -15,8 +15,8 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 use txn_substrate::frame::{
-    decode_file, encode_frame, file_bytes, put_str, put_u64, put_value, Field, Reader, Record,
-    FILE_HEADER_LEN,
+    decode_file, encode_frame, file_bytes, put_str, put_u64, put_value, Field, Names, Reader,
+    Record, FILE_HEADER_LEN,
 };
 use txn_substrate::Value;
 use wfms_model::Container;
@@ -113,14 +113,14 @@ fn apply(op: &Op, c: &mut Container, o: &mut Oracle) {
 struct MapRecord(Container);
 
 impl Record for MapRecord {
-    const HEADER: [u8; FILE_HEADER_LEN] = *b"MAPT\x01";
+    const HEADER: [u8; FILE_HEADER_LEN] = *b"MAPT\x02";
     const NAME: &'static str = "map test log";
 
     fn not_this_log(path: &Path) -> String {
         path.display().to_string()
     }
 
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut Vec<u8>, _: &mut Names) {
         put_map(out, self.0.iter());
     }
 
@@ -240,7 +240,7 @@ impl Record for Raw {
         MapRecord::not_this_log(path)
     }
 
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut Vec<u8>, _: &mut Names) {
         out.extend_from_slice(&self.0);
     }
 
