@@ -7,17 +7,12 @@
 #    directory, and assert every previously-accepted instance is
 #    recovered and reaches `finished` — the ACK-implies-durable
 #    guarantee of the group-commit path.
-# 3. Separately, assert admission control: with a tiny queue and a
-#    throttled worker, a burst must see explicit `overloaded` answers
-#    and zero transport errors, and the bound must be exact: a 429's
-#    `(depth/capacity)` and the `server_queue_depth` gauge never read
-#    above `--queue`.
-# 4. Before the kill, hold the server at a fixed open-loop arrival
+# 3. Before the kill, hold the server at a fixed open-loop arrival
 #    rate (latency clocked from each request's scheduled send, the
 #    schedule never resets) and assert zero transport errors — the
 #    event-loop front end must absorb a steady offered rate without
 #    dropping connections.
-# 5. Redeploy drill: start with a v1 spec, submit, deploy an edited
+# 4. Redeploy drill: start with a v1 spec, submit, deploy an edited
 #    v2 over HTTP (drain-old), kill -9, restart with the *original*
 #    v1 spec file — every v1 instance must verify finished and keep
 #    its pinned v1 version hash, while fresh submissions run v2. After
@@ -25,6 +20,12 @@
 #    process is its main thread, its reactors and its shard workers —
 #    a shard's worker is the one writer of its engine, and no helper
 #    thread serves (or outlives) a deploy or a drain.
+#
+# Admission control — explicit `overloaded` answers, the exact `--queue`
+# bound in a 429's `(depth/capacity)` and in the depth gauge — is not a
+# phase here: the seeded simulator over the shard's step function
+# (`crates/wfms-server/src/shard/sim.rs`) checks it after every step,
+# and `tenant_quota_answers_429_with_retry_after` over loopback HTTP.
 #
 # Artifacts (server logs, load reports, id list) land in $ART for CI
 # upload. Exits non-zero on any lost instance or drill failure.
@@ -109,70 +110,7 @@ if ! grep -q "stopped (journals drained and checkpointed)" "$ART/serve-2.log"; t
   exit 1
 fi
 
-echo "== phase 3: admission control under a tiny queue =="
-DATA2="$(mktemp -d)"
-"$FMTM" serve examples/specs/trip.saga \
-  --shards 1 --port "$PORT" --data "$DATA2" \
-  --queue 4 --throttle-ms 5 >"$ART/serve-3.log" 2>&1 &
-SERVE_PID=$!
-
-"$FMTM" load --url "$URL" --wait-ready 30 --count 200 --rps 5000 \
-  --connections 8 | tee "$ART/load-overload.txt"
-
-# `--queue 4` means 4: while a longer burst keeps the queue full, one
-# raw 429 must report a depth no deeper than the queue, and the depth
-# gauge must never read above it. (A burst that happens to yield no 429
-# to curl is repeated, twice at most.)
-RAW_429=""
-REPLY=""
-MAX_DEPTH=0
-for _ in 1 2 3; do
-  "$FMTM" load --url "$URL" --duration 3 --rps 5000 --connections 8 \
-    >"$ART/load-overload-burst.txt" 2>&1 &
-  BURST_PID=$!
-  while kill -0 "$BURST_PID" 2>/dev/null; do
-    DEPTH=$(curl -s "http://$URL/metrics" | sed -n 's/^server_queue_depth \([0-9]*\)$/\1/p')
-    if [ -n "$DEPTH" ] && [ "$DEPTH" -gt "$MAX_DEPTH" ]; then
-      MAX_DEPTH=$DEPTH
-    fi
-    if [ -z "$RAW_429" ]; then
-      REPLY=$(curl -s -i -X POST "http://$URL/instances" -d '{}' || true)
-      case "$REPLY" in "HTTP/1.1 429"*) RAW_429="$REPLY" ;; esac
-    fi
-  done
-  wait "$BURST_PID" || true
-  if [ -n "$RAW_429" ]; then
-    break
-  fi
-done
-printf '%s\n' "$RAW_429" >"$ART/raw-429.txt"
-read -r DEPTH_429 CAPACITY_429 <<<"$(printf '%s' "$RAW_429" \
-  | sed -n 's/.*high-water mark (\([0-9]*\)\/\([0-9]*\)).*/\1 \2/p')"
-if [ -z "$DEPTH_429" ] || [ "$CAPACITY_429" -ne 4 ] || [ "$DEPTH_429" -gt "$CAPACITY_429" ]; then
-  echo "drill: a 429 must report depth <= capacity 4, got: ${RAW_429:-no 429; last reply: $REPLY}" >&2
-  exit 1
-fi
-if [ "$MAX_DEPTH" -gt 4 ]; then
-  echo "drill: server_queue_depth read $MAX_DEPTH against --queue 4" >&2
-  exit 1
-fi
-"$FMTM" load --url "$URL" --stop
-wait "$SERVE_PID" 2>/dev/null || true
-SERVE_PID=""
-rm -rf "$DATA2"
-
-OVERLOADED=$(sed -n 's/^load: .* accepted, \([0-9]*\) overloaded.*/\1/p' "$ART/load-overload.txt")
-ERRORS=$(sed -n 's/^load: .* overloaded, \([0-9]*\) errors.*/\1/p' "$ART/load-overload.txt")
-if [ -z "$OVERLOADED" ] || [ "$OVERLOADED" -eq 0 ]; then
-  echo "drill: expected overloaded rejections past the high-water mark, got none" >&2
-  exit 1
-fi
-if [ -z "$ERRORS" ] || [ "$ERRORS" -ne 0 ]; then
-  echo "drill: transport errors during overload burst: $ERRORS" >&2
-  exit 1
-fi
-
-echo "== phase 4: live redeploy, kill -9, restart with the v1 spec =="
+echo "== phase 3: live redeploy, kill -9, restart with the v1 spec =="
 DATA3="$(mktemp -d)"
 "$FMTM" serve examples/specs/trip.saga \
   --shards 2 --port "$PORT" --data "$DATA3" >"$ART/serve-4.log" 2>&1 &
@@ -265,4 +203,4 @@ wait "$SERVE_PID" 2>/dev/null || true
 SERVE_PID=""
 rm -rf "$DATA3"
 
-echo "drill: ok ($ACCEPTED instances survived kill -9; $OVERLOADED overloaded answers under backpressure; redeploy kept $V1 pinned and defaulted to $V2)"
+echo "drill: ok ($ACCEPTED instances survived kill -9; redeploy kept $V1 pinned and defaulted to $V2)"

@@ -1,16 +1,13 @@
 #!/usr/bin/env bash
-# Tenant-isolation drill: two tenants on one server, one of them hot.
+# Tenant-isolation drill: two tenants on one server.
 #
 # 1. Start `fmtm serve --tenants` with a quiet tenant (generous quota,
-#    weight 4) and a hot tenant (quota 4, weight 1), plus a throttled
-#    worker so the hot tenant is genuinely saturated.
+#    weight 4) and a hot tenant (quota 4, weight 1).
 # 2. Auth taxonomy over the wire: no key and a wrong key answer `401`
 #    (with `WWW-Authenticate` and `Connection: close`); the ops plane
 #    stays keyless.
-# 3. Drive the hot tenant open-loop far past its quota while the quiet
-#    tenant runs a closed-loop cohort. The quiet tenant must complete
-#    100% with zero 429s and zero transport errors; the hot tenant
-#    must see 429s (with `Retry-After`) and zero transport errors.
+# 3. A plain closed-loop cohort per tenant, each under its own key: every
+#    submission accepted, zero transport errors. Its ids feed 4–6.
 # 4. Cross-tenant isolation: the hot key reading a quiet instance is
 #    `403`; per-tenant counters appear in `/metrics`.
 # 5. kill -9, restart on the same data directory: every accepted id
@@ -19,6 +16,13 @@
 # 6. Hot reload: rotate the hot tenant's key on disk, then
 #    `POST /admin/reload-tenants` — the old key dies, the rotated key
 #    reaches the tenant's recovered instances.
+#
+# Saturation — a hot tenant past its quota answered `429` with
+# `Retry-After` while a quiet one is never refused, and DRR shares by
+# weight — is not a phase here: the seeded simulator over the shard's
+# step function (`crates/wfms-server/src/shard/sim.rs`) checks it after
+# every step, and `tenant_quota_answers_429_with_retry_after` over
+# loopback HTTP.
 #
 # Artifacts (server logs, load reports, id lists, metrics snapshots)
 # land in $ART for CI upload. Exits non-zero on any isolation breach.
@@ -64,10 +68,10 @@ cat >"$TENANTS" <<'EOF'
 ]}
 EOF
 
-echo "== phase 1: serve with two tenants and a throttled worker =="
+echo "== phase 1: serve with two tenants =="
 "$FMTM" serve examples/specs/trip.saga \
   --shards 2 --port "$PORT" --data "$DATA" --tenants "$TENANTS" \
-  --throttle-ms 5 >"$ART/serve-1.log" 2>&1 &
+  >"$ART/serve-1.log" 2>&1 &
 SERVE_PID=$!
 
 "$FMTM" load --url "$URL" --wait-ready 30 --api-key k-quiet --count 1 \
@@ -101,37 +105,7 @@ if [ "$OPS" != "200" ]; then
   exit 1
 fi
 
-echo "== phase 3: hot tenant open-loop past quota, quiet tenant closed-loop =="
-# 16 connections against a quota of 4: even when the schedule lags,
-# up to 16 submissions race the admission check at once, so the quota
-# must reject some of them.
-"$FMTM" load --url "$URL" --api-key k-hot --duration 6 --rps 2000 \
-  --open-loop --connections 16 --ids-out "$ART/ids-hot.txt" \
-  >"$ART/load-hot.txt" 2>&1 &
-HOT_PID=$!
-sleep 1 # let the hot tenant saturate its quota first
-
-"$FMTM" load --url "$URL" --api-key k-quiet --count 100 --rps 200 \
-  --connections 4 --ids-out "$ART/ids-quiet.txt" | tee "$ART/load-quiet.txt"
-
-# While the hot tenant is still hammering: a fresh hot submit must be
-# quota-rejected with Retry-After. (Quota 4 against a 2000 rps offered
-# rate — slack is momentary at best, so a short probe loop suffices.)
-SAW_RETRY_AFTER=""
-for _ in $(seq 1 100); do
-  curl -s -i -X POST -H 'Authorization: Bearer k-hot' \
-    -d '{}' "http://$URL/instances" >"$ART/hot-429.txt" || true
-  if grep -q ' 429 ' "$ART/hot-429.txt"; then
-    if grep -qi '^retry-after:' "$ART/hot-429.txt"; then
-      SAW_RETRY_AFTER=yes
-    fi
-    break
-  fi
-done
-
-wait "$HOT_PID"
-cat "$ART/load-hot.txt"
-
+echo "== phase 3: a closed-loop cohort per tenant =="
 parse() { # parse FIELD FILE — pull a count off the `load:` line
   case "$1" in
     sent)       sed -n 's/^load: \([0-9]*\) sent.*/\1/p' "$2" ;;
@@ -140,36 +114,19 @@ parse() { # parse FIELD FILE — pull a count off the `load:` line
     errors)     sed -n 's/^load: .* \([0-9]*\) errors.*/\1/p' "$2" ;;
   esac
 }
-
-Q_SENT=$(parse sent "$ART/load-quiet.txt")
-Q_ACC=$(parse accepted "$ART/load-quiet.txt")
-Q_OVER=$(parse overloaded "$ART/load-quiet.txt")
-Q_ERR=$(parse errors "$ART/load-quiet.txt")
-H_OVER=$(parse overloaded "$ART/load-hot.txt")
-H_ERR=$(parse errors "$ART/load-hot.txt")
-H_ACC=$(parse accepted "$ART/load-hot.txt")
-
-if [ -z "$Q_SENT" ] || [ "$Q_ACC" != "$Q_SENT" ] || [ "$Q_OVER" != "0" ] || [ "$Q_ERR" != "0" ]; then
-  echo "drill: quiet tenant was not isolated (sent=$Q_SENT accepted=$Q_ACC overloaded=$Q_OVER errors=$Q_ERR)" >&2
-  exit 1
-fi
-if [ -z "$H_OVER" ] || [ "$H_OVER" -eq 0 ]; then
-  echo "drill: hot tenant saw no 429s past its quota (overloaded=$H_OVER)" >&2
-  exit 1
-fi
-if [ -z "$H_ERR" ] || [ "$H_ERR" -ne 0 ]; then
-  echo "drill: transport errors on the hot tenant: $H_ERR" >&2
-  exit 1
-fi
-if [ -z "$H_ACC" ] || [ "$H_ACC" -eq 0 ]; then
-  echo "drill: hot tenant made no progress at all (accepted=$H_ACC)" >&2
-  exit 1
-fi
-if [ -z "$SAW_RETRY_AFTER" ]; then
-  echo "drill: no 429 with Retry-After observed on the hot tenant" >&2
-  exit 1
-fi
-echo "drill: quiet $Q_ACC/$Q_SENT clean; hot $H_ACC accepted, $H_OVER quota-rejected"
+# The hot tenant runs one connection: its quota of 4 is never reached.
+for tenant in quiet:4 hot:1; do
+  name=${tenant%:*}
+  "$FMTM" load --url "$URL" --api-key "k-$name" --count 50 --rps 200 \
+    --connections "${tenant#*:}" --ids-out "$ART/ids-$name.txt" | tee "$ART/load-$name.txt"
+  SENT=$(parse sent "$ART/load-$name.txt")
+  ACC=$(parse accepted "$ART/load-$name.txt")
+  ERR=$(parse errors "$ART/load-$name.txt")
+  if [ -z "$SENT" ] || [ "$ACC" != "$SENT" ] || [ "$ERR" != "0" ]; then
+    echo "drill: $name cohort not clean (sent=$SENT accepted=$ACC errors=$ERR)" >&2
+    exit 1
+  fi
+done
 
 echo "== phase 4: cross-tenant isolation + per-tenant metrics =="
 QUIET_ID=$(head -1 "$ART/ids-quiet.txt")
@@ -248,4 +205,4 @@ curl -s "http://$URL/metrics" >"$ART/metrics-2.txt"
 wait "$SERVE_PID" 2>/dev/null || true
 SERVE_PID=""
 
-echo "drill: ok (quiet $Q_ACC/$Q_SENT clean under a hot neighbour; $H_OVER hot 429s with Retry-After; per-tenant ids recovered under their own keys; key rotation live)"
+echo "drill: ok (per-tenant ids recovered under their own keys; cross-tenant reads 403; key rotation live)"

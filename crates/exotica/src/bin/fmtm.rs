@@ -7,7 +7,6 @@
 //! fmtm lint <file> [options]            static analysis of an FDL or ATM spec file
 //! fmtm lint --explain CODE              describe one WAxxx analyzer code
 //! fmtm run <file> [options]             execute a spec's translation or an FDL process
-//! fmtm top <file> [options]             run with a live metrics display
 //! fmtm crashtest <spec-file> [options]  crash-point sweep of the translated process
 //! fmtm serve <spec-file>... [options]   long-lived workflow service (HTTP/1.1 JSON)
 //! fmtm deploy <spec-file> [options]     register a new template version into a
@@ -37,12 +36,6 @@
 //!                                       write the metrics snapshot to FILE
 //!                                       after the run (Prometheus text when
 //!                                       FILE ends in .prom, JSON otherwise)
-//!
-//! top options:
-//!   --instances M                       start M instances (default 8)
-//!   --every K                           print a frame every K navigation
-//!                                       steps (default 25)
-//!   --fail/--seed                       as for run
 //!
 //! crashtest options:
 //!   --fail LABEL=PLAN                   as for run; applied to every scenario
@@ -79,9 +72,6 @@
 //!   --person NAME=role[,role...]        add a person to the organization
 //!                                       (repeatable; for specs with manual
 //!                                       activities)
-//!   --throttle-ms T                     delay each submission T ms in the
-//!                                       shard worker (drills only: makes
-//!                                       Overloaded deterministic)
 //!   --reactors N                        event-loop threads (default 0 = one
 //!                                       per core, capped by the shard count)
 //!   --tenants FILE                      enable multi-tenancy from a JSON
@@ -139,10 +129,8 @@ use exotica::{provision, steps_of, steps_of_all};
 use std::process::ExitCode;
 use std::sync::Arc;
 use txn_substrate::{DurabilityPolicy, FailurePlan, MultiDatabase};
-use wfms_engine::metrics::ACT_LATENCY_FAMILY;
 use wfms_engine::{audit, Engine, EngineConfig, InstanceId, InstanceStatus, Observer};
 use wfms_model::Container;
-use wfms_observe::Value;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -152,7 +140,6 @@ fn main() -> ExitCode {
         Some("check") => check(&args[1..]),
         Some("lint") => lint(&args[1..]),
         Some("run") => run(&args[1..]),
-        Some("top") => top(&args[1..]),
         Some("crashtest") => crashtest(&args[1..]),
         Some("serve") => serve(&args[1..]),
         Some("deploy") => deploy_cmd(&args[1..]),
@@ -160,7 +147,7 @@ fn main() -> ExitCode {
         Some("journal") => journal_cmd(&args[1..]),
         _ => {
             eprintln!(
-                "usage: fmtm <translate|dot|check|lint|run|top|crashtest|serve|deploy|load|journal> [options]"
+                "usage: fmtm <translate|dot|check|lint|run|crashtest|serve|deploy|load|journal> [options]"
             );
             eprintln!("see `crates/exotica/src/bin/fmtm.rs` for option details");
             ExitCode::from(2)
@@ -332,7 +319,7 @@ impl<'a> Flags<'a> {
     }
 }
 
-/// What `fmtm run`/`fmtm top` execute: the optimized template, the
+/// What `fmtm run` executes: the optimized template, the
 /// auto-provision step list and the source's non-fatal findings,
 /// obtained from either an ATM spec (the full pipeline) or a plain FDL
 /// process (the pipeline's stages 4–7, [`exotica::import`]). `spec` is
@@ -397,7 +384,7 @@ fn spec_file<'a>(cmd: &str, args: &'a [String]) -> Result<(&'a str, String), Exi
     Ok((path, load(path)?))
 }
 
-/// What `run` and `top` share: the source prepared (its non-fatal
+/// What `run` starts from: the source prepared (its non-fatal
 /// findings on stderr, as `fmtm lint` renders them), the provisioned
 /// multidatabase, an engine (observed when `observe`) with the template
 /// registered, and the ids of the `instances` instances it started.
@@ -697,134 +684,6 @@ fn run(args: &[String]) -> ExitCode {
     }
 }
 
-/// `fmtm top` — a live, plain-text metrics display: starts M
-/// instances with the observability layer enabled, drives them one
-/// navigation step at a time round-robin, and prints a frame of the
-/// busiest activities every K steps. No ANSI escapes — frames are
-/// sequential, so the output pipes and diffs cleanly; the last frame
-/// is the final snapshot.
-fn top(args: &[String]) -> ExitCode {
-    let (path, src) = match spec_file("top", args) {
-        Ok(file) => file,
-        Err(code) => return code,
-    };
-    let mut plans: Vec<(String, FailurePlan)> = Vec::new();
-    let mut seed = 0u64;
-    let mut instances = 8usize;
-    let mut every = 25usize;
-    let mut flags = Flags::new("top", &args[1..]);
-    while let Some(arg) = flags.next() {
-        match arg {
-            "--fail" => plans.extend(flags.fail_plan()),
-            "--seed" => seed = flags.value("--seed", "a number").unwrap_or(seed),
-            "--instances" => {
-                instances = flags.value("--instances", "a number").unwrap_or(instances)
-            }
-            "--every" => {
-                every = flags
-                    .value::<usize>("--every", "a step count")
-                    .map_or(every, |n| n.max(1))
-            }
-            other => flags.unknown(other),
-        }
-    }
-    if let Some(code) = flags.usage_error() {
-        return code;
-    }
-
-    let (_, _, engine, ids) = match start(path, &src, seed, &plans, instances, true) {
-        Ok(started) => started,
-        Err(code) => return code,
-    };
-
-    // Round-robin one navigation step per instance per lap, a frame
-    // every `every` steps.
-    let mut steps_run = 0usize;
-    let mut frame = 0usize;
-    let mut active = true;
-    while active {
-        active = false;
-        for &id in &ids {
-            match engine.step(id) {
-                Ok(true) => {
-                    active = true;
-                    steps_run += 1;
-                    if steps_run.is_multiple_of(every) {
-                        frame += 1;
-                        print_frame(&engine, frame, steps_run);
-                    }
-                }
-                Ok(false) => {}
-                Err(e) => {
-                    eprintln!("fmtm top: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    }
-    frame += 1;
-    print_frame(&engine, frame, steps_run);
-    println!(
-        "done: {} instance(s), {} navigation step(s)",
-        ids.len(),
-        steps_run
-    );
-    ExitCode::SUCCESS
-}
-
-/// One `fmtm top` frame: instance states, engine counters and the
-/// activities ranked by total time spent, busiest first.
-fn print_frame(engine: &Engine, frame: usize, steps_run: usize) {
-    let m = engine.metrics();
-    let level = |name| m.gauge(name).unwrap_or(0);
-    let count = |name| m.counter(name).unwrap_or(0);
-    println!("--- frame {frame} (after {steps_run} steps) ---");
-    println!(
-        "instances: {} running, {} finished, {} cancelled | work items: {} offered, {} claimed, {} closed",
-        level("engine.instances_running"),
-        level("engine.instances_finished"),
-        level("engine.instances_cancelled"),
-        level("worklist.items_open"),
-        level("worklist.items_claimed"),
-        level("worklist.items_closed"),
-    );
-    println!(
-        "nav: {} executions, {} retries, {} reschedules, {} dead paths, {} compensations | journal: {} events",
-        count("nav.executions"),
-        count("nav.retries"),
-        count("nav.reschedules"),
-        count("nav.dead_paths"),
-        count("nav.compensations"),
-        level("journal.events"),
-    );
-    let mut rows: Vec<_> = m
-        .family(ACT_LATENCY_FAMILY)
-        .filter_map(|(label, reading)| match reading {
-            Value::Summary(s) if s.count > 0 => Some((label, s)),
-            _ => None,
-        })
-        .collect();
-    rows.sort_by(|a, b| {
-        let ta = a.1.count as u128 * a.1.mean() as u128;
-        let tb = b.1.count as u128 * b.1.mean() as u128;
-        tb.cmp(&ta).then_with(|| a.0.cmp(b.0))
-    });
-    println!(
-        "{:<28} {:>6} {:>10} {:>10} {:>10} {:>10}",
-        "activity", "count", "mean_ns", "p50_ns", "p99_ns", "max_ns"
-    );
-    for (label, s) in rows.iter().take(10) {
-        println!(
-            "{label:<28} {:>6} {:>10} {:>10} {:>10} {:>10}",
-            s.count,
-            s.mean(),
-            s.p50,
-            s.p99,
-            s.max
-        );
-    }
-}
-
 /// `fmtm crashtest` — the §3.3 forward-recovery oracle from the
 /// command line: for every journal prefix of the translated process's
 /// reference run, simulate an engine crash (optionally with a torn
@@ -974,7 +833,6 @@ fn serve(args: &[String]) -> ExitCode {
     let mut server_cfg = wfms_server::ServerConfig::new("");
     server_cfg.port = 7313;
     let mut seed = 0u64;
-    let mut throttle_ms = 0u64;
     let at_least_one = |v: &str| v.parse().ok().map(|n: usize| n.max(1));
     let mut flags = Flags::new("serve", args);
     while let Some(arg) = flags.next() {
@@ -1007,7 +865,6 @@ fn serve(args: &[String]) -> ExitCode {
                     cfg.org = std::mem::take(&mut cfg.org).person(&name, &roles);
                 }
             }
-            "--throttle-ms" => throttle_ms = flags.parsed(arg).unwrap_or(throttle_ms),
             "--reactors" => server_cfg.reactors = flags.parsed(arg).unwrap_or(server_cfg.reactors),
             "--tenants" => server_cfg.tenants_path = flags.parsed(arg),
             other if other.starts_with('-') => flags.unknown(other),
@@ -1046,7 +903,6 @@ fn serve(args: &[String]) -> ExitCode {
 
     let steps = steps_of_all(&specs);
     cfg.templates = templates;
-    cfg.throttle = (throttle_ms > 0).then(|| std::time::Duration::from_millis(throttle_ms));
     if let Some(path) = &server_cfg.tenants_path {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,

@@ -1,6 +1,6 @@
 //! Auto-provisioning of the execution substrate for translated
-//! specifications — shared by `fmtm run`, `fmtm top`,
-//! `fmtm crashtest` and the `fmtm serve` shard pool.
+//! specifications — shared by `fmtm run`, `fmtm crashtest` and the
+//! `fmtm serve` shard pool.
 //!
 //! The paper's prototype executes "transactional programs" against a
 //! heterogeneous multidatabase; for the CLI we synthesise that

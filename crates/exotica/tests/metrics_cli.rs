@@ -1,4 +1,4 @@
-//! `fmtm run --metrics-out` and `fmtm top`, driven through the binary.
+//! `fmtm run --metrics-out`, driven through the binary.
 //!
 //! `tests/fixtures/metrics_out_trip.golden` is the *shape* of the
 //! exposition `--metrics-out x.prom` writes — every line with its
@@ -61,21 +61,6 @@ fn metrics_out_prom_keeps_its_shape() {
 }
 
 #[test]
-fn top_runs_every_instance_to_the_end() {
-    let (ok, stdout) = fmtm(&["top", &trip_saga(), "--instances", "5"]);
-    assert!(ok, "{stdout}");
-    let last = stdout
-        .lines()
-        .rfind(|l| l.starts_with("instances: "))
-        .expect("a frame was printed");
-    assert!(
-        last.starts_with("instances: 0 running, 5 finished, 0 cancelled"),
-        "{last}"
-    );
-    assert!(stdout.contains("done: 5 instance(s)"), "{stdout}");
-}
-
-#[test]
 fn run_surfaces_the_sources_warnings_before_it_runs() {
     let fixture =
         Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/analyzer/wa043_dead_write.fdl");
@@ -112,17 +97,4 @@ fn run_prints_a_translations_findings_as_lint_does() {
     };
     assert_eq!(finding(&linted).len(), 1, "{linted}");
     assert_eq!(finding(&stderr), finding(&linted), "{stderr}");
-}
-
-#[test]
-fn top_names_an_unknown_fail_plan_as_run_does() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fmtm"))
-        .args(["top", &trip_saga(), "--fail", "Hotel=sometimes"])
-        .output()
-        .expect("fmtm runs");
-    assert_eq!(out.status.code(), Some(2));
-    assert_eq!(
-        String::from_utf8(out.stderr).unwrap(),
-        "fmtm top: unknown plan \"sometimes\" (use always, first:N, attempts:..)\n"
-    );
 }

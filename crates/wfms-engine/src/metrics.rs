@@ -7,9 +7,9 @@
 //! [`Snapshot`] — a list of named series — by [`Engine::metrics`]:
 //! what the engine's registry *counted*, then what the engine
 //! *samples* ([`Engine::sample`]: levels its state and its logs already
-//! hold, and each database's own series). Tests read it by name,
-//! `fmtm top` prints it, and [`Snapshot::to_prometheus`] is the one
-//! renderer `fmtm run --metrics-out` and `GET /metrics` share.
+//! hold, and each database's own series). Tests read it by name, and
+//! [`Snapshot::to_prometheus`] is the one renderer `fmtm run
+//! --metrics-out` and `GET /metrics` share.
 //!
 //! ## Hot-path design
 //!

@@ -124,8 +124,8 @@ pub struct Series {
 }
 
 /// Point-in-time readings, from a [`Registry`] and from whoever pushed
-/// what it samples: the one shape tests read by name, `fmtm top`
-/// prints and `/metrics` renders.
+/// what it samples: the one shape tests read by name and `/metrics`
+/// renders.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct Snapshot {
     /// The readings, in no particular order.

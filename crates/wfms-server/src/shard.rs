@@ -19,11 +19,13 @@
 //! journal. A turn takes no lock of the shard's, reads no clock and
 //! starts no thread, so a test makes one directly.
 //!
-//! The worker thread is the turn's driver, `drive`, and the only code
-//! that waits on the inbox: it takes a batch, publishes the queue depth,
-//! applies the drill throttle, makes the turn, counts the replies and
-//! answers them — each reservation given back before its sink is
-//! called — then runs the control jobs that came due.
+//! What the worker does with its inbox is one step, `step`: take a
+//! batch, publish the queue depth, make the turn, count the replies and
+//! answer them — each reservation given back before its sink is called
+//! — then run the control jobs that came due. The worker thread is the
+//! step's driver, `drive`, and the only code that waits on the inbox:
+//! it waits until there is work, then steps. A test steps a pool's
+//! shards itself, with no driver (`sim.rs`).
 //!
 //! ## One queue, one guard
 //!
@@ -39,10 +41,12 @@
 //!
 //! A tenant's in-flight slot is a `Reservation` that travels with the
 //! submission and is given back by its `Drop` and nowhere else:
-//! answered, refused, or dropped unanswered because the worker died,
-//! the quota cannot leak. Queue depth and accept/reject counts are
-//! published through the pool's [`Registry`]. What the data directory
-//! pins across reopens lives in `store.rs`.
+//! answered, refused, or abandoned because the worker died, the quota
+//! cannot leak. An abandoned submission is still answered, `shard
+//! worker stopped`: its `Pending` answers when it is dropped unsent.
+//! Queue depth and accept/reject counts are published through the
+//! pool's [`Registry`]. What the data directory pins across reopens
+//! lives in `store.rs`.
 //!
 //! ## One writer
 //!
@@ -276,8 +280,11 @@ pub type SubmitReply = Result<(u64, InstanceStatus, Container), (String, bool)>;
 /// spellings beside it) delivers its answer: invoked exactly once — by
 /// a shard worker, after the flush that makes the answer true; or by
 /// the caller in place, when the call is refused before it is queued or
-/// the shard's inbox is closed. A sink must not block on the pool: the
-/// worker it would wait for may be the thread it runs on.
+/// the shard's inbox is closed. A submission's sink is also invoked,
+/// with `shard worker stopped`, when its worker dies holding it; a
+/// control job's is dropped uncalled. A sink must not block on the
+/// pool — the worker it would wait for may be the thread it runs on —
+/// nor panic: it may be called while that worker unwinds.
 pub type Sink<T> = Box<dyn FnOnce(T) + Send + 'static>;
 
 /// A job for a shard's worker other than a submission — a work-item
@@ -324,14 +331,38 @@ impl Drop for Reservation {
 struct QueuedSubmit {
     process: String,
     input: Container,
-    /// The owning tenant (none with tenancy off): selects the lane,
-    /// names the tenant journalled on the instance. Declared before
-    /// `sink` because fields drop in declaration order: the slot is
-    /// free by the time a caller can see its sink dropped.
+    pending: Pending,
+}
+
+/// Who a submission's reply goes to: its tenant's slot (none with
+/// tenancy off: it selects the lane and names the tenant journalled on
+/// the instance) and its sink, called exactly once — *after* the
+/// batch's journal flush, or with `shard worker stopped` when dropped
+/// unsent because its worker died.
+struct Pending {
     reservation: Reservation,
-    /// Invoked exactly once, *after* the batch's journal flush — or
-    /// dropped uncalled if the worker dies first.
-    sink: Sink<SubmitReply>,
+    sink: Option<Sink<SubmitReply>>,
+}
+
+impl Pending {
+    /// Gives the slot back, then calls the sink with `reply`: a
+    /// resubmission from the sink is never refused by its predecessor.
+    fn send(&mut self, reply: SubmitReply) {
+        if let Some(sink) = self.sink.take() {
+            drop(std::mem::replace(&mut self.reservation, Reservation(None)));
+            sink(reply);
+        }
+    }
+
+    fn tenant(&self) -> Option<&Arc<Tenant>> {
+        self.reservation.0.as_ref()
+    }
+}
+
+impl Drop for Pending {
+    fn drop(&mut self) {
+        self.send(Err(("shard worker stopped".to_owned(), false)));
+    }
 }
 
 /// Per-tenant FIFO, keyed by slot (slot 0 = untenanted). `deficit` is
@@ -347,16 +378,21 @@ struct Lane {
 /// yet taken, in per-tenant lanes the worker empties by weighted
 /// deficit-round-robin, and the control jobs it runs between batches.
 ///
-/// Fairness: each DRR round credits every backlogged lane `weight`
-/// submissions and dequeues up to its accumulated deficit, so over any
-/// backlogged interval tenants progress proportionally to their
-/// weights — a hot tenant with a deep FIFO cannot starve a quiet one
-/// whose occasional submission is always near the front of its own
-/// lane. A lane that empties forfeits its remaining deficit (classic
-/// DRR: credit does not accrue while idle).
+/// Fairness: a round gives every backlogged lane a turn, in slot
+/// order; a turn credits the lane `weight` submissions and dequeues
+/// until the credit is spent. A batch that fills mid-turn leaves the
+/// turn to the next batch, so over any backlogged interval tenants
+/// progress proportionally to their weights, whatever the batch size —
+/// a hot tenant with a deep FIFO cannot starve a quiet one whose
+/// occasional submission is always near the front of its own lane. A
+/// lane that empties forfeits its remaining deficit (classic DRR:
+/// credit does not accrue while idle).
 #[derive(Default)]
 struct Inbox {
     lanes: BTreeMap<u16, Lane>,
+    /// The first slot whose lane may have the next turn: the lane whose
+    /// turn a full batch cut short, or the one after the last turn.
+    next: u16,
     /// Submissions in the lanes: never above the pool's queue capacity.
     queued: usize,
     /// Control jobs, in arrival order. `true` marks one that is due
@@ -373,21 +409,23 @@ struct Inbox {
 
 impl Inbox {
     /// Admits `job` into its tenant's lane iff fewer than `capacity`
-    /// are queued; refused, it is dropped with its sink uncalled. `Err`
-    /// hands the job back: the inbox is closed, answer it yourself.
+    /// are queued; refused, it is dropped with its sink uncalled (a
+    /// refusal's one answer is the caller's). `Err` hands the job back:
+    /// the inbox is closed, answer it yourself.
     fn admit(
         &mut self,
         capacity: usize,
-        job: QueuedSubmit,
+        mut job: QueuedSubmit,
     ) -> Result<SubmitDispatch, QueuedSubmit> {
         if self.stop {
             return Err(job);
         }
-        let tenant = job.reservation.0.as_ref();
+        let tenant = job.pending.tenant();
         if self.queued >= capacity {
             if let Some(t) = tenant {
                 t.overloaded.inc();
             }
+            job.pending.sink = None;
             return Ok(SubmitDispatch::Overloaded {
                 depth: self.queued as i64,
                 capacity,
@@ -419,29 +457,36 @@ impl Inbox {
     fn take_batch(&mut self, batch_max: usize) -> (Vec<QueuedSubmit>, Vec<(bool, Control)>) {
         let mut batch = Vec::with_capacity(batch_max.min(self.queued));
         while batch.len() < batch_max && self.queued > 0 {
-            for lane in self.lanes.values_mut() {
-                if lane.fifo.is_empty() {
-                    lane.deficit = 0;
+            let (&slot, lane) = match self
+                .lanes
+                .range_mut(self.next..)
+                .find(|(_, l)| !l.fifo.is_empty())
+            {
+                Some(turn) => turn,
+                None => {
+                    self.next = 0; // a new round
                     continue;
                 }
-                lane.deficit += lane.weight;
-                while lane.deficit > 0 && batch.len() < batch_max {
-                    match lane.fifo.pop_front() {
-                        Some(job) => {
-                            lane.deficit -= 1;
-                            self.queued -= 1;
-                            batch.push(job);
-                        }
-                        None => {
-                            lane.deficit = 0;
-                            break;
-                        }
-                    }
-                }
-                if batch.len() >= batch_max {
-                    break;
-                }
+            };
+            if lane.deficit == 0 {
+                lane.deficit = lane.weight;
             }
+            while lane.deficit > 0 && batch.len() < batch_max {
+                let Some(job) = lane.fifo.pop_front() else {
+                    break;
+                };
+                lane.deficit -= 1;
+                self.queued -= 1;
+                batch.push(job);
+            }
+            if lane.fifo.is_empty() {
+                lane.deficit = 0;
+            }
+            self.next = if lane.deficit == 0 {
+                slot.wrapping_add(1)
+            } else {
+                slot
+            };
         }
         let dry = self.queued == 0;
         let (due, waiting) = std::mem::take(&mut self.control)
@@ -490,6 +535,20 @@ impl Shard {
         }
     }
 
+    /// Waits until the inbox holds work; `false` once it is stopped
+    /// with nothing left.
+    fn has_work(&self) -> bool {
+        let mut inbox = self.inbox.lock();
+        while inbox.queued == 0 && inbox.control.is_empty() {
+            if inbox.stop {
+                return false;
+            }
+            inbox.parked = true;
+            self.wake.wait(&mut inbox);
+        }
+        true
+    }
+
     fn join_worker(&self) {
         if let Some(handle) = self.worker.lock().take() {
             let _ = handle.join();
@@ -515,10 +574,6 @@ pub struct PoolConfig {
     /// Process definitions registered into every shard (also the
     /// template set recovery replays against).
     pub templates: Vec<ProcessDefinition>,
-    /// Artificial per-submission delay in the worker, slept once before
-    /// each batch's turn (a batch of k waits k times it), for drills
-    /// that need a deterministically slow consumer. `None` in production.
-    pub throttle: Option<Duration>,
     /// Tenant table. Empty = tenancy disabled: wire ids carry no
     /// tenant bits and submissions are unattributed. Non-empty =
     /// [`TENANT_BITS`](crate::TENANT_BITS) are reserved in every wire
@@ -537,7 +592,6 @@ impl PoolConfig {
             durability: DurabilityPolicy::Batched { n: 64 },
             org: OrgModel::new(),
             templates: Vec::new(),
-            throttle: None,
             tenants: Vec::new(),
         }
     }
@@ -550,9 +604,11 @@ pub struct ShardPool {
     ids: WireIds,
     rr: AtomicUsize,
     queue_capacity: usize,
+    batch_max: usize,
     pub(crate) dir: Arc<DataDir>,
     registry: Arc<Registry>,
     overloaded: Arc<Counter>,
+    accepted: Arc<Counter>,
     failed: Arc<Counter>,
     completions: Arc<Counter>,
     /// What opening each shard found and did, in shard order.
@@ -570,6 +626,27 @@ impl ShardPool {
     /// each shard index (each shard gets its own, so shard workers
     /// never contend on substrate locks).
     pub fn open(
+        cfg: PoolConfig,
+        registry: Arc<Registry>,
+        provision: &dyn Fn(usize) -> (Arc<MultiDatabase>, Arc<ProgramRegistry>),
+    ) -> Result<Self, PoolError> {
+        let pool = Self::undriven(cfg, registry, provision)?;
+        for (at, shard) in pool.shards.iter().enumerate() {
+            let all = Arc::clone(&pool.shards);
+            let (ids, batch_max) = (pool.ids, pool.batch_max);
+            let (accepted, failed) = (Arc::clone(&pool.accepted), Arc::clone(&pool.failed));
+            let worker = std::thread::Builder::new()
+                .name(format!("wfms-shard-{at}"))
+                .spawn(move || drive(&all[at], at, ids, batch_max, &accepted, &failed))
+                .expect("spawn shard worker");
+            *shard.worker.lock() = Some(worker);
+        }
+        Ok(pool)
+    }
+
+    /// [`ShardPool::open`] without the drivers: nothing steps a shard
+    /// but whoever holds the pool.
+    fn undriven(
         cfg: PoolConfig,
         registry: Arc<Registry>,
         provision: &dyn Fn(usize) -> (Arc<MultiDatabase>, Arc<ProgramRegistry>),
@@ -621,29 +698,17 @@ impl ShardPool {
             });
         }
 
-        let shards: Arc<[Shard]> = shards.into();
-        let accepted = registry.counter("server.submit.accepted");
-        let failed = registry.counter("server.submit.failed");
-        let (batch_max, throttle) = (cfg.batch_max.max(1), cfg.throttle);
-        for (at, shard) in shards.iter().enumerate() {
-            let all = Arc::clone(&shards);
-            let (accepted, failed) = (Arc::clone(&accepted), Arc::clone(&failed));
-            let worker = std::thread::Builder::new()
-                .name(format!("wfms-shard-{at}"))
-                .spawn(move || drive(&all[at], at, ids, batch_max, throttle, &accepted, &failed))
-                .expect("spawn shard worker");
-            *shard.worker.lock() = Some(worker);
-        }
-
         Ok(Self {
-            shards,
+            shards: shards.into(),
             ids,
             rr: AtomicUsize::new(0),
             queue_capacity: cfg.queue_capacity.max(1),
+            batch_max: cfg.batch_max.max(1),
             dir: Arc::new(dir),
             registry: Arc::clone(&registry),
             overloaded: registry.counter("server.submit.overloaded"),
-            failed,
+            accepted: registry.counter("server.submit.accepted"),
+            failed: registry.counter("server.submit.failed"),
             completions: registry.counter("server.worklist.completions"),
             opened,
             tenants: Arc::new(RwLock::new(Arc::new(table))),
@@ -739,8 +804,10 @@ impl ShardPool {
         let job = QueuedSubmit {
             process: process.to_owned(),
             input,
-            sink,
-            reservation,
+            pending: Pending {
+                reservation,
+                sink: Some(sink),
+            },
         };
         let idx = self.rr.fetch_add(1, Ordering::Relaxed) % self.shards.len();
         match self.shards[idx].with_inbox(|inbox| inbox.admit(self.queue_capacity, job)) {
@@ -750,11 +817,10 @@ impl ShardPool {
                 refused
             }
             Err(job) => {
-                // The worker is stopped or gone; answer through the
-                // sink so the caller sees one completion path.
+                // The worker is stopped or gone; dropped, the job
+                // answers through its sink, `shard worker stopped`.
                 self.failed.inc();
-                drop(job.reservation);
-                (job.sink)(Err(("shard worker stopped".to_owned(), false)));
+                drop(job);
                 SubmitDispatch::Dispatched
             }
         }
@@ -1064,9 +1130,9 @@ pub(crate) fn navigate_onward(engine: &Engine, id: InstanceId, failures: &Counte
     }
 }
 
-/// A submission's reservation and sink, paired with the reply the sink
-/// is to be given.
-type Answer = (Reservation, Sink<SubmitReply>, SubmitReply);
+/// A submission's slot and sink, paired with the reply the sink is to
+/// be given.
+type Answer = (Pending, SubmitReply);
 
 /// One step of shard `at`: navigates each submission of `batch` to
 /// quiescence, makes the batch's one group commit, and pairs each
@@ -1075,7 +1141,7 @@ type Answer = (Reservation, Sink<SubmitReply>, SubmitReply);
 fn turn(engine: &Engine, at: usize, ids: WireIds, batch: Vec<QueuedSubmit>) -> Vec<Answer> {
     let mut answers = Vec::with_capacity(batch.len());
     for job in batch {
-        let tenant = job.reservation.0.as_deref();
+        let tenant = job.pending.tenant().map(Arc::as_ref);
         let slot = tenant.map_or(0, |t| t.slot);
         let reply: SubmitReply = engine
             .start_for_tenant(&job.process, job.input, tenant.map(|t| t.name.clone()))
@@ -1088,10 +1154,10 @@ fn turn(engine: &Engine, at: usize, ids: WireIds, batch: Vec<QueuedSubmit>) -> V
                 let unknown = matches!(e, EngineError::UnknownProcess(_));
                 (e.to_string(), unknown)
             });
-        answers.push((job.reservation, job.sink, reply));
+        answers.push((job.pending, reply));
     }
     if let Err(e) = engine.flush_journal() {
-        for (_, _, reply) in &mut answers {
+        for (_, reply) in &mut answers {
             *reply = Err((format!("journal flush failed: {e}"), false));
         }
     }
@@ -1099,30 +1165,28 @@ fn turn(engine: &Engine, at: usize, ids: WireIds, batch: Vec<QueuedSubmit>) -> V
 }
 
 /// Counts a turn's replies in `server.submit.{accepted, failed}` and
-/// the tenants' own counters, and answers them. Each slot is free
-/// before its caller hears of it, so a resubmission from the sink is
-/// never refused by its own predecessor.
+/// the tenants' own counters, and answers them, each slot free before
+/// its caller hears of it.
 fn answer(answers: Vec<Answer>, accepted: &Counter, failed: &Counter) {
-    for (reservation, sink, reply) in answers {
+    for (mut pending, reply) in answers {
         match &reply {
             Ok(_) => {
                 accepted.inc();
-                if let Some(t) = &reservation.0 {
+                if let Some(t) = pending.tenant() {
                     t.accepted.inc();
                 }
             }
             Err(_) => failed.inc(),
         }
-        drop(reservation);
-        sink(reply);
+        pending.send(reply);
     }
 }
 
 /// Closes an inbox when its worker leaves, by `stop` or by unwinding:
-/// what is still queued is dropped unanswered — sinks uncalled,
-/// reservations given back, control jobs unrun — later submissions are
-/// answered `shard worker stopped`, and later control jobs are run by
-/// their callers.
+/// what is still queued is dropped — each submission answered `shard
+/// worker stopped` with its reservation given back, each control job
+/// unrun and its sink uncalled — later submissions are answered the
+/// same, and later control jobs are run by their callers.
 struct CloseOnExit<'a>(&'a Mutex<Inbox>);
 
 impl Drop for CloseOnExit<'_> {
@@ -1140,50 +1204,56 @@ impl Drop for CloseOnExit<'_> {
     }
 }
 
-/// Shard `at`'s worker thread, the one writer of its engine: waits for
-/// work, takes a batch of up to `batch_max`, makes its [`turn`] and
-/// answers it; then runs the control jobs that came due. `throttle`
-/// delays each batch by its length times the pause, before the turn.
+/// One step of shard `at`, what its driver runs each time there is
+/// work: takes a batch of up to `batch_max` submissions, publishes the
+/// queue depth, makes the batch's [`turn`] and answers it; then runs
+/// the control jobs that came due.
+fn step(
+    shard: &Shard,
+    at: usize,
+    ids: WireIds,
+    batch_max: usize,
+    accepted: &Counter,
+    failed: &Counter,
+) {
+    let (batch, control) = {
+        let mut inbox = shard.inbox.lock();
+        let taken = inbox.take_batch(batch_max);
+        shard.depth.set(inbox.queued as i64);
+        taken
+    };
+    answer(turn(&shard.engine, at, ids, batch), accepted, failed);
+    for (_, job) in control {
+        job(&shard.engine);
+    }
+}
+
+/// Shard `at`'s worker thread, the one writer of its engine: waits
+/// until there is work, then makes a [`step`].
 fn drive(
     shard: &Shard,
     at: usize,
     ids: WireIds,
     batch_max: usize,
-    throttle: Option<Duration>,
     accepted: &Counter,
     failed: &Counter,
 ) {
     let _close = CloseOnExit(&shard.inbox);
-    'serve: loop {
-        let (batch, control) = {
-            let mut inbox = shard.inbox.lock();
-            while inbox.queued == 0 && inbox.control.is_empty() {
-                if inbox.stop {
-                    break 'serve;
-                }
-                inbox.parked = true;
-                shard.wake.wait(&mut inbox);
-            }
-            let taken = inbox.take_batch(batch_max);
-            shard.depth.set(inbox.queued as i64);
-            taken
-        };
-        if let Some(pause) = throttle {
-            std::thread::sleep(pause * batch.len() as u32);
-        }
-        answer(turn(&shard.engine, at, ids, batch), accepted, failed);
-        for (_, job) in control {
-            job(&shard.engine);
-        }
+    while shard.has_work() {
+        step(shard, at, ids, batch_max, accepted, failed);
     }
     // Final barrier so nothing accepted is left unflushed.
     let _ = shard.engine.flush_journal();
 }
 
 #[cfg(test)]
+mod sim;
+
+#[cfg(test)]
 pub(crate) mod tests {
     use super::{
-        answer, resume_running, turn, Control, Inbox, QueuedSubmit, Reservation, SubmitDispatch,
+        answer, resume_running, turn, Control, Inbox, Pending, QueuedSubmit, Reservation,
+        SubmitDispatch,
     };
     use crate::tenant::{parse_tenants, Tenant, TenantTable, WireIds};
     use parking_lot::Mutex;
@@ -1212,8 +1282,10 @@ pub(crate) mod tests {
         QueuedSubmit {
             process: tag.to_owned(),
             input: Container::empty(),
-            sink: Box::new(|_| {}),
-            reservation: Reservation::take(tenant.cloned()).unwrap(),
+            pending: Pending {
+                reservation: Reservation::take(tenant.cloned()).unwrap(),
+                sink: Some(Box::new(|_| {})),
+            },
         }
     }
 
@@ -1468,12 +1540,14 @@ pub(crate) mod tests {
                 QueuedSubmit {
                     process: "one".to_owned(),
                     input: Container::empty(),
-                    reservation: Reservation::take(Some(Arc::clone(acme))).unwrap(),
-                    sink: Box::new(move |reply| {
-                        heard
-                            .lock()
-                            .push((tenant.inflight.load(Ordering::Relaxed), reply))
-                    }),
+                    pending: Pending {
+                        reservation: Reservation::take(Some(Arc::clone(acme))).unwrap(),
+                        sink: Some(Box::new(move |reply| {
+                            heard
+                                .lock()
+                                .push((tenant.inflight.load(Ordering::Relaxed), reply))
+                        })),
+                    },
                 }
             })
             .collect();

@@ -198,10 +198,11 @@ impl std::fmt::Debug for Tenant {
 /// One pinned slot: the name is durable (from `server.meta.json`);
 /// the tenant is present only while the current tenants file declares
 /// it — a slot whose name vanished from the file keeps its wire-id
-/// space but cannot authenticate.
+/// space and its in-flight level, but cannot authenticate.
 #[derive(Debug)]
 struct Slot {
     name: String,
+    inflight: Arc<AtomicI64>,
     tenant: Option<Arc<Tenant>>,
 }
 
@@ -215,8 +216,9 @@ pub struct TenantTable {
 
 impl TenantTable {
     /// Builds the table for `slot_names` (the pinned, ordered slot
-    /// list) from the current `specs`, carrying runtime counters over
-    /// from `previous` by name.
+    /// list) from the current `specs`, carrying each name's in-flight
+    /// level over from `previous` — also for a name the file dropped
+    /// and declares again, whose submissions may still be in flight.
     pub fn build(
         slot_names: &[String],
         specs: &[TenantSpec],
@@ -225,29 +227,29 @@ impl TenantTable {
     ) -> TenantTable {
         let accepted = registry.counter_vec("server.tenant.accepted", "tenant");
         let overloaded = registry.counter_vec("server.tenant.overloaded", "tenant");
-        let inflight = registry.gauge_vec("server.tenant.inflight", "tenant");
+        let gauges = registry.gauge_vec("server.tenant.inflight", "tenant");
         let slots = slot_names
             .iter()
             .enumerate()
             .map(|(i, name)| {
+                let inflight = (previous.and_then(|t| t.slots.iter().find(|s| &s.name == name)))
+                    .map_or_else(Arc::default, |slot| Arc::clone(&slot.inflight));
                 let tenant = specs.iter().find(|s| &s.name == name).map(|spec| {
-                    let carried = previous
-                        .and_then(|t| t.by_name(&spec.name))
-                        .map(|t| Arc::clone(&t.inflight));
                     Arc::new(Tenant {
                         name: spec.name.clone(),
                         slot: (i + 1) as u16,
                         key: spec.key.as_bytes().into(),
                         weight: spec.weight,
                         max_inflight: spec.max_inflight,
-                        inflight: carried.unwrap_or_default(),
+                        inflight: Arc::clone(&inflight),
                         accepted: accepted.with_label(&spec.name),
                         overloaded: overloaded.with_label(&spec.name),
-                        inflight_gauge: inflight.with_label(&spec.name),
+                        inflight_gauge: gauges.with_label(&spec.name),
                     })
                 });
                 Slot {
                     name: name.clone(),
+                    inflight,
                     tenant,
                 }
             })

@@ -53,6 +53,85 @@ fn pool_config(dir: &std::path::Path) -> PoolConfig {
     cfg
 }
 
+/// What holds a shard's worker busy without a clock: `ok` programs
+/// provisioned by [`gated`] wait here until the test opens the gate.
+#[derive(Default)]
+struct Gate {
+    /// Programs that reached the gate; whether it is open.
+    state: std::sync::Mutex<(usize, bool)>,
+    changed: std::sync::Condvar,
+}
+
+impl Gate {
+    fn pass(&self) {
+        let mut state = self.state.lock().unwrap();
+        state.0 += 1;
+        self.changed.notify_all();
+        while !state.1 {
+            state = self.changed.wait(state).unwrap();
+        }
+    }
+
+    /// Returns once a program is held at the gate.
+    fn wait_held(&self) {
+        let mut state = self.state.lock().unwrap();
+        while state.0 == 0 {
+            state = self.changed.wait(state).unwrap();
+        }
+    }
+
+    fn open(&self) {
+        self.state.lock().unwrap().1 = true;
+        self.changed.notify_all();
+    }
+}
+
+/// Opens its gate when dropped: a failing assertion unwinds past the
+/// held worker instead of waiting on it forever in the pool's `Drop`.
+/// Declared after the pool, so it drops first.
+struct OpenOnDrop<'a>(&'a Gate);
+
+impl Drop for OpenOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.open();
+    }
+}
+
+/// [`provision`] with every `ok` program waiting at `gate` first.
+fn gated(gate: &Arc<Gate>) -> impl Fn(usize) -> (Arc<MultiDatabase>, Arc<ProgramRegistry>) {
+    let gate = Arc::clone(gate);
+    move |_| {
+        let (fed, registry) = provision(0);
+        let gate = Arc::clone(&gate);
+        registry.register_fn("ok", move |_| {
+            gate.pass();
+            ProgramOutcome::committed()
+        });
+        (fed, registry)
+    }
+}
+
+/// Writes `burst` — pipelined submissions — in one write on a fresh
+/// connection of `server`, whose one reactor reads it in one pass, and
+/// returns once that pass is over with the first submission's program
+/// held at `gate`: a request on the already-open `probe` connection is
+/// answered only after the reactor has dispatched the whole burst.
+fn send_held(
+    server: &Server,
+    gate: &Gate,
+    probe: &mut Http1Client,
+    burst: &str,
+) -> std::io::BufReader<std::net::TcpStream> {
+    use std::io::Write;
+
+    let mut conn = raw_socket(&server.local_addr().to_string());
+    conn.get_mut().write_all(burst.as_bytes()).unwrap();
+    gate.wait_held();
+    let (code, _) = probe.request("GET", "/healthz", None).unwrap();
+    assert_eq!(code, 200);
+    conn
+}
+
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("wfms-server-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -514,26 +593,54 @@ fn reopen_with_changed_spec_is_rejected() {
 
 #[test]
 fn admission_control_rejects_beyond_high_water() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     let dir = temp_dir("admission");
     let mut cfg = pool_config(&dir);
     cfg.shards = 1;
     cfg.queue_capacity = 2;
     cfg.batch_max = 1;
-    cfg.throttle = Some(Duration::from_millis(20));
-    let pool = Arc::new(ShardPool::open(cfg, Arc::new(Registry::new()), &provision).unwrap());
+    let gate = Arc::new(Gate::default());
+    let pool = Arc::new(ShardPool::open(cfg, Arc::new(Registry::new()), &gated(&gate)).unwrap());
+    let _open = OpenOnDrop(&gate);
 
-    // 12 concurrent submitters against a queue of 2 and a worker that
-    // takes 20ms per job: some must be rejected, none may hang, and
-    // accepted + overloaded covers everything.
+    // The worker takes this one alone and is held in its program.
+    let (first_tx, first_rx) = std::sync::mpsc::channel();
+    let first = pool.submit_with(
+        "auto",
+        wfms_model::Container::empty(),
+        None,
+        Box::new(move |reply: SubmitReply| drop(first_tx.send(reply))),
+    );
+    assert!(matches!(first, SubmitDispatch::Dispatched), "{first:?}");
+    gate.wait_held();
+    assert_eq!(pool.queue_depth(), 0);
+
+    // 12 concurrent submitters against a queue of 2 and a held worker:
+    // some must be rejected, none may hang, and accepted + overloaded
+    // covers everything. The gate opens once every submitter has been
+    // refused or queued.
+    let refused = AtomicUsize::new(0);
     let outcomes: Vec<SubmitOutcome> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..12)
             .map(|_| {
-                let pool = Arc::clone(&pool);
-                s.spawn(move || pool.submit("auto", wfms_model::Container::empty()))
+                let (pool, refused) = (&pool, &refused);
+                s.spawn(move || {
+                    let outcome = pool.submit("auto", wfms_model::Container::empty());
+                    if !matches!(outcome, SubmitOutcome::Accepted { .. }) {
+                        refused.fetch_add(1, Ordering::SeqCst);
+                    }
+                    outcome
+                })
             })
             .collect();
+        while refused.load(Ordering::SeqCst) + (pool.queue_depth() as usize) < 12 {
+            std::thread::yield_now();
+        }
+        gate.open();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
+    assert!(first_rx.recv().unwrap().is_ok());
     let accepted = outcomes
         .iter()
         .filter(|o| matches!(o, SubmitOutcome::Accepted { .. }))
@@ -543,137 +650,67 @@ fn admission_control_rejects_beyond_high_water() {
         .filter(|o| matches!(o, SubmitOutcome::Overloaded { .. }))
         .count();
     assert_eq!(accepted + overloaded, 12, "no third outcome: {outcomes:?}");
-    assert!(accepted >= 1, "the queue makes progress");
-    assert!(overloaded >= 1, "the high-water mark rejects");
+    assert_eq!(accepted, 2, "the queue makes progress: {outcomes:?}");
+    assert_eq!(overloaded, 10, "the high-water mark rejects: {outcomes:?}");
+    drop(pool);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `--queue N` means N. Submitting the way the reactor does — through
-/// `submit_with`, never blocking, as fast as it can — against a worker
-/// that answers one submission every 5 ms, a shard never holds more
-/// unanswered submissions than its queue's worth plus the
-/// one-submission batch the worker has taken, and every refusal reports
-/// the queue full, not overfull. (With a channel in front of the lanes
-/// the shard held twice the bound and reported `depth=15 capacity=8`.)
+/// `submit_with`, never blocking — against a worker held in the
+/// one-submission batch it has taken, a shard admits exactly its
+/// queue's worth, and every refusal reports the queue full, not
+/// overfull. (With a channel in front of the lanes the shard held twice
+/// the bound and reported `depth=15 capacity=8`.)
 #[test]
 fn the_high_water_mark_is_exact() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
     let dir = temp_dir("high-water");
     let mut cfg = pool_config(&dir);
     cfg.shards = 1;
     cfg.queue_capacity = 8;
     cfg.batch_max = 1;
-    cfg.throttle = Some(Duration::from_millis(5));
-    let pool = ShardPool::open(cfg, Arc::new(Registry::new()), &provision).unwrap();
+    let gate = Arc::new(Gate::default());
+    let pool = ShardPool::open(cfg, Arc::new(Registry::new()), &gated(&gate)).unwrap();
+    let _open = OpenOnDrop(&gate);
 
-    let answered = Arc::new(AtomicUsize::new(0));
-    let (mut admitted, mut refused, mut most_unanswered) = (0usize, 0usize, 0usize);
-    while answered.load(Ordering::SeqCst) < 12 {
-        let sink = {
-            let answered = Arc::clone(&answered);
-            Box::new(move |_: SubmitReply| {
-                answered.fetch_add(1, Ordering::SeqCst);
-            })
-        };
-        match pool.submit_with("auto", wfms_model::Container::empty(), None, sink) {
-            SubmitDispatch::Dispatched => {
-                admitted += 1;
-                // Read after the admit: an answer in between can only
-                // make the shard look emptier than it was.
-                most_unanswered = most_unanswered.max(admitted - answered.load(Ordering::SeqCst));
-            }
+    let (answered_tx, answered_rx) = std::sync::mpsc::channel();
+    let submit = || {
+        let answered_tx = answered_tx.clone();
+        pool.submit_with(
+            "auto",
+            wfms_model::Container::empty(),
+            None,
+            Box::new(move |reply: SubmitReply| drop(answered_tx.send(reply))),
+        )
+    };
+    assert!(matches!(submit(), SubmitDispatch::Dispatched));
+    gate.wait_held();
+
+    let (mut admitted, mut refused) = (1usize, 0usize);
+    for _ in 0..20 {
+        match submit() {
+            SubmitDispatch::Dispatched => admitted += 1,
             SubmitDispatch::Overloaded { depth, capacity } => {
                 assert_eq!((depth, capacity), (8, 8), "refusal {refused}");
                 refused += 1;
-                std::thread::sleep(Duration::from_micros(50));
             }
         }
+        assert!(pool.queue_depth() <= 8, "{} queued", pool.queue_depth());
     }
-    assert!(refused > 0, "the burst never met the bound");
-    assert!(
-        (8..=8 + 1).contains(&most_unanswered),
-        "{most_unanswered} unanswered at once against a queue of 8"
-    );
-    drop(pool);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A submission dropped unanswered gives its tenant's in-flight slot
-/// back. A program that panics takes the shard worker down mid-batch:
-/// the callers blocked on that batch fail instead of hanging, the quota
-/// they held is free again, and a later submission is answered through
-/// its sink rather than queued for a worker that is not there.
-#[test]
-fn a_dead_worker_leaks_no_quota_and_answers_later_submits() {
-    use std::sync::atomic::Ordering;
-
-    let dir = temp_dir("dead-worker");
-    let mut cfg = tenant_pool_config(&dir);
-    cfg.shards = 1;
-    cfg.throttle = Some(Duration::from_millis(100));
-    cfg.templates.push(
-        ProcessBuilder::new("boom")
-            .program("A", "boom")
-            .build()
-            .unwrap(),
-    );
-    let pool = ShardPool::open(cfg, Arc::new(Registry::new()), &|shard| {
-        let (fed, programs) = provision(shard);
-        programs.register_fn("boom", |_| panic!("boom: the test's panicking program"));
-        (fed, programs)
-    })
-    .unwrap();
-    let acme = pool.authenticate(b"k-acme").unwrap();
-
-    // The worker takes this one alone and sleeps on it; the three that
-    // panic queue up behind it and leave the lane as one batch.
-    let (first_tx, first_rx) = std::sync::mpsc::channel();
-    let first = pool.submit_with(
-        "auto",
-        wfms_model::Container::empty(),
-        Some(Arc::clone(&acme)),
-        Box::new(move |reply: SubmitReply| first_tx.send(reply).unwrap()),
-    );
-    assert!(matches!(first, SubmitDispatch::Dispatched));
-    while pool.queue_depth() > 0 {
-        std::thread::yield_now();
-    }
-    let outcomes: Vec<SubmitOutcome> = std::thread::scope(|s| {
-        let blocked: Vec<_> = (0..3)
-            .map(|_| {
-                s.spawn(|| {
-                    pool.submit_as("boom", wfms_model::Container::empty(), Some(acme.clone()))
-                })
-            })
-            .collect();
-        blocked.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    assert!(first_rx.recv().unwrap().is_ok(), "flushed before the panic");
-    for outcome in &outcomes {
-        assert!(
-            matches!(outcome, SubmitOutcome::Failed { .. }),
-            "{outcome:?}"
-        );
-    }
-    assert_eq!(acme.inflight.load(Ordering::Relaxed), 0, "quota given back");
-
-    // A drain does not wait for a barrier nobody will release; once it
-    // is back, the unwinding worker has closed its inbox.
-    let _ = pool.drain();
-    let (late_tx, late_rx) = std::sync::mpsc::channel();
-    let late = pool.submit_with(
-        "auto",
-        wfms_model::Container::empty(),
-        Some(Arc::clone(&acme)),
-        Box::new(move |reply: SubmitReply| late_tx.send(reply).unwrap()),
-    );
-    assert!(matches!(late, SubmitDispatch::Dispatched));
+    assert_eq!(refused, 12, "the burst never met the bound");
     assert_eq!(
-        late_rx.try_recv().unwrap().unwrap_err(),
-        ("shard worker stopped".to_owned(), false)
+        admitted,
+        8 + 1,
+        "{admitted} unanswered at once against a queue of 8"
     );
-    assert_eq!(acme.inflight.load(Ordering::Relaxed), 0);
+    assert_eq!(pool.queue_depth(), 8);
+
+    gate.open();
+    for _ in 0..admitted {
+        assert!(answered_rx.recv().unwrap().is_ok());
+    }
+    assert!(matches!(submit(), SubmitDispatch::Dispatched));
+    assert!(answered_rx.recv().unwrap().is_ok());
     drop(pool);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -1018,26 +1055,43 @@ fn tenancy_auth_and_isolation_over_http() {
 /// and `Connection: close` — while another tenant keeps submitting.
 #[test]
 fn tenant_quota_answers_429_with_retry_after() {
-    use std::io::Write;
-
     let dir = temp_dir("tenancy-quota");
     let mut cfg = tenant_pool_config(&dir);
     cfg.shards = 1;
     cfg.tenants[0].max_inflight = 2; // acme
-    cfg.throttle = Some(Duration::from_millis(100));
-    let pool = ShardPool::open(cfg, Arc::new(Registry::new()), &provision).unwrap();
-    let server = Server::start(Arc::new(pool), ServerConfig::new("auto")).unwrap();
+    let gate = Arc::new(Gate::default());
+    let pool = Arc::new(ShardPool::open(cfg, Arc::new(Registry::new()), &gated(&gate)).unwrap());
+    let mut server_cfg = ServerConfig::new("auto");
+    server_cfg.reactors = 1;
+    let server = Server::start(Arc::clone(&pool), server_cfg).unwrap();
     let url = server.local_addr().to_string();
+    let mut probe = Http1Client::new(&url);
+    assert_eq!(probe.request("GET", "/healthz", None).unwrap().0, 200);
 
-    // Three pipelined submits against a quota of 2 and a worker that
-    // takes 100ms per job: the first two are admitted, the third is
-    // quota-rejected. Replies come back in request order.
-    let mut conn = raw_socket(&url);
+    // Three pipelined submits against a quota of 2 and a worker held
+    // in the first one's program: the first two are admitted, the
+    // third is quota-rejected. Replies come back in request order.
     let one = "POST /instances HTTP/1.1\r\nauthorization: Bearer k-acme\r\n\
                content-length: 18\r\n\r\n{\"process\":\"auto\"}";
-    let burst = format!("{one}{one}{one}");
-    conn.get_mut().write_all(burst.as_bytes()).unwrap();
-    conn.get_mut().flush().unwrap();
+    let mut conn = send_held(&server, &gate, &mut probe, &one.repeat(3));
+
+    // The quiet tenant is not collateral damage: admitted while acme's
+    // quota is spent.
+    let beta = pool.authenticate(b"k-beta").unwrap();
+    let (beta_tx, beta_rx) = std::sync::mpsc::channel();
+    let admitted = pool.submit_with(
+        "auto",
+        wfms_model::Container::empty(),
+        Some(beta),
+        Box::new(move |reply: SubmitReply| beta_tx.send(reply).unwrap()),
+    );
+    assert!(
+        matches!(admitted, SubmitDispatch::Dispatched),
+        "{admitted:?}"
+    );
+    gate.open();
+    assert!(beta_rx.recv().unwrap().is_ok());
+
     let (code, _, body) = read_raw_response(&mut conn);
     assert_eq!(code, 201, "{body}");
     let (code, _, body) = read_raw_response(&mut conn);
@@ -1053,7 +1107,7 @@ fn tenant_quota_answers_429_with_retry_after() {
     let (code, body) = beta
         .request("POST", "/instances", Some(r#"{"process":"auto"}"#))
         .unwrap();
-    assert_eq!(code, 201, "beta submits while acme is throttled: {body}");
+    assert_eq!(code, 201, "beta submits after acme's burst: {body}");
 
     // The rejection shows up in acme's overloaded counter.
     let mut plain = Http1Client::new(&url);
@@ -1533,18 +1587,22 @@ fn every_reply_shape_is_byte_identical() {
 
     // The tenant-quota 429, as `tenant_quota_answers_429_with_retry_after`
     // provokes it: the third of three pipelined submits against a quota
-    // of two and a slow worker.
+    // of two and a worker held in the first one's program.
     let dir = temp_dir("golden-quota");
     let mut cfg = tenant_pool_config(&dir);
     cfg.shards = 1;
     cfg.tenants[0].max_inflight = 2;
-    cfg.throttle = Some(Duration::from_millis(100));
-    let pool = ShardPool::open(cfg, Arc::new(Registry::new()), &provision).unwrap();
-    let server = Server::start(Arc::new(pool), ServerConfig::new("auto")).unwrap();
-    let mut conn = raw_socket(&server.local_addr().to_string());
+    let gate = Arc::new(Gate::default());
+    let pool = ShardPool::open(cfg, Arc::new(Registry::new()), &gated(&gate)).unwrap();
+    let mut server_cfg = ServerConfig::new("auto");
+    server_cfg.reactors = 1;
+    let server = Server::start(Arc::new(pool), server_cfg).unwrap();
+    let mut probe = Http1Client::new(&server.local_addr().to_string());
+    assert_eq!(probe.request("GET", "/healthz", None).unwrap().0, 200);
     let one = "POST /instances HTTP/1.1\r\nauthorization: Bearer k-acme\r\n\
                content-length: 18\r\n\r\n{\"process\":\"auto\"}";
-    conn.get_mut().write_all(one.repeat(3).as_bytes()).unwrap();
+    let mut conn = send_held(&server, &gate, &mut probe, &one.repeat(3));
+    gate.open();
     let mut all = Vec::new();
     conn.read_to_end(&mut all).unwrap();
     let all = String::from_utf8(all).unwrap();
