@@ -32,10 +32,11 @@
 //! and a seeded workload would not repeat. Per-label streams make a
 //! label's k-th draw a pure function of `(seed, label, k)`.
 
+use crate::fast_hash::FastMap;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// What a labelled operation should do at its decision point.
@@ -89,7 +90,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// A shared, thread-safe failure-injection oracle.
 #[derive(Debug)]
 pub struct Injector {
-    plans: Mutex<HashMap<String, PlanState>>,
+    plans: Mutex<FastMap<String, PlanState>>,
     seed: u64,
 }
 
@@ -102,7 +103,7 @@ impl Injector {
     /// runs, regardless of scheduling).
     pub fn new(seed: u64) -> InjectorHandle {
         Arc::new(Self {
-            plans: Mutex::new(HashMap::new()),
+            plans: Mutex::default(),
             seed,
         })
     }

@@ -33,6 +33,9 @@
 //!   compensatable / retriable / pivot steps).
 //! * [`params`] — the named values a program is handed, which a
 //!   workflow container holds: one name-ordered allocation per map.
+//! * [`fast_hash`] — the unkeyed [`fast_hash::FastMap`] for tables
+//!   whose keys the process makes; tables filled from outside bytes
+//!   keep `std`'s keyed hasher.
 //! * [`clock`] — a virtual clock shared with the workflow engine so
 //!   tests and benchmarks are deterministic.
 //!
@@ -44,6 +47,7 @@
 pub mod clock;
 pub mod db;
 pub mod durability;
+pub mod fast_hash;
 pub mod frame;
 pub mod inject;
 pub mod lock;

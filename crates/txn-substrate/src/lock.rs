@@ -19,9 +19,10 @@
 //! other unilateral abort, which is precisely the multidatabase
 //! behaviour flexible transactions were designed around.
 
+use crate::fast_hash::{FastMap, FastSet};
 use crate::txn::TxnId;
 use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use wfms_observe::Value as Reading;
 
@@ -87,10 +88,10 @@ struct LmState {
     /// last holder leaves: the table is where a key's single
     /// allocation per database lives, and a kept entry's vectors keep
     /// their capacity, so re-locking a known key allocates nothing.
-    table: HashMap<Arc<str>, LockEntry>,
+    table: FastMap<Arc<str>, LockEntry>,
     /// Keys each active transaction holds, in grant order: what
     /// [`LockManager::release_all`] walks instead of the whole table.
-    held: HashMap<TxnId, Vec<Arc<str>>>,
+    held: FastMap<TxnId, Vec<Arc<str>>>,
     /// Emptied `held` lists, reused for their capacity.
     spare: Vec<Vec<Arc<str>>>,
     /// Edges `waiter -> {holders it waits for}` for deadlock search.
@@ -98,7 +99,7 @@ struct LmState {
     /// it registers before it first sleeps and leaves when it is
     /// granted or refused, all under the table mutex — so an empty
     /// map means no thread is asleep on the condition variable.
-    waits_for: HashMap<TxnId, HashSet<TxnId>>,
+    waits_for: FastMap<TxnId, FastSet<TxnId>>,
     stats: LockStats,
 }
 
@@ -327,8 +328,8 @@ impl LmState {
 
     /// Transactions `txn` would wait for on `key`: conflicting holders
     /// plus conflicting earlier waiters.
-    fn blockers(&self, txn: TxnId, key: &str, mode: LockMode) -> HashSet<TxnId> {
-        let mut out = HashSet::new();
+    fn blockers(&self, txn: TxnId, key: &str, mode: LockMode) -> FastSet<TxnId> {
+        let mut out = FastSet::default();
         if let Some(entry) = self.table.get(key) {
             for &(t, m) in &entry.holders {
                 if t != txn && !mode.compatible(m) {
@@ -363,7 +364,7 @@ impl LmState {
     /// graph. Returns the cycle path if found.
     fn find_cycle(&self, start: TxnId) -> Option<Vec<TxnId>> {
         let mut path = vec![start];
-        let mut visited = HashSet::new();
+        let mut visited = FastSet::default();
         self.dfs(start, start, &mut path, &mut visited)
     }
 
@@ -372,7 +373,7 @@ impl LmState {
         start: TxnId,
         at: TxnId,
         path: &mut Vec<TxnId>,
-        visited: &mut HashSet<TxnId>,
+        visited: &mut FastSet<TxnId>,
     ) -> Option<Vec<TxnId>> {
         if let Some(nexts) = self.waits_for.get(&at) {
             // BTreeSet-like determinism for tests: sort the frontier.

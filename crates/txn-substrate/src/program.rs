@@ -14,13 +14,14 @@
 //! *pivot* (neither), or both compensatable and retriable
 //! ([`StepClass`]).
 
+use crate::fast_hash::FastMap;
 use crate::inject::{FailureAction, InjectorHandle};
 use crate::multidb::MultiDatabase;
 use crate::params::{no_params, Params};
 use crate::value::Value;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Classification of a subtransaction in the saga / flexible
@@ -287,7 +288,7 @@ impl TxnProgram for KvProgram {
 /// (§3.3).
 #[derive(Default)]
 pub struct ProgramRegistry {
-    map: RwLock<HashMap<String, Arc<dyn TxnProgram>>>,
+    map: RwLock<FastMap<String, Arc<dyn TxnProgram>>>,
 }
 
 impl ProgramRegistry {

@@ -31,8 +31,8 @@
 //! as the one that produced the journal.
 
 use crate::state::StateSlab;
-use std::collections::HashMap;
 use std::sync::Arc;
+use txn_substrate::fast_hash::FastMap;
 use txn_substrate::{Tick, Value};
 use wfms_model::{
     ActivityKind, Container, ContainerSchema, DataEndpoint, Expr, Interner, ProcessDefinition,
@@ -473,10 +473,10 @@ pub struct ScopeLayout {
     /// [`ScopeLayout::paths`]). Validation rejects `/` in activity
     /// names and duplicate names within a scope, so the keys are unique
     /// by construction.
-    pub slot_by_path: HashMap<Arc<str>, u32>,
+    pub slot_by_path: FastMap<Arc<str>, u32>,
     /// Scope path → [`ScopeId`] (keys are the [`ScopeMeta::path`]s;
     /// `""` is the root).
-    pub scope_by_path: HashMap<Arc<str>, ScopeId>,
+    pub scope_by_path: FastMap<Arc<str>, ScopeId>,
     /// Per edge slot: interned `(from, to)` activity names for
     /// `ConnectorEvaluated` events.
     pub edge_names: Vec<(Arc<str>, Arc<str>)>,
@@ -500,8 +500,8 @@ impl ScopeLayout {
             output_rc1: Vec::new(),
             rank: Vec::new(),
             rank_to_slot: Vec::new(),
-            slot_by_path: HashMap::new(),
-            scope_by_path: HashMap::new(),
+            slot_by_path: FastMap::default(),
+            scope_by_path: FastMap::default(),
             edge_names: Vec::new(),
             process: Arc::from(root.name.as_str()),
             fresh: StateSlab::default(),

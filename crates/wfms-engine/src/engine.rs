@@ -39,9 +39,9 @@ use crate::registry::{TemplateRegistry, TemplateVersion};
 use crate::state::{ActState, Instance, InstanceStatus};
 use crate::worklist::{WorkItem, WorkItemState, WorklistError, WorklistStore};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
+use txn_substrate::fast_hash::FastMap;
 use txn_substrate::{
     DurabilityPolicy, MirrorError, MultiDatabase, ProgramRegistry, TailReport, VirtualClock,
 };
@@ -644,7 +644,7 @@ pub struct Engine {
     /// Per-template latency probes, built lazily on first start and
     /// shared by every instance of the template. Not state the journal
     /// describes; taken, briefly, under the state lock.
-    pub(crate) probes: Mutex<HashMap<u64, ActProbes>>,
+    pub(crate) probes: Mutex<FastMap<u64, ActProbes>>,
     /// What opening found in the journal file.
     reopened: TailReport,
     /// What opening's recovery repaired.
@@ -729,7 +729,7 @@ impl Engine {
             multidb,
             clock,
             obs: EngineObs::new(observer),
-            probes: Mutex::new(HashMap::new()),
+            probes: Mutex::default(),
             reopened: TailReport::default(),
             repaired: recovery::FixupCounts::default(),
         };

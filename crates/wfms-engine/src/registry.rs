@@ -24,8 +24,8 @@
 //!   flips the default for future starts.
 
 use crate::compiled::CompiledProcess;
-use std::collections::HashMap;
 use std::sync::Arc;
+use txn_substrate::fast_hash::FastMap;
 
 /// The identity handed back by [`crate::Engine::register`]: which
 /// process was registered and which version (spec content hash, hex)
@@ -48,11 +48,11 @@ impl std::fmt::Display for TemplateVersion {
 /// per-name default pointer.
 #[derive(Default)]
 pub(crate) struct TemplateRegistry {
-    by_hash: HashMap<u64, Arc<CompiledProcess>>,
-    default_of: HashMap<String, u64>,
+    by_hash: FastMap<u64, Arc<CompiledProcess>>,
+    default_of: FastMap<String, u64>,
     /// Registration order of distinct hashes per name (first entry is
     /// the initial default at recovery time).
-    versions_of: HashMap<String, Vec<u64>>,
+    versions_of: FastMap<String, Vec<u64>>,
 }
 
 impl TemplateRegistry {

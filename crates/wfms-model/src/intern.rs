@@ -7,8 +7,8 @@
 //! interner is built once per scope at compile time and read-only
 //! afterwards.
 
-use std::collections::HashMap;
 use std::sync::Arc;
+use txn_substrate::fast_hash::FastMap;
 
 /// A bidirectional `name ↔ u32` map with dense ids assigned in
 /// insertion order. First insertion wins: re-interning an existing
@@ -17,7 +17,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
     names: Vec<Arc<str>>,
-    index: HashMap<Arc<str>, u32>,
+    index: FastMap<Arc<str>, u32>,
 }
 
 impl Interner {

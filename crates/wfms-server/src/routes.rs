@@ -19,8 +19,8 @@ use wfms_observe::Value;
 use crate::api::*;
 use crate::deploy::{DeployReport, MigrationPolicy};
 use crate::http::Request;
-use crate::server::{Completion, Deferred, ServerState, Turn};
-use crate::shard::{PoolError, Sink, SubmitDispatch, SubmitReply};
+use crate::server::{Completion, Deferred, ReactorShared, ServerState, Turn};
+use crate::shard::{PoolError, Sink, SubmitDispatch, SubmitReply, STOPPED};
 use crate::tenant::{bearer_token, Tenant};
 
 const JSON: &str = "application/json";
@@ -220,24 +220,59 @@ pub(crate) fn dispatch(turn: &mut Turn<'_>, req: &Request) {
 /// Promises this request a reply slot and returns the sink that fills
 /// it: whatever thread the pool answers on — a shard worker, after its
 /// flush — renders the answer there and posts it to this reactor's
-/// completion queue, exactly as a submit's reply travels.
+/// completion queue, exactly as a submit's reply travels. A sink
+/// dropped uncalled — its job was abandoned by a worker that died —
+/// still fills the slot, as a submission's would be: `500 shard worker
+/// stopped`.
 fn answer_later<T>(
     turn: &mut Turn<'_>,
     close: bool,
     stop: bool,
     render: impl FnOnce(T) -> Answer + Send + 'static,
 ) -> Sink<T> {
-    let (conn, slot) = (turn.token, turn.conn.alloc_slot());
-    let shared = Arc::clone(turn.shared);
-    Box::new(move |result| {
-        shared.post(Completion {
-            conn,
-            slot,
-            close,
-            stop,
-            answer: Deferred::Answer(render(result)),
-        });
-    })
+    let promised = Promised {
+        shared: Some(Arc::clone(turn.shared)),
+        conn: turn.token,
+        slot: turn.conn.alloc_slot(),
+        close,
+        stop,
+    };
+    Box::new(move |result| promised.fill(render(result)))
+}
+
+/// A reply slot a deferred route promised, filled exactly once: by
+/// [`Promised::fill`], or on drop with the abandoned job's `500`.
+struct Promised {
+    /// `None` once filled.
+    shared: Option<Arc<ReactorShared>>,
+    conn: u64,
+    slot: u64,
+    close: bool,
+    stop: bool,
+}
+
+impl Promised {
+    fn fill(mut self, answer: Answer) {
+        self.post(answer);
+    }
+
+    fn post(&mut self, answer: Answer) {
+        if let Some(shared) = self.shared.take() {
+            shared.post(Completion {
+                conn: self.conn,
+                slot: self.slot,
+                close: self.close,
+                stop: self.stop,
+                answer: Deferred::Answer(answer),
+            });
+        }
+    }
+}
+
+impl Drop for Promised {
+    fn drop(&mut self) {
+        self.post(Answer::error(500, "internal", STOPPED));
+    }
 }
 
 /// The reply to a submit, from what its shard answered after the group

@@ -33,7 +33,6 @@
 //! journals are checkpointed — unless the caller asks for an abrupt
 //! stop to simulate a crash.
 
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -44,6 +43,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
+use txn_substrate::fast_hash::FastMap;
 
 use crate::http::{self, render_response};
 use crate::poll::{
@@ -212,7 +212,7 @@ impl Server {
                             listener,
                             shared: reactor_shared,
                             state,
-                            conns: HashMap::new(),
+                            conns: FastMap::default(),
                             next_token: TOKEN_FIRST_CONN,
                         }
                         .run()
@@ -393,7 +393,7 @@ struct Reactor {
     listener: Arc<TcpListener>,
     shared: Arc<ReactorShared>,
     state: Arc<ServerState>,
-    conns: HashMap<u64, Conn>,
+    conns: FastMap<u64, Conn>,
     next_token: u64,
 }
 

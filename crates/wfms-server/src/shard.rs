@@ -121,6 +121,8 @@ use crate::tenant::{self, Tenant, TenantSpec, TenantTable, WireIds};
 /// ran dry.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
 pub(crate) const UNANSWERED: &str = "shard worker did not answer";
+/// What a job its worker abandoned by dying is answered.
+pub(crate) const STOPPED: &str = "shard worker stopped";
 
 /// The blocking spelling of a sink-form call: hands `call` a sink and
 /// waits for what the sink is given. `None` when nothing came — the
@@ -361,7 +363,7 @@ impl Pending {
 
 impl Drop for Pending {
     fn drop(&mut self) {
-        self.send(Err(("shard worker stopped".to_owned(), false)));
+        self.send(Err((STOPPED.to_owned(), false)));
     }
 }
 

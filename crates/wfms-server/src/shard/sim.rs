@@ -884,9 +884,11 @@ fn a_full_disk_fails_every_batch_and_gives_back_every_slot() {
 /// A program that panics takes its shard's step down. Every submission
 /// the worker abandons — the rest of the batch, the lanes behind it —
 /// is answered `shard worker stopped` and gives its quota back; a
-/// control job queued behind it is dropped, its sink uncalled; later
-/// jobs are run by their callers, and a later submission is answered at
-/// once.
+/// control job queued behind it is dropped, its sink uncalled (the
+/// pool's contract: over HTTP, the sink `routes::answer_later` made
+/// answers `500 shard worker stopped` as it drops — the loopback test
+/// `an_abandoned_completion_still_answers_over_http`); later jobs are
+/// run by their callers, and a later submission is answered at once.
 #[test]
 fn a_dying_worker_answers_what_it_abandons() {
     let stopped = Err(("shard worker stopped".to_owned(), false));

@@ -1948,6 +1948,74 @@ fn a_dead_worker_leaves_later_jobs_to_their_callers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A work-item completion queued behind a batch whose program panics
+/// is dropped unrun with the dying worker's inbox. Its HTTP reply slot
+/// is still filled, as the abandoned submission's is: `500 shard worker
+/// stopped`, at once — not when the client or the 30 s idle sweep
+/// closes the connection.
+#[test]
+fn an_abandoned_completion_still_answers_over_http() {
+    let dir = temp_dir("abandoned-completion");
+    let gate = Arc::new(Gate::default());
+    let mut cfg = pool_config(&dir);
+    cfg.shards = 1;
+    cfg.templates.push(
+        ProcessBuilder::new("doomed")
+            .program("A", "boom")
+            .build()
+            .unwrap(),
+    );
+    let held = Arc::clone(&gate);
+    let pool = ShardPool::open(cfg, Arc::new(Registry::new()), &|shard| {
+        let (fed, programs) = provision(shard);
+        let gate = Arc::clone(&held);
+        programs.register_fn("boom", move |_| {
+            gate.pass();
+            panic!("boom: the test's panicking program")
+        });
+        (fed, programs)
+    })
+    .unwrap();
+    let mut scfg = ServerConfig::new("manual");
+    scfg.reactors = 1;
+    let server = Server::start(Arc::new(pool), scfg).unwrap();
+    let _open = OpenOnDrop(&gate);
+    let url = server.local_addr().to_string();
+
+    let mut client = Http1Client::new(&url);
+    let (code, body) = client.request("POST", "/instances", Some("{}")).unwrap();
+    assert_eq!(code, 201, "{body}");
+    let (_, body) = client.request("GET", "/worklist?person=ann", None).unwrap();
+    let wl: WorklistResponse = serde_json::from_str(&body).unwrap();
+
+    // The doomed submission holds the worker at the gate; the
+    // completion waits behind it as a control job.
+    let submit = r#"{"process":"doomed"}"#;
+    let burst = format!(
+        "POST /instances HTTP/1.1\r\ncontent-length: {}\r\n\r\n{submit}\
+         POST /worklist/{}/complete HTTP/1.1\r\ncontent-length: 16\r\n\r\n{{\"person\":\"ann\"}}",
+        submit.len(),
+        wl.items[0].id
+    );
+    let mut conn = send_held(&server, &gate, &mut client, &burst);
+    let released = std::time::Instant::now();
+    gate.open();
+
+    let stopped = r#"{"error":"internal","detail":"shard worker stopped"}"#;
+    let (code, _, body) = read_raw_response(&mut conn);
+    assert_eq!((code, body.as_str()), (500, stopped), "the submission");
+    let (code, _, body) = read_raw_response(&mut conn);
+    assert_eq!((code, body.as_str()), (500, stopped), "the completion");
+    assert!(
+        released.elapsed() < Duration::from_secs(5),
+        "answered after {:?}",
+        released.elapsed()
+    );
+
+    server.shutdown(true);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// What the shard engines count scrapes as what it is: a monotonic
 /// counter a Prometheus `rate()` accepts, not a gauge. A restart with
 /// an instance parked makes recovery count its fix-ups, a migrating
