@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Source lines per crate: the non-blank, non-comment lines under
-# crates/*/src that are not inside a `#[cfg(test)]` item, and the
+# crates/*/src that are not inside a `#[cfg(test)]` item nor in a file
+# reached through a `#[cfg(test)] mod name;` declaration, and the
 # workspace total, as a Markdown table. CI appends it to the step
 # summary; a PR that claims to shrink the code base quotes it for the
 # parent and for the change.
@@ -34,13 +35,35 @@ COUNT='
     END { print n + 0 }
 '
 
+# The awk program that names the files a `#[cfg(test)] mod name;`
+# declaration reaches: `name.rs` or `name/mod.rs` beside a `lib.rs`,
+# `main.rs` or `mod.rs`, and under the directory named after any other
+# declaring file.
+TEST_MODS='
+    {
+      line = $0
+      sub(/^[ \t]+/, "", line)
+    }
+    test && line ~ /^(pub(\([a-z]+\))? )?mod [A-Za-z0-9_]+;$/ {
+      name = line; sub(/^.*mod /, "", name); sub(/;$/, "", name)
+      dir = FILENAME; sub(/\/[^\/]*$/, "", dir)
+      stem = FILENAME; sub(/^.*\//, "", stem); sub(/\.rs$/, "", stem)
+      if (stem != "lib" && stem != "main" && stem != "mod") dir = dir "/" stem
+      print dir "/" name ".rs"
+      print dir "/" name "/mod.rs"
+    }
+    { test = line ~ /^#\[cfg\(test\)\]$/ }
+'
+
 echo "| crate | source lines |"
 echo "|---|---:|"
 total=0
 for dir in crates/*/; do
   crate="$(basename "$dir")"
   [ -d "$dir/src" ] || continue
-  n=$(find "$dir/src" -name '*.rs' -print0 | sort -z | xargs -0 -r awk "$COUNT")
+  tests="$(find "$dir/src" -name '*.rs' -print0 | xargs -0 -r awk "$TEST_MODS")"
+  n=$(find "$dir/src" -name '*.rs' | sort | grep -vxF -e "${tests:-/}" | tr '\n' '\0' |
+    xargs -0 -r awk "$COUNT")
   echo "| \`$crate\` | $n |"
   total=$((total + n))
 done

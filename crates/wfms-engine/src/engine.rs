@@ -833,8 +833,13 @@ impl Engine {
         emit(&self.journal, ev, |ev| st.apply(ev))
     }
 
-    /// Reads instance `id`.
-    fn read<T>(&self, id: InstanceId, f: impl FnOnce(&Instance) -> T) -> Result<T, EngineError> {
+    /// Reads instance `id`: `f` runs under the engine's lock, so that
+    /// what it reads agrees with itself.
+    pub fn read<T>(
+        &self,
+        id: InstanceId,
+        f: impl FnOnce(&Instance) -> T,
+    ) -> Result<T, EngineError> {
         let st = self.state.lock();
         st.instances
             .get(index_of(id))
@@ -1061,9 +1066,20 @@ impl Engine {
         st.worklists.worklist(person).into_iter().cloned().collect()
     }
 
-    /// The instance a work item belongs to, if the item exists.
-    pub fn item_instance(&self, item: WorkItemId) -> Option<InstanceId> {
-        self.state.lock().worklists.get(item).map(|it| it.instance)
+    /// The offered and claimed work items of instance `id`, in id order
+    /// (clones).
+    pub fn open_items(&self, id: InstanceId) -> Vec<WorkItem> {
+        let st = self.state.lock();
+        let items = st.worklists.items_of(id);
+        items
+            .filter(|it| it.state != WorkItemState::Closed)
+            .cloned()
+            .collect()
+    }
+
+    /// Work item `item` in any state, closed too (a clone).
+    pub fn work_item(&self, item: WorkItemId) -> Option<WorkItem> {
+        self.state.lock().worklists.get(item).cloned()
     }
 
     /// Claims a work item for `person`; it disappears from every other

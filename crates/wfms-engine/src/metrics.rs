@@ -5,11 +5,13 @@
 //! histograms, navigator counters, journal append/flush timing and the
 //! federation's transaction/lock/WAL statistics, read into one
 //! [`Snapshot`] — a list of named series — by [`Engine::metrics`]:
-//! what the engine's registry *counted*, then what the engine
-//! *samples* ([`Engine::sample`]: levels its state and its logs already
-//! hold, and each database's own series). Tests read it by name, and
+//! what the engine's registry *counted*, then what it samples in two
+//! halves — its tallies ([`Engine::tallies`]: levels its state and its
+//! log already hold) and each database's own series
+//! ([`database_series`]). Tests read it by name, and
 //! [`Snapshot::to_prometheus`] is the one renderer `fmtm run
-//! --metrics-out` and `GET /metrics` share.
+//! --metrics-out` and `GET /metrics` share. A server publishes the
+//! first half after each step of a shard and reads the second live.
 //!
 //! ## Hot-path design
 //!
@@ -33,6 +35,7 @@
 use crate::compiled::ScopeLayout;
 use crate::engine::Engine;
 use std::sync::Arc;
+use txn_substrate::MultiDatabase;
 use wfms_observe::{Counter, Gauge, Histogram, Observer, Registry, Snapshot, Value};
 
 /// Name of the per-activity latency histogram family.
@@ -144,19 +147,16 @@ impl Engine {
         &self.obs.observer
     }
 
-    /// What the engine *samples* rather than counts, handed to `each`
-    /// as `(name, label, reading)`: instances by status, work items by
-    /// state, what the journal holds, and every series of every
-    /// database ([`txn_substrate::Database::series`]) under the label
-    /// `db`. The tallies are state the events keep, so the engine's
-    /// lock is held for a constant time however many instances and
-    /// items it has ever held.
-    pub fn sample(&self, mut each: impl FnMut(&str, Option<(&str, &str)>, Value)) {
+    /// The engine's tallies, `(name, level)`: instances by status, work
+    /// items by state, and what the journal holds. They are state the
+    /// events keep, so the engine's lock is held for a constant time
+    /// however many instances and items it has ever held.
+    pub fn tallies(&self) -> [(&'static str, u64); 9] {
         let (instances, items) = {
             let st = self.state.lock();
             (st.counts, st.worklists.state_counts())
         };
-        for (name, level) in [
+        [
             ("engine.instances_running", instances.0),
             ("engine.instances_finished", instances.1),
             ("engine.instances_cancelled", instances.2),
@@ -169,27 +169,42 @@ impl Engine {
                 self.journal.resident_events() as u64,
             ),
             ("journal.file_bytes", self.journal.file_len()),
-        ] {
-            each(name, None, Value::Gauge(level as i64));
-        }
-        for db in self.multidb.names() {
-            let series = self.multidb.db(&db).into_iter().flat_map(|db| db.series());
-            for (name, reading) in series {
-                each(name, Some(("db", &db)), reading);
-            }
-        }
+        ]
     }
 
     /// Everything the engine observes, as one [`Snapshot`]: what its
     /// registry counted (navigator, journal and recovery counters, the
     /// per-activity latency family [`ACT_LATENCY_FAMILY`]) followed by
-    /// [`Engine::sample`]. Always available — on engines without an
-    /// enabled observer the per-activity histograms are absent and the
-    /// hot-path counters read 0, but the levels, the cold-path counters
-    /// and the databases' series are all there.
+    /// [`Engine::tallies`] and [`database_series`]. Always available —
+    /// on engines without an enabled observer the per-activity
+    /// histograms are absent and the hot-path counters read 0, but the
+    /// levels, the cold-path counters and the databases' series are all
+    /// there.
     pub fn metrics(&self) -> Snapshot {
         let mut snapshot = self.obs.observer.registry().snapshot();
-        self.sample(|name, label, reading| snapshot.push(name, label, reading));
+        for (name, level) in self.tallies() {
+            snapshot.push(name, None, Value::Gauge(level as i64));
+        }
+        database_series(&self.multidb, |name, label, reading| {
+            snapshot.push(name, label, reading)
+        });
         snapshot
+    }
+}
+
+/// Every series of every database of `multidb`
+/// ([`txn_substrate::Database::series`]), handed to `each` as `(name,
+/// label, reading)` under the label `db`. Reads no engine state: a
+/// database's series are relaxed atomics and two short locks, its lock
+/// table's and its WAL's, which no program holds across its run.
+pub fn database_series(
+    multidb: &MultiDatabase,
+    mut each: impl FnMut(&str, Option<(&str, &str)>, Value),
+) {
+    for db in multidb.names() {
+        let series = multidb.db(&db).into_iter().flat_map(|db| db.series());
+        for (name, reading) in series {
+            each(name, Some(("db", &db)), reading);
+        }
     }
 }

@@ -14,7 +14,7 @@
 
 use crate::event::{InstanceId, WorkItemId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Lifecycle of a work item.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -44,6 +44,19 @@ pub struct WorkItem {
     pub state: WorkItemState,
     /// Tick at which the item was offered (deadline tracking).
     pub offered_at: txn_substrate::Tick,
+}
+
+impl WorkItem {
+    /// True when the item is on `person`'s worklist: offered to them
+    /// and not claimed by anyone else, or claimed by them but not
+    /// finished.
+    pub fn visible_to(&self, person: &str) -> bool {
+        match &self.state {
+            WorkItemState::Offered => self.offered_to.iter().any(|p| p == person),
+            WorkItemState::Claimed(p) => p == person,
+            WorkItemState::Closed => false,
+        }
+    }
 }
 
 /// Errors from worklist operations.
@@ -80,6 +93,9 @@ impl std::error::Error for WorklistError {}
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct WorklistStore {
     items: BTreeMap<WorkItemId, WorkItem>,
+    /// The keys of `items` by owning instance: what finds an
+    /// instance's items without walking everyone's.
+    by_instance: BTreeSet<(InstanceId, WorkItemId)>,
     /// `items` by state, `(offered, claimed, closed)`: moved wherever a
     /// state is ([`transition`]).
     counts: (u64, u64, u64),
@@ -101,6 +117,11 @@ fn transition(counts: &mut (u64, u64, u64), it: &mut WorkItem, to: WorkItemState
     it.state = to;
 }
 
+/// The keys of `instance`'s items in `WorklistStore::by_instance`.
+fn of_instance(instance: InstanceId) -> std::ops::RangeInclusive<(InstanceId, WorkItemId)> {
+    (instance, WorkItemId(0))..=(instance, WorkItemId(u64::MAX))
+}
+
 impl WorklistStore {
     /// An empty store.
     pub fn new() -> Self {
@@ -110,6 +131,7 @@ impl WorklistStore {
     /// Registers a new offer.
     pub fn offer(&mut self, item: WorkItem) {
         *count_of(&mut self.counts, &item.state) += 1;
+        self.by_instance.insert((item.instance, item.id));
         if let Some(old) = self.items.insert(item.id, item) {
             *count_of(&mut self.counts, &old.state) -= 1;
         }
@@ -121,11 +143,7 @@ impl WorklistStore {
     pub fn worklist(&self, person: &str) -> Vec<&WorkItem> {
         self.items
             .values()
-            .filter(|it| match &it.state {
-                WorkItemState::Offered => it.offered_to.iter().any(|p| p == person),
-                WorkItemState::Claimed(p) => p == person,
-                WorkItemState::Closed => false,
-            })
+            .filter(|it| it.visible_to(person))
             .collect()
     }
 
@@ -191,8 +209,9 @@ impl WorklistStore {
     /// Closes every open item for `(instance, path)` — used when an
     /// activity is force-finished or its instance is cancelled.
     pub fn close_for(&mut self, instance: InstanceId, path: &str) {
-        for it in self.items.values_mut() {
-            if it.instance == instance && it.path == path && it.state != WorkItemState::Closed {
+        for (_, id) in self.by_instance.range(of_instance(instance)) {
+            let it = self.items.get_mut(id).expect("indexed");
+            if it.path == path && it.state != WorkItemState::Closed {
                 transition(&mut self.counts, it, WorkItemState::Closed);
             }
         }
@@ -201,8 +220,9 @@ impl WorklistStore {
     /// Closes every offered (unclaimed) item of `instance` — the
     /// worklist side of a cancellation.
     pub fn close_offered_of(&mut self, instance: InstanceId) {
-        for it in self.items.values_mut() {
-            if it.instance == instance && it.state == WorkItemState::Offered {
+        for (_, id) in self.by_instance.range(of_instance(instance)) {
+            let it = self.items.get_mut(id).expect("indexed");
+            if it.state == WorkItemState::Offered {
                 transition(&mut self.counts, it, WorkItemState::Closed);
             }
         }
@@ -241,9 +261,13 @@ impl WorklistStore {
     /// the guard the recovery/migration fix-up uses before re-offering
     /// a `Ready` manual activity whose offer may have been lost.
     pub fn has_live_item(&self, instance: InstanceId, path: &str) -> bool {
-        self.items.values().any(|it| {
-            it.instance == instance && it.path == path && it.state != WorkItemState::Closed
-        })
+        self.items_of(instance)
+            .any(|it| it.path == path && it.state != WorkItemState::Closed)
+    }
+
+    /// The items of `instance` in every state, in id order.
+    pub fn items_of(&self, instance: InstanceId) -> impl Iterator<Item = &WorkItem> {
+        (self.by_instance.range(of_instance(instance))).map(|(_, id)| &self.items[id])
     }
 
     /// Offered and claimed items, in id order — the worklist state a

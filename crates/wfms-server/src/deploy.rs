@@ -11,7 +11,9 @@
 
 use std::sync::Arc;
 
-use wfms_engine::{spec_hash_of, Engine, EngineError, InstanceStatus, MigrationOutcome};
+use wfms_engine::{
+    spec_hash_of, Engine, EngineError, InstanceId, InstanceStatus, MigrationOutcome,
+};
 use wfms_model::ProcessDefinition;
 use wfms_observe::Counter;
 
@@ -126,7 +128,7 @@ impl Deploy {
     /// queues the next shard's, and the last one answers.
     fn queue(mut self, at: usize, shards: Arc<[Shard]>, dir: Arc<DataDir>) {
         let rest = Arc::clone(&shards);
-        let share = move |engine: &Engine| match self.on_shard(at, &dir, engine) {
+        let share = move |shard: &Shard| match self.on_shard(at, &dir, shard) {
             Err(e) => (self.sink)(Err(e)),
             Ok(()) if at + 1 < rest.len() => self.queue(at + 1, rest, dir),
             Ok(()) => (self.sink)(Ok(self.report)),
@@ -135,28 +137,34 @@ impl Deploy {
     }
 
     /// One shard's share. Shard 0 does the file work first, so no
-    /// journal names a version the data directory cannot load.
-    fn on_shard(&mut self, at: usize, dir: &DataDir, engine: &Engine) -> Result<(), PoolError> {
+    /// journal names a version the data directory cannot load. The
+    /// share publishes what it changed before the chain moves on.
+    fn on_shard(&mut self, at: usize, dir: &DataDir, shard: &Shard) -> Result<(), PoolError> {
         if at == 0 {
             dir.add_version(&self.report.version, &self.def)?;
         }
+        let engine = &shard.engine;
         let flush_err =
             |e: EngineError| PoolError::Io(std::io::Error::other(format!("journal flush: {e}")));
         engine
             .register(self.def.clone())
             .map_err(|e| PoolError::Rejected(e.to_string()))?;
-        engine.flush_journal().map_err(flush_err)?;
-        if self.policy == MigrationPolicy::MigrateAtScopeBoundary {
-            self.migrate(engine);
-            engine.flush_journal().map_err(flush_err)?;
+        let mut flushed = engine.flush_journal();
+        let mut moved = Vec::new();
+        if flushed.is_ok() && self.policy == MigrationPolicy::MigrateAtScopeBoundary {
+            moved = self.migrate(engine);
+            flushed = engine.flush_journal();
         }
-        Ok(())
+        shard.publish(Vec::new(), &moved);
+        flushed.map_err(flush_err)
     }
 
     /// Moves each running instance of the process to the deployed
     /// version where it can be, and navigates a moved one onward: the
-    /// migration's fix-ups may have re-readied automatic work.
-    fn migrate(&mut self, engine: &Engine) {
+    /// migration's fix-ups may have re-readied automatic work. Returns
+    /// the instances moved, to publish.
+    fn migrate(&mut self, engine: &Engine) -> Vec<InstanceId> {
+        let mut moved = Vec::new();
         for (id, process, status) in engine.instances() {
             if process != self.report.process || status != InstanceStatus::Running {
                 continue;
@@ -165,11 +173,13 @@ impl Deploy {
                 Ok(MigrationOutcome::Migrated { .. }) => {
                     self.report.migrated += 1;
                     navigate_onward(engine, id, &self.failures);
+                    moved.push(id);
                 }
                 Ok(MigrationOutcome::AlreadyCurrent) => self.report.already_current += 1,
                 Ok(MigrationOutcome::Skipped { .. }) | Err(_) => self.report.skipped += 1,
             }
         }
+        moved
     }
 }
 

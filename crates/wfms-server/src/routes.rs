@@ -2,12 +2,14 @@
 //!
 //! Every route, synchronous or deferred, produces an [`Answer`]; the
 //! reactor ([`crate::server`]) renders it into the connection's reply
-//! FIFO. Read-path routes answer on the reactor. Every route that
-//! writes — a submit, a work-item completion, a deploy, a tenant
-//! reload, a drain or stop — validates on the reactor, hands the work
-//! to the shard worker that owns it ([`answer_later`]) and is answered
-//! from the completion that worker posts after its flush: a reactor
-//! runs no program, writes no journal and touches no file.
+//! FIFO. Read-path routes answer on the reactor from what each shard's
+//! driver published after its last finished step: a read waits for no
+//! navigation and touches no engine. Every route that writes — a
+//! submit, a work-item completion, a deploy, a tenant reload, a drain
+//! or stop — validates on the reactor, hands the work to the shard
+//! worker that owns it ([`answer_later`]) and is answered from the
+//! completion that worker posts after its flush: a reactor runs no
+//! program, writes no journal and touches no file.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -487,8 +489,8 @@ fn complete_answer(ext: u64, done: Result<(), EngineError>) -> Answer {
 
 /// `GET /metrics`: the pool's snapshot — what the shards count on its
 /// registry (the hot-path `nav.*` hooks are off under `serve`, so those
-/// read 0) and what their engines sample, the `journal.*` and
-/// `db.wal_*` levels among it: the bound on a long-lived server's
+/// read 0), their engines' tallies as last published and their
+/// databases' series, the `journal.*` and `db.wal_*` levels among them: the bound on a long-lived server's
 /// memory, where an operator can see it — and the server's own two
 /// levels.
 fn scrape(state: &Arc<ServerState>) -> String {

@@ -20,9 +20,10 @@
 //! starts no thread, so a test makes one directly.
 //!
 //! What the worker does with its inbox is one step, `step`: take a
-//! batch, publish the queue depth, make the turn, count the replies and
-//! answer them — each reservation given back before its sink is called
-//! — then run the control jobs that came due. The worker thread is the
+//! batch, publish the queue depth, make the turn, publish what reads
+//! need of it, count the replies and answer them — each reservation
+//! given back before its sink is called — then run the control jobs
+//! that came due. The worker thread is the
 //! step's driver, `drive`, and the only code that waits on the inbox:
 //! it waits until there is work, then steps. A test steps a pool's
 //! shards itself, with no driver (`sim.rs`).
@@ -55,14 +56,15 @@
 //! same inbox, which the worker runs after a batch's flush and answers,
 //! in arrival order (a drain's only once the lanes have run dry, so
 //! that everything admitted before it is answered first). Each job
-//! flushes what it journalled before it calls its sink, so "answered ⇒
-//! durable" holds for it as for a submission. A completion runs on its
-//! item's shard; a deploy (`deploy.rs`) runs on every shard in turn,
-//! shard 0's worker doing the file work first and each worker handing
-//! it to the next, so the order "template file → meta → each shard's
-//! flushed `TemplateDeployed`" is that of one chain, not of a lock; a
-//! tenant reload (`tenant.rs`) runs on shard 0; a drain on every shard
-//! at once, the last to finish answering with the sum.
+//! flushes what it journalled and publishes what it changed before it
+//! calls its sink, so "answered ⇒ durable, and readable" holds for it
+//! as for a submission. A completion runs on its item's shard; a
+//! deploy (`deploy.rs`) runs on every shard in turn, shard 0's worker
+//! doing the file work first and each worker handing it to the next,
+//! so the order "template file → meta → each shard's flushed
+//! `TemplateDeployed`" is that of one chain, not of a lock; a tenant
+//! reload (`tenant.rs`) runs on shard 0; a drain on every shard at
+//! once, the last to finish answering with the sum.
 //! [`ShardPool::complete_with`], [`ShardPool::deploy_with`],
 //! [`ShardPool::reload_tenants`] and [`ShardPool::drain_with`] queue
 //! such a job and return; the blocking spellings wait for the sink. A
@@ -70,6 +72,15 @@
 //! the caller runs it in place, the worker being gone: races between a
 //! deploy, a reload, a checkpoint and a submit are orderings of one
 //! queue.
+//!
+//! ## What reads see
+//!
+//! Only a shard's driver touches its engine: its `step`, its control
+//! jobs, and the closed-inbox fallback once the worker has gone. Reads
+//! — [`ShardPool::status`], [`ShardPool::worklist`],
+//! [`ShardPool::instance_counts`], the engine half of
+//! [`ShardPool::snapshot`] — see what the driver last published
+//! (`published.rs`), and wait for no navigation.
 //!
 //! ## External ids
 //!
@@ -106,15 +117,21 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, RwLock};
 use txn_substrate::{DurabilityPolicy, MirrorError, MultiDatabase, ProgramRegistry, TailReport};
+use wfms_engine::metrics::database_series;
 use wfms_engine::{
-    Engine, EngineConfig, EngineError, InstanceId, InstanceStatus, InstanceView, OrgModel,
-    WorkItem, WorkItemId, WorklistError,
+    Engine, EngineConfig, EngineError, InstanceId, InstanceStatus, OrgModel, WorkItem, WorkItemId,
+    WorklistError,
 };
 use wfms_model::{Container, ProcessDefinition};
-use wfms_observe::{Counter, Observer, Registry, Snapshot};
+use wfms_observe::{Counter, Observer, Registry, Snapshot, Value};
 
 use crate::store::{self, DataDir};
 use crate::tenant::{self, Tenant, TenantSpec, TenantTable, WireIds};
+
+mod published;
+
+pub(crate) use published::Entry;
+use published::{Published, UNOWNED};
 
 /// How long a blocking call waits for its shard worker to answer
 /// before giving up: the worker panicked, or — a drain — its lanes never
@@ -291,9 +308,9 @@ pub type Sink<T> = Box<dyn FnOnce(T) + Send + 'static>;
 
 /// A job for a shard's worker other than a submission — a work-item
 /// completion, a deploy's share, a tenant reload, a drain's checkpoint:
-/// run between batches, on the shard's engine, by the only thread that
-/// writes it. It flushes what it journalled before it answers anyone.
-type Control = Box<dyn FnOnce(&Engine) + Send + 'static>;
+/// run between batches, on the shard, by its driver. It flushes what it
+/// journalled and publishes what it changed before it answers anyone.
+type Control = Box<dyn FnOnce(&Shard) + Send + 'static>;
 
 /// One of a tenant's `max_inflight` slots, held from admission until
 /// the submission is answered or dropped unanswered: this `Drop` is the
@@ -499,10 +516,12 @@ impl Inbox {
     }
 }
 
-/// One shard: its engine, the inbox its worker takes from, and that
-/// worker.
+/// One shard: its engine, what reads need of it, the inbox its worker
+/// takes from, and that worker.
 pub(crate) struct Shard {
-    engine: Engine,
+    pub(crate) engine: Engine,
+    /// What the driver last published of the engine (`published.rs`).
+    published: Mutex<Published>,
     inbox: Mutex<Inbox>,
     /// Where the worker sleeps on an inbox with nothing to do.
     wake: Condvar,
@@ -512,6 +531,51 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
+    /// A shard of `engine`, with nothing published and no worker.
+    fn new(engine: Engine, depth: Arc<wfms_observe::Gauge>) -> Shard {
+        Shard {
+            engine,
+            published: Mutex::default(),
+            inbox: Mutex::default(),
+            wake: Condvar::new(),
+            worker: Mutex::new(None),
+            depth,
+        }
+    }
+
+    /// Publishes what reads need after the driver changed the engine,
+    /// before it answers anyone: `started`, the entries of the instances
+    /// it started, each under its slot; the instances in `changed` as
+    /// they stand now; the open work items of both; and the engine's
+    /// tallies. Nothing else is read or copied, so a step costs what it
+    /// changed. Everything is read from the engine first; the lock is
+    /// held only to store it.
+    pub(crate) fn publish(&self, started: Vec<(InstanceId, Entry)>, changed: &[InstanceId]) {
+        let engine = &self.engine;
+        // An update keeps the slot published at start: it carries none.
+        let updated: Vec<_> = (changed.iter())
+            .filter_map(|&id| engine.read(id, |i| (id, Entry::of(i, UNOWNED))).ok())
+            .collect();
+        // A started instance with no item has no list to replace.
+        let items: Vec<_> = (started.iter().map(|(id, _)| *id))
+            .chain(changed.iter().copied())
+            .map(|id| (id, open_items(engine, id)))
+            .filter(|(id, open)| !open.is_empty() || changed.contains(id))
+            .collect();
+        let tallies = engine.tallies();
+        let mut published = self.published.lock();
+        for (id, entry) in started {
+            published.append(id, entry);
+        }
+        for (id, entry) in updated {
+            published.update(id, entry);
+        }
+        for (id, open) in items {
+            published.set_items(id, open);
+        }
+        published.tallies = tallies;
+    }
+
     /// Runs `f` on the inbox, then wakes the worker if it sleeps — it
     /// sleeps only on an inbox with nothing to do, so any change may be
     /// work. A busy worker costs the caller no system call.
@@ -533,7 +597,7 @@ impl Shard {
     pub(crate) fn control(&self, when_dry: bool, job: Control) {
         if let Err(job) = self.with_inbox(|inbox| inbox.enqueue(when_dry, job)) {
             self.join_worker();
-            job(&self.engine);
+            job(self);
         }
     }
 
@@ -658,6 +722,12 @@ impl ShardPool {
         let (dir, templates) = store::open(cfg.data_dir, ids, &cfg.templates)?;
         let table =
             TenantTable::build(&dir.pin_slots(&cfg.tenants)?, &cfg.tenants, None, &registry);
+        // The slot each recovered instance was started under; none
+        // without tenancy.
+        let slot_of = |tenant: Option<&str>| match tenant {
+            Some(name) if ids.tenant_bits > 0 => table.slot_of_name(name).unwrap_or(UNOWNED),
+            _ => 0,
+        };
 
         let mut shards = Vec::with_capacity(nshards);
         let mut opened = Vec::with_capacity(nshards);
@@ -683,21 +753,30 @@ impl ShardPool {
             )
             .map_err(PoolError::Recovery)?;
             let resumed = resume_running(&engine, &resume_failures);
+            let instances = engine.instance_counts();
             opened.push(ShardOpened {
                 shard: i,
                 took: started.elapsed(),
                 journal: engine.reopened().clone(),
-                instances: engine.instance_counts(),
+                instances,
                 resumed,
                 fixups: engine.repaired(),
             });
-            shards.push(Shard {
+            let shard = Shard::new(
                 engine,
-                inbox: Mutex::default(),
-                wake: Condvar::new(),
-                worker: Mutex::new(None),
-                depth: registry.gauge(&format!("server.queue.depth.shard{i}")),
-            });
+                registry.gauge(&format!("server.queue.depth.shard{i}")),
+            );
+            // No read reaches the shard before the pool is returned: its
+            // instances go straight into the table, with no copy first.
+            let (engine, mut published) = (&shard.engine, shard.published.lock());
+            for id in (1..=instances.0 + instances.1 + instances.2).map(InstanceId) {
+                let entry = engine.read(id, |i| Entry::of(i, slot_of(i.tenant.as_deref())));
+                published.append(id, entry.expect("instance ids are dense"));
+                published.set_items(id, open_items(engine, id));
+            }
+            published.tallies = engine.tallies();
+            drop(published);
+            shards.push(shard);
         }
 
         Ok(Self {
@@ -743,13 +822,6 @@ impl ShardPool {
         self.ids.tenant_bits > 0
     }
 
-    /// The live tenant table, if tenancy is enabled: what decides
-    /// whether the slot in a wire id owns an instance.
-    fn tenancy(&self) -> Option<Arc<TenantTable>> {
-        self.tenancy_enabled()
-            .then(|| Arc::clone(&self.tenants.read()))
-    }
-
     /// Resolves an API key to its tenant — constant-time over the
     /// whole table (see [`TenantTable::authenticate`]).
     pub fn authenticate(&self, key: &[u8]) -> Option<Arc<Tenant>> {
@@ -774,7 +846,7 @@ impl ShardPool {
         }
         let (dir, tenants) = (Arc::clone(&self.dir), Arc::clone(&self.tenants));
         let registry = Arc::clone(&self.registry);
-        let reload = move |_: &Engine| sink(tenant::reload(&path, &dir, &tenants, &registry));
+        let reload = move |_: &Shard| sink(tenant::reload(&path, &dir, &tenants, &registry));
         self.shards[0].control(false, Box::new(reload));
     }
 
@@ -865,19 +937,17 @@ impl ShardPool {
     }
 
     /// `(process name, status, pinned version, output)` of the
-    /// instance behind an external id. With tenancy enabled, an ext id
-    /// whose tenant slot does not match the tenant journalled on the
-    /// instance resolves to nothing — a forged slot cannot reach
+    /// instance behind an external id, as its shard last published it.
+    /// An ext id whose tenant slot is not the one the instance was
+    /// started under resolves to nothing — a forged slot cannot reach
     /// another tenant's instance.
     pub fn status(&self, ext: u64) -> Option<(String, InstanceStatus, String, Container)> {
         let (shard, local, slot) = self.ids.decode(ext)?;
-        let view = self.shards[shard].engine.view(InstanceId(local)).ok()?;
-        slot_owns(&view, slot, self.tenancy().as_deref()).then_some((
-            view.process,
-            view.status,
-            view.version,
-            view.output,
-        ))
+        let entry = self.shards[shard].published.lock().instance(local)?.clone();
+        (entry.slot == slot).then(|| {
+            let (process, version) = (entry.tpl.name().to_owned(), entry.tpl.version());
+            (process, entry.status, version, entry.output)
+        })
     }
 
     /// The tenant slot folded into an external id (0 = untenanted, or
@@ -886,30 +956,23 @@ impl ShardPool {
         self.ids.decode(ext).map(|(_, _, slot)| slot)
     }
 
-    /// Open work items of `person` across every shard, with external
-    /// ids, sorted by external item id. With tenancy enabled, each
-    /// item's ids carry the slot of the instance's tenant; `scope`
-    /// restricts the listing to one slot (a tenant sees only its own
-    /// items).
+    /// Open work items of `person` across every shard, as the shards
+    /// last published them, with external ids, sorted by external item
+    /// id. Each item's ids carry the slot its instance was started
+    /// under; `scope` restricts the listing to one slot (a tenant sees
+    /// only its own items).
     pub fn worklist(&self, person: &str, scope: Option<u16>) -> Vec<(u64, u64, WorkItem)> {
-        let table = self.tenants.read();
         let mut out = Vec::new();
         for (idx, shard) in self.shards.iter().enumerate() {
-            for item in shard.engine.worklist(person) {
-                let slot = if !self.tenancy_enabled() {
-                    0
-                } else {
-                    (shard.engine.view(item.instance).ok())
-                        .and_then(|view| table.slot_of_name(&view.tenant?))
-                        .unwrap_or(0)
-                };
-                if scope.is_some_and(|s| s != slot) {
+            let items = shard.published.lock().worklist(person);
+            for (item, slot) in items {
+                if slot == UNOWNED || scope.is_some_and(|s| s != slot) {
                     continue;
                 }
                 out.push((
                     self.ids.encode(item.id.0, idx, slot),
                     self.ids.encode(item.instance.0, idx, slot),
-                    item,
+                    WorkItem::clone(&item),
                 ));
             }
         }
@@ -919,10 +982,10 @@ impl ShardPool {
 
     /// Completes (claim + execute) a work item by external id as
     /// `person`, on the owning shard's worker, which flushes the
-    /// shard's journal before `sink` hears of it: answered means
-    /// durable. With tenancy enabled, the slot in the wire id must
-    /// match the owning instance's tenant — a forged slot resolves to
-    /// "no such item".
+    /// shard's journal and publishes the item's instance before `sink`
+    /// hears of it: answered means durable, and readable. The slot in
+    /// the wire id must be the one the item's instance was started
+    /// under — a forged slot resolves to "no such item".
     pub fn complete_with(
         &self,
         ext_item: u64,
@@ -934,22 +997,22 @@ impl ShardPool {
         let Some((shard, local, slot)) = self.ids.decode(ext_item) else {
             return sink(Err(no_such_item()));
         };
-        let (tenancy, completions) = (self.tenancy(), Arc::clone(&self.completions));
-        let complete = move |engine: &Engine| {
-            let item = WorkItemId(local);
-            let owner = engine.item_instance(item).ok_or_else(no_such_item)?;
-            if !engine
-                .view(owner)
-                .is_ok_and(|view| slot_owns(&view, slot, tenancy.as_deref()))
-            {
+        let completions = Arc::clone(&self.completions);
+        let complete = move |shard: &Shard| {
+            let (engine, item) = (&shard.engine, WorkItemId(local));
+            // The driver may read its engine: a closed item has an owner
+            // too, so the caller's own closed item answers "closed".
+            let owner = engine.work_item(item).ok_or_else(no_such_item)?.instance;
+            if shard.published.lock().instance(owner.0).map(|e| e.slot) != Some(slot) {
                 return Err(no_such_item());
             }
-            engine.execute_item(item, &person)?;
-            engine.flush_journal()?;
+            let done = (engine.execute_item(item, &person)).and_then(|()| engine.flush_journal());
+            shard.publish(Vec::new(), &[owner]);
+            done?;
             completions.inc();
             Ok(())
         };
-        self.shards[shard].control(false, Box::new(move |engine| sink(complete(engine))));
+        self.shards[shard].control(false, Box::new(move |shard| sink(complete(shard))));
     }
 
     /// [`ShardPool::complete_with`], blocking until the completion is
@@ -969,8 +1032,9 @@ impl ShardPool {
         let gather = Arc::new(Mutex::new((self.shards.len(), Ok(0), Some(sink))));
         for shard in self.shards.iter() {
             let gather = Arc::clone(&gather);
-            let drain = move |engine: &Engine| {
-                let dropped = engine.drain();
+            let drain = move |shard: &Shard| {
+                let dropped = shard.engine.drain();
+                shard.publish(Vec::new(), &[]);
                 let mut gather = gather.lock();
                 let (left, total, sink) = &mut *gather;
                 *total = match (std::mem::replace(total, Ok(0)), dropped) {
@@ -1007,11 +1071,12 @@ impl ShardPool {
         }
     }
 
-    /// Instance counts `(running, finished, cancelled)` across shards.
+    /// Instance counts `(running, finished, cancelled)` across shards,
+    /// as they last published them.
     pub fn instance_counts(&self) -> (u64, u64, u64) {
         let mut counts = (0, 0, 0);
         for shard in self.shards.iter() {
-            let (running, finished, cancelled) = shard.engine.instance_counts();
+            let (running, finished, cancelled) = shard.published.lock().instance_counts();
             counts.0 += running;
             counts.1 += finished;
             counts.2 += cancelled;
@@ -1020,17 +1085,23 @@ impl ShardPool {
     }
 
     /// What a scrape prints: one snapshot of the registry every shard
-    /// counts on, then what each shard's engine samples
-    /// ([`Engine::sample`]), summed by name over shards and databases —
-    /// the engines' `engine.instances_*` under the server's name for
-    /// them, `server.instances.*`. Each engine's lock is held for a
-    /// constant time.
+    /// counts on, then each shard's engine tallies
+    /// ([`Engine::tallies`]) as its driver last published them — at
+    /// most one step old — and its databases' series
+    /// ([`database_series`]), read live; all summed by name over shards
+    /// and databases, the engines' `engine.instances_*` under the
+    /// server's name for them, `server.instances.*`. No engine state
+    /// is read, and no engine lock taken.
     pub fn snapshot(&self) -> Snapshot {
         let mut snapshot = self.registry.snapshot();
         for shard in self.shards.iter() {
-            shard.engine.sample(|name, _, reading| {
+            let tallies = shard.published.lock().tallies;
+            for (name, level) in tallies {
                 let name = name.replace("engine.instances_", "server.instances.");
-                snapshot.add(&name, None, reading)
+                snapshot.add(&name, None, Value::Gauge(level as i64));
+            }
+            database_series(shard.engine.multidb(), |name, _, reading| {
+                snapshot.add(name, None, reading)
             });
         }
         snapshot
@@ -1042,20 +1113,6 @@ impl ShardPool {
             .iter()
             .map(|s| s.inbox.lock().queued as i64)
             .sum()
-    }
-}
-
-/// True when the tenant slot claimed by a wire id matches the tenant
-/// journalled on the instance (trivially true with tenancy disabled:
-/// no table).
-fn slot_owns(view: &InstanceView, slot: u16, tenancy: Option<&TenantTable>) -> bool {
-    let Some(table) = tenancy else {
-        return slot == 0;
-    };
-    match (slot, &view.tenant) {
-        (0, None) => true,
-        (0, Some(_)) | (_, None) => false,
-        (s, Some(name)) => table.slot_of_name(name) == Some(s),
     }
 }
 
@@ -1108,6 +1165,11 @@ impl std::fmt::Display for ShardOpened {
     }
 }
 
+/// Instance `id`'s open work items as a shard publishes them.
+fn open_items(engine: &Engine, id: InstanceId) -> Vec<Arc<WorkItem>> {
+    engine.open_items(id).into_iter().map(Arc::new).collect()
+}
+
 /// Resumes every instance a recovered shard reports as running —
 /// recovery re-readies what was in flight; this navigates it onward.
 /// Returns how many instances were resumed; the shard opens whatever
@@ -1140,17 +1202,31 @@ type Answer = (Pending, SubmitReply);
 /// quiescence, makes the batch's one group commit, and pairs each
 /// submission with its reply — the flush's failure, for every one of
 /// them, if the flush failed: an acknowledgement certifies durability.
-fn turn(engine: &Engine, at: usize, ids: WireIds, batch: Vec<QueuedSubmit>) -> Vec<Answer> {
+/// Also returns the entry of each instance it started: what the driver
+/// publishes before it answers.
+fn turn(
+    engine: &Engine,
+    at: usize,
+    ids: WireIds,
+    batch: Vec<QueuedSubmit>,
+) -> (Vec<Answer>, Vec<(InstanceId, Entry)>) {
     let mut answers = Vec::with_capacity(batch.len());
+    let mut started = Vec::with_capacity(batch.len());
     for job in batch {
         let tenant = job.pending.tenant().map(Arc::as_ref);
         let slot = tenant.map_or(0, |t| t.slot);
         let reply: SubmitReply = engine
             .start_for_tenant(&job.process, job.input, tenant.map(|t| t.name.clone()))
-            .and_then(|id| engine.run_to_quiescence(id).map(|_| id))
             .and_then(|id| {
-                let ext = ids.encode(id.0, at, slot);
-                engine.view(id).map(|view| (ext, view.status, view.output))
+                let navigated = engine.run_to_quiescence(id);
+                let entry = engine.read(id, |inst| Entry::of(inst, slot))?;
+                let reply = (
+                    ids.encode(id.0, at, slot),
+                    entry.status,
+                    entry.output.clone(),
+                );
+                started.push((id, entry));
+                navigated.map(|_| reply)
             })
             .map_err(|e| {
                 let unknown = matches!(e, EngineError::UnknownProcess(_));
@@ -1163,7 +1239,7 @@ fn turn(engine: &Engine, at: usize, ids: WireIds, batch: Vec<QueuedSubmit>) -> V
             *reply = Err((format!("journal flush failed: {e}"), false));
         }
     }
-    answers
+    (answers, started)
 }
 
 /// Counts a turn's replies in `server.submit.{accepted, failed}` and
@@ -1208,8 +1284,8 @@ impl Drop for CloseOnExit<'_> {
 
 /// One step of shard `at`, what its driver runs each time there is
 /// work: takes a batch of up to `batch_max` submissions, publishes the
-/// queue depth, makes the batch's [`turn`] and answers it; then runs
-/// the control jobs that came due.
+/// queue depth, makes the batch's [`turn`], publishes what reads need
+/// of it and answers it; then runs the control jobs that came due.
 fn step(
     shard: &Shard,
     at: usize,
@@ -1224,13 +1300,15 @@ fn step(
         shard.depth.set(inbox.queued as i64);
         taken
     };
-    answer(turn(&shard.engine, at, ids, batch), accepted, failed);
+    let (answers, started) = turn(&shard.engine, at, ids, batch);
+    shard.publish(started, &[]);
+    answer(answers, accepted, failed);
     for (_, job) in control {
-        job(&shard.engine);
+        job(shard);
     }
 }
 
-/// Shard `at`'s worker thread, the one writer of its engine: waits
+/// Shard `at`'s worker thread, the one driver of its engine: waits
 /// until there is work, then makes a [`step`].
 fn drive(
     shard: &Shard,
@@ -1254,8 +1332,8 @@ mod sim;
 #[cfg(test)]
 pub(crate) mod tests {
     use super::{
-        answer, resume_running, turn, Control, Inbox, Pending, QueuedSubmit, Reservation,
-        SubmitDispatch,
+        answer, resume_running, turn, Control, Entry, Inbox, Pending, QueuedSubmit, Reservation,
+        Shard, SubmitDispatch,
     };
     use crate::tenant::{parse_tenants, Tenant, TenantTable, WireIds};
     use parking_lot::Mutex;
@@ -1263,8 +1341,8 @@ pub(crate) mod tests {
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
     use txn_substrate::{DurabilityPolicy, MultiDatabase, ProgramOutcome, ProgramRegistry};
-    use wfms_engine::{recover_from, Engine, Journal, OrgModel};
-    use wfms_model::{Container, ProcessBuilder, ProcessDefinition};
+    use wfms_engine::{recover_from, Engine, EngineConfig, InstanceStatus, Journal, OrgModel};
+    use wfms_model::{Activity, Container, ProcessBuilder, ProcessDefinition};
     use wfms_observe::Registry;
 
     // ---- the inbox alone: no worker, no thread, no socket
@@ -1393,7 +1471,7 @@ pub(crate) mod tests {
             assert!(inbox.admit(8, job(None, tag)).is_ok());
         }
         let (tx, rx) = std::sync::mpsc::sync_channel(1);
-        let barrier = Box::new(move |_: &Engine| tx.send(()).unwrap());
+        let barrier = Box::new(move |_: &Shard| tx.send(()).unwrap());
         assert!(inbox.enqueue(true, barrier).is_ok());
         let (batch, released) = inbox.take_batch(2);
         assert_eq!((tags(&batch), released.len()), (vec!["x0", "x1"], 0));
@@ -1422,8 +1500,9 @@ pub(crate) mod tests {
     fn run(due: Vec<(bool, Control)>, log: &Arc<Mutex<Vec<&'static str>>>) -> Vec<&'static str> {
         let fed = txn_substrate::MultiDatabase::new(0);
         let engine = Engine::new(fed, Arc::new(txn_substrate::ProgramRegistry::new()));
+        let shard = Shard::new(engine, Arc::default());
         for (_, job) in due {
-            job(&engine);
+            job(&shard);
         }
         std::mem::take(&mut *log.lock())
     }
@@ -1487,6 +1566,49 @@ pub(crate) mod tests {
         let (batch, _) = inbox.take_batch(8);
         assert_eq!(tags(&batch), ["x0", "x1"]);
         assert_eq!(inbox.queued, 0);
+    }
+
+    // ---- what a step publishes
+
+    /// A step re-reads only the instances it started or changed: with
+    /// many items open, a completion replaces its own instance's items
+    /// and publishes nothing new of the others — every other item is the
+    /// very allocation published when it was offered.
+    #[test]
+    fn a_step_publishes_only_what_it_changed() {
+        let programs = Arc::new(ProgramRegistry::new());
+        programs.register_fn("ok", |_| ProgramOutcome::committed());
+        let cfg = EngineConfig {
+            org: OrgModel::new().person("ann", &["clerk"]),
+            ..EngineConfig::default()
+        };
+        let engine = Engine::with_config(MultiDatabase::new(0), programs, cfg);
+        let manual = ProcessBuilder::new("manual")
+            .activity(Activity::program("M", "ok").for_role("clerk"))
+            .build()
+            .unwrap();
+        engine.register(manual).unwrap();
+        let shard = Shard::new(engine, Arc::default());
+        for _ in 0..64 {
+            let id = shard.engine.start("manual", Container::empty()).unwrap();
+            shard.engine.run_to_quiescence(id).unwrap();
+            let entry = shard.engine.read(id, |i| Entry::of(i, 0)).unwrap();
+            shard.publish(vec![(id, entry)], &[]);
+        }
+        let before = shard.published.lock().worklist("ann");
+        assert_eq!(before.len(), 64);
+
+        let done = &before[7].0;
+        shard.engine.execute_item(done.id, "ann").unwrap();
+        shard.publish(Vec::new(), &[done.instance]);
+        let after = shard.published.lock().worklist("ann");
+        assert_eq!(after.len(), 63);
+        let unchanged = before.iter().filter(|(it, _)| it.id != done.id);
+        for ((was, _), (is, _)) in unchanged.zip(&after) {
+            assert!(Arc::ptr_eq(was, is), "{:?} was copied", is.id);
+        }
+        let entry = shard.published.lock().instance(done.instance.0).cloned();
+        assert_eq!(entry.map(|e| e.status), Some(InstanceStatus::Finished));
     }
 
     // ---- a shard over a full disk: a turn and what answers it
@@ -1560,7 +1682,7 @@ pub(crate) mod tests {
             registry.counter("server.submit.failed"),
         );
         answer(
-            turn(&engine, 0, WireIds::new(1, true), batch),
+            turn(&engine, 0, WireIds::new(1, true), batch).0,
             &accepted,
             &failed,
         );

@@ -17,7 +17,13 @@
 //! - each tenant's in-flight level is its submissions not yet answered,
 //!   never above its quota, and each sink is called at most once;
 //! - while two lanes of a shard stay backlogged, each one's service
-//!   stays within one DRR round's quantum of its weighted share.
+//!   stays within one DRR round's quantum of its weighted share;
+//! - no read is older than the last finished step: each `201` reads
+//!   back through [`ShardPool::status`] with the status and output it
+//!   carries, at the moment its sink is called, and so does each
+//!   completion's instance and item; [`ShardPool::instance_counts`]
+//!   tallies what the model knows of, and after a reopen every
+//!   instance it knows of that survived reads back as it knew it.
 //!
 //! Each schedule runs a fixed list of seeds, then a sweep. A failure
 //! names the schedule and the seed and prints what the simulator did;
@@ -29,7 +35,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, TryRecvError};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 use txn_substrate::{DurabilityPolicy, MultiDatabase, ProgramOutcome, ProgramRegistry};
@@ -211,11 +217,35 @@ impl Setup {
     }
 }
 
-/// What a submission's sink heard, and the journals' lengths then.
+/// What a submission's sink heard, the journals' lengths then, and —
+/// for a `201` — what its id read back then: `(status, output)`.
 struct Heard {
     ticket: usize,
     reply: SubmitReply,
     lengths: Vec<u64>,
+    seen: Option<(InstanceStatus, Container)>,
+}
+
+/// What a completion's sink heard, and what read back then: its
+/// instance's status and whether its item was still on the worklist.
+struct Completed {
+    item: u64,
+    instance: u64,
+    reply: Result<(), String>,
+    seen: Option<(Option<InstanceStatus>, bool)>,
+}
+
+/// What the model knows of the pool's instances: each `201`'s status
+/// and output (a completion moves it to finished, its output unknown),
+/// and how many more instances the pool holds whose status it does not
+/// know — each started by a submission answered with the flush's
+/// failure, or found by a reopen.
+#[derive(Default)]
+struct Model {
+    known: BTreeMap<u64, (InstanceStatus, Option<Container>)>,
+    unknown: u64,
+    /// Answers already taken into the model: submissions, completions.
+    taken: (usize, usize),
 }
 
 /// The bytes each journal holds right now: what was handed to the OS.
@@ -227,15 +257,18 @@ fn lengths(paths: &[PathBuf]) -> Vec<u64> {
 }
 
 /// A pool with no driver, the data directory under it, and what every
-/// submission's sink heard.
+/// submission's and completion's sink heard. The sinks hold the pool
+/// weakly, so a crash drops it.
 struct Sim {
     setup: Setup,
     dir: PathBuf,
     journals: Arc<[PathBuf]>,
-    pool: ShardPool,
+    pool: Arc<ShardPool>,
     /// Each ticket's tenant, and whether the pool took it.
     sent: Vec<(Option<Arc<Tenant>>, bool)>,
     heard: Arc<Mutex<Vec<Heard>>>,
+    completed: Arc<Mutex<Vec<Completed>>>,
+    model: Model,
     /// The last step: its shard, the journals' lengths and how many
     /// answers had been heard before it.
     last: Option<(usize, Vec<u64>, usize)>,
@@ -260,9 +293,11 @@ impl Sim {
             setup,
             dir,
             journals,
-            pool,
+            pool: Arc::new(pool),
             sent: Vec::new(),
             heard: Arc::default(),
+            completed: Arc::default(),
+            model: Model::default(),
             last: None,
             windows: BTreeMap::new(),
         }
@@ -306,12 +341,17 @@ impl Sim {
         };
         let ticket = self.sent.len();
         let (heard, journals) = (Arc::clone(&self.heard), Arc::clone(&self.journals));
+        let pool = Arc::downgrade(&self.pool);
         let sink: Sink<SubmitReply> = Box::new(move |reply| {
             let lengths = lengths(&journals);
+            let seen = (reply.as_ref().ok())
+                .and_then(|(ext, ..)| pool.upgrade()?.status(*ext))
+                .map(|(_, status, _, output)| (status, output));
             heard.lock().push(Heard {
                 ticket,
                 reply,
                 lengths,
+                seen,
             })
         });
         let who = tenant.map_or("-", |t| t.name.as_str()).to_owned();
@@ -349,6 +389,24 @@ impl Sim {
         taken
     }
 
+    /// Completes work item `item` of instance `instance` as `ann`.
+    fn complete(&self, item: u64, instance: u64) {
+        let (completed, pool) = (Arc::clone(&self.completed), Arc::downgrade(&self.pool));
+        let sink = Box::new(move |reply: Result<(), wfms_engine::EngineError>| {
+            let seen = (reply.is_ok())
+                .then(|| read_item(&pool, item, instance))
+                .flatten();
+            completed.lock().push(Completed {
+                item,
+                instance,
+                reply: reply.map_err(|e| e.to_string()),
+                seen,
+            })
+        });
+        note(format!("complete item {item} of {instance}"));
+        self.pool.complete_with(item, "ann".to_owned(), sink);
+    }
+
     /// Each lane of shard `at`: its length and weight.
     fn lanes(&self, at: usize) -> BTreeMap<u16, (usize, u64)> {
         let inbox = self.pool.shards[at].inbox.lock();
@@ -381,6 +439,69 @@ impl Sim {
         ));
         self.fair(at, &before);
         self.invariants();
+        self.read_back();
+    }
+
+    /// No read is older than the last finished step: each `201` and each
+    /// completion answered since the last check read back as answered
+    /// when its sink was called, and the published tallies are what the
+    /// model knows of.
+    fn read_back(&mut self) {
+        let model = &mut self.model;
+        for h in &self.heard.lock()[model.taken.0..] {
+            match &h.reply {
+                Ok((ext, status, output)) => {
+                    assert_eq!(
+                        h.seen,
+                        Some((*status, output.clone())),
+                        "#{}'s 201 for {ext} did not read back before it was sent",
+                        h.ticket
+                    );
+                    model.known.insert(*ext, (*status, Some(output.clone())));
+                }
+                Err((error, _)) if error.starts_with("journal flush failed") => model.unknown += 1,
+                Err(_) => {}
+            }
+            model.taken.0 += 1;
+        }
+        for c in &self.completed.lock()[model.taken.1..] {
+            assert_eq!(c.reply, Ok(()), "item {} of {}", c.item, c.instance);
+            assert_eq!(
+                c.seen,
+                Some((Some(InstanceStatus::Finished), false)),
+                "item {} of {}: (status, still listed) when its completion was answered",
+                c.item,
+                c.instance
+            );
+            if let Some(known) = model.known.get_mut(&c.instance) {
+                *known = (InstanceStatus::Finished, None);
+            }
+            model.taken.1 += 1;
+        }
+        self.tallied();
+    }
+
+    /// [`ShardPool::instance_counts`] holds each instance the model
+    /// knows of under its status, and as many more as it does not know.
+    fn tallied(&self) {
+        let counts = self.pool.instance_counts();
+        let mut known = (0, 0, 0);
+        for (status, _) in self.model.known.values() {
+            match status {
+                InstanceStatus::Running => known.0 += 1,
+                InstanceStatus::Finished => known.1 += 1,
+                InstanceStatus::Cancelled => known.2 += 1,
+            }
+        }
+        let total = |(r, f, c): (u64, u64, u64)| r + f + c;
+        assert!(
+            known.0 <= counts.0
+                && known.1 <= counts.1
+                && known.2 <= counts.2
+                && total(counts) == total(known) + self.model.unknown,
+            "the pool counts {counts:?}; the model knows of {known:?} and {} more",
+            self.model.unknown
+        );
     }
 
     /// True when no shard holds a submission or a control job.
@@ -512,7 +633,9 @@ impl Sim {
     }
 
     /// Crashes the pool: drops it, gives each journal back `keep` bytes,
-    /// and opens the pool again on the same directory.
+    /// and opens the pool again on the same directory. Each instance the
+    /// model knows of that survived reads back as it knew it, and the
+    /// rest of what the reopen found is what it does not know.
     fn crash(self, keep: &[u64]) -> Sim {
         let Sim {
             setup,
@@ -521,6 +644,8 @@ impl Sim {
             pool,
             sent,
             heard,
+            completed,
+            model,
             ..
         } = self;
         drop(pool);
@@ -535,16 +660,38 @@ impl Sim {
         note(format!("crash, journals cut to {keep:?}"));
         let pool =
             ShardPool::undriven(setup.config(&dir), Arc::new(Registry::new()), &provision).unwrap();
-        Sim {
+        let mut survived = Model {
+            taken: (heard.lock().len(), completed.lock().len()),
+            ..Model::default()
+        };
+        for (ext, (status, output)) in model.known {
+            let Some((_, read, _, read_output)) = pool.status(ext) else {
+                continue;
+            };
+            assert_eq!(read, status, "{ext} after the reopen");
+            if let Some(output) = &output {
+                assert_eq!(&read_output, output, "{ext}'s output after the reopen");
+            }
+            survived.known.insert(ext, (status, output));
+        }
+        let (r, f, c) = pool.instance_counts();
+        survived.unknown = (r + f + c)
+            .checked_sub(survived.known.len() as u64)
+            .expect("the reopen counts every instance that survived");
+        let sim = Sim {
             setup,
             dir,
             journals,
-            pool,
+            pool: Arc::new(pool),
             sent,
             heard,
+            completed,
+            model: survived,
             last: None,
             windows: BTreeMap::new(),
-        }
+        };
+        sim.tallied();
+        sim
     }
 
     fn remove(self) {
@@ -552,6 +699,20 @@ impl Sim {
         drop(self);
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+/// What completed item `item` of `instance` reads back as: the
+/// instance's status, and whether the item is still on `ann`'s
+/// worklist. `None` once the pool is gone.
+fn read_item(
+    pool: &Weak<ShardPool>,
+    item: u64,
+    instance: u64,
+) -> Option<(Option<InstanceStatus>, bool)> {
+    let pool = pool.upgrade()?;
+    let status = pool.status(instance).map(|(_, status, ..)| status);
+    let listed = (pool.worklist("ann", None).iter()).any(|(id, ..)| *id == item);
+    Some((status, listed))
 }
 
 /// One arrival: a burst from one tenant (a hot one most often), or a
@@ -643,9 +804,8 @@ fn an_acknowledged_start_survives_a_crash_at_any_step() {
             let status = sim.pool.status(*ext).map(|s| s.1);
             assert!(status.is_some(), "acknowledged id {ext} is lost");
         }
-        for (item, ..) in sim.pool.worklist("ann", None) {
-            sim.pool
-                .complete_with(item, "ann".to_owned(), Box::new(|done| done.unwrap()));
+        for (item, instance, _) in sim.pool.worklist("ann", None) {
+            sim.complete(item, instance);
         }
         sim.settle();
         for (ext, _) in &heard[..acked] {
@@ -868,7 +1028,8 @@ fn a_full_disk_fails_every_batch_and_gives_back_every_slot() {
             templates(),
             &format!("sim-{n}"),
         );
-        Arc::get_mut(&mut sim.pool.shards).unwrap()[0].engine = engine;
+        let pool = Arc::get_mut(&mut sim.pool).unwrap();
+        Arc::get_mut(&mut pool.shards).unwrap()[0].engine = engine;
         let tenants = sim.live();
         for _ in 0..rng.pick(1, 80) {
             arrive(&mut sim, rng, &tenants);

@@ -14,7 +14,7 @@ use wfms_observe::Registry;
 use wfms_server::api::{DeployResponse, StatusResponse, SubmitResponse, WorklistResponse};
 use wfms_server::{
     Http1Client, MigrationPolicy, PoolConfig, Server, ServerConfig, ShardPool, SubmitDispatch,
-    SubmitOutcome, SubmitReply,
+    SubmitOutcome, SubmitReply, TENANT_BITS,
 };
 
 fn provision(_shard: usize) -> (Arc<MultiDatabase>, Arc<ProgramRegistry>) {
@@ -210,9 +210,15 @@ fn submit_complete_status_drain_over_http() {
         .unwrap();
     assert_eq!(code, 409);
 
-    // Unknown instance and unknown process are 404s.
-    let (code, _) = client.request("GET", "/instances/999999", None).unwrap();
-    assert_eq!(code, 404);
+    // Unknown instance and unknown process are 404s: an id past every
+    // shard's, 0, the largest id, and each shard's next local id (with
+    // two shards, `id + 2`).
+    for id in [999999, 0, u64::MAX, auto.id + 2, manual.id + 2] {
+        let (code, body) = client
+            .request("GET", &format!("/instances/{id}"), None)
+            .unwrap();
+        assert_eq!(code, 404, "instance {id}: {body}");
+    }
     let (code, _) = client
         .request("POST", "/instances", Some(r#"{"process":"nope"}"#))
         .unwrap();
@@ -1004,6 +1010,18 @@ fn tenancy_auth_and_isolation_over_http() {
         .unwrap();
     assert_eq!(code, 403, "{body}");
     assert!(body.contains("forbidden"), "{body}");
+    // Nor with beta's own slot (2) over acme's instance: 404, not acme's
+    // body.
+    let beta_slot = |id: u64| (id & (u64::MAX >> TENANT_BITS)) | (2 << (64 - TENANT_BITS));
+    let (code, body) = beta
+        .request(
+            "GET",
+            &format!("/instances/{}", beta_slot(submitted.id)),
+            None,
+        )
+        .unwrap();
+    assert_eq!(code, 404, "{body}");
+    assert!(!body.contains("manual"), "{body}");
     let (code, body) = acme.request("GET", "/worklist?person=ann", None).unwrap();
     assert_eq!(code, 200, "{body}");
     let wl: WorklistResponse = serde_json::from_str(&body).unwrap();
@@ -1024,6 +1042,14 @@ fn tenancy_auth_and_isolation_over_http() {
         )
         .unwrap();
     assert_eq!(code, 403, "cross-tenant complete is forbidden");
+    let (code, _) = beta
+        .request(
+            "POST",
+            &format!("/worklist/{}/complete", beta_slot(wl.items[0].id)),
+            Some(r#"{"person":"ann"}"#),
+        )
+        .unwrap();
+    assert_eq!(code, 404, "beta's slot over acme's item reaches nothing");
 
     // acme itself can complete the item.
     let (code, body) = acme
@@ -1034,6 +1060,21 @@ fn tenancy_auth_and_isolation_over_http() {
         )
         .unwrap();
     assert_eq!(code, 200, "{body}");
+    // Done is not gone: completing it again is acme's conflict, and
+    // beta's slot over the closed item still reaches nothing.
+    for (client, id, expect) in [
+        (&mut acme, wl.items[0].id, 409),
+        (&mut beta, beta_slot(wl.items[0].id), 404),
+    ] {
+        let (code, body) = client
+            .request(
+                "POST",
+                &format!("/worklist/{id}/complete"),
+                Some(r#"{"person":"ann"}"#),
+            )
+            .unwrap();
+        assert_eq!(code, expect, "{body}");
+    }
 
     // Per-tenant metric families are exposed, labelled by name.
     let (code, text) = plain.request("GET", "/metrics", None).unwrap();
@@ -1827,6 +1868,96 @@ fn a_completion_in_progress_does_not_hold_up_the_reactor() {
     assert_eq!(code, 200, "{body}");
     assert!(body.contains("\"shards\""), "then the health check: {body}");
 
+    server.shutdown(true);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A read waits for no program. With the one shard's worker held inside
+/// a program, a status read, a worklist read and a scrape on a second,
+/// already-open connection of the one reactor each answer within a
+/// second, with the shard as of its last finished step.
+#[test]
+fn reads_answer_while_a_program_holds_the_shard() {
+    use std::io::Write;
+
+    let dir = temp_dir("held-reads");
+    let gate = Arc::new(Gate::default());
+    let mut cfg = pool_config(&dir);
+    cfg.shards = 1;
+    cfg.templates.push(
+        ProcessBuilder::new("free")
+            .program("A", "free")
+            .build()
+            .unwrap(),
+    );
+    let held = gated(&gate);
+    let pool = ShardPool::open(cfg, Arc::new(Registry::new()), &|shard| {
+        let (fed, programs) = held(shard);
+        programs.register_fn("free", |_| ProgramOutcome::committed());
+        (fed, programs)
+    })
+    .unwrap();
+    let mut scfg = ServerConfig::new("auto");
+    scfg.reactors = 1;
+    let server = Server::start(Arc::new(pool), scfg).unwrap();
+    let _open = OpenOnDrop(&gate);
+    let url = server.local_addr().to_string();
+
+    // An ungated instance finishes; a manual one offers ann an item.
+    let mut client = Http1Client::new(&url);
+    let (code, body) = client
+        .request("POST", "/instances", Some(r#"{"process":"free"}"#))
+        .unwrap();
+    assert_eq!(code, 201, "{body}");
+    let free: SubmitResponse = serde_json::from_str(&body).unwrap();
+    assert_eq!(free.status, "finished");
+    let (code, body) = client
+        .request("POST", "/instances", Some(r#"{"process":"manual"}"#))
+        .unwrap();
+    assert_eq!(code, 201, "{body}");
+    let manual: SubmitResponse = serde_json::from_str(&body).unwrap();
+
+    // The reads' connection is open before the worker is held.
+    let mut reads = raw_socket(&url);
+    reads
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    let mut submit = raw_socket(&url);
+    submit
+        .get_mut()
+        .write_all(b"POST /instances HTTP/1.1\r\ncontent-length: 18\r\n\r\n{\"process\":\"auto\"}")
+        .unwrap();
+    gate.wait_held();
+
+    let mut get = |path: &str| {
+        let request = format!("GET {path} HTTP/1.1\r\n\r\n");
+        reads.get_mut().write_all(request.as_bytes()).unwrap();
+        let (code, _, body) = read_raw_response(&mut reads);
+        assert_eq!(code, 200, "{path}: {body}");
+        body
+    };
+    let status: StatusResponse =
+        serde_json::from_str(&get(&format!("/instances/{}", free.id))).unwrap();
+    assert_eq!(
+        (status.status.as_str(), &status.output),
+        ("finished", &free.output)
+    );
+    let wl: WorklistResponse = serde_json::from_str(&get("/worklist?person=ann")).unwrap();
+    assert_eq!(wl.items.len(), 1);
+    assert_eq!(wl.items[0].instance, manual.id);
+    let text = get("/metrics");
+    for line in [
+        "server_instances_running 1\n",
+        "server_instances_finished 1\n",
+        "worklist_items_open 1\n",
+    ] {
+        assert!(text.contains(line), "no `{line}` in\n{text}");
+    }
+
+    gate.open();
+    let (code, _, body) = read_raw_response(&mut submit);
+    assert_eq!(code, 201, "{body}");
     server.shutdown(true);
     let _ = std::fs::remove_dir_all(&dir);
 }
