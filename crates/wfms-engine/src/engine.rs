@@ -4,7 +4,7 @@
 //!
 //! What the journal describes (template defaults, instances, work
 //! items, the work-item id allocator) is one value, `EngineState`,
-//! behind one lock, and it changes one way: an [`Event`] takes effect.
+//! with one owner, and it changes one way: an [`Event`] takes effect.
 //! Instance ids are dense — 1, 2, 3, … and none is forgotten — so an
 //! instance is found by its id, as its place in the table, and the next
 //! id is the table's length + 1. An instance that has stopped running
@@ -38,7 +38,7 @@ use crate::recovery::{self, RecoveryError, Replay};
 use crate::registry::{TemplateRegistry, TemplateVersion};
 use crate::state::{ActState, Instance, InstanceStatus};
 use crate::worklist::{WorkItem, WorkItemState, WorklistError, WorklistStore};
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::path::PathBuf;
 use std::sync::Arc;
 use txn_substrate::fast_hash::FastMap;
@@ -633,8 +633,23 @@ pub struct InstanceView {
 }
 
 /// The workflow engine.
+///
+/// An engine has one owner: it is `Send` but not `Sync`, its state a
+/// cell and not a lock, so a thread that does not own it cannot reach
+/// it. Sharing one across threads does not compile:
+///
+/// ```compile_fail,E0277
+/// use std::sync::Arc;
+/// use txn_substrate::{MultiDatabase, ProgramRegistry};
+/// use wfms_engine::Engine;
+///
+/// let engine = Engine::new(MultiDatabase::new(0), Arc::new(ProgramRegistry::new()));
+/// std::thread::scope(|s| {
+///     s.spawn(|| engine.instance_counts());
+/// });
+/// ```
 pub struct Engine {
-    pub(crate) state: Mutex<EngineState>,
+    pub(crate) state: RefCell<EngineState>,
     pub(crate) journal: Journal,
     pub(crate) step_limit: usize,
     pub(crate) programs: Arc<ProgramRegistry>,
@@ -643,8 +658,8 @@ pub struct Engine {
     pub(crate) obs: EngineObs,
     /// Per-template latency probes, built lazily on first start and
     /// shared by every instance of the template. Not state the journal
-    /// describes; taken, briefly, under the state lock.
-    pub(crate) probes: Mutex<FastMap<u64, ActProbes>>,
+    /// describes; borrowed, briefly, while the state is.
+    pub(crate) probes: RefCell<FastMap<u64, ActProbes>>,
     /// What opening found in the journal file.
     reopened: TailReport,
     /// What opening's recovery repaired.
@@ -722,19 +737,19 @@ impl Engine {
                 .add(stale_claims as u64);
         }
         let mut engine = Self {
-            state: Mutex::new(state),
+            state: RefCell::new(state),
             journal,
             step_limit: config.step_limit,
             programs,
             multidb,
             clock,
             obs: EngineObs::new(observer),
-            probes: Mutex::default(),
+            probes: RefCell::default(),
             reopened: TailReport::default(),
             repaired: recovery::FixupCounts::default(),
         };
         if engine.obs.enabled() {
-            for inst in engine.state.lock().instances.iter_mut() {
+            for inst in engine.state.borrow_mut().instances.iter_mut() {
                 if !inst.is_retired() {
                     inst.probes = Some(engine.probes_for(&inst.tpl));
                 }
@@ -833,14 +848,14 @@ impl Engine {
         emit(&self.journal, ev, |ev| st.apply(ev))
     }
 
-    /// Reads instance `id`: `f` runs under the engine's lock, so that
-    /// what it reads agrees with itself.
+    /// Reads instance `id`: `f` runs while the engine's one owner is
+    /// reading it, so what it reads agrees with itself.
     pub fn read<T>(
         &self,
         id: InstanceId,
         f: impl FnOnce(&Instance) -> T,
     ) -> Result<T, EngineError> {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         st.instances
             .get(index_of(id))
             .map(f)
@@ -858,7 +873,7 @@ impl Engine {
         f: impl FnOnce(&mut Instance, &mut NavServices<'_>) -> Result<T, EngineError>,
     ) -> Result<T, EngineError> {
         self.check_journal()?;
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let (instances, mut svc) = self.nav(&mut st);
         let inst = instances
             .get_mut(index_of(id))
@@ -874,7 +889,7 @@ impl Engine {
     /// the spec hash, as the template registry is: two versions of one
     /// process can have different slot layouts.
     fn probes_for(&self, tpl: &Arc<CompiledProcess>) -> ActProbes {
-        let mut cache = self.probes.lock();
+        let mut cache = self.probes.borrow_mut();
         Arc::clone(
             cache
                 .entry(tpl.spec_hash)
@@ -912,7 +927,7 @@ impl Engine {
     /// front-end pipeline that validated the definition itself). Same
     /// versioning semantics as [`Engine::register`].
     pub fn register_compiled(&self, tpl: Arc<CompiledProcess>) -> TemplateVersion {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let (version, deploys) = st.registry.insert(tpl);
         if deploys {
             let ev = Event::TemplateDeployed {
@@ -927,7 +942,7 @@ impl Engine {
 
     /// The current default template of `name`.
     pub fn template(&self, name: &str) -> Option<Arc<CompiledProcess>> {
-        self.state.lock().registry.default_tpl(name)
+        self.state.borrow().registry.default_tpl(name)
     }
 
     /// Starts an instance of `process` with `input` seeding the
@@ -949,7 +964,7 @@ impl Engine {
         input: Container,
         tenant: Option<String>,
     ) -> Result<InstanceId, EngineError> {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let tpl = st
             .registry
             .default_tpl(process)
@@ -1053,7 +1068,7 @@ impl Engine {
 
     /// Runs every instance to quiescence, in id order.
     pub fn run_all(&self) -> Result<(), EngineError> {
-        let started = self.state.lock().instances.len() as u64;
+        let started = self.state.borrow().instances.len() as u64;
         for id in (1..=started).map(InstanceId) {
             self.run_to_quiescence(id)?;
         }
@@ -1062,14 +1077,14 @@ impl Engine {
 
     /// The worklist of `person` (clones of the visible items).
     pub fn worklist(&self, person: &str) -> Vec<WorkItem> {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         st.worklists.worklist(person).into_iter().cloned().collect()
     }
 
     /// The offered and claimed work items of instance `id`, in id order
     /// (clones).
     pub fn open_items(&self, id: InstanceId) -> Vec<WorkItem> {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         let items = st.worklists.items_of(id);
         items
             .filter(|it| it.state != WorkItemState::Closed)
@@ -1079,7 +1094,7 @@ impl Engine {
 
     /// Work item `item` in any state, closed too (a clone).
     pub fn work_item(&self, item: WorkItemId) -> Option<WorkItem> {
-        self.state.lock().worklists.get(item).cloned()
+        self.state.borrow().worklists.get(item).cloned()
     }
 
     /// Claims a work item for `person`; it disappears from every other
@@ -1090,7 +1105,7 @@ impl Engine {
             person: person.to_owned(),
             at: self.clock.now(),
         };
-        Ok(self.emit(&mut self.state.lock(), ev)?)
+        Ok(self.emit(&mut self.state.borrow_mut(), ev)?)
     }
 
     /// Releases a claimed work item back to every eligible worklist
@@ -1101,7 +1116,7 @@ impl Engine {
     /// is journalled as an intervention, for the audit trail, and not
     /// as a change.
     pub fn release(&self, item: WorkItemId, person: &str) -> Result<(), EngineError> {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let it = st.worklists.release(item, person)?;
         let ev = Event::UserIntervention {
             instance: it.instance,
@@ -1117,18 +1132,19 @@ impl Engine {
     /// offered stay with their original offerees (§3.3's organization
     /// is consulted at staff-resolution time).
     pub fn set_absent(&self, person: &str, absent: bool, substitute: Option<&str>) {
-        self.state.lock().org.set_absent(person, absent, substitute);
+        let mut st = self.state.borrow_mut();
+        st.org.set_absent(person, absent, substitute);
     }
 
     /// Instance counts `(running, finished, cancelled)`: a tally the
     /// events keep, read in constant time.
     pub fn instance_counts(&self) -> (u64, u64, u64) {
-        self.state.lock().counts
+        self.state.borrow().counts
     }
 
     /// All instances: `(id, process name, status)`.
     pub fn instances(&self) -> Vec<(InstanceId, String, InstanceStatus)> {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         st.instances
             .iter()
             .map(|i| (i.id, i.tpl.name().to_owned(), i.status))
@@ -1142,7 +1158,7 @@ impl Engine {
         // Before the claim too: nothing is attempted on a broken mirror.
         self.check_journal()?;
         let (instance, path, mine) = {
-            let st = self.state.lock();
+            let st = self.state.borrow();
             let it = st
                 .worklists
                 .get(item)
@@ -1211,7 +1227,7 @@ impl Engine {
     /// at all are skipped without touching their state.
     pub fn advance_clock(&self, ticks: txn_substrate::Tick) -> Vec<(String, String)> {
         self.clock.advance(ticks);
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let (instances, mut svc) = self.nav(&mut st);
         let mut sent = Vec::new();
         for inst in instances.iter_mut() {
@@ -1223,8 +1239,8 @@ impl Engine {
         sent
     }
 
-    /// What a client is told of instance `id`, read under one hold of
-    /// the engine's lock: the parts agree with each other.
+    /// What a client is told of instance `id`, read in one
+    /// [`Engine::read`]: the parts agree with each other.
     pub fn view(&self, id: InstanceId) -> Result<InstanceView, EngineError> {
         self.read(id, |i| InstanceView {
             process: i.tpl.name().to_owned(),
@@ -1259,7 +1275,7 @@ impl Engine {
         id: InstanceId,
         path: &str,
     ) -> Result<(ActState, bool, u32), EngineError> {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         let inst = st
             .instances
             .get(index_of(id))
@@ -1299,10 +1315,10 @@ impl Engine {
     /// and compacts it, bounding recovery replay time (the engine-side
     /// mirror of [`txn_substrate::Database::checkpoint`]). Safe at any
     /// quiescent point (no navigation in flight — guaranteed here by
-    /// holding the state lock). Returns the number of journal events
+    /// borrowing the state). Returns the number of journal events
     /// dropped.
     pub fn checkpoint(&self) -> usize {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let snaps: Vec<crate::event::InstanceSnapshot> = st
             .instances
             .iter()

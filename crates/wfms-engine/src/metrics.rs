@@ -149,13 +149,11 @@ impl Engine {
 
     /// The engine's tallies, `(name, level)`: instances by status, work
     /// items by state, and what the journal holds. They are state the
-    /// events keep, so the engine's lock is held for a constant time
-    /// however many instances and items it has ever held.
+    /// events keep, so reading them takes a constant time however
+    /// many instances and items it has ever held.
     pub fn tallies(&self) -> [(&'static str, u64); 9] {
-        let (instances, items) = {
-            let st = self.state.lock();
-            (st.counts, st.worklists.state_counts())
-        };
+        let st = self.state.borrow();
+        let (instances, items) = (st.counts, st.worklists.state_counts());
         [
             ("engine.instances_running", instances.0),
             ("engine.instances_finished", instances.1),

@@ -58,7 +58,7 @@ use txn_substrate::{
 use wfms_model::{Container, StartCondition, RC_MEMBER};
 
 /// What the navigator is lent while it drives an instance
-/// ([`crate::Engine`] hands it out, under the engine's state lock): the
+/// ([`crate::Engine`] hands it out, borrowing the engine's state): the
 /// services it reads, and the part of the engine's state besides that
 /// instance that a navigation event's effect writes.
 pub struct NavServices<'a> {

@@ -265,7 +265,7 @@ impl Replay {
 ///
 /// Returns what it repaired, summed over the instances.
 pub(crate) fn resume(engine: &Engine) -> FixupCounts {
-    let mut st = engine.state.lock();
+    let mut st = engine.state.borrow_mut();
     let (instances, mut svc) = engine.nav(&mut st);
     // Recovery is cold: count every fix-up category unconditionally so
     // `Engine::metrics` answers "what did recovery repair" even on

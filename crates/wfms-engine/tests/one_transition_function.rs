@@ -1,5 +1,5 @@
 //! State changes by applying events, and in no other way: the engine's
-//! state is one value behind one lock, an event's effect on it is
+//! state is one value with one owner, an event's effect on it is
 //! written once (`EngineState::apply` and its per-instance half,
 //! `effect`), replay folds that function over the journal and the
 //! running engine `emit`s — effect, then append. The replay
@@ -81,7 +81,7 @@ fn one_append_in_emit_and_one_for_the_checkpoint() {
 }
 
 /// What a scrape reads is state the events keep, not a walk over every
-/// instance and work item ever held, under the engine's lock.
+/// instance and work item ever held.
 #[test]
 fn the_tallies_are_read_not_recounted() {
     for (file, function) in [
@@ -95,12 +95,13 @@ fn the_tallies_are_read_not_recounted() {
     }
 }
 
+/// The engine is the one owner of its state: a cell, not a lock, so
+/// the compiler keeps every other thread out (the `compile_fail`
+/// example on `Engine`).
 #[test]
-fn one_state_behind_one_lock() {
-    // The state, and the probe cache — which is not state the journal
-    // describes.
-    assert!(count("engine.rs", "Mutex<") <= 2);
-    assert_eq!(count("engine.rs", "Mutex<EngineState>"), 1);
+fn one_state_one_owner() {
+    assert_eq!(count("engine.rs", "Mutex<"), 0);
+    assert_eq!(count("engine.rs", "RefCell<EngineState>"), 1);
     for file in ["engine.rs", "navigator.rs"] {
         assert_eq!(count(file, "AtomicU64"), 0, "{file}");
     }

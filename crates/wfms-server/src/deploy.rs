@@ -7,7 +7,9 @@
 //! registers the version — journalling `TemplateDeployed` — migrates
 //! what the policy asks for, flushes, and queues the next shard's share;
 //! the last one answers. A crash between any two stages recovers to a
-//! consistent state.
+//! consistent state. A shard whose worker is gone drops its share
+//! unrun: the chain stops there, the shards before it keep the new
+//! version, and the sink is dropped uncalled.
 
 use std::sync::Arc;
 
@@ -96,8 +98,9 @@ impl ShardPool {
             report,
             sink,
             failures: self.registry().counter("server.resume.failures"),
+            dir: Arc::clone(&self.dir),
         };
-        deploy.queue(0, Arc::clone(&self.shards), Arc::clone(&self.dir));
+        deploy.queue(0, Arc::clone(&self.shards));
     }
 
     /// [`ShardPool::deploy_with`], blocking until the last shard has
@@ -121,16 +124,18 @@ struct Deploy {
     /// `server.resume.failures`: migrated instances that could not be
     /// navigated onward.
     failures: Arc<Counter>,
+    /// Where shard 0's share stores the definition.
+    dir: Arc<DataDir>,
 }
 
 impl Deploy {
     /// Queues shard `at`'s share with its worker; done, that worker
     /// queues the next shard's, and the last one answers.
-    fn queue(mut self, at: usize, shards: Arc<[Shard]>, dir: Arc<DataDir>) {
+    fn queue(mut self, at: usize, shards: Arc<[Shard]>) {
         let rest = Arc::clone(&shards);
-        let share = move |shard: &Shard| match self.on_shard(at, &dir, shard) {
+        let share = move |shard: &Shard, engine: &Engine| match self.on_shard(at, shard, engine) {
             Err(e) => (self.sink)(Err(e)),
-            Ok(()) if at + 1 < rest.len() => self.queue(at + 1, rest, dir),
+            Ok(()) if at + 1 < rest.len() => self.queue(at + 1, rest),
             Ok(()) => (self.sink)(Ok(self.report)),
         };
         shards[at].control(false, Box::new(share));
@@ -139,11 +144,10 @@ impl Deploy {
     /// One shard's share. Shard 0 does the file work first, so no
     /// journal names a version the data directory cannot load. The
     /// share publishes what it changed before the chain moves on.
-    fn on_shard(&mut self, at: usize, dir: &DataDir, shard: &Shard) -> Result<(), PoolError> {
+    fn on_shard(&mut self, at: usize, shard: &Shard, engine: &Engine) -> Result<(), PoolError> {
         if at == 0 {
-            dir.add_version(&self.report.version, &self.def)?;
+            self.dir.add_version(&self.report.version, &self.def)?;
         }
-        let engine = &shard.engine;
         let flush_err =
             |e: EngineError| PoolError::Io(std::io::Error::other(format!("journal flush: {e}")));
         engine
@@ -155,7 +159,7 @@ impl Deploy {
             moved = self.migrate(engine);
             flushed = engine.flush_journal();
         }
-        shard.publish(Vec::new(), &moved);
+        shard.publish(engine, Vec::new(), &moved);
         flushed.map_err(flush_err)
     }
 
@@ -187,6 +191,8 @@ impl Deploy {
 mod tests {
     use super::{Deploy, DeployReport, MigrationPolicy};
     use crate::shard::tests::on_a_full_disk;
+    use crate::store;
+    use crate::tenant::WireIds;
     use std::sync::Arc;
     use txn_substrate::DurabilityPolicy;
     use wfms_engine::{spec_hash_of, InstanceStatus};
@@ -215,6 +221,8 @@ mod tests {
             .unwrap();
         let (engine, path) =
             on_a_full_disk(DurabilityPolicy::Batched { n: 14 }, vec![flow], "migrate");
+        let data = std::env::temp_dir().join(format!("wfms-migrate-{}", std::process::id()));
+        let (dir, _) = store::open(data.clone(), WireIds::new(1, false), &[]).unwrap();
         let id = engine.start("flow", Container::empty()).unwrap();
         assert_eq!(
             engine.run_to_quiescence(id).unwrap(),
@@ -234,11 +242,13 @@ mod tests {
             policy: MigrationPolicy::MigrateAtScopeBoundary,
             sink: Box::new(|_| {}),
             failures: Arc::new(Counter::new()),
+            dir: Arc::new(dir),
         };
         deploy.migrate(&engine);
         assert_eq!((deploy.report.migrated, deploy.report.skipped), (1, 0));
         assert_eq!(deploy.failures.get(), 1, "the onward navigation's failure");
         assert!(engine.flush_journal().is_err(), "the journal is broken");
         std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&data).unwrap();
     }
 }

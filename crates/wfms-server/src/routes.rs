@@ -223,9 +223,9 @@ pub(crate) fn dispatch(turn: &mut Turn<'_>, req: &Request) {
 /// it: whatever thread the pool answers on — a shard worker, after its
 /// flush — renders the answer there and posts it to this reactor's
 /// completion queue, exactly as a submit's reply travels. A sink
-/// dropped uncalled — its job was abandoned by a worker that died —
-/// still fills the slot, as a submission's would be: `500 shard worker
-/// stopped`.
+/// dropped uncalled — its job was abandoned by a worker that died, or
+/// came to a shard whose worker is gone — still fills the slot, as a
+/// submission's would be: `500 shard worker stopped`.
 fn answer_later<T>(
     turn: &mut Turn<'_>,
     close: bool,

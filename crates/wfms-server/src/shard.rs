@@ -3,7 +3,7 @@
 //! A [`ShardPool`] owns N shards; each shard is an [`Engine`] with its
 //! own durable journal file (`shard-<i>.journal` under the data
 //! directory), one bounded admission queue (its `Inbox`) and a
-//! dedicated worker thread, the engine's only writer once
+//! dedicated worker thread, the engine's one owner once
 //! [`ShardPool::open`] has returned. Submissions are spread round-robin.
 //!
 //! ## A turn and its driver
@@ -67,20 +67,26 @@
 //! once, the last to finish answering with the sum.
 //! [`ShardPool::complete_with`], [`ShardPool::deploy_with`],
 //! [`ShardPool::reload_tenants`] and [`ShardPool::drain_with`] queue
-//! such a job and return; the blocking spellings wait for the sink. A
-//! closed inbox — its worker was stopped or died — hands a job back and
-//! the caller runs it in place, the worker being gone: races between a
-//! deploy, a reload, a checkpoint and a submit are orderings of one
-//! queue.
+//! such a job and return; the blocking spellings wait for the sink.
+//! Races between a deploy, a reload, a checkpoint and a submit are
+//! orderings of one queue. A closed inbox — its worker was stopped or
+//! died — drops a job unrun, its sink uncalled, as it drops the jobs a
+//! dying worker abandons: a dead shard runs no job, as it takes no
+//! submission.
 //!
 //! ## What reads see
 //!
-//! Only a shard's driver touches its engine: its `step`, its control
-//! jobs, and the closed-inbox fallback once the worker has gone. Reads
-//! — [`ShardPool::status`], [`ShardPool::worklist`],
+//! A shard's engine is not in the `Shard` the reactors share: its
+//! driver owns it — the worker thread, by value; in a test, the
+//! simulator (`sim.rs`) — and hands it to `step`, `turn`,
+//! `Shard::publish` and every control job as `&Engine`. An `Engine`
+//! is not `Sync`, so no other thread can reach it. Reads —
+//! [`ShardPool::status`], [`ShardPool::worklist`],
 //! [`ShardPool::instance_counts`], the engine half of
 //! [`ShardPool::snapshot`] — see what the driver last published
-//! (`published.rs`), and wait for no navigation.
+//! (`published.rs`), and wait for no navigation; the scrape reads the
+//! shard's databases live, through the `MultiDatabase` the shard
+//! keeps.
 //!
 //! ## External ids
 //!
@@ -296,21 +302,25 @@ pub enum SubmitDispatch {
 pub type SubmitReply = Result<(u64, InstanceStatus, Container), (String, bool)>;
 
 /// Where a sink-form call ([`ShardPool::submit_with`] and the `_with`
-/// spellings beside it) delivers its answer: invoked exactly once — by
-/// a shard worker, after the flush that makes the answer true; or by
-/// the caller in place, when the call is refused before it is queued or
-/// the shard's inbox is closed. A submission's sink is also invoked,
-/// with `shard worker stopped`, when its worker dies holding it; a
-/// control job's is dropped uncalled. A sink must not block on the
-/// pool — the worker it would wait for may be the thread it runs on —
-/// nor panic: it may be called while that worker unwinds.
+/// spellings beside it) delivers its answer: invoked by a shard worker,
+/// after the flush that makes the answer true, or by the caller in
+/// place, when the call is refused before it is queued. A shard whose
+/// worker was stopped or died answers no job: a submission's sink is
+/// invoked with `shard worker stopped`, and a control job's is dropped
+/// uncalled — whether the worker died holding the job or the job came
+/// later — so a blocking spelling reports `shard worker did not answer`
+/// at once. A sink is invoked at most once, a submission's exactly
+/// once. It must not block on the pool — the worker it would wait for
+/// may be the thread it runs on — nor panic: it may be called while
+/// that worker unwinds.
 pub type Sink<T> = Box<dyn FnOnce(T) + Send + 'static>;
 
 /// A job for a shard's worker other than a submission — a work-item
 /// completion, a deploy's share, a tenant reload, a drain's checkpoint:
-/// run between batches, on the shard, by its driver. It flushes what it
-/// journalled and publishes what it changed before it answers anyone.
-type Control = Box<dyn FnOnce(&Shard) + Send + 'static>;
+/// run between batches, on the shard, by its driver, which hands it the
+/// engine it owns. It flushes what it journalled and publishes what it
+/// changed before it answers anyone.
+type Control = Box<dyn FnOnce(&Shard, &Engine) + Send + 'static>;
 
 /// One of a tenant's `max_inflight` slots, held from admission until
 /// the submission is answered or dropped unanswered: this `Drop` is the
@@ -459,7 +469,7 @@ impl Inbox {
     }
 
     /// Queues a control job. `Err` hands it back: the inbox is closed,
-    /// run it yourself.
+    /// and the job is to be dropped unrun.
     fn enqueue(&mut self, when_dry: bool, job: Control) -> Result<(), Control> {
         if self.stop {
             return Err(job);
@@ -516,42 +526,30 @@ impl Inbox {
     }
 }
 
-/// One shard: its engine, what reads need of it, the inbox its worker
-/// takes from, and that worker.
+/// One shard as its reactors and its driver share it: what reads need
+/// of its engine, its databases, and the inbox its worker takes from.
+/// The engine is the driver's alone.
 pub(crate) struct Shard {
-    pub(crate) engine: Engine,
     /// What the driver last published of the engine (`published.rs`).
     published: Mutex<Published>,
     inbox: Mutex<Inbox>,
     /// Where the worker sleeps on an inbox with nothing to do.
     wake: Condvar,
-    worker: Mutex<Option<std::thread::JoinHandle<()>>>,
     /// `server.queue.depth.shard<i>`: submissions in the inbox.
     depth: Arc<wfms_observe::Gauge>,
+    /// The engine's databases, which a scrape reads live.
+    multidb: Arc<MultiDatabase>,
 }
 
 impl Shard {
-    /// A shard of `engine`, with nothing published and no worker.
-    fn new(engine: Engine, depth: Arc<wfms_observe::Gauge>) -> Shard {
-        Shard {
-            engine,
-            published: Mutex::default(),
-            inbox: Mutex::default(),
-            wake: Condvar::new(),
-            worker: Mutex::new(None),
-            depth,
-        }
-    }
-
-    /// Publishes what reads need after the driver changed the engine,
+    /// Publishes what reads need after the driver changed `engine`,
     /// before it answers anyone: `started`, the entries of the instances
     /// it started, each under its slot; the instances in `changed` as
     /// they stand now; the open work items of both; and the engine's
     /// tallies. Nothing else is read or copied, so a step costs what it
     /// changed. Everything is read from the engine first; the lock is
     /// held only to store it.
-    pub(crate) fn publish(&self, started: Vec<(InstanceId, Entry)>, changed: &[InstanceId]) {
-        let engine = &self.engine;
+    pub(crate) fn publish(&self, engine: &Engine, started: Started, changed: &[InstanceId]) {
         // An update keeps the slot published at start: it carries none.
         let updated: Vec<_> = (changed.iter())
             .filter_map(|&id| engine.read(id, |i| (id, Entry::of(i, UNOWNED))).ok())
@@ -590,15 +588,13 @@ impl Shard {
     }
 
     /// Hands `job` to the worker, to run after its next batch — with
-    /// `when_dry`, after the batch that leaves the lanes dry. On a
-    /// closed inbox the caller runs it here instead, once the worker —
-    /// which may still be finishing what was queued at `stop` — has
-    /// left: no worker is left to race.
+    /// `when_dry`, after the batch that leaves the lanes dry. A closed
+    /// inbox drops it unrun, its sink uncalled: no thread but the
+    /// shard's driver runs a job.
     pub(crate) fn control(&self, when_dry: bool, job: Control) {
-        if let Err(job) = self.with_inbox(|inbox| inbox.enqueue(when_dry, job)) {
-            self.join_worker();
-            job(self);
-        }
+        // Refused, the job drops here, outside the inbox's lock: its
+        // sink may run code as it drops.
+        drop(self.with_inbox(|inbox| inbox.enqueue(when_dry, job)));
     }
 
     /// Waits until the inbox holds work; `false` once it is stopped
@@ -613,12 +609,6 @@ impl Shard {
             self.wake.wait(&mut inbox);
         }
         true
-    }
-
-    fn join_worker(&self) {
-        if let Some(handle) = self.worker.lock().take() {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -665,7 +655,17 @@ impl PoolConfig {
 
 /// The sharded instance manager (see module docs).
 pub struct ShardPool {
+    /// Each engine its driver handed back on stopping, never read: it
+    /// drops with the pool, just before the shards whose published
+    /// entries share its outputs. Dropped apart from them, on its
+    /// driver's thread, it left that thread's allocator arena
+    /// untrimmed, and a pool opened next in the same process grew the
+    /// peak RSS by that arena.
+    stopped: Mutex<Vec<Engine>>,
     pub(crate) shards: Arc<[Shard]>,
+    /// Each shard's worker thread, until `stop` joins it and takes back
+    /// its engine.
+    workers: Mutex<Vec<std::thread::JoinHandle<Engine>>>,
     /// The wire-id layout pinned in `server.meta.json`.
     ids: WireIds,
     rr: AtomicUsize,
@@ -696,27 +696,27 @@ impl ShardPool {
         registry: Arc<Registry>,
         provision: &dyn Fn(usize) -> (Arc<MultiDatabase>, Arc<ProgramRegistry>),
     ) -> Result<Self, PoolError> {
-        let pool = Self::undriven(cfg, registry, provision)?;
-        for (at, shard) in pool.shards.iter().enumerate() {
+        let (pool, engines) = Self::undriven(cfg, registry, provision)?;
+        for (at, engine) in engines.into_iter().enumerate() {
             let all = Arc::clone(&pool.shards);
             let (ids, batch_max) = (pool.ids, pool.batch_max);
             let (accepted, failed) = (Arc::clone(&pool.accepted), Arc::clone(&pool.failed));
             let worker = std::thread::Builder::new()
                 .name(format!("wfms-shard-{at}"))
-                .spawn(move || drive(&all[at], at, ids, batch_max, &accepted, &failed))
+                .spawn(move || drive(&all[at], engine, at, ids, batch_max, &accepted, &failed))
                 .expect("spawn shard worker");
-            *shard.worker.lock() = Some(worker);
+            pool.workers.lock().push(worker);
         }
         Ok(pool)
     }
 
-    /// [`ShardPool::open`] without the drivers: nothing steps a shard
-    /// but whoever holds the pool.
+    /// [`ShardPool::open`] without the drivers: the pool, and each
+    /// shard's engine, in shard order, for its caller to drive.
     fn undriven(
         cfg: PoolConfig,
         registry: Arc<Registry>,
         provision: &dyn Fn(usize) -> (Arc<MultiDatabase>, Arc<ProgramRegistry>),
-    ) -> Result<Self, PoolError> {
+    ) -> Result<(Self, Vec<Engine>), PoolError> {
         let nshards = cfg.shards.max(1);
         let ids = WireIds::new(nshards, !cfg.tenants.is_empty());
         let (dir, templates) = store::open(cfg.data_dir, ids, &cfg.templates)?;
@@ -730,6 +730,7 @@ impl ShardPool {
         };
 
         let mut shards = Vec::with_capacity(nshards);
+        let mut engines = Vec::with_capacity(nshards);
         let mut opened = Vec::with_capacity(nshards);
         let resume_failures = registry.counter("server.resume.failures");
         for i in 0..nshards {
@@ -762,25 +763,31 @@ impl ShardPool {
                 resumed,
                 fixups: engine.repaired(),
             });
-            let shard = Shard::new(
-                engine,
-                registry.gauge(&format!("server.queue.depth.shard{i}")),
-            );
+            let shard = Shard {
+                published: Mutex::default(),
+                inbox: Mutex::default(),
+                wake: Condvar::new(),
+                depth: registry.gauge(&format!("server.queue.depth.shard{i}")),
+                multidb: Arc::clone(engine.multidb()),
+            };
             // No read reaches the shard before the pool is returned: its
             // instances go straight into the table, with no copy first.
-            let (engine, mut published) = (&shard.engine, shard.published.lock());
+            let mut published = shard.published.lock();
             for id in (1..=instances.0 + instances.1 + instances.2).map(InstanceId) {
                 let entry = engine.read(id, |i| Entry::of(i, slot_of(i.tenant.as_deref())));
                 published.append(id, entry.expect("instance ids are dense"));
-                published.set_items(id, open_items(engine, id));
+                published.set_items(id, open_items(&engine, id));
             }
             published.tallies = engine.tallies();
             drop(published);
             shards.push(shard);
+            engines.push(engine);
         }
 
-        Ok(Self {
+        let pool = Self {
+            stopped: Mutex::default(),
             shards: shards.into(),
+            workers: Mutex::default(),
             ids,
             rr: AtomicUsize::new(0),
             queue_capacity: cfg.queue_capacity.max(1),
@@ -793,7 +800,8 @@ impl ShardPool {
             completions: registry.counter("server.worklist.completions"),
             opened,
             tenants: Arc::new(RwLock::new(Arc::new(table))),
-        })
+        };
+        Ok((pool, engines))
     }
 
     /// Number of shards.
@@ -846,7 +854,8 @@ impl ShardPool {
         }
         let (dir, tenants) = (Arc::clone(&self.dir), Arc::clone(&self.tenants));
         let registry = Arc::clone(&self.registry);
-        let reload = move |_: &Shard| sink(tenant::reload(&path, &dir, &tenants, &registry));
+        let reload =
+            move |_: &Shard, _: &Engine| sink(tenant::reload(&path, &dir, &tenants, &registry));
         self.shards[0].control(false, Box::new(reload));
     }
 
@@ -998,8 +1007,8 @@ impl ShardPool {
             return sink(Err(no_such_item()));
         };
         let completions = Arc::clone(&self.completions);
-        let complete = move |shard: &Shard| {
-            let (engine, item) = (&shard.engine, WorkItemId(local));
+        let complete = move |shard: &Shard, engine: &Engine| {
+            let item = WorkItemId(local);
             // The driver may read its engine: a closed item has an owner
             // too, so the caller's own closed item answers "closed".
             let owner = engine.work_item(item).ok_or_else(no_such_item)?.instance;
@@ -1007,12 +1016,12 @@ impl ShardPool {
                 return Err(no_such_item());
             }
             let done = (engine.execute_item(item, &person)).and_then(|()| engine.flush_journal());
-            shard.publish(Vec::new(), &[owner]);
+            shard.publish(engine, Vec::new(), &[owner]);
             done?;
             completions.inc();
             Ok(())
         };
-        self.shards[shard].control(false, Box::new(move |shard| sink(complete(shard))));
+        self.shards[shard].control(false, Box::new(move |s, engine| sink(complete(s, engine))));
     }
 
     /// [`ShardPool::complete_with`], blocking until the completion is
@@ -1032,9 +1041,9 @@ impl ShardPool {
         let gather = Arc::new(Mutex::new((self.shards.len(), Ok(0), Some(sink))));
         for shard in self.shards.iter() {
             let gather = Arc::clone(&gather);
-            let drain = move |shard: &Shard| {
-                let dropped = shard.engine.drain();
-                shard.publish(Vec::new(), &[]);
+            let drain = move |shard: &Shard, engine: &Engine| {
+                let dropped = engine.drain();
+                shard.publish(engine, Vec::new(), &[]);
                 let mut gather = gather.lock();
                 let (left, total, sink) = &mut *gather;
                 *total = match (std::mem::replace(total, Ok(0)), dropped) {
@@ -1060,15 +1069,16 @@ impl ShardPool {
         answer_of(|sink| self.drain_with(sink)).unwrap_or_else(|| Err(unanswered()))
     }
 
-    /// Stops every shard worker and joins it. Queued jobs submitted
-    /// before the stop are still processed and flushed. Idempotent.
+    /// Stops every shard worker and joins it, keeping the engine it
+    /// hands back until the pool drops. Queued jobs submitted before
+    /// the stop are still processed and flushed. Idempotent.
     pub fn stop(&self) {
         for shard in self.shards.iter() {
             shard.with_inbox(|inbox| inbox.stop = true);
         }
-        for shard in self.shards.iter() {
-            shard.join_worker();
-        }
+        let workers = std::mem::take(&mut *self.workers.lock());
+        let engines = workers.into_iter().filter_map(|w| w.join().ok());
+        self.stopped.lock().extend(engines);
     }
 
     /// Instance counts `(running, finished, cancelled)` across shards,
@@ -1090,8 +1100,8 @@ impl ShardPool {
     /// most one step old — and its databases' series
     /// ([`database_series`]), read live; all summed by name over shards
     /// and databases, the engines' `engine.instances_*` under the
-    /// server's name for them, `server.instances.*`. No engine state
-    /// is read, and no engine lock taken.
+    /// server's name for them, `server.instances.*`. No engine is
+    /// reached: the shards' drivers own them.
     pub fn snapshot(&self) -> Snapshot {
         let mut snapshot = self.registry.snapshot();
         for shard in self.shards.iter() {
@@ -1100,7 +1110,7 @@ impl ShardPool {
                 let name = name.replace("engine.instances_", "server.instances.");
                 snapshot.add(&name, None, Value::Gauge(level as i64));
             }
-            database_series(shard.engine.multidb(), |name, _, reading| {
+            database_series(&shard.multidb, |name, _, reading| {
                 snapshot.add(name, None, reading)
             });
         }
@@ -1198,6 +1208,10 @@ pub(crate) fn navigate_onward(engine: &Engine, id: InstanceId, failures: &Counte
 /// be given.
 type Answer = (Pending, SubmitReply);
 
+/// The instances a step started, each with its entry: what the driver
+/// publishes of them before it answers.
+type Started = Vec<(InstanceId, Entry)>;
+
 /// One step of shard `at`: navigates each submission of `batch` to
 /// quiescence, makes the batch's one group commit, and pairs each
 /// submission with its reply — the flush's failure, for every one of
@@ -1209,7 +1223,7 @@ fn turn(
     at: usize,
     ids: WireIds,
     batch: Vec<QueuedSubmit>,
-) -> (Vec<Answer>, Vec<(InstanceId, Entry)>) {
+) -> (Vec<Answer>, Started) {
     let mut answers = Vec::with_capacity(batch.len());
     let mut started = Vec::with_capacity(batch.len());
     for job in batch {
@@ -1263,8 +1277,8 @@ fn answer(answers: Vec<Answer>, accepted: &Counter, failed: &Counter) {
 /// Closes an inbox when its worker leaves, by `stop` or by unwinding:
 /// what is still queued is dropped — each submission answered `shard
 /// worker stopped` with its reservation given back, each control job
-/// unrun and its sink uncalled — later submissions are answered the
-/// same, and later control jobs are run by their callers.
+/// unrun and its sink uncalled — and so is everything that comes
+/// later.
 struct CloseOnExit<'a>(&'a Mutex<Inbox>);
 
 impl Drop for CloseOnExit<'_> {
@@ -1288,6 +1302,7 @@ impl Drop for CloseOnExit<'_> {
 /// of it and answers it; then runs the control jobs that came due.
 fn step(
     shard: &Shard,
+    engine: &Engine,
     at: usize,
     ids: WireIds,
     batch_max: usize,
@@ -1300,30 +1315,33 @@ fn step(
         shard.depth.set(inbox.queued as i64);
         taken
     };
-    let (answers, started) = turn(&shard.engine, at, ids, batch);
-    shard.publish(started, &[]);
+    let (answers, started) = turn(engine, at, ids, batch);
+    shard.publish(engine, started, &[]);
     answer(answers, accepted, failed);
     for (_, job) in control {
-        job(shard);
+        job(shard, engine);
     }
 }
 
-/// Shard `at`'s worker thread, the one driver of its engine: waits
-/// until there is work, then makes a [`step`].
+/// Shard `at`'s worker thread, the one driver and owner of its engine:
+/// waits until there is work, then makes a [`step`]. Stopped, it hands
+/// the engine back.
 fn drive(
     shard: &Shard,
+    engine: Engine,
     at: usize,
     ids: WireIds,
     batch_max: usize,
     accepted: &Counter,
     failed: &Counter,
-) {
+) -> Engine {
     let _close = CloseOnExit(&shard.inbox);
     while shard.has_work() {
-        step(shard, at, ids, batch_max, accepted, failed);
+        step(shard, &engine, at, ids, batch_max, accepted, failed);
     }
     // Final barrier so nothing accepted is left unflushed.
-    let _ = shard.engine.flush_journal();
+    let _ = engine.flush_journal();
+    engine
 }
 
 #[cfg(test)]
@@ -1339,6 +1357,7 @@ pub(crate) mod tests {
     use parking_lot::Mutex;
     use std::path::PathBuf;
     use std::sync::atomic::Ordering;
+    use std::sync::mpsc::TryRecvError;
     use std::sync::Arc;
     use txn_substrate::{DurabilityPolicy, MultiDatabase, ProgramOutcome, ProgramRegistry};
     use wfms_engine::{recover_from, Engine, EngineConfig, InstanceStatus, Journal, OrgModel};
@@ -1471,7 +1490,7 @@ pub(crate) mod tests {
             assert!(inbox.admit(8, job(None, tag)).is_ok());
         }
         let (tx, rx) = std::sync::mpsc::sync_channel(1);
-        let barrier = Box::new(move |_: &Shard| tx.send(()).unwrap());
+        let barrier = Box::new(move |_: &Shard, _: &Engine| tx.send(()).unwrap());
         assert!(inbox.enqueue(true, barrier).is_ok());
         let (batch, released) = inbox.take_batch(2);
         assert_eq!((tags(&batch), released.len()), (vec!["x0", "x1"], 0));
@@ -1492,17 +1511,28 @@ pub(crate) mod tests {
     /// A control job that logs `tag` when it is run.
     fn logging(log: &Arc<Mutex<Vec<&'static str>>>, tag: &'static str) -> Control {
         let log = Arc::clone(log);
-        Box::new(move |_| log.lock().push(tag))
+        Box::new(move |_, _| log.lock().push(tag))
+    }
+
+    /// A shard with no worker, and the engine its driver would own.
+    fn undriven_shard(engine: Engine) -> (Shard, Engine) {
+        let shard = Shard {
+            published: Mutex::default(),
+            inbox: Mutex::default(),
+            wake: parking_lot::Condvar::new(),
+            depth: Arc::default(),
+            multidb: Arc::clone(engine.multidb()),
+        };
+        (shard, engine)
     }
 
     /// Runs the control jobs a batch came with, as the worker would,
     /// and returns what they logged.
     fn run(due: Vec<(bool, Control)>, log: &Arc<Mutex<Vec<&'static str>>>) -> Vec<&'static str> {
-        let fed = txn_substrate::MultiDatabase::new(0);
-        let engine = Engine::new(fed, Arc::new(txn_substrate::ProgramRegistry::new()));
-        let shard = Shard::new(engine, Arc::default());
+        let fed = MultiDatabase::new(0);
+        let (shard, engine) = undriven_shard(Engine::new(fed, Arc::new(ProgramRegistry::new())));
         for (_, job) in due {
-            job(&shard);
+            job(&shard, &engine);
         }
         std::mem::take(&mut *log.lock())
     }
@@ -1535,22 +1565,33 @@ pub(crate) mod tests {
         assert!(inbox.control.is_empty());
     }
 
+    /// A job that comes to a closed inbox is dropped there, unrun, and
+    /// its sink with it: the caller runs nothing.
     #[test]
-    fn after_stop_a_late_control_job_is_handed_back() {
+    fn after_stop_a_late_control_job_is_dropped() {
         let log = Arc::new(Mutex::new(Vec::new()));
-        let control = |tag| logging(&log, tag);
-        let mut inbox = Inbox::default();
-        assert!(inbox.enqueue(true, control("queued")).is_ok());
-        inbox.stop = true;
-        let Err(handed_back) = inbox.enqueue(false, control("late")) else {
-            panic!("a stopped inbox queues nothing");
-        };
-        assert_eq!(
-            inbox.control.len(),
-            1,
-            "what was queued stays for the worker"
+        let fed = MultiDatabase::new(0);
+        let (shard, _engine) = undriven_shard(Engine::new(fed, Arc::new(ProgramRegistry::new())));
+        shard.control(true, logging(&log, "queued"));
+        shard.with_inbox(|inbox| inbox.stop = true);
+        let (tx, rx) = std::sync::mpsc::sync_channel::<()>(1);
+        let late = logging(&log, "late");
+        shard.control(
+            false,
+            Box::new(move |shard, engine| {
+                late(shard, engine);
+                tx.send(()).unwrap()
+            }),
         );
-        assert_eq!(run(vec![(false, handed_back)], &log), ["late"]);
+        assert_eq!(
+            rx.try_recv(),
+            Err(TryRecvError::Disconnected),
+            "its sink dropped"
+        );
+        assert!(log.lock().is_empty(), "nothing ran");
+        let queued = std::mem::take(&mut shard.inbox.lock().control);
+        assert_eq!(queued.len(), 1, "what was queued stays for the worker");
+        assert_eq!(run(queued, &log), ["queued"]);
     }
 
     #[test]
@@ -1588,19 +1629,19 @@ pub(crate) mod tests {
             .build()
             .unwrap();
         engine.register(manual).unwrap();
-        let shard = Shard::new(engine, Arc::default());
+        let (shard, engine) = undriven_shard(engine);
         for _ in 0..64 {
-            let id = shard.engine.start("manual", Container::empty()).unwrap();
-            shard.engine.run_to_quiescence(id).unwrap();
-            let entry = shard.engine.read(id, |i| Entry::of(i, 0)).unwrap();
-            shard.publish(vec![(id, entry)], &[]);
+            let id = engine.start("manual", Container::empty()).unwrap();
+            engine.run_to_quiescence(id).unwrap();
+            let entry = engine.read(id, |i| Entry::of(i, 0)).unwrap();
+            shard.publish(&engine, vec![(id, entry)], &[]);
         }
         let before = shard.published.lock().worklist("ann");
         assert_eq!(before.len(), 64);
 
         let done = &before[7].0;
-        shard.engine.execute_item(done.id, "ann").unwrap();
-        shard.publish(Vec::new(), &[done.instance]);
+        engine.execute_item(done.id, "ann").unwrap();
+        shard.publish(&engine, Vec::new(), &[done.instance]);
         let after = shard.published.lock().worklist("ann");
         assert_eq!(after.len(), 63);
         let unchanged = before.iter().filter(|(it, _)| it.id != done.id);

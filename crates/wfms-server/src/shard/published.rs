@@ -1,17 +1,17 @@
 //! What reads need of one shard, as of its driver's last finished step.
 //!
-//! A shard's engine is touched only by its driver: the worker's
-//! `step`, the control jobs it runs, and the closed-inbox fallback once
-//! the worker has gone. A read — `GET /instances/:id`, `GET /worklist`,
-//! a scrape's engine tallies — reads what the driver published instead:
-//! after a turn's flush and before any of its replies is sent, inside
-//! each control job that changes an instance before that job's sink is
-//! called, and once at reopen for every recovered instance. So a read
-//! waits for no navigation, sees the shard as of its last finished
-//! step, and a `201`'s id is readable before the `201` is sent. The
-//! slot an instance was started under is recorded here once, and a
-//! completion's tenant check, on the driver, compares a wire id's slot
-//! with it.
+//! A shard's engine has one owner, its driver, which holds it apart
+//! from the `Shard` the reactors share and hands it to its `step` and
+//! the control jobs it runs. A read — `GET /instances/:id`,
+//! `GET /worklist`, a scrape's engine tallies — reads what the driver
+//! published instead: after a turn's flush and before any of its
+//! replies is sent, inside each control job that changes an instance
+//! before that job's sink is called, and once at reopen for every
+//! recovered instance. So a read waits for no navigation, sees the
+//! shard as of its last finished step, and a `201`'s id is readable
+//! before the `201` is sent. The slot an instance was started under is
+//! recorded here once, and a completion's tenant check, on the
+//! driver, compares a wire id's slot with it.
 //!
 //! A step publishes only what it changed: the entries of the instances
 //! it started or changed, their open work items, and the tallies. The
@@ -107,7 +107,7 @@ impl Published {
 
     /// Stores `entry` as the next instance's, `id`, started under its
     /// slot. Any other id is not stored: only a step that unwound leaves
-    /// one unpublished, and its worker is gone.
+    /// one unpublished, and its engine is gone with it.
     pub(super) fn append(&mut self, id: InstanceId, entry: Entry) {
         let len = self.instances.len().saturating_sub(1) * CHUNK
             + self.instances.last().map_or(0, Vec::len);

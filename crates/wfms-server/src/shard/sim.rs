@@ -2,13 +2,15 @@
 //!
 //! The pool is opened as [`ShardPool::open`] opens it, minus the
 //! drivers (`ShardPool::undriven`), and the simulator is its only
-//! thread. It owns time — a step is its clock — and arrivals, which
-//! enter through the pool's own entry points (`submit_with`,
-//! `complete_with`, `deploy_with`, `reload_tenants`, `drain_with`). It
+//! thread: it holds each shard's engine, as a driver would. It owns
+//! time — a step is its clock — and arrivals, which enter through the
+//! pool's own entry points (`submit_with`, `complete_with`,
+//! `deploy_with`, `reload_tenants`, `drain_with`). It
 //! owns the disk: a crash drops the pool and gives each journal back
 //! exactly the bytes it had been handed at the crash point, or tears
 //! what the last step wrote at a random byte. It steps one shard at a
-//! time with the drivers' own [`step`], and checks the server's
+//! time with the drivers' own [`step`] — a step that unwinds takes its
+//! engine with it, as a dying driver does — and checks the server's
 //! contracts after every step:
 //!
 //! - each submission is admitted or refused exactly as the model says
@@ -39,7 +41,7 @@ use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 use txn_substrate::{DurabilityPolicy, MultiDatabase, ProgramOutcome, ProgramRegistry};
-use wfms_engine::{spec_hash_of, Event, InstanceStatus, OrgModel};
+use wfms_engine::{spec_hash_of, Engine, Event, InstanceStatus, OrgModel};
 use wfms_model::{Activity, Container, ProcessBuilder, ProcessDefinition};
 use wfms_observe::Registry;
 
@@ -256,14 +258,16 @@ fn lengths(paths: &[PathBuf]) -> Vec<u64> {
         .collect()
 }
 
-/// A pool with no driver, the data directory under it, and what every
-/// submission's and completion's sink heard. The sinks hold the pool
-/// weakly, so a crash drops it.
+/// A pool with no driver, each shard's engine, the data directory
+/// under them, and what every submission's and completion's sink
+/// heard. The sinks hold the pool weakly, so a crash drops it.
 struct Sim {
     setup: Setup,
     dir: PathBuf,
     journals: Arc<[PathBuf]>,
     pool: Arc<ShardPool>,
+    /// Shard `i`'s engine; none once a step of it unwound.
+    engines: Vec<Option<Engine>>,
     /// Each ticket's tenant, and whether the pool took it.
     sent: Vec<(Option<Arc<Tenant>>, bool)>,
     heard: Arc<Mutex<Vec<Heard>>>,
@@ -284,7 +288,7 @@ impl Sim {
     fn open(setup: Setup, tag: &str) -> Sim {
         let dir = std::env::temp_dir().join(format!("wfms-sim-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let pool =
+        let (pool, engines) =
             ShardPool::undriven(setup.config(&dir), Arc::new(Registry::new()), &provision).unwrap();
         let journals = (0..pool.shards.len())
             .map(|i| pool.dir.journal(i))
@@ -294,6 +298,7 @@ impl Sim {
             dir,
             journals,
             pool: Arc::new(pool),
+            engines: engines.into_iter().map(Some).collect(),
             sent: Vec::new(),
             heard: Arc::default(),
             completed: Arc::default(),
@@ -415,17 +420,21 @@ impl Sim {
             .collect()
     }
 
-    /// Steps shard `at` as its driver does — closing its inbox, as the
-    /// driver's exit does, should the step unwind — and checks the
-    /// contracts.
+    /// Steps shard `at` as its driver does — should the step unwind,
+    /// closing its inbox and dropping its engine, as the driver's exit
+    /// does — and checks the contracts.
     fn step(&mut self, at: usize) {
         let before = self.lanes(at);
         self.last = Some((at, self.lengths(), self.heard.lock().len()));
+        let engine = self.engines[at]
+            .take()
+            .expect("a shard whose steps never unwound");
         let pool = &self.pool;
         let shard = &pool.shards[at];
         let close = CloseOnExit(&shard.inbox);
         step(
             shard,
+            &engine,
             at,
             pool.ids,
             pool.batch_max,
@@ -433,6 +442,7 @@ impl Sim {
             &pool.failed,
         );
         std::mem::forget(close);
+        self.engines[at] = Some(engine);
         note(format!(
             "step shard {at}: lanes {before:?} → {:?}",
             self.lanes(at)
@@ -642,13 +652,14 @@ impl Sim {
             dir,
             journals,
             pool,
+            engines,
             sent,
             heard,
             completed,
             model,
             ..
         } = self;
-        drop(pool);
+        drop((pool, engines));
         for (path, keep) in journals.iter().zip(keep) {
             let file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
             assert!(
@@ -658,7 +669,7 @@ impl Sim {
             file.set_len(*keep).unwrap();
         }
         note(format!("crash, journals cut to {keep:?}"));
-        let pool =
+        let (pool, engines) =
             ShardPool::undriven(setup.config(&dir), Arc::new(Registry::new()), &provision).unwrap();
         let mut survived = Model {
             taken: (heard.lock().len(), completed.lock().len()),
@@ -683,6 +694,7 @@ impl Sim {
             dir,
             journals,
             pool: Arc::new(pool),
+            engines: engines.into_iter().map(Some).collect(),
             sent,
             heard,
             completed,
@@ -852,8 +864,9 @@ fn a_deploy_crashed_after_any_hop_leaves_each_default_to_its_journal() {
             assert_eq!(rx.try_recv().ok(), (hop + 1 == shards).then_some(true));
             let keep = sim.lengths();
             let sim = sim.crash(&keep);
-            for (at, shard) in sim.pool.shards.iter().enumerate() {
-                let journalled = (shard.engine.journal_events().into_iter())
+            for (at, engine) in sim.engines.iter().enumerate() {
+                let engine = engine.as_ref().unwrap();
+                let journalled = (engine.journal_events().into_iter())
                     .filter_map(|e| match e {
                         Event::TemplateDeployed {
                             process, version, ..
@@ -862,7 +875,7 @@ fn a_deploy_crashed_after_any_hop_leaves_each_default_to_its_journal() {
                     })
                     .last()
                     .unwrap_or_else(|| hex(&v1));
-                let default = hex(&shard.engine.template("one").unwrap().def);
+                let default = hex(&engine.template("one").unwrap().def);
                 assert_eq!(default, journalled, "shard {at} after hop {hop}");
                 let moved = if at <= hop { hex(&v2) } else { hex(&v1) };
                 assert_eq!(default, moved, "shard {at} after hop {hop}");
@@ -1028,8 +1041,7 @@ fn a_full_disk_fails_every_batch_and_gives_back_every_slot() {
             templates(),
             &format!("sim-{n}"),
         );
-        let pool = Arc::get_mut(&mut sim.pool).unwrap();
-        Arc::get_mut(&mut pool.shards).unwrap()[0].engine = engine;
+        sim.engines[0] = Some(engine);
         let tenants = sim.live();
         for _ in 0..rng.pick(1, 80) {
             arrive(&mut sim, rng, &tenants);
@@ -1042,14 +1054,17 @@ fn a_full_disk_fails_every_batch_and_gives_back_every_slot() {
     });
 }
 
-/// A program that panics takes its shard's step down. Every submission
-/// the worker abandons — the rest of the batch, the lanes behind it —
-/// is answered `shard worker stopped` and gives its quota back; a
-/// control job queued behind it is dropped, its sink uncalled (the
-/// pool's contract: over HTTP, the sink `routes::answer_later` made
-/// answers `500 shard worker stopped` as it drops — the loopback test
-/// `an_abandoned_completion_still_answers_over_http`); later jobs are
-/// run by their callers, and a later submission is answered at once.
+/// A program that panics takes its shard's step down, and its engine
+/// with it. Every submission the worker abandons — the rest of the
+/// batch, the lanes behind it — is answered `shard worker stopped` and
+/// gives its quota back; a control job queued behind it is dropped, its
+/// sink uncalled (the pool's contract: over HTTP, the sink
+/// `routes::answer_later` made answers `500 shard worker stopped` as it
+/// drops — the loopback test
+/// `an_abandoned_completion_still_answers_over_http`). So is every job
+/// that comes later — a completion, a deploy's hop, a tenant reload, a
+/// drain: each is answered as abandoned, at once, and none runs. A
+/// later submission is answered `shard worker stopped` at once.
 #[test]
 fn a_dying_worker_answers_what_it_abandons() {
     let stopped = Err(("shard worker stopped".to_owned(), false));
@@ -1059,12 +1074,13 @@ fn a_dying_worker_answers_what_it_abandons() {
         setup.tenants[0].3 = 64;
         let mut sim = Sim::open(setup, "dead-worker");
         let acme = sim.tenant("acme");
-        assert!(sim.submit(Some(&acme), "auto"));
+        assert!(sim.submit(Some(&acme), "manual"));
         sim.settle();
         assert!(
             sim.heard.lock()[0].reply.is_ok(),
             "flushed before the panic"
         );
+        let (item, instance, _) = sim.pool.worklist("ann", None)[0];
 
         let first = sim.sent.len();
         assert!(sim.submit(Some(&acme), "boom"));
@@ -1073,10 +1089,14 @@ fn a_dying_worker_answers_what_it_abandons() {
             assert!(sim.submit(Some(&acme), process));
         }
         let (tx, rx) = channel();
-        sim.pool
-            .complete_with(1, "ann".to_owned(), Box::new(move |r| tx.send(r).unwrap()));
+        sim.pool.complete_with(
+            item,
+            "ann".to_owned(),
+            Box::new(move |r| tx.send(r).unwrap()),
+        );
         let unwound = catch_unwind(AssertUnwindSafe(|| sim.step(0)));
         assert!(unwound.is_err(), "the program's panic unwinds the step");
+        assert!(sim.engines[0].is_none(), "the engine went with its step");
         for h in &sim.heard.lock()[1..] {
             assert!(h.ticket >= first);
             assert_eq!(h.reply, stopped, "#{}", h.ticket);
@@ -1086,8 +1106,34 @@ fn a_dying_worker_answers_what_it_abandons() {
         assert_eq!(acme.inflight.load(Ordering::Relaxed), 0, "quota given back");
         assert_eq!(rx.try_recv().unwrap_err(), TryRecvError::Disconnected);
 
-        let drained = answer_of(|sink| sim.pool.drain_with(sink));
-        assert!(drained.is_some(), "run by its caller");
+        // What a job would leave if it ran: a written template file, a
+        // checkpoint in the journal, a key that authenticates.
+        let files = |dir: &Path| std::fs::read_dir(dir).unwrap().count();
+        let (before, lengths) = (files(&sim.dir.join("templates")), sim.lengths());
+        let path = sim.dir.join("tenants.json");
+        std::fs::write(
+            &path,
+            tenants_file(&[("delta", "k-delta".to_owned(), 1, 1)]),
+        )
+        .unwrap();
+        let pool = &sim.pool;
+        let completed = answer_of(|sink| pool.complete_with(item, "ann".to_owned(), sink));
+        assert!(completed.is_none(), "a completion answered");
+        let deployed =
+            answer_of(|sink| pool.deploy_with(one("B"), MigrationPolicy::DrainOld, sink));
+        assert!(deployed.is_none(), "a deploy answered");
+        let reloaded = answer_of(|sink| pool.reload_tenants(path, sink));
+        assert!(reloaded.is_none(), "a reload answered");
+        assert!(
+            answer_of(|sink| pool.drain_with(sink)).is_none(),
+            "a drain answered"
+        );
+        assert_eq!(files(&sim.dir.join("templates")), before, "a deploy ran");
+        assert_eq!(sim.lengths(), lengths, "a job wrote the journal");
+        assert!(pool.authenticate(b"k-delta").is_none(), "a reload ran");
+        let status = pool.status(instance).map(|(_, status, ..)| status);
+        assert_eq!(status, Some(InstanceStatus::Running), "a completion ran");
+
         let late = sim.sent.len();
         assert!(sim.submit(Some(&acme), "auto"));
         let heard = sim.heard.lock();

@@ -2018,11 +2018,13 @@ fn a_deploy_and_a_drain_over_two_shards_answer_once_for_both() {
 }
 
 /// After a panicking program has taken the shard worker down, the
-/// inbox is closed and nothing is left to race: a completion, a deploy
-/// and a drain are each run by their caller, and return — none waits
-/// out `REPLY_TIMEOUT` for a worker that is not there.
+/// inbox is closed and its engine gone with the worker: a completion, a
+/// deploy and a drain are each dropped unrun, and each blocking call
+/// reports that the worker did not answer at once — none waits out
+/// `REPLY_TIMEOUT` for a worker that is not there, and none runs a
+/// program on the thread that asked.
 #[test]
-fn a_dead_worker_leaves_later_jobs_to_their_callers() {
+fn a_dead_worker_answers_later_jobs_at_once() {
     let dir = temp_dir("dead-worker-jobs");
     let ran = Ran::default();
     let mut cfg = pool_config(&dir);
@@ -2052,29 +2054,25 @@ fn a_dead_worker_leaves_later_jobs_to_their_callers() {
 
     let asked = std::time::Instant::now();
     let items = pool.worklist("ann", None);
-    pool.complete(items[0].0, "ann").unwrap();
-    let (_, status, ..) = pool.status(id).unwrap();
-    assert_eq!(status, InstanceStatus::Finished);
-    let report = pool
-        .deploy(flow_process_v2(), MigrationPolicy::MigrateAtScopeBoundary)
-        .unwrap();
-    assert_eq!(
-        report.version,
-        format!("{:016x}", wfms_engine::spec_hash_of(&flow_process_v2()))
-    );
-    pool.drain().unwrap();
+    let unanswered = "shard worker did not answer";
+    let completed = pool.complete(items[0].0, "ann").unwrap_err();
+    assert!(completed.to_string().contains(unanswered), "{completed}");
+    let deployed = pool.deploy(flow_process_v2(), MigrationPolicy::MigrateAtScopeBoundary);
+    let deployed = deployed.unwrap_err();
+    assert!(deployed.to_string().contains(unanswered), "{deployed}");
+    let drained = pool.drain().unwrap_err();
+    assert!(drained.to_string().contains(unanswered), "{drained}");
     assert!(
-        asked.elapsed() < Duration::from_secs(10),
+        asked.elapsed() < Duration::from_secs(1),
         "{:?}",
         asked.elapsed()
     );
 
-    // `head` ran on the worker while there was one; the completion's
-    // programs ran on the thread that asked for it — this one.
-    let here = std::thread::current().name().unwrap().to_owned();
+    // `head` ran on the worker while there was one; nothing ran since.
+    let (_, status, ..) = pool.status(id).unwrap();
+    assert_eq!(status, InstanceStatus::Running);
     let ran = ran.lock().unwrap().clone();
-    assert_eq!(ran[0], ("head", "wfms-shard-0".to_owned()));
-    assert_eq!(ran[1..], [("manual", here.clone()), ("tail", here)]);
+    assert_eq!(ran, [("head", "wfms-shard-0".to_owned())]);
     drop(pool);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -2141,6 +2139,92 @@ fn an_abandoned_completion_still_answers_over_http() {
         released.elapsed() < Duration::from_secs(5),
         "answered after {:?}",
         released.elapsed()
+    );
+
+    server.shutdown(true);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Once a panicking program has taken the one shard's worker down, a
+/// completion no longer runs anywhere: on a fresh connection it is
+/// answered `500 shard worker stopped` at once, and its program does
+/// not run on the reactor that took the request. While the worker lived,
+/// the same completion ran on it.
+#[test]
+fn a_dead_shard_runs_no_program_on_a_reactor() {
+    let dir = temp_dir("dead-shard-reactor");
+    let ran = Ran::default();
+    let mut cfg = pool_config(&dir);
+    cfg.shards = 1;
+    cfg.templates.push(
+        ProcessBuilder::new("doomed")
+            .program("A", "boom")
+            .build()
+            .unwrap(),
+    );
+    let recorder = Arc::clone(&ran);
+    let pool = ShardPool::open(cfg, Arc::new(Registry::new()), &move |shard| {
+        let (fed, programs) = provision(shard);
+        let ran = Arc::clone(&recorder);
+        programs.register_fn("ok", move |_| {
+            let thread = std::thread::current().name().unwrap_or("?").to_owned();
+            ran.lock().unwrap().push(("ok", thread));
+            ProgramOutcome::committed()
+        });
+        programs.register_fn("boom", |_| panic!("boom: the test's panicking program"));
+        (fed, programs)
+    })
+    .unwrap();
+    let pool = Arc::new(pool);
+    let mut scfg = ServerConfig::new("manual");
+    scfg.reactors = 1;
+    let server = Server::start(Arc::clone(&pool), scfg).unwrap();
+    let url = server.local_addr().to_string();
+
+    let mut client = Http1Client::new(&url);
+    for _ in 0..2 {
+        let (code, body) = client.request("POST", "/instances", Some("{}")).unwrap();
+        assert_eq!(code, 201, "{body}");
+    }
+    let (_, body) = client.request("GET", "/worklist?person=ann", None).unwrap();
+    let wl: WorklistResponse = serde_json::from_str(&body).unwrap();
+    assert_eq!(wl.items.len(), 2, "{body}");
+    let complete = |client: &mut Http1Client, item: u64| {
+        let path = format!("/worklist/{item}/complete");
+        client
+            .request("POST", &path, Some(r#"{"person":"ann"}"#))
+            .unwrap()
+    };
+    let (code, body) = complete(&mut client, wl.items[0].id);
+    assert_eq!(code, 200, "{body}");
+    let lived = ran.lock().unwrap().clone();
+    assert!(!lived.is_empty());
+    assert!(lived.iter().all(|(_, t)| t == "wfms-shard-0"), "{lived:?}");
+
+    let stopped = r#"{"error":"internal","detail":"shard worker stopped"}"#;
+    let doomed = Some(r#"{"process":"doomed"}"#);
+    let (code, body) = client.request("POST", "/instances", doomed).unwrap();
+    assert_eq!(
+        (code, body.as_str()),
+        (500, stopped),
+        "the doomed submission"
+    );
+    // Once a drain is back, the unwinding worker has closed its inbox.
+    let _ = pool.drain();
+
+    let asked = std::time::Instant::now();
+    let (code, body) = complete(&mut Http1Client::new(&url), wl.items[1].id);
+    assert_eq!((code, body.as_str()), (500, stopped), "the completion");
+    assert!(
+        asked.elapsed() < Duration::from_secs(1),
+        "answered after {:?}",
+        asked.elapsed()
+    );
+    let ran = ran.lock().unwrap().clone();
+    assert_eq!(ran, lived, "a program ran after the worker died");
+    assert!(
+        ran.iter().all(|(_, t)| !t.starts_with("wfms-reactor-")),
+        "{ran:?}"
     );
 
     server.shutdown(true);
