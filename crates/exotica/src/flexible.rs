@@ -100,12 +100,12 @@ fn names<'s>(steps: &[&'s StepSpec]) -> Vec<&'s str> {
 }
 
 /// Name of the segment block for a run of steps.
-pub fn segment_block(steps: &[&StepSpec]) -> String {
+fn segment_block(steps: &[&StepSpec]) -> String {
     format!("Blk_{}", names(steps).join("_"))
 }
 
 /// Name of the compensation block for a segment.
-pub fn segment_comp_block(steps: &[&StepSpec]) -> String {
+fn segment_comp_block(steps: &[&StepSpec]) -> String {
     format!("Comp_{}", names(steps).join("_"))
 }
 

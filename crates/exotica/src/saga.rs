@@ -51,12 +51,12 @@ pub const COMPENSATION_BLOCK: &str = "Compensation";
 pub const NOP_ACTIVITY: &str = "NOP";
 
 /// The `State_i` member name for a step.
-pub fn state_member(step: &str) -> String {
+fn state_member(step: &str) -> String {
     format!("State_{step}")
 }
 
 /// The compensation activity name for a step.
-pub fn comp_activity(step: &str) -> String {
+fn comp_activity(step: &str) -> String {
     format!("Comp_{step}")
 }
 

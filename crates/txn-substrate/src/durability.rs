@@ -137,18 +137,25 @@ impl DurableWriter {
     /// Hands the closed frames to the OS, keeping the open one. They
     /// leave the buffer either way: a failed write may have left a
     /// prefix of them in the file, and sending them again would repeat
-    /// that prefix.
+    /// that prefix. A failed write discards the open frame too, so that
+    /// nothing, not even `Drop`, writes behind the torn bytes; the
+    /// records of both are still in the log's memory.
     fn write(&mut self) -> std::io::Result<usize> {
         let sealed = self.frames.sealed();
         let len = sealed.len();
-        let written = self.file.write_all(sealed);
-        self.frames.drop_sealed();
-        self.pending = self.frames.open_records();
-        written?;
-        if self.policy == DurabilityPolicy::PerEventSync {
-            self.file.sync_data()?;
+        let written = self.file.write_all(sealed).and_then(|()| {
+            if self.policy == DurabilityPolicy::PerEventSync {
+                self.file.sync_data()?;
+            }
+            Ok(len)
+        });
+        if written.is_ok() {
+            self.frames.drop_sealed();
+        } else {
+            self.frames = Encoder::default();
         }
-        Ok(len)
+        self.pending = self.frames.open_records();
+        written
     }
 
     /// Replaces the underlying file (after an atomic rewrite swapped a
@@ -335,6 +342,29 @@ mod tests {
         assert_eq!(frames(&path)[7..], [vec![1]]);
         assert_eq!(append(&[3], false), FRAME_HEADER + 3);
         assert_eq!(frames(&path)[8..], [vec![0, 2, 3]]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A writer whose write failed writes nothing more: not the frame
+    /// it held open, not even when it is dropped over a file that would
+    /// take it. A frame written there would land intact behind the torn
+    /// one, where reopening refuses it as mid-file corruption.
+    #[test]
+    fn a_failed_write_leaves_no_frame_to_drop() {
+        let dir = tmp_dir("failed");
+        let (read_only, writable) = (dir.join("ro"), dir.join("rw"));
+        std::fs::write(&read_only, Byte::HEADER).unwrap();
+        std::fs::write(&writable, "").unwrap();
+        let file = std::fs::File::open(&read_only).unwrap();
+        let mut w = DurableWriter::new(file, DurabilityPolicy::Batched { n: 4 });
+        for b in 1..=5 {
+            w.push(&Byte(b));
+        }
+        assert!(w.commit(5, false).is_err(), "a read-only file");
+        let file = std::fs::OpenOptions::new().append(true).open(&writable);
+        w.replace_file(file.unwrap());
+        drop(w);
+        assert_eq!(std::fs::read(&writable).unwrap(), b"", "no fifth frame");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -365,12 +365,12 @@ pub fn put_u64(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Zig-zag, then varint.
-pub fn put_i64(out: &mut Vec<u8>, v: i64) {
+fn put_i64(out: &mut Vec<u8>, v: i64) {
     put_u64(out, ((v << 1) ^ (v >> 63)) as u64);
 }
 
 /// Varint length, then the bytes.
-pub fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     put_u64(out, b.len() as u64);
     out.extend_from_slice(b);
 }

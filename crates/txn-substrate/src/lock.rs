@@ -22,7 +22,7 @@
 use crate::fast_hash::{FastMap, FastSet};
 use crate::txn::TxnId;
 use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use wfms_observe::Value as Reading;
 
@@ -37,7 +37,7 @@ pub enum LockMode {
 
 impl LockMode {
     /// Lock compatibility matrix: only S/S is compatible.
-    pub fn compatible(self, other: LockMode) -> bool {
+    fn compatible(self, other: LockMode) -> bool {
         matches!((self, other), (LockMode::Shared, LockMode::Shared))
     }
 
@@ -231,20 +231,6 @@ impl LockManager {
         }
     }
 
-    /// Keys currently locked by `txn`, in key order, with their modes.
-    pub fn held_by(&self, txn: TxnId) -> BTreeMap<String, LockMode> {
-        let st = self.state.lock();
-        let mode_on = |key: &Arc<str>| {
-            let holders = &st.table.get(&**key)?.holders;
-            let &(_, mode) = holders.iter().find(|&&(t, _)| t == txn)?;
-            Some((key.to_string(), mode))
-        };
-        st.held
-            .get(&txn)
-            .map(|keys| keys.iter().filter_map(mode_on).collect())
-            .unwrap_or_default()
-    }
-
     /// Snapshot of the lock-manager counters.
     pub fn stats(&self) -> LockStats {
         self.state.lock().stats
@@ -399,12 +385,27 @@ impl LmState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use std::sync::Arc;
     use std::thread;
     use std::time::Duration;
 
     fn t(n: u64) -> TxnId {
         TxnId(n)
+    }
+
+    /// Keys currently locked by `txn`, in key order, with their modes.
+    fn held_by(lm: &LockManager, txn: TxnId) -> BTreeMap<String, LockMode> {
+        let st = lm.state.lock();
+        let mode_on = |key: &Arc<str>| {
+            let holders = &st.table.get(&**key)?.holders;
+            let &(_, mode) = holders.iter().find(|&&(t, _)| t == txn)?;
+            Some((key.to_string(), mode))
+        };
+        st.held
+            .get(&txn)
+            .map(|keys| keys.iter().filter_map(mode_on).collect())
+            .unwrap_or_default()
     }
 
     #[test]
@@ -423,7 +424,7 @@ mod tests {
         assert!(lm.holds(t(1), "k", LockMode::Shared));
         // Re-entrant exclusive is a no-op.
         lm.acquire(t(1), "k", LockMode::Exclusive).unwrap();
-        assert_eq!(lm.held_by(t(1)).len(), 1);
+        assert_eq!(held_by(&lm, t(1)).len(), 1);
     }
 
     #[test]
@@ -541,9 +542,9 @@ mod tests {
         let lm = LockManager::new();
         lm.acquire(t(1), "a", LockMode::Shared).unwrap();
         lm.acquire(t(1), "b", LockMode::Exclusive).unwrap();
-        assert_eq!(lm.held_by(t(1)).len(), 2);
+        assert_eq!(held_by(&lm, t(1)).len(), 2);
         lm.release_all(t(1));
-        assert!(lm.held_by(t(1)).is_empty());
+        assert!(held_by(&lm, t(1)).is_empty());
     }
 
     #[test]
@@ -551,7 +552,7 @@ mod tests {
         let lm = LockManager::new();
         lm.acquire(t(1), "z", LockMode::Shared).unwrap();
         lm.acquire(t(1), "a", LockMode::Exclusive).unwrap();
-        let held = lm.held_by(t(1));
+        let held = held_by(&lm, t(1));
         let keys: Vec<_> = held.keys().cloned().collect();
         assert_eq!(keys, vec!["a".to_string(), "z".to_string()]);
         assert_eq!(held["a"], LockMode::Exclusive);

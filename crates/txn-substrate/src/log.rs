@@ -91,10 +91,12 @@ pub struct FaultCounters {
 
 /// An append-only log of `R` records.
 ///
-/// Not synchronised: its owner keeps it behind one lock, held across
-/// each call and so across the mirror write — the file's record order
-/// is exactly the append order, and a compaction can never rewrite the
-/// file while an append sits between "in memory" and "in file".
+/// Not synchronised: it has one owner, which holds it across each call
+/// and so across the mirror write — a database's WAL behind its lock,
+/// the engine journal in a cell its one owner borrows. So the file's
+/// record order is exactly the append order, and a compaction can never
+/// rewrite the file while an append sits between "in memory" and "in
+/// file".
 #[derive(Debug)]
 pub struct Log<R> {
     /// The records no file holds: all of an unmirrored log, the

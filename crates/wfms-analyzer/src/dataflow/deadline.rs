@@ -176,7 +176,7 @@ impl Analysis for RemainingTime<'_> {
 /// Critical-path bounds of one scope: ticks from instance start to
 /// quiescence, notification-free. All start activities are seeded
 /// ready together, so the slowest chain bounds the scope.
-pub fn scope_bounds(level: Level<'_>) -> Interval {
+fn scope_bounds(level: Level<'_>) -> Interval {
     let (scope, facts) = (level.scope(), level.facts());
     let durations = (0..scope.acts.len() as ActId)
         .map(|act| duration(level, act))

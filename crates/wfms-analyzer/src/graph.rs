@@ -26,7 +26,7 @@ pub struct GraphLint;
 /// Whether a connector can never fire: its condition constant-folds
 /// to `FALSE` or is statically guaranteed to fail evaluation (the
 /// engine maps evaluation errors to "false" plus an audit warning).
-pub fn statically_dead(conn: &ControlConnector) -> bool {
+fn statically_dead(conn: &ControlConnector) -> bool {
     conn.condition.const_value() == Some(Value::Bool(false))
         || conn.condition.const_error().is_some()
 }

@@ -366,15 +366,6 @@ impl CompiledScope {
         self.interner.get(name)
     }
 
-    /// The child scope of the block activity `id`, if it is a block.
-    #[inline]
-    pub fn child_scope(&self, id: ActId) -> Option<&Arc<CompiledScope>> {
-        match &self.acts.get(id as usize)?.kind {
-            CompiledKind::Block(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// The edge id of the connector `from → to`, if declared.
     pub fn edge_id(&self, from: &str, to: &str) -> Option<EdgeId> {
         let (f, t) = (self.id(from)?, self.id(to)?);
@@ -735,7 +726,9 @@ mod tests {
         assert_eq!(t.root.id("A"), Some(0));
         assert_eq!(t.root.id("B"), Some(1));
         assert_eq!(t.root.starts, vec![0]);
-        let b = t.root.child_scope(1).unwrap();
+        let CompiledKind::Block(b) = &t.root.acts[1].kind else {
+            panic!("B is a block");
+        };
         assert_eq!(b.id("X"), Some(0));
         assert_eq!(b.id("Y"), Some(1));
         assert_eq!(b.edges.len(), 1);

@@ -5,6 +5,8 @@
 //! What the journal describes (template defaults, instances, work
 //! items, the work-item id allocator) is one value, `EngineState`,
 //! with one owner, and it changes one way: an [`Event`] takes effect.
+//! The engine takes no lock: that value and the journal are cells its
+//! owner borrows, one call at a time.
 //! Instance ids are dense — 1, 2, 3, … and none is forgotten — so an
 //! instance is found by its id, as its place in the table, and the next
 //! id is the table's length + 1. An instance that has stopped running
@@ -31,7 +33,7 @@
 use crate::compiled::CompiledProcess;
 use crate::event::{Event, InstanceId, WorkItemId};
 use crate::journal::Journal;
-use crate::metrics::{act_probes, ActProbes, EngineObs, JournalProbes};
+use crate::metrics::{EngineObs, ProbeCache};
 use crate::navigator::{self, NavServices};
 use crate::org::OrgModel;
 use crate::recovery::{self, RecoveryError, Replay};
@@ -41,7 +43,6 @@ use crate::worklist::{WorkItem, WorkItemState, WorklistError, WorklistStore};
 use std::cell::RefCell;
 use std::path::PathBuf;
 use std::sync::Arc;
-use txn_substrate::fast_hash::FastMap;
 use txn_substrate::{
     DurabilityPolicy, MirrorError, MultiDatabase, ProgramRegistry, TailReport, VirtualClock,
 };
@@ -227,9 +228,10 @@ impl From<Refused> for EngineError {
 }
 
 /// The engine's state: everything the journal describes, plus the
-/// organization — consulted while deciding, written by no event. Built
-/// by folding `EngineState::apply` over a journal, changed afterwards
-/// by the same function.
+/// organization — consulted while deciding, written by no event — and
+/// the latency probes instances are handed. Built by folding
+/// `EngineState::apply` over a journal, changed afterwards by the same
+/// function.
 pub(crate) struct EngineState {
     pub(crate) registry: TemplateRegistry,
     /// Every instance ever started, in id order: instance `id` at
@@ -241,6 +243,9 @@ pub(crate) struct EngineState {
     pub(crate) worklists: WorklistStore,
     pub(crate) next_item: u64,
     pub(crate) org: OrgModel,
+    /// Built lazily, for a template's first instance while the engine
+    /// is observed. Not state the journal describes.
+    pub(crate) probes: ProbeCache,
 }
 
 /// Where instance `id` sits in `EngineState::instances` — past the end
@@ -271,6 +276,7 @@ impl EngineState {
             worklists: WorklistStore::new(),
             next_item: 1,
             org: OrgModel::new(),
+            probes: ProbeCache::default(),
         })
     }
 
@@ -634,9 +640,10 @@ pub struct InstanceView {
 
 /// The workflow engine.
 ///
-/// An engine has one owner: it is `Send` but not `Sync`, its state a
-/// cell and not a lock, so a thread that does not own it cannot reach
-/// it. Sharing one across threads does not compile:
+/// An engine has one owner and takes no lock: its state and its
+/// journal are cells its owner borrows, so it is `Send` but not `Sync`,
+/// and a thread that does not own it cannot reach it. Sharing one
+/// across threads does not compile:
 ///
 /// ```compile_fail,E0277
 /// use std::sync::Arc;
@@ -656,10 +663,6 @@ pub struct Engine {
     pub(crate) multidb: Arc<MultiDatabase>,
     pub(crate) clock: VirtualClock,
     pub(crate) obs: EngineObs,
-    /// Per-template latency probes, built lazily on first start and
-    /// shared by every instance of the template. Not state the journal
-    /// describes; borrowed, briefly, while the state is.
-    pub(crate) probes: RefCell<FastMap<u64, ActProbes>>,
     /// What opening found in the journal file.
     reopened: TailReport,
     /// What opening's recovery repaired.
@@ -703,7 +706,7 @@ impl Engine {
     /// consulted) and the state `replay` folded from it, with the
     /// navigation the crash interrupted repaired.
     pub(crate) fn open_on(
-        journal: Journal,
+        mut journal: Journal,
         replay: Replay,
         multidb: Arc<MultiDatabase>,
         programs: Arc<ProgramRegistry>,
@@ -726,15 +729,18 @@ impl Engine {
         let observer = config
             .observer
             .unwrap_or_else(|| Arc::new(Observer::disabled()));
-        if observer.is_enabled() {
-            journal.attach_probes(JournalProbes::new(observer.registry()));
-        }
-        journal.attach_fault_counters(observer.registry());
+        journal.observe(&observer);
         if stale_claims > 0 {
             observer
                 .registry()
                 .counter("recovery.stale_claims_released")
                 .add(stale_claims as u64);
+        }
+        let obs = EngineObs::new(observer);
+        if obs.enabled() {
+            for inst in state.instances.iter_mut().filter(|i| !i.is_retired()) {
+                inst.probes = Some(obs.act_probes(&mut state.probes, &inst.tpl));
+            }
         }
         let mut engine = Self {
             state: RefCell::new(state),
@@ -743,18 +749,10 @@ impl Engine {
             programs,
             multidb,
             clock,
-            obs: EngineObs::new(observer),
-            probes: RefCell::default(),
+            obs,
             reopened: TailReport::default(),
             repaired: recovery::FixupCounts::default(),
         };
-        if engine.obs.enabled() {
-            for inst in engine.state.borrow_mut().instances.iter_mut() {
-                if !inst.is_retired() {
-                    inst.probes = Some(engine.probes_for(&inst.tpl));
-                }
-            }
-        }
         engine.repaired = recovery::resume(&engine);
         Ok(engine)
     }
@@ -816,11 +814,6 @@ impl Engine {
         &self.multidb
     }
 
-    /// The program registry.
-    pub fn programs(&self) -> &Arc<ProgramRegistry> {
-        &self.programs
-    }
-
     /// `st` as the navigator takes it: the instances, one of which it
     /// drives, and the services over everything else it reads or emits
     /// into.
@@ -835,6 +828,7 @@ impl Engine {
             counts: &mut st.counts,
             worklists: &mut st.worklists,
             next_item: &mut st.next_item,
+            probes: &mut st.probes,
             programs: &self.programs,
             multidb: &self.multidb,
             obs: &self.obs,
@@ -883,18 +877,6 @@ impl Engine {
         let done = done?;
         self.check_journal()?;
         Ok(done)
-    }
-
-    /// The probes for `tpl`, built on first use and cached. Keyed by
-    /// the spec hash, as the template registry is: two versions of one
-    /// process can have different slot layouts.
-    fn probes_for(&self, tpl: &Arc<CompiledProcess>) -> ActProbes {
-        let mut cache = self.probes.borrow_mut();
-        Arc::clone(
-            cache
-                .entry(tpl.spec_hash)
-                .or_insert_with(|| act_probes(&tpl.layout, self.obs.observer.registry())),
-        )
     }
 
     /// Validates a definition and registers its **compiled template**
@@ -985,7 +967,7 @@ impl Engine {
         let (instances, mut svc) = self.nav(&mut st);
         let inst = &mut instances[index_of(id)];
         if self.obs.enabled() {
-            inst.probes = Some(self.probes_for(&inst.tpl));
+            inst.probes = Some(self.obs.act_probes(svc.probes, &inst.tpl));
         }
         navigator::seed_scope(inst, &mut svc, 0);
         inst.retire();
@@ -1028,7 +1010,7 @@ impl Engine {
                 return Ok(MigrationOutcome::Skipped { reason });
             }
             if self.obs.enabled() {
-                inst.probes = Some(self.probes_for(&target));
+                inst.probes = Some(self.obs.act_probes(svc.probes, &target));
             }
             // The transferred frontier may owe navigation the new version
             // introduces (fresh edges out of terminated activities, joins

@@ -19,6 +19,10 @@
 //! events unflushed). See `docs/recovery.md` for how the crash-point
 //! sweep exercises each policy's loss window.
 //!
+//! A journal has one owner and takes no lock: its log is a cell the
+//! owner borrows for each call, and the engine that opens it sets its
+//! probes while it holds it by value.
+//!
 //! What this module adds is what only the engine needs: append probes,
 //! adoption of the log's fault counters into the engine's registry as
 //! `journal.*`, per-instance event queries, and the one-shot upgrade of
@@ -39,16 +43,15 @@
 
 use crate::event::Event;
 use crate::metrics::JournalProbes;
-use parking_lot::Mutex;
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
 use txn_substrate::durability::{
     atomic_rewrite, DurabilityPolicy, MirrorError, TailReport, TornTail,
 };
 use txn_substrate::frame::{self, DecodeError};
 use txn_substrate::log::Log;
-use wfms_observe::Registry;
+use wfms_observe::Observer;
 
 /// What [`Journal::upgrade_json_file`] did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,15 +71,29 @@ pub enum Upgrade {
 }
 
 /// An append-only journal of navigation events.
+///
+/// A journal has one owner, the engine that writes it (or a test or
+/// tool using it on its own): the log is a cell borrowed for each call,
+/// and so across each append and its mirror write, so file order is
+/// append order. It is `Send` but not `Sync`; sharing one across
+/// threads does not compile:
+///
+/// ```compile_fail,E0277
+/// use wfms_engine::Journal;
+///
+/// let journal = Journal::new();
+/// std::thread::scope(|s| {
+///     s.spawn(|| journal.len());
+/// });
+/// ```
 #[derive(Debug, Default)]
 pub struct Journal {
-    /// The log, behind the journal's one lock: held across each append
-    /// and its mirror write, so file order is append order.
-    log: Mutex<Log<Event>>,
-    /// Observability instruments, attached by the engine when its
-    /// observer is enabled. `OnceLock::get` on the (common) empty cell
-    /// is a single atomic load, so unobserved journals pay nothing.
-    probes: OnceLock<JournalProbes>,
+    /// The log, borrowed for the length of each call.
+    log: RefCell<Log<Event>>,
+    /// Observability instruments, set by the engine that opens the
+    /// journal when its observer is enabled; unobserved journals pay
+    /// one branch.
+    probes: Option<JournalProbes>,
 }
 
 impl Journal {
@@ -123,8 +140,8 @@ impl Journal {
 
     fn over(log: Log<Event>) -> Self {
         Self {
-            log: Mutex::new(log),
-            probes: OnceLock::new(),
+            log: RefCell::new(log),
+            probes: None,
         }
     }
 
@@ -151,17 +168,16 @@ impl Journal {
     /// original, so a crash leaves the old file or the new one. A
     /// half-written final line is dropped, as reopening used to drop
     /// it; an unparseable line anywhere else is an error and the file
-    /// is left alone. A version-1 binary journal is rewritten the same
-    /// way, as [`Journal::file_bytes`] of its intact events.
+    /// is left alone. A version-1 binary journal is opened, which
+    /// rewrites it the same way ([`Log::open`]).
     pub fn upgrade_json_file(path: &Path) -> std::io::Result<Upgrade> {
         let bytes = std::fs::read(path)?;
         match frame::visit_file::<Event>(&bytes, |_, _| {}) {
             Err(DecodeError::NotThisLog) => {}
             Ok(found) if found.older => {
-                let (events, report) = Self::read_file(path)?;
-                atomic_rewrite(path, &Self::file_bytes(&events))?;
+                let (_, report) = Self::with_file_report(path, DurabilityPolicy::default())?;
                 return Ok(Upgrade::Converted {
-                    events: events.len(),
+                    events: report.records,
                     torn_tail: report.torn_tail,
                 });
             }
@@ -225,25 +241,24 @@ impl Journal {
     /// engine surfaces this as
     /// [`EngineError::Journal`](crate::EngineError::Journal).
     pub fn mirror_error(&self) -> Option<MirrorError> {
-        self.log.lock().mirror_error().cloned()
+        self.log.borrow().mirror_error().cloned()
     }
 
-    /// Attaches metrics probes (append counts, append/flush latency,
-    /// batch sizes). First attachment wins; called once by the engine
-    /// at construction when observability is enabled.
-    pub(crate) fn attach_probes(&self, probes: JournalProbes) {
-        let _ = self.probes.set(probes);
-    }
-
-    /// Moves the log's fault counters into `reg` as
-    /// `journal.torn_tails_truncated`, `journal.mirror_errors` and
-    /// `journal.crc_failures`, carrying over what was counted so far
+    /// Counts into `observer`'s registry. The log's fault counters move
+    /// there as `journal.torn_tails_truncated`, `journal.mirror_errors`
+    /// and `journal.crc_failures`, carrying over what was counted so far
     /// (the reopen that found a torn tail ran before the engine and its
-    /// registry existed). Called by the engine at construction, with
-    /// or without an enabled observer: faults are cold and always
-    /// counted, like the `recovery.*` fix-ups.
-    pub(crate) fn attach_fault_counters(&self, reg: &Registry) {
-        self.log.lock().adopt_fault_counters(reg, "journal");
+    /// registry existed), with or without an enabled observer: faults
+    /// are cold and always counted, like the `recovery.*` fix-ups. The
+    /// append probes (append counts, append/flush latency, batch sizes)
+    /// only when it is enabled. Called once, by the engine that opens
+    /// the journal.
+    pub(crate) fn observe(&mut self, observer: &Observer) {
+        let reg = observer.registry();
+        self.log.get_mut().adopt_fault_counters(reg, "journal");
+        if observer.is_enabled() {
+            self.probes = Some(JournalProbes::new(reg));
+        }
     }
 
     /// Appends an event. Mirror I/O failures do not panic; they are
@@ -252,41 +267,41 @@ impl Journal {
     /// Encoding happens **only when a file mirror is attached**, and
     /// then the event is kept only until its frame is written: the
     /// unmirrored journal stores the event value itself, so that steady
-    /// state (every embedded benchmark engine) pays a lock and a `Vec`
-    /// push, nothing more.
+    /// state (every embedded benchmark engine) pays a `Vec` push,
+    /// nothing more.
     pub fn append(&self, event: Event) {
-        let Some(p) = self.probes.get() else {
-            self.log.lock().append(event, false);
+        let Some(p) = &self.probes else {
+            self.log.borrow_mut().append(event, false);
             return;
         };
         // Latency is sampled 1-in-16; the append counter stays exact.
         let t0 = p.sample_tick().then(std::time::Instant::now);
-        self.log.lock().append(event, false);
+        self.log.borrow_mut().append(event, false);
         p.appends.inc();
         if let Some(t0) = t0 {
             p.append_ns.record(t0.elapsed().as_nanos() as u64);
         }
     }
 
-    /// Appends a batch of events with a single lock acquisition and a
-    /// single group commit of the mirror — how
+    /// Appends a batch of events with a single group commit of the
+    /// mirror — how
     /// [`recover_from`](crate::recover_from) seeds a journal with the
     /// history it is to replay.
     pub fn append_batch(&self, batch: Vec<Event>) {
         if batch.is_empty() {
             return;
         }
-        if let Some(p) = self.probes.get() {
+        if let Some(p) = &self.probes {
             p.appends.add(batch.len() as u64);
             p.batch_size.record(batch.len() as u64);
         }
-        self.log.lock().append_batch(batch);
+        self.log.borrow_mut().append_batch(batch);
     }
 
     /// Forces buffered mirror frames to the file (a durability barrier
     /// under any policy; a no-op for unmirrored journals).
     pub fn flush(&self) {
-        self.log.lock().flush()
+        self.log.borrow_mut().flush()
     }
 
     /// Consumes the journal, returning its events.
@@ -296,37 +311,37 @@ impl Journal {
 
     /// Number of events.
     pub fn len(&self) -> usize {
-        self.log.lock().len()
+        self.log.borrow().len()
     }
 
     /// True if no events have been journalled.
     pub fn is_empty(&self) -> bool {
-        self.log.lock().is_empty()
+        self.log.borrow().is_empty()
     }
 
     /// Events held in memory right now: all of an unmirrored journal,
     /// the unflushed tail of a mirrored one (at most `n - 1` under
     /// `Batched { n }`, none after a flush).
     pub fn resident_events(&self) -> usize {
-        self.log.lock().resident()
+        self.log.borrow().resident()
     }
 
     /// Bytes of the journal file written and flushed so far (0 for an
     /// unmirrored journal).
     pub fn file_len(&self) -> u64 {
-        self.log.lock().file_len()
+        self.log.borrow().file_len()
     }
 
     /// A copy of all events.
     pub fn events(&self) -> Vec<Event> {
-        self.log.lock().records()
+        self.log.borrow_mut().records()
     }
 
-    /// Visits every event in order, under the journal lock: the file's
+    /// Visits every event in order, with the log borrowed: the file's
     /// events decoded one by one (owned), then the ones in memory (by
-    /// reference). `visit` must not append to this journal.
+    /// reference). `visit` must not call this journal.
     pub(crate) fn for_each(&self, visit: impl FnMut(Cow<'_, Event>)) {
-        self.log.lock().for_each(visit)
+        self.log.borrow_mut().for_each(visit)
     }
 
     /// Drops every event before the last
@@ -334,13 +349,13 @@ impl Journal {
     /// rewriting the file mirror if there is one. A no-op when no
     /// checkpoint exists. Returns the number of events dropped.
     pub fn compact(&self) -> usize {
-        self.log.lock().compact()
+        self.log.borrow_mut().compact()
     }
 
     /// Events of one instance, in order.
     pub fn events_for(&self, instance: crate::event::InstanceId) -> Vec<Event> {
         let mut events = Vec::new();
-        self.log.lock().for_each(|e| {
+        self.log.borrow_mut().for_each(|e| {
             if e.instance() == Some(instance) {
                 events.push(e.into_owned());
             }
@@ -432,16 +447,17 @@ mod tests {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
             f.write_all(&whole[intact.len()..cut]).unwrap();
         }
-        let (j2, report) = Journal::with_file_report(&path, DurabilityPolicy::PerEvent).unwrap();
+        let (mut j2, report) =
+            Journal::with_file_report(&path, DurabilityPolicy::PerEvent).unwrap();
         assert_eq!(j2.len(), 2, "complete events survive the torn tail");
         let tail = report.torn_tail.expect("tail reported");
         assert_eq!(tail.offset, intact.len() as u64);
         assert_eq!(std::fs::read(&path).unwrap(), intact, "file repaired");
         // Counted, not printed — and the count survives adoption into
         // an engine's registry.
-        let reg = Registry::new();
-        j2.attach_fault_counters(&reg);
-        let counted = reg.snapshot();
+        let observer = Observer::disabled();
+        j2.observe(&observer);
+        let counted = observer.registry().snapshot();
         assert_eq!(counted.counter("journal.torn_tails_truncated"), Some(1));
         let damaged = counted.counter("journal.crc_failures");
         assert_eq!(damaged, Some(0), "short, not damaged");
@@ -459,15 +475,16 @@ mod tests {
         let path = dir.join("engine.journal");
         std::fs::write(&path, "").unwrap();
         let ro = OpenOptions::new().read(true).open(&path).unwrap();
-        let j = Journal::with_injected_file(ro, path.clone(), DurabilityPolicy::PerEvent);
-        let reg = Registry::new();
-        j.attach_fault_counters(&reg);
+        let mut j = Journal::with_injected_file(ro, path.clone(), DurabilityPolicy::PerEvent);
+        let observer = Observer::disabled();
+        j.observe(&observer);
         j.append(started(1));
         let err = j.mirror_error().expect("first failure recorded");
         j.append(started(2));
         assert_eq!(j.mirror_error(), Some(err), "first error wins");
         assert_eq!(j.len(), 2, "in-memory journal keeps working");
-        assert_eq!(reg.snapshot().counter("journal.mirror_errors"), Some(1));
+        let counted = observer.registry().snapshot();
+        assert_eq!(counted.counter("journal.mirror_errors"), Some(1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -503,12 +520,13 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
-        let (j, report) = Journal::with_file_report(&path, DurabilityPolicy::PerEvent).unwrap();
+        let (mut j, report) = Journal::with_file_report(&path, DurabilityPolicy::PerEvent).unwrap();
         assert_eq!(j.len(), 1);
         assert_eq!(report.torn_tail.unwrap().offset, one as u64);
-        let reg = Registry::new();
-        j.attach_fault_counters(&reg);
-        assert_eq!(reg.snapshot().counter("journal.crc_failures"), Some(1));
+        let observer = Observer::disabled();
+        j.observe(&observer);
+        let counted = observer.registry().snapshot();
+        assert_eq!(counted.counter("journal.crc_failures"), Some(1));
         drop(j);
 
         let mut bytes = Journal::file_bytes(&[started(1), started(2), started(3)]);

@@ -21,9 +21,9 @@
 //!
 //! * **No name lookups while navigating.** [`EngineObs`] resolves its
 //!   counter/gauge `Arc`s from the registry once at engine
-//!   construction; `act_probes` pre-resolves one histogram handle
-//!   per act slot of a compiled template, so the navigator's slot
-//!   indexes its probe directly.
+//!   construction; `EngineObs::act_probes` pre-resolves one histogram
+//!   handle per act slot of a compiled template, so the navigator's
+//!   slot indexes its probe directly.
 //! * **One branch when disabled.** Every hot hook is gated on
 //!   `EngineObs::enabled`; a default engine pays a single predictable
 //!   branch per hook site and records nothing.
@@ -32,9 +32,11 @@
 //! unconditionally — their counts answer "what did recovery do" even
 //! on engines that never opted into hot-path metrics.
 
-use crate::compiled::ScopeLayout;
+use crate::compiled::CompiledProcess;
 use crate::engine::Engine;
+use std::cell::Cell;
 use std::sync::Arc;
+use txn_substrate::fast_hash::FastMap;
 use txn_substrate::MultiDatabase;
 use wfms_observe::{Counter, Gauge, Histogram, Observer, Registry, Snapshot, Value};
 
@@ -45,12 +47,11 @@ pub const ACT_LATENCY_FAMILY: &str = "engine.act_latency_ns";
 /// histogram per act slot.
 pub(crate) type ActProbes = Arc<[Arc<Histogram>]>;
 
-/// Registers one labelled histogram per activity of `layout` (labels
-/// are the journal's slash paths).
-pub(crate) fn act_probes(layout: &ScopeLayout, registry: &Registry) -> ActProbes {
-    let family = registry.histogram_vec(ACT_LATENCY_FAMILY);
-    layout.paths.iter().map(|p| family.with_label(p)).collect()
-}
+/// The probes of every template an instance was given them for, by
+/// spec hash, shared by every instance of the template. Keyed as the
+/// template registry is: two versions of one process can have
+/// different slot layouts.
+pub(crate) type ProbeCache = FastMap<u64, ActProbes>;
 
 /// The engine's observability bundle: the [`Observer`] plus hot-path
 /// instruments pre-resolved from its registry (see the module docs for
@@ -98,6 +99,18 @@ impl EngineObs {
     pub(crate) fn enabled(&self) -> bool {
         self.observer.is_enabled()
     }
+
+    /// The probes of `tpl`, from `cache` or, on first use, registered
+    /// there: one labelled histogram per activity (labels are the
+    /// journal's slash paths).
+    pub(crate) fn act_probes(&self, cache: &mut ProbeCache, tpl: &CompiledProcess) -> ActProbes {
+        let probes = cache.entry(tpl.spec_hash).or_insert_with(|| {
+            let family = self.observer.registry().histogram_vec(ACT_LATENCY_FAMILY);
+            let paths = tpl.layout.paths.iter();
+            paths.map(|p| family.with_label(p)).collect()
+        });
+        Arc::clone(probes)
+    }
 }
 
 /// Journal instruments, attached to the engine's journal when the
@@ -115,7 +128,7 @@ pub struct JournalProbes {
     /// Events per `append_batch` call (the group-commit size).
     pub(crate) batch_size: Arc<Histogram>,
     /// Rolling append index driving the `append_ns` sampler.
-    sample: std::sync::atomic::AtomicU64,
+    sample: Cell<u64>,
 }
 
 impl JournalProbes {
@@ -124,19 +137,18 @@ impl JournalProbes {
             appends: reg.counter("journal.appends"),
             append_ns: reg.histogram("journal.append_ns"),
             batch_size: reg.histogram("journal.batch_size"),
-            sample: std::sync::atomic::AtomicU64::new(0),
+            sample: Cell::new(0),
         }
     }
 
     /// True on every 16th call — whether this append's latency should
     /// be clocked. `journal.appends` stays exact; `journal.append_ns`
     /// holds a 1-in-16 sample, which preserves the quantiles while
-    /// keeping the per-append cost to one relaxed `fetch_add`.
+    /// keeping the per-append cost to one increment.
     pub(crate) fn sample_tick(&self) -> bool {
-        self.sample
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-            & 0xF
-            == 0
+        let n = self.sample.get();
+        self.sample.set(n.wrapping_add(1));
+        n & 0xF == 0
     }
 }
 

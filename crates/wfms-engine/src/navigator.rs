@@ -46,7 +46,7 @@ use crate::compiled::{CompiledKind, DataSource, ScopeId};
 use crate::engine::{self, EngineError};
 use crate::event::{Event, WorkItemId};
 use crate::journal::Journal;
-use crate::metrics::EngineObs;
+use crate::metrics::{EngineObs, ProbeCache};
 use crate::org::OrgModel;
 use crate::state::{ActState, Instance, InstanceStatus};
 use crate::worklist::WorklistStore;
@@ -62,7 +62,7 @@ use wfms_model::{Container, StartCondition, RC_MEMBER};
 /// services it reads, and the part of the engine's state besides that
 /// instance that a navigation event's effect writes.
 pub struct NavServices<'a> {
-    /// Event journal (append-only, internally synchronised).
+    /// Event journal (append-only).
     pub journal: &'a Journal,
     /// Virtual clock for event timestamps and deadlines.
     pub clock: &'a VirtualClock,
@@ -76,6 +76,9 @@ pub struct NavServices<'a> {
     /// Work-item id allocator: the next id to offer under; advanced by
     /// the offer's effect.
     pub(crate) next_item: &'a mut u64,
+    /// Latency probes by template, for an instance that starts or
+    /// migrates while the engine is observed.
+    pub(crate) probes: &'a mut ProbeCache,
     /// Registered transactional programs.
     pub programs: &'a ProgramRegistry,
     /// The multidatabase programs run against.

@@ -87,7 +87,7 @@ impl OrgModel {
     }
 
     /// Every person holding `role`, in name order.
-    pub fn persons_with_role(&self, role: &str) -> Vec<&Person> {
+    fn persons_with_role(&self, role: &str) -> Vec<&Person> {
         self.persons
             .values()
             .filter(|p| p.roles.iter().any(|r| r == role))

@@ -349,14 +349,15 @@ fn mirror_write_failure_inside_execute_item_and_force_finish_is_reported() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Appends racing `compact()` on a mirrored journal: the lock order
-/// (events before mirror, held across the file write) must keep the
-/// file a consistent, parseable prefix-free copy of memory at all
+/// Appends interleaved with `compact()` on a mirrored journal must keep
+/// the file a consistent, parseable prefix-free copy of memory at all
 /// times. The appender replays a real run's events — including its
-/// `EngineCheckpoint`, so compaction genuinely drops lines — while the
-/// compactor runs concurrently.
+/// `EngineCheckpoint`, so compaction genuinely drops lines — and a
+/// compaction runs between appends, 200 in all. A journal has one
+/// owner, so one thread does both: sharing it across threads no longer
+/// compiles (the `compile_fail` example on `Journal`).
 #[test]
-fn concurrent_append_and_compact_keep_file_consistent() {
+fn interleaved_append_and_compact_keep_file_consistent() {
     // One real run, checkpointed halfway so its event stream contains
     // an EngineCheckpoint for compact() to find.
     let (fed, registry) = fixture_world();
@@ -375,25 +376,21 @@ fn concurrent_append_and_compact_keep_file_consistent() {
 
     let dir = temp_dir("race");
     let path = dir.join("race.journal");
-    let journal = Arc::new(Journal::with_file(&path).unwrap());
-    std::thread::scope(|s| {
-        let appender = Arc::clone(&journal);
-        let evs = events.clone();
-        s.spawn(move || {
-            for _ in 0..20 {
-                for ev in &evs {
-                    appender.append(ev.clone());
-                }
-            }
-        });
-        let compactor = Arc::clone(&journal);
-        s.spawn(move || {
-            for _ in 0..200 {
-                compactor.compact();
-                std::thread::yield_now();
-            }
-        });
-    });
+    let journal = Journal::with_file(&path).unwrap();
+    let appends = 20 * events.len();
+    let every = appends.div_ceil(200);
+    let mut compactions = 0;
+    for (i, ev) in events.iter().cycle().take(appends).enumerate() {
+        journal.append(ev.clone());
+        if i % every == 0 {
+            journal.compact();
+            compactions += 1;
+        }
+    }
+    while compactions < 200 {
+        journal.compact();
+        compactions += 1;
+    }
     journal.flush();
     assert!(journal.mirror_error().is_none());
 

@@ -47,15 +47,21 @@ fn the_navigator_decides_and_emits() {
     assert_eq!(count("navigator.rs", "journal.append("), 0, "emit appends");
 }
 
-#[test]
-fn every_transition_has_one_caller() {
+/// The files of `src/`, by name.
+fn sources() -> Vec<String> {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
     let mut files: Vec<String> = std::fs::read_dir(src)
         .unwrap()
         .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .filter(|f| f != "state.rs")
         .collect();
     files.sort();
+    files
+}
+
+#[test]
+fn every_transition_has_one_caller() {
+    let mut files = sources();
+    files.retain(|f| f != "state.rs");
     for name in TRANSITIONS {
         let call = format!("{name}(");
         let sites: Vec<_> = files
@@ -95,14 +101,19 @@ fn the_tallies_are_read_not_recounted() {
     }
 }
 
-/// The engine is the one owner of its state: a cell, not a lock, so
-/// the compiler keeps every other thread out (the `compile_fail`
-/// example on `Engine`).
+/// The engine is the one owner of its state and its journal: cells,
+/// not locks, so the compiler keeps every other thread out (the
+/// `compile_fail` examples on `Engine` and `Journal`).
 #[test]
 fn one_state_one_owner() {
-    assert_eq!(count("engine.rs", "Mutex<"), 0);
+    assert_eq!(count("engine.rs", "RefCell<"), 1, "one cell");
     assert_eq!(count("engine.rs", "RefCell<EngineState>"), 1);
-    for file in ["engine.rs", "navigator.rs"] {
-        assert_eq!(count(file, "AtomicU64"), 0, "{file}");
+    assert_eq!(count("journal.rs", "RefCell<Log<Event>>"), 1);
+    // No lock, once-cell or atomic anywhere but the crash sweep's
+    // process-wide counter.
+    for file in sources().iter().filter(|f| *f != "crashtest.rs") {
+        for shared in ["Mutex", "RwLock", "OnceLock", "Atomic", "parking_lot"] {
+            assert_eq!(count(file, shared), 0, "{file}: {shared}");
+        }
     }
 }

@@ -40,11 +40,6 @@ pub enum ActivityKind {
 }
 
 impl ActivityKind {
-    /// True for program activities.
-    pub fn is_program(&self) -> bool {
-        matches!(self, ActivityKind::Program { .. })
-    }
-
     /// True for block (process) activities.
     pub fn is_block(&self) -> bool {
         matches!(self, ActivityKind::Block { .. })
@@ -235,7 +230,7 @@ mod tests {
     #[test]
     fn program_constructor_defaults() {
         let a = Activity::program("T1", "debit");
-        assert!(a.kind.is_program());
+        assert!(matches!(a.kind, ActivityKind::Program { .. }));
         assert!(a.automatic_start);
         assert_eq!(a.start, StartCondition::And);
         assert_eq!(a.exit, ExitCondition::always());
@@ -264,7 +259,6 @@ mod tests {
     fn noop_kind() {
         let a = Activity::noop("NOP");
         assert_eq!(a.kind, ActivityKind::NoOp);
-        assert!(!a.kind.is_program());
         assert!(!a.kind.is_block());
     }
 

@@ -45,7 +45,7 @@ impl MemberDecl {
     }
 
     /// The value a fresh container holds for this member.
-    pub fn initial_value(&self) -> Value {
+    fn initial_value(&self) -> Value {
         self.default
             .clone()
             .unwrap_or_else(|| self.ty.default_value())
