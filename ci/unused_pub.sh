@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Nothing without a caller. Fails on a `pub fn` under crates/*/src
-# (outside `wfbench`, the benchmark harness) whose name no other .rs
-# file names: every file under crates/ (`wfbench` included), tests/,
-# examples/ and src/ counts as a caller, the defining file aside. Such
-# a function is private, or it goes. The names below are kept with a
-# reason each: a caller that is planned, not yet written.
-# Prints every offending function and exits 1 if there is one.
+# Nothing without a caller. Fails on a `pub fn`, `pub const` or
+# `pub static` under crates/*/src (outside `wfbench`, the benchmark
+# harness) whose name no other .rs file names: every file under crates/
+# (`wfbench` included), tests/, examples/ and src/ counts as a caller,
+# the defining file aside. Such an item is private, or it goes. The
+# names below are kept with a reason each: a caller that is planned,
+# not yet written.
+# Prints every offending item and exits 1 if there is one.
 #
 # Usage: ci/unused_pub.sh [repo-root]     (default: the checkout this script is in)
 set -euo pipefail
@@ -21,7 +22,7 @@ mapfile -t FILES < <(find crates tests examples src -name '*.rs' -not -path '*/t
 
 found=""
 while IFS=: read -r file line def; do
-  name="${def##*pub fn }"
+  name="${def##* }"
   if grep -qE "^$file $name " <<<"$ALLOW"; then
     continue
   fi
@@ -30,14 +31,15 @@ while IFS=: read -r file line def; do
     [ "$f" != "$file" ] && others+=("$f")
   done
   if ! grep -qw -- "$name" "${others[@]}"; then
-    found+="$file:$line: pub fn $name"$'\n'
+    found+="$file:$line: ${def#"${def%%pub *}"}"$'\n'
   fi
-done < <(grep -rnoE --include='*.rs' '^[[:space:]]*pub fn [A-Za-z_][A-Za-z0-9_]*' crates/*/src \
+done < <(grep -rnoE --include='*.rs' \
+  '^[[:space:]]*pub (const fn|fn|const|static( mut)?) [A-Za-z_][A-Za-z0-9_]*' crates/*/src \
   | grep -v '^crates/wfbench/')
 
 if [ -n "$found" ]; then
   printf '%s' "$found"
-  echo "unused_pub: a pub fn has no caller outside its file (make it private, or delete it)"
+  echo "unused_pub: a pub item has no caller outside its file (make it private, or delete it)"
   exit 1
 fi
-echo "unused_pub: every pub fn has a caller outside its file"
+echo "unused_pub: every pub fn, const and static has a caller outside its file"

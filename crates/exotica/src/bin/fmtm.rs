@@ -66,8 +66,11 @@
 //!                                       answered 429 Overloaded
 //!   --batch B                           max submissions per group commit
 //!                                       (default 64)
-//!   --durability POLICY                 per-event | sync | batched:N
-//!                                       (default batched:64)
+//!   --durability POLICY                 per-event | sync | group (default
+//!                                       group: each turn's journal is written
+//!                                       once, at the barrier before its
+//!                                       replies; batched:N is read as group,
+//!                                       N ignored)
 //!   --seed N                            substrate seed (default 0)
 //!   --person NAME=role[,role...]        add a person to the organization
 //!                                       (repeatable; for specs with manual
@@ -964,14 +967,17 @@ fn serve(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// `group` is the group commit; `batched:N`, its spelling before a
+/// group was a turn, still reads as it, `N` ignored.
 fn parse_durability(text: &str) -> Option<DurabilityPolicy> {
     match text {
         "per-event" => Some(DurabilityPolicy::PerEvent),
         "sync" => Some(DurabilityPolicy::PerEventSync),
+        "group" => Some(DurabilityPolicy::Batched { n: 64 }),
         _ => text
             .strip_prefix("batched:")
-            .and_then(|n| n.parse().ok())
-            .map(|n| DurabilityPolicy::Batched { n }),
+            .and_then(|n| n.parse::<usize>().ok())
+            .map(|_| DurabilityPolicy::Batched { n: 64 }),
     }
 }
 
@@ -1224,4 +1230,30 @@ fn load_cmd(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_durability;
+    use txn_substrate::DurabilityPolicy;
+
+    /// `group` is the group commit, and `batched:N`, its spelling
+    /// before, still reads as it whatever `N` is; a count that is not
+    /// one is still refused.
+    #[test]
+    fn group_and_its_old_spelling_read_alike() {
+        let group = parse_durability("group");
+        assert!(matches!(group, Some(DurabilityPolicy::Batched { .. })));
+        assert_eq!(parse_durability("batched:64"), group);
+        assert_eq!(parse_durability("batched:1"), group);
+        assert_eq!(parse_durability("batched:"), None);
+        assert_eq!(
+            parse_durability("sync"),
+            Some(DurabilityPolicy::PerEventSync)
+        );
+        assert_eq!(
+            parse_durability("per-event"),
+            Some(DurabilityPolicy::PerEvent)
+        );
+    }
 }

@@ -44,11 +44,11 @@ use wfms_model::{
 };
 
 /// Name of the forward block activity in the generated process.
-pub const FORWARD_BLOCK: &str = "Forward";
+const FORWARD_BLOCK: &str = "Forward";
 /// Name of the compensation block activity.
-pub const COMPENSATION_BLOCK: &str = "Compensation";
+const COMPENSATION_BLOCK: &str = "Compensation";
 /// Name of the pass-through trigger inside the compensation block.
-pub const NOP_ACTIVITY: &str = "NOP";
+const NOP_ACTIVITY: &str = "NOP";
 
 /// The `State_i` member name for a step.
 fn state_member(step: &str) -> String {

@@ -2,32 +2,44 @@
 //!
 //! Every log in this workspace — each database's [`Wal`](crate::Wal)
 //! and the engine journal (`wfms_engine::Journal`) — is a
-//! [`Log`](crate::log::Log) whose records collect in one buffer until
-//! they are written. *When* the buffered bytes actually reach the file
-//! (and the disk) is a policy decision with a real trade-off:
-//! flushing more often narrows the window of work lost in a crash,
+//! [`Log`](crate::log::Log) whose records collect as encoded frames in
+//! one buffer until they are written. *When* the buffered bytes reach
+//! the file (and the disk) is a policy decision with a real trade-off:
+//! writing more often narrows the window of work lost in a crash,
 //! syncing pushes the durability point through the OS page cache at a
-//! per-record `fdatasync` cost, and batching amortises both over group
-//! commits the way high-throughput WAL implementations do. The policy
-//! also draws the [frames](crate::frame): the records of one group
-//! commit share one frame — one header, one checksum, names spelled
-//! once — so `PerEvent` writes a frame per record and `Batched { n }`
-//! one per flush, of at most `n` records, and one more wherever a
-//! record opens a frame (a checkpoint; the journal's `InstanceStarted`).
+//! per-record `fdatasync` cost, and a group commit amortises both over
+//! everything appended between two barriers, the way high-throughput
+//! WAL implementations do. The policy also draws the
+//! [frames](crate::frame): the records of one group commit share one
+//! frame — one header, one checksum, names spelled once — so
+//! `PerEvent` writes a frame per record and `Batched` one per barrier,
+//! and one more wherever a record opens a frame (a checkpoint; the
+//! journal's `InstanceStarted`).
+//!
+//! A barrier is a commit record, [`Log::flush`](crate::log::Log::flush)
+//! (a server shard calls it at the end of each turn, before it
+//! acknowledges anything of the turn) and the flush a checkpoint or a
+//! compaction makes. Under `Batched` those are the only writes but one:
+//! a buffer that passes a fixed cap (1 MiB) is written whole, so memory
+//! stays bounded between barriers that are far apart.
 //!
 //! The torn-tail rule of [`crate::frame`] holds under every policy: a
 //! crash can leave at most one partially written frame at the end of
 //! the file, and reopen truncates it, with all of that frame's records.
 //! What the policy changes is how many *complete* records may be lost:
 //! under `PerEvent`/`PerEventSync` none that the appender returned
-//! from; under `Batched { n }` those since the last flush, up to
-//! `n - 1` — the frame a flush was writing when the process died is
-//! lost whole, and it holds exactly the records no flush had returned
-//! from.
+//! from; under `Batched` the records since the last barrier, and
+//! nothing acknowledged — the frames a barrier was writing when the
+//! process died hold exactly the records no barrier had returned from.
 
 use crate::frame::{Encoder, Record};
 use std::fs::File;
 use std::io::Write;
+
+/// Bytes a writer buffers before it writes them whatever the policy: a
+/// bound on a log's memory between barriers. A server turn (at most 64
+/// submissions, some 41 KB of journal for saga8) never reaches it.
+pub const BUFFER_CAP: usize = 1 << 20;
 
 /// When a file-mirrored log makes appended records durable.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -42,30 +54,41 @@ pub enum DurabilityPolicy {
     /// stable storage before the append returns. Survives OS/power
     /// failure at the cost of a sync per event.
     PerEventSync,
-    /// Group commit: flush once every `n` appends (and at forced
-    /// barriers such as transaction commit records or an explicit
-    /// [`crate::log::Log::flush`]). Up to `n - 1` trailing records may be
-    /// lost in a crash; throughput-oriented sweeps use this.
+    /// Group commit: write only at barriers — transaction commit
+    /// records, an explicit [`crate::log::Log::flush`], a checkpoint —
+    /// or once the buffer passes a fixed cap of 1 MiB. The records
+    /// since the last barrier may be lost in a crash, nothing a barrier
+    /// returned from; the server and throughput-oriented sweeps use
+    /// this.
     Batched {
-        /// Flush interval in appended records (`0` is treated as `1`).
+        /// Read by nothing: the group is what lies between two
+        /// barriers. Kept so that existing spellings still build.
         n: usize,
     },
 }
 
 /// A log file, the frames it has not been handed yet, and the policy
-/// state deciding when they are: the buffer leaves in one `write_all`
-/// at the policy's flush points and at no other time. A barrier closes
-/// the open frame; the count of `Batched { n }` writes the frames closed
-/// so far and leaves the open one buffered unless it is full.
+/// deciding when they are: the buffer leaves in one `write_all` at a
+/// barrier, after every record under `PerEvent`, or once it passes the
+/// cap — and whole, every time, so after a write the writer holds
+/// nothing.
 #[derive(Debug)]
 pub struct DurableWriter {
     file: File,
     policy: DurabilityPolicy,
     /// Frames the file does not hold yet; the last one may be open.
     frames: Encoder,
-    /// Records pushed since the last write (only meaningful for
-    /// `Batched`).
-    pending: usize,
+}
+
+/// A write the file did not take: why, and the frames it was handed,
+/// every one sealed. The writer holds none of them any more: a prefix
+/// may be in the file, and sending them again would repeat it.
+#[derive(Debug)]
+pub struct Refused {
+    /// The I/O error.
+    pub error: std::io::Error,
+    /// The frames that were to be written.
+    pub frames: Vec<u8>,
 }
 
 impl DurableWriter {
@@ -75,87 +98,74 @@ impl DurableWriter {
             file,
             policy,
             frames: Encoder::default(),
-            pending: 0,
         }
     }
 
-    /// Records a frame holds: one under `PerEvent` and `PerEventSync`,
-    /// `n` under `Batched { n }`.
-    fn most(&self) -> usize {
-        match self.policy {
-            DurabilityPolicy::PerEvent | DurabilityPolicy::PerEventSync => 1,
-            DurabilityPolicy::Batched { n } => n.max(1),
-        }
+    /// True under `PerEvent` and `PerEventSync`: a frame and a write per
+    /// record.
+    fn per_event(&self) -> bool {
+        !matches!(self.policy, DurabilityPolicy::Batched { .. })
     }
 
     /// Encodes `rec` once, straight into the bytes the file is handed:
-    /// into the open frame, or a new one when the open one is full (one
-    /// record under `PerEvent`, `n` under `Batched { n }`) or `rec` opens one
-    /// ([`Record::is_checkpoint`], [`Record::opens_frame`]). Returns the
-    /// byte offset in the buffer of the frame `rec` went into. Follow
-    /// with [`DurableWriter::commit`].
+    /// into the open frame, or a new one when `rec` opens one
+    /// ([`Record::is_checkpoint`], [`Record::opens_frame`]) or the
+    /// policy writes a frame per record. Returns the byte offset in the
+    /// buffer of the frame `rec` went into. Follow with
+    /// [`DurableWriter::commit`].
     pub fn push<R: Record>(&mut self, rec: &R) -> usize {
-        self.frames.push(rec, self.most())
+        let most = if self.per_event() { 1 } else { usize::MAX };
+        self.frames.push(rec, most)
     }
 
-    /// Records pushed and not yet written: those of the open frame once
-    /// a write has returned.
-    pub(crate) fn unwritten(&self) -> usize {
-        self.pending
-    }
-
-    /// Counts the `records` just pushed against the policy and writes
-    /// out what it, or `barrier` (commit records, the end of a group
-    /// commit), says: everything at a barrier and under `PerEvent`; the
-    /// closed frames — and the open one if it is full — once
-    /// `Batched { n }` has `n` records unwritten, which leaves fewer
-    /// than `n`. Returns the bytes that left for the file — 0 while the
-    /// policy is still batching — or the I/O error, without panicking:
-    /// callers decide whether a log that cannot be written is fatal.
-    pub fn commit(&mut self, records: usize, barrier: bool) -> std::io::Result<usize> {
-        self.pending += records;
-        if barrier || self.most() == 1 {
+    /// Writes the buffer if `barrier` (commit records, the end of a
+    /// group commit) or the policy says so: under `PerEvent`, or once
+    /// the buffer has passed the cap. Returns the bytes that left for
+    /// the file — 0 while the group is still open — or the refusal,
+    /// without panicking: callers decide whether a log that cannot be
+    /// written is fatal.
+    pub fn commit(&mut self, barrier: bool) -> Result<usize, Refused> {
+        if barrier || self.per_event() || self.frames.bytes().len() > BUFFER_CAP {
             return self.flush();
         }
-        if self.pending < self.most() {
-            return Ok(0);
-        }
-        if self.frames.open_records() >= self.most() {
-            self.frames.seal();
-        }
-        self.write()
+        Ok(0)
     }
 
-    /// Closes the open frame and hands the buffered frames to the OS
+    /// Closes the open frame and hands every buffered frame to the OS
     /// (and to disk under `PerEventSync`); returns how many bytes that
-    /// was.
-    pub fn flush(&mut self) -> std::io::Result<usize> {
+    /// was. The frames leave the buffer either way: written, or handed
+    /// back in the [`Refused`].
+    pub fn flush(&mut self) -> Result<usize, Refused> {
         self.frames.seal();
-        self.write()
-    }
-
-    /// Hands the closed frames to the OS, keeping the open one. They
-    /// leave the buffer either way: a failed write may have left a
-    /// prefix of them in the file, and sending them again would repeat
-    /// that prefix. A failed write discards the open frame too, so that
-    /// nothing, not even `Drop`, writes behind the torn bytes; the
-    /// records of both are still in the log's memory.
-    fn write(&mut self) -> std::io::Result<usize> {
-        let sealed = self.frames.sealed();
-        let len = sealed.len();
-        let written = self.file.write_all(sealed).and_then(|()| {
+        let bytes = self.frames.bytes();
+        let written = self.file.write_all(bytes).and_then(|()| {
             if self.policy == DurabilityPolicy::PerEventSync {
                 self.file.sync_data()?;
             }
-            Ok(len)
+            Ok(bytes.len())
         });
-        if written.is_ok() {
-            self.frames.drop_sealed();
-        } else {
-            self.frames = Encoder::default();
+        match written {
+            Ok(len) => {
+                self.frames.clear();
+                Ok(len)
+            }
+            Err(error) => Err(Refused {
+                error,
+                frames: self.take(),
+            }),
         }
-        self.pending = self.frames.open_records();
-        written
+    }
+
+    /// The buffered frames, the open one sealed, behind `head`: a copy,
+    /// which decodes as a file would while the writer keeps them.
+    pub fn unwritten(&self, head: &[u8]) -> Vec<u8> {
+        self.frames.sealed_copy(head)
+    }
+
+    /// Hands over the buffered frames, the open one sealed, without
+    /// writing them: the writer holds nothing after.
+    pub fn take(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.frames).finish()
     }
 
     /// Replaces the underlying file (after an atomic rewrite swapped a
@@ -300,6 +310,8 @@ mod tests {
         frames.into_iter().map(|(_, records)| records).collect()
     }
 
+    /// Under `Batched` only a barrier writes, whatever `n` says: a
+    /// frame per barrier, split nowhere but at a record that opens one.
     #[test]
     fn batched_policy_defers_flush() {
         let dir = tmp_dir("batch");
@@ -309,46 +321,85 @@ mod tests {
             for &b in records {
                 w.push(&Byte(b));
             }
-            w.commit(records.len(), barrier).unwrap()
+            w.commit(barrier).unwrap()
         };
         assert_eq!(append(&[1], false), 0);
-        assert_eq!(append(&[2], false), 0);
+        assert_eq!(append(&[2, 3, 4, 5], false), 0, "n is read by nothing");
         assert_eq!(frames(&path), [[0u8; 0]; 0], "still buffered");
-        assert_eq!(append(&[3], false), FRAME_HEADER + 3);
-        assert_eq!(frames(&path), [vec![1, 2, 3]], "group flushed as one frame");
-        assert_eq!(append(&[4], true), FRAME_HEADER + 1);
-        assert_eq!(frames(&path)[1], [4], "barrier flushes");
-        assert_eq!(append(&[5, 6, 7], false), FRAME_HEADER + 3);
+        assert_eq!(append(&[6], true), FRAME_HEADER + 6);
         assert_eq!(
-            frames(&path)[2],
-            [5, 6, 7],
-            "a chunk counts each of its records"
+            frames(&path),
+            [vec![1, 2, 3, 4, 5, 6]],
+            "one frame a barrier"
         );
+        assert_eq!(append(&[7], true), FRAME_HEADER + 1);
+        assert_eq!(frames(&path)[1], [7], "a barrier writes");
         append(&[8, 0, 9], true);
         assert_eq!(
-            frames(&path)[3..],
+            frames(&path)[2..],
             [vec![8], vec![0, 9]],
             "a checkpoint opens a frame"
         );
-        append(&[1, 2, 3, 4], true);
-        assert_eq!(
-            frames(&path)[5..],
-            [vec![1, 2, 3], vec![4]],
-            "at most n a frame"
-        );
-        // Three records unwritten: the closed frame leaves, the open one
-        // stays until it is full or a barrier comes.
-        assert_eq!(append(&[1, 0, 2], false), FRAME_HEADER + 1);
-        assert_eq!(frames(&path)[7..], [vec![1]]);
-        assert_eq!(append(&[3], false), FRAME_HEADER + 3);
-        assert_eq!(frames(&path)[8..], [vec![0, 2, 3]]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A writer whose write failed writes nothing more: not the frame
-    /// it held open, not even when it is dropped over a file that would
-    /// take it. A frame written there would land intact behind the torn
-    /// one, where reopening refuses it as mid-file corruption.
+    /// Past the byte cap a commit writes whatever the policy: every
+    /// frame, the open one sealed, and below it nothing.
+    #[test]
+    fn crossing_the_cap_writes_every_frame() {
+        /// A record of `len` bytes, none of them `0`.
+        #[derive(Debug)]
+        struct Blob(Vec<u8>);
+        impl Record for Blob {
+            const HEADER: [u8; FILE_HEADER_LEN] = *b"BLOB\x02";
+            const NAME: &'static str = "blob log";
+            fn not_this_log(path: &std::path::Path) -> String {
+                path.display().to_string()
+            }
+            fn encode(&self, out: &mut Vec<u8>, _: &mut Names) {
+                crate::frame::put_u64(out, self.0.len() as u64);
+                out.extend_from_slice(&self.0);
+            }
+            fn decode(r: &mut Reader<'_, '_>) -> Field<Self> {
+                r.u64()
+                    .and_then(|n| (0..n).map(|_| r.byte()).collect())
+                    .map(Blob)
+            }
+            fn is_checkpoint(&self) -> bool {
+                false
+            }
+        }
+        let dir = tmp_dir("cap");
+        let path = dir.join("log");
+        std::fs::write(&path, Blob::HEADER).unwrap();
+        let file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        let mut w = DurableWriter::new(file, DurabilityPolicy::Batched { n: 64 });
+        let blob = Blob(vec![7; BUFFER_CAP / 5]);
+        for _ in 0..4 {
+            w.push(&blob);
+            assert_eq!(w.commit(false).unwrap(), 0, "below the cap");
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), Blob::HEADER);
+        w.push(&Blob(vec![1; BUFFER_CAP / 4]));
+        let written = w.commit(false).unwrap();
+        let file = std::fs::read(&path).unwrap();
+        assert_eq!(written, file.len() - FILE_HEADER_LEN, "one write of it all");
+        assert!(written > BUFFER_CAP);
+        let mut records = 0;
+        visit_file::<Blob>(&file, |_, _| records += 1).unwrap();
+        assert_eq!(records, 5, "every frame, the open one sealed");
+        assert_eq!(w.take(), b"", "the writer holds nothing after");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A writer whose barrier write failed writes nothing more: it
+    /// hands the frames back and holds none, so not even `Drop` writes
+    /// them over a file that would take them. A frame written there
+    /// would land intact behind the torn one, where reopening refuses
+    /// it as mid-file corruption.
     #[test]
     fn a_failed_write_leaves_no_frame_to_drop() {
         let dir = tmp_dir("failed");
@@ -360,11 +411,21 @@ mod tests {
         for b in 1..=5 {
             w.push(&Byte(b));
         }
-        assert!(w.commit(5, false).is_err(), "a read-only file");
+        assert_eq!(w.commit(false).unwrap(), 0, "no barrier, nothing written");
+        let refused = w.commit(true).expect_err("a read-only file");
+        let mut handed_back = Byte::HEADER.to_vec();
+        handed_back.extend_from_slice(&refused.frames);
+        let mut back = Vec::new();
+        visit_file::<Byte>(&handed_back, |_, Byte(b)| back.push(b)).unwrap();
+        assert_eq!(back, [1, 2, 3, 4, 5], "every record handed back");
         let file = std::fs::OpenOptions::new().append(true).open(&writable);
         w.replace_file(file.unwrap());
         drop(w);
-        assert_eq!(std::fs::read(&writable).unwrap(), b"", "no fifth frame");
+        assert_eq!(
+            std::fs::read(&writable).unwrap(),
+            b"",
+            "no frame written twice"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -390,8 +451,9 @@ mod tests {
         let path = dir.join("log");
         let mut w = writer(&path, DurabilityPolicy::PerEventSync);
         w.push(&Byte(4));
+        assert_eq!(w.commit(false).unwrap(), FRAME_HEADER + 1);
         w.push(&Byte(2));
-        assert_eq!(w.commit(2, false).unwrap(), 2 * (FRAME_HEADER + 1));
+        assert_eq!(w.commit(false).unwrap(), FRAME_HEADER + 1);
         assert_eq!(frames(&path), [[4], [2]], "a frame per record");
         std::fs::remove_dir_all(&dir).unwrap();
     }

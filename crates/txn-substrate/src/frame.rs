@@ -21,14 +21,16 @@
 //! [`Value`] as a tag byte plus its payload, and names.
 //!
 //! **A frame is a group commit.** The [`Encoder`] puts every record
-//! appended between two flush points of the log's policy into one frame
-//! (at most `n` under `Batched { n }`, exactly one under `PerEvent`).
-//! A checkpoint record always opens a frame, so the frame a checkpoint
-//! starts is where compaction's byte copy begins; so does a record
-//! that says it opens one ([`Record::opens_frame`]: the journal's
-//! `InstanceStarted`), so that how flushes happened to group whole
-//! units of work does not change their bytes. [`file_bytes`] writes one
-//! record per frame, as `PerEvent` does.
+//! appended between two barriers of the log into one frame (exactly
+//! one record under `PerEvent`); under `Batched` frames split nowhere
+//! else but at openers and at the writer's byte cap. A checkpoint
+//! record always opens a frame, so the frame a checkpoint starts is
+//! where compaction's byte copy begins; so does a record that says it
+//! opens one ([`Record::opens_frame`]: the journal's `InstanceStarted`),
+//! so that how barriers happened to group whole units of work does not
+//! change their bytes. Until it is written, a log's buffer of frames is
+//! all it keeps of those records. [`file_bytes`] writes one record per
+//! frame, as `PerEvent` does.
 //!
 //! **Names are frame-local.** A name ([`put_name`], [`Reader::name`]) is
 //! spelled out the first time a frame holds it and referred to by its
@@ -244,7 +246,7 @@ pub fn put_name(out: &mut Vec<u8>, names: &mut Names, name: &str) {
 /// Frames records into a byte buffer: a record joins the open frame
 /// unless it opens one ([`Record::is_checkpoint`],
 /// [`Record::opens_frame`]) or the frame is full, and `Encoder::seal`
-/// closes the frame at a flush point, writing its header.
+/// closes the frame at a barrier, writing its header.
 #[derive(Debug, Default)]
 pub struct Encoder {
     buf: Vec<u8>,
@@ -285,23 +287,14 @@ impl Encoder {
     }
 
     /// Closes the open frame, if there is one: writes its header.
-    ///
-    /// # Panics
-    /// If the payload exceeds `u32::MAX` bytes (a frame of 4 GiB).
     pub(crate) fn seal(&mut self) {
-        let Some((start, _)) = self.open.take() else {
-            return;
-        };
-        let payload = start + FRAME_HEADER;
-        let len = u32::try_from(self.buf.len() - payload).expect("log frame exceeds 4 GiB");
-        let crc = crc32(&self.buf[payload..]);
-        self.buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
-        self.buf[start + 4..start + 8].copy_from_slice(&(!len).to_le_bytes());
-        self.buf[start + 8..payload].copy_from_slice(&crc.to_le_bytes());
+        if let Some((start, _)) = self.open.take() {
+            seal_at(&mut self.buf, start);
+        }
     }
 
     /// Records in the open frame (0 if none is open).
-    pub(crate) fn open_records(&self) -> usize {
+    fn open_records(&self) -> usize {
         self.open.map_or(0, |(_, records)| records)
     }
 
@@ -311,20 +304,23 @@ impl Encoder {
         &self.buf
     }
 
-    /// The sealed frames at the front of the buffer.
-    pub(crate) fn sealed(&self) -> &[u8] {
-        &self.buf[..self.open.map_or(self.buf.len(), |(start, _)| start)]
+    /// `head`, then a copy of the buffer with the open frame sealed in
+    /// the copy: the frames as a file would hold them, while this
+    /// encoder keeps its frame open.
+    pub(crate) fn sealed_copy(&self, head: &[u8]) -> Vec<u8> {
+        let mut copy = Vec::with_capacity(head.len() + self.buf.len());
+        copy.extend_from_slice(head);
+        copy.extend_from_slice(&self.buf);
+        if let Some((start, _)) = self.open {
+            seal_at(&mut copy, head.len() + start);
+        }
+        copy
     }
 
-    /// Drops the sealed frames (written, or lost to a failed write),
-    /// keeping the open one.
-    pub(crate) fn drop_sealed(&mut self) {
-        let end = self.sealed().len();
-        self.buf.drain(..end);
-        if let Some((start, _)) = &mut self.open {
-            *start -= end;
-            self.names.base -= end;
-        }
+    /// Drops every frame, keeping the buffer's allocation.
+    pub(crate) fn clear(&mut self) {
+        self.buf.clear();
+        self.open = None;
     }
 
     /// Seals the open frame and hands over the buffer.
@@ -332,6 +328,20 @@ impl Encoder {
         self.seal();
         self.buf
     }
+}
+
+/// Writes the header of the frame whose header starts at `start` in
+/// `buf` and whose payload runs to the end of `buf`.
+///
+/// # Panics
+/// If the payload exceeds `u32::MAX` bytes (a frame of 4 GiB).
+fn seal_at(buf: &mut [u8], start: usize) {
+    let payload = start + FRAME_HEADER;
+    let len = u32::try_from(buf.len() - payload).expect("log frame exceeds 4 GiB");
+    let crc = crc32(&buf[payload..]);
+    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    buf[start + 4..start + 8].copy_from_slice(&(!len).to_le_bytes());
+    buf[start + 8..payload].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Appends `rec` to `out` as a frame of its own.

@@ -1,4 +1,5 @@
-//! The one mirrored log: **a log is its file followed by its memory**.
+//! The one mirrored log: **a log is its file followed by its unwritten
+//! frames** — or by its memory, where it has no file to write.
 //!
 //! [`Wal`](crate::Wal) is this log instantiated for
 //! [`LogRecord`](crate::LogRecord) and the engine journal
@@ -6,19 +7,21 @@
 //! only its own queries. Everything the two have in common lives here
 //! once:
 //!
-//! * **Memory holds what the file does not.** An unmirrored log has no
-//!   file, so memory is all of it. A log mirrored to a file of
-//!   [frames](crate::frame) under a [`DurabilityPolicy`] keeps a record
-//!   only until the write that hands its frame to the OS succeeds: none
-//!   under `PerEvent`/`PerEventSync`, at most `n - 1` under
-//!   `Batched { n }`. A record is encoded once, straight into the bytes
-//!   the file is handed, and the records of one flush share one frame
-//!   ([`crate::frame`] says where else frames open); an unmirrored log
-//!   pays a `Vec` push per append.
+//! * **One copy of each record.** A log mirrored to a file of
+//!   [frames](crate::frame) under a [`DurabilityPolicy`] encodes a
+//!   record once, straight into the bytes the file is handed, and keeps
+//!   nothing else of it: until a barrier writes them (every append
+//!   under `PerEvent`/`PerEventSync`; under `Batched`, the records
+//!   since the last barrier, at most a fixed cap of bytes) the
+//!   writer's frames are the record. The records of one group commit
+//!   share one frame ([`crate::frame`] says where else frames open).
+//!   An unmirrored log has no file, so memory is all of it: it pays a
+//!   `Vec` push per append.
 //! * **Readers stream.** [`Log::for_each`] decodes the file's flushed
-//!   prefix frame by frame and then walks memory; [`Log::open`]
-//!   validates, repairs, counts and feeds a visitor in one pass over
-//!   the file. Nothing hands out a list of records it keeps.
+//!   prefix frame by frame, then the unwritten frames from a copy of
+//!   the buffer, then walks memory; [`Log::open`] validates, repairs,
+//!   counts and feeds a visitor in one pass over the file. Nothing
+//!   hands out a list of records it keeps.
 //! * **Torn tails.** Reopening truncates a half-written final frame —
 //!   every record of it — reports it in the [`TailReport`] and counts
 //!   it; damage before an intact frame is refused with the frame's byte
@@ -30,8 +33,9 @@
 //! * **Sticky mirror errors.** Mirror I/O failures never panic: the
 //!   first is remembered ([`Log::mirror_error`]) and counted, the file
 //!   gets no further writes, and the log carries on in memory — the
-//!   records of a failed write are still there — so its owner can
-//!   surface the failure at its API boundary.
+//!   frames a failed write held are decoded back into it, and the
+//!   writer, holding nothing, is dropped — so its owner can surface the
+//!   failure at its API boundary.
 //! * **Compaction** drops everything before the last checkpoint record:
 //!   a checkpoint always opens a frame, so the file's bytes from that
 //!   frame on are copied behind a header and atomically swapped in. No
@@ -40,7 +44,7 @@
 //! Faults are counted, never printed ([`FaultCounters`]).
 
 use crate::durability::{
-    atomic_rewrite, DurabilityPolicy, DurableWriter, MirrorError, TailReport, TornTail,
+    atomic_rewrite, DurabilityPolicy, DurableWriter, MirrorError, Refused, TailReport, TornTail,
 };
 use crate::frame::{self, DecodeError, Encoder, Record, FILE_HEADER_LEN};
 use std::borrow::Cow;
@@ -54,10 +58,12 @@ use wfms_observe::{Counter, Registry};
 #[derive(Debug)]
 struct Mirror {
     path: PathBuf,
-    /// Frames the unflushed records into its buffer and writes them at
-    /// the policy's flush points. `None` once a write failed: the file
-    /// keeps its flushed prefix and gets nothing more.
+    /// Frames the unwritten records into its buffer, their one copy,
+    /// and writes them at barriers. `None` once a write failed: the
+    /// file keeps its flushed prefix and gets nothing more.
     writer: Option<DurableWriter>,
+    /// Records in the writer's frames.
+    unwritten: usize,
     /// Length of the prefix of the file the log consists of: the header
     /// and every frame a successful write handed to the OS.
     flushed_len: u64,
@@ -99,8 +105,8 @@ pub struct FaultCounters {
 /// file".
 #[derive(Debug)]
 pub struct Log<R> {
-    /// The records no file holds: all of an unmirrored log, the
-    /// unflushed tail of a mirrored one.
+    /// The records no file or writer holds: all of an unmirrored log,
+    /// and what a mirrored one appended from its first failed write on.
     memory: Vec<R>,
     mirror: Option<Mirror>,
     checkpoint: Option<Mark>,
@@ -163,6 +169,7 @@ impl<R: Record + Clone> Log<R> {
         log.mirror = Some(Mirror {
             path: path.to_path_buf(),
             writer: Some(DurableWriter::new(file, policy)),
+            unwritten: 0,
             flushed_len,
             records: report.records,
         });
@@ -257,15 +264,21 @@ impl<R: Record + Clone> Log<R> {
     }
 
     /// Records the first mirror failure and stops writing the file.
-    /// Nothing is lost with the writer: the records it had buffered are
-    /// still in memory, and the flushed prefix is still the file's.
-    fn fail_mirror(&mut self, context: &str, e: &std::io::Error) {
+    /// Nothing is lost with the writer: `frames`, every frame it held,
+    /// are decoded back into memory, and the flushed prefix is still
+    /// the file's. The writer is dropped holding nothing, so it writes
+    /// nothing behind what the failure may have torn.
+    fn fail_mirror(&mut self, context: &str, e: &std::io::Error, frames: &[u8]) {
         self.faults.mirror_errors.inc();
         self.mirror_error
             .get_or_insert_with(|| MirrorError::new(context, e));
         if let Some(m) = &mut self.mirror {
-            m.writer = None;
+            (m.writer, m.unwritten) = (None, 0);
         }
+        let mut file = R::HEADER.to_vec();
+        file.extend_from_slice(frames);
+        frame::visit_file(&file, |_, rec| self.memory.push(rec))
+            .expect("a writer's own frames decode");
     }
 
     /// The counters of what this log has absorbed so far.
@@ -293,13 +306,14 @@ impl<R: Record + Clone> Log<R> {
     }
 
     /// Appends a record and returns its index. `barrier` forces the
-    /// mirror to flush whatever the policy. Mirror I/O failures do not
+    /// mirror to write whatever the policy. Mirror I/O failures do not
     /// panic; they are reported through [`Log::mirror_error`].
     pub fn append(&mut self, rec: R, barrier: bool) -> usize {
         let index = self.len();
-        self.frame(&rec, index);
-        self.memory.push(rec);
-        self.write(|w| w.commit(1, barrier), "append");
+        if !self.frame(&rec, index) {
+            self.memory.push(rec);
+        }
+        self.write(|w| w.commit(barrier), "append");
         index
     }
 
@@ -307,39 +321,48 @@ impl<R: Record + Clone> Log<R> {
     /// whole batch is framed into the mirror's one buffer and written
     /// with one `write_all` — in the frames the policy draws, so under
     /// `PerEvent` exactly the per-record frames in order — and the
-    /// batch end is a flush barrier.
+    /// batch end is a barrier.
     pub fn append_batch(&mut self, batch: impl IntoIterator<Item = R>) {
-        let before = self.memory.len();
         for rec in batch {
-            self.frame(&rec, self.len());
-            self.memory.push(rec);
+            if !self.frame(&rec, self.len()) {
+                self.memory.push(rec);
+            }
         }
-        let records = self.memory.len() - before;
-        self.write(|w| w.commit(records, true), "append");
+        self.write(|w| w.commit(true), "append");
     }
 
     /// Frames `rec`, about to be record `index`, into the mirror's
     /// buffer if there is a file to write, and notes a checkpoint.
-    fn frame(&mut self, rec: &R, index: usize) {
+    /// Returns whether it did: the frame is then the record's one copy,
+    /// and the caller drops the record; else memory is to keep it.
+    fn frame(&mut self, rec: &R, index: usize) -> bool {
         let mut offset = 0;
-        if let Some(m) = &mut self.mirror {
-            if let Some(w) = &mut m.writer {
-                offset = m.flushed_len + w.push(rec) as u64;
+        let framed = match &mut self.mirror {
+            Some(Mirror {
+                writer: Some(w),
+                unwritten,
+                flushed_len,
+                ..
+            }) => {
+                offset = *flushed_len + w.push(rec) as u64;
+                *unwritten += 1;
+                true
             }
-        }
+            _ => false,
+        };
         if rec.is_checkpoint() {
             self.checkpoint = Some(Mark { index, offset });
         }
+        framed
     }
 
-    /// Has the writer, if there is one, `write`. When that puts bytes
-    /// in the file, the file holds the frames of everything in memory
-    /// but the writer's open frame, so memory lets go of the rest;
-    /// while the policy is still batching, and after a failure, memory
-    /// keeps it.
+    /// Has the writer, if there is one, `write`. A write takes every
+    /// frame the writer holds, so once it has put bytes in the file the
+    /// file holds every record appended so far; a refused one hands its
+    /// frames back to memory.
     fn write(
         &mut self,
-        write: impl FnOnce(&mut DurableWriter) -> std::io::Result<usize>,
+        write: impl FnOnce(&mut DurableWriter) -> Result<usize, Refused>,
         context: &str,
     ) {
         let Some(m) = &mut self.mirror else { return };
@@ -347,12 +370,10 @@ impl<R: Record + Clone> Log<R> {
         match write(w) {
             Ok(0) => {}
             Ok(written) => {
-                let out = self.memory.len() - w.unwritten();
                 m.flushed_len += written as u64;
-                m.records += out;
-                self.memory.drain(..out);
+                m.records += std::mem::take(&mut m.unwritten);
             }
-            Err(e) => self.fail_mirror(context, &e),
+            Err(refused) => self.fail_mirror(context, &refused.error, &refused.frames),
         }
     }
 
@@ -364,7 +385,7 @@ impl<R: Record + Clone> Log<R> {
 
     /// Number of records: a counter kept as the log appends.
     pub fn len(&self) -> usize {
-        self.mirror.as_ref().map_or(0, |m| m.records) + self.memory.len()
+        self.mirror.as_ref().map_or(0, |m| m.records + m.unwritten) + self.memory.len()
     }
 
     /// True if the log holds no record.
@@ -374,9 +395,9 @@ impl<R: Record + Clone> Log<R> {
 
     /// Records held in memory right now: every record of an unmirrored
     /// log, those of a mirrored one whose frames no write has handed to
-    /// the OS yet.
+    /// the OS yet (none after a barrier).
     pub fn resident(&self) -> usize {
-        self.memory.len()
+        self.mirror.as_ref().map_or(0, |m| m.unwritten) + self.memory.len()
     }
 
     /// Bytes of the file the log consists of (header and flushed
@@ -392,12 +413,17 @@ impl<R: Record + Clone> Log<R> {
     }
 
     /// Visits every record in log order — the one way to read them. The
-    /// file's flushed prefix is read and decoded frame by frame, each
+    /// file's flushed prefix is read and decoded frame by frame, then
+    /// the writer's unwritten frames from a copy of its buffer, each
     /// record handed over owned and then dropped; memory is walked by
     /// reference. O(file) on a mirrored log: for recovery, repair and
     /// audit, not for serving.
     pub fn for_each(&mut self, mut visit: impl FnMut(Cow<'_, R>)) {
         self.file_records(|rec| visit(Cow::Owned(rec)));
+        if let Some(w) = self.mirror.as_ref().and_then(|m| m.writer.as_ref()) {
+            frame::visit_file(&w.unwritten(&R::HEADER), |_, rec| visit(Cow::Owned(rec)))
+                .expect("a writer's own frames decode");
+        }
         self.memory.iter().for_each(|rec| visit(Cow::Borrowed(rec)));
     }
 
@@ -410,8 +436,8 @@ impl<R: Record + Clone> Log<R> {
 
     /// Decodes the records of the file's flushed prefix into `visit`. A
     /// file that cannot be read back as the frames this log wrote is a
-    /// mirror failure like any other: sticky, counted, and the visit
-    /// sees what memory holds.
+    /// mirror failure like any other: sticky, counted, the writer's
+    /// frames go back to memory, and the visit sees what memory holds.
     fn file_records(&mut self, mut visit: impl FnMut(R)) {
         let Some(m) = self.mirror.as_ref().filter(|m| m.records > 0) else {
             return;
@@ -427,7 +453,9 @@ impl<R: Record + Clone> Log<R> {
                 )),
             });
         if let Err(e) = read {
-            self.fail_mirror("read", &e);
+            let frames = self.mirror.as_mut().and_then(|m| m.writer.as_mut());
+            let frames = frames.map(DurableWriter::take).unwrap_or_default();
+            self.fail_mirror("read", &e, &frames);
         }
     }
 
@@ -451,6 +479,7 @@ impl<R: Record + Clone> Log<R> {
             writer: Some(w),
             flushed_len,
             records,
+            ..
         }) = &mut self.mirror
         {
             let mut contents = R::HEADER.to_vec();
@@ -467,7 +496,7 @@ impl<R: Record + Clone> Log<R> {
                     (*flushed_len, *records) = (contents.len() as u64, *records - mark.index);
                 }
                 Err(e) => {
-                    self.fail_mirror("compact", &e);
+                    self.fail_mirror("compact", &e, &[]);
                     return 0;
                 }
             }
@@ -544,7 +573,7 @@ mod tests {
 
     fn op() -> impl Strategy<Value = Op> {
         // Small values make `0`, the checkpoint, common; plain appends
-        // are, so that a batching policy gets to its threshold.
+        // are, so that a group commit gets long between barriers.
         let append = |barrier| (0u64..4).prop_map(move |v| Op::Append(v, barrier));
         prop_oneof![
             append(false),
@@ -561,14 +590,13 @@ mod tests {
     }
 
     /// The records of a log in the frames its file holds or will hold:
-    /// each frame's records, how many frames were written, whether the
-    /// last one takes more records, and how many records are unwritten.
+    /// each frame's records, how many frames were written, and whether
+    /// the last one takes more records.
     #[derive(Default)]
     struct Frames {
         frames: Vec<Vec<Num>>,
         flushed: usize,
         open: bool,
-        pending: usize,
     }
 
     impl Frames {
@@ -581,25 +609,11 @@ mod tests {
             }
             self.frames.last_mut().unwrap().push(Num(v));
             self.open = true;
-            self.pending += 1;
         }
 
         /// A barrier: every frame closed and written.
         fn flush(&mut self) {
-            (self.flushed, self.open, self.pending) = (self.frames.len(), false, 0);
-        }
-
-        /// What `Batched { most }` does once `most` records are
-        /// unwritten: writes the closed frames, and the open one if it
-        /// is full.
-        fn count(&mut self, most: usize) {
-            if self.pending < most {
-                return;
-            }
-            let last = self.frames.last().map_or(0, Vec::len);
-            self.open &= last < most;
-            self.flushed = self.frames.len() - self.open as usize;
-            self.pending = if self.open { last } else { 0 };
+            (self.flushed, self.open) = (self.frames.len(), false);
         }
 
         fn records(&self) -> Vec<Num> {
@@ -624,15 +638,18 @@ mod tests {
 
         /// Whatever is done to a mirrored log, under each policy: its
         /// records are the model's, the file is exactly the frames of
-        /// the flushed prefix — a frame per flush under `Batched`, a
-        /// frame per record otherwise, a checkpoint opening one — and
-        /// memory holds exactly the rest.
+        /// the flushed prefix — a frame per barrier under `Batched`,
+        /// whatever its `n`, a frame per record otherwise, a checkpoint
+        /// opening one — and the records of the unwritten frames are
+        /// the resident ones. Under `Batched` nothing but a barrier
+        /// writes (the byte cap is far beyond these logs).
         #[test]
         fn the_log_is_its_file_followed_by_its_memory(
             ops in prop::collection::vec(op(), 1..40),
             policy in prop_oneof![
                 Just(DurabilityPolicy::PerEvent),
                 Just(DurabilityPolicy::PerEventSync),
+                Just(DurabilityPolicy::Batched { n: 1 }),
                 Just(DurabilityPolicy::Batched { n: 3 }),
             ],
         ) {
@@ -640,7 +657,7 @@ mod tests {
             let path = dir.join("log");
             let open = || Log::<Num>::open(&path, policy, |_| {}).unwrap().0;
             let batching = matches!(policy, DurabilityPolicy::Batched { .. });
-            let most = if batching { 3 } else { 1 };
+            let most = if batching { usize::MAX } else { 1 };
             let mut log = open();
             // The whole log in its frames.
             let mut model = Frames::default();
@@ -651,8 +668,6 @@ mod tests {
                         model.push(v, most);
                         if !batching || barrier {
                             model.flush();
-                        } else {
-                            model.count(most);
                         }
                     }
                     Op::Batch(vs) => {
@@ -688,7 +703,7 @@ mod tests {
                         std::mem::forget(log);
                         log = open();
                         model.frames.truncate(model.flushed);
-                        (model.open, model.pending) = (false, 0);
+                        model.open = false;
                     }
                 }
                 let records = model.records();
@@ -751,6 +766,41 @@ mod tests {
         log.append(Num(0), false);
         assert_eq!(log.compact(), 6);
         assert_eq!(log.records(), [Num(0)]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A barrier the file refuses (a read-only descriptor) hands the
+    /// writer's frames back: the log still reads every record, its
+    /// length does not change, and the writer is gone holding nothing,
+    /// so dropping the log writes nothing — not to the log's file, not
+    /// to a file swapped in, where a frame would land behind a torn one.
+    #[test]
+    fn a_failed_flush_hands_the_frames_back_and_drop_writes_nothing() {
+        let dir = tmp_dir("refused");
+        let (path, other) = (dir.join("log"), dir.join("other"));
+        std::fs::write(&path, frame::file_bytes(&[Num(1)])).unwrap();
+        std::fs::write(&other, "").unwrap();
+        let read_only = File::open(&path).unwrap();
+        let policy = DurabilityPolicy::Batched { n: 2 };
+        let mut log = Log::with_injected_file(read_only, path.clone(), policy);
+        for v in 2..=6 {
+            log.append(Num(v), false);
+        }
+        let all: Vec<Num> = (1..=6).map(Num).collect();
+        assert_eq!((log.len(), log.resident()), (6, 5));
+        assert_eq!(log.records(), all, "read from the unwritten frames");
+        log.flush();
+        assert!(log.mirror_error().is_some(), "a read-only file");
+        assert_eq!(log.records(), all, "the refused frames are back in memory");
+        assert_eq!((log.len(), log.resident()), (6, 5));
+        let writer = log.mirror.as_mut().and_then(|m| m.writer.as_mut());
+        assert!(writer.is_none(), "no writer is left to write anything");
+        if let Some(w) = writer {
+            w.replace_file(OpenOptions::new().append(true).open(&other).unwrap());
+        }
+        drop(log);
+        assert_eq!(std::fs::read(&other).unwrap(), b"");
+        assert_eq!(std::fs::read(&path).unwrap(), frame::file_bytes(&[Num(1)]));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -6,8 +6,8 @@
 //!
 //! The checks run over two kinds of file: [`file_bytes`], one record a
 //! frame, and [`grouped_frames`]'s, written through a [`Log`] under
-//! `Batched { n }` with flushes at given points, whose frames hold a
-//! whole group commit each.
+//! `Batched` with barriers at given points, whose frames hold a whole
+//! group commit each.
 
 use crate::durability::DurabilityPolicy;
 use crate::frame::{
@@ -119,8 +119,9 @@ fn flip<R: Record + PartialEq + Debug>(bytes: &[u8], records: &[R], at: usize, b
 /// `records` appended through a [`Log`] under `Batched { n }`, flushed
 /// after record `i` wherever `flush_after[i]` says so and at the end,
 /// in a file of their own: the file holds every record once, a frame
-/// per flush of at most `n` records, a record that opens a frame
-/// opening one; every byte prefix of it reopens to exactly
+/// per flush — however many records it holds, as `n` is read by
+/// nothing — a record that opens a frame opening one; every byte
+/// prefix of it reopens to exactly
 /// the records of its whole frames and counts one torn tail if it cuts
 /// a frame; and a flipped bit (as [`flipped_bit_is_torn_or_corrupt`]'s
 /// `at` and `bit`) is a torn last frame or corruption at its frame.
@@ -154,12 +155,11 @@ pub fn grouped_frames<R: Record + Clone + PartialEq + Debug>(
     let decoded = decode_file::<R>(&bytes).unwrap();
     assert_eq!(decoded.records, records);
     assert_eq!((decoded.valid_len, decoded.torn), (bytes.len(), None));
-    // A frame per flush asked for, of at most `n` records; a record
-    // that opens a frame does.
+    // A frame per flush asked for, whatever `n` is; a record that opens
+    // a frame does.
     let (mut sizes, mut open) = (Vec::<usize>::new(), false);
     for (i, rec) in records.iter().enumerate() {
-        let full = sizes.last() == Some(&n.max(1));
-        if !open || full || rec.is_checkpoint() || rec.opens_frame() {
+        if !open || rec.is_checkpoint() || rec.opens_frame() {
             sizes.push(0);
         }
         *sizes.last_mut().unwrap() += 1;

@@ -930,8 +930,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// Written through the log under `Batched { n }`, a frame per
-        /// group commit: every cut and every flipped bit keeps or loses
-        /// whole frames.
+        /// barrier whatever `n` is: every cut and every flipped bit
+        /// keeps or loses whole frames.
         #[test]
         fn grouped_frames_keep_or_lose_whole_frames(
             records in prop::collection::vec(record(), 1..8),

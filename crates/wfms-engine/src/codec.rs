@@ -997,8 +997,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// Written through the log under `Batched { n }`, a frame per
-        /// group commit with its names spelled once: every cut and
-        /// every flipped bit keeps or loses whole frames.
+        /// barrier whatever `n` is, with its names spelled once: every
+        /// cut and every flipped bit keeps or loses whole frames.
         #[test]
         fn grouped_frames_keep_or_lose_whole_frames(
             events in prop::collection::vec(event(), 1..8),

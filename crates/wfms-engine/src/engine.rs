@@ -1342,8 +1342,9 @@ impl Engine {
     /// Forces the journal mirror to disk — a durability barrier under
     /// any [`DurabilityPolicy`]. After this returns `Ok`, every event
     /// appended so far survives a crash. Group-commit callers (a
-    /// server shard batching submissions) append under `Batched{n}`
-    /// and call this once per batch before acknowledging any of it.
+    /// server shard batching submissions) append under `Batched`,
+    /// which writes nothing between barriers, and call this once per
+    /// batch before acknowledging any of it.
     pub fn flush_journal(&self) -> Result<(), EngineError> {
         self.journal.flush();
         self.check_journal()

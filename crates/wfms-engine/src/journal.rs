@@ -2,10 +2,11 @@
 //!
 //! The journal is the substrate's [`Log`], instantiated for [`Event`]:
 //! the optional file mirror of binary frames (one per group commit —
-//! per event under `PerEvent`, per flush under `Batched` — events as
+//! per event under `PerEvent`, per barrier under `Batched` — events as
 //! `codec.rs` defines them; `docs/recovery.md` describes the file byte
-//! by byte), the memory that holds only the events the file does
-//! not — all of them without a file, the unflushed tail with one —
+//! by byte), which is followed by its unwritten frames — an event is
+//! encoded once and its frame is all the journal keeps of it until a
+//! barrier writes it; without a file the journal is its memory —
 //! torn-tail repair on reopen, sticky mirror errors, fault counting and
 //! atomic compaction are all the shared log's, the same code the WAL
 //! runs.
@@ -15,9 +16,10 @@
 //! per-event flushing is affordable and makes the recovery point exact
 //! **for process crashes** — bytes handed to the OS survive the process
 //! dying, but only `PerEventSync` pushes them through the page cache to
-//! stable storage, and `Batched{n}` may leave up to `n-1` complete
-//! events unflushed). See `docs/recovery.md` for how the crash-point
-//! sweep exercises each policy's loss window.
+//! stable storage, and `Batched` writes only at barriers, so a crash
+//! loses the events since the last one and nothing acknowledged). See
+//! `docs/recovery.md` for how the crash-point sweep exercises each
+//! policy's loss window.
 //!
 //! A journal has one owner and takes no lock: its log is a cell the
 //! owner borrows for each call, and the engine that opens it sets its
@@ -265,10 +267,10 @@ impl Journal {
     /// reported through [`Journal::mirror_error`].
     ///
     /// Encoding happens **only when a file mirror is attached**, and
-    /// then the event is kept only until its frame is written: the
-    /// unmirrored journal stores the event value itself, so that steady
-    /// state (every embedded benchmark engine) pays a `Vec` push,
-    /// nothing more.
+    /// then the event is dropped as soon as it is encoded: its frame is
+    /// its one copy. The unmirrored journal stores the event value
+    /// itself, so that steady state (every embedded benchmark engine)
+    /// pays a `Vec` push, nothing more.
     pub fn append(&self, event: Event) {
         let Some(p) = &self.probes else {
             self.log.borrow_mut().append(event, false);
@@ -320,8 +322,8 @@ impl Journal {
     }
 
     /// Events held in memory right now: all of an unmirrored journal,
-    /// the unflushed tail of a mirrored one (at most `n - 1` under
-    /// `Batched { n }`, none after a flush).
+    /// those of a mirrored one in frames no barrier has written yet
+    /// (none after a flush).
     pub fn resident_events(&self) -> usize {
         self.log.borrow().resident()
     }
@@ -338,8 +340,9 @@ impl Journal {
     }
 
     /// Visits every event in order, with the log borrowed: the file's
-    /// events decoded one by one (owned), then the ones in memory (by
-    /// reference). `visit` must not call this journal.
+    /// events and then the unwritten frames' decoded one by one
+    /// (owned), then the ones in memory (by reference). `visit` must
+    /// not call this journal.
     pub(crate) fn for_each(&self, visit: impl FnMut(Cow<'_, Event>)) {
         self.log.borrow_mut().for_each(visit)
     }

@@ -313,10 +313,14 @@ fn mirror_write_failure_parks_instances_not_the_engine() {
 }
 
 /// The work-item and operator entry points park like `step` and
-/// `run_to_quiescence` do. Under `Batched { n: 6 }` the start's three
-/// events stay buffered and the first write to the (read-only) file
-/// falls inside the navigation of `execute_item` / `force_finish`,
-/// which used to answer `Ok(())` over the mirror they had just broken.
+/// `run_to_quiescence` do. The journal writes per event into a pipe
+/// whose reading end goes once the item is claimed: the disk fills
+/// between the claim and the completion, so the first write that
+/// fails — the barrier the completion's first event makes — falls
+/// inside the navigation of `execute_item` / `force_finish`, which used
+/// to answer `Ok(())` over the mirror they had just broken. (Under
+/// `Batched` nothing inside either call writes: the server meets such
+/// a failure at the barrier that ends its turn.)
 #[test]
 fn mirror_write_failure_inside_execute_item_and_force_finish_is_reported() {
     let def = ProcessBuilder::new("m")
@@ -325,18 +329,24 @@ fn mirror_write_failure_inside_execute_item_and_force_finish_is_reported() {
         .unwrap();
     let dir = temp_dir("park-manual");
     for by_hand in [true, false] {
-        let path = dir.join(format!("readonly-{by_hand}.journal"));
+        let path = dir.join(format!("piped-{by_hand}.journal"));
         std::fs::write(&path, "").unwrap();
-        let file = std::fs::OpenOptions::new().read(true).open(&path).unwrap();
-        let policy = DurabilityPolicy::Batched { n: 6 };
-        let journal = Journal::with_injected_file(file, path.clone(), policy);
+        let (disk, writes) = std::io::pipe().unwrap();
+        let file = std::fs::File::from(std::os::fd::OwnedFd::from(writes));
+        let journal = Journal::with_injected_file(file, path.clone(), DurabilityPolicy::PerEvent);
         let (fed, registry) = fixture_world();
         let org = OrgModel::new().person("ann", &["clerk"]);
         let engine =
             recover_from(journal, Vec::new(), vec![def.clone()], org, fed, registry).unwrap();
         let id = engine.start("m", Container::empty()).unwrap();
+        assert_eq!(
+            engine.run_to_quiescence(id).unwrap(),
+            InstanceStatus::Running
+        );
+        let item = engine.worklist("ann")[0].id;
+        engine.claim(item, "ann").unwrap();
+        drop(disk);
         let err = if by_hand {
-            let item = engine.worklist("ann")[0].id;
             engine.execute_item(item, "ann").unwrap_err()
         } else {
             engine.force_finish(id, "M", 1).unwrap_err()

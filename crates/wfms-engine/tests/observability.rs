@@ -300,9 +300,10 @@ fn exposition_formats_render_the_snapshot() {
     assert!(prom.contains("db_wal_checkpoints{db=\"db\"} 0"));
 }
 
-/// The bound on what a mirrored journal keeps is visible: under
-/// `Batched { 64 }` never a full batch resident, nothing after a flush,
-/// and `journal.file_bytes` is the file's length.
+/// What a mirrored journal keeps is visible: under `Batched` every
+/// event since the last barrier is resident — in the frames no barrier
+/// has written, the file still its header — nothing after a flush, and
+/// `journal.file_bytes` is the file's length.
 #[test]
 fn mirrored_journal_reports_resident_records_and_file_bytes() {
     let dir = std::env::temp_dir().join(format!("wfms-obs-resident-{}", std::process::id()));
@@ -320,16 +321,21 @@ fn mirrored_journal_reports_resident_records_and_file_bytes() {
         },
     );
     engine.register(branching()).unwrap();
-    let mut peak = 0;
+    engine.flush_journal().unwrap();
+    let m = engine.metrics();
+    let (flushed, header) = (level(&m, "journal.events"), level(&m, "journal.file_bytes"));
     for _ in 0..40 {
         let id = engine.start("branch", Container::empty()).unwrap();
         engine.run_to_quiescence(id).unwrap();
         let m = engine.metrics();
         let resident = level(&m, "journal.resident_records");
-        assert!(resident <= 63, "never a full batch");
-        peak = peak.max(resident);
+        assert_eq!(
+            level(&m, "journal.events") - resident,
+            flushed,
+            "nothing since the barrier is written"
+        );
+        assert_eq!(level(&m, "journal.file_bytes"), header);
     }
-    assert!(peak > 0, "the policy batches");
     engine.flush_journal().unwrap();
     let m = engine.metrics();
     assert_eq!(level(&m, "journal.resident_records"), 0);

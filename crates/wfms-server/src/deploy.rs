@@ -196,16 +196,18 @@ mod tests {
     use std::sync::Arc;
     use txn_substrate::DurabilityPolicy;
     use wfms_engine::{spec_hash_of, InstanceStatus};
-    use wfms_model::{Activity, Container, ProcessBuilder};
+    use wfms_model::{Activity, Container, ContainerSchema, DataType, ProcessBuilder};
     use wfms_observe::Counter;
 
     /// A migrated instance that cannot be navigated onward is counted
     /// in `server.resume.failures`, as at reopen, not dropped. v2 of
     /// `flow` gives its finished head a fresh edge into an automatic
-    /// `Side`, which the migration's fix-ups re-ready. Starting `flow`,
-    /// deploying v2 and migrating make twelve appends and running `Side`
-    /// three more, so a journal that writes every 14th append onto a
-    /// full disk fails inside the onward navigation.
+    /// `Side`, which the migration's fix-ups re-ready. Under `Batched`
+    /// the journal writes nothing between barriers but what passes its
+    /// byte cap: `Side`'s program outputs more than that, so the first
+    /// write onto the full disk falls inside the onward navigation.
+    /// (Without it the shard would meet the failure at the flush that
+    /// ends the deploy's share.)
     #[test]
     fn a_failed_navigation_after_a_migration_is_counted() {
         let flow = ProcessBuilder::new("flow")
@@ -215,12 +217,15 @@ mod tests {
             .build()
             .unwrap();
         let v2 = ProcessBuilder::from(flow.clone())
-            .program("Side", "ok")
+            .activity(
+                Activity::program("Side", "big")
+                    .with_output(ContainerSchema::of(&[("blob", DataType::Str)])),
+            )
             .connect_when("Head", "Side", "RC = 1")
             .build()
             .unwrap();
         let (engine, path) =
-            on_a_full_disk(DurabilityPolicy::Batched { n: 14 }, vec![flow], "migrate");
+            on_a_full_disk(DurabilityPolicy::Batched { n: 64 }, vec![flow], "migrate");
         let data = std::env::temp_dir().join(format!("wfms-migrate-{}", std::process::id()));
         let (dir, _) = store::open(data.clone(), WireIds::new(1, false), &[]).unwrap();
         let id = engine.start("flow", Container::empty()).unwrap();

@@ -9,15 +9,16 @@
 //! ## A turn and its driver
 //!
 //! What a shard does with a batch is one step, `turn`: navigate each
-//! submission to quiescence, flush the journal once more, and pair each
-//! submission with the reply it may now be given — group commit. The
-//! journal's own policy may have written earlier parts of the batch
-//! already; the batch-end flush is the barrier no acknowledgement
-//! precedes, and when it fails every reply of the batch is that
-//! failure. An acknowledgement therefore implies durability: after
-//! `kill -9`, every accepted submission is recovered from its shard
-//! journal. A turn takes no lock of the shard's, reads no clock and
-//! starts no thread, so a test makes one directly.
+//! submission to quiescence, flush the journal, and pair each
+//! submission with the reply it may now be given — group commit. Under
+//! the default policy the batch-end flush is the turn's one write (only
+//! `per-event` and `sync` write earlier parts of the batch already); it
+//! is the barrier no acknowledgement precedes, and when it fails every
+//! reply of the batch is that failure. An acknowledgement therefore
+//! implies durability: after `kill -9`, every accepted submission is
+//! recovered from its shard journal. A turn takes no lock of the
+//! shard's, reads no clock and starts no thread, so a test makes one
+//! directly.
 //!
 //! What the worker does with its inbox is one step, `step`: take a
 //! batch, publish the queue depth, make the turn, publish what reads
@@ -638,7 +639,8 @@ pub struct PoolConfig {
 }
 
 impl PoolConfig {
-    /// Conventional defaults: 1 shard, queue 1024, group commit of 64.
+    /// Conventional defaults: 1 shard, queue 1024, group commits of at
+    /// most 64 submissions, the journal written at each one's barrier.
     pub fn new(data_dir: impl Into<PathBuf>) -> Self {
         Self {
             data_dir: data_dir.into(),
@@ -1656,8 +1658,10 @@ pub(crate) mod tests {
 
     /// An engine whose journal file is `/dev/full` under `policy`: an
     /// append is buffered until the policy writes, and every write
-    /// fails. Programs named `ok` commit; `ann` is a `clerk`. The path
-    /// is the journal's (empty) file name: remove it when done.
+    /// fails. Programs named `ok` commit; one named `big` commits an
+    /// output of 2 MiB, past the journal writer's cap, so its event
+    /// makes a write under any policy. `ann` is a `clerk`. The path is
+    /// the journal's (empty) file name: remove it when done.
     pub(crate) fn on_a_full_disk(
         policy: DurabilityPolicy,
         templates: Vec<ProcessDefinition>,
@@ -1674,6 +1678,10 @@ pub(crate) mod tests {
         fed.add_database("db");
         let programs = Arc::new(ProgramRegistry::new());
         programs.register_fn("ok", |_| ProgramOutcome::committed());
+        programs.register_fn("big", |_| ProgramOutcome::Committed {
+            rc: 1,
+            outputs: [("blob".to_owned(), "x".repeat(2 << 20).into())].into(),
+        });
         let org = OrgModel::new().person("ann", &["clerk"]);
         let engine = recover_from(journal, Vec::new(), templates, org, fed, programs).unwrap();
         (engine, path)
@@ -1689,9 +1697,9 @@ pub(crate) mod tests {
 
     /// A batch whose group commit fails is failed whole: every reply is
     /// the flush's error, nothing is counted accepted, and each tenant
-    /// slot is back before its sink hears of it. The journal buffers 64
-    /// appends, so the batch navigates and only its flush meets the
-    /// full disk.
+    /// slot is back before its sink hears of it. The journal writes
+    /// only at barriers, so the batch navigates and only its flush
+    /// meets the full disk.
     #[test]
     fn a_failed_group_commit_fails_every_reply_of_its_batch() {
         let (engine, path) =

@@ -1026,6 +1026,63 @@ fn a_drain_waits_for_lanes_that_never_run_dry() {
     });
 }
 
+/// The write system calls this thread has made (`syscw` of
+/// `/proc/thread-self/io`).
+fn writes() -> u64 {
+    let io = std::fs::read_to_string("/proc/thread-self/io").unwrap();
+    (io.lines().find_map(|line| line.strip_prefix("syscw:")))
+        .and_then(|n| n.trim().parse().ok())
+        .expect("a syscw line")
+}
+
+/// A step is one group commit, and one `write`: a step of 1, 16 or 64
+/// submissions of an eight-step chain, each journalling 41 events, hands
+/// its journal to the OS once, at the barrier that ends it. A journal
+/// that also wrote whenever 64 records were unwritten would make one
+/// `write` per submission here: 16 for 16, 64 for 64.
+#[test]
+fn a_step_is_one_write() {
+    let mut chain = ProcessBuilder::new("chain").program("S0", "ok");
+    for i in 1..8 {
+        let (before, step) = (format!("S{}", i - 1), format!("S{i}"));
+        chain = chain
+            .program(&step, "ok")
+            .connect_when(&before, &step, "RC = 1");
+    }
+    let chain = chain.build().unwrap();
+    for n in [1, 16, 64] {
+        let setup = Setup {
+            shards: 1,
+            capacity: 64,
+            batch_max: 64,
+            durability: DurabilityPolicy::Batched { n: 64 },
+            tenants: Vec::new(),
+            templates: vec![chain.clone()],
+        };
+        let mut sim = Sim::open(setup, &format!("one-write-{n}"));
+        for _ in 0..n {
+            assert!(sim.submit(None, "chain"));
+        }
+        let journalled = |sim: &Sim| {
+            let tallies = sim.engines[0].as_ref().unwrap().tallies();
+            tallies
+                .into_iter()
+                .find(|t| t.0 == "journal.events")
+                .unwrap()
+                .1
+        };
+        let (events, before) = (journalled(&sim), writes());
+        sim.step(0);
+        let made = writes() - before;
+        let events = journalled(&sim) - events;
+        assert_eq!(events, 41 * n, "what the step journalled");
+        assert_eq!(made, 1, "{n} submissions, {events} events: writes");
+        assert!(sim.idle());
+        sim.all_answered();
+        sim.remove();
+    }
+}
+
 /// A shard whose journal is `/dev/full` answers every reply of every
 /// batch with the flush failure, counts none accepted, and gives back
 /// every quota slot.

@@ -1,13 +1,14 @@
 //! Memory is bounded by what is live, not by what was ever logged.
 //!
-//! A log is its file followed by its memory: a mirrored journal keeps
-//! an event only until its frame is written, and a database checkpoints
-//! its own WAL once the log outgrows the store. This test counts live
-//! heap bytes — allocated minus freed — around 20 000 instances of each
-//! of the benchmark's two shapes, the 8-step saga and the Figure 3
-//! flexible transaction (`exotica::run_pipeline` over
-//! `exotica::provision`'s three-site multidatabase), and pins what one
-//! *finished* instance leaves behind, on an in-memory engine (whose
+//! A log is its file followed by its unwritten frames: a mirrored
+//! journal keeps an event only as its encoded frame, written at the
+//! next barrier or once the writer's buffer passes its cap, and a
+//! database checkpoints its own WAL once the log outgrows the store.
+//! This test counts live heap bytes — allocated minus freed — around
+//! 20 000 instances of each of the benchmark's two shapes, the 8-step
+//! saga and the Figure 3 flexible transaction (`exotica::run_pipeline`
+//! over `exotica::provision`'s three-site multidatabase), and pins what
+//! one *finished* instance leaves behind, on an in-memory engine (whose
 //! journal is still a list: it has no file to be instead) and on one
 //! mirrored under the serving policy; then checks that the WAL of a
 //! busy database stays inside its checkpoint rule.
@@ -24,6 +25,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
+use txn_substrate::durability::BUFFER_CAP;
 use txn_substrate::{Database, DbConfig, DurabilityPolicy, Value};
 use wfms_engine::{Engine, EngineConfig, InstanceStatus};
 use wfms_model::Container;
@@ -99,12 +101,14 @@ fn histogram(before: &[i64; CLASSES], after: &[i64; CLASSES]) -> String {
 
 /// Live heap bytes one finished instance of `spec` leaves behind, on an
 /// engine whose journal is in memory or mirrored to `journal` under
-/// `Batched { n: 64 }`, an instance journalling `events`. On the
-/// mirrored engine the journal's resident events are watched too: never
-/// a full batch, none after a flush; and what an instance leaves must
-/// not depend on how many ran — the bytes per instance after twice as
-/// many agree within 5 %. Prints the live allocations per instance by
-/// size class under `label`.
+/// `Batched`, an instance journalling `events`, measured after a
+/// barrier. On the mirrored engine the journal's resident events are
+/// watched too: no more than its writer's byte cap holds (the cap, and
+/// not a barrier, writes here: the run makes none), none after a
+/// flush; and what an instance leaves must not depend on how many ran
+/// — the bytes per instance after twice as many agree within 5 %.
+/// Prints the live allocations per instance by size class under
+/// `label`.
 fn bytes_per_finished_instance(
     label: &str,
     spec: &exotica::AtmSpec,
@@ -133,24 +137,31 @@ fn bytes_per_finished_instance(
             let id = engine.start(&process, input).expect("registered");
             let status = engine.run_to_quiescence(id).expect("runs");
             assert_eq!(status, InstanceStatus::Finished);
-            // Every seventh instance ends 7 × `events` events on, an odd
-            // number for both shapes: over a run the samples land on
-            // every residue of the batch of 64.
+            // Every seventh instance, once the cap has written, the
+            // resident events fit the cap: at the file's bytes per
+            // event, with 5 % for where the cap split a frame.
             if journal.is_some() && i % 7 == 0 {
-                let resident = engine.metrics().gauge("journal.resident_records").unwrap();
+                let m = engine.metrics();
+                let resident = m.gauge("journal.resident_records").unwrap();
+                let written = m.gauge("journal.events").unwrap() - resident;
+                let file = m.gauge("journal.file_bytes").unwrap();
+                let cap = BUFFER_CAP as i64;
                 assert!(
-                    resident <= 63,
-                    "{resident} events resident under Batched{{64}}"
+                    written == 0 || resident * file * 100 <= cap * written * 105,
+                    "{resident} events resident, {written} in {file} B of file"
                 );
             }
         }
     };
     // Warm up past every one-off: lock-table keys, the slab's and the
-    // pools' first growth, the first WAL checkpoint of each site.
+    // pools' first growth, the first WAL checkpoint of each site, the
+    // journal writer's buffer grown past its cap.
     run(2_000);
+    engine.flush_journal().expect("flushes");
     let classes = by_size();
     let before = live();
     run(INSTANCES);
+    engine.flush_journal().expect("flushes");
     let per_instance = (live() - before) / INSTANCES;
     println!(
         "{label}: {per_instance} B per finished instance; live allocations per instance by size:\n{}",
@@ -159,6 +170,12 @@ fn bytes_per_finished_instance(
 
     if journal.is_some() {
         run(INSTANCES);
+        let m = engine.metrics();
+        assert!(
+            m.gauge("journal.resident_records") < m.gauge("journal.events"),
+            "the cap wrote without a barrier"
+        );
+        engine.flush_journal().expect("flushes");
         let twice = (live() - before) / (2 * INSTANCES);
         println!(
             "{label}: {twice} B per finished instance after {}",
@@ -168,7 +185,6 @@ fn bytes_per_finished_instance(
             (twice - per_instance).abs() * 20 <= per_instance,
             "{label}: {per_instance} B per instance after {INSTANCES}, {twice} B after twice as many"
         );
-        engine.flush_journal().expect("flushes");
         let m = engine.metrics();
         let resident = m.gauge("journal.resident_records");
         assert_eq!(resident, Some(0), "a flush empties memory");
