@@ -18,6 +18,15 @@
 //! anyone sleeps on it). Upper layers treat a deadlock abort like any
 //! other unilateral abort, which is precisely the multidatabase
 //! behaviour flexible transactions were designed around.
+//!
+//! ## Lock order
+//!
+//! The lock table keeps its own mutex and condition variable, apart
+//! from the state lock of its [`Database`](crate::Database): a request
+//! may sleep here, and a sleeper must hold nothing the transactions it
+//! waits for need to commit. The database takes a record lock before
+//! its state lock and releases it after that lock, so the two are never
+//! held one inside the other.
 
 use crate::fast_hash::{FastMap, FastSet};
 use crate::txn::TxnId;

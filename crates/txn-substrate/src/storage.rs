@@ -5,9 +5,13 @@
 //! is therefore a plain map with no transaction awareness. Atomicity
 //! and isolation live in [`crate::txn`] and [`crate::lock`]; durability
 //! lives in [`crate::wal`].
+//!
+//! The store takes no lock of its own: a [`crate::Database`] keeps it,
+//! with its log, behind the one lock of its state, so readers borrow it
+//! and writers borrow it mutably. A record lock is taken before that
+//! state lock and released after it ([`crate::db`]).
 
 use crate::value::Value;
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -17,13 +21,13 @@ use std::sync::Arc;
 /// log's update records.
 pub type Key = Arc<str>;
 
-/// A thread-safe in-memory key/value store.
+/// An in-memory key/value store.
 ///
 /// A `BTreeMap` (rather than a hash map) keeps iteration order — and
 /// therefore every dump, trace and test fixture — deterministic.
 #[derive(Debug, Default)]
 pub struct Storage {
-    map: RwLock<BTreeMap<Key, Value>>,
+    map: BTreeMap<Key, Value>,
 }
 
 impl Storage {
@@ -34,19 +38,19 @@ impl Storage {
 
     /// Reads the current value of `key`, if present.
     pub fn get(&self, key: &str) -> Option<Value> {
-        self.map.read().get(key).cloned()
+        self.map.get(key).cloned()
     }
 
     /// Writes `value` under `key`, returning the previous value
     /// (the before-image the caller must log for undo). Overwriting
     /// keeps the key the map already holds and allocates nothing.
-    pub fn set(&self, key: &Key, value: Value) -> Option<Value> {
-        self.map.write().insert(Arc::clone(key), value)
+    pub fn set(&mut self, key: &Key, value: Value) -> Option<Value> {
+        self.map.insert(Arc::clone(key), value)
     }
 
     /// Removes `key`, returning the removed value if it existed.
-    pub fn remove(&self, key: &str) -> Option<Value> {
-        self.map.write().remove(key)
+    pub fn remove(&mut self, key: &str) -> Option<Value> {
+        self.map.remove(key)
     }
 
     /// Applies a logical write: `Some(v)` stores `v`, `None` deletes.
@@ -54,7 +58,7 @@ impl Storage {
     /// forward execution and undo/redo use, which guarantees that
     /// recovery applies exactly the same state transitions as normal
     /// operation.
-    pub fn apply(&self, key: &Key, value: Option<Value>) -> Option<Value> {
+    pub fn apply(&mut self, key: &Key, value: Option<Value>) -> Option<Value> {
         match value {
             Some(v) => self.set(key, v),
             None => self.remove(key),
@@ -63,25 +67,25 @@ impl Storage {
 
     /// True if the store holds no records.
     pub fn is_empty(&self) -> bool {
-        self.map.read().is_empty()
+        self.map.is_empty()
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.map.read().len()
+        self.map.len()
     }
 
     /// A point-in-time copy of the whole store, in key order. Used by
     /// tests to compare pre/post states and by the recovery tests to
     /// check that a rebuilt database equals the lost one.
     pub fn snapshot(&self) -> BTreeMap<Key, Value> {
-        self.map.read().clone()
+        self.map.clone()
     }
 
     /// Drops every record (simulates losing volatile memory in a
     /// crash; the WAL survives and recovery rebuilds the map).
-    pub fn clear(&self) {
-        self.map.write().clear();
+    pub fn clear(&mut self) {
+        self.map.clear();
     }
 }
 
@@ -95,7 +99,7 @@ mod tests {
 
     #[test]
     fn set_get_remove() {
-        let s = Storage::new();
+        let mut s = Storage::new();
         assert_eq!(s.get("a"), None);
         assert_eq!(s.set(&k("a"), Value::Int(1)), None);
         assert_eq!(s.get("a"), Some(Value::Int(1)));
@@ -107,7 +111,7 @@ mod tests {
 
     #[test]
     fn apply_returns_before_image() {
-        let s = Storage::new();
+        let mut s = Storage::new();
         assert_eq!(s.apply(&k("k"), Some(Value::Int(1))), None);
         assert_eq!(s.apply(&k("k"), Some(Value::Int(2))), Some(Value::Int(1)));
         assert_eq!(s.apply(&k("k"), None), Some(Value::Int(2)));
@@ -116,7 +120,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_ordered_and_detached() {
-        let s = Storage::new();
+        let mut s = Storage::new();
         s.set(&k("b"), Value::Int(2));
         s.set(&k("a"), Value::Int(1));
         let snap = s.snapshot();
@@ -131,7 +135,7 @@ mod tests {
 
     #[test]
     fn clear_empties() {
-        let s = Storage::new();
+        let mut s = Storage::new();
         s.set(&k("x"), Value::Bool(true));
         s.clear();
         assert!(s.is_empty());

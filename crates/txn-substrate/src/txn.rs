@@ -112,7 +112,7 @@ impl<'db> Transaction<'db> {
     /// the transaction: roll it back before the error is returned, and
     /// mark the handle so later calls fail fast.
     fn rolled_back(&mut self, e: DbError) -> DbError {
-        self.db.txn_abort(self.id, &mut self.undo);
+        self.db.txn_abort(self.id, &mut self.undo, Some(&e));
         self.status = TxnStatus::Aborted;
         e
     }
@@ -121,7 +121,7 @@ impl<'db> Transaction<'db> {
 impl Drop for Transaction<'_> {
     fn drop(&mut self) {
         if self.status == TxnStatus::Active {
-            self.db.txn_abort(self.id, &mut self.undo);
+            self.db.txn_abort(self.id, &mut self.undo, None);
             self.status = TxnStatus::Aborted;
         }
     }

@@ -37,7 +37,7 @@ static ALLOCATOR: Counting = Counting;
 #[test]
 fn unmirrored_append_allocates_only_to_grow_the_record_list() {
     const APPENDS: u64 = 4096;
-    let wal = Wal::new();
+    let mut wal = Wal::new();
     let before = ALLOCS.load(Ordering::Relaxed);
     for n in 0..APPENDS / 2 {
         wal.append(LogRecord::Begin { txn: TxnId(n) });

@@ -963,13 +963,14 @@ impl Engine {
             input: seeded,
             at: self.clock.now(),
         };
-        emit(&self.journal, ev, |ev| st.instance_started(tpl, ev))?;
+        let started = Arc::clone(&tpl);
+        emit(&self.journal, ev, |ev| st.instance_started(started, ev))?;
         let (instances, mut svc) = self.nav(&mut st);
         let inst = &mut instances[index_of(id)];
         if self.obs.enabled() {
-            inst.probes = Some(self.obs.act_probes(svc.probes, &inst.tpl));
+            inst.probes = Some(self.obs.act_probes(svc.probes, &tpl));
         }
-        navigator::seed_scope(inst, &mut svc, 0);
+        navigator::seed_scope(&tpl, inst, &mut svc, 0);
         inst.retire();
         Ok(id)
     }
@@ -1031,7 +1032,8 @@ impl Engine {
         self.write(id, |inst, svc| {
             let runnable = navigator::find_runnable(inst);
             if let Some(slot) = runnable {
-                navigator::execute_activity(inst, svc, slot, None);
+                let tpl = Arc::clone(&inst.tpl);
+                navigator::execute_activity(&tpl, inst, svc, slot, None);
             }
             Ok(runnable.is_some())
         })
@@ -1043,7 +1045,8 @@ impl Engine {
     /// status at quiescence.
     pub fn run_to_quiescence(&self, id: InstanceId) -> Result<InstanceStatus, EngineError> {
         self.write(id, |inst, svc| {
-            navigator::drive_to_quiescence(inst, svc, self.step_limit)?;
+            let tpl = Arc::clone(&inst.tpl);
+            navigator::drive_to_quiescence(&tpl, inst, svc, self.step_limit)?;
             Ok(inst.status)
         })
     }
@@ -1161,8 +1164,9 @@ impl Engine {
                     path: path.clone(),
                     expected: "ready",
                 })?;
-            navigator::execute_activity(inst, svc, slot, Some(person.to_owned()));
-            navigator::drive_to_quiescence(inst, svc, self.step_limit)
+            let tpl = Arc::clone(&inst.tpl);
+            navigator::execute_activity(&tpl, inst, svc, slot, Some(person.to_owned()));
+            navigator::drive_to_quiescence(&tpl, inst, svc, self.step_limit)
         })
     }
 
@@ -1190,8 +1194,9 @@ impl Engine {
                 at: self.clock.now(),
             };
             navigator::emit(inst, svc, slot, ev);
-            navigator::complete_execution(inst, svc, slot, rc, &Container::empty());
-            navigator::drive_to_quiescence(inst, svc, self.step_limit)
+            let tpl = Arc::clone(&inst.tpl);
+            navigator::complete_execution(&tpl, inst, svc, slot, rc, &Container::empty());
+            navigator::drive_to_quiescence(&tpl, inst, svc, self.step_limit)
         })
     }
 
@@ -1216,7 +1221,8 @@ impl Engine {
             if inst.status != InstanceStatus::Running || !inst.tpl.root.any_deadlines {
                 continue;
             }
-            sent.extend(navigator::check_deadlines(inst, &mut svc));
+            let tpl = Arc::clone(&inst.tpl);
+            sent.extend(navigator::check_deadlines(&tpl, inst, &mut svc));
         }
         sent
     }

@@ -205,8 +205,8 @@ impl Engine {
 /// Every series of every database of `multidb`
 /// ([`txn_substrate::Database::series`]), handed to `each` as `(name,
 /// label, reading)` under the label `db`. Reads no engine state: a
-/// database's series are relaxed atomics and two short locks, its lock
-/// table's and its WAL's, which no program holds across its run.
+/// database's series are two short locks, its state's and its lock
+/// table's, which no program holds across its run.
 pub fn database_series(
     multidb: &MultiDatabase,
     mut each: impl FnMut(&str, Option<(&str, &str)>, Value),

@@ -40,9 +40,13 @@
 //! change is an event handed to `emit` — the event's effect
 //! (`crate::engine::effect`, the same function replay folds over the
 //! journal), then the event appended. What it reads to decide is the
-//! instance it drives and the [`NavServices`] it is lent.
+//! instance it drives, the [`NavServices`] it is lent and the compiled
+//! template the instance runs under, which every function takes as
+//! `tpl`: the caller that starts a drive takes the instance's template
+//! once and lends it down, since no navigation event changes it (only
+//! a migration does, and a migration is not navigation).
 
-use crate::compiled::{CompiledKind, DataSource, ScopeId};
+use crate::compiled::{CompiledKind, CompiledProcess, DataSource, ScopeId};
 use crate::engine::{self, EngineError};
 use crate::event::{Event, WorkItemId};
 use crate::journal::Journal;
@@ -106,22 +110,32 @@ pub(crate) fn emit(inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32, ev
     });
 }
 
+/// True if `tpl` is the template `inst` runs under: what a caller
+/// lends the navigator.
+fn runs_under(tpl: &CompiledProcess, inst: &Instance) -> bool {
+    std::ptr::eq(tpl, &*inst.tpl)
+}
+
 /// Makes the start activities of scope `s` ready (scope 0: starts the
 /// instance).
-pub(crate) fn seed_scope(inst: &mut Instance, svc: &mut NavServices<'_>, s: ScopeId) {
-    let tpl = Arc::clone(&inst.tpl);
+pub(crate) fn seed_scope(
+    tpl: &CompiledProcess,
+    inst: &mut Instance,
+    svc: &mut NavServices<'_>,
+    s: ScopeId,
+) {
+    debug_assert!(runs_under(tpl, inst));
     let m = tpl.layout.scope(s);
     for &start in &m.cs.starts {
-        make_ready(inst, svc, m.act_base + start);
+        make_ready(tpl, inst, svc, m.act_base + start);
     }
 }
 
 /// Transitions the activity at `slot` to ready: queues it for the
 /// engine if automatic, offers a work item if manual.
-fn make_ready(inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32) {
+fn make_ready(tpl: &CompiledProcess, inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32) {
     let instance = inst.id;
     let now = svc.now();
-    let tpl = Arc::clone(&inst.tpl);
     let lay = &tpl.layout;
     let sl = slot as usize;
     let ev = Event::ActivityReady {
@@ -140,14 +154,20 @@ fn make_ready(inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32) {
         if svc.obs.enabled() {
             svc.obs.items_offered.inc();
         }
-        offer_item(inst, svc, slot, now);
+        offer_item(tpl, inst, svc, slot, now);
     }
 }
 
 /// Offers the manual activity at `slot`, at its current attempt, to
 /// the persons its staff assignment resolves to, under a fresh id.
-fn offer_item(inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32, now: txn_substrate::Tick) {
-    let lay = &inst.tpl.layout;
+fn offer_item(
+    tpl: &CompiledProcess,
+    inst: &mut Instance,
+    svc: &mut NavServices<'_>,
+    slot: u32,
+    now: txn_substrate::Tick,
+) {
+    let lay = &tpl.layout;
     let ev = Event::WorkItemOffered {
         instance: inst.id,
         path: lay.paths[slot as usize].clone().into(),
@@ -188,17 +208,19 @@ fn is_runnable(inst: &Instance, slot: u32) -> bool {
 /// [`EngineError::StepLimit`] once that would take more than `limit`
 /// steps.
 pub(crate) fn drive_to_quiescence(
+    tpl: &CompiledProcess,
     inst: &mut Instance,
     svc: &mut NavServices<'_>,
     limit: usize,
 ) -> Result<(), EngineError> {
+    debug_assert!(runs_under(tpl, inst));
     let mut steps = 0usize;
     while let Some(slot) = find_runnable(inst) {
         steps += 1;
         if steps > limit {
             return Err(EngineError::StepLimit(limit));
         }
-        execute_activity(inst, svc, slot, None);
+        execute_activity(tpl, inst, svc, slot, None);
     }
     Ok(())
 }
@@ -206,13 +228,14 @@ pub(crate) fn drive_to_quiescence(
 /// Executes the activity at `slot` (which must be ready). `by` names
 /// the person for manual executions; `None` means the engine runs it.
 pub fn execute_activity(
+    tpl: &CompiledProcess,
     inst: &mut Instance,
     svc: &mut NavServices<'_>,
     slot: u32,
     by: Option<String>,
 ) {
+    debug_assert!(runs_under(tpl, inst));
     let instance = inst.id;
-    let tpl = Arc::clone(&inst.tpl);
     let lay = &tpl.layout;
     let sl = slot as usize;
     let act = lay.act(slot);
@@ -273,7 +296,7 @@ pub fn execute_activity(
             // members declared in the output schema survive). The
             // Figure 2 compensation trigger relies on this to expose
             // the State_i flags to its outgoing transition conditions.
-            complete_execution(inst, svc, slot, 1, &input);
+            complete_execution(tpl, inst, svc, slot, 1, &input);
             record_latency(inst, slot, t0);
         }
         CompiledKind::Program(program) => {
@@ -285,17 +308,17 @@ pub fn execute_activity(
                 ProgramOutcome::Committed { rc, outputs } => (rc, outputs.into_iter().collect()),
                 ProgramOutcome::Aborted { rc, .. } => (rc, Container::empty()),
             };
-            complete_execution(inst, svc, slot, rc, &outputs);
+            complete_execution(tpl, inst, svc, slot, rc, &outputs);
             record_latency(inst, slot, t0);
         }
         CompiledKind::Block(_) => {
             // Starting the block opened its child scope; the block
             // stays running until that scope finishes.
             let c = lay.block_child[sl].expect("compiled block has a child scope");
-            seed_scope(inst, svc, c);
+            seed_scope(tpl, inst, svc, c);
             // An empty block (no activities) finishes immediately;
             // validation forbids it, but stay safe.
-            check_scope_completion(inst, svc, c);
+            check_scope_completion(tpl, inst, svc, c);
             // No latency probe for blocks: a block "runs" across many
             // navigation steps, so its wall-clock span is the sum of
             // its inner activities' probes.
@@ -316,14 +339,15 @@ fn record_latency(inst: &Instance, slot: u32, t0: Option<std::time::Instant>) {
 /// (schema defaults + the declared members of `outputs` + `RC`),
 /// emits the finish and decides the exit condition.
 pub fn complete_execution(
+    tpl: &CompiledProcess,
     inst: &mut Instance,
     svc: &mut NavServices<'_>,
     slot: u32,
     rc: i64,
     outputs: &Container,
 ) {
+    debug_assert!(runs_under(tpl, inst));
     let instance = inst.id;
-    let tpl = Arc::clone(&inst.tpl);
     let lay = &tpl.layout;
     let sl = slot as usize;
 
@@ -355,20 +379,25 @@ pub fn complete_execution(
         at: svc.now(),
     };
     emit(inst, svc, slot, ev);
-    decide_exit(inst, svc, slot);
+    decide_exit(tpl, inst, svc, slot);
 }
 
 /// Decides the exit condition of a *finished* activity: terminate on
 /// true, reschedule on false (§3.2). Public so recovery can resume an
 /// instance whose journal ends right after an `ActivityFinished`.
-pub fn decide_exit(inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32) {
+pub fn decide_exit(
+    tpl: &CompiledProcess,
+    inst: &mut Instance,
+    svc: &mut NavServices<'_>,
+    slot: u32,
+) {
+    debug_assert!(runs_under(tpl, inst));
     let instance = inst.id;
-    let tpl = Arc::clone(&inst.tpl);
     let lay = &tpl.layout;
     let sl = slot as usize;
     let exit_ok = lay.act(slot).exit.eval_exit(&inst.slab.acts[sl].output);
     if exit_ok {
-        terminate_activity(inst, svc, slot, true);
+        terminate_activity(tpl, inst, svc, slot, true);
     } else {
         if svc.obs.enabled() {
             svc.obs.reschedules.inc();
@@ -380,7 +409,7 @@ pub fn decide_exit(inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32) {
             at: svc.now(),
         };
         emit(inst, svc, slot, ev);
-        make_ready(inst, svc, slot);
+        make_ready(tpl, inst, svc, slot);
     }
 }
 
@@ -390,16 +419,21 @@ pub fn decide_exit(inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32) {
 /// at the same attempt (fresh item id), exactly the event the live
 /// run would have appended next. Automatic activities need no
 /// counterpart: replaying `ActivityReady` re-enqueues them directly.
-pub(crate) fn reoffer_ready(inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32) {
+pub(crate) fn reoffer_ready(
+    tpl: &CompiledProcess,
+    inst: &mut Instance,
+    svc: &mut NavServices<'_>,
+    slot: u32,
+) {
     let sl = slot as usize;
-    let lay = &inst.tpl.layout;
+    let lay = &tpl.layout;
     if inst.slab.acts[sl].state != ActState::Ready || lay.automatic[sl] {
         return;
     }
     if svc.worklists.has_live_item(inst.id, &lay.paths[sl]) {
         return;
     }
-    offer_item(inst, svc, slot, svc.now());
+    offer_item(tpl, inst, svc, slot, svc.now());
 }
 
 /// Recovery helper: an activity that was `Running` when the engine
@@ -407,9 +441,15 @@ pub(crate) fn reoffer_ready(inst: &mut Instance, svc: &mut NavServices<'_>, slot
 /// be rescheduled to be executed from the beginning"). `ActivityReady`
 /// closes the item the interrupted execution left open; a manual
 /// activity is offered afresh.
-pub fn reset_running_to_ready(inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32) {
+pub fn reset_running_to_ready(
+    tpl: &CompiledProcess,
+    inst: &mut Instance,
+    svc: &mut NavServices<'_>,
+    slot: u32,
+) {
+    debug_assert!(runs_under(tpl, inst));
     if inst.slab.acts[slot as usize].state == ActState::Running {
-        make_ready(inst, svc, slot);
+        make_ready(tpl, inst, svc, slot);
     }
 }
 
@@ -427,15 +467,19 @@ pub fn reset_running_to_ready(inst: &mut Instance, svc: &mut NavServices<'_>, sl
 ///   (the `ConnectorEvaluated` events are in the journal) but whose
 ///   ready/dead decision event was cut off — re-run the start-condition
 ///   decision. Undecidable joins are left waiting, exactly as live.
-pub(crate) fn renavigate_waiting(inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32) {
-    let tpl = Arc::clone(&inst.tpl);
+pub(crate) fn renavigate_waiting(
+    tpl: &CompiledProcess,
+    inst: &mut Instance,
+    svc: &mut NavServices<'_>,
+    slot: u32,
+) {
     if inst.slab.acts[slot as usize].state != ActState::Waiting {
         return; // an earlier fix-up's cascade already decided it
     }
     if tpl.layout.act(slot).incoming.is_empty() {
-        make_ready(inst, svc, slot);
+        make_ready(tpl, inst, svc, slot);
     } else {
-        update_target(inst, svc, slot);
+        update_target(tpl, inst, svc, slot);
     }
 }
 
@@ -445,9 +489,14 @@ pub(crate) fn renavigate_waiting(inst: &mut Instance, svc: &mut NavServices<'_>,
 /// `ConnectorEvaluated` events (and their target cascades) were lost.
 /// Only edges the replay found unevaluated are (re)evaluated, in
 /// declaration order, exactly as the live path would have continued.
-pub(crate) fn reevaluate_outgoing(inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32) {
+pub(crate) fn reevaluate_outgoing(
+    tpl: &CompiledProcess,
+    inst: &mut Instance,
+    svc: &mut NavServices<'_>,
+    slot: u32,
+) {
     if inst.slab.acts[slot as usize].state == ActState::Terminated {
-        evaluate_outgoing(inst, svc, slot);
+        evaluate_outgoing(tpl, inst, svc, slot);
     }
 }
 
@@ -460,9 +509,13 @@ pub(crate) fn reevaluate_outgoing(inst: &mut Instance, svc: &mut NavServices<'_>
 /// (§3.2); an executed one evaluates its precompiled transition plans
 /// over the output container (evaluation errors are false — fail safe
 /// — and statically constant conditions were folded at compile time).
-fn evaluate_outgoing(inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32) {
+fn evaluate_outgoing(
+    tpl: &CompiledProcess,
+    inst: &mut Instance,
+    svc: &mut NavServices<'_>,
+    slot: u32,
+) {
     let instance = inst.id;
-    let tpl = Arc::clone(&inst.tpl);
     let lay = &tpl.layout;
     let sl = slot as usize;
     let executed = inst.slab.acts[sl].executed;
@@ -482,7 +535,7 @@ fn evaluate_outgoing(inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32) 
             at: svc.now(),
         };
         emit(inst, svc, es as u32, ev);
-        update_target(inst, svc, m.act_base + edge.to);
+        update_target(tpl, inst, svc, m.act_base + edge.to);
     }
 }
 
@@ -490,13 +543,14 @@ fn evaluate_outgoing(inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32) 
 /// path elimination case. Evaluates outgoing connectors, cascades to
 /// targets and checks scope completion.
 pub fn terminate_activity(
+    tpl: &CompiledProcess,
     inst: &mut Instance,
     svc: &mut NavServices<'_>,
     slot: u32,
     executed: bool,
 ) {
+    debug_assert!(runs_under(tpl, inst));
     let instance = inst.id;
-    let tpl = Arc::clone(&inst.tpl);
     let lay = &tpl.layout;
     let sl = slot as usize;
     if !executed && svc.obs.enabled() {
@@ -512,14 +566,13 @@ pub fn terminate_activity(
     };
     emit(inst, svc, slot, ev);
 
-    evaluate_outgoing(inst, svc, slot);
-    check_scope_completion(inst, svc, lay.owner[sl]);
+    evaluate_outgoing(tpl, inst, svc, slot);
+    check_scope_completion(tpl, inst, svc, lay.owner[sl]);
 }
 
 /// Re-examines a waiting activity's start condition after one of its
 /// incoming connectors was evaluated; makes it ready or dead.
-fn update_target(inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32) {
-    let tpl = Arc::clone(&inst.tpl);
+fn update_target(tpl: &CompiledProcess, inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32) {
     let lay = &tpl.layout;
     let sl = slot as usize;
     if inst.slab.acts[sl].state != ActState::Waiting {
@@ -560,8 +613,8 @@ fn update_target(inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32) {
         }
     };
     match decision {
-        Some(true) => make_ready(inst, svc, slot),
-        Some(false) => terminate_activity(inst, svc, slot, false),
+        Some(true) => make_ready(tpl, inst, svc, slot),
+        Some(false) => terminate_activity(tpl, inst, svc, slot, false),
         None => {}
     }
 }
@@ -570,7 +623,12 @@ fn update_target(inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32) {
 /// not a scan), the scope is finished: the root scope finishes the
 /// instance; a block scope finishes its block activity (which may loop
 /// via its exit condition).
-pub(crate) fn check_scope_completion(inst: &mut Instance, svc: &mut NavServices<'_>, s: ScopeId) {
+pub(crate) fn check_scope_completion(
+    tpl: &CompiledProcess,
+    inst: &mut Instance,
+    svc: &mut NavServices<'_>,
+    s: ScopeId,
+) {
     let instance = inst.id;
     let scope = &inst.slab.scopes[s as usize];
     if !scope.live || scope.remaining != 0 {
@@ -593,17 +651,12 @@ pub(crate) fn check_scope_completion(inst: &mut Instance, svc: &mut NavServices<
     // A block scope finished: complete the block activity with the
     // scope's output. The block's return code is the scope output's
     // RC member when declared, else 1 ("the block ran").
-    let (_, pslot) = inst
-        .tpl
-        .layout
-        .scope(s)
-        .parent
-        .expect("non-root scope has a parent block");
+    let (_, pslot) = (tpl.layout.scope(s).parent).expect("non-root scope has a parent block");
     if inst.slab.acts[pslot as usize].state != ActState::Running {
         return; // already completed (idempotence guard)
     }
     let rc = output.get(RC_MEMBER).and_then(|v| v.as_int()).unwrap_or(1);
-    complete_execution(inst, svc, pslot, rc, &output);
+    complete_execution(tpl, inst, svc, pslot, rc, &output);
 }
 
 /// Cancels the instance (its offered work items close with it).
@@ -632,13 +685,17 @@ pub fn cancel_instance(inst: &mut Instance, svc: &mut NavServices<'_>) {
 /// so instances without deadlines return without scanning anything.
 /// Scopes are visited in preorder, skipping scopes that are not
 /// actively executing.
-pub fn check_deadlines(inst: &mut Instance, svc: &mut NavServices<'_>) -> Vec<(String, String)> {
-    if !inst.tpl.root.any_deadlines {
+pub fn check_deadlines(
+    tpl: &CompiledProcess,
+    inst: &mut Instance,
+    svc: &mut NavServices<'_>,
+) -> Vec<(String, String)> {
+    debug_assert!(runs_under(tpl, inst));
+    if !tpl.root.any_deadlines {
         return Vec::new();
     }
 
     let now = svc.now();
-    let tpl = Arc::clone(&inst.tpl);
     let lay = &tpl.layout;
     let org = svc.org;
     let mut due: Vec<(u32, Vec<String>)> = Vec::new();

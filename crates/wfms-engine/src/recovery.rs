@@ -366,20 +366,20 @@ pub(crate) fn fixup_instance(inst: &mut Instance, svc: &mut NavServices<'_>) -> 
     // immediately after `ActivityReady`, so a lost offer is the
     // earliest missing event a crash can leave behind.
     for slot in fx.ready {
-        navigator::reoffer_ready(inst, svc, slot);
+        navigator::reoffer_ready(&tpl, inst, svc, slot);
     }
     for slot in fx.running_programs {
-        navigator::reset_running_to_ready(inst, svc, slot);
+        navigator::reset_running_to_ready(&tpl, inst, svc, slot);
     }
     for slot in fx.waiting {
-        navigator::renavigate_waiting(inst, svc, slot);
+        navigator::renavigate_waiting(&tpl, inst, svc, slot);
     }
     terminated.sort_by_key(|(pos, _)| std::cmp::Reverse(*pos));
     for (_, slot) in terminated {
-        navigator::reevaluate_outgoing(inst, svc, slot);
+        navigator::reevaluate_outgoing(&tpl, inst, svc, slot);
     }
     for slot in fx.finished {
-        navigator::decide_exit(inst, svc, slot);
+        navigator::decide_exit(&tpl, inst, svc, slot);
     }
     fx.scopes
         .sort_by_key(|&s| std::cmp::Reverse(lay.scope(s).depth));
@@ -387,7 +387,7 @@ pub(crate) fn fixup_instance(inst: &mut Instance, svc: &mut NavServices<'_>) -> 
         if inst.status != InstanceStatus::Running {
             break;
         }
-        navigator::check_scope_completion(inst, svc, scope);
+        navigator::check_scope_completion(&tpl, inst, svc, scope);
     }
     counts
 }

@@ -47,6 +47,16 @@ fn the_navigator_decides_and_emits() {
     assert_eq!(count("navigator.rs", "journal.append("), 0, "emit appends");
 }
 
+/// A drive takes its instance's template once, where it starts (the
+/// engine's entry points, recovery's fix-ups), and lends it down as
+/// `&CompiledProcess`: no navigation step pays for a reference count.
+#[test]
+fn the_navigator_borrows_its_template() {
+    for taken in ["Arc::clone(&inst.tpl)", "inst.tpl.clone()"] {
+        assert_eq!(count("navigator.rs", taken), 0, "{taken}");
+    }
+}
+
 /// The files of `src/`, by name.
 fn sources() -> Vec<String> {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");

@@ -214,6 +214,7 @@ impl Server {
                             state,
                             conns: FastMap::default(),
                             next_token: TOKEN_FIRST_CONN,
+                            read_buf: vec![0; READ_CHUNK].into_boxed_slice(),
                         }
                         .run()
                     })?,
@@ -395,6 +396,9 @@ struct Reactor {
     state: Arc<ServerState>,
     conns: FastMap<u64, Conn>,
     next_token: u64,
+    /// What every connection's socket is read into, filled once at
+    /// start: a readiness event zero-fills nothing.
+    read_buf: Box<[u8]>,
 }
 
 impl Reactor {
@@ -515,20 +519,19 @@ impl Reactor {
             return false;
         }
         if ready & (EPOLLIN | EPOLLRDHUP) != 0 {
-            let mut chunk = [0u8; READ_CHUNK];
             loop {
                 if !conn.wants_read() {
                     break;
                 }
-                match conn.stream.read(&mut chunk) {
+                match conn.stream.read(&mut self.read_buf) {
                     Ok(0) => {
                         conn.read_closed = true;
                         break;
                     }
                     Ok(n) => {
-                        conn.decoder.push(&chunk[..n]);
+                        conn.decoder.push(&self.read_buf[..n]);
                         conn.last_activity = Instant::now();
-                        if n < chunk.len() {
+                        if n < self.read_buf.len() {
                             break; // socket drained
                         }
                     }
