@@ -55,6 +55,9 @@ fn run<'s>(
     max_retries: u32,
     trace: &mut AtmTrace,
 ) -> (Ended, Vec<&'s StepSpec>) {
+    // One context for every call of the run: the sites its programs
+    // resolve stay resolved.
+    let mut ctx = ProgramContext::new(Arc::clone(multidb));
     // In commit order: the switch undoes newest first.
     let mut committed: Vec<&StepSpec> = Vec::new();
     let mut k = 0usize;
@@ -64,14 +67,14 @@ fn run<'s>(
                 continue; // shared prefix with an earlier path
             }
             let retry = spec.retries(step);
-            match forward(multidb, registry, max_retries, retry, step, trace) {
+            match forward(&mut ctx, registry, max_retries, retry, step, trace) {
                 Ok(true) => committed.push(step),
                 Err(stuck) => break 'paths Ended::Stuck(stuck),
                 Ok(false) => {
                     let switch = spec.switch(k, &committed, step);
                     for &undone in &switch.undo {
                         if let Err(stuck) =
-                            compensate(multidb, registry, max_retries, undone, trace)
+                            compensate(&mut ctx, registry, max_retries, undone, trace)
                         {
                             break 'paths Ended::Stuck(stuck);
                         }
@@ -95,7 +98,7 @@ fn run<'s>(
 /// `retry`, an abort is retried up to `max_retries` times, and `Err`
 /// names the step that exhausted the bound.
 fn forward(
-    multidb: &Arc<MultiDatabase>,
+    ctx: &mut ProgramContext,
     registry: &ProgramRegistry,
     max_retries: u32,
     retry: bool,
@@ -104,9 +107,8 @@ fn forward(
 ) -> Result<bool, String> {
     let mut attempt = 0u32;
     loop {
-        let mut ctx = ProgramContext::new(Arc::clone(multidb));
         ctx.attempt = attempt;
-        if registry.invoke(&step.program, &mut ctx).is_committed() {
+        if registry.invoke(&step.program, ctx).is_committed() {
             trace.push(AtmEvent::Committed(step.name.clone()));
             return Ok(true);
         }
@@ -127,7 +129,7 @@ fn forward(
 /// up to `max_retries` times. `Err` names the step whose compensation
 /// exhausted the bound.
 fn compensate(
-    multidb: &Arc<MultiDatabase>,
+    ctx: &mut ProgramContext,
     registry: &ProgramRegistry,
     max_retries: u32,
     step: &StepSpec,
@@ -139,9 +141,8 @@ fn compensate(
         .expect("well-formedness guarantees a compensation for every step undone");
     let mut attempt = 0u32;
     loop {
-        let mut ctx = ProgramContext::new(Arc::clone(multidb));
         ctx.attempt = attempt;
-        if registry.invoke(comp, &mut ctx).is_committed() {
+        if registry.invoke(comp, ctx).is_committed() {
             trace.push(AtmEvent::Compensated(step.name.clone()));
             return Ok(());
         }

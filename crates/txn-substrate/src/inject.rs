@@ -31,12 +31,24 @@
 //! on the shard count, on whether a run was resumed after a crash —
 //! and a seeded workload would not repeat. Per-label streams make a
 //! label's k-th draw a pure function of `(seed, label, k)`.
+//!
+//! Most decisions are about a label with no plan: every database's
+//! `"<db>/commit"` in a run that scripts only programs, every program
+//! label in a run that scripts none. Those are answered without the
+//! plans' lock. [`Injector::set_plan`] publishes one bit per planned
+//! label into a 64-bit summary, and a decision whose label's bit is
+//! clear proceeds after one `Acquire` load of it. A set bit only says
+//! "maybe": the decision takes the lock and looks the label up, so a
+//! label without a plan that shares a bit with a planned one still
+//! proceeds uncounted. Plans are never removed, so a bit never clears.
 
-use crate::fast_hash::FastMap;
+use crate::fast_hash::{FastHasher, FastMap};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
+use std::hash::Hasher;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// What a labelled operation should do at its decision point.
@@ -87,10 +99,20 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// `label`'s bit in [`Injector::planned`].
+fn summary(label: &str) -> u64 {
+    let mut h = FastHasher::default();
+    h.write(label.as_bytes());
+    1 << (h.finish() & 63)
+}
+
 /// A shared, thread-safe failure-injection oracle.
 #[derive(Debug)]
 pub struct Injector {
     plans: Mutex<FastMap<String, PlanState>>,
+    /// The [`summary`] bits of every label in `plans`, set by
+    /// `set_plan` after the insert it summarises.
+    planned: AtomicU64,
     seed: u64,
 }
 
@@ -104,6 +126,7 @@ impl Injector {
     pub fn new(seed: u64) -> InjectorHandle {
         Arc::new(Self {
             plans: Mutex::default(),
+            planned: AtomicU64::new(0),
             seed,
         })
     }
@@ -124,11 +147,18 @@ impl Injector {
                 rng: StdRng::seed_from_u64(self.seed ^ fnv1a(label.as_bytes())),
             },
         );
+        // Release, paired with `decide`'s Acquire: a decision that sees
+        // the bit finds the plan.
+        self.planned.fetch_or(summary(label), Ordering::Release);
     }
 
     /// Consults the plan for `label`, counting this call as one
-    /// attempt. Unknown labels always proceed.
+    /// attempt. Unknown labels always proceed, and a label whose
+    /// summary bit no plan set proceeds without taking the lock.
     pub fn decide(&self, label: &str) -> FailureAction {
+        if self.planned.load(Ordering::Acquire) & summary(label) == 0 {
+            return FailureAction::Proceed;
+        }
         let mut plans = self.plans.lock();
         let Some(state) = plans.get_mut(label) else {
             return FailureAction::Proceed;
@@ -272,6 +302,53 @@ mod tests {
                 "seed {seed}: {aborts}/32 aborted"
             );
         }
+    }
+
+    #[test]
+    fn a_plan_set_after_unplanned_decisions_holds_from_the_next_one() {
+        let inj = Injector::new(0);
+        for _ in 0..5 {
+            assert_eq!(inj.decide("late"), FailureAction::Proceed);
+        }
+        assert_eq!(inj.attempts("late"), 0, "no plan, nothing counted");
+        inj.set_plan("late", FailurePlan::FirstN(1));
+        assert_eq!(inj.decide("late"), FailureAction::Abort);
+        assert_eq!(inj.decide("late"), FailureAction::Proceed);
+        assert_eq!(inj.attempts("late"), 2, "counted from the plan on");
+    }
+
+    #[test]
+    fn a_label_sharing_a_planned_bit_still_proceeds_uncounted() {
+        let planned = "T8";
+        let twin = (0..)
+            .map(|i| format!("twin{i}"))
+            .find(|l| summary(l) == summary(planned))
+            .expect("64 bits collide soon");
+        let inj = Injector::new(0);
+        inj.set_plan(planned, FailurePlan::Always);
+        for _ in 0..3 {
+            assert_eq!(inj.decide(&twin), FailureAction::Proceed);
+        }
+        assert_eq!(inj.attempts(&twin), 0);
+        assert_eq!(inj.decide(planned), FailureAction::Abort);
+        assert_eq!(inj.attempts(planned), 1);
+    }
+
+    #[test]
+    fn a_plan_set_on_one_thread_holds_on_another() {
+        let inj = Injector::new(0);
+        assert_eq!(inj.decide("x/commit"), FailureAction::Proceed);
+        let setter = Arc::clone(&inj);
+        std::thread::spawn(move || setter.set_plan("x/commit", FailurePlan::Always))
+            .join()
+            .unwrap();
+        let decider = Arc::clone(&inj);
+        let seen = std::thread::spawn(move || decider.decide("x/commit"))
+            .join()
+            .unwrap();
+        assert_eq!(seen, FailureAction::Abort);
+        assert_eq!(inj.decide("x/commit"), FailureAction::Abort);
+        assert_eq!(inj.attempts("x/commit"), 2);
     }
 
     #[test]

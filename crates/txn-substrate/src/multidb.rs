@@ -8,18 +8,29 @@
 //! sites cannot be coordinated, so global atomicity has to be built
 //! *above* them — by sagas, flexible transactions, or (the paper's
 //! point) by a workflow process.
+//!
+//! The set of sites changes only at provisioning, and a program call
+//! should not pay for the lock that guards it. So a site name is
+//! resolved once per [`ProgramContext`](crate::ProgramContext), which
+//! keeps the databases it resolved. Each [`MultiDatabase::add_database`]
+//! moves the federation's generation stamp, and a context checks the
+//! stamp (one `Acquire` load) before it uses what it resolved: when the
+//! stamp has moved, it resolves again.
 
 use crate::clock::VirtualClock;
 use crate::db::{Database, DbConfig};
 use crate::inject::{Injector, InjectorHandle};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A federation of autonomous local databases.
 #[derive(Debug)]
 pub struct MultiDatabase {
     dbs: RwLock<BTreeMap<String, Arc<Database>>>,
+    /// Moved by every `add_database`, after its insert.
+    generation: AtomicU64,
     injector: InjectorHandle,
     clock: VirtualClock,
 }
@@ -30,6 +41,7 @@ impl MultiDatabase {
     pub fn new(seed: u64) -> Arc<Self> {
         Arc::new(Self {
             dbs: RwLock::new(BTreeMap::new()),
+            generation: AtomicU64::new(0),
             injector: Injector::new(seed),
             clock: VirtualClock::new(),
         })
@@ -42,7 +54,16 @@ impl MultiDatabase {
             DbConfig::named(name).with_injector(Arc::clone(&self.injector)),
         ));
         self.dbs.write().insert(name.to_owned(), Arc::clone(&db));
+        // Release, paired with `generation`'s Acquire: a context that
+        // reads the new stamp finds the insert.
+        self.generation.fetch_add(1, Ordering::Release);
         db
+    }
+
+    /// The generation stamp: what a database resolved while it read
+    /// this value is still the federation's until it moves.
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Acquire)
     }
 
     /// Looks up a database by name.

@@ -13,15 +13,33 @@
 //! program), *retriable* (will eventually commit if retried), a
 //! *pivot* (neither), or both compensatable and retriable
 //! ([`StepClass`]).
+//!
+//! A call pays for its own transaction, not for the tables around it,
+//! which change only at provisioning. Each is resolved once and checked
+//! by a generation stamp, one `Acquire` load, before each use:
+//!
+//! * a program name: its caller keeps the `Arc<dyn TxnProgram>`
+//!   ([`ProgramRegistry::get`]) and gets it again once
+//!   [`ProgramRegistry::generation`] has moved, which every
+//!   [`ProgramRegistry::register`] does;
+//! * a site name: a [`ProgramContext`] keeps the databases
+//!   [`KvProgram`] resolved through it, and resolves again once a
+//!   [`MultiDatabase::add_database`] has moved the federation's stamp —
+//!   so a caller that keeps one context across calls pays the
+//!   federation's lock once per site;
+//! * a failure plan: the injector answers a label without a plan with
+//!   no lock at all (see [`crate::inject`]).
 
+use crate::db::Database;
 use crate::fast_hash::FastMap;
-use crate::inject::{FailureAction, InjectorHandle};
+use crate::inject::FailureAction;
 use crate::multidb::MultiDatabase;
 use crate::params::{no_params, Params};
 use crate::value::Value;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Classification of a subtransaction in the saga / flexible
@@ -119,9 +137,13 @@ impl ProgramOutcome {
     }
 }
 
-/// Everything a program may touch while running.
+/// Everything a program may touch while running. A caller that runs
+/// many calls keeps one context and overwrites `params` and `attempt`
+/// for each: the sites its programs resolved stay resolved.
 pub struct ProgramContext {
-    /// The federation of local databases.
+    /// The federation of local databases: the one the context resolves
+    /// sites in, so a run against another federation takes another
+    /// context.
     pub multidb: Arc<MultiDatabase>,
     /// Input parameters (a workflow input container as it is, or passed
     /// by a native executor).
@@ -129,6 +151,35 @@ pub struct ProgramContext {
     /// Zero-based attempt number (> 0 when an exit condition or a
     /// retriable executor re-runs the program).
     pub attempt: u32,
+    sites: Sites,
+}
+
+/// The databases a context resolved, and the federation's generation
+/// when it did.
+#[derive(Default)]
+struct Sites {
+    stamp: u64,
+    dbs: Vec<Arc<Database>>,
+}
+
+impl Sites {
+    /// The database `name` of `multidb`: what was resolved before, while
+    /// the federation's stamp has not moved since.
+    fn resolve(&mut self, multidb: &MultiDatabase, name: &str) -> Option<&Database> {
+        let stamp = multidb.generation();
+        if stamp != self.stamp {
+            self.dbs.clear();
+            self.stamp = stamp;
+        }
+        let at = match self.dbs.iter().position(|db| db.name() == name) {
+            Some(at) => at,
+            None => {
+                self.dbs.push(multidb.db(name)?);
+                self.dbs.len() - 1
+            }
+        };
+        Some(&self.dbs[at])
+    }
 }
 
 impl ProgramContext {
@@ -138,12 +189,8 @@ impl ProgramContext {
             multidb,
             params: no_params(),
             attempt: 0,
+            sites: Sites::default(),
         }
-    }
-
-    /// The shared failure injector.
-    pub fn injector(&self) -> &InjectorHandle {
-        self.multidb.injector()
     }
 }
 
@@ -258,16 +305,17 @@ impl TxnProgram for KvProgram {
     }
 
     fn run(&self, ctx: &mut ProgramContext) -> ProgramOutcome {
-        let Some(db) = ctx.multidb.db(&self.db) else {
+        let ProgramContext { multidb, sites, .. } = ctx;
+        let Some(db) = sites.resolve(multidb, &self.db) else {
             return ProgramOutcome::aborted(format!("unknown database {:?}", self.db));
         };
         if self.duration > 0 {
-            ctx.multidb.clock().advance(self.duration);
+            multidb.clock().advance(self.duration);
         }
         // Program-level scripted failure (distinct from the db's own
         // commit-point injection, which uses the "<db>/commit" label).
         let label = self.label.as_deref().unwrap_or(&self.name);
-        if ctx.injector().decide(label) == FailureAction::Abort {
+        if multidb.injector().decide(label) == FailureAction::Abort {
             return ProgramOutcome::aborted(format!("injected abort of {label:?}"));
         }
         let mut txn = db.begin();
@@ -289,6 +337,8 @@ impl TxnProgram for KvProgram {
 #[derive(Default)]
 pub struct ProgramRegistry {
     map: RwLock<FastMap<String, Arc<dyn TxnProgram>>>,
+    /// Moved by every `register`, after its insert.
+    generation: AtomicU64,
 }
 
 impl ProgramRegistry {
@@ -301,7 +351,17 @@ impl ProgramRegistry {
     /// name. Returns `&self` for chaining.
     pub fn register(&self, program: Arc<dyn TxnProgram>) -> &Self {
         self.map.write().insert(program.name().to_owned(), program);
+        // Release, paired with `generation`'s Acquire: a caller that
+        // reads the new stamp finds the insert.
+        self.generation.fetch_add(1, Ordering::Release);
         self
+    }
+
+    /// The generation stamp: what [`ProgramRegistry::get`] answered
+    /// after its caller read this value is still the registry's answer
+    /// until it moves.
+    pub fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Acquire)
     }
 
     /// Convenience: registers a closure under `name`.
@@ -413,6 +473,29 @@ mod tests {
         assert!(reg.invoke("f", &mut ctx).is_committed());
         let missing = reg.invoke("ghost", &mut ctx);
         assert!(!missing.is_committed());
+    }
+
+    #[test]
+    fn a_site_added_or_replaced_after_a_call_is_the_one_written() {
+        let fed = MultiDatabase::new(0);
+        let prog = KvProgram::write("p", "late", "k", 3i64);
+        let mut ctx = ProgramContext::new(Arc::clone(&fed));
+        assert!(!prog.run(&mut ctx).is_committed(), "no such site yet");
+        let first = fed.add_database("late");
+        assert!(prog.run(&mut ctx).is_committed(), "added after a call");
+        assert_eq!(first.peek("k"), Some(Value::Int(3)));
+        let second = fed.add_database("late");
+        assert!(prog.run(&mut ctx).is_committed());
+        assert_eq!(
+            second.peek("k"),
+            Some(Value::Int(3)),
+            "replaced after a call"
+        );
+        assert_eq!(
+            first.stats().committed,
+            1,
+            "the replaced site is not written"
+        );
     }
 
     #[test]

@@ -30,6 +30,7 @@
 //! per core, each shard its own engine over its own substrate
 //! (`wfms-server`).
 
+use crate::calls::ProgramCalls;
 use crate::compiled::CompiledProcess;
 use crate::event::{Event, InstanceId, WorkItemId};
 use crate::journal::Journal;
@@ -246,6 +247,9 @@ pub(crate) struct EngineState {
     /// Built lazily, for a template's first instance while the engine
     /// is observed. Not state the journal describes.
     pub(crate) probes: ProbeCache,
+    /// The program names the engine has resolved and the context its
+    /// calls run in. Not state the journal describes either.
+    pub(crate) calls: ProgramCalls,
 }
 
 /// Where instance `id` sits in `EngineState::instances` — past the end
@@ -261,7 +265,10 @@ impl EngineState {
     /// `TemplateDeployed` events advance them — so every
     /// `InstanceStarted` resolves against the default the engine had at
     /// that journal position.
-    pub(crate) fn over(templates: Vec<ProcessDefinition>) -> Result<Self, RecoveryError> {
+    pub(crate) fn over(
+        templates: Vec<ProcessDefinition>,
+        calls: ProgramCalls,
+    ) -> Result<Self, RecoveryError> {
         let mut registry = TemplateRegistry::new();
         for def in templates {
             let process = def.name.clone();
@@ -277,6 +284,7 @@ impl EngineState {
             next_item: 1,
             org: OrgModel::new(),
             probes: ProbeCache::default(),
+            calls,
         })
     }
 
@@ -659,7 +667,6 @@ pub struct Engine {
     pub(crate) state: RefCell<EngineState>,
     pub(crate) journal: Journal,
     pub(crate) step_limit: usize,
-    pub(crate) programs: Arc<ProgramRegistry>,
     pub(crate) multidb: Arc<MultiDatabase>,
     pub(crate) clock: VirtualClock,
     pub(crate) obs: EngineObs,
@@ -691,13 +698,14 @@ impl Engine {
     ) -> Result<Self, RecoveryError> {
         // A journal file is replayed by the pass that opens it: each
         // event is decoded, applied and dropped.
-        let mut replay = Replay::over(templates)?;
+        let calls = ProgramCalls::new(programs, Arc::clone(&multidb));
+        let mut replay = Replay::over(templates, calls)?;
         let (journal, reopened) = match &config.journal_path {
             Some(p) => Journal::replaying(p, config.durability, |ev| replay.feed(&ev))
                 .map_err(RecoveryError::Io)?,
             None => (Journal::new(), TailReport::default()),
         };
-        let mut engine = Self::open_on(journal, replay, multidb, programs, config)?;
+        let mut engine = Self::open_on(journal, replay, multidb, config)?;
         engine.reopened = reopened;
         Ok(engine)
     }
@@ -709,7 +717,6 @@ impl Engine {
         mut journal: Journal,
         replay: Replay,
         multidb: Arc<MultiDatabase>,
-        programs: Arc<ProgramRegistry>,
         config: EngineConfig,
     ) -> Result<Self, RecoveryError> {
         let (mut state, max_tick) = replay.finish()?;
@@ -746,7 +753,6 @@ impl Engine {
             state: RefCell::new(state),
             journal,
             step_limit: config.step_limit,
-            programs,
             multidb,
             clock,
             obs,
@@ -829,8 +835,7 @@ impl Engine {
             worklists: &mut st.worklists,
             next_item: &mut st.next_item,
             probes: &mut st.probes,
-            programs: &self.programs,
-            multidb: &self.multidb,
+            calls: &mut st.calls,
             obs: &self.obs,
         };
         (&mut st.instances, svc)

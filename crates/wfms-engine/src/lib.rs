@@ -42,6 +42,7 @@
 //! ```
 
 pub mod audit;
+mod calls;
 mod codec;
 pub mod compiled;
 pub mod crashtest;

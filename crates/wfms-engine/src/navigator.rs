@@ -46,6 +46,7 @@
 //! once and lends it down, since no navigation event changes it (only
 //! a migration does, and a migration is not navigation).
 
+use crate::calls::ProgramCalls;
 use crate::compiled::{CompiledKind, CompiledProcess, DataSource, ScopeId};
 use crate::engine::{self, EngineError};
 use crate::event::{Event, WorkItemId};
@@ -55,10 +56,7 @@ use crate::org::OrgModel;
 use crate::state::{ActState, Instance, InstanceStatus};
 use crate::worklist::WorklistStore;
 use std::convert::Infallible;
-use std::sync::Arc;
-use txn_substrate::{
-    MultiDatabase, ProgramContext, ProgramOutcome, ProgramRegistry, Value, VirtualClock,
-};
+use txn_substrate::{ProgramOutcome, Value, VirtualClock};
 use wfms_model::{Container, StartCondition, RC_MEMBER};
 
 /// What the navigator is lent while it drives an instance
@@ -83,10 +81,8 @@ pub struct NavServices<'a> {
     /// Latency probes by template, for an instance that starts or
     /// migrates while the engine is observed.
     pub(crate) probes: &'a mut ProbeCache,
-    /// Registered transactional programs.
-    pub programs: &'a ProgramRegistry,
-    /// The multidatabase programs run against.
-    pub multidb: &'a Arc<MultiDatabase>,
+    /// How a program activity calls its program.
+    pub(crate) calls: &'a mut ProgramCalls,
     /// Observability instruments (pre-resolved counters/gauges; see
     /// [`crate::metrics`]). Hot-path hooks are gated on
     /// [`EngineObs::enabled`]; none of them journal events or read the
@@ -300,11 +296,7 @@ pub fn execute_activity(
             record_latency(inst, slot, t0);
         }
         CompiledKind::Program(program) => {
-            let mut ctx = ProgramContext::new(Arc::clone(svc.multidb));
-            ctx.attempt = attempt;
-            ctx.params = input.params().clone();
-            let outcome = svc.programs.invoke(program, &mut ctx);
-            let (rc, outputs) = match outcome {
+            let (rc, outputs) = match svc.calls.call(program, attempt, input.params()) {
                 ProgramOutcome::Committed { rc, outputs } => (rc, outputs.into_iter().collect()),
                 ProgramOutcome::Aborted { rc, .. } => (rc, Container::empty()),
             };

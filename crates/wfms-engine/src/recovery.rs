@@ -30,6 +30,7 @@
 //! by emitting events, so replaying a repaired journal needs no repair
 //! of its own for what the first one fixed.
 
+use crate::calls::ProgramCalls;
 use crate::compiled::ScopeId;
 use crate::engine::{Engine, EngineConfig, EngineState, Refused};
 use crate::event::{Event, InstanceId};
@@ -181,9 +182,10 @@ pub fn recover_from(
         org,
         ..EngineConfig::default()
     };
-    let mut replay = Replay::over(templates)?;
+    let calls = ProgramCalls::new(programs, Arc::clone(&multidb));
+    let mut replay = Replay::over(templates, calls)?;
     journal.for_each(|ev| replay.feed(&ev));
-    Engine::open_on(journal, replay, multidb, programs, config)
+    Engine::open_on(journal, replay, multidb, config)
 }
 
 /// A journal being folded into an `EngineState`, one event at a time
@@ -198,10 +200,14 @@ pub(crate) struct Replay {
 }
 
 impl Replay {
-    /// The fold's start: `EngineState::over` `templates`.
-    pub(crate) fn over(templates: Vec<ProcessDefinition>) -> Result<Self, RecoveryError> {
+    /// The fold's start: `EngineState::over` `templates`, with the
+    /// program calls the engine will make.
+    pub(crate) fn over(
+        templates: Vec<ProcessDefinition>,
+        calls: ProgramCalls,
+    ) -> Result<Self, RecoveryError> {
         Ok(Self {
-            state: EngineState::over(templates)?,
+            state: EngineState::over(templates, calls)?,
             max_tick: 0,
             failed: None,
         })

@@ -4,6 +4,10 @@
 //! returned directly (no `Result`), poisoning is ignored (a panic while
 //! holding a lock does not poison it for later users), and
 //! `Condvar::wait` takes `&mut MutexGuard`.
+//!
+//! With the `count` feature (not upstream's), every `lock`, `read`,
+//! `write` and notification is also tallied per thread; [`count`]
+//! reads the tallies.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -31,6 +35,8 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the mutex, blocking until available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        #[cfg(feature = "count")]
+        count::tally(|c| c.lock += 1);
         MutexGuard {
             inner: Some(self.inner.lock().unwrap_or_else(|e| e.into_inner())),
         }
@@ -99,6 +105,8 @@ impl<T> RwLock<T> {
 impl<T: ?Sized> RwLock<T> {
     /// Acquires a shared read guard.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        #[cfg(feature = "count")]
+        count::tally(|c| c.read += 1);
         RwLockReadGuard {
             inner: self.inner.read().unwrap_or_else(|e| e.into_inner()),
         }
@@ -106,6 +114,8 @@ impl<T: ?Sized> RwLock<T> {
 
     /// Acquires an exclusive write guard.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        #[cfg(feature = "count")]
+        count::tally(|c| c.write += 1);
         RwLockWriteGuard {
             inner: self.inner.write().unwrap_or_else(|e| e.into_inner()),
         }
@@ -183,8 +193,11 @@ impl Condvar {
     }
 
     /// Blocks until notified, releasing the guard's mutex while
-    /// waiting and reacquiring it before returning.
+    /// waiting and reacquiring it before returning (counted as one
+    /// `lock`).
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+        #[cfg(feature = "count")]
+        count::tally(|c| c.lock += 1);
         let std_guard = guard.inner.take().expect("guard present");
         let std_guard = self
             .inner
@@ -195,12 +208,75 @@ impl Condvar {
 
     /// Wakes one waiter.
     pub fn notify_one(&self) {
+        #[cfg(feature = "count")]
+        count::tally(|c| c.notify += 1);
         self.inner.notify_one();
     }
 
     /// Wakes all waiters.
     pub fn notify_all(&self) {
+        #[cfg(feature = "count")]
+        count::tally(|c| c.notify += 1);
         self.inner.notify_all();
+    }
+}
+
+/// Per-thread tallies of the calls a path makes on this crate's locks
+/// (the `count` feature).
+#[cfg(feature = "count")]
+pub mod count {
+    use std::cell::Cell;
+
+    /// Calls made on the current thread since it started.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct Counts {
+        /// `Mutex::lock`, and the reacquire at the end of a
+        /// `Condvar::wait`.
+        pub lock: u64,
+        /// `RwLock::read`.
+        pub read: u64,
+        /// `RwLock::write`.
+        pub write: u64,
+        /// `Condvar::notify_one` and `notify_all`.
+        pub notify: u64,
+    }
+
+    impl Counts {
+        /// Lock round-trips: `lock`, `read` and `write` together.
+        pub fn round_trips(&self) -> u64 {
+            self.lock + self.read + self.write
+        }
+    }
+
+    impl std::ops::Sub for Counts {
+        type Output = Counts;
+        fn sub(self, before: Counts) -> Counts {
+            Counts {
+                lock: self.lock - before.lock,
+                read: self.read - before.read,
+                write: self.write - before.write,
+                notify: self.notify - before.notify,
+            }
+        }
+    }
+
+    thread_local! {
+        static COUNTS: Cell<Counts> = const {
+            Cell::new(Counts { lock: 0, read: 0, write: 0, notify: 0 })
+        };
+    }
+
+    /// The current thread's tallies.
+    pub fn counts() -> Counts {
+        COUNTS.with(Cell::get)
+    }
+
+    pub(crate) fn tally(f: impl FnOnce(&mut Counts)) {
+        COUNTS.with(|c| {
+            let mut counts = c.get();
+            f(&mut counts);
+            c.set(counts);
+        });
     }
 }
 
@@ -223,6 +299,30 @@ mod tests {
         assert_eq!(l.read().len(), 2);
         l.write().push(3);
         assert_eq!(l.read().len(), 3);
+    }
+
+    #[cfg(feature = "count")]
+    #[test]
+    fn counts_each_call_on_its_own_thread() {
+        let before = count::counts();
+        let m = Mutex::new(0);
+        let l = RwLock::new(0);
+        *m.lock() += 1;
+        let _ = *l.read();
+        *l.write() += 1;
+        Condvar::new().notify_one();
+        std::thread::spawn(|| *Mutex::new(0).lock() += 1)
+            .join()
+            .unwrap();
+        let spent = count::counts() - before;
+        let expected = count::Counts {
+            lock: 1,
+            read: 1,
+            write: 1,
+            notify: 1,
+        };
+        assert_eq!(spent, expected);
+        assert_eq!(spent.round_trips(), 3);
     }
 
     #[test]
