@@ -5,9 +5,11 @@
 # process makes itself may use it (the module's docs state the rule).
 # Fails when `FastMap`, `FastSet`, `FastHasher` or `fast_hash` appears
 # in a module that decodes outside bytes: the frame decoder (journal
-# and WAL files), the journal codec, and the server's request, body,
-# route and tenants-file modules. Comment lines count too: a module
-# that decodes outside bytes has no reason to name the hasher.
+# and WAL files), the name interner (keyed by journal files' and
+# deployed templates' names), the journal codec, and the server's
+# request, body, route and tenants-file modules. Comment lines count
+# too: a module that decodes outside bytes has no reason to name the
+# hasher.
 # Prints every offending line and exits 1 if there is one.
 #
 # Usage: ci/fast_hash.sh [repo-root]     (default: the checkout this script is in)
@@ -17,6 +19,7 @@ cd "$ROOT"
 
 OUTSIDE=(
   crates/txn-substrate/src/frame.rs
+  crates/txn-substrate/src/name.rs
   crates/wfms-engine/src/codec.rs
   crates/wfms-server/src/http.rs
   crates/wfms-server/src/api.rs

@@ -100,7 +100,7 @@ fn generate(journal: &Path) {
     }
     for n in 1..=INSTANCES {
         let process = if n % 2 == 1 { SAGA } else { FLEX };
-        let tenant = (n % 3 == 0).then(|| "tenant_a".to_owned());
+        let tenant = (n % 3 == 0).then(|| "tenant_a".into());
         let mut input = Container::empty();
         input.set("order", Value::Int(n as i64));
         let id = engine.start_for_tenant(process, input, tenant).unwrap();
@@ -224,9 +224,10 @@ fn finished_instances_of_a_full_tree_checkpoint_restore_retired() {
 
     engine.checkpoint();
     let events = engine.journal_events();
-    let Some(Event::EngineCheckpoint { instances, .. }) = events.first() else {
+    let Some(Event::EngineCheckpoint(checkpoint)) = events.first() else {
         panic!("a compacted journal starts with its checkpoint");
     };
+    let instances = &checkpoint.instances;
     assert_eq!(instances.len() as u64, INSTANCES);
     for snap in instances
         .iter()

@@ -388,10 +388,10 @@ fn a_checkpoint_keeps_a_finished_instance_as_its_outcome() {
     let per_instance = std::fs::metadata(&journal).unwrap().len() as f64 / N as f64;
     println!("{per_instance} B of checkpoint per finished saga8");
     let events = engine.journal_events();
-    let [Event::EngineCheckpoint { instances, .. }] = &events[..] else {
+    let [Event::EngineCheckpoint(checkpoint)] = &events[..] else {
         panic!("a drained journal is its checkpoint: {events:?}");
     };
-    for snap in instances {
+    for snap in &checkpoint.instances {
         let view = engine.view(snap.id).unwrap();
         assert_eq!(snap.status, view.status);
         let outcome = wfms_engine::ScopeState {

@@ -33,25 +33,31 @@
 //! frame, as `PerEvent` does.
 //!
 //! **Names are frame-local.** A name ([`put_name`], [`Reader::name`]) is
-//! spelled out the first time a frame holds it and referred to by its
-//! index after that; the encoder finds it in a fixed open-addressing
-//! table cleared per frame, keyed by the name's bytes, so a frame's
-//! bytes depend only on its records. Once the table is full, later
-//! names are spelled out. A frame decodes without any other frame.
+//! a [`Name`], interned once per process. It is spelled out the first
+//! time a frame holds it and referred to by its index after that; the
+//! encoder finds it in a fixed open-addressing table cleared per frame,
+//! keyed by the name's handle, so a lookup hashes a pointer, not the
+//! name's bytes. Two names are one handle exactly when they are one
+//! string, so a frame's bytes depend only on its records. Once the
+//! table is full, later names are spelled out. A frame decodes without
+//! any other frame.
 //!
 //! **Version 1** wrote one record per frame and every name spelled out
 //! as a plain string. It is still read — the only difference is one
 //! branch in [`Reader::name`] — and never written: a log opened for
 //! append is rewritten in the current version first.
 //!
-//! **Sharing on decode.** What repeats across a file — activity paths,
-//! member names, whole containers — is built once per pass: the pass
-//! keeps one table keyed by encoded bytes ([`Reader::shared_str`],
+//! **Sharing on decode.** What repeats across a file — member names,
+//! whole containers — is built once per pass: the pass keeps one table
+//! keyed by encoded bytes ([`Reader::shared_str`],
 //! [`Reader::shared_params`]), and every later occurrence of the same
 //! bytes is a reference-count bump, with no UTF-8 check (those bytes
 //! were checked when first seen). The table's keys are slices of the
 //! file and it lives for one pass, so it is bounded by the file. A
-//! name's literal goes through the same table.
+//! name's literal is interned once per pass the same way, through a
+//! table of its own, and a back-reference copies the name the frame
+//! spelled: decoding a name takes the interner's lock once per distinct
+//! name in the file.
 //!
 //! **Torn tails.** A crash mid-append leaves a prefix of a frame (or of
 //! the file header) at the end of the file. A frame that is short or
@@ -60,6 +66,7 @@
 //! with the frame's byte offset. A torn frame loses all its records,
 //! never some of them.
 
+pub use crate::name::Name;
 use crate::params::{no_params, Params};
 use crate::value::Value;
 use std::collections::HashMap;
@@ -158,33 +165,23 @@ const MAX_NAMES: usize = 128;
 /// probe always ends at an empty slot.
 const SLOTS: usize = 2 * MAX_NAMES;
 
-/// The names the open frame has spelled out, found by their bytes: a
-/// fixed open-addressing table over the frame's own buffer, cleared
-/// when the next frame opens. Looking a name up allocates nothing.
+/// The names the open frame has spelled out, found by their handles: a
+/// fixed open-addressing table, cleared when the next frame opens.
+/// Looking a name up allocates nothing and reads none of its bytes.
 pub struct Names {
     /// `0` for an empty slot, else the name's index plus one.
     slots: [u8; SLOTS],
-    /// Each name's bytes, from `base`, and its slot.
-    spans: [Span; MAX_NAMES],
+    /// The names in the order the frame spelled them.
+    spelled: [Option<Name>; MAX_NAMES],
     len: usize,
-    /// Where the frame's payload starts in the buffer being encoded.
-    base: usize,
-}
-
-#[derive(Clone, Copy, Default)]
-struct Span {
-    start: usize,
-    len: usize,
-    slot: usize,
 }
 
 impl Default for Names {
     fn default() -> Self {
         Self {
             slots: [0; SLOTS],
-            spans: [Span::default(); MAX_NAMES],
+            spelled: [None; MAX_NAMES],
             len: 0,
-            base: 0,
         }
     }
 }
@@ -196,48 +193,37 @@ impl std::fmt::Debug for Names {
 }
 
 impl Names {
-    /// Forgets every name: the frame whose payload starts at `base`
-    /// spells its own.
-    fn clear(&mut self, base: usize) {
-        for span in &self.spans[..self.len] {
-            self.slots[span.slot] = 0;
-        }
-        (self.len, self.base) = (0, base);
+    /// Forgets every name: the next frame spells its own.
+    fn clear(&mut self) {
+        self.slots = [0; SLOTS];
+        self.len = 0;
     }
 }
 
-/// FNV-1a.
-fn hash(bytes: &[u8]) -> usize {
-    bytes.iter().fold(0x811C_9DC5u32, |h, &b| {
-        (h ^ b as u32).wrapping_mul(0x0100_0193)
-    }) as usize
+/// The first slot to probe for `name`: Fibonacci hashing of its handle,
+/// the product's top bits.
+fn slot_of(name: Name) -> usize {
+    let product = (name.addr() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (product >> (u64::BITS - SLOTS.trailing_zeros())) as usize
 }
 
 /// A name — an activity path, a process, a user — into `out`, the
 /// payload of the frame whose names are `names`: `2·i + 1` if it is the
 /// frame's `i`-th name, else `2·len` and its UTF-8 bytes, which makes it
 /// the frame's next name while the table has room.
-pub fn put_name(out: &mut Vec<u8>, names: &mut Names, name: &str) {
-    let bytes = name.as_bytes();
-    let mut slot = hash(bytes) & (SLOTS - 1);
+pub fn put_name(out: &mut Vec<u8>, names: &mut Names, name: Name) {
+    let mut slot = slot_of(name);
     while let Some(i) = names.slots[slot].checked_sub(1) {
-        let span = names.spans[i as usize];
-        let start = names.base + span.start;
-        if out.get(start..start + span.len) == Some(bytes) {
+        if names.spelled[i as usize] == Some(name) {
             put_u64(out, 2 * i as u64 + 1);
             return;
         }
         slot = (slot + 1) & (SLOTS - 1);
     }
-    put_u64(out, 2 * bytes.len() as u64);
-    let start = out.len() - names.base;
-    out.extend_from_slice(bytes);
+    put_u64(out, 2 * name.len() as u64);
+    out.extend_from_slice(name.as_bytes());
     if names.len < MAX_NAMES {
-        names.spans[names.len] = Span {
-            start,
-            len: bytes.len(),
-            slot,
-        };
+        names.spelled[names.len] = Some(name);
         names.len += 1;
         names.slots[slot] = names.len as u8;
     }
@@ -253,7 +239,7 @@ pub struct Encoder {
     /// The open frame: where its header starts in `buf`, and how many
     /// records it holds.
     open: Option<(usize, usize)>,
-    /// Boxed: only a log with a file encodes, and the table is 3 KiB.
+    /// Boxed: only a log with a file encodes, and the table is 1.3 KiB.
     names: Box<Names>,
 }
 
@@ -278,7 +264,7 @@ impl Encoder {
         }
         let (start, records) = *self.open.get_or_insert_with(|| {
             self.buf.extend_from_slice(&[0; FRAME_HEADER]);
-            self.names.clear(self.buf.len());
+            self.names.clear();
             (self.buf.len() - FRAME_HEADER, 0)
         });
         rec.encode(&mut self.buf, &mut self.names);
@@ -604,8 +590,10 @@ pub type Field<T> = Result<T, &'static str>;
 struct Shared<'f> {
     strs: HashMap<&'f [u8], Arc<str>>,
     params: HashMap<&'f [u8], Params>,
+    /// Every name the pass has read, by its bytes.
+    interned: HashMap<&'f [u8], Name>,
     /// The current frame's names, in the order it spelled them out.
-    names: Vec<Arc<str>>,
+    names: Vec<Name>,
     /// The file is in version 1: names are plain strings.
     v1: bool,
 }
@@ -720,15 +708,15 @@ impl<'f, 't> Reader<'f, 't> {
         self.share(bytes)
     }
 
-    /// A name ([`put_name`]): a back-reference resolves to the frame's
-    /// name of that index, a literal is a [`Reader::shared_str`] that
-    /// becomes the frame's next name. In a version-1 file a name is a
-    /// plain string.
-    pub fn name(&mut self) -> Field<Arc<str>> {
+    /// A name ([`put_name`]): a back-reference is the frame's name of
+    /// that index, a literal is interned — once per pass — and becomes
+    /// the frame's next name. In a version-1 file a name is a plain
+    /// string.
+    pub fn name(&mut self) -> Field<Name> {
         let x = self.u64()?;
         if self.shared.v1 {
             let bytes = self.take(x)?;
-            return self.share(bytes);
+            return self.intern(bytes);
         }
         if x & 1 == 1 {
             let i = usize::try_from(x >> 1).map_err(|_| "name index out of range")?;
@@ -736,12 +724,23 @@ impl<'f, 't> Reader<'f, 't> {
                 .shared
                 .names
                 .get(i)
-                .cloned()
+                .copied()
                 .ok_or("name index out of range");
         }
         let bytes = self.take(x >> 1)?;
-        let name = self.share(bytes)?;
-        self.shared.names.push(Arc::clone(&name));
+        let name = self.intern(bytes)?;
+        self.shared.names.push(name);
+        Ok(name)
+    }
+
+    /// The name spelled `bytes`, checked for UTF-8 and interned the first
+    /// time the pass sees them.
+    fn intern(&mut self, bytes: &'f [u8]) -> Field<Name> {
+        if let Some(&name) = self.shared.interned.get(bytes) {
+            return Ok(name);
+        }
+        let name = Name::new(std::str::from_utf8(bytes).map_err(|_| "string is not UTF-8")?);
+        self.shared.interned.insert(bytes, name);
         Ok(name)
     }
 
@@ -950,7 +949,7 @@ mod tests {
 
     /// A list of names; `[]` is a checkpoint.
     #[derive(Debug, PartialEq)]
-    struct Said(Vec<String>);
+    struct Said(Vec<Name>);
 
     impl Record for Said {
         const HEADER: [u8; FILE_HEADER_LEN] = *b"SAID\x02";
@@ -960,16 +959,13 @@ mod tests {
         }
         fn encode(&self, out: &mut Vec<u8>, names: &mut Names) {
             put_u64(out, self.0.len() as u64);
-            for name in &self.0 {
+            for &name in &self.0 {
                 put_name(out, names, name);
             }
         }
         fn decode(r: &mut Reader<'_, '_>) -> Field<Self> {
             let n = r.count()?;
-            (0..n)
-                .map(|_| r.name().map(|s| s.to_string()))
-                .collect::<Field<_>>()
-                .map(Said)
+            (0..n).map(|_| r.name()).collect::<Field<_>>().map(Said)
         }
         fn is_checkpoint(&self) -> bool {
             self.0.is_empty()
@@ -977,7 +973,7 @@ mod tests {
     }
 
     fn said(names: &[&str]) -> Said {
-        Said(names.iter().map(|&s| s.to_owned()).collect())
+        Said(names.iter().map(|&s| Name::new(s)).collect())
     }
 
     /// Records in one frame spell a name once; a frame of its own
@@ -1021,14 +1017,9 @@ mod tests {
     #[test]
     fn names_round_trip_past_the_table() {
         let long = "λ".repeat(40);
-        let odd = [
-            String::new(),
-            "日本".to_owned(),
-            long.clone(),
-            "\u{1F600}".to_owned(),
-        ];
-        let many: Vec<String> = (0..3 * MAX_NAMES)
-            .map(|i| format!("Forward/S{i}"))
+        let odd = ["", "日本", &long, "\u{1F600}"].map(Name::new);
+        let many: Vec<Name> = (0..3 * MAX_NAMES)
+            .map(|i| Name::new(&format!("Forward/S{i}")))
             .collect();
         let records = [
             Said(odd.to_vec()),

@@ -53,6 +53,7 @@ pub mod inject;
 pub mod lock;
 pub mod log;
 pub mod multidb;
+mod name;
 pub mod params;
 pub mod program;
 #[doc(hidden)]

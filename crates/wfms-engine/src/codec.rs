@@ -21,16 +21,19 @@
 //! and finishes between two flushes is one frame however many others
 //! the flush covers. Container members and values, and free text such as an
 //! intervention's action, are plain strings, so equal containers keep
-//! equal bytes in every frame. Decoding shares one allocation per
-//! distinct name and per distinct encoded container across the whole
-//! file (`Reader::name`, `Reader::shared_params`).
+//! equal bytes in every frame. Each of those fields is a
+//! [`Name`](txn_substrate::frame::Name) in memory: the encoder finds it
+//! in the frame's table by its handle, and decoding interns a name once
+//! per pass and shares one allocation per distinct encoded container
+//! across the whole file (`Reader::name`, `Reader::shared_params`).
 
-use crate::event::{Event, InstanceId, InstanceSnapshot, PathStr, WorkItemId};
+use crate::event::{Checkpoint, Event, InstanceId, InstanceSnapshot, WorkItemId};
 use crate::state::{ActState, ActivityRt, InstanceStatus, ScopeState};
 use crate::worklist::{WorkItem, WorkItemState};
 use std::path::Path;
 use txn_substrate::frame::{
-    put_name, put_opt, put_str, put_u64, put_value, Field, Names, Reader, Record, FILE_HEADER_LEN,
+    put_name, put_opt, put_str, put_u64, put_value, Field, Name, Names, Reader, Record,
+    FILE_HEADER_LEN,
 };
 use wfms_model::Container;
 
@@ -59,7 +62,7 @@ impl Record for Event {
     }
 
     fn is_checkpoint(&self) -> bool {
-        matches!(self, Event::EngineCheckpoint { .. })
+        matches!(self, Event::EngineCheckpoint(_))
     }
 
     /// An instance's events start a frame: the bytes of a run do not
@@ -120,20 +123,20 @@ fn put_scope(out: &mut Vec<u8>, s: &ScopeState) {
 }
 
 impl Out<'_> {
-    fn name(&mut self, name: &str) {
+    fn name(&mut self, name: Name) {
         put_name(self.out, self.names, name);
     }
 
-    fn opt_name(&mut self, name: &Option<String>) {
+    fn opt_name(&mut self, name: Option<Name>) {
         self.out.push(name.is_some() as u8);
         if let Some(name) = name {
             self.name(name);
         }
     }
 
-    fn names(&mut self, names: &[String]) {
+    fn names(&mut self, names: &[Name]) {
         put_u64(self.out, names.len() as u64);
-        for name in names {
+        for &name in names {
             self.name(name);
         }
     }
@@ -149,8 +152,8 @@ impl Out<'_> {
             } => {
                 self.out.push(1);
                 put_u64(self.out, instance.0);
-                self.name(process);
-                self.opt_name(tenant);
+                self.name(*process);
+                self.opt_name(*tenant);
                 put_container(self.out, input);
                 put_u64(self.out, *at);
             }
@@ -162,7 +165,7 @@ impl Out<'_> {
             } => {
                 self.out.push(2);
                 put_u64(self.out, instance.0);
-                self.name(path);
+                self.name(*path);
                 put_u64(self.out, *attempt as u64);
                 put_u64(self.out, *at);
             }
@@ -176,9 +179,9 @@ impl Out<'_> {
             } => {
                 self.out.push(3);
                 put_u64(self.out, instance.0);
-                self.name(path);
+                self.name(*path);
                 put_u64(self.out, *attempt as u64);
-                self.opt_name(by);
+                self.opt_name(*by);
                 put_container(self.out, input);
                 put_u64(self.out, *at);
             }
@@ -191,7 +194,7 @@ impl Out<'_> {
             } => {
                 self.out.push(4);
                 put_u64(self.out, instance.0);
-                self.name(path);
+                self.name(*path);
                 put_u64(self.out, *attempt as u64);
                 put_container(self.out, output);
                 put_u64(self.out, *at);
@@ -204,7 +207,7 @@ impl Out<'_> {
             } => {
                 self.out.push(5);
                 put_u64(self.out, instance.0);
-                self.name(path);
+                self.name(*path);
                 put_u64(self.out, *next_attempt as u64);
                 put_u64(self.out, *at);
             }
@@ -216,7 +219,7 @@ impl Out<'_> {
             } => {
                 self.out.push(6);
                 put_u64(self.out, instance.0);
-                self.name(path);
+                self.name(*path);
                 self.out.push(*executed as u8);
                 put_u64(self.out, *at);
             }
@@ -230,9 +233,9 @@ impl Out<'_> {
             } => {
                 self.out.push(7);
                 put_u64(self.out, instance.0);
-                self.name(scope);
-                self.name(from);
-                self.name(to);
+                self.name(*scope);
+                self.name(*from);
+                self.name(*to);
                 self.out.push(*value as u8);
                 put_u64(self.out, *at);
             }
@@ -245,7 +248,7 @@ impl Out<'_> {
             } => {
                 self.out.push(8);
                 put_u64(self.out, instance.0);
-                self.name(path);
+                self.name(*path);
                 put_u64(self.out, item.0);
                 self.names(persons);
                 put_u64(self.out, *at);
@@ -253,7 +256,7 @@ impl Out<'_> {
             Event::WorkItemClaimed { item, person, at } => {
                 self.out.push(9);
                 put_u64(self.out, item.0);
-                self.name(person);
+                self.name(*person);
                 put_u64(self.out, *at);
             }
             Event::NotificationSent {
@@ -264,8 +267,8 @@ impl Out<'_> {
             } => {
                 self.out.push(10);
                 put_u64(self.out, instance.0);
-                self.name(path);
-                self.name(person);
+                self.name(*path);
+                self.name(*person);
                 put_u64(self.out, *at);
             }
             Event::UserIntervention {
@@ -276,7 +279,7 @@ impl Out<'_> {
             } => {
                 self.out.push(11);
                 put_u64(self.out, instance.0);
-                self.name(path);
+                self.name(*path);
                 put_str(self.out, action);
                 put_u64(self.out, *at);
             }
@@ -301,8 +304,8 @@ impl Out<'_> {
                 at,
             } => {
                 self.out.push(14);
-                self.name(process);
-                self.name(version);
+                self.name(*process);
+                self.name(*version);
                 put_u64(self.out, *at);
             }
             Event::Migrated {
@@ -313,43 +316,44 @@ impl Out<'_> {
             } => {
                 self.out.push(15);
                 put_u64(self.out, instance.0);
-                self.name(from);
-                self.name(to);
+                self.name(*from);
+                self.name(*to);
                 put_u64(self.out, *at);
             }
-            Event::EngineCheckpoint {
-                instances,
-                items,
-                next_instance,
-                next_item,
-                at,
-            } => {
+            Event::EngineCheckpoint(checkpoint) => {
+                let Checkpoint {
+                    instances,
+                    items,
+                    next_instance,
+                    next_item,
+                    at,
+                } = &**checkpoint;
                 self.out.push(16);
                 put_u64(self.out, instances.len() as u64);
                 for snap in instances {
                     put_u64(self.out, snap.id.0);
-                    self.name(&snap.process);
-                    self.opt_name(&snap.tenant);
+                    self.name(snap.process);
+                    self.opt_name(snap.tenant);
                     self.out.push(match snap.status {
                         InstanceStatus::Running => 0,
                         InstanceStatus::Finished => 1,
                         InstanceStatus::Cancelled => 2,
                     });
-                    self.name(&snap.version);
+                    self.name(snap.version);
                     put_scope(self.out, &snap.root);
                 }
                 put_u64(self.out, items.len() as u64);
                 for item in items {
                     put_u64(self.out, item.id.0);
                     put_u64(self.out, item.instance.0);
-                    self.name(&item.path);
+                    self.name(item.path);
                     put_u64(self.out, item.attempt as u64);
                     self.names(&item.offered_to);
                     match &item.state {
                         WorkItemState::Offered => self.out.push(0),
                         WorkItemState::Claimed(by) => {
                             self.out.push(1);
-                            self.name(by);
+                            self.name(*by);
                         }
                         WorkItemState::Closed => self.out.push(2),
                     }
@@ -365,22 +369,16 @@ impl Out<'_> {
 
 // ---- decoding --------------------------------------------------------
 
-/// A path: one `Arc<str>` per distinct name across the file.
-fn path(r: &mut Reader<'_, '_>) -> Field<PathStr> {
-    r.name().map(PathStr::from)
+fn name(r: &mut Reader<'_, '_>) -> Field<Name> {
+    r.name()
 }
 
-/// Any other name, owned.
-fn name(r: &mut Reader<'_, '_>) -> Field<String> {
-    r.name().map(|name| name.to_string())
+fn opt_name(r: &mut Reader<'_, '_>) -> Field<Option<Name>> {
+    r.opt(Reader::name)
 }
 
-fn opt_name(r: &mut Reader<'_, '_>) -> Field<Option<String>> {
-    r.opt(name)
-}
-
-fn names(r: &mut Reader<'_, '_>) -> Field<Vec<String>> {
-    (0..r.count()?).map(|_| name(r)).collect()
+fn names<T: FromIterator<Name>>(r: &mut Reader<'_, '_>) -> Field<T> {
+    (0..r.count()?).map(|_| r.name()).collect()
 }
 
 /// A container: one per distinct encoded map across the file.
@@ -471,20 +469,20 @@ fn event(r: &mut Reader<'_, '_>) -> Field<Event> {
     Ok(match r.byte()? {
         1 => Event::InstanceStarted {
             instance: InstanceId(r.u64()?),
-            process: path(r)?,
+            process: name(r)?,
             tenant: opt_name(r)?,
             input: container(r)?,
             at: r.u64()?,
         },
         2 => Event::ActivityReady {
             instance: InstanceId(r.u64()?),
-            path: path(r)?,
+            path: name(r)?,
             attempt: r.u32()?,
             at: r.u64()?,
         },
         3 => Event::ActivityStarted {
             instance: InstanceId(r.u64()?),
-            path: path(r)?,
+            path: name(r)?,
             attempt: r.u32()?,
             by: opt_name(r)?,
             input: container(r)?,
@@ -492,34 +490,34 @@ fn event(r: &mut Reader<'_, '_>) -> Field<Event> {
         },
         4 => Event::ActivityFinished {
             instance: InstanceId(r.u64()?),
-            path: path(r)?,
+            path: name(r)?,
             attempt: r.u32()?,
             output: container(r)?,
             at: r.u64()?,
         },
         5 => Event::ActivityRescheduled {
             instance: InstanceId(r.u64()?),
-            path: path(r)?,
+            path: name(r)?,
             next_attempt: r.u32()?,
             at: r.u64()?,
         },
         6 => Event::ActivityTerminated {
             instance: InstanceId(r.u64()?),
-            path: path(r)?,
+            path: name(r)?,
             executed: r.bool()?,
             at: r.u64()?,
         },
         7 => Event::ConnectorEvaluated {
             instance: InstanceId(r.u64()?),
-            scope: path(r)?,
-            from: path(r)?,
-            to: path(r)?,
+            scope: name(r)?,
+            from: name(r)?,
+            to: name(r)?,
             value: r.bool()?,
             at: r.u64()?,
         },
         8 => Event::WorkItemOffered {
             instance: InstanceId(r.u64()?),
-            path: path(r)?,
+            path: name(r)?,
             item: WorkItemId(r.u64()?),
             persons: names(r)?,
             at: r.u64()?,
@@ -531,13 +529,13 @@ fn event(r: &mut Reader<'_, '_>) -> Field<Event> {
         },
         10 => Event::NotificationSent {
             instance: InstanceId(r.u64()?),
-            path: path(r)?,
+            path: name(r)?,
             person: name(r)?,
             at: r.u64()?,
         },
         11 => Event::UserIntervention {
             instance: InstanceId(r.u64()?),
-            path: path(r)?,
+            path: name(r)?,
             action: r.string()?,
             at: r.u64()?,
         },
@@ -561,7 +559,7 @@ fn event(r: &mut Reader<'_, '_>) -> Field<Event> {
             to: name(r)?,
             at: r.u64()?,
         },
-        16 => Event::EngineCheckpoint {
+        16 => Event::EngineCheckpoint(Box::new(Checkpoint {
             instances: (0..r.count()?).map(|_| snapshot(r)).collect::<Field<_>>()?,
             items: (0..r.count()?)
                 .map(|_| work_item(r))
@@ -569,7 +567,7 @@ fn event(r: &mut Reader<'_, '_>) -> Field<Event> {
             next_instance: r.u64()?,
             next_item: r.u64()?,
             at: r.u64()?,
-        },
+        })),
         _ => return Err("unknown event tag"),
     })
 }
@@ -580,11 +578,14 @@ mod tests {
     use txn_substrate::frame::{decode_file, file_bytes, DecodeError};
     use txn_substrate::{properties, Params, Value};
 
+    /// A decoded path is the name the process interned: one allocation
+    /// per distinct path, whichever frame or file it was read from.
     #[test]
     fn decoded_paths_share_one_allocation() {
+        let path = Name::new("Forward/S1");
         let ready = |n| Event::ActivityReady {
             instance: InstanceId(n),
-            path: "Forward/S1".into(),
+            path,
             attempt: 0,
             at: n,
         };
@@ -595,6 +596,7 @@ mod tests {
             panic!("two ready events");
         };
         assert!(std::ptr::eq(a.as_str(), b.as_str()));
+        assert!(std::ptr::eq(a.as_str(), path.as_str()));
     }
 
     /// Equal encoded containers decode to one map — an instance's input
@@ -720,13 +722,14 @@ mod tests {
 
     /// What a name field holds: any [`text`], one 64 bytes or longer,
     /// or one path often enough that a frame names it twice.
-    fn name() -> impl Strategy<Value = String> {
+    fn name() -> impl Strategy<Value = Name> {
         prop_oneof![
             text(),
             text(),
             text().prop_map(|s| s + &"Forward/λ".repeat(7)),
             Just("Forward/S1".to_owned()),
         ]
+        .prop_map(Name::from)
     }
 
     fn container() -> impl Strategy<Value = Container> {
@@ -847,13 +850,13 @@ mod tests {
             any::<u64>(),
         )
             .prop_map(|(instances, items, next_instance, next_item, at)| {
-                Event::EngineCheckpoint {
+                Event::EngineCheckpoint(Box::new(Checkpoint {
                     instances,
                     items,
                     next_instance,
                     next_item,
                     at,
-                }
+                }))
             })
     }
 
@@ -871,11 +874,11 @@ mod tests {
         let plain = (0u8..15, raw).prop_map(|(variant, raw)| {
             let ((id, at, attempt, flag), (a, b, c), opt, container, persons) = raw;
             let instance = InstanceId(id);
-            let path = PathStr::from(a.as_str());
+            let path = a;
             match variant {
                 0 => Event::InstanceStarted {
                     instance,
-                    process: a.into(),
+                    process: a,
                     tenant: opt,
                     input: container,
                     at,
@@ -916,8 +919,8 @@ mod tests {
                 6 => Event::ConnectorEvaluated {
                     instance,
                     scope: path,
-                    from: b.into(),
-                    to: c.into(),
+                    from: b,
+                    to: c,
                     value: flag,
                     at,
                 },
@@ -925,7 +928,7 @@ mod tests {
                     instance,
                     path,
                     item: WorkItemId(attempt as u64),
-                    persons,
+                    persons: persons.into(),
                     at,
                 },
                 8 => Event::WorkItemClaimed {
@@ -942,7 +945,7 @@ mod tests {
                 10 => Event::UserIntervention {
                     instance,
                     path,
-                    action: b,
+                    action: b.to_string(),
                     at,
                 },
                 11 => Event::InstanceFinished {

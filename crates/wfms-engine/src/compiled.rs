@@ -33,6 +33,7 @@
 use crate::state::StateSlab;
 use std::sync::Arc;
 use txn_substrate::fast_hash::FastMap;
+use txn_substrate::frame::Name;
 use txn_substrate::{Tick, Value};
 use wfms_model::{
     ActivityKind, Container, ContainerSchema, DataEndpoint, Expr, Interner, ProcessDefinition,
@@ -408,7 +409,7 @@ pub struct ScopeMeta {
     /// Block-nesting depth (root = 0).
     pub depth: u32,
     /// Slash path of the scope in journal form (`""` for the root).
-    pub path: Arc<str>,
+    pub path: Name,
     /// Prototype input container (schema defaults), cloned — an `Arc`
     /// bump — whenever the scope opens.
     pub input_proto: Container,
@@ -443,8 +444,8 @@ pub struct ScopeLayout {
     /// Per act slot: engine-started when ready.
     pub automatic: Vec<bool>,
     /// Per act slot: full slash path in journal form, interned once so
-    /// event construction is an `Arc` clone.
-    pub paths: Vec<Arc<str>>,
+    /// event construction is a copy.
+    pub paths: Vec<Name>,
     /// Per act slot: prototype input container (schema defaults).
     pub input_proto: Vec<Container>,
     /// Per act slot: prototype output container with `RC = 1` — the
@@ -460,26 +461,29 @@ pub struct ScopeLayout {
     pub rank: Vec<u32>,
     /// Inverse of [`ScopeLayout::rank`].
     pub rank_to_slot: Vec<u32>,
-    /// Full journal path → act slot (keys are the `Arc<str>`s in
-    /// [`ScopeLayout::paths`]). Validation rejects `/` in activity
-    /// names and duplicate names within a scope, so the keys are unique
-    /// by construction.
-    pub slot_by_path: FastMap<Arc<str>, u32>,
+    /// Full journal path → act slot (keys are the names in
+    /// [`ScopeLayout::paths`], looked up by `&str` too). Validation
+    /// rejects `/` in activity names and duplicate names within a scope,
+    /// so the keys are unique by construction.
+    pub slot_by_path: FastMap<Name, u32>,
     /// Scope path → [`ScopeId`] (keys are the [`ScopeMeta::path`]s;
     /// `""` is the root).
-    pub scope_by_path: FastMap<Arc<str>, ScopeId>,
+    pub scope_by_path: FastMap<Name, ScopeId>,
     /// Per edge slot: interned `(from, to)` activity names for
     /// `ConnectorEvaluated` events.
-    pub edge_names: Vec<(Arc<str>, Arc<str>)>,
+    pub edge_names: Vec<(Name, Name)>,
     /// The process name, interned for `InstanceStarted` events.
-    pub process: Arc<str>,
+    pub process: Name,
+    /// The template version (spec content hash, fixed-width hex),
+    /// interned for `TemplateDeployed`, `Migrated` and checkpoints.
+    pub version: Name,
     /// The slab every instance starts as a clone of: initialised once
     /// per template instead of once per instance.
     pub(crate) fresh: StateSlab,
 }
 
 impl ScopeLayout {
-    fn build(root: &Arc<CompiledScope>) -> Self {
+    fn build(root: &Arc<CompiledScope>, spec_hash: u64) -> Self {
         let mut l = ScopeLayout {
             scopes: Vec::new(),
             owner: Vec::new(),
@@ -494,10 +498,11 @@ impl ScopeLayout {
             slot_by_path: FastMap::default(),
             scope_by_path: FastMap::default(),
             edge_names: Vec::new(),
-            process: Arc::from(root.name.as_str()),
+            process: Name::new(&root.name),
+            version: Name::new(&format!("{spec_hash:016x}")),
             fresh: StateSlab::default(),
         };
-        visit_scope(&mut l, root, None, Arc::from(""), 0);
+        visit_scope(&mut l, root, None, Name::new(""), 0);
         l.fresh = StateSlab::fresh(&l);
         l
     }
@@ -568,13 +573,13 @@ fn visit_scope(
     l: &mut ScopeLayout,
     cs: &Arc<CompiledScope>,
     parent: Option<(ScopeId, u32)>,
-    scope_path: Arc<str>,
+    scope_path: Name,
     depth: u32,
 ) -> ScopeId {
     let sid = l.scopes.len() as ScopeId;
     let act_base = l.owner.len() as u32;
     let edge_base = l.edge_names.len() as u32;
-    l.scope_by_path.insert(Arc::clone(&scope_path), sid);
+    l.scope_by_path.insert(scope_path, sid);
     l.scopes.push(ScopeMeta {
         cs: Arc::clone(cs),
         parent,
@@ -582,18 +587,17 @@ fn visit_scope(
         edge_base,
         subtree_last: sid,
         depth,
-        path: Arc::clone(&scope_path),
+        path: scope_path,
         input_proto: cs.input.instantiate(),
         output_proto: cs.output.instantiate(),
     });
     for (i, act) in cs.acts.iter().enumerate() {
-        let path: Arc<str> = if scope_path.is_empty() {
-            Arc::from(act.name.as_str())
+        let path = if scope_path.is_empty() {
+            Name::new(&act.name)
         } else {
-            Arc::from(format!("{scope_path}/{}", act.name))
+            Name::new(&format!("{scope_path}/{}", act.name))
         };
-        l.slot_by_path
-            .insert(Arc::clone(&path), act_base + i as u32);
+        l.slot_by_path.insert(path, act_base + i as u32);
         l.owner.push(sid);
         l.local.push(i as ActId);
         l.block_child.push(None);
@@ -607,8 +611,8 @@ fn visit_scope(
     }
     for e in &cs.edges {
         l.edge_names.push((
-            Arc::from(cs.act(e.from).name.as_str()),
-            Arc::from(cs.act(e.to).name.as_str()),
+            Name::new(&cs.act(e.from).name),
+            Name::new(&cs.act(e.to).name),
         ));
     }
     for (i, act) in cs.acts.iter().enumerate() {
@@ -616,7 +620,7 @@ fn visit_scope(
         l.rank[slot as usize] = l.rank_to_slot.len() as u32;
         l.rank_to_slot.push(slot);
         if let CompiledKind::Block(child) = &act.kind {
-            let child_path = Arc::clone(&l.paths[slot as usize]);
+            let child_path = l.paths[slot as usize];
             let c = visit_scope(l, child, Some((sid, slot)), child_path, depth + 1);
             l.block_child[slot as usize] = Some(c);
         }
@@ -678,8 +682,8 @@ impl CompiledProcess {
     /// computing the [`ScopeLayout`] — the one constructor every
     /// template passes through.
     pub fn from_parts(def: Arc<ProcessDefinition>, root: Arc<CompiledScope>) -> Self {
-        let layout = Arc::new(ScopeLayout::build(&root));
         let spec_hash = spec_hash_of(&def);
+        let layout = Arc::new(ScopeLayout::build(&root, spec_hash));
         Self {
             def,
             root,
@@ -695,8 +699,8 @@ impl CompiledProcess {
 
     /// The version identity as journals and APIs render it: the spec
     /// content hash in fixed-width hex.
-    pub fn version(&self) -> String {
-        format!("{:016x}", self.spec_hash)
+    pub fn version(&self) -> Name {
+        self.layout.version
     }
 }
 

@@ -32,7 +32,7 @@
 
 use crate::calls::ProgramCalls;
 use crate::compiled::CompiledProcess;
-use crate::event::{Event, InstanceId, WorkItemId};
+use crate::event::{Checkpoint, Event, InstanceId, WorkItemId};
 use crate::journal::Journal;
 use crate::metrics::{EngineObs, ProbeCache};
 use crate::navigator::{self, NavServices};
@@ -44,6 +44,7 @@ use crate::worklist::{WorkItem, WorkItemState, WorklistError, WorklistStore};
 use std::cell::RefCell;
 use std::path::PathBuf;
 use std::sync::Arc;
+use txn_substrate::frame::Name;
 use txn_substrate::{
     DurabilityPolicy, MirrorError, MultiDatabase, ProgramRegistry, TailReport, VirtualClock,
 };
@@ -349,7 +350,7 @@ impl EngineState {
                 process, version, ..
             } => {
                 let hash = u64::from_str_radix(version, 16).unwrap_or(0);
-                if !self.registry.set_default(process, hash) {
+                if !self.registry.set_default(*process, hash) {
                     return Err(missing_version(process, version));
                 }
             }
@@ -369,13 +370,14 @@ impl EngineState {
                     })?;
                 }
             }
-            Event::EngineCheckpoint {
-                instances,
-                items,
-                next_instance,
-                next_item,
-                ..
-            } => {
+            Event::EngineCheckpoint(checkpoint) => {
+                let Checkpoint {
+                    instances,
+                    items,
+                    next_instance,
+                    next_item,
+                    ..
+                } = &**checkpoint;
                 // A checkpoint is the complete state: replace what was
                 // built so far; the tail of the journal applies on top.
                 self.instances.clear();
@@ -399,7 +401,7 @@ impl EngineState {
                         let output = snap.root.output.clone();
                         Instance::retired(snap.id, tpl, snap.status, output)
                     };
-                    inst.tenant = snap.tenant.clone();
+                    inst.tenant = snap.tenant;
                     self.place(inst)?;
                 }
                 // The allocator is written for readers of the journal;
@@ -484,7 +486,7 @@ fn started(tpl: Arc<CompiledProcess>, ev: &Event) -> Instance {
         unreachable!("only `InstanceStarted` starts an instance")
     };
     let mut inst = Instance::new(*instance, tpl);
-    inst.tenant = tenant.clone();
+    inst.tenant = *tenant;
     inst.seed_input(input);
     inst
 }
@@ -553,7 +555,7 @@ pub(crate) fn effect(
             // of one a crash caught `Running` closes here. (Everywhere
             // else `ActivityFinished` / `ActivityTerminated` closed it.)
             if manual {
-                worklists.close_for(inst.id, path);
+                worklists.close_for(inst.id, *path);
             }
         }
         // A started block opens its child scope.
@@ -562,7 +564,7 @@ pub(crate) fn effect(
             inst.activity_finished(slot, output);
             // A reschedule offers a fresh item.
             if manual {
-                worklists.close_for(inst.id, path);
+                worklists.close_for(inst.id, *path);
             }
         }
         Event::ActivityRescheduled { next_attempt, .. } => {
@@ -571,7 +573,7 @@ pub(crate) fn effect(
         Event::ActivityTerminated { path, executed, .. } => {
             inst.activity_terminated(slot, *executed);
             if manual {
-                worklists.close_for(inst.id, path);
+                worklists.close_for(inst.id, *path);
             }
         }
         Event::ConnectorEvaluated { value, .. } => inst.connector_evaluated(slot, *value),
@@ -586,9 +588,9 @@ pub(crate) fn effect(
             worklists.offer(WorkItem {
                 id: *item,
                 instance: *instance,
-                path: path.to_string(),
+                path: *path,
                 attempt: inst.slab.acts[slot as usize].attempt,
-                offered_to: persons.clone(),
+                offered_to: persons.to_vec(),
                 state: WorkItemState::Offered,
                 offered_at: *at,
             });
@@ -915,11 +917,12 @@ impl Engine {
     /// versioning semantics as [`Engine::register`].
     pub fn register_compiled(&self, tpl: Arc<CompiledProcess>) -> TemplateVersion {
         let mut st = self.state.borrow_mut();
+        let (process, hex) = (tpl.layout.process, tpl.version());
         let (version, deploys) = st.registry.insert(tpl);
         if deploys {
             let ev = Event::TemplateDeployed {
-                process: version.process.clone(),
-                version: version.version.clone(),
+                process,
+                version: hex,
                 at: self.clock.now(),
             };
             self.emit(&mut st, ev).expect("the version is registered");
@@ -945,11 +948,13 @@ impl Engine {
     /// [`Engine::start`] with an owning tenant: the tenant name is
     /// journalled on the `InstanceStarted` event and restored by
     /// recovery, so instance→tenant attribution survives `kill -9`.
+    /// The tenant is a [`Name`] its table interned when it was loaded;
+    /// `process` is only looked up, so a start interns nothing.
     pub fn start_for_tenant(
         &self,
         process: &str,
         input: Container,
-        tenant: Option<String>,
+        tenant: Option<Name>,
     ) -> Result<InstanceId, EngineError> {
         let mut st = self.state.borrow_mut();
         let tpl = st
@@ -963,7 +968,7 @@ impl Engine {
         let id = st.next_instance();
         let ev = Event::InstanceStarted {
             instance: id,
-            process: Arc::clone(&tpl.layout.process).into(),
+            process: tpl.layout.process,
             tenant,
             input: seeded,
             at: self.clock.now(),
@@ -1008,8 +1013,8 @@ impl Engine {
             let (from, to) = (inst.tpl.version(), target.version());
             let ev = Event::Migrated {
                 instance: id,
-                from: from.clone(),
-                to: to.clone(),
+                from,
+                to,
                 at: self.clock.now(),
             };
             if let Err(reason) = emit(svc.journal, ev, |_| migrated(inst, &target)) {
@@ -1025,7 +1030,10 @@ impl Engine {
             // same continuation events.
             let counts = recovery::fixup_instance(inst, svc);
             counts.record(self.obs.observer.registry(), "migration.fixups");
-            Ok(MigrationOutcome::Migrated { from, to })
+            Ok(MigrationOutcome::Migrated {
+                from: from.to_string(),
+                to: to.to_string(),
+            })
         })
     }
 
@@ -1065,8 +1073,12 @@ impl Engine {
         Ok(())
     }
 
-    /// The worklist of `person` (clones of the visible items).
+    /// The worklist of `person` (clones of the visible items): empty
+    /// for a name no offer could hold, which is looked up, not interned.
     pub fn worklist(&self, person: &str) -> Vec<WorkItem> {
+        let Some(person) = Name::find(person) else {
+            return Vec::new();
+        };
         let st = self.state.borrow();
         st.worklists.worklist(person).into_iter().cloned().collect()
     }
@@ -1090,12 +1102,27 @@ impl Engine {
     /// Claims a work item for `person`; it disappears from every other
     /// worklist.
     pub fn claim(&self, item: WorkItemId, person: &str) -> Result<(), EngineError> {
+        self.claim_as(item, person).map(drop)
+    }
+
+    /// [`Engine::claim`], answering the claimant's name. The person is
+    /// looked up, never interned: every name an offer holds is interned,
+    /// so the store refuses one that is not, and says why.
+    fn claim_as(&self, item: WorkItemId, person: &str) -> Result<Name, EngineError> {
+        let mut st = self.state.borrow_mut();
+        let Some(person) = Name::find(person) else {
+            let refused = st.worklists.claim(item, person).map(drop);
+            return Err(refused
+                .expect_err("no offer holds a name never interned")
+                .into());
+        };
         let ev = Event::WorkItemClaimed {
             item,
-            person: person.to_owned(),
+            person,
             at: self.clock.now(),
         };
-        Ok(self.emit(&mut self.state.borrow_mut(), ev)?)
+        self.emit(&mut st, ev)?;
+        Ok(person)
     }
 
     /// Releases a claimed work item back to every eligible worklist
@@ -1110,7 +1137,7 @@ impl Engine {
         let it = st.worklists.release(item, person)?;
         let ev = Event::UserIntervention {
             instance: it.instance,
-            path: it.path.as_str().into(),
+            path: it.path,
             action: format!("release {item} by {person}"),
             at: self.clock.now(),
         };
@@ -1153,12 +1180,16 @@ impl Engine {
                 .worklists
                 .get(item)
                 .ok_or(WorklistError::NoSuchItem(item))?;
-            let mine = matches!(&it.state, WorkItemState::Claimed(p) if p == person);
-            (it.instance, it.path.clone(), mine)
+            let mine = match it.state {
+                WorkItemState::Claimed(p) if p == person => Some(p),
+                _ => None,
+            };
+            (it.instance, it.path, mine)
         };
-        if !mine {
-            self.claim(item, person)?;
-        }
+        let by = match mine {
+            Some(by) => by,
+            None => self.claim_as(item, person)?,
+        };
         self.write(instance, |inst, svc| {
             // The underlying activity must still be ready at the claimed
             // attempt.
@@ -1166,11 +1197,11 @@ impl Engine {
                 .live_slot(&path)
                 .filter(|&slot| inst.slab.acts[slot as usize].state == ActState::Ready)
                 .ok_or_else(|| EngineError::BadActivityState {
-                    path: path.clone(),
+                    path: path.to_string(),
                     expected: "ready",
                 })?;
             let tpl = Arc::clone(&inst.tpl);
-            navigator::execute_activity(&tpl, inst, svc, slot, Some(person.to_owned()));
+            navigator::execute_activity(&tpl, inst, svc, slot, Some(by));
             navigator::drive_to_quiescence(&tpl, inst, svc, self.step_limit)
         })
     }
@@ -1237,8 +1268,8 @@ impl Engine {
     pub fn view(&self, id: InstanceId) -> Result<InstanceView, EngineError> {
         self.read(id, |i| InstanceView {
             process: i.tpl.name().to_owned(),
-            version: i.tpl.version(),
-            tenant: i.tenant.clone(),
+            version: i.tpl.version().to_string(),
+            tenant: i.tenant.map(|t| t.to_string()),
             status: i.status,
             output: i.root_output().clone(),
         })
@@ -1317,22 +1348,23 @@ impl Engine {
             .iter()
             .map(|i| crate::event::InstanceSnapshot {
                 id: i.id,
-                process: i.tpl.name().to_owned(),
-                tenant: i.tenant.clone(),
+                process: i.tpl.layout.process,
+                tenant: i.tenant,
                 status: i.status,
                 version: i.tpl.version(),
                 root: i.snapshot_root(),
             })
             .collect();
-        // The one append outside `emit`: a checkpoint describes the
-        // state, it does not change it — only replay applies it.
-        self.journal.append(Event::EngineCheckpoint {
+        let checkpoint = Event::EngineCheckpoint(Box::new(Checkpoint {
             instances: snaps,
             items: st.worklists.live_items().cloned().collect(),
             next_instance: st.next_instance().0,
             next_item: st.next_item,
             at: self.clock.now(),
-        });
+        }));
+        // The one append outside `emit`: a checkpoint describes the
+        // state, it does not change it — only replay applies it.
+        self.journal.append(checkpoint);
         // Compaction drops everything before the checkpoint, including
         // any TemplateDeployed events that moved a default off its
         // initial version. Re-journal the current default of every

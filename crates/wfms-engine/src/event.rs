@@ -15,6 +15,7 @@
 //! below, pinned by `tests/fixtures/event_json_golden.jsonl`.
 
 use serde::{Deserialize, Serialize};
+use txn_substrate::frame::Name;
 use txn_substrate::Tick;
 use wfms_model::Container;
 
@@ -38,100 +39,10 @@ impl std::fmt::Display for WorkItemId {
     }
 }
 
-/// A cheaply clonable path-like string used in journal events.
-///
-/// Event paths repeat endlessly (every event for an activity carries
-/// the same `"Forward/T2"`), so events share one `Arc<str>` per
-/// template slot instead of allocating a fresh `String` per event —
-/// the compiled template interns every activity path once at
-/// compilation, and the journal decoder shares one per distinct path
-/// in a file. Renders to JSON as a plain string.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct PathStr(std::sync::Arc<str>);
-
-impl PathStr {
-    /// The path as a plain `&str`.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-}
-
-impl std::ops::Deref for PathStr {
-    type Target = str;
-    fn deref(&self) -> &str {
-        &self.0
-    }
-}
-
-impl AsRef<str> for PathStr {
-    fn as_ref(&self) -> &str {
-        &self.0
-    }
-}
-
-impl std::fmt::Display for PathStr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl From<&str> for PathStr {
-    fn from(s: &str) -> Self {
-        Self(std::sync::Arc::from(s))
-    }
-}
-
-impl From<String> for PathStr {
-    fn from(s: String) -> Self {
-        Self(std::sync::Arc::from(s))
-    }
-}
-
-impl From<&String> for PathStr {
-    fn from(s: &String) -> Self {
-        Self(std::sync::Arc::from(s.as_str()))
-    }
-}
-
-impl From<std::sync::Arc<str>> for PathStr {
-    fn from(s: std::sync::Arc<str>) -> Self {
-        Self(s)
-    }
-}
-
-impl PartialEq<str> for PathStr {
-    fn eq(&self, other: &str) -> bool {
-        &*self.0 == other
-    }
-}
-
-impl PartialEq<&str> for PathStr {
-    fn eq(&self, other: &&str) -> bool {
-        &*self.0 == *other
-    }
-}
-
-impl PartialEq<String> for PathStr {
-    fn eq(&self, other: &String) -> bool {
-        &*self.0 == other.as_str()
-    }
-}
-
-impl PartialEq<PathStr> for str {
-    fn eq(&self, other: &PathStr) -> bool {
-        self == &*other.0
-    }
-}
-
-impl PartialEq<PathStr> for String {
-    fn eq(&self, other: &PathStr) -> bool {
-        self.as_str() == &*other.0
-    }
-}
-
 /// A slash-separated path to an activity inside (possibly nested)
-/// blocks, e.g. `"Forward/T2"`.
-pub type ActivityPath = PathStr;
+/// blocks, e.g. `"Forward/T2"`: a [`Name`], interned when its template
+/// is compiled, so an event carries it as a copied handle.
+pub type ActivityPath = Name;
 
 /// One navigation event.
 ///
@@ -141,6 +52,9 @@ pub type ActivityPath = PathStr;
 /// JSON-lines journals with: the externally tagged `{"Variant":
 /// {fields…}}`, fields in declaration order, an owning tenant written
 /// only when there is one.
+///
+/// Every field a journal writes as a name is a [`Name`], and the one
+/// large, rare payload is boxed, so an event is 56 bytes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Event {
     /// A new instance of `process` started with `input`. `tenant`
@@ -148,9 +62,9 @@ pub enum Event {
     /// enabled; library use and untenanted servers leave it `None`.
     InstanceStarted {
         instance: InstanceId,
-        process: PathStr,
+        process: Name,
         #[serde(skip_serializing_if = "Option::is_none")]
-        tenant: Option<String>,
+        tenant: Option<Name>,
         input: Container,
         at: Tick,
     },
@@ -167,7 +81,7 @@ pub enum Event {
         instance: InstanceId,
         path: ActivityPath,
         attempt: u32,
-        by: Option<String>,
+        by: Option<Name>,
         input: Container,
         at: Tick,
     },
@@ -199,9 +113,9 @@ pub enum Event {
     ConnectorEvaluated {
         instance: InstanceId,
         /// Path prefix of the containing (sub)process, `""` at root.
-        scope: PathStr,
-        from: PathStr,
-        to: PathStr,
+        scope: Name,
+        from: Name,
+        to: Name,
         value: bool,
         at: Tick,
     },
@@ -210,21 +124,21 @@ pub enum Event {
         instance: InstanceId,
         path: ActivityPath,
         item: WorkItemId,
-        persons: Vec<String>,
+        persons: Box<[Name]>,
         at: Tick,
     },
     /// A person claimed the work item: it vanishes from every other
     /// worklist (§3.3).
     WorkItemClaimed {
         item: WorkItemId,
-        person: String,
+        person: Name,
         at: Tick,
     },
     /// A deadline expired and a notification was sent (§3.3).
     NotificationSent {
         instance: InstanceId,
         path: ActivityPath,
-        person: String,
+        person: Name,
         at: Tick,
     },
     /// A user intervention (§3.3: "the user can stop an activity,
@@ -249,8 +163,8 @@ pub enum Event {
     /// journalled (its version is implied by the recovery template
     /// set).
     TemplateDeployed {
-        process: String,
-        version: String,
+        process: Name,
+        version: Name,
         at: Tick,
     },
     /// An instance was migrated between template versions at a scope
@@ -258,25 +172,33 @@ pub enum Event {
     /// re-applies the same (deterministic) transfer.
     Migrated {
         instance: InstanceId,
-        from: String,
-        to: String,
+        from: Name,
+        to: Name,
         at: Tick,
     },
     /// A full engine checkpoint: the complete runtime state at a
     /// quiescent point. Recovery restarts from the last checkpoint and
     /// replays only the events after it; journal compaction drops
     /// everything before it (mirroring the database WAL's checkpoint).
-    EngineCheckpoint {
-        /// Snapshot of every live instance.
-        instances: Vec<InstanceSnapshot>,
-        /// Open and claimed work items.
-        items: Vec<crate::worklist::WorkItem>,
-        /// Instance-id allocator position.
-        next_instance: u64,
-        /// Work-item-id allocator position.
-        next_item: u64,
-        at: Tick,
-    },
+    /// Boxed: it is the one large payload, and the rarest.
+    EngineCheckpoint(Box<Checkpoint>),
+}
+
+const _: () = assert!(std::mem::size_of::<Event>() <= 56);
+
+/// What an [`Event::EngineCheckpoint`] holds.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Checkpoint {
+    /// Snapshot of every live instance.
+    pub instances: Vec<InstanceSnapshot>,
+    /// Open and claimed work items.
+    pub items: Vec<crate::worklist::WorkItem>,
+    /// Instance-id allocator position.
+    pub next_instance: u64,
+    /// Work-item-id allocator position.
+    pub next_item: u64,
+    /// The tick at which it was journalled.
+    pub at: Tick,
 }
 
 /// Serialisable snapshot of one instance (the definition is not
@@ -287,16 +209,16 @@ pub struct InstanceSnapshot {
     /// Instance id.
     pub id: InstanceId,
     /// Template name.
-    pub process: String,
+    pub process: Name,
     /// Owning tenant, when started under one.
     #[serde(skip_serializing_if = "Option::is_none")]
-    pub tenant: Option<String>,
+    pub tenant: Option<Name>,
     /// Overall status.
     pub status: crate::state::InstanceStatus,
     /// The template version (spec content hash, hex) the instance is
     /// pinned to — replay resolves the snapshot against this compiled
     /// template, not the current default.
-    pub version: String,
+    pub version: Name,
     /// The full scope tree (activities, connectors, containers,
     /// children).
     pub root: crate::state::ScopeState,
@@ -320,7 +242,7 @@ impl Event {
             | Event::InstanceCancelled { instance, .. }
             | Event::Migrated { instance, .. } => Some(*instance),
             Event::WorkItemClaimed { .. }
-            | Event::EngineCheckpoint { .. }
+            | Event::EngineCheckpoint(_)
             | Event::TemplateDeployed { .. } => None,
         }
     }
@@ -341,9 +263,9 @@ impl Event {
             | Event::UserIntervention { at, .. }
             | Event::InstanceFinished { at, .. }
             | Event::InstanceCancelled { at, .. }
-            | Event::EngineCheckpoint { at, .. }
             | Event::TemplateDeployed { at, .. }
             | Event::Migrated { at, .. } => *at,
+            Event::EngineCheckpoint(checkpoint) => checkpoint.at,
         }
     }
 
@@ -409,8 +331,11 @@ impl Event {
             }
             Event::InstanceFinished { instance, .. } => format!("{instance} finished"),
             Event::InstanceCancelled { instance, .. } => format!("{instance} cancelled"),
-            Event::EngineCheckpoint { instances, .. } => {
-                format!("engine checkpoint ({} instances)", instances.len())
+            Event::EngineCheckpoint(checkpoint) => {
+                format!(
+                    "engine checkpoint ({} instances)",
+                    checkpoint.instances.len()
+                )
             }
             Event::TemplateDeployed {
                 process, version, ..
@@ -559,7 +484,7 @@ mod tests {
                 instance: InstanceId(1),
                 path: "M".into(),
                 item: WorkItemId(4),
-                persons: vec!["ann".into()],
+                persons: Box::new(["ann".into()]),
                 at: 6,
             },
             Event::WorkItemClaimed {

@@ -29,6 +29,7 @@ use crate::state::{join_path, ActState, ActivityRt, InstanceStatus};
 use crate::worklist::{WorkItem, WorkItemState, WorklistError, WorklistStore};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
+use txn_substrate::frame::Name;
 use txn_substrate::{
     MultiDatabase, ProgramContext, ProgramOutcome, ProgramRegistry, Value, VirtualClock,
 };
@@ -193,6 +194,9 @@ impl RefEngine {
 
     /// The worklist of `person`, as the real engine reports it.
     pub fn worklist(&self, person: &str) -> Vec<WorkItem> {
+        let Some(person) = Name::find(person) else {
+            return Vec::new();
+        };
         self.worklists
             .worklist(person)
             .into_iter()
@@ -209,24 +213,27 @@ impl RefEngine {
             .get(item)
             .ok_or(WorklistError::NoSuchItem(item))?
             .clone();
-        match &it.state {
+        let by = match it.state {
             WorkItemState::Offered => {
-                self.worklists.claim(item, person)?;
+                let WorkItemState::Claimed(by) = self.worklists.claim(item, person)?.state else {
+                    unreachable!("a claim that succeeds holds the item")
+                };
                 self.journal.push(Event::WorkItemClaimed {
                     item,
-                    person: person.to_owned(),
+                    person: by,
                     at: self.clock.now(),
                 });
+                by
             }
-            WorkItemState::Claimed(p) if p == person => {}
+            WorkItemState::Claimed(p) if p == person => p,
             WorkItemState::Claimed(p) => {
                 return Err(WorklistError::AlreadyClaimed {
                     item,
-                    by: p.clone(),
+                    by: p.to_string(),
                 })
             }
             WorkItemState::Closed => return Err(WorklistError::Closed(item)),
-        }
+        };
         let mut inst = self
             .instances
             .remove(&it.instance)
@@ -237,7 +244,7 @@ impl RefEngine {
             .and_then(|(_, s)| s.activities.get(&path[path.len() - 1]))
             .is_some_and(|rt| rt.state == ActState::Ready);
         assert!(ready, "open work item implies a ready activity");
-        self.execute_activity(&mut inst, &path, Some(person.to_owned()));
+        self.execute_activity(&mut inst, &path, Some(by));
         while let Some(p) = Self::find_runnable(&inst) {
             self.execute_activity(&mut inst, &p, None);
         }
@@ -274,7 +281,7 @@ impl RefEngine {
             prefix: &mut Vec<String>,
             now: txn_substrate::Tick,
             org: &OrgModel,
-            due: &mut Vec<(Vec<String>, Vec<String>)>,
+            due: &mut Vec<(Vec<String>, Vec<Name>)>,
         ) {
             for act in &def.activities {
                 if act.automatic_start {
@@ -290,10 +297,10 @@ impl RefEngine {
                     if let Some(since) = rt.ready_since {
                         if since + deadline <= now {
                             rt.notified = true;
-                            let mut managers: Vec<String> = org
+                            let mut managers: Vec<Name> = org
                                 .resolve(&act.staff)
                                 .iter()
-                                .filter_map(|p| org.manager_of(p).map(|m| m.name.clone()))
+                                .filter_map(|p| org.manager_of(p).map(|m| m.name))
                                 .collect();
                             managers.sort();
                             managers.dedup();
@@ -340,10 +347,10 @@ impl RefEngine {
                 self.journal.push(Event::NotificationSent {
                     instance: inst.id,
                     path: path_str.clone().into(),
-                    person: person.clone(),
+                    person,
                     at: now,
                 });
-                sent.push((path_str.clone(), person));
+                sent.push((path_str.clone(), person.to_string()));
             }
         }
         sent
@@ -425,7 +432,7 @@ impl RefEngine {
             self.worklists.offer(WorkItem {
                 id: item,
                 instance,
-                path: join_path(path),
+                path: join_path(path).into(),
                 attempt,
                 offered_to: persons.clone(),
                 state: WorkItemState::Offered,
@@ -435,7 +442,7 @@ impl RefEngine {
                 instance,
                 path: join_path(path).into(),
                 item,
-                persons,
+                persons: persons.into(),
                 at: now,
             });
         }
@@ -480,7 +487,7 @@ impl RefEngine {
         scan(&inst.def, &inst.root, &mut Vec::new())
     }
 
-    fn execute_activity(&mut self, inst: &mut RefInstance, path: &[String], by: Option<String>) {
+    fn execute_activity(&mut self, inst: &mut RefInstance, path: &[String], by: Option<Name>) {
         let instance = inst.id;
         let (name, scope_path) = path.split_last().expect("path never empty");
         let input = Self::materialize_input(inst, scope_path, name);
@@ -608,7 +615,7 @@ impl RefEngine {
             output: output.clone(),
             at: self.clock.now(),
         });
-        self.worklists.close_for(instance, &join_path(path));
+        self.worklists.close_for(instance, join_path(path).into());
         self.decide_exit(inst, path);
     }
 
@@ -671,7 +678,7 @@ impl RefEngine {
             executed,
             at: self.clock.now(),
         });
-        self.worklists.close_for(instance, &join_path(path));
+        self.worklists.close_for(instance, join_path(path).into());
 
         if executed {
             for d in &def.data {

@@ -62,7 +62,7 @@ pub mod worklist;
 pub use compiled::{spec_hash_of, ActId, CompiledProcess, CompiledScope, EdgeId};
 pub use crashtest::{CrashPointResult, SweepConfig, SweepReport, SweepScript};
 pub use engine::{Engine, EngineConfig, EngineError, InstanceView, MigrationOutcome};
-pub use event::{Event, InstanceId, InstanceSnapshot, WorkItemId};
+pub use event::{Checkpoint, Event, InstanceId, InstanceSnapshot, WorkItemId};
 pub use interp::RefEngine;
 pub use journal::Journal;
 pub use optimize::{OptStats, ScopeFacts};

@@ -56,6 +56,7 @@ use crate::org::OrgModel;
 use crate::state::{ActState, Instance, InstanceStatus};
 use crate::worklist::WorklistStore;
 use std::convert::Infallible;
+use txn_substrate::frame::Name;
 use txn_substrate::{ProgramOutcome, Value, VirtualClock};
 use wfms_model::{Container, StartCondition, RC_MEMBER};
 
@@ -136,7 +137,7 @@ fn make_ready(tpl: &CompiledProcess, inst: &mut Instance, svc: &mut NavServices<
     let sl = slot as usize;
     let ev = Event::ActivityReady {
         instance,
-        path: lay.paths[sl].clone().into(),
+        path: lay.paths[sl],
         attempt: inst.slab.acts[sl].attempt,
         at: now,
     };
@@ -166,9 +167,9 @@ fn offer_item(
     let lay = &tpl.layout;
     let ev = Event::WorkItemOffered {
         instance: inst.id,
-        path: lay.paths[slot as usize].clone().into(),
+        path: lay.paths[slot as usize],
         item: WorkItemId(*svc.next_item),
-        persons: svc.org.resolve(&lay.act(slot).staff),
+        persons: svc.org.resolve(&lay.act(slot).staff).into(),
         at: now,
     };
     emit(inst, svc, slot, ev);
@@ -228,7 +229,7 @@ pub fn execute_activity(
     inst: &mut Instance,
     svc: &mut NavServices<'_>,
     slot: u32,
-    by: Option<String>,
+    by: Option<Name>,
 ) {
     debug_assert!(runs_under(tpl, inst));
     let instance = inst.id;
@@ -267,7 +268,7 @@ pub fn execute_activity(
     let attempt = inst.slab.acts[sl].attempt;
     let ev = Event::ActivityStarted {
         instance,
-        path: lay.paths[sl].clone().into(),
+        path: lay.paths[sl],
         attempt,
         by,
         input: input.clone(),
@@ -365,7 +366,7 @@ pub fn complete_execution(
 
     let ev = Event::ActivityFinished {
         instance,
-        path: lay.paths[sl].clone().into(),
+        path: lay.paths[sl],
         attempt: inst.slab.acts[sl].attempt,
         output,
         at: svc.now(),
@@ -396,7 +397,7 @@ pub fn decide_exit(
         }
         let ev = Event::ActivityRescheduled {
             instance,
-            path: lay.paths[sl].clone().into(),
+            path: lay.paths[sl],
             next_attempt: inst.slab.acts[sl].attempt + 1,
             at: svc.now(),
         };
@@ -422,7 +423,7 @@ pub(crate) fn reoffer_ready(
     if inst.slab.acts[sl].state != ActState::Ready || lay.automatic[sl] {
         return;
     }
-    if svc.worklists.has_live_item(inst.id, &lay.paths[sl]) {
+    if svc.worklists.has_live_item(inst.id, lay.paths[sl]) {
         return;
     }
     offer_item(tpl, inst, svc, slot, svc.now());
@@ -520,9 +521,9 @@ fn evaluate_outgoing(
         }
         let ev = Event::ConnectorEvaluated {
             instance,
-            scope: m.path.clone().into(),
-            from: lay.edge_names[es].0.clone().into(),
-            to: lay.edge_names[es].1.clone().into(),
+            scope: m.path,
+            from: lay.edge_names[es].0,
+            to: lay.edge_names[es].1,
             value: executed && edge.cond.eval_transition(&inst.slab.acts[sl].output),
             at: svc.now(),
         };
@@ -552,7 +553,7 @@ pub fn terminate_activity(
     // container take effect with this event.
     let ev = Event::ActivityTerminated {
         instance,
-        path: lay.paths[sl].clone().into(),
+        path: lay.paths[sl],
         executed,
         at: svc.now(),
     };
@@ -690,7 +691,7 @@ pub fn check_deadlines(
     let now = svc.now();
     let lay = &tpl.layout;
     let org = svc.org;
-    let mut due: Vec<(u32, Vec<String>)> = Vec::new();
+    let mut due: Vec<(u32, Vec<Name>)> = Vec::new();
     for s in 0..lay.n_scopes() as ScopeId {
         let m = lay.scope(s);
         if m.cs.deadline_acts.is_empty() || !inst.scope_active(s) {
@@ -705,10 +706,10 @@ pub fn check_deadlines(
             let act = lay.act(slot);
             if let (Some(deadline), Some(since)) = (act.deadline, inst.slab.acts[sl].ready_since) {
                 if since + deadline <= now {
-                    let mut managers: Vec<String> = org
+                    let mut managers: Vec<Name> = org
                         .resolve(&act.staff)
                         .iter()
-                        .filter_map(|p| org.manager_of(p).map(|mg| mg.name.clone()))
+                        .filter_map(|p| org.manager_of(p).map(|mg| mg.name))
                         .collect();
                     managers.sort();
                     managers.dedup();
@@ -720,16 +721,16 @@ pub fn check_deadlines(
 
     let mut sent = Vec::new();
     for (slot, managers) in due {
-        let path = &lay.paths[slot as usize];
+        let path = lay.paths[slot as usize];
         for person in managers {
             let ev = Event::NotificationSent {
                 instance: inst.id,
-                path: path.clone().into(),
-                person: person.clone(),
+                path,
+                person,
                 at: now,
             };
             emit(inst, svc, slot, ev);
-            sent.push((path.to_string(), person));
+            sent.push((path.to_string(), person.to_string()));
         }
     }
     // Deadline checks run off the clock-advance path (cold), so count

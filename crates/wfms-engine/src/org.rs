@@ -10,12 +10,14 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use txn_substrate::frame::Name;
 
 /// One person in the organization.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Person {
-    /// Unique user name.
-    pub name: String,
+    /// Unique user name, interned when the person is added: the name
+    /// work items are offered to.
+    pub name: Name,
     /// Roles held (a person can have several roles).
     pub roles: Vec<String>,
     /// Hierarchical level (1 = top). Purely descriptive; notification
@@ -49,7 +51,7 @@ impl OrgModel {
         self.persons.insert(
             name.to_owned(),
             Person {
-                name: name.to_owned(),
+                name: Name::new(name),
                 roles: roles.iter().map(|r| r.to_string()).collect(),
                 level: 1,
                 manager: None,
@@ -65,7 +67,7 @@ impl OrgModel {
         self.persons.insert(
             name.to_owned(),
             Person {
-                name: name.to_owned(),
+                name: Name::new(name),
                 roles: roles.iter().map(|r| r.to_string()).collect(),
                 level,
                 manager: Some(manager.to_owned()),
@@ -117,7 +119,7 @@ impl OrgModel {
         let mut seen = std::collections::BTreeSet::new();
         let mut cur = self.persons.get(name)?;
         while cur.absent {
-            if !seen.insert(cur.name.clone()) {
+            if !seen.insert(cur.name) {
                 return None; // substitution cycle among absentees
             }
             cur = self.persons.get(cur.substitute.as_deref()?)?;
@@ -130,15 +132,15 @@ impl OrgModel {
     /// are replaced by their (transitive) substitutes, and dropped if
     /// no present substitute exists. `Automatic` resolves to the empty
     /// set (the engine itself runs the activity).
-    pub fn resolve(&self, staff: &wfms_model::StaffAssignment) -> Vec<String> {
+    pub fn resolve(&self, staff: &wfms_model::StaffAssignment) -> Vec<Name> {
         let raw: Vec<&Person> = match staff {
             wfms_model::StaffAssignment::Automatic => Vec::new(),
             wfms_model::StaffAssignment::Person(p) => self.persons.get(p).into_iter().collect(),
             wfms_model::StaffAssignment::Role(r) => self.persons_with_role(r),
         };
-        let mut out: Vec<String> = raw
+        let mut out: Vec<Name> = raw
             .into_iter()
-            .filter_map(|p| self.effective(&p.name).map(|e| e.name.clone()))
+            .filter_map(|p| self.effective(&p.name).map(|e| e.name))
             .collect();
         out.sort();
         out.dedup();

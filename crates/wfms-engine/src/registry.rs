@@ -26,6 +26,7 @@
 use crate::compiled::CompiledProcess;
 use std::sync::Arc;
 use txn_substrate::fast_hash::FastMap;
+use txn_substrate::frame::Name;
 
 /// The identity handed back by [`crate::Engine::register`]: which
 /// process was registered and which version (spec content hash, hex)
@@ -49,10 +50,10 @@ impl std::fmt::Display for TemplateVersion {
 #[derive(Default)]
 pub(crate) struct TemplateRegistry {
     by_hash: FastMap<u64, Arc<CompiledProcess>>,
-    default_of: FastMap<String, u64>,
+    default_of: FastMap<Name, u64>,
     /// Registration order of distinct hashes per name (first entry is
     /// the initial default at recovery time).
-    versions_of: FastMap<String, Vec<u64>>,
+    versions_of: FastMap<Name, Vec<u64>>,
 }
 
 impl TemplateRegistry {
@@ -66,15 +67,15 @@ impl TemplateRegistry {
     /// identity plus whether it differs from its name's default — i.e.
     /// whether a running engine registering it owes that event.
     pub(crate) fn insert(&mut self, tpl: Arc<CompiledProcess>) -> (TemplateVersion, bool) {
-        let name = tpl.name().to_owned();
+        let name = tpl.layout.process;
         let hash = tpl.spec_hash;
         let version = TemplateVersion {
-            process: name.clone(),
-            version: tpl.version(),
+            process: name.to_string(),
+            version: tpl.version().to_string(),
         };
         if let std::collections::hash_map::Entry::Vacant(slot) = self.by_hash.entry(hash) {
             slot.insert(tpl);
-            self.versions_of.entry(name.clone()).or_default().push(hash);
+            self.versions_of.entry(name).or_default().push(hash);
         }
         let deploys = *self.default_of.entry(name).or_insert(hash) != hash;
         (version, deploys)
@@ -83,11 +84,11 @@ impl TemplateRegistry {
     /// Moves the default of `process` to the already-registered
     /// version `hash` (the effect of a `TemplateDeployed` event).
     /// `false` if no such version is registered.
-    pub(crate) fn set_default(&mut self, process: &str, hash: u64) -> bool {
+    pub(crate) fn set_default(&mut self, process: Name, hash: u64) -> bool {
         if !self.by_hash.contains_key(&hash) {
             return false;
         }
-        self.default_of.insert(process.to_owned(), hash);
+        self.default_of.insert(process, hash);
         true
     }
 
@@ -115,14 +116,14 @@ impl TemplateRegistry {
     /// these after the snapshot event so the current defaults survive
     /// compaction; single-version names need nothing (their default is
     /// implied by the recovery template set).
-    pub(crate) fn multi_version_defaults(&self) -> Vec<(String, String)> {
-        let mut out: Vec<(String, String)> = self
+    pub(crate) fn multi_version_defaults(&self) -> Vec<(Name, Name)> {
+        let mut out: Vec<(Name, Name)> = self
             .versions_of
             .iter()
             .filter(|(_, hs)| hs.len() > 1)
-            .filter_map(|(name, _)| {
-                let h = self.default_of.get(name)?;
-                Some((name.clone(), format!("{h:016x}")))
+            .filter_map(|(&name, _)| {
+                let tpl = self.by_hash(*self.default_of.get(&name)?)?;
+                Some((name, tpl.version()))
             })
             .collect();
         out.sort();
@@ -172,7 +173,7 @@ mod tests {
         reg.insert(Arc::clone(&v1));
         let (_, deployed) = reg.insert(Arc::clone(&v2));
         assert!(deployed);
-        assert!(reg.set_default("p", v2.spec_hash));
+        assert!(reg.set_default("p".into(), v2.spec_hash));
         assert_eq!(reg.default_tpl("p").unwrap().spec_hash, v2.spec_hash);
         assert_eq!(reg.versions_of["p"].len(), 2);
         // Both versions stay addressable by hash.
@@ -180,7 +181,7 @@ mod tests {
         assert!(reg.by_version(&v2.version()).is_some());
         assert_eq!(
             reg.multi_version_defaults(),
-            vec![("p".to_owned(), v2.version())]
+            vec![("p".into(), v2.version())]
         );
     }
 
@@ -196,8 +197,8 @@ mod tests {
             "differs from the default: a running engine owes the event"
         );
         assert_eq!(reg.default_tpl("p").unwrap().spec_hash, v1.spec_hash);
-        assert!(reg.set_default("p", v2.spec_hash));
+        assert!(reg.set_default("p".into(), v2.spec_hash));
         assert_eq!(reg.default_tpl("p").unwrap().spec_hash, v2.spec_hash);
-        assert!(!reg.set_default("p", 0xdead));
+        assert!(!reg.set_default("p".into(), 0xdead));
     }
 }

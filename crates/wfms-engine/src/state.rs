@@ -50,6 +50,7 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
+use txn_substrate::frame::Name;
 use txn_substrate::Tick;
 use wfms_model::{Container, ProcessDefinition};
 
@@ -242,7 +243,7 @@ pub struct Instance {
     /// Owning tenant, when the instance was started under one.
     /// Journalled on `InstanceStarted` and carried through snapshots,
     /// so recovery restores it.
-    pub tenant: Option<String>,
+    pub tenant: Option<Name>,
     /// Ready automatic activities as execution ranks (min-heap; may
     /// hold stale entries).
     pub(crate) ready: BinaryHeap<Reverse<u32>>,

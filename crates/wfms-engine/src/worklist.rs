@@ -15,6 +15,7 @@
 use crate::event::{InstanceId, WorkItemId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use txn_substrate::frame::Name;
 
 /// Lifecycle of a work item.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -22,7 +23,7 @@ pub enum WorkItemState {
     /// Visible on every eligible person's worklist.
     Offered,
     /// Claimed by one person; invisible to everyone else.
-    Claimed(String),
+    Claimed(Name),
     /// The underlying activity completed (or was cancelled).
     Closed,
 }
@@ -35,11 +36,11 @@ pub struct WorkItem {
     /// Owning instance.
     pub instance: InstanceId,
     /// Activity path within the instance.
-    pub path: String,
+    pub path: Name,
     /// Attempt number of the underlying activity.
     pub attempt: u32,
     /// Persons the item is offered to.
-    pub offered_to: Vec<String>,
+    pub offered_to: Vec<Name>,
     /// Current state.
     pub state: WorkItemState,
     /// Tick at which the item was offered (deadline tracking).
@@ -50,9 +51,9 @@ impl WorkItem {
     /// True when the item is on `person`'s worklist: offered to them
     /// and not claimed by anyone else, or claimed by them but not
     /// finished.
-    pub fn visible_to(&self, person: &str) -> bool {
-        match &self.state {
-            WorkItemState::Offered => self.offered_to.iter().any(|p| p == person),
+    pub fn visible_to(&self, person: Name) -> bool {
+        match self.state {
+            WorkItemState::Offered => self.offered_to.contains(&person),
             WorkItemState::Claimed(p) => p == person,
             WorkItemState::Closed => false,
         }
@@ -140,7 +141,7 @@ impl WorklistStore {
     /// The worklist of `person`: items offered to them and not claimed
     /// by anyone else, plus items they themselves claimed but have not
     /// finished.
-    pub fn worklist(&self, person: &str) -> Vec<&WorkItem> {
+    pub fn worklist(&self, person: Name) -> Vec<&WorkItem> {
         self.items
             .values()
             .filter(|it| it.visible_to(person))
@@ -148,30 +149,28 @@ impl WorklistStore {
     }
 
     /// Claims `item` for `person`. On success the item disappears from
-    /// every other worklist (it is now `Claimed(person)`).
+    /// every other worklist (it is now `Claimed(person)`). A person no
+    /// offer names is refused as not eligible, whether or not the
+    /// process has interned the name.
     pub fn claim(&mut self, item: WorkItemId, person: &str) -> Result<&WorkItem, WorklistError> {
         let it = self
             .items
             .get_mut(&item)
             .ok_or(WorklistError::NoSuchItem(item))?;
-        match &it.state {
+        match it.state {
             WorkItemState::Closed => Err(WorklistError::Closed(item)),
             WorkItemState::Claimed(by) => Err(WorklistError::AlreadyClaimed {
                 item,
-                by: by.clone(),
+                by: by.to_string(),
             }),
             WorkItemState::Offered => {
-                if !it.offered_to.iter().any(|p| p == person) {
+                let Some(&by) = it.offered_to.iter().find(|&p| p == person) else {
                     return Err(WorklistError::NotEligible {
                         item,
                         person: person.to_owned(),
                     });
-                }
-                transition(
-                    &mut self.counts,
-                    it,
-                    WorkItemState::Claimed(person.to_owned()),
-                );
+                };
+                transition(&mut self.counts, it, WorkItemState::Claimed(by));
                 Ok(&*it)
             }
         }
@@ -185,7 +184,7 @@ impl WorklistStore {
             .items
             .get_mut(&item)
             .ok_or(WorklistError::NoSuchItem(item))?;
-        match &it.state {
+        match it.state {
             WorkItemState::Closed => Err(WorklistError::Closed(item)),
             WorkItemState::Offered => Ok(&*it), // already released
             WorkItemState::Claimed(by) if by == person => {
@@ -194,7 +193,7 @@ impl WorklistStore {
             }
             WorkItemState::Claimed(by) => Err(WorklistError::AlreadyClaimed {
                 item,
-                by: by.clone(),
+                by: by.to_string(),
             }),
         }
     }
@@ -208,7 +207,7 @@ impl WorklistStore {
 
     /// Closes every open item for `(instance, path)` — used when an
     /// activity is force-finished or its instance is cancelled.
-    pub fn close_for(&mut self, instance: InstanceId, path: &str) {
+    pub fn close_for(&mut self, instance: InstanceId, path: Name) {
         for (_, id) in self.by_instance.range(of_instance(instance)) {
             let it = self.items.get_mut(id).expect("indexed");
             if it.path == path && it.state != WorkItemState::Closed {
@@ -260,7 +259,7 @@ impl WorklistStore {
     /// True when `(instance, path)` has an offered or claimed item —
     /// the guard the recovery/migration fix-up uses before re-offering
     /// a `Ready` manual activity whose offer may have been lost.
-    pub fn has_live_item(&self, instance: InstanceId, path: &str) -> bool {
+    pub fn has_live_item(&self, instance: InstanceId, path: Name) -> bool {
         self.items_of(instance)
             .any(|it| it.path == path && it.state != WorkItemState::Closed)
     }
@@ -289,7 +288,7 @@ mod tests {
             instance: InstanceId(1),
             path: "A".into(),
             attempt: 0,
-            offered_to: offered_to.iter().map(|s| s.to_string()).collect(),
+            offered_to: offered_to.iter().map(|&s| Name::new(s)).collect(),
             state: WorkItemState::Offered,
             offered_at: 0,
         }
@@ -299,9 +298,9 @@ mod tests {
     fn offer_appears_on_every_eligible_worklist() {
         let mut s = WorklistStore::new();
         s.offer(item(1, &["ann", "bob"]));
-        assert_eq!(s.worklist("ann").len(), 1);
-        assert_eq!(s.worklist("bob").len(), 1);
-        assert_eq!(s.worklist("carol").len(), 0);
+        assert_eq!(s.worklist(Name::new("ann")).len(), 1);
+        assert_eq!(s.worklist(Name::new("bob")).len(), 1);
+        assert_eq!(s.worklist(Name::new("carol")).len(), 0);
     }
 
     #[test]
@@ -309,8 +308,12 @@ mod tests {
         let mut s = WorklistStore::new();
         s.offer(item(1, &["ann", "bob"]));
         s.claim(WorkItemId(1), "ann").unwrap();
-        assert_eq!(s.worklist("ann").len(), 1, "claimer still sees it");
-        assert_eq!(s.worklist("bob").len(), 0, "vanished for bob");
+        assert_eq!(
+            s.worklist(Name::new("ann")).len(),
+            1,
+            "claimer still sees it"
+        );
+        assert_eq!(s.worklist(Name::new("bob")).len(), 0, "vanished for bob");
     }
 
     #[test]
@@ -343,7 +346,7 @@ mod tests {
         let mut s = WorklistStore::new();
         s.offer(item(1, &["ann"]));
         s.close(WorkItemId(1));
-        assert!(s.worklist("ann").is_empty());
+        assert!(s.worklist(Name::new("ann")).is_empty());
         assert!(matches!(
             s.claim(WorkItemId(1), "ann"),
             Err(WorklistError::Closed(_))
@@ -357,8 +360,8 @@ mod tests {
         let mut other = item(2, &["ann"]);
         other.path = "B".into();
         s.offer(other);
-        s.close_for(InstanceId(1), "A");
-        let remaining = s.worklist("ann");
+        s.close_for(InstanceId(1), "A".into());
+        let remaining = s.worklist(Name::new("ann"));
         assert_eq!(remaining.len(), 1);
         assert_eq!(remaining[0].path, "B");
     }
@@ -377,7 +380,7 @@ mod tests {
         assert_eq!(s.get(WorkItemId(2)).unwrap().state, WorkItemState::Offered);
         assert_eq!(s.get(WorkItemId(3)).unwrap().state, WorkItemState::Closed);
         // Bob sees the item again: the dead worker's lease is gone.
-        assert_eq!(s.worklist("bob").len(), 1);
+        assert_eq!(s.worklist(Name::new("bob")).len(), 1);
         assert_eq!(s.release_stale_claims(), 0);
     }
 

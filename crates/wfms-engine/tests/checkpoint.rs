@@ -129,10 +129,12 @@ fn checkpoint_claimed_items_are_reoffered_on_recovery() {
 
     // The snapshot carries the live items — claimed and offered — in id
     // order, and not the closed one between them.
-    let Some(Event::EngineCheckpoint { items: kept, .. }) = events.first() else {
+    let Some(Event::EngineCheckpoint(checkpoint)) = events.first() else {
         panic!("compaction leaves the checkpoint first");
     };
-    let kept: Vec<_> = kept.iter().map(|it| (it.id, it.state.clone())).collect();
+    let kept: Vec<_> = (checkpoint.items.iter())
+        .map(|it| (it.id, it.state.clone()))
+        .collect();
     assert_eq!(
         kept,
         [

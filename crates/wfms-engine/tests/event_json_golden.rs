@@ -7,8 +7,8 @@
 //! used to read. A new `Event` variant adds a sample and its line.
 
 use wfms_engine::{
-    ActState, ActivityRt, Event, InstanceId, InstanceSnapshot, InstanceStatus, ScopeState,
-    WorkItem, WorkItemId, WorkItemState,
+    ActState, ActivityRt, Checkpoint, Event, InstanceId, InstanceSnapshot, InstanceStatus,
+    ScopeState, WorkItem, WorkItemId, WorkItemState,
 };
 use wfms_model::Container;
 
@@ -39,7 +39,7 @@ fn snapshot(id: u64, tenant: Option<&str>) -> InstanceSnapshot {
     InstanceSnapshot {
         id: InstanceId(id),
         process: "trip".into(),
-        tenant: tenant.map(str::to_owned),
+        tenant: tenant.map(Into::into),
         status: InstanceStatus::Running,
         version: "00c0ffee00c0ffee".into(),
         root: ScopeState {
@@ -152,7 +152,7 @@ fn samples() -> Vec<Event> {
             instance,
             path: "Approve".into(),
             item: WorkItemId(11),
-            persons: vec!["ann".into(), "bob".into()],
+            persons: Box::new(["ann".into(), "bob".into()]),
             at: 10,
         },
         Event::WorkItemClaimed {
@@ -192,7 +192,7 @@ fn samples() -> Vec<Event> {
             to: "0123456789abcdef".into(),
             at: 17,
         },
-        Event::EngineCheckpoint {
+        Event::EngineCheckpoint(Box::new(Checkpoint {
             instances: vec![snapshot(3, Some("acme")), snapshot(5, None)],
             items: vec![
                 item(11, WorkItemState::Offered),
@@ -201,14 +201,14 @@ fn samples() -> Vec<Event> {
             next_instance: 6,
             next_item: 13,
             at: 18,
-        },
-        Event::EngineCheckpoint {
+        })),
+        Event::EngineCheckpoint(Box::new(Checkpoint {
             instances: vec![],
             items: vec![],
             next_instance: 1,
             next_item: 1,
             at: 19,
-        },
+        })),
     ]
 }
 

@@ -93,7 +93,8 @@ fn one_append_in_emit_and_one_for_the_checkpoint() {
     let emit = engine.split("pub(crate) fn emit<E>(").nth(1).unwrap();
     let emit = &emit[..emit.find("\n}\n").unwrap()];
     assert!(emit.contains("journal.append(ev)"), "emit is where: {emit}");
-    assert!(engine.contains("self.journal.append(Event::EngineCheckpoint {"));
+    assert!(engine.contains("let checkpoint = Event::EngineCheckpoint("));
+    assert!(engine.contains("self.journal.append(checkpoint);"));
 }
 
 /// What a scrape reads is state the events keep, not a walk over every

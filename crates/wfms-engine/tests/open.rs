@@ -224,15 +224,10 @@ fn shared_decoded_outputs_and_a_resumed_cut() {
 /// `checkpoint` with `edit` applied to its snapshots and allocator.
 fn edited(checkpoint: &Event, edit: impl FnOnce(&mut Vec<InstanceSnapshot>, &mut u64)) -> Event {
     let mut checkpoint = checkpoint.clone();
-    let Event::EngineCheckpoint {
-        instances,
-        next_instance,
-        ..
-    } = &mut checkpoint
-    else {
+    let Event::EngineCheckpoint(payload) = &mut checkpoint else {
         panic!("a checkpoint");
     };
-    edit(instances, next_instance);
+    edit(&mut payload.instances, &mut payload.next_instance);
     checkpoint
 }
 

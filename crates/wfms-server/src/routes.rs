@@ -442,9 +442,9 @@ fn worklist(state: &Arc<ServerState>, req: &Request, tenant: Option<&Arc<Tenant>
         .map(|(id, instance, item)| ItemDto {
             id,
             instance,
-            path: item.path,
+            path: item.path.to_string(),
             attempt: item.attempt,
-            offered_to: item.offered_to,
+            offered_to: item.offered_to.iter().map(|p| p.to_string()).collect(),
         })
         .collect();
     Answer::json(200, &WorklistResponse { items })

@@ -123,6 +123,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, RwLock};
+use txn_substrate::frame::Name;
 use txn_substrate::{DurabilityPolicy, MirrorError, MultiDatabase, ProgramRegistry, TailReport};
 use wfms_engine::metrics::database_series;
 use wfms_engine::{
@@ -956,7 +957,8 @@ impl ShardPool {
         let (shard, local, slot) = self.ids.decode(ext)?;
         let entry = self.shards[shard].published.lock().instance(local)?.clone();
         (entry.slot == slot).then(|| {
-            let (process, version) = (entry.tpl.name().to_owned(), entry.tpl.version());
+            let process = entry.tpl.name().to_owned();
+            let version = entry.tpl.version().to_string();
             (process, entry.status, version, entry.output)
         })
     }
@@ -972,7 +974,12 @@ impl ShardPool {
     /// id. Each item's ids carry the slot its instance was started
     /// under; `scope` restricts the listing to one slot (a tenant sees
     /// only its own items).
+    /// A person the process never named holds no item: the name is
+    /// looked up, not interned.
     pub fn worklist(&self, person: &str, scope: Option<u16>) -> Vec<(u64, u64, WorkItem)> {
+        let Some(person) = Name::find(person) else {
+            return Vec::new();
+        };
         let mut out = Vec::new();
         for (idx, shard) in self.shards.iter().enumerate() {
             let items = shard.published.lock().worklist(person);
@@ -1232,7 +1239,7 @@ fn turn(
         let tenant = job.pending.tenant().map(Arc::as_ref);
         let slot = tenant.map_or(0, |t| t.slot);
         let reply: SubmitReply = engine
-            .start_for_tenant(&job.process, job.input, tenant.map(|t| t.name.clone()))
+            .start_for_tenant(&job.process, job.input, tenant.map(|t| t.name))
             .and_then(|id| {
                 let navigated = engine.run_to_quiescence(id);
                 let entry = engine.read(id, |inst| Entry::of(inst, slot))?;
@@ -1638,13 +1645,13 @@ pub(crate) mod tests {
             let entry = engine.read(id, |i| Entry::of(i, 0)).unwrap();
             shard.publish(&engine, vec![(id, entry)], &[]);
         }
-        let before = shard.published.lock().worklist("ann");
+        let before = shard.published.lock().worklist("ann".into());
         assert_eq!(before.len(), 64);
 
         let done = &before[7].0;
         engine.execute_item(done.id, "ann").unwrap();
         shard.publish(&engine, Vec::new(), &[done.instance]);
-        let after = shard.published.lock().worklist("ann");
+        let after = shard.published.lock().worklist("ann".into());
         assert_eq!(after.len(), 63);
         let unchanged = before.iter().filter(|(it, _)| it.id != done.id);
         for ((was, _), (is, _)) in unchanged.zip(&after) {

@@ -22,6 +22,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use txn_substrate::frame::Name;
 use wfms_engine::{CompiledProcess, Instance, InstanceId, InstanceStatus, WorkItem};
 use wfms_model::Container;
 
@@ -95,7 +96,7 @@ impl Published {
     /// The open items on `person`'s worklist, each with the slot its
     /// instance was started under: `Arc` bumps, built into replies by
     /// the caller.
-    pub(super) fn worklist(&self, person: &str) -> Vec<(Arc<WorkItem>, u16)> {
+    pub(super) fn worklist(&self, person: Name) -> Vec<(Arc<WorkItem>, u16)> {
         let mut out = Vec::new();
         for (id, items) in &self.items {
             let slot = self.instance(id.0).map_or(UNOWNED, |e| e.slot);

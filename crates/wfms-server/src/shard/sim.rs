@@ -870,7 +870,7 @@ fn a_deploy_crashed_after_any_hop_leaves_each_default_to_its_journal() {
                     .filter_map(|e| match e {
                         Event::TemplateDeployed {
                             process, version, ..
-                        } if process == "one" => Some(version),
+                        } if process == "one" => Some(version.to_string()),
                         _ => None,
                     })
                     .last()
@@ -901,7 +901,7 @@ fn tenant_reloads_between_runs_of_submits_keep_the_accounting() {
         let mut slots = BTreeMap::new();
         let mut quotas: BTreeMap<&str, i64> = rows.iter().map(|r| (r.0, r.3)).collect();
         for t in sim.live() {
-            slots.insert(t.name.clone(), t.slot);
+            slots.insert(t.name.to_string(), t.slot);
         }
         for run in 0..=3 {
             // A new file: every key may rotate, weights move, quotas

@@ -33,6 +33,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use serde::Deserialize;
+use txn_substrate::frame::Name;
 use wfms_observe::{Counter, Gauge, Registry};
 
 use crate::shard::PoolError;
@@ -165,8 +166,9 @@ pub fn parse_tenants(text: &str) -> Result<Vec<TenantSpec>, String> {
 /// sink created before a reload decrements the same counter the
 /// post-reload admission check reads).
 pub struct Tenant {
-    /// Tenant name (metric label).
-    pub name: String,
+    /// Tenant name (metric label), interned when the tenants file is
+    /// loaded or reloaded: the name its instances are journalled under.
+    pub name: Name,
     /// Wire-id slot (1-based).
     pub slot: u16,
     key: Box<[u8]>,
@@ -236,7 +238,7 @@ impl TenantTable {
                     .map_or_else(Arc::default, |slot| Arc::clone(&slot.inflight));
                 let tenant = specs.iter().find(|s| &s.name == name).map(|spec| {
                     Arc::new(Tenant {
-                        name: spec.name.clone(),
+                        name: Name::new(&spec.name),
                         slot: (i + 1) as u16,
                         key: spec.key.as_bytes().into(),
                         weight: spec.weight,

@@ -127,7 +127,7 @@ fn main() {
         engine2
             .worklist("grace")
             .iter()
-            .map(|it| it.path.clone())
+            .map(|it| it.path)
             .collect::<Vec<_>>()
     );
 

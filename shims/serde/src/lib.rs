@@ -285,6 +285,13 @@ impl<T: Deserialize> Deserialize for Box<T> {
     }
 }
 
+/// A boxed slice reads as a sequence, as upstream's does.
+impl<T: Deserialize> Deserialize for Box<[T]> {
+    fn from_content(content: &Content) -> Result<Self, Error> {
+        Vec::<T>::from_content(content).map(Vec::into_boxed_slice)
+    }
+}
+
 impl<T: Serialize + ?Sized> Serialize for Rc<T> {
     fn to_content(&self) -> Content {
         (**self).to_content()

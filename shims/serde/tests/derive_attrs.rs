@@ -163,3 +163,33 @@ fn arc_str_round_trips_as_a_plain_string_and_shares_nothing() {
     assert!(!Arc::ptr_eq(&back, &name), "equal by value, not by sharing");
     assert!(<Arc<str>>::from_content(&Content::U64(1)).is_err());
 }
+
+/// A boxed slice is a sequence both ways, and a newtype variant's
+/// boxed payload renders as the payload itself.
+#[test]
+fn boxed_slices_and_boxed_payloads_round_trip() {
+    let persons: Box<[String]> = vec!["ann".to_owned(), "bob".to_owned()].into();
+    let seq = Content::Seq(vec![
+        Content::Str("ann".into()),
+        Content::Str("bob".into()),
+    ]);
+    assert_eq!(persons.to_content(), seq);
+    assert_eq!(<Box<[String]>>::from_content(&seq).unwrap(), persons);
+    assert!(<Box<[String]>>::from_content(&Content::Str("ann".into())).is_err());
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    enum Held {
+        Boxed(Box<Spec>),
+    }
+    let spec = || Spec {
+        name: "a".into(),
+        tags: vec![],
+        weight: 1,
+        tenant: None,
+        by: None,
+    };
+    let held = Held::Boxed(Box::new(spec()));
+    let content = held.to_content();
+    assert_eq!(content, map(&[("Boxed", spec().to_content())]));
+    assert_eq!(Held::from_content(&content).unwrap(), held);
+}

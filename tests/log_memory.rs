@@ -209,28 +209,30 @@ fn memory_is_bounded_and_the_file_plus_memory_is_the_log() {
     std::fs::create_dir_all(&dir).unwrap();
 
     // In memory the journal is the list it has to be (47 events of
-    // 80 B for saga8); the three WALs no longer grow. Mirrored, the
+    // 56 B for saga8); the three WALs no longer grow. Mirrored, the
     // journal's share goes too, and a finished instance is retired:
     // what is left is its entry in the instance table and its process
     // output, one name-ordered allocation. The bounds are the values
-    // reached plus some 3 %. While a finished instance kept its slab
-    // they were 5 900 / 2 150 B for saga8 and 10 150 / 2 050 B for
-    // Figure 3; over B-tree containers (a 544 B leaf behind each map)
-    // before that, 6 562 / 2 892 B and 11 301 / 3 436 B.
+    // reached plus some 3 %. While an event was 80 B and a tenant a
+    // `String` they were 4 680 / 345 B for saga8 and 8 965 / 493 B for
+    // Figure 3; while a finished instance kept its slab, 5 900 /
+    // 2 150 B and 10 150 / 2 050 B; over B-tree containers (a 544 B
+    // leaf behind each map) before that, 6 562 / 2 892 B and
+    // 11 301 / 3 436 B.
     for (label, spec, events, in_memory_bound, mirrored_bound) in [
         (
             "saga8",
             exotica::AtmSpec::Saga(atm::fixtures::linear_saga("saga8", 8)),
             47,
-            4_680,
-            345,
+            3_520,
+            318,
         ),
         (
             "Figure 3",
             exotica::AtmSpec::Flexible(atm::fixtures::figure3_spec()),
             49,
-            8_965,
-            493,
+            6_510,
+            467,
         ),
     ] {
         let in_memory =

@@ -36,9 +36,7 @@ fn checkpoint_of(engine: &Engine) -> (Vec<InstanceSnapshot>, Vec<WorkItem>) {
         .journal_events()
         .into_iter()
         .find_map(|e| match e {
-            Event::EngineCheckpoint {
-                instances, items, ..
-            } => Some((instances, items)),
+            Event::EngineCheckpoint(checkpoint) => Some((checkpoint.instances, checkpoint.items)),
             _ => None,
         })
         .expect("checkpoint journalled")
