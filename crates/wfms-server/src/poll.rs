@@ -153,10 +153,14 @@ impl Waker {
     }
 
     /// Consumes pending wake signals so level-triggered polling
-    /// quiesces.
-    pub fn drain(&self) {
+    /// quiesces, and returns how many [`Waker::wake`]s they were (0
+    /// when none was pending).
+    pub fn drain(&self) -> u64 {
         let mut buf = [0u8; 8];
-        let _ = (&self.file).read(&mut buf);
+        match (&self.file).read(&mut buf) {
+            Ok(8) => u64::from_ne_bytes(buf),
+            _ => 0,
+        }
     }
 }
 
@@ -213,7 +217,8 @@ mod tests {
             token: 0,
         }; 4];
         assert_eq!(epoll.wait(&mut events, 1000).unwrap(), 1);
-        waker.drain();
+        assert_eq!(waker.drain(), 2, "both wakes, one event");
         assert_eq!(epoll.wait(&mut events, 0).unwrap(), 0, "drained");
+        assert_eq!(waker.drain(), 0);
     }
 }

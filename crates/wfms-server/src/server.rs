@@ -17,13 +17,22 @@
 //! synchronously on the reactor. Submissions are dispatched to the
 //! owning shard through [`ShardPool::submit_with`], which fires a
 //! completion **after the shard's group commit**; the completion
-//! lands in the reactor's queue (woken via eventfd), fills its
-//! response slot, and is written out together with every other reply
-//! from the same batch — one flush, one wake, one `writev`-sized
-//! burst. A `201` on the wire therefore still implies the start is on
-//! disk. Work-item completions, deploys, tenant reloads and admin
-//! drain/stop travel the same way: a job for the shard worker, a
-//! completion posted after its flush. The process has reactors and
+//! lands in the reactor's queue, fills its response slot, and is
+//! written out together with every other reply from the same batch —
+//! one flush, one wake, one write per connection. The worker posts
+//! every reply of its batch under a [`WakeHold`] and writes each
+//! reactor's `eventfd` once, when the last is posted; a reactor woken
+//! by each post that found the queue empty would preempt the worker
+//! and drain the batch a few replies at a time (≈ 7.0 wakes and 7.5
+//! socket writes per `saga_commit_http` burst turn of 16 or 32
+//! submissions, against ≈ 0.9 and 1.5 with the hold;
+//! `docs/performance.md`, "A turn is one hand-off"). A `201` on
+//! the wire therefore still implies the start is on disk. Work-item
+//! completions, deploys, tenant reloads and admin drain/stop travel
+//! the same way — a job for the shard worker, a completion posted after
+//! its flush — but run after the batch's hold and wake their reactor
+//! on their own, as does every post made outside a worker's step (a
+//! dying worker's abandoned replies). The process has reactors and
 //! shard workers and no other thread.
 //!
 //! Lifecycle: [`Server::start`] binds and serves immediately;
@@ -33,6 +42,7 @@
 //! journals are checkpointed — unless the caller asks for an abrupt
 //! stop to simulate a crash.
 
+use std::cell::RefCell;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -132,11 +142,24 @@ pub(crate) enum Deferred {
 /// The cross-thread half of one reactor: completion queue + waker.
 pub(crate) struct ReactorShared {
     completions: Mutex<Vec<Completion>>,
-    waker: Waker,
+    pub(crate) waker: Waker,
+}
+
+thread_local! {
+    /// The reactors owed a wake by this thread's open [`WakeHold`];
+    /// `None` while none is open.
+    static OWED: RefCell<Option<Vec<Arc<ReactorShared>>>> = const { RefCell::new(None) };
 }
 
 impl ReactorShared {
-    pub(crate) fn post(&self, completion: Completion) {
+    pub(crate) fn new() -> std::io::Result<Arc<ReactorShared>> {
+        Ok(Arc::new(ReactorShared {
+            completions: Mutex::new(Vec::new()),
+            waker: Waker::new()?,
+        }))
+    }
+
+    pub(crate) fn post(self: &Arc<Self>, completion: Completion) {
         let was_empty = {
             let mut queue = self.completions.lock();
             let was_empty = queue.is_empty();
@@ -144,10 +167,58 @@ impl ReactorShared {
             was_empty
         };
         // One wake per drain cycle: siblings piling onto a non-empty
-        // queue ride the wake already in flight (the reactor swaps
-        // the whole queue out, so nothing is stranded).
-        if was_empty {
+        // queue ride the wake already owed or in flight (the reactor
+        // swaps the whole queue out, so nothing is stranded). Under a
+        // hold the wake is owed until the hold closes.
+        if was_empty && !WakeHold::owe(self) {
             self.waker.wake();
+        }
+    }
+
+    /// Swaps the queued completions into `spare`, an empty buffer the
+    /// reactor keeps: the queue goes on with `spare`'s capacity, so once
+    /// both buffers have held a batch, posts no longer regrow it.
+    pub(crate) fn take(&self, spare: &mut Vec<Completion>) {
+        std::mem::swap(&mut *self.completions.lock(), spare);
+    }
+}
+
+/// Holds the wakes of every completion its thread posts while it is
+/// open: a shard worker answers a whole batch before any reactor hears
+/// of it, then wakes each reactor it posted to once, when the hold
+/// drops — also while unwinding, so a panicking sink strands no reply.
+pub(crate) struct WakeHold(());
+
+impl WakeHold {
+    /// Opens a hold on this thread. Inside another, it joins that one,
+    /// and whichever drops first wakes what both owe.
+    pub(crate) fn open() -> WakeHold {
+        OWED.with(|owed| {
+            owed.borrow_mut().get_or_insert_with(Vec::new);
+        });
+        WakeHold(())
+    }
+
+    /// Records that `shared` is owed a wake; `false` when this thread
+    /// holds no wakes, and the caller is to wake it now.
+    fn owe(shared: &Arc<ReactorShared>) -> bool {
+        OWED.with(|owed| match owed.borrow_mut().as_mut() {
+            Some(owed) => {
+                if !owed.iter().any(|held| Arc::ptr_eq(held, shared)) {
+                    owed.push(Arc::clone(shared));
+                }
+                true
+            }
+            None => false,
+        })
+    }
+}
+
+impl Drop for WakeHold {
+    fn drop(&mut self) {
+        let owed = OWED.with(|owed| owed.borrow_mut().take());
+        for shared in owed.into_iter().flatten() {
+            shared.waker.wake();
         }
     }
 }
@@ -189,10 +260,7 @@ impl Server {
         let mut shared = Vec::with_capacity(nreactors);
         let mut handles = Vec::with_capacity(nreactors);
         for i in 0..nreactors {
-            let reactor_shared = Arc::new(ReactorShared {
-                completions: Mutex::new(Vec::new()),
-                waker: Waker::new()?,
-            });
+            let reactor_shared = ReactorShared::new()?;
             let epoll = Epoll::new()?;
             epoll.add(reactor_shared.waker.fd(), EPOLLIN, TOKEN_WAKER)?;
             epoll.add(
@@ -215,6 +283,7 @@ impl Server {
                             conns: FastMap::default(),
                             next_token: TOKEN_FIRST_CONN,
                             read_buf: vec![0; READ_CHUNK].into_boxed_slice(),
+                            spare: Vec::new(),
                         }
                         .run()
                     })?,
@@ -399,6 +468,9 @@ struct Reactor {
     /// What every connection's socket is read into, filled once at
     /// start: a readiness event zero-fills nothing.
     read_buf: Box<[u8]>,
+    /// What the completion queue is swapped with: empty between drains,
+    /// it keeps the capacity of the batches it held.
+    spare: Vec<Completion>,
 }
 
 impl Reactor {
@@ -477,10 +549,11 @@ impl Reactor {
     /// Applies queued completions to their connections. Returns true
     /// if a stop was fully flushed.
     fn drain_completions(&mut self) -> bool {
-        let drained: Vec<Completion> = std::mem::take(&mut *self.shared.completions.lock());
+        let mut drained = std::mem::take(&mut self.spare);
+        self.shared.take(&mut drained);
         let mut stop = false;
         let mut touched: Vec<u64> = Vec::with_capacity(drained.len());
-        for done in drained {
+        for done in drained.drain(..) {
             match self.conns.get_mut(&done.conn) {
                 Some(conn) => {
                     let answer = match done.answer {
@@ -496,6 +569,7 @@ impl Reactor {
                 None => stop |= done.stop,
             }
         }
+        self.spare = drained;
         touched.sort_unstable();
         touched.dedup();
         for token in touched {
@@ -676,4 +750,41 @@ pub(crate) struct Turn<'a> {
     pub(crate) shared: &'a Arc<ReactorShared>,
     pub(crate) token: u64,
     pub(crate) conn: &'a mut Conn,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{Completion, Deferred, ReactorShared};
+
+    /// The reactor swaps the completion queue with a spare it keeps, so
+    /// the queue's buffer is one of two that take turns. Each grows to a
+    /// batch once; from the batch after that on, 32 posts find their
+    /// capacity there and regrow nothing under the queue's lock (the
+    /// queue taken with `std::mem::take` grew 4 → 8 → 16 → 32 in every
+    /// batch).
+    #[test]
+    fn the_completion_queue_keeps_its_capacity() {
+        let shared = ReactorShared::new().unwrap();
+        let mut spare = Vec::new();
+        for batch in 0..4 {
+            let before = shared.completions.lock().capacity();
+            for slot in 0..32 {
+                shared.post(Completion {
+                    conn: 0,
+                    slot,
+                    close: false,
+                    stop: false,
+                    answer: Deferred::Submit(Err((String::new(), false))),
+                });
+            }
+            let after = shared.completions.lock().capacity();
+            if batch >= 2 {
+                assert!(before >= 32, "batch {batch} found capacity {before}");
+                assert_eq!(after, before, "batch {batch} regrew the queue");
+            }
+            shared.take(&mut spare);
+            assert_eq!(spare.len(), 32);
+            spare.clear();
+        }
+    }
 }

@@ -23,8 +23,9 @@
 //! What the worker does with its inbox is one step, `step`: take a
 //! batch, publish the queue depth, make the turn, publish what reads
 //! need of it, count the replies and answer them — each reservation
-//! given back before its sink is called — then run the control jobs
-//! that came due. The worker thread is the
+//! given back before its sink is called, and every reactor's wake held
+//! until the last reply is posted — then run the control jobs that came
+//! due. The worker thread is the
 //! step's driver, `drive`, and the only code that waits on the inbox:
 //! it waits until there is work, then steps. A test steps a pool's
 //! shards itself, with no driver (`sim.rs`).
@@ -133,6 +134,7 @@ use wfms_engine::{
 use wfms_model::{Container, ProcessDefinition};
 use wfms_observe::{Counter, Observer, Registry, Snapshot, Value};
 
+use crate::server::WakeHold;
 use crate::store::{self, DataDir};
 use crate::tenant::{self, Tenant, TenantSpec, TenantTable, WireIds};
 
@@ -1308,7 +1310,8 @@ impl Drop for CloseOnExit<'_> {
 /// One step of shard `at`, what its driver runs each time there is
 /// work: takes a batch of up to `batch_max` submissions, publishes the
 /// queue depth, makes the batch's [`turn`], publishes what reads need
-/// of it and answers it; then runs the control jobs that came due.
+/// of it and answers it under one [`WakeHold`]; then runs the control
+/// jobs that came due, each waking its reactor as it answers.
 fn step(
     shard: &Shard,
     engine: &Engine,
@@ -1326,7 +1329,11 @@ fn step(
     };
     let (answers, started) = turn(engine, at, ids, batch);
     shard.publish(engine, started, &[]);
+    // One hand-off per batch: every reply is posted before any reactor
+    // is woken, and each reactor posted to is woken once.
+    let hold = WakeHold::open();
     answer(answers, accepted, failed);
+    drop(hold);
     for (_, job) in control {
         job(shard, engine);
     }
@@ -1359,11 +1366,13 @@ mod sim;
 #[cfg(test)]
 pub(crate) mod tests {
     use super::{
-        answer, resume_running, turn, Control, Entry, Inbox, Pending, QueuedSubmit, Reservation,
-        Shard, SubmitDispatch,
+        answer, resume_running, step, turn, Control, Entry, Inbox, Pending, QueuedSubmit,
+        Reservation, Shard, SubmitDispatch,
     };
+    use crate::server::{Completion, Deferred, ReactorShared};
     use crate::tenant::{parse_tenants, Tenant, TenantTable, WireIds};
     use parking_lot::Mutex;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::path::PathBuf;
     use std::sync::atomic::Ordering;
     use std::sync::mpsc::TryRecvError;
@@ -1659,6 +1668,135 @@ pub(crate) mod tests {
         }
         let entry = shard.published.lock().instance(done.instance.0).cloned();
         assert_eq!(entry.map(|e| e.status), Some(InstanceStatus::Finished));
+    }
+
+    // ---- how a step wakes the reactors it answers: real reactor
+    // queues and `eventfd`s, no reactor thread
+
+    /// A submission of `one` whose sink posts its reply to `reactor`,
+    /// for slot `slot`, then empties the reactor's queue at once — as a
+    /// reactor that preempts the worker between two posts does — and
+    /// logs the slots it took in `heard`.
+    fn answered_on(
+        reactor: &Arc<ReactorShared>,
+        slot: u64,
+        heard: &Arc<Mutex<Vec<u64>>>,
+    ) -> QueuedSubmit {
+        let (reactor, heard) = (Arc::clone(reactor), Arc::clone(heard));
+        QueuedSubmit {
+            process: "one".to_owned(),
+            input: Container::empty(),
+            pending: Pending {
+                reservation: Reservation(None),
+                sink: Some(Box::new(move |reply| {
+                    reactor.post(Completion {
+                        conn: 0,
+                        slot,
+                        close: false,
+                        stop: false,
+                        answer: Deferred::Submit(reply),
+                    });
+                    let mut taken = Vec::new();
+                    reactor.take(&mut taken);
+                    heard.lock().extend(taken.iter().map(|done| done.slot));
+                })),
+            },
+        }
+    }
+
+    /// Admits `batch` and `control` to a shard with no driver, and makes
+    /// one step of it.
+    fn step_once(batch: Vec<QueuedSubmit>, control: Option<Control>) {
+        let programs = Arc::new(ProgramRegistry::new());
+        programs.register_fn("ok", |_| ProgramOutcome::committed());
+        let engine = Engine::new(MultiDatabase::new(0), programs);
+        engine.register(one()).unwrap();
+        let (shard, engine) = undriven_shard(engine);
+        for job in batch {
+            let admitted = shard.with_inbox(|inbox| inbox.admit(usize::MAX, job));
+            assert!(matches!(admitted, Ok(SubmitDispatch::Dispatched)));
+        }
+        if let Some(job) = control {
+            shard.control(false, job);
+        }
+        let registry = Registry::new();
+        let (accepted, failed) = (registry.counter("accepted"), registry.counter("failed"));
+        step(
+            &shard,
+            &engine,
+            0,
+            WireIds::new(1, false),
+            64,
+            &accepted,
+            &failed,
+        );
+    }
+
+    /// A step answers its whole batch before any reactor hears of it,
+    /// then writes each reactor's `eventfd` once: at 1, 16 and 64
+    /// submissions, one wake for one reactor, and one for each of two.
+    /// Posting a wake whenever the queue was empty made 1, 16 and 64
+    /// here. A control job runs after the batch and wakes at once.
+    #[test]
+    fn a_step_wakes_each_reactor_it_answers_once() {
+        for n in [1, 16, 64] {
+            let reactor = ReactorShared::new().unwrap();
+            let heard = Arc::default();
+            let (late, wakes) = (Arc::clone(&reactor), Arc::new(Mutex::new((0, 0))));
+            let seen = Arc::clone(&wakes);
+            let control: Control = Box::new(move |_, _| {
+                let batch = late.waker.drain();
+                let heard = Arc::new(Mutex::new(Vec::new()));
+                drop(answered_on(&late, n, &heard));
+                *seen.lock() = (batch, late.waker.drain());
+            });
+            let batch = (0..n).map(|slot| answered_on(&reactor, slot, &heard));
+            step_once(batch.collect(), Some(control));
+            assert_eq!(*heard.lock(), Vec::from_iter(0..n), "every reply, in order");
+            assert_eq!(*wakes.lock(), (1, 1), "{n} replies, then a job's: wakes");
+            assert_eq!(reactor.waker.drain(), 0);
+
+            let pair = [ReactorShared::new().unwrap(), ReactorShared::new().unwrap()];
+            let heard = Arc::default();
+            let batch = (0..n).map(|slot| answered_on(&pair[slot as usize % 2], slot, &heard));
+            step_once(batch.collect(), None);
+            assert_eq!(*heard.lock(), Vec::from_iter(0..n));
+            let each = if n == 1 { [1, 0] } else { [1, 1] };
+            assert_eq!(
+                pair.map(|r| r.waker.drain()),
+                each,
+                "{n} replies on two reactors"
+            );
+        }
+    }
+
+    /// Outside a step nothing is held: a reply a dying worker abandons
+    /// — dropped unsent, it answers `shard worker stopped` — wakes its
+    /// reactor at once.
+    #[test]
+    fn a_post_outside_a_step_wakes_at_once() {
+        let reactor = ReactorShared::new().unwrap();
+        let heard = Arc::default();
+        drop(answered_on(&reactor, 7, &heard));
+        assert_eq!(*heard.lock(), [7]);
+        assert_eq!(reactor.waker.drain(), 1);
+    }
+
+    /// A sink that panics unwinds the step, and the held wake still
+    /// fires: the reply posted before it, and the one its worker
+    /// abandons after it, are not stranded.
+    #[test]
+    fn a_panicking_sink_still_wakes_its_reactor() {
+        let reactor = ReactorShared::new().unwrap();
+        let heard = Arc::default();
+        let mut batch: Vec<_> = (0..3)
+            .map(|slot| answered_on(&reactor, slot, &heard))
+            .collect();
+        batch[1].pending.sink = Some(Box::new(|_| panic!("a sink that panics")));
+        let unwound = catch_unwind(AssertUnwindSafe(|| step_once(batch, None)));
+        assert!(unwound.is_err(), "the sink's panic unwinds the step");
+        assert_eq!(*heard.lock(), [0, 2]);
+        assert_eq!(reactor.waker.drain(), 1);
     }
 
     // ---- a shard over a full disk: a turn and what answers it
