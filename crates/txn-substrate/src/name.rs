@@ -167,16 +167,21 @@ impl PartialEq<Name> for String {
 }
 
 impl Serialize for Name {
-    fn to_content(&self) -> serde::Content {
-        self.as_str().to_content()
+    fn serialize<S: serde::Serializer + ?Sized>(&self, s: &mut S) -> Result<(), serde::Error> {
+        s.str(self.as_str())
     }
 }
 
 /// A name read from outside bytes — a JSON-lines journal, a checkpoint
 /// — is interned, as one decoded from a binary journal is.
 impl Deserialize for Name {
-    fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
-        String::from_content(content).map(Name::from)
+    fn deserialize<D: serde::Deserializer + ?Sized>(d: &mut D) -> Result<Self, serde::Error> {
+        match d.scalar()? {
+            serde::Scalar::Str(text) => Ok(Name::new(text)),
+            other => Err(serde::Error::msg(format!(
+                "expected string, found {other:?}"
+            ))),
+        }
     }
 }
 

@@ -10,7 +10,7 @@
 //! and the JSON forms render.
 
 use crate::value::Value;
-use serde::{Content, Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::cmp::Ordering;
 use std::fmt;
 use std::iter;
@@ -255,26 +255,30 @@ impl fmt::Debug for Params {
     }
 }
 
-/// Renders as a map, in name order.
+/// Writes a map, in name order.
 impl Serialize for Params {
-    fn to_content(&self) -> Content {
-        Content::Map(
-            self.iter()
-                .map(|(name, value)| (name.to_content(), value.to_content()))
-                .collect(),
-        )
+    fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) -> Result<(), serde::Error> {
+        s.begin_map(self.len())?;
+        for (name, value) in self.iter() {
+            s.field(name)?;
+            value.serialize(s)?;
+        }
+        s.end_map()
     }
 }
 
-/// Reads a map; `{}` is [`no_params`].
+/// Reads a map; `{}` is [`no_params`]. Of two entries with one name
+/// the later one wins, as with [`Params::from_iter`].
 impl Deserialize for Params {
-    fn from_content(content: &Content) -> Result<Self, serde::Error> {
-        match content {
-            Content::Map(entries) => entries
-                .iter()
-                .map(|(k, v)| Ok((Arc::<str>::from_content(k)?, Value::from_content(v)?)))
-                .collect(),
-            other => Err(serde::Error::msg(format!("expected map, found {other:?}"))),
+    fn deserialize<D: Deserializer + ?Sized>(d: &mut D) -> Result<Self, serde::Error> {
+        if !d.begin_map()? {
+            return Err(serde::Error::msg("expected map"));
         }
+        let mut entries = Vec::new();
+        while d.next_key()? {
+            let name = Arc::<str>::deserialize(d)?;
+            entries.push((name, Value::deserialize(d)?));
+        }
+        Ok(entries.into_iter().collect())
     }
 }

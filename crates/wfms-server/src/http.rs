@@ -289,8 +289,9 @@ impl Decoder {
     }
 
     /// Takes one `\n`-terminated line (stripping the terminator and a
-    /// preceding `\r`), or `None` if no full line is buffered yet.
-    fn take_line(&mut self) -> Result<Option<String>, HttpError> {
+    /// preceding `\r`) and returns where it lies in `buf`, or `None` if
+    /// no full line is buffered yet. Nothing is copied.
+    fn take_line(&mut self) -> Result<Option<std::ops::Range<usize>>, HttpError> {
         let hay = &self.buf[self.start..];
         match hay.iter().position(|&b| b == b'\n') {
             Some(i) => {
@@ -302,11 +303,9 @@ impl Decoder {
                 } else {
                     i
                 };
-                let text = std::str::from_utf8(&hay[..end])
-                    .map_err(|_| HttpError::BadRequest("non-UTF-8 request bytes"))?
-                    .to_owned();
+                let line = self.start..self.start + end;
                 self.start += i + 1;
-                Ok(Some(text))
+                Ok(Some(line))
             }
             None => {
                 if hay.len() > MAX_LINE {
@@ -336,13 +335,16 @@ impl Decoder {
         if let DecodeState::Body { .. } = self.state {
             return self.fill_body();
         }
-        // Head: consume lines until the empty terminator line.
+        // Head: consume lines until the empty terminator line, each
+        // parsed where it lies in the buffer.
         loop {
             let Some(line) = self.take_line()? else {
                 return Ok(None);
             };
+            let line = std::str::from_utf8(&self.buf[line])
+                .map_err(|_| HttpError::BadRequest("non-UTF-8 request bytes"))?;
             if self.head.is_none() {
-                self.head = Some(parse_request_line(&line)?);
+                self.head = Some(parse_request_line(line)?);
                 continue;
             }
             if line.is_empty() {
@@ -483,18 +485,16 @@ pub fn render_response(
     body: &[u8],
     close: bool,
 ) {
-    out.extend_from_slice(
-        format!(
-            "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\n",
-            status,
-            reason(status),
-            content_type,
-            body.len(),
-        )
-        .as_bytes(),
+    use std::io::Write as _;
+    // Written straight into `out`: `Vec<u8>`'s `io::Write` cannot fail.
+    let _ = write!(
+        out,
+        "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\n",
+        reason(status),
+        body.len(),
     );
     for (name, value) in extra {
-        out.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
+        let _ = write!(out, "{name}: {value}\r\n");
     }
     out.extend_from_slice(if close {
         b"connection: close\r\n\r\n" as &[u8]

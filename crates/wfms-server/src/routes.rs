@@ -109,7 +109,18 @@ fn json_body<T: serde::Deserialize>(req: &Request) -> Result<T, Answer> {
 pub(crate) fn dispatch(turn: &mut Turn<'_>, req: &Request) {
     let state = turn.state;
     let close = req.wants_close();
-    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
+    // The path's non-empty segments, kept on the stack: no route has
+    // more than three, so a longer path keeps four and matches none.
+    let mut kept = [""; 4];
+    let mut n = 0;
+    for segment in req.path.split('/').filter(|s| !s.is_empty()) {
+        if n == kept.len() {
+            break;
+        }
+        kept[n] = segment;
+        n += 1;
+    }
+    let segments = &kept[..n];
     // Data-plane routes authenticate when tenancy is enabled; the ops
     // plane (healthz, metrics, admin) stays open — it is the operator's
     // surface, not a tenant's, and quota/fairness never apply to it.
@@ -137,7 +148,7 @@ pub(crate) fn dispatch(turn: &mut Turn<'_>, req: &Request) {
     } else {
         None
     };
-    let answer = match segments.as_slice() {
+    let answer = match segments {
         ["instances"] => match req.method.as_str() {
             "POST" => return submit(turn, req, tenant, close),
             _ => method_not_allowed("POST"),

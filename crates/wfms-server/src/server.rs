@@ -26,8 +26,11 @@
 //! and drain the batch a few replies at a time (≈ 7.0 wakes and 7.5
 //! socket writes per `saga_commit_http` burst turn of 16 or 32
 //! submissions, against ≈ 0.9 and 1.5 with the hold;
-//! `docs/performance.md`, "A turn is one hand-off"). A `201` on
-//! the wire therefore still implies the start is on disk. Work-item
+//! `docs/performance.md`, "A turn is one hand-off"). The other way
+//! round, a reactor handles each `epoll_wait` pass under a hold too: a
+//! parked shard worker it hands work to is notified once, when the
+//! pass is done, and takes the pass's submissions as one batch. A
+//! `201` on the wire still implies the start is on disk. Work-item
 //! completions, deploys, tenant reloads and admin drain/stop travel
 //! the same way — a job for the shard worker, a completion posted after
 //! its flush — but run after the batch's hold and wake their reactor
@@ -52,7 +55,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use txn_substrate::fast_hash::FastMap;
 
 use crate::http::{self, render_response};
@@ -146,9 +149,9 @@ pub(crate) struct ReactorShared {
 }
 
 thread_local! {
-    /// The reactors owed a wake by this thread's open [`WakeHold`];
-    /// `None` while none is open.
-    static OWED: RefCell<Option<Vec<Arc<ReactorShared>>>> = const { RefCell::new(None) };
+    /// The wakes this thread's open [`WakeHold`] owes; `None` while
+    /// none is open.
+    static OWED: RefCell<Option<Vec<Wake>>> = const { RefCell::new(None) };
 }
 
 impl ReactorShared {
@@ -170,8 +173,8 @@ impl ReactorShared {
         // queue ride the wake already owed or in flight (the reactor
         // swaps the whole queue out, so nothing is stranded). Under a
         // hold the wake is owed until the hold closes.
-        if was_empty && !WakeHold::owe(self) {
-            self.waker.wake();
+        if was_empty {
+            WakeHold::owe(Wake::Reactor(Arc::clone(self)));
         }
     }
 
@@ -183,10 +186,40 @@ impl ReactorShared {
     }
 }
 
-/// Holds the wakes of every completion its thread posts while it is
-/// open: a shard worker answers a whole batch before any reactor hears
-/// of it, then wakes each reactor it posted to once, when the hold
-/// drops — also while unwinding, so a panicking sink strands no reply.
+/// A thread another one hands work to, and how it is woken.
+pub(crate) enum Wake {
+    /// A reactor, through its `eventfd`.
+    Reactor(Arc<ReactorShared>),
+    /// A parked shard worker, through the condition variable it sleeps
+    /// on.
+    Worker(Arc<Condvar>),
+}
+
+impl Wake {
+    fn is(&self, other: &Wake) -> bool {
+        match (self, other) {
+            (Wake::Reactor(a), Wake::Reactor(b)) => Arc::ptr_eq(a, b),
+            (Wake::Worker(a), Wake::Worker(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    fn wake(&self) {
+        match self {
+            Wake::Reactor(shared) => shared.waker.wake(),
+            Wake::Worker(parked) => {
+                parked.notify_one();
+            }
+        }
+    }
+}
+
+/// Holds the wakes its thread owes while it is open, and wakes each
+/// thread owed once, when it drops — also while unwinding, so a
+/// panicking sink strands no reply. Both directions of the hand-off
+/// use it: a shard worker answers a whole batch before any reactor
+/// hears of it, and a reactor admits every submission of one
+/// `epoll_wait` pass before any worker it handed work to is woken.
 pub(crate) struct WakeHold(());
 
 impl WakeHold {
@@ -199,26 +232,37 @@ impl WakeHold {
         WakeHold(())
     }
 
-    /// Records that `shared` is owed a wake; `false` when this thread
-    /// holds no wakes, and the caller is to wake it now.
-    fn owe(shared: &Arc<ReactorShared>) -> bool {
-        OWED.with(|owed| match owed.borrow_mut().as_mut() {
+    /// Owes `wake` to the hold open on this thread, once however often
+    /// it is owed; with none open, wakes now.
+    pub(crate) fn owe(wake: Wake) {
+        let now = OWED.with(|owed| match owed.borrow_mut().as_mut() {
             Some(owed) => {
-                if !owed.iter().any(|held| Arc::ptr_eq(held, shared)) {
-                    owed.push(Arc::clone(shared));
+                if !owed.iter().any(|held| held.is(&wake)) {
+                    owed.push(wake);
                 }
-                true
+                None
             }
-            None => false,
-        })
+            None => Some(wake),
+        });
+        if let Some(wake) = now {
+            wake.wake();
+        }
+    }
+}
+
+#[cfg(test)]
+impl WakeHold {
+    /// How many wakes the hold open on this thread owes.
+    pub(crate) fn owed() -> usize {
+        OWED.with(|owed| owed.borrow().as_ref().map_or(0, Vec::len))
     }
 }
 
 impl Drop for WakeHold {
     fn drop(&mut self) {
         let owed = OWED.with(|owed| owed.borrow_mut().take());
-        for shared in owed.into_iter().flatten() {
-            shared.waker.wake();
+        for wake in owed.into_iter().flatten() {
+            wake.wake();
         }
     }
 }
@@ -488,6 +532,10 @@ impl Reactor {
                 break;
             }
             let mut stop_requested = false;
+            // One hand-off per pass: a worker this pass hands work to is
+            // woken once, after the last event, not by the first
+            // submission it is handed.
+            let hold = WakeHold::open();
             for ev in &events[..n] {
                 let (token, ready) = ({ ev.token }, { ev.events });
                 match token {
@@ -505,6 +553,7 @@ impl Reactor {
                     }
                 }
             }
+            drop(hold);
             if stop_requested {
                 let _ = self.state.stop_tx.try_send(());
             }

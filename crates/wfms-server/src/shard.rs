@@ -134,7 +134,7 @@ use wfms_engine::{
 use wfms_model::{Container, ProcessDefinition};
 use wfms_observe::{Counter, Observer, Registry, Snapshot, Value};
 
-use crate::server::WakeHold;
+use crate::server::{Wake, WakeHold};
 use crate::store::{self, DataDir};
 use crate::tenant::{self, Tenant, TenantSpec, TenantTable, WireIds};
 
@@ -538,7 +538,7 @@ pub(crate) struct Shard {
     published: Mutex<Published>,
     inbox: Mutex<Inbox>,
     /// Where the worker sleeps on an inbox with nothing to do.
-    wake: Condvar,
+    wake: Arc<Condvar>,
     /// `server.queue.depth.shard<i>`: submissions in the inbox.
     depth: Arc<wfms_observe::Gauge>,
     /// The engine's databases, which a scrape reads live.
@@ -580,13 +580,15 @@ impl Shard {
 
     /// Runs `f` on the inbox, then wakes the worker if it sleeps — it
     /// sleeps only on an inbox with nothing to do, so any change may be
-    /// work. A busy worker costs the caller no system call.
+    /// work. A busy worker costs the caller no system call. Under a
+    /// [`WakeHold`] (a reactor's pass) the wake is owed until the hold
+    /// drops, so the worker takes the whole pass's work in one batch.
     fn with_inbox<R>(&self, f: impl FnOnce(&mut Inbox) -> R) -> R {
         let mut inbox = self.inbox.lock();
         let out = f(&mut inbox);
         if std::mem::take(&mut inbox.parked) {
             drop(inbox);
-            self.wake.notify_one();
+            WakeHold::owe(Wake::Worker(Arc::clone(&self.wake)));
         }
         out
     }
@@ -771,7 +773,7 @@ impl ShardPool {
             let shard = Shard {
                 published: Mutex::default(),
                 inbox: Mutex::default(),
-                wake: Condvar::new(),
+                wake: Arc::default(),
                 depth: registry.gauge(&format!("server.queue.depth.shard{i}")),
                 multidb: Arc::clone(engine.multidb()),
             };
@@ -1369,7 +1371,7 @@ pub(crate) mod tests {
         answer, resume_running, step, turn, Control, Entry, Inbox, Pending, QueuedSubmit,
         Reservation, Shard, SubmitDispatch,
     };
-    use crate::server::{Completion, Deferred, ReactorShared};
+    use crate::server::{Completion, Deferred, ReactorShared, WakeHold};
     use crate::tenant::{parse_tenants, Tenant, TenantTable, WireIds};
     use parking_lot::Mutex;
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -1537,7 +1539,7 @@ pub(crate) mod tests {
         let shard = Shard {
             published: Mutex::default(),
             inbox: Mutex::default(),
-            wake: parking_lot::Condvar::new(),
+            wake: Arc::default(),
             depth: Arc::default(),
             multidb: Arc::clone(engine.multidb()),
         };
@@ -1768,6 +1770,61 @@ pub(crate) mod tests {
                 "{n} replies on two reactors"
             );
         }
+    }
+
+    /// A reactor's pass admits under one hold: the parked worker hears
+    /// of nothing until the hold drops, then is notified once and takes
+    /// all 16 submissions in one batch. Notifying at the first admitted
+    /// submission woke it to a batch of one, or a few. The owed wake and
+    /// the cleared `parked` flag are exact; the batch of 16 also assumes
+    /// the condition variable does not wake the worker spuriously while
+    /// the 16 admissions run (a window of microseconds, with no sleep).
+    #[test]
+    fn a_pass_wakes_a_parked_worker_once() {
+        let fed = MultiDatabase::new(0);
+        let (shard, _engine) = undriven_shard(Engine::new(fed, Arc::new(ProgramRegistry::new())));
+        std::thread::scope(|scope| {
+            let worker = scope.spawn(|| {
+                let mut batches = Vec::new();
+                while batches.iter().sum::<usize>() < 16 && shard.has_work() {
+                    batches.push(shard.inbox.lock().take_batch(64).0.len());
+                }
+                batches
+            });
+            while !shard.inbox.lock().parked {
+                std::thread::yield_now();
+            }
+            let hold = WakeHold::open();
+            for i in 0..16 {
+                let admitted =
+                    shard.with_inbox(|inbox| inbox.admit(64, job(None, &format!("s{i}"))));
+                assert!(matches!(admitted, Ok(SubmitDispatch::Dispatched)));
+            }
+            assert_eq!(WakeHold::owed(), 1, "one wake owed for 16 submissions");
+            let inbox = shard.inbox.lock();
+            assert!(!inbox.parked, "the wake is owed, not lost");
+            assert_eq!(inbox.queued, 16, "nothing notified the worker yet");
+            drop(inbox);
+            drop(hold);
+            assert_eq!(worker.join().unwrap(), [16], "one wake, one batch");
+        });
+    }
+
+    /// Outside a hold a submission wakes a parked worker at once, as the
+    /// blocking `ShardPool::submit` and the tests need.
+    #[test]
+    fn an_admission_outside_a_hold_wakes_at_once() {
+        let fed = MultiDatabase::new(0);
+        let (shard, _engine) = undriven_shard(Engine::new(fed, Arc::new(ProgramRegistry::new())));
+        std::thread::scope(|scope| {
+            let worker = scope.spawn(|| shard.has_work());
+            while !shard.inbox.lock().parked {
+                std::thread::yield_now();
+            }
+            let admitted = shard.with_inbox(|inbox| inbox.admit(64, job(None, "s")));
+            assert!(matches!(admitted, Ok(SubmitDispatch::Dispatched)));
+            assert!(worker.join().unwrap());
+        });
     }
 
     /// Outside a step nothing is held: a reply a dying worker abandons

@@ -80,6 +80,29 @@ fn a_required_field_is_still_required() {
     assert!(Spec::from_content(&null_weight).is_err());
 }
 
+/// A field is matched as its key arrives: the first occurrence wins,
+/// and a repeated or unknown key is skipped as a value — what looking
+/// the field up in the tree found.
+#[test]
+fn the_first_occurrence_of_a_field_wins_and_other_keys_are_skipped() {
+    let tree = map(&[
+        ("extra", Content::Seq(vec![Content::Null])),
+        ("name", Content::Str("first".into())),
+        ("weight", Content::U64(2)),
+        ("name", Content::Str("second".into())),
+        ("weight", Content::Str("not a number".into())),
+    ]);
+    let spec = Spec::from_content(&tree).unwrap();
+    assert_eq!((spec.name.as_str(), spec.weight), ("first", 2));
+    // A value that is not a map has no fields: every one is absent.
+    assert_eq!(
+        Spec::from_content(&Content::U64(1))
+            .unwrap_err()
+            .to_string(),
+        "missing field `name` in Spec"
+    );
+}
+
 #[test]
 fn an_option_reads_absent_and_null_as_none_and_a_value_as_some() {
     let with = |by: Option<Content>| {
@@ -169,10 +192,7 @@ fn arc_str_round_trips_as_a_plain_string_and_shares_nothing() {
 #[test]
 fn boxed_slices_and_boxed_payloads_round_trip() {
     let persons: Box<[String]> = vec!["ann".to_owned(), "bob".to_owned()].into();
-    let seq = Content::Seq(vec![
-        Content::Str("ann".into()),
-        Content::Str("bob".into()),
-    ]);
+    let seq = Content::Seq(vec![Content::Str("ann".into()), Content::Str("bob".into())]);
     assert_eq!(persons.to_content(), seq);
     assert_eq!(<Box<[String]>>::from_content(&seq).unwrap(), persons);
     assert!(<Box<[String]>>::from_content(&Content::Str("ann".into())).is_err());

@@ -1,6 +1,11 @@
 //! Offline shim for `serde_derive`: `#[derive(Serialize)]` and
 //! `#[derive(Deserialize)]` implemented directly over
-//! `proc_macro::TokenStream` (no syn/quote in this environment).
+//! `proc_macro::TokenStream` (no syn/quote in this environment). Both
+//! generate the streaming methods: `serialize` writes the value into a
+//! `serde::Serializer`, and `deserialize` reads it from a pull
+//! `serde::Deserializer`, matching each struct field's key as it
+//! arrives (the first occurrence wins; repeated and unknown keys are
+//! skipped as values).
 //!
 //! Supported input shapes — exactly what this workspace uses:
 //! plain (non-generic) structs with named fields, tuple structs, unit
@@ -50,6 +55,8 @@ enum VariantKind {
 /// A named field and what its `#[serde(...)]` attributes asked for.
 struct Field {
     name: String,
+    /// The field's type, as written.
+    ty: String,
     /// Expression an absent field reads as (`default`, `default = "path"`).
     default: Option<String>,
     /// Predicate path of `skip_serializing_if`.
@@ -104,7 +111,7 @@ fn skip_plain_attrs_and_vis(iter: &mut Iter, place: &str) -> Result<(), String> 
 
 /// Reads a named field's `#[serde(...)]` attributes. Each argument
 /// list is rendered and split at its commas (a path holds none).
-fn parse_field_attrs(name: String, attrs: Vec<TokenStream>) -> Result<Field, String> {
+fn parse_field_attrs(name: String, ty: String, attrs: Vec<TokenStream>) -> Result<Field, String> {
     let (mut default, mut skip_if) = (None, None);
     for attr in attrs {
         let mut attr = attr.into_iter();
@@ -132,26 +139,30 @@ fn parse_field_attrs(name: String, attrs: Vec<TokenStream>) -> Result<Field, Str
     }
     Ok(Field {
         name,
+        ty,
         default,
         skip_if,
     })
 }
 
 /// Consumes tokens until a comma at angle-bracket depth zero (the end
-/// of a field type or enum discriminant). Returns after eating the
-/// comma, or at end of stream.
-fn skip_to_top_level_comma(iter: &mut Iter) {
+/// of a field type or enum discriminant) and returns them. Returns
+/// after eating the comma, or at end of stream.
+fn skip_to_top_level_comma(iter: &mut Iter) -> TokenStream {
     let mut angle_depth = 0i32;
+    let mut taken = Vec::new();
     for tok in iter.by_ref() {
         if let TokenTree::Punct(p) = &tok {
             match p.as_char() {
                 '<' => angle_depth += 1,
                 '>' => angle_depth -= 1,
-                ',' if angle_depth == 0 => return,
+                ',' if angle_depth == 0 => break,
                 _ => {}
             }
         }
+        taken.push(tok);
     }
+    taken.into_iter().collect()
 }
 
 /// Parses `name: Type, ...` field lists (struct bodies and struct-like
@@ -164,12 +175,12 @@ fn parse_named_fields(body: TokenStream) -> Result<Vec<Field>, String> {
         match iter.next() {
             None => return Ok(fields),
             Some(TokenTree::Ident(id)) => {
-                fields.push(parse_field_attrs(id.to_string(), attrs)?);
                 match iter.next() {
                     Some(TokenTree::Punct(p)) if p.as_char() == ':' => {}
                     _ => return Err(format!("expected `:` after field `{id}`")),
                 }
-                skip_to_top_level_comma(&mut iter);
+                let ty = skip_to_top_level_comma(&mut iter).to_string();
+                fields.push(parse_field_attrs(id.to_string(), ty, attrs)?);
             }
             Some(other) => return Err(format!("unexpected token in field list: {other}")),
         }
@@ -269,67 +280,130 @@ fn parse_input(input: TokenStream) -> Result<Input, String> {
 const IMPL_ATTRS: &str =
     "#[automatically_derived]\n#[allow(unused_variables, unused_mut, unreachable_patterns, clippy::all)]\n";
 
-/// `access` turns a field name into a reference to the field: `&self.`
-/// in a struct, nothing for the binders of a matched variant.
-fn named_fields_to_content(fields: &[Field], access: &str) -> String {
-    let pushes: String = fields
+const OK: &str = "::std::result::Result::Ok";
+const SOME: &str = "::std::option::Option::Some";
+const NONE: &str = "::std::option::Option::None";
+
+/// `return Err(msg)` with a literal message.
+fn fail(msg: &str) -> String {
+    format!("return ::std::result::Result::Err(::serde::Error::msg({msg:?}))")
+}
+
+/// Writes named fields as a map. `access` turns a field name into a
+/// reference to the field: `&self.` in a struct, nothing for the
+/// binders of a matched variant.
+fn write_named_fields(fields: &[Field], access: &str) -> String {
+    let entries: String = fields
         .iter()
         .map(|f| {
             let (name, at) = (&f.name, format!("{access}{}", f.name));
-            let push = format!(
-                "__map.push((::serde::Content::Str(::std::string::String::from({name:?})), \
-                 ::serde::Serialize::to_content({at})));"
-            );
+            let entry = format!("__s.field({name:?})?; ::serde::Serialize::serialize({at}, __s)?;");
             match &f.skip_if {
-                Some(skip) => format!("if !{skip}({at}) {{ {push} }}"),
-                None => push,
+                Some(skip) => format!("if !{skip}({at}) {{ {entry} }}"),
+                None => entry,
             }
         })
         .collect();
     format!(
-        "{{ let mut __map = ::std::vec::Vec::with_capacity({}); {pushes} ::serde::Content::Map(__map) }}",
+        "__s.begin_map({})?; {entries} __s.end_map()?;",
         fields.len()
     )
 }
 
-fn named_fields_from_content(
-    type_path: &str,
-    fields: &[Field],
-    source: &str,
-    context: &str,
-) -> String {
+/// Writes `items` (expressions yielding references) as a sequence.
+fn write_seq(items: &[String]) -> String {
+    let elements: String = items
+        .iter()
+        .map(|item| format!("__s.element()?; ::serde::Serialize::serialize({item}, __s)?;"))
+        .collect();
+    format!(
+        "__s.begin_seq({})?; {elements} __s.end_seq()?;",
+        items.len()
+    )
+}
+
+/// Writes `{tag: <inner>}`, an externally tagged variant.
+fn write_tagged(tag: &str, inner: &str) -> String {
+    format!("__s.begin_map(1)?; __s.field({tag:?})?; {inner} __s.end_map()?;")
+}
+
+/// Reads named fields from a map, as they arrive: the first occurrence
+/// of a field wins, and repeated and unknown keys are skipped as
+/// values. A value that is not a map is skipped and every field is
+/// absent — what looking each field up in a tree that is not a map
+/// finds.
+fn read_named_fields(type_path: &str, fields: &[Field], context: &str) -> String {
+    let slots: String = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| format!("let mut __f{i}: ::std::option::Option<{}> = {NONE};", f.ty))
+        .collect();
+    let keys: String = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| format!("{SOME}({:?}) => {i}usize,", f.name))
+        .collect();
+    let reads: String = (0..fields.len())
+        .map(|i| {
+            format!(
+                "{i} if __f{i}.is_none() => \
+                 __f{i} = {SOME}(::serde::Deserialize::deserialize(__d)?),"
+            )
+        })
+        .collect();
     let inits: Vec<String> = fields
         .iter()
-        .map(|f| {
+        .enumerate()
+        .map(|(i, f)| {
             let name = &f.name;
             let absent = f.default.clone().unwrap_or_else(|| {
                 format!("::serde::Deserialize::from_missing_field({name:?}, {context:?})?")
             });
-            format!(
-                "{name}: match ::serde::Content::field({source}, {name:?}) {{ \
-                   ::std::option::Option::Some(v) => ::serde::Deserialize::from_content(v)?, \
-                   ::std::option::Option::None => {absent}, \
-                 }}"
-            )
+            format!("{name}: match __f{i} {{ {SOME}(v) => v, {NONE} => {absent}, }}")
         })
         .collect();
     format!(
-        "::std::result::Result::Ok({type_path} {{ {} }})",
+        "{slots} \
+         if __d.begin_map()? {{ \
+           while __d.next_key()? {{ \
+             let __at = match __d.str_key()? {{ {keys} _ => usize::MAX, }}; \
+             match __at {{ {reads} _ => __d.skip()?, }} \
+           }} \
+         }} else {{ __d.skip()?; }} \
+         {OK}({type_path} {{ {} }})",
         inits.join(", ")
+    )
+}
+
+/// Reads exactly `n` elements of a sequence into `__e0..`, then builds
+/// `ctor(__e0, ..)`.
+fn read_seq(ctor: &str, n: usize, what: &str) -> String {
+    let wrong = fail(&format!("expected {n}-element sequence for {what}"));
+    let elements: String = (0..n)
+        .map(|i| {
+            format!(
+                "let __e{i} = if __d.next_element()? {{ \
+                 ::serde::Deserialize::deserialize(__d)? }} else {{ {wrong} }};"
+            )
+        })
+        .collect();
+    let binders: Vec<String> = (0..n).map(|i| format!("__e{i}")).collect();
+    format!(
+        "if !__d.begin_seq()? {{ {wrong} }} {elements} \
+         if __d.next_element()? {{ {wrong} }} \
+         {OK}({ctor}({}))",
+        binders.join(", ")
     )
 }
 
 fn gen_serialize(input: &Input) -> String {
     let name = &input.name;
     let body = match &input.shape {
-        Shape::NamedStruct(fields) => named_fields_to_content(fields, "&self."),
-        Shape::UnitStruct => "::serde::Content::Null".to_string(),
-        Shape::TupleStruct(1) => "::serde::Serialize::to_content(&self.0)".to_string(),
+        Shape::NamedStruct(fields) => write_named_fields(fields, "&self."),
+        Shape::UnitStruct => "__s.null()?;".to_string(),
+        Shape::TupleStruct(1) => "::serde::Serialize::serialize(&self.0, __s)?;".to_string(),
         Shape::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_content(&self.{i})"))
-                .collect();
-            format!("::serde::Content::Seq(::std::vec![{}])", items.join(", "))
+            write_seq(&(0..*n).map(|i| format!("&self.{i}")).collect::<Vec<_>>())
         }
         Shape::Enum(variants) => {
             let arms: Vec<String> = variants
@@ -337,39 +411,29 @@ fn gen_serialize(input: &Input) -> String {
                 .map(|v| {
                     let vname = &v.name;
                     match &v.kind {
-                        VariantKind::Unit => format!(
-                            "{name}::{vname} => ::serde::Content::Str(\
-                             ::std::string::String::from({vname:?})),"
-                        ),
+                        VariantKind::Unit => {
+                            format!("{name}::{vname} => {{ __s.str({vname:?})?; }}")
+                        }
                         VariantKind::Tuple(n) => {
-                            let binders: Vec<String> =
-                                (0..*n).map(|i| format!("f{i}")).collect();
+                            let binders: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
                             let inner = if *n == 1 {
-                                "::serde::Serialize::to_content(f0)".to_string()
+                                "::serde::Serialize::serialize(f0, __s)?;".to_string()
                             } else {
-                                let items: Vec<String> = binders
-                                    .iter()
-                                    .map(|b| format!("::serde::Serialize::to_content({b})"))
-                                    .collect();
-                                format!(
-                                    "::serde::Content::Seq(::std::vec![{}])",
-                                    items.join(", ")
-                                )
+                                write_seq(&binders)
                             };
                             format!(
-                                "{name}::{vname}({}) => ::serde::Content::Map(::std::vec![\
-                                 (::serde::Content::Str(::std::string::String::from({vname:?})), {inner})]),",
-                                binders.join(", ")
+                                "{name}::{vname}({}) => {{ {} }}",
+                                binders.join(", "),
+                                write_tagged(vname, &inner)
                             )
                         }
                         VariantKind::Named(fields) => {
-                            let inner = named_fields_to_content(fields, "");
                             let binders: Vec<&str> =
                                 fields.iter().map(|f| f.name.as_str()).collect();
                             format!(
-                                "{name}::{vname} {{ {} }} => ::serde::Content::Map(::std::vec![\
-                                 (::serde::Content::Str(::std::string::String::from({vname:?})), {inner})]),",
-                                binders.join(", ")
+                                "{name}::{vname} {{ {} }} => {{ {} }}",
+                                binders.join(", "),
+                                write_tagged(vname, &write_named_fields(fields, ""))
                             )
                         }
                     }
@@ -380,7 +444,8 @@ fn gen_serialize(input: &Input) -> String {
     };
     format!(
         "{IMPL_ATTRS}impl ::serde::Serialize for {name} {{\n\
-           fn to_content(&self) -> ::serde::Content {{ {body} }}\n\
+           fn serialize<__S: ::serde::Serializer + ?::std::marker::Sized>(&self, __s: &mut __S) \
+             -> ::std::result::Result<(), ::serde::Error> {{ {body} {OK}(()) }}\n\
          }}"
     )
 }
@@ -388,107 +453,79 @@ fn gen_serialize(input: &Input) -> String {
 fn gen_deserialize(input: &Input) -> String {
     let name = &input.name;
     let body = match &input.shape {
-        Shape::NamedStruct(fields) => named_fields_from_content(name, fields, "content", name),
+        Shape::NamedStruct(fields) => read_named_fields(name, fields, name),
         Shape::UnitStruct => format!(
-            "match content {{ \
-               ::serde::Content::Null => ::std::result::Result::Ok({name}), \
-               _ => ::std::result::Result::Err(::serde::Error::msg(\
-                 \"expected null for unit struct {name}\")), \
-             }}"
+            "match __d.scalar()? {{ \
+               ::serde::Scalar::Null => {OK}({name}), \
+               _ => {{ {} }} \
+             }}",
+            fail(&format!("expected null for unit struct {name}"))
         ),
-        Shape::TupleStruct(1) => format!(
-            "::std::result::Result::Ok({name}(::serde::Deserialize::from_content(content)?))"
-        ),
-        Shape::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Deserialize::from_content(&items[{i}])?"))
-                .collect();
-            format!(
-                "match content {{ \
-                   ::serde::Content::Seq(items) if items.len() == {n} => \
-                     ::std::result::Result::Ok({name}({})), \
-                   _ => ::std::result::Result::Err(::serde::Error::msg(\
-                     \"expected {n}-element sequence for {name}\")), \
-                 }}",
-                items.join(", ")
-            )
-        }
+        Shape::TupleStruct(1) => format!("{OK}({name}(::serde::Deserialize::deserialize(__d)?))"),
+        Shape::TupleStruct(n) => read_seq(name, *n, name),
         Shape::Enum(variants) => {
-            let unit_arms: Vec<String> = variants
+            let unit_arms: String = variants
                 .iter()
                 .filter(|v| matches!(v.kind, VariantKind::Unit))
-                .map(|v| {
-                    let vname = &v.name;
-                    format!("{vname:?} => ::std::result::Result::Ok({name}::{vname}),")
-                })
+                .map(|v| format!("{:?} => {OK}({name}::{}),", v.name, v.name))
                 .collect();
-            let data_arms: Vec<String> = variants
+            let data_arms: String = variants
                 .iter()
                 .filter_map(|v| {
                     let vname = &v.name;
-                    let decode = match &v.kind {
+                    let path = format!("{name}::{vname}");
+                    let read = match &v.kind {
                         VariantKind::Unit => return None,
-                        VariantKind::Tuple(1) => format!(
-                            "::std::result::Result::Ok({name}::{vname}(\
-                             ::serde::Deserialize::from_content(value)?))"
-                        ),
-                        VariantKind::Tuple(n) => {
-                            let items: Vec<String> = (0..*n)
-                                .map(|i| {
-                                    format!("::serde::Deserialize::from_content(&items[{i}])?")
-                                })
-                                .collect();
-                            format!(
-                                "match value {{ \
-                                   ::serde::Content::Seq(items) if items.len() == {n} => \
-                                     ::std::result::Result::Ok({name}::{vname}({})), \
-                                   _ => ::std::result::Result::Err(::serde::Error::msg(\
-                                     \"expected {n}-element sequence for variant {vname} of {name}\")), \
-                                 }}",
-                                items.join(", ")
-                            )
+                        VariantKind::Tuple(1) => {
+                            format!("{OK}({path}(::serde::Deserialize::deserialize(__d)?))")
                         }
-                        VariantKind::Named(fields) => named_fields_from_content(
-                            &format!("{name}::{vname}"),
-                            fields,
-                            "value",
-                            &format!("{name}::{vname}"),
-                        ),
+                        VariantKind::Tuple(n) => {
+                            read_seq(&path, *n, &format!("variant {vname} of {name}"))
+                        }
+                        VariantKind::Named(fields) => read_named_fields(&path, fields, &path),
                     };
-                    Some(format!("{vname:?} => {{ {decode} }}"))
+                    // An arm's early returns are the function's; its
+                    // tail is its `Ok`.
+                    Some(format!("{SOME}({vname:?}) => ({{ {read} }})?,"))
                 })
                 .collect();
-            format!(
-                "match content {{ \
-                   ::serde::Content::Str(tag) => match tag.as_str() {{ \
-                     {} \
-                     other => ::std::result::Result::Err(::serde::Error::msg(\
-                       ::std::format!(\"unknown unit variant `{{other}}` of {name}\"))), \
-                   }}, \
-                   ::serde::Content::Map(entries) if entries.len() == 1 => {{ \
-                     let (tag_content, value) = &entries[0]; \
-                     let tag = match tag_content {{ \
-                       ::serde::Content::Str(s) => s.as_str(), \
-                       _ => return ::std::result::Result::Err(::serde::Error::msg(\
-                         \"expected string variant tag for {name}\")), \
-                     }}; \
-                     match tag {{ \
-                       {} \
-                       other => ::std::result::Result::Err(::serde::Error::msg(\
+            let not_enum = fail(&format!(
+                "expected string or single-entry map for enum {name}"
+            ));
+            // `{tag: value}`, for a variant that carries data.
+            let tagged = if data_arms.is_empty() {
+                not_enum.clone()
+            } else {
+                format!(
+                    "if !__d.next_key()? {{ {not_enum} }} \
+                     let __v = match __d.str_key()? {{ \
+                       {data_arms} \
+                       {SOME}(other) => return ::std::result::Result::Err(::serde::Error::msg(\
                          ::std::format!(\"unknown variant `{{other}}` of {name}\"))), \
-                     }} \
-                   }}, \
-                   _ => ::std::result::Result::Err(::serde::Error::msg(\
-                     \"expected string or single-entry map for enum {name}\")), \
-                 }}",
-                unit_arms.join(" "),
-                data_arms.join(" ")
+                       {NONE} => {{ {} }} \
+                     }}; \
+                     if __d.next_key()? {{ {not_enum} }} \
+                     {OK}(__v)",
+                    fail(&format!("expected string variant tag for {name}"))
+                )
+            };
+            format!(
+                "if __d.begin_map()? {{ {tagged} }} else {{ \
+                   match __d.scalar()? {{ \
+                     ::serde::Scalar::Str(tag) => match tag {{ \
+                       {unit_arms} \
+                       other => ::std::result::Result::Err(::serde::Error::msg(\
+                         ::std::format!(\"unknown unit variant `{{other}}` of {name}\"))), \
+                     }}, \
+                     _ => {{ {not_enum} }} \
+                   }} \
+                 }}"
             )
         }
     };
     format!(
         "{IMPL_ATTRS}impl ::serde::Deserialize for {name} {{\n\
-           fn from_content(content: &::serde::Content) \
+           fn deserialize<__D: ::serde::Deserializer + ?::std::marker::Sized>(__d: &mut __D) \
              -> ::std::result::Result<Self, ::serde::Error> {{ {body} }}\n\
          }}"
     )
