@@ -10,40 +10,17 @@
 //! instance, the per-step allocation count must stay under a small
 //! constant bound (growth of the journal `Vec`, the ready heap and
 //! the substrate's transaction scratch all amortize).
-//!
-//! One `#[test]` only: the counter is process-global and the harness
-//! would run sibling tests on concurrent threads, polluting the
-//! measurement window.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+#[path = "../../../tests/support/counting.rs"]
+mod counting;
+
 use std::sync::Arc;
 use txn_substrate::{MultiDatabase, ProgramOutcome, ProgramRegistry};
 use wfms_engine::{Engine, InstanceStatus};
 use wfms_model::{Activity, Container, ControlConnector, Expr, ProcessDefinition};
 
-struct Counting;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static A: counting::Counting = counting::Counting;
 
 fn chain(n: usize) -> ProcessDefinition {
     let mut def = ProcessDefinition::new("chain");
@@ -63,20 +40,6 @@ fn chain(n: usize) -> ProcessDefinition {
 
 #[test]
 fn navigation_steps_are_amortized_allocation_free() {
-    // First prove the counter counts (a silently inert allocator
-    // would make the bound below vacuous). `AtomicUsize` keeps the
-    // probe allocations from being optimized out. In-test rather than
-    // a sibling `#[test]` so no concurrent test thread can inflate
-    // the measurement window.
-    let probe_before = ALLOCS.load(Ordering::Relaxed);
-    let v: Vec<AtomicUsize> = (0..64).map(AtomicUsize::new).collect();
-    assert_eq!(v.len(), 64);
-    drop(v);
-    assert!(
-        ALLOCS.load(Ordering::Relaxed) > probe_before,
-        "global allocator hook must observe allocations"
-    );
-
     const CHAIN: usize = 250;
     let fed = MultiDatabase::new(0);
     let registry = Arc::new(ProgramRegistry::new());
@@ -96,12 +59,12 @@ fn navigation_steps_are_amortized_allocation_free() {
     // creation itself allocates (the slab columns); count only the
     // navigation steps.
     let id = engine.start("chain", Container::empty()).unwrap();
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = counting::tally();
     let mut steps = 0u64;
     while engine.step(id).unwrap() {
         steps += 1;
     }
-    let during = ALLOCS.load(Ordering::Relaxed) - before;
+    let during = (counting::tally() - before).allocs;
     assert_eq!(engine.status(id).unwrap(), InstanceStatus::Finished);
     assert_eq!(steps, CHAIN as u64, "one step per chain activity");
 

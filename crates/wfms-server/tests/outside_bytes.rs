@@ -3,13 +3,10 @@
 //! mutated bytes: no read panics, and what one read allocates stays
 //! under a constant times the length of what it read. (The HTTP
 //! `Decoder`, the other door, is `http_parser_prop.rs`'s.)
-//!
-//! One `#[test]` only: the byte counter is process-global and the
-//! harness would run sibling tests on concurrent threads, polluting the
-//! measurement window.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+#[path = "../../../tests/support/counting.rs"]
+mod counting;
+
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
@@ -20,34 +17,8 @@ use wfms_model::{Activity, Container, ProcessBuilder};
 use wfms_observe::Registry;
 use wfms_server::{parse_tenants, MigrationPolicy, PoolConfig, ShardPool};
 
-struct Counting;
-
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards to `System`, which keeps the
-// `GlobalAlloc` contract; counting touches only an atomic.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: the caller's layout, passed on unchanged.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` with `layout`; the caller's
-        // arguments, passed on unchanged.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static A: counting::Counting = counting::Counting;
 
 /// What one read may allocate: `FIXED` bytes, plus `PER_BYTE` for each
 /// byte it reads.
@@ -56,9 +27,9 @@ const PER_BYTE: u64 = 96;
 
 /// Runs `read` over `input` and checks what it allocated.
 fn bounded(what: &str, input: &[u8], read: impl FnOnce(&[u8])) {
-    let before = BYTES.load(Ordering::Relaxed);
+    let before = counting::tally();
     read(input);
-    let spent = BYTES.load(Ordering::Relaxed) - before;
+    let spent = (counting::tally() - before).bytes;
     let allowed = FIXED + PER_BYTE * input.len() as u64;
     assert!(
         spent <= allowed,

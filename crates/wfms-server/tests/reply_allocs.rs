@@ -6,46 +6,23 @@
 //! buffer. The shapes are the benchmark's: a `POST /instances` with
 //! the `order` input and a tenant key, a `GET /instances/:id`, and a
 //! reply carrying a three-member output.
-//!
-//! One `#[test]` only: the counter is process-global and the harness
-//! would run sibling tests on concurrent threads, polluting the
-//! measurement window.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+#[path = "../../../tests/support/counting.rs"]
+mod counting;
+
 use txn_substrate::Value;
 use wfms_model::Container;
 use wfms_server::api::{StatusResponse, SubmitRequest, SubmitResponse};
 use wfms_server::http::Decoder;
 
-struct Counting;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static A: counting::Counting = counting::Counting;
 
 /// Allocations `f` makes, and what it returned.
 fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = counting::tally();
     let out = f();
-    (ALLOCS.load(Ordering::Relaxed) - before, out)
+    ((counting::tally() - before).allocs, out)
 }
 
 const SUBMIT_BODY: &str = r#"{"process":"saga8","input":{"values":{"order":{"Int":123456}}}}"#;

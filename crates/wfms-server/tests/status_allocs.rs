@@ -1,42 +1,20 @@
 //! `ShardPool::status` is a keyed lookup: what one call allocates does
 //! not depend on how many instances the shard holds. (It used to build
 //! `Engine::instances()` — a `String` per resident instance — to learn
-//! one process name.)
-//!
-//! One `#[test]` only: the counter is process-global and the harness
-//! would run sibling tests on concurrent threads, polluting the
-//! measurement window.
+//! one process name.) Counted on the calling thread, so the shard
+//! worker's own allocations stay out of the window.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+#[path = "../../../tests/support/counting.rs"]
+mod counting;
+
 use std::sync::Arc;
 use txn_substrate::{MultiDatabase, ProgramOutcome, ProgramRegistry};
 use wfms_model::{Container, ProcessBuilder};
 use wfms_observe::Registry;
 use wfms_server::{PoolConfig, ShardPool, SubmitOutcome};
 
-struct Counting;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static A: counting::Counting = counting::Counting;
 
 fn provision(_shard: usize) -> (Arc<MultiDatabase>, Arc<ProgramRegistry>) {
     let fed = MultiDatabase::new(0);
@@ -46,14 +24,14 @@ fn provision(_shard: usize) -> (Arc<MultiDatabase>, Arc<ProgramRegistry>) {
     (fed, registry)
 }
 
-/// Allocations of 100 `status` calls on `id`, the shard worker idle.
+/// Allocations of 100 `status` calls on `id`.
 fn allocs_of_100_status_calls(pool: &ShardPool, id: u64) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = counting::tally();
     for _ in 0..100 {
         let (process, ..) = pool.status(id).expect("the instance is resident");
         assert_eq!(process, "one");
     }
-    ALLOCS.load(Ordering::Relaxed) - before
+    (counting::tally() - before).allocs
 }
 
 #[test]
@@ -81,11 +59,12 @@ fn status_allocations_do_not_grow_with_resident_instances() {
     }
     assert_eq!(pool.instance_counts(), (0, 10_000, 0));
     let at_10k = allocs_of_100_status_calls(&pool, first);
+    // A call allocates the process name and the version `String`s.
     assert_eq!(
-        at_10k, at_100,
+        (at_100, at_10k),
+        (2 * 100, 2 * 100),
         "status allocates the same at 10 000 resident instances as at 100"
     );
-    assert!(at_100 > 0, "the counting allocator is installed");
     drop(pool);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,7 +4,8 @@
 //! journal keeps an event only as its encoded frame, written at the
 //! next barrier or once the writer's buffer passes its cap, and a
 //! database checkpoints its own WAL once the log outgrows the store.
-//! This test counts live heap bytes — allocated minus freed — around
+//! This test counts live heap bytes — allocated minus freed, by the
+//! thread that runs the instances, wherever a block is freed — around
 //! 20 000 instances of each of the benchmark's two shapes, the 8-step
 //! saga and the Figure 3 flexible transaction (`exotica::run_pipeline`
 //! over `exotica::provision`'s three-site multidatabase), and pins what
@@ -13,80 +14,34 @@
 //! mirrored under the serving policy; then checks that the WAL of a
 //! busy database stays inside its checkpoint rule.
 //!
-//! The allocator also counts live allocations by size class, and every
+//! The allocator (`tests/support/counting.rs`) also counts live
+//! allocations by size class, and every
 //! measurement prints what one instance keeps per class (`--nocapture`,
 //! or with the output of a failing bound): when a bound trips, the
 //! histogram names the allocation that grew.
-//!
-//! One `#[test]` only: the counter is process-global and the harness
-//! would run sibling tests on concurrent threads, polluting the
-//! measurement window.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, Ordering};
+#[path = "support/counting.rs"]
+mod counting;
+
+use counting::CLASSES;
 use std::sync::Arc;
 use txn_substrate::durability::BUFFER_CAP;
 use txn_substrate::{Database, DbConfig, DurabilityPolicy, Value};
 use wfms_engine::{Engine, EngineConfig, InstanceStatus};
 use wfms_model::Container;
 
-struct LiveBytes;
-
-static LIVE: AtomicI64 = AtomicI64::new(0);
-
-/// Size classes: 8-byte steps up to 4 KiB (class `i` holds sizes in
-/// `(8 × (i − 1), 8 × i]`), then one class for everything larger.
-const CLASSES: usize = 513;
-
-/// Live allocations per size class.
-static BY_SIZE: [AtomicI64; CLASSES] = [const { AtomicI64::new(0) }; CLASSES];
-
-fn class(size: usize) -> &'static AtomicI64 {
-    &BY_SIZE[size.div_ceil(8).min(CLASSES - 1)]
-}
-
-unsafe impl GlobalAlloc for LiveBytes {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
-        class(layout.size()).fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
-        class(layout.size()).fetch_sub(1, Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
-        class(layout.size()).fetch_sub(1, Ordering::Relaxed);
-        class(new_size).fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: LiveBytes = LiveBytes;
-
-fn live() -> i64 {
-    LIVE.load(Ordering::Relaxed)
-}
-
-/// Live allocations per size class, read without allocating.
-fn by_size() -> [i64; CLASSES] {
-    std::array::from_fn(|i| BY_SIZE[i].load(Ordering::Relaxed))
-}
+static A: counting::Counting = counting::Counting;
 
 const INSTANCES: i64 = 20_000;
 
-/// What one instance keeps per size class between two [`by_size`]
-/// readings: a row per class it keeps at least a hundredth of an
-/// allocation of.
-fn histogram(before: &[i64; CLASSES], after: &[i64; CLASSES]) -> String {
+/// What one instance keeps per size class, of the live blocks `kept`
+/// by [`INSTANCES`] instances: a row per class it keeps at least a
+/// hundredth of an allocation of.
+fn histogram(kept: &[i64; CLASSES]) -> String {
     let mut rows = String::new();
-    for (i, (b, a)) in before.iter().zip(after).enumerate() {
-        let per_instance = (a - b) as f64 / INSTANCES as f64;
+    for (i, n) in kept.iter().enumerate() {
+        let per_instance = *n as f64 / INSTANCES as f64;
         if per_instance.abs() >= 0.01 {
             let size = if i == CLASSES - 1 {
                 format!("> {}", 8 * (CLASSES - 1))
@@ -158,14 +113,14 @@ fn bytes_per_finished_instance(
     // journal writer's buffer grown past its cap.
     run(2_000);
     engine.flush_journal().expect("flushes");
-    let classes = by_size();
-    let before = live();
+    let before = counting::tally();
     run(INSTANCES);
     engine.flush_journal().expect("flushes");
-    let per_instance = (live() - before) / INSTANCES;
+    let kept = counting::tally() - before;
+    let per_instance = kept.live / INSTANCES;
     println!(
         "{label}: {per_instance} B per finished instance; live allocations per instance by size:\n{}",
-        histogram(&classes, &by_size())
+        histogram(&kept.by_size)
     );
 
     if journal.is_some() {
@@ -176,7 +131,7 @@ fn bytes_per_finished_instance(
             "the cap wrote without a barrier"
         );
         engine.flush_journal().expect("flushes");
-        let twice = (live() - before) / (2 * INSTANCES);
+        let twice = (counting::tally() - before).live / (2 * INSTANCES);
         println!(
             "{label}: {twice} B per finished instance after {}",
             2 * INSTANCES
@@ -198,12 +153,6 @@ fn bytes_per_finished_instance(
 
 #[test]
 fn memory_is_bounded_and_the_file_plus_memory_is_the_log() {
-    // A silently inert allocator hook would make every bound vacuous.
-    let before = live();
-    let probe = std::hint::black_box(vec![0u8; 4096]);
-    assert!(live() >= before + 4096, "the allocator hook must count");
-    drop(probe);
-
     let dir = std::env::temp_dir().join(format!("wftx-log-memory-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
