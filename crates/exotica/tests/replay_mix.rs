@@ -24,9 +24,13 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use txn_substrate::{FailurePlan, MultiDatabase, ProgramRegistry, Value};
 use wfms_engine::{
-    Engine, EngineConfig, EngineError, Event, InstanceId, InstanceStatus, ScopeState,
+    recover_from, Engine, EngineConfig, EngineError, Event, InstanceId, InstanceStatus, Journal,
+    OrgModel, ScopeState,
 };
 use wfms_model::{Container, ProcessDefinition};
+
+#[path = "../../../tests/support/renavigate.rs"]
+mod renavigate;
 
 const SAGA: &str = "saga8";
 const FLEX: &str = "figure3";
@@ -274,4 +278,27 @@ fn the_fixture_holds_the_whole_mix() {
     assert!(lines.next().unwrap().starts_with("{\"EngineCheckpoint\""));
     let started = lines.filter(|l| l.starts_with("{\"InstanceStarted\""));
     assert_eq!(started.count() as u64, INSTANCES - BEFORE_CHECKPOINT);
+}
+
+/// The instances that follow the checkpoint are what the engine derives
+/// from their starts and their journalled program outcomes: re-navigated
+/// on the checkpoint's state, with no programs, the finished ones journal
+/// their events again and the cut ones a run they are a prefix of (the
+/// re-navigation oracle, `tests/support/renavigate.rs`).
+#[test]
+fn the_instances_after_the_checkpoint_renavigate() {
+    let (events, _) = Journal::read_file(&fixture("journal")).unwrap();
+    let (checkpoint, rest) = events.split_first().unwrap();
+    assert!(matches!(checkpoint, Event::EngineCheckpoint(_)));
+    let fresh = recover_from(
+        Journal::new(),
+        vec![checkpoint.clone()],
+        models().1,
+        OrgModel::new(),
+        MultiDatabase::new(0),
+        Arc::new(ProgramRegistry::new()),
+    )
+    .unwrap();
+    let after = (INSTANCES - BEFORE_CHECKPOINT) as usize;
+    renavigate::renavigate(&fresh, rest).assert_counts(after, 0, CUT as usize);
 }

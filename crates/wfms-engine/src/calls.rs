@@ -1,5 +1,7 @@
 //! How an engine calls a program: it pays for the program's own
-//! transaction, not for the tables around it.
+//! transaction, not for the tables around it. The navigator calls
+//! nothing; the engine's loop answers each [`Dispatch`] it hands out
+//! here, unless its caller answers them (`Engine::run_with`).
 //!
 //! The registry and the federation change only when something is
 //! deployed or provisioned, so an engine resolves each program name once
@@ -11,11 +13,11 @@
 //! missing — moves [`ProgramRegistry::generation`], and the next call
 //! resolves every name again.
 
+use crate::navigator::Dispatch;
 use std::sync::Arc;
 use txn_substrate::fast_hash::FastMap;
-use txn_substrate::{
-    MultiDatabase, Params, ProgramContext, ProgramOutcome, ProgramRegistry, TxnProgram,
-};
+use txn_substrate::{MultiDatabase, ProgramContext, ProgramOutcome, ProgramRegistry, TxnProgram};
+use wfms_model::Container;
 
 /// The engine's side of every program call.
 pub(crate) struct ProgramCalls {
@@ -41,30 +43,33 @@ impl ProgramCalls {
         }
     }
 
-    /// Runs `program` as its `attempt`-th attempt over `params`. A name
-    /// nothing is registered under aborts with rc 0: the importer
-    /// rejects one statically, but a call must still fail safe.
-    pub(crate) fn call(&mut self, program: &str, attempt: u32, params: &Params) -> ProgramOutcome {
+    /// Answers `d` by running its program, as its `attempt`-th attempt
+    /// over its input: the return code and outputs of a commit, the
+    /// return code and no outputs of an abort. A name nothing is
+    /// registered under aborts with rc 0: the importer rejects one
+    /// statically, but a call must still fail safe.
+    pub(crate) fn answer(&mut self, d: &Dispatch<'_>) -> (i64, Container) {
         let stamp = self.registry.generation();
         if stamp != self.stamp {
             self.resolved.clear();
             self.stamp = stamp;
         }
-        self.ctx.attempt = attempt;
-        self.ctx.params = params.clone();
-        if let Some(found) = self.resolved.get(program) {
-            return run(found.as_deref(), program, &mut self.ctx);
+        self.ctx.attempt = d.attempt;
+        self.ctx.params = d.input.params().clone();
+        let outcome = match self.resolved.get(d.program) {
+            Some(Some(program)) => program.run(&mut self.ctx),
+            Some(None) => {
+                ProgramOutcome::aborted(format!("program {:?} not registered", d.program))
+            }
+            None => {
+                let found = self.registry.get(d.program);
+                self.resolved.insert(d.program.to_owned(), found);
+                return self.answer(d);
+            }
+        };
+        match outcome {
+            ProgramOutcome::Committed { rc, outputs } => (rc, outputs.into_iter().collect()),
+            ProgramOutcome::Aborted { rc, .. } => (rc, Container::empty()),
         }
-        let found = self.registry.get(program);
-        let outcome = run(found.as_deref(), program, &mut self.ctx);
-        self.resolved.insert(program.to_owned(), found);
-        outcome
-    }
-}
-
-fn run(found: Option<&dyn TxnProgram>, name: &str, ctx: &mut ProgramContext) -> ProgramOutcome {
-    match found {
-        Some(program) => program.run(ctx),
-        None => ProgramOutcome::aborted(format!("program {name:?} not registered")),
     }
 }

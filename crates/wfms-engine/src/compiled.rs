@@ -22,8 +22,8 @@
 //!   process-output propagation);
 //! * the effective output schema (declared members + the reserved `RC`
 //!   member) is precomputed per activity;
-//! * deadline-bearing and manual activities are indexed so
-//!   [`check_deadlines`](crate::navigator::check_deadlines) and
+//! * deadline-bearing and manual activities are indexed so the
+//!   navigator's deadline check ([`crate::Engine::advance_clock`]) and
 //!   worklist maintenance skip instances that cannot need them.
 //!
 //! Compilation is deterministic: ids are declaration positions, so a

@@ -35,7 +35,7 @@ use crate::compiled::CompiledProcess;
 use crate::event::{Checkpoint, Event, InstanceId, WorkItemId};
 use crate::journal::Journal;
 use crate::metrics::{EngineObs, ProbeCache};
-use crate::navigator::{self, NavServices};
+use crate::navigator::{self, Dispatch, NavServices};
 use crate::org::OrgModel;
 use crate::recovery::{self, RecoveryError, Replay};
 use crate::registry::{TemplateRegistry, TemplateVersion};
@@ -249,8 +249,10 @@ pub(crate) struct EngineState {
     /// is observed. Not state the journal describes.
     pub(crate) probes: ProbeCache,
     /// The program names the engine has resolved and the context its
-    /// calls run in. Not state the journal describes either.
-    pub(crate) calls: ProgramCalls,
+    /// calls run in: what answers a dispatch unless the caller of
+    /// [`Engine::run_with`] does. Not state the journal describes
+    /// either, nor one replay needs: opening binds it.
+    calls: Option<ProgramCalls>,
 }
 
 /// Where instance `id` sits in `EngineState::instances` — past the end
@@ -266,10 +268,7 @@ impl EngineState {
     /// `TemplateDeployed` events advance them — so every
     /// `InstanceStarted` resolves against the default the engine had at
     /// that journal position.
-    pub(crate) fn over(
-        templates: Vec<ProcessDefinition>,
-        calls: ProgramCalls,
-    ) -> Result<Self, RecoveryError> {
+    pub(crate) fn over(templates: Vec<ProcessDefinition>) -> Result<Self, RecoveryError> {
         let mut registry = TemplateRegistry::new();
         for def in templates {
             let process = def.name.clone();
@@ -285,7 +284,7 @@ impl EngineState {
             next_item: 1,
             org: OrgModel::new(),
             probes: ProbeCache::default(),
-            calls,
+            calls: None,
         })
     }
 
@@ -633,6 +632,22 @@ pub(crate) fn emit<E>(
     Ok(())
 }
 
+/// The live slot of the activity at `path` in `inst`, if it is in one
+/// of `states`; else what it is `expected` to be.
+fn slot_in(
+    inst: &Instance,
+    path: &str,
+    states: &[ActState],
+    expected: &'static str,
+) -> Result<u32, EngineError> {
+    inst.live_slot(path)
+        .filter(|&slot| states.contains(&inst.slab.acts[slot as usize].state))
+        .ok_or_else(|| EngineError::BadActivityState {
+            path: path.to_owned(),
+            expected,
+        })
+}
+
 /// One instance as clients see it ([`Engine::view`]).
 #[derive(Debug, Clone)]
 pub struct InstanceView {
@@ -700,29 +715,31 @@ impl Engine {
     ) -> Result<Self, RecoveryError> {
         // A journal file is replayed by the pass that opens it: each
         // event is decoded, applied and dropped.
-        let calls = ProgramCalls::new(programs, Arc::clone(&multidb));
-        let mut replay = Replay::over(templates, calls)?;
+        let mut replay = Replay::over(templates)?;
         let (journal, reopened) = match &config.journal_path {
             Some(p) => Journal::replaying(p, config.durability, |ev| replay.feed(&ev))
                 .map_err(RecoveryError::Io)?,
             None => (Journal::new(), TailReport::default()),
         };
-        let mut engine = Self::open_on(journal, replay, multidb, config)?;
+        let mut engine = Self::open_on(journal, replay, multidb, programs, config)?;
         engine.reopened = reopened;
         Ok(engine)
     }
 
     /// The engine over `journal` (`config.journal_path` is not
-    /// consulted) and the state `replay` folded from it, with the
-    /// navigation the crash interrupted repaired.
+    /// consulted) and the state `replay` folded from it, running the
+    /// programs of `programs` against `multidb`, with the navigation the
+    /// crash interrupted repaired.
     pub(crate) fn open_on(
         mut journal: Journal,
         replay: Replay,
         multidb: Arc<MultiDatabase>,
+        programs: Arc<ProgramRegistry>,
         config: EngineConfig,
     ) -> Result<Self, RecoveryError> {
         let (mut state, max_tick) = replay.finish()?;
         state.org = config.org;
+        state.calls = Some(ProgramCalls::new(programs, Arc::clone(&multidb)));
 
         // Claims are leases held by a live session: the replay just
         // re-claimed items for workers that died with the crashed engine,
@@ -824,11 +841,11 @@ impl Engine {
 
     /// `st` as the navigator takes it: the instances, one of which it
     /// drives, and the services over everything else it reads or emits
-    /// into.
+    /// into — and, beside them, the programs that answer its dispatches.
     pub(crate) fn nav<'a>(
         &'a self,
         st: &'a mut EngineState,
-    ) -> (&'a mut [Instance], NavServices<'a>) {
+    ) -> (&'a mut [Instance], NavServices<'a>, &'a mut ProgramCalls) {
         let svc = NavServices {
             journal: &self.journal,
             clock: &self.clock,
@@ -837,10 +854,10 @@ impl Engine {
             worklists: &mut st.worklists,
             next_item: &mut st.next_item,
             probes: &mut st.probes,
-            calls: &mut st.calls,
             obs: &self.obs,
         };
-        (&mut st.instances, svc)
+        let calls = st.calls.as_mut().expect("opening binds the programs");
+        (&mut st.instances, svc, calls)
     }
 
     /// `emit` for an event that is not about an instance the caller
@@ -863,23 +880,24 @@ impl Engine {
             .ok_or(EngineError::UnknownInstance(id))
     }
 
-    /// Navigates instance `id`: `f` gets the instance and the services
-    /// to decide and emit with, and the instance is retired once `f`
-    /// returns if it has stopped running — whatever `f` answers. A
-    /// broken journal mirror is reported before (nothing is attempted)
-    /// and after (what `f` emitted is in memory, not on disk).
+    /// Navigates instance `id`: `f` gets the instance, the services to
+    /// decide and emit with and the engine's programs, and the instance
+    /// is retired once `f` returns if it has stopped running — whatever
+    /// `f` answers. A broken journal mirror is reported before (nothing
+    /// is attempted) and after (what `f` emitted is in memory, not on
+    /// disk).
     fn write<T>(
         &self,
         id: InstanceId,
-        f: impl FnOnce(&mut Instance, &mut NavServices<'_>) -> Result<T, EngineError>,
+        f: impl FnOnce(&mut Instance, &mut NavServices<'_>, &mut ProgramCalls) -> Result<T, EngineError>,
     ) -> Result<T, EngineError> {
         self.check_journal()?;
         let mut st = self.state.borrow_mut();
-        let (instances, mut svc) = self.nav(&mut st);
+        let (instances, mut svc, calls) = self.nav(&mut st);
         let inst = instances
             .get_mut(index_of(id))
             .ok_or(EngineError::UnknownInstance(id))?;
-        let done = f(inst, &mut svc);
+        let done = f(inst, &mut svc, calls);
         inst.retire();
         let done = done?;
         self.check_journal()?;
@@ -975,7 +993,7 @@ impl Engine {
         };
         let started = Arc::clone(&tpl);
         emit(&self.journal, ev, |ev| st.instance_started(started, ev))?;
-        let (instances, mut svc) = self.nav(&mut st);
+        let (instances, mut svc, _) = self.nav(&mut st);
         let inst = &mut instances[index_of(id)];
         if self.obs.enabled() {
             inst.probes = Some(self.obs.act_probes(svc.probes, &tpl));
@@ -1001,7 +1019,7 @@ impl Engine {
         let target = self
             .template(&name)
             .ok_or(EngineError::UnknownProcess(name))?;
-        self.write(id, |inst, svc| {
+        self.write(id, |inst, svc, _| {
             if inst.tpl.spec_hash == target.spec_hash {
                 return Ok(MigrationOutcome::AlreadyCurrent);
             }
@@ -1042,26 +1060,75 @@ impl Engine {
     /// by crash tests and benchmarks that need to stop an instance at
     /// an exact point.
     pub fn step(&self, id: InstanceId) -> Result<bool, EngineError> {
-        self.write(id, |inst, svc| {
-            let runnable = navigator::find_runnable(inst);
-            if let Some(slot) = runnable {
-                let tpl = Arc::clone(&inst.tpl);
-                navigator::execute_activity(&tpl, inst, svc, slot, None);
-            }
-            Ok(runnable.is_some())
+        self.write(id, |inst, svc, calls| {
+            Ok(self.drive(inst, svc, None, 1, |d| calls.answer(d))? == 1)
         })
     }
 
     /// Runs every ready automatic activity of `id` (including those
-    /// that become ready as a consequence) until none is runnable.
-    /// Manual activities stay on worklists. Returns the instance
-    /// status at quiescence.
+    /// that become ready as a consequence) until none is runnable,
+    /// each program activity running its program. Manual activities
+    /// stay on worklists. Returns the instance status at quiescence.
     pub fn run_to_quiescence(&self, id: InstanceId) -> Result<InstanceStatus, EngineError> {
-        self.write(id, |inst, svc| {
-            let tpl = Arc::clone(&inst.tpl);
-            navigator::drive_to_quiescence(&tpl, inst, svc, self.step_limit)?;
+        self.write(id, |inst, svc, calls| {
+            self.drive(inst, svc, None, usize::MAX, |d| calls.answer(d))?;
             Ok(inst.status)
         })
+    }
+
+    /// [`Engine::run_to_quiescence`], with `answer` in place of the
+    /// programs: each program activity that starts is handed to it as a
+    /// [`Dispatch`], and finishes with the return code and outputs it
+    /// answers — as if its program had committed with them (an abort is
+    /// a return code and no outputs). Navigation is a function of these
+    /// outcomes: answering what a journal recorded re-derives that
+    /// journal. `answer` runs while the engine is borrowed, so it must
+    /// not call the engine.
+    pub fn run_with(
+        &self,
+        id: InstanceId,
+        answer: impl FnMut(&Dispatch<'_>) -> (i64, Container),
+    ) -> Result<InstanceStatus, EngineError> {
+        self.write(id, |inst, svc, _| {
+            self.drive(inst, svc, None, usize::MAX, answer)?;
+            Ok(inst.status)
+        })
+    }
+
+    /// The one navigation loop: starts `first` (an activity and who
+    /// executes it), if any, then runnable automatic activities one
+    /// step at a time until none is left or `steps` have run — or
+    /// [`EngineError::StepLimit`] once that would take more than the
+    /// engine's limit. A program activity's dispatch is answered by
+    /// `answer` and finished before the next step, so every cascade of
+    /// a step is over before the next one starts. Returns the steps run.
+    fn drive(
+        &self,
+        inst: &mut Instance,
+        svc: &mut NavServices<'_>,
+        first: Option<(u32, Option<Name>)>,
+        steps: usize,
+        mut answer: impl FnMut(&Dispatch<'_>) -> (i64, Container),
+    ) -> Result<usize, EngineError> {
+        let tpl = Arc::clone(&inst.tpl);
+        let (mut next, mut ran) = (first, 0);
+        loop {
+            if next.is_none() && ran < steps {
+                next = navigator::find_runnable(inst).map(|slot| (slot, None));
+                ran += usize::from(next.is_some());
+            }
+            let Some((slot, by)) = next.take() else {
+                return Ok(ran);
+            };
+            if ran > self.step_limit {
+                return Err(EngineError::StepLimit(self.step_limit));
+            }
+            if let Some(dispatch) = navigator::execute_activity(&tpl, inst, svc, slot, by) {
+                let started = dispatch.started;
+                let (rc, outputs) = answer(&dispatch);
+                navigator::finish(&tpl, inst, svc, slot, started, rc, &outputs);
+            }
+        }
     }
 
     /// Runs every instance to quiescence, in id order.
@@ -1190,19 +1257,13 @@ impl Engine {
             Some(by) => by,
             None => self.claim_as(item, person)?,
         };
-        self.write(instance, |inst, svc| {
+        self.write(instance, |inst, svc, calls| {
             // The underlying activity must still be ready at the claimed
             // attempt.
-            let slot = inst
-                .live_slot(&path)
-                .filter(|&slot| inst.slab.acts[slot as usize].state == ActState::Ready)
-                .ok_or_else(|| EngineError::BadActivityState {
-                    path: path.to_string(),
-                    expected: "ready",
-                })?;
-            let tpl = Arc::clone(&inst.tpl);
-            navigator::execute_activity(&tpl, inst, svc, slot, Some(by));
-            navigator::drive_to_quiescence(&tpl, inst, svc, self.step_limit)
+            let slot = slot_in(inst, &path, &[ActState::Ready], "ready")?;
+            let first = Some((slot, Some(by)));
+            self.drive(inst, svc, first, usize::MAX, |d| calls.answer(d))
+                .map(drop)
         })
     }
 
@@ -1210,19 +1271,9 @@ impl Engine {
     /// activity to finish with return code `rc` and no outputs, then
     /// continues navigation.
     pub fn force_finish(&self, id: InstanceId, path: &str, rc: i64) -> Result<(), EngineError> {
-        self.write(id, |inst, svc| {
-            let slot = inst
-                .live_slot(path)
-                .filter(|&slot| {
-                    matches!(
-                        inst.slab.acts[slot as usize].state,
-                        ActState::Ready | ActState::Running
-                    )
-                })
-                .ok_or_else(|| EngineError::BadActivityState {
-                    path: path.to_owned(),
-                    expected: "ready or running",
-                })?;
+        self.write(id, |inst, svc, calls| {
+            let states = [ActState::Ready, ActState::Running];
+            let slot = slot_in(inst, path, &states, "ready or running")?;
             let ev = Event::UserIntervention {
                 instance: id,
                 path: path.into(),
@@ -1231,14 +1282,15 @@ impl Engine {
             };
             navigator::emit(inst, svc, slot, ev);
             let tpl = Arc::clone(&inst.tpl);
-            navigator::complete_execution(&tpl, inst, svc, slot, rc, &Container::empty());
-            navigator::drive_to_quiescence(&tpl, inst, svc, self.step_limit)
+            navigator::finish(&tpl, inst, svc, slot, None, rc, &Container::empty());
+            self.drive(inst, svc, None, usize::MAX, |d| calls.answer(d))
+                .map(drop)
         })
     }
 
     /// Cancels a running instance.
     pub fn cancel(&self, id: InstanceId) -> Result<(), EngineError> {
-        self.write(id, |inst, svc| {
+        self.write(id, |inst, svc, _| {
             navigator::cancel_instance(inst, svc);
             Ok(())
         })
@@ -1251,7 +1303,7 @@ impl Engine {
     pub fn advance_clock(&self, ticks: txn_substrate::Tick) -> Vec<(String, String)> {
         self.clock.advance(ticks);
         let mut st = self.state.borrow_mut();
-        let (instances, mut svc) = self.nav(&mut st);
+        let (instances, mut svc, _) = self.nav(&mut st);
         let mut sent = Vec::new();
         for inst in instances.iter_mut() {
             if inst.status != InstanceStatus::Running || !inst.tpl.root.any_deadlines {

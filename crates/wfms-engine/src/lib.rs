@@ -51,7 +51,7 @@ pub mod event;
 pub mod interp;
 pub mod journal;
 pub mod metrics;
-pub mod navigator;
+mod navigator;
 pub mod optimize;
 pub mod org;
 pub mod recovery;
@@ -65,6 +65,7 @@ pub use engine::{Engine, EngineConfig, EngineError, InstanceView, MigrationOutco
 pub use event::{Checkpoint, Event, InstanceId, InstanceSnapshot, WorkItemId};
 pub use interp::RefEngine;
 pub use journal::Journal;
+pub use navigator::Dispatch;
 pub use optimize::{OptStats, ScopeFacts};
 pub use org::{OrgModel, Person};
 pub use recovery::{recover, recover_from, recover_with_policy, RecoveryError};

@@ -33,44 +33,49 @@
 //! vectors, no scope-tree walks — and everything an event needs
 //! (journal path strings, activity names, container prototypes) is
 //! interned in the layout; containers cross from data connector to
-//! program to event by reference count, so a step allocates only where
+//! dispatch to event by reference count, so a step allocates only where
 //! a container takes a value its prototype does not have
-//! (`tests/alloc_budget.rs`).
-//! The navigator only *decides*. It changes nothing itself: every
-//! change is an event handed to `emit` — the event's effect
-//! (`crate::engine::effect`, the same function replay folds over the
-//! journal), then the event appended. What it reads to decide is the
-//! instance it drives, the [`NavServices`] it is lent and the compiled
-//! template the instance runs under, which every function takes as
-//! `tpl`: the caller that starts a drive takes the instance's template
-//! once and lends it down, since no navigation event changes it (only
-//! a migration does, and a migration is not navigation).
+//! (`tests/cost_census.rs`).
+//! The navigator only *decides*, and calls nothing. It changes nothing
+//! itself: every change is an event handed to `emit` — the event's
+//! effect (`crate::engine::effect`, the same function replay folds over
+//! the journal), then the event appended. A program activity it starts
+//! is handed back to its caller as a [`Dispatch`], whose outcome comes
+//! back through [`finish`]: navigation is a function of the program
+//! outcomes, and who produces them — the engine's programs, a journal,
+//! a test — is the caller's business (`Engine::run_with`). What it reads
+//! to decide is the instance it drives, the [`NavServices`] it is lent
+//! and the compiled template the instance runs under, which every
+//! function takes as `tpl`: the caller that starts a drive takes the
+//! instance's template once and lends it down, since no navigation
+//! event changes it (only a migration does, and a migration is not
+//! navigation).
 
-use crate::calls::ProgramCalls;
 use crate::compiled::{CompiledKind, CompiledProcess, DataSource, ScopeId};
-use crate::engine::{self, EngineError};
-use crate::event::{Event, WorkItemId};
+use crate::engine;
+use crate::event::{Event, InstanceId, WorkItemId};
 use crate::journal::Journal;
 use crate::metrics::{EngineObs, ProbeCache};
 use crate::org::OrgModel;
 use crate::state::{ActState, Instance, InstanceStatus};
 use crate::worklist::WorklistStore;
 use std::convert::Infallible;
+use std::time::Instant;
 use txn_substrate::frame::Name;
-use txn_substrate::{ProgramOutcome, Value, VirtualClock};
+use txn_substrate::{Value, VirtualClock};
 use wfms_model::{Container, StartCondition, RC_MEMBER};
 
 /// What the navigator is lent while it drives an instance
 /// ([`crate::Engine`] hands it out, borrowing the engine's state): the
 /// services it reads, and the part of the engine's state besides that
 /// instance that a navigation event's effect writes.
-pub struct NavServices<'a> {
+pub(crate) struct NavServices<'a> {
     /// Event journal (append-only).
-    pub journal: &'a Journal,
+    pub(crate) journal: &'a Journal,
     /// Virtual clock for event timestamps and deadlines.
-    pub clock: &'a VirtualClock,
+    pub(crate) clock: &'a VirtualClock,
     /// Organization database for staff resolution.
-    pub org: &'a OrgModel,
+    pub(crate) org: &'a OrgModel,
     /// Instances by status: written by `emit` alone.
     pub(crate) counts: &'a mut (u64, u64, u64),
     /// Work items of manual activities: read to decide, written by
@@ -82,8 +87,6 @@ pub struct NavServices<'a> {
     /// Latency probes by template, for an instance that starts or
     /// migrates while the engine is observed.
     pub(crate) probes: &'a mut ProbeCache,
-    /// How a program activity calls its program.
-    pub(crate) calls: &'a mut ProgramCalls,
     /// Observability instruments (pre-resolved counters/gauges; see
     /// [`crate::metrics`]). Hot-path hooks are gated on
     /// [`EngineObs::enabled`]; none of them journal events or read the
@@ -175,11 +178,34 @@ fn offer_item(
     emit(inst, svc, slot, ev);
 }
 
+/// A program activity started and waiting for its outcome: what its
+/// program is asked, borrowed from the compiled template and the
+/// instance. Whoever drives the instance answers it with a return code
+/// and outputs, and the activity finishes with them
+/// ([`crate::Engine::run_with`]).
+#[derive(Debug)]
+pub struct Dispatch<'a> {
+    /// The instance the activity belongs to.
+    pub instance: InstanceId,
+    /// The activity's path, as its events journal it.
+    pub path: Name,
+    /// Which execution of the activity this is (0 first; an exit
+    /// condition's reschedule counts up).
+    pub attempt: u32,
+    /// The program the activity names.
+    pub program: &'a str,
+    /// The input container, as `ActivityStarted` journalled it.
+    pub input: &'a Container,
+    /// When the activity started, on an observed engine: its latency
+    /// probe's start.
+    pub(crate) started: Option<Instant>,
+}
+
 /// Pops the next runnable activity (ready + automatic) off the
 /// instance's ready queue, as a global act slot. The queue is a
 /// min-heap of execution ranks (depth-first declaration order); stale
 /// entries are validated away here.
-pub fn find_runnable(inst: &mut Instance) -> Option<u32> {
+pub(crate) fn find_runnable(inst: &mut Instance) -> Option<u32> {
     if inst.status != InstanceStatus::Running {
         return None;
     }
@@ -201,36 +227,18 @@ fn is_runnable(inst: &Instance, slot: u32) -> bool {
         && inst.ancestors_open(slot)
 }
 
-/// Drives `inst` until no automatic activity is runnable, or
-/// [`EngineError::StepLimit`] once that would take more than `limit`
-/// steps.
-pub(crate) fn drive_to_quiescence(
-    tpl: &CompiledProcess,
-    inst: &mut Instance,
-    svc: &mut NavServices<'_>,
-    limit: usize,
-) -> Result<(), EngineError> {
-    debug_assert!(runs_under(tpl, inst));
-    let mut steps = 0usize;
-    while let Some(slot) = find_runnable(inst) {
-        steps += 1;
-        if steps > limit {
-            return Err(EngineError::StepLimit(limit));
-        }
-        execute_activity(tpl, inst, svc, slot, None);
-    }
-    Ok(())
-}
-
-/// Executes the activity at `slot` (which must be ready). `by` names
-/// the person for manual executions; `None` means the engine runs it.
-pub fn execute_activity(
-    tpl: &CompiledProcess,
-    inst: &mut Instance,
+/// Starts the activity at `slot` (which must be ready). `by` names the
+/// person for manual executions; `None` means the engine runs it. A
+/// program activity is handed back as its [`Dispatch`], to be answered
+/// and [`finish`]ed before the next step; a no-op finishes and a block
+/// opens its scope here, and both answer `None`.
+pub(crate) fn execute_activity<'a>(
+    tpl: &'a CompiledProcess,
+    inst: &'a mut Instance,
     svc: &mut NavServices<'_>,
     slot: u32,
     by: Option<Name>,
-) {
+) -> Option<Dispatch<'a>> {
     debug_assert!(runs_under(tpl, inst));
     let instance = inst.id;
     let lay = &tpl.layout;
@@ -284,7 +292,7 @@ pub fn execute_activity(
     }
     // Start→finish latency clock: probes are only handed to instances
     // of observed engines, so this is one `None` check otherwise.
-    let t0 = inst.probes.as_ref().map(|_| std::time::Instant::now());
+    let started = inst.probes.as_ref().map(|_| Instant::now());
 
     match &act.kind {
         CompiledKind::NoOp => {
@@ -293,17 +301,17 @@ pub fn execute_activity(
             // members declared in the output schema survive). The
             // Figure 2 compensation trigger relies on this to expose
             // the State_i flags to its outgoing transition conditions.
-            complete_execution(tpl, inst, svc, slot, 1, &input);
-            record_latency(inst, slot, t0);
+            finish(tpl, inst, svc, slot, started, 1, &input);
+            None
         }
-        CompiledKind::Program(program) => {
-            let (rc, outputs) = match svc.calls.call(program, attempt, input.params()) {
-                ProgramOutcome::Committed { rc, outputs } => (rc, outputs.into_iter().collect()),
-                ProgramOutcome::Aborted { rc, .. } => (rc, Container::empty()),
-            };
-            complete_execution(tpl, inst, svc, slot, rc, &outputs);
-            record_latency(inst, slot, t0);
-        }
+        CompiledKind::Program(program) => Some(Dispatch {
+            instance,
+            path: lay.paths[sl],
+            attempt,
+            program,
+            input: &inst.slab.acts[sl].input,
+            started,
+        }),
         CompiledKind::Block(_) => {
             // Starting the block opened its child scope; the block
             // stays running until that scope finishes.
@@ -315,27 +323,23 @@ pub fn execute_activity(
             // No latency probe for blocks: a block "runs" across many
             // navigation steps, so its wall-clock span is the sum of
             // its inner activities' probes.
+            None
         }
     }
 }
 
-/// Records start→finish latency into the instance's pre-resolved probe
-/// for `slot`. `t0` is `Some` only on observed engines.
-fn record_latency(inst: &Instance, slot: u32, t0: Option<std::time::Instant>) {
-    let Some(t0) = t0 else { return };
-    if let Some(probes) = &inst.probes {
-        probes[slot as usize].record(t0.elapsed().as_nanos() as u64);
-    }
-}
-
-/// Records the outcome of an execution: builds the output container
-/// (schema defaults + the declared members of `outputs` + `RC`),
-/// emits the finish and decides the exit condition.
-pub fn complete_execution(
+/// Records the outcome of the execution at `slot`: builds the output
+/// container (schema defaults + the declared members of `outputs` +
+/// `RC`), emits the finish and decides the exit condition — then, if
+/// the activity has a `started` time (only observed engines take one),
+/// records its start→finish latency into the instance's probe for
+/// `slot`.
+pub(crate) fn finish(
     tpl: &CompiledProcess,
     inst: &mut Instance,
     svc: &mut NavServices<'_>,
     slot: u32,
+    started: Option<Instant>,
     rc: i64,
     outputs: &Container,
 ) {
@@ -373,17 +377,14 @@ pub fn complete_execution(
     };
     emit(inst, svc, slot, ev);
     decide_exit(tpl, inst, svc, slot);
+    if let (Some(t0), Some(probes)) = (started, &inst.probes) {
+        probes[sl].record(t0.elapsed().as_nanos() as u64);
+    }
 }
 
 /// Decides the exit condition of a *finished* activity: terminate on
-/// true, reschedule on false (§3.2). Public so recovery can resume an
-/// instance whose journal ends right after an `ActivityFinished`.
-pub fn decide_exit(
-    tpl: &CompiledProcess,
-    inst: &mut Instance,
-    svc: &mut NavServices<'_>,
-    slot: u32,
-) {
+/// true, reschedule on false (§3.2).
+fn decide_exit(tpl: &CompiledProcess, inst: &mut Instance, svc: &mut NavServices<'_>, slot: u32) {
     debug_assert!(runs_under(tpl, inst));
     let instance = inst.id;
     let lay = &tpl.layout;
@@ -406,90 +407,53 @@ pub fn decide_exit(
     }
 }
 
-/// Recovery helper: a **manual** activity replayed as `Ready` with no
-/// open work item — the crash fell between `ActivityReady` and
-/// `WorkItemOffered`, so the offer never became durable. Re-offers it
-/// at the same attempt (fresh item id), exactly the event the live
-/// run would have appended next. Automatic activities need no
-/// counterpart: replaying `ActivityReady` re-enqueues them directly.
-pub(crate) fn reoffer_ready(
-    tpl: &CompiledProcess,
-    inst: &mut Instance,
-    svc: &mut NavServices<'_>,
-    slot: u32,
-) {
-    let sl = slot as usize;
-    let lay = &tpl.layout;
-    if inst.slab.acts[sl].state != ActState::Ready || lay.automatic[sl] {
-        return;
-    }
-    if svc.worklists.has_live_item(inst.id, lay.paths[sl]) {
-        return;
-    }
-    offer_item(tpl, inst, svc, slot, svc.now());
-}
-
-/// Recovery helper: an activity that was `Running` when the engine
-/// crashed is re-executed from the beginning (§3.3: "the activity will
-/// be rescheduled to be executed from the beginning"). `ActivityReady`
-/// closes the item the interrupted execution left open; a manual
-/// activity is offered afresh.
-pub fn reset_running_to_ready(
+/// Repairs the navigation a crash — or a migration's state transfer —
+/// left owed to the activity at `slot`, by its state, with exactly the
+/// events the interrupted run would have appended next. Nothing, for
+/// one an earlier repair's cascade has already decided.
+///
+/// * `Ready` and **manual** with no open work item: the crash fell
+///   between `ActivityReady` and `WorkItemOffered`, so the offer never
+///   became durable. Re-offered at the same attempt (fresh item id). An
+///   automatic one needs nothing: replaying `ActivityReady` re-enqueues
+///   it.
+/// * `Running`: re-executed from the beginning (§3.3: "the activity
+///   will be rescheduled to be executed from the beginning") — the
+///   dispatch nobody answered is handed out again. `ActivityReady`
+///   closes the item the interrupted execution left open; a manual
+///   activity is offered afresh.
+/// * `Waiting`: its deciding events were cut off. A **start activity**
+///   (no incoming connectors) lost its `ActivityReady` — the crash hit
+///   between the `InstanceStarted`/block-`ActivityStarted` event and the
+///   seeding of the scope, or between an `ActivityRescheduled` and its
+///   re-ready — and is made ready unconditionally, as seeding does. A
+///   joined activity whose incoming connectors were all evaluated lost
+///   its ready/dead decision, which is re-run; an undecidable join is
+///   left waiting, exactly as live.
+/// * `Terminated`, interrupted mid-[`terminate_activity`]: the outgoing
+///   connectors the replay found unevaluated are evaluated, in
+///   declaration order, exactly as the live path would have continued.
+/// * `Finished`: its exit decision was lost, and is decided.
+pub(crate) fn repair(
     tpl: &CompiledProcess,
     inst: &mut Instance,
     svc: &mut NavServices<'_>,
     slot: u32,
 ) {
     debug_assert!(runs_under(tpl, inst));
-    if inst.slab.acts[slot as usize].state == ActState::Running {
-        make_ready(tpl, inst, svc, slot);
-    }
-}
-
-/// Recovery helper: re-derives the fate of a `Waiting` activity whose
-/// deciding events were lost to a crash. Two cases the journal replay
-/// cannot see:
-///
-/// * a **start activity** (no incoming connectors) whose
-///   `ActivityReady` was cut off — the crash hit between the
-///   `InstanceStarted`/block-`ActivityStarted` event and the seeding
-///   of the scope, or between an `ActivityRescheduled` and its
-///   re-ready. Seed semantics apply: make it ready unconditionally
-///   (its start condition has nothing to wait for).
-/// * a joined activity whose incoming connectors were all evaluated
-///   (the `ConnectorEvaluated` events are in the journal) but whose
-///   ready/dead decision event was cut off — re-run the start-condition
-///   decision. Undecidable joins are left waiting, exactly as live.
-pub(crate) fn renavigate_waiting(
-    tpl: &CompiledProcess,
-    inst: &mut Instance,
-    svc: &mut NavServices<'_>,
-    slot: u32,
-) {
-    if inst.slab.acts[slot as usize].state != ActState::Waiting {
-        return; // an earlier fix-up's cascade already decided it
-    }
-    if tpl.layout.act(slot).incoming.is_empty() {
-        make_ready(tpl, inst, svc, slot);
-    } else {
-        update_target(tpl, inst, svc, slot);
-    }
-}
-
-/// Recovery helper: completes the connector evaluations of a
-/// `Terminated` activity interrupted mid-[`terminate_activity`] — the
-/// `ActivityTerminated` event is in the journal but some outgoing
-/// `ConnectorEvaluated` events (and their target cascades) were lost.
-/// Only edges the replay found unevaluated are (re)evaluated, in
-/// declaration order, exactly as the live path would have continued.
-pub(crate) fn reevaluate_outgoing(
-    tpl: &CompiledProcess,
-    inst: &mut Instance,
-    svc: &mut NavServices<'_>,
-    slot: u32,
-) {
-    if inst.slab.acts[slot as usize].state == ActState::Terminated {
-        evaluate_outgoing(tpl, inst, svc, slot);
+    let sl = slot as usize;
+    let lay = &tpl.layout;
+    match inst.slab.acts[sl].state {
+        ActState::Ready => {
+            if !lay.automatic[sl] && !svc.worklists.has_live_item(inst.id, lay.paths[sl]) {
+                offer_item(tpl, inst, svc, slot, svc.now());
+            }
+        }
+        ActState::Running => make_ready(tpl, inst, svc, slot),
+        ActState::Waiting if lay.act(slot).incoming.is_empty() => make_ready(tpl, inst, svc, slot),
+        ActState::Waiting => update_target(tpl, inst, svc, slot),
+        ActState::Terminated => evaluate_outgoing(tpl, inst, svc, slot),
+        ActState::Finished => decide_exit(tpl, inst, svc, slot),
     }
 }
 
@@ -535,7 +499,7 @@ fn evaluate_outgoing(
 /// Terminates the activity at `slot`. `executed = false` is the dead
 /// path elimination case. Evaluates outgoing connectors, cascades to
 /// targets and checks scope completion.
-pub fn terminate_activity(
+fn terminate_activity(
     tpl: &CompiledProcess,
     inst: &mut Instance,
     svc: &mut NavServices<'_>,
@@ -649,12 +613,12 @@ pub(crate) fn check_scope_completion(
         return; // already completed (idempotence guard)
     }
     let rc = output.get(RC_MEMBER).and_then(|v| v.as_int()).unwrap_or(1);
-    complete_execution(tpl, inst, svc, pslot, rc, &output);
+    finish(tpl, inst, svc, pslot, None, rc, &output);
 }
 
 /// Cancels the instance (its offered work items close with it).
 /// Non-terminated activities simply stop navigating.
-pub fn cancel_instance(inst: &mut Instance, svc: &mut NavServices<'_>) {
+pub(crate) fn cancel_instance(inst: &mut Instance, svc: &mut NavServices<'_>) {
     if inst.status == InstanceStatus::Running {
         let ev = Event::InstanceCancelled {
             instance: inst.id,
@@ -678,7 +642,7 @@ pub fn cancel_instance(inst: &mut Instance, svc: &mut NavServices<'_>) {
 /// so instances without deadlines return without scanning anything.
 /// Scopes are visited in preorder, skipping scopes that are not
 /// actively executing.
-pub fn check_deadlines(
+pub(crate) fn check_deadlines(
     tpl: &CompiledProcess,
     inst: &mut Instance,
     svc: &mut NavServices<'_>,

@@ -30,7 +30,6 @@
 //! by emitting events, so replaying a repaired journal needs no repair
 //! of its own for what the first one fixed.
 
-use crate::calls::ProgramCalls;
 use crate::compiled::ScopeId;
 use crate::engine::{Engine, EngineConfig, EngineState, Refused};
 use crate::event::{Event, InstanceId};
@@ -182,10 +181,9 @@ pub fn recover_from(
         org,
         ..EngineConfig::default()
     };
-    let calls = ProgramCalls::new(programs, Arc::clone(&multidb));
-    let mut replay = Replay::over(templates, calls)?;
+    let mut replay = Replay::over(templates)?;
     journal.for_each(|ev| replay.feed(&ev));
-    Engine::open_on(journal, replay, multidb, config)
+    Engine::open_on(journal, replay, multidb, programs, config)
 }
 
 /// A journal being folded into an `EngineState`, one event at a time
@@ -200,14 +198,11 @@ pub(crate) struct Replay {
 }
 
 impl Replay {
-    /// The fold's start: `EngineState::over` `templates`, with the
-    /// program calls the engine will make.
-    pub(crate) fn over(
-        templates: Vec<ProcessDefinition>,
-        calls: ProgramCalls,
-    ) -> Result<Self, RecoveryError> {
+    /// The fold's start: `EngineState::over` `templates`. Replay runs
+    /// no program: every outcome it needs is in the journal.
+    pub(crate) fn over(templates: Vec<ProcessDefinition>) -> Result<Self, RecoveryError> {
         Ok(Self {
-            state: EngineState::over(templates, calls)?,
+            state: EngineState::over(templates)?,
             max_tick: 0,
             failed: None,
         })
@@ -272,7 +267,7 @@ impl Replay {
 /// Returns what it repaired, summed over the instances.
 pub(crate) fn resume(engine: &Engine) -> FixupCounts {
     let mut st = engine.state.borrow_mut();
-    let (instances, mut svc) = engine.nav(&mut st);
+    let (instances, mut svc, _) = engine.nav(&mut st);
     // Recovery is cold: count every fix-up category unconditionally so
     // `Engine::metrics` answers "what did recovery repair" even on
     // engines without an enabled observer.
@@ -370,22 +365,19 @@ pub(crate) fn fixup_instance(inst: &mut Instance, svc: &mut NavServices<'_>) -> 
 
     // Offers come first: the live run journals `WorkItemOffered`
     // immediately after `ActivityReady`, so a lost offer is the
-    // earliest missing event a crash can leave behind.
-    for slot in fx.ready {
-        navigator::reoffer_ready(&tpl, inst, svc, slot);
-    }
-    for slot in fx.running_programs {
-        navigator::reset_running_to_ready(&tpl, inst, svc, slot);
-    }
-    for slot in fx.waiting {
-        navigator::renavigate_waiting(&tpl, inst, svc, slot);
-    }
+    // earliest missing event a crash can leave behind. Restarts,
+    // waiting decisions, the terminated stack and exits follow.
     terminated.sort_by_key(|(pos, _)| std::cmp::Reverse(*pos));
-    for (_, slot) in terminated {
-        navigator::reevaluate_outgoing(&tpl, inst, svc, slot);
-    }
-    for slot in fx.finished {
-        navigator::decide_exit(&tpl, inst, svc, slot);
+    let terminated = terminated.into_iter().map(|(_, slot)| slot);
+    let repairs = fx
+        .ready
+        .into_iter()
+        .chain(fx.running_programs)
+        .chain(fx.waiting)
+        .chain(terminated)
+        .chain(fx.finished);
+    for slot in repairs {
+        navigator::repair(&tpl, inst, svc, slot);
     }
     fx.scopes
         .sort_by_key(|&s| std::cmp::Reverse(lay.scope(s).depth));

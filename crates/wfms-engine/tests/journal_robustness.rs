@@ -13,6 +13,9 @@ use wfms_engine::{
 };
 use wfms_model::{Container, ProcessBuilder, ProcessDefinition};
 
+#[path = "../../../tests/support/renavigate.rs"]
+mod renavigate;
+
 /// The fixture process: a three-step chain writing markers A, B, C on
 /// one database. Shared by the committed torn-tail fixture and its
 /// regenerator so the journal can always be replayed.
@@ -140,6 +143,19 @@ fn committed_torn_tail_fixture_recovers() {
         .iter()
         .any(|e| matches!(e, Event::InstanceFinished { instance, .. } if *instance == id)));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The committed torn journal (version 1) is what the engine derives
+/// from its start and its one journalled program outcome: re-navigated
+/// on an engine with no programs, it is a prefix of the run (the
+/// re-navigation oracle, `tests/support/renavigate.rs`).
+#[test]
+fn committed_torn_tail_fixture_renavigates() {
+    let (events, report) = Journal::read_file(&fixture_path()).unwrap();
+    assert!(report.torn_tail.is_some());
+    let fresh = Engine::new(MultiDatabase::new(0), Arc::new(ProgramRegistry::new()));
+    fresh.register(fixture_process()).unwrap();
+    renavigate::renavigate(&fresh, &events).assert_counts(1, 0, 1);
 }
 
 /// Rebuilds `tests/fixtures/torn_tail.journal`: run the fixture chain

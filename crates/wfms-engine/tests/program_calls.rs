@@ -2,9 +2,10 @@
 //! context; what it resolved must never outlive a registration. Each
 //! test here registers after the engine has called the name, through the
 //! `&self` registry the engine shares, and sees the next call run what
-//! is registered now. The last test keeps the shape: the navigator calls
-//! through the engine's resolved programs, not by name with a fresh
-//! context.
+//! is registered now. The last test keeps the shape: the navigator
+//! calls no program — it hands a program activity out as a dispatch —
+//! and the engine's loop answers each through the engine's resolved
+//! programs, not by name with a fresh context.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -102,18 +103,27 @@ fn code_of(file: &str) -> String {
         .collect()
 }
 
+/// The engine's loop calls the programs, through what the engine
+/// resolved; the navigator's program arm only hands out the dispatch,
+/// and names no way to call a program.
 #[test]
 fn the_navigator_calls_what_the_engine_resolved() {
     let code = code_of("navigator.rs");
     let arm = code
-        .split("CompiledKind::Program(program) => {")
+        .split("CompiledKind::Program(program) =>")
         .nth(1)
         .expect("the navigator has a program arm");
     let arm = &arm[..arm
         .find("CompiledKind::Block(")
         .expect("the block arm follows")];
-    assert!(arm.contains("svc.calls.call("), "the arm: {arm}");
-    for by_name in ["ProgramContext::new", "programs.invoke"] {
+    assert!(arm.contains("Some(Dispatch {"), "the arm: {arm}");
+    for by_name in ["ProgramContext::new", "programs.invoke", "calls."] {
         assert!(!code.contains(by_name), "navigator.rs names `{by_name}`");
     }
+    let engine = code_of("engine.rs");
+    assert!(
+        engine.contains("calls.answer(d)"),
+        "the loop answers from `calls`"
+    );
+    assert!(!engine.contains("ProgramContext::new"));
 }

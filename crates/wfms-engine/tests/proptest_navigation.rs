@@ -8,7 +8,9 @@
 //! * navigation is deterministic (identical journals for identical
 //!   worlds);
 //! * crash–recovery at any step converges to the uninterrupted
-//!   outcome.
+//!   outcome;
+//! * the journal is what the engine derives from the start and the
+//!   program outcomes alone (the re-navigation oracle).
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -18,6 +20,9 @@ use wfms_engine::{
     audit, recover_from, ActState, Engine, Event, InstanceId, InstanceStatus, Journal, OrgModel,
 };
 use wfms_model::{Activity, Container, ControlConnector, Expr, ProcessDefinition, StartCondition};
+
+#[path = "../../../tests/support/renavigate.rs"]
+mod renavigate;
 
 /// A generated scenario: a DAG over `n` activities with edges
 /// (i < j), per-activity OR/AND joins and per-activity commit/abort
@@ -181,6 +186,17 @@ proptest! {
         let (_, ev1) = run(&s);
         let (_, ev2) = run(&s);
         prop_assert_eq!(ev1, ev2);
+    }
+
+    /// Re-navigation: a fresh engine with no programs, each dispatch
+    /// answered with the outcome the run journalled, journals the run
+    /// again.
+    #[test]
+    fn journals_renavigate(s in scenario()) {
+        let (_, events) = run(&s);
+        let fresh = Engine::new(MultiDatabase::new(0), Arc::new(ProgramRegistry::new()));
+        fresh.register(build(&s)).unwrap();
+        renavigate::renavigate(&fresh, &events).assert_counts(1, 0, 0);
     }
 
     /// Crash–recovery convergence: crashing after `k` navigation

@@ -20,7 +20,7 @@
 //! lands in the reactor's queue, fills its response slot, and is
 //! written out together with every other reply from the same batch —
 //! one flush, one wake, one write per connection. The worker posts
-//! every reply of its batch under a [`WakeHold`] and writes each
+//! every reply of its batch under a `WakeHold` and writes each
 //! reactor's `eventfd` once, when the last is posted; a reactor woken
 //! by each post that found the queue empty would preempt the worker
 //! and drain the batch a few replies at a time (≈ 7.0 wakes and 7.5

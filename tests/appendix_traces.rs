@@ -7,9 +7,14 @@
 
 use atm::fixtures;
 use std::sync::Arc;
-use txn_substrate::{FailurePlan, MultiDatabase, ProgramRegistry};
-use wftx::engine::{audit, Engine, InstanceStatus};
-use wftx::model::Container;
+use txn_substrate::{
+    FailurePlan, MultiDatabase, ProgramContext, ProgramOutcome, ProgramRegistry, Value,
+};
+use wftx::engine::{audit, Engine, InstanceStatus, Journal};
+use wftx::model::{Container, ProcessDefinition};
+
+#[path = "support/renavigate.rs"]
+mod renavigate;
 
 fn saga_rig(n: usize) -> (Arc<MultiDatabase>, Arc<ProgramRegistry>) {
     let fed = MultiDatabase::new(0);
@@ -131,6 +136,66 @@ fn appendix_saga_compensation_retries_via_exit_condition() {
     let s = audit::summarize(&engine.journal_events(), id);
     assert_eq!(s.reschedules, 2);
     assert_eq!(fixtures::marker(&fed, "S1"), Some(-1));
+}
+
+/// An outcome the driver substitutes journals like the program's own:
+/// saga8 whose S6 its failure plan aborts, and saga8 with no plan whose
+/// S6 dispatch is answered `(0, empty)` — every other dispatch running
+/// its program — write the same journal, byte for byte, and leave the
+/// same tables.
+#[test]
+fn a_substituted_outcome_journals_like_the_programs_own() {
+    let spec = fixtures::linear_saga("saga8", 8);
+    let def = exotica::translate_saga(&atm::check_saga(&spec).unwrap()).unwrap();
+    let run = |plan: bool| {
+        let (fed, registry) = saga_rig(8);
+        if plan {
+            fed.injector().set_plan("S6", FailurePlan::Always);
+        }
+        let engine = Engine::new(Arc::clone(&fed), Arc::clone(&registry));
+        engine.register(def.clone()).unwrap();
+        let id = engine.start("saga8", Container::empty()).unwrap();
+        let status = if plan {
+            engine.run_to_quiescence(id)
+        } else {
+            let mut ctx = ProgramContext::new(Arc::clone(&fed));
+            engine.run_with(id, |d| {
+                if d.path == "Forward/S6" {
+                    return (0, Container::empty());
+                }
+                ctx.attempt = d.attempt;
+                ctx.params = d.input.params().clone();
+                match registry.invoke(d.program, &mut ctx) {
+                    ProgramOutcome::Committed { rc, outputs } => {
+                        (rc, outputs.into_iter().collect())
+                    }
+                    ProgramOutcome::Aborted { rc, .. } => (rc, Container::empty()),
+                }
+            })
+        };
+        assert_eq!(status.unwrap(), InstanceStatus::Finished);
+        let tables: Vec<_> = fed
+            .names()
+            .into_iter()
+            .map(|name| (fed.db(&name).unwrap().snapshot(), name))
+            .collect();
+        (Journal::file_bytes(&engine.journal_events()), tables)
+    };
+    let (planned, substituted) = (run(true), run(false));
+    assert_eq!(planned.0, substituted.0, "journal bytes");
+    assert_eq!(planned.1, substituted.1, "tables");
+    let saga_db = &planned
+        .1
+        .iter()
+        .find(|(_, name)| name == "saga_db")
+        .unwrap()
+        .0;
+    assert_eq!(
+        saga_db.get("S5"),
+        Some(&Value::Int(-1)),
+        "S1..S5 compensated"
+    );
+    assert_eq!(saga_db.get("S6"), None, "S6 never committed");
 }
 
 fn figure3_engine(
@@ -283,4 +348,53 @@ fn appendix_flex_trace_t6_aborts_only_t5_compensated() {
     assert_eq!(fixtures::marker(&fed, "T5"), Some(-1));
     assert_eq!(fixtures::marker(&fed, "T6"), None);
     assert_eq!(fixtures::marker(&fed, "T7"), Some(1));
+}
+
+/// Every scenario above, re-navigated: its journal is what the engine
+/// derives from the start and the program outcomes alone (the
+/// re-navigation oracle, `support/renavigate.rs`).
+#[test]
+fn appendix_journals_renavigate() {
+    let saga = |n| {
+        let spec = fixtures::linear_saga("appendix_saga", n);
+        exotica::translate_saga(&atm::check_saga(&spec).unwrap()).unwrap()
+    };
+    let flex =
+        exotica::translate_flex(&atm::check_flex(&fixtures::figure3_spec()).unwrap()).unwrap();
+    let scenarios: [(ProcessDefinition, &[(&str, FailurePlan)]); 8] = [
+        (saga(3), &[("S2", FailurePlan::Always)]),
+        (saga(3), &[]),
+        (
+            saga(2),
+            &[
+                ("S2", FailurePlan::Always),
+                ("undo_S1", FailurePlan::FirstN(2)),
+            ],
+        ),
+        (flex.clone(), &[]),
+        (flex.clone(), &[("T1", FailurePlan::Always)]),
+        (
+            flex.clone(),
+            &[("T4", FailurePlan::Always), ("T3", FailurePlan::FirstN(2))],
+        ),
+        (flex.clone(), &[("T8", FailurePlan::Always)]),
+        (flex, &[("T6", FailurePlan::Always)]),
+    ];
+    for (def, plans) in scenarios {
+        let fed = MultiDatabase::new(0);
+        let registry = Arc::new(ProgramRegistry::new());
+        fixtures::register_saga_programs(&fed, &registry, 3);
+        fixtures::register_figure3_programs(&fed, &registry);
+        for (label, plan) in plans {
+            fed.injector().set_plan(label, plan.clone());
+        }
+        let engine = Engine::new(fed, registry);
+        engine.register(def.clone()).unwrap();
+        let id = engine.start(&def.name, Container::empty()).unwrap();
+        engine.run_to_quiescence(id).unwrap();
+
+        let fresh = Engine::new(MultiDatabase::new(0), Arc::new(ProgramRegistry::new()));
+        fresh.register(def).unwrap();
+        renavigate::renavigate(&fresh, &engine.journal_events()).assert_counts(1, 0, 0);
+    }
 }

@@ -12,7 +12,11 @@ use atm::fixtures;
 use std::sync::Arc;
 use txn_substrate::{FailurePlan, MultiDatabase, ProgramRegistry};
 use wftx::engine::crashtest::{sweep, SweepConfig};
-use wftx::model::Container;
+use wftx::engine::Engine;
+use wftx::model::{Container, ProcessDefinition};
+
+#[path = "support/renavigate.rs"]
+mod renavigate;
 
 fn saga_world(
     n: usize,
@@ -133,4 +137,51 @@ fn two_interleaved_sagas_survive_every_crash_point() {
     )
     .unwrap();
     assert!(report.ok(), "{}\n{:#?}", report.summary(), report.failures);
+}
+
+/// The reference run of every sweep above — its templates registered,
+/// its instances started, then run in id order — re-navigated: its
+/// journal is what the engine derives from the starts and the program
+/// outcomes alone (the re-navigation oracle, `support/renavigate.rs`).
+#[test]
+fn reference_runs_renavigate() {
+    let saga = |n| {
+        exotica::translate_saga(&atm::check_saga(&fixtures::linear_saga("rsaga", n)).unwrap())
+            .unwrap()
+    };
+    let flex =
+        exotica::translate_flex(&atm::check_flex(&fixtures::figure3_spec()).unwrap()).unwrap();
+    type World = Box<dyn Fn() -> (Arc<MultiDatabase>, Arc<ProgramRegistry>)>;
+    let runs: [(ProcessDefinition, usize, World); 5] = [
+        (saga(4), 1, Box::new(saga_world(4, &[]))),
+        (
+            saga(4),
+            1,
+            Box::new(saga_world(4, &[("S3", FailurePlan::Always)])),
+        ),
+        (flex.clone(), 1, Box::new(flex_world(&[]))),
+        (
+            flex,
+            1,
+            Box::new(flex_world(&[("T8", FailurePlan::Always)])),
+        ),
+        (
+            saga(3),
+            2,
+            Box::new(saga_world(3, &[("S2", FailurePlan::Always)])),
+        ),
+    ];
+    for (def, instances, world) in runs {
+        let (fed, registry) = world();
+        let engine = Engine::new(fed, registry);
+        engine.register(def.clone()).unwrap();
+        for _ in 0..instances {
+            engine.start(&def.name, Container::empty()).unwrap();
+        }
+        engine.run_all().unwrap();
+
+        let fresh = Engine::new(MultiDatabase::new(0), Arc::new(ProgramRegistry::new()));
+        fresh.register(def).unwrap();
+        renavigate::renavigate(&fresh, &engine.journal_events()).assert_counts(instances, 0, 0);
+    }
 }
