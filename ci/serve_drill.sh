@@ -6,7 +6,8 @@
 # 2. kill -9 the server mid-flight, restart it on the same data
 #    directory, and assert every previously-accepted instance is
 #    recovered and reaches `finished` — the ACK-implies-durable
-#    guarantee of the group-commit path.
+#    guarantee of the group-commit path — and that the restart's
+#    replay elided events of finished instances.
 # 3. Before the kill, hold the server at a fixed open-loop arrival
 #    rate (latency clocked from each request's scheduled send, the
 #    schedule never resets) and assert zero transport errors — the
@@ -99,6 +100,20 @@ SERVE_PID=$!
 # --verify exits 3 if any recorded id is missing or not finished.
 "$FMTM" load --url "$URL" --wait-ready 30 \
   --verify "$ART/ids.txt" --verify-timeout 60 | tee "$ART/verify.txt"
+
+# Each shard's startup line says how many of the events it replayed
+# were elided: a finished instance whose start and finish share a
+# group commit's frame is applied as those two. None elided means the
+# journal's framing no longer lets replay skip anything (the serve
+# default stopped grouping, or an instance no longer opens a frame).
+ELIDED=$(sed -n 's/^shard [0-9]*: opened in .*, \([0-9]*\) elided, .*/\1/p' "$ART/serve-2.log" |
+  awk '{ n += $1 } END { print n + 0 }')
+if [ "$ELIDED" -lt 1 ]; then
+  echo "drill: the restart elided no replayed event:" >&2
+  grep '^shard ' "$ART/serve-2.log" >&2 || true
+  exit 1
+fi
+echo "drill: the restart elided $ELIDED replayed events"
 
 # Fresh submissions after recovery must still be accepted.
 "$FMTM" load --url "$URL" --count 50 --rps 2000 | tee "$ART/load-2.txt"

@@ -131,15 +131,17 @@ impl<R: Record + Clone> Log<R> {
     /// A log mirrored to `path` under `policy`, over whatever the file
     /// already holds: a torn tail is truncated away, and the
     /// [`TailReport`] says what was found. `visit` is handed every
-    /// record the file holds, in order, as the one pass that validates
-    /// the frames decodes it — how an owner rebuilds its state from the
-    /// file without a list of its records ever existing. A file in
+    /// record the file holds, in order, with the byte offset of the
+    /// frame it is in, as the one pass that validates the frames
+    /// decodes it — how an owner rebuilds its state from the file
+    /// without a list of its records ever existing, and can tell where
+    /// one group commit ends and the next begins. A file in
     /// version 1 of the format is then rewritten in the current one
     /// (its intact records, a frame each), which drops its torn tail.
     pub fn open(
         path: &Path,
         policy: DurabilityPolicy,
-        visit: impl FnMut(R),
+        visit: impl FnMut(usize, R),
     ) -> std::io::Result<(Self, TailReport)> {
         let mut log = Self::default();
         let (mut flushed_len, mut report) = (0, TailReport::default());
@@ -184,7 +186,7 @@ impl<R: Record + Clone> Log<R> {
     /// If `path` does not open as a log.
     #[doc(hidden)]
     pub fn with_injected_file(file: File, path: PathBuf, policy: DurabilityPolicy) -> Self {
-        let (mut log, _) = Self::open(&path, policy, |_| {}).expect("the path opens as a log");
+        let (mut log, _) = Self::open(&path, policy, |_, _| {}).expect("the path opens as a log");
         if let Some(w) = log.mirror.as_mut().and_then(|m| m.writer.as_mut()) {
             w.replace_file(file);
         }
@@ -196,17 +198,17 @@ impl<R: Record + Clone> Log<R> {
     /// truncated.
     pub fn read_file(path: &Path) -> std::io::Result<(Vec<R>, TailReport)> {
         let mut records = Vec::new();
-        let (_, _, report, _) = Self::scan(path, |rec| records.push(rec))?;
+        let (_, _, report, _) = Self::scan(path, |_, rec| records.push(rec))?;
         Ok((records, report))
     }
 
     /// One pass over the file at `path`: every frame validated, every
-    /// record handed to `visit`. Returns the length of the intact
+    /// record handed to `visit` with its frame's byte offset. Returns the length of the intact
     /// prefix, where the last checkpoint is, the report, and whether
     /// the file is in version 1 of the format.
     fn scan(
         path: &Path,
-        mut visit: impl FnMut(R),
+        mut visit: impl FnMut(usize, R),
     ) -> std::io::Result<(u64, Option<Mark>, TailReport, bool)> {
         let bytes = std::fs::read(path)
             .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
@@ -217,7 +219,7 @@ impl<R: Record + Clone> Log<R> {
                 checkpoint = Some(Mark { index, offset });
             }
             index += 1;
-            visit(rec);
+            visit(offset, rec);
         })
         .map_err(|e| {
             let (name, shown) = (R::NAME, path.display());
@@ -249,11 +251,11 @@ impl<R: Record + Clone> Log<R> {
     /// new length and where its last checkpoint is.
     fn rewrite(path: &Path) -> std::io::Result<(u64, Option<Mark>)> {
         let mut frames = Encoder::new(&R::HEADER);
-        Self::scan(path, |rec| {
+        Self::scan(path, |_, rec| {
             frames.push(&rec, 1);
         })?;
         atomic_rewrite(path, &frames.finish())?;
-        let (len, checkpoint, ..) = Self::scan(path, |_| {})?;
+        let (len, checkpoint, ..) = Self::scan(path, |_, _| {})?;
         Ok((len, checkpoint))
     }
 
@@ -655,7 +657,7 @@ mod tests {
         ) {
             let dir = tmp_dir("model");
             let path = dir.join("log");
-            let open = || Log::<Num>::open(&path, policy, |_| {}).unwrap().0;
+            let open = || Log::<Num>::open(&path, policy, |_, _| {}).unwrap().0;
             let batching = matches!(policy, DurabilityPolicy::Batched { .. });
             let most = if batching { usize::MAX } else { 1 };
             let mut log = open();

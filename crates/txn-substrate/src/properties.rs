@@ -122,8 +122,8 @@ fn flip<R: Record + PartialEq + Debug>(bytes: &[u8], records: &[R], at: usize, b
 /// per flush — however many records it holds, as `n` is read by
 /// nothing — a record that opens a frame opening one; every byte
 /// prefix of it reopens to exactly
-/// the records of its whole frames and counts one torn tail if it cuts
-/// a frame; and a flipped bit (as [`flipped_bit_is_torn_or_corrupt`]'s
+/// the records of its whole frames, each with its frame's offset, and
+/// counts one torn tail if it cuts a frame; and a flipped bit (as [`flipped_bit_is_torn_or_corrupt`]'s
 /// `at` and `bit`) is a torn last frame or corruption at its frame.
 pub fn grouped_frames<R: Record + Clone + PartialEq + Debug>(
     records: &[R],
@@ -142,7 +142,7 @@ pub fn grouped_frames<R: Record + Clone + PartialEq + Debug>(
     let _ = std::fs::remove_file(&path);
     let policy = DurabilityPolicy::Batched { n };
     {
-        let (mut log, _) = Log::<R>::open(&path, policy, |_| {}).unwrap();
+        let (mut log, _) = Log::<R>::open(&path, policy, |_, _| {}).unwrap();
         for (i, rec) in records.iter().enumerate() {
             log.append(rec.clone(), false);
             if flush_after.get(i) == Some(&true) {
@@ -171,10 +171,22 @@ pub fn grouped_frames<R: Record + Clone + PartialEq + Debug>(
 
     for cut in 0..bytes.len() {
         std::fs::write(&path, &bytes[..cut]).unwrap();
-        let mut seen = Vec::new();
-        let (log, report) = Log::<R>::open(&path, policy, |rec| seen.push(rec)).unwrap();
+        let (mut seen, mut offsets) = (Vec::new(), Vec::new());
+        let (log, report) = Log::<R>::open(&path, policy, |offset, rec| {
+            offsets.push(offset);
+            seen.push(rec);
+        })
+        .unwrap();
         let (k, valid, boundary) = whole_frames(&frames, bytes.len(), cut);
         assert_eq!(seen, records[..k], "cut at byte {cut}");
+        // Each record comes with the offset of the frame it is in.
+        let starts = frames
+            .iter()
+            .flat_map(|&(start, n)| std::iter::repeat_n(start, n));
+        assert!(
+            offsets.iter().copied().eq(starts.take(k)),
+            "cut at byte {cut}"
+        );
         assert_eq!(report.torn_tail.is_none(), boundary, "cut at byte {cut}");
         let torn = log.faults().torn_tails_truncated.get();
         assert_eq!(torn, !boundary as u64, "cut at byte {cut}");

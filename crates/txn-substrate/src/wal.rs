@@ -249,7 +249,7 @@ impl Wal {
     /// under every policy. The [`TailReport`] says whether a torn tail
     /// was truncated.
     pub fn open(path: &Path, policy: DurabilityPolicy) -> std::io::Result<(Self, TailReport)> {
-        let (log, report) = Log::open(path, policy, |_| {})?;
+        let (log, report) = Log::open(path, policy, |_, _| {})?;
         let wal = Self {
             log,
             mirrored: true,

@@ -46,18 +46,25 @@
 //! Instances whose start event was lost are gone entirely — there is
 //! nothing durable to recover them *from*; a client would resubmit.
 //! The sweep checks that they are cleanly absent, not half-present.
+//!
+//! Every crash point's prefix is also reopened both ways
+//! ([`reopen_both_ways`]): written as one group commit, whose frames
+//! let replay elide what a finished instance's retirement erases, and a
+//! frame per event, where nothing is elided. The two states must be
+//! equal.
 
 use crate::engine::EngineConfig;
 use crate::event::{Event, InstanceId};
 use crate::journal::Journal;
 use crate::org::OrgModel;
-use crate::recovery;
+use crate::recovery::{self, Replayed};
 use crate::state::InstanceStatus;
 use serde::Serialize;
 use std::collections::{BTreeMap, HashSet};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use txn_substrate::{MultiDatabase, ProgramRegistry};
+use txn_substrate::{DurabilityPolicy, MultiDatabase, ProgramRegistry};
 use wfms_model::{Container, ProcessDefinition};
 
 /// A factory producing a **fresh, identically-configured world** —
@@ -433,6 +440,17 @@ fn run_crash_point(
         drop(engine);
     }
 
+    // The same prefix as one group commit wrote it: reopened as
+    // written and a frame per event, the states agree.
+    let grouped = dir.join(format!("crash_{k}.grouped"));
+    let both = write_grouped(&grouped, &ref_events[..k]).map_err(|e| e.to_string());
+    let both = both.and_then(|()| reopen_both_ways(&grouped, templates, &script.org, make_world));
+    if let Err(e) = both {
+        return Some(format!(
+            "prefix reopened as written and a frame per event: {e}"
+        ));
+    }
+
     // Truncate the journal to what a crash after event `k` would have
     // left durable.
     let mut bytes = Journal::file_bytes(&ref_events[..k]);
@@ -603,4 +621,106 @@ fn run_crash_point(
         return Some(format!("database state diverges: {got_db:?} != {ref_db:?}"));
     }
     None
+}
+
+/// Writes `events` to a new journal file at `path` as one group commit
+/// of a journal under `Batched` writes them: a frame per
+/// `InstanceStarted` or checkpoint and whatever follows it.
+pub fn write_grouped(path: &Path, events: &[Event]) -> std::io::Result<()> {
+    let _ = std::fs::remove_file(path);
+    let journal = Journal::with_file_policy(path, DurabilityPolicy::Batched { n: 64 })?;
+    journal.append_batch(events.to_vec());
+    match journal.mirror_error() {
+        Some(e) => Err(std::io::Error::other(e.to_string())),
+        None => Ok(()),
+    }
+}
+
+/// What an engine holds once open, as far as a client or a checkpoint
+/// can tell: the checkpoint it would write (every instance's scope
+/// tree, the open work items, the next instance and item ids, the
+/// clock), every instance's view, the tally by status, and the events
+/// opening read.
+#[derive(Debug, PartialEq)]
+struct Opened {
+    checkpoint: crate::event::Checkpoint,
+    views: Vec<(String, String, Option<String>, InstanceStatus, Container)>,
+    counts: (u64, u64, u64),
+    read: u64,
+}
+
+/// Opens the journal at `path` on a fresh world and reads what it
+/// holds; the checkpoint read goes into the journal it opened.
+fn opened(
+    path: &Path,
+    templates: &[ProcessDefinition],
+    org: &OrgModel,
+    make_world: &WorldFactory<'_>,
+) -> Result<(Opened, Replayed), String> {
+    let (multidb, programs) = make_world();
+    let engine = recovery::recover(path, templates.to_vec(), org.clone(), multidb, programs)
+        .map_err(|e| format!("{}: {e}", path.display()))?;
+    let counts = engine.instance_counts();
+    let views = (1..=counts.0 + counts.1 + counts.2)
+        .map(|id| {
+            let v = engine.view(InstanceId(id)).map_err(|e| e.to_string())?;
+            Ok((v.process, v.version, v.tenant, v.status, v.output))
+        })
+        .collect::<Result<_, String>>()?;
+    engine.checkpoint();
+    let checkpoint = engine.journal_events().into_iter().find_map(|ev| match ev {
+        Event::EngineCheckpoint(checkpoint) => Some(*checkpoint),
+        _ => None,
+    });
+    let replayed = engine.replayed();
+    let opened = Opened {
+        checkpoint: checkpoint.ok_or("no checkpoint journalled")?,
+        views,
+        counts,
+        read: replayed.read,
+    };
+    Ok((opened, replayed))
+}
+
+/// Reopens the journal file at `path` two ways, each on a copy beside
+/// it: as written, where replay elides the events between the start
+/// and the finish of an instance one frame holds whole, and re-encoded
+/// a frame per event ([`Journal::file_bytes`], as `PerEvent` writes
+/// it), where it elides nothing. Returns what the first open read and
+/// applied, or where the two states differ.
+pub fn reopen_both_ways(
+    path: &Path,
+    templates: &[ProcessDefinition],
+    org: &OrgModel,
+    make_world: &WorldFactory<'_>,
+) -> Result<Replayed, String> {
+    let copy = |suffix: &str| {
+        let mut name = path.as_os_str().to_owned();
+        name.push(suffix);
+        PathBuf::from(name)
+    };
+    let (as_written, per_event) = (copy(".as-written"), copy(".per-event"));
+    let (events, tail) = Journal::read_file(path).map_err(|e| e.to_string())?;
+    if let Some(torn) = tail.torn_tail {
+        return Err(format!(
+            "{} has a torn tail at byte {}",
+            path.display(),
+            torn.offset
+        ));
+    }
+    std::fs::copy(path, &as_written).map_err(|e| e.to_string())?;
+    std::fs::write(&per_event, Journal::file_bytes(&events)).map_err(|e| e.to_string())?;
+    let (grouped, replayed) = opened(&as_written, templates, org, make_world)?;
+    let (single, unelided) = opened(&per_event, templates, org, make_world)?;
+    let _ = std::fs::remove_file(&as_written);
+    let _ = std::fs::remove_file(&per_event);
+    if unelided.elided() != 0 {
+        return Err(format!("a frame per event, yet {unelided:?}"));
+    }
+    if grouped != single {
+        return Err(format!(
+            "as written ({replayed:?}) {grouped:?}, a frame per event {single:?}"
+        ));
+    }
+    Ok(replayed)
 }

@@ -37,7 +37,7 @@ use crate::journal::Journal;
 use crate::metrics::{EngineObs, ProbeCache};
 use crate::navigator::{self, Dispatch, NavServices};
 use crate::org::OrgModel;
-use crate::recovery::{self, RecoveryError, Replay};
+use crate::recovery::{self, RecoveryError, Replay, Replayed};
 use crate::registry::{TemplateRegistry, TemplateVersion};
 use crate::state::{ActState, Instance, InstanceStatus};
 use crate::worklist::{WorkItem, WorkItemState, WorklistError, WorklistStore};
@@ -140,7 +140,10 @@ pub struct EngineConfig {
     /// When the journal mirror flushes/syncs (ignored without
     /// `journal_path`). See [`DurabilityPolicy`].
     pub durability: DurabilityPolicy,
-    /// Upper bound on navigation steps per `run_to_quiescence` call.
+    /// Upper bound on the activities one navigating call runs
+    /// (`run_to_quiescence`, `run_with`, `step`, …): one more answers
+    /// [`EngineError::StepLimit`]. `step` counts against it too, so an
+    /// engine with a limit of `0` answers `StepLimit` from `step`.
     pub step_limit: usize,
     /// Observability: pass [`Observer::enabled`] to record per-activity
     /// latency histograms, navigator counters and journal flush timing.
@@ -689,6 +692,8 @@ pub struct Engine {
     pub(crate) obs: EngineObs,
     /// What opening found in the journal file.
     reopened: TailReport,
+    /// What opening read of the journal and applied.
+    replayed: Replayed,
     /// What opening's recovery repaired.
     repaired: recovery::FixupCounts,
 }
@@ -714,10 +719,10 @@ impl Engine {
         templates: Vec<ProcessDefinition>,
     ) -> Result<Self, RecoveryError> {
         // A journal file is replayed by the pass that opens it: each
-        // event is decoded, applied and dropped.
+        // frame is decoded, applied and dropped.
         let mut replay = Replay::over(templates)?;
         let (journal, reopened) = match &config.journal_path {
-            Some(p) => Journal::replaying(p, config.durability, |ev| replay.feed(&ev))
+            Some(p) => Journal::replaying(p, config.durability, |frame, ev| replay.feed(frame, ev))
                 .map_err(RecoveryError::Io)?,
             None => (Journal::new(), TailReport::default()),
         };
@@ -737,7 +742,7 @@ impl Engine {
         programs: Arc<ProgramRegistry>,
         config: EngineConfig,
     ) -> Result<Self, RecoveryError> {
-        let (mut state, max_tick) = replay.finish()?;
+        let (mut state, max_tick, replayed) = replay.finish()?;
         state.org = config.org;
         state.calls = Some(ProgramCalls::new(programs, Arc::clone(&multidb)));
 
@@ -776,6 +781,7 @@ impl Engine {
             clock,
             obs,
             reopened: TailReport::default(),
+            replayed,
             repaired: recovery::FixupCounts::default(),
         };
         engine.repaired = recovery::resume(&engine);
@@ -787,6 +793,14 @@ impl Engine {
     /// engine without a journal file.
     pub fn reopened(&self) -> &TailReport {
         &self.reopened
+    }
+
+    /// The events opening read from the journal, and of those the
+    /// events it applied: a finished instance whose start and finish
+    /// one frame holds is applied as those two (see
+    /// [`crate::recovery`]).
+    pub fn replayed(&self) -> Replayed {
+        self.replayed
     }
 
     /// What opening's recovery repaired in the instances it found

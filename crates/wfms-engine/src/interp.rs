@@ -700,6 +700,10 @@ impl RefEngine {
             .map(|c| (c.to.clone(), c.condition.clone()))
             .collect();
         for (to, cond) in outgoing {
+            // A cascade finished the instance: nothing follows its finish.
+            if inst.status != InstanceStatus::Running {
+                break;
+            }
             let value = executed && cond.eval_bool(&output).unwrap_or(false);
             {
                 let Some((_, scope)) = inst.resolve_mut(scope_path) else {

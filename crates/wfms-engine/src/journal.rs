@@ -125,17 +125,18 @@ impl Journal {
         path: &Path,
         policy: DurabilityPolicy,
     ) -> std::io::Result<(Self, TailReport)> {
-        Self::replaying(path, policy, |_| {})
+        Self::replaying(path, policy, |_, _| {})
     }
 
     /// [`Journal::with_file_report`], handing `visit` every event the
-    /// file holds as the pass that validates it decodes them: how
-    /// [`crate::Engine::open`] replays a journal it reads once and
-    /// never holds.
+    /// file holds, with the byte offset of the frame it is in, as the
+    /// pass that validates it decodes them: how [`crate::Engine::open`]
+    /// replays a journal it reads once and never holds, a group commit
+    /// at a time.
     pub(crate) fn replaying(
         path: &Path,
         policy: DurabilityPolicy,
-        visit: impl FnMut(Event),
+        visit: impl FnMut(usize, Event),
     ) -> std::io::Result<(Self, TailReport)> {
         Log::open(path, policy, visit).map(|(log, report)| (Self::over(log), report))
     }

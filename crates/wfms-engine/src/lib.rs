@@ -68,7 +68,7 @@ pub use journal::Journal;
 pub use navigator::Dispatch;
 pub use optimize::{OptStats, ScopeFacts};
 pub use org::{OrgModel, Person};
-pub use recovery::{recover, recover_from, recover_with_policy, RecoveryError};
+pub use recovery::{recover, recover_from, recover_with_policy, RecoveryError, Replayed};
 pub use registry::TemplateVersion;
 pub use state::{ActState, ActivityRt, Instance, InstanceStatus, ScopeState};
 pub use wfms_observe::Observer;

@@ -466,6 +466,9 @@ pub(crate) fn repair(
 /// (§3.2); an executed one evaluates its precompiled transition plans
 /// over the output container (evaluation errors are false — fail safe
 /// — and statically constant conditions were folded at compile time).
+/// It stops once a target's cascade has finished the instance: the
+/// connectors left lead to activities already terminated, and nothing
+/// of an instance is journalled after its `InstanceFinished`.
 fn evaluate_outgoing(
     tpl: &CompiledProcess,
     inst: &mut Instance,
@@ -478,6 +481,9 @@ fn evaluate_outgoing(
     let executed = inst.slab.acts[sl].executed;
     let m = lay.scope(lay.owner[sl]);
     for &edge_id in &lay.act(slot).outgoing {
+        if inst.status != InstanceStatus::Running {
+            return;
+        }
         let edge = &m.cs.edges[edge_id as usize];
         let es = (m.edge_base + edge_id) as usize;
         if inst.slab.connectors[es].is_some() {

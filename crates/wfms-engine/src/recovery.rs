@@ -14,7 +14,9 @@
 //!
 //! Replay is a fold: `EngineState::apply` — the function every live
 //! state change went through when its event was emitted — over the
-//! journal, one event at a time. The journal records human-readable
+//! journal, a frame at a time, less what retirement would erase: of an
+//! instance whose start and finish one frame holds, only those two
+//! (`Replay::end_frame`). The journal records human-readable
 //! string paths (it is an audit trail first); `apply` resolves each to
 //! its slot with one lookup against the **compiled template**
 //! (`Instance::live_slot`). Compilation is deterministic, so slots
@@ -31,7 +33,7 @@
 //! of its own for what the first one fixed.
 
 use crate::compiled::ScopeId;
-use crate::engine::{Engine, EngineConfig, EngineState, Refused};
+use crate::engine::{index_of, Engine, EngineConfig, EngineState, Refused};
 use crate::event::{Event, InstanceId};
 use crate::journal::Journal;
 use crate::navigator::{self, NavServices};
@@ -181,20 +183,44 @@ pub fn recover_from(
         org,
         ..EngineConfig::default()
     };
+    // A journal's memory has no group commits: each event is applied
+    // as it comes.
     let mut replay = Replay::over(templates)?;
-    journal.for_each(|ev| replay.feed(&ev));
+    journal.for_each(|ev| replay.apply(&ev));
     Engine::open_on(journal, replay, multidb, programs, config)
 }
 
-/// A journal being folded into an `EngineState`, one event at a time
-/// — the events come straight from the pass that decodes the file (or
-/// from a journal's memory) and are never collected.
+/// What opening read of its journal, and what of that it applied
+/// ([`Engine::replayed`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Replayed {
+    /// Events decoded.
+    pub read: u64,
+    /// Of those, the events `EngineState::apply` was handed.
+    pub applied: u64,
+}
+
+impl Replayed {
+    /// Events read and not applied: those of finished instances between
+    /// their start and their finish, which retirement would erase.
+    pub fn elided(&self) -> u64 {
+        self.read - self.applied
+    }
+}
+
+/// A journal being folded into an `EngineState` a frame — one group
+/// commit — at a time: the events come straight from the pass that
+/// decodes the file, and are held only until their frame ends.
 pub(crate) struct Replay {
     state: EngineState,
     max_tick: txn_substrate::Tick,
     /// The first event that could not be applied; the events after it
     /// are skipped (the pass still validates their frames).
     failed: Option<RecoveryError>,
+    /// The byte offset of the frame being read, and its events so far.
+    frame: usize,
+    held: Vec<Event>,
+    replayed: Replayed,
 }
 
 impl Replay {
@@ -205,22 +231,78 @@ impl Replay {
             state: EngineState::over(templates)?,
             max_tick: 0,
             failed: None,
+            frame: 0,
+            held: Vec::new(),
+            replayed: Replayed::default(),
         })
     }
 
-    /// Applies the journal's next event.
-    pub(crate) fn feed(&mut self, ev: &Event) {
+    /// Takes the journal's next event, read from the frame at byte
+    /// offset `frame` of its file: a frame is applied once it is whole.
+    pub(crate) fn feed(&mut self, frame: usize, ev: Event) {
+        if frame != self.frame {
+            self.end_frame();
+            self.frame = frame;
+        }
+        self.read(&ev);
+        self.held.push(ev);
+    }
+
+    /// Takes and applies the journal's next event, alone.
+    pub(crate) fn apply(&mut self, ev: &Event) {
+        self.read(ev);
+        self.fold(ev);
+    }
+
+    /// Counts `ev` read; its tick is the latest so far if it is later.
+    fn read(&mut self, ev: &Event) {
+        self.replayed.read += 1;
+        self.max_tick = self.max_tick.max(ev.at());
+    }
+
+    /// Hands `ev` to `EngineState::apply`, unless the fold has stopped.
+    fn fold(&mut self, ev: &Event) {
         if self.failed.is_none() {
-            self.max_tick = self.max_tick.max(ev.at());
+            self.replayed.applied += 1;
             if let Err(Refused::Replay(e)) = self.state.apply(ev) {
                 self.failed = Some(e);
             }
         }
     }
 
-    /// The journal has been fed whole: the state and the latest tick it
-    /// mentions, or why the fold stopped.
-    pub(crate) fn finish(mut self) -> Result<(EngineState, txn_substrate::Tick), RecoveryError> {
+    /// Applies the held frame in order — but of the instance it holds
+    /// the whole life of ([`whole_life`]), only the `InstanceStarted`
+    /// and the `InstanceFinished`. What the events in between build is
+    /// a slab that retirement drops right after the finish, and the
+    /// output retirement keeps is the finish's own. An instance whose
+    /// template has a manual activity is folded whole: its events move
+    /// the work items.
+    fn end_frame(&mut self) {
+        let mut held = std::mem::take(&mut self.held);
+        let whole = whole_life(&held);
+        let mut events = held.drain(..);
+        if let Some(start) = whole.and_then(|_| events.next()) {
+            self.fold(&start);
+        }
+        // The instance is in place now, unless the fold stopped.
+        let eliding = whole.filter(|&id| {
+            self.failed.is_none() && !self.state.instances[index_of(id)].tpl.root.any_manual
+        });
+        for ev in events {
+            let id = ev.instance();
+            if eliding.is_none() || id != eliding || matches!(ev, Event::InstanceFinished { .. }) {
+                self.fold(&ev);
+            }
+        }
+        self.held = held;
+    }
+
+    /// The journal has been fed whole: the state, the latest tick it
+    /// mentions and what was read and applied, or why the fold stopped.
+    pub(crate) fn finish(
+        mut self,
+    ) -> Result<(EngineState, txn_substrate::Tick, Replayed), RecoveryError> {
+        self.end_frame();
         self.failed.take().map_or(Ok(()), Err)?;
         // The ready queues are not state an event describes: queueing
         // is the navigator's side of a live step. (A retired instance
@@ -230,8 +312,29 @@ impl Replay {
                 inst.rebuild_ready();
             }
         }
-        Ok((self.state, self.max_tick))
+        Ok((self.state, self.max_tick, self.replayed))
     }
+}
+
+/// The instance the frame `events` holds the whole life of: the one
+/// whose `InstanceStarted` opens it — a frame holds at most one, as an
+/// `InstanceStarted` always opens a frame — if the frame holds its
+/// `InstanceFinished` too, and neither a `Migrated` of it (its template
+/// changes) nor an `InstanceCancelled` (a cancelled instance keeps the
+/// output its events built).
+fn whole_life(events: &[Event]) -> Option<InstanceId> {
+    let (Event::InstanceStarted { instance, .. }, rest) = events.split_first()? else {
+        return None;
+    };
+    let mut finished = false;
+    for ev in rest.iter().filter(|ev| ev.instance() == Some(*instance)) {
+        match ev {
+            Event::InstanceFinished { .. } => finished = true,
+            Event::Migrated { .. } | Event::InstanceCancelled { .. } => return None,
+            _ => {}
+        }
+    }
+    finished.then_some(*instance)
 }
 
 /// Post-replay fix-ups for the (at most one) navigation operation the

@@ -766,6 +766,7 @@ impl ShardPool {
                 shard: i,
                 took: started.elapsed(),
                 journal: engine.reopened().clone(),
+                elided: engine.replayed().elided(),
                 instances,
                 resumed,
                 fixups: engine.repaired(),
@@ -1157,6 +1158,9 @@ pub struct ShardOpened {
     pub took: Duration,
     /// The events replayed and the torn tail truncated, if any.
     pub journal: TailReport,
+    /// Of the events replayed, those not applied: a finished
+    /// instance's between its start and its finish.
+    pub elided: u64,
     /// Its instances once open: `(running, finished, cancelled)`.
     pub instances: (u64, u64, u64),
     /// Instances that were running and were navigated onward.
@@ -1170,11 +1174,12 @@ impl std::fmt::Display for ShardOpened {
         let (running, finished, cancelled) = self.instances;
         write!(
             f,
-            "shard {}: opened in {:.1} ms, {} events replayed, {} resumed; instances {running} \
-             running, {finished} finished, {cancelled} cancelled; torn tail ",
+            "shard {}: opened in {:.1} ms, {} events replayed, {} elided, {} resumed; instances \
+             {running} running, {finished} finished, {cancelled} cancelled; torn tail ",
             self.shard,
             self.took.as_secs_f64() * 1e3,
             self.journal.records,
+            self.elided,
             self.resumed,
         )?;
         match &self.journal.torn_tail {

@@ -17,7 +17,9 @@
 //!   multidatabase of `KvProgram`s. Allocations are pinned in
 //!   `Engine::start` and in the whole start-and-run, so a `String`,
 //!   `BTreeMap` or `Vec` that creeps back into the activity step trips
-//!   it whichever layer it creeps into.
+//!   it whichever layer it creeps into;
+//! * per reopened instance: the events `Engine::open` reads and applies
+//!   of a journal of committed saga8 instances under `Batched`.
 //!
 //! A call's own transaction is five round-trips on its database: the
 //! state lock at begin, at the write and at commit, and the lock table
@@ -184,6 +186,61 @@ fn the_benchmark_shapes_stay_inside_their_allocation_budget() {
             "{shape}: a single-threaded run has no lock waiter to wake"
         );
     }
+}
+
+/// What reopening costs a committed saga8, counted in events: the
+/// events `Engine::open` hands `EngineState::apply`. Under `Batched` an
+/// instance that runs between two flushes is one frame, so a finished
+/// one is applied as its start and its finish: 2 of the 47 events it
+/// journals. Before replay applied a frame at a time, every event read
+/// was applied, 47 per instance.
+#[test]
+fn a_reopened_committed_saga_applies_its_start_and_its_finish() {
+    const REOPENED: u64 = 256;
+    let dir = std::env::temp_dir().join(format!("wftx-census-reopen-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = exotica::AtmSpec::Saga(atm::fixtures::linear_saga("saga8", 8));
+    let def = exotica::run_pipeline(&exotica::emit_spec(&spec))
+        .expect("saga8 translates")
+        .template
+        .def
+        .as_ref()
+        .clone();
+    for per_flush in [1, 16] {
+        let open = || {
+            let steps = exotica::steps_of_all(std::slice::from_ref(&spec));
+            let (fed, programs) = exotica::provision(&steps, 7, &[]);
+            let config = wfms_engine::EngineConfig {
+                journal_path: Some(dir.join(format!("per-{per_flush}.journal"))),
+                durability: txn_substrate::DurabilityPolicy::Batched { n: 64 },
+                ..wfms_engine::EngineConfig::default()
+            };
+            Engine::open(fed, programs, config, vec![def.clone()]).expect("opens")
+        };
+        let engine = open();
+        for i in 1..=REOPENED {
+            let mut input = Container::empty();
+            input.set("order", Value::Int(i as i64));
+            let id = engine.start("saga8", input).expect("registered");
+            assert_eq!(
+                engine.run_to_quiescence(id).unwrap(),
+                InstanceStatus::Finished
+            );
+            if i % per_flush == 0 {
+                engine.flush_journal().unwrap();
+            }
+        }
+        drop(engine);
+        let replayed = open().replayed();
+        println!("saga8 reopened, a flush per {per_flush}: {replayed:?}");
+        assert_eq!(
+            (replayed.read, replayed.applied),
+            (47 * REOPENED, 2 * REOPENED),
+            "a flush per {per_flush}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The counting allocator's own test: a tally is the calling thread's,

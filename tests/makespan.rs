@@ -4,12 +4,17 @@
 //! *long-running* — hours to weeks — and the interesting cost of a
 //! failure is not engine microseconds but the extra business time the
 //! compensation/fallback path burns. These tests pin the makespan
-//! algebra of the Figure 3 scenarios.
+//! algebra of the Figure 3 scenarios, and re-navigate each scenario's
+//! journal: its ticks are durations, which only the oracle's clock
+//! step reproduces.
+
+#[path = "support/renavigate.rs"]
+mod renavigate;
 
 use std::sync::Arc;
 use txn_substrate::{FailurePlan, KvProgram, MultiDatabase, ProgramRegistry, Value};
 use wftx::engine::{Engine, InstanceStatus};
-use wftx::model::Container;
+use wftx::model::{Container, ProcessDefinition};
 
 /// Per-step business durations (ticks). Forward steps are slow;
 /// compensations cost half of their forward step.
@@ -45,19 +50,27 @@ fn world(plans: &[(&str, FailurePlan)]) -> (Arc<MultiDatabase>, Arc<ProgramRegis
     (fed, registry)
 }
 
-/// Runs the Figure 4 process and returns the simulated makespan.
-fn makespan(plans: &[(&str, FailurePlan)]) -> u64 {
+/// The Figure 4 process.
+fn figure4() -> ProcessDefinition {
+    exotica::translate_flex(&atm::check_flex(&atm::fixtures::figure3_spec()).unwrap()).unwrap()
+}
+
+/// Runs the Figure 4 process to its finish.
+fn run(plans: &[(&str, FailurePlan)]) -> Engine {
     let (fed, registry) = world(plans);
-    let def =
-        exotica::translate_flex(&atm::check_flex(&atm::fixtures::figure3_spec()).unwrap()).unwrap();
     let engine = Engine::new(Arc::clone(&fed), registry);
-    engine.register(def).unwrap();
+    engine.register(figure4()).unwrap();
     let id = engine.start("figure3", Container::empty()).unwrap();
     assert_eq!(
         engine.run_to_quiescence(id).unwrap(),
         InstanceStatus::Finished
     );
-    engine.clock().now()
+    engine
+}
+
+/// Runs the Figure 4 process and returns the simulated makespan.
+fn makespan(plans: &[(&str, FailurePlan)]) -> u64 {
+    run(plans).clock().now()
 }
 
 #[test]
@@ -115,5 +128,21 @@ fn native_executor_agrees_on_makespan() {
         let exec = atm::FlexExecutor::new(Arc::clone(&fed), registry);
         exec.run(&atm::fixtures::figure3_spec()).unwrap();
         assert_eq!(fed.clock().now(), wf, "plans {plans:?}");
+    }
+}
+
+#[test]
+fn every_scenario_renavigates_tick_by_tick() {
+    for plans in [
+        vec![],
+        vec![("T8", FailurePlan::Always)],
+        vec![("T4", FailurePlan::Always)],
+        vec![("T4", FailurePlan::Always), ("T3", FailurePlan::FirstN(2))],
+        vec![("T2", FailurePlan::Always)],
+    ] {
+        let journal = run(&plans).journal_events();
+        let fresh = Engine::new(MultiDatabase::new(0), Arc::new(ProgramRegistry::new()));
+        fresh.register(figure4()).unwrap();
+        renavigate::renavigate(&fresh, &journal).assert_counts(1, 0, 0);
     }
 }

@@ -16,14 +16,21 @@
 //! cases journal to a file and, after every step, reopen a copy of it
 //! with `Engine::open`: every frame is decoded, and paths and containers
 //! come back shared by their encoded bytes, yet the state is the live
-//! engine's.
+//! engine's. The live engine writes under `Batched`, a flush before
+//! each copy, so the run so far is one frame: once the instance has
+//! finished, replay applies it as its start and its finish. Each copy
+//! is also reopened re-encoded a frame per event, where nothing is
+//! elided (`crashtest::reopen_both_ways`), and must hold the same
+//! state.
 
 use atm::fixtures;
 use std::sync::Arc;
-use txn_substrate::{FailurePlan, MultiDatabase, ProgramOutcome, ProgramRegistry};
+use txn_substrate::{
+    DurabilityPolicy, FailurePlan, MultiDatabase, ProgramOutcome, ProgramRegistry,
+};
 use wftx::engine::{
-    recover_from, Engine, EngineConfig, Event, InstanceId, InstanceSnapshot, InstanceStatus,
-    Journal, OrgModel, WorkItem, WorkItemState,
+    crashtest, recover_from, Engine, EngineConfig, Event, InstanceId, InstanceSnapshot,
+    InstanceStatus, Journal, OrgModel, WorkItem, WorkItemState,
 };
 use wftx::model::{Activity, Container, ProcessBuilder, ProcessDefinition};
 
@@ -155,12 +162,14 @@ fn replay_rebuilds_live_state(
 
 /// [`replay_rebuilds_live_state`] through the file: the live engine
 /// journals to a file, and after every action `Engine::open` on a copy
-/// of it holds the live engine's state and tallies.
+/// of it holds the live engine's state and tallies, as does the copy
+/// reopened a frame per event. Returns the events replay elided over
+/// the whole run.
 fn reopening_the_file_rebuilds_live_state(
     def: &ProcessDefinition,
     world: &dyn Fn() -> World,
     action: &dyn Fn(&Engine, InstanceId, usize) -> bool,
-) {
+) -> u64 {
     let dir = std::env::temp_dir().join(format!(
         "wftx-replay-file-{}-{}",
         def.name,
@@ -170,15 +179,27 @@ fn reopening_the_file_rebuilds_live_state(
     std::fs::create_dir_all(&dir).unwrap();
     let on = |file: &str| EngineConfig {
         journal_path: Some(dir.join(file)),
+        durability: DurabilityPolicy::Batched { n: 64 },
         ..EngineConfig::default()
     };
+    let mut elided = 0;
     for upto in 0.. {
         let _ = std::fs::remove_file(dir.join("live.journal"));
         let (fed, programs) = world();
         let live = Engine::open(fed, programs, on("live.journal"), vec![def.clone()]).unwrap();
         let id = live.start(&def.name, Container::empty()).unwrap();
         let ran = (0..upto).take_while(|&k| action(&live, id, k)).count();
+        live.flush_journal().unwrap();
 
+        let both = crashtest::reopen_both_ways(
+            &dir.join("live.journal"),
+            std::slice::from_ref(def),
+            &OrgModel::new(),
+            world,
+        );
+        elided += both
+            .unwrap_or_else(|e| panic!("{}: {ran} actions: {e}", def.name))
+            .elided();
         std::fs::copy(dir.join("live.journal"), dir.join("copy.journal")).unwrap();
         let (fed, programs) = world();
         let reopened = Engine::open(fed, programs, on("copy.journal"), vec![def.clone()]).unwrap();
@@ -193,9 +214,10 @@ fn reopening_the_file_rebuilds_live_state(
         if ran < upto {
             assert!(upto > 1, "{}: the run took no step at all", def.name);
             let _ = std::fs::remove_dir_all(&dir);
-            return;
+            return elided;
         }
     }
+    unreachable!("a run ends")
 }
 
 fn step(engine: &Engine, id: InstanceId, _k: usize) -> bool {
@@ -215,7 +237,7 @@ fn saga_with_a_compensated_failure_through_the_file() {
         fed.injector().set_plan("S3", FailurePlan::Always);
         (fed, registry)
     };
-    reopening_the_file_rebuilds_live_state(&def, &world, &step);
+    assert!(reopening_the_file_rebuilds_live_state(&def, &world, &step) > 0);
 }
 
 #[test]
@@ -233,20 +255,22 @@ fn figure3_under_seeded_failures_through_the_file() {
             }
             (fed, registry)
         };
-        reopening_the_file_rebuilds_live_state(&def, &world, &step);
+        assert!(reopening_the_file_rebuilds_live_state(&def, &world, &step) > 0);
     }
 }
 
 #[test]
 fn the_pattern_gallery_through_the_file() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/patterns");
+    let mut elided = 0;
     for entry in std::fs::read_dir(dir).expect("examples/patterns exists") {
         let src = std::fs::read_to_string(entry.unwrap().path()).unwrap();
         let def = exotica::import(&src).unwrap().process;
         let steps = exotica::steps_of_process(&def);
         let world = || exotica::provision(&steps, 0, &[]);
-        reopening_the_file_rebuilds_live_state(&def, &world, &step);
+        elided += reopening_the_file_rebuilds_live_state(&def, &world, &step);
     }
+    assert!(elided > 0);
 }
 
 #[test]

@@ -5,7 +5,8 @@
 //! clock is moved to that event's tick, since a program with a duration
 //! moves the clock — and must journal what the journal holds, event by
 //! event and tick by tick: all of it for an instance that stopped, a
-//! prefix of the re-derived run for one a cut left running.
+//! prefix of the re-derived run for one a cut left running. An
+//! instance that finished has no event after its `InstanceFinished`.
 //!
 //! Its inputs are starts and program outcomes. An instance whose
 //! journal holds another — a work item, an intervention, a migration,
@@ -143,11 +144,16 @@ pub fn renavigate(engine: &Engine, journal: &[Event]) -> Renavigated {
             continue;
         }
         found.checked += 1;
-        // Not always the last event: connectors into activities a dead
-        // path already terminated may be evaluated after it.
-        let stopped = evs
+        // Nothing of an instance follows its finish.
+        let finish = evs
             .iter()
-            .any(|ev| matches!(ev, Event::InstanceFinished { .. }));
+            .position(|ev| matches!(ev, Event::InstanceFinished { .. }));
+        if let Some(after) = finish.map(|at| evs.len() - at - 1).filter(|&n| n > 0) {
+            found
+                .mismatches
+                .push(format!("{id}: {after} events journalled after its finish"));
+        }
+        let stopped = finish.is_some();
         found.cut += usize::from(!stopped);
         let again = engine.events_for(*id);
         let differs = evs.iter().zip(&again).position(|(was, is)| *was != is);
